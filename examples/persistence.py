@@ -3,8 +3,9 @@
 
 This is the runnable version of ``docs/persistence.md``:
 
-1. open a durable :class:`StorageService` (``backend="segment"`` here — an
-   append-only segment log per location) on a fresh ``data_dir``;
+1. open a durable service with :func:`repro.open_service`
+   (``backend="segment"`` here — an append-only segment log per location) on
+   a fresh ``data_dir``;
 2. store a document and *close* the service (simulating process exit; the
    manifest is synced after every put, so even a hard kill keeps the
    catalogue);
@@ -26,7 +27,7 @@ import random
 import shutil
 import tempfile
 
-from repro import StorageConfig, StorageService
+from repro import StorageConfig, open_service
 
 
 def main() -> None:
@@ -43,7 +44,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1-2. First "process": ingest, then die.
     # ------------------------------------------------------------------
-    service = StorageService.open(config)
+    service = open_service(config)
     document = service.put("backup", payload)
     status = service.status()
     print(f"data dir        : {data_dir}")
@@ -56,7 +57,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. Second "process": reopen the same root.
     # ------------------------------------------------------------------
-    service = StorageService.open(config)
+    service = open_service(config)
     print(f"reopened        : {len(service.documents)} document(s), "
           f"{service.status().blocks} blocks re-indexed from the backends")
     assert service.get("backup") == payload

@@ -11,9 +11,9 @@ simulator.
 
 Quickstart::
 
-    from repro import StorageConfig, StorageService
+    from repro import open_service
 
-    service = StorageService.open(StorageConfig(scheme="ae-3-2-5"))
+    service = open_service(scheme="ae-3-2-5")
     service.put("archive", b"some archive content")
     service.fail_locations(range(3))
     report = service.repair()
@@ -87,6 +87,9 @@ Sec. III-B), ``LatticeBoundsError`` (queries outside the entangled region),
 queue is full; retry once responses drain).
 
 The higher layers are re-exported or imported from their subpackages:
+``open_service`` / ``DocumentService`` (the one way to open a service and
+the one surface every layer conforms to, from ``repro.system.opening`` and
+``repro.system.protocol``),
 ``StorageService`` / ``StorageConfig`` (the scheme-agnostic front-end, from
 ``repro.system.service``), ``ConcurrentStorageService`` (the thread-pool
 multi-client request path, from ``repro.system.frontend``),
@@ -134,6 +137,8 @@ from repro.exceptions import (
 from repro.schemes import RedundancyScheme, SchemeCapabilities
 from repro.schemes import get as get_scheme
 from repro.system.frontend import ConcurrentStorageService
+from repro.system.opening import open_service
+from repro.system.protocol import DocumentService
 from repro.system.service import StorageConfig, StorageService
 from repro.system.sharding import ShardRing, ShardedStorageService
 
@@ -150,6 +155,7 @@ __all__ = [
     "DataId",
     "Decoder",
     "DecodingError",
+    "DocumentService",
     "EncodedBatch",
     "EncodedBlock",
     "Entangler",
@@ -177,4 +183,5 @@ __all__ = [
     "UnknownBlockError",
     "__version__",
     "get_scheme",
+    "open_service",
 ]

@@ -43,6 +43,8 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Unio
 
 if TYPE_CHECKING:
     from repro.storage.topology import Topology
+    from repro.system.service import StorageConfig
+    from repro.system.transitions import TransitionReport
 
 from repro.analysis.fault_tolerance import complex_form_catalogue, me_curves
 from repro.analysis.markov import five_year_loss_table
@@ -225,23 +227,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_scheme_argument(parser: argparse.ArgumentParser) -> None:
-    from repro.schemes import DEFAULT_SCHEME
+def _add_service_arguments(
+    parser: argparse.ArgumentParser,
+    *,
+    locations: int,
+    block_size: int = 1024,
+    seed: Optional[int] = 7,
+    scheme: bool = True,
+    topology: bool = True,
+) -> None:
+    """The options every service-opening subcommand shares.
 
+    ``locations`` / ``block_size`` / ``seed`` are the subcommand's defaults
+    (``seed=None``: no ``--seed`` flag, placement seed 0); ``scheme=False``
+    leaves out ``--scheme`` and ``topology=False`` ``--topology`` /
+    ``--placement``.  Parse with :func:`_parse_service_arguments`, build the
+    config with :func:`_service_config`.
+    """
+    from repro.schemes import DEFAULT_SCHEME
+    from repro.storage import backends
+    from repro.storage import placement as placement_registry
+
+    if scheme:
+        parser.add_argument(
+            "--scheme",
+            default=DEFAULT_SCHEME,
+            help=(
+                "redundancy scheme id from the repro.schemes registry "
+                f"(default {DEFAULT_SCHEME}); e.g. ae-3-2-5, rs-10-4, lrc-azure, "
+                "lrc-xorbas, rep-3, xor-geo, xor-raid5-5 (see docs/schemes.md)"
+            ),
+        )
     parser.add_argument(
-        "--scheme",
-        default=DEFAULT_SCHEME,
+        "--block-size",
+        type=int,
+        default=block_size,
+        help=f"data/redundancy block size in bytes (default {block_size})",
+    )
+    parser.add_argument(
+        "--locations",
+        type=int,
+        default=locations,
+        help=f"storage locations in the simulated cluster (default {locations})",
+    )
+    if seed is None:
+        parser.set_defaults(seed=0)
+    else:
+        parser.add_argument(
+            "--seed", type=int, default=seed, help=f"workload seed (default {seed})"
+        )
+    parser.add_argument(
+        "--shards",
+        type=int,
+        default=1,
+        metavar="M",
         help=(
-            "redundancy scheme id from the repro.schemes registry "
-            f"(default {DEFAULT_SCHEME}); e.g. ae-3-2-5, rs-10-4, lrc-azure, "
-            "lrc-xorbas, rep-3, xor-geo, xor-raid5-5 (see docs/schemes.md)"
+            "shard the document namespace across M independent services "
+            "joined by a consistent-hash ring (default 1: a single service; "
+            "see docs/sharding.md)"
         ),
     )
-
-
-def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    from repro.storage import backends
-
     parser.add_argument(
         "--backend",
         default="memory",
@@ -266,39 +311,9 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="fsync every durable write (power-loss safety at a latency cost)",
     )
-
-
-def _add_shards_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="M",
-        help=(
-            "shard the document namespace across M independent services "
-            "joined by a consistent-hash ring (default 1: a single service; "
-            "see docs/sharding.md)"
-        ),
-    )
-
-
-def _validate_shards_argument(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> None:
-    if args.shards < 1:
-        parser.error("--shards must be at least 1")
-
-
-def _validate_backend_arguments(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> None:
-    if args.backend != "memory" and args.data_dir is None:
-        parser.error(f"--backend {args.backend} requires --data-dir")
-
-
-def _add_topology_arguments(parser: argparse.ArgumentParser) -> None:
-    from repro.storage import placement as placement_registry
-
+    if not topology:
+        parser.set_defaults(topology=None, placement=None)
+        return
     parser.add_argument(
         "--topology",
         default=None,
@@ -321,6 +336,38 @@ def _add_topology_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _parse_service_arguments(
+    parser: argparse.ArgumentParser, argv: List[str] | None
+) -> argparse.Namespace:
+    """Parse, then validate what :func:`_add_service_arguments` added;
+    ``args.topology`` comes back resolved (a ``Topology`` or ``None``)."""
+    args = parser.parse_args(argv)
+    if args.shards < 1:
+        parser.error("--shards must be at least 1")
+    if args.backend != "memory" and args.data_dir is None:
+        parser.error(f"--backend {args.backend} requires --data-dir")
+    args.topology = _resolve_topology_argument(parser, args)
+    return args
+
+
+def _service_config(args: argparse.Namespace) -> "StorageConfig":
+    """The :class:`StorageConfig` the shared service options describe."""
+    from repro.system.service import StorageConfig
+
+    return StorageConfig(
+        scheme=args.scheme,
+        location_count=None if args.topology is not None else args.locations,
+        block_size=args.block_size,
+        seed=args.seed,
+        backend=args.backend,
+        data_dir=args.data_dir,
+        fsync=args.fsync,
+        topology=args.topology,
+        placement=args.placement,
+        shards=args.shards,
+    )
+
+
 def _resolve_topology_argument(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> Optional["Topology"]:
@@ -337,17 +384,33 @@ def _resolve_topology_argument(
         parser.error(f"cannot resolve --topology {args.topology!r}: {exc}")
 
 
-def _parse_fail(parser: argparse.ArgumentParser, value: str) -> Union[int, str]:
-    """``--fail`` accepts a location count or a topology target (site:0)."""
-    cleaned = value.strip()
+def _add_fail_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--fail",
+        default="3",
+        help=(
+            "locations to fail: a count (default 3) or a topology target "
+            "like 'site:0' / 'rack:0/1' (needs --topology); with --shards "
+            "the same locations fail on every shard"
+        ),
+    )
+
+
+def _parse_fail(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> Union[int, str]:
+    """``--fail`` is a location count or a topology target (site:0)."""
+    cleaned = args.fail.strip()
     if ":" in cleaned:
+        if args.topology is None:
+            parser.error(f"--fail {cleaned!r} targets a topology domain; add --topology")
         return cleaned
     try:
         return int(cleaned)
     except ValueError:
         parser.error(
             f"--fail expects a location count or a topology target like "
-            f"'site:0', not {value!r}"
+            f"'site:0', not {args.fail!r}"
         )
 
 
@@ -361,7 +424,6 @@ def build_ingest_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("path", help="file to ingest, or '-' to read standard input")
-    _add_scheme_argument(parser)
     parser.add_argument(
         "--spec",
         default=None,
@@ -371,22 +433,10 @@ def build_ingest_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--block-size",
-        type=int,
-        default=4096,
-        help="data/redundancy block size in bytes (default 4096)",
-    )
-    parser.add_argument(
         "--batch-blocks",
         type=int,
         default=256,
         help="blocks encoded per vectorised batch (default 256, i.e. 1 MiB at 4 KiB blocks)",
-    )
-    parser.add_argument(
-        "--locations",
-        type=int,
-        default=100,
-        help="storage locations in the simulated cluster (default 100)",
     )
     parser.add_argument(
         "--chunk-size",
@@ -409,9 +459,7 @@ def build_ingest_parser() -> argparse.ArgumentParser:
             "document pushed through the thread-pool front-end"
         ),
     )
-    _add_shards_argument(parser)
-    _add_backend_arguments(parser)
-    _add_topology_arguments(parser)
+    _add_service_arguments(parser, locations=100, block_size=4096, seed=None)
     return parser
 
 
@@ -424,28 +472,11 @@ def build_repair_parser() -> argparse.ArgumentParser:
             "the document byte-exact."
         ),
     )
-    _add_scheme_argument(parser)
     parser.add_argument(
         "--blocks", type=int, default=120, help="data blocks to write (default 120)"
     )
-    parser.add_argument(
-        "--block-size", type=int, default=1024, help="block size in bytes (default 1024)"
-    )
-    parser.add_argument(
-        "--locations", type=int, default=40, help="cluster locations (default 40)"
-    )
-    parser.add_argument(
-        "--fail",
-        default="3",
-        help=(
-            "locations to fail: a count (default 3) or a topology target "
-            "like 'site:0' / 'rack:0/1' (needs --topology)"
-        ),
-    )
-    parser.add_argument("--seed", type=int, default=7, help="workload seed (default 7)")
-    _add_shards_argument(parser)
-    _add_backend_arguments(parser)
-    _add_topology_arguments(parser)
+    _add_fail_argument(parser)
+    _add_service_arguments(parser, locations=40)
     return parser
 
 
@@ -471,21 +502,7 @@ def build_compare_parser() -> argparse.ArgumentParser:
         default=240,
         help="data blocks per workload (default 240, a multiple of every default stripe width)",
     )
-    parser.add_argument(
-        "--block-size", type=int, default=1024, help="block size in bytes (default 1024)"
-    )
-    parser.add_argument(
-        "--locations", type=int, default=60, help="cluster locations (default 60)"
-    )
-    parser.add_argument(
-        "--fail",
-        default="3",
-        help=(
-            "locations to fail in the disaster trace: a count (default 3) "
-            "or a topology target like 'site:0' (needs --topology)"
-        ),
-    )
-    parser.add_argument("--seed", type=int, default=7, help="workload seed (default 7)")
+    _add_fail_argument(parser)
     parser.add_argument(
         "--victims",
         type=int,
@@ -497,9 +514,7 @@ def build_compare_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="tiny fast configuration for CI (60 blocks of 512 bytes, 30 locations)",
     )
-    _add_shards_argument(parser)
-    _add_backend_arguments(parser)
-    _add_topology_arguments(parser)
+    _add_service_arguments(parser, locations=60, scheme=False)
     return parser
 
 
@@ -596,7 +611,6 @@ def build_load_parser() -> argparse.ArgumentParser:
             "and latency percentiles (see docs/architecture.md)."
         ),
     )
-    _add_scheme_argument(parser)
     parser.add_argument(
         "--clients",
         type=int,
@@ -635,12 +649,6 @@ def build_load_parser() -> argparse.ArgumentParser:
         help="shared document name pool size (default 64; clients overlap)",
     )
     parser.add_argument(
-        "--block-size", type=int, default=1024, help="block size in bytes (default 1024)"
-    )
-    parser.add_argument(
-        "--locations", type=int, default=40, help="cluster locations (default 40)"
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -652,60 +660,31 @@ def build_load_parser() -> argparse.ArgumentParser:
         default=None,
         help="admission queue bound (default: workers x 4); overflow bounces",
     )
-    parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
-    _add_shards_argument(parser)
-    _add_backend_arguments(parser)
-    _add_topology_arguments(parser)
+    _add_service_arguments(parser, locations=40, seed=0)
     return parser
 
 
 def load_main(argv: List[str] | None = None) -> int:
     """Entry point of ``repro-experiments load``."""
     from repro.exceptions import ReproError
-    from repro.system.frontend import ConcurrentStorageService
     from repro.system.loadgen import run_load
-    from repro.system.service import StorageConfig
+    from repro.system.opening import open_service
 
     parser = build_load_parser()
-    args = parser.parse_args(argv)
+    args = _parse_service_arguments(parser, argv)
     if args.clients < 1:
         parser.error("--clients must be at least 1")
     if args.ops is not None and args.duration is not None:
         parser.error("pass --ops or --duration, not both")
     if args.ops is None and args.duration is None:
         args.duration = 5.0
-    _validate_shards_argument(parser, args)
-    _validate_backend_arguments(parser, args)
-    topology = _resolve_topology_argument(parser, args)
     workers = args.workers if args.workers is not None else args.clients
-    config = StorageConfig(
-        scheme=args.scheme,
-        location_count=None if topology is not None else args.locations,
-        block_size=args.block_size,
-        seed=args.seed,
-        backend=args.backend,
-        data_dir=args.data_dir,
-        fsync=args.fsync,
-        topology=topology,
-        placement=args.placement,
-        shards=args.shards if args.shards > 1 else None,
-    )
     try:
-        if args.shards > 1:
-            from repro.system.sharding import ShardedStorageService
-
-            frontend = ShardedStorageService.open(
-                config, workers=workers, queue_depth=args.queue_depth
-            )
-        else:
-            frontend = ConcurrentStorageService.open(
-                config, workers=workers, queue_depth=args.queue_depth
-            )
-    except (ReproError, ValueError) as exc:
-        parser.error(str(exc))
-    try:
+        service = open_service(
+            _service_config(args), workers=workers, queue_depth=args.queue_depth
+        )
         report = run_load(
-            frontend,
+            service,
             clients=args.clients,
             ops_per_client=args.ops,
             duration_seconds=args.duration,
@@ -716,20 +695,11 @@ def load_main(argv: List[str] | None = None) -> int:
         )
     except (ReproError, ValueError) as exc:
         parser.error(str(exc))
-    print(f"scheme       : {frontend.scheme_id if args.shards > 1 else frontend.service.scheme.scheme_id}")
+    print(f"scheme       : {service.scheme.scheme_id}")
     print(f"backend      : {args.backend}")
-    if args.topology is not None and args.shards == 1:
-        print(f"topology     : {frontend.service.topology.describe()}")
-    if args.shards > 1:
-        print(
-            f"front-end    : {args.shards} shards x {workers} workers "
-            f"(consistent-hash ring, {frontend.ring.vnodes} vnodes/shard)"
-        )
-    else:
-        print(
-            f"front-end    : {workers} workers, queue depth "
-            f"{frontend.queue_depth}, {frontend.stripe_count} lock stripes"
-        )
+    if args.topology is not None:
+        print(f"topology     : {service.topology.describe()}")
+    print(f"front-end    : {service!r}")
     print(
         f"workload     : {report.clients} clients, {args.payload_bytes} B "
         f"payloads over {args.documents} names, think {args.think_ms:.1f} ms"
@@ -748,8 +718,8 @@ def load_main(argv: List[str] | None = None) -> int:
         f"p99 {report.p99_seconds * 1e3:.2f} ms, "
         f"mean {report.mean_seconds * 1e3:.2f} ms"
     )
+    service.close()
     if args.data_dir is not None:
-        frontend.close()
         print(f"persisted    : {args.data_dir}")
     return 0
 
@@ -855,68 +825,46 @@ def _read_chunks(path: str, chunk_size: int) -> Iterator[bytes]:
 
 def ingest_main(argv: List[str] | None = None) -> int:
     """Entry point of ``repro-experiments ingest``."""
+    from concurrent.futures import Future, ThreadPoolExecutor
+
     from repro.codes.entanglement import ae_scheme_id
-    from repro.core.parameters import AEParameters as _AEParameters
     from repro.exceptions import ReproError
-    from repro.system.service import StorageConfig, StorageService
+    from repro.system.opening import open_service
+    from repro.system.service import StoredDocument
 
     parser = build_ingest_parser()
-    args = parser.parse_args(argv)
+    args = _parse_service_arguments(parser, argv)
     if args.chunk_size < 1:
         parser.error("--chunk-size must be at least 1 byte")
     if args.workers < 1:
         parser.error("--workers must be at least 1")
-    _validate_shards_argument(parser, args)
-    _validate_backend_arguments(parser, args)
-    topology = _resolve_topology_argument(parser, args)
-    frontend = None
+    fan_out = args.workers > 1
     try:
-        scheme_id = args.scheme
         if args.spec is not None:
-            scheme_id = ae_scheme_id(_AEParameters.parse(args.spec))
-        config = StorageConfig(
-            scheme=scheme_id,
-            location_count=None if topology is not None else args.locations,
-            block_size=args.block_size,
+            args.scheme = ae_scheme_id(AEParameters.parse(args.spec))
+        service = open_service(
+            _service_config(args),
+            workers=args.workers if fan_out else None,
             batch_blocks=args.batch_blocks,
-            backend=args.backend,
-            data_dir=args.data_dir,
-            fsync=args.fsync,
-            topology=topology,
-            placement=args.placement,
-            shards=args.shards if args.shards > 1 else None,
         )
-        if args.shards > 1:
-            from repro.system.sharding import ShardedStorageService
-
-            service = ShardedStorageService.open(config, workers=args.workers)
-        else:
-            service = StorageService.open(config)
         started = time.perf_counter()
-        if args.workers > 1:
+        if fan_out:
             # Fan the chunks out as part documents over the thread-pool
             # front-end (per shard when sharded: part names spread over the
-            # ring); a bounded window of in-flight futures keeps the
-            # admission queues from bouncing our own submissions.
-            if args.shards > 1:
-                submit = service.put_async
-            else:
-                from repro.system.frontend import ConcurrentStorageService
-
-                frontend = ConcurrentStorageService(service, workers=args.workers)
-                submit = frontend.put_async
-            parts = []
-            futures = []
-            for chunk in _read_chunks(args.path, args.chunk_size):
-                if len(futures) >= args.workers * 2:
-                    parts.append(futures.pop(0).result())
-                futures.append(
-                    submit(f"ingest/part-{len(parts) + len(futures):05d}", chunk)
-                )
-            parts.extend(future.result() for future in futures)
+            # ring); the bounded window of in-flight puts bounds the chunks
+            # held in memory.
+            parts: List[StoredDocument] = []
+            futures: List["Future[StoredDocument]"] = []
+            with ThreadPoolExecutor(max_workers=args.workers) as clients:
+                for chunk in _read_chunks(args.path, args.chunk_size):
+                    if len(futures) >= args.workers * 2:
+                        parts.append(futures.pop(0).result())
+                    name = f"ingest/part-{len(parts) + len(futures):05d}"
+                    futures.append(clients.submit(service.put, name, chunk))
+                parts.extend(future.result() for future in futures)
+            names = [part.name for part in parts]
             length = sum(part.length for part in parts)
             block_count = sum(part.block_count for part in parts)
-            part_count = len(parts)
         else:
             document = service.put_stream(
                 "ingest", _read_chunks(args.path, args.chunk_size)
@@ -928,38 +876,26 @@ def ingest_main(argv: List[str] | None = None) -> int:
         parser.error(f"cannot read {args.path!r}: {exc.strerror or exc}")
     elapsed = time.perf_counter() - started
     throughput = length / elapsed / 1e6 if elapsed > 0 else float("inf")
-    if args.shards > 1:
-        total_blocks = service.status().blocks
-    else:
-        total_blocks = service.cluster.stats().blocks
-    redundancy = total_blocks - block_count
+    redundancy = service.status().blocks - block_count
     print(f"code setting : {service.capabilities.name}")
     print(f"scheme       : {service.scheme.scheme_id}")
     print(f"backend      : {args.backend}")
-    if args.shards > 1:
-        print(
-            f"shards       : {args.shards} independent services on a "
-            f"consistent-hash ring"
-        )
-    if args.topology is not None and args.shards == 1:
+    print(f"shards       : {args.shards}")
+    if args.topology is not None:
         print(f"topology     : {service.topology.describe()}")
-    if args.placement is not None and args.shards == 1:
-        print(f"placement    : {service.cluster.placement.describe()}")
-    if args.workers > 1:
-        print(f"workers      : {args.workers} ({part_count} part documents)")
+    if args.placement is not None:
+        placement = service.service_for("ingest").cluster.placement
+        print(f"placement    : {placement.describe()}")
+    if fan_out:
+        print(f"workers      : {args.workers} ({len(names)} part documents)")
     print(f"ingested     : {length} bytes in {block_count} blocks")
     print(f"redundancy   : {redundancy} blocks")
     print(f"elapsed      : {elapsed:.3f} s")
     print(f"throughput   : {throughput:.1f} MB/s")
     exit_code = 0
     if args.verify:
-        if args.workers > 1:
-            names = [f"ingest/part-{index:05d}" for index in range(part_count)]
-            if args.shards > 1:
-                # Scatter-gather bulk read across the shards.
-                read_back = b"".join(service.get_many(names))
-            else:
-                read_back = b"".join(frontend.get(name) for name in names)
+        if fan_out:
+            read_back = b"".join(service.get(name) for name in names)
         else:
             read_back = b"".join(service.get_stream("ingest"))
         if len(read_back) != length:
@@ -975,11 +911,8 @@ def ingest_main(argv: List[str] | None = None) -> int:
                 exit_code = 1
             else:
                 print("verify       : OK (byte-exact round trip)")
+    service.close()
     if args.data_dir is not None:
-        if frontend is not None:
-            frontend.close()
-        else:
-            service.close()
         print(f"persisted    : {args.data_dir} (reopen with the same --scheme/--backend)")
     return exit_code
 
@@ -987,80 +920,48 @@ def ingest_main(argv: List[str] | None = None) -> int:
 def repair_main(argv: List[str] | None = None) -> int:
     """Entry point of ``repro-experiments repair``."""
     from repro.exceptions import ReproError
-    from repro.system.service import StorageConfig, StorageService
+    from repro.system.opening import open_service
 
     parser = build_repair_parser()
-    args = parser.parse_args(argv)
-    fail = _parse_fail(parser, args.fail)
-    if isinstance(fail, str) and args.topology is None:
-        parser.error(f"--fail {fail!r} targets a topology domain; add --topology")
-    _validate_shards_argument(parser, args)
-    _validate_backend_arguments(parser, args)
-    topology = _resolve_topology_argument(parser, args)
+    args = _parse_service_arguments(parser, argv)
+    fail = _parse_fail(parser, args)
     rng = random.Random(args.seed)
     payload = rng.randbytes(args.blocks * args.block_size)
     try:
-        config = StorageConfig(
-            scheme=args.scheme,
-            location_count=None if topology is not None else args.locations,
-            block_size=args.block_size,
-            seed=args.seed,
-            backend=args.backend,
-            data_dir=args.data_dir,
-            fsync=args.fsync,
-            topology=topology,
-            placement=args.placement,
-            shards=args.shards if args.shards > 1 else None,
-        )
-        if args.shards > 1:
-            from repro.system.sharding import ShardedStorageService
-
-            service = ShardedStorageService.open(config)
-            probe = service.shard(service.shard_ids[0]).service
-        else:
-            service = StorageService.open(config)
-            probe = service
+        service = open_service(_service_config(args))
+        topology = service.topology
         if isinstance(fail, str):
-            failed = sorted(probe.topology.locations_for_target(fail))
+            failed = sorted(topology.locations_for_target(fail))
         else:
-            if not 0 <= fail <= probe.cluster.location_count:
+            if not 0 <= fail <= topology.node_count:
                 parser.error("--fail must lie between 0 and the location count")
-            failed = rng.sample(range(probe.cluster.location_count), fail)
+            failed = rng.sample(range(topology.node_count), fail)
         service.put("workload", payload)
-        if args.shards > 1:
-            # The same location ids go down on every shard; each shard
-            # repairs its own disaster independently.
-            for shard_id in service.shard_ids:
-                service.fail_locations(failed, shard_id)
-            report = service.repair()
-        else:
-            service.fail_locations(failed)
-            report = service.repair()
+        # On a federation the same location ids go down on every shard; each
+        # shard repairs its own disaster independently.
+        service.fail_locations(failed)
+        report = service.repair()
     except (ReproError, ValueError) as exc:
         parser.error(str(exc))
     print(f"code setting : {service.capabilities.name}")
     print(f"scheme       : {service.scheme.scheme_id}")
-    if args.shards > 1:
-        print(
-            f"shards       : {args.shards} independent services on a "
-            f"consistent-hash ring"
-        )
+    print(f"shards       : {args.shards}")
     if args.topology is not None:
-        print(f"topology     : {probe.topology.describe()}")
+        print(f"topology     : {topology.describe()}")
     if args.placement is not None:
-        print(f"placement    : {probe.cluster.placement.describe()}")
+        placement = service.service_for("workload").cluster.placement
+        print(f"placement    : {placement.describe()}")
     label = f" ({fail})" if isinstance(fail, str) else ""
-    per_shard = " per shard" if args.shards > 1 else ""
-    print(f"failed       : locations {sorted(failed)}{label}{per_shard}")
+    print(f"failed       : locations {sorted(failed)}{label}")
     print(f"repair       : {report.summary()}")
     try:
         intact = service.get("workload") == payload
     except ReproError:
         intact = False
     print(f"verify       : {'OK (byte-exact round trip)' if intact else 'FAILED (data loss)'}")
+    service.restore_locations()
+    service.close()
     if args.data_dir is not None:
-        service.restore_locations()
-        service.close()
         print(f"persisted    : {args.data_dir}")
     return 0 if intact else 1
 
@@ -1072,7 +973,7 @@ def compare_main(argv: List[str] | None = None) -> int:
     from repro.system.compare import compare_schemes
 
     parser = build_compare_parser()
-    args = parser.parse_args(argv)
+    args = _parse_service_arguments(parser, argv)
     if args.smoke:
         args.blocks, args.block_size = 60, 512
         args.victims = 2
@@ -1080,12 +981,7 @@ def compare_main(argv: List[str] | None = None) -> int:
             args.locations = 30
         if args.fail == parser.get_default("fail"):
             args.fail = "2"
-    fail = _parse_fail(parser, args.fail)
-    if isinstance(fail, str) and args.topology is None:
-        parser.error(f"--fail {fail!r} targets a topology domain; add --topology")
-    _validate_shards_argument(parser, args)
-    _validate_backend_arguments(parser, args)
-    topology = _resolve_topology_argument(parser, args)
+    fail = _parse_fail(parser, args)
     scheme_ids = [scheme.strip() for scheme in args.schemes.split(",") if scheme.strip()]
     if not scheme_ids:
         parser.error("--schemes must name at least one scheme")
@@ -1101,7 +997,7 @@ def compare_main(argv: List[str] | None = None) -> int:
             backend=args.backend,
             data_dir=args.data_dir,
             fsync=args.fsync,
-            topology=topology,
+            topology=args.topology,
             placement=args.placement,
             fail_target=fail if isinstance(fail, str) else None,
             shards=args.shards,
@@ -1127,7 +1023,6 @@ def build_transition_parser() -> argparse.ArgumentParser:
             "byte-exact after each hop."
         ),
     )
-    _add_scheme_argument(parser)
     parser.add_argument(
         "--to",
         default="ae-3-2-5,rs-10-4",
@@ -1147,20 +1042,13 @@ def build_transition_parser() -> argparse.ArgumentParser:
         help="bytes per document (default 8192)",
     )
     parser.add_argument(
-        "--block-size", type=int, default=1024, help="block size in bytes (default 1024)"
-    )
-    parser.add_argument(
-        "--locations", type=int, default=40, help="cluster locations (default 40)"
-    )
-    parser.add_argument("--seed", type=int, default=7, help="workload seed (default 7)")
-    parser.add_argument(
         "--workers",
         type=int,
         default=2,
         help=(
-            "front-end workers (default 2); the transition runs behind the "
-            "front-end's writer-preferring maintenance lock while reads "
-            "keep streaming"
+            "front-end workers (default 2, per shard with --shards); the "
+            "transition runs behind the front-end's writer-preferring "
+            "maintenance lock while reads keep streaming"
         ),
     )
     parser.add_argument(
@@ -1168,23 +1056,32 @@ def build_transition_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="CI-sized run: 4 small documents through the default chain",
     )
-    _add_shards_argument(parser)
-    _add_backend_arguments(parser)
+    _add_service_arguments(parser, locations=40, topology=False)
     return parser
+
+
+def _hop_summary(
+    target: str,
+    outcome: Union[
+        Optional["TransitionReport"], Dict[int, Optional["TransitionReport"]]
+    ],
+) -> str:
+    """One ``transition_to`` hop in words: the report's own summary, or a
+    federation's per-shard summaries side by side."""
+    reports = outcome.values() if isinstance(outcome, dict) else [outcome]
+    done = [report.summary() for report in reports if report is not None]
+    return "; ".join(done) or f"-> {target}: no-op"
 
 
 def transition_main(argv: List[str] | None = None) -> int:
     """Entry point of ``repro-experiments transition``."""
     from repro.exceptions import ReproError
-    from repro.system.frontend import ConcurrentStorageService
-    from repro.system.service import StorageConfig, StorageService
+    from repro.system.opening import open_service
 
     parser = build_transition_parser()
-    args = parser.parse_args(argv)
+    args = _parse_service_arguments(parser, argv)
     if args.smoke:
         args.docs, args.doc_size, args.block_size, args.locations = 4, 4096, 512, 24
-    _validate_shards_argument(parser, args)
-    _validate_backend_arguments(parser, args)
     targets = [target.strip() for target in args.to.split(",") if target.strip()]
     if not targets:
         parser.error("--to must name at least one target scheme")
@@ -1194,59 +1091,23 @@ def transition_main(argv: List[str] | None = None) -> int:
     }
     intact = True
     try:
-        config = StorageConfig(
-            scheme=args.scheme,
-            location_count=args.locations,
-            block_size=args.block_size,
-            seed=args.seed,
-            backend=args.backend,
-            data_dir=args.data_dir,
-            fsync=args.fsync,
-            shards=args.shards if args.shards > 1 else None,
-        )
-        if args.shards > 1:
-            from repro.system.sharding import ShardedStorageService
-
-            sharded = ShardedStorageService.open(config)
-            for name, payload in payloads.items():
-                sharded.put(name, payload)
-            print(f"scheme       : {args.scheme} ({args.shards} shards)")
-            print(f"documents    : {args.docs} x {args.doc_size} bytes")
-            for target in targets:
-                reports = sharded.transition_to(target)
-                migrated = sum(
-                    report.documents_migrated
-                    for report in reports.values()
-                    if report is not None
-                )
-                hop_ok = all(
-                    sharded.get(name) == payload for name, payload in payloads.items()
-                )
-                intact = intact and hop_ok
-                print(
-                    f"transition   : -> {target}: {len(reports)} shards, "
-                    f"{migrated} documents migrated, reads "
-                    f"{'byte-exact' if hop_ok else 'MISMATCH'}"
-                )
-            sharded.close()
-        else:
-            frontend = ConcurrentStorageService.open(config, workers=args.workers)
-            for name, payload in payloads.items():
-                frontend.put(name, payload)
-            print(f"scheme       : {frontend.service.scheme.scheme_id}")
-            print(f"documents    : {args.docs} x {args.doc_size} bytes")
-            for target in targets:
-                report = frontend.transition_to(target)
-                hop_ok = all(
-                    frontend.get(name) == payload for name, payload in payloads.items()
-                )
-                intact = intact and hop_ok
-                summary = report.summary() if report is not None else f"-> {target}: no-op"
-                print(
-                    f"transition   : {summary}, reads "
-                    f"{'byte-exact' if hop_ok else 'MISMATCH'}"
-                )
-            frontend.close()
+        service = open_service(_service_config(args), workers=args.workers)
+        for name, payload in payloads.items():
+            service.put(name, payload)
+        print(f"scheme       : {service.scheme.scheme_id}")
+        print(f"shards       : {args.shards}")
+        print(f"documents    : {args.docs} x {args.doc_size} bytes")
+        for target in targets:
+            outcome = service.transition_to(target)
+            hop_ok = all(
+                service.get(name) == payload for name, payload in payloads.items()
+            )
+            intact = intact and hop_ok
+            print(
+                f"transition   : {_hop_summary(target, outcome)}, reads "
+                f"{'byte-exact' if hop_ok else 'MISMATCH'}"
+            )
+        service.close()
     except (ReproError, ValueError) as exc:
         parser.error(str(exc))
     print(

@@ -1,5 +1,9 @@
 """Storage system layer: the scheme-agnostic service and its use cases.
 
+* :mod:`repro.system.protocol` -- :class:`DocumentService`, the one
+  document-service surface the three layers below conform to;
+* :mod:`repro.system.opening` -- :func:`open_service`, the one way to open
+  whichever layer a config describes;
 * :mod:`repro.system.service` -- :class:`StorageService`, the
   put/get/delete/repair front-end over any redundancy scheme;
 * :mod:`repro.system.frontend` -- :class:`ConcurrentStorageService`, the
@@ -34,6 +38,8 @@ from repro.system.frontend import (
     derive_stripe_count,
 )
 from repro.system.loadgen import LoadReport, run_load
+from repro.system.opening import open_service
+from repro.system.protocol import DocumentService
 from repro.system.service import (
     DEFAULT_BATCH_BLOCKS,
     ServiceRepairReport,
@@ -82,6 +88,7 @@ __all__ = [
     "ConcurrentStorageService",
     "DEFAULT_BATCH_BLOCKS",
     "DEFAULT_COMPARE_SCHEMES",
+    "DocumentService",
     "FederationRepairReport",
     "FederationStatus",
     "LoadReport",
@@ -100,6 +107,7 @@ __all__ = [
     "classify",
     "compare_schemes",
     "derive_stripe_count",
+    "open_service",
     "run_load",
     "single_failure_reads_measured",
     "BackupNode",

@@ -19,7 +19,8 @@ from repro.codes.base import CodeCosts
 from repro.core.xor import Payload, payloads_equal
 from repro.exceptions import ReproError
 from repro.storage.topology import Topology
-from repro.system.service import StorageConfig, StorageService
+from repro.system.opening import open_service
+from repro.system.service import StorageService
 
 __all__ = [
     "DEFAULT_COMPARE_SCHEMES",
@@ -117,62 +118,6 @@ def single_failure_reads_measured(
     return reads
 
 
-def _compare_sharded(
-    config: StorageConfig,
-    scheme_id: str,
-    payload: bytes,
-    failed: Sequence[int],
-    victims: int,
-    data_dir: Optional[str],
-) -> SchemeComparison:
-    """One scheme's comparison run through a sharded federation.
-
-    The workload document lands on its ring owner, whose shard is configured
-    identically to the unsharded service (same scheme, seed and location
-    count), so the measured storage overhead and single-failure reads are
-    directly comparable to the single-service run.  The disaster then fails
-    the same location ids on *every* shard and repairs federation-wide.
-    """
-    from repro.system.sharding import ShardedStorageService
-
-    federation = ShardedStorageService.open(config)
-    try:
-        document = federation.put("workload", payload)
-        owner = federation.shard(federation.shard_for("workload")).service
-        stored = owner.cluster.stats().bytes_stored
-        measured_overhead = (
-            (stored - len(payload)) / len(payload) * 100.0 if payload else 0.0
-        )
-        probe_reads = single_failure_reads_measured(
-            owner, document.data_ids, victims=victims
-        )
-        for shard_id in federation.shard_ids:
-            federation.fail_locations(failed, shard_id)
-        report = federation.repair()
-        try:
-            round_trip = federation.get("workload") == payload
-        except ReproError:
-            round_trip = False
-        federation.restore_locations(failed)
-        capabilities = federation.capabilities
-        return SchemeComparison(
-            scheme_id=scheme_id,
-            name=capabilities.name,
-            analytic=capabilities.costs(),
-            measured_storage_percent=measured_overhead,
-            measured_single_failure_reads=max(probe_reads),
-            failed_locations=len(failed) * federation.shard_count,
-            repaired_blocks=report.repaired_count,
-            repair_reads=report.blocks_read,
-            repair_rounds=report.rounds,
-            data_loss=report.data_loss,
-            round_trip_ok=round_trip,
-        )
-    finally:
-        if data_dir is not None:
-            federation.close()
-
-
 def compare_schemes(
     scheme_ids: Sequence[str] = DEFAULT_COMPARE_SCHEMES,
     data_blocks: int = 240,
@@ -206,16 +151,16 @@ def compare_schemes(
     outage (``"site:0"``, ``"rack:eu/1"``) resolved against the topology.
 
     With a persistent ``backend`` each scheme gets its own sub-root
-    ``<data_dir>/<scheme_id>`` and its service is closed at the end of the
-    run, so the written workloads can be reopened and inspected afterwards.
+    ``<data_dir>/<scheme_id>``, so the written workloads can be reopened and
+    inspected afterwards.
 
-    ``shards > 1`` runs every scheme through a
-    :class:`~repro.system.sharding.ShardedStorageService` federation instead
-    of a single service: the workload routes to its ring owner (whose shard
-    is configured identically to the unsharded service, so the measured
-    storage overhead and single-failure reads stay comparable), the disaster
-    fails the same location ids *on every shard*, and the repair runs
-    federation-wide -- the round trip then exercises the per-shard failure
+    ``shards`` of 2 or more runs every scheme through a federation instead
+    of a single service (:func:`~repro.system.opening.open_service` picks
+    the layer): the workload routes to its ring owner -- whose shard is
+    configured identically to the unsharded service, so the measured storage
+    overhead and single-failure reads stay comparable -- the disaster fails
+    the same location ids *on every shard*, and the repair runs
+    federation-wide: the round trip then exercises the per-shard failure
     independence end to end.
     """
     rng = random.Random(seed)
@@ -231,11 +176,9 @@ def compare_schemes(
         failed = sorted(resolved_topology.locations_for_target(fail_target))
     else:
         failed = rng.sample(range(location_count), min(fail_locations, location_count))
-    if shards < 1:
-        raise ReproError("shards must be at least 1")
     results: List[SchemeComparison] = []
     for scheme_id in scheme_ids:
-        config = StorageConfig(
+        service = open_service(
             scheme=scheme_id,
             location_count=None if resolved_topology is not None else location_count,
             block_size=block_size,
@@ -247,32 +190,27 @@ def compare_schemes(
             fsync=fsync,
             topology=resolved_topology,
             placement=placement,
-            shards=shards if shards > 1 else None,
+            shards=shards,
         )
-        if shards > 1:
-            results.append(
-                _compare_sharded(config, scheme_id, payload, failed, victims, data_dir)
-            )
-            continue
-        service = StorageService.open(config)
-        document = service.put("workload", payload)
-        stored = service.cluster.stats().bytes_stored
-        measured_overhead = (
-            (stored - len(payload)) / len(payload) * 100.0 if payload else 0.0
-        )
-        probe_reads = single_failure_reads_measured(
-            service, document.data_ids, victims=victims
-        )
-        service.fail_locations(failed)
-        report = service.repair()
-        round_trip = False
         try:
-            round_trip = service.get("workload") == payload
-        except ReproError:
-            round_trip = False
-        service.restore_locations(failed)
-        capabilities = service.capabilities
-        if data_dir is not None:
+            document = service.put("workload", payload)
+            stored = service.status().bytes_stored
+            measured_overhead = (
+                (stored - len(payload)) / len(payload) * 100.0 if payload else 0.0
+            )
+            probe_reads = single_failure_reads_measured(
+                service.service_for("workload"), document.data_ids, victims=victims
+            )
+            service.fail_locations(failed)
+            failed_locations = service.status().unavailable_locations
+            report = service.repair()
+            try:
+                round_trip = service.get("workload") == payload
+            except ReproError:
+                round_trip = False
+            service.restore_locations(failed)
+            capabilities = service.capabilities
+        finally:
             service.close()
         results.append(
             SchemeComparison(
@@ -281,7 +219,7 @@ def compare_schemes(
                 analytic=capabilities.costs(),
                 measured_storage_percent=measured_overhead,
                 measured_single_failure_reads=max(probe_reads),
-                failed_locations=len(failed),
+                failed_locations=failed_locations,
                 repaired_blocks=report.repaired_count,
                 repair_reads=report.blocks_read,
                 repair_rounds=report.rounds,

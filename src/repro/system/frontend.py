@@ -43,6 +43,8 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, TypeVar
 
 from repro.exceptions import InvalidParametersError, ServiceOverloadedError
+from repro.schemes.base import RedundancyScheme, SchemeCapabilities
+from repro.storage.topology import Topology
 from repro.system.service import (
     ServiceRepairReport,
     ServiceStatus,
@@ -222,24 +224,51 @@ class ConcurrentStorageService:
         return len(self._stripes)
 
     @property
+    def scheme(self) -> RedundancyScheme:
+        return self._service.scheme
+
+    @property
+    def capabilities(self) -> SchemeCapabilities:
+        return self._service.capabilities
+
+    @property
+    def block_size(self) -> int:
+        return self._service.block_size
+
+    @property
+    def topology(self) -> Topology:
+        return self._service.topology
+
+    @property
+    def data_dir(self) -> Optional[str]:
+        return self._service.data_dir
+
+    @property
     def documents(self) -> Dict[str, StoredDocument]:
         return self._service.documents
 
     def status(self) -> ServiceStatus:
         return self._service.status()
 
+    def service_for(self, name: str) -> StorageService:
+        """The wrapped service (it holds every document)."""
+        return self._service
+
     # ------------------------------------------------------------------
     # Request plumbing
     # ------------------------------------------------------------------
+    def _ensure_open(self) -> None:
+        if self._closed:
+            raise InvalidParametersError(
+                "this ConcurrentStorageService has been closed"
+            )
+
     def _stripe_for(self, name: str) -> ReadWriteLock:
         digest = hashlib.blake2b(name.encode("utf-8"), digest_size=4).digest()
         return self._stripes[int.from_bytes(digest, "big") % len(self._stripes)]
 
     def _submit(self, request: Callable[[], T]) -> "Future[T]":
-        if self._closed:
-            raise InvalidParametersError(
-                "this ConcurrentStorageService has been closed"
-            )
+        self._ensure_open()
         # Non-blocking admission: a full queue bounces the request *now*
         # instead of queueing unbounded work behind a slow medium.
         if not self._admission.acquire(blocking=False):
@@ -299,10 +328,7 @@ class ConcurrentStorageService:
         side and the name's stripe write lock -- the same exclusion as
         :meth:`put`, without occupying a worker for the stream's lifetime.
         """
-        if self._closed:
-            raise InvalidParametersError(
-                "this ConcurrentStorageService has been closed"
-            )
+        self._ensure_open()
         with self._maintenance.read_locked():
             with self._stripe_for(name).write_locked():
                 return self._service.put_stream(name, chunks)
@@ -318,6 +344,7 @@ class ConcurrentStorageService:
         pool); concurrent writers to the same stripe wait until the stream
         is consumed or closed, readers and other stripes proceed.
         """
+        self._ensure_open()
         stripe = self._stripe_for(name)
         stripe.acquire_read()
         try:
@@ -352,10 +379,7 @@ class ConcurrentStorageService:
         window: it either sees the source blocks (before) or the target
         blocks (after), byte-exact either way.
         """
-        if self._closed:
-            raise InvalidParametersError(
-                "this ConcurrentStorageService has been closed"
-            )
+        self._ensure_open()
 
         def doc_guard(name: str) -> "ReadWriteLock._WriteGuard":
             return self._stripe_for(name).write_locked()
@@ -365,16 +389,19 @@ class ConcurrentStorageService:
 
     def repair(self) -> ServiceRepairReport:
         """Run a repair pass while mutations are quiesced; reads continue."""
+        self._ensure_open()
         with self._maintenance.write_locked():
             return self._service.repair()
 
     def fail_locations(self, location_ids: Iterable[int]) -> None:
+        self._ensure_open()
         with self._maintenance.write_locked():
             self._service.fail_locations(location_ids)
 
     def restore_locations(
         self, location_ids: Optional[Iterable[int]] = None
     ) -> None:
+        self._ensure_open()
         with self._maintenance.write_locked():
             self._service.restore_locations(location_ids)
 
@@ -383,6 +410,7 @@ class ConcurrentStorageService:
     # ------------------------------------------------------------------
     def flush(self) -> None:
         """Drain nothing, but checkpoint metadata and flush block writes."""
+        self._ensure_open()
         with self._maintenance.write_locked():
             self._service.flush()
 

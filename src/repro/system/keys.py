@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.core.blocks import BlockId, is_data
+from repro.core.blocks import BlockId
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,12 @@ def location_for_block(
 ) -> int:
     """Map a block to a storage node, optionally avoiding the owner's own node.
 
-    Data blocks stay on the owner's computer in the cooperative backup design;
-    parities are uploaded to remote nodes.  ``exclude`` lets the caller skip
-    the owner's node for parity placement.
+    Data blocks stay on the owner's computer in the cooperative backup design
+    (they get the same stable mapping, should a caller want it); parities are
+    uploaded to remote nodes.  ``exclude`` lets the caller skip the owner's
+    node for parity placement.
     """
-    if is_data(block_id):
-        # The caller normally keeps data local; still provide a stable mapping.
-        target = location_for_key(derive_key(owner, block_id), location_count)
-    else:
-        target = location_for_key(derive_key(owner, block_id), location_count)
+    target = location_for_key(derive_key(owner, block_id), location_count)
     if exclude is not None and location_count > 1 and target == exclude:
         target = (target + 1) % location_count
     return target

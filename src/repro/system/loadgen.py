@@ -1,10 +1,9 @@
 """Closed-loop load generator for the storage service front-ends.
 
 Drives N in-process clients through a seeded mixed put/get/delete workload
-against anything that quacks like a service (``put``/``get``/``delete`` --
-a plain :class:`~repro.system.service.StorageService` or the concurrent
-:class:`~repro.system.frontend.ConcurrentStorageService`), measuring ops/sec
-and per-operation latency percentiles.
+against any :class:`~repro.system.protocol.DocumentService` (a plain
+service, the concurrent front-end or a sharded federation), measuring
+ops/sec and per-operation latency percentiles.
 
 The loop is *closed*: each client issues one request, waits for the
 response, optionally "thinks" (``think_seconds``), then issues the next --
@@ -30,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.exceptions import ServiceOverloadedError, UnknownBlockError
+from repro.system.protocol import DocumentService
 
 #: Default operation mix: (put, get, delete) fractions; get takes the rest.
 DEFAULT_MIX = (0.4, 0.5, 0.1)
@@ -86,7 +86,7 @@ class _ClientStats:
 
 
 def _client_loop(
-    service: object,
+    service: DocumentService,
     index: int,
     stats: _ClientStats,
     *,
@@ -110,13 +110,13 @@ def _client_loop(
         started = time.perf_counter()
         try:
             if roll < put_fraction:
-                service.put(name, rng.randbytes(payload_bytes))  # type: ignore[attr-defined]
+                service.put(name, rng.randbytes(payload_bytes))
                 stats.puts += 1
             elif roll < put_fraction + delete_fraction:
-                service.delete(name)  # type: ignore[attr-defined]
+                service.delete(name)
                 stats.deletes += 1
             else:
-                service.get(name)  # type: ignore[attr-defined]
+                service.get(name)
                 stats.gets += 1
         except UnknownBlockError:
             # Reading/deleting a name no client has put yet is part of the
@@ -134,7 +134,7 @@ def _client_loop(
 
 
 def run_load(
-    service: object,
+    service: DocumentService,
     *,
     clients: int = 8,
     ops_per_client: Optional[int] = None,
@@ -164,7 +164,7 @@ def run_load(
     if prepopulate:
         rng = random.Random(seed * 7919)
         for number in range(documents):
-            service.put(f"doc-{number:04d}", rng.randbytes(payload_bytes))  # type: ignore[attr-defined]
+            service.put(f"doc-{number:04d}", rng.randbytes(payload_bytes))
     stats = [_ClientStats() for _ in range(clients)]
     deadline: Optional[float] = None
     started = time.perf_counter()

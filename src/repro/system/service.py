@@ -170,7 +170,8 @@ class StorageConfig:
     ``docs/persistence.md`` and ``docs/topology.md``).
 
     ``shards`` requests a *sharded* namespace: pass the config to
-    :meth:`repro.system.sharding.ShardedStorageService.open` and the
+    :func:`repro.system.opening.open_service` (or straight to
+    :meth:`repro.system.sharding.ShardedStorageService.open`) and the
     federation routes documents across that many independent services (each
     with its own cluster, WAL and thread pool).  A plain
     :class:`StorageService` accepts only ``shards=None`` / ``shards=1`` --
@@ -347,8 +348,8 @@ class StorageService:
         if config.shards not in (None, 1):
             raise InvalidParametersError(
                 f"shards={config.shards} needs the sharded front-end; open "
-                "the config with ShardedStorageService.open "
-                "(repro.system.sharding) instead"
+                "the config with repro.system.open_service (or "
+                "ShardedStorageService.open) instead"
             )
         scheme = config.resolve_scheme()
         manifest = cls._load_manifest(config.data_dir)
@@ -794,6 +795,9 @@ class StorageService:
         After ``flush`` the manifest alone describes the full catalogue
         (the WAL is empty), so external tooling may read it directly.
         """
+        # A closed handle's catalogue is stale: checkpointing it would
+        # overwrite whatever a later open of the same root has committed.
+        self._ensure_open()
         self._cluster.flush()
         self._checkpoint()
 
@@ -1115,6 +1119,11 @@ class StorageService:
         with self._state_lock:
             return name in self._documents
 
+    def service_for(self, name: str) -> "StorageService":
+        """The plain service holding ``name``: this one (the front-end
+        unwraps, the federation routes)."""
+        return self
+
     # ------------------------------------------------------------------
     # Deletes
     # ------------------------------------------------------------------
@@ -1326,9 +1335,11 @@ class StorageService:
     # Failures and repair
     # ------------------------------------------------------------------
     def fail_locations(self, location_ids: Iterable[int]) -> None:
+        self._ensure_open()
         self._cluster.fail_locations(location_ids)
 
     def restore_locations(self, location_ids: Optional[Iterable[int]] = None) -> None:
+        self._ensure_open()
         self._cluster.restore_locations(location_ids)
 
     def repair(self) -> ServiceRepairReport:

@@ -38,10 +38,10 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import json
 import os
 import queue
 import threading
-from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -51,6 +51,7 @@ from repro.schemes.base import RedundancyScheme, SchemeCapabilities
 from repro.system.transitions import TransitionReport
 from repro.storage.backends import write_json
 from repro.storage.placement import PlacementPolicy
+from repro.storage.topology import Topology
 from repro.system.frontend import DEFAULT_WORKERS, ConcurrentStorageService
 from repro.system.service import (
     ServiceRepairReport,
@@ -508,8 +509,6 @@ class ShardedStorageService:
         path = os.path.join(data_dir, FEDERATION_NAME)
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                import json
-
                 manifest = json.load(handle)
         except FileNotFoundError:
             return None
@@ -593,6 +592,11 @@ class ShardedStorageService:
     def capabilities(self) -> SchemeCapabilities:
         return self._any_shard().service.capabilities
 
+    @property
+    def topology(self) -> Topology:
+        """One shard's layout -- every shard is built from the same spec."""
+        return self._any_shard().service.topology
+
     def shard(self, shard_id: int) -> ConcurrentStorageService:
         """The front-end of one shard (tests, probes, targeted maintenance)."""
         return self._shards[shard_id]
@@ -603,6 +607,11 @@ class ShardedStorageService:
     def shard_for(self, name: str) -> int:
         """The ring owner of a document name (where a write would go)."""
         return self._ring.shard_for(name)
+
+    def service_for(self, name: str) -> StorageService:
+        """The plain service of the shard holding ``name`` (its ring owner
+        when no shard has it yet)."""
+        return self._shards[self._locate(name)].service
 
     @property
     def documents(self) -> Dict[str, StoredDocument]:
@@ -667,12 +676,6 @@ class ShardedStorageService:
         self._drop_stale(name, owner)
         return document
 
-    def put_async(self, name: str, data: bytes) -> "Future[StoredDocument]":
-        """Submit a put to the owner shard's pool (no stale-copy sweep --
-        use :meth:`put` while a rebalance may be in flight)."""
-        self._ensure_open()
-        return self._shards[self._ring.shard_for(name)].put_async(name, data)
-
     def put_stream(self, name: str, chunks: Iterable[bytes]) -> StoredDocument:
         self._ensure_open()
         owner = self._ring.shard_for(name)
@@ -683,10 +686,6 @@ class ShardedStorageService:
     def get(self, name: str) -> bytes:
         self._ensure_open()
         return self._shards[self._locate(name)].get(name)
-
-    def get_async(self, name: str) -> "Future[bytes]":
-        self._ensure_open()
-        return self._shards[self._locate(name)].get_async(name)
 
     def get_stream(self, name: str) -> Iterator[bytes]:
         self._ensure_open()
@@ -822,18 +821,28 @@ class ShardedStorageService:
     # ------------------------------------------------------------------
     # Failures and repair (per shard: one disaster never blocks the rest)
     # ------------------------------------------------------------------
-    def fail_locations(self, location_ids: Iterable[int], shard: int) -> None:
-        """Fail locations of *one* shard; the other shards keep serving."""
-        self._shards[shard].fail_locations(location_ids)
+    def _targets(self, shard: Optional[int]) -> List[int]:
+        """The shard a maintenance verb names, or every shard in id order
+        (refusing a closed handle, like every verb)."""
+        self._ensure_open()
+        return [shard] if shard is not None else sorted(self._shards)
+
+    def fail_locations(
+        self, location_ids: Iterable[int], shard: Optional[int] = None
+    ) -> None:
+        """Fail the same location ids on every shard, or on one (``shard=``)
+        while the other shards keep serving."""
+        ids = list(location_ids)
+        for shard_id in self._targets(shard):
+            self._shards[shard_id].fail_locations(ids)
 
     def restore_locations(
         self,
         location_ids: Optional[Iterable[int]] = None,
         shard: Optional[int] = None,
     ) -> None:
-        targets = [shard] if shard is not None else list(self._shards)
         ids = list(location_ids) if location_ids is not None else None
-        for shard_id in targets:
+        for shard_id in self._targets(shard):
             self._shards[shard_id].restore_locations(ids)
 
     def repair(self, shard: Optional[int] = None) -> FederationRepairReport:
@@ -844,10 +853,8 @@ class ShardedStorageService:
         shards still run -- failure independence is the point of the
         federation.
         """
-        self._ensure_open()
-        targets = [shard] if shard is not None else sorted(self._shards)
         report = FederationRepairReport()
-        for shard_id in targets:
+        for shard_id in self._targets(shard):
             try:
                 report.per_shard[shard_id] = self._shards[shard_id].repair()
             except ReproError as exc:
@@ -857,7 +864,7 @@ class ShardedStorageService:
     # ------------------------------------------------------------------
     # Scheme transitions (federation-wide, shard by shard)
     # ------------------------------------------------------------------
-    def transition_to(self, scheme_id: str) -> Dict[int, Optional[TransitionReport]]:
+    def transition_to(self, scheme: str) -> Dict[int, Optional[TransitionReport]]:
         """Migrate every shard to another redundancy scheme, one at a time.
 
         The federation manifest records ``transitioning_to`` *before* the
@@ -871,7 +878,7 @@ class ShardedStorageService:
         """
         self._ensure_open()
         with self._lock:
-            target = str(scheme_id).strip().lower()
+            target = str(scheme).strip().lower()
             current = str((self._shard_config or StorageConfig()).scheme)
             if target == current:
                 return {}
@@ -1034,6 +1041,7 @@ class ShardedStorageService:
             )
 
     def flush(self) -> None:
+        self._ensure_open()
         for shard in self._shards.values():
             shard.flush()
 
@@ -1054,5 +1062,6 @@ class ShardedStorageService:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardedStorageService(shards={list(self._ring.shard_ids)}, "
-            f"scheme={self.scheme_id!r})"
+            f"scheme={self.scheme_id!r}, workers={self._workers}, "
+            f"vnodes={self._ring.vnodes})"
         )

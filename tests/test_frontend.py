@@ -151,13 +151,6 @@ class TestRequestPlumbing:
             with pytest.raises(InvalidParametersError):
                 ConcurrentStorageService(frontend.service, stripes=0)
 
-    def test_closed_frontend_refuses_requests(self):
-        frontend = open_frontend()
-        frontend.close()
-        frontend.close()  # idempotent
-        with pytest.raises(InvalidParametersError):
-            frontend.put("doc", b"x")
-
 
 class TestBackpressure:
     def test_full_admission_queue_bounces_before_any_work(self):

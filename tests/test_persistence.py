@@ -344,20 +344,6 @@ def test_scheme_instance_config_reopens_its_own_data_dir(backend, tmp_path):
     reopened.close()
 
 
-def test_use_after_close_fails_fast(tmp_path):
-    service = StorageService.open(config("rs-10-4", "segment", tmp_path))
-    service.put("doc", workload(size=4_000))
-    service.close()
-    with pytest.raises(InvalidParametersError, match="closed"):
-        service.put("again", b"x")
-    with pytest.raises(InvalidParametersError, match="closed"):
-        service.get("doc")
-    with pytest.raises(InvalidParametersError, match="closed"):
-        service.delete("doc")
-    with pytest.raises(InvalidParametersError, match="closed"):
-        service.repair()
-
-
 class TestStatusCounters:
     def test_cache_counters_reach_service_status(self, tmp_path):
         service = StorageService.open(config("rs-10-4", "disk", tmp_path))

@@ -1,0 +1,269 @@
+"""One scenario, written once against :class:`DocumentService`.
+
+The document-service surface is declared once (``repro.system.protocol``)
+and opened one way (``repro.system.open_service``); this file drives the same
+lifecycle through every layer that conforms to it -- the plain
+``StorageService``, the thread-pool front-end and a 2-shard federation, on a
+volatile and a durable backend -- so a verb that drifts on one layer fails
+here instead of in whichever caller happens to hold that layer.
+
+It also pins the use-after-close contract (every verb raises the layer's own
+closed error; introspection stays readable), including the stale-``flush()``
+data-loss regression, and the parameter names of the shared verbs.
+"""
+
+from __future__ import annotations
+
+import inspect
+import itertools
+
+import pytest
+
+from repro.exceptions import InvalidParametersError, UnknownBlockError
+from repro.system import (
+    ConcurrentStorageService,
+    DocumentService,
+    ShardedStorageService,
+    StorageConfig,
+    StorageService,
+    open_service,
+)
+
+#: Layer name -> (the ``open_service`` arguments that select it, its class).
+LAYERS = {
+    "plain": ({}, StorageService),
+    "front-end": ({"workers": 2}, ConcurrentStorageService),
+    "federation": ({"shards": 2}, ShardedStorageService),
+}
+BACKENDS = ("memory", "segment")
+TOPOLOGY = "sites=4,nodes=5"
+
+
+def payload(seed: int, size: int = 3_000) -> bytes:
+    return bytes((seed * 31 + index * 7) % 251 for index in range(size))
+
+
+def open_layer(layer: str, backend: str, tmp_path, scheme: str = "rs-10-4"):
+    selectors, _ = LAYERS[layer]
+    return open_service(
+        StorageConfig(
+            scheme=scheme,
+            block_size=256,
+            topology=TOPOLOGY,
+            backend=backend,
+            data_dir=None if backend == "memory" else str(tmp_path / "root"),
+        ),
+        **selectors,
+    )
+
+
+def closed_verbs(service: DocumentService):
+    """Every verb that must refuse a closed handle, as ``(name, call)``."""
+    return [
+        ("put", lambda: service.put("late", b"x")),
+        ("put_stream", lambda: service.put_stream("late", [b"x"])),
+        ("get", lambda: service.get("doc")),
+        ("get_stream", lambda: list(service.get_stream("doc"))),
+        ("verify_document", lambda: service.verify_document("doc", b"x")),
+        ("delete", lambda: service.delete("doc")),
+        ("fail_locations", lambda: service.fail_locations([0])),
+        ("restore_locations", lambda: service.restore_locations()),
+        ("repair", lambda: service.repair()),
+        ("transition_to", lambda: service.transition_to("rep-3")),
+        ("flush", lambda: service.flush()),
+    ]
+
+
+@pytest.mark.parametrize(
+    "layer,backend", list(itertools.product(LAYERS, BACKENDS))
+)
+def test_lifecycle_through_the_surface(layer, backend, tmp_path):
+    service = open_layer(layer, backend, tmp_path)
+    selectors, expected_class = LAYERS[layer]
+    shard_count = selectors.get("shards", 1)
+    assert type(service) is expected_class
+    assert isinstance(service, DocumentService)
+
+    # -- documents: put / overwrite / stream / delete -------------------
+    first, second, other = payload(1), payload(2, 5_000), payload(3, 700)
+    assert service.put("doc", first).length == len(first)
+    assert service.put("doc", second).length == len(second)  # overwrite
+    assert service.get("doc") == second
+    assert b"".join(service.get_stream("doc")) == second
+    assert service.verify_document("doc", second)
+    assert not service.verify_document("doc", first)
+    streamed = service.put_stream("other", [other[:300], other[300:]])
+    assert streamed.length == len(other) and service.get("other") == other
+    assert service.has_document("other")
+    service.delete("other")
+    assert not service.has_document("other")
+    with pytest.raises(UnknownBlockError):
+        service.get("other")
+    with pytest.raises(UnknownBlockError):
+        service.delete("other")
+
+    # -- introspection --------------------------------------------------
+    assert service.scheme.scheme_id == "rs-10-4"
+    assert service.capabilities.name == "RS(10,4)"
+    assert service.block_size == 256
+    assert service.topology.node_count == 20
+    assert service.data_dir == (None if backend == "memory" else str(tmp_path / "root"))
+    assert set(service.documents) == {"doc"}
+    assert service.status().documents == 1
+    holder = service.service_for("doc")
+    assert type(holder) is StorageService and holder.has_document("doc")
+
+    # -- a site fails: degraded get, repair, restore ---------------------
+    site = sorted(service.topology.locations_for_target("site:0"))
+    service.fail_locations(iter(site))  # any iterable, on every shard
+    assert service.status().unavailable_locations == len(site) * shard_count
+    assert service.get("doc") == second  # degraded read
+    report = service.repair()
+    assert report.data_loss == 0 and report.repaired_count > 0
+    assert report.blocks_read > 0 and report.rounds >= 1
+    assert service.status().unavailable_blocks == 0
+    assert service.get("doc") == second
+    service.restore_locations()
+    assert service.status().unavailable_locations == 0
+
+    # -- one transition hop ---------------------------------------------
+    outcome = service.transition_to("ae-3-2-5")
+    reports = list(outcome.values()) if isinstance(outcome, dict) else [outcome]
+    assert len(reports) == shard_count
+    assert sum(r.documents_migrated for r in reports if r is not None) == 1
+    assert service.scheme.scheme_id == "ae-3-2-5"
+    assert service.get("doc") == second
+
+    # -- flush / close / every verb after close ---------------------------
+    service.flush()
+    service.close()
+    service.close()  # idempotent
+    for verb, call in closed_verbs(service):
+        with pytest.raises(InvalidParametersError, match=expected_class.__name__):
+            pytest.fail(f"{verb} ran on a closed handle: {call()!r}")
+    assert service.has_document("doc")
+    assert set(service.documents) == {"doc"}
+
+    if backend != "memory":
+        with open_layer(layer, backend, tmp_path, scheme="ae-3-2-5") as reopened:
+            assert reopened.get("doc") == second
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_flush_on_a_closed_handle_cannot_roll_the_catalogue_back(layer, tmp_path):
+    """Regression: ``flush()`` on a closed durable handle used to rewrite
+    ``manifest.json`` from its stale memory, losing what a later open of the
+    same root had committed."""
+    stale = open_layer(layer, "disk", tmp_path)
+    stale.put("a", payload(1))
+    stale.close()
+    with open_layer(layer, "disk", tmp_path) as current:
+        current.put("b", payload(2))
+    with pytest.raises(InvalidParametersError, match="closed"):
+        stale.flush()
+    with open_layer(layer, "disk", tmp_path) as reopened:
+        assert reopened.get("a") == payload(1)
+        assert reopened.get("b") == payload(2)
+
+
+class TestOpenService:
+    def test_layer_follows_shards_and_workers(self):
+        cases = [
+            ({}, StorageService),
+            ({"shards": 1}, StorageService),
+            ({"workers": 3}, ConcurrentStorageService),
+            ({"shards": 1, "workers": 3, "queue_depth": 5}, ConcurrentStorageService),
+            ({"shards": 2}, ShardedStorageService),
+            ({"shards": 3, "workers": 2, "queue_depth": 5}, ShardedStorageService),
+        ]
+        for arguments, expected in cases:
+            with open_service(scheme="rep-3", location_count=12, **arguments) as service:
+                assert type(service) is expected, arguments
+                assert service.scheme.scheme_id == "rep-3"
+
+    def test_pool_arguments_reach_the_layer(self):
+        with open_service(workers=3, queue_depth=5) as frontend:
+            assert (frontend.workers, frontend.queue_depth) == (3, 5)
+        with open_service(shards=2, workers=3, queue_depth=5) as federation:
+            shard = federation.shard(0)
+            assert (shard.workers, shard.queue_depth) == (3, 5)
+
+    def test_overrides_apply_on_top_of_the_config(self):
+        config = StorageConfig(scheme="rs-10-4", location_count=20)
+        with open_service(config, scheme="rep-3") as service:
+            assert service.scheme.scheme_id == "rep-3"
+            assert service.topology.node_count == 20
+
+    def test_queue_depth_without_a_pool_is_rejected(self):
+        with pytest.raises(InvalidParametersError, match="workers"):
+            open_service(queue_depth=4)
+
+    def test_bad_shard_counts_are_rejected(self):
+        with pytest.raises(InvalidParametersError):
+            open_service(shards=0)
+
+
+class TestSharedSignatures:
+    """The verbs are spelled the same on all three classes."""
+
+    CLASSES = [cls for _, cls in LAYERS.values()]
+    #: Optional parameters a layer adds behind the shared ones.
+    EXTRAS = {
+        (StorageService, "transition_to"): ["doc_guard"],
+        (ShardedStorageService, "fail_locations"): ["shard"],
+        (ShardedStorageService, "restore_locations"): ["shard"],
+        (ShardedStorageService, "repair"): ["shard"],
+    }
+
+    @staticmethod
+    def declared():
+        members = {
+            name: member
+            for name, member in vars(DocumentService).items()
+            if not name.startswith("_")
+        }
+        verbs = {n: m for n, m in members.items() if inspect.isfunction(m)}
+        properties = [n for n, m in members.items() if isinstance(m, property)]
+        return verbs, properties
+
+    def test_the_protocol_declares_the_whole_surface(self):
+        verbs, properties = self.declared()
+        assert sorted(properties) == [
+            "block_size", "capabilities", "data_dir", "documents", "scheme", "topology",
+        ]
+        assert sorted(verbs) == [
+            "close", "delete", "fail_locations", "flush", "get", "get_stream",
+            "has_document", "put", "put_stream", "repair", "restore_locations",
+            "service_for", "status", "transition_to", "verify_document",
+        ]
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    def test_parameter_names_agree(self, cls):
+        def shape(function):
+            """``(name, is required)`` per parameter, in order."""
+            return [
+                (name, parameter.default is inspect.Parameter.empty)
+                for name, parameter in inspect.signature(function).parameters.items()
+            ]
+
+        verbs, properties = self.declared()
+        for name in properties:
+            assert isinstance(inspect.getattr_static(cls, name), property), name
+        for name, declared in verbs.items():
+            shared, actual = shape(declared), shape(getattr(cls, name))
+            assert actual[: len(shared)] == shared, (cls.__name__, name)
+            extras = [(extra, False) for extra in self.EXTRAS.get((cls, name), [])]
+            assert actual[len(shared):] == extras, (cls.__name__, name)
+
+    def test_federation_fails_one_shard_or_all(self):
+        with open_service(scheme="rep-3", location_count=12, shards=3) as federation:
+            federation.fail_locations([0, 1], shard=1)
+            assert federation.status().unavailable_locations == 2
+            federation.fail_locations([0, 1], 2)  # positional shard still works
+            assert federation.status().unavailable_locations == 4
+            federation.fail_locations([0, 1])
+            assert federation.status().unavailable_locations == 6
+            federation.restore_locations([0], shard=0)
+            assert federation.status().unavailable_locations == 5
+            federation.restore_locations()
+            assert federation.status().unavailable_locations == 0

@@ -19,7 +19,6 @@ import pytest
 from repro.exceptions import (
     InvalidParametersError,
     PlacementError,
-    ReproError,
     UnknownBlockError,
 )
 from repro.system.service import StorageConfig, StorageService
@@ -538,15 +537,6 @@ class TestDurableFederation:
         for name, payload in documents.items():
             assert final.get(name) == payload
         final.close()
-
-    def test_closed_federation_refuses_requests(self):
-        federation = open_federation(shards=2)
-        federation.close()
-        federation.close()  # idempotent
-        with pytest.raises(InvalidParametersError):
-            federation.put("doc", b"x")
-        with pytest.raises(ReproError):
-            federation.get("doc")
 
 
 class TestLoadgenIntegration:

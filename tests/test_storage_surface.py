@@ -145,3 +145,26 @@ class TestShardingSurface:
         for required in ("ShardRing", "ShardedStorageService"):
             assert required in repro.__all__
             assert getattr(repro, required) is not None
+
+
+class TestDocumentServiceSurface:
+    """RPR002 anchor for the one-surface exports (PR 13)."""
+
+    def test_system_package_exports_the_surface_and_its_opener(self):
+        import repro.system
+        import repro.system.opening as opening
+        import repro.system.protocol as protocol
+
+        assert protocol.__all__ == ["DocumentService"]
+        assert opening.__all__ == ["open_service"]
+        for required in ("DocumentService", "open_service"):
+            assert required in repro.system.__all__
+        assert repro.system.DocumentService is protocol.DocumentService
+        assert repro.system.open_service is opening.open_service
+
+    def test_top_level_exports_the_surface_and_its_opener(self):
+        import repro
+
+        for required in ("DocumentService", "open_service"):
+            assert required in repro.__all__
+            assert getattr(repro, required) is getattr(repro.system, required)
