@@ -18,10 +18,15 @@ Snapshot format (``format`` 1)::
           "block_size": 4096,
           "seed": 7,
           "metrics": {"speedup": 5.1, "batched_mb_s": 310.0, ...},
-          "gates": ["speedup"]
+          "gates": ["speedup"],
+          "host": {"cpu_count": 2, "python": "3.11.7", "platform": "Linux-...",
+                   "smoke": false, "recorded_utc": "2026-10-01T09:30:00+00:00"}
         }
       }
     }
+
+``host`` says where and when a run produced the entry's numbers (an entry
+without one predates the stamp); the regression gate never reads it.
 
 Only the metrics named in ``gates`` are regression-gated; the rest are
 informational (absolute MB/s varies across machines, dimensionless ratios
@@ -41,7 +46,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
+from datetime import datetime, timezone
 from typing import Dict, List, Optional
 
 SNAPSHOT_FORMAT = 1
@@ -72,6 +79,17 @@ def load_snapshot(path: str) -> Dict[str, object]:
     return snapshot
 
 
+def host_stamp() -> Dict[str, object]:
+    """Where and when this run measured: absolute numbers mean nothing without it."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "smoke": os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0"),
+        "recorded_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
+
+
 def record_entry(
     name: str,
     key: str,
@@ -100,6 +118,7 @@ def record_entry(
         "seed": int(seed),
         "metrics": {metric: float(value) for metric, value in metrics.items()},
         "gates": list(gates or []),
+        "host": host_stamp(),
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:

@@ -17,7 +17,19 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from itertools import repeat
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.blocks import Block, BlockId
 from repro.core.xor import Payload
@@ -123,8 +135,6 @@ class StorageCluster:
             for location_id in range(location_count)
         ]
         self._placement = placement or RandomPlacement(location_count)
-        self._domain_cache: Dict[Tuple[str, int], int] = {}
-        self._domain_count_cache: Dict[str, int] = {}
         if self._placement.location_count != location_count:
             raise PlacementError(
                 "placement policy location count does not match the cluster size"
@@ -357,12 +367,7 @@ class StorageCluster:
         coming back from the dead cannot take the rebuilt copy down with it
         again.
         """
-        avoided = set(avoid)
-        candidates = self._relocation_candidates(block_id, avoided)
-        level = self._placement.spread_level() or self._topology.default_level()
-        target = self._pick_relocation_target(
-            block_id, candidates, level, self._relocation_avoid_domains(block_id, avoided, level)
-        )
+        (target,) = self._pick_relocation_targets([block_id], set(avoid))
         self._stores[target].put(block_id, payload)
         self._directory[block_id] = target
         return target
@@ -372,80 +377,158 @@ class StorageCluster:
         items: Iterable[Tuple[BlockId, Payload]],
         avoid: Sequence[int] = (),
     ) -> Dict[BlockId, int]:
-        """Bulk :meth:`relocate`: same per-block target selection, amortised.
+        """Bulk :meth:`relocate`: the same target selection for a whole round.
 
-        Targets are chosen block by block with the exact semantics of
-        :meth:`relocate` (hard avoid-list, domain awareness, deterministic
-        pool pick), but the candidate set is computed once when no location
-        has a capacity limit, and the physical writes are grouped per target
-        location into one :meth:`BlockStore.put_many` call each -- the write
-        path of batched repair.  Returns ``{block_id: target location}``.
+        Both go through :meth:`_pick_relocation_targets` (hard avoid-list,
+        domain awareness, deterministic pool pick), so a block lands where a
+        per-block relocate loop would have put it; the physical writes are
+        grouped per target location into one :meth:`BlockStore.put_many`
+        call each -- the write path of batched repair.  Returns
+        ``{block_id: target location}``.
         """
         pairs = list(items)
         if not pairs:
             return {}
-        avoided = set(avoid)
+        block_ids = [block_id for block_id, _ in pairs]
+        targets = self._pick_relocation_targets(block_ids, set(avoid))
+        placed: Dict[int, List[Tuple[BlockId, Payload]]] = {}
+        for pair, target in zip(pairs, targets):
+            placed.setdefault(target, []).append(pair)
+        for target, group in placed.items():
+            self._stores[target].put_many(group)
+            self._directory.update((block_id, target) for block_id, _ in group)
+        return dict(zip(block_ids, targets))
+
+    def _pick_relocation_targets(
+        self, block_ids: Sequence[BlockId], avoided: Set[int]
+    ) -> List[int]:
+        """Where each rebuilt block goes, in request order; nothing is written.
+
+        Per block: its assigned location when that is usable and outside the
+        failed domains; otherwise the candidates outside the failed domains
+        (all candidates when the disaster spans every domain), narrowed to
+        the domains the placement policy ranks best, picked over by the block
+        index.  Placement is asked once for the whole batch, and since a
+        :meth:`PlacementPolicy.relocation_rank` belongs to a *domain*, a pool
+        is filtered once per distinct (candidates, failed domains, ranks) --
+        a handful per round -- instead of once per block.  The memos live
+        for this call only: availability changes between rounds.
+        """
+        stores = self._stores
         level = self._placement.spread_level() or self._topology.default_level()
-        shared_avoid_domains = self._relocation_avoid_domains(None, avoided, level)
-        unlimited = all(store.capacity_blocks is None for store in self._stores)
-        static_candidates: Optional[List[int]] = None
-        if unlimited:
-            static_candidates = [
+        domain_of = self._topology.location_domains(level)
+        multi_domain = len(set(domain_of)) > 1
+        failed_domains = (
+            frozenset(
+                domain_of[location]
+                for location in avoided
+                if 0 <= location < len(stores)
+            )
+            if multi_domain
+            else frozenset()
+        )
+        # The base policy ranks every domain the same, so the rank filter is
+        # skipped unless the policy actually overrides it.
+        rank = (
+            self._placement.relocation_rank
+            if type(self._placement).relocation_rank
+            is not PlacementPolicy.relocation_rank
+            else None
+        )
+        # Without capacity limits every block sees the same candidates.
+        unlimited = all(store.capacity_blocks is None for store in stores)
+        shared_candidates = (
+            tuple(
                 store.location_id
-                for store in self._stores
+                for store in stores
                 if store.available and store.location_id not in avoided
-            ]
+            )
+            if unlimited
+            else ()
+        )
         # Blocks staged for a target count against its capacity before the
         # grouped write happens, so a batch cannot overfill a location that a
         # per-block relocate loop would have rejected.
         staged_counts: Dict[int, int] = {}
-        placed: Dict[int, List[Tuple[BlockId, Payload]]] = {}
-        targets: Dict[BlockId, int] = {}
-        multi_domain = self._domain_count(level) > 1
-        shared_pool: Optional[List[int]] = None
-        if static_candidates:
-            shared_pool = self._domain_pool(
-                static_candidates, level, shared_avoid_domains
+        # For the candidates last seen (they only change as locations fill):
+        # failed domains -> the candidates outside them, as a set and as the
+        # pool to pick over, the domains that pool spans, and its
+        # rank-filtered subsets by rank tuple.
+        pooled: Tuple[int, ...] = ()
+        pools: Dict[
+            FrozenSet[int],
+            Tuple[FrozenSet[int], List[int], List[int], Dict[Tuple[int, ...], List[int]]],
+        ] = {}
+        targets: List[int] = []
+        for block_id, preferred in zip(
+            block_ids, self._placement.locations_for(block_ids)
+        ):
+            candidates = shared_candidates or tuple(
+                self._relocation_candidates(block_id, avoided, staged_counts)
             )
-        for block_id, payload in pairs:
-            if static_candidates:
-                candidates = static_candidates
+            if candidates != pooled:
+                pools.clear()
+                pooled = candidates
+            avoid_domains = failed_domains
+            if multi_domain:
+                previous = self._directory.get(block_id)
+                if (
+                    previous is not None
+                    and not stores[previous].available
+                    and domain_of[previous] not in failed_domains
+                ):
+                    avoid_domains = failed_domains | {domain_of[previous]}
+            entry = pools.get(avoid_domains)
+            if entry is None:
+                outside = [
+                    location
+                    for location in candidates
+                    if domain_of[location] not in avoid_domains
+                ]
+                # Fall back to any candidate when the disaster spans every
+                # domain.
+                pool = outside or list(candidates)
+                entry = pools[avoid_domains] = (
+                    frozenset(outside),
+                    pool,
+                    sorted({domain_of[location] for location in pool}),
+                    {},
+                )
+            usable, pool, pool_domains, by_ranks = entry
+            if preferred in usable:
+                target = preferred
             else:
-                candidates = self._relocation_candidates(block_id, avoided, staged_counts)
-            avoid_domains = shared_avoid_domains
-            previous = self._directory.get(block_id)
-            if (
-                previous is not None
-                and multi_domain
-                and not self._stores[previous].available
-            ):
-                previous_domain = self._domain_of(previous, level)
-                if previous_domain not in avoid_domains:
-                    avoid_domains = shared_avoid_domains | {previous_domain}
-            # The domain-filtered pool only depends on (candidates, avoid
-            # set); with static candidates and the shared avoid set it is
-            # the same for every block, so compute it once.
-            pool = shared_pool if avoid_domains is shared_avoid_domains else None
-            target = self._pick_relocation_target(
-                block_id, candidates, level, avoid_domains, pool
-            )
-            if not self._stores[target].contains(block_id):
+                if rank is not None and len(pool_domains) > 1:
+                    # Prefer the domains the policy ranks best: a spreading
+                    # policy keeps the rebuilt block away from the rest of
+                    # its repair group when a spare domain exists.
+                    ranks = tuple(map(rank, repeat(block_id), pool_domains))
+                    ranked = by_ranks.get(ranks)
+                    if ranked is None:
+                        best_rank = min(ranks)
+                        best = {
+                            domain
+                            for domain, value in zip(pool_domains, ranks)
+                            if value == best_rank
+                        }
+                        ranked = by_ranks[ranks] = [
+                            location for location in pool if domain_of[location] in best
+                        ]
+                    pool = ranked
+                # Deterministic spread: the block id picks over the pool.
+                target = pool[block_id.index % len(pool)]
+            if not unlimited and not stores[target].contains(block_id):
                 staged_counts[target] = staged_counts.get(target, 0) + 1
-            placed.setdefault(target, []).append((block_id, payload))
-            targets[block_id] = target
-        for target, group in placed.items():
-            self._stores[target].put_many(group)
-            self._directory.update((block_id, target) for block_id, _ in group)
+            targets.append(target)
         return targets
 
     def _relocation_candidates(
         self,
         block_id: BlockId,
         avoided: Set[int],
-        staged_counts: Optional[Dict[int, int]] = None,
+        staged_counts: Dict[int, int],
     ) -> List[int]:
         """Available locations (outside the avoid list) with room for the block."""
-        staged = staged_counts or {}
         candidates = [
             store.location_id
             for store in self._stores
@@ -454,7 +537,7 @@ class StorageCluster:
             and (
                 store.capacity_blocks is None
                 or store.contains(block_id)
-                or store.block_count + staged.get(store.location_id, 0)
+                or store.block_count + staged_counts.get(store.location_id, 0)
                 < store.capacity_blocks
             )
         ]
@@ -466,97 +549,6 @@ class StorageCluster:
                 "free capacity"
             )
         return candidates
-
-    def _domain_of(self, location: int, level: str) -> int:
-        """Memoised :meth:`Topology.domain_of` (the topology is immutable)."""
-        key = (level, location)
-        domain = self._domain_cache.get(key)
-        if domain is None:
-            domain = self._topology.domain_of(location, level)
-            self._domain_cache[key] = domain
-        return domain
-
-    def _domain_count(self, level: str) -> int:
-        """Memoised number of failure domains at ``level``."""
-        count = self._domain_count_cache.get(level)
-        if count is None:
-            count = len(self._topology.domains(level))
-            self._domain_count_cache[level] = count
-        return count
-
-    def _domain_pool(
-        self, candidates: List[int], level: str, avoid_domains: Set[int]
-    ) -> List[int]:
-        """Candidates outside the avoided domains (all of them as a fallback)."""
-        if not avoid_domains:
-            return candidates
-        domain_of = self._domain_of
-        return [
-            location
-            for location in candidates
-            if domain_of(location, level) not in avoid_domains
-        ] or candidates
-
-    def _relocation_avoid_domains(
-        self, block_id: Optional[BlockId], avoided: Set[int], level: str
-    ) -> Set[int]:
-        """Failure domains a relocation should steer clear of."""
-        if self._domain_count(level) <= 1:
-            return set()
-        avoid_domains = {
-            self._domain_of(location, level)
-            for location in avoided
-            if 0 <= location < self.location_count
-        }
-        if block_id is not None:
-            previous = self._directory.get(block_id)
-            if previous is not None and not self._stores[previous].available:
-                avoid_domains.add(self._domain_of(previous, level))
-        return avoid_domains
-
-    def _pick_relocation_target(
-        self,
-        block_id: BlockId,
-        candidates: List[int],
-        level: str,
-        avoid_domains: Set[int],
-        pool: Optional[List[int]] = None,
-    ) -> int:
-        preferred = self._placement.location_for(block_id)
-        if self._domain_count(level) <= 1:
-            # Single failure domain: the avoid-domain set is empty by
-            # construction and every candidate carries the same placement
-            # rank, so the generic path below degenerates to this pick.
-            if preferred in candidates:
-                return preferred
-            return candidates[block_id.index % len(candidates)]
-        if preferred in candidates and (
-            self._domain_of(preferred, level) not in avoid_domains
-        ):
-            return preferred
-        # Prefer candidates outside the failed domains; fall back to any
-        # candidate when the disaster spans every domain.  Callers looping
-        # over many blocks with one shared avoid-set precompute the pool.
-        if pool is None:
-            pool = self._domain_pool(candidates, level, avoid_domains)
-        # Among those, prefer domains the placement policy ranks best --
-        # a spreading policy keeps the rebuilt block away from the rest
-        # of its repair group whenever a spare domain exists.  The base
-        # policy ranks every domain the same, so the filter is skipped
-        # unless the policy actually overrides it.
-        if type(self._placement).relocation_rank is not PlacementPolicy.relocation_rank:
-            ranks = [
-                self._placement.relocation_rank(
-                    block_id, self._domain_of(location, level)
-                )
-                for location in pool
-            ]
-            best_rank = min(ranks)
-            pool = [
-                location for location, rank in zip(pool, ranks) if rank == best_rank
-            ]
-        # Deterministic spread: the block id picks over the pool.
-        return pool[block_id.index % len(pool)]
 
     # ------------------------------------------------------------------
     # Views

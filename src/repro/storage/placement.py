@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
+from bisect import bisect_right
+from itertools import repeat
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.blocks import BlockId, DataId, ParityId, is_data
+from repro.core.blocks import BlockId, DataId, ParityId
 from repro.core.parameters import AEParameters, STRAND_CLASS_ORDER
 from repro.exceptions import PlacementError
 from repro.storage.topology import Topology
@@ -58,14 +60,30 @@ def _as_topology(topology: TopologyLike) -> Topology:
     )
 
 
-def _hash_fraction(block_id: BlockId, seed: int, salt: bytes = b"") -> float:
-    """Deterministic uniform draw in [0, 1) derived from the block identity."""
-    digest = hashlib.blake2b(
-        salt + repr(block_id).encode("utf-8"),
-        key=seed.to_bytes(8, "little", signed=False),
-        digest_size=8,
-    ).digest()
-    return int.from_bytes(digest, "little") / float(1 << 64)
+#: ``draw / _DRAW_SPAN`` turns a :func:`_block_draws` value into [0, 1).
+_DRAW_SPAN = float(1 << 64)
+
+
+def _block_draws(
+    block_ids: Iterable[BlockId], seed: int, salt: bytes = b""
+) -> List[int]:
+    """One deterministic 64-bit draw per block, derived from its identity.
+
+    The draw is ``blake2b(salt + repr(block_id), key=seed)``; the keyed and
+    salted state is built once and copied per block, which is what makes the
+    hashing policies batch functions.
+    """
+    keyed = hashlib.blake2b(
+        salt, key=seed.to_bytes(8, "little", signed=False), digest_size=8
+    )
+    copy = keyed.copy
+    from_bytes = int.from_bytes
+    draws = []
+    for block_id in block_ids:
+        state = copy()
+        state.update(repr(block_id).encode("utf-8"))
+        draws.append(from_bytes(state.digest(), "little"))
+    return draws
 
 
 class PlacementPolicy(ABC):
@@ -96,9 +114,12 @@ class PlacementPolicy(ABC):
     def locations_for(self, block_ids: Sequence[BlockId]) -> List[int]:
         """Bulk variant of :meth:`location_for`, one entry per block.
 
-        The default delegates per block; policies override it to amortise
-        per-call overhead on the batched ingest path.  Results must be
-        identical to calling :meth:`location_for` on each id.
+        The default delegates per block.  The hashing policies work the
+        other way round: the batch is their unit of work and
+        :meth:`location_for` is the one-element batch, so the two cannot
+        disagree.  A policy that overrides both must keep them element-wise
+        identical -- ``StorageCluster`` places with one and re-places with
+        the other.
         """
         location_for = self.location_for
         return [location_for(block_id) for block_id in block_ids]
@@ -120,6 +141,11 @@ class PlacementPolicy(ABC):
         members of the block's repair group *worse*, so a rebuilt block does
         not silently collapse the group into one failure domain.  The
         default expresses no preference.
+
+        The rank is a property of the *domain* (``domain_index`` at
+        :meth:`spread_level`), never of one location in it:
+        ``StorageCluster`` asks once per candidate domain and applies the
+        answer to every location of that domain.
         """
         return 0
 
@@ -140,12 +166,11 @@ class RandomPlacement(PlacementPolicy):
         self._seed = seed
 
     def location_for(self, block_id: BlockId) -> int:
-        digest = hashlib.blake2b(
-            repr(block_id).encode("utf-8"),
-            key=self._seed.to_bytes(8, "little", signed=False),
-            digest_size=8,
-        ).digest()
-        return int.from_bytes(digest, "little") % self._location_count
+        return self.locations_for((block_id,))[0]
+
+    def locations_for(self, block_ids: Sequence[BlockId]) -> List[int]:
+        count = self._location_count
+        return [draw % count for draw in _block_draws(block_ids, self._seed)]
 
 
 class RoundRobinPlacement(PlacementPolicy):
@@ -186,34 +211,35 @@ class StrandAwarePlacement(PlacementPolicy):
         self, topology: TopologyLike, params: AEParameters, seed: int = 0
     ) -> None:
         super().__init__(topology)
-        self._params = params
-        self._seed = seed
         self._group = params.alpha + 1
+        self._strand_classes = params.strand_classes
+        self._small_cluster_fallback = (
+            RandomPlacement(self.topology, seed)
+            if self._location_count < 2 * self._group
+            else None
+        )
 
     def location_for(self, block_id: BlockId) -> int:
-        if self._location_count < 2 * self._group:
-            return RandomPlacement(self._location_count, self._seed).location_for(block_id)
+        if self._small_cluster_fallback is not None:
+            return self._small_cluster_fallback.location_for(block_id)
         index = block_id.index
-        if is_data(block_id):
+        if isinstance(block_id, DataId):
             lane = 0
         else:
-            lane = 1 + list(self._params.strand_classes).index(block_id.strand_class)
+            lane = 1 + self._strand_classes.index(block_id.strand_class)
         # Interleave lanes across the cluster; consecutive lattice positions
         # rotate through location groups so neighbours do not collide.
         group_index = index % (self._location_count // self._group)
         return (group_index * self._group + lane) % self._location_count
 
 
-def _lattice_lane(block_id: BlockId, alpha: int) -> Optional[Tuple[int, int]]:
+def _lattice_lane(block_id: BlockId, alpha: int) -> Tuple[int, int]:
     """(group index, lane) of an AE or stripe block within its repair group.
 
     AE blocks group by lattice position (data lane 0, one lane per strand
     class); stripe blocks group by stripe (one lane per position).  Anything
     else hashes into a single lane.
     """
-    stripe = getattr(block_id, "stripe", None)
-    if stripe is not None:
-        return int(stripe), int(block_id.position)
     if isinstance(block_id, DataId):
         return block_id.index - 1, 0
     if isinstance(block_id, ParityId):
@@ -221,6 +247,9 @@ def _lattice_lane(block_id: BlockId, alpha: int) -> Optional[Tuple[int, int]]:
             block_id.index - 1,
             1 + STRAND_CLASS_ORDER.index(block_id.strand_class) % alpha,
         )
+    stripe = getattr(block_id, "stripe", None)
+    if stripe is not None:
+        return int(stripe), int(block_id.position)
     digest = hashlib.blake2b(repr(block_id).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little"), 0
 
@@ -254,14 +283,15 @@ class SpreadDomainsPlacement(PlacementPolicy):
     ) -> None:
         super().__init__(topology)
         self._seed = seed
-        self._params = params
+        self._alpha = params.alpha if params is not None else 3
         self._level = level or self.topology.default_level()
         self._domains = self.topology.domains(self._level)
         capacities = self.topology.capacities()
         # Per-domain cumulative capacity for the intra-domain weighted pick.
         self._cumulative = [
-            np.cumsum(capacities[list(members)]) for members in self._domains
+            np.cumsum(capacities[list(members)]).tolist() for members in self._domains
         ]
+        self._hashes = any(len(members) > 1 for members in self._domains)
 
     @property
     def level(self) -> str:
@@ -273,9 +303,15 @@ class SpreadDomainsPlacement(PlacementPolicy):
 
     def domain_for(self, block_id: BlockId) -> int:
         """Failure-domain index assigned to ``block_id``."""
-        alpha = self._params.alpha if self._params is not None else 3
-        group, lane = _lattice_lane(block_id, alpha)
-        return (group + lane) % len(self._domains)
+        return self._domains_for((block_id,))[0]
+
+    def _domains_for(self, block_ids: Sequence[BlockId]) -> List[int]:
+        alpha = self._alpha
+        domain_count = len(self._domains)
+        return [
+            (group + lane) % domain_count
+            for group, lane in [_lattice_lane(block_id, alpha) for block_id in block_ids]
+        ]
 
     def relocation_rank(self, block_id: BlockId, domain_index: int) -> int:
         """Prefer fallback domains no member of the block's group maps to.
@@ -286,26 +322,37 @@ class SpreadDomainsPlacement(PlacementPolicy):
         Stripe groups span every domain whenever ``width >= domains``, in
         which case there is nothing to prefer.
         """
-        alpha = self._params.alpha if self._params is not None else 3
-        group, lane = _lattice_lane(block_id, alpha)
-        width = None
-        if isinstance(block_id, (DataId, ParityId)):
-            width = alpha + 1
-        domain_count = len(self._domains)
-        if width is None or width >= domain_count:
+        if not isinstance(block_id, (DataId, ParityId)):
             return 0
-        occupied = {(group + l) % domain_count for l in range(width)}
-        return 1 if domain_index in occupied else 0
+        width = self._alpha + 1
+        domain_count = len(self._domains)
+        if width >= domain_count:
+            return 0
+        # The group's lanes occupy ``width`` consecutive domains from ``group``.
+        group, _ = _lattice_lane(block_id, self._alpha)
+        return 1 if (domain_index - group) % domain_count < width else 0
 
     def location_for(self, block_id: BlockId) -> int:
-        domain = self.domain_for(block_id)
-        members = self._domains[domain]
-        if len(members) == 1:
-            return members[0]
-        cumulative = self._cumulative[domain]
-        draw = _hash_fraction(block_id, self._seed, salt=b"spread") * cumulative[-1]
-        index = int(np.searchsorted(cumulative, draw, side="right"))
-        return members[min(index, len(members) - 1)]
+        return self.locations_for((block_id,))[0]
+
+    def locations_for(self, block_ids: Sequence[BlockId]) -> List[int]:
+        domains = self._domains
+        cumulative = self._cumulative
+        draws: Iterable[int] = (
+            _block_draws(block_ids, self._seed, salt=b"spread")
+            if self._hashes
+            else repeat(0)
+        )
+        locations = []
+        for domain, draw in zip(self._domains_for(block_ids), draws):
+            members = domains[domain]
+            if len(members) == 1:
+                locations.append(members[0])
+                continue
+            weights = cumulative[domain]
+            index = bisect_right(weights, draw / _DRAW_SPAN * weights[-1])
+            locations.append(members[min(index, len(members) - 1)])
+        return locations
 
     def describe(self) -> str:
         return (
@@ -325,14 +372,19 @@ class WeightedPlacement(PlacementPolicy):
     def __init__(self, topology: TopologyLike, seed: int = 0) -> None:
         super().__init__(topology)
         self._seed = seed
-        self._cumulative = np.cumsum(self.topology.capacities())
+        self._cumulative = np.cumsum(self.topology.capacities()).tolist()
 
     def location_for(self, block_id: BlockId) -> int:
-        draw = _hash_fraction(block_id, self._seed, salt=b"weighted")
-        index = int(
-            np.searchsorted(self._cumulative, draw * self._cumulative[-1], side="right")
-        )
-        return min(index, self._location_count - 1)
+        return self.locations_for((block_id,))[0]
+
+    def locations_for(self, block_ids: Sequence[BlockId]) -> List[int]:
+        cumulative = self._cumulative
+        total = cumulative[-1]
+        last = self._location_count - 1
+        return [
+            min(bisect_right(cumulative, draw / _DRAW_SPAN * total), last)
+            for draw in _block_draws(block_ids, self._seed, salt=b"weighted")
+        ]
 
 
 class DictionaryPlacement(PlacementPolicy):
@@ -465,10 +517,10 @@ def placement_balance(policy: PlacementPolicy, block_ids: Iterable[BlockId]) -> 
     RS(10,4) with one million data blocks; this helper reproduces those
     statistics for any policy.
     """
-    counts = np.zeros(policy.location_count, dtype=np.int64)
-    for block_id in block_ids:
-        counts[policy.location_for(block_id)] += 1
-    return counts
+    locations = policy.locations_for(list(block_ids))
+    return np.bincount(
+        np.asarray(locations, dtype=np.int64), minlength=policy.location_count
+    )
 
 
 def domain_balance(
@@ -476,7 +528,9 @@ def domain_balance(
 ) -> np.ndarray:
     """Histogram of blocks per failure domain at the given level."""
     topology = policy.topology
-    counts = np.zeros(len(topology.domains(level)), dtype=np.int64)
-    for block_id in block_ids:
-        counts[topology.domain_of(policy.location_for(block_id), level)] += 1
-    return counts
+    domain_of = np.asarray(topology.location_domains(level), dtype=np.int64)
+    locations = policy.locations_for(list(block_ids))
+    return np.bincount(
+        domain_of[np.asarray(locations, dtype=np.int64)],
+        minlength=len(topology.domains(level)),
+    )

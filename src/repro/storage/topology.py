@@ -106,6 +106,7 @@ class Topology:
         self._rack_members = {key: tuple(ids) for key, ids in rack_members.items()}
         self._site_index = {site: i for i, site in enumerate(self._sites)}
         self._rack_index = {key: i for i, key in enumerate(self._racks)}
+        self._location_domains: Dict[str, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -288,6 +289,15 @@ class Topology:
         raise InvalidParametersError(
             f"unknown domain level {level!r}; expected one of {DOMAIN_LEVELS}"
         )
+
+    def location_domains(self, level: str = "site") -> Tuple[int, ...]:
+        """:meth:`domain_of` of every node, indexed by node id (built once)."""
+        domains = self._location_domains.get(level)
+        if domains is None:
+            domains = self._location_domains[level] = tuple(
+                self.domain_of(node.node_id, level) for node in self._nodes
+            )
+        return domains
 
     def domain_labels(self, level: str = "site") -> Tuple[str, ...]:
         """Human-readable names of :meth:`domains`, index-aligned."""

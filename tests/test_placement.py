@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.blocks import DataId, ParityId
-from repro.core.parameters import AEParameters, StrandClass
+from repro.core.parameters import AEParameters, STRAND_CLASS_ORDER, StrandClass
 from repro.exceptions import PlacementError
+from repro.schemes.stripe import StripeBlockId
+from repro.storage import placement
 from repro.storage.placement import (
     DictionaryPlacement,
-    PlacementPolicy,
     RandomPlacement,
     RoundRobinPlacement,
     StrandAwarePlacement,
     placement_balance,
 )
+from repro.storage.topology import Topology
 
 
 def all_blocks(count: int, params: AEParameters):
@@ -82,6 +85,58 @@ class TestStrandAwarePlacement:
         policy = StrandAwarePlacement(3, params)
         locations = {policy.location_for(DataId(i)) for i in range(1, 30)}
         assert locations <= {0, 1, 2}
+
+
+@dataclass(frozen=True)
+class OpaqueId:
+    """An id type no policy knows: only its ``repr`` can place it."""
+
+    name: str
+
+
+_indices = st.integers(min_value=1, max_value=10**6)
+_any_id = st.one_of(
+    st.builds(DataId, _indices),
+    st.builds(ParityId, _indices, st.sampled_from(STRAND_CLASS_ORDER)),
+    st.builds(StripeBlockId, st.integers(0, 10**5), st.integers(0, 13)),
+    st.builds(OpaqueId, st.text(max_size=8)),
+)
+
+
+class TestBulkPlacement:
+    """``locations_for`` is ``location_for``, element by element, for every
+    registered policy -- the cluster places with one and re-places with the
+    other."""
+
+    @pytest.mark.parametrize("name", placement.available())
+    @given(
+        sites=st.integers(1, 5),
+        racks=st.integers(1, 3),
+        nodes=st.integers(1, 4),
+        seed=st.integers(0, 2**64 - 1),
+        alpha=st.integers(1, 3),
+        ids=st.lists(_any_id, max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_is_elementwise_per_block(self, name, sites, racks, nodes, seed, alpha, ids):
+        params = AEParameters.single() if alpha == 1 else AEParameters(alpha, 2, 5)
+        topology = Topology.parse(f"sites={sites},racks={racks},nodes={nodes}")
+        policy = placement.get(name, topology, params=params, seed=seed)
+        if name == "strand-aware":
+            # The AE-only policy: it has lanes for the lattice's blocks alone.
+            ids = [
+                block_id
+                for block_id in ids
+                if isinstance(block_id, DataId)
+                or (
+                    isinstance(block_id, ParityId)
+                    and block_id.strand_class in params.strand_classes
+                )
+            ]
+        bulk = policy.locations_for(ids)
+        assert bulk == [policy.location_for(block_id) for block_id in ids]
+        assert all(0 <= location < policy.location_count for location in bulk)
+        assert policy.locations_for([]) == []
 
 
 class TestDictionaryPlacement:
