@@ -7,8 +7,8 @@ remaining cost is Python per-block machinery by comparing
 * the sequential encoder (``Entangler.entangle`` per 4 KiB block) against the
   vectorised ``BatchEntangler.entangle_batch``, across block sizes and
   AE(alpha, s, p) settings, and
-* the per-block store path (``EntangledStorageSystem.put``) against the
-  batched zero-copy pipeline (``put_stream``) end to end.
+* ``put`` against ``put_stream`` through a ``StorageService`` end to end
+  (both ride the batched zero-copy pipeline).
 
 Run with::
 
@@ -27,9 +27,10 @@ import numpy as np
 import pytest
 
 from perf_record import record_entry
+from repro.codes.entanglement import ae_scheme_id
 from repro.core.encoder import BatchEntangler, Entangler
 from repro.core.parameters import AEParameters
-from repro.system.entangled_store import EntangledStorageSystem
+from repro.system.opening import open_service
 
 SPECS = ["AE(1,-,-)", "AE(2,2,5)", "AE(3,2,5)"]
 BLOCK_SIZES = [1024, 4096, 16384]
@@ -82,26 +83,28 @@ def test_batched_encode(benchmark, spec, block_size):
     benchmark.extra_info["MB per run"] = BATCH_BLOCKS * block_size / 1e6
 
 
+def open_store(spec: str):
+    return open_service(
+        scheme=ae_scheme_id(AEParameters.parse(spec)), location_count=50, block_size=4096
+    )
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_store_path_put(benchmark, spec):
-    params = AEParameters.parse(spec)
     payload = data_matrix(512, 4096).tobytes()
 
     def ingest():
-        system = EntangledStorageSystem(params, location_count=50, block_size=4096)
-        return system.put("doc", payload).block_count
+        return open_store(spec).put("doc", payload).block_count
 
     assert benchmark(ingest) == 512
 
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_store_path_put_stream(benchmark, spec):
-    params = AEParameters.parse(spec)
     payload = data_matrix(512, 4096).tobytes()
 
     def ingest():
-        system = EntangledStorageSystem(params, location_count=50, block_size=4096)
-        return system.put_stream("doc", [payload]).block_count
+        return open_store(spec).put_stream("doc", [payload]).block_count
 
     assert benchmark(ingest) == 512
 
@@ -153,37 +156,3 @@ def test_batch_encode_speedup_at_4k(print_tables):
         gates=["speedup"],
     )
     assert speedup >= 3.0, f"batched encode only {speedup:.2f}x faster than per-block"
-
-
-def test_end_to_end_stream_speedup(print_tables):
-    """The batched store path must beat per-block ingestion.
-
-    Since the scheme-agnostic refactor both ``put`` and ``put_stream`` ride
-    the vectorised ``entangle_batch`` + bulk ``put_many`` path, so the
-    per-block baseline is ``append_block`` (one ``entangle`` + per-block
-    cluster write per call), the pre-batching write path.
-    """
-    params = AEParameters.triple(2, 5)
-    blocks = data_matrix(2048, 4096)
-    payload = blocks.tobytes()
-
-    def run_per_block():
-        system = EntangledStorageSystem(params, location_count=50, block_size=4096)
-        for row in blocks:
-            system.append_block(row)
-
-    def run_stream():
-        system = EntangledStorageSystem(params, location_count=50, block_size=4096)
-        system.put_stream("doc", [payload])
-
-    t_block = best_of(run_per_block, repeat=3)
-    t_stream = best_of(run_stream, repeat=3)
-    if print_tables:
-        mb = len(payload) / 1e6
-        print(
-            f"\nstore path @ 4 KiB: append_block {mb / t_block:6.1f} MB/s, "
-            f"put_stream {mb / t_stream:6.1f} MB/s, speedup {t_block / t_stream:.1f}x"
-        )
-    # Loose bound: wall-clock ratios on shared machines are noisy; the hard
-    # acceptance gate is the encode-throughput test above.
-    assert t_block / t_stream >= 1.2, "batched ingest should beat per-block writes"

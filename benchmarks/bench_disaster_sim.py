@@ -1,14 +1,12 @@
-"""Scheme-agnostic disaster-simulation engine: throughput + legacy equivalence.
+"""Scheme-agnostic disaster-simulation engine: throughput + golden equivalence.
 
 Two acceptance checks for the discrete-event engine
 (:mod:`repro.simulation.engine`):
 
-1. at fixed seeds the engine reproduces the legacy per-scheme models'
-   disaster metrics exactly (AE lattice, RS stripes, replication).  The
-   shim classes are subclasses of the engine adapters, so comparing against
-   them only guards the shim mapping; the hard-coded ``GOLDEN`` numbers
-   below were recorded from the *pre-engine* models and anchor the
-   historical behaviour independently;
+1. at fixed seeds the engine reproduces the disaster metrics of the three
+   per-scheme models it replaced (AE lattice, RS stripes, replication): the
+   hard-coded ``GOLDEN`` numbers below were recorded from those *pre-engine*
+   models and anchor the historical behaviour;
 2. the event loop stays fast enough for paper-scale runs -- the benchmark
    reports blocks/sec and events/sec.
 """
@@ -17,15 +15,9 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.simulation.engine import SimulationEngine, simulate_disasters
 from repro.simulation.experiments import ExperimentConfig, sample_disaster
-from repro.simulation.lattice_model import AELatticeModel
 from repro.simulation.metrics import format_table
-from repro.simulation.replication_model import ReplicationModel
-from repro.simulation.rs_model import RSStripeModel
-from repro.core.parameters import AEParameters
 from repro.storage.failures import ChurnTrace
 from repro.storage.maintenance import MaintenancePolicy
 
@@ -34,8 +26,7 @@ from conftest import bench_blocks
 FRACTIONS = (0.10, 0.30, 0.50)
 
 #: Fixed-seed metrics recorded from the pre-engine models (seed 7, 20,000
-#: blocks, 100 locations).  Independent of the shim classes, so a behaviour
-#: regression in the engine itself cannot hide behind the shims.
+#: blocks, 100 locations).
 GOLDEN = {
     ("ae-3-2-5", 10): dict(data_loss=0, rounds=3, repaired_data=1945),
     ("ae-3-2-5", 30): dict(data_loss=0, rounds=6, repaired_data=5978),
@@ -72,74 +63,6 @@ def _config() -> ExperimentConfig:
     # Equivalence is asserted at a fixed reduced scale so the check is exact
     # and fast; the throughput benchmark below uses REPRO_BENCH_BLOCKS.
     return ExperimentConfig.quick(20_000)
-
-
-def test_engine_matches_legacy_ae_model(print_tables):
-    """Engine(ae-3-2-5) == AELatticeModel, metric by metric, per disaster."""
-    config = _config()
-    engine = SimulationEngine(
-        "ae-3-2-5", config.data_blocks, config.location_count, config.seed
-    )
-    legacy = AELatticeModel(
-        AEParameters.triple(2, 5), config.data_blocks, config.location_count, config.seed
-    )
-    for offset, fraction in enumerate(FRACTIONS):
-        failed = sample_disaster(config, fraction, offset)
-        outcome = engine.run_outcome(failed)
-        reference = legacy.run_repair(failed, repair_parities=True)
-        assert outcome.data_loss == reference.data_loss
-        assert outcome.vulnerable_data == reference.vulnerable_data
-        assert outcome.rounds == reference.rounds
-        assert outcome.repaired_data == reference.repaired_data
-        assert outcome.repaired_redundancy == reference.repaired_parities
-        assert outcome.single_failure_repairs == reference.data_repaired_first_round
-        minimal = engine.run_outcome(failed, policy=MaintenancePolicy.MINIMAL)
-        reference_minimal = legacy.run_repair(failed, repair_parities=False)
-        assert minimal.data_loss == reference_minimal.data_loss
-        assert minimal.vulnerable_data == reference_minimal.vulnerable_data
-
-
-def test_engine_matches_legacy_rs_model(print_tables):
-    """Engine(rs-k-m) == RSStripeModel for the paper's RS settings."""
-    config = _config()
-    for k, m in ((10, 4), (4, 12)):
-        engine = SimulationEngine(
-            f"rs-{k}-{m}", config.data_blocks, config.location_count, config.seed
-        )
-        legacy = RSStripeModel(k, m, config.data_blocks, config.location_count, config.seed)
-        for offset, fraction in enumerate(FRACTIONS):
-            failed = sample_disaster(config, fraction, offset)
-            outcome = engine.run_outcome(failed, policy=MaintenancePolicy.MINIMAL)
-            reference = legacy.run_repair(failed)
-            assert outcome.data_loss == reference.data_loss
-            assert outcome.vulnerable_data == reference.vulnerable_data
-            assert outcome.repaired_data == reference.repaired_data
-            assert outcome.single_failure_repairs == reference.single_failure_repairs
-            assert outcome.blocks_read == reference.blocks_read_for_repair
-            assert outcome.initially_missing_data == reference.initially_missing_data
-
-
-def test_engine_matches_legacy_replication_model(print_tables):
-    """Engine(rep-n) == ReplicationModel for the paper's replication factors."""
-    config = _config()
-    for copies in (2, 3, 4):
-        engine = SimulationEngine(
-            f"rep-{copies}", config.data_blocks, config.location_count, config.seed
-        )
-        legacy = ReplicationModel(
-            copies, config.data_blocks, config.location_count, config.seed
-        )
-        for offset, fraction in enumerate(FRACTIONS):
-            failed = sample_disaster(config, fraction, offset)
-            outcome = engine.run_outcome(failed, policy=MaintenancePolicy.MINIMAL)
-            reference = legacy.run_repair(failed)
-            assert outcome.data_loss == reference.data_loss
-            assert outcome.vulnerable_data == reference.vulnerable_data
-            full = engine.run_outcome(failed, policy=MaintenancePolicy.FULL)
-            assert (
-                full.repaired_data + full.repaired_redundancy
-                == reference.repaired_copies
-            )
 
 
 def test_engine_throughput(print_tables):

@@ -1,19 +1,11 @@
-"""Concurrent service front-end and metadata-WAL acceptance benchmarks.
+"""Concurrent service front-end acceptance benchmark.
 
-Two gates, recorded into ``BENCH_service.json`` (docs/benchmarks.md):
-
-* ``test_frontend_scales_with_clients`` -- the closed-loop multi-client
-  workload (think time 1 ms) against the thread-pool front-end must push at
-  least 3x the ops/sec of a single closed-loop client on the same service
-  (memory backend: the scaling comes from overlapping think time and request
-  handling, the front-end's job);
-* ``test_wal_group_commit_speeds_up_metadata`` -- metadata-only mutations
-  (empty-payload puts: a catalogue entry and a scheme-state record, no block
-  IO) against a fsync'd disk-backed service with a warm catalogue: the
-  group-committed metadata WAL under 8 concurrent writers must commit at
-  least 5x faster than the legacy rewrite-``manifest.json``-per-mutation
-  mode single-threaded (the tentpole: O(delta) appends + one fsync per
-  commit *group* versus an O(catalogue) JSON rewrite + fsync per mutation).
+One gate, recorded into ``BENCH_service.json`` (docs/benchmarks.md):
+``test_frontend_scales_with_clients`` -- the closed-loop multi-client
+workload (think time 1 ms) against the thread-pool front-end must push at
+least 3x the ops/sec of a single closed-loop client on the same service
+(memory backend: the scaling comes from overlapping think time and request
+handling, the front-end's job).
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the workloads and relaxes the in-test floors
 for CI smoke runs; the regression gate proper is the BENCH snapshot compare
@@ -28,13 +20,12 @@ Run with::
 from __future__ import annotations
 
 import os
-import time
 
 from perf_record import record_entry
 
 from repro.system.frontend import ConcurrentStorageService
 from repro.system.loadgen import run_load
-from repro.system.service import StorageConfig, StorageService
+from repro.system.service import StorageConfig
 
 _SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -48,10 +39,6 @@ THINK_SECONDS = 0.001
 LOAD_OPS_PER_CLIENT = 30 if _SMOKE else 80
 LOAD_PAYLOAD = 2048
 LOAD_DOCUMENTS = 32
-
-#: Metadata-commit run (disk backend, fsync on).
-WARM_DOCUMENTS = 64 if _SMOKE else 256
-COMMITS = 48 if _SMOKE else 96
 
 
 def _run_clients(clients: int):
@@ -107,84 +94,3 @@ def test_frontend_scales_with_clients(print_tables):
         f"(floor {floor}x); the front-end is not overlapping requests"
     )
     assert many.overloads == 0, "the default queue depth must absorb 8 clients"
-
-
-def _timed_commits(data_dir: str, wal: bool) -> float:
-    """Seconds for ``COMMITS`` metadata commits against a warm catalogue.
-
-    The measured mutations carry empty payloads, so each one is a pure
-    metadata commit -- a ``put_doc`` catalogue entry plus the scheme-state
-    record, with no block IO in the way.  That isolates exactly the path
-    the WAL replaced: the legacy mode rewrites (and fsyncs) the whole
-    ``manifest.json`` per mutation, the WAL mode appends O(delta) frames
-    and batches the fsyncs of concurrent committers into one group.
-    """
-    service = StorageService.open(
-        StorageConfig(
-            scheme=SCHEME,
-            location_count=16,
-            block_size=BLOCK_SIZE,
-            seed=SEED,
-            backend="disk",
-            data_dir=data_dir,
-            fsync=True,
-            wal=wal,
-        )
-    )
-    payload = b"\x5a" * BLOCK_SIZE
-    for number in range(WARM_DOCUMENTS):
-        service.put(f"warm-{number:04d}", payload)
-    if wal:
-        frontend = ConcurrentStorageService(
-            service, workers=CLIENTS, queue_depth=COMMITS
-        )
-        started = time.perf_counter()
-        futures = [
-            frontend.put_async(f"bench-{number:04d}", b"")
-            for number in range(COMMITS)
-        ]
-        for future in futures:
-            future.result()
-        elapsed = time.perf_counter() - started
-        frontend.close()
-    else:
-        started = time.perf_counter()
-        for number in range(COMMITS):
-            service.put(f"bench-{number:04d}", b"")
-        elapsed = time.perf_counter() - started
-        service.close()
-    return elapsed
-
-
-def test_wal_group_commit_speeds_up_metadata(tmp_path, print_tables):
-    """Acceptance gate: >= 5x metadata-commit throughput, WAL vs manifest."""
-    t_manifest = _timed_commits(str(tmp_path / "manifest-mode"), wal=False)
-    t_wal = _timed_commits(str(tmp_path / "wal-mode"), wal=True)
-    manifest_rate = COMMITS / t_manifest
-    wal_rate = COMMITS / t_wal
-    speedup = wal_rate / manifest_rate
-    if print_tables:
-        print()
-        print(f"{COMMITS} incremental commits over {WARM_DOCUMENTS} warm docs "
-              f"[{SCHEME}, disk, fsync]:")
-        print(f"  manifest-per-mutation (1 writer) : {manifest_rate:7.1f} commits/s")
-        print(f"  WAL group commit ({CLIENTS} writers)     : {wal_rate:7.1f} commits/s")
-        print(f"  speedup                          : {speedup:.1f}x")
-    record_entry(
-        "service",
-        f"{SCHEME}/wal-group-commit@disk-fsync",
-        scheme=SCHEME,
-        block_size=BLOCK_SIZE,
-        seed=SEED,
-        metrics={
-            "commits_per_sec": wal_rate,
-            "commits_per_sec_manifest": manifest_rate,
-            "speedup": speedup,
-        },
-        gates=["speedup"],
-    )
-    floor = 3.0 if _SMOKE else 5.0
-    assert speedup >= floor, (
-        f"WAL group commit only {speedup:.2f}x the per-mutation manifest "
-        f"rewrite (floor {floor}x)"
-    )

@@ -57,7 +57,7 @@ def main() -> None:
 
     # What would a *careful* attacker have to do to go unnoticed?  Rewrite
     # every parity from the block's position to the end of its alpha strands.
-    cost = tamper_cost(archive.system.lattice, victim.index)
+    cost = tamper_cost(archive.system.scheme.lattice, victim.index)
     print(f"to stay hidden    : rewrite {cost.total_parities} parities "
           f"across {params.alpha} strands ({cost.summary()})")
 
@@ -66,7 +66,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # First without the manifest -- pure entanglement-equation forensics.
     plain_scrubber = Scrubber(
-        archive.system.lattice, cluster, archive.system.block_size, manifest=None
+        archive.system.scheme.lattice, cluster, archive.system.block_size, manifest=None
     )
     report = plain_scrubber.scrub()
     print(f"\nscrub (no manifest): {report.summary()}")

@@ -15,13 +15,11 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core.dynamic import plan_alpha_upgrade, upgrade_alpha
-from repro.core.lattice import HelicalLattice
+from repro import open_service
+from repro.core.dynamic import plan_alpha_upgrade
 from repro.core.parameters import AEParameters
 from repro.core.tamper import detection_probability, tamper_cost
 from repro.simulation.workload import document_bytes
-from repro.storage.maintenance import MaintenancePolicy
-from repro.system.entangled_store import EntangledStorageSystem
 
 
 def main() -> None:
@@ -29,44 +27,38 @@ def main() -> None:
     # 1. Archive data with a double entanglement (200% overhead).
     # ------------------------------------------------------------------
     old_params = AEParameters.double(2, 5)
-    system = EntangledStorageSystem(old_params, location_count=50, block_size=1024, seed=4)
+    service = open_service(scheme="ae-2-2-5", location_count=50, block_size=1024, seed=4)
     payload = document_bytes(200_000, seed=7)
-    system.put("archive-2019", payload)
+    service.put("archive-2019", payload)
+    lattice = service.scheme.lattice
     print(f"archive encoded with {old_params.spec()}: "
-          f"{system.lattice.size} data blocks, {system.lattice.parity_count} parities")
+          f"{lattice.size} data blocks, {lattice.parity_count} parities")
 
     # ------------------------------------------------------------------
     # 2. Years later the archive must tolerate harsher failure scenarios:
-    #    plan and execute the upgrade to alpha = 3.
+    #    plan the upgrade to alpha = 3, then let the live service run it.
     # ------------------------------------------------------------------
-    plan = plan_alpha_upgrade(old_params, 3, system.lattice.size)
+    plan = plan_alpha_upgrade(old_params, 3, lattice.size)
     print(f"\nupgrade plan: {plan.summary()}")
-    new_parities = upgrade_alpha(
-        old_params, 3, system.lattice.size,
-        lambda data_id: system.get_block(data_id),
-        system.block_size,
-    )
-    print(f"computed {len(new_parities)} new parities; existing blocks untouched")
-
-    # Store the new parities alongside the old ones.
-    for block in new_parities:
-        system.cluster.put_block(block)
+    raised = service.transition_to("ae-3-2-5")
+    assert raised.data_blocks_rewritten == 0
+    print(f"computed {raised.parities_written} new parities; existing blocks untouched")
 
     # ------------------------------------------------------------------
     # 3. The upgraded archive still reads back correctly after a disaster.
     # ------------------------------------------------------------------
-    system.fail_locations(range(0, 15))  # 30% of the locations
-    assert system.read("archive-2019") == payload
-    report = system.repair(MaintenancePolicy.FULL)
+    service.fail_locations(range(0, 15))  # 30% of the locations
+    assert service.get("archive-2019") == payload
+    report = service.repair()
     print(f"after a 30% disaster: data loss = {report.data_loss}, "
-          f"{report.repaired_count} blocks repaired in {report.round_count} rounds")
+          f"{report.repaired_count} blocks repaired in {report.rounds} rounds")
 
     # ------------------------------------------------------------------
     # 4. Anti-tampering: the price of an undetected modification.
     # ------------------------------------------------------------------
     new_params = plan.new_params
-    lattice = HelicalLattice(new_params, system.lattice.size)
-    victim = system.lattice.size // 2
+    lattice = service.scheme.lattice  # the widened lattice, alpha = 3
+    victim = lattice.size // 2
     cost = tamper_cost(lattice, victim)
     print(f"\nanti-tampering: {cost.summary()}")
     for audited in (0.05, 0.20, 0.50):

@@ -62,9 +62,8 @@ Symbol                Paper reference / units
                       blocks, payload bytes as ``numpy.uint8``).
 ``Decoder``           Single-block repair from pp-/dp-tuples, two-block XORs
                       (Sec. III-B and IV-A, Fig. 2).
-``IterativeRepairer`` Multi-round global repair after disasters (Sec. V-C4).
-``RepairReport``      Outcome of a global repair run: rounds, repaired and
-                      unrecovered block counts.
+``RepairRun``         Multi-round global repair after disasters, one bulk
+                      read and one XOR pass per round (Sec. V-C4).
 ``Block``             Identifier plus payload (``numpy.uint8`` array, bytes).
 ``BlockId``           Union of ``DataId`` and ``ParityId``.
 ``DataId``            d-block identifier: lattice position ``i >= 1`` (Fig. 3).
@@ -97,8 +96,7 @@ multi-client request path, from ``repro.system.frontend``),
 many services, from ``repro.system.sharding``),
 ``RedundancyScheme`` / ``get_scheme`` (the
 pluggable redundancy protocol and registry, from ``repro.schemes``),
-``repro.system.entangled_store.EntangledStorageSystem`` (the AE-specific
-legacy shim), ``repro.storage`` (cluster, placement, repair management) and
+``repro.storage`` (cluster, placement, repair management) and
 ``repro.analysis`` / ``repro.simulation`` (the paper's evaluation).
 """
 
@@ -113,10 +111,9 @@ from repro.core import (
     EncodedBlock,
     Entangler,
     HelicalLattice,
-    IterativeRepairer,
     NodeCategory,
     ParityId,
-    RepairReport,
+    RepairRun,
     StrandClass,
     StrandId,
 )
@@ -162,14 +159,13 @@ __all__ = [
     "HelicalLattice",
     "IntegrityError",
     "InvalidParametersError",
-    "IterativeRepairer",
     "LatticeBoundsError",
     "NodeCategory",
     "ParityId",
     "PlacementError",
     "RedundancyScheme",
     "RepairFailedError",
-    "RepairReport",
+    "RepairRun",
     "ReproError",
     "SchemeCapabilities",
     "ServiceOverloadedError",

@@ -13,10 +13,10 @@ mesh).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
-from repro.core.batch_repair import execute_plan, plan_inputs, plan_round
-from repro.core.blocks import BlockId, ParityId, is_data, is_parity
+from repro.core.batch_repair import RepairRun, block_sort_key
+from repro.core.blocks import BlockId, DataId, ParityId, is_data, is_parity
 from repro.core.decoder import Decoder
 from repro.core.encoder import DEFAULT_BLOCK_SIZE, BatchEntangler
 from repro.core.lattice import HelicalLattice
@@ -38,12 +38,6 @@ __all__ = [
     "ae_scheme_id",
     "punctured_scheme_id",
 ]
-
-
-def _sort_key(block_id: BlockId) -> Tuple[int, int, str]:
-    if is_data(block_id):
-        return (block_id.index, 0, "")
-    return (block_id.index, 1, block_id.strand_class.value)
 
 
 def ae_scheme_id(params: AEParameters) -> str:
@@ -116,108 +110,43 @@ class EntanglementScheme(RedundancyScheme):
     def repair(self, missing: Set[object], fetch: BlockFetcher) -> SchemeRepairOutcome:
         """Round-based lattice repair (paper, Sec. V-C4), executed in bulk.
 
-        Each round is planned against an availability view frozen at the
-        round start (:func:`~repro.core.batch_repair.plan_round` picks the
-        same pp-/dp-tuples the per-block decoder would), the plan's inputs
-        are fetched in one bulk call when the fetcher advertises
-        ``try_get_many`` (a :class:`~repro.storage.cluster.ClusterBlockSource`),
-        and every target of the round is rebuilt in a single matrix XOR
-        pass.  Blocks repaired in one round become inputs of the next.
+        A thin caller of :class:`~repro.core.batch_repair.RepairRun`: the
+        fetcher's ``is_available`` / ``try_get_many`` hooks (a
+        :class:`~repro.storage.cluster.ClusterBlockSource` has both) become
+        the run's planner oracle and bulk fetch, a plain callable is probed
+        and fetched block by block.  Identifiers that are not blocks of this
+        lattice -- another scheme's, or beyond the encoded size -- come back
+        in ``unrecovered`` untouched.
 
         ``blocks_read`` counts the *distinct* payloads the run obtained --
         from the source or from the overlay of earlier rounds -- so a
         surviving block feeding several dependent repairs is accounted once.
         """
+        lattice = self.lattice
+        owned: Set[BlockId] = set()
+        beyond: List[BlockId] = []
         outcome = SchemeRepairOutcome()
-        pending = {
-            block_id for block_id in missing if self.lattice.has_block(block_id)
-        }
-        outcome.unrecovered = sorted(
-            (block_id for block_id in missing if block_id not in pending),
-            key=_sort_key,
-        )
-        overlay: Dict[BlockId, Payload] = {}
-        # Source payloads already obtained (``None`` = probed and absent).
-        cache: Dict[BlockId, Optional[Payload]] = {}
-        consumed: Set[BlockId] = set()
-        oracle = getattr(fetch, "is_available", None)
-        bulk = getattr(fetch, "try_get_many", None)
-
-        def probed(block_id: BlockId) -> Optional[Payload]:
-            """Memoised source fetch: availability probe without an oracle."""
-            if block_id not in cache:
-                cache[block_id] = fetch(block_id)
-            return cache[block_id]
-
-        while pending:
-            snapshot = dict(overlay)
-            if oracle is not None:
-
-                def available(
-                    block_id: BlockId, _snapshot: Dict[BlockId, Payload] = snapshot
-                ) -> bool:
-                    if block_id in _snapshot:
-                        return True
-                    if block_id in cache:
-                        return cache[block_id] is not None
-                    return bool(oracle(block_id))
-
+        for block_id in missing:
+            if not isinstance(block_id, (DataId, ParityId)):
+                outcome.unrecovered.append(block_id)
+            elif lattice.has_block(block_id):
+                owned.add(block_id)
             else:
-
-                def available(
-                    block_id: BlockId, _snapshot: Dict[BlockId, Payload] = snapshot
-                ) -> bool:
-                    return block_id in _snapshot or probed(block_id) is not None
-
-            steps = plan_round(
-                self.lattice, sorted(pending, key=_sort_key), available
-            )
-            if oracle is not None:
-                # The oracle answered the planner without moving payloads;
-                # fetch the chosen inputs now, in one grouped call.
-                wanted = [
-                    block_id
-                    for block_id in plan_inputs(steps)
-                    if block_id not in snapshot and block_id not in cache
-                ]
-                if wanted:
-                    payloads = (
-                        bulk(wanted)
-                        if bulk is not None
-                        else [fetch(block_id) for block_id in wanted]
-                    )
-                    cache.update(zip(wanted, payloads))
-                # A source dying between the plan and the fetch can leave a
-                # step without inputs; its target waits for a later round.
-                steps = [
-                    step
-                    for step in steps
-                    if all(
-                        block_id in snapshot or cache.get(block_id) is not None
-                        for block_id in step.inputs()
-                    )
-                ]
-            if not steps:
-                break
-
-            def payload_of(
-                block_id: BlockId, _snapshot: Dict[BlockId, Payload] = snapshot
-            ) -> Payload:
-                payload = _snapshot.get(block_id)
-                return payload if payload is not None else cache[block_id]
-
-            recovered = execute_plan(steps, payload_of, self._block_size)
-            for step in steps:
-                consumed.update(step.inputs())
-            overlay.update(recovered)
-            pending.difference_update(recovered)
+                beyond.append(block_id)
+        outcome.unrecovered.extend(sorted(beyond, key=block_sort_key))
+        bulk = getattr(fetch, "try_get_many", None)
+        run = RepairRun(
+            lattice,
+            owned,
+            self._block_size,
+            bulk or (lambda block_ids: [fetch(block_id) for block_id in block_ids]),
+            getattr(fetch, "is_available", None),
+        )
+        for recovered, _ in run.rounds():
+            outcome.recovered.update(recovered)
             outcome.rounds += 1
-        outcome.recovered = overlay
-        obtained = {
-            block_id for block_id, payload in cache.items() if payload is not None
-        }
-        outcome.blocks_read = len(consumed | obtained)
-        outcome.unrecovered.extend(sorted(pending, key=_sort_key))
+        outcome.blocks_read = run.blocks_read
+        outcome.unrecovered.extend(sorted(run.pending, key=block_sort_key))
         return outcome
 
     # ------------------------------------------------------------------
@@ -241,6 +170,11 @@ class EntanglementScheme(RedundancyScheme):
     # ------------------------------------------------------------------
     # Metadata
     # ------------------------------------------------------------------
+    def owns(self, block_id: object) -> bool:
+        return isinstance(block_id, (DataId, ParityId)) and self.lattice.has_block(
+            block_id
+        )
+
     def is_data_block(self, block_id: object) -> bool:
         return is_data(block_id)
 
@@ -341,11 +275,7 @@ class PuncturedEntanglementScheme(EntanglementScheme):
         un-punctures the code by writing them back).
         """
         outcome = super().repair(missing, fetch)
-        stuck = [
-            block_id
-            for block_id in outcome.unrecovered
-            if self.lattice.has_block(block_id)
-        ]
+        stuck = [block_id for block_id in outcome.unrecovered if self.owns(block_id)]
         if not stuck:
             return outcome
         wanted = set(missing)

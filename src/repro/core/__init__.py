@@ -9,6 +9,7 @@ analysis).
 
 from repro.core.batch_repair import (
     RepairPlanStep,
+    RepairRun,
     execute_plan,
     plan_inputs,
     plan_round,
@@ -25,12 +26,7 @@ from repro.core.blocks import (
     split_into_blocks,
 )
 from repro.core.buckets import WriteScheduler, WriteScheduleReport, compare_write_parallelism
-from repro.core.decoder import (
-    Decoder,
-    IterativeRepairer,
-    RepairReport,
-    RepairRound,
-)
+from repro.core.decoder import Decoder
 from repro.core.dynamic import (
     AlphaUpgrader,
     DataFetcher,
@@ -104,7 +100,6 @@ __all__ = [
     "Entangler",
     "EpochHistory",
     "HelicalLattice",
-    "IterativeRepairer",
     "LatticePosition",
     "NodeCategory",
     "ParameterEpoch",
@@ -113,8 +108,7 @@ __all__ = [
     "PuncturedCode",
     "PuncturingPolicy",
     "RepairPlanStep",
-    "RepairReport",
-    "RepairRound",
+    "RepairRun",
     "StrandClass",
     "StrandHeadRegistry",
     "StrandId",

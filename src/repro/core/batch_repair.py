@@ -17,22 +17,55 @@ storage layer and the XOR kernels each see one bulk operation:
 Both tuple forms reduce to ``target = first XOR second`` with ``None``
 standing for the virtual zero parity at strand extremities, so a round is
 exactly one matrix XOR regardless of how data and parity targets mix.
+
+:class:`RepairRun` is the round loop itself (paper, Sec. V-C4: blocks
+repaired in one round feed the next), written once: the scheme-level
+:meth:`EntanglementScheme.repair <repro.codes.entanglement.EntanglementScheme.repair>`
+and the policy-driven cluster repair manager are both thin callers of it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.blocks import BlockId, DataId, ParityId, is_data
 from repro.core.lattice import HelicalLattice
 from repro.core.rules import input_index, output_index
 from repro.core.xor import Payload, gather_payload_matrix, xor_into
 
-__all__ = ["RepairPlanStep", "plan_round", "execute_plan", "plan_inputs"]
+__all__ = [
+    "RepairPlanStep",
+    "RepairRun",
+    "block_sort_key",
+    "execute_plan",
+    "plan_inputs",
+    "plan_round",
+]
 
 #: Availability oracle: ``True`` when the block's payload can be produced
 #: without repairing it (it is stored, or an earlier round rebuilt it).
 AvailabilityProbe = Callable[[BlockId], bool]
+
+#: Bulk fetch: payloads in request order, ``None`` for unreachable blocks.
+BulkFetcher = Callable[[List[BlockId]], Sequence[Optional[Payload]]]
+
+
+def block_sort_key(block_id: BlockId) -> Tuple[int, int, str]:
+    """Lattice order: node by node, the data block before its parities."""
+    if is_data(block_id):
+        return (block_id.index, 0, "")
+    return (block_id.index, 1, block_id.strand_class.value)
 
 
 class RepairPlanStep(NamedTuple):
@@ -149,20 +182,122 @@ def execute_plan(
     return {step.target: firsts[row] for row, step in enumerate(steps)}
 
 
-def count_new_reads(
-    steps: Iterable[RepairPlanStep], already_read: set
-) -> Tuple[int, set]:
-    """How many distinct not-yet-counted inputs this plan consumes.
+class _Availability(Dict[BlockId, bool]):
+    """Memoised availability: the planner probes a block many times per run
+    (once per neighbour that could use it), so hits must cost a dict lookup
+    and only the first probe of a block reaches the caller's oracle."""
 
-    Returns the count and the set of newly counted block ids; the caller
-    merges them into its running ``already_read`` set so a surviving block
-    feeding several dependent repairs -- within a round or across rounds --
-    is accounted once.
+    def __init__(self, probe: AvailabilityProbe) -> None:
+        super().__init__()
+        self._probe = probe
+
+    def __missing__(self, block_id: BlockId) -> bool:
+        answer = self[block_id] = bool(self._probe(block_id))
+        return answer
+
+
+class RepairRun:
+    """Round-based lattice repair of a set of missing blocks, in bulk.
+
+    Every round is planned against the availability known when it starts
+    (:func:`plan_round` picks the same pp-/dp-tuples the per-block decoder
+    would), the plan's not-yet-held inputs arrive through one ``fetch_many``
+    call, steps whose inputs did not arrive (a source dying between the plan
+    and the fetch) are dropped so their targets are planned again without
+    the lost block, and all remaining targets are rebuilt in one
+    :func:`execute_plan` pass.
+    Blocks rebuilt in one round are inputs of the next.
+
+    ``is_available`` answers the planner without moving payload bytes (a
+    cluster knows which locations are up); without one the run probes by
+    fetching, one block at a time, and keeps what it fetched.  ``max_rounds``
+    and ``round_cap`` (targets rebuilt per round) bound the work.
+
+    Iterate :meth:`rounds` to run; between rounds the caller may do anything
+    that does not take away blocks the source reported available -- write
+    the rebuilt payloads somewhere, account for them, stop early.
+    Afterwards :attr:`pending` holds what no surviving tuple could rebuild
+    and :attr:`blocks_read` the *distinct* payloads the run obtained, from
+    the source or from an earlier round, so a block feeding several
+    dependent repairs is counted once.
     """
-    fresh = {
-        block_id
-        for step in steps
-        for block_id in (step.first, step.second)
-        if block_id is not None and block_id not in already_read
-    }
-    return len(fresh), fresh
+
+    def __init__(
+        self,
+        lattice: HelicalLattice,
+        missing: Iterable[BlockId],
+        block_size: int,
+        fetch_many: BulkFetcher,
+        is_available: Optional[AvailabilityProbe] = None,
+        max_rounds: Optional[int] = None,
+        round_cap: Optional[int] = None,
+    ) -> None:
+        self._lattice = lattice
+        self._block_size = block_size
+        self._fetch_many = fetch_many
+        self._is_available = is_available
+        self._max_rounds = max_rounds
+        self._round_cap = round_cap
+        self.pending: Set[BlockId] = set(missing)
+        self.blocks_read = 0
+
+    def rounds(self) -> Iterator[Tuple[Dict[BlockId, Payload], int]]:
+        """Run the repair; yields ``({target: payload}, newly read blocks)``
+        once per round that rebuilt something."""
+        fetch_many = self._fetch_many
+        pending = self.pending
+        # Every payload the run holds: fetched inputs and, once a round is
+        # done, its rebuilt targets (which win over a stale fetched copy).
+        held: Dict[BlockId, Payload] = {}
+        read: Set[BlockId] = set()
+
+        def fetch_probe(block_id: BlockId) -> bool:
+            payload = fetch_many([block_id])[0]
+            if payload is None:
+                return False
+            held[block_id] = payload
+            read.add(block_id)
+            return True
+
+        available = _Availability(self._is_available or fetch_probe)
+        completed = 0
+        while pending and (self._max_rounds is None or completed < self._max_rounds):
+            # ``available`` and ``held`` only learn this round's targets
+            # after the XOR pass, so the plan sees the round-start state.
+            steps = plan_round(
+                self._lattice,
+                sorted(pending, key=block_sort_key),
+                available.__getitem__,
+            )
+            if self._round_cap is not None:
+                steps = steps[: self._round_cap]
+            inputs = plan_inputs(steps)
+            wanted = [block_id for block_id in inputs if block_id not in held]
+            arrived = True
+            if wanted:
+                for block_id, payload in zip(wanted, fetch_many(wanted)):
+                    if payload is not None:
+                        held[block_id] = payload
+                        read.add(block_id)
+                    else:
+                        available[block_id] = arrived = False
+                if not arrived:
+                    steps = [
+                        step
+                        for step in steps
+                        if all(block_id in held for block_id in step.inputs())
+                    ]
+                    inputs = plan_inputs(steps)
+            read.update(inputs)
+            new_reads = len(read) - self.blocks_read
+            self.blocks_read = len(read)
+            if not steps:
+                if arrived:
+                    return
+                continue  # every step lost an input: plan again without them
+            recovered = execute_plan(steps, held.__getitem__, self._block_size)
+            held.update(recovered)
+            available.update(dict.fromkeys(recovered, True))
+            pending.difference_update(recovered)
+            completed += 1
+            yield recovered, new_reads

@@ -1,4 +1,4 @@
-"""The entanglement decoder: single-block repair and multi-round global repair.
+"""The entanglement decoder: single-block repair along the lattice's strands.
 
 Repair primitives (paper, Sec. III-B and IV-A):
 
@@ -12,16 +12,15 @@ Repair primitives (paper, Sec. III-B and IV-A):
 
 When the blocks needed by a repair are themselves missing, the decoder can
 recurse along the strand (the concentric paths of Fig. 2) up to a configurable
-depth, or iterate global repair rounds: blocks repaired in one round become
-available for the next (Sec. V-C4).
+depth.  Global round-based repair (Sec. V-C4) is
+:class:`repro.core.batch_repair.RepairRun`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set
 
-from repro.core.blocks import Block, BlockId, DataId, ParityId, is_data
+from repro.core.blocks import BlockId, DataId, ParityId, is_data
 from repro.core.lattice import HelicalLattice
 from repro.core.xor import Payload, as_payload, xor_payloads, zero_payload
 from repro.exceptions import RepairFailedError
@@ -155,125 +154,3 @@ class Decoder:
                 if right_parity is not None:
                     return xor_payloads(right_data, right_parity)
         return None
-
-
-@dataclass
-class RepairRound:
-    """Blocks repaired during one round of the iterative global repair."""
-
-    number: int
-    repaired: List[BlockId] = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.repaired)
-
-
-@dataclass
-class RepairReport:
-    """Outcome of an iterative repair run."""
-
-    rounds: List[RepairRound] = field(default_factory=list)
-    unrecovered: List[BlockId] = field(default_factory=list)
-
-    @property
-    def round_count(self) -> int:
-        return len(self.rounds)
-
-    @property
-    def repaired_count(self) -> int:
-        return sum(round_.count for round_ in self.rounds)
-
-    @property
-    def repaired_in_first_round(self) -> int:
-        return self.rounds[0].count if self.rounds else 0
-
-    @property
-    def unrecovered_data(self) -> List[BlockId]:
-        return [block_id for block_id in self.unrecovered if is_data(block_id)]
-
-    @property
-    def unrecovered_parities(self) -> List[BlockId]:
-        return [block_id for block_id in self.unrecovered if not is_data(block_id)]
-
-    def summary(self) -> str:
-        return (
-            f"repaired {self.repaired_count} blocks in {self.round_count} rounds; "
-            f"{len(self.unrecovered)} unrecovered "
-            f"({len(self.unrecovered_data)} data, {len(self.unrecovered_parities)} parities)"
-        )
-
-
-class IterativeRepairer:
-    """Round-based global repair over an in-memory payload map.
-
-    Each round scans the still-missing blocks and repairs every block whose
-    pp-/dp-tuple is available using only blocks present *before* the round
-    started; repaired blocks become usable in the next round.  This matches
-    the per-round accounting of Table VI and Fig. 13 of the paper.
-    """
-
-    def __init__(
-        self,
-        lattice: HelicalLattice,
-        block_size: int,
-        repair_parities: bool = True,
-    ) -> None:
-        self._lattice = lattice
-        self._block_size = block_size
-        self._repair_parities = repair_parities
-
-    def repair_all(
-        self,
-        available: Dict[BlockId, Payload],
-        missing: Iterable[BlockId],
-        max_rounds: int = 1000,
-    ) -> Tuple[RepairReport, Dict[BlockId, Payload]]:
-        """Repair as many of ``missing`` blocks as possible.
-
-        Returns the report and the updated payload map (a copy extended with
-        the repaired payloads).
-        """
-        store: Dict[BlockId, Payload] = dict(available)
-        pending: Set[BlockId] = {
-            block_id for block_id in missing if self._lattice.has_block(block_id)
-        }
-        pending -= set(store)
-        report = RepairReport()
-        for round_number in range(1, max_rounds + 1):
-            snapshot = store  # blocks available at the start of the round
-            repaired_this_round: List[Tuple[BlockId, Payload]] = []
-            decoder = Decoder(
-                self._lattice,
-                lambda block_id, _snapshot=snapshot: _snapshot.get(block_id),
-                self._block_size,
-                max_depth=0,
-            )
-            for block_id in sorted(pending, key=_block_sort_key):
-                if not self._repair_parities and not is_data(block_id):
-                    continue
-                try:
-                    payload = decoder.repair(block_id)
-                except RepairFailedError:
-                    continue
-                repaired_this_round.append((block_id, payload))
-            if not repaired_this_round:
-                break
-            round_report = RepairRound(number=round_number)
-            new_store = dict(store)
-            for block_id, payload in repaired_this_round:
-                new_store[block_id] = payload
-                pending.discard(block_id)
-                round_report.repaired.append(block_id)
-            store = new_store
-            report.rounds.append(round_report)
-            if not pending:
-                break
-        report.unrecovered = sorted(pending, key=_block_sort_key)
-        return report, store
-
-
-def _block_sort_key(block_id: BlockId) -> Tuple[int, int, str]:
-    if is_data(block_id):
-        return (block_id.index, 0, "")
-    return (block_id.index, 1, block_id.strand_class.value)

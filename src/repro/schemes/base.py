@@ -159,6 +159,15 @@ class RedundancyScheme(ABC):
         """Rebuild as many of ``missing`` blocks as possible from ``fetch``."""
 
     @abstractmethod
+    def owns(self, block_id: object) -> bool:
+        """True when ``block_id`` names a block this instance has encoded.
+
+        :meth:`repair` returns identifiers it does not own in ``unrecovered``
+        without decoding them; a service holding two schemes mid-transition
+        uses this to hand each its own generation of blocks.
+        """
+
+    @abstractmethod
     def is_data_block(self, block_id: object) -> bool:
         """True when ``block_id`` identifies a data (not redundancy) block."""
 

@@ -143,7 +143,7 @@ class StripeScheme(RedundancyScheme):
         outcome = SchemeRepairOutcome(rounds=1)
         by_stripe: Dict[int, List[int]] = {}
         for block_id in missing:
-            if isinstance(block_id, StripeBlockId) and block_id.stripe < self._next_stripe:
+            if self.owns(block_id):
                 by_stripe.setdefault(block_id.stripe, []).append(block_id.position)
             else:
                 outcome.unrecovered.append(block_id)
@@ -256,6 +256,9 @@ class StripeScheme(RedundancyScheme):
     # ------------------------------------------------------------------
     # Metadata
     # ------------------------------------------------------------------
+    def owns(self, block_id: object) -> bool:
+        return isinstance(block_id, StripeBlockId) and block_id.stripe < self._next_stripe
+
     def is_data_block(self, block_id: object) -> bool:
         """True for document data: parity and stored padding positions are not."""
         if not isinstance(block_id, StripeBlockId):

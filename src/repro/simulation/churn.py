@@ -15,12 +15,11 @@ over the scheme-agnostic simulation engine and reports, per time step,
 
 Schemes are resolved through the :mod:`repro.schemes` registry (the same
 placements as the disaster experiments), so any registered scheme --
-including LRC and flat XOR, which the legacy per-scheme models could not
-simulate -- can be put under churn.  Availability is usually summarised in
-"nines" (``-log10(1 - availability)``); the Blake & Rodrigues observation
-quoted in the paper -- replication needs enormous overhead to reach high
-availability while erasure codes get there much more cheaply -- falls out of
-this metric.
+including LRC and flat XOR -- can be put under churn.  Availability is
+usually summarised in "nines" (``-log10(1 - availability)``); the Blake &
+Rodrigues observation quoted in the paper -- replication needs enormous
+overhead to reach high availability while erasure codes get there much more
+cheaply -- falls out of this metric.
 """
 
 from __future__ import annotations

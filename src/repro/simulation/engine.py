@@ -24,10 +24,9 @@ replication); every scheme the :mod:`repro.schemes` registry learned to
   :class:`~repro.storage.maintenance.MaintenancePolicy` and
   :class:`~repro.storage.maintenance.MaintenanceBudget`.
 
-The engine reproduces the legacy models' fixed-seed metrics exactly (same
-placement draws, same repair semantics); ``AELatticeModel``,
-``RSStripeModel`` and ``ReplicationModel`` remain importable as thin shims
-over the adapters defined here.
+The engine reproduces the fixed-seed metrics of the three per-scheme models
+it replaced (same placement draws, same repair semantics); they are pinned
+as literals in ``tests/test_engine.py``.
 """
 
 from __future__ import annotations
@@ -514,8 +513,7 @@ class StripeDisasterState:
     """Raw per-stripe evaluation of one disaster over a stripe population.
 
     All arrays are per stripe; ``vulnerable_*`` count vulnerable *data*
-    blocks under the respective maintenance policy.  The legacy model shims
-    derive their outcome dataclasses from this state.
+    blocks under the respective maintenance policy.
     """
 
     unavailable: np.ndarray  # (stripes, n) bool; padding forced available
@@ -611,7 +609,7 @@ class StripeSimulation(SimulatedPlacement):
         failed_mask = self._failed_mask(failed_locations)
         unavailable = failed_mask[self.block_location]  # (stripes, n)
         # Padding blocks are zero by construction, hence always recoverable:
-        # treat them as available (the legacy RS model did the same).
+        # treat them as available.
         unavailable[:, :k] &= self.data_mask
         data_missing = unavailable[:, :k]
         data_missing_count = data_missing.sum(axis=1)
@@ -834,16 +832,6 @@ def punctured_parity_mask(
     return mask
 
 
-def _parity_free_rs(scheme_id: str) -> Optional[StripeCode]:
-    """The legacy ``RS(k, 0)`` edge case, which the registry cannot serve."""
-    parts = scheme_id.split("-")
-    if len(parts) == 3 and parts[0] == "rs" and parts[2] == "0" and parts[1].isdigit():
-        from repro.simulation.rs_model import _ParityFreeStripes
-
-        return _ParityFreeStripes(int(parts[1]))
-    return None
-
-
 def build_simulation(
     scheme: SchemeLike,
     data_blocks: int,
@@ -869,13 +857,7 @@ def build_simulation(
     if isinstance(scheme, (str, tuple, int)):
         import repro.schemes as schemes
 
-        scheme_id = scheme_id_for(scheme)
-        parity_free = _parity_free_rs(scheme_id)
-        if parity_free is not None:
-            return StripeSimulation(
-                parity_free, data_blocks, location_count, seed, scheme_id=scheme_id
-            )
-        scheme = schemes.get(scheme_id, block_size=block_size)
+        scheme = schemes.get(scheme_id_for(scheme), block_size=block_size)
     if isinstance(scheme, PuncturedEntanglementScheme):
         return LatticeSimulation(
             scheme.params,

@@ -32,10 +32,7 @@ from repro.simulation.engine import (
     SimulationEngine,
     sample_disaster_locations,
 )
-from repro.simulation.lattice_model import AELatticeModel
 from repro.simulation.metrics import scheme_costs, scheme_id_for
-from repro.simulation.replication_model import ReplicationModel
-from repro.simulation.rs_model import RSStripeModel
 from repro.storage.maintenance import MaintenancePolicy
 
 #: Disaster sizes used throughout the paper.
@@ -114,39 +111,6 @@ def _comparison_scheme_ids() -> List[str]:
     ids.extend(scheme_id_for(params) for params in AE_SETTINGS)
     ids.extend(f"rep-{copies}" for copies in REPLICATION_FACTORS)
     return ids
-
-
-def build_ae_models(
-    config: ExperimentConfig, settings: Sequence[AEParameters] = AE_SETTINGS
-) -> Dict[str, AELatticeModel]:
-    return {
-        params.spec(): AELatticeModel(
-            params, config.data_blocks, config.location_count, seed=config.seed
-        )
-        for params in settings
-    }
-
-
-def build_rs_models(
-    config: ExperimentConfig, settings: Sequence[Tuple[int, int]] = RS_SETTINGS
-) -> Dict[str, RSStripeModel]:
-    return {
-        f"RS({k},{m})": RSStripeModel(
-            k, m, config.data_blocks, config.location_count, seed=config.seed
-        )
-        for k, m in settings
-    }
-
-
-def build_replication_models(
-    config: ExperimentConfig, factors: Sequence[int] = REPLICATION_FACTORS
-) -> Dict[str, ReplicationModel]:
-    return {
-        f"{copies}-way replication": ReplicationModel(
-            copies, config.data_blocks, config.location_count, seed=config.seed
-        )
-        for copies in factors
-    }
 
 
 # ----------------------------------------------------------------------

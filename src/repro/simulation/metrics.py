@@ -89,18 +89,6 @@ def describe_scheme(spec: SchemeSpec) -> SchemeDescription:
     import repro.schemes as schemes
 
     scheme_id = scheme_id_for(spec)
-    parts = scheme_id.split("-")
-    if len(parts) == 3 and parts[0] == "rs" and parts[2] == "0" and parts[1].isdigit():
-        # The legacy RS(k, 0) edge case (striping without parities), which
-        # the registry cannot serve but the historical cost table described.
-        k = int(parts[1])
-        return SchemeDescription(
-            name=f"RS({k},0)",
-            kind="rs",
-            additional_storage_percent=0.0,
-            single_failure_cost=k,
-            scheme_id=scheme_id,
-        )
     capabilities = schemes.get(scheme_id, block_size=64).capabilities()
     return SchemeDescription(
         name=capabilities.name,

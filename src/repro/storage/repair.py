@@ -13,13 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.batch_repair import (
-    count_new_reads,
-    execute_plan,
-    plan_inputs,
-    plan_round,
-)
-from repro.core.blocks import BlockId, DataId, is_data
+from repro.core.batch_repair import RepairRun, block_sort_key
+from repro.core.blocks import BlockId, is_data
 from repro.core.decoder import Decoder
 from repro.core.lattice import HelicalLattice
 from repro.core.xor import Payload
@@ -123,24 +118,22 @@ class ClusterRepairManager:
     def repair(self, max_rounds: int = 1000, batched: bool = True) -> ClusterRepairReport:
         """Repair the missing blocks according to the maintenance policy.
 
-        The default (``batched=True``) plans every round up front
-        (:func:`~repro.core.batch_repair.plan_round`), bulk-fetches the plan's
-        surviving inputs through :meth:`StorageCluster.try_get_many` and
-        reconstructs all of the round's targets in one matrix XOR pass; the
-        rebuilt payloads are written back with one grouped
+        The default (``batched=True``) is a thin caller of
+        :class:`~repro.core.batch_repair.RepairRun`: the policy picks what to
+        repair, the run plans, bulk-fetches and rebuilds one round at a time,
+        and each round's payloads are written back with one grouped
         :meth:`StorageCluster.relocate_many` call.  The recovered bytes and
         the relocation targets are identical to the sequential per-block path
-        (``batched=False``, kept as the equivalence and benchmark reference);
-        only the read accounting differs: the batched path counts every
-        *distinct* payload the run obtained, so a surviving block feeding
-        several dependent repairs is no longer re-counted per dependent.
+        (``batched=False``, kept as the equivalence reference); only the
+        read accounting differs: the batched path counts every *distinct*
+        payload the run obtained, so a surviving block feeding several
+        dependent repairs is no longer re-counted per dependent.
         """
         report = ClusterRepairReport(policy=self._policy)
         pending = self.missing_blocks()
-        initially_missing = frozenset(pending)
         report.skipped = sorted(
             (block_id for block_id in pending if not self._policy.repairs_block(block_id)),
-            key=_sort_key,
+            key=block_sort_key,
         )
         pending = {
             block_id for block_id in pending if self._policy.repairs_block(block_id)
@@ -150,78 +143,31 @@ class ClusterRepairManager:
         if not batched:
             return self._repair_sequential(report, pending, max_rounds)
 
-        # Repaired payloads are written to healthy locations; within a round
-        # the planner only sees blocks available before the round started.
-        repaired_overlay: Dict[BlockId, Payload] = {}
-        payload_cache: Dict[BlockId, Payload] = {}
-        read_ids: Set[BlockId] = set()
+        if self._budget.max_rounds is not None:
+            max_rounds = min(max_rounds, self._budget.max_rounds)
+        # Locations do not change during a run, so the cluster's directory
+        # is the availability oracle; a stale positive (a location dying
+        # mid-run) only costs a failed fetch and a later round.
+        run = RepairRun(
+            self._lattice,
+            pending,
+            self._block_size,
+            self._cluster.try_get_many,
+            self._cluster.is_available,
+            max_rounds=max_rounds,
+            round_cap=self._budget.max_repairs_per_round,
+        )
         avoid = tuple(self._cluster.unavailable_locations())
-        # Set-based availability oracle: locations do not change during a
-        # repair run, so a stored block is reachable exactly when it was not
-        # part of the initial missing set or an earlier round rebuilt it
-        # (the overlay).  A stale positive (e.g. a location dying mid-run)
-        # only costs a failed fetch; the step filter below pushes the
-        # affected target to a later round.  The base set is built once so
-        # the planner probes at C dictionary speed.
-        reachable_base = {
-            block_id
-            for block_id in self._cluster.block_ids()
-            if block_id not in initially_missing
-        }
-        round_number = 0
-        while pending and round_number < max_rounds:
-            round_number += 1
-            if not self._budget.allows_round(round_number):
-                break
-            overlay_snapshot = dict(repaired_overlay)
-            reachable = reachable_base | overlay_snapshot.keys()
-
-            steps = plan_round(
-                self._lattice, sorted(pending, key=_sort_key), reachable.__contains__
-            )
-            steps = steps[: self._budget.clip_round(len(steps))]
-            if not steps:
-                break
-            wanted = [
-                block_id
-                for block_id in plan_inputs(steps)
-                if block_id not in overlay_snapshot and block_id not in payload_cache
-            ]
-            fetch_missed = False
-            for block_id, payload in zip(wanted, self._cluster.try_get_many(wanted)):
-                if payload is not None:
-                    payload_cache[block_id] = payload
-                else:
-                    fetch_missed = True
-            if fetch_missed:
-                # A location dying between the plan and the fetch can leave a
-                # step without inputs; push its target back to a later round.
-                steps = [
-                    step
-                    for step in steps
-                    if all(
-                        block_id in overlay_snapshot or block_id in payload_cache
-                        for block_id in step.inputs()
-                    )
-                ]
-                if not steps:
-                    break
-            new_reads, fresh = count_new_reads(steps, read_ids)
-            read_ids |= fresh
-            # The plan's inputs all resolved, so one merged mapping serves
-            # the gather at C lookup speed (the overlay wins on overlap).
-            merged = {**payload_cache, **overlay_snapshot}
-            recovered = execute_plan(steps, merged.__getitem__, self._block_size)
+        for recovered, new_reads in run.rounds():
             self._cluster.relocate_many(recovered.items(), avoid=avoid)
-            repaired_overlay.update(recovered)
-            round_report = ClusterRepairRound(
-                number=round_number,
-                repaired=list(recovered),
-                blocks_read=new_reads,
+            report.rounds.append(
+                ClusterRepairRound(
+                    number=len(report.rounds) + 1,
+                    repaired=list(recovered),
+                    blocks_read=new_reads,
+                )
             )
-            pending.difference_update(recovered)
-            report.rounds.append(round_report)
-        report.unrecovered = sorted(pending, key=_sort_key)
+        report.unrecovered = sorted(run.pending, key=block_sort_key)
         return report
 
     def _repair_sequential(
@@ -263,7 +209,7 @@ class ClusterRepairManager:
 
             decoder = Decoder(self._lattice, source, self._block_size, max_depth=0)
             round_report = ClusterRepairRound(number=round_number)
-            planned = sorted(pending, key=_sort_key)
+            planned = sorted(pending, key=block_sort_key)
             budget_cap = self._budget.clip_round(len(planned))
             for block_id in planned:
                 if round_report.count >= budget_cap:
@@ -281,7 +227,7 @@ class ClusterRepairManager:
             for block_id in round_report.repaired:
                 pending.discard(block_id)
             report.rounds.append(round_report)
-        report.unrecovered = sorted(pending, key=_sort_key)
+        report.unrecovered = sorted(pending, key=block_sort_key)
         return report
 
     def repair_single(self, block_id: BlockId) -> Tuple[Payload, int]:
@@ -300,9 +246,3 @@ class ClusterRepairManager:
             block_id, payload, avoid=tuple(self._cluster.unavailable_locations())
         )
         return payload, reads[0]
-
-
-def _sort_key(block_id: BlockId) -> Tuple[int, int, str]:
-    if is_data(block_id):
-        return (block_id.index, 0, "")
-    return (block_id.index, 1, block_id.strand_class.value)

@@ -12,7 +12,6 @@
   behind ``repro-experiments load`` and the service benchmark;
 * :mod:`repro.system.compare` -- the same workload and failure trace run
   across schemes, measured next to the analytic Table IV costs;
-* :mod:`repro.system.entangled_store` -- the AE-specific legacy shim;
 * :mod:`repro.system.backup` -- the geo-replicated cooperative backup network;
 * :mod:`repro.system.raid` -- entangled mirror arrays and RAID-AE;
 * :mod:`repro.system.keys` -- deterministic block keys and location mapping;
@@ -46,6 +45,7 @@ from repro.system.service import (
     ServiceStatus,
     StorageConfig,
     StorageService,
+    StoredDocument,
 )
 from repro.system.sharding import (
     FederationRepairReport,
@@ -67,11 +67,6 @@ from repro.system.backup import (
     ParityRepairTrace,
     RedundancyDegradation,
     RepairStep,
-)
-from repro.system.entangled_store import (
-    EntangledStorageSystem,
-    StoredDocument,
-    SystemStatus,
 )
 from repro.system.keys import BlockKey, derive_key, location_for_block, location_for_key
 from repro.system.raid import (
@@ -114,7 +109,6 @@ __all__ = [
     "BlockKey",
     "CooperativeBackupNetwork",
     "EntangledMirrorArray",
-    "EntangledStorageSystem",
     "MirrorDrive",
     "ParityRepairTrace",
     "RAIDAEArray",
@@ -122,7 +116,6 @@ __all__ = [
     "RepairStep",
     "SimpleEntanglementChain",
     "StoredDocument",
-    "SystemStatus",
     "derive_key",
     "location_for_block",
     "location_for_key",

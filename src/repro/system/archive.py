@@ -1,4 +1,4 @@
-"""Archival file store: versioned documents over an entangled storage system.
+"""Archival file store: versioned documents over an entangled storage service.
 
 The paper positions AE codes as codes "to archive data in unreliable
 environments": content is written once, never rewritten in place, and must
@@ -25,6 +25,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
+from repro.codes.entanglement import EntanglementScheme
 from repro.core.blocks import DataId
 from repro.core.encoder import DEFAULT_BLOCK_SIZE
 from repro.core.parameters import AEParameters
@@ -32,9 +33,9 @@ from repro.exceptions import IntegrityError, UnknownBlockError
 from repro.storage.cluster import StorageCluster
 from repro.storage.maintenance import MaintenancePolicy
 from repro.storage.placement import PlacementPolicy
-from repro.storage.repair import ClusterRepairReport
+from repro.storage.repair import ClusterRepairManager, ClusterRepairReport
 from repro.storage.scrub import ChecksumManifest, Scrubber, ScrubReport
-from repro.system.entangled_store import EntangledStorageSystem
+from repro.system.service import StorageConfig, StorageService
 
 __all__ = ["ArchiveEntry", "ArchiveStore"]
 
@@ -59,7 +60,7 @@ class ArchiveEntry:
 
 
 class ArchiveStore:
-    """Versioned, verifiable archive on top of :class:`EntangledStorageSystem`."""
+    """Versioned, verifiable archive on an AE :class:`StorageService`."""
 
     def __init__(
         self,
@@ -70,13 +71,15 @@ class ArchiveStore:
         cluster: Optional[StorageCluster] = None,
         seed: int = 0,
     ) -> None:
-        self._system = EntangledStorageSystem(
-            params,
-            location_count=location_count,
-            block_size=block_size,
-            placement=placement,
-            cluster=cluster,
-            seed=seed,
+        self._system = StorageService.open(
+            StorageConfig(
+                scheme=EntanglementScheme(params, block_size),
+                location_count=location_count,
+                block_size=block_size,
+                placement=placement,
+                cluster=cluster,
+                seed=seed,
+            )
         )
         self._manifest = ChecksumManifest()
         self._entries: Dict[str, List[ArchiveEntry]] = {}
@@ -86,12 +89,16 @@ class ArchiveStore:
     # ------------------------------------------------------------------
     @property
     def params(self) -> AEParameters:
-        return self._system.params
+        return self._scheme.params
 
     @property
-    def system(self) -> EntangledStorageSystem:
-        """The underlying entangled storage system (cluster, lattice, decoder)."""
+    def system(self) -> StorageService:
+        """The underlying storage service (cluster, AE scheme and lattice)."""
         return self._system
+
+    @property
+    def _scheme(self) -> EntanglementScheme:
+        return self._system.scheme  # type: ignore[return-value]
 
     @property
     def manifest(self) -> ChecksumManifest:
@@ -147,7 +154,7 @@ class ArchiveStore:
     def _record_fingerprints(self, data_ids: List[DataId]) -> None:
         """Record manifest fingerprints for the new data blocks and their parities."""
         cluster = self._system.cluster
-        lattice = self._system.lattice
+        lattice = self._scheme.lattice
         for data_id in data_ids:
             payload = cluster.try_get_block(data_id)
             if payload is not None:
@@ -163,7 +170,7 @@ class ArchiveStore:
     def get(self, name: str, version: Optional[int] = None) -> bytes:
         """Read a version back, repairing blocks through the lattice as needed."""
         entry = self.entry(name, version)
-        return self._system.read(entry.internal_name)
+        return self._system.get(entry.internal_name)
 
     def verify(self, name: str, version: Optional[int] = None) -> bool:
         """Read a version and compare it against its recorded digest."""
@@ -198,12 +205,15 @@ class ArchiveStore:
         self, policy: MaintenancePolicy = MaintenancePolicy.FULL, max_rounds: int = 1000
     ) -> ClusterRepairReport:
         """Restore redundancy after failures (the Fig. 11/12 maintenance loop)."""
-        return self._system.repair(policy=policy, max_rounds=max_rounds)
+        manager = ClusterRepairManager(
+            self._scheme.lattice, self._system.cluster, self._system.block_size, policy
+        )
+        return manager.repair(max_rounds=max_rounds)
 
     def scrubber(self) -> Scrubber:
         """An integrity scrubber bound to this archive's lattice and manifest."""
         return Scrubber(
-            self._system.lattice,
+            self._scheme.lattice,
             self._system.cluster,
             self._system.block_size,
             manifest=self._manifest,

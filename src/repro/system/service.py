@@ -14,9 +14,6 @@ or any of the paper's stripe-code baselines.  Services are opened from a
     service.fail_locations(range(3))
     report = service.repair()
     assert service.get("report") == payload
-
-The legacy :class:`~repro.system.entangled_store.EntangledStorageSystem` is a
-thin AE-specific shim over this class.
 """
 
 from __future__ import annotations
@@ -177,13 +174,10 @@ class StorageConfig:
     :class:`StorageService` accepts only ``shards=None`` / ``shards=1`` --
     it *is* one shard.
 
-    ``wal`` selects how a durable service persists metadata mutations:
-    ``True`` (the default) appends group-committed records to ``wal.log``
-    and checkpoints into ``manifest.json`` once the log passes
-    ``wal_checkpoint_bytes``; ``False`` restores the PR 4 behaviour of
-    rewriting the whole manifest after every mutation (kept as the
-    baseline the WAL is benchmarked against).  Both modes survive a crash
-    at any point; see ``docs/persistence.md``.
+    A durable service persists metadata mutations as group-committed
+    records in ``wal.log`` and checkpoints them into ``manifest.json`` once
+    the log passes ``wal_checkpoint_bytes``; it survives a crash at any
+    point, see ``docs/persistence.md``.
     """
 
     scheme: Union[str, RedundancyScheme] = schemes.DEFAULT_SCHEME
@@ -201,7 +195,6 @@ class StorageConfig:
     fsync: bool = False
     cache_blocks: Optional[int] = None
     topology: Optional[Union[str, int, Topology]] = None
-    wal: bool = True
     wal_checkpoint_bytes: int = DEFAULT_WAL_CHECKPOINT_BYTES
     #: Shard count for :class:`~repro.system.sharding.ShardedStorageService`;
     #: ``None`` (or 1) means an unsharded service.
@@ -283,7 +276,6 @@ class StorageService:
         seed: int = 0,
         custom_placement: bool = False,
         placement_spec: Optional[str] = None,
-        wal: bool = True,
         wal_checkpoint_bytes: int = DEFAULT_WAL_CHECKPOINT_BYTES,
     ) -> None:
         if batch_blocks < 1:
@@ -312,8 +304,12 @@ class StorageService:
         self._state_lock = threading.RLock()
         self._checkpoint_lock = threading.Lock()
         self._mutation_seq = 0
-        self._wal: Optional[MetadataWAL] = None
-        self._wal_enabled = wal
+        # A durable service always has a WAL; a volatile one never does.
+        self._wal: Optional[MetadataWAL] = (
+            MetadataWAL(os.path.join(data_dir, WAL_NAME), fsync=fsync)
+            if data_dir is not None
+            else None
+        )
         self._wal_checkpoint_bytes = int(wal_checkpoint_bytes)
         # Live-transition state: while a cross-family migration is in
         # flight, ``_transition.pending`` names the documents still encoded
@@ -486,16 +482,11 @@ class StorageService:
             seed=seed,
             custom_placement=custom_placement,
             placement_spec=placement_spec,
-            wal=config.wal,
             wal_checkpoint_bytes=config.wal_checkpoint_bytes,
         )
-        wal_groups: List[WalGroup] = []
-        if config.data_dir is not None:
-            os.makedirs(config.data_dir, exist_ok=True)
-            service._wal = MetadataWAL(
-                os.path.join(config.data_dir, WAL_NAME), fsync=config.fsync
-            )
-            wal_groups = service._wal.recovered_groups()
+        wal_groups: List[WalGroup] = (
+            service._wal.recovered_groups() if service._wal is not None else []
+        )
         service._transition = plan
         scheme_state: Optional[Dict[str, object]] = None
         if manifest is not None:
@@ -566,11 +557,11 @@ class StorageService:
     def _sync_manifest(self) -> None:
         """Atomically persist the service catalogue next to the block data.
 
-        Called after every mutating operation on a durable service, so a
-        process crash between writes loses at most the in-flight document,
-        never the catalogue of completed ones.  With ``fsync`` enabled the
-        manifest is forced to stable storage, extending the guarantee to
-        power loss.
+        The checkpoint half of the metadata story: mutations since the last
+        call live in the WAL, so a process crash loses at most the in-flight
+        document, never the catalogue of completed ones.  With ``fsync``
+        enabled the manifest is forced to stable storage, extending the
+        guarantee to power loss.
         """
         if self._data_dir is None:
             return
@@ -741,16 +732,12 @@ class StorageService:
     def _commit_meta(self, ops: List[Dict[str, object]]) -> None:
         """Durably record one mutation's metadata.
 
-        WAL mode appends one group-committed batch of records (concurrent
-        mutators share a single fsync); legacy mode (``wal=False``) rewrites
-        the whole manifest, PR 4 style.  Volatile services skip both.
+        Appends one group-committed batch of records to the WAL (concurrent
+        mutators share a single fsync) and checkpoints once the log is long
+        enough.  Volatile services have no WAL and skip both.
         """
-        if self._data_dir is None:
-            return
         wal = self._wal
-        if not self._wal_enabled or wal is None:
-            with self._state_lock:
-                self._sync_manifest()
+        if wal is None:
             return
         if wal.size_bytes == 0:
             # Open the fresh epoch with the binding header; a duplicate from
@@ -1347,32 +1334,44 @@ class StorageService:
 
         Recovered payloads are written back to healthy locations (the
         placement index is updated), so a subsequent location restore cannot
-        resurrect stale replicas as the only copy.
+        resurrect stale replicas as the only copy.  While a re-encode
+        transition is in flight the cluster holds two generations of blocks;
+        each is repaired by the scheme that encoded it (the retained source
+        for documents not yet migrated, the target for the rest) and the two
+        outcomes are merged into one report.
         """
         self._ensure_open()
+        report = ServiceRepairReport(scheme=self._scheme.scheme_id)
         with self._state_lock:
             missing = self._cluster.unavailable_blocks()
-            outcome = self._scheme.repair(missing, self._cluster.block_source())
+            generations = [(self._scheme, missing)]
+            if self._fallback is not None:
+                old = {
+                    block_id for block_id in missing if self._fallback.owns(block_id)
+                }
+                generations = [(self._fallback, old), (self._scheme, missing - old)]
+            source = self._cluster.block_source()
             avoid = tuple(self._cluster.unavailable_locations())
-            self._cluster.relocate_many(outcome.recovered.items(), avoid=avoid)
-        if outcome.recovered:
+            for scheme, owned in generations:
+                if not owned:
+                    continue
+                outcome = scheme.repair(owned, source)
+                self._cluster.relocate_many(outcome.recovered.items(), avoid=avoid)
+                report.repaired.extend(outcome.recovered)
+                report.unrecovered.extend(outcome.unrecovered)
+                report.blocks_read += outcome.blocks_read
+                report.rounds = max(report.rounds, outcome.rounds)
+                report.data_loss += sum(
+                    1
+                    for block_id in outcome.unrecovered
+                    if scheme.is_data_block(block_id)
+                )
+        if report.repaired:
             # An informational WAL record: repair moved blocks, giving the
             # log a durability point (the directory itself is rebuilt from
             # backend scans on reopen, so replay ignores the content).
             self._commit_meta(
-                [{"op": "placement", "relocated": len(outcome.recovered)}]
+                [{"op": "placement", "relocated": len(report.repaired)}]
             )
-        return ServiceRepairReport(
-            scheme=self._scheme.scheme_id,
-            repaired=sorted(
-                outcome.recovered, key=lambda b: (getattr(b, "index", 0), repr(b))
-            ),
-            unrecovered=list(outcome.unrecovered),
-            blocks_read=outcome.blocks_read,
-            rounds=outcome.rounds,
-            data_loss=sum(
-                1
-                for block_id in outcome.unrecovered
-                if self._scheme.is_data_block(block_id)
-            ),
-        )
+        report.repaired.sort(key=lambda b: (getattr(b, "index", 0), repr(b)))
+        return report

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.blocks import DataId, ParityId
-from repro.core.decoder import Decoder, IterativeRepairer
+from repro.core.batch_repair import RepairRun
+from repro.core.decoder import Decoder
 from repro.core.encoder import Entangler
 from repro.core.parameters import AEParameters, StrandClass
 from repro.core.xor import payloads_equal
@@ -121,6 +122,23 @@ class TestRecursiveRepair:
         assert payloads_equal(deep.repair(target), original)
 
 
+def run_rounds(lattice, store, missing, **options):
+    """Drive :class:`RepairRun` over a ``dict.get`` source: the finished run,
+    its ``(recovered, new_reads)`` rounds and ``store`` plus what it rebuilt."""
+    run = RepairRun(
+        lattice,
+        missing,
+        BLOCK_SIZE,
+        lambda block_ids: [store.get(block_id) for block_id in block_ids],
+        **options,
+    )
+    rounds = list(run.rounds())
+    repaired = dict(store)
+    for recovered, _ in rounds:
+        repaired.update(recovered)
+    return run, rounds, repaired
+
+
 class TestIterativeRepair:
     @given(
         st.sampled_from([(1, 1, 0), (2, 2, 5), (3, 2, 5)]),
@@ -134,9 +152,9 @@ class TestIterativeRepair:
         originals = {}
         for index in victims:
             originals[DataId(index)] = store.pop(DataId(index))
-        repairer = IterativeRepairer(encoder.lattice, BLOCK_SIZE)
-        report, repaired_store = repairer.repair_all(store, list(originals))
-        assert not report.unrecovered
+        run, rounds, repaired_store = run_rounds(encoder.lattice, store, list(originals))
+        assert not run.pending
+        assert len(rounds) == 1
         for block_id, payload in originals.items():
             assert payloads_equal(repaired_store[block_id], payload)
 
@@ -149,31 +167,66 @@ class TestIterativeRepair:
             for block_id in [DataId(index)] + encoder.lattice.output_parities(index):
                 originals[block_id] = store.pop(block_id)
                 missing.append(block_id)
-        repairer = IterativeRepairer(encoder.lattice, BLOCK_SIZE)
-        report, repaired_store = repairer.repair_all(store, missing)
-        assert not report.unrecovered
-        assert report.round_count >= 1
+        run, rounds, repaired_store = run_rounds(encoder.lattice, store, missing)
+        assert not run.pending
+        assert len(rounds) > 1
+        # Later rounds consume what earlier rounds rebuilt.
+        assert set(rounds[0][0]) < set(missing)
         for block_id, payload in originals.items():
             assert payloads_equal(repaired_store[block_id], payload)
+        # Bounding the work stops the run early and leaves the rest pending.
+        capped, capped_rounds, _ = run_rounds(
+            encoder.lattice, store, missing, max_rounds=1, round_cap=3
+        )
+        assert [len(recovered) for recovered, _ in capped_rounds] == [3]
+        assert len(capped.pending) == len(missing) - 3
 
     def test_minimal_maintenance_skips_parities(self, hec_params):
+        """Data-only repair is the caller's filter: a parity left out of the
+        work list is neither rebuilt nor needed to rebuild the data."""
         encoder, store = build_store(hec_params, 60)
         data_victim = DataId(30)
         parity_victim = ParityId(20, StrandClass.HORIZONTAL)
         original = store.pop(data_victim)
         store.pop(parity_victim)
-        repairer = IterativeRepairer(encoder.lattice, BLOCK_SIZE, repair_parities=False)
-        report, repaired_store = repairer.repair_all(store, [data_victim, parity_victim])
+        run, _, repaired_store = run_rounds(encoder.lattice, store, [data_victim])
+        assert not run.pending
         assert payloads_equal(repaired_store[data_victim], original)
         assert parity_victim not in repaired_store
-        assert parity_victim in report.unrecovered
 
-    def test_report_summary_counts(self, hec_params):
+    def test_unrecoverable_remainder_stays_pending(self):
+        """AE(1): two adjacent nodes and the parity between them determine
+        one another and nothing else does (the chain's minimal erasure)."""
+        encoder, store = build_store(AEParameters.single(), 30)
+        stuck = {DataId(10), ParityId(10, StrandClass.HORIZONTAL), DataId(11)}
+        lost = sorted(stuck, key=str) + [DataId(20)]
+        original = store[DataId(20)]
+        for block_id in lost:
+            store.pop(block_id)
+        run, rounds, repaired_store = run_rounds(encoder.lattice, store, lost)
+        assert run.pending == stuck
+        assert [set(recovered) for recovered, _ in rounds] == [{DataId(20)}]
+        assert payloads_equal(repaired_store[DataId(20)], original)
+
+    def test_single_victim_costs_one_round_and_two_reads(self, hec_params):
         encoder, store = build_store(hec_params, 30)
         victim = DataId(10)
         store.pop(victim)
-        repairer = IterativeRepairer(encoder.lattice, BLOCK_SIZE)
-        report, _ = repairer.repair_all(store, [victim])
-        assert report.repaired_count == 1
-        assert report.repaired_in_first_round == 1
-        assert "1 blocks" in report.summary() or "repaired 1" in report.summary()
+        run, rounds, _ = run_rounds(encoder.lattice, store, [victim])
+        assert [(set(recovered), reads) for recovered, reads in rounds] == [({victim}, 2)]
+        assert run.blocks_read == 2
+
+    def test_input_vanishing_after_the_plan_is_planned_around(self, hec_params):
+        """An oracle's stale "available" only defers the target: its step is
+        dropped and the next plan avoids the block that never came."""
+        encoder, store = build_store(hec_params, 30)
+        victim = DataId(10)
+        original = store.pop(victim)
+        liar = encoder.lattice.output_parities(10)[0]
+        listed = set(store)
+        del store[liar]
+        run, rounds, repaired_store = run_rounds(
+            encoder.lattice, store, [victim], is_available=listed.__contains__
+        )
+        assert len(rounds) == 1 and not run.pending
+        assert payloads_equal(repaired_store[victim], original)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.codes.lrc import azure_lrc
 from repro.core.parameters import AEParameters
+from repro.core.rules import input_index, output_index
 from repro.exceptions import InvalidParametersError
 from repro.simulation.engine import (
     LatticeSimulation,
@@ -17,6 +19,8 @@ from repro.simulation.engine import (
     normalise_events,
     sample_disaster_locations,
     simulate_disasters,
+    vectorised_input_indices,
+    vectorised_output_indices,
 )
 from repro.simulation.experiments import ExperimentConfig, sample_disaster
 from repro.simulation.metrics import describe_scheme, scheme_id_for
@@ -26,9 +30,9 @@ from repro.storage.maintenance import MaintenanceBudget, MaintenancePolicy
 
 CONFIG = ExperimentConfig.quick(20_000)
 
-#: Fixed-seed metrics recorded from the pre-engine per-scheme models
-#: (AELatticeModel / RSStripeModel / ReplicationModel at seed 7, 20,000
-#: blocks, 100 locations).  The engine must reproduce them exactly.
+#: Fixed-seed metrics recorded from the three per-scheme models the engine
+#: replaced (AE lattice, RS stripes, replication; seed 7, 20,000 blocks,
+#: 100 locations).  The engine must reproduce them exactly.
 GOLDEN = {
     ("ae-3-2-5", "full", 10): dict(data_loss=0, vulnerable_data=0, rounds=3, repaired_data=1945),
     ("ae-3-2-5", "full", 30): dict(data_loss=0, vulnerable_data=0, rounds=6, repaired_data=5978),
@@ -46,7 +50,7 @@ GOLDEN = {
 
 
 class TestGoldenEquivalence:
-    """The engine reproduces the legacy models' fixed-seed metrics."""
+    """The engine reproduces the replaced models' fixed-seed metrics."""
 
     @pytest.mark.parametrize("key", sorted(GOLDEN, key=str))
     def test_fixed_seed_metrics(self, key):
@@ -79,7 +83,7 @@ class TestBuildSimulation:
         assert sim.data_blocks == 1000
         assert sim.redundancy_blocks == sim.stripes * 4  # LRC(12,2,2): l + r = 4
         # The histogram counts stored blocks, including the zero padding that
-        # completes the final stripe (like the legacy RS model's report).
+        # completes the final stripe.
         assert sim.blocks_per_location().sum() == sim.stripes * sim.code.n
 
     def test_rejects_unknown_scheme(self):
@@ -87,6 +91,101 @@ class TestBuildSimulation:
             build_simulation("bogus-1", 100)
         with pytest.raises(InvalidParametersError):
             build_simulation(object(), 100)
+        # Striping without parities is not a redundancy scheme.
+        with pytest.raises(InvalidParametersError):
+            build_simulation((5, 0), 100)
+
+    def test_rejects_empty_populations(self):
+        for scheme_id in ("ae-1", "rs-10-4"):
+            with pytest.raises(InvalidParametersError):
+                build_simulation(scheme_id, 0)
+            with pytest.raises(InvalidParametersError):
+                build_simulation(scheme_id, 10, location_count=0)
+
+
+class TestVectorisedRules:
+    @given(st.sampled_from([(1, 1, 0), (2, 2, 5), (3, 2, 5), (3, 5, 5), (3, 1, 4), (3, 3, 4)]))
+    @settings(max_examples=12, deadline=None)
+    def test_vectorised_rules_match_scalar_rules(self, spec):
+        params = AEParameters(*spec)
+        n = 200
+        inputs = vectorised_input_indices(params, n)
+        outputs = vectorised_output_indices(params, n)
+        for index in range(1, n + 1):
+            for position, strand_class in enumerate(params.strand_classes):
+                assert inputs[index - 1, position] == max(
+                    input_index(index, strand_class, params), 0
+                )
+                assert outputs[index - 1, position] == output_index(
+                    index, strand_class, params
+                )
+
+
+class TestPhysicalProperties:
+    """What any availability model of these codes must get right, whatever
+    the seed: block counts, the trivial disasters, and the orderings the
+    paper's Figs. 11-13 rest on."""
+
+    def test_lattice_block_counts(self):
+        sim = build_simulation("ae-3-2-5", 1000, location_count=50, seed=1)
+        assert sim.data_blocks == 1000
+        assert sim.parity_blocks == 3000
+        assert sim.total_blocks == 4000
+        assert sim.blocks_per_location().sum() == 4000
+
+    @pytest.mark.parametrize(
+        "scheme_id,encoded,stripes",
+        [("rs-10-4", 400_000, 100_000), ("rs-8-2", 250_000, 125_000), ("rs-5-5", 1_000_000, 200_000)],
+    )
+    def test_stripe_counts_match_paper_examples(self, scheme_id, encoded, stripes):
+        """Sec. V-C: one million data blocks under each RS setting."""
+        sim = build_simulation(scheme_id, 1_000_000, seed=1)
+        assert sim.encoded_blocks == encoded
+        assert sim.stripes == stripes
+
+    @pytest.mark.parametrize("scheme_id", ["ae-3-2-5", "rs-10-4", "rep-3"])
+    def test_trivial_disasters(self, scheme_id):
+        sim = build_simulation(scheme_id, 2_000, location_count=20, seed=3)
+        calm = sim.run_repair(np.array([], dtype=np.int64))
+        assert (calm.data_loss, calm.vulnerable_data, calm.rounds) == (0, 0, 0)
+        assert sim.run_repair(np.arange(20)).data_loss == 2_000
+
+    @pytest.mark.parametrize(
+        "weaker_to_stronger,blocks,failed,seed",
+        [
+            (("ae-1", "ae-2-2-5", "ae-3-2-5"), 30_000, 40, 6),
+            (("rs-8-2", "rs-4-12"), 50_000, 30, 4),
+            (("rep-2", "rep-4"), 50_000, 40, 9),
+        ],
+    )
+    def test_stronger_code_loses_less(self, weaker_to_stronger, blocks, failed, seed):
+        outcomes = [
+            build_simulation(scheme_id, blocks, seed=seed).run_repair(
+                np.arange(failed), policy=MaintenancePolicy.MINIMAL
+            )
+            for scheme_id in weaker_to_stronger
+        ]
+        losses = [outcome.data_loss for outcome in outcomes]
+        assert losses == sorted(losses, reverse=True)
+        assert losses[0] > losses[-1]
+        if weaker_to_stronger[0].startswith("rep"):
+            assert outcomes[-1].vulnerable_data < outcomes[0].vulnerable_data
+
+    def test_lattice_minimal_maintenance_repairs_no_parities(self):
+        sim = build_simulation("ae-3-2-5", 20_000, seed=5)
+        outcome = sim.run_repair(np.arange(20), policy=MaintenancePolicy.MINIMAL)
+        assert outcome.repaired_redundancy == 0
+        assert outcome.vulnerable_data > 0
+
+    def test_rs_placement_skew_observation(self):
+        """Only a fraction of RS(10,4) stripes spread their 14 blocks over 14
+        distinct locations when n = 100 (Sec. V-C reports 38,429 of 100,000)."""
+        sim = build_simulation("rs-10-4", 100_000, location_count=100, seed=6)
+        assert 0.30 * sim.stripes < sim.stripes_fully_spread() < 0.48 * sim.stripes
+
+    def test_replication_repairs_are_all_single_failures(self):
+        sim = build_simulation("rep-2", 5_000, seed=10)
+        assert sim.run_repair(np.arange(20)).single_failure_fraction == 1.0
 
 
 class TestStripeSimulationGenericPath:
@@ -357,33 +456,3 @@ class TestSimulateDisasters:
         sampled = sample_disaster_locations(100, 0.3, 7, 2)
         legacy = sample_disaster(CONFIG, 0.3, 2)
         assert np.array_equal(sampled, legacy)
-
-
-class TestLegacyShims:
-    def test_shims_subclass_the_engine_adapters(self):
-        from repro.simulation.lattice_model import AELatticeModel
-        from repro.simulation.replication_model import ReplicationModel
-        from repro.simulation.rs_model import RSStripeModel
-
-        assert issubclass(AELatticeModel, LatticeSimulation)
-        assert issubclass(RSStripeModel, StripeSimulation)
-        assert issubclass(ReplicationModel, StripeSimulation)
-        for shim in (AELatticeModel, RSStripeModel, ReplicationModel):
-            assert "deprecated" in (shim.__doc__ or "").lower()
-
-    def test_rs_shim_keeps_the_parity_free_edge_case(self):
-        """The legacy model accepted m = 0 (striping without redundancy)."""
-        from repro.simulation.rs_model import RSStripeModel
-
-        model = RSStripeModel(5, 0, 1_000, location_count=40, seed=3)
-        outcome = model.run_repair(np.arange(4))
-        # Without parities nothing is repairable: every missing block is lost.
-        assert outcome.repaired_data == 0
-        assert outcome.data_loss == outcome.initially_missing_data
-        assert outcome.data_loss > 0
-        # The m=0 edge case also survives the unified spec vocabulary.
-        description = describe_scheme((5, 0))
-        assert description.name == "RS(5,0)"
-        assert description.additional_storage_percent == 0.0
-        sim = build_simulation((5, 0), 1_000, location_count=40, seed=3)
-        assert sim.run_repair(np.arange(4)).data_loss == outcome.data_loss

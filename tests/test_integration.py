@@ -13,8 +13,7 @@ from repro.core.parameters import AEParameters
 from repro.core.xor import payloads_equal
 from repro.simulation.workload import WorkloadSpec, payload_stream
 from repro.storage.failures import disaster_for_fraction
-from repro.storage.maintenance import MaintenancePolicy
-from repro.system.entangled_store import EntangledStorageSystem
+from repro.system.service import StorageConfig, StorageService
 
 from tests.conftest import make_payload
 
@@ -24,7 +23,9 @@ class TestArchiveLifecycle:
 
     def test_full_lifecycle(self):
         params = AEParameters.double(2, 5)
-        system = EntangledStorageSystem(params, location_count=40, block_size=256, seed=13)
+        system = StorageService.open(
+            StorageConfig(scheme="ae-2-2-5", location_count=40, block_size=256, seed=13)
+        )
         documents = {
             f"doc-{index}": make_payload(index, 3_000 + 137 * index) for index in range(6)
         }
@@ -36,18 +37,18 @@ class TestArchiveLifecycle:
         system.fail_locations(disaster.failed_locations)
         for name, payload in documents.items():
             assert system.read(name) == payload
-        report = system.repair(MaintenancePolicy.FULL)
+        report = system.repair()
         assert report.data_loss == 0
 
         # The archive owner later raises alpha from 2 to 3 without re-encoding.
         new_parities = upgrade_alpha(
             params,
             3,
-            system.lattice.size,
+            system.scheme.lattice.size,
             lambda data_id: system.get_block(data_id),
             system.block_size,
         )
-        assert len(new_parities) == system.lattice.size
+        assert len(new_parities) == system.scheme.lattice.size
 
     def test_streamed_workload_roundtrip(self):
         params = AEParameters.triple(2, 5)
@@ -70,8 +71,8 @@ class TestArchiveLifecycle:
 
     @pytest.mark.parametrize("fraction", [0.1, 0.3])
     def test_documents_survive_paper_style_disasters(self, fraction):
-        system = EntangledStorageSystem(
-            AEParameters.triple(2, 5), location_count=60, block_size=256, seed=21
+        system = StorageService.open(
+            StorageConfig(scheme="ae-3-2-5", location_count=60, block_size=256, seed=21)
         )
         payload = make_payload(99, 30_000)
         system.put("archive", payload)

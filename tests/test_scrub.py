@@ -18,29 +18,32 @@ from repro.storage.scrub import (
     ScrubReport,
     Scrubber,
 )
-from repro.system.entangled_store import EntangledStorageSystem
+from repro.codes.entanglement import ae_scheme_id
+from repro.system.service import StorageConfig, StorageService
 
 BLOCK_SIZE = 64
 
 
 def build_system(spec: str = "AE(3,2,5)", blocks: int = 30, seed: int = 0):
-    """An entangled storage system with a manifest recorded at write time."""
-    params = AEParameters.parse(spec)
-    system = EntangledStorageSystem(
-        params, location_count=20, block_size=BLOCK_SIZE, seed=seed
+    """An AE storage service with a manifest recorded at write time."""
+    system = StorageService.open(
+        StorageConfig(
+            scheme=ae_scheme_id(AEParameters.parse(spec)),
+            location_count=20,
+            block_size=BLOCK_SIZE,
+            seed=seed,
+        )
     )
-    manifest = ChecksumManifest()
     rng = np.random.default_rng(seed)
-    for _ in range(blocks):
-        payload = rng.integers(0, 256, size=BLOCK_SIZE, dtype=np.uint8)
-        encoded = system.append_block(payload)
-        for block in encoded.all_blocks():
-            manifest.record(block)
-    scrubber = Scrubber(system.lattice, system.cluster, BLOCK_SIZE, manifest)
+    system.put("stream", rng.integers(0, 256, size=blocks * BLOCK_SIZE, dtype=np.uint8).tobytes())
+    manifest = ChecksumManifest()
+    for block_id in system.cluster.block_ids():
+        manifest.record_payload(block_id, system.cluster.get_block(block_id))
+    scrubber = Scrubber(system.scheme.lattice, system.cluster, BLOCK_SIZE, manifest)
     return system, manifest, scrubber
 
 
-def corrupt(system: EntangledStorageSystem, block_id) -> None:
+def corrupt(system: StorageService, block_id) -> None:
     """Silently flip bytes of a stored block (tampering)."""
     location = system.cluster.location_of(block_id)
     store = system.cluster.location(location)
@@ -92,7 +95,7 @@ class TestCleanScrub:
     def test_check_equation_holds_everywhere(self):
         system, _, scrubber = build_system("AE(2,2,2)", blocks=12)
         for creator in range(1, 13):
-            for strand_class in system.params.strand_classes:
+            for strand_class in system.scheme.params.strand_classes:
                 assert scrubber.check_equation(ParityId(creator, strand_class)) is True
 
     def test_check_equation_none_when_block_missing(self):
@@ -116,7 +119,7 @@ class TestTamperDetection:
         assert any(f.kind == CHECKSUM_MISMATCH and f.block_id == target for f in report.findings)
         violated = report.of_kind(EQUATION_VIOLATED)
         # All alpha equations of the tampered node are inconsistent.
-        assert len(violated) == system.params.alpha
+        assert len(violated) == system.scheme.params.alpha
 
     def test_tampered_parity_block_is_detected(self):
         system, _, scrubber = build_system(blocks=30)
@@ -127,7 +130,7 @@ class TestTamperDetection:
 
     def test_detection_without_manifest_uses_equations_only(self):
         system, _, _ = build_system(blocks=30)
-        scrubber = Scrubber(system.lattice, system.cluster, BLOCK_SIZE, manifest=None)
+        scrubber = Scrubber(system.scheme.lattice, system.cluster, BLOCK_SIZE, manifest=None)
         target = DataId(12)
         corrupt(system, target)
         report = scrubber.scrub()
@@ -144,7 +147,7 @@ class TestTamperDetection:
 
     def test_verify_checksums_without_manifest_is_empty(self):
         system, _, _ = build_system(blocks=5)
-        scrubber = Scrubber(system.lattice, system.cluster, BLOCK_SIZE, manifest=None)
+        scrubber = Scrubber(system.scheme.lattice, system.cluster, BLOCK_SIZE, manifest=None)
         assert scrubber.verify_checksums() == []
 
 

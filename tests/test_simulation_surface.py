@@ -33,10 +33,7 @@ class TestSimulationImportSurface:
         import repro.simulation.churn
         import repro.simulation.engine
         import repro.simulation.experiments
-        import repro.simulation.lattice_model
         import repro.simulation.metrics
-        import repro.simulation.replication_model
-        import repro.simulation.rs_model
         import repro.simulation.traces
         import repro.simulation.workload
 
@@ -45,10 +42,7 @@ class TestSimulationImportSurface:
             repro.simulation.churn,
             repro.simulation.engine,
             repro.simulation.experiments,
-            repro.simulation.lattice_model,
             repro.simulation.metrics,
-            repro.simulation.replication_model,
-            repro.simulation.rs_model,
             repro.simulation.traces,
             repro.simulation.workload,
         ]

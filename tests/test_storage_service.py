@@ -2,8 +2,8 @@
 
 The core property (issue acceptance): for every registered scheme family,
 write → fail locations → repair → byte-exact read holds through the same
-API.  Plus delete with placement-index cleanup, the multi-scheme compare
-path and the EntangledStorageSystem back-compat shim.
+API.  Plus delete with placement-index cleanup and the multi-scheme compare
+path.
 """
 
 from __future__ import annotations
@@ -12,12 +12,10 @@ import random
 
 import pytest
 
-from repro.core.parameters import AEParameters
 from repro.exceptions import UnknownBlockError
 from repro.schemes.stripe import StripeBlockId
 from repro.storage.cluster import StorageCluster
 from repro.system.compare import compare_schemes, single_failure_reads_measured
-from repro.system.entangled_store import EntangledStorageSystem
 from repro.system.service import (
     ServiceRepairReport,
     StorageConfig,
@@ -231,35 +229,6 @@ class TestConfigAndStatus:
         assert status.blocks == 2 * 16  # 2 stripes of n=16
         assert status.unavailable_blocks == 0
         assert "lrc-xorbas" in status.summary()
-
-
-class TestEntangledStoreShim:
-    def test_shim_is_a_storage_service(self):
-        system = EntangledStorageSystem(AEParameters.triple(2, 5), location_count=20)
-        assert isinstance(system, StorageService)
-        assert system.scheme.scheme_id == "ae-3-2-5"
-
-    def test_shim_old_surface_still_works(self):
-        params = AEParameters.triple(2, 5)
-        system = EntangledStorageSystem(params, location_count=30, block_size=128)
-        payload = seeded_payload(12, 128 * 20 + 17)
-        system.put("legacy", payload)
-        assert system.params == params
-        assert system.lattice.size == 21
-        assert system.read("legacy") == payload
-        system.fail_locations(range(3))
-        report = system.repair()  # ClusterRepairReport, policy-driven
-        assert hasattr(report, "policy")
-        assert system.verify_document("legacy", payload)
-        status = system.status()
-        assert status.data_blocks == 21
-        assert status.documents == 1
-
-    def test_shim_append_block(self):
-        system = EntangledStorageSystem(AEParameters.single(), location_count=5, block_size=64)
-        encoded = system.append_block(b"\x07" * 64)
-        assert system.lattice.size == 1
-        assert bytes(system.get_block(encoded.data_id)) == b"\x07" * 64
 
 
 class TestReviewRegressions:

@@ -21,19 +21,21 @@ from repro.exceptions import (
 )
 from repro.storage.block_store import BlockStore
 from repro.storage.cluster import StorageCluster
-from repro.storage.maintenance import MaintenancePolicy
-from repro.system.entangled_store import EntangledStorageSystem
+from repro.codes.entanglement import ae_scheme_id
+from repro.system.service import StorageConfig, StorageService
 
 BLOCK = 128
 
 
 def make_system(params=None, locations=40, block_size=BLOCK, batch_blocks=4, seed=3):
-    return EntangledStorageSystem(
-        params or AEParameters.triple(2, 5),
-        location_count=locations,
-        block_size=block_size,
-        batch_blocks=batch_blocks,
-        seed=seed,
+    return StorageService.open(
+        StorageConfig(
+            scheme=ae_scheme_id(params or AEParameters.triple(2, 5)),
+            location_count=locations,
+            block_size=block_size,
+            batch_blocks=batch_blocks,
+            seed=seed,
+        )
     )
 
 
@@ -98,7 +100,7 @@ class TestPutStreamRoundTrip:
         for data_id in doc_put.data_ids:
             assert np.array_equal(via_put.get_block(data_id), via_stream.get_block(data_id))
         for index in range(1, len(doc_put.data_ids) + 1):
-            for cls in via_put.params.strand_classes:
+            for cls in via_put.scheme.params.strand_classes:
                 parity = ParityId(index, cls)
                 assert np.array_equal(via_put.get_block(parity), via_stream.get_block(parity))
 
@@ -138,7 +140,7 @@ class TestStreamingUnderFailures:
         payload = document_bytes(30 * BLOCK)
         system.put_stream("doc", chunked(payload, 512))
         system.fail_locations(range(12))  # 30% disaster
-        report = system.repair(MaintenancePolicy.FULL)
+        report = system.repair()
         assert report.data_loss == 0
         assert system.status().unavailable_blocks == 0
         assert b"".join(system.get_stream("doc")) == payload

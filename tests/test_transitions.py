@@ -10,6 +10,7 @@ completion on reopen -- under either endpoint's scheme id.
 
 from __future__ import annotations
 
+import collections
 import random
 import shutil
 import threading
@@ -20,6 +21,7 @@ import repro.schemes as schemes
 from repro.core.blocks import DataId, ParityId
 from repro.exceptions import InvalidParametersError, ReproError
 from repro.system.frontend import ConcurrentStorageService
+from repro.system.opening import open_service
 from repro.system.service import StorageConfig, StorageService
 from repro.system.transitions import (
     KIND_ALPHA_RAISE,
@@ -343,6 +345,93 @@ class TestDurableCrashResume:
         reopened = StorageService.open(disk_config("ae-3-2-5-p75", root))
         assert reopened.scheme.scheme_id == "ae-3-2-5-p75"
         assert reopened.transition is None
+        assert_byte_exact(reopened, payloads)
+        reopened.close()
+
+
+class TestRepairDuringReencode:
+    """``repair()`` with a re-encode in flight: the cluster holds two
+    generations of blocks and each must go to the scheme that encoded it."""
+
+    PAIRS = [
+        ("rep-3", "ae-3-2-5"),
+        ("rs-4-2", "ae-3-2-5"),
+        ("ae-3-2-5", "rs-4-2"),
+        ("rep-3", "rs-4-2"),
+        ("rs-6-3", "rs-4-2"),
+    ]
+    LAYERS = {
+        "service": {},
+        "frontend": {"workers": 2},
+        "federation": {"workers": 2, "shards": 2},
+    }
+    LOCATIONS = 12
+    #: Failed one at a time on the same service.  Three, because relocation
+    #: picks ``index % pool`` and so gathers an AE node and its parities a
+    #: little more with every repaired failure; a fourth could find all four
+    #: on one location, which the tail of a lattice cannot repair.
+    SWEEP = (0, 4, 8)
+
+    @pytest.mark.parametrize("layer", sorted(LAYERS))
+    @pytest.mark.parametrize("source,target", PAIRS)
+    def test_both_generations_are_repaired(
+        self, source, target, layer, tmp_path, monkeypatch
+    ):
+        payloads = make_docs(count=6, size=1500)
+        config = StorageConfig(
+            scheme=source,
+            location_count=self.LOCATIONS,
+            block_size=256,
+            # One lost location costs every stripe (and AE neighbourhood) at
+            # most one block, which every scheme here tolerates.
+            placement="spread-domains",
+            seed=5,
+            backend="disk",
+            data_dir=str(tmp_path / "live"),
+        )
+        service = open_service(config, **self.LAYERS[layer])
+        fill(service, payloads)
+
+        # Interrupt each (inner) service's migration after one document.
+        if layer == "service":
+            with pytest.raises(RuntimeError, match="injected crash"):
+                service.transition_to(target, doc_guard=_CrashGuard(1))
+        else:
+            original = StorageService._migrate_document
+            migrated = collections.Counter()
+
+            def crash_on_second(self, name):
+                if migrated[id(self)] >= 1:
+                    raise RuntimeError("injected crash")
+                migrated[id(self)] += 1
+                return original(self, name)
+
+            monkeypatch.setattr(StorageService, "_migrate_document", crash_on_second)
+            with pytest.raises(RuntimeError, match="injected crash"):
+                service.transition_to(target)
+            monkeypatch.undo()
+        plans = [service.service_for(name).transition for name in payloads]
+        assert any(plans) and all(plan.pending for plan in plans if plan)
+
+        for location in self.SWEEP:
+            service.fail_locations([location])
+            report = service.repair()
+            assert report.data_loss == 0 and not getattr(report, "errors", None)
+            # A federation report counts what a service report lists.
+            assert not getattr(report, "unrecovered", None)
+            assert not getattr(report, "unrecovered_count", 0)
+            # Both generations were relocated off the failed location ...
+            assert service.status().unavailable_blocks == 0
+            assert_byte_exact(service, payloads)
+            # ... so its stale copies cannot come back as anyone's only one.
+            service.restore_locations()
+            assert service.status().unavailable_blocks == 0
+            assert_byte_exact(service, payloads)
+        service.close()
+
+        reopened = open_service(config, **self.LAYERS[layer])
+        assert reopened.scheme.scheme_id == target
+        assert not any(reopened.service_for(name).transition for name in payloads)
         assert_byte_exact(reopened, payloads)
         reopened.close()
 
