@@ -19,15 +19,17 @@ from repro.codes.gf256 import (
     FIELD_SIZE,
     GROUP_ORDER,
     PRIMITIVE_POLYNOMIAL,
+    PackedMatrix,
     gf_add,
     gf_div,
     gf_dot_bytes,
     gf_inverse,
     gf_matmul,
+    gf_matmul_bytes,
     gf_matrix_inverse,
     gf_mul,
-    gf_mul_add_bytes,
     gf_mul_bytes,
+    gf_pack_matrix,
     gf_pow,
     gf_sub,
     vandermonde_matrix,
@@ -83,6 +85,7 @@ __all__ = [
     "PAPER_REPLICATION_FACTORS",
     "PAPER_RS_SETTINGS",
     "PRIMITIVE_POLYNOMIAL",
+    "PackedMatrix",
     "PuncturedEntanglementScheme",
     "RedundancyScheme",
     "ReedSolomonCode",
@@ -101,10 +104,11 @@ __all__ = [
     "gf_dot_bytes",
     "gf_inverse",
     "gf_matmul",
+    "gf_matmul_bytes",
     "gf_matrix_inverse",
     "gf_mul",
-    "gf_mul_add_bytes",
     "gf_mul_bytes",
+    "gf_pack_matrix",
     "gf_pow",
     "gf_sub",
     "mirrored_pairs_code",

@@ -102,15 +102,35 @@ class StripeCode(ABC):
         Raises :class:`DecodingError` when the available set is insufficient.
         """
 
+    def rebuild(
+        self, positions: Sequence[int], available: Dict[int, Payload]
+    ) -> List[Payload]:
+        """Rebuild the blocks at ``positions`` from the available blocks.
+
+        The default decodes the stripe and, when a redundant block is wanted,
+        encodes it again; a code that can compute single rows overrides it.
+        Raises :class:`DecodingError` when the available set is insufficient.
+        """
+        data: Optional[List[Payload]] = None
+        parities: Optional[List[Payload]] = None
+        rebuilt: List[Payload] = []
+        for position in positions:
+            if position in available:
+                rebuilt.append(as_payload(available[position]))
+                continue
+            if data is None:
+                data = self.decode(available)
+            if position < self._k:
+                rebuilt.append(data[position])
+            else:
+                if parities is None:
+                    parities = self.encode(data)
+                rebuilt.append(parities[position - self._k])
+        return rebuilt
+
     def repair(self, position: int, available: Dict[int, Payload]) -> Payload:
-        """Rebuild the block at ``position`` from the available blocks."""
-        if position in available:
-            return as_payload(available[position])
-        data = self.decode(available)
-        if position < self._k:
-            return data[position]
-        parities = self.encode(data)
-        return parities[position - self._k]
+        """Rebuild the block at ``position``: the one-element :meth:`rebuild`."""
+        return self.rebuild([position], available)[0]
 
     def can_decode(self, available_positions: Sequence[int]) -> bool:
         """True when the set of available positions is sufficient to decode.

@@ -4,19 +4,26 @@ scheme-agnostic :class:`~repro.schemes.base.RedundancyScheme` protocol.
 Incoming data blocks are packed into stripes of ``k`` blocks (the final
 stripe of a batch is completed with stored zero-padding blocks so every
 stripe is structurally whole), parities are appended at positions
-``k .. n-1`` and every block is addressed by a :class:`StripeBlockId`.
+``k .. n-1`` and every block is addressed by a :class:`StripeBlockId`.  The
+stripes of one put are handed to the code side by side, as one wide stripe,
+so a put costs one :meth:`StripeCode.encode` call however long it is.
 Repair uses the cheapest read set the code advertises through
 :meth:`StripeCode.repair_read_positions` -- one block for replication, the
 local group for LRC, the smallest parity equation for flat XOR, ``k`` blocks
-for Reed-Solomon -- and falls back to a full decode of the surviving stripe
-when the cheap plan is unavailable, so the measured read counts line up with
-the analytic Table IV costs for single failures.
+for Reed-Solomon -- so the measured read counts line up with the analytic
+Table IV costs for single failures.  When that plan is unavailable, or a
+stripe lost several blocks, every surviving position is read and the code
+is asked to :meth:`StripeCode.rebuild` exactly the missing ones (Reed-Solomon
+computes the lost data rows and the encoding row of each lost parity; the
+other codes decode, and encode again when a parity is lost).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.codes.base import StripeCode
 from repro.codes.flat_xor import FlatXorCode
@@ -104,23 +111,40 @@ class StripeScheme(RedundancyScheme):
     # Write path
     # ------------------------------------------------------------------
     def encode(self, payloads: PayloadBatch) -> EncodedPart:
+        """Cut the batch into stripes and encode them all in one call.
+
+        A stripe code acts on every byte position independently, so the
+        stripes of a put laid side by side -- position ``p`` of every stripe
+        concatenated into one long row -- are one wide stripe: its parities
+        are the stripes' parities, concatenated the same way.
+        """
         matrix = as_payload_matrix(payloads, self._block_size)
         code = self._code
-        part = EncodedPart()
+        k, size = code.k, self._block_size
         row_count = matrix.shape[0]
-        for start in range(0, row_count, code.k):
-            rows: List[Payload] = [
-                matrix[row] for row in range(start, min(start + code.k, row_count))
-            ]
-            real = len(rows)
-            while len(rows) < code.k:
-                rows.append(zero_payload(self._block_size))
+        whole, tail = divmod(row_count, k)
+        stripes = whole + bool(tail)
+        part = EncodedPart()
+        if not stripes:
+            return part
+        wide = np.zeros((k, stripes, size), dtype=np.uint8)
+        wide[:, :whole] = matrix[: whole * k].reshape(whole, k, size).swapaxes(0, 1)
+        if tail:
+            wide[:tail, whole] = matrix[whole * k :]
+        parities = [
+            parity.reshape(stripes, size)
+            for parity in code.encode(list(wide.reshape(k, stripes * size)))
+        ]
+        for number in range(stripes):
             stripe = self._next_stripe
             self._next_stripe += 1
-            if real < code.k:
+            real = k if number < whole else tail
+            if real < k:
                 self._real_count[stripe] = real
-            parities = code.encode(rows)
-            for position, payload in enumerate(rows + parities):
+            rows: List[Payload] = [matrix[number * k + row] for row in range(real)]
+            rows.extend(zero_payload(size) for _ in range(k - real))
+            rows.extend(parity[number] for parity in parities)
+            for position, payload in enumerate(rows):
                 part.blocks.append((StripeBlockId(stripe, position), payload))
             part.data_ids.extend(StripeBlockId(stripe, position) for position in range(real))
         return part
@@ -190,7 +214,6 @@ class StripeScheme(RedundancyScheme):
             grab_many([position])
             return fetched.get(position)
 
-        recovered: Dict[StripeBlockId, Payload] = {}
         if len(missing) == 1:
             position = missing[0]
             plan = code.repair_read_positions(position, others)
@@ -198,11 +221,9 @@ class StripeScheme(RedundancyScheme):
                 grab_many(plan)
                 payloads = {p: fetched.get(p) for p in plan}
                 if all(payload is not None for payload in payloads.values()):
-                    recovered[StripeBlockId(stripe, position)] = code.repair(
-                        position, payloads
-                    )
-                    return recovered, []
-        # General path: decode the stripe from everything still readable.
+                    block_id = StripeBlockId(stripe, position)
+                    return {block_id: code.repair(position, payloads)}, []
+        # General path: rebuild from everything still readable.
         # The read set is every surviving position of the stripe -- the same
         # blocks a per-position loop would attempt -- fetched in one batch.
         grab_many(others)
@@ -214,26 +235,13 @@ class StripeScheme(RedundancyScheme):
         try:
             if not code.can_decode(sorted(available)):
                 raise DecodingError("insufficient surviving blocks")
-            data = code.decode(available)
-            parities: Optional[List[Payload]] = None
-            for position in missing:
-                if position < code.k:
-                    recovered[StripeBlockId(stripe, position)] = as_payload(
-                        data[position], self._block_size
-                    )
-                else:
-                    if parities is None:
-                        parities = code.encode(data)
-                    recovered[StripeBlockId(stripe, position)] = parities[
-                        position - code.k
-                    ]
+            rebuilt = code.rebuild(missing, available)
         except DecodingError:
-            return recovered, [
-                StripeBlockId(stripe, position)
-                for position in missing
-                if StripeBlockId(stripe, position) not in recovered
-            ]
-        return recovered, []
+            return {}, [StripeBlockId(stripe, position) for position in missing]
+        return {
+            StripeBlockId(stripe, position): as_payload(payload, self._block_size)
+            for position, payload in zip(missing, rebuilt)
+        }, []
 
     # ------------------------------------------------------------------
     # Durability

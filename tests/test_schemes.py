@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import inspect
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.codes
 import repro.schemes as schemes
@@ -163,6 +165,78 @@ class TestSchemeProtocol:
         assert not rs.is_data_block(StripeBlockId(0, 8))
 
 
+#: Every registered stripe family, the paper's four RS settings included.
+STRIPE_IDS = [
+    "rs-10-4",
+    "rs-8-2",
+    "rs-5-5",
+    "rs-4-12",
+    "lrc-azure",
+    "lrc-xorbas",
+    "rep-2",
+    "rep-3",
+    "xor-geo",
+    "xor-raid5-5",
+    "xor-mirror-4",
+]
+
+
+class TestWideStripeEncode:
+    """A put's stripes are encoded side by side in one ``code.encode`` call;
+    the blocks must be the ones stripe-by-stripe encoding lays out."""
+
+    @pytest.mark.parametrize("scheme_id", STRIPE_IDS)
+    @given(
+        first=st.integers(min_value=0, max_value=40),
+        second=st.integers(min_value=1, max_value=40),
+        short_by=st.integers(min_value=0, max_value=15),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_multi_stripe_put_equals_stripe_by_stripe(
+        self, scheme_id, first, second, short_by, seed
+    ):
+        block_size = 16
+        scheme = schemes.get(scheme_id, block_size=block_size)
+        code = schemes.get(scheme_id, block_size=block_size).code
+        k = code.k
+        rng = np.random.default_rng(seed)
+        expected_blocks, expected_data_ids, expected_real = [], [], {}
+        stripe = 0
+        for blocks in (first, second):  # the second put continues the numbering
+            payload = rng.integers(0, 256, size=blocks * block_size, dtype=np.uint8)
+            payload = payload[: max(0, payload.size - short_by)].tobytes()
+            part = scheme.encode(payload)
+
+            padded = payload + bytes(-len(payload) % block_size)
+            rows = [
+                np.frombuffer(padded[at : at + block_size], dtype=np.uint8)
+                for at in range(0, len(padded), block_size)
+            ]
+            expected_blocks, expected_data_ids = [], []
+            for start in range(0, len(rows), k):
+                data = rows[start : start + k]
+                real = len(data)
+                data = data + [np.zeros(block_size, dtype=np.uint8)] * (k - real)
+                if real < k:
+                    expected_real[stripe] = real
+                for position, blob in enumerate(data + code.encode(data)):
+                    expected_blocks.append((StripeBlockId(stripe, position), bytes(blob)))
+                expected_data_ids.extend(StripeBlockId(stripe, p) for p in range(real))
+                stripe += 1
+
+            assert [(b, bytes(blob)) for b, blob in part.blocks] == expected_blocks
+            assert part.data_ids == expected_data_ids
+            assert all(blob.size == block_size for _, blob in part.blocks)
+        assert scheme.stripes_written == stripe
+        assert scheme._real_count == expected_real
+        assert all(
+            scheme.is_data_block(StripeBlockId(number, p)) == (p < expected_real.get(number, k))
+            for number in range(stripe)
+            for p in range(code.n)
+        )
+
+
 class TestRepairReadPlans:
     """StripeCode.repair_read_positions drives the measured repair costs."""
 
@@ -232,6 +306,16 @@ class TestImportSurface:
                 if getattr(value, "__module__", None) != module.__name__:
                     continue
                 assert name in exported, f"{module.__name__}.{name} missing from repro.codes.__all__"
+
+    def test_gf256_kernel_exports(self):
+        """RPR002 anchor for the table-driven GF(2^8) kernel (PR 17): the
+        packed matrix product is public, the log/exp-era helper is gone."""
+        for required in ("PackedMatrix", "gf_pack_matrix", "gf_matmul_bytes",
+                         "gf_dot_bytes", "gf_mul_bytes"):
+            assert required in repro.codes.__all__
+            assert getattr(repro.codes, required) is getattr(repro.codes.gf256, required)
+        assert "gf_mul_add_bytes" not in repro.codes.__all__
+        assert not hasattr(repro.codes, "gf_mul_add_bytes")
 
     def test_registry_families_map_to_exported_classes(self):
         """Every family the registry serves resolves to a class exported
