@@ -80,6 +80,7 @@ from repro.core.xor import (
     xor_accumulate,
     xor_into,
     xor_many,
+    xor_pairs,
     xor_payloads,
     xor_rows,
     zero_payload,
@@ -154,6 +155,7 @@ __all__ = [
     "xor_accumulate",
     "xor_into",
     "xor_many",
+    "xor_pairs",
     "xor_payloads",
     "xor_rows",
     "zero_payload",

@@ -10,13 +10,15 @@ storage layer and the XOR kernels each see one bulk operation:
   availability oracle, picks the same pp-/dp-tuple the decoder would use --
   one :class:`RepairPlanStep` per repairable block, none for blocks no
   surviving tuple can rebuild this round;
-* :func:`execute_plan` gathers every step's two inputs into two payload
-  matrices and reconstructs all targets in a single in-place
-  :func:`~repro.core.xor.xor_into` matrix pass.
+* :func:`execute_plan` reconstructs all targets in a single
+  :func:`~repro.core.xor.xor_pairs` pass: each step's two inputs are XORed
+  straight into the target's row of one result matrix, nothing is gathered
+  first.
 
 Both tuple forms reduce to ``target = first XOR second`` with ``None``
 standing for the virtual zero parity at strand extremities, so a round is
-exactly one matrix XOR regardless of how data and parity targets mix.
+exactly one pairwise XOR pass regardless of how data and parity targets mix
+-- the paper's repair cost, two reads and one XOR per block.
 
 :class:`RepairRun` is the round loop itself (paper, Sec. V-C4: blocks
 repaired in one round feed the next), written once: the scheme-level
@@ -42,7 +44,7 @@ from typing import (
 from repro.core.blocks import BlockId, DataId, ParityId, is_data
 from repro.core.lattice import HelicalLattice
 from repro.core.rules import input_index, output_index
-from repro.core.xor import Payload, gather_payload_matrix, xor_into
+from repro.core.xor import Payload, xor_pairs
 
 __all__ = [
     "RepairPlanStep",
@@ -102,38 +104,54 @@ def plan_round(
     # lattice's option lists: a round plans hundreds of blocks and usually
     # commits to the first viable tuple, so eager construction is pure waste.
     params = lattice.params
-    classes = params.strand_classes
     size = lattice.size
+    s = params.s
+    # Tables I and II once per round instead of once per probe: the offsets
+    # ``h - i`` and ``j - i`` depend only on the strand class and the node's
+    # row, so the rules are asked at the first node of every row.
+    rows = range(1, s + 1)
+    offsets = {
+        strand_class: (
+            [input_index(row, strand_class, params) - row for row in rows],
+            [output_index(row, strand_class, params) - row for row in rows],
+        )
+        for strand_class in params.strand_classes
+    }
     steps: List[RepairPlanStep] = []
     for block_id in pending:
-        if not lattice.has_block(block_id):
+        # ``lattice.has_block``, spelled out: the node exists and, below, a
+        # parity's strand class is one of the lattice's.
+        index = block_id.index
+        if not 1 <= index <= size:
             continue
+        row = (index - 1) % s
         if is_data(block_id):
-            index = block_id.index
-            for strand_class in classes:
+            for strand_class, (inputs, _) in offsets.items():
                 output_parity = ParityId(index, strand_class)
                 if not available(output_parity):
                     continue
-                h = input_index(index, strand_class, params)
+                h = index + inputs[row]
                 input_parity = ParityId(h, strand_class) if h >= 1 else None
                 if input_parity is not None and not available(input_parity):
                     continue
                 steps.append(RepairPlanStep(block_id, input_parity, output_parity))
                 break
         else:
-            index = block_id.index
             strand_class = block_id.strand_class
+            if strand_class not in offsets:
+                continue
+            inputs, outputs = offsets[strand_class]
             # Left dp-tuple: p_{i,j} = d_i XOR p_{h,i} (virtual zero input at
             # a strand start).
             data = DataId(index)
             if available(data):
-                h = input_index(index, strand_class, params)
+                h = index + inputs[row]
                 parity = ParityId(h, strand_class) if h >= 1 else None
                 if parity is None or available(parity):
                     steps.append(RepairPlanStep(block_id, data, parity))
                     continue
             # Right dp-tuple: p_{i,j} = d_j XOR p_{j,k}, once node j exists.
-            j = output_index(index, strand_class, params)
+            j = index + outputs[row]
             if j <= size:
                 data = DataId(j)
                 if available(data):
@@ -160,26 +178,22 @@ def execute_plan(
     payload_of: Callable[[BlockId], Payload],
     block_size: int,
 ) -> Dict[BlockId, Payload]:
-    """Reconstruct every planned target in one matrix XOR pass.
+    """Reconstruct every planned target in one pairwise XOR pass.
 
     ``payload_of`` must return the payload of every input named by the plan
     (the caller bulk-fetched them).  Returns ``{target: payload}``; each
-    payload is a row of the freshly allocated result matrix, so inputs --
-    including read-only zero-copy views from mmap-backed backends -- are
-    never mutated.
+    payload is a row of the one matrix :func:`~repro.core.xor.xor_pairs`
+    allocates, so inputs -- including read-only zero-copy views from
+    mmap-backed backends -- are never mutated.
     """
     if not steps:
         return {}
-    firsts = gather_payload_matrix(
+    rows = xor_pairs(
         [None if step.first is None else payload_of(step.first) for step in steps],
-        block_size,
-    )
-    seconds = gather_payload_matrix(
         [None if step.second is None else payload_of(step.second) for step in steps],
         block_size,
     )
-    xor_into(firsts, seconds)
-    return {step.target: firsts[row] for row, step in enumerate(steps)}
+    return {step.target: row for step, row in zip(steps, rows)}
 
 
 class _Availability(Dict[BlockId, bool]):
@@ -264,11 +278,8 @@ class RepairRun:
         while pending and (self._max_rounds is None or completed < self._max_rounds):
             # ``available`` and ``held`` only learn this round's targets
             # after the XOR pass, so the plan sees the round-start state.
-            steps = plan_round(
-                self._lattice,
-                sorted(pending, key=block_sort_key),
-                available.__getitem__,
-            )
+            # Lattice ids sort natively in lattice order (``block_sort_key``).
+            steps = plan_round(self._lattice, sorted(pending), available.__getitem__)
             if self._round_cap is not None:
                 steps = steps[: self._round_cap]
             inputs = plan_inputs(steps)

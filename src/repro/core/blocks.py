@@ -10,8 +10,14 @@ The helical lattice distinguishes two kinds of blocks (paper, Fig. 3):
   notation ``p_{i,j}`` of the paper is recovered through the output rules of
   Table II.
 
-Identifiers are small frozen dataclasses so they can be used as dictionary
-keys, stored in placement tables and serialised cheaply.
+Identifiers are named tuples: immutable, usable as dictionary keys, and --
+because every layer of the store keys its dicts and sets by them -- hashed,
+compared, built and sorted in C.  An id hashes like the tuple of its fields,
+and the kinds never compare equal to one another: a data id is a 1-tuple, a
+parity id an ``(int, StrandClass)`` pair, a stripe id
+(:class:`~repro.schemes.stripe.StripeBlockId`) an ``(int, int)`` pair.
+Sorting lattice ids natively gives lattice order
+(:func:`~repro.core.batch_repair.block_sort_key`).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -28,11 +34,11 @@ from repro.core.xor import Payload, as_payload, payload_to_bytes
 from repro.exceptions import BlockSizeMismatchError
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class DataId:
+class DataId(NamedTuple):
     """Identifier of a data block (a lattice node)."""
 
-    index: int
+    # The field shadows ``tuple.index``; nothing searches an id for a value.
+    index: int  # type: ignore[assignment, unused-ignore]
 
     def label(self) -> str:
         return f"d{self.index}"
@@ -41,8 +47,7 @@ class DataId:
         return self.label()
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ParityId:
+class ParityId(NamedTuple):
     """Identifier of a parity block (a lattice edge).
 
     ``index`` is the creator node and ``strand_class`` the class of the strand
@@ -50,7 +55,7 @@ class ParityId:
     parameters and is provided by the lattice (:meth:`HelicalLattice.edge_endpoints`).
     """
 
-    index: int
+    index: int  # type: ignore[assignment, unused-ignore]
     strand_class: StrandClass
 
     def label(self) -> str:

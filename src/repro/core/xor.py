@@ -129,16 +129,35 @@ def as_payload_matrix(data: PayloadBatch, block_size: int) -> PayloadMatrix:
     return np.stack(payloads)
 
 
+#: A dtype instance: comparing against the ``np.uint8`` *type* converts it
+#: on every call, and :func:`_block_row` runs twice per repaired block.
+_UINT8 = np.dtype(np.uint8)
+
+
+def _block_row(item: PayloadLike, block_size: int) -> Payload:
+    """``item`` as a 1-D uint8 payload of exactly ``block_size`` bytes."""
+    payload = (
+        item
+        if isinstance(item, np.ndarray) and item.dtype == _UINT8 and item.ndim == 1
+        else as_payload(item)
+    )
+    if payload.size != block_size:
+        raise BlockSizeMismatchError(
+            f"payload of {payload.size} bytes does not fit block size {block_size}"
+        )
+    return payload
+
+
 def gather_payload_matrix(
     payloads: Sequence[Optional[PayloadLike]], block_size: int
 ) -> PayloadMatrix:
     """Stack payloads into a fresh writable ``(n, block_size)`` matrix.
 
     ``None`` entries become zero rows (the virtual zero parity at strand
-    extremities), so a repair plan's input column can be gathered in one call.
-    Unlike :func:`as_payload_matrix` the result is always a new allocation:
-    the rows are safe XOR destinations even when the sources are read-only
-    zero-copy views handed out by an mmap-backed storage backend.
+    extremities).  Unlike :func:`as_payload_matrix` the result is always a
+    new allocation: the rows are safe XOR destinations even when the sources
+    are read-only zero-copy views handed out by an mmap-backed storage
+    backend.  Repair no longer gathers its inputs (see :func:`xor_pairs`).
     """
     if block_size <= 0:
         raise BlockSizeMismatchError("block_size must be positive")
@@ -149,23 +168,45 @@ def gather_payload_matrix(
             if zero_row is None:
                 zero_row = np.zeros(block_size, dtype=np.uint8)
             rows.append(zero_row)
-            continue
-        payload = (
-            item
-            if isinstance(item, np.ndarray) and item.dtype == np.uint8 and item.ndim == 1
-            else as_payload(item)
-        )
-        if payload.size != block_size:
-            raise BlockSizeMismatchError(
-                f"payload of {payload.size} bytes does not fit block size {block_size}"
-            )
-        rows.append(payload)
+        else:
+            rows.append(_block_row(item, block_size))
     if not rows:
         return np.zeros((0, block_size), dtype=np.uint8)
-    # One C-level stack instead of a Python row-assignment loop; the result
-    # is a fresh allocation, so the rows are safe XOR destinations even when
-    # the sources are read-only zero-copy views from an mmap-backed backend.
+    # One C-level stack instead of a Python row-assignment loop.
     return np.stack(rows)
+
+
+def xor_pairs(
+    firsts: Sequence[Optional[PayloadLike]],
+    seconds: Sequence[Optional[PayloadLike]],
+    block_size: int,
+) -> PayloadMatrix:
+    """Row ``k`` of the fresh ``(n, block_size)`` result is ``firsts[k] XOR
+    seconds[k]`` -- a whole repair round in one pass over its inputs.
+
+    ``None`` on a side stands for the virtual zero parity at a strand start:
+    the row is a copy of the other side, a zero row when both are ``None``.
+    Each XOR writes straight into its row of the one result allocation, so
+    nothing is gathered first and the inputs are only ever read -- they may
+    be read-only zero-copy views from an mmap-backed storage backend.
+    """
+    if block_size <= 0:
+        raise BlockSizeMismatchError("block_size must be positive")
+    if len(firsts) != len(seconds):
+        raise BlockSizeMismatchError(
+            f"cannot pair {len(firsts)} payloads with {len(seconds)}"
+        )
+    result = np.empty((len(firsts), block_size), dtype=np.uint8)
+    bitwise_xor = np.bitwise_xor
+    for row, first, second in zip(result, firsts, seconds):
+        if first is None or second is None:
+            present = second if first is None else first
+            row[:] = 0 if present is None else _block_row(present, block_size)
+        else:
+            bitwise_xor(
+                _block_row(first, block_size), _block_row(second, block_size), out=row
+            )
+    return result
 
 
 def xor_into(dst: Payload, src: PayloadLike) -> Payload:

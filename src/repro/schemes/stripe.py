@@ -20,8 +20,7 @@ other codes decode, and encode again when a parity is lost).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -44,20 +43,20 @@ from repro.schemes.base import (
 __all__ = ["StripeBlockId", "StripeScheme"]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class StripeBlockId:
+class StripeBlockId(NamedTuple):
     """Identifier of one block of a striped layout.
 
     ``stripe`` is the running stripe number of the scheme instance and
     ``position`` the slot within the stripe: ``0 .. k-1`` data,
-    ``k .. n-1`` redundancy.
+    ``k .. n-1`` redundancy.  A named tuple like the lattice ids
+    (:mod:`repro.core.blocks`): an ``(int, int)`` pair never equals one.
     """
 
     stripe: int
     position: int
 
     @property
-    def index(self) -> int:
+    def index(self) -> int:  # type: ignore[override, unused-ignore]
         """A flat integer used by placement spreading (cluster relocate)."""
         return self.stripe * 1024 + self.position
 

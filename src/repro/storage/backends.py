@@ -36,6 +36,7 @@ New media (S3, a key-value store, ...) plug in with :func:`register`.
 
 from __future__ import annotations
 
+import functools
 import json
 import mmap
 import os
@@ -46,7 +47,9 @@ from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional,
 
 import numpy as np
 
-from repro.core.xor import Payload
+from repro.core.blocks import DataId, ParityId
+from repro.core.parameters import StrandClass
+from repro.core.xor import Payload, as_payload
 from repro.exceptions import InvalidParametersError, UnknownBlockError
 
 __all__ = [
@@ -66,6 +69,15 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Block-id codec
 # ----------------------------------------------------------------------
+@functools.cache
+def _stripe_block_id() -> type:
+    """:class:`~repro.schemes.stripe.StripeBlockId`, imported on first use:
+    ``repro.schemes`` sits above ``repro.storage`` in the layering."""
+    from repro.schemes.stripe import StripeBlockId
+
+    return StripeBlockId
+
+
 def encode_block_id(block_id: object) -> str:
     """Serialise a block identifier to a stable, filesystem-safe string.
 
@@ -74,16 +86,12 @@ def encode_block_id(block_id: object) -> str:
     :func:`decode_block_id`; persistent backends and the service manifest
     share this vocabulary.
     """
-    from repro.core.blocks import DataId, ParityId
-
-    if isinstance(block_id, DataId):
+    kind = type(block_id)
+    if kind is DataId:
         return f"d-{block_id.index}"
-    if isinstance(block_id, ParityId):
+    if kind is ParityId:
         return f"p-{block_id.index}-{block_id.strand_class.value}"
-    # Imported lazily: repro.schemes sits above repro.storage in the layering.
-    from repro.schemes.stripe import StripeBlockId
-
-    if isinstance(block_id, StripeBlockId):
+    if kind is _stripe_block_id():
         return f"s-{block_id.stripe}-{block_id.position}"
     raise InvalidParametersError(
         f"cannot serialise block id {block_id!r} of type {type(block_id).__name__}"
@@ -92,9 +100,6 @@ def encode_block_id(block_id: object) -> str:
 
 def decode_block_id(key: str) -> object:
     """Inverse of :func:`encode_block_id`."""
-    from repro.core.blocks import DataId, ParityId
-    from repro.core.parameters import StrandClass
-
     parts = key.split("-")
     try:
         if parts[0] == "d" and len(parts) == 2:
@@ -102,9 +107,7 @@ def decode_block_id(key: str) -> object:
         if parts[0] == "p" and len(parts) == 3:
             return ParityId(int(parts[1]), StrandClass(parts[2]))
         if parts[0] == "s" and len(parts) == 3:
-            from repro.schemes.stripe import StripeBlockId
-
-            return StripeBlockId(int(parts[1]), int(parts[2]))
+            return _stripe_block_id()(int(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise InvalidParametersError(f"malformed block key {key!r}: {exc}") from exc
     raise InvalidParametersError(f"malformed block key {key!r}")
@@ -117,8 +120,6 @@ def _as_bytes_payload(payload: Payload) -> np.ndarray:
         and payload.ndim == 1
     ):
         return payload
-    from repro.core.xor import as_payload
-
     return as_payload(payload)
 
 

@@ -348,10 +348,17 @@ class StorageCluster:
         return block_id in self._directory
 
     def is_available(self, block_id: BlockId) -> bool:
+        """Whether a fetch would succeed, without performing it.
+
+        The round planner's oracle, probed thousands of times per repair
+        round: answered here from the directory and the holding store's own
+        state (:meth:`BlockStore.holds`, spelled out) in one frame.
+        """
         location_id = self._directory.get(block_id)
         if location_id is None:
             return False
-        return self._stores[location_id].holds(block_id)
+        store = self._stores[location_id]
+        return store._available and block_id in store._sizes
 
     def relocate(self, block_id: BlockId, payload: Payload, avoid: Sequence[int] = ()) -> int:
         """Store a repaired block on an available location (not in ``avoid``).
@@ -639,16 +646,21 @@ class ClusterBlockSource:
     :meth:`StorageCluster.try_get_block`, so it is a drop-in
     :data:`~repro.schemes.base.BlockFetcher`.  Schemes that know how to
     batch (see :meth:`EntanglementScheme.repair
-    <repro.schemes.entanglement_scheme.EntanglementScheme>`) duck-type for
-    the extra hooks: :meth:`is_available` answers the round planner without
-    moving payload bytes, and :meth:`try_get_many` fetches a whole plan's
-    inputs grouped per location.
+    <repro.codes.entanglement.EntanglementScheme.repair>`) duck-type for the
+    extra hooks, which are the cluster's own bound methods -- no frame of
+    this class sits between the round planner and the directory:
+    ``is_available`` (:meth:`StorageCluster.is_available`) answers without
+    moving payload bytes, and ``try_get_many``
+    (:meth:`StorageCluster.try_get_many`) fetches a whole plan's inputs
+    grouped per location.
     """
 
-    __slots__ = ("_cluster",)
+    __slots__ = ("_cluster", "is_available", "try_get_many")
 
     def __init__(self, cluster: StorageCluster) -> None:
         self._cluster = cluster
+        self.is_available = cluster.is_available
+        self.try_get_many = cluster.try_get_many
 
     @property
     def cluster(self) -> StorageCluster:
@@ -656,11 +668,3 @@ class ClusterBlockSource:
 
     def __call__(self, block_id: BlockId) -> Optional[Payload]:
         return self._cluster.try_get_block(block_id)
-
-    def is_available(self, block_id: BlockId) -> bool:
-        """Whether a fetch would succeed, without performing it."""
-        return self._cluster.is_available(block_id)
-
-    def try_get_many(self, block_ids: Iterable[BlockId]) -> List[Optional[Payload]]:
-        """Bulk fetch in request order (``None`` for unreachable blocks)."""
-        return self._cluster.try_get_many(block_ids)

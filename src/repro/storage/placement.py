@@ -328,9 +328,9 @@ class SpreadDomainsPlacement(PlacementPolicy):
         domain_count = len(self._domains)
         if width >= domain_count:
             return 0
-        # The group's lanes occupy ``width`` consecutive domains from ``group``.
-        group, _ = _lattice_lane(block_id, self._alpha)
-        return 1 if (domain_index - group) % domain_count < width else 0
+        # The group's lanes occupy ``width`` consecutive domains from the
+        # group index of :func:`_lattice_lane`, ``index - 1``.
+        return 1 if (domain_index - block_id.index + 1) % domain_count < width else 0
 
     def location_for(self, block_id: BlockId) -> int:
         return self.locations_for((block_id,))[0]

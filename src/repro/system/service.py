@@ -1141,12 +1141,13 @@ class StorageService:
         self._commit_meta(ops)
         if not scheme.capabilities().erasable:
             return []
-        removed: List[object] = []
         with self._state_lock:
-            for block_id in scheme.document_blocks(document.data_ids):
-                if self._cluster.knows(block_id):
-                    self._cluster.delete_block(block_id)
-                    removed.append(block_id)
+            removed: List[object] = [
+                block_id
+                for block_id in scheme.document_blocks(document.data_ids)
+                if self._cluster.knows(block_id)
+            ]
+            self._cluster.delete_blocks(removed)
         return removed
 
     # ------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.batch_repair import block_sort_key
 from repro.core.blocks import (
     Block,
     DataId,
@@ -18,6 +19,11 @@ from repro.core.blocks import (
 )
 from repro.core.parameters import StrandClass
 from repro.exceptions import BlockSizeMismatchError
+
+lattice_ids = st.one_of(
+    st.builds(DataId, st.integers(min_value=1, max_value=12)),
+    st.builds(ParityId, st.integers(min_value=1, max_value=12), st.sampled_from(StrandClass)),
+)
 
 
 class TestIdentities:
@@ -36,6 +42,36 @@ class TestIdentities:
     def test_labels(self):
         assert DataId(26).label() == "d26"
         assert ParityId(26, StrandClass.RIGHT_HANDED).label() == "p[26,rh]"
+        # The placement hashes are keyed by ``repr``: it must stay the label.
+        assert repr(DataId(26)) == "d26"
+        assert repr(ParityId(26, StrandClass.RIGHT_HANDED)) == "p[26,rh]"
+
+    @given(lattice_ids)
+    def test_hash_is_the_hash_of_the_field_tuple(self, block_id):
+        # The frozen dataclasses the ids used to be hashed their field tuple.
+        # Keeping that value is what keeps every set / dict iteration order
+        # -- and with it the repair, placement and simulation goldens -- fixed.
+        fields = tuple(getattr(block_id, name) for name in block_id._fields)
+        assert hash(block_id) == hash(fields)
+
+    def test_ids_are_immutable(self):
+        for block_id in (DataId(3), ParityId(3, StrandClass.HORIZONTAL)):
+            with pytest.raises(AttributeError):
+                block_id.index = 4
+            with pytest.raises(AttributeError):
+                block_id.colour = "red"
+            with pytest.raises(TypeError):
+                block_id[0] = 4
+
+    def test_index_is_the_field_not_the_tuple_method(self):
+        # ``index`` shadows ``tuple.index`` on purpose.
+        assert DataId(3).index == 3
+        assert ParityId(7, StrandClass.LEFT_HANDED).index == 7
+        assert ParityId(7, StrandClass.LEFT_HANDED).strand_class is StrandClass.LEFT_HANDED
+
+    @given(st.lists(lattice_ids, max_size=30))
+    def test_native_sort_is_lattice_order(self, ids):
+        assert sorted(ids) == sorted(ids, key=block_sort_key)
 
 
 class TestBlock:

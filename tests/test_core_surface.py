@@ -60,3 +60,13 @@ class TestCoreImportSurface:
             "puncture_rate",
         ):
             assert required in repro.core.__all__
+
+    def test_repair_kernels_are_exported(self):
+        """RPR002 anchor for the XOR kernels of repair: the pairwise pass
+        ``execute_plan`` runs on (PR 18), and the gather nothing in ``src/``
+        calls any more but the end-to-end tracer still times directly."""
+        import repro.core.xor
+
+        for required in ("xor_pairs", "gather_payload_matrix"):
+            assert required in repro.core.__all__
+            assert getattr(repro.core, required) is getattr(repro.core.xor, required)

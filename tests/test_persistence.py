@@ -18,6 +18,8 @@ import shutil
 import pytest
 
 from repro.exceptions import InvalidParametersError
+from repro.storage.backends import decode_block_id, encode_block_id
+from repro.storage.wal import scan_wal
 from repro.system.service import StorageConfig, StorageService
 
 BACKENDS = ["disk", "segment"]
@@ -41,9 +43,46 @@ def workload(seed=11, size=40_000) -> bytes:
     return random.Random(seed).randbytes(size)
 
 
+def assert_encoded_id_runs(entries) -> None:
+    """Every catalogue entry is an ``encode_block_id`` string or a
+    ``[string, count]`` run -- never a raw id, which ``json`` would happily
+    write as a list now that ids are tuples (``[3]``, ``[3, 1]``)."""
+    assert entries
+    for entry in entries:
+        key = entry
+        if not isinstance(entry, str):
+            key, count = entry
+            assert isinstance(count, int) and count > 1
+        assert isinstance(key, str)
+        assert encode_block_id(decode_block_id(key)) == key
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("scheme", SCHEMES)
 class TestServiceReopen:
+    def test_wal_and_manifest_hold_only_encoded_ids(self, scheme, backend, tmp_path):
+        service = StorageService.open(config(scheme, backend, tmp_path))
+        documents = {"run": workload(), "single": workload(seed=12, size=100)}
+        for name, payload in documents.items():
+            service.put(name, payload)
+        # Before any checkpoint folds the log into the manifest.
+        groups, _ = scan_wal(os.path.join(str(tmp_path), "wal.log"))
+        logged = [op for group in groups for op in group.ops if "data_ids" in op]
+        assert {op["name"] for op in logged} == set(documents)
+        for op in logged:
+            assert_encoded_id_runs(op["data_ids"])
+        service.close()
+        with open(os.path.join(str(tmp_path), "manifest.json")) as handle:
+            manifest = json.load(handle)
+        assert set(manifest["documents"]) == set(documents)
+        for entry in manifest["documents"].values():
+            assert_encoded_id_runs(entry["data_ids"])
+
+        reopened = StorageService.open(config(scheme, backend, tmp_path))
+        for name, payload in documents.items():
+            assert reopened.get(name) == payload
+        reopened.close()
+
     def test_byte_exact_get_and_stream_after_reopen(self, scheme, backend, tmp_path):
         payload = workload()
         service = StorageService.open(config(scheme, backend, tmp_path))

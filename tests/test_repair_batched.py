@@ -26,7 +26,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.repair_cost import repair_model_for
-from repro.core.blocks import DataId
+from repro.core.batch_repair import execute_plan, plan_round
+from repro.core.blocks import DataId, ParityId, is_data, is_parity
+from repro.core.decoder import Decoder
 from repro.core.encoder import Entangler
 from repro.core.parameters import AEParameters
 from repro.core.xor import payloads_equal
@@ -107,6 +109,47 @@ class TestBatchedSequentialEquivalence:
         assert runs[True].unrecovered == runs[False].unrecovered
         assert repaired_ids(runs[True]) == repaired_ids(runs[False])
         assert runs[True].data_loss == runs[False].data_loss
+
+
+class TestExecutePlan:
+    """One pairwise XOR pass over a plan equals the per-block decoder."""
+
+    @pytest.mark.parametrize("spec", ["AE(1,-,-)", "AE(2,2,5)", "AE(3,2,5)"])
+    def test_mixed_plan_equals_per_block_decoder(self, spec):
+        params = AEParameters.parse(spec)
+        encoder = Entangler(params, block_size=BLOCK_SIZE)
+        originals = {}
+        for index in range(1, 41):
+            for block in encoder.entangle(make_payload(index, BLOCK_SIZE)).all_blocks():
+                originals[block.block_id] = block.payload
+        first, last = params.strand_classes[0], params.strand_classes[-1]
+        # Data and parity targets in one plan, a strand start (virtual zero
+        # input) and the lattice tail included, far enough apart that every
+        # target keeps a whole tuple.
+        missing = {
+            DataId(1),
+            ParityId(2, first),
+            DataId(10),
+            ParityId(15, last),
+            DataId(20),
+            ParityId(40, first),
+        }
+        survivors = {b: blob for b, blob in originals.items() if b not in missing}
+        steps = plan_round(encoder.lattice, sorted(missing), survivors.__contains__)
+        assert {step.target for step in steps} == missing
+        assert any(step.first is None or step.second is None for step in steps)
+        assert any(is_data(step.target) for step in steps)
+        assert any(is_parity(step.target) for step in steps)
+
+        recovered = execute_plan(steps, survivors.__getitem__, BLOCK_SIZE)
+        decoder = Decoder(encoder.lattice, survivors.get, BLOCK_SIZE)
+        assert set(recovered) == missing
+        for block_id in missing:
+            assert payloads_equal(recovered[block_id], decoder.repair(block_id))
+            assert payloads_equal(recovered[block_id], originals[block_id])
+
+    def test_empty_plan(self):
+        assert execute_plan([], {}.__getitem__, BLOCK_SIZE) == {}
 
 
 class TestServiceRepairAcrossSchemes:

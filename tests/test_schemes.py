@@ -3,7 +3,9 @@ import surface."""
 
 from __future__ import annotations
 
+import copy
 import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -16,9 +18,11 @@ from repro.codes.entanglement import EntanglementScheme, ae_scheme_id
 from repro.codes.flat_xor import geo_xor_code, raid5_code
 from repro.codes.lrc import azure_lrc
 from repro.codes.replication import ReplicationCode
-from repro.core.parameters import AEParameters
+from repro.core.blocks import DataId, ParityId
+from repro.core.parameters import AEParameters, StrandClass
 from repro.exceptions import InvalidParametersError, RepairFailedError
 from repro.schemes.stripe import StripeBlockId, StripeScheme
+from repro.storage.backends import decode_block_id, encode_block_id
 
 #: The identifiers the acceptance criteria require the registry to resolve.
 REQUIRED_IDS = [
@@ -264,6 +268,64 @@ class TestRepairReadPlans:
         assert sorted(code.repair_read_positions(0, [1, 2])) == [1, 2]
         code5 = raid5_code(5)
         assert len(code5.repair_read_positions(1, [0, 2, 3, 4, 5])) == 5
+
+
+small = st.integers(min_value=0, max_value=6)
+any_block_id = st.one_of(
+    st.builds(DataId, small),
+    st.builds(ParityId, small, st.sampled_from(StrandClass)),
+    st.builds(StripeBlockId, small, small),
+)
+
+
+class TestBlockIdContract:
+    """The three id kinds share every dict and set of the store, so they
+    must behave as one family of immutable, C-hashed keys (the lattice-only
+    half of the contract lives in ``tests/test_blocks.py``)."""
+
+    @given(any_block_id, any_block_id)
+    def test_kinds_never_compare_equal(self, left, right):
+        if type(left) is not type(right):
+            assert left != right
+            assert len({left, right}) == 2
+            assert {left: "left"}.get(right) is None
+        else:
+            assert (left == right) == (tuple(left) == tuple(right))
+
+    @given(small, small)
+    def test_stripe_id_hashes_like_its_field_tuple(self, stripe, position):
+        # As for the lattice ids: the dataclass hash value, kept so that set
+        # and dict iteration orders (and the goldens they feed) do not move.
+        assert hash(StripeBlockId(stripe, position)) == hash((stripe, position))
+
+    def test_stripe_id_surface(self):
+        block_id = StripeBlockId(3, 1)
+        assert block_id.label() == repr(block_id) == "s[3,1]"
+        assert (block_id.stripe, block_id.position) == (3, 1)
+        # ``index`` is the flat relocation index, not ``tuple.index``.
+        assert block_id.index == 3 * 1024 + 1
+        assert StripeBlockId(3, 1) < StripeBlockId(3, 2) < StripeBlockId(4, 0)
+        with pytest.raises(AttributeError):
+            block_id.stripe = 4
+        with pytest.raises(AttributeError):
+            block_id.index = 4
+
+    @given(any_block_id)
+    def test_codec_pickle_and_copy_keep_the_type(self, block_id):
+        for clone in (
+            decode_block_id(encode_block_id(block_id)),
+            pickle.loads(pickle.dumps(block_id)),
+            copy.copy(block_id),
+            copy.deepcopy(block_id),
+        ):
+            assert clone == block_id
+            assert type(clone) is type(block_id)
+
+    def test_codec_rejects_a_bare_tuple(self):
+        # A bare tuple equals the id with the same fields; it is still not one.
+        assert DataId(3) == (3,)
+        with pytest.raises(InvalidParametersError):
+            encode_block_id((3,))
 
 
 class TestImportSurface:

@@ -6,17 +6,40 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.blocks import DataId
 from repro.core.xor import (
     as_payload,
+    gather_payload_matrix,
     payload_to_bytes,
     payloads_equal,
     xor_many,
+    xor_pairs,
     xor_payloads,
     zero_payload,
 )
 from repro.exceptions import BlockSizeMismatchError
+from repro.storage.backends import SegmentLogBackend
 
 binary = st.binary(min_size=1, max_size=256)
+
+
+@st.composite
+def pair_columns(draw):
+    """Two columns of a repair plan: 0-40 rows of one block size, ``None``
+    (the virtual zero parity) on either or both sides."""
+    size = draw(st.sampled_from([1, 7, 4096]))
+    rows = draw(st.integers(min_value=0, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    def column():
+        return [
+            None
+            if draw(st.integers(min_value=0, max_value=4)) == 0
+            else rng.integers(0, 256, size=size, dtype=np.uint8)
+            for _ in range(rows)
+        ]
+
+    return size, column(), column()
 
 
 class TestConversions:
@@ -88,3 +111,102 @@ class TestXorAlgebra:
             xor_many([])
         with pytest.raises(BlockSizeMismatchError):
             xor_many([b"\x01", b"\x02\x03"])
+
+
+class TestXorPairs:
+    """The repair kernel: one result matrix, one XOR per pair, no gather."""
+
+    @given(pair_columns())
+    def test_equals_xor_payloads_pair_by_pair(self, columns):
+        size, firsts, seconds = columns
+        result = xor_pairs(firsts, seconds, size)
+        assert result.shape == (len(firsts), size)
+        assert result.dtype == np.uint8
+        zero = zero_payload(size)
+        for row, first, second in zip(result, firsts, seconds):
+            expected = xor_payloads(
+                zero if first is None else first, zero if second is None else second
+            )
+            assert payloads_equal(row, expected)
+
+    @given(pair_columns())
+    def test_rows_are_fresh_and_writable(self, columns):
+        size, firsts, seconds = columns
+        inputs = [payload for payload in firsts + seconds if payload is not None]
+        before = [payload.copy() for payload in inputs]
+        result = xor_pairs(firsts, seconds, size)
+        assert result.flags.writeable
+        # No row is an input (not even the copy of a lone side), so writing
+        # the result leaves every input as it was.
+        assert not any(np.shares_memory(result, payload) for payload in inputs)
+        result[...] = 0xFF
+        for payload, original in zip(inputs, before):
+            assert payloads_equal(payload, original)
+
+    def test_rows_do_not_alias_each_other(self):
+        shared = as_payload(b"\x0f" * 8)
+        result = xor_pairs([shared, shared, None], [None, shared, None], 8)
+        result[0, :] = 1
+        assert result[1].tolist() == [0] * 8
+        assert result[2].tolist() == [0] * 8
+        assert shared.tolist() == [0x0F] * 8
+
+    def test_no_pairs_gives_an_empty_matrix(self):
+        result = xor_pairs([], [], 16)
+        assert result.shape == (0, 16)
+        assert result.dtype == np.uint8
+
+    @pytest.mark.parametrize("size", [1, 3, 5])
+    @pytest.mark.parametrize("paired", [True, False])
+    def test_short_or_long_input_raises(self, size, paired):
+        # A one-byte input would broadcast if numpy were left to judge.
+        wrong = zero_payload(size)
+        other = zero_payload(4) if paired else None
+        for firsts, seconds in (([wrong], [other]), ([other], [wrong])):
+            with pytest.raises(BlockSizeMismatchError):
+                xor_pairs(firsts, seconds, 4)
+
+    def test_invalid_block_size_and_ragged_columns_raise(self):
+        for block_size in (0, -4):
+            with pytest.raises(BlockSizeMismatchError):
+                xor_pairs([], [], block_size)
+        with pytest.raises(BlockSizeMismatchError):
+            xor_pairs([zero_payload(4)], [], 4)
+
+    def test_accepts_byte_strings(self):
+        assert xor_pairs([b"\x01\x02"], [bytearray(b"\x03\x03")], 2).tolist() == [[2, 1]]
+
+    def test_read_only_mmap_inputs_are_left_untouched(self, tmp_path):
+        backend = SegmentLogBackend(str(tmp_path))
+        originals = {
+            DataId(index): np.full(64, index, dtype=np.uint8) for index in (1, 2, 3)
+        }
+        backend.put_many(originals.items())
+        backend.flush()
+        views = [backend.get(block_id) for block_id in originals]
+        assert not any(view.flags.writeable for view in views)
+        result = xor_pairs([views[0], views[1], None], [views[1], views[2], views[2]], 64)
+        assert result[:, 0].tolist() == [1 ^ 2, 2 ^ 3, 3]
+        assert result.flags.writeable
+        result[...] = 0
+        for view, original in zip(views, originals.values()):
+            assert payloads_equal(view, original)
+        backend.close()
+
+
+class TestGatherPayloadMatrix:
+    """Kept for callers that want the stacked matrix (the end-to-end tracer
+    times it directly); repair itself runs on :func:`xor_pairs`."""
+
+    def test_stacks_into_a_fresh_matrix_with_zero_rows_for_none(self):
+        one = as_payload(b"\x01\x02")
+        matrix = gather_payload_matrix([one, None, b"\x05\x06"], 2)
+        assert matrix.tolist() == [[1, 2], [0, 0], [5, 6]]
+        assert matrix.flags.writeable and not np.shares_memory(matrix, one)
+        assert gather_payload_matrix([], 2).shape == (0, 2)
+
+    def test_size_mismatch_raises(self):
+        with pytest.raises(BlockSizeMismatchError):
+            gather_payload_matrix([b"\x01"], 2)
+        with pytest.raises(BlockSizeMismatchError):
+            gather_payload_matrix([], 0)
