@@ -4,9 +4,11 @@ The paper argues AE encoding is lightweight because it is "essentially based
 on exclusive-or operations"; this benchmark quantifies how much of the
 remaining cost is Python per-block machinery by comparing
 
-* the sequential encoder (``Entangler.entangle`` per 4 KiB block) against the
-  vectorised ``BatchEntangler.entangle_batch``, across block sizes and
-  AE(alpha, s, p) settings, and
+* the sequential encoder (``Entangler.entangle`` per 4 KiB block) against
+  ``BatchEntangler.entangle_batch`` -- ``alpha`` XORs per block along a
+  memoised scan plan, every parity written straight into the one
+  ``(alpha, n, block_size)`` allocation of the batch -- across block sizes
+  and AE(alpha, s, p) settings, and
 * ``put`` against ``put_stream`` through a ``StorageService`` end to end
   (both ride the batched zero-copy pipeline).
 
@@ -16,7 +18,9 @@ Run with::
 
 ``test_batch_encode_speedup_at_4k`` is the acceptance gate: batched encoding
 must be at least 3x faster than the per-block path at 4 KiB blocks while
-producing bit-identical parities.
+producing bit-identical parities.  Its warm-up run leaves the heap mapped, so
+the ratio is the kernel's without first-touch page faults; the end-to-end
+``archive_ae`` ``put_mb_s`` (``benchmarks/e2e``) pays them.
 """
 
 from __future__ import annotations

@@ -53,8 +53,9 @@ Symbol                Paper reference / units
 ``Entangler``         Streaming encoder; one 4 KiB block (default) in,
                       ``alpha`` parities out via XOR (Sec. III-B, "Code
                       Specification").
-``BatchEntangler``    Vectorised encoder: a ``(n, block_size)`` uint8 stack in,
-                      per-strand running-XOR parity stacks out.  Bit-identical
+``BatchEntangler``    Batch encoder: a ``(n, block_size)`` uint8 stack in, one
+                      ``(alpha, n, block_size)`` parity stack out, ``alpha``
+                      XORs per block along a memoised scan plan.  Bit-identical
                       to ``n`` sequential ``entangle`` calls; the throughput
                       path behind the write-performance story of Fig. 10.
 ``EncodedBlock``      One data block plus its ``alpha`` parities (Sec. III-B).

@@ -78,11 +78,11 @@ from repro.core.xor import (
     gather_payload_matrix,
     payload_to_bytes,
     xor_accumulate,
+    xor_chain,
     xor_into,
     xor_many,
     xor_pairs,
     xor_payloads,
-    xor_rows,
     zero_payload,
 )
 
@@ -153,10 +153,10 @@ __all__ = [
     "walk_backward",
     "walk_forward",
     "xor_accumulate",
+    "xor_chain",
     "xor_into",
     "xor_many",
     "xor_pairs",
     "xor_payloads",
-    "xor_rows",
     "zero_payload",
 ]

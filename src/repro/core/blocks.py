@@ -25,7 +25,8 @@ from __future__ import annotations
 import hashlib
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterable, List, NamedTuple, Sequence, Union
+from itertools import repeat
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -66,6 +67,21 @@ class ParityId(NamedTuple):
 
 
 BlockId = Union[DataId, ParityId]
+
+
+def data_ids_for(indexes: Iterable[int]) -> Iterator[DataId]:
+    """``DataId(index)`` for every index, built in C.
+
+    ``tuple.__new__`` is what the generated ``DataId.__new__`` calls; going
+    to it directly spares the write path one Python frame per id.
+    """
+    return map(tuple.__new__, repeat(DataId), zip(indexes))
+
+
+def parity_ids_for(indexes: Iterable[int], strand_class: StrandClass) -> Iterator[ParityId]:
+    """``ParityId(index, strand_class)`` for every index, built in C like
+    :func:`data_ids_for`."""
+    return map(tuple.__new__, repeat(ParityId), zip(indexes, repeat(strand_class)))
 
 
 def is_data(block_id: BlockId) -> bool:

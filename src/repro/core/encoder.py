@@ -17,12 +17,20 @@ footprint discussed in the geo-replicated backup use case (Sec. IV-A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.blocks import Block, BlockId, DataId, EncodedBlock, ParityId, split_into_blocks
+from repro.core.blocks import (
+    Block,
+    BlockId,
+    DataId,
+    EncodedBlock,
+    ParityId,
+    parity_ids_for,
+    split_into_blocks,
+)
 from repro.core.lattice import HelicalLattice
 from repro.core.parameters import AEParameters, StrandClass
 from repro.core.position import strand_labels
@@ -34,7 +42,7 @@ from repro.core.xor import (
     PayloadMatrix,
     as_payload,
     as_payload_matrix,
-    xor_into,
+    xor_chain,
     xor_payloads,
     zero_payload,
 )
@@ -164,49 +172,46 @@ class Entangler:
 
 @dataclass
 class EncodedBatch:
-    """Result of entangling a stack of data blocks in one vectorised pass.
+    """Result of entangling a stack of data blocks in one pass.
 
     Payloads stay in matrix form -- ``data`` is the ``(n, block_size)`` input
-    stack and ``parities[c]`` holds, for the ``c``-th strand class of the code,
-    the ``n`` parities created by the batch (row ``k`` belongs to
-    ``data_ids[k]``).  Row views are handed to storage without per-block byte
-    copies, and parity identifiers are generated lazily -- materialising
-    ``n * alpha`` :class:`ParityId` objects eagerly would dominate the encode
-    time the batch path exists to eliminate.  :meth:`encoded_blocks` builds
-    classic :class:`EncodedBlock` objects when object-level access is
-    preferred.
+    stack and ``parities`` the one ``(alpha, n, block_size)`` allocation of
+    the batch: ``parities[c][k]`` is the parity that ``data_ids[k]`` created
+    on the ``c``-th strand class of the code.  Row views are handed to
+    storage without per-block byte copies.  :meth:`iter_blocks` is the one
+    definition of the order blocks are handed down in;
+    :meth:`encoded_blocks` builds classic :class:`EncodedBlock` objects when
+    object-level access is preferred.
     """
 
     data_ids: List[DataId]
     data: PayloadMatrix
-    strand_classes: Tuple[StrandClass, ...] = ()
-    parities: List[PayloadMatrix] = field(default_factory=list)
+    strand_classes: Tuple[StrandClass, ...]
+    parities: PayloadMatrix
 
     @property
     def block_count(self) -> int:
         """Number of data blocks in the batch."""
         return len(self.data_ids)
 
-    @property
-    def parity_ids(self) -> List[List[ParityId]]:
-        """Per strand-class parity identifiers (row ``k`` belongs to ``data_ids[k]``)."""
-        return [
-            [ParityId(data_id.index, strand_class) for data_id in self.data_ids]
-            for strand_class in self.strand_classes
-        ]
-
     def iter_blocks(self) -> Iterator[Tuple[BlockId, Payload]]:
-        """Yield ``(block_id, payload)`` pairs for every block of the batch.
+        """``(block_id, payload)`` pairs for every block of the batch.
 
         Payloads are row views into the batch matrices (no copies); the order
         matches the sequential encoder: each data block followed by its
-        parities in strand-class order.
+        parities in strand-class order.  That order is what every storage
+        location receives its blocks in.  The pairs are laid out by slice
+        assignment, one C-level pass per lane, not yielded one by one.
         """
-        for row, data_id in enumerate(self.data_ids):
-            yield data_id, self.data[row]
-            index = data_id.index
-            for position, strand_class in enumerate(self.strand_classes):
-                yield ParityId(index, strand_class), self.parities[position][row]
+        width = 1 + len(self.strand_classes)
+        blocks: List[Tuple[BlockId, Payload]] = [None] * (len(self.data_ids) * width)  # type: ignore[list-item]
+        blocks[0::width] = zip(self.data_ids, self.data)
+        indexes = [data_id.index for data_id in self.data_ids]
+        for lane, strand_class in enumerate(self.strand_classes, start=1):
+            blocks[lane::width] = zip(
+                parity_ids_for(indexes, strand_class), self.parities[lane - 1]
+            )
+        return iter(blocks)
 
     def encoded_blocks(self) -> List[EncodedBlock]:
         """Materialise the batch as per-block :class:`EncodedBlock` objects."""
@@ -220,91 +225,130 @@ class EncodedBatch:
         return blocks
 
 
+#: The chains of one strand class across a batch: every strand the batch
+#: touches, by ascending label, with the batch rows lying on it in lattice
+#: order.
+_ClassChains = Tuple[Tuple[StrandId, Tuple[int, ...]], ...]
+
+#: Batch rows the memoised scan plans of one encoder may hold between them.
+_PLAN_MEMO_ROWS = 1 << 15
+
+
 class BatchEntangler(Entangler):
-    """Vectorised entangler: encodes a stack of blocks per call.
+    """Planned one-pass entangler: encodes a stack of blocks per call.
 
     Entanglement along one strand is a running XOR -- parity ``p_k`` of a
-    strand is ``head ^ d_1 ^ ... ^ d_k`` over the strand's data blocks.  The
-    batch encoder partitions the rows of an incoming ``(n, block_size)``
-    matrix by strand with vectorised label arithmetic and computes each
-    strand's parity chain with one whole-block XOR per row, replacing the
-    per-block Python machinery (lattice bookkeeping, strand lookups, object
-    wrapping) with ``alpha`` matrix passes.  The produced parities are
-    bit-identical to ``n`` sequential :meth:`Entangler.entangle` calls and
-    leave the strand-head registry in the same state, so batched and
-    single-block encoding can be mixed freely.
+    strand is ``head ^ d_1 ^ ... ^ d_k`` over the strand's data blocks.  How
+    the rows of a batch fall onto strands depends only on where in the
+    lattice period (``s * max(p, 1)`` positions) the batch starts and on how
+    many rows it has, so that partition -- the *scan plan* -- is looked up,
+    not re-derived per call.  The batch then costs what the paper says a
+    write costs: ``alpha`` whole-block XORs per data block
+    (:func:`~repro.core.xor.xor_chain`), each reading a data row and the
+    previous parity of the strand and writing straight into its row of the
+    one ``(alpha, n, block_size)`` parity allocation.  Nothing is copied
+    first and nothing is XORed in place; the input matrix and the strand
+    heads are only ever read, so the input may be a read-only view over the
+    caller's ``bytes``.  The produced parities are bit-identical to ``n``
+    sequential :meth:`Entangler.entangle` calls and leave the strand-head
+    registry in the same state, so batched and single-block encoding can be
+    mixed freely.
+
+    The plan memo is derived state: keyed by ``(start offset in the period,
+    row count)``, bounded to ``_PLAN_MEMO_ROWS`` rows in total (oldest plan
+    evicted first), built on first use and never persisted.
     """
+
+    def __init__(self, params: AEParameters, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
+        super().__init__(params, block_size)
+        self._period = params.s * max(params.p, 1)
+        self._plans: Dict[Tuple[int, int], Tuple[_ClassChains, ...]] = {}
+        self._plan_rows = 0
 
     def entangle_batch(self, payloads: PayloadBatch) -> EncodedBatch:
         """Entangle a stack of blocks and return the batch result.
 
         ``payloads`` may be a ``(n, block_size)`` uint8 matrix, a byte string
-        (split into zero-padded blocks) or a sequence of block payloads.
+        (split into zero-padded blocks) or a sequence of block payloads.  On
+        the planned path the lattice and the strand heads move only once
+        every parity of the batch is computed: a call that raises leaves the
+        encoder where it was.
         """
         matrix = as_payload_matrix(payloads, self._block_size)
         count = matrix.shape[0]
         classes = self._params.strand_classes
+        parities = np.empty((len(classes), count, self._block_size), dtype=np.uint8)
         if count == 0:
-            return EncodedBatch(data_ids=[], data=matrix, strand_classes=classes)
+            return EncodedBatch([], matrix, classes, parities)
         if len(set(classes)) != len(classes):
             # alpha > 3 repeats helical classes; the interleaving of repeated
             # classes within one node is inherently sequential, so fall back.
-            return self._entangle_batch_sequential(matrix)
+            return self._entangle_batch_sequential(matrix, parities)
+        start = self._lattice.size + 1
+        # One row view per block, created in bulk: list indexing inside the
+        # scan is several times cheaper than ndarray row indexing.
+        sources = list(matrix)
+        head_payload = self._heads.head_payload
+        heads: List[Tuple[StrandId, int, Payload]] = []
+        for class_parities, chains in zip(parities, self._scan_plan(start, count)):
+            outputs = list(class_parities)
+            for strand, rows in chains:
+                head = xor_chain(sources, outputs, rows, head_payload(strand))
+                heads.append((strand, start + rows[-1], head))
         data_ids = self._lattice.grow(count)
-        start = data_ids[0].index
-        indexes = np.arange(start, start + count, dtype=np.int64)
-        batch = EncodedBatch(data_ids=data_ids, data=matrix, strand_classes=classes)
-        bitwise_xor = np.bitwise_xor
-        for strand_class in classes:
-            # Parities start as a copy of the data; each strand then XORs its
-            # predecessor parity into every row, in lattice order, in place.
-            parities = matrix.copy()
-            # One row view per block, created in bulk: list indexing inside the
-            # scan is several times cheaper than ndarray row indexing.
-            row_views = list(parities)
-            labels = strand_labels(indexes, strand_class, self._params)
-            if strand_class is StrandClass.HORIZONTAL:
-                label_count = self._params.s
-            else:
-                label_count = self._params.p
-            for label in range(label_count):
-                rows = np.nonzero(labels == label)[0]
-                if rows.size == 0:
-                    continue
-                strand = StrandId(strand_class, label)
-                head = self._heads.head_payload(strand)
-                previous = int(rows[0])
-                if head is not None:
-                    xor_into(row_views[previous], head)
-                chain = row_views[previous]
-                for row in rows[1:].tolist():
-                    current = row_views[row]
-                    bitwise_xor(current, chain, out=current)
-                    chain = current
-                    previous = row
-                self._heads.update(strand, start + previous, chain)
-            batch.parities.append(parities)
-        return batch
+        for strand, creator, head in heads:
+            self._heads.update(strand, creator, head)
+        return EncodedBatch(data_ids, matrix, classes, parities)
 
-    def _entangle_batch_sequential(self, matrix: PayloadMatrix) -> EncodedBatch:
+    def _scan_plan(self, start: int, count: int) -> Tuple[_ClassChains, ...]:
+        """Per strand class, the chains of a ``count``-row batch whose first
+        row is lattice position ``start`` (memoised per period offset)."""
+        key = ((start - 1) % self._period, count)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._build_scan_plan(*key)
+            if count <= _PLAN_MEMO_ROWS:
+                plans = self._plans
+                self._plan_rows += count
+                while self._plan_rows > _PLAN_MEMO_ROWS:
+                    oldest = next(iter(plans))
+                    self._plan_rows -= oldest[1]
+                    del plans[oldest]
+                plans[key] = plan
+        return plan
+
+    def _build_scan_plan(self, offset: int, count: int) -> Tuple[_ClassChains, ...]:
+        # Strand labels repeat with the lattice period, so the positions
+        # ``offset + 1 ..`` of the first period stand for the real ones.
+        indexes = np.arange(offset + 1, offset + 1 + count, dtype=np.int64)
+        plan: List[_ClassChains] = []
+        for strand_class in self._params.strand_classes:
+            labels = strand_labels(indexes, strand_class, self._params).tolist()
+            chains: Dict[int, List[int]] = {}
+            for row, label in enumerate(labels):
+                chains.setdefault(label, []).append(row)
+            plan.append(
+                tuple(
+                    (StrandId(strand_class, label), tuple(chains[label]))
+                    for label in sorted(chains)
+                )
+            )
+        return tuple(plan)
+
+    def _entangle_batch_sequential(
+        self, matrix: PayloadMatrix, parities: PayloadMatrix
+    ) -> EncodedBatch:
         """Per-block fallback used when strand classes repeat (alpha > 3)."""
-        encoded = [self.entangle(matrix[row]) for row in range(matrix.shape[0])]
-        batch = EncodedBatch(
-            data_ids=[e.data_id for e in encoded],
-            data=matrix,
-            strand_classes=self._params.strand_classes,
+        encoded = [self.entangle(row) for row in matrix]
+        for row, block in enumerate(encoded):
+            for position, parity in enumerate(block.parities):
+                parities[position, row] = parity.payload
+        return EncodedBatch(
+            [block.data_id for block in encoded],
+            matrix,
+            self._params.strand_classes,
+            parities,
         )
-        for position in range(len(self._params.strand_classes)):
-            batch.parities.append(np.stack([e.parities[position].payload for e in encoded]))
-        return batch
-
-    def encode_bytes_batched(self, data: bytes) -> Tuple[EncodedBatch, int]:
-        """Batched counterpart of :meth:`Entangler.encode_bytes`.
-
-        Returns the encoded batch plus the original byte length (needed to
-        strip the zero padding of the final block on reassembly).
-        """
-        return self.entangle_batch(data), len(data)
 
 
 def latest_strand_creators(params: AEParameters, size: int) -> dict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.blocks import BlockId, DataId, ParityId, is_data
+from repro.core.blocks import BlockId, DataId, ParityId, data_ids_for, is_data
 from repro.core.parameters import AEParameters, NodeCategory, StrandClass
 from repro.core.position import (
     LatticePosition,
@@ -114,7 +114,7 @@ class HelicalLattice:
         """Append ``count`` new data positions and return their identifiers."""
         if count < 0:
             raise LatticeBoundsError("cannot grow by a negative amount")
-        new_ids = [DataId(self._size + offset + 1) for offset in range(count)]
+        new_ids = list(data_ids_for(range(self._size + 1, self._size + count + 1)))
         self._size += count
         if count:
             self._parity_options_cache.clear()

@@ -129,16 +129,17 @@ def as_payload_matrix(data: PayloadBatch, block_size: int) -> PayloadMatrix:
     return np.stack(payloads)
 
 
-#: A dtype instance: comparing against the ``np.uint8`` *type* converts it
-#: on every call, and :func:`_block_row` runs twice per repaired block.
-_UINT8 = np.dtype(np.uint8)
+#: The payload dtype as an *instance*: comparing ``array.dtype`` against the
+#: ``np.uint8`` type converts it on every call, and the per-block payload
+#: checks (here and in :mod:`repro.storage`) run once or twice per block.
+UINT8 = np.dtype(np.uint8)
 
 
 def _block_row(item: PayloadLike, block_size: int) -> Payload:
     """``item`` as a 1-D uint8 payload of exactly ``block_size`` bytes."""
     payload = (
         item
-        if isinstance(item, np.ndarray) and item.dtype == _UINT8 and item.ndim == 1
+        if isinstance(item, np.ndarray) and item.dtype == UINT8 and item.ndim == 1
         else as_payload(item)
     )
     if payload.size != block_size:
@@ -209,6 +210,45 @@ def xor_pairs(
     return result
 
 
+def xor_chain(
+    sources: Sequence[Payload],
+    outputs: Sequence[Payload],
+    rows: Sequence[int],
+    initial: Optional[Payload] = None,
+) -> Payload:
+    """Running XOR along ``rows``, written beside its inputs: ``outputs[rows[k]]``
+    becomes ``initial ^ sources[rows[0]] ^ ... ^ sources[rows[k]]``.
+
+    This is the parity chain of one strand across a batch: ``sources`` and
+    ``outputs`` are the row views of the data matrix and of one strand
+    class's parity matrix (equally wide), ``rows`` the batch rows lying on
+    the strand in lattice order (at least one) and ``initial`` the strand
+    head.  Each parity is one XOR of a data row with the previous parity,
+    written straight into its output row -- no copy first, nothing XORed in
+    place, so ``sources`` and ``initial`` may be read-only.  ``None`` stands
+    for the virtual zero parity at a strand start: the first output is a copy
+    of its source.  Returns the last output row, the strand's new head.
+    """
+    chain = iter(rows)
+    row = next(chain)
+    previous = outputs[row]
+    if initial is None:
+        previous[:] = sources[row]
+    elif initial.shape != previous.shape:
+        # Checked, not left to numpy: a 1-byte head would broadcast.
+        raise BlockSizeMismatchError(
+            f"strand head of {initial.size} bytes does not fit block size {previous.size}"
+        )
+    else:
+        np.bitwise_xor(sources[row], initial, out=previous)
+    bitwise_xor = np.bitwise_xor
+    for row in chain:
+        current = outputs[row]
+        bitwise_xor(sources[row], previous, out=current)
+        previous = current
+    return previous
+
+
 def xor_into(dst: Payload, src: PayloadLike) -> Payload:
     """XOR ``src`` into ``dst`` in place (no allocation) and return ``dst``.
 
@@ -222,16 +262,6 @@ def xor_into(dst: Payload, src: PayloadLike) -> Payload:
         )
     np.bitwise_xor(dst, other, out=dst)
     return dst
-
-
-def xor_rows(matrix: PayloadMatrix, row: PayloadLike, out: Optional[PayloadMatrix] = None) -> PayloadMatrix:
-    """XOR one payload into every row of ``matrix`` (vectorised broadcast)."""
-    vector = as_payload(row)
-    if matrix.shape[-1] != vector.size:
-        raise BlockSizeMismatchError(
-            f"cannot XOR a {vector.size}-byte payload into rows of {matrix.shape[-1]} bytes"
-        )
-    return np.bitwise_xor(matrix, vector, out=out)
 
 
 def xor_accumulate(matrix: PayloadMatrix, initial: Optional[PayloadLike] = None) -> PayloadMatrix:

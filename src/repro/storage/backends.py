@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.core.blocks import DataId, ParityId
 from repro.core.parameters import StrandClass
-from repro.core.xor import Payload, as_payload
+from repro.core.xor import UINT8, Payload, as_payload
 from repro.exceptions import InvalidParametersError, UnknownBlockError
 
 __all__ = [
@@ -70,7 +70,7 @@ __all__ = [
 # Block-id codec
 # ----------------------------------------------------------------------
 @functools.cache
-def _stripe_block_id() -> type:
+def stripe_block_id_type() -> type:
     """:class:`~repro.schemes.stripe.StripeBlockId`, imported on first use:
     ``repro.schemes`` sits above ``repro.storage`` in the layering."""
     from repro.schemes.stripe import StripeBlockId
@@ -91,7 +91,7 @@ def encode_block_id(block_id: object) -> str:
         return f"d-{block_id.index}"
     if kind is ParityId:
         return f"p-{block_id.index}-{block_id.strand_class.value}"
-    if kind is _stripe_block_id():
+    if kind is stripe_block_id_type():
         return f"s-{block_id.stripe}-{block_id.position}"
     raise InvalidParametersError(
         f"cannot serialise block id {block_id!r} of type {type(block_id).__name__}"
@@ -107,18 +107,14 @@ def decode_block_id(key: str) -> object:
         if parts[0] == "p" and len(parts) == 3:
             return ParityId(int(parts[1]), StrandClass(parts[2]))
         if parts[0] == "s" and len(parts) == 3:
-            return _stripe_block_id()(int(parts[1]), int(parts[2]))
+            return stripe_block_id_type()(int(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise InvalidParametersError(f"malformed block key {key!r}: {exc}") from exc
     raise InvalidParametersError(f"malformed block key {key!r}")
 
 
 def _as_bytes_payload(payload: Payload) -> np.ndarray:
-    if (
-        isinstance(payload, np.ndarray)
-        and payload.dtype == np.uint8
-        and payload.ndim == 1
-    ):
+    if type(payload) is np.ndarray and payload.dtype == UINT8 and payload.ndim == 1:
         return payload
     return as_payload(payload)
 
@@ -206,11 +202,19 @@ class MemoryBackend(StorageBackend):
         self._payloads[block_id] = _as_bytes_payload(payload)
 
     def put_many(self, items: Iterable[Tuple[object, Payload]]) -> int:
-        staged = {
-            block_id: _as_bytes_payload(payload) for block_id, payload in items
-        }
-        self._payloads.update(staged)
-        return len(staged)
+        payloads = self._payloads
+        count = 0
+        for block_id, payload in items:
+            # :func:`_as_bytes_payload`, spelled out: once per stored block.
+            payloads[block_id] = (
+                payload
+                if type(payload) is np.ndarray
+                and payload.dtype == UINT8
+                and payload.ndim == 1
+                else as_payload(payload)
+            )
+            count += 1
+        return count
 
     def get(self, block_id: object) -> Payload:
         return self._payloads[block_id]

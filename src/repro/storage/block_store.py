@@ -31,7 +31,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.blocks import BlockId
-from repro.core.xor import Payload, as_payload
+from repro.core.xor import UINT8, Payload, as_payload
 from repro.exceptions import BlockUnavailableError, StorageFullError, UnknownBlockError
 from repro.storage import backends as _backends
 from repro.storage.backends import MemoryBackend, StorageBackend
@@ -206,32 +206,39 @@ class BlockStore:
             raise BlockUnavailableError(
                 f"location {self._location_id} is unavailable for writes"
             )
+        # The one staging structure of the call: ids deduplicated (first
+        # position, last payload), payloads checked once -- batch rows pass
+        # as they are, anything else is converted.
         staged = {
-            block_id: (
-                payload
-                if isinstance(payload, np.ndarray)
-                and payload.dtype == np.uint8
-                and payload.ndim == 1
-                else as_payload(payload)
-            )
+            block_id: payload
+            if type(payload) is np.ndarray
+            and payload.dtype == UINT8
+            and payload.ndim == 1
+            else as_payload(payload)
             for block_id, payload in items
         }
         with self._lock:
+            sizes = self._sizes
             if self._capacity is not None:
-                new_blocks = sum(
-                    1 for block_id in staged if block_id not in self._sizes
-                )
-                if len(self._sizes) + new_blocks > self._capacity:
+                new_blocks = len(staged.keys() - sizes.keys())
+                if len(sizes) + new_blocks > self._capacity:
                     raise StorageFullError(
                         f"location {self._location_id} cannot absorb {new_blocks} new "
-                        f"blocks (capacity {self._capacity}, holding {len(self._sizes)})"
+                        f"blocks (capacity {self._capacity}, holding {len(sizes)})"
                     )
             self._backend.put_many(staged.items())
+            added = 0
             for block_id, payload in staged.items():
-                self._bytes += int(payload.size) - self._sizes.get(block_id, 0)
-                self._sizes[block_id] = int(payload.size)
-                if block_id in self._cache:
-                    self._cache[block_id] = payload
+                size = payload.size
+                added += size - sizes.get(block_id, 0)
+                sizes[block_id] = size
+            self._bytes += added
+            cache = self._cache
+            if cache:
+                # Write-through coherence: refresh cached entries, never
+                # insert one (bulk ingest must not evict the hot read set).
+                for block_id in cache.keys() & staged.keys():
+                    cache[block_id] = staged[block_id]
             self._writes += len(staged)
         return len(staged)
 

@@ -16,8 +16,10 @@ cluster can be closed and reopened with all placements intact.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter
 from typing import (
     Dict,
     FrozenSet,
@@ -38,6 +40,10 @@ from repro.storage import backends as _backends
 from repro.storage.block_store import BlockStore
 from repro.storage.placement import PlacementPolicy, RandomPlacement
 from repro.storage.topology import Topology
+
+
+#: The id of a ``(block_id, payload)`` pair, picked out in C.
+_BLOCK_ID_OF = itemgetter(0)
 
 
 @dataclass
@@ -231,20 +237,37 @@ class StorageCluster:
         """Bulk write: place and store ``(block_id, payload)`` pairs.
 
         Placement decisions are computed up front through the policy's bulk
-        :meth:`PlacementPolicy.locations_for`, payloads are grouped per
-        destination and each location receives one :meth:`BlockStore.put_many`
-        call, so per-block Python overhead is amortised over the batch.  The
-        directory is updated in bulk.  Returns the number of blocks stored.
+        :meth:`PlacementPolicy.locations_for`, then the batch fans out
+        (:meth:`_fan_out`): one :meth:`BlockStore.put_many` call per
+        destination, so per-block Python overhead is amortised over the
+        batch.  Returns the number of blocks stored.
         """
         pairs = list(items)
-        locations = self._placement.locations_for([block_id for block_id, _ in pairs])
-        placed: Dict[int, List[Tuple[BlockId, Payload]]] = {}
-        for pair, location_id in zip(pairs, locations):
-            placed.setdefault(location_id, []).append(pair)
+        return self._fan_out(
+            pairs, self._placement.locations_for(list(map(_BLOCK_ID_OF, pairs)))
+        )
+
+    def _fan_out(
+        self, pairs: Sequence[Tuple[BlockId, Payload]], locations: Sequence[int]
+    ) -> int:
+        """Write ``pairs[k]`` to ``locations[k]``, one bulk call per location.
+
+        One pass groups the batch per destination; locations are then written
+        in the order the batch first names them, each receiving its blocks in
+        batch order, and the directory learns a location's blocks right after
+        that location accepted them.  A location that refuses (down, full)
+        raises out of the loop: what earlier locations took stays stored and
+        recorded, later locations are never asked.
+        """
+        placed: Dict[int, List[Tuple[BlockId, Payload]]] = defaultdict(list)
+        for location_id, pair in zip(locations, pairs):
+            placed[location_id].append(pair)
+        stores = self._stores
+        directory = self._directory
         stored = 0
         for location_id, group in placed.items():
-            stored += self._stores[location_id].put_many(group)
-            self._directory.update((block_id, location_id) for block_id, _ in group)
+            stored += stores[location_id].put_many(group)
+            directory.update(zip(map(_BLOCK_ID_OF, group), repeat(location_id)))
         return stored
 
     def get_many(self, block_ids: Iterable[BlockId]) -> List[Payload]:
@@ -388,22 +411,17 @@ class StorageCluster:
 
         Both go through :meth:`_pick_relocation_targets` (hard avoid-list,
         domain awareness, deterministic pool pick), so a block lands where a
-        per-block relocate loop would have put it; the physical writes are
-        grouped per target location into one :meth:`BlockStore.put_many`
-        call each -- the write path of batched repair.  Returns
-        ``{block_id: target location}``.
+        per-block relocate loop would have put it; the physical writes go
+        through the same per-location fan-out as :meth:`put_many` -- the
+        write path of batched repair.  Returns ``{block_id: target
+        location}``.
         """
         pairs = list(items)
         if not pairs:
             return {}
         block_ids = [block_id for block_id, _ in pairs]
         targets = self._pick_relocation_targets(block_ids, set(avoid))
-        placed: Dict[int, List[Tuple[BlockId, Payload]]] = {}
-        for pair, target in zip(pairs, targets):
-            placed.setdefault(target, []).append(pair)
-        for target, group in placed.items():
-            self._stores[target].put_many(group)
-            self._directory.update((block_id, target) for block_id, _ in group)
+        self._fan_out(pairs, targets)
         return dict(zip(block_ids, targets))
 
     def _pick_relocation_targets(

@@ -39,8 +39,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from repro.core.blocks import BlockId, DataId, ParityId
-from repro.core.parameters import AEParameters, STRAND_CLASS_ORDER
+from repro.core.parameters import AEParameters, STRAND_CLASS_ORDER, StrandClass
 from repro.exceptions import PlacementError
+from repro.storage.backends import stripe_block_id_type
 from repro.storage.topology import Topology
 
 TopologyLike = Union[Topology, int]
@@ -64,6 +65,13 @@ def _as_topology(topology: TopologyLike) -> Topology:
 _DRAW_SPAN = float(1 << 64)
 
 
+#: ``",<class>]"`` -- the tail of a parity id's ``repr`` -- per strand class.
+_PARITY_TAIL: Dict[StrandClass, bytes] = {
+    strand_class: f",{strand_class.value}]".encode("ascii")
+    for strand_class in StrandClass
+}
+
+
 def _block_draws(
     block_ids: Iterable[BlockId], seed: int, salt: bytes = b""
 ) -> List[int]:
@@ -71,19 +79,33 @@ def _block_draws(
 
     The draw is ``blake2b(salt + repr(block_id), key=seed)``; the keyed and
     salted state is built once and copied per block, which is what makes the
-    hashing policies batch functions.
+    hashing policies batch functions.  The three id kinds of the store spell
+    their ``repr`` out of their fields as bytes (``d7``, ``p[7,rh]``,
+    ``s[3,11]``) instead of going through ``repr`` -> ``label()`` -> enum
+    lookup -> ``encode`` per block; anything else takes ``repr``.
     """
     keyed = hashlib.blake2b(
         salt, key=seed.to_bytes(8, "little", signed=False), digest_size=8
     )
     copy = keyed.copy
-    from_bytes = int.from_bytes
-    draws = []
+    parity_tail = _PARITY_TAIL
+    stripe_kind = stripe_block_id_type()
+    digests = []
     for block_id in block_ids:
+        kind = type(block_id)
+        if kind is ParityId:
+            identity = b"p[%d" % block_id[0] + parity_tail[block_id[1]]
+        elif kind is DataId:
+            identity = b"d%d" % block_id
+        elif kind is stripe_kind:
+            identity = b"s[%d,%d]" % block_id
+        else:
+            identity = repr(block_id).encode("utf-8")
         state = copy()
-        state.update(repr(block_id).encode("utf-8"))
-        draws.append(from_bytes(state.digest(), "little"))
-    return draws
+        state.update(identity)
+        digests.append(state.digest())
+    # All digests to integers in one pass: little-endian unsigned 64-bit.
+    return np.frombuffer(b"".join(digests), dtype="<u8").tolist()
 
 
 class PlacementPolicy(ABC):
@@ -233,6 +255,12 @@ class StrandAwarePlacement(PlacementPolicy):
         return (group_index * self._group + lane) % self._location_count
 
 
+#: Lane of a parity within its node's repair group, before the ``% alpha``.
+_CLASS_LANE: Dict[StrandClass, int] = {
+    strand_class: lane for lane, strand_class in enumerate(STRAND_CLASS_ORDER)
+}
+
+
 def _lattice_lane(block_id: BlockId, alpha: int) -> Tuple[int, int]:
     """(group index, lane) of an AE or stripe block within its repair group.
 
@@ -240,13 +268,11 @@ def _lattice_lane(block_id: BlockId, alpha: int) -> Tuple[int, int]:
     class); stripe blocks group by stripe (one lane per position).  Anything
     else hashes into a single lane.
     """
-    if isinstance(block_id, DataId):
-        return block_id.index - 1, 0
-    if isinstance(block_id, ParityId):
-        return (
-            block_id.index - 1,
-            1 + STRAND_CLASS_ORDER.index(block_id.strand_class) % alpha,
-        )
+    kind = type(block_id)
+    if kind is ParityId:
+        return block_id[0] - 1, 1 + _CLASS_LANE[block_id[1]] % alpha
+    if kind is DataId:
+        return block_id[0] - 1, 0
     stripe = getattr(block_id, "stripe", None)
     if stripe is not None:
         return int(stripe), int(block_id.position)
@@ -287,10 +313,12 @@ class SpreadDomainsPlacement(PlacementPolicy):
         self._level = level or self.topology.default_level()
         self._domains = self.topology.domains(self._level)
         capacities = self.topology.capacities()
-        # Per-domain cumulative capacity for the intra-domain weighted pick.
-        self._cumulative = [
-            np.cumsum(capacities[list(members)]).tolist() for members in self._domains
-        ]
+        # Per domain, what the intra-domain weighted pick needs: the member
+        # locations, their cumulative capacity, its total and the last slot.
+        self._picks: List[Tuple[Tuple[int, ...], List[float], float, int]] = []
+        for members in self._domains:
+            cumulative = np.cumsum(capacities[list(members)]).tolist()
+            self._picks.append((members, cumulative, cumulative[-1], len(members) - 1))
         self._hashes = any(len(members) > 1 for members in self._domains)
 
     @property
@@ -336,22 +364,21 @@ class SpreadDomainsPlacement(PlacementPolicy):
         return self.locations_for((block_id,))[0]
 
     def locations_for(self, block_ids: Sequence[BlockId]) -> List[int]:
-        domains = self._domains
-        cumulative = self._cumulative
+        picks = self._picks
         draws: Iterable[int] = (
             _block_draws(block_ids, self._seed, salt=b"spread")
             if self._hashes
             else repeat(0)
         )
-        locations = []
+        locations: List[int] = []
+        append = locations.append
         for domain, draw in zip(self._domains_for(block_ids), draws):
-            members = domains[domain]
-            if len(members) == 1:
-                locations.append(members[0])
-                continue
-            weights = cumulative[domain]
-            index = bisect_right(weights, draw / _DRAW_SPAN * weights[-1])
-            locations.append(members[min(index, len(members) - 1)])
+            members, cumulative, total, last = picks[domain]
+            if last:
+                index = bisect_right(cumulative, draw / _DRAW_SPAN * total)
+                append(members[index if index < last else last])
+            else:
+                append(members[0])
         return locations
 
     def describe(self) -> str:

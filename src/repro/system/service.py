@@ -716,8 +716,11 @@ class StorageService:
 
         The scheme state is snapshotted in the same critical section as the
         encode, so replaying the newest surviving snapshot always covers
-        every catalogued document's blocks.
+        every catalogued document's blocks.  A volatile service has no log
+        to write them to.
         """
+        if self._wal is None:
+            return []
         seq = self._next_mutation()
         return [
             {
@@ -888,6 +891,12 @@ class StorageService:
         fully stored.
         """
         self._ensure_open()
+        if not memoryview(data).readonly:
+            # Blocks are stored as zero-copy views of the buffer they were
+            # cut from: a buffer the caller can still write to would change
+            # a stored data block under its parities.  ``bytes`` stays
+            # zero-copy.
+            data = bytes(data)
         with self._state_lock:
             # Encode *and* block write share the critical section: the
             # lattice has one monotonic write position, and any scheme-state

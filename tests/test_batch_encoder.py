@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.blocks import DataId, ParityId
-from repro.core.encoder import BatchEntangler, EncodedBatch, Entangler
+from repro.core.encoder import _PLAN_MEMO_ROWS, BatchEntangler, Entangler
 from repro.core.parameters import AEParameters, StrandClass
 from repro.core.position import strand_label, strand_labels
+from repro.core.strands import StrandId
 from repro.core.xor import (
     as_payload_matrix,
     xor_accumulate,
     xor_into,
-    xor_rows,
 )
 from repro.exceptions import BlockSizeMismatchError
 
@@ -78,13 +79,6 @@ class TestKernels:
     def test_xor_into_size_mismatch(self):
         with pytest.raises(BlockSizeMismatchError):
             xor_into(np.zeros(8, dtype=np.uint8), np.zeros(9, dtype=np.uint8))
-
-    def test_xor_rows_broadcasts(self):
-        matrix = random_matrix(5, 32)
-        vector = random_matrix(1, 32, seed=9)[0]
-        result = xor_rows(matrix, vector)
-        for row in range(5):
-            assert np.array_equal(result[row], np.bitwise_xor(matrix[row], vector))
 
     def test_xor_accumulate_matches_running_xor(self):
         matrix = random_matrix(6, 32)
@@ -162,14 +156,6 @@ class TestBatchEquivalence:
         assert batch.block_count == 0
         assert encoder.blocks_encoded == 0
 
-    def test_encode_bytes_batched_round_trip(self, hec_params):
-        encoder = BatchEntangler(hec_params, BLOCK)
-        payload = b"entangled document content " * 11
-        batch, length = encoder.encode_bytes_batched(payload)
-        assert length == len(payload)
-        joined = batch.data.tobytes()[:length]
-        assert joined == payload
-
 
 class TestEncodedBatch:
     def test_iter_blocks_order_and_ids(self, hec_params):
@@ -181,13 +167,6 @@ class TestEncodedBatch:
         assert blocks[1][0] == ParityId(1, StrandClass.HORIZONTAL)
         # Payloads are views into the batch matrices, not copies.
         assert blocks[0][1].base is not None
-
-    def test_parity_ids_match_iter_blocks(self, hec_params):
-        encoder = BatchEntangler(hec_params, BLOCK)
-        batch = encoder.entangle_batch(random_matrix(5))
-        from_iter = [bid for bid, _ in batch.iter_blocks() if isinstance(bid, ParityId)]
-        from_property = [pid for row in zip(*batch.parity_ids) for pid in row]
-        assert from_iter == from_property
 
 
 class TestCrashRecoveryInterop:
@@ -202,3 +181,119 @@ class TestCrashRecoveryInterop:
         recovered = Entangler(hec_params, BLOCK)
         recovered.restore(23, store.get)
         assert recovered._heads.snapshot() == batched._heads.snapshot()
+
+
+@st.composite
+def batch_streams(draw):
+    """A code setting, a start offset inside one lattice period and a
+    partition of a block stream into batches of 0 .. 3 periods."""
+    alpha, s, p = draw(
+        st.sampled_from([(1, 1, 0), (2, 1, 3), (2, 2, 2), (2, 2, 5), (3, 1, 4), (3, 2, 5), (3, 3, 4), (3, 5, 5)])
+    )
+    params = AEParameters(alpha, s, p)
+    period = s * max(p, 1)
+    offset = draw(st.integers(min_value=0, max_value=period - 1))
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=3 * period), min_size=1, max_size=6))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return params, offset, sizes, seed
+
+
+class TestPlannedScan:
+    """The scan plan is looked up, not re-derived: any partition from any
+    offset must still be the sequential encoder, bit for bit."""
+
+    SIZE = 8
+
+    @settings(deadline=None, max_examples=60)
+    @given(batch_streams())
+    def test_any_partition_from_any_offset_equals_sequential(self, stream):
+        params, offset, sizes, seed = stream
+        data = random_matrix(offset + sum(sizes), self.SIZE, seed=seed)
+        sequential = Entangler(params, self.SIZE)
+        batched = BatchEntangler(params, self.SIZE)
+        expected = [sequential.entangle(row) for row in data]
+        for row in data[:offset]:
+            batched.entangle(row)
+        cursor = offset
+        for size in sizes:
+            # ``bytes``: the batch matrix is a read-only view over them.
+            raw = data[cursor : cursor + size].tobytes()
+            batch = batched.entangle_batch(raw)
+            assert batch.data.tobytes() == raw
+            assert batch.data_ids == [e.data_id for e in expected[cursor : cursor + size]]
+            assert batch.parities.shape == (params.alpha, size, self.SIZE)
+            for want, got in zip(expected[cursor : cursor + size], batch.encoded_blocks()):
+                assert [p.block_id for p in want.parities] == [p.block_id for p in got.parities]
+                for wanted, produced in zip(want.parities, got.parities):
+                    assert np.array_equal(wanted.payload, produced.payload)
+            cursor += size
+            assert batched.blocks_encoded == cursor
+        assert sequential._heads.snapshot() == batched._heads.snapshot()
+        for strand in sequential._heads.snapshot():
+            assert np.array_equal(
+                sequential._heads.head_payload(strand), batched._heads.head_payload(strand)
+            )
+
+    def test_parities_are_fresh_writable_and_alias_nothing(self, hec_params):
+        raw = random_matrix(23).tobytes()
+        encoder = BatchEntangler(hec_params, BLOCK)
+        batch = encoder.entangle_batch(raw)
+        assert not batch.data.flags.writeable  # a view over the caller's bytes
+        assert batch.parities.flags.writeable
+        assert not np.shares_memory(batch.parities, batch.data)
+        expected = batch.parities.copy()
+        for position in range(hec_params.alpha):
+            for row in range(23):
+                batch.parities[position, row] ^= 0xFF
+                expected[position, row] ^= 0xFF
+                # Exactly one row moved: no parity aliases another.
+                assert np.array_equal(batch.parities, expected)
+        assert batch.data.tobytes() == raw
+
+    def test_a_head_of_the_wrong_size_raises_and_moves_nothing(self, hec_params):
+        encoder = BatchEntangler(hec_params, BLOCK)
+        encoder.entangle_batch(random_matrix(10))
+        strand = StrandId(StrandClass.LEFT_HANDED, 3)
+        creator, _ = encoder._heads.head(strand)
+        # One byte would broadcast if numpy were left to judge.
+        encoder._heads.update(strand, creator, np.zeros(1, dtype=np.uint8))
+        before = encoder._heads.snapshot()
+        with pytest.raises(BlockSizeMismatchError):
+            encoder.entangle_batch(random_matrix(10, seed=8))
+        assert encoder.blocks_encoded == 10
+        assert encoder._heads.snapshot() == before
+
+    def test_plan_memo_stays_bounded_and_survives_restore(self):
+        # AE(3,10,10): 100 start offsets x 100 batch sizes = 10 000 plans.
+        params = AEParameters(3, 10, 10)
+        encoder = BatchEntangler(params, 4)
+        seen = set()
+        for count in range(1, 101):
+            for start in range(1, 101):
+                plan = encoder._scan_plan(start, count)
+                seen.add((start, count))
+                assert sum(len(rows) for _, rows in plan[0]) == count
+            held = sum(count for _, count in encoder._plans)
+            assert held == encoder._plan_rows <= _PLAN_MEMO_ROWS
+        assert len(seen) == 10_000
+        assert 0 < len(encoder._plans) < 10_000
+        # A plan larger than the whole budget is used, never kept.
+        encoder._scan_plan(1, _PLAN_MEMO_ROWS + 1)
+        assert encoder._plan_rows <= _PLAN_MEMO_ROWS
+        # Plans belong to the code setting, not to the lattice position:
+        # after a crash restore at any size they still give the right chains.
+        data = random_matrix(257, 4, seed=3)
+        sequential = Entangler(params, 4)
+        store = {}
+        for row in data[:130]:
+            for block in sequential.entangle(row).all_blocks():
+                store[block.block_id] = block.payload
+        encoder.restore(130, store.get)
+        produced = encoder.entangle_batch(data[130:230]).encoded_blocks()
+        produced += encoder.entangle_batch(data[230:]).encoded_blocks()
+        for row, got in zip(data[130:], produced):
+            want = sequential.entangle(row)
+            assert want.data_id == got.data_id
+            for wanted, made in zip(want.parities, got.parities):
+                assert np.array_equal(wanted.payload, made.payload)
+        assert sequential._heads.snapshot() == encoder._heads.snapshot()

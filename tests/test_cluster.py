@@ -6,7 +6,12 @@ import pytest
 
 from repro.core.blocks import Block, DataId, ParityId
 from repro.core.parameters import AEParameters, StrandClass
-from repro.exceptions import PlacementError, UnknownBlockError
+from repro.exceptions import (
+    BlockUnavailableError,
+    PlacementError,
+    StorageFullError,
+    UnknownBlockError,
+)
 from repro.storage.cluster import StorageCluster
 from repro.storage.placement import DictionaryPlacement, RandomPlacement
 
@@ -96,3 +101,78 @@ class TestRelocation:
         cluster.fail_locations([0, 1])
         with pytest.raises(PlacementError):
             cluster.relocate(DataId(1), b"y", avoid=())
+
+
+class TestBulkWriteFanOut:
+    """``put_many`` writes location by location, in the order the batch first
+    names them.  What a refusing location leaves behind is pinned here as it
+    was before the fan-out became one grouping pass (PR 19): earlier
+    locations keep and record their blocks, the refusing one and every later
+    one hold nothing, and nothing of theirs is recorded."""
+
+    LOCATIONS = (2, 0, 2, 3, 0, 1, 3, 2)
+
+    def batch(self):
+        ids = [
+            DataId(index) if index % 2 else ParityId(index, StrandClass.HORIZONTAL)
+            for index in range(1, len(self.LOCATIONS) + 1)
+        ]
+        mapping = dict(zip(ids, self.LOCATIONS))
+        items = [(block_id, bytes([block_id.index]) * 4) for block_id in ids]
+        return mapping, items
+
+    def cluster(self, mapping, **options):
+        return StorageCluster(4, DictionaryPlacement(4, mapping), **options)
+
+    def test_groups_per_location_in_batch_order(self):
+        mapping, items = self.batch()
+        cluster = self.cluster(mapping)
+        assert cluster.put_many(iter(items)) == len(items)
+        # The directory learns the locations in first-use order, each
+        # location's blocks in batch order -- and so does every store.
+        assert list(cluster.block_ids()) == [
+            block_id for location in (2, 0, 3, 1) for block_id in mapping if mapping[block_id] == location
+        ]
+        for location in range(4):
+            assert list(cluster.location(location).block_ids()) == cluster.blocks_at(location)
+            assert cluster.location(location).write_count == self.LOCATIONS.count(location)
+        for block_id, payload in items:
+            assert cluster.get_block(block_id).tobytes() == payload
+
+    def test_a_duplicate_id_keeps_its_first_position_and_last_payload(self):
+        mapping, items = self.batch()
+        cluster = self.cluster(mapping)
+        first = items[0][0]
+        assert cluster.put_many(items + [(first, b"\xee" * 4)]) == len(items)
+        assert cluster.blocks_at(2)[0] == first
+        assert cluster.get_block(first).tobytes() == b"\xee" * 4
+        assert cluster.location(2).write_count == 3
+        assert cluster.stats().bytes_stored == 4 * len(items)
+
+    @pytest.mark.parametrize("refusal", ["down", "full"])
+    def test_a_refusing_location_stops_the_batch_where_it_stands(self, refusal):
+        mapping, items = self.batch()
+        if refusal == "down":
+            cluster = self.cluster(mapping)
+            cluster.fail_locations([3])
+            error = BlockUnavailableError
+        else:
+            # Location 3 is asked for two blocks and has room for one.
+            cluster = self.cluster(mapping, capacity_blocks=3)
+            cluster.put_block(Block(DataId(90), b"old!"), location_id=3)
+            cluster.put_block(Block(DataId(91), b"old!"), location_id=3)
+            error = StorageFullError
+        before = set(cluster.block_ids())
+        with pytest.raises(error):
+            cluster.put_many(items)
+        written = [block_id for block_id in mapping if mapping[block_id] in (2, 0)]
+        assert set(cluster.block_ids()) - before == set(written)
+        for block_id in written:
+            assert cluster.location_of(block_id) == mapping[block_id]
+            assert cluster.location(mapping[block_id]).contains(block_id)
+        for block_id in mapping:
+            if block_id not in written:
+                assert not cluster.knows(block_id)
+                assert not any(store.contains(block_id) for store in cluster.locations())
+        assert cluster.location(1).write_count == 0
+        assert cluster.stats().bytes_stored == 4 * len(written) + 4 * len(before)

@@ -70,3 +70,16 @@ class TestCoreImportSurface:
         for required in ("xor_pairs", "gather_payload_matrix"):
             assert required in repro.core.__all__
             assert getattr(repro.core, required) is getattr(repro.core.xor, required)
+
+    def test_write_kernels_are_exported(self):
+        """RPR002 anchor for the XOR kernels of the write path: the strand
+        scan ``entangle_batch`` runs on (PR 19) and its in-place stack form,
+        which nothing in ``src/`` calls but the end-to-end tracer times.
+        ``xor_rows`` went with the copy-then-XOR-in-place entangler."""
+        import repro.core.xor
+
+        for required in ("xor_chain", "xor_accumulate"):
+            assert required in repro.core.__all__
+            assert getattr(repro.core, required) is getattr(repro.core.xor, required)
+        assert "xor_rows" not in repro.core.__all__
+        assert not hasattr(repro.core.xor, "xor_rows")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import inspect
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParametersError, UnknownBlockError
@@ -164,6 +165,35 @@ def test_flush_on_a_closed_handle_cannot_roll_the_catalogue_back(layer, tmp_path
     with open_layer(layer, "disk", tmp_path) as reopened:
         assert reopened.get("a") == payload(1)
         assert reopened.get("b") == payload(2)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+@pytest.mark.parametrize("scheme", ["ae-3-2-5", "rs-10-4", "rep-3"])
+@pytest.mark.parametrize("kind", ["bytearray", "memoryview", "ndarray"])
+def test_put_snapshots_a_buffer_the_caller_can_still_write(layer, scheme, kind, tmp_path):
+    """Regression: blocks are stored as zero-copy views of the buffer a
+    document was cut from, so ``put`` of a writable buffer left the stored
+    data blocks (not their parities) following the caller's later writes."""
+    original = payload(5, 2048)
+    raw = bytearray(original)
+    buffer = {
+        "bytearray": raw,
+        "memoryview": memoryview(raw),
+        "ndarray": np.frombuffer(raw, dtype=np.uint8),
+    }[kind]
+    with open_layer(layer, "memory", tmp_path, scheme=scheme) as service:
+        assert service.put("doc", buffer).length == len(original)
+        raw[0:4] = b"ZZZZ"
+        assert service.get("doc") == original
+        service.fail_locations(service.topology.locations_for_target("site:0"))
+        assert service.get("doc") == original  # degraded read
+        raw[1024:1028] = b"YYYY"
+        assert service.get("doc") == original
+        report = service.repair()
+        assert report.data_loss == 0
+        service.restore_locations()
+        raw[-4:] = b"XXXX"
+        assert service.get("doc") == original
 
 
 class TestOpenService:

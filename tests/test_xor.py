@@ -12,6 +12,7 @@ from repro.core.xor import (
     gather_payload_matrix,
     payload_to_bytes,
     payloads_equal,
+    xor_chain,
     xor_many,
     xor_pairs,
     xor_payloads,
@@ -192,6 +193,56 @@ class TestXorPairs:
         for view, original in zip(views, originals.values()):
             assert payloads_equal(view, original)
         backend.close()
+
+
+@st.composite
+def strand_chains(draw):
+    """A data matrix, the rows of one strand chain across it (ascending, at
+    least one) and the strand head, ``None`` at a strand start."""
+    size = draw(st.sampled_from([1, 7, 4096]))
+    count = draw(st.integers(min_value=1, max_value=24))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = sorted(draw(st.sets(st.integers(min_value=0, max_value=count - 1), min_size=1)))
+    data = rng.integers(0, 256, size=(count, size), dtype=np.uint8)
+    head = rng.integers(0, 256, size=size, dtype=np.uint8) if draw(st.booleans()) else None
+    return data, rows, head
+
+
+class TestXorChain:
+    """The entangler kernel: one strand's parity chain across a batch, every
+    parity written beside its inputs."""
+
+    @given(strand_chains())
+    def test_equals_the_running_xor_and_reads_only(self, chain):
+        data, rows, head = chain
+        size = data.shape[1]
+        before = data.copy()
+        data.flags.writeable = False
+        if head is not None:
+            head_before = head.copy()
+            head.flags.writeable = False
+        parities = np.full_like(before, 0xAA)
+        outputs = list(parities)
+        last = xor_chain(list(data), outputs, rows, head)
+        running = zero_payload(size) if head is None else head
+        for row in rows:
+            running = xor_payloads(running, before[row])
+            assert payloads_equal(parities[row], running)
+        # The new strand head is the last output row itself, not a copy.
+        assert last is outputs[rows[-1]]
+        # Rows off the chain are not touched; inputs are only ever read.
+        for row in set(range(len(before))) - set(rows):
+            assert parities[row].tolist() == [0xAA] * size
+        assert np.array_equal(data, before)
+        assert head is None or np.array_equal(head, head_before)
+
+    @pytest.mark.parametrize("wrong", [1, 3, 5])
+    def test_a_head_of_the_wrong_size_raises(self, wrong):
+        # A one-byte head would broadcast if numpy were left to judge.
+        data = np.zeros((2, 4), dtype=np.uint8)
+        parities = np.zeros_like(data)
+        with pytest.raises(BlockSizeMismatchError):
+            xor_chain(list(data), list(parities), [0, 1], zero_payload(wrong))
 
 
 class TestGatherPayloadMatrix:
