@@ -4,10 +4,13 @@ Two entries, recorded into ``BENCH_transition.json`` (docs/benchmarks.md):
 
 * ``test_transition_chain_throughput`` -- the canonical chain
   ``rep-3 -> ae-3-2-5 -> rs-10-4`` against a disk-backed durable service:
-  every hop is timed end to end (plan persisted, documents re-encoded
+  every hop is timed end to end (plan checkpointed, documents re-encoded
   copy-commit-before-delete, plan settled) and every document must read
-  back byte-exact after every hop.  Migration throughput in documents/s
-  is the regression-gated metric; MB/s rides along informationally.
+  back byte-exact after every hop -- the in-test floor.  Documents/s and
+  MB/s are recorded informationally (``gates=[]``): an uncalibrated absolute
+  number on the file-per-block backend swings 2-4x at an unchanged commit;
+  the timing ruler for transitions is ``transition_mb_s`` on the e2e
+  ``transition_chain`` workload (``benchmarks/e2e``).
 * ``test_reads_stay_live_during_transition`` -- the zero-downtime claim,
   measured: reader threads hammer ``get`` while the concurrent front-end
   migrates the namespace underneath them.  Every read must succeed and
@@ -16,8 +19,7 @@ Two entries, recorded into ``BENCH_transition.json`` (docs/benchmarks.md):
   concurrent migration is too host-dependent to gate, the byte-exactness
   and zero-error floors are asserted in-test instead).
 
-``REPRO_BENCH_SMOKE=1`` shrinks the workloads for CI smoke runs; the
-regression gate proper is the BENCH snapshot compare (``perf_record.py``).
+``REPRO_BENCH_SMOKE=1`` shrinks the workloads for quick local runs.
 
 Run with::
 
@@ -64,7 +66,7 @@ def _percentile(samples: list, fraction: float) -> float:
 
 
 def test_transition_chain_throughput(tmp_path, print_tables):
-    """Gate: documents/s for the durable rep-3 -> ae -> rs re-encode chain."""
+    """Byte-exact after every hop of the durable rep-3 -> ae -> rs chain."""
     payloads = _make_docs(CHAIN_DOCS, CHAIN_PAYLOAD)
     service = StorageService.open(
         StorageConfig(
@@ -112,7 +114,7 @@ def test_transition_chain_throughput(tmp_path, print_tables):
             "mb_per_sec": mb_per_sec,
             "documents_migrated": float(migrated),
         },
-        gates=["docs_per_sec"],
+        gates=[],
     )
     assert migrated == len(CHAIN) * CHAIN_DOCS, (
         "every hop must re-encode every document exactly once"

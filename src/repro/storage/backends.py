@@ -128,9 +128,7 @@ class StorageBackend(ABC):
     The backend is deliberately dumb: no availability flag, no capacity, no
     counters -- those belong to :class:`~repro.storage.block_store.BlockStore`,
     which stays the single model of a *location*.  A backend only stores,
-    retrieves, deletes and enumerates payloads, plus a small JSON metadata
-    side-channel (:meth:`load_meta` / :meth:`save_meta`) that persistent
-    backends use to carry location counters across a close/reopen.
+    retrieves, deletes and enumerates payloads.
     """
 
     #: Registry name of the backend family (``"memory"``, ``"disk"``, ...).
@@ -169,13 +167,6 @@ class StorageBackend(ABC):
         Used once at open time to rebuild the location index (and, one level
         up, the cluster's placement directory) from pre-existing data.
         """
-
-    def load_meta(self) -> Dict[str, object]:
-        """Metadata persisted by :meth:`save_meta` (empty for volatile backends)."""
-        return {}
-
-    def save_meta(self, meta: Dict[str, object]) -> None:
-        """Persist a small JSON-serialisable metadata dict (no-op if volatile)."""
 
     def flush(self) -> None:
         """Push buffered writes to the medium."""
@@ -301,12 +292,6 @@ class DiskBackend(StorageBackend):
                 os.remove(entry.path)
                 continue
             yield decode_block_id(entry.name), entry.stat().st_size
-
-    def load_meta(self) -> Dict[str, object]:
-        return _read_meta(os.path.join(self._root, "meta.json"))
-
-    def save_meta(self, meta: Dict[str, object]) -> None:
-        _write_meta(os.path.join(self._root, "meta.json"), meta)
 
 
 # ----------------------------------------------------------------------
@@ -635,13 +620,7 @@ class SegmentLogBackend(StorageBackend):
         for segment in old_segments:
             os.remove(self._segment_path(segment))
 
-    # -- metadata / lifecycle -------------------------------------------
-    def load_meta(self) -> Dict[str, object]:
-        return _read_meta(os.path.join(self._root, "meta.json"))
-
-    def save_meta(self, meta: Dict[str, object]) -> None:
-        _write_meta(os.path.join(self._root, "meta.json"), meta)
-
+    # -- lifecycle ------------------------------------------------------
     def flush(self) -> None:
         if self._writer is not None:
             self._writer.flush()
@@ -660,8 +639,8 @@ class SegmentLogBackend(StorageBackend):
 
 
 # ----------------------------------------------------------------------
-# Metadata helpers (shared by the persistent backends and the service
-# manifest in :mod:`repro.system.service`)
+# Atomic JSON publication (the service manifest in
+# :mod:`repro.system.service`, the federation manifest)
 # ----------------------------------------------------------------------
 def _fsync_dir(path: str) -> None:
     """fsync a directory so a just-published rename survives power loss."""
@@ -688,22 +667,6 @@ def write_json(path: str, payload: Dict[str, object], fsync: bool = False) -> No
     os.replace(tmp, path)
     if fsync:
         _fsync_dir(os.path.dirname(path) or ".")
-
-
-def _read_meta(path: str) -> Dict[str, object]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        return {}
-    except json.JSONDecodeError:
-        # Counters are best-effort metadata: a torn meta file degrades to
-        # fresh counters rather than an unopenable location.
-        return {}
-
-
-def _write_meta(path: str, meta: Dict[str, object]) -> None:
-    write_json(path, meta)
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,8 @@ everything that makes the location a *location* -- the availability flag, the
 capacity limit, read/write accounting, and a small write-through LRU read
 cache that keeps repeated reads on persistent backends close to memory speed.
 Opening a store over a persistent backend with pre-existing data rebuilds the
-block index (and restores the persisted counters), so a location survives a
-process restart with its content intact.
+block index, so a location survives a process restart with its content intact
+(the counters are per-process and start at 0).
 
 Block operations are thread-safe: one lock per store guards the block
 index, the LRU cache (an ``OrderedDict`` whose re-linking is *not* atomic
@@ -75,9 +75,8 @@ class BlockStore:
         for block_id, size in backend.scan():
             self._sizes[block_id] = size
             self._bytes += size
-        meta = backend.load_meta()
-        self._reads = int(meta.get("reads", 0))
-        self._writes = int(meta.get("writes", 0))
+        self._reads = 0
+        self._writes = 0
 
     # ------------------------------------------------------------------
     # Identity and state
@@ -349,9 +348,7 @@ class BlockStore:
         self._backend.flush()
 
     def close(self) -> None:
-        """Persist counters (on persistent backends) and release the backend."""
-        if self._backend.persistent:
-            self._backend.save_meta({"reads": self._reads, "writes": self._writes})
+        """Release the backend (counters are per-process: they restart at 0)."""
         self._backend.close()
 
     def __len__(self) -> int:

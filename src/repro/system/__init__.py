@@ -5,7 +5,8 @@
 * :mod:`repro.system.opening` -- :func:`open_service`, the one way to open
   whichever layer a config describes;
 * :mod:`repro.system.service` -- :class:`StorageService`, the
-  put/get/delete/repair front-end over any redundancy scheme;
+  put/get/delete/repair front-end over any redundancy scheme; a durable one
+  is exactly ``manifest.json`` (the checkpoint) plus ``wal.log``;
 * :mod:`repro.system.frontend` -- :class:`ConcurrentStorageService`, the
   thread-pool multi-client request path with striped locks and backpressure;
 * :mod:`repro.system.loadgen` -- the closed-loop multi-client load generator
@@ -19,9 +20,9 @@
   consistent-hash federation of many services with scatter-gather reads and
   cross-shard rebalancing;
 * :mod:`repro.system.transitions` -- :class:`TransitionEngine` and the
-  durable :class:`TransitionPlan`: live, crash-resumable migrations between
-  redundancy schemes (alpha raises, puncturing changes, cross-family
-  re-encodes).
+  :class:`TransitionPlan` it keeps in the manifest checkpoint: live,
+  crash-resumable migrations between redundancy schemes (alpha raises,
+  puncturing changes, cross-family re-encodes).
 """
 
 from repro.system.archive import ArchiveEntry, ArchiveStore

@@ -22,7 +22,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, ContextManager, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, ContextManager, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import repro.schemes as schemes
 from repro.core.blocks import join_blocks
@@ -58,7 +58,7 @@ MANIFEST_FORMAT = 1
 
 #: WAL size (bytes) past which a mutation triggers a checkpoint that
 #: collapses the log back into ``manifest.json``.
-DEFAULT_WAL_CHECKPOINT_BYTES = 1 << 20
+WAL_CHECKPOINT_BYTES = 1 << 20
 
 
 def _encode_id_runs(data_ids: List[object]) -> List[object]:
@@ -176,8 +176,9 @@ class StorageConfig:
 
     A durable service persists metadata mutations as group-committed
     records in ``wal.log`` and checkpoints them into ``manifest.json`` once
-    the log passes ``wal_checkpoint_bytes``; it survives a crash at any
-    point, see ``docs/persistence.md``.
+    the log passes :data:`WAL_CHECKPOINT_BYTES`; the two files are its whole
+    durable truth and it survives a crash at any point, see
+    ``docs/persistence.md``.
     """
 
     scheme: Union[str, RedundancyScheme] = schemes.DEFAULT_SCHEME
@@ -195,7 +196,6 @@ class StorageConfig:
     fsync: bool = False
     cache_blocks: Optional[int] = None
     topology: Optional[Union[str, int, Topology]] = None
-    wal_checkpoint_bytes: int = DEFAULT_WAL_CHECKPOINT_BYTES
     #: Shard count for :class:`~repro.system.sharding.ShardedStorageService`;
     #: ``None`` (or 1) means an unsharded service.
     shards: Optional[int] = None
@@ -276,7 +276,6 @@ class StorageService:
         seed: int = 0,
         custom_placement: bool = False,
         placement_spec: Optional[str] = None,
-        wal_checkpoint_bytes: int = DEFAULT_WAL_CHECKPOINT_BYTES,
     ) -> None:
         if batch_blocks < 1:
             raise ValueError("batch_blocks must be at least 1")
@@ -310,7 +309,6 @@ class StorageService:
             if data_dir is not None
             else None
         )
-        self._wal_checkpoint_bytes = int(wal_checkpoint_bytes)
         # Live-transition state: while a cross-family migration is in
         # flight, ``_transition.pending`` names the documents still encoded
         # under ``_fallback`` (the retained source scheme); reads of those
@@ -350,28 +348,20 @@ class StorageService:
         scheme = config.resolve_scheme()
         manifest = cls._load_manifest(config.data_dir)
         plan: Optional[TransitionPlan] = None
-        if manifest is not None and config.data_dir is not None:
-            plan = TransitionPlan.load(config.data_dir)
         if manifest is not None:
+            if "transition" in manifest:
+                plan = TransitionPlan.from_dict(manifest["transition"])  # type: ignore[arg-type]
             stored_scheme = manifest.get("scheme")
             if stored_scheme != scheme.scheme_id:
-                in_flight = (
-                    plan is not None
-                    and stored_scheme in (plan.source, plan.target)
-                    and scheme.scheme_id in (plan.source, plan.target)
-                )
-                if in_flight:
-                    # A crash mid-transition: the manifest names the scheme
-                    # that owns the catalogue right now; open under it, then
-                    # resume the interrupted switch below.
-                    scheme = schemes.get(
-                        str(stored_scheme), block_size=scheme.block_size
-                    )
-                else:
+                if plan is None or scheme.scheme_id not in (plan.source, plan.target):
                     raise InvalidParametersError(
                         f"data_dir {config.data_dir!r} holds a {stored_scheme!r} "
                         f"service, not {scheme.scheme_id!r}"
                     )
+                # A crash mid-transition, reopened under the other endpoint:
+                # the manifest names the scheme that owns the catalogue right
+                # now; open under it, then resume the interrupted switch below.
+                scheme = schemes.get(str(stored_scheme), block_size=scheme.block_size)
             # Compare against the resolved scheme's block size: a config may
             # carry a scheme *instance* whose block size differs from the
             # config field (which the instance path never reads).
@@ -482,7 +472,6 @@ class StorageService:
             seed=seed,
             custom_placement=custom_placement,
             placement_spec=placement_spec,
-            wal_checkpoint_bytes=config.wal_checkpoint_bytes,
         )
         wal_groups: List[WalGroup] = (
             service._wal.recovered_groups() if service._wal is not None else []
@@ -512,14 +501,15 @@ class StorageService:
             scheme_state = service._replay_wal(wal_groups, scheme_state)
         if scheme_state is not None:
             scheme.restore_state(scheme_state, cluster.try_get_block)
+        if config.data_dir is not None:
+            # Collapse the replayed tail into a fresh checkpoint so the next
+            # crash window -- and a resumed transition's first record --
+            # starts from an empty log, bound to the scheme that owns it.
+            service._checkpoint()
         if service._transition is not None:
             # Finish what the crash interrupted before serving anything: the
             # plan plus the replayed WAL name exactly the remaining work.
             service._resume_transition()
-        if config.data_dir is not None:
-            # Collapse the replayed tail into a fresh checkpoint so the next
-            # crash window starts from an empty log.
-            service._checkpoint()
         return service
 
     # ------------------------------------------------------------------
@@ -534,6 +524,13 @@ class StorageService:
     def _load_manifest(data_dir: Optional[str]) -> Optional[Dict[str, object]]:
         if data_dir is None:
             return None
+        legacy_plan = os.path.join(data_dir, "transition.json")
+        if os.path.exists(legacy_plan):
+            raise InvalidParametersError(
+                f"{legacy_plan!r} is the transition plan of an older version "
+                "(plans now live in the manifest); finish the transition with "
+                "the version that started it before reopening"
+            )
         path = os.path.join(data_dir, MANIFEST_NAME)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -592,6 +589,8 @@ class StorageService:
                 [epoch.first_index, epoch.params.alpha, epoch.params.s, epoch.params.p]
                 for epoch in self._epochs
             ]
+        if self._transition is not None:
+            manifest["transition"] = self._transition.to_dict()
         write_json(
             os.path.join(self._data_dir, MANIFEST_NAME), manifest, fsync=self._fsync
         )
@@ -611,12 +610,14 @@ class StorageService:
         """
         state = scheme_state
         state_seq = -1
-        # Which scheme the current WAL epoch was written under.  Normally it
-        # always matches ``_scheme``; across a crash-interrupted transition
-        # the tail may start with records bound to the other side of the
-        # switch, whose scheme-state snapshots must not be restored into the
-        # primary scheme.
-        binding_scheme: Optional[str] = None
+        plan = self._transition
+        pending = plan.pending if plan is not None else set()
+        # Whether the current WAL epoch was written under ``_scheme``.
+        # Normally always; the tail a transition's own checkpoint has not
+        # reset yet is bound to the other side of the switch: its documents
+        # still owe their migration and its scheme-state snapshots must not
+        # be restored into the primary scheme.
+        ours = True
         for group in groups:
             for op in group.ops:
                 kind = op.get("op")
@@ -627,39 +628,21 @@ class StorageService:
                         data_ids=_decode_id_runs(list(op["data_ids"])),  # type: ignore[arg-type]
                         length=int(op["length"]),  # type: ignore[arg-type]
                     )
-                    if self._transition is not None:
-                        self._transition.pending.discard(name)
+                    if ours:
+                        pending.discard(name)
                 elif kind == "delete_doc":
                     self._documents.pop(str(op["name"]), None)
-                    if self._transition is not None:
-                        self._transition.pending.discard(str(op["name"]))
-                elif kind == "transition_doc":
-                    # A document re-encoded under the transition target: the
-                    # catalogue now points at target-scheme blocks and the
-                    # plan no longer owes the document a migration.
-                    name = str(op["name"])
-                    self._documents[name] = StoredDocument(
-                        name=name,
-                        data_ids=_decode_id_runs(list(op["data_ids"])),  # type: ignore[arg-type]
-                        length=int(op["length"]),  # type: ignore[arg-type]
-                    )
-                    if self._transition is not None:
-                        self._transition.pending.discard(name)
-                    seq = int(op.get("seq", 0))  # type: ignore[arg-type]
-                    if seq >= state_seq:
-                        state = op.get("state", {})  # type: ignore[assignment]
-                        state_seq = seq
+                    if ours:
+                        pending.discard(str(op["name"]))
                 elif kind == "scheme_state":
-                    if binding_scheme not in (None, self._scheme.scheme_id):
-                        continue  # a snapshot of the transition's other side
                     seq = int(op.get("seq", 0))  # type: ignore[arg-type]
-                    if seq >= state_seq:
+                    if ours and seq >= state_seq:
                         state = op.get("state", {})  # type: ignore[assignment]
                         state_seq = seq
                 elif kind == "placement":
                     self._check_wal_binding(op)
                     if "scheme" in op:
-                        binding_scheme = str(op["scheme"])
+                        ours = op["scheme"] == self._scheme.scheme_id
                 else:
                     raise InvalidParametersError(
                         f"unknown WAL record type {kind!r} in "
@@ -747,7 +730,7 @@ class StorageService:
             # a racing mutator is harmless (replay just validates it twice).
             ops = [self._binding_record()] + ops
         wal.commit(ops)
-        if wal.size_bytes >= self._wal_checkpoint_bytes:
+        if wal.size_bytes >= WAL_CHECKPOINT_BYTES:
             self._checkpoint()
 
     def _checkpoint(self) -> None:
@@ -765,10 +748,6 @@ class StorageService:
         with self._checkpoint_lock:
             with self._state_lock:
                 self._sync_manifest()
-                if self._transition is not None:
-                    # The plan must be at least as new as the manifest before
-                    # the WAL (which names the migrated documents) resets.
-                    self._save_transition_plan()
                 if self._wal is not None:
                     self._wal.reset()
 
@@ -897,52 +876,7 @@ class StorageService:
             # a stored data block under its parities.  ``bytes`` stays
             # zero-copy.
             data = bytes(data)
-        with self._state_lock:
-            # Encode *and* block write share the critical section: the
-            # lattice has one monotonic write position, and any scheme-state
-            # snapshot (WAL record or checkpoint) taken under this lock must
-            # only ever cover encodes whose blocks are already on the medium
-            # -- restore refetches the strand heads from storage.
-            part = self._scheme.encode(data)
-            self._cluster.put_many(part.blocks)
-            document = StoredDocument(
-                name=name, data_ids=part.data_ids, length=len(data)
-            )
-            previous = self._documents.get(name)
-            previous_scheme = self._scheme_for(name)
-            self._documents[name] = document
-            if self._transition is not None:
-                # An overwrite supersedes any owed migration: the new
-                # version is already target-encoded.
-                self._transition.pending.discard(name)
-            ops = self._document_ops(document)
-        # The metadata commit runs outside the lock: that is where
-        # concurrent mutators pile up and the WAL batches their fsyncs
-        # into one group commit.
-        self._commit_meta(ops)
-        # Catalogue the new version before deleting the old one: a crash in
-        # between leaks the old version's blocks as orphans, but never loses
-        # a committed document.
-        if previous_scheme is self._scheme:
-            self._reclaim(previous)
-        else:
-            self._reclaim(previous, previous_scheme)
-        return document
-
-    def _reclaim(
-        self,
-        previous: Optional[StoredDocument],
-        scheme: Optional[RedundancyScheme] = None,
-    ) -> None:
-        """Delete the blocks of a document version that was just replaced.
-
-        ``scheme`` is the scheme the previous version was encoded under --
-        during a transition that may be the fallback, not ``_scheme``.
-        """
-        scheme = scheme if scheme is not None else self._scheme
-        if previous is None or not scheme.capabilities().erasable:
-            return
-        self._cluster.delete_blocks(scheme.document_blocks(previous.data_ids))
+        return self._land(name, (data,))[0]
 
     def put_stream(self, name: str, chunks: Iterable[bytes]) -> StoredDocument:
         """Encode and store a document from an iterable of byte chunks.
@@ -955,42 +889,92 @@ class StorageService:
         zero-padded for encoding; padding is stripped on read).
 
         If ``chunks`` raises mid-stream the exception propagates and no
-        document is recorded, but batches already encoded stay in the scheme
-        state (for entanglement the lattice is append-only by design).
+        document is recorded; see :meth:`_land` for what becomes of the
+        batches already stored.
         """
         self._ensure_open()
-        buffer = bytearray()
         batch_bytes = self._batch_blocks * self.block_size
+
+        def batches() -> Iterator[bytearray]:
+            buffer = bytearray()
+            for chunk in chunks:
+                buffer += chunk
+                while len(buffer) >= batch_bytes:
+                    yield buffer[:batch_bytes]
+                    del buffer[:batch_bytes]
+            if buffer:
+                yield buffer
+
+        return self._land(name, batches())[0]
+
+    def _land(
+        self, name: str, batches: Iterable[Union[bytes, bytearray]]
+    ) -> Tuple[StoredDocument, int, int]:
+        """Land one document version: the one way a document is written.
+
+        ``put``, ``put_stream`` and a re-encode step (which lands a pending
+        document's own bytes) all end here.  Every batch is encoded and its
+        blocks stored; then the version is catalogued, committed to the WAL,
+        and only then is the version it replaced reclaimed -- under the
+        scheme that encoded it, mid-transition the fallback.  A crash between
+        commit and reclaim leaks the old version's blocks as orphans, but
+        never loses a committed document.  Returns the document with the
+        counts of blocks written and reclaimed.
+
+        If anything raises before the version is catalogued (the batch
+        source, a location that is down or full), an erasable scheme deletes
+        the blocks stored so far, so a failed write strands nothing.
+        Entanglement stays append-only by design: its blocks, once in the
+        lattice, protect their neighbourhood whether or not a document names
+        them.
+        """
         data_ids: List[object] = []
-        length = 0
-        for chunk in chunks:
-            buffer += chunk
-            length += len(chunk)
-            while len(buffer) >= batch_bytes:
-                self._ingest_batch(buffer[:batch_bytes], data_ids)
-                del buffer[:batch_bytes]
-        if buffer:
-            self._ingest_batch(buffer, data_ids)
+        length = written = 0
+        stored = False
+        try:
+            for batch in batches:
+                with self._state_lock:
+                    # Encode *and* block write share the critical section:
+                    # the lattice has one monotonic write position, and any
+                    # scheme-state snapshot (WAL record or checkpoint) taken
+                    # under this lock must only ever cover encodes whose
+                    # blocks are already on the medium -- restore refetches
+                    # the strand heads from storage.
+                    part = self._scheme.encode(batch)
+                    data_ids.extend(part.data_ids)
+                    written += self._cluster.put_many(part.blocks)
+                length += len(batch)
+            stored = True
+        finally:
+            if not stored:
+                self._reclaim(self._scheme, data_ids)
         with self._state_lock:
             document = StoredDocument(name=name, data_ids=data_ids, length=length)
             previous = self._documents.get(name)
             previous_scheme = self._scheme_for(name)
             self._documents[name] = document
             if self._transition is not None:
+                # The new version is target-encoded: whatever migration the
+                # name was owed is done.
                 self._transition.pending.discard(name)
             ops = self._document_ops(document)
+        # The metadata commit runs outside the lock: that is where
+        # concurrent mutators pile up and the WAL batches their fsyncs
+        # into one group commit.
         self._commit_meta(ops)
-        if previous_scheme is self._scheme:
-            self._reclaim(previous)
-        else:
-            self._reclaim(previous, previous_scheme)
-        return document
+        reclaimed = (
+            self._reclaim(previous_scheme, previous.data_ids)
+            if previous is not None
+            else 0
+        )
+        return document, written, reclaimed
 
-    def _ingest_batch(self, payload: bytearray, data_ids: List[object]) -> None:
-        with self._state_lock:
-            part = self._scheme.encode(payload)
-            self._cluster.put_many(part.blocks)
-        data_ids.extend(part.data_ids)
+    def _reclaim(self, scheme: RedundancyScheme, data_ids: Sequence[object]) -> int:
+        """Delete every block backing ``data_ids`` under the scheme that
+        encoded them; returns the count (0 for append-only entanglement)."""
+        if not scheme.capabilities().erasable:
+            return 0
+        return self._cluster.delete_blocks(scheme.document_blocks(data_ids))
 
     # ------------------------------------------------------------------
     # Reads
@@ -1072,12 +1056,6 @@ class StorageService:
         return join_blocks(
             self._read_payloads(document.data_ids, scheme=scheme), document.length
         )
-
-    #: Back-compat alias of :meth:`get`.
-    read = get
-
-    def read_block_bytes(self, data_id: object, length: Optional[int] = None) -> bytes:
-        return payload_to_bytes(self.get_block(data_id), length)
 
     def get_stream(self, name: str) -> Iterator[bytes]:
         """Stream a document back, repairing as needed.
@@ -1176,9 +1154,10 @@ class StorageService:
         streams documents through a re-encode with new blocks committed
         before old blocks are deleted.  Reads stay byte-exact throughout --
         documents not yet migrated are served by the retained source
-        scheme.  On a durable service the plan is persisted as
-        ``transition.json``; a crash at any point resumes automatically on
-        the next :meth:`open`.  Returns ``None`` when already on the target.
+        scheme.  On a durable service the plan is persisted in the manifest
+        checkpoint; a crash at any point after that first checkpoint resumes
+        automatically on the next :meth:`open`.  Returns ``None`` when
+        already on the target.
 
         ``doc_guard`` (used by the concurrent front-end) yields a context
         manager excluding readers of one document for the instant of its
@@ -1216,10 +1195,6 @@ class StorageService:
         else:
             self._epochs = None
 
-    def _save_transition_plan(self) -> None:
-        if self._data_dir is not None and self._transition is not None:
-            self._transition.save(self._data_dir, fsync=self._fsync)
-
     def _record_epoch(self, params: AEParameters) -> None:
         """Append a parameter epoch at the current lattice head (call with
         the state lock held)."""
@@ -1235,89 +1210,19 @@ class StorageService:
         else:
             self._epochs.change(position, params)
 
-    def _migrate_document(self, name: str) -> Optional[Tuple[int, int, int]]:
-        """Re-encode one pending document under the target scheme.
-
-        The core of the reencode transition: read the bytes through the
-        source (fallback) scheme, encode them under the target, commit the
-        re-pointed catalogue entry to the WAL (a ``transition_doc``
-        record), and only then delete the source blocks.  A crash before
-        the commit leaves the document pending and source-served; after
-        it, migrated and target-served -- either way byte-exact.  Returns
-        ``(blocks_written, blocks_deleted, data_blocks_rewritten)``, or
-        ``None`` if the document no longer needs migrating.
-        """
-        with self._state_lock:
-            plan = self._transition
-            if plan is None or name not in plan.pending:
-                return None
-            document = self._documents.get(name)
-            if document is None:
-                plan.pending.discard(name)
-                return None
-            source = self._fallback if self._fallback is not None else self._scheme
-            payloads = self._read_payloads(document.data_ids, scheme=source)
-            data = join_blocks(payloads, document.length)
-            part = self._scheme.encode(data)
-            self._cluster.put_many(part.blocks)
-            migrated = StoredDocument(
-                name=name, data_ids=part.data_ids, length=document.length
-            )
-            self._documents[name] = migrated
-            plan.pending.discard(name)
-            seq = self._next_mutation()
-            ops: List[Dict[str, object]] = [
-                {
-                    "op": "transition_doc",
-                    "name": name,
-                    "data_ids": _encode_id_runs(part.data_ids),
-                    "length": migrated.length,
-                    "state": self._scheme.state(),
-                    "seq": seq,
-                }
-            ]
-        # Commit outside the lock (group-commit discipline), and only then
-        # reclaim: the new version must be durable before the old blocks go.
-        self._commit_meta(ops)
-        deleted = 0
-        if source.capabilities().erasable:
-            with self._state_lock:
-                deleted = self._cluster.delete_blocks(
-                    source.document_blocks(document.data_ids)
-                )
-        data_blocks = sum(
-            1 for block_id, _ in part.blocks if self._scheme.is_data_block(block_id)
-        )
-        return (len(part.blocks), deleted, data_blocks)
-
     def _finish_transition(self) -> None:
-        """Settle the completed transition and drop the durable plan."""
+        """Settle the completed transition: the checkpoint that drops the
+        plan is the one that commits its last step."""
         with self._state_lock:
-            plan = self._transition
-            if plan is None:
-                return
-            # Persist the settled plan (empty pending) first: if the crash
-            # hits before the file is removed, the resume sees nothing left
-            # to migrate instead of a stale pending list.
-            self._save_transition_plan()
             self._transition = None
             self._fallback = None
         self._checkpoint()
-        if self._data_dir is not None:
-            TransitionPlan.remove(self._data_dir)
 
     def _resume_transition(self) -> Optional[TransitionReport]:
         """Finish a crash-interrupted transition during :meth:`open`."""
         plan = self._transition
-        if plan is None:
-            return None
-        target = schemes.get(plan.target, block_size=self.block_size)
-        if self._scheme.scheme_id == plan.source:
-            # The crash hit before the start checkpoint landed: nothing
-            # moved yet, so simply restart the transition from scratch.
-            self._transition = None
-            self._fallback = None
-        elif plan.kind == "reencode" and plan.pending:
+        assert plan is not None
+        if plan.pending:
             # Mid-migration: rebuild the source scheme from its frozen
             # state so pending documents keep their fallback read path.
             fallback = schemes.get(plan.source, block_size=self.block_size)
@@ -1325,8 +1230,8 @@ class StorageService:
                 dict(plan.source_state), self._cluster.try_get_block
             )
             self._fallback = fallback
-        engine = TransitionEngine(self, target)
-        return engine.run()
+        target = schemes.get(plan.target, block_size=self.block_size)
+        return TransitionEngine(self, target).run()
 
     # ------------------------------------------------------------------
     # Failures and repair

@@ -7,8 +7,8 @@ outgrow one code family into another.  This module makes that operational
 for the live system: a :class:`TransitionEngine` migrates an open
 :class:`~repro.system.service.StorageService` between any two registered
 schemes while reads keep flowing, and a durable :class:`TransitionPlan`
-(``transition.json`` next to the service manifest) makes every step
-crash-resumable.
+(the ``"transition"`` section of the service manifest, written in the same
+atomic rename as the scheme it goes with) makes every step crash-resumable.
 
 Three transition kinds, picked by :func:`classify`:
 
@@ -30,14 +30,14 @@ Three transition kinds, picked by :func:`classify`:
 
 ``reencode``
     Everything else (replication -> AE, AE -> Reed-Solomon, RS -> LRC,
-    ...).  Documents stream one at a time through a read-under-the-old /
-    encode-under-the-new pass; each document's new blocks are committed to
-    the metadata WAL (a ``transition_doc`` record) before its old blocks
-    are deleted, and reads of not-yet-migrated documents fall back to the
-    retained source scheme, so every document is byte-exact at every
-    instant.  AE -> AE geometry changes are rejected: both settings share
-    the ``d-<n>`` block namespace, so a live re-encode cannot keep both
-    generations readable.
+    ...).  Each pending document is overwritten with its own bytes: read
+    under the old scheme, landed under the new one through the service's
+    one write routine, which commits the new blocks to the metadata WAL
+    before the old ones are deleted.  Reads of not-yet-migrated documents
+    fall back to the retained source scheme, so every document is
+    byte-exact at every instant.  AE -> AE geometry changes are rejected:
+    both settings share the ``d-<n>`` block namespace, so a live re-encode
+    cannot keep both generations readable.
 
 This module is on the repro-lint RPR001 engine path: no wall-clock, no
 entropy -- a resumed transition replays to the same result.
@@ -45,21 +45,18 @@ entropy -- a resumed transition replays to the same result.
 
 from __future__ import annotations
 
-import json
-import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, ContextManager, Dict, List, Optional, Set
 
 import repro.schemes as schemes
 from repro.codes.entanglement import EntanglementScheme, PuncturedEntanglementScheme
-from repro.core.blocks import DataId, ParityId
+from repro.core.blocks import DataId, ParityId, join_blocks
 from repro.core.dynamic import AlphaUpgrader, plan_alpha_upgrade
 from repro.core.xor import Payload
 from repro.exceptions import InvalidParametersError
 from repro.schemes.base import RedundancyScheme
 from repro.schemes.stripe import StripeScheme
-from repro.storage.backends import write_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service imports us)
     from repro.system.service import StorageService
@@ -68,31 +65,15 @@ __all__ = [
     "KIND_ALPHA_RAISE",
     "KIND_REENCODE",
     "KIND_REPUNCTURE",
-    "STAGE_CLEANUP",
-    "STAGE_MIGRATE",
-    "TRANSITION_FORMAT",
-    "TRANSITION_NAME",
     "TransitionEngine",
     "TransitionPlan",
     "TransitionReport",
     "classify",
 ]
 
-#: Name of the durable transition manifest inside a service ``data_dir``.
-TRANSITION_NAME = "transition.json"
-
-#: Transition manifest format version.
-TRANSITION_FORMAT = 1
-
 KIND_ALPHA_RAISE = "alpha-raise"
 KIND_REPUNCTURE = "repuncture"
 KIND_REENCODE = "reencode"
-
-#: Stage while documents (or parities) are still being rewritten.
-STAGE_MIGRATE = "migrate"
-#: Stage once every document is on the target and only old-scheme block
-#: reclamation remains.
-STAGE_CLEANUP = "cleanup"
 
 #: Blocks buffered per bulk cluster write during a parity walk.
 FLUSH_BLOCKS = 256
@@ -164,82 +145,40 @@ def classify(source: RedundancyScheme, target: RedundancyScheme) -> str:
 class TransitionPlan:
     """The durable state machine of one scheme transition.
 
-    Persisted atomically as ``transition.json``; together with the metadata
-    WAL it makes the transition resumable from any crash point.  ``pending``
-    is the set of documents still encoded under the source scheme (reads of
-    those fall back to the source); the WAL's ``transition_doc`` records
-    shrink it between checkpoints.  ``source_state`` is the source scheme's
-    state frozen at the start, so a reopen can rebuild the fallback
-    read path.
+    Persisted as the ``"transition"`` section of the manifest checkpoint, in
+    the same atomic rename as the scheme it goes with; together with the
+    metadata WAL it makes the transition resumable from any crash point.
+    ``pending`` is the set of documents still encoded under the source
+    scheme (reads of those fall back to the source); every ``put_doc``
+    record the WAL commits under the target shrinks it between checkpoints.
+    ``source_state`` is the source scheme's state frozen at the start, so a
+    reopen can rebuild the fallback read path.
     """
 
     source: str
     target: str
     kind: str
-    stage: str = STAGE_MIGRATE
     pending: Set[str] = field(default_factory=set)
-    stripe_base: int = 0
-    upgrade_position: int = 0
     source_state: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "format": TRANSITION_FORMAT,
             "source": self.source,
             "target": self.target,
             "kind": self.kind,
-            "stage": self.stage,
             "pending": sorted(self.pending),
-            "stripe_base": self.stripe_base,
-            "upgrade_position": self.upgrade_position,
             "source_state": self.source_state,
         }
 
     @classmethod
     def from_dict(cls, raw: Dict[str, object]) -> "TransitionPlan":
-        if int(raw.get("format", 0)) != TRANSITION_FORMAT:
-            raise InvalidParametersError(
-                f"unsupported transition manifest format: {raw.get('format')!r}"
-            )
         return cls(
             source=str(raw["source"]),
             target=str(raw["target"]),
             kind=str(raw["kind"]),
-            stage=str(raw.get("stage", STAGE_MIGRATE)),
             pending=set(str(name) for name in raw.get("pending", [])),  # type: ignore[union-attr]
-            stripe_base=int(raw.get("stripe_base", 0)),  # type: ignore[arg-type]
-            upgrade_position=int(raw.get("upgrade_position", 0)),  # type: ignore[arg-type]
             source_state=dict(raw.get("source_state", {})),  # type: ignore[arg-type]
         )
-
-    def save(self, data_dir: str, fsync: bool = False) -> None:
-        """Atomically persist the plan next to the service manifest."""
-        write_json(
-            os.path.join(data_dir, TRANSITION_NAME), self.to_dict(), fsync=fsync
-        )
-
-    @staticmethod
-    def load(data_dir: str) -> Optional["TransitionPlan"]:
-        path = os.path.join(data_dir, TRANSITION_NAME)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except json.JSONDecodeError as exc:
-            raise InvalidParametersError(
-                f"corrupt transition manifest {path!r}: {exc}; the service "
-                "manifest and block data are intact -- restore or delete the "
-                "transition manifest before reopening"
-            ) from exc
-        return TransitionPlan.from_dict(raw)
-
-    @staticmethod
-    def remove(data_dir: str) -> None:
-        try:
-            os.remove(os.path.join(data_dir, TRANSITION_NAME))
-        except FileNotFoundError:
-            pass
 
 
 @dataclass
@@ -272,12 +211,12 @@ class TransitionReport:
 class TransitionEngine:
     """Drives one scheme transition over a live storage service.
 
-    The engine orchestrates; the durable per-document commit protocol lives
-    in :meth:`StorageService._migrate_document` so it shares the service's
-    lock and WAL discipline.  ``doc_guard`` (when the front-end supplies
-    one) excludes readers of exactly the document being migrated for the
-    instant of its copy-commit-delete window; all other reads proceed
-    untouched.
+    The engine orchestrates; the durable per-document commit protocol is
+    :meth:`StorageService._land`, the routine every put goes through, so a
+    re-encoded document shares the service's lock and WAL discipline.
+    ``doc_guard`` (when the front-end supplies one) excludes readers of
+    exactly the document being migrated for the instant of its
+    copy-commit-delete window; all other reads proceed untouched.
     """
 
     def __init__(
@@ -315,8 +254,8 @@ class TransitionEngine:
         else:
             raise InvalidParametersError(
                 f"unknown transition kind {plan.kind!r} in "
-                f"{service.data_dir!r}; the transition manifest was written "
-                "by an incompatible version"
+                f"{service.data_dir!r}; the manifest's transition section "
+                "was written by an incompatible version"
             )
         service._finish_transition()
         return report
@@ -353,9 +292,8 @@ class TransitionEngine:
                     # Both families use StripeBlockId: the target starts
                     # numbering past the source so the namespaces stay
                     # disjoint until the old stripes are reclaimed.
-                    plan.stripe_base = source.stripes_written
                     target.restore_state(
-                        {"next_stripe": plan.stripe_base},
+                        {"next_stripe": source.stripes_written},
                         service._cluster.try_get_block,
                     )
                 # Flip now: new writes land on the target, reads of pending
@@ -366,9 +304,8 @@ class TransitionEngine:
                 # parity walk completes; the flip is inside the run.
                 service._transition = plan
                 service._fallback = None
-        service._save_transition_plan()
-        # The start checkpoint makes the intent durable: manifest + fresh
-        # WAL epoch on one side of the crash window, the plan on the other.
+        # The start checkpoint makes the intent durable: scheme and plan go
+        # out in one manifest rename, so no crash can separate them.
         service._checkpoint()
         return plan
 
@@ -377,8 +314,6 @@ class TransitionEngine:
     # ------------------------------------------------------------------
     def _run_alpha_raise(self, plan: TransitionPlan, report: TransitionReport) -> None:
         service = self._service
-        if service._scheme.scheme_id == plan.target:
-            return  # resumed past the flip checkpoint; only cleanup remained
         with service._state_lock:
             source = service._scheme
             assert isinstance(source, EntanglementScheme)
@@ -395,12 +330,10 @@ class TransitionEngine:
                 if len(batch) >= FLUSH_BLOCKS:
                     service._cluster.put_many(batch)  # type: ignore[arg-type]
                     report.parities_written += len(batch)
-                    plan.upgrade_position = int(batch[-1][0].index)  # type: ignore[attr-defined,index]
                     batch.clear()
             if batch:
                 service._cluster.put_many(batch)  # type: ignore[arg-type]
                 report.parities_written += len(batch)
-            plan.upgrade_position = upgrade.lattice_size
             report.blocks_written += report.parities_written
             # Swap in a scheme over the widened lattice.  restore_state
             # re-fetches the strand heads -- including the classes the walk
@@ -413,8 +346,9 @@ class TransitionEngine:
             raised.restore_state(source.state(), service._cluster.try_get_block)
             service._scheme = raised
             service._record_epoch(upgrade.new_params)
-        plan.stage = STAGE_CLEANUP
-        service._checkpoint()
+            # Nothing is deleted after a raise, so the flip settles it: no
+            # checkpoint may name the target with the raise still owed.
+            service._transition = None
 
     def _data_fetch(
         self, source: EntanglementScheme
@@ -464,7 +398,6 @@ class TransitionEngine:
                     source.state(), service._cluster.try_get_block
                 )
                 service._scheme = self._target
-            plan.stage = STAGE_CLEANUP
             # The flip must be durable before any parity disappears.
             service._checkpoint()
         # Deletion pass: parities the (now current) target punctures.  The
@@ -503,17 +436,25 @@ class TransitionEngine:
     # reencode: stream documents through the new scheme
     # ------------------------------------------------------------------
     def _run_reencode(self, plan: TransitionPlan, report: TransitionReport) -> None:
+        """Overwrite every pending document with its own bytes: read under
+        the retained source, land under the target."""
         service = self._service
         for name in sorted(plan.pending):
             with self._doc_guard(name):
-                moved = service._migrate_document(name)
-            if moved is not None:
-                written, deleted, data_blocks = moved
-                report.documents_migrated += 1
-                report.blocks_written += written
-                report.blocks_deleted += deleted
-                report.data_blocks_rewritten += data_blocks
-        plan.stage = STAGE_CLEANUP
+                with service._state_lock:
+                    document = service._documents.get(name)
+                    if document is None or name not in plan.pending:
+                        continue  # deleted or overwritten since the plan was read
+                    payloads = service._read_payloads(
+                        document.data_ids, scheme=service._scheme_for(name)
+                    )
+                landed, written, deleted = service._land(
+                    name, (join_blocks(payloads, document.length),)
+                )
+            report.documents_migrated += 1
+            report.blocks_written += written
+            report.blocks_deleted += deleted
+            report.data_blocks_rewritten += landed.block_count
         # A non-erasable source (entanglement) reclaims nothing per
         # document; once every document lives on the target, the whole
         # retired lattice -- data and parities -- is deleted in one sweep.

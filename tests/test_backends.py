@@ -151,7 +151,6 @@ class TestPersistentBackends:
         items = {DataId(i): payload(i) for i in range(1, 20)}
         backend.put_many(items.items())
         backend.delete(DataId(5))
-        backend.save_meta({"reads": 12})
         backend.close()
 
         reopened = build(spec, tmp_path)
@@ -159,7 +158,6 @@ class TestPersistentBackends:
         assert set(seen) == set(items) - {DataId(5)}
         for block_id in seen:
             assert np.array_equal(reopened.get(block_id), items[block_id])
-        assert reopened.load_meta() == {"reads": 12}
         reopened.close()
 
     def test_overwrite_survives_reopen(self, spec, tmp_path):

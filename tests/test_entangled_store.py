@@ -32,7 +32,7 @@ class TestPutGet:
         payload = b"archival payload " * 500
         document = system.put("doc", payload)
         assert document.length == len(payload)
-        assert system.read("doc") == payload
+        assert system.get("doc") == payload
         assert system.scheme.lattice.size == document.block_count
 
     def test_status_counts(self):
@@ -57,7 +57,7 @@ class TestDegradedOperation:
         assert not report.unrecovered
         # After repair, everything is reachable even though the locations stay down.
         assert system.status().unavailable_blocks == 0
-        assert system.read("doc") == payload
+        assert system.get("doc") == payload
 
     def test_minimal_maintenance_leaves_parities_missing(self):
         system = make_system(locations=40)

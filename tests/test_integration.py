@@ -36,7 +36,7 @@ class TestArchiveLifecycle:
         disaster = disaster_for_fraction(40, 0.25, np.random.default_rng(5))
         system.fail_locations(disaster.failed_locations)
         for name, payload in documents.items():
-            assert system.read(name) == payload
+            assert system.get(name) == payload
         report = system.repair()
         assert report.data_loss == 0
 
@@ -78,4 +78,4 @@ class TestArchiveLifecycle:
         system.put("archive", payload)
         disaster = disaster_for_fraction(60, fraction, np.random.default_rng(9))
         system.fail_locations(disaster.failed_locations)
-        assert system.read("archive") == payload
+        assert system.get("archive") == payload

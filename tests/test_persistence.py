@@ -244,7 +244,7 @@ class TestManifest:
         # Simulate a crash between the manifest sync and the reclaim of the
         # old version's blocks: the committed catalogue must already name v2.
         monkeypatch.setattr(
-            service, "_reclaim", lambda previous: (_ for _ in ()).throw(RuntimeError)
+            service, "_reclaim", lambda *_version: (_ for _ in ()).throw(RuntimeError)
         )
         with pytest.raises(RuntimeError):
             service.put("doc", v2)

@@ -20,7 +20,11 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.exceptions import InvalidParametersError, UnknownBlockError
+from repro.exceptions import (
+    BlockUnavailableError,
+    InvalidParametersError,
+    UnknownBlockError,
+)
 from repro.system import (
     ConcurrentStorageService,
     DocumentService,
@@ -165,6 +169,59 @@ def test_flush_on_a_closed_handle_cannot_roll_the_catalogue_back(layer, tmp_path
     with open_layer(layer, "disk", tmp_path) as reopened:
         assert reopened.get("a") == payload(1)
         assert reopened.get("b") == payload(2)
+
+
+class SourceDied(RuntimeError):
+    """A chunk source that fails mid-stream."""
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+@pytest.mark.parametrize("scheme", ["rs-10-4", "rep-3"])
+def test_a_failed_write_strands_no_blocks(layer, scheme):
+    """Regression: a ``put_stream`` whose chunk source raised after three full
+    batches left 42 (``rs-10-4``) / 90 (``rep-3``) blocks no document
+    referenced and nothing ever reclaimed; a ``put`` refused half-way by a
+    down location stranded blocks the same way."""
+    selectors, _ = LAYERS[layer]
+    service = open_service(
+        StorageConfig(scheme=scheme, block_size=64, batch_blocks=10, location_count=16),
+        **selectors,
+    )
+    kept, stored = payload(1, 1_000), payload(2, 500)
+    service.put("keep", kept)
+    service.put("doc", stored)
+
+    def footprint():
+        status = service.status()
+        return status.blocks, status.bytes_stored
+
+    before = footprint()
+
+    def dying_source():
+        for seed in range(3):
+            yield payload(seed, 10 * 64)  # one full batch
+        raise SourceDied("the chunk source died mid-stream")
+
+    with pytest.raises(SourceDied):
+        service.put_stream("doc", dying_source())
+    assert footprint() == before
+
+    service.fail_locations([3])
+    with pytest.raises(BlockUnavailableError):
+        service.put("doc", payload(3, 4_000))  # some locations took their share
+    service.restore_locations()
+    assert footprint() == before
+
+    # The failed writes never touched the stored version, and the name
+    # still takes a good one.
+    assert service.get("doc") == stored
+    good = payload(4, 2_000)
+    service.put_stream("doc", [good[:700], good[700:]])
+    assert service.get("doc") == good and service.get("keep") == kept
+    service.delete("doc")
+    service.delete("keep")
+    assert footprint() == (0, 0)
+    service.close()
 
 
 @pytest.mark.parametrize("layer", LAYERS)

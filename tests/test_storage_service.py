@@ -90,11 +90,6 @@ class TestCrossSchemeRoundTrips:
         service.put("empty", b"")
         assert service.get("empty") == b""
 
-    def test_read_is_get_alias(self):
-        service = make_service("rs-8-2")
-        service.put("doc", b"alias" * 100)
-        assert service.read("doc") == service.get("doc")
-
     def test_unknown_document_raises(self):
         service = make_service("rep-2")
         with pytest.raises(UnknownBlockError):

@@ -67,7 +67,7 @@ class TestPutStreamRoundTrip:
         assert document.length == size
         assert b"".join(system.get_stream("doc")) == payload
         # The non-streaming read path sees the same document.
-        assert system.read("doc") == payload
+        assert system.get("doc") == payload
 
     def test_chunk_sizes_do_not_matter(self):
         payload = document_bytes(3 * BLOCK + 5)
@@ -86,7 +86,7 @@ class TestPutStreamRoundTrip:
         assert document.length == 0
         assert document.block_count == 0
         assert list(system.get_stream("empty")) == []
-        assert system.read("empty") == b""
+        assert system.get("empty") == b""
 
     def test_equivalent_to_put(self):
         """put and put_stream produce documents with identical lattice content."""

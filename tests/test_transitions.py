@@ -4,13 +4,16 @@ Acceptance tests of the dynamic-redundancy subsystem
 (:mod:`repro.system.transitions`): a live service migrates
 ``rep-3 -> ae-3-2-5 -> rs-10-4`` end to end with byte-exact reads at every
 stage, an alpha raise rewrites zero data blocks, puncturing round-trips,
-and a crash image taken at any document or stage boundary resumes to
-completion on reopen -- under either endpoint's scheme id.
+and a crash image taken just before and just after every durable metadata
+write resumes to completion on reopen -- under either endpoint's scheme id.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
+import json
+import os
 import random
 import shutil
 import threading
@@ -18,8 +21,10 @@ import threading
 import pytest
 
 import repro.schemes as schemes
+import repro.system.service as service_module
 from repro.core.blocks import DataId, ParityId
 from repro.exceptions import InvalidParametersError, ReproError
+from repro.storage.wal import MetadataWAL
 from repro.system.frontend import ConcurrentStorageService
 from repro.system.opening import open_service
 from repro.system.service import StorageConfig, StorageService
@@ -27,8 +32,6 @@ from repro.system.transitions import (
     KIND_ALPHA_RAISE,
     KIND_REENCODE,
     KIND_REPUNCTURE,
-    TRANSITION_NAME,
-    TransitionPlan,
     classify,
 )
 
@@ -207,146 +210,187 @@ class _NullContext:
         return False
 
 
-def crash_image(root, tmp_path, tag):
-    image = tmp_path / f"image-{tag}"
-    shutil.copytree(root, image)
-    return image
+class InjectedCrash(RuntimeError):
+    """The process "dies" at a durable metadata write."""
+
+
+class _DurableWrites:
+    """Counts the service's durable metadata writes -- the manifest
+    ``write_json`` and every ``MetadataWAL.commit`` -- and, once armed,
+    raises just before or just after the k-th one."""
+
+    def __init__(self):
+        self.count = 0
+        self.crash_at = None
+        self.when = None
+
+    def arm(self, crash_at, when):
+        self.count, self.crash_at, self.when = 0, crash_at, when
+
+    def disarm(self):
+        self.crash_at = None
+
+    def counted(self, write):
+        def wrapper(*args, **kwargs):
+            doomed = self.count == self.crash_at
+            self.count += 1
+            if doomed and self.when == "before":
+                raise InjectedCrash(f"before durable write {self.crash_at}")
+            result = write(*args, **kwargs)
+            if doomed and self.when == "after":
+                raise InjectedCrash(f"after durable write {self.crash_at}")
+            return result
+
+        return wrapper
+
+
+@pytest.fixture
+def durable_writes(monkeypatch):
+    writes = _DurableWrites()
+    monkeypatch.setattr(
+        service_module, "write_json", writes.counted(service_module.write_json)
+    )
+    monkeypatch.setattr(MetadataWAL, "commit", writes.counted(MetadataWAL.commit))
+    return writes
+
+
+def assert_one_durable_truth(root):
+    """A durable ``data_dir`` holds the checkpoint, the log, the locations."""
+    strays = [
+        entry
+        for entry in os.listdir(root)
+        if entry not in ("manifest.json", "wal.log") and not entry.startswith("loc-")
+    ]
+    assert strays == [], f"unexpected durable files in {root}: {strays}"
 
 
 class TestDurableCrashResume:
-    """Crash images at every document/stage boundary resume to completion."""
+    """ONE sweep: a crash just before and just after every durable metadata
+    write of a transition, for every kind, reopened under either endpoint."""
 
-    @pytest.mark.parametrize("crash_after", range(0, 4))
-    @pytest.mark.parametrize("reopen_as", ["source", "target"])
-    def test_reencode_crash_sweep(self, crash_after, reopen_as, tmp_path):
-        payloads = make_docs(count=4, size=2000)
-        root = tmp_path / "live"
-        service = StorageService.open(disk_config("rep-3", root))
-        fill(service, payloads)
+    PAIRS = [
+        ("rep-3", "ae-3-2-5"),
+        ("ae-3-2-5", "rs-4-2"),
+        ("rs-6-3", "rs-4-2"),  # shared StripeBlockId namespace
+        ("ae-2-2-5", "ae-3-2-5"),  # alpha raise
+        ("ae-3-2-5", "ae-3-2-5-p75"),  # repuncture ...
+        ("ae-3-2-5-p75", "ae-3-2-5"),  # ... and back
+    ]
 
-        guard = _CrashGuard(crash_after)
-        with pytest.raises(RuntimeError, match="injected crash"):
-            service.transition_to("ae-3-2-5", doc_guard=guard)
-        assert service.transition is not None
-        del service  # crash: no close(), no checkpoint
-
-        image = crash_image(root, tmp_path, f"{crash_after}-{reopen_as}")
-        scheme_id = "rep-3" if reopen_as == "source" else "ae-3-2-5"
-        reopened = StorageService.open(disk_config(scheme_id, image))
-        assert reopened.transition is None
-        assert reopened.scheme.scheme_id == "ae-3-2-5"
-        assert not (image / TRANSITION_NAME).exists()
-        assert_byte_exact(reopened, payloads)
-        reopened.close()
-
-        # Resume is idempotent: a second reopen finds a settled service.
-        again = StorageService.open(disk_config("ae-3-2-5", image))
-        assert again.transition is None
-        assert_byte_exact(again, payloads)
-        again.close()
-
-    def test_crash_before_any_migration_restarts_from_scratch(self, tmp_path):
-        """Plan file saved, manifest untouched: the durable-intent window."""
-        payloads = make_docs(count=3, size=2000)
-        root = tmp_path / "live"
-        service = StorageService.open(disk_config("rep-3", root))
-        fill(service, payloads)
-        service.close()
-
-        source = schemes.get("rep-3", block_size=BLOCK_SIZE)
-        target = schemes.get("ae-3-2-5", block_size=BLOCK_SIZE)
-        plan = TransitionPlan(
-            source=source.scheme_id,
-            target=target.scheme_id,
-            kind=classify(source, target),
-            pending=set(payloads),
+    @staticmethod
+    def config(scheme, root):
+        # spread-domains: one lost location costs every stripe (and AE
+        # neighbourhood) at most one block, so the degraded read below must
+        # succeed whenever catalogue and scheme agree.
+        return disk_config(
+            scheme, root, location_count=12, placement="spread-domains"
         )
-        plan.save(str(root))
 
-        reopened = StorageService.open(disk_config("rep-3", root))
-        assert reopened.scheme.scheme_id == "ae-3-2-5"
-        assert reopened.transition is None
-        assert not (root / TRANSITION_NAME).exists()
-        assert_byte_exact(reopened, payloads)
-        reopened.close()
-
-    def test_crash_after_cleanup_before_plan_removal(self, tmp_path, monkeypatch):
-        """The last window: everything migrated, only transition.json left."""
-        payloads = make_docs(count=3, size=2000)
-        root = tmp_path / "live"
-        service = StorageService.open(disk_config("rep-3", root))
-        fill(service, payloads)
-
-        def refuse_remove(data_dir):
-            raise RuntimeError("injected crash before plan removal")
-
-        monkeypatch.setattr(TransitionPlan, "remove", staticmethod(refuse_remove))
-        with pytest.raises(RuntimeError, match="plan removal"):
-            service.transition_to("ae-3-2-5")
-        monkeypatch.undo()
-        del service
-        assert (root / TRANSITION_NAME).exists()
-
-        reopened = StorageService.open(disk_config("ae-3-2-5", root))
-        assert reopened.transition is None
-        assert not (root / TRANSITION_NAME).exists()
-        assert_byte_exact(reopened, payloads)
-        reopened.close()
-
-    @pytest.mark.parametrize("reopen_as", ["source", "target"])
-    def test_alpha_raise_crash_before_walk_resumes(
-        self, reopen_as, tmp_path, monkeypatch
-    ):
-        """Crash after the plan is durable but before any parity is written."""
-        from repro.system.transitions import TransitionEngine
-
-        payloads = make_docs(count=3, size=2000)
-        root = tmp_path / "live"
-        service = StorageService.open(disk_config("ae-2-2-5", root))
-        fill(service, payloads)
-
-        def refuse_walk(self, plan, report):
-            raise RuntimeError("injected crash before the parity walk")
-
-        monkeypatch.setattr(TransitionEngine, "_run_alpha_raise", refuse_walk)
-        with pytest.raises(RuntimeError, match="parity walk"):
-            service.transition_to("ae-3-2-5")
-        monkeypatch.undo()
-        del service
-
-        scheme_id = "ae-2-2-5" if reopen_as == "source" else "ae-3-2-5"
-        reopened = StorageService.open(disk_config(scheme_id, root))
-        assert reopened.scheme.scheme_id == "ae-3-2-5"
+    def check_settles(self, image, reopen_as, scheme_id, payloads):
+        """Reopening ``image`` as ``reopen_as`` serves ``scheme_id``, settled."""
+        reopened = StorageService.open(self.config(reopen_as, image))
+        assert reopened.scheme.scheme_id == scheme_id
         assert reopened.transition is None
         assert_byte_exact(reopened, payloads)
         history = reopened.epoch_history
-        assert history is not None
-        assert history.epochs[-1].params.alpha == 3
+        assert (history is None) == (not scheme_id.startswith("ae-"))
+        if history is not None:
+            assert history.epochs[-1].params == reopened.scheme.params
         reopened.close()
+        assert_one_durable_truth(image)
 
-    def test_repuncture_crash_resumes(self, tmp_path, monkeypatch):
-        """Crash between the plan save and the additions pass of a repuncture."""
-        from repro.system.transitions import TransitionEngine
+        # Resume is idempotent: a second reopen finds a settled service whose
+        # catalogue its scheme can repair through.
+        again = StorageService.open(self.config(scheme_id, image))
+        assert again.transition is None
+        again.fail_locations([0])
+        assert_byte_exact(again, payloads)
+        again.close()
+        assert_one_durable_truth(image)
 
+    @pytest.mark.parametrize("source,target", PAIRS)
+    def test_crash_sweep(self, source, target, tmp_path, durable_writes):
+        payloads = make_docs(count=3, size=2000)
+        crash_points = (
+            (crash_at, when)
+            for crash_at in itertools.count()
+            for when in ("before", "after")
+        )
+        plain = []  # crash points whose checkpoint names no transition
+        for crash_at, when in crash_points:
+            tag = f"{crash_at}-{when}"
+            root = tmp_path / f"live-{tag}"
+            service = StorageService.open(self.config(source, root))
+            fill(service, payloads)  # no close(): the WAL tail still holds the puts
+            durable_writes.arm(crash_at, when)
+            try:
+                service.transition_to(target)
+            except InjectedCrash:
+                crashed = True
+            else:
+                crashed = False
+            durable_writes.disarm()
+            if not crashed:
+                # crash_at is past the last durable write: an untouched run.
+                assert when == "before"
+                assert service.scheme.scheme_id == target
+                assert service.transition is None
+                assert_byte_exact(service, payloads)
+                service.close()
+                assert_one_durable_truth(root)
+                break
+            assert_one_durable_truth(root)
+            images = {
+                reopen_as: shutil.copytree(root, tmp_path / f"image-{tag}-{reopen_as}")
+                for reopen_as in (source, target)
+            }
+            del service  # crash: no close(), no checkpoint
+            manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+            if "transition" in manifest:
+                for reopen_as, image in images.items():
+                    self.check_settles(image, reopen_as, target, payloads)
+                continue
+            # No durable intent (not yet, or no longer): a plain service on
+            # one endpoint, which rejects the other like any scheme mismatch.
+            settled = manifest["scheme"]
+            plain.append((crash_at, when, settled))
+            other = target if settled == source else source
+            with pytest.raises(InvalidParametersError, match="holds a"):
+                StorageService.open(self.config(other, images[other]))
+            self.check_settles(images[settled], settled, settled, payloads)
+        # Exactly two: before the first durable write the intent never became
+        # durable (transition_to never returned), after the last one the
+        # transition is complete.
+        assert plain == [(0, "before", source), (crash_at - 1, "after", target)]
+
+    def test_resume_that_crashes_resumes_again(self, tmp_path, durable_writes):
+        """The start checkpoint's log reset never ran and the resume dies
+        too: its records must not land in the stale source-bound epoch."""
+        source, target = "rep-3", "ae-3-2-5"
         payloads = make_docs(count=3, size=2000)
         root = tmp_path / "live"
-        service = StorageService.open(disk_config("ae-3-2-5", root))
+        service = StorageService.open(self.config(source, root))
         fill(service, payloads)
-
-        def refuse_repuncture(self, plan, report):
-            raise RuntimeError("injected crash before repuncture")
-
-        monkeypatch.setattr(TransitionEngine, "_run_repuncture", refuse_repuncture)
-        with pytest.raises(RuntimeError, match="before repuncture"):
-            service.transition_to("ae-3-2-5-p75")
-        monkeypatch.undo()
+        durable_writes.arm(0, "after")  # plan durable, the puts still in the log
+        with pytest.raises(InjectedCrash):
+            service.transition_to(target)
         del service
+        # The resume: open's own checkpoint is write 0, the first re-encoded
+        # document's commit write 1.
+        durable_writes.arm(1, "after")
+        with pytest.raises(InjectedCrash):
+            StorageService.open(self.config(source, root))
+        durable_writes.disarm()
+        self.check_settles(root, target, target, payloads)
 
-        reopened = StorageService.open(disk_config("ae-3-2-5-p75", root))
-        assert reopened.scheme.scheme_id == "ae-3-2-5-p75"
-        assert reopened.transition is None
-        assert_byte_exact(reopened, payloads)
-        reopened.close()
+    def test_leftover_plan_file_of_an_older_version_is_refused(self, tmp_path):
+        root = tmp_path / "live"
+        service = StorageService.open(disk_config("rep-3", root))
+        fill(service, make_docs(count=1))
+        service.close()
+        (root / "transition.json").write_text("{}", encoding="utf-8")
+        with pytest.raises(InvalidParametersError, match=r"transition\.json"):
+            StorageService.open(disk_config("rep-3", root))
 
 
 class TestRepairDuringReencode:
@@ -397,16 +441,16 @@ class TestRepairDuringReencode:
             with pytest.raises(RuntimeError, match="injected crash"):
                 service.transition_to(target, doc_guard=_CrashGuard(1))
         else:
-            original = StorageService._migrate_document
+            original = StorageService._land
             migrated = collections.Counter()
 
-            def crash_on_second(self, name):
+            def crash_on_second(self, name, batches):
                 if migrated[id(self)] >= 1:
                     raise RuntimeError("injected crash")
                 migrated[id(self)] += 1
-                return original(self, name)
+                return original(self, name, batches)
 
-            monkeypatch.setattr(StorageService, "_migrate_document", crash_on_second)
+            monkeypatch.setattr(StorageService, "_land", crash_on_second)
             with pytest.raises(RuntimeError, match="injected crash"):
                 service.transition_to(target)
             monkeypatch.undo()

@@ -9,17 +9,23 @@ Three layers:
 * service-level crash sweep -- a live ``StorageService`` data directory is
   snapshotted and its WAL truncated at *every* frame boundary (and mid-frame);
   each truncation must reopen to exactly the committed-prefix state, with
-  committed documents byte-exact and no partial group visible.
+  committed documents byte-exact and no partial group visible;
+* the size-triggered checkpoint -- with the threshold shrunk to a few hundred
+  bytes the log collapses into the manifest every few puts, single-threaded
+  and under racing front-end writers, and a dropped handle reopens byte-exact.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.system.service as service_module
 from repro.exceptions import InvalidParametersError
 from repro.storage.wal import (
     _FRAME_COMMIT,
@@ -29,6 +35,7 @@ from repro.storage.wal import (
     iter_frames,
     scan_wal,
 )
+from repro.system.opening import open_service
 from repro.system.service import StorageConfig, StorageService
 
 
@@ -319,3 +326,93 @@ class TestServiceCrashSweep:
         reopened = self._open(image)
         assert reopened.get("doc") == b"v2" * 64
         reopened.close()
+
+
+@pytest.mark.parametrize("scheme", ["ae-3-2-5", "rs-10-4"])
+class TestSizeTriggeredCheckpoint:
+    """The checkpoint a mutation takes once the log passes
+    ``WAL_CHECKPOINT_BYTES``, here shrunk so it runs every few puts."""
+
+    ROUNDS = 6
+    NAMES_PER_WRITER = 3
+
+    @pytest.fixture
+    def resets(self, monkeypatch):
+        """Shrinks the threshold; returns the list ``MetadataWAL.reset`` grows."""
+        monkeypatch.setattr(service_module, "WAL_CHECKPOINT_BYTES", 600)
+        seen = []
+        original = MetadataWAL.reset
+
+        def counted(wal):
+            seen.append(wal.size_bytes)
+            original(wal)
+
+        monkeypatch.setattr(MetadataWAL, "reset", counted)
+        return seen
+
+    def _config(self, scheme, data_dir) -> StorageConfig:
+        return StorageConfig(
+            scheme=scheme,
+            location_count=16,
+            block_size=128,
+            backend="segment",
+            data_dir=str(data_dir),
+        )
+
+    def _write(self, service, writer, payloads):
+        """Puts and overwrites: every name ends on its last round's bytes."""
+        for round_number in range(self.ROUNDS):
+            for slot in range(self.NAMES_PER_WRITER):
+                name = f"w{writer}-doc{slot}"
+                data = bytes([writer * 16 + round_number * 3 + slot + 1]) * (
+                    300 + 50 * slot + round_number
+                )
+                service.put(name, data)
+                payloads[name] = data
+
+    def _crash_and_reopen(self, scheme, home, tmp_path, payloads):
+        image = tmp_path / "image"
+        shutil.copytree(home, image)  # the handle is dropped, never closed
+        reopened = StorageService.open(self._config(scheme, image))
+        try:
+            assert set(reopened.documents) == set(payloads)
+            for name, data in payloads.items():
+                assert reopened.get(name) == data, name
+            # The write position came back too: a new document lands beside
+            # the old ones, not over them.
+            reopened.put("post-crash", b"z" * 700)
+            for name, data in payloads.items():
+                assert reopened.get(name) == data, f"{name} after a new put"
+        finally:
+            reopened.close()
+
+    def test_single_writer(self, scheme, tmp_path, resets):
+        home = tmp_path / "live"
+        service = StorageService.open(self._config(scheme, home))
+        del resets[:]  # open() checkpoints once itself
+        payloads = {}
+        self._write(service, 0, payloads)
+        assert len(resets) >= 2 and all(size >= 600 for size in resets)
+        assert os.path.getsize(home / "wal.log") < 2 * 600
+        self._crash_and_reopen(scheme, home, tmp_path, payloads)
+
+    def test_front_end_writers_race_the_checkpoint(self, scheme, tmp_path, resets):
+        home = tmp_path / "live"
+        service = open_service(self._config(scheme, home), workers=4)
+        del resets[:]
+        written = [{} for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more interleavings around the checkpoint
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                writers = [
+                    pool.submit(self._write, service, writer, written[writer])
+                    for writer in range(4)
+                ]
+                for writer in writers:
+                    writer.result(timeout=60)  # re-raises what a writer hit
+        finally:
+            sys.setswitchinterval(interval)
+        payloads = {name: data for mine in written for name, data in mine.items()}
+        assert len(resets) >= 2
+        self._crash_and_reopen(scheme, home, tmp_path, payloads)
