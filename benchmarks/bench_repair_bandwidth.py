@@ -7,7 +7,6 @@ after a disaster differs by a large factor at equal storage overhead.
 
 from __future__ import annotations
 
-from perf_record import record_entry
 from repro.analysis.repair_cost import disaster_traffic_table, single_failure_table
 from repro.core.parameters import AEParameters
 from repro.simulation.metrics import PAPER_SCHEMES, format_table
@@ -25,21 +24,6 @@ def test_single_failure_repair_costs(benchmark, print_tables):
     assert by_scheme["AE(3,2,5)"]["blocks read"] < by_scheme["RS(4,12)"]["blocks read"]
     if print_tables:
         print("\nSingle-failure repair cost\n" + format_table(rows))
-    # Analytic read counts are machine-independent, so they gate exactly
-    # (metric names containing "read" gate lower-is-better).
-    record_entry(
-        "repair",
-        "analytic/single-failure@4096",
-        scheme="paper-schemes",
-        block_size=BLOCK_SIZE,
-        seed=0,
-        metrics={
-            "ae_3_2_5_blocks_read": float(by_scheme["AE(3,2,5)"]["blocks read"]),
-            "rs_10_4_blocks_read": float(by_scheme["RS(10,4)"]["blocks read"]),
-            "rs_4_12_blocks_read": float(by_scheme["RS(4,12)"]["blocks read"]),
-        },
-        gates=["ae_3_2_5_blocks_read", "rs_10_4_blocks_read", "rs_4_12_blocks_read"],
-    )
 
 
 def test_disaster_repair_traffic(benchmark, print_tables):

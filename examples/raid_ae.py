@@ -24,7 +24,7 @@ from repro.system.raid import EntangledMirrorArray, RAIDAEArray, SimpleEntanglem
 
 def entangled_mirror_demo() -> None:
     print("== entangled mirror (AE(1), same overhead as mirroring) ==")
-    array = EntangledMirrorArray(drive_pairs=5, layout=EntangledMirrorArray.FULL_PARTITION)
+    array = EntangledMirrorArray(drive_pairs=5)
     blocks = [document_bytes(4096, seed=index) for index in range(20)]
     for block in blocks:
         array.write(block)
@@ -64,7 +64,7 @@ def raid_ae_demo() -> None:
 
     report = raid.rebuild()
     print(
-        f"rebuild: {report.repaired_count} blocks restored in {report.round_count} round(s), "
+        f"rebuild: {report.repaired_count} blocks restored in {report.rounds} round(s), "
         f"{report.blocks_read} block reads, data loss = {report.data_loss}"
     )
     estimate = raid.rebuild_cost_estimate(report.repaired_count)

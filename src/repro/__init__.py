@@ -97,7 +97,7 @@ multi-client request path, from ``repro.system.frontend``),
 many services, from ``repro.system.sharding``),
 ``RedundancyScheme`` / ``get_scheme`` (the
 pluggable redundancy protocol and registry, from ``repro.schemes``),
-``repro.storage`` (cluster, placement, repair management) and
+``repro.storage`` (cluster, placement, maintenance policies) and
 ``repro.analysis`` / ``repro.simulation`` (the paper's evaluation).
 """
 

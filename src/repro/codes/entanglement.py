@@ -280,16 +280,7 @@ class PuncturedEntanglementScheme(EntanglementScheme):
             return outcome
         wanted = set(missing)
         expanded = wanted | set(self.punctured_parities())
-        second = super().repair(expanded, fetch)
-        second.recovered = {
-            block_id: payload
-            for block_id, payload in second.recovered.items()
-            if block_id in wanted
-        }
-        second.unrecovered = [
-            block_id for block_id in second.unrecovered if block_id in wanted
-        ]
-        return second
+        return super().repair(expanded, fetch).restricted_to(wanted)
 
     # ------------------------------------------------------------------
     # Durability: strand heads may be punctured and need regeneration

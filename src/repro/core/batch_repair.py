@@ -21,9 +21,11 @@ exactly one pairwise XOR pass regardless of how data and parity targets mix
 -- the paper's repair cost, two reads and one XOR per block.
 
 :class:`RepairRun` is the round loop itself (paper, Sec. V-C4: blocks
-repaired in one round feed the next), written once: the scheme-level
-:meth:`EntanglementScheme.repair <repro.codes.entanglement.EntanglementScheme.repair>`
-and the policy-driven cluster repair manager are both thin callers of it.
+repaired in one round feed the next), written once and constructed in one
+place: the scheme-level
+:meth:`EntanglementScheme.repair <repro.codes.entanglement.EntanglementScheme.repair>`,
+which every repair of a cluster reaches through
+:meth:`StorageService.repair <repro.system.service.StorageService.repair>`.
 """
 
 from __future__ import annotations
@@ -224,8 +226,7 @@ class RepairRun:
 
     ``is_available`` answers the planner without moving payload bytes (a
     cluster knows which locations are up); without one the run probes by
-    fetching, one block at a time, and keeps what it fetched.  ``max_rounds``
-    and ``round_cap`` (targets rebuilt per round) bound the work.
+    fetching, one block at a time, and keeps what it fetched.
 
     Iterate :meth:`rounds` to run; between rounds the caller may do anything
     that does not take away blocks the source reported available -- write
@@ -243,15 +244,11 @@ class RepairRun:
         block_size: int,
         fetch_many: BulkFetcher,
         is_available: Optional[AvailabilityProbe] = None,
-        max_rounds: Optional[int] = None,
-        round_cap: Optional[int] = None,
     ) -> None:
         self._lattice = lattice
         self._block_size = block_size
         self._fetch_many = fetch_many
         self._is_available = is_available
-        self._max_rounds = max_rounds
-        self._round_cap = round_cap
         self.pending: Set[BlockId] = set(missing)
         self.blocks_read = 0
 
@@ -274,14 +271,11 @@ class RepairRun:
             return True
 
         available = _Availability(self._is_available or fetch_probe)
-        completed = 0
-        while pending and (self._max_rounds is None or completed < self._max_rounds):
+        while pending:
             # ``available`` and ``held`` only learn this round's targets
             # after the XOR pass, so the plan sees the round-start state.
             # Lattice ids sort natively in lattice order (``block_sort_key``).
             steps = plan_round(self._lattice, sorted(pending), available.__getitem__)
-            if self._round_cap is not None:
-                steps = steps[: self._round_cap]
             inputs = plan_inputs(steps)
             wanted = [block_id for block_id in inputs if block_id not in held]
             arrived = True
@@ -310,5 +304,4 @@ class RepairRun:
             held.update(recovered)
             available.update(dict.fromkeys(recovered, True))
             pending.difference_update(recovered)
-            completed += 1
             yield recovered, new_reads

@@ -109,6 +109,19 @@ class SchemeRepairOutcome:
     def repaired_count(self) -> int:
         return len(self.recovered)
 
+    def restricted_to(self, wanted: Set[object]) -> "SchemeRepairOutcome":
+        """This outcome with only ``wanted`` listed: what else the pass
+        rebuilt was an intermediate -- read and counted, never handed on."""
+        self.recovered = {
+            block_id: payload
+            for block_id, payload in self.recovered.items()
+            if block_id in wanted
+        }
+        self.unrecovered = [
+            block_id for block_id in self.unrecovered if block_id in wanted
+        ]
+        return self
+
 
 class RedundancyScheme(ABC):
     """Uniform encode / read / repair interface over one redundancy scheme.

@@ -1,8 +1,12 @@
-"""Storage substrate: backends, topology, clusters, placement and repair.
+"""Storage substrate: backends, topology, clusters, placement and maintenance.
 
 This subpackage models the physical layer beneath the entanglement lattice --
-storage locations that can fail, a cluster that maps blocks to locations, and
-the repair machinery that restores redundancy after disasters.
+storage locations that can fail, a cluster that maps blocks to locations and
+re-places rebuilt ones, and the maintenance vocabulary
+(:class:`MaintenancePolicy`, :class:`MaintenanceBudget`).  It holds no repair
+driver: a cluster is repaired by
+:meth:`StorageService.repair(policy) <repro.system.service.StorageService.repair>`,
+which hands each generation's work list to its scheme.
 
 The spatial model is an explicit :class:`~repro.storage.topology.Topology`
 (site -> rack -> node with per-node capacity weights); placement policies are
@@ -58,11 +62,6 @@ from repro.storage.placement import (
     placement_balance,
 )
 from repro.storage.scrub import ChecksumManifest, ScrubFinding, ScrubReport, Scrubber
-from repro.storage.repair import (
-    ClusterRepairManager,
-    ClusterRepairReport,
-    ClusterRepairRound,
-)
 from repro.storage.topology import (
     DOMAIN_LEVELS,
     Topology,
@@ -85,9 +84,6 @@ __all__ = [
     "ChurnEvent",
     "ChurnTrace",
     "ClusterBlockSource",
-    "ClusterRepairManager",
-    "ClusterRepairReport",
-    "ClusterRepairRound",
     "ClusterStats",
     "CorrelatedFailureDomains",
     "DOMAIN_LEVELS",

@@ -2,7 +2,7 @@
 
 The cluster is the physical layer beneath the helical lattice: it stores the
 encoded blocks, knows which location holds each block, and exposes the
-availability view the decoder and the repair manager operate on.
+availability view the decoder and the service's repair operate on.
 
 Every location's payloads live on a pluggable backend
 (:mod:`repro.storage.backends`): ``backend="memory"`` keeps the historical
@@ -123,22 +123,11 @@ class StorageCluster:
             raise PlacementError("a cluster needs at least one location")
         self._backend_spec = backend
         self._root = root
+        # What every location's store is built from (add_location grows the
+        # cluster on the same terms).
+        self._store_options = (capacity_blocks, cache_blocks, backend_options)
         self._stores: List[BlockStore] = [
-            BlockStore(
-                location_id,
-                capacity_blocks,
-                backend=_backends.get(
-                    backend,
-                    root=(
-                        os.path.join(root, f"loc-{location_id:04d}")
-                        if root is not None
-                        else None
-                    ),
-                    **backend_options,
-                ),
-                cache_blocks=cache_blocks,
-            )
-            for location_id in range(location_count)
+            self._new_store(location_id) for location_id in range(location_count)
         ]
         self._placement = placement or RandomPlacement(location_count)
         if self._placement.location_count != location_count:
@@ -159,12 +148,53 @@ class StorageCluster:
                 else:
                     self._directory[block_id] = store.location_id
 
+    def _new_store(self, location_id: int) -> BlockStore:
+        capacity_blocks, cache_blocks, backend_options = self._store_options
+        return BlockStore(
+            location_id,
+            capacity_blocks,
+            backend=_backends.get(
+                self._backend_spec,
+                root=(
+                    os.path.join(self._root, f"loc-{location_id:04d}")
+                    if self._root is not None
+                    else None
+                ),
+                **backend_options,
+            ),
+            cache_blocks=cache_blocks,
+        )
+
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
     @property
     def location_count(self) -> int:
         return len(self._stores)
+
+    def add_location(self, placement: PlacementPolicy) -> int:
+        """Grow a flat cluster by one empty location; returns its id.
+
+        ``placement`` is the policy of the grown cluster (it must count the
+        new location) and brings its topology with it.  The directory and
+        the existing stores are untouched -- no block moves and a failed
+        location stays failed with its blocks still on the books (paper,
+        Sec. IV-B2: disks are added without re-encoding).  A site / rack
+        layout does not grow this way: where the node goes is a topology
+        decision.
+        """
+        location_id = len(self._stores)
+        if not (self._topology.is_flat() and placement.topology.is_flat()):
+            raise PlacementError("only a flat single-site cluster grows by one location")
+        if placement.location_count != location_id + 1:
+            raise PlacementError(
+                f"the grown cluster has {location_id + 1} locations, the "
+                f"placement policy counts {placement.location_count}"
+            )
+        self._stores.append(self._new_store(location_id))
+        self._topology = placement.topology
+        self._placement = placement
+        return location_id
 
     @property
     def topology(self) -> Topology:
@@ -228,10 +258,6 @@ class StorageCluster:
         self._stores[location_id].put(block.block_id, block.payload)
         self._directory[block.block_id] = location_id
         return location_id
-
-    def put_blocks(self, blocks: Iterable[Block]) -> None:
-        for block in blocks:
-            self.put_block(block)
 
     def put_many(self, items: Iterable[Tuple[BlockId, Payload]]) -> int:
         """Bulk write: place and store ``(block_id, payload)`` pairs.

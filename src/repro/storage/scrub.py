@@ -33,7 +33,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.blocks import Block, BlockId, DataId, ParityId, is_data
+from repro.core.blocks import Block, BlockId, DataId, ParityId
+from repro.core.decoder import Decoder
 from repro.core.lattice import HelicalLattice
 from repro.core.xor import Payload, as_payload, xor_payloads, zero_payload
 from repro.exceptions import IntegrityError, RepairFailedError, UnknownBlockError
@@ -326,9 +327,11 @@ class Scrubber:
         back to the block's existing location and the manifest (if any) is
         refreshed.
         """
-        candidate = self._recompute(block_id)
-        if candidate is None:
-            raise RepairFailedError(block_id, "no consistent neighbours available")
+        # Depth 0: one tuple of stored neighbours, never a chain of rebuilt
+        # ones; ``repair`` never fetches the suspect itself.
+        candidate = Decoder(
+            self._lattice, self._fetch, self._block_size, max_depth=0
+        ).repair(block_id)
         location = self._cluster.location_of(block_id)
         self._cluster.location(location).put(block_id, candidate)
         if self._manifest is not None:
@@ -346,32 +349,6 @@ class Scrubber:
                 continue
             repaired.append(block_id)
         return repaired
-
-    def _recompute(self, block_id: BlockId) -> Optional[Payload]:
-        if is_data(block_id):
-            for option in self._lattice.data_repair_options(block_id.index):
-                output_payload = self._fetch(option.output_parity)
-                if output_payload is None:
-                    continue
-                if option.input_parity is None:
-                    return output_payload
-                input_payload = self._fetch(option.input_parity)
-                if input_payload is None:
-                    continue
-                return xor_payloads(input_payload, output_payload)
-            return None
-        parity: ParityId = block_id  # type: ignore[assignment]
-        creator = parity.index
-        data_payload = self._fetch(DataId(creator))
-        if data_payload is None:
-            return None
-        input_parity = self._lattice.input_parity(creator, parity.strand_class)
-        if input_parity is None:
-            return data_payload
-        input_payload = self._fetch(input_parity)
-        if input_payload is None:
-            return None
-        return xor_payloads(data_payload, input_payload)
 
 
 def _block_order(item: Tuple[BlockId, Tuple[int, int]]) -> Tuple[int, int, str]:

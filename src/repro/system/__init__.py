@@ -6,7 +6,9 @@
   whichever layer a config describes;
 * :mod:`repro.system.service` -- :class:`StorageService`, the
   put/get/delete/repair front-end over any redundancy scheme; a durable one
-  is exactly ``manifest.json`` (the checkpoint) plus ``wal.log``;
+  is exactly ``manifest.json`` (the checkpoint) plus ``wal.log``.  Its
+  ``repair(policy)`` is the one verb that repairs a cluster, at every layer
+  and for the archive and RAID-AE use cases below;
 * :mod:`repro.system.frontend` -- :class:`ConcurrentStorageService`, the
   thread-pool multi-client request path with striped locks and backpressure;
 * :mod:`repro.system.loadgen` -- the closed-loop multi-client load generator
@@ -14,7 +16,8 @@
 * :mod:`repro.system.compare` -- the same workload and failure trace run
   across schemes, measured next to the analytic Table IV costs;
 * :mod:`repro.system.backup` -- the geo-replicated cooperative backup network;
-* :mod:`repro.system.raid` -- entangled mirror arrays and RAID-AE;
+* :mod:`repro.system.raid` -- entangled mirror arrays, and RAID-AE as a
+  :class:`StorageService` over its disks;
 * :mod:`repro.system.keys` -- deterministic block keys and location mapping;
 * :mod:`repro.system.sharding` -- :class:`ShardedStorageService`, the
   consistent-hash federation of many services with scatter-gather reads and

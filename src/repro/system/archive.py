@@ -15,7 +15,7 @@ lower layers into that workflow:
 * **get / verify** read a version back (repairing blocks through the lattice
   when locations are down) and check it against the recorded digest;
 * **scrub / repair** run the integrity scrubber of
-  :mod:`repro.storage.scrub` and the cluster repair manager, giving the
+  :mod:`repro.storage.scrub` and the service's ``repair(policy)``, giving the
   archive the maintenance loop a real deployment would schedule.
 """
 
@@ -33,9 +33,8 @@ from repro.exceptions import IntegrityError, UnknownBlockError
 from repro.storage.cluster import StorageCluster
 from repro.storage.maintenance import MaintenancePolicy
 from repro.storage.placement import PlacementPolicy
-from repro.storage.repair import ClusterRepairManager, ClusterRepairReport
 from repro.storage.scrub import ChecksumManifest, Scrubber, ScrubReport
-from repro.system.service import StorageConfig, StorageService
+from repro.system.service import ServiceRepairReport, StorageConfig, StorageService
 
 __all__ = ["ArchiveEntry", "ArchiveStore"]
 
@@ -202,13 +201,10 @@ class ArchiveStore:
         self._system.restore_locations(location_ids)
 
     def repair(
-        self, policy: MaintenancePolicy = MaintenancePolicy.FULL, max_rounds: int = 1000
-    ) -> ClusterRepairReport:
+        self, policy: MaintenancePolicy = MaintenancePolicy.FULL
+    ) -> ServiceRepairReport:
         """Restore redundancy after failures (the Fig. 11/12 maintenance loop)."""
-        manager = ClusterRepairManager(
-            self._scheme.lattice, self._system.cluster, self._system.block_size, policy
-        )
-        return manager.repair(max_rounds=max_rounds)
+        return self._system.repair(policy)
 
     def scrubber(self) -> Scrubber:
         """An integrity scrubber bound to this archive's lattice and manifest."""

@@ -44,6 +44,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, TypeVar
 
 from repro.exceptions import InvalidParametersError, ServiceOverloadedError
 from repro.schemes.base import RedundancyScheme, SchemeCapabilities
+from repro.storage.maintenance import MaintenancePolicy
 from repro.storage.topology import Topology
 from repro.system.service import (
     ServiceRepairReport,
@@ -387,11 +388,13 @@ class ConcurrentStorageService:
         with self._maintenance.write_locked():
             return self._service.transition_to(scheme, doc_guard=doc_guard)
 
-    def repair(self) -> ServiceRepairReport:
+    def repair(
+        self, policy: MaintenancePolicy = MaintenancePolicy.FULL
+    ) -> ServiceRepairReport:
         """Run a repair pass while mutations are quiesced; reads continue."""
         self._ensure_open()
         with self._maintenance.write_locked():
-            return self._service.repair()
+            return self._service.repair(policy)
 
     def fail_locations(self, location_ids: Iterable[int]) -> None:
         self._ensure_open()

@@ -10,7 +10,7 @@ classes conform structurally; what each adds *behind* the verbs is tabulated
 in ``docs/architecture.md``.  :func:`repro.system.opening.open_service`
 opens the right one.
 
-Declarations only: the concrete types are imported for annotations alone,
+Declarations only: the service types are imported for annotations alone,
 so any module may import this one without a cycle.
 """
 
@@ -19,6 +19,8 @@ from __future__ import annotations
 from typing import (
     TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Protocol, Union, runtime_checkable,
 )
+
+from repro.storage.maintenance import MaintenancePolicy
 
 if TYPE_CHECKING:
     from repro.schemes.base import RedundancyScheme, SchemeCapabilities
@@ -87,7 +89,11 @@ class DocumentService(Protocol):
 
     def restore_locations(self, location_ids: Optional[Iterable[int]] = None) -> None: ...
 
-    def repair(self) -> Union[ServiceRepairReport, FederationRepairReport]: ...
+    def repair(
+        self, policy: MaintenancePolicy = MaintenancePolicy.FULL
+    ) -> Union[ServiceRepairReport, FederationRepairReport]:
+        """Rebuild unreachable blocks; ``policy`` (default ``FULL``) is how
+        much maintenance to do, what it left alone comes back as skipped."""
 
     def transition_to(
         self, scheme: str

@@ -4,10 +4,10 @@ Two families of layouts are provided:
 
 * **Entangled mirror** (earlier work recapped in Sec. IV-B1): simple
   entanglements (AE(1)) over an array with equal numbers of data and parity
-  drives.  *Full partition* maps every lattice node to a data drive and every
-  edge to a parity drive; *block-level striping* spreads blocks across all
-  drives.  Chains can be *open* or *closed* -- a closed chain removes the
-  weakly protected extremities by entangling the tail back into the head.
+  drives.  *Full partition* -- the layout modelled here -- maps every lattice
+  node to a data drive and every edge to a parity drive.  Chains can be
+  *open* or *closed* -- a closed chain removes the weakly protected
+  extremities by entangling the tail back into the head.
 
 * **RAID-AE** (Sec. IV-B2): a disk array whose redundancy is an
   AE(alpha, s, p) lattice instead of fixed-width stripes.  It writes on a
@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.blocks import Block, BlockId, DataId, ParityId
-from repro.core.decoder import Decoder
-from repro.core.encoder import Entangler
+from repro.codes.entanglement import EntanglementScheme
+from repro.core.blocks import DataId
 from repro.core.lattice import HelicalLattice
 from repro.core.parameters import AEParameters
 from repro.core.xor import Payload, PayloadLike, as_payload, xor_payloads, zero_payload
@@ -31,7 +30,7 @@ from repro.exceptions import InvalidParametersError, RepairFailedError, UnknownB
 from repro.storage.cluster import StorageCluster
 from repro.storage.maintenance import MaintenancePolicy
 from repro.storage.placement import DictionaryPlacement
-from repro.storage.repair import ClusterRepairManager, ClusterRepairReport
+from repro.system.service import ServiceRepairReport, StorageService
 
 
 # ----------------------------------------------------------------------
@@ -190,28 +189,18 @@ class MirrorDrive:
 class EntangledMirrorArray:
     """Simple-entanglement disk array with the same overhead as mirroring.
 
-    ``layout`` selects *full partition* (blocks written sequentially on the
-    same drive type; drive ``i`` holds chain positions congruent to ``i``) or
-    *block striping* (consecutive chain positions rotate over all drives).
+    The layout modelled is *full partition*: data blocks go to data drives
+    and parities to parity drives, drive ``i`` of each kind holding the chain
+    positions congruent to ``i``.
     """
 
-    FULL_PARTITION = "full-partition"
-    BLOCK_STRIPING = "block-striping"
-
-    def __init__(self, drive_pairs: int, layout: str = FULL_PARTITION, closed: bool = False) -> None:
+    def __init__(self, drive_pairs: int, closed: bool = False) -> None:
         if drive_pairs < 1:
             raise InvalidParametersError("the array needs at least one drive pair")
-        if layout not in (self.FULL_PARTITION, self.BLOCK_STRIPING):
-            raise InvalidParametersError(f"unknown layout {layout!r}")
-        self._layout = layout
         self._chain = SimpleEntanglementChain(closed=closed)
         self.data_drives = [MirrorDrive(i, "data") for i in range(drive_pairs)]
         self.parity_drives = [MirrorDrive(i, "parity") for i in range(drive_pairs)]
         self._positions: List[Tuple[int, int]] = []  # (data drive, slot) per chain position
-
-    @property
-    def layout(self) -> str:
-        return self._layout
 
     @property
     def chain(self) -> SimpleEntanglementChain:
@@ -230,12 +219,8 @@ class EntangledMirrorArray:
         """Append one block to the array; returns its chain position."""
         position = self._chain.append(payload)
         blocks = self._chain.blocks()
-        if self._layout == self.FULL_PARTITION:
-            drive_index = position % len(self.data_drives)
-            slot = position // len(self.data_drives)
-        else:
-            drive_index = position % len(self.data_drives)
-            slot = position // len(self.data_drives)
+        drive_index = position % len(self.data_drives)
+        slot = position // len(self.data_drives)
         self.data_drives[drive_index].write(slot, blocks[f"d{position}"])
         self.parity_drives[drive_index].write(slot, blocks[f"p{position}"])
         self._positions.append((drive_index, slot))
@@ -276,10 +261,11 @@ class EntangledMirrorArray:
 class RAIDAEArray:
     """A disk array protected by an AE(alpha, s, p) lattice (RAID-AE).
 
-    Disks are the storage locations of an internal cluster; blocks are placed
-    round-robin so consecutive lattice elements land on different disks
-    (declustered never-ending stripe).  Disks can be added at any time without
-    re-encoding -- new writes simply start using the larger array.
+    Disks are the storage locations of a :class:`StorageService` over an
+    entanglement scheme; blocks are placed round-robin so consecutive lattice
+    elements land on different disks (declustered never-ending stripe).
+    Disks can be added at any time without re-encoding -- new writes simply
+    start using the larger array.
     """
 
     def __init__(
@@ -295,8 +281,10 @@ class RAIDAEArray:
         self._params = params
         self._block_size = block_size
         self._placement = DictionaryPlacement(disk_count, {})
-        self._cluster = StorageCluster(disk_count, self._placement)
-        self._encoder = Entangler(params, block_size)
+        self._service = StorageService(
+            EntanglementScheme(params, block_size),
+            StorageCluster(placement=self._placement),
+        )
         self._next_disk = 0
 
     # ------------------------------------------------------------------
@@ -308,15 +296,15 @@ class RAIDAEArray:
 
     @property
     def disk_count(self) -> int:
-        return self._cluster.location_count
+        return self.cluster.location_count
 
     @property
     def cluster(self) -> StorageCluster:
-        return self._cluster
+        return self._service.cluster
 
     @property
     def lattice(self) -> HelicalLattice:
-        return self._encoder.lattice
+        return self._service.scheme.lattice  # type: ignore[attr-defined]
 
     @property
     def write_penalty(self) -> int:
@@ -333,56 +321,48 @@ class RAIDAEArray:
         failed are skipped so the array keeps accepting writes in degraded
         mode (a :class:`RepairFailedError` is raised only when no disk is up).
         """
-        encoded = self._encoder.entangle(payload)
-        for block in encoded.all_blocks():
-            disk = self._next_available_disk()
-            self._placement.record(block.block_id, disk)
-            self._cluster.put_block(block, disk)
-        return encoded.data_id
+        # One write is one lattice node: a payload over the block size raises
+        # here instead of spilling into a node the rotation never placed.
+        data = as_payload(payload, self._block_size).tobytes()
+        index = self.lattice.size + 1
+        data_id = DataId(index)
+        for block_id in (data_id, *self.lattice.output_parities(index)):
+            self._placement.record(block_id, self._next_available_disk())
+        self._service.put(f"d{index}", data)
+        return data_id
 
     def _next_available_disk(self) -> int:
         for _ in range(self.disk_count):
             disk = self._next_disk
             self._next_disk = (self._next_disk + 1) % self.disk_count
-            if self._cluster.location(disk).available:
+            if self.cluster.location(disk).available:
                 return disk
         raise RepairFailedError("raid-ae", "no available disk to accept writes")
 
     def read(self, data_id: DataId) -> Payload:
         """Read a block; degraded reads go through the lattice repair paths."""
-        decoder = Decoder(self.lattice, self._cluster.try_get_block, self._block_size)
-        return decoder.get(data_id)
+        return self._service.get_block(data_id)
 
     # ------------------------------------------------------------------
     # Scaling and failures
     # ------------------------------------------------------------------
     def add_disk(self) -> int:
         """Grow the array by one disk without touching existing blocks."""
-        new_count = self.disk_count + 1
-        new_placement = DictionaryPlacement(new_count, {})
-        new_cluster = StorageCluster(new_count, new_placement)
-        for location in self._cluster.locations():
-            for block_id in list(location.block_ids()):
-                payload = location.try_get(block_id)
-                if payload is None:
-                    continue
-                new_placement.record(block_id, location.location_id)
-                new_cluster.put_block(Block(block_id, payload), location.location_id)
-            if not location.available:
-                new_cluster.fail_locations([location.location_id])
-        self._placement = new_placement
-        self._cluster = new_cluster
-        return new_count - 1
+        cluster = self.cluster
+        self._placement = DictionaryPlacement(
+            self.disk_count + 1,
+            {block_id: cluster.location_of(block_id) for block_id in cluster.block_ids()},
+        )
+        return cluster.add_location(self._placement)
 
     def fail_disk(self, disk_id: int) -> None:
-        self._cluster.fail_locations([disk_id])
+        self._service.fail_locations([disk_id])
 
-    def rebuild(self, policy: MaintenancePolicy = MaintenancePolicy.FULL) -> ClusterRepairReport:
+    def rebuild(
+        self, policy: MaintenancePolicy = MaintenancePolicy.FULL
+    ) -> ServiceRepairReport:
         """Rebuild the blocks of failed disks onto the surviving disks."""
-        manager = ClusterRepairManager(
-            self.lattice, self._cluster, self._block_size, policy
-        )
-        return manager.repair()
+        return self._service.repair(policy)
 
     def rebuild_cost_estimate(self, failed_blocks: int) -> Dict[str, int]:
         """Reads/writes needed to rebuild ``failed_blocks`` single failures."""

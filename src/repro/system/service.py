@@ -35,6 +35,7 @@ from repro.schemes.base import RedundancyScheme, SchemeCapabilities
 from repro.storage import placement as placement_registry
 from repro.storage.backends import decode_block_id, encode_block_id, write_json
 from repro.storage.cluster import StorageCluster
+from repro.storage.maintenance import MaintenancePolicy
 from repro.storage.placement import PlacementPolicy
 from repro.storage.topology import Topology
 from repro.storage.wal import WAL_NAME, MetadataWAL, WalGroup
@@ -242,11 +243,16 @@ class ServiceStatus:
 
 @dataclass
 class ServiceRepairReport:
-    """Outcome of a scheme-agnostic repair run."""
+    """Outcome of a scheme-agnostic repair run.
+
+    ``skipped`` lists the unreachable blocks the maintenance policy left
+    alone (redundancy under ``MINIMAL``, everything under ``NONE``).
+    """
 
     scheme: str
     repaired: List[object] = field(default_factory=list)
     unrecovered: List[object] = field(default_factory=list)
+    skipped: List[object] = field(default_factory=list)
     blocks_read: int = 0
     rounds: int = 0
     data_loss: int = 0
@@ -1244,8 +1250,10 @@ class StorageService:
         self._ensure_open()
         self._cluster.restore_locations(location_ids)
 
-    def repair(self) -> ServiceRepairReport:
-        """Rebuild every unreachable block through the scheme's repair path.
+    def repair(
+        self, policy: MaintenancePolicy = MaintenancePolicy.FULL
+    ) -> ServiceRepairReport:
+        """Rebuild the unreachable blocks through the scheme's repair path.
 
         Recovered payloads are written back to healthy locations (the
         placement index is updated), so a subsequent location restore cannot
@@ -1254,6 +1262,13 @@ class StorageService:
         each is repaired by the scheme that encoded it (the retained source
         for documents not yet migrated, the target for the rest) and the two
         outcomes are merged into one report.
+
+        ``policy`` is how much maintenance to do (paper, Sec. V): ``FULL``
+        rebuilds every unreachable block; ``MINIMAL`` rebuilds and writes
+        back data blocks only -- a data block with no complete tuple left is
+        reached through the redundancy in between, rebuilt as intermediates
+        and dropped -- and ``NONE`` repairs, relocates and logs nothing.
+        What the policy left alone comes back in ``skipped``.
         """
         self._ensure_open()
         report = ServiceRepairReport(scheme=self._scheme.scheme_id)
@@ -1268,9 +1283,22 @@ class StorageService:
             source = self._cluster.block_source()
             avoid = tuple(self._cluster.unavailable_locations())
             for scheme, owned in generations:
-                if not owned:
+                if policy is MaintenancePolicy.FULL:
+                    wanted = owned
+                else:
+                    wanted = (
+                        set(filter(scheme.is_data_block, owned))
+                        if policy is MaintenancePolicy.MINIMAL
+                        else set()
+                    )
+                    report.skipped.extend(owned - wanted)
+                if not wanted:
                     continue
-                outcome = scheme.repair(owned, source)
+                outcome = scheme.repair(wanted, source)
+                if outcome.unrecovered and len(wanted) < len(owned):
+                    # Data no surviving tuple reaches: run the full repair
+                    # and keep the data, so MINIMAL loses nothing FULL saves.
+                    outcome = scheme.repair(owned, source).restricted_to(wanted)
                 self._cluster.relocate_many(outcome.recovered.items(), avoid=avoid)
                 report.repaired.extend(outcome.recovered)
                 report.unrecovered.extend(outcome.unrecovered)
@@ -1288,5 +1316,6 @@ class StorageService:
             self._commit_meta(
                 [{"op": "placement", "relocated": len(report.repaired)}]
             )
-        report.repaired.sort(key=lambda b: (getattr(b, "index", 0), repr(b)))
+        for listed in (report.repaired, report.skipped):
+            listed.sort(key=lambda b: (getattr(b, "index", 0), repr(b)))
         return report

@@ -50,6 +50,7 @@ from repro.exceptions import InvalidParametersError, PlacementError, ReproError,
 from repro.schemes.base import RedundancyScheme, SchemeCapabilities
 from repro.system.transitions import TransitionReport
 from repro.storage.backends import write_json
+from repro.storage.maintenance import MaintenancePolicy
 from repro.storage.placement import PlacementPolicy
 from repro.storage.topology import Topology
 from repro.system.frontend import DEFAULT_WORKERS, ConcurrentStorageService
@@ -263,6 +264,10 @@ class FederationRepairReport:
     @property
     def unrecovered_count(self) -> int:
         return sum(len(report.unrecovered) for report in self.per_shard.values())
+
+    @property
+    def skipped_count(self) -> int:
+        return sum(len(report.skipped) for report in self.per_shard.values())
 
     def summary(self) -> str:
         text = (
@@ -845,8 +850,12 @@ class ShardedStorageService:
         for shard_id in self._targets(shard):
             self._shards[shard_id].restore_locations(ids)
 
-    def repair(self, shard: Optional[int] = None) -> FederationRepairReport:
-        """Repair one shard, or every shard independently.
+    def repair(
+        self,
+        policy: MaintenancePolicy = MaintenancePolicy.FULL,
+        shard: Optional[int] = None,
+    ) -> FederationRepairReport:
+        """Repair one shard, or every shard independently, under ``policy``.
 
         A shard whose repair pass raises (an unrecoverable disaster, a
         placement dead-end) is recorded in ``errors`` and the remaining
@@ -856,7 +865,7 @@ class ShardedStorageService:
         report = FederationRepairReport()
         for shard_id in self._targets(shard):
             try:
-                report.per_shard[shard_id] = self._shards[shard_id].repair()
+                report.per_shard[shard_id] = self._shards[shard_id].repair(policy)
             except ReproError as exc:
                 report.errors[shard_id] = str(exc)
         return report

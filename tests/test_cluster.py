@@ -103,6 +103,44 @@ class TestRelocation:
             cluster.relocate(DataId(1), b"y", avoid=())
 
 
+class TestAddLocation:
+    def test_grows_in_place_without_moving_or_forgetting_a_block(self):
+        cluster = filled_cluster(locations=4, blocks=30)
+        cluster.fail_locations([2])
+        before = {b: cluster.location_of(b) for b in cluster.block_ids()}
+        down = cluster.unavailable_blocks()
+        assert down
+        assert cluster.add_location(RandomPlacement(5, seed=1)) == 4
+        assert cluster.location_count == 5 and cluster.topology.node_count == 5
+        assert {b: cluster.location_of(b) for b in cluster.block_ids()} == before
+        assert cluster.unavailable_blocks() == down
+        assert cluster.blocks_at(4) == [] and cluster.location(4).available
+        # The grown cluster places with the policy it was handed.
+        cluster.put_block(Block(DataId(99), b"\x01" * 8), location_id=4)
+        assert cluster.get_block(DataId(99)).tolist() == [1] * 8
+
+    def test_new_location_is_built_like_the_others(self, tmp_path):
+        cluster = StorageCluster(
+            2, RandomPlacement(2), capacity_blocks=1, backend="disk", root=str(tmp_path)
+        )
+        cluster.add_location(RandomPlacement(3))
+        store = cluster.location(2)
+        assert store.capacity_blocks == 1 and store.backend.persistent
+        store.put(DataId(1), b"x" * 8)
+        cluster.close()
+        assert (tmp_path / "loc-0002").is_dir()
+
+    def test_wrong_size_or_a_site_layout_is_refused(self):
+        cluster = filled_cluster(locations=4, blocks=8)
+        for count in (4, 6):
+            with pytest.raises(PlacementError):
+                cluster.add_location(RandomPlacement(count))
+        sites = StorageCluster(topology="sites=2,nodes=2")
+        with pytest.raises(PlacementError):
+            sites.add_location(RandomPlacement(5))
+        assert cluster.location_count == 4 and sites.location_count == 4
+
+
 class TestBulkWriteFanOut:
     """``put_many`` writes location by location, in the order the batch first
     names them.  What a refusing location leaves behind is pinned here as it

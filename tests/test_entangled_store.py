@@ -3,8 +3,9 @@ the paper's maintenance policies."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.storage.maintenance import MaintenancePolicy
-from repro.storage.repair import ClusterRepairManager
 from repro.system.service import StorageConfig, StorageService
 
 from tests.conftest import make_payload
@@ -19,11 +20,8 @@ def make_system(scheme="ae-3-2-5", locations=30, block_size=128, seed=3):
 
 
 def policy_repair(system, policy):
-    """Policy-driven repair of the service's lattice (Figs. 11/12 regimes)."""
-    manager = ClusterRepairManager(
-        system.scheme.lattice, system.cluster, system.block_size, policy
-    )
-    return manager.repair()
+    """Policy-driven repair of the service (Figs. 11/12 regimes)."""
+    return system.repair(policy)
 
 
 class TestPutGet:
@@ -67,9 +65,100 @@ class TestDegradedOperation:
         report = policy_repair(system, MaintenancePolicy.MINIMAL)
         assert report.skipped  # parities were not repaired
         status = system.status()
-        # Data repairs are prioritised; without parity repairs a few data
-        # blocks may stay unreachable, but most are restored.
+        # Only data is written back; what a full repair could not reach
+        # either may stay unreachable, but most is restored.
         assert status.unavailable_data_blocks < before
         assert status.unavailable_data_blocks <= before // 2
         # Skipped parities remain unavailable.
         assert status.unavailable_blocks >= len(report.skipped)
+
+
+class TestPolicyRepairSeesWhatPlainRepairSees:
+    """A policy must only ever choose *what* to repair: the punctured
+    regeneration pass and the source generation of a re-encode in flight
+    belong to every policy-driven run, not just to a plain ``repair()``."""
+
+    @staticmethod
+    def damaged(scheme):
+        """Four 60-block documents on 20 locations, locations 0-3 failed."""
+        system = make_system(scheme, locations=20, block_size=64)
+        documents = {f"doc-{n}": make_payload(n + 1, 60 * 64) for n in range(4)}
+        for name, payload in documents.items():
+            system.put(name, payload)
+        system.fail_locations(range(4))
+        return system, documents
+
+    @pytest.mark.parametrize("scheme", ["ae-3-2-5-p75", "ae-3-2-5-p50"])
+    def test_full_policy_on_a_punctured_service(self, scheme):
+        system, _ = self.damaged(scheme)
+        twin, _ = self.damaged(scheme)
+        report = policy_repair(system, MaintenancePolicy.FULL)
+        plain = twin.repair()
+        assert plain.data_loss == 0 and not plain.unrecovered
+        assert report.data_loss == 0
+        assert report.unrecovered == []
+        assert sorted(report.repaired) == sorted(plain.repaired)
+
+    @pytest.mark.parametrize("scheme", ["ae-3-2-5-p75", "ae-3-2-5-p50"])
+    def test_minimal_policy_on_a_punctured_service(self, scheme):
+        system, documents = self.damaged(scheme)
+        twin, _ = self.damaged(scheme)
+        report = policy_repair(system, MaintenancePolicy.MINIMAL)
+        twin.repair()
+        assert report.data_loss == 0
+        # Every data block a full repair reaches, minimal maintenance
+        # reaches too; only redundancy is left alone.
+        assert (
+            system.status().unavailable_data_blocks
+            == twin.status().unavailable_data_blocks
+            == 0
+        )
+        assert report.skipped
+        assert not any(system.scheme.is_data_block(b) for b in report.skipped)
+        for name, payload in documents.items():
+            assert system.get(name) == payload
+
+    def test_minimal_policy_with_a_reencode_in_flight(self, monkeypatch):
+        system = make_system("rs-4-2", locations=12, block_size=64, seed=5)
+        documents = {f"doc-{n}": make_payload(n + 1, 10 * 64) for n in range(4)}
+        for name, payload in documents.items():
+            system.put(name, payload)
+        original = StorageService._land
+        landed = []
+
+        def crash_on_second(self, name, batches):
+            if landed:
+                raise RuntimeError("injected crash")
+            landed.append(name)
+            return original(self, name, batches)
+
+        monkeypatch.setattr(StorageService, "_land", crash_on_second)
+        with pytest.raises(RuntimeError, match="injected crash"):
+            system.transition_to("ae-3-2-5")
+        monkeypatch.undo()
+        source, target = system._fallback, system.scheme
+        assert system.transition.pending and len(landed) == 1
+
+        system.fail_locations([0, 1])
+        missing = system.cluster.unavailable_blocks()
+        generations = {
+            source: {b for b in missing if source.owns(b)},
+            target: {b for b in missing if target.owns(b)},
+        }
+        wanted = {
+            b for scheme, owned in generations.items()
+            for b in owned if scheme.is_data_block(b)
+        }
+        assert all(
+            any(scheme.is_data_block(b) for b in owned)
+            and not all(scheme.is_data_block(b) for b in owned)
+            for scheme, owned in generations.items()
+        ), "the disaster must cost both generations data and redundancy"
+
+        report = policy_repair(system, MaintenancePolicy.MINIMAL)
+        assert report.data_loss == 0 and not report.unrecovered
+        assert set(report.repaired) == wanted
+        assert set(report.skipped) == missing - wanted
+        assert system.cluster.unavailable_blocks() == missing - wanted
+        for name, payload in documents.items():
+            assert system.get(name) == payload

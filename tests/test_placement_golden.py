@@ -4,9 +4,11 @@ The literals below were recorded on the commit *before* placement became a
 batch function (PR 15's parent, ``01d8bef``) and pin the contract that change
 had to keep: ``spread-domains`` puts, and the domain-aware relocation of
 rebuilt blocks, land every block on exactly the location the per-block code
-chose.  ``tests/test_repair_batched.py`` proves that batched and sequential
-repair agree *with each other*; a bug in the picker they share would keep
-that agreement and break these hashes.
+chose.  The ``LATTICE_GOLDEN`` / ``CAPACITY_GOLDEN`` literals were recorded
+through the cluster repair manager's per-block loop; since PR 21 they are
+reproduced by ``StorageService.repair()`` over the same lattice (checked on
+PR 21's parent, ``b2ce1fa``, before the manager was deleted), so they pin
+the one remaining repair path to where that loop put every block.
 
 Each digest is a sha256 over the sorted ``(repr(block_id), location)``
 directory after put -> fail a domain -> ``repair()`` -> restore -> fail a
@@ -22,13 +24,12 @@ from typing import Dict, Iterable, List, Tuple
 
 import pytest
 
+from repro.codes.entanglement import EntanglementScheme
 from repro.core.blocks import BlockId, DataId, ParityId
-from repro.core.encoder import Entangler
 from repro.core.parameters import AEParameters, STRAND_CLASS_ORDER
 from repro.schemes.stripe import StripeBlockId
 from repro.storage import placement
 from repro.storage.cluster import StorageCluster
-from repro.storage.repair import ClusterRepairManager
 from repro.storage.topology import Topology, TopologyNode
 from repro.system.service import StorageConfig, StorageService
 
@@ -80,31 +81,21 @@ def service_digest(scheme_id: str, spec: str, seed: int) -> str:
     return directory_digest(service.cluster)
 
 
-def manager_digest(
-    scheme_id: str, spec: str, seed: int, batched: bool, capacity_blocks=None
-) -> str:
-    """The AE lattice straight on a cluster, repaired by the repair manager.
+def lattice_digest(scheme_id: str, spec: str, seed: int, capacity_blocks=None) -> str:
+    """One 120-block AE lattice on a bare cluster, repaired by the service.
 
-    The sequential run ingests block by block (``location_for``), the batched
-    one in bulk (``locations_for``): one literal pins both.  With
-    ``capacity_blocks`` the relocation candidates change as locations fill.
+    With ``capacity_blocks`` the relocation candidates change as locations
+    fill.
     """
     params = AEParameters.parse(AE_SPECS[scheme_id])
     topology = Topology.parse(spec)
     policy = placement.get("spread-domains", topology, params=params, seed=seed)
     cluster = StorageCluster(placement=policy, capacity_blocks=capacity_blocks)
-    encoder = Entangler(params, block_size=BLOCK_SIZE)
-    blocks = [
-        block
-        for index in range(1, 121)
-        for block in encoder.entangle(make_payload(index, BLOCK_SIZE)).all_blocks()
-    ]
-    if batched:
-        cluster.put_many((block.block_id, block.payload) for block in blocks)
-    else:
-        cluster.put_blocks(blocks)
-    manager = ClusterRepairManager(encoder.lattice, cluster, BLOCK_SIZE)
-    two_disasters(cluster, spec, lambda: manager.repair(batched=batched))
+    service = StorageService(EntanglementScheme(params, BLOCK_SIZE), cluster)
+    service.put(
+        "lattice", b"".join(make_payload(index, BLOCK_SIZE) for index in range(1, 121))
+    )
+    two_disasters(cluster, spec, service.repair)
     return directory_digest(cluster)
 
 
@@ -175,7 +166,7 @@ SERVICE_GOLDEN: Dict[Tuple[str, str, int], str] = {
     ('rep-3', 'sites=1,racks=3,nodes=4', 7): '1628739b03de51d1b0fd7d2308705854f65e778e10032e39caa95aba4e1959f1',
 }
 
-MANAGER_GOLDEN: Dict[Tuple[str, str, int], str] = {
+LATTICE_GOLDEN: Dict[Tuple[str, str, int], str] = {
     ('ae-3-2-5', 'sites=7,racks=2,nodes=2', 1): 'da7957c21a6a75815ab2c8bb277d819e83562931610e98c3a2c3f20966d095dc',
     ('ae-3-2-5', 'sites=7,racks=2,nodes=2', 7): '006b349d6e26720d2112f4adbcd062c32c3a3f3b76b15212da1b2cc0fc0e235e',
     ('ae-3-2-5', 'sites=4,racks=2,nodes=2', 1): 'c38d602b00a0dc3a20ab541d74e7e39bb142919c2616419b2374c9af258a7527',
@@ -222,20 +213,15 @@ def test_service_repair_directory(scheme_id, spec, seed):
     assert service_digest(scheme_id, spec, seed) == SERVICE_GOLDEN[scheme_id, spec, seed]
 
 
-@pytest.mark.parametrize("batched", [True, False])
 @pytest.mark.parametrize("scheme_id,spec,seed", _cases(AE_SPECS))
-def test_repair_manager_directory(scheme_id, spec, seed, batched):
-    assert (
-        manager_digest(scheme_id, spec, seed, batched)
-        == MANAGER_GOLDEN[scheme_id, spec, seed]
-    )
+def test_lattice_repair_directory(scheme_id, spec, seed):
+    assert lattice_digest(scheme_id, spec, seed) == LATTICE_GOLDEN[scheme_id, spec, seed]
 
 
-@pytest.mark.parametrize("batched", [True, False])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_repair_manager_directory_with_full_locations(seed, batched):
+def test_lattice_repair_directory_with_full_locations(seed):
     assert (
-        manager_digest(*CAPACITY_CASE, seed, batched, capacity_blocks=CAPACITY_BLOCKS)
+        lattice_digest(*CAPACITY_CASE, seed, capacity_blocks=CAPACITY_BLOCKS)
         == CAPACITY_GOLDEN[seed]
     )
 
@@ -253,19 +239,13 @@ if __name__ == "__main__":  # pragma: no cover - recording aid
     print("SERVICE_GOLDEN = {")
     for case in _cases(SCHEMES):
         print(f"    {case!r}: {service_digest(*case)!r},")
-    print("}\nMANAGER_GOLDEN = {")
+    print("}\nLATTICE_GOLDEN = {")
     for case in _cases(AE_SPECS):
-        sequential = manager_digest(*case, batched=False)
-        assert manager_digest(*case, batched=True) == sequential
-        print(f"    {case!r}: {sequential!r},")
+        print(f"    {case!r}: {lattice_digest(*case)!r},")
     print("}\nCAPACITY_GOLDEN = {")
     for seed in SEEDS:
-        digests = {
-            manager_digest(*CAPACITY_CASE, seed, batched, capacity_blocks=CAPACITY_BLOCKS)
-            for batched in (True, False)
-        }
-        assert len(digests) == 1
-        print(f"    {seed!r}: {digests.pop()!r},")
+        digest = lattice_digest(*CAPACITY_CASE, seed, capacity_blocks=CAPACITY_BLOCKS)
+        print(f"    {seed!r}: {digest!r},")
     print("}\nPOLICY_GOLDEN = {")
     for name in placement.available():
         print(f"    {name!r}: {policy_digest(name)!r},")

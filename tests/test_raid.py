@@ -75,19 +75,9 @@ class TestEntangledMirrorArray:
         array.fail_drives(data_drives=[1, 2], parity_drives=[1, 2])
         assert not array.data_survives()
 
-    def test_block_striping_layout(self):
-        array = EntangledMirrorArray(4, layout=EntangledMirrorArray.BLOCK_STRIPING)
-        for index in range(8):
-            array.write(make_payload(index, 16))
-        array.fail_drives(parity_drives=[0, 1, 2, 3])
-        # All data drives intact: reads never need recovery.
-        assert bytes(array.read(5)) == make_payload(5, 16)
-
     def test_invalid_configuration(self):
         with pytest.raises(InvalidParametersError):
             EntangledMirrorArray(0)
-        with pytest.raises(InvalidParametersError):
-            EntangledMirrorArray(4, layout="raid7")
 
 
 class TestRAIDAE:
@@ -129,6 +119,29 @@ class TestRAIDAE:
         for index in range(12, 26):
             raid.write(make_payload(index, 32))
         assert raid.cluster.blocks_at(new_disk)
+
+    def test_add_disk_on_a_degraded_array_keeps_the_failed_disk(self):
+        """Growing must not copy "what can be read": a failed disk reads
+        nothing, and its blocks would leave the directory for good."""
+        raid = RAIDAEArray(AEParameters.triple(2, 5), disk_count=8, block_size=64)
+        for index in range(40):
+            raid.write(make_payload(index, 64))
+        stored = {
+            block_id: bytes(raid.cluster.get_block(block_id))
+            for block_id in raid.cluster.block_ids()
+        }
+        assert len(stored) == 160
+        raid.fail_disk(3)
+        assert len(raid.cluster.unavailable_blocks()) == 20
+        raid.add_disk()
+        assert len(raid.cluster) == 160
+        assert len(raid.cluster.unavailable_blocks()) == 20
+        report = raid.rebuild()
+        assert report.repaired_count == 20
+        assert report.data_loss == 0 and not report.unrecovered
+        assert not raid.cluster.location(3).available
+        for block_id, payload in stored.items():
+            assert bytes(raid.cluster.get_block(block_id)) == payload
 
     def test_rebuild_cost_estimate_is_two_reads_per_block(self):
         raid = RAIDAEArray(AEParameters.triple(2, 5), disk_count=8, block_size=32)

@@ -1,13 +1,15 @@
-"""Equivalence and accounting tests for the batched repair pipeline.
+"""Accounting tests for the batched repair pipeline.
 
-The batched cluster repair path (``ClusterRepairManager.repair``, the
-default) plans each round, bulk-fetches the surviving inputs and rebuilds
-every target in one matrix XOR pass.  These tests pin the contract that makes
-the speedup safe to ship:
+Every repair of a cluster (``StorageService.repair``) plans each round,
+bulk-fetches the surviving inputs and rebuilds every target in one matrix XOR
+pass.  These tests pin the contract around it:
 
-* batched and per-block repair recover bit-identical payloads onto identical
-  locations, across code settings, seeds and failure patterns (including a
-  whole ``site:0`` disaster under ``spread-domains`` placement);
+* one pairwise XOR pass over a plan equals the per-block
+  :class:`~repro.core.decoder.Decoder`, the independent check of the planner
+  (the batched output itself is frozen as parent-recorded literals in
+  ``test_ae_repair_golden.py`` and ``test_placement_golden.py``);
+* every registered scheme survives a location and a whole ``site:0`` disaster
+  under ``spread-domains`` placement;
 * the read accounting matches the analytic costs of
   :mod:`repro.analysis.repair_cost`, and a surviving block feeding several
   dependent repairs is fetched and counted once per run;
@@ -26,8 +28,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.repair_cost import repair_model_for
+from repro.codes.entanglement import EntanglementScheme
 from repro.core.batch_repair import execute_plan, plan_round
-from repro.core.blocks import DataId, ParityId, is_data, is_parity
+from repro.core.blocks import Block, DataId, ParityId, is_data, is_parity
 from repro.core.decoder import Decoder
 from repro.core.encoder import Entangler
 from repro.core.parameters import AEParameters
@@ -37,78 +40,12 @@ from repro.storage.block_store import BlockStore
 from repro.storage.cluster import StorageCluster
 from repro.storage.failures import disaster_for_target
 from repro.storage.placement import RandomPlacement
-from repro.storage.repair import ClusterRepairManager
 from repro.system.service import StorageConfig, StorageService
 
 from tests.conftest import make_payload
 from tests.test_schemes import REQUIRED_IDS
 
 BLOCK_SIZE = 64
-
-
-def entangled_cluster(params: AEParameters, blocks: int, locations: int, seed: int):
-    """Encode ``blocks`` payloads onto a fresh cluster; returns (encoder, cluster, originals)."""
-    encoder = Entangler(params, block_size=BLOCK_SIZE)
-    cluster = StorageCluster(locations, RandomPlacement(locations, seed=seed))
-    originals = {}
-    for index in range(1, blocks + 1):
-        encoded = encoder.entangle(make_payload(index, BLOCK_SIZE))
-        for block in encoded.all_blocks():
-            originals[block.block_id] = block.payload
-            cluster.put_block(block)
-    return encoder, cluster, originals
-
-
-def repaired_ids(report):
-    return {block_id for round_ in report.rounds for block_id in round_.repaired}
-
-
-class TestBatchedSequentialEquivalence:
-    """``repair(batched=True)`` must be indistinguishable from the per-block loop."""
-
-    @pytest.mark.parametrize("spec", ["AE(1,-,-)", "AE(2,2,5)", "AE(3,2,5)"])
-    @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_identical_payloads_and_locations(self, spec, seed):
-        params = AEParameters.parse(spec)
-        runs = {}
-        for batched in (False, True):
-            encoder, cluster, originals = entangled_cluster(params, 80, 24, seed=seed)
-            cluster.fail_locations(range(4))
-            manager = ClusterRepairManager(encoder.lattice, cluster, BLOCK_SIZE)
-            missing = manager.missing_blocks()
-            report = manager.repair(batched=batched)
-            runs[batched] = (cluster, missing, report, originals)
-        seq_cluster, missing, seq_report, originals = runs[False]
-        bat_cluster, bat_missing, bat_report, _ = runs[True]
-
-        # Same placement seed, same disaster: both paths saw the same work
-        # list and must agree on what was recoverable.
-        assert bat_missing == missing
-        assert repaired_ids(bat_report) == repaired_ids(seq_report)
-        assert bat_report.unrecovered == seq_report.unrecovered
-
-        for block_id in repaired_ids(bat_report):
-            assert payloads_equal(bat_cluster.get_block(block_id), originals[block_id])
-            assert payloads_equal(seq_cluster.get_block(block_id), originals[block_id])
-            # Relocation targets are a pure function of the block and the
-            # healthy candidate set, so the paths land on the same location.
-            assert bat_cluster.location_of(block_id) == seq_cluster.location_of(block_id)
-
-        # Deduplicated bulk fetches can only reduce the read bill.
-        assert bat_report.blocks_read <= seq_report.blocks_read
-
-    def test_agreement_on_unrecoverable_blocks(self):
-        """A disaster beyond the code's strength: both paths report the same loss."""
-        params = AEParameters.single()
-        runs = {}
-        for batched in (False, True):
-            encoder, cluster, _ = entangled_cluster(params, 60, 10, seed=13)
-            cluster.fail_locations(range(6))
-            manager = ClusterRepairManager(encoder.lattice, cluster, BLOCK_SIZE)
-            runs[batched] = manager.repair(batched=batched)
-        assert runs[True].unrecovered == runs[False].unrecovered
-        assert repaired_ids(runs[True]) == repaired_ids(runs[False])
-        assert runs[True].data_loss == runs[False].data_loss
 
 
 class TestExecutePlan:
@@ -225,91 +162,58 @@ class TestReadAccounting:
     """Measured reads versus the analytic model of ``analysis.repair_cost``."""
 
     @staticmethod
-    def isolated_block_cluster(params: AEParameters, victim, blocks=60, locations=12):
-        """A cluster where ``victim`` is the only block at location 0."""
-        encoder = Entangler(params, block_size=BLOCK_SIZE)
+    def service_with_victims_alone(params: AEParameters, victims, blocks, locations=12):
+        """A service whose location 0 holds ``victims`` and nothing else."""
+        scheme = EntanglementScheme(params, BLOCK_SIZE)
         cluster = StorageCluster(locations, RandomPlacement(locations, seed=2))
+        payloads = [make_payload(index, BLOCK_SIZE) for index in range(1, blocks + 1)]
         spot = 1
-        for index in range(1, blocks + 1):
-            encoded = encoder.entangle(make_payload(index, BLOCK_SIZE))
-            for block in encoded.all_blocks():
-                if block.block_id == victim:
-                    cluster.put_block(block, location_id=0)
-                else:
-                    cluster.put_block(block, location_id=1 + spot % (locations - 1))
-                    spot += 1
-        return encoder, cluster
+        for block_id, payload in scheme.encode(payloads).blocks:
+            if block_id in victims:
+                cluster.put_block(Block(block_id, payload), location_id=0)
+            else:
+                cluster.put_block(
+                    Block(block_id, payload), location_id=1 + spot % (locations - 1)
+                )
+                spot += 1
+        return StorageService(scheme, cluster)
 
     def test_single_failure_reads_match_analytic_cost(self):
-        params = AEParameters.triple(2, 5)
         victim = DataId(30)
-        encoder, cluster = self.isolated_block_cluster(params, victim)
+        service = self.service_with_victims_alone(AEParameters.triple(2, 5), {victim}, 60)
+        cluster = service.cluster
         cluster.fail_locations([0])
-        manager = ClusterRepairManager(encoder.lattice, cluster, BLOCK_SIZE)
-        assert manager.missing_blocks() == {victim}
+        assert cluster.unavailable_blocks() == {victim}
 
         before = sum(store.read_count for store in cluster.locations())
-        report = manager.repair()
+        report = service.repair()
         after = sum(store.read_count for store in cluster.locations())
 
         analytic = repair_model_for("ae-3-2-5").single_failure_cost(BLOCK_SIZE).blocks_read
         assert analytic == 2
+        assert report.repaired == [victim]
         assert report.blocks_read == analytic
         # The report's read bill is exactly what the stores served.
         assert after - before == report.blocks_read
 
     def test_shared_input_is_fetched_once(self):
-        """AE(1): d2 and d3 both consume p(2,3); batched repair reads it once.
+        """AE(1): d2 and d3 both consume p(2,3); a repair round reads it once.
 
-        Per-block repair pays ``2 + 2`` reads (each target re-fetches its own
-        inputs); the batched round gathers the union ``{p(1,2), p(2,3),
-        p(3,4)}`` in one bulk read.
+        Block by block the two repairs cost ``2 + 2`` reads (each target
+        fetches its own inputs); the round gathers the union ``{p(1,2),
+        p(2,3), p(3,4)}`` in one bulk read.
         """
-        params = AEParameters.single()
-        encoder = Entangler(params, block_size=BLOCK_SIZE)
-        cluster = StorageCluster(12, RandomPlacement(12, seed=2))
-        spot = 1
         victims = {DataId(2), DataId(3)}
-        for index in range(1, 41):
-            encoded = encoder.entangle(make_payload(index, BLOCK_SIZE))
-            for block in encoded.all_blocks():
-                if block.block_id in victims:
-                    cluster.put_block(block, location_id=0)
-                else:
-                    cluster.put_block(block, location_id=1 + spot % 11)
-                    spot += 1
-        cluster.fail_locations([0])
-
-        sequential_cluster = StorageCluster(12, RandomPlacement(12, seed=2))
-        # Re-run the same layout for the per-block reference.
-        encoder_seq = Entangler(params, block_size=BLOCK_SIZE)
-        spot = 1
-        for index in range(1, 41):
-            encoded = encoder_seq.entangle(make_payload(index, BLOCK_SIZE))
-            for block in encoded.all_blocks():
-                if block.block_id in victims:
-                    sequential_cluster.put_block(block, location_id=0)
-                else:
-                    sequential_cluster.put_block(block, location_id=1 + spot % 11)
-                    spot += 1
-        sequential_cluster.fail_locations([0])
-
-        batched_report = ClusterRepairManager(
-            encoder.lattice, cluster, BLOCK_SIZE
-        ).repair(batched=True)
-        sequential_report = ClusterRepairManager(
-            encoder_seq.lattice, sequential_cluster, BLOCK_SIZE
-        ).repair(batched=False)
-
-        assert repaired_ids(batched_report) == victims
-        assert repaired_ids(sequential_report) == victims
+        service = self.service_with_victims_alone(AEParameters.single(), victims, 40)
+        service.cluster.fail_locations([0])
+        report = service.repair()
+        assert set(report.repaired) == victims
         per_block = repair_model_for("ae-1").single_failure_cost(BLOCK_SIZE).blocks_read
-        assert sequential_report.blocks_read == per_block * len(victims)
         # The shared parity p(2,3) is counted once, so one read is saved.
-        assert batched_report.blocks_read == per_block * len(victims) - 1
-        for block_id in victims:
+        assert report.blocks_read == per_block * len(victims) - 1
+        for index in (2, 3):
             assert payloads_equal(
-                cluster.get_block(block_id), sequential_cluster.get_block(block_id)
+                service.cluster.get_block(DataId(index)), make_payload(index, BLOCK_SIZE)
             )
 
 

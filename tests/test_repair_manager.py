@@ -1,34 +1,35 @@
-"""Tests for the cluster-level repair manager and maintenance policies."""
+"""Tests for the maintenance policies and for policy-driven repair of an AE
+lattice through ``StorageService.repair(policy)``."""
 
 from __future__ import annotations
 
-import pytest
-
+from repro.codes.entanglement import EntanglementScheme
 from repro.core.blocks import DataId, ParityId, is_data
-from repro.core.encoder import Entangler
 from repro.core.parameters import AEParameters
 from repro.core.xor import payloads_equal
 from repro.storage.cluster import StorageCluster
 from repro.storage.maintenance import MaintenanceBudget, MaintenancePolicy
 from repro.storage.placement import RandomPlacement
-from repro.storage.repair import ClusterRepairManager
+from repro.system.service import StorageService
 
 from tests.conftest import make_payload
 
 BLOCK_SIZE = 32
 
 
-def entangled_cluster(params: AEParameters, blocks: int, locations: int, seed: int = 5):
-    """Encode ``blocks`` payloads onto a fresh cluster; returns (encoder, cluster, originals)."""
-    encoder = Entangler(params, block_size=BLOCK_SIZE)
+def entangled_service(params: AEParameters, blocks: int, locations: int, seed: int = 5):
+    """``blocks`` payloads entangled onto a fresh cluster; returns the
+    service and every stored block's original payload."""
     cluster = StorageCluster(locations, RandomPlacement(locations, seed=seed))
-    originals = {}
-    for index in range(1, blocks + 1):
-        encoded = encoder.entangle(make_payload(index, BLOCK_SIZE))
-        for block in encoded.all_blocks():
-            originals[block.block_id] = block.payload
-            cluster.put_block(block)
-    return encoder, cluster, originals
+    service = StorageService(EntanglementScheme(params, BLOCK_SIZE), cluster)
+    service.put(
+        "lattice",
+        b"".join(make_payload(index, BLOCK_SIZE) for index in range(1, blocks + 1)),
+    )
+    originals = {
+        block_id: cluster.get_block(block_id) for block_id in cluster.block_ids()
+    }
+    return service, originals
 
 
 class TestMaintenancePolicies:
@@ -55,67 +56,42 @@ class TestMaintenancePolicies:
         assert MaintenanceBudget.unlimited().clip_round(10) == 10
 
 
-class TestClusterRepair:
+class TestPolicyRepair:
     def test_full_repair_restores_all_blocks(self, hec_params):
-        encoder, cluster, originals = entangled_cluster(hec_params, 60, 25)
+        service, originals = entangled_service(hec_params, 60, 25)
+        cluster = service.cluster
         cluster.fail_locations(range(5))
-        manager = ClusterRepairManager(encoder.lattice, cluster, BLOCK_SIZE)
-        missing_before = manager.missing_blocks()
+        missing_before = cluster.unavailable_blocks()
         assert missing_before
-        report = manager.repair()
+        report = service.repair()
         assert report.data_loss == 0
-        assert not report.unrecovered
+        assert not report.unrecovered and not report.skipped
+        assert set(report.repaired) == missing_before
         for block_id in missing_before:
             assert payloads_equal(cluster.get_block(block_id), originals[block_id])
             assert cluster.location_of(block_id) >= 5
 
     def test_minimal_maintenance_skips_parities(self, hec_params):
-        encoder, cluster, originals = entangled_cluster(hec_params, 60, 25)
+        service, originals = entangled_service(hec_params, 60, 25)
+        cluster = service.cluster
         cluster.fail_locations(range(4))
-        manager = ClusterRepairManager(
-            encoder.lattice, cluster, BLOCK_SIZE, MaintenancePolicy.MINIMAL
-        )
-        missing = manager.missing_blocks()
+        missing = cluster.unavailable_blocks()
         missing_parities = [b for b in missing if not is_data(b)]
-        report = manager.repair()
-        assert report.skipped == sorted(missing_parities, key=lambda b: (b.index, 1, b.strand_class.value))
-        assert all(is_data(b) for round_ in report.rounds for b in round_.repaired)
+        report = service.repair(MaintenancePolicy.MINIMAL)
+        assert report.skipped == sorted(
+            missing_parities, key=lambda b: (b.index, 1, b.strand_class.value)
+        )
+        assert set(report.repaired) == missing - set(missing_parities)
+        # Skipped redundancy stays where the disaster left it.
+        assert cluster.unavailable_blocks() == set(missing_parities)
+        for block_id in report.repaired:
+            assert payloads_equal(cluster.get_block(block_id), originals[block_id])
 
     def test_none_policy_repairs_nothing(self, hec_params):
-        encoder, cluster, _ = entangled_cluster(hec_params, 40, 20)
-        cluster.fail_locations(range(3))
-        manager = ClusterRepairManager(
-            encoder.lattice, cluster, BLOCK_SIZE, MaintenancePolicy.NONE
-        )
-        report = manager.repair()
-        assert report.repaired_count == 0
-
-    def test_budget_limits_rounds(self, hec_params):
-        encoder, cluster, _ = entangled_cluster(hec_params, 80, 20)
-        cluster.fail_locations(range(8))
-        manager = ClusterRepairManager(
-            encoder.lattice,
-            cluster,
-            BLOCK_SIZE,
-            MaintenancePolicy.FULL,
-            budget=MaintenanceBudget(max_rounds=1),
-        )
-        report = manager.repair()
-        assert report.round_count <= 1
-
-    def test_single_block_repair_reads_two_blocks(self, hec_params):
-        encoder, cluster, originals = entangled_cluster(hec_params, 60, 30)
-        victim = DataId(30)
-        victim_location = cluster.location_of(victim)
-        cluster.fail_locations([victim_location])
-        manager = ClusterRepairManager(encoder.lattice, cluster, BLOCK_SIZE)
-        payload, reads = manager.repair_single(victim)
-        assert payloads_equal(payload, originals[victim])
-        assert reads <= 2 * hec_params.alpha  # at most alpha attempts of 2 reads
-
-    def test_report_summary_and_fractions(self, hec_params):
-        encoder, cluster, _ = entangled_cluster(hec_params, 60, 25)
-        cluster.fail_locations(range(5))
-        report = ClusterRepairManager(encoder.lattice, cluster, BLOCK_SIZE).repair()
-        assert 0.0 <= report.single_failure_fraction <= 1.0
-        assert "policy=full" in report.summary()
+        service, _ = entangled_service(hec_params, 40, 20)
+        service.cluster.fail_locations(range(3))
+        missing = service.cluster.unavailable_blocks()
+        report = service.repair(MaintenancePolicy.NONE)
+        assert report.repaired_count == 0 and report.blocks_read == 0
+        assert set(report.skipped) == missing
+        assert service.cluster.unavailable_blocks() == missing

@@ -9,7 +9,8 @@ here instead of in whichever caller happens to hold that layer.
 
 It also pins the use-after-close contract (every verb raises the layer's own
 closed error; introspection stays readable), including the stale-``flush()``
-data-loss regression, and the parameter names of the shared verbs.
+data-loss regression, ``repair(policy)`` across layers and scheme families,
+and the parameter names of the shared verbs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.exceptions import (
     InvalidParametersError,
     UnknownBlockError,
 )
+from repro.storage import MaintenancePolicy
 from repro.system import (
     ConcurrentStorageService,
     DocumentService,
@@ -251,6 +253,83 @@ def test_put_snapshots_a_buffer_the_caller_can_still_write(layer, scheme, kind, 
         service.restore_locations()
         raw[-4:] = b"XXXX"
         assert service.get("doc") == original
+
+
+class TestRepairPolicy:
+    """``repair(policy)`` is one verb with one meaning at every layer and
+    under every scheme family: the policy picks *what* is repaired."""
+
+    SCHEMES = ("ae-3-2-5", "rs-10-4", "rep-3")
+    #: Two nodes of different sites: within every scheme's tolerance.
+    FAILED = (0, 7)
+
+    @staticmethod
+    def damaged(layer, scheme, backend, tmp_path):
+        service = open_layer(layer, backend, tmp_path, scheme=scheme)
+        documents = {f"doc-{n}": payload(n, 5_000 + 300 * n) for n in range(6)}
+        for name, data in documents.items():
+            service.put(name, data)
+        service.fail_locations(TestRepairPolicy.FAILED)
+        holders = {id(h): h for h in map(service.service_for, documents)}.values()
+        assert len(holders) == LAYERS[layer][0].get("shards", 1)
+        return service, documents, list(holders)
+
+    @staticmethod
+    def listed(report, field):
+        reports = getattr(report, "per_shard", {0: report}).values()
+        return sorted(repr(b) for r in reports for b in getattr(r, field))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_full_is_the_default(self, layer, scheme, tmp_path):
+        service, documents, _ = self.damaged(layer, scheme, "memory", tmp_path)
+        twin, _, _ = self.damaged(layer, scheme, "memory", tmp_path)
+        report, plain = service.repair(MaintenancePolicy.FULL), twin.repair()
+        assert plain.repaired_count > 0 and plain.data_loss == 0
+        for field in ("repaired", "unrecovered", "skipped"):
+            assert self.listed(report, field) == self.listed(plain, field)
+        assert self.listed(report, "skipped") == []
+        assert (report.blocks_read, report.rounds) == (plain.blocks_read, plain.rounds)
+        assert service.status() == twin.status()
+        assert service.status().unavailable_blocks == 0
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_minimal_repairs_the_data_blocks_and_lists_the_rest(
+        self, layer, scheme, tmp_path
+    ):
+        service, documents, holders = self.damaged(layer, scheme, "memory", tmp_path)
+        data, redundancy = [], []
+        for holder in holders:
+            for block_id in holder.cluster.unavailable_blocks():
+                is_data = holder.scheme.is_data_block(block_id)
+                (data if is_data else redundancy).append(repr(block_id))
+        assert data and redundancy
+        report = service.repair(MaintenancePolicy.MINIMAL)
+        assert report.data_loss == 0
+        assert self.listed(report, "repaired") == sorted(data)
+        assert self.listed(report, "skipped") == sorted(redundancy)
+        assert self.listed(report, "unrecovered") == []
+        assert service.status().unavailable_blocks == len(redundancy)
+        assert sum(h.status().unavailable_data_blocks for h in holders) == 0
+        if layer == "federation":
+            assert report.skipped_count == len(redundancy)
+        for name, expected in documents.items():
+            assert service.get(name) == expected
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_none_touches_nothing(self, layer, scheme, tmp_path):
+        service, _, holders = self.damaged(layer, scheme, "segment", tmp_path)
+        logs = sorted((tmp_path / "root").rglob("wal.log"))
+        assert len(logs) == len(holders)
+        before = service.status(), [log.read_bytes() for log in logs]
+        missing = sum(len(h.cluster.unavailable_blocks()) for h in holders)
+        report = service.repair(MaintenancePolicy.NONE)
+        assert report.repaired_count == 0 and report.blocks_read == 0
+        assert len(self.listed(report, "skipped")) == missing > 0
+        assert (service.status(), [log.read_bytes() for log in logs]) == before
+        service.close()
 
 
 class TestOpenService:

@@ -37,7 +37,6 @@ class TestStorageImportSurface:
         import repro.storage.failures
         import repro.storage.maintenance
         import repro.storage.placement
-        import repro.storage.repair
         import repro.storage.scrub
         import repro.storage.topology
         import repro.storage.wal
@@ -49,7 +48,6 @@ class TestStorageImportSurface:
             repro.storage.failures,
             repro.storage.maintenance,
             repro.storage.placement,
-            repro.storage.repair,
             repro.storage.scrub,
             repro.storage.topology,
             repro.storage.wal,
