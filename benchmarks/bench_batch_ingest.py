@@ -75,7 +75,7 @@ def test_batched_encode(benchmark, spec, block_size):
 
 def open_store(spec: str):
     return open_service(
-        scheme=ae_scheme_id(AEParameters.parse(spec)), location_count=50, block_size=4096
+        scheme=ae_scheme_id(AEParameters.parse(spec)), topology=50, block_size=4096
     )
 
 

@@ -37,7 +37,7 @@ def test_table4_measured_repair_reads_match_analytics(print_tables):
          "lrc-xorbas", "rep-3", "xor-geo"),
         data_blocks=120,
         block_size=512,
-        location_count=50,
+        topology=50,
         fail_locations=2,
         seed=11,
     )

@@ -65,7 +65,7 @@ def test_transition_chain_throughput(tmp_path, print_tables):
     service = StorageService.open(
         StorageConfig(
             scheme=SOURCE,
-            location_count=24,
+            topology=24,
             block_size=BLOCK_SIZE,
             seed=SEED,
             backend="disk",
@@ -107,7 +107,7 @@ def test_reads_stay_live_during_transition(print_tables):
     payloads = _make_docs(LIVE_DOCS, LIVE_PAYLOAD)
     frontend = ConcurrentStorageService.open(
         StorageConfig(
-            scheme=SOURCE, location_count=24, block_size=BLOCK_SIZE, seed=SEED
+            scheme=SOURCE, topology=24, block_size=BLOCK_SIZE, seed=SEED
         ),
         workers=LIVE_READERS + 1,
     )

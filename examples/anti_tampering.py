@@ -32,7 +32,7 @@ from repro.system.archive import ArchiveStore
 
 def main() -> None:
     params = AEParameters.triple(s=2, p=5)
-    archive = ArchiveStore(params, location_count=30, block_size=256, seed=7)
+    archive = ArchiveStore(params, topology=30, block_size=256, seed=7)
 
     # ------------------------------------------------------------------
     # 1. Archive a document.

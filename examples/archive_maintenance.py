@@ -37,7 +37,7 @@ def dataset(version: int) -> bytes:
 
 def main() -> None:
     params = AEParameters.triple(s=2, p=5)
-    archive = ArchiveStore(params, location_count=50, block_size=1024, seed=11)
+    archive = ArchiveStore(params, topology=50, block_size=1024, seed=11)
 
     # ------------------------------------------------------------------
     # 1. Three snapshots of the same dataset: the lattice only ever grows.

@@ -27,7 +27,7 @@ def main() -> None:
     # 1. Archive data with a double entanglement (200% overhead).
     # ------------------------------------------------------------------
     old_params = AEParameters.double(2, 5)
-    service = open_service(scheme="ae-2-2-5", location_count=50, block_size=1024, seed=4)
+    service = open_service(scheme="ae-2-2-5", topology=50, block_size=1024, seed=4)
     payload = document_bytes(200_000, seed=7)
     service.put("archive-2019", payload)
     lattice = service.scheme.lattice

@@ -47,7 +47,7 @@ def main() -> None:
             network.backup(user_node, name, payload)
             files[(user_node, name)] = payload
     for node_id in (0, 1):
-        lattice = network.lattice_of(network.owner_name(node_id))
+        lattice = network.lattice_of(node_id)
         print(f"node {node_id}: {lattice.describe()}")
 
     # ------------------------------------------------------------------

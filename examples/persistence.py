@@ -36,7 +36,7 @@ def main() -> None:
         scheme="ae-3-2-5",
         backend="segment",
         data_dir=data_dir,
-        location_count=30,
+        topology=30,
         block_size=1024,
     )
     payload = random.Random(7).randbytes(200_000)

@@ -356,13 +356,12 @@ def _service_config(args: argparse.Namespace) -> "StorageConfig":
 
     return StorageConfig(
         scheme=args.scheme,
-        location_count=None if args.topology is not None else args.locations,
         block_size=args.block_size,
         seed=args.seed,
         backend=args.backend,
         data_dir=args.data_dir,
         fsync=args.fsync,
-        topology=args.topology,
+        topology=args.topology if args.topology is not None else args.locations,
         placement=args.placement,
         shards=args.shards,
     )
@@ -990,14 +989,13 @@ def compare_main(argv: List[str] | None = None) -> int:
             scheme_ids,
             data_blocks=args.blocks,
             block_size=args.block_size,
-            location_count=args.locations,
+            topology=args.topology if args.topology is not None else args.locations,
             fail_locations=fail if isinstance(fail, int) else 0,
             seed=args.seed,
             victims=args.victims,
             backend=args.backend,
             data_dir=args.data_dir,
             fsync=args.fsync,
-            topology=args.topology,
             placement=args.placement,
             fail_target=fail if isinstance(fail, str) else None,
             shards=args.shards,

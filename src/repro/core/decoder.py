@@ -63,12 +63,6 @@ class Decoder:
             raise RepairFailedError(block_id, "no available recovery path")
         return payload
 
-    def repair_data(self, index: int) -> Payload:
-        return self.repair(DataId(index))
-
-    def repair_parity(self, parity: ParityId) -> Payload:
-        return self.repair(parity)
-
     # ------------------------------------------------------------------
     # Path enumeration (diagnostics, Fig. 2)
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ happen only at the beginning of the mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.blocks import BlockId, DataId, ParityId, data_ids_for, is_data
 from repro.core.parameters import AEParameters, NodeCategory, StrandClass
@@ -26,10 +26,8 @@ from repro.core.position import (
     node_category,
     node_column,
     node_row,
-    nodes_in_column,
 )
 from repro.core.rules import input_index, output_index
-from repro.core.strands import StrandId, strand_of, strands_of
 from repro.exceptions import LatticeBoundsError
 
 
@@ -152,14 +150,6 @@ class HelicalLattice:
         yield from self.data_ids()
         yield from self.parity_ids()
 
-    def column_nodes(self, column: int) -> List[DataId]:
-        nodes = [
-            DataId(index)
-            for index in nodes_in_column(column, self._params.s)
-            if index <= self._size
-        ]
-        return nodes
-
     # ------------------------------------------------------------------
     # Geometry
     # ------------------------------------------------------------------
@@ -175,13 +165,6 @@ class HelicalLattice:
 
     def column(self, index: int) -> int:
         return node_column(index, self._params.s)
-
-    def strands_through(self, index: int) -> List[StrandId]:
-        """The alpha strands a data node participates in."""
-        return strands_of(index, self._params)
-
-    def strand_of_parity(self, parity: ParityId) -> StrandId:
-        return strand_of(parity.index, parity.strand_class, self._params)
 
     # ------------------------------------------------------------------
     # Edges (parities)
@@ -216,16 +199,6 @@ class HelicalLattice:
     def input_parities(self, index: int) -> List[Optional[ParityId]]:
         """Input parities of node ``index``, one per class (``None`` at strand starts)."""
         return [self.input_parity(index, cls) for cls in self._params.strand_classes]
-
-    def incident_parities(self, index: int) -> List[ParityId]:
-        """Every existing parity adjacent to node ``index`` in the lattice graph."""
-        incident: List[ParityId] = []
-        for strand_class in self._params.strand_classes:
-            input_parity = self.input_parity(index, strand_class)
-            if input_parity is not None:
-                incident.append(input_parity)
-            incident.append(self.output_parity(index, strand_class))
-        return incident
 
     def one_hop_neighbours(self, index: int) -> List[int]:
         """Data nodes at one hop of ``index`` along any strand (paper, Fig. 4)."""
@@ -294,32 +267,6 @@ class HelicalLattice:
             )
         self._parity_options_cache[parity] = options
         return options
-
-    def repair_dependencies(self, block_id: BlockId) -> Sequence:
-        """Uniform access to the repair options of any block."""
-        if is_data(block_id):
-            return self.data_repair_options(block_id.index)
-        return self.parity_repair_options(block_id)
-
-    # ------------------------------------------------------------------
-    # Strand segments (used by analysis and long-path reads)
-    # ------------------------------------------------------------------
-    def strand_segment(
-        self, start: int, strand_class: StrandClass, hops: int
-    ) -> List[int]:
-        """Walk ``hops`` hops forward from ``start`` along ``strand_class``.
-
-        The walk is clipped at the lattice boundary.
-        """
-        self._check_node(start)
-        nodes = [start]
-        current = start
-        for _ in range(hops):
-            current = output_index(current, strand_class, self._params)
-            if current > self._size:
-                break
-            nodes.append(current)
-        return nodes
 
     def describe(self) -> str:
         """One-line human readable summary of the lattice."""

@@ -17,8 +17,8 @@ replication); every scheme the :mod:`repro.schemes` registry learned to
   XOR, replication -- driven by the code's *own* decodability test and
   cheapest repair plan, ``can_decode`` / ``repair_read_positions``);
 * one event loop (:meth:`SimulationEngine.run_events`) consumes
-  :class:`~repro.storage.failures.Disaster` one-shots (including disasters
-  built from :class:`~repro.storage.failures.CorrelatedFailureDomains`) and
+  :class:`~repro.storage.failures.Disaster` one-shots (including whole
+  failure domains, :func:`~repro.storage.failures.disaster_for_target`) and
   :class:`~repro.storage.failures.ChurnTrace` /
   :class:`~repro.simulation.traces.SessionTrace` churn, honouring
   :class:`~repro.storage.maintenance.MaintenancePolicy` and
@@ -903,8 +903,8 @@ EventSource = Union[
 def normalise_events(source: EventSource) -> List[SimulationEvent]:
     """Normalise any failure source into a list of :class:`SimulationEvent`.
 
-    Accepts a :class:`Disaster` (one-shot, including disasters built with
-    :meth:`CorrelatedFailureDomains.domain_disaster`), a :class:`ChurnTrace`,
+    Accepts a :class:`Disaster` (one-shot, including whole-domain disasters
+    from :func:`~repro.storage.failures.disaster_for_target`), a :class:`ChurnTrace`,
     a :class:`~repro.simulation.traces.SessionTrace` (discretised first), a
     ready list of events, or any iterable mixing them.
     """

@@ -9,7 +9,10 @@ driver: a cluster is repaired by
 which hands each generation's work list to its scheme.
 
 The spatial model is an explicit :class:`~repro.storage.topology.Topology`
-(site -> rack -> node with per-node capacity weights); placement policies are
+(site -> rack -> node with per-node capacity weights; a bare count ``n`` is
+``Topology.flat(n)``), and a block is *available* when its location is up
+and holds it -- ``unavailable_blocks()`` is the complement of
+``is_available``.  Placement policies are
 resolved from the string-keyed registry in :mod:`repro.storage.placement`
 (``placement.get("spread-domains", topology)``), and disasters can target
 whole failure domains (``disaster_for_target(topology, "site:0")``).  See
@@ -42,7 +45,6 @@ from repro.storage.cluster import ClusterBlockSource, ClusterStats, StorageClust
 from repro.storage.failures import (
     ChurnEvent,
     ChurnTrace,
-    CorrelatedFailureDomains,
     Disaster,
     PAPER_DISASTER_SIZES,
     disaster_for_fraction,
@@ -67,8 +69,6 @@ from repro.storage.topology import (
     Topology,
     TopologyBuilder,
     TopologyNode,
-    iter_targets,
-    parse_topology_spec,
 )
 from repro.storage.wal import (
     MetadataWAL,
@@ -85,7 +85,6 @@ __all__ = [
     "ChurnTrace",
     "ClusterBlockSource",
     "ClusterStats",
-    "CorrelatedFailureDomains",
     "DOMAIN_LEVELS",
     "DictionaryPlacement",
     "Disaster",
@@ -120,8 +119,6 @@ __all__ = [
     "domain_balance",
     "encode_block_id",
     "iter_frames",
-    "iter_targets",
-    "parse_topology_spec",
     "placement",
     "placement_balance",
     "scan_wal",

@@ -82,45 +82,33 @@ class StorageCluster:
     """``n`` storage locations plus the block -> location mapping.
 
     The spatial layout of those locations is an explicit
-    :class:`~repro.storage.topology.Topology` (site -> rack -> node); the
-    legacy ``location_count=N`` form keeps working as the flat single-site
-    shim.  Pass ``topology=`` (a ``Topology``, a compact spec string like
-    ``"sites=3,racks=2,nodes=4"``, a JSON file path or an int) to make the
-    cluster domain-aware: per-domain statistics and repair re-placement that
-    avoids the failed block's failure domain.
+    :class:`~repro.storage.topology.Topology` (site -> rack -> node):
+    ``topology`` is a ``Topology``, a compact spec string like
+    ``"sites=3,racks=2,nodes=4"``, a JSON file path or a bare count ``N``
+    (``Topology.flat(N)``).  More than one failure domain makes the cluster
+    domain-aware: per-domain statistics and repair re-placement that avoids
+    the failed block's failure domain.
     """
 
     def __init__(
         self,
-        location_count: Optional[int] = None,
+        topology: Optional[Union[Topology, int, str]] = None,
         placement: Optional[PlacementPolicy] = None,
         capacity_blocks: Optional[int] = None,
         backend: str = "memory",
         root: Optional[str] = None,
         cache_blocks: Optional[int] = None,
-        topology: Optional[Union[Topology, int, str]] = None,
         **backend_options: object,
     ) -> None:
         resolved = Topology.resolve(topology)
-        if resolved is None and placement is not None:
+        if resolved is None:
+            if placement is None:
+                raise PlacementError("a cluster needs a topology or a placement")
             # Adopt the placement's topology so a policy built over sites and
             # racks makes the cluster domain-aware without repeating the spec.
             resolved = placement.topology
-        if resolved is None:
-            if location_count is None:
-                raise PlacementError(
-                    "a cluster needs a location_count, a topology or a placement"
-                )
-            resolved = Topology.flat(location_count)
-        if location_count is not None and location_count != resolved.node_count:
-            raise PlacementError(
-                f"location_count={location_count} contradicts the topology "
-                f"({resolved.node_count} nodes); pass one or the other"
-            )
         self._topology = resolved
         location_count = resolved.node_count
-        if location_count < 1:
-            raise PlacementError("a cluster needs at least one location")
         self._backend_spec = backend
         self._root = root
         # What every location's store is built from (add_location grows the
@@ -129,7 +117,7 @@ class StorageCluster:
         self._stores: List[BlockStore] = [
             self._new_store(location_id) for location_id in range(location_count)
         ]
-        self._placement = placement or RandomPlacement(location_count)
+        self._placement = placement or RandomPlacement(resolved)
         if self._placement.location_count != location_count:
             raise PlacementError(
                 "placement policy location count does not match the cluster size"
@@ -410,37 +398,27 @@ class StorageCluster:
         return store._available and block_id in store._sizes
 
     def relocate(self, block_id: BlockId, payload: Payload, avoid: Sequence[int] = ()) -> int:
-        """Store a repaired block on an available location (not in ``avoid``).
-
-        The avoid-list is a hard constraint: locations in ``avoid`` are never
-        chosen, even when they alone have free capacity -- a
-        :class:`~repro.exceptions.PlacementError` is raised instead of
-        silently co-locating a repaired block with the failure it was
-        repaired *from*.  When the cluster topology has more than one
-        failure domain, the choice is additionally domain-aware: candidates
-        outside the failure domains of the avoided locations (and of the
-        block's failed previous location) are preferred, so a rack or site
-        coming back from the dead cannot take the rebuilt copy down with it
-        again.
-        """
-        (target,) = self._pick_relocation_targets([block_id], set(avoid))
-        self._stores[target].put(block_id, payload)
-        self._directory[block_id] = target
-        return target
+        """:meth:`relocate_many` for one repaired block; returns its target."""
+        return self.relocate_many([(block_id, payload)], avoid)[block_id]
 
     def relocate_many(
         self,
         items: Iterable[Tuple[BlockId, Payload]],
         avoid: Sequence[int] = (),
     ) -> Dict[BlockId, int]:
-        """Bulk :meth:`relocate`: the same target selection for a whole round.
+        """Store repaired blocks on available locations (not in ``avoid``).
 
-        Both go through :meth:`_pick_relocation_targets` (hard avoid-list,
-        domain awareness, deterministic pool pick), so a block lands where a
-        per-block relocate loop would have put it; the physical writes go
-        through the same per-location fan-out as :meth:`put_many` -- the
-        write path of batched repair.  Returns ``{block_id: target
-        location}``.
+        The avoid-list is a hard constraint: locations in ``avoid`` are never
+        chosen, even when they alone have free capacity -- a
+        :class:`~repro.exceptions.PlacementError` is raised instead of
+        silently co-locating a repaired block with the failure it was
+        repaired *from*.  When the cluster topology has more than one
+        failure domain the choice is domain-aware as well
+        (:meth:`_pick_relocation_targets`), so a rack or site coming back
+        from the dead cannot take the rebuilt copy down with it again.  The
+        physical writes go through the same per-location fan-out as
+        :meth:`put_many` -- the write path of batched repair.  Returns
+        ``{block_id: target location}``.
         """
         pairs = list(items)
         if not pairs:
@@ -615,14 +593,18 @@ class StorageCluster:
         ]
 
     def unavailable_blocks(self) -> Set[BlockId]:
-        """Blocks whose location is currently down (the repair work list)."""
-        down = {
-            store.location_id for store in self._stores if not store.available
-        }
+        """The repair work list: every block :meth:`is_available` denies.
+
+        The same test over the whole directory -- the location is down, or
+        it is up and does not hold the block (a wiped disk that came back
+        empty) -- so ``status()`` and ``repair()`` cannot disagree with the
+        round planner about what is lost.
+        """
+        held = [store._sizes if store._available else () for store in self._stores]
         return {
             block_id
             for block_id, location in self._directory.items()
-            if location in down
+            if block_id not in held[location]
         }
 
     def domain_block_counts(self, level: Optional[str] = None) -> Dict[str, int]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParametersError
 from repro.storage.cluster import StorageCluster
-from repro.storage.topology import Topology, iter_targets
+from repro.storage.topology import Topology
 
 #: Disaster sizes (fraction of unavailable locations) used throughout the paper.
 PAPER_DISASTER_SIZES = (0.10, 0.20, 0.30, 0.40, 0.50)
@@ -94,54 +94,12 @@ def disaster_for_target(
     targets = [target] if isinstance(target, str) else list(target)
     if not targets:
         raise InvalidParametersError("disaster_for_target needs at least one target")
+    failed = set().union(*map(topology.locations_for_target, targets))
     return Disaster(
-        failed_locations=iter_targets(topology, targets),
+        failed_locations=tuple(sorted(failed)),
         destructive=destructive,
         label=",".join(targets),
     )
-
-
-@dataclass(frozen=True)
-class CorrelatedFailureDomains:
-    """Groups of locations that fail together (racks, data centres, regions).
-
-    :meth:`from_topology` derives the groups from an explicit
-    :class:`~repro.storage.topology.Topology`; :meth:`evenly` remains as the
-    legacy shim that slices ``location_count`` anonymous locations into
-    equal contiguous domains (exactly what a flat topology's sites would be).
-    """
-
-    domains: tuple
-
-    @classmethod
-    def from_topology(
-        cls, topology: Topology, level: str = "site"
-    ) -> "CorrelatedFailureDomains":
-        """Failure domains of a topology at the given level (site/rack/node)."""
-        return cls(domains=topology.domains(level))
-
-    @classmethod
-    def evenly(cls, location_count: int, domain_count: int) -> "CorrelatedFailureDomains":
-        if domain_count < 1 or domain_count > location_count:
-            raise InvalidParametersError(
-                "domain_count must lie between 1 and the number of locations"
-            )
-        domains: List[tuple] = []
-        base = location_count // domain_count
-        extra = location_count % domain_count
-        start = 0
-        for domain_index in range(domain_count):
-            size = base + (1 if domain_index < extra else 0)
-            domains.append(tuple(range(start, start + size)))
-            start += size
-        return cls(domains=tuple(domains))
-
-    def domain_disaster(self, domain_indexes: Iterable[int]) -> Disaster:
-        """A disaster taking down whole failure domains at once."""
-        failed: List[int] = []
-        for domain_index in domain_indexes:
-            failed.extend(self.domains[domain_index])
-        return Disaster(failed_locations=tuple(sorted(failed)))
 
 
 @dataclass

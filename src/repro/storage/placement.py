@@ -12,9 +12,9 @@ plus three topology-aware policies, behind a string-keyed registry::
     topology = Topology.parse("sites=3,racks=2,nodes=4")
     policy = placement.get("spread-domains", topology)
 
-Every policy takes a :class:`~repro.storage.topology.Topology` (a bare
-``location_count`` integer is accepted everywhere and treated as the flat
-single-site shim):
+Every policy takes a :class:`~repro.storage.topology.Topology`, or anything
+:meth:`Topology.resolve <repro.storage.topology.Topology.resolve>` makes one
+from (a bare count ``N`` is ``Topology.flat(N)``):
 
 * ``random`` -- uniform hash placement, the paper's simulation setup;
 * ``round-robin`` -- consecutive lattice elements on consecutive locations;
@@ -40,25 +40,22 @@ import numpy as np
 
 from repro.core.blocks import BlockId, DataId, ParityId
 from repro.core.parameters import AEParameters, STRAND_CLASS_ORDER, StrandClass
-from repro.exceptions import PlacementError
+from repro.exceptions import InvalidParametersError, PlacementError
 from repro.storage.backends import stripe_block_id_type
 from repro.storage.topology import Topology
 
-TopologyLike = Union[Topology, int]
+TopologyLike = Union[Topology, int, str]
 
 
 def _as_topology(topology: TopologyLike) -> Topology:
-    """Coerce the accepted constructor inputs (legacy int included)."""
-    if isinstance(topology, Topology):
-        return topology
-    if isinstance(topology, (int, np.integer)):
-        if topology < 1:
-            raise PlacementError("a placement policy needs at least one location")
-        return Topology.flat(int(topology))
-    raise PlacementError(
-        f"cannot interpret {topology!r} as a topology; expected a Topology "
-        "or a location count"
-    )
+    """The topology a policy places over, through :meth:`Topology.resolve`."""
+    try:
+        resolved = Topology.resolve(topology)
+    except InvalidParametersError as exc:
+        raise PlacementError(str(exc)) from exc
+    if resolved is None:
+        raise PlacementError("a placement policy needs a topology")
+    return resolved
 
 
 #: ``draw / _DRAW_SPAN`` turns a :func:`_block_draws` value into [0, 1).
@@ -111,9 +108,8 @@ def _block_draws(
 class PlacementPolicy(ABC):
     """Chooses the storage location of every block.
 
-    Policies are constructed over a :class:`Topology`; passing a bare
-    ``location_count`` integer (the pre-topology API) builds the flat
-    single-site shim, so existing subclasses and call sites keep working.
+    Policies are constructed over a :class:`Topology` (or a count, spec
+    string or JSON path that resolves to one).
     """
 
     def __init__(self, topology: TopologyLike) -> None:
@@ -126,7 +122,7 @@ class PlacementPolicy(ABC):
 
     @property
     def topology(self) -> Topology:
-        """The topology this policy places over (flat shim for legacy ints)."""
+        """The topology this policy places over."""
         return self._topology
 
     @abstractmethod
@@ -328,10 +324,6 @@ class SpreadDomainsPlacement(PlacementPolicy):
 
     def spread_level(self) -> Optional[str]:
         return self._level
-
-    def domain_for(self, block_id: BlockId) -> int:
-        """Failure-domain index assigned to ``block_id``."""
-        return self._domains_for((block_id,))[0]
 
     def _domains_for(self, block_ids: Sequence[BlockId]) -> List[int]:
         alpha = self._alpha

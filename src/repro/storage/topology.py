@@ -20,9 +20,10 @@ across sites" -- this module gives the placement layer a real spatial model:
 * disaster targets (``"site:0"``, ``"rack:eu/0"``, ``"node:5"``) resolve to
   location sets through :meth:`Topology.locations_for_target`.
 
-A flat ``location_count`` cluster is just the degenerate single-site,
-single-rack topology (:meth:`Topology.flat`), which is how every legacy
-``location_count=N`` call site keeps working unchanged.
+``n`` anonymous locations are just the degenerate single-site, single-rack
+topology (:meth:`Topology.flat`): wherever a topology is expected a bare
+count ``N`` may be passed, and :meth:`Topology.resolve` -- the one place an
+``int`` turns into a layout -- makes it ``Topology.flat(N)``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,8 +42,6 @@ __all__ = [
     "Topology",
     "TopologyBuilder",
     "TopologyNode",
-    "iter_targets",
-    "parse_topology_spec",
 ]
 
 #: Failure-domain granularities, coarsest first.
@@ -113,7 +112,7 @@ class Topology:
     # ------------------------------------------------------------------
     @classmethod
     def flat(cls, location_count: int, site: str = "site-0", rack: str = "rack-0") -> "Topology":
-        """The legacy shim: ``location_count`` nodes in one site and rack."""
+        """``location_count`` anonymous nodes in one site and rack."""
         if location_count < 1:
             raise InvalidParametersError("a topology needs at least one node")
         return cls(
@@ -151,27 +150,59 @@ class Topology:
 
     @classmethod
     def parse(cls, spec: str) -> "Topology":
-        """Build a topology from the compact spec grammar (see below).
+        """Build a topology from the compact spec grammar.
 
-        ``"sites=3,racks=2,nodes=4"`` -- 3 sites of 2 racks of 4 nodes each
-        (24 locations); omitted keys default to 1, so ``"sites=3,nodes=4"``
-        is 3 single-rack sites.  A bare integer (``"12"``) is the flat
-        single-site shim.
+        ``sites=<S>,racks=<R>,nodes=<N>[,capacity=<C>]`` builds a regular grid
+        of ``S`` sites with ``R`` racks each and ``N`` nodes per rack
+        (``"sites=3,racks=2,nodes=4"`` is 24 locations); omitted keys default
+        to 1, so ``"sites=3,nodes=4"`` is 3 single-rack sites.  A bare
+        integer (``"12"``) is the flat single-site layout.
         """
-        return parse_topology_spec(spec)
+        cleaned = spec.strip()
+        if not cleaned:
+            raise InvalidParametersError("empty topology spec")
+        if cleaned.isdigit():
+            return cls.flat(int(cleaned))
+        values: Dict[str, str] = {}
+        for part in cleaned.split(","):
+            key, separator, value = part.partition("=")
+            key = key.strip().lower()
+            if not separator or not value.strip():
+                raise InvalidParametersError(
+                    f"malformed topology spec part {part!r} in {spec!r}; "
+                    "expected key=value pairs like 'sites=3,racks=2,nodes=4'"
+                )
+            if key not in ("sites", "racks", "nodes", "capacity"):
+                raise InvalidParametersError(
+                    f"unknown topology spec key {key!r} in {spec!r}; "
+                    "known keys: sites, racks, nodes, capacity"
+                )
+            if key in values:
+                raise InvalidParametersError(f"duplicate key {key!r} in {spec!r}")
+            values[key] = value.strip()
+        try:
+            sites = int(values.get("sites", "1"))
+            racks = int(values.get("racks", "1"))
+            nodes = int(values.get("nodes", "1"))
+            capacity = float(values.get("capacity", "1.0"))
+        except ValueError as exc:
+            raise InvalidParametersError(f"malformed topology spec {spec!r}: {exc}") from exc
+        return cls.grid(sites, racks, nodes, capacity=capacity)
 
     @classmethod
     def resolve(cls, value: Union["Topology", int, str, None]) -> Optional["Topology"]:
         """Coerce any accepted topology description into a :class:`Topology`.
 
-        ``None`` passes through; an ``int`` becomes the flat shim; a string is
-        either a JSON file path (when it names an existing file or ends in
-        ``.json``) or a compact spec.
+        ``None`` passes through; a location count becomes :meth:`flat` (this
+        is the only place that happens -- clusters, placement policies and
+        service configs all come here); a string is either a JSON file path
+        (when it names an existing file or ends in ``.json``) or a compact
+        spec.
         """
         if value is None or isinstance(value, Topology):
             return value
-        if isinstance(value, int):
-            return cls.flat(value)
+        if isinstance(value, (int, np.integer)):
+            return cls.flat(int(value))
         if isinstance(value, str):
             if value.endswith(".json") or os.path.isfile(value):
                 return cls.load(value)
@@ -220,10 +251,6 @@ class Topology:
 
     def site_of(self, node_id: int) -> str:
         return self.node(node_id).site
-
-    def rack_of(self, node_id: int) -> Tuple[str, str]:
-        node = self.node(node_id)
-        return (node.site, node.rack)
 
     def site_locations(self, site: Union[int, str]) -> Tuple[int, ...]:
         """Node ids of one site, addressed by index or name."""
@@ -320,7 +347,7 @@ class Topology:
         return "node"
 
     def is_flat(self) -> bool:
-        """True for the degenerate single-site, single-rack shim."""
+        """True for the degenerate single-site, single-rack layout."""
         return self.site_count == 1 and self.rack_count == 1
 
     # ------------------------------------------------------------------
@@ -452,45 +479,6 @@ class Topology:
         return f"Topology({self.describe()})"
 
 
-def parse_topology_spec(spec: str) -> Topology:
-    """Parse the compact topology spec grammar.
-
-    ``sites=<S>,racks=<R>,nodes=<N>[,capacity=<C>]`` builds a regular grid of
-    ``S`` sites with ``R`` racks each and ``N`` nodes per rack; omitted keys
-    default to 1.  A bare integer is the flat single-site shim.
-    """
-    cleaned = spec.strip()
-    if not cleaned:
-        raise InvalidParametersError("empty topology spec")
-    if cleaned.isdigit():
-        return Topology.flat(int(cleaned))
-    values: Dict[str, str] = {}
-    for part in cleaned.split(","):
-        key, separator, value = part.partition("=")
-        key = key.strip().lower()
-        if not separator or not value.strip():
-            raise InvalidParametersError(
-                f"malformed topology spec part {part!r} in {spec!r}; "
-                "expected key=value pairs like 'sites=3,racks=2,nodes=4'"
-            )
-        if key not in ("sites", "racks", "nodes", "capacity"):
-            raise InvalidParametersError(
-                f"unknown topology spec key {key!r} in {spec!r}; "
-                "known keys: sites, racks, nodes, capacity"
-            )
-        if key in values:
-            raise InvalidParametersError(f"duplicate key {key!r} in {spec!r}")
-        values[key] = value.strip()
-    try:
-        sites = int(values.get("sites", "1"))
-        racks = int(values.get("racks", "1"))
-        nodes = int(values.get("nodes", "1"))
-        capacity = float(values.get("capacity", "1.0"))
-    except ValueError as exc:
-        raise InvalidParametersError(f"malformed topology spec {spec!r}: {exc}") from exc
-    return Topology.grid(sites, racks, nodes, capacity=capacity)
-
-
 class TopologyBuilder:
     """Programmatic topology construction with stable insertion-order ids.
 
@@ -558,11 +546,3 @@ class TopologyBuilder:
 
     def build(self) -> Topology:
         return Topology(self._nodes)
-
-
-def iter_targets(topology: Topology, targets: Iterable[str]) -> Tuple[int, ...]:
-    """Union of the locations named by several target strings, sorted."""
-    failed: set = set()
-    for target in targets:
-        failed.update(topology.locations_for_target(target))
-    return tuple(sorted(failed))

@@ -8,17 +8,20 @@
   put/get/delete/repair front-end over any redundancy scheme; a durable one
   is exactly ``manifest.json`` (the checkpoint) plus ``wal.log``.  Its
   ``repair(policy)`` is the one verb that repairs a cluster, at every layer
-  and for the archive and RAID-AE use cases below;
+  and for the archive, RAID-AE and backup use cases below (each a topology
+  plus a placement policy over this service, none with an AE stack of its own);
 * :mod:`repro.system.frontend` -- :class:`ConcurrentStorageService`, the
   thread-pool multi-client request path with striped locks and backpressure;
 * :mod:`repro.system.loadgen` -- the closed-loop multi-client load generator
   behind ``repro-experiments load`` and the service benchmark;
 * :mod:`repro.system.compare` -- the same workload and failure trace run
   across schemes, measured next to the analytic Table IV costs;
-* :mod:`repro.system.backup` -- the geo-replicated cooperative backup network;
+* :mod:`repro.system.backup` -- the geo-replicated cooperative backup network,
+  one service per owner under :class:`OwnerHomePlacement`;
 * :mod:`repro.system.raid` -- entangled mirror arrays, and RAID-AE as a
   :class:`StorageService` over its disks;
-* :mod:`repro.system.keys` -- deterministic block keys and location mapping;
+* :mod:`repro.system.keys` -- deterministic block keys and the key -> node
+  mapping the backup placement applies;
 * :mod:`repro.system.sharding` -- :class:`ShardedStorageService`, the
   consistent-hash federation of many services with scatter-gather reads and
   cross-shard rebalancing;
@@ -65,9 +68,9 @@ from repro.system.transitions import (
     classify,
 )
 from repro.system.backup import (
-    BackupDocument,
     BackupNode,
     CooperativeBackupNetwork,
+    OwnerHomePlacement,
     ParityRepairTrace,
     RedundancyDegradation,
     RepairStep,
@@ -83,7 +86,6 @@ from repro.system.raid import (
 __all__ = [
     "ArchiveEntry",
     "ArchiveStore",
-    "BackupDocument",
     "ConcurrentStorageService",
     "DEFAULT_BATCH_BLOCKS",
     "DEFAULT_COMPARE_SCHEMES",
@@ -114,6 +116,7 @@ __all__ = [
     "CooperativeBackupNetwork",
     "EntangledMirrorArray",
     "MirrorDrive",
+    "OwnerHomePlacement",
     "ParityRepairTrace",
     "RAIDAEArray",
     "RedundancyDegradation",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.codes.entanglement import EntanglementScheme
 from repro.core.blocks import DataId
@@ -34,6 +34,7 @@ from repro.storage.cluster import StorageCluster
 from repro.storage.maintenance import MaintenancePolicy
 from repro.storage.placement import PlacementPolicy
 from repro.storage.scrub import ChecksumManifest, Scrubber, ScrubReport
+from repro.storage.topology import Topology
 from repro.system.service import ServiceRepairReport, StorageConfig, StorageService
 
 __all__ = ["ArchiveEntry", "ArchiveStore"]
@@ -64,7 +65,7 @@ class ArchiveStore:
     def __init__(
         self,
         params: AEParameters,
-        location_count: int = 100,
+        topology: Optional[Union[Topology, int, str]] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         placement: Optional[PlacementPolicy] = None,
         cluster: Optional[StorageCluster] = None,
@@ -73,7 +74,7 @@ class ArchiveStore:
         self._system = StorageService.open(
             StorageConfig(
                 scheme=EntanglementScheme(params, block_size),
-                location_count=location_count,
+                topology=topology,
                 block_size=block_size,
                 placement=placement,
                 cluster=cluster,

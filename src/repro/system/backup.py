@@ -7,36 +7,71 @@ decode; in the simplest deployment (modelled here) every node plays both
 roles.  Each user manages its own entanglement lattice, so multiple lattices
 -- possibly with different settings -- coexist in the network.
 
-The module reproduces the failure-mode walkthrough of Fig. 5 and the repair
-steps of Table III: when nodes become unavailable, each lattice degrades
-differently; a parity stored on a faulty node is regenerated from a complete
-dp-tuple fetched from the surviving nodes.
+Every owner's lattice is one :class:`~repro.system.service.StorageService`
+over the community's nodes: "data home, parities remote by key" is a
+placement policy (:class:`OwnerHomePlacement`) over a two-site topology
+(``home`` = the owner's node, ``remote`` = everyone else), a backup is a
+``put``, a restore a ``get`` and a lattice repair the service's ``repair()``.
+On top of that the module reproduces the failure-mode walkthrough of Fig. 5
+(:meth:`CooperativeBackupNetwork.redundancy_report`) and the repair steps of
+Table III (:class:`ParityRepairTrace`), both read off the owner's cluster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
-from repro.core.blocks import Block, BlockId, DataId, ParityId, join_blocks
-from repro.core.decoder import Decoder
-from repro.core.encoder import Entangler
+from repro.codes.entanglement import EntanglementScheme
+from repro.core.batch_repair import block_sort_key, plan_round
+from repro.core.blocks import BlockId, ParityId, is_data, is_parity
 from repro.core.lattice import HelicalLattice
 from repro.core.parameters import AEParameters
-from repro.core.xor import Payload, xor_payloads, zero_payload
-from repro.exceptions import RepairFailedError, UnknownBlockError
-from repro.storage.block_store import BlockStore
-from repro.system.keys import BlockKey, derive_key, location_for_key
+from repro.storage.cluster import StorageCluster
+from repro.storage.maintenance import MaintenancePolicy
+from repro.storage.placement import PlacementPolicy
+from repro.storage.topology import Topology, TopologyNode
+from repro.system.keys import derive_key, location_for_block
+from repro.system.service import StorageService, StoredDocument
 
 
-@dataclass
-class BackupDocument:
-    """A file backed up by one user: its d-blocks stay local, parities go remote."""
+class OwnerHomePlacement(PlacementPolicy):
+    """Data blocks on the owner's node, parities on remote nodes found by key.
 
-    owner: str
-    name: str
-    data_ids: List[DataId]
-    length: int
+    The rule holds for rebuilt blocks too: the policy spreads at *node*
+    level (one down peer must not rule out the whole ``remote`` site) and
+    ranks the owner's node best for data and worst for parities, so the
+    cluster's domain-aware relocation sends a rebuilt d-block home and a
+    rebuilt p-block to a remote node whenever one of each is up.
+    """
+
+    def __init__(self, owner: str, home: int, node_count: int) -> None:
+        super().__init__(
+            Topology(
+                [
+                    TopologyNode(
+                        node_id, "home" if node_id == home else "remote", "rack-0",
+                        f"node-{node_id}",
+                    )
+                    for node_id in range(node_count)
+                ]
+            )
+        )
+        self._owner = owner
+        self._home = home
+
+    def location_for(self, block_id: BlockId) -> int:
+        if is_data(block_id):
+            return self._home
+        return location_for_block(
+            self._owner, block_id, self.location_count, exclude=self._home
+        )
+
+    def spread_level(self) -> Optional[str]:
+        return "node"
+
+    def relocation_rank(self, block_id: BlockId, domain_index: int) -> int:
+        return int((domain_index == self._home) != is_data(block_id))
 
 
 @dataclass
@@ -57,11 +92,7 @@ class ParityRepairTrace:
 
     parity: ParityId
     steps: List[RepairStep] = field(default_factory=list)
-    payload: Optional[Payload] = None
-
-    @property
-    def succeeded(self) -> bool:
-        return self.payload is not None
+    succeeded: bool = False
 
 
 @dataclass
@@ -82,28 +113,24 @@ class RedundancyDegradation:
 
 
 class BackupNode:
-    """One participant: local user data plus hosted parities of other users."""
+    """One participant: a name and an up/down flag.
 
-    def __init__(self, node_id: int, name: Optional[str] = None) -> None:
+    Its blocks -- the user's own data and the parities hosted for others --
+    live in the owners' clusters, at this node's location.
+    """
+
+    def __init__(self, network: "CooperativeBackupNetwork", node_id: int) -> None:
+        self._network = network
         self.node_id = node_id
-        self.name = name or f"node-{node_id}"
+        self.name = f"node-{node_id}"
         self.available = True
-        #: Local user data blocks (never uploaded).
-        self.local_blocks: Dict[Tuple[str, DataId], Payload] = {}
-        #: Remote parities hosted on behalf of other users.
-        self.hosted = BlockStore(node_id)
-
-    def fail(self) -> None:
-        self.available = False
-        self.hosted.fail()
-
-    def recover(self) -> None:
-        self.available = True
-        self.hosted.restore()
 
     def lose_local_data(self) -> None:
         """Simulate a local disk crash: the user's own blocks disappear."""
-        self.local_blocks.clear()
+        cluster = self._network.service_of(self.node_id).cluster
+        cluster.wipe_locations([self.node_id])
+        if self.available:
+            cluster.restore_locations([self.node_id])
 
 
 class CooperativeBackupNetwork:
@@ -117,11 +144,10 @@ class CooperativeBackupNetwork:
     ) -> None:
         self._params = params
         self._block_size = block_size
-        self.nodes: List[BackupNode] = [BackupNode(node_id) for node_id in range(node_count)]
-        self._encoders: Dict[str, Entangler] = {}
-        self._documents: Dict[Tuple[str, str], BackupDocument] = {}
-        #: Where each user's parity blocks were uploaded.
-        self._parity_locations: Dict[Tuple[str, ParityId], int] = {}
+        self.nodes: List[BackupNode] = [
+            BackupNode(self, node_id) for node_id in range(node_count)
+        ]
+        self._services: Dict[int, StorageService] = {}
 
     # ------------------------------------------------------------------
     # Topology helpers
@@ -137,210 +163,142 @@ class CooperativeBackupNetwork:
         return self.nodes[node_id].name
 
     def fail_nodes(self, node_ids: Iterable[int]) -> None:
-        for node_id in node_ids:
-            self.nodes[node_id].fail()
+        self._set_available(list(node_ids), False)
 
     def recover_nodes(self, node_ids: Iterable[int]) -> None:
+        self._set_available(list(node_ids), True)
+
+    def _set_available(self, node_ids: List[int], available: bool) -> None:
+        """Every owner's cluster sees the same nodes up and down."""
         for node_id in node_ids:
-            self.nodes[node_id].recover()
+            self.nodes[node_id].available = available
+        for service in self._services.values():
+            if available:
+                service.restore_locations(node_ids)
+            else:
+                service.fail_locations(node_ids)
 
-    def _encoder_for(self, owner: str) -> Entangler:
-        if owner not in self._encoders:
-            self._encoders[owner] = Entangler(self._params, self._block_size)
-        return self._encoders[owner]
+    def service_of(
+        self, node_id: int, params: Optional[AEParameters] = None
+    ) -> StorageService:
+        """The service holding ``node_id``'s lattice, opened on first use.
 
-    def lattice_of(self, owner: str) -> HelicalLattice:
-        return self._encoder_for(owner).lattice
+        ``params`` picks the owner's AE setting at that first use (default:
+        the network's); every owner entangles independently of the others.
+        """
+        service = self._services.get(node_id)
+        if service is None:
+            placement = OwnerHomePlacement(
+                self.owner_name(node_id), node_id, len(self.nodes)
+            )
+            service = self._services[node_id] = StorageService(
+                EntanglementScheme(params or self._params, self._block_size),
+                StorageCluster(placement=placement),
+            )
+            service.fail_locations(
+                node.node_id for node in self.nodes if not node.available
+            )
+        return service
+
+    def lattice_of(self, node_id: int) -> HelicalLattice:
+        return self.service_of(node_id).scheme.lattice  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
-    # Backup (upload) path
+    # Backup, restore, repair
     # ------------------------------------------------------------------
-    def backup(self, node_id: int, filename: str, data: bytes) -> BackupDocument:
+    def backup(self, node_id: int, filename: str, data: bytes) -> StoredDocument:
         """Encode a file on ``node_id`` and upload its parities to remote nodes."""
-        owner = self.owner_name(node_id)
-        encoder = self._encoder_for(owner)
-        owner_node = self.nodes[node_id]
-        encoded_blocks, length = encoder.encode_bytes(data)
-        data_ids: List[DataId] = []
-        for encoded in encoded_blocks:
-            data_ids.append(encoded.data_id)
-            owner_node.local_blocks[(owner, encoded.data_id)] = encoded.data.payload
-            for parity in encoded.parities:
-                self._upload_parity(owner, node_id, parity)
-        document = BackupDocument(owner=owner, name=filename, data_ids=data_ids, length=length)
-        self._documents[(owner, filename)] = document
-        return document
+        return self.service_of(node_id).put(filename, data)
 
-    def _upload_parity(self, owner: str, owner_node_id: int, parity: Block) -> int:
-        key = derive_key(owner, parity.block_id)
-        target = location_for_key(key, len(self.nodes))
-        if target == owner_node_id and len(self.nodes) > 1:
-            target = (target + 1) % len(self.nodes)
-        # Hosted blocks are keyed by (owner, block id): several users' lattices
-        # share block identifiers, so the owner must be part of the key.
-        self.nodes[target].hosted.put((owner, parity.block_id), parity.payload)
-        self._parity_locations[(owner, parity.block_id)] = target
-        return target
-
-    # ------------------------------------------------------------------
-    # Lookups
-    # ------------------------------------------------------------------
-    def parity_location(self, owner: str, parity: ParityId) -> int:
-        key = (owner, parity)
-        if key not in self._parity_locations:
-            raise UnknownBlockError(f"{parity!r} of {owner} was never uploaded")
-        return self._parity_locations[key]
-
-    def parity_key(self, owner: str, parity: ParityId) -> BlockKey:
-        return derive_key(owner, parity)
-
-    def _fetch(self, owner: str, owner_node_id: int, block_id: BlockId) -> Optional[Payload]:
-        """Fetch a block of ``owner``'s lattice from wherever it lives."""
-        if isinstance(block_id, DataId):
-            owner_node = self.nodes[owner_node_id]
-            if not owner_node.available:
-                return None
-            return owner_node.local_blocks.get((owner, block_id))
-        location = self._parity_locations.get((owner, block_id))
-        if location is None:
-            return None
-        return self.nodes[location].hosted.try_get((owner, block_id))
-
-    # ------------------------------------------------------------------
-    # Restore / repair paths
-    # ------------------------------------------------------------------
     def restore_file(self, node_id: int, filename: str) -> bytes:
         """Rebuild a user's file from remote parities (local d-blocks may be gone)."""
-        owner = self.owner_name(node_id)
-        document = self._documents.get((owner, filename))
-        if document is None:
-            raise UnknownBlockError(f"{owner} has no backup named {filename!r}")
-        lattice = self.lattice_of(owner)
-        decoder = Decoder(
-            lattice,
-            lambda block_id: self._fetch(owner, node_id, block_id),
-            self._block_size,
-        )
-        payloads = [decoder.get(data_id) for data_id in document.data_ids]
-        # Re-populate the user's local store so later repairs can use the data.
-        owner_node = self.nodes[node_id]
-        if owner_node.available:
-            for data_id, payload in zip(document.data_ids, payloads):
-                owner_node.local_blocks[(owner, data_id)] = payload
-        return join_blocks(payloads, document.length)
+        return self.service_of(node_id).get(filename)
 
-    def repair_parity(self, node_id: int, parity: ParityId) -> ParityRepairTrace:
-        """Regenerate one missing parity following the Table III procedure."""
-        owner = self.owner_name(node_id)
-        lattice = self.lattice_of(owner)
-        trace = ParityRepairTrace(parity=parity)
-        options = lattice.parity_repair_options(parity)
-        dp_tuples = [
-            (option.data, option.parity)
-            for option in options
+    def repair_lattice(self, node_id: int) -> List[ParityRepairTrace]:
+        """Repair a user's lattice; one Table III trace per missing parity.
+
+        Both halves are the owner's ``repair()``.  First the data: lost
+        d-blocks are rebuilt from the surviving parities and return home.
+        Then everything else: each parity still missing gets its walkthrough
+        -- steps 1-4 as its dp-tuples stand now, steps 5-6 once it is stored
+        again on an available remote node (a parity whose helper parity is
+        missing too has no complete dp-tuple yet and is reached in a later
+        repair round).  With no remote node up only the data is rebuilt, and
+        a down owner repairs nothing: no block is placed against the rule.
+        """
+        service = self.service_of(node_id)
+        cluster = service.cluster
+        home_up = self.nodes[node_id].available
+        if home_up:
+            service.repair(MaintenancePolicy.MINIMAL)
+        traces = [
+            self._table_three(node_id, parity)
+            for parity in sorted(cluster.unavailable_blocks(), key=block_sort_key)
+            if is_parity(parity)
         ]
+        if home_up and any(
+            node.available for node in self.nodes if node.node_id != node_id
+        ):
+            repaired = set(service.repair().repaired)
+            for trace in traces:
+                if trace.parity in repaired:
+                    trace.succeeded = True
+                    target = cluster.location_of(trace.parity)
+                    trace.steps += [
+                        RepairStep(5, "Repair block", trace.parity.label()),
+                        RepairStep(6, "Store repaired block", f"n{target}"),
+                    ]
+        return traces
+
+    def _table_three(self, node_id: int, parity: ParityId) -> ParityRepairTrace:
+        """Steps 1-4 of Table III for one missing parity, as things stand."""
+        cluster = self.service_of(node_id).cluster
+        lattice = self.lattice_of(node_id)
+        key = derive_key(self.owner_name(node_id), parity).short()
+        trace = ParityRepairTrace(parity=parity)
         trace.steps.append(
             RepairStep(
                 1,
                 "Obtain dp-tuple id",
                 ", ".join(
-                    "{" + f"{self.parity_key(owner, parity).short()}: "
-                    f"({data.label()}, {helper.label() if helper else 'zero'})" + "}"
-                    for data, helper in dp_tuples
+                    f"{{{key}: ({option.data.label()}, "
+                    f"{option.parity.label() if option.parity else 'zero'})}}"
+                    for option in lattice.parity_repair_options(parity)
                 ),
             )
         )
-        chosen: Optional[Tuple[DataId, Optional[ParityId]]] = None
-        for data, helper in dp_tuples:
-            data_payload = self._fetch(owner, node_id, data)
-            helper_payload = (
-                zero_payload(self._block_size)
-                if helper is None
-                else self._fetch(owner, node_id, helper)
-            )
-            if data_payload is not None and helper_payload is not None:
-                chosen = (data, helper)
-                break
-        if chosen is None:
+        plan = plan_round(lattice, [parity], cluster.is_available)
+        if not plan:
             trace.steps.append(
                 RepairStep(2, "Choose p-block id", "no complete dp-tuple available")
             )
             return trace
-        data, helper = chosen
-        helper_label = helper.label() if helper is not None else "virtual zero parity"
-        trace.steps.append(RepairStep(2, "Choose p-block id", helper_label))
-        if helper is not None:
-            helper_location = self.parity_location(owner, helper)
-            trace.steps.append(
-                RepairStep(3, "Compute location key", f"n{helper_location}")
-            )
-            helper_payload = self.nodes[helper_location].hosted.try_get((owner, helper))
-            trace.steps.append(RepairStep(4, "Get block", helper.label()))
+        helper = plan[0].second
+        if helper is None:
+            label, location = "virtual zero parity", "local"
         else:
-            helper_payload = zero_payload(self._block_size)
-            trace.steps.append(RepairStep(3, "Compute location key", "local"))
-            trace.steps.append(RepairStep(4, "Get block", "virtual zero parity"))
-        data_payload = self._fetch(owner, node_id, data)
-        if data_payload is None or helper_payload is None:
-            return trace
-        trace.payload = xor_payloads(data_payload, helper_payload)
-        trace.steps.append(RepairStep(5, "Repair block", parity.label()))
-        # Store the regenerated parity on an available node.
-        target = self._reupload_parity(owner, node_id, parity, trace.payload)
-        trace.steps.append(
-            RepairStep(6, "Store repaired block", f"n{target}")
-        )
+            label, location = helper.label(), f"n{cluster.location_of(helper)}"
+        trace.steps.append(RepairStep(2, "Choose p-block id", label))
+        trace.steps.append(RepairStep(3, "Compute location key", location))
+        trace.steps.append(RepairStep(4, "Get block", label))
         return trace
-
-    def _reupload_parity(
-        self, owner: str, owner_node_id: int, parity: ParityId, payload: Payload
-    ) -> int:
-        key = derive_key(owner, parity)
-        target = location_for_key(key, len(self.nodes))
-        attempts = 0
-        while (
-            not self.nodes[target].available or target == owner_node_id
-        ) and attempts < len(self.nodes):
-            target = (target + 1) % len(self.nodes)
-            attempts += 1
-        self.nodes[target].hosted.put((owner, parity), payload)
-        self._parity_locations[(owner, parity)] = target
-        return target
-
-    def repair_lattice(self, node_id: int) -> List[ParityRepairTrace]:
-        """Regenerate every parity of a user's lattice hosted on failed nodes."""
-        owner = self.owner_name(node_id)
-        traces: List[ParityRepairTrace] = []
-        lattice = self.lattice_of(owner)
-        for parity in lattice.parity_ids():
-            location = self._parity_locations.get((owner, parity))
-            if location is None:
-                continue
-            if self.nodes[location].available and self.nodes[location].hosted.contains(
-                (owner, parity)
-            ):
-                continue
-            traces.append(self.repair_parity(node_id, parity))
-        return traces
 
     # ------------------------------------------------------------------
     # Redundancy accounting (Fig. 5)
     # ------------------------------------------------------------------
     def redundancy_report(self, node_id: int) -> RedundancyDegradation:
         """Count how many pp-tuples of each local d-block are incomplete."""
-        owner = self.owner_name(node_id)
-        lattice = self.lattice_of(owner)
-        report = RedundancyDegradation(owner=owner)
-        owner_node = self.nodes[node_id]
+        available = self.service_of(node_id).cluster.is_available
+        lattice = self.lattice_of(node_id)
+        report = RedundancyDegradation(owner=self.owner_name(node_id))
         for data_id in lattice.data_ids():
-            if (owner, data_id) not in owner_node.local_blocks or not owner_node.available:
+            if not available(data_id):
                 report.unavailable_data += 1
-            broken_tuples = 0
-            for option in lattice.data_repair_options(data_id.index):
-                for parity in option.required_blocks():
-                    if self._fetch(owner, node_id, parity) is None:
-                        broken_tuples += 1
-                        break
+            broken_tuples = sum(
+                1
+                for option in lattice.data_repair_options(data_id.index)
+                if not all(map(available, option.required_blocks()))
+            )
             if broken_tuples == 0:
                 report.complete += 1
             elif broken_tuples == 1:

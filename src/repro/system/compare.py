@@ -122,14 +122,13 @@ def compare_schemes(
     scheme_ids: Sequence[str] = DEFAULT_COMPARE_SCHEMES,
     data_blocks: int = 240,
     block_size: int = 1024,
-    location_count: int = 60,
+    topology: Union[Topology, int, str] = 60,
     fail_locations: int = 3,
     seed: int = 7,
     victims: int = 3,
     backend: str = "memory",
     data_dir: Optional[str] = None,
     fsync: bool = False,
-    topology: Optional[Union[Topology, int, str]] = None,
     placement: Optional[str] = None,
     fail_target: Optional[str] = None,
     shards: int = 1,
@@ -143,9 +142,9 @@ def compare_schemes(
     locations still down -- degraded reads must cover whatever repair could
     not.
 
-    ``topology`` (a :class:`~repro.storage.topology.Topology`, spec string or
-    JSON path) replaces ``location_count`` with an explicit site/rack/node
-    layout; ``placement`` names a policy from the
+    ``topology`` is the cluster layout every scheme runs on: a location
+    count, or a :class:`~repro.storage.topology.Topology`, spec string or
+    JSON path for sites and racks; ``placement`` names a policy from the
     :mod:`repro.storage.placement` registry used for every scheme, and
     ``fail_target`` turns the disaster into a deterministic whole-domain
     outage (``"site:0"``, ``"rack:eu/1"``) resolved against the topology.
@@ -166,13 +165,8 @@ def compare_schemes(
     rng = random.Random(seed)
     payload = rng.randbytes(data_blocks * block_size)
     resolved_topology = Topology.resolve(topology)
-    if resolved_topology is not None:
-        location_count = resolved_topology.node_count
+    location_count = resolved_topology.node_count
     if fail_target is not None:
-        if resolved_topology is None:
-            raise ReproError(
-                f"fail target {fail_target!r} needs a topology (sites/racks)"
-            )
         failed = sorted(resolved_topology.locations_for_target(fail_target))
     else:
         failed = rng.sample(range(location_count), min(fail_locations, location_count))
@@ -180,7 +174,6 @@ def compare_schemes(
     for scheme_id in scheme_ids:
         service = open_service(
             scheme=scheme_id,
-            location_count=None if resolved_topology is not None else location_count,
             block_size=block_size,
             seed=seed,
             backend=backend,

@@ -151,13 +151,15 @@ class StorageConfig:
     ``topology`` describes the cluster's spatial layout: a
     :class:`~repro.storage.topology.Topology`, a compact spec string
     (``"sites=3,racks=2,nodes=4"``), a topology JSON file path or a bare
-    location count.  ``placement`` is either a policy name from the
+    location count (``topology=N`` is ``Topology.flat(N)``).  ``None`` means
+    :data:`DEFAULT_LOCATION_COUNT` flat locations -- or, on a durable reopen,
+    whatever the manifest says; an explicit topology that contradicts the
+    manifest is rejected.  ``placement`` is either a policy name from the
     :mod:`repro.storage.placement` registry (``"spread-domains"``,
     ``"weighted"``, ...) -- resolved over the topology with the scheme's
     parameters, and persisted in the manifest so a durable reopen restores
     it automatically -- or an already-built :class:`PlacementPolicy`
-    instance (which a reopen must supply again).  The flat
-    ``location_count=N`` form remains a shim for a single-site topology.
+    instance (which a reopen must supply again).
 
     ``backend`` names a storage backend from :mod:`repro.storage.backends`
     (``"memory"``, ``"disk"``, ``"segment"``); the persistent backends need
@@ -183,10 +185,6 @@ class StorageConfig:
     """
 
     scheme: Union[str, RedundancyScheme] = schemes.DEFAULT_SCHEME
-    #: ``None`` means "default" (:data:`DEFAULT_LOCATION_COUNT`) -- or, on a
-    #: durable reopen, "whatever the manifest says".  An explicit value that
-    #: contradicts the manifest is rejected.
-    location_count: Optional[int] = None
     block_size: int = DEFAULT_BLOCK_SIZE
     placement: Optional[Union[str, PlacementPolicy]] = None
     cluster: Optional[StorageCluster] = None
@@ -412,61 +410,48 @@ class StorageService:
             if placement_spec is None and not custom_placement:
                 stored_spec = manifest.get("placement_spec")
                 placement_spec = str(stored_spec) if stored_spec else None
-            stored_topology = manifest.get("topology")
-            if stored_topology is not None:
-                stored_topology = Topology.from_dict(stored_topology)
-                if topology is not None and topology != stored_topology:
-                    raise InvalidParametersError(
-                        f"data_dir {config.data_dir!r} was written with a "
-                        f"different topology ({stored_topology.describe()}); "
-                        "reopen it with the stored topology or none at all"
-                    )
-                if config.cluster is None:
-                    topology = stored_topology
+            # A site / rack layout is stored whole and must be matched whole;
+            # a flat one is stored as its ``location_count`` alone and pins
+            # nothing but that count.
+            stored = manifest.get("topology")
+            stored_topology = (
+                Topology.from_dict(stored)
+                if stored is not None
+                else Topology.flat(
+                    int(manifest.get("location_count", DEFAULT_LOCATION_COUNT))
+                )
+            )
+            if topology is None:
+                topology = stored_topology
+            elif topology.node_count != stored_topology.node_count or (
+                stored is not None and topology != stored_topology
+            ):
+                raise InvalidParametersError(
+                    f"data_dir {config.data_dir!r} was written with a "
+                    f"different topology ({stored_topology.describe()}); "
+                    "reopen it with the stored topology or none at all"
+                )
         cluster = config.cluster
         if cluster is None:
-            location_count = config.location_count
-            if topology is not None:
-                if (
-                    location_count is not None
-                    and location_count != topology.node_count
-                ):
-                    raise InvalidParametersError(
-                        f"location_count={location_count} contradicts the "
-                        f"topology ({topology.node_count} nodes)"
-                    )
-                location_count = topology.node_count
-            if manifest is not None:
-                stored_locations = int(
-                    manifest.get("location_count", DEFAULT_LOCATION_COUNT)
-                )
-                if location_count is not None and location_count != stored_locations:
-                    raise InvalidParametersError(
-                        f"data_dir {config.data_dir!r} was written with "
-                        f"{stored_locations} locations, not {location_count}"
-                    )
-                location_count = stored_locations
-            if location_count is None:
-                location_count = DEFAULT_LOCATION_COUNT
+            if topology is None:
+                topology = Topology.flat(DEFAULT_LOCATION_COUNT)
             if isinstance(config.placement, PlacementPolicy):
                 placement = config.placement
             elif placement_spec is not None:
                 placement = placement_registry.get(
                     placement_spec,
-                    topology if topology is not None else location_count,
+                    topology,
                     params=getattr(scheme, "params", None),
                     seed=seed,
                 )
             else:
-                placement = scheme.default_placement(
-                    topology if topology is not None else location_count, seed=seed
-                )
+                placement = scheme.default_placement(topology, seed=seed)
             cluster = StorageCluster(
-                placement=placement,
+                topology,
+                placement,
                 backend=config.backend,
                 root=config.data_dir,
                 cache_blocks=config.cache_blocks,
-                topology=topology if topology is not None else location_count,
                 fsync=config.fsync,
             )
         service = cls(

@@ -15,7 +15,7 @@ from repro.system.archive import ArchiveEntry, ArchiveStore
 def make_archive(spec: str = "AE(3,2,5)", block_size: int = 64, locations: int = 25):
     return ArchiveStore(
         AEParameters.parse(spec),
-        location_count=locations,
+        topology=locations,
         block_size=block_size,
         seed=3,
     )

@@ -76,6 +76,28 @@ class TestFailures:
         for block_id in victim_blocks:
             assert cluster.try_get_block(block_id) is None
 
+    def test_unavailable_is_the_complement_of_is_available(self):
+        """One definition: a block is unavailable when a fetch would fail --
+        its location is down *or* came back with an empty disk."""
+        cluster = filled_cluster(locations=5, blocks=50)
+        wiped, down = set(cluster.blocks_at(2)), set(cluster.blocks_at(4))
+        cluster.wipe_locations([2])
+        cluster.restore_locations([2])
+        cluster.fail_locations([4])
+        assert cluster.unavailable_locations() == [4]
+        assert wiped and down
+        assert cluster.unavailable_blocks() == wiped | down
+        assert cluster.unavailable_blocks() == {
+            block_id
+            for block_id in cluster.block_ids()
+            if not cluster.is_available(block_id)
+        }
+        assert cluster.stats().unavailable_blocks == len(wiped | down)
+        # A rebuilt block returns to its assigned, now empty, location.
+        block_id = min(wiped)
+        assert cluster.relocate(block_id, b"\x07" * 8, avoid=(4,)) == 2
+        assert cluster.unavailable_blocks() == (wiped | down) - {block_id}
+
     def test_stats_summary(self):
         cluster = filled_cluster(locations=5, blocks=20)
         cluster.fail_locations([4])

@@ -83,3 +83,62 @@ class TestCoreImportSurface:
             assert getattr(repro.core, required) is getattr(repro.core.xor, required)
         assert "xor_rows" not in repro.core.__all__
         assert not hasattr(repro.core.xor, "xor_rows")
+
+
+class TestOneAEStack:
+    """The storage and system layers reach entanglement through
+    ``EntanglementScheme`` only: no module there builds its own entangler or
+    decoder next to the service (the cooperative backup was the last one)."""
+
+    @staticmethod
+    def core_imports(package: str):
+        """``(file, module, name)`` for every ``repro.core`` import under
+        ``src/repro/<package>/``, read off the AST."""
+        import ast
+        from pathlib import Path
+
+        root = Path(repro.core.__file__).resolve().parent.parent / package
+        for path in sorted(root.rglob("*.py")):
+            where = f"{package}/{path.relative_to(root).as_posix()}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    if node.module.startswith("repro.core"):
+                        for alias in node.names:
+                            yield where, node.module, alias.name
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.name.startswith("repro.core"):
+                            yield where, alias.name, "*"
+
+    def test_no_private_entangler_or_decoder(self):
+        found = [
+            entry
+            for package in ("system", "storage")
+            for entry in self.core_imports(package)
+        ]
+        assert len(found) > 20  # the walk really saw the packages
+        entanglers = [
+            (where, name)
+            for where, module, name in found
+            if (module == "repro.core.encoder" and name != "DEFAULT_BLOCK_SIZE")
+            or (module == "repro.core" and "ntangle" in name)
+        ]
+        assert entanglers == []
+        decoders = sorted(
+            {
+                where
+                for where, module, name in found
+                if module == "repro.core.decoder"
+                or (module == "repro.core" and "Decoder" in name)
+            }
+        )
+        assert decoders == ["storage/scrub.py"]
+
+    def test_storage_config_names_where_blocks_live_once(self):
+        import dataclasses
+
+        from repro.system.service import StorageConfig
+
+        names = [field.name for field in dataclasses.fields(StorageConfig)]
+        assert len(names) == 12
+        assert "location_count" not in names and "topology" in names

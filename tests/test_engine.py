@@ -25,8 +25,9 @@ from repro.simulation.engine import (
 from repro.simulation.experiments import ExperimentConfig, sample_disaster
 from repro.simulation.metrics import describe_scheme, scheme_id_for
 from repro.simulation.traces import p2p_session_trace
-from repro.storage.failures import ChurnTrace, CorrelatedFailureDomains, Disaster
+from repro.storage.failures import ChurnTrace, Disaster, disaster_for_target
 from repro.storage.maintenance import MaintenanceBudget, MaintenancePolicy
+from repro.storage.topology import Topology
 
 CONFIG = ExperimentConfig.quick(20_000)
 
@@ -343,8 +344,9 @@ class TestEventLoop:
         assert len(mixed) == 6
 
     def test_correlated_domains_feed_the_loop(self):
-        domains = CorrelatedFailureDomains.evenly(40, 4)
-        disaster = domains.domain_disaster([0, 2])
+        disaster = disaster_for_target(
+            Topology.parse("sites=4,nodes=10"), ["site:0", "site:2"]
+        )
         engine = SimulationEngine("rs-10-4", 2_000, 40, seed=7)
         metrics = engine.run_disaster(disaster)
         assert metrics.disaster_fraction == pytest.approx(0.5)

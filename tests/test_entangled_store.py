@@ -14,7 +14,7 @@ from tests.conftest import make_payload
 def make_system(scheme="ae-3-2-5", locations=30, block_size=128, seed=3):
     return StorageService.open(
         StorageConfig(
-            scheme=scheme, location_count=locations, block_size=block_size, seed=seed
+            scheme=scheme, topology=locations, block_size=block_size, seed=seed
         )
     )
 

@@ -1,4 +1,4 @@
-"""Tests for failure models: disasters, correlated domains and churn."""
+"""Tests for failure models: disasters and churn."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.exceptions import InvalidParametersError
 from repro.storage.cluster import StorageCluster
 from repro.storage.failures import (
     ChurnTrace,
-    CorrelatedFailureDomains,
     Disaster,
     PAPER_DISASTER_SIZES,
     disaster_for_fraction,
@@ -49,23 +48,6 @@ class TestDisasters:
     def test_invalid_fraction(self):
         with pytest.raises(InvalidParametersError):
             disaster_for_fraction(10, 1.5)
-
-
-class TestCorrelatedDomains:
-    def test_even_split(self):
-        domains = CorrelatedFailureDomains.evenly(10, 3)
-        sizes = [len(domain) for domain in domains.domains]
-        assert sorted(sizes) == [3, 3, 4]
-        assert sum(sizes) == 10
-
-    def test_domain_disaster(self):
-        domains = CorrelatedFailureDomains.evenly(12, 4)
-        disaster = domains.domain_disaster([0, 2])
-        assert disaster.size == 6
-
-    def test_invalid_domain_count(self):
-        with pytest.raises(InvalidParametersError):
-            CorrelatedFailureDomains.evenly(4, 5)
 
 
 class TestChurn:

@@ -36,7 +36,7 @@ from repro.system.service import StorageConfig
 def open_frontend(**kwargs) -> ConcurrentStorageService:
     overrides = {
         "scheme": "ae-3-2-5",
-        "location_count": 10,
+        "topology": 10,
         "block_size": 256,
     }
     front_kwargs = {
@@ -257,7 +257,7 @@ class TestLinearizabilitySmoke:
 
 class TestReadsDuringRepair:
     def test_gets_stay_byte_exact_while_repair_runs(self):
-        with open_frontend(workers=4, location_count=12, block_size=512) as frontend:
+        with open_frontend(workers=4, topology=12, block_size=512) as frontend:
             payloads = {
                 f"doc-{number}": bytes([number + 1]) * (600 + 64 * number)
                 for number in range(4)

@@ -24,7 +24,7 @@ class TestArchiveLifecycle:
     def test_full_lifecycle(self):
         params = AEParameters.double(2, 5)
         system = StorageService.open(
-            StorageConfig(scheme="ae-2-2-5", location_count=40, block_size=256, seed=13)
+            StorageConfig(scheme="ae-2-2-5", topology=40, block_size=256, seed=13)
         )
         documents = {
             f"doc-{index}": make_payload(index, 3_000 + 137 * index) for index in range(6)
@@ -72,7 +72,7 @@ class TestArchiveLifecycle:
     @pytest.mark.parametrize("fraction", [0.1, 0.3])
     def test_documents_survive_paper_style_disasters(self, fraction):
         system = StorageService.open(
-            StorageConfig(scheme="ae-3-2-5", location_count=60, block_size=256, seed=21)
+            StorageConfig(scheme="ae-3-2-5", topology=60, block_size=256, seed=21)
         )
         payload = make_payload(99, 30_000)
         system.put("archive", payload)

@@ -30,7 +30,7 @@ SCHEMES = ["ae-3-2-5", "rs-10-4"]
 def config(scheme, backend, root, **overrides):
     base = dict(
         scheme=scheme,
-        location_count=20,
+        topology=20,
         block_size=512,
         backend=backend,
         data_dir=str(root),
@@ -289,21 +289,63 @@ class TestManifest:
     def test_location_count_comes_from_manifest(self, backend, tmp_path):
         payload = workload(size=6_000)
         service = StorageService.open(
-            config("rs-10-4", backend, tmp_path, location_count=14)
+            config("rs-10-4", backend, tmp_path, topology=14)
         )
         service.put("doc", payload)
         service.close()
-        # A reopen without an explicit location_count follows the manifest
+        # A reopen without an explicit topology follows the manifest
         # instead of spreading blocks over phantom locations ...
         reopened = StorageService.open(
-            config("rs-10-4", backend, tmp_path, location_count=None)
+            config("rs-10-4", backend, tmp_path, topology=None)
         )
         assert reopened.cluster.location_count == 14
         assert reopened.get("doc") == payload
         reopened.close()
         # ... while an explicitly contradicting one is rejected.
         with pytest.raises(InvalidParametersError, match="14 locations"):
-            StorageService.open(config("rs-10-4", backend, tmp_path, location_count=100))
+            StorageService.open(config("rs-10-4", backend, tmp_path, topology=100))
+
+    def test_a_directory_written_before_the_location_count_option_went_reopens(
+        self, backend, tmp_path
+    ):
+        """``StorageConfig.location_count`` retired into ``topology`` without a
+        format change: the literal below is the ``manifest.json`` the parent
+        of that change (407e8d4) wrote for this very workload -- a flat layout
+        is still stored as its ``location_count`` key and nothing else."""
+        parent_manifest = (
+            '{"format": 1, "scheme": "rs-10-4", "block_size": 512, '
+            f'"location_count": 14, "backend": "{backend}", "seed": 0, '
+            '"custom_placement": false, "scheme_state": {"next_stripe": 2, '
+            '"real_count": {"1": 2}}, "documents": {"doc": {"data_ids": '
+            '[["s-0-0", 10], ["s-1-0", 2]], "length": 6000}}}'
+        )
+        payload = workload(size=6_000)
+        service = StorageService.open(config("rs-10-4", backend, tmp_path, topology=14))
+        service.put("doc", payload)
+        service.close()
+        path = tmp_path / "manifest.json"
+        assert json.loads(path.read_text()) == json.loads(parent_manifest)
+        # Reopen from the parent's bytes: no topology named, then the same one.
+        for topology in (None, 14, "14"):
+            path.write_text(parent_manifest)
+            reopened = StorageService.open(
+                config("rs-10-4", backend, tmp_path, topology=topology)
+            )
+            assert reopened.cluster.location_count == 14
+            assert reopened.topology.is_flat()
+            assert reopened.get("doc") == payload
+            reopened.close()
+            assert json.loads(path.read_text()) == json.loads(parent_manifest)
+        # A count that contradicts the stored one is a topology mismatch ...
+        with pytest.raises(InvalidParametersError, match="different topology"):
+            StorageService.open(config("rs-10-4", backend, tmp_path, topology=15))
+        # ... and a flat manifest pins the count alone: sites may be named.
+        reopened = StorageService.open(
+            config("rs-10-4", backend, tmp_path, topology="sites=2,nodes=7")
+        )
+        assert reopened.get("doc") == payload
+        reopened.close()
+        assert "topology" in json.loads(path.read_text())
 
     def test_manifest_stores_id_runs_not_per_block_strings(self, backend, tmp_path):
         service = StorageService.open(config("rs-10-4", backend, tmp_path))
@@ -368,7 +410,7 @@ def test_scheme_instance_config_reopens_its_own_data_dir(backend, tmp_path):
     first = StorageService.open(
         StorageConfig(
             scheme=schemes.get("rs-10-4", block_size=512),
-            location_count=20, backend=backend, data_dir=str(tmp_path),
+            topology=20, backend=backend, data_dir=str(tmp_path),
         )
     )
     first.put("doc", payload)
@@ -376,7 +418,7 @@ def test_scheme_instance_config_reopens_its_own_data_dir(backend, tmp_path):
     reopened = StorageService.open(
         StorageConfig(
             scheme=schemes.get("rs-10-4", block_size=512),
-            location_count=20, backend=backend, data_dir=str(tmp_path),
+            topology=20, backend=backend, data_dir=str(tmp_path),
         )
     )
     assert reopened.get("doc") == payload

@@ -102,7 +102,7 @@ class TestServiceRepairAcrossSchemes:
         service = StorageService.open(
             StorageConfig(
                 scheme=scheme_id,
-                location_count=20,
+                topology=20,
                 block_size=256,
                 # Never co-locate a stripe's blocks: one lost location then
                 # costs every stripe at most one position, which every
@@ -148,7 +148,7 @@ class TestServiceRepairAcrossSchemes:
     @pytest.mark.parametrize("scheme_id", ["ae-3-2-5", "rs-10-4"])
     def test_degraded_read_without_repair(self, scheme_id):
         service = StorageService.open(
-            StorageConfig(scheme=scheme_id, location_count=20, block_size=256, seed=9)
+            StorageConfig(scheme=scheme_id, topology=20, block_size=256, seed=9)
         )
         payload = self.document(256)
         service.put("doc", payload)
@@ -251,7 +251,7 @@ class TestSegmentLogZeroCopy:
     def test_torn_tail_reopen_round_trips_via_batched_repair(self, tmp_path):
         config = StorageConfig(
             scheme="ae-3-2-5",
-            location_count=12,
+            topology=12,
             block_size=512,
             backend="segment",
             data_dir=str(tmp_path),

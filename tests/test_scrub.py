@@ -29,7 +29,7 @@ def build_system(spec: str = "AE(3,2,5)", blocks: int = 30, seed: int = 0):
     system = StorageService.open(
         StorageConfig(
             scheme=ae_scheme_id(AEParameters.parse(spec)),
-            location_count=20,
+            topology=20,
             block_size=BLOCK_SIZE,
             seed=seed,
         )

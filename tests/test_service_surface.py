@@ -186,7 +186,7 @@ def test_a_failed_write_strands_no_blocks(layer, scheme):
     down location stranded blocks the same way."""
     selectors, _ = LAYERS[layer]
     service = open_service(
-        StorageConfig(scheme=scheme, block_size=64, batch_blocks=10, location_count=16),
+        StorageConfig(scheme=scheme, block_size=64, batch_blocks=10, topology=16),
         **selectors,
     )
     kept, stored = payload(1, 1_000), payload(2, 500)
@@ -264,15 +264,21 @@ class TestRepairPolicy:
     FAILED = (0, 7)
 
     @staticmethod
-    def damaged(layer, scheme, backend, tmp_path):
+    def populated(layer, scheme, backend, tmp_path):
+        """Six documents, and the plain services that hold them."""
         service = open_layer(layer, backend, tmp_path, scheme=scheme)
         documents = {f"doc-{n}": payload(n, 5_000 + 300 * n) for n in range(6)}
         for name, data in documents.items():
             service.put(name, data)
-        service.fail_locations(TestRepairPolicy.FAILED)
         holders = {id(h): h for h in map(service.service_for, documents)}.values()
         assert len(holders) == LAYERS[layer][0].get("shards", 1)
         return service, documents, list(holders)
+
+    @staticmethod
+    def damaged(layer, scheme, backend, tmp_path):
+        populated = TestRepairPolicy.populated(layer, scheme, backend, tmp_path)
+        populated[0].fail_locations(TestRepairPolicy.FAILED)
+        return populated
 
     @staticmethod
     def listed(report, field):
@@ -332,6 +338,42 @@ class TestRepairPolicy:
         service.close()
 
 
+class TestEmptyDisksComeBack:
+    """A destructive failure whose replaced disks return empty: the locations
+    are up, their blocks are gone -- ``status()`` counts them and ``repair()``
+    puts them back where they were assigned."""
+
+    WIPED = (0, 7)
+
+    @pytest.mark.parametrize("scheme", TestRepairPolicy.SCHEMES)
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_status_and_repair_see_the_loss(self, layer, scheme, tmp_path):
+        service, documents, holders = TestRepairPolicy.populated(
+            layer, scheme, "memory", tmp_path
+        )
+        lost = {}
+        for holder in holders:
+            cluster = holder.cluster
+            lost[id(holder)] = {
+                b: cluster.location_of(b) for loc in self.WIPED for b in cluster.blocks_at(loc)
+            }
+            cluster.wipe_locations(self.WIPED)
+        service.restore_locations()
+        gone = sum(map(len, lost.values()))
+        status = service.status()
+        assert gone > 0 and status.unavailable_locations == 0
+        assert status.unavailable_blocks == gone
+        report = service.repair()
+        assert report.repaired_count == gone and report.data_loss == 0
+        assert service.status().unavailable_blocks == 0
+        for holder in holders:
+            cluster = holder.cluster
+            assert all(map(cluster.is_available, cluster.block_ids()))
+            assert {b: cluster.location_of(b) for b in lost[id(holder)]} == lost[id(holder)]
+        for name, expected in documents.items():
+            assert service.get(name) == expected
+
+
 class TestOpenService:
     def test_layer_follows_shards_and_workers(self):
         cases = [
@@ -343,7 +385,7 @@ class TestOpenService:
             ({"shards": 3, "workers": 2, "queue_depth": 5}, ShardedStorageService),
         ]
         for arguments, expected in cases:
-            with open_service(scheme="rep-3", location_count=12, **arguments) as service:
+            with open_service(scheme="rep-3", topology=12, **arguments) as service:
                 assert type(service) is expected, arguments
                 assert service.scheme.scheme_id == "rep-3"
 
@@ -355,7 +397,7 @@ class TestOpenService:
             assert (shard.workers, shard.queue_depth) == (3, 5)
 
     def test_overrides_apply_on_top_of_the_config(self):
-        config = StorageConfig(scheme="rs-10-4", location_count=20)
+        config = StorageConfig(scheme="rs-10-4", topology=20)
         with open_service(config, scheme="rep-3") as service:
             assert service.scheme.scheme_id == "rep-3"
             assert service.topology.node_count == 20
@@ -422,7 +464,7 @@ class TestSharedSignatures:
             assert actual[len(shared):] == extras, (cls.__name__, name)
 
     def test_federation_fails_one_shard_or_all(self):
-        with open_service(scheme="rep-3", location_count=12, shards=3) as federation:
+        with open_service(scheme="rep-3", topology=12, shards=3) as federation:
             federation.fail_locations([0, 1], shard=1)
             assert federation.status().unavailable_locations == 2
             federation.fail_locations([0, 1], 2)  # positional shard still works

@@ -42,7 +42,7 @@ def workload(doc_count: int = 12, block_size: int = 256) -> dict:
 
 def open_federation(scheme_id: str = "ae-3-2-5", shards: int = 3, **overrides):
     config = StorageConfig(
-        scheme=scheme_id, location_count=24, block_size=256, seed=5, shards=shards
+        scheme=scheme_id, topology=24, block_size=256, seed=5, shards=shards
     )
     return ShardedStorageService.open(config, **overrides)
 
@@ -79,7 +79,7 @@ class TestCrossShardEquivalence:
     def test_sharded_reads_match_single_service(self, scheme_id):
         documents = workload()
         single = StorageService.open(
-            StorageConfig(scheme=scheme_id, location_count=24, block_size=256, seed=5)
+            StorageConfig(scheme=scheme_id, topology=24, block_size=256, seed=5)
         )
         federation = open_federation(scheme_id)
         for name, payload in documents.items():
@@ -99,7 +99,7 @@ class TestCrossShardEquivalence:
         root = str(tmp_path / "federation")
         config = StorageConfig(
             scheme=scheme_id,
-            location_count=12,
+            topology=12,
             block_size=256,
             seed=5,
             shards=3,
@@ -115,7 +115,7 @@ class TestCrossShardEquivalence:
         reopened = ShardedStorageService.open(
             StorageConfig(
                 scheme=scheme_id,
-                location_count=12,
+                topology=12,
                 block_size=256,
                 seed=5,
                 backend="disk",
@@ -366,7 +366,7 @@ class TestFaultInjection:
         root = tmp_path / "live"
         config = StorageConfig(
             scheme="ae-3-2-5",
-            location_count=8,
+            topology=8,
             block_size=256,
             seed=5,
             shards=3,
@@ -400,7 +400,7 @@ class TestFaultInjection:
         reopened = ShardedStorageService.open(
             StorageConfig(
                 scheme="ae-3-2-5",
-                location_count=8,
+                topology=8,
                 block_size=256,
                 seed=5,
                 backend="disk",
@@ -428,7 +428,7 @@ class TestDurableFederation:
     def _config(self, root, **overrides):
         base = dict(
             scheme="ae-1",
-            location_count=6,
+            topology=6,
             block_size=256,
             seed=5,
             backend="disk",

@@ -25,7 +25,7 @@ from repro.system.service import (
 
 def make_service(scheme_id: str, **overrides) -> StorageService:
     config = StorageConfig(
-        scheme=scheme_id, location_count=48, block_size=256, seed=5
+        scheme=scheme_id, topology=48, block_size=256, seed=5
     )
     return StorageService.open(config, **overrides)
 
@@ -120,7 +120,7 @@ class TestRepairAccounting:
             ("ae-3-2-5", "rs-10-4", "lrc-azure", "rep-3"),
             data_blocks=60,
             block_size=256,
-            location_count=40,
+            topology=40,
             fail_locations=2,
             seed=7,
             victims=2,
@@ -201,12 +201,12 @@ class TestConfigAndStatus:
         import repro.schemes as schemes
 
         instance = schemes.get("rs-8-2", block_size=128)
-        service = StorageService.open(StorageConfig(scheme=instance, location_count=10))
+        service = StorageService.open(StorageConfig(scheme=instance, topology=10))
         assert service.scheme is instance
         assert service.block_size == 128
 
     def test_open_keyword_overrides(self):
-        service = StorageService.open(scheme="rep-2", location_count=7, block_size=64)
+        service = StorageService.open(scheme="rep-2", topology=7, block_size=64)
         assert service.cluster.location_count == 7
         assert service.block_size == 64
         assert service.capabilities.kind == "replication"

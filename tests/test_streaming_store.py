@@ -31,7 +31,7 @@ def make_system(params=None, locations=40, block_size=BLOCK, batch_blocks=4, see
     return StorageService.open(
         StorageConfig(
             scheme=ae_scheme_id(params or AEParameters.triple(2, 5)),
-            location_count=locations,
+            topology=locations,
             block_size=block_size,
             batch_blocks=batch_blocks,
             seed=seed,

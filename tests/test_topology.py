@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.blocks import Block, DataId, ParityId
@@ -10,7 +11,7 @@ from repro.exceptions import InvalidParametersError, PlacementError
 from repro.schemes.stripe import StripeBlockId
 from repro.storage import placement
 from repro.storage.cluster import StorageCluster
-from repro.storage.failures import CorrelatedFailureDomains, disaster_for_target
+from repro.storage.failures import disaster_for_target
 from repro.storage.placement import (
     RandomPlacement,
     SpreadDomainsPlacement,
@@ -112,17 +113,17 @@ class TestDomainsAndTargets:
             with pytest.raises(InvalidParametersError):
                 topology.locations_for_target(bad)
 
-    def test_disaster_for_target_and_correlated_domains(self):
+    def test_disaster_for_target(self):
         topology = Topology.parse("sites=3,nodes=4")
         disaster = disaster_for_target(topology, "site:2")
         assert disaster.failed_locations == (8, 9, 10, 11)
         assert disaster.label == "site:2"
         union = disaster_for_target(topology, ["site:0", "node:5"])
         assert union.failed_locations == (0, 1, 2, 3, 5)
-        domains = CorrelatedFailureDomains.from_topology(topology, level="site")
-        assert domains.domains == topology.domains("site")
-        # The legacy evenly() shim slices exactly like a flat grid's sites.
-        assert CorrelatedFailureDomains.evenly(12, 3).domains == domains.domains
+        # Whole failure domains at once: the targets name them.
+        assert disaster_for_target(topology, ["site:0", "site:2"]).failed_locations == (
+            topology.domains("site")[0] + topology.domains("site")[2]
+        )
 
 
 class TestPlacementRegistry:
@@ -219,9 +220,18 @@ class TestClusterTopology:
         assert cluster.topology is topology
         assert cluster.location_count == 6
 
-    def test_contradicting_location_count_rejected(self):
+    def test_a_placement_over_another_count_is_rejected(self):
         with pytest.raises(PlacementError):
-            StorageCluster(5, topology="sites=2,nodes=4")
+            StorageCluster("sites=2,nodes=4", RandomPlacement(5))
+
+    def test_a_bare_count_is_the_flat_topology_everywhere(self):
+        """``Topology.resolve`` is the one place an int becomes a layout."""
+        flat = Topology.flat(6)
+        assert Topology.resolve(6) == Topology.resolve(np.int64(6)) == flat
+        assert StorageCluster(6).topology == flat
+        assert StorageCluster(topology=6).topology == flat
+        assert RandomPlacement(6).topology == placement.get("random", 6).topology == flat
+        assert RandomPlacement("sites=2,nodes=3").topology.site_count == 2
 
     def test_stats_surface_per_domain_block_counts(self):
         topology = Topology.parse("sites=2,nodes=3")

@@ -39,7 +39,7 @@ BLOCK_SIZE = 512
 
 
 def mem_config(scheme, **overrides):
-    base = dict(scheme=scheme, location_count=24, block_size=BLOCK_SIZE, seed=5)
+    base = dict(scheme=scheme, topology=24, block_size=BLOCK_SIZE, seed=5)
     base.update(overrides)
     return StorageConfig(**base)
 
@@ -283,7 +283,7 @@ class TestDurableCrashResume:
         # neighbourhood) at most one block, so the degraded read below must
         # succeed whenever catalogue and scheme agree.
         return disk_config(
-            scheme, root, location_count=12, placement="spread-domains"
+            scheme, root, topology=12, placement="spread-domains"
         )
 
     def check_settles(self, image, reopen_as, scheme_id, payloads):
@@ -424,7 +424,7 @@ class TestRepairDuringReencode:
         payloads = make_docs(count=6, size=1500)
         config = StorageConfig(
             scheme=source,
-            location_count=self.LOCATIONS,
+            topology=self.LOCATIONS,
             block_size=256,
             # One lost location costs every stripe (and AE neighbourhood) at
             # most one block, which every scheme here tolerates.

@@ -250,7 +250,7 @@ class TestServiceCrashSweep:
         return StorageService.open(
             StorageConfig(
                 scheme="ae-3-2-5",
-                location_count=8,
+                topology=8,
                 block_size=256,
                 backend="disk",
                 data_dir=str(data_dir),
@@ -353,7 +353,7 @@ class TestSizeTriggeredCheckpoint:
     def _config(self, scheme, data_dir) -> StorageConfig:
         return StorageConfig(
             scheme=scheme,
-            location_count=16,
+            topology=16,
             block_size=128,
             backend="segment",
             data_dir=str(data_dir),

@@ -19,6 +19,7 @@ from repro_lint.rules._helpers import attr_chain, imported_names_from
 ENGINE_PATHS = (
     "repro/simulation/",
     "repro/storage/failures.py",
+    "repro/system/backup.py",
     "repro/system/compare.py",
     "repro/system/frontend.py",
     "repro/system/transitions.py",
