@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.codes.entanglement import ae_scheme_id
 from repro.core.encoder import BatchEntangler, Entangler
 from repro.core.parameters import AEParameters
 from repro.system.opening import open_service
@@ -75,7 +74,7 @@ def test_batched_encode(benchmark, spec, block_size):
 
 def open_store(spec: str):
     return open_service(
-        scheme=ae_scheme_id(AEParameters.parse(spec)), topology=50, block_size=4096
+        scheme=AEParameters.parse(spec).scheme_id, topology=50, block_size=4096
     )
 
 

@@ -25,10 +25,10 @@ SCHEMES = (
     AEParameters.single(),
     AEParameters.double(2, 5),
     AEParameters.triple(2, 5),
-    (8, 2),
-    (5, 5),
-    2,
-    3,
+    "rs-8-2",
+    "rs-5-5",
+    "rep-2",
+    "rep-3",
 )
 
 

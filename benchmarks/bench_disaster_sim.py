@@ -15,8 +15,12 @@ from __future__ import annotations
 
 import time
 
-from repro.simulation.engine import SimulationEngine, simulate_disasters
-from repro.simulation.experiments import ExperimentConfig, sample_disaster
+from repro.simulation.engine import (
+    SimulationEngine,
+    sample_disaster_locations,
+    simulate_disasters,
+)
+from repro.simulation.experiments import ExperimentConfig
 from repro.simulation.metrics import format_table
 from repro.storage.failures import ChurnTrace
 from repro.storage.maintenance import MaintenancePolicy
@@ -45,7 +49,9 @@ def test_engine_matches_pre_refactor_goldens():
     config = _config()
     for (scheme_id, percent), expected in GOLDEN.items():
         offset = {10: 0, 30: 2, 50: 4}[percent]
-        failed = sample_disaster(config, percent / 100.0, offset)
+        failed = sample_disaster_locations(
+            config.location_count, percent / 100.0, config.seed, offset
+        )
         engine = SimulationEngine(
             scheme_id, config.data_blocks, config.location_count, config.seed
         )
@@ -74,9 +80,7 @@ def test_engine_throughput(print_tables):
         started = time.perf_counter()
         events = 0
         for offset, fraction in enumerate(FRACTIONS):
-            engine.run_disaster(
-                sample_disaster(ExperimentConfig(data_blocks=blocks), fraction, offset)
-            )
+            engine.run_disaster(sample_disaster_locations(100, fraction, 7, offset))
             events += 1
         elapsed = time.perf_counter() - started
         rows.append(

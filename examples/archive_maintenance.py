@@ -68,7 +68,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     missing = report.repaired_count
     rows = disaster_traffic_table(
-        [params, (4, 12), (10, 4)], missing_blocks=missing, block_size=1024
+        [params, "rs-4-12", "rs-10-4"], missing_blocks=missing, block_size=1024
     )
     print("\nrepair traffic for this cycle")
     print(format_table(rows))

@@ -44,11 +44,11 @@ def main() -> None:
         AEParameters.single(),
         AEParameters.double(2, 5),
         AEParameters.triple(2, 5),
-        (10, 4),
-        (5, 5),
-        (4, 12),
-        2,
-        3,
+        "rs-10-4",
+        "rs-5-5",
+        "rs-4-12",
+        "rep-2",
+        "rep-3",
     ]
     simulator = ChurnSimulator(
         trace, ChurnConfig(data_blocks=10_000, sample_every_hours=12.0, seed=1)

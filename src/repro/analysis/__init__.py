@@ -74,11 +74,8 @@ from repro.analysis.reliability import (
 from repro.analysis.repair_cost import (
     RepairCost,
     SchemeRepairModel,
-    ae_repair_model,
     disaster_traffic_table,
     repair_model_for,
-    replication_repair_model,
-    rs_repair_model,
     single_failure_table,
 )
 from repro.analysis.write_performance import (
@@ -105,7 +102,6 @@ __all__ = [
     "SchemeRepairModel",
     "TannerGraph",
     "WritePerformancePoint",
-    "ae_repair_model",
     "ae_window_flat_code",
     "ae_window_graph",
     "analytic_mirror_loss",
@@ -141,8 +137,6 @@ __all__ = [
     "raid6_chain",
     "recoverable_blocks",
     "repair_model_for",
-    "replication_repair_model",
-    "rs_repair_model",
     "simulate_layout",
     "single_entanglement_chain",
     "single_failure_table",

@@ -23,16 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.parameters import AEParameters
 from repro.exceptions import InvalidParametersError
-from repro.simulation.metrics import SchemeSpec, describe_scheme
+from repro.schemes import SchemeLike
+from repro.simulation.metrics import describe_scheme
 
 __all__ = [
     "RepairCost",
     "SchemeRepairModel",
-    "ae_repair_model",
-    "rs_repair_model",
-    "replication_repair_model",
     "repair_model_for",
     "single_failure_table",
     "disaster_traffic_table",
@@ -151,44 +148,9 @@ def _check_block_size(block_size: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# Constructors per scheme family
+# The model of any scheme
 # ----------------------------------------------------------------------
-def ae_repair_model(params: AEParameters, expected_rounds: float = 1.0) -> SchemeRepairModel:
-    """AE(alpha, s, p): every single failure is repaired by XORing two blocks."""
-    return SchemeRepairModel(
-        name=params.spec(),
-        kind="ae",
-        single_failure_reads=params.single_failure_cost,
-        storage_overhead=float(params.alpha),
-        rounds_factor=max(expected_rounds, 1.0),
-    )
-
-
-def rs_repair_model(k: int, m: int) -> SchemeRepairModel:
-    """RS(k, m): any repair reads ``k`` surviving blocks of the stripe."""
-    if k < 1 or m < 0:
-        raise InvalidParametersError(f"invalid RS setting ({k}, {m})")
-    return SchemeRepairModel(
-        name=f"RS({k},{m})",
-        kind="rs",
-        single_failure_reads=k,
-        storage_overhead=m / k,
-    )
-
-
-def replication_repair_model(copies: int) -> SchemeRepairModel:
-    """n-way replication: a repair copies one surviving replica."""
-    if copies < 2:
-        raise InvalidParametersError("replication requires at least two copies")
-    return SchemeRepairModel(
-        name=f"{copies}-way replication",
-        kind="replication",
-        single_failure_reads=1,
-        storage_overhead=float(copies - 1),
-    )
-
-
-def repair_model_for(spec: SchemeSpec, expected_rounds: float = 1.0) -> SchemeRepairModel:
+def repair_model_for(spec: SchemeLike, expected_rounds: float = 1.0) -> SchemeRepairModel:
     """Build the repair model matching any scheme specification.
 
     Resolves through the :mod:`repro.schemes` registry (via
@@ -197,13 +159,13 @@ def repair_model_for(spec: SchemeSpec, expected_rounds: float = 1.0) -> SchemeRe
     not just the three the paper tabulates.  ``expected_rounds`` only
     applies to AE codes (stripe codes repair each block in one shot).
     """
-    description = describe_scheme(spec)
-    rounds_factor = max(expected_rounds, 1.0) if description.kind == "ae" else 1.0
+    capabilities = describe_scheme(spec)
+    rounds_factor = max(expected_rounds, 1.0) if capabilities.kind == "ae" else 1.0
     return SchemeRepairModel(
-        name=description.name,
-        kind=description.kind,
-        single_failure_reads=description.single_failure_cost,
-        storage_overhead=description.additional_storage_percent / 100.0,
+        name=capabilities.name,
+        kind=capabilities.kind,
+        single_failure_reads=capabilities.single_failure_reads,
+        storage_overhead=capabilities.storage_overhead,
         rounds_factor=rounds_factor,
     )
 
@@ -212,7 +174,7 @@ def repair_model_for(spec: SchemeSpec, expected_rounds: float = 1.0) -> SchemeRe
 # Tables
 # ----------------------------------------------------------------------
 def single_failure_table(
-    specs: Sequence[SchemeSpec], block_size: int = 4096
+    specs: Sequence[SchemeLike], block_size: int = 4096
 ) -> List[Dict[str, object]]:
     """Single-failure repair cost (reads / bytes / locations) per scheme."""
     rows: List[Dict[str, object]] = []
@@ -225,7 +187,7 @@ def single_failure_table(
 
 
 def disaster_traffic_table(
-    specs: Sequence[SchemeSpec],
+    specs: Sequence[SchemeLike],
     missing_blocks: int,
     block_size: int = 4096,
     single_failure_fractions: Optional[Dict[str, float]] = None,

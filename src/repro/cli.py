@@ -147,10 +147,10 @@ def _run_churn(args: argparse.Namespace) -> str:
         AEParameters.single(),
         AEParameters.double(2, 5),
         AEParameters.triple(2, 5),
-        (8, 2),
-        (5, 5),
-        2,
-        3,
+        "rs-8-2",
+        "rs-5-5",
+        "rep-2",
+        "rep-3",
     ]
     config = ChurnConfig(data_blocks=min(args.blocks, 20_000), sample_every_hours=12.0)
     return format_table(compare_schemes_under_churn(trace, schemes, config))
@@ -826,7 +826,6 @@ def ingest_main(argv: List[str] | None = None) -> int:
     """Entry point of ``repro-experiments ingest``."""
     from concurrent.futures import Future, ThreadPoolExecutor
 
-    from repro.codes.entanglement import ae_scheme_id
     from repro.exceptions import ReproError
     from repro.system.opening import open_service
     from repro.system.service import StoredDocument
@@ -840,7 +839,7 @@ def ingest_main(argv: List[str] | None = None) -> int:
     fan_out = args.workers > 1
     try:
         if args.spec is not None:
-            args.scheme = ae_scheme_id(AEParameters.parse(args.spec))
+            args.scheme = AEParameters.parse(args.spec).scheme_id
         service = open_service(
             _service_config(args),
             workers=args.workers if fan_out else None,

@@ -48,7 +48,6 @@ from repro.codes.replication import (
 from repro.codes.entanglement import (
     EntanglementScheme,
     PuncturedEntanglementScheme,
-    ae_scheme_id,
     punctured_scheme_id,
 )
 
@@ -94,7 +93,6 @@ __all__ = [
     "StripeBlockId",
     "StripeCode",
     "StripeScheme",
-    "ae_scheme_id",
     "available_schemes",
     "azure_lrc",
     "geo_xor_code",

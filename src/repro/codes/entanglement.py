@@ -35,16 +35,8 @@ from repro.schemes.base import (
 __all__ = [
     "EntanglementScheme",
     "PuncturedEntanglementScheme",
-    "ae_scheme_id",
     "punctured_scheme_id",
 ]
-
-
-def ae_scheme_id(params: AEParameters) -> str:
-    """The registry identifier of an AE setting, e.g. ``"ae-3-2-5"``."""
-    if params.is_single:
-        return "ae-1"
-    return f"ae-{params.alpha}-{params.s}-{params.p}"
 
 
 def punctured_scheme_id(params: AEParameters, keep_fraction: float) -> str:
@@ -53,7 +45,7 @@ def punctured_scheme_id(params: AEParameters, keep_fraction: float) -> str:
     ``ae-3-2-5-p75`` keeps 75% of the parities of AE(3,2,5); the stored
     overhead drops from ``alpha`` towards ``alpha * keep_fraction``.
     """
-    return f"{ae_scheme_id(params)}-p{int(round(keep_fraction * 100))}"
+    return f"{params.scheme_id}-p{int(round(keep_fraction * 100))}"
 
 
 class EntanglementScheme(RedundancyScheme):
@@ -65,7 +57,7 @@ class EntanglementScheme(RedundancyScheme):
         block_size: int = DEFAULT_BLOCK_SIZE,
         scheme_id: Optional[str] = None,
     ) -> None:
-        super().__init__(scheme_id or ae_scheme_id(params), block_size)
+        super().__init__(scheme_id or params.scheme_id, block_size)
         self._entangler = BatchEntangler(params, block_size)
 
     @property

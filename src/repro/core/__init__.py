@@ -1,7 +1,8 @@
 """Core implementation of alpha entanglement codes AE(alpha, s, p).
 
 This subpackage contains the paper's primary contribution: the helical
-lattice model, the entanglement rules of Tables I and II, the streaming
+lattice model, the entanglement rules of Tables I and II (tabulated once per
+setting by :func:`~repro.core.rules.rule_offsets`), the streaming
 encoder, the repair decoder, and the code extensions (sealed-bucket write
 scheduling, puncturing, dynamic parameter upgrades and the anti-tampering
 analysis).
@@ -61,7 +62,7 @@ from repro.core.puncturing import (
     puncture_rate,
     puncture_strand_class,
 )
-from repro.core.rules import input_index, output_index, rule_table
+from repro.core.rules import input_index, output_index, rule_offsets, rule_table
 from repro.core.strands import (
     StrandHeadRegistry,
     StrandId,
@@ -144,6 +145,7 @@ __all__ = [
     "puncture_periodic",
     "puncture_rate",
     "puncture_strand_class",
+    "rule_offsets",
     "rule_table",
     "split_into_blocks",
     "strand_of",

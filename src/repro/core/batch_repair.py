@@ -45,7 +45,7 @@ from typing import (
 
 from repro.core.blocks import BlockId, DataId, ParityId, is_data
 from repro.core.lattice import HelicalLattice
-from repro.core.rules import input_index, output_index
+from repro.core.rules import rule_offsets
 from repro.core.xor import Payload, xor_pairs
 
 __all__ = [
@@ -105,20 +105,11 @@ def plan_round(
     # Ids are built lazily, option by option, instead of materialising the
     # lattice's option lists: a round plans hundreds of blocks and usually
     # commits to the first viable tuple, so eager construction is pure waste.
-    params = lattice.params
     size = lattice.size
-    s = params.s
-    # Tables I and II once per round instead of once per probe: the offsets
-    # ``h - i`` and ``j - i`` depend only on the strand class and the node's
-    # row, so the rules are asked at the first node of every row.
-    rows = range(1, s + 1)
-    offsets = {
-        strand_class: (
-            [input_index(row, strand_class, params) - row for row in rows],
-            [output_index(row, strand_class, params) - row for row in rows],
-        )
-        for strand_class in params.strand_classes
-    }
+    s = lattice.params.s
+    # Tables I and II as per-row offsets ``h - i`` / ``j - i``, not one rule
+    # call per probe.
+    offsets = rule_offsets(lattice.params)
     steps: List[RepairPlanStep] = []
     for block_id in pending:
         # ``lattice.has_block``, spelled out: the node exists and, below, a

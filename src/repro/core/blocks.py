@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Iterator, List, NamedTuple, Sequence, Union
 
-import numpy as np
-
 from repro.core.parameters import StrandClass
 from repro.core.xor import Payload, as_payload, payload_to_bytes
 from repro.exceptions import BlockSizeMismatchError
@@ -160,7 +158,9 @@ def join_blocks(payloads: Sequence[Payload], original_length: int | None = None)
     """Reassemble payloads produced by :func:`split_into_blocks`."""
     if not payloads:
         return b""
-    joined = np.concatenate([as_payload(payload) for payload in payloads]).tobytes()
+    # One allocation of the document's size: an intermediate joined array
+    # would be a second one, allocated and freed per read.
+    joined = b"".join([as_payload(payload) for payload in payloads])
     if original_length is not None:
         return joined[:original_length]
     return joined

@@ -269,10 +269,9 @@ class BatchEntangler(Entangler):
         """Entangle a stack of blocks and return the batch result.
 
         ``payloads`` may be a ``(n, block_size)`` uint8 matrix, a byte string
-        (split into zero-padded blocks) or a sequence of block payloads.  On
-        the planned path the lattice and the strand heads move only once
-        every parity of the batch is computed: a call that raises leaves the
-        encoder where it was.
+        (split into zero-padded blocks) or a sequence of block payloads.  The
+        lattice and the strand heads move only once every parity of the batch
+        is computed: a call that raises leaves the encoder where it was.
         """
         matrix = as_payload_matrix(payloads, self._block_size)
         count = matrix.shape[0]
@@ -280,10 +279,6 @@ class BatchEntangler(Entangler):
         parities = np.empty((len(classes), count, self._block_size), dtype=np.uint8)
         if count == 0:
             return EncodedBatch([], matrix, classes, parities)
-        if len(set(classes)) != len(classes):
-            # alpha > 3 repeats helical classes; the interleaving of repeated
-            # classes within one node is inherently sequential, so fall back.
-            return self._entangle_batch_sequential(matrix, parities)
         start = self._lattice.size + 1
         # One row view per block, created in bulk: list indexing inside the
         # scan is several times cheaper than ndarray row indexing.
@@ -334,21 +329,6 @@ class BatchEntangler(Entangler):
                 )
             )
         return tuple(plan)
-
-    def _entangle_batch_sequential(
-        self, matrix: PayloadMatrix, parities: PayloadMatrix
-    ) -> EncodedBatch:
-        """Per-block fallback used when strand classes repeat (alpha > 3)."""
-        encoded = [self.entangle(row) for row in matrix]
-        for row, block in enumerate(encoded):
-            for position, parity in enumerate(block.parities):
-                parities[position, row] = parity.payload
-        return EncodedBatch(
-            [block.data_id for block in encoded],
-            matrix,
-            self._params.strand_classes,
-            parities,
-        )
 
 
 def latest_strand_creators(params: AEParameters, size: int) -> dict:

@@ -12,9 +12,16 @@ The three parameters control redundancy propagation (paper, Section III-B):
 
 Validity rules (paper, Section III-B, "Code Parameters"):
 
+* ``alpha`` is 1, 2 or 3: the helical lattice has three strand classes
+  (horizontal, right-handed, left-handed) and each parity of a block lives on
+  its own class, so the lattice tops out at alpha=3;
 * single entanglements (``alpha == 1``) use exactly one horizontal strand:
   ``s == 1`` and ``p == 0``;
 * for ``alpha >= 2`` the lattice is well formed only when ``p >= s``.
+
+A setting has one registry identifier, :attr:`AEParameters.scheme_id`
+(``"ae-1"``, ``"ae-3-2-5"``), and :meth:`AEParameters.from_scheme_id` is its
+inverse.
 """
 
 from __future__ import annotations
@@ -61,9 +68,7 @@ class AEParameters:
     Parameters
     ----------
     alpha:
-        Number of parities per data block (1, 2 or 3 are fully supported;
-        larger values are accepted and use additional helical classes that
-        reuse the left/right-handed rules, see :meth:`strand_classes`).
+        Number of parities per data block: 1, 2 or 3, one per strand class.
     s:
         Number of horizontal strands.
     p:
@@ -79,6 +84,13 @@ class AEParameters:
         if not isinstance(self.alpha, int) or self.alpha < 1:
             raise InvalidParametersError(
                 f"alpha must be a positive integer, got {self.alpha!r}"
+            )
+        if self.alpha > len(STRAND_CLASS_ORDER):
+            # A fourth parity would have to reuse a strand class, and two
+            # parities of one block on one class are the same block id.
+            raise InvalidParametersError(
+                f"alpha must be 1, 2 or 3, got {self.alpha}: the helical "
+                "lattice has three strand classes and tops out at alpha=3"
             )
         if not isinstance(self.s, int) or self.s < 1:
             raise InvalidParametersError(f"s must be a positive integer, got {self.s!r}")
@@ -98,10 +110,6 @@ class AEParameters:
                     "alpha-entanglements with alpha > 1 require p >= s "
                     f"(got s={self.s}, p={self.p}); p < s deforms the lattice"
                 )
-        if self.alpha > 3:
-            # The paper only speculates about alpha > 3; we accept the setting
-            # but the extra classes reuse the helical rules (documented).
-            object.__setattr__(self, "_extended", True)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -145,24 +153,26 @@ class AEParameters:
             )
         return cls(alpha, int(parts[1]), int(parts[2]))
 
+    @classmethod
+    def from_scheme_id(cls, scheme_id: str) -> "AEParameters":
+        """The setting named by ``"ae-1"`` or ``"ae-<alpha>-<s>-<p>"``."""
+        family, *args = scheme_id.strip().lower().split("-")
+        if family == "ae" and args == ["1"]:
+            return cls.single()
+        if family == "ae" and len(args) == 3 and all(part.isdigit() for part in args):
+            return cls(*map(int, args))
+        raise InvalidParametersError(
+            f"cannot read AE parameters from {scheme_id!r}; "
+            "expected ae-1 or ae-<alpha>-<s>-<p>"
+        )
+
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
     @property
     def strand_classes(self) -> Tuple[StrandClass, ...]:
-        """Strand classes in use: H for alpha=1, +RH for alpha=2, +LH for alpha=3.
-
-        For ``alpha > 3`` the additional classes alternate RH/LH behaviour;
-        they are exposed as repeated entries of the two helical classes which
-        keeps the lattice rules well defined (the paper leaves the exact
-        geometry of extra classes open).
-        """
-        if self.alpha <= 3:
-            return STRAND_CLASS_ORDER[: self.alpha]
-        extra = tuple(
-            STRAND_CLASS_ORDER[1 + (k % 2)] for k in range(self.alpha - 3)
-        )
-        return STRAND_CLASS_ORDER + extra
+        """Strand classes in use: H for alpha=1, +RH for alpha=2, +LH for alpha=3."""
+        return STRAND_CLASS_ORDER[: self.alpha]
 
     @property
     def helical_class_count(self) -> int:
@@ -199,6 +209,13 @@ class AEParameters:
         """True for AE(1,-,-)."""
         return self.alpha == 1
 
+    @property
+    def scheme_id(self) -> str:
+        """Registry identifier of the setting: ``"ae-1"`` or ``"ae-<alpha>-<s>-<p>"``."""
+        if self.is_single:
+            return "ae-1"
+        return f"ae-{self.alpha}-{self.s}-{self.p}"
+
     def spec(self) -> str:
         """Human readable specification, e.g. ``"AE(3,2,5)"`` or ``"AE(1,-,-)"``."""
         if self.is_single:
@@ -228,11 +245,3 @@ class AEParameters:
         """Return a copy with different global-connectivity parameters."""
         return AEParameters(self.alpha, s, p)
 
-
-def validate_parameters(alpha: int, s: int, p: int) -> AEParameters:
-    """Validate raw parameters and return the corresponding :class:`AEParameters`.
-
-    This is a convenience wrapper used by user-facing constructors so that a
-    friendly error message is produced for invalid settings.
-    """
-    return AEParameters(alpha, s, p)

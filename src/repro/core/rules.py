@@ -36,7 +36,9 @@ its first data block).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
 from repro.core.parameters import AEParameters, NodeCategory, StrandClass
 from repro.core.position import node_category
@@ -86,40 +88,58 @@ def output_index(index: int, strand_class: StrandClass, params: AEParameters) ->
     return index + s - 1
 
 
-def rule_table(params: AEParameters) -> Dict[str, Dict[str, str]]:
+#: Per strand class, ``(h - i, j - i)`` for every lattice row.
+RuleOffsets = Mapping[StrandClass, Tuple[Tuple[int, ...], Tuple[int, ...]]]
+
+
+@lru_cache(maxsize=64)
+def rule_offsets(params: AEParameters) -> RuleOffsets:
+    """Tables I and II tabulated once per setting, as offsets by lattice row.
+
+    ``h - i`` and ``j - i`` depend only on the strand class and the node's
+    row ``(i - 1) % s``, so the rules are asked at the first node of every
+    row: ``rule_offsets(params)[cls]`` is ``(inputs, outputs)`` with
+    ``input_index(i, cls, params) == i + inputs[(i - 1) % s]`` and
+    ``output_index(i, cls, params) == i + outputs[(i - 1) % s]``.  Whole-round
+    and whole-array consumers (the repair planner, the availability engine)
+    read this table instead of asking the rules node by node; it is shared
+    and read-only, in ``params.strand_classes`` order.
+    """
+    rows = range(1, params.s + 1)
+    return MappingProxyType(
+        {
+            strand_class: (
+                tuple(input_index(row, strand_class, params) - row for row in rows),
+                tuple(output_index(row, strand_class, params) - row for row in rows),
+            )
+            for strand_class in params.strand_classes
+        }
+    )
+
+
+def rule_table(params: AEParameters) -> Dict[str, Dict[str, Dict[str, int]]]:
     """Render Tables I and II symbolically for the given parameters.
 
     Returns a nested mapping ``{"input"/"output": {"top"/"central"/"bottom":
     {class: offset}}}`` expressed as signed integer offsets relative to ``i``.
     Useful for documentation, debugging and the rules unit tests.
     """
-    s, p = params.s, params.p
-    base = 2 * s * max(p, 1)
-    sample = {NodeCategory.TOP: base + 1}
-    if s >= 3:
-        sample[NodeCategory.CENTRAL] = base + 2
-    if s >= 2:
-        sample[NodeCategory.BOTTOM] = base + s
-    table: Dict[str, Dict[str, str]] = {"input": {}, "output": {}}
-    for category, probe in sample.items():
-        row_in = {}
-        row_out = {}
-        for strand_class in params.strand_classes:
-            row_in[strand_class.value] = input_index(probe, strand_class, params) - probe
-            row_out[strand_class.value] = output_index(probe, strand_class, params) - probe
-        table["input"][category.value] = row_in
-        table["output"][category.value] = row_out
-    return table
-
-
-def strand_predecessor(index: int, strand_class: StrandClass, params: AEParameters) -> int:
-    """Previous data node on the same strand (``<= 0`` if ``index`` is the first)."""
-    return input_index(index, strand_class, params)
-
-
-def strand_successor(index: int, strand_class: StrandClass, params: AEParameters) -> int:
-    """Next data node on the same strand."""
-    return output_index(index, strand_class, params)
+    rows = {NodeCategory.TOP: 0}
+    if params.s >= 3:
+        rows[NodeCategory.CENTRAL] = 1
+    if params.s >= 2:
+        rows[NodeCategory.BOTTOM] = params.s - 1
+    offsets = rule_offsets(params)
+    return {
+        side: {
+            category.value: {
+                strand_class.value: by_row[column][row]
+                for strand_class, by_row in offsets.items()
+            }
+            for category, row in rows.items()
+        }
+        for column, side in enumerate(("input", "output"))
+    }
 
 
 def edge_endpoints(

@@ -64,9 +64,6 @@ def all_strands(params: AEParameters) -> List[StrandId]:
         StrandId(StrandClass.HORIZONTAL, label) for label in range(params.s)
     ]
     for strand_class in params.strand_classes[1:]:
-        # For alpha > 3 a helical class may repeat; only list each class once.
-        if any(existing.strand_class is strand_class for existing in strands):
-            continue
         strands.extend(StrandId(strand_class, label) for label in range(params.p))
     return strands
 

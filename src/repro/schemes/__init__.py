@@ -13,19 +13,23 @@ Every scheme the evaluation compares is reachable from one identifier::
     scheme = schemes.get("xor-raid5-5")   # RAID-5 single parity over 5 blocks
 
 Identifiers are ``family-args`` strings; :func:`available` lists the
-families.  New families are added with :func:`register` -- the factory
+families.  :func:`resolve` accepts every way the library names a scheme -- an
+identifier, an :class:`~repro.core.parameters.AEParameters` setting, a bare
+:class:`~repro.codes.base.StripeCode` or a scheme instance.  New families are added with :func:`register` -- the factory
 receives the dash-separated argument list and the block size and returns a
 :class:`~repro.schemes.base.RedundancyScheme` instance.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Union
 
+from repro.codes.base import StripeCode
 from repro.codes.lrc import LocalReconstructionCode, azure_lrc, xorbas_lrc
 from repro.codes.flat_xor import FlatXorCode, geo_xor_code, mirrored_pairs_code, raid5_code
 from repro.codes.reed_solomon import ReedSolomonCode
 from repro.codes.replication import ReplicationCode
+from repro.core.parameters import AEParameters
 from repro.exceptions import InvalidParametersError
 from repro.schemes.base import (
     BlockFetcher,
@@ -50,6 +54,7 @@ __all__ = [
     "available",
     "get",
     "register",
+    "resolve",
 ]
 
 #: The flagship setting of the paper, used wherever a default is needed.
@@ -92,31 +97,48 @@ def get(scheme_id: str, block_size: int = 4096) -> RedundancyScheme:
         ) from exc
 
 
+#: Every way of naming a scheme :func:`resolve` accepts.
+SchemeLike = Union[str, AEParameters, StripeCode, RedundancyScheme]
+
+
+def resolve(scheme: SchemeLike, block_size: int = 4096) -> RedundancyScheme:
+    """A scheme instance from a registry id, an AE setting, a bare stripe
+    code or an instance (returned as is, whatever its block size)."""
+    if isinstance(scheme, RedundancyScheme):
+        return scheme
+    if isinstance(scheme, str):
+        return get(scheme, block_size)
+    if isinstance(scheme, AEParameters):
+        return get(scheme.scheme_id, block_size)
+    if isinstance(scheme, StripeCode):
+        return StripeScheme(scheme, f"stripe-{scheme.name}", block_size)
+    raise InvalidParametersError(
+        f"cannot resolve {scheme!r} to a redundancy scheme; name it by registry "
+        "id ('rs-10-4', 'rep-3', 'ae-3-2-5', ...), AEParameters, StripeCode or "
+        "a scheme instance"
+    )
+
+
 # ----------------------------------------------------------------------
 # Built-in families
 # ----------------------------------------------------------------------
 def _ae_factory(scheme_id: str, args: Sequence[str], block_size: int) -> RedundancyScheme:
     # Imported lazily: repro.codes.entanglement imports this package.
     from repro.codes.entanglement import EntanglementScheme, PuncturedEntanglementScheme
-    from repro.core.parameters import AEParameters
 
-    if len(args) == 1 and args[0] == "1":
-        params = AEParameters.single()
-    elif len(args) == 4 and args[3].startswith("p"):
-        # ae-<alpha>-<s>-<p>-p<keep%>: a rate-punctured variant storing only
-        # keep% of the parities (paper Sec. III-B).
-        params = AEParameters(int(args[0]), int(args[1]), int(args[2]))
-        percent = int(args[3][1:])
-        if not 0 < percent <= 100:
-            raise ValueError("puncture keep percentage must be in (0, 100]")
-        return PuncturedEntanglementScheme(
-            params, percent / 100.0, block_size=block_size, scheme_id=scheme_id
-        )
-    elif len(args) == 3:
-        params = AEParameters(int(args[0]), int(args[1]), int(args[2]))
-    else:
-        raise ValueError("expected ae-1, ae-<alpha>-<s>-<p> or ae-<alpha>-<s>-<p>-p<keep%>")
-    return EntanglementScheme(params, block_size=block_size, scheme_id=scheme_id)
+    # ae-1 | ae-<alpha>-<s>-<p>, optionally followed by -p<keep%>: a
+    # rate-punctured variant storing only keep% of the parities (paper
+    # Sec. III-B).
+    base, punctured, keep = scheme_id.partition("-p")
+    params = AEParameters.from_scheme_id(base)
+    if not punctured:
+        return EntanglementScheme(params, block_size=block_size, scheme_id=scheme_id)
+    percent = int(keep)
+    if not 0 < percent <= 100:
+        raise ValueError("puncture keep percentage must be in (0, 100]")
+    return PuncturedEntanglementScheme(
+        params, percent / 100.0, block_size=block_size, scheme_id=scheme_id
+    )
 
 
 def _rs_factory(scheme_id: str, args: Sequence[str], block_size: int) -> RedundancyScheme:

@@ -19,10 +19,10 @@ samples -- served availability, the vulnerable-data fraction and a read-rate
 * **hold**: neither signal is decisive, or a transition just ran and the
   cooldown keeps the controller from flapping.
 
-:func:`run_adaptive` replays an event timeline (churn, disasters) against
-the availability engine, feeds the per-step health into the policy and
-applies each recommendation by rebuilding the placement under the new
-scheme id -- the simulation counterpart of
+:func:`run_adaptive` replays an event timeline (churn, disasters) through
+the engine's one replay and one sampling loop, feeds the per-step health
+into the policy and applies each recommendation by rebuilding the placement
+under the new scheme id -- the simulation counterpart of
 :meth:`repro.system.service.StorageService.transition_to`.  The
 :func:`cold_archive_demotion` and :func:`hot_data_promotion` scenarios wire
 both directions end to end with fixed seeds and fixed read schedules, so
@@ -34,14 +34,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-import numpy as np
-
+import repro.schemes as schemes
+from repro.codes.entanglement import (
+    EntanglementScheme,
+    PuncturedEntanglementScheme,
+    punctured_scheme_id,
+)
 from repro.exceptions import InvalidParametersError
 from repro.simulation.engine import (
+    AvailabilitySeries,
     EventSource,
+    SimulatedPlacement,
     SimulationEvent,
+    StepMetrics,
     build_simulation,
-    normalise_events,
+    replay_timeline,
+    sample_states,
 )
 from repro.storage.maintenance import MaintenanceBudget, MaintenancePolicy
 
@@ -136,7 +144,7 @@ class AdaptiveMaintenancePolicy:
                 "cold_read_rate must be below hot_read_rate"
             )
         self._block_size = block_size
-        self._scheme_id = self._validate(scheme_id)
+        self._scheme_id = self._resolve(scheme_id).scheme_id
         self._window_size = window
         self._cooldown_steps = window if cooldown is None else cooldown
         self._availability_floor = availability_floor
@@ -144,15 +152,10 @@ class AdaptiveMaintenancePolicy:
         self._hot_read_rate = hot_read_rate
         self._cold_read_rate = cold_read_rate
         self._demote_keep_percent = demote_keep_percent
-        self._promotion_target = self._validate(promotion_target)
+        self._promotion_target = self._resolve(promotion_target).scheme_id
         self._window: List[AdaptiveSample] = []
         self._cooldown_left = 0
         self._decisions: List[AdaptiveDecision] = []
-
-    def _validate(self, scheme_id: str) -> str:
-        import repro.schemes as schemes
-
-        return schemes.get(scheme_id, block_size=self._block_size).scheme_id
 
     # ------------------------------------------------------------------
     # State
@@ -170,40 +173,25 @@ class AdaptiveMaintenancePolicy:
     # ------------------------------------------------------------------
     # The redundancy ladder
     # ------------------------------------------------------------------
-    def _resolve(self, scheme_id: str):
-        import repro.schemes as schemes
-
+    def _resolve(self, scheme_id: str) -> schemes.RedundancyScheme:
         return schemes.get(scheme_id, block_size=self._block_size)
 
     def strengthen_target(self) -> Optional[str]:
         """Next rung up, or ``None`` when already at the strongest setting."""
-        from repro.codes.entanglement import (
-            EntanglementScheme,
-            PuncturedEntanglementScheme,
-            ae_scheme_id,
-        )
-        from repro.core.parameters import AEParameters
-
         current = self._resolve(self._scheme_id)
         if isinstance(current, PuncturedEntanglementScheme):
-            return ae_scheme_id(current.params)
+            return current.params.scheme_id
         if isinstance(current, EntanglementScheme):
             params = current.params
             if params.alpha >= 3:
                 return None  # the helical lattice tops out at alpha=3
-            return ae_scheme_id(AEParameters(params.alpha + 1, params.s, params.p))
+            return params.with_alpha(params.alpha + 1).scheme_id
         if self._promotion_target != self._scheme_id:
             return self._promotion_target
         return None
 
     def weaken_target(self) -> Optional[str]:
         """Next rung down, or ``None`` when there is nothing left to shed."""
-        from repro.codes.entanglement import (
-            EntanglementScheme,
-            PuncturedEntanglementScheme,
-            punctured_scheme_id,
-        )
-
         current = self._resolve(self._scheme_id)
         if isinstance(current, PuncturedEntanglementScheme):
             return None  # already punctured; do not erode protection further
@@ -307,7 +295,7 @@ class AdaptiveStep:
 
 
 @dataclass
-class AdaptiveRun:
+class AdaptiveRun(AvailabilitySeries):
     """Full result of :func:`run_adaptive`."""
 
     initial_scheme: str
@@ -315,18 +303,6 @@ class AdaptiveRun:
     data_blocks: int
     steps: List[AdaptiveStep] = field(default_factory=list)
     decisions: List[AdaptiveDecision] = field(default_factory=list)
-
-    @property
-    def mean_availability(self) -> float:
-        if not self.steps:
-            return 1.0
-        return float(np.mean([step.availability for step in self.steps]))
-
-    @property
-    def min_availability(self) -> float:
-        if not self.steps:
-            return 1.0
-        return float(np.min([step.availability for step in self.steps]))
 
     @property
     def stored_blocks_saved(self) -> int:
@@ -361,74 +337,61 @@ def run_adaptive(
 ) -> AdaptiveRun:
     """Replay a timeline, let the policy steer the scheme, record everything.
 
-    Each event updates the offline-location set; the engine then *evaluates*
-    (without persisting) what the current scheme could repair, exactly like
-    :meth:`~repro.simulation.engine.SimulationEngine.run_events`.  The
-    resulting availability and vulnerable fraction, together with the
+    The timeline goes through :func:`~repro.simulation.engine.replay_timeline`
+    and :func:`~repro.simulation.engine.sample_states`, exactly like
+    :meth:`~repro.simulation.engine.SimulationEngine.run_events`: each step
+    *evaluates* (without persisting) what the current scheme could repair.
+    The step's availability and vulnerable fraction, together with the
     aligned ``read_rates`` entry, form the policy's health sample.  A
     non-``hold`` decision rebuilds the placement under the recommended
     scheme id with the same block population, seed and location count --
     the availability-study analogue of a live, zero-downtime transition.
     """
-    timeline = normalise_events(events)
-    if len(read_rates) != len(timeline):
+    states = replay_timeline(events, location_count)
+    if len(read_rates) != len(states):
         raise InvalidParametersError(
-            f"read_rates has {len(read_rates)} entries for {len(timeline)} events; "
+            f"read_rates has {len(read_rates)} entries for {len(states)} events; "
             "provide one read-rate sample per timeline event"
         )
-    placement = build_simulation(
-        policy.scheme_id, data_blocks, location_count, seed, block_size
-    )
-    limit = placement.location_count
     run = AdaptiveRun(
         initial_scheme=policy.scheme_id,
         final_scheme=policy.scheme_id,
-        data_blocks=placement.data_blocks,
+        data_blocks=data_blocks,
     )
-    offline: set = set()
-    for event, read_rate in zip(timeline, read_rates):
-        for location in event.restore:
-            offline.discard(location)
-        for location in event.fail:
-            if not 0 <= location < limit:
-                raise InvalidParametersError(
-                    f"event location {location} lies outside 0..{limit - 1}"
-                )
-            offline.add(location)
-        if offline:
-            outcome = placement.run_repair(
-                np.asarray(sorted(offline), dtype=np.int64),
-                policy=maintenance,
-                budget=budget,
+    rates = iter(read_rates)
+
+    def steer(step: StepMetrics, placement: SimulatedPlacement) -> SimulatedPlacement:
+        read_rate = float(next(rates))
+        decision = policy.observe(
+            AdaptiveSample(
+                time=step.time,
+                availability=step.availability,
+                vulnerable_fraction=step.vulnerable_fraction,
+                read_rate=read_rate,
             )
-            availability = 1.0 - outcome.data_loss / placement.data_blocks
-            vulnerable = outcome.vulnerable_data / placement.data_blocks
-        else:
-            availability = 1.0
-            vulnerable = 0.0
-        sample = AdaptiveSample(
-            time=event.time,
-            availability=availability,
-            vulnerable_fraction=vulnerable,
-            read_rate=float(read_rate),
         )
-        decision = policy.observe(sample)
         run.steps.append(
             AdaptiveStep(
-                time=event.time,
+                time=step.time,
                 scheme_id=decision.scheme_id,
-                availability=availability,
-                vulnerable_fraction=vulnerable,
-                read_rate=float(read_rate),
+                availability=step.availability,
+                vulnerable_fraction=step.vulnerable_fraction,
+                read_rate=read_rate,
                 stored_blocks=placement.total_blocks,
                 action=decision.action,
             )
         )
-        if decision.action != ACTION_HOLD:
-            run.decisions.append(decision)
-            placement = build_simulation(
-                policy.scheme_id, data_blocks, location_count, seed, block_size
-            )
+        if decision.action == ACTION_HOLD:
+            return placement
+        run.decisions.append(decision)
+        return build_simulation(
+            policy.scheme_id, data_blocks, location_count, seed, block_size
+        )
+
+    placement = build_simulation(
+        policy.scheme_id, data_blocks, location_count, seed, block_size
+    )
+    sample_states(placement, states, maintenance, budget, steer)
     run.final_scheme = policy.scheme_id
     return run
 
@@ -459,6 +422,36 @@ def _churn_timeline(
     return events
 
 
+def _scenario(
+    scheme_id: str,
+    early_rate: float,
+    late_rate: float,
+    data_blocks: int,
+    location_count: int,
+    seed: int,
+    window: int,
+) -> AdaptiveRun:
+    """Gentle churn under a read schedule that switches temperature after
+    two windows: ``early_rate`` reads per block per step, then ``late_rate``."""
+    policy = AdaptiveMaintenancePolicy(
+        scheme_id,
+        window=window,
+        cooldown=window,
+        hot_read_rate=1.0,
+        cold_read_rate=0.1,
+    )
+    steps = 4 * window + 2
+    early_steps = 2 * window
+    return run_adaptive(
+        policy,
+        _churn_timeline(steps, location_count),
+        [early_rate] * early_steps + [late_rate] * (steps - early_steps),
+        data_blocks=data_blocks,
+        location_count=location_count,
+        seed=seed,
+    )
+
+
 def cold_archive_demotion(
     *,
     data_blocks: int = 1500,
@@ -472,25 +465,7 @@ def cold_archive_demotion(
     that decays to near zero.  Once the window is both cold and healthy the
     policy demotes to ``ae-3-2-5-p75``, shedding a quarter of the parities.
     """
-    policy = AdaptiveMaintenancePolicy(
-        "ae-3-2-5",
-        window=window,
-        cooldown=window,
-        hot_read_rate=1.0,
-        cold_read_rate=0.1,
-    )
-    steps = 4 * window + 2
-    events = _churn_timeline(steps, location_count)
-    hot_steps = 2 * window
-    read_rates = [2.0] * hot_steps + [0.02] * (steps - hot_steps)
-    return run_adaptive(
-        policy,
-        events,
-        read_rates,
-        data_blocks=data_blocks,
-        location_count=location_count,
-        seed=seed,
-    )
+    return _scenario("ae-3-2-5", 2.0, 0.02, data_blocks, location_count, seed, window)
 
 
 def hot_data_promotion(
@@ -506,22 +481,4 @@ def hot_data_promotion(
     the hot threshold; the policy promotes back to the plain ``ae-3-2-5``
     and then holds (the lattice already sits at the alpha=3 ceiling).
     """
-    policy = AdaptiveMaintenancePolicy(
-        "ae-3-2-5-p75",
-        window=window,
-        cooldown=window,
-        hot_read_rate=1.0,
-        cold_read_rate=0.1,
-    )
-    steps = 4 * window + 2
-    events = _churn_timeline(steps, location_count)
-    cold_steps = 2 * window
-    read_rates = [0.02] * cold_steps + [3.0] * (steps - cold_steps)
-    return run_adaptive(
-        policy,
-        events,
-        read_rates,
-        data_blocks=data_blocks,
-        location_count=location_count,
-        seed=seed,
-    )
+    return _scenario("ae-3-2-5-p75", 0.02, 3.0, data_blocks, location_count, seed, window)

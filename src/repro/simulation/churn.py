@@ -30,14 +30,19 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+import repro.schemes as schemes
 from repro.exceptions import InvalidParametersError
-from repro.simulation.engine import SimulatedPlacement, build_simulation
-from repro.simulation.metrics import SchemeSpec, describe_scheme
+from repro.schemes import SchemeLike
+from repro.simulation.engine import (
+    AvailabilitySeries,
+    StepMetrics,
+    build_simulation,
+    sample_states,
+)
 from repro.simulation.traces import SessionTrace
 
 __all__ = [
     "ChurnConfig",
-    "ChurnSample",
     "ChurnResult",
     "ChurnSimulator",
     "availability_nines",
@@ -72,46 +77,23 @@ class ChurnConfig:
             raise InvalidParametersError("sample_every_hours must be positive")
 
 
-@dataclass(frozen=True)
-class ChurnSample:
-    """State of one scheme at one sampled instant."""
-
-    time_hours: float
-    offline_locations: int
-    unavailable_data: int
-    data_blocks: int
-
-    @property
-    def availability(self) -> float:
-        if self.data_blocks == 0:
-            return 1.0
-        return 1.0 - self.unavailable_data / self.data_blocks
-
-
 @dataclass
-class ChurnResult:
+class ChurnResult(AvailabilitySeries):
     """Full time series plus summary metrics for one scheme."""
 
     scheme: str
     storage_overhead_percent: float
-    samples: List[ChurnSample] = field(default_factory=list)
+    samples: List[StepMetrics] = field(default_factory=list)
     final_data_loss: int = 0
+
+    @property
+    def steps(self) -> List[StepMetrics]:
+        """The sampled instants (what :class:`AvailabilitySeries` summarises)."""
+        return self.samples
 
     @property
     def data_blocks(self) -> int:
         return self.samples[0].data_blocks if self.samples else 0
-
-    @property
-    def mean_availability(self) -> float:
-        if not self.samples:
-            return 1.0
-        return float(np.mean([sample.availability for sample in self.samples]))
-
-    @property
-    def min_availability(self) -> float:
-        if not self.samples:
-            return 1.0
-        return float(np.min([sample.availability for sample in self.samples]))
 
     @property
     def mean_nines(self) -> float:
@@ -124,7 +106,7 @@ class ChurnResult:
             return 0.0
         total = 0.0
         for previous, current in zip(self.samples, self.samples[1:]):
-            dt = current.time_hours - previous.time_hours
+            dt = current.time - previous.time
             total += previous.unavailable_data * dt
         return total
 
@@ -155,61 +137,44 @@ class ChurnSimulator:
     def config(self) -> ChurnConfig:
         return self._config
 
-    # ------------------------------------------------------------------
-    # Model construction
-    # ------------------------------------------------------------------
-    def _build_model(self, spec: SchemeSpec) -> SimulatedPlacement:
-        return build_simulation(
-            spec,
-            self._config.data_blocks,
-            self._trace.node_count,
-            seed=self._config.seed,
-        )
-
-    # ------------------------------------------------------------------
-    # Simulation
-    # ------------------------------------------------------------------
     def _sample_times(self) -> List[float]:
         step = self._config.sample_every_hours
         count = max(int(self._trace.horizon_hours // step), 1)
         return [step * index for index in range(count + 1) if step * index < self._trace.horizon_hours]
 
-    def run(self, spec: SchemeSpec) -> ChurnResult:
-        """Simulate one scheme over the whole trace."""
-        description = describe_scheme(spec)
-        model = self._build_model(spec)
-        samples: List[ChurnSample] = []
-        for time in self._sample_times():
-            offline = np.flatnonzero(self._trace.offline_mask_at(time))
-            unavailable = model.unavailable_data(offline)
-            samples.append(
-                ChurnSample(
-                    time_hours=time,
-                    offline_locations=int(offline.size),
-                    unavailable_data=unavailable,
-                    data_blocks=self._config.data_blocks,
-                )
-            )
-        # Durability: whoever is offline at the end of the horizon (including
-        # permanent departures) no longer contributes blocks.
-        final_offline = np.flatnonzero(
-            self._trace.offline_mask_at(self._trace.horizon_hours - 1e-9)
+    def run(self, spec: SchemeLike) -> ChurnResult:
+        """Simulate one scheme over the whole trace.
+
+        The states are the trace's offline sets at the sample times, plus the
+        one at the end of the horizon: whoever is offline then (including
+        permanent departures) no longer contributes blocks, so what cannot be
+        served there is the durability figure.
+        """
+        scheme = schemes.resolve(spec)
+        capabilities = scheme.capabilities()
+        model = build_simulation(
+            scheme, self._config.data_blocks, self._trace.node_count, seed=self._config.seed
         )
-        final_loss = model.unavailable_data(final_offline)
+        times = self._sample_times() + [self._trace.horizon_hours - 1e-9]
+        states = [
+            (time, np.flatnonzero(self._trace.offline_mask_at(time))) for time in times
+        ]
+        samples = sample_states(model, states).steps
+        final = samples.pop()
         return ChurnResult(
-            scheme=description.name,
-            storage_overhead_percent=description.additional_storage_percent,
+            scheme=capabilities.name,
+            storage_overhead_percent=capabilities.storage_overhead * 100.0,
             samples=samples,
-            final_data_loss=final_loss,
+            final_data_loss=final.unavailable_data,
         )
 
-    def run_many(self, specs: Sequence[SchemeSpec]) -> List[ChurnResult]:
+    def run_many(self, specs: Sequence[SchemeLike]) -> List[ChurnResult]:
         return [self.run(spec) for spec in specs]
 
 
 def compare_schemes_under_churn(
     trace: SessionTrace,
-    specs: Sequence[SchemeSpec],
+    specs: Sequence[SchemeLike],
     config: Optional[ChurnConfig] = None,
 ) -> List[Dict[str, object]]:
     """One row per scheme: availability nines, outage block-hours, final loss."""

@@ -1,11 +1,8 @@
 """Scheme-agnostic discrete-event disaster & churn simulation engine.
 
 The paper's headline results (Figs. 11-13, Tables IV & VI) are
-disaster-recovery and churn simulations.  Before this module the simulation
-layer hard-coded three bespoke availability models (AE lattice, RS stripes,
-replication); every scheme the :mod:`repro.schemes` registry learned to
-*serve* still needed a fourth hand-written model before it could be
-*simulated*.  This engine closes that gap:
+disaster-recovery and churn simulations; this engine runs them for every
+scheme the :mod:`repro.schemes` registry can serve:
 
 * :class:`SimulatedPlacement` tracks block->location liveness for one scheme
   without materialising a single payload byte -- exactly like the paper's
@@ -16,11 +13,14 @@ replication); every scheme the :mod:`repro.schemes` registry learned to
   (any :class:`~repro.codes.base.StripeCode` -- Reed-Solomon, LRC, flat
   XOR, replication -- driven by the code's *own* decodability test and
   cheapest repair plan, ``can_decode`` / ``repair_read_positions``);
-* one event loop (:meth:`SimulationEngine.run_events`) consumes
-  :class:`~repro.storage.failures.Disaster` one-shots (including whole
-  failure domains, :func:`~repro.storage.failures.disaster_for_target`) and
-  :class:`~repro.storage.failures.ChurnTrace` /
-  :class:`~repro.simulation.traces.SessionTrace` churn, honouring
+* one timeline replay (:func:`replay_timeline`: events in, offline sets out,
+  fail before restore, every id range-checked first) and one sampling loop
+  (:func:`sample_states`: ``(time, offline)`` states in, an
+  :class:`EngineRun` of :class:`StepMetrics` out) sit under every study over
+  time -- :meth:`SimulationEngine.run_events`, the churn simulator and the
+  adaptive-maintenance loop;
+* one scheme x disaster sweep (:func:`simulate_disasters`) sits under every
+  Sec. V-C experiment, honouring
   :class:`~repro.storage.maintenance.MaintenancePolicy` and
   :class:`~repro.storage.maintenance.MaintenanceBudget`.
 
@@ -33,22 +33,35 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
+import repro.schemes as schemes
 from repro.codes.base import StripeCode
+from repro.codes.entanglement import EntanglementScheme, PuncturedEntanglementScheme
 from repro.codes.replication import ReplicationCode
-from repro.core.parameters import AEParameters, StrandClass
+from repro.core.blocks import ParityId
+from repro.core.parameters import AEParameters
+from repro.core.rules import rule_offsets
 from repro.exceptions import InvalidParametersError
-from repro.simulation.metrics import DisasterMetrics, scheme_id_for
+from repro.schemes import SchemeLike
+from repro.simulation.metrics import DisasterMetrics
 from repro.storage.failures import ChurnTrace, Disaster
 from repro.storage.maintenance import MaintenanceBudget, MaintenancePolicy
 from repro.storage.topology import Topology
 
 if TYPE_CHECKING:
-    from repro.codes.entanglement import PuncturedEntanglementScheme
-    from repro.schemes.base import RedundancyScheme
     from repro.simulation.traces import SessionTrace
 
 __all__ = [
@@ -63,90 +76,17 @@ __all__ = [
     "build_simulation",
     "normalise_events",
     "punctured_parity_mask",
+    "replay_timeline",
     "sample_disaster_locations",
+    "sample_states",
     "simulate_disasters",
-    "vectorised_input_indices",
-    "vectorised_output_indices",
 ]
-
-#: Anything :func:`build_simulation` resolves to a simulation adapter: a
-#: registry id (or legacy SchemeSpec tuple/int), a live scheme instance, a
-#: bare stripe code or an AE parameter setting.
-SchemeLike = Union[str, Tuple[object, ...], int, AEParameters, StripeCode, "RedundancyScheme"]
 
 #: Anything :meth:`SimulationEngine.run_disaster` accepts as a disaster: a
 #: :class:`Disaster`, a topology target string (``"site:0"``), a fraction in
 #: ``[0, 1]`` or an explicit array/sequence of location ids.
 DisasterLike = Union[Disaster, str, float, np.ndarray, Sequence[int]]
 
-
-
-# ----------------------------------------------------------------------
-# Vectorised lattice wiring (Tables I & II for whole index ranges)
-# ----------------------------------------------------------------------
-def vectorised_input_indices(params: AEParameters, n: int) -> np.ndarray:
-    """Input-parity creators for nodes ``1..n`` and every strand class.
-
-    Returns an ``(n, alpha)`` int64 array; entry 0 means "virtual zero parity"
-    (the strand starts at that node).  This is the vectorised equivalent of
-    :func:`repro.core.rules.input_index`.
-    """
-    indices = np.arange(1, n + 1, dtype=np.int64)
-    s, p = params.s, params.p
-    columns = []
-    for strand_class in params.strand_classes:
-        if strand_class is StrandClass.HORIZONTAL:
-            h = indices - s
-        elif s == 1:
-            h = indices - p
-        else:
-            remainder = indices % s
-            is_top = remainder == 1
-            is_bottom = remainder == 0
-            if strand_class is StrandClass.RIGHT_HANDED:
-                h = np.where(
-                    is_top,
-                    indices - s * p + (s * s - 1),
-                    indices - (s + 1),
-                )
-            else:  # left-handed
-                h = np.where(
-                    is_bottom,
-                    indices - s * p + (s - 1) ** 2,
-                    indices - (s - 1),
-                )
-        columns.append(np.maximum(h, 0))
-    return np.stack(columns, axis=1)
-
-
-def vectorised_output_indices(params: AEParameters, n: int) -> np.ndarray:
-    """Successor nodes ``j`` for nodes ``1..n`` and every class (Table II)."""
-    indices = np.arange(1, n + 1, dtype=np.int64)
-    s, p = params.s, params.p
-    columns = []
-    for strand_class in params.strand_classes:
-        if strand_class is StrandClass.HORIZONTAL:
-            j = indices + s
-        elif s == 1:
-            j = indices + p
-        else:
-            remainder = indices % s
-            is_top = remainder == 1
-            is_bottom = remainder == 0
-            if strand_class is StrandClass.RIGHT_HANDED:
-                j = np.where(
-                    is_bottom,
-                    indices + s * p - (s * s - 1),
-                    indices + s + 1,
-                )
-            else:  # left-handed
-                j = np.where(
-                    is_top,
-                    indices + s * p - (s - 1) ** 2,
-                    indices + s - 1,
-                )
-        columns.append(j)
-    return np.stack(columns, axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -224,33 +164,13 @@ class SimulatedPlacement(ABC):
             raise InvalidParametersError("data_blocks must be positive")
         if location_count < 1:
             raise InvalidParametersError("location_count must be positive")
-        self._scheme_id = scheme_id
-        self._name = name
-        self._n = data_blocks
-        self._locations = location_count
-        self._seed = seed
-
-    @property
-    def scheme_id(self) -> str:
-        """Registry identifier of the simulated scheme (e.g. ``"rs-10-4"``)."""
-        return self._scheme_id
-
-    @property
-    def name(self) -> str:
-        """Display name of the scheme (e.g. ``"RS(10,4)"``)."""
-        return self._name
-
-    @property
-    def data_blocks(self) -> int:
-        return self._n
-
-    @property
-    def location_count(self) -> int:
-        return self._locations
-
-    @property
-    def seed(self) -> int:
-        return self._seed
+        #: Registry identifier of the simulated scheme (e.g. ``"rs-10-4"``).
+        self.scheme_id = scheme_id
+        #: Display name of the scheme (e.g. ``"RS(10,4)"``).
+        self.name = name
+        self.data_blocks = data_blocks
+        self.location_count = location_count
+        self.seed = seed
 
     @property
     @abstractmethod
@@ -259,7 +179,7 @@ class SimulatedPlacement(ABC):
 
     @property
     def total_blocks(self) -> int:
-        return self._n + self.redundancy_blocks
+        return self.data_blocks + self.redundancy_blocks
 
     @abstractmethod
     def blocks_per_location(self) -> np.ndarray:
@@ -275,26 +195,8 @@ class SimulatedPlacement(ABC):
     ) -> EngineOutcome:
         """Apply a disaster, run policy-driven repair, collect the metrics."""
 
-    def unavailable_data(
-        self,
-        offline_locations: np.ndarray,
-        policy: MaintenancePolicy = MaintenancePolicy.FULL,
-        budget: Optional[MaintenanceBudget] = None,
-    ) -> int:
-        """Data blocks that cannot be served given the offline locations.
-
-        Under ``FULL``/``MINIMAL`` a block counts as available when the
-        scheme can still decode it from online blocks (degraded reads);
-        ``NONE`` reports raw exposure -- every data block whose location is
-        offline.
-        """
-        offline = np.asarray(offline_locations, dtype=np.int64)
-        if offline.size == 0:
-            return 0
-        return self.run_repair(offline, policy=policy, budget=budget).data_loss
-
     def _failed_mask(self, failed_locations: np.ndarray) -> np.ndarray:
-        mask = np.zeros(self._locations, dtype=bool)
+        mask = np.zeros(self.location_count, dtype=bool)
         mask[np.asarray(failed_locations, dtype=np.int64)] = True
         return mask
 
@@ -318,11 +220,9 @@ class LatticeSimulation(SimulatedPlacement):
         scheme_id: Optional[str] = None,
         punctured: Optional[np.ndarray] = None,
     ) -> None:
-        if scheme_id is None:
-            from repro.codes.entanglement import ae_scheme_id
-
-            scheme_id = ae_scheme_id(params)
-        super().__init__(scheme_id, params.spec(), data_blocks, location_count, seed)
+        super().__init__(
+            scheme_id or params.scheme_id, params.spec(), data_blocks, location_count, seed
+        )
         self._params = params
         rng = np.random.default_rng(seed)
         alpha = params.alpha
@@ -342,9 +242,19 @@ class LatticeSimulation(SimulatedPlacement):
                     f"punctured mask shape {self.punctured.shape} does not "
                     f"match (data_blocks, alpha) = ({data_blocks}, {alpha})"
                 )
-        #: Lattice wiring.
-        self.input_creator = vectorised_input_indices(params, data_blocks)
-        self.output_node = vectorised_output_indices(params, data_blocks)
+        #: Lattice wiring, (n, alpha): Tables I and II for nodes ``1..n`` in
+        #: strand-class order.  ``input_creator`` 0 means "virtual zero
+        #: parity" (the strand starts at that node).
+        indices = np.arange(1, data_blocks + 1, dtype=np.int64)
+        rows = (indices - 1) % params.s
+        offsets = rule_offsets(params).values()
+        self.input_creator = np.stack(
+            [np.maximum(indices + np.asarray(inputs)[rows], 0) for inputs, _ in offsets],
+            axis=1,
+        )
+        self.output_node = np.stack(
+            [indices + np.asarray(outputs)[rows] for _, outputs in offsets], axis=1
+        )
 
     # ------------------------------------------------------------------
     # Shape
@@ -356,16 +266,16 @@ class LatticeSimulation(SimulatedPlacement):
     @property
     def parity_blocks(self) -> int:
         """Parities actually stored (punctured ones are never written)."""
-        return self._n * self._params.alpha - int(self.punctured.sum())
+        return self.data_blocks * self._params.alpha - int(self.punctured.sum())
 
     @property
     def redundancy_blocks(self) -> int:
         return self.parity_blocks
 
     def blocks_per_location(self) -> np.ndarray:
-        counts = np.bincount(self.data_location, minlength=self._locations)
+        counts = np.bincount(self.data_location, minlength=self.location_count)
         counts = counts + np.bincount(
-            self.parity_location[~self.punctured], minlength=self._locations
+            self.parity_location[~self.punctured], minlength=self.location_count
         )
         return counts
 
@@ -391,11 +301,11 @@ class LatticeSimulation(SimulatedPlacement):
         Virtual zero parities (strand starts) are always available.
         """
         alpha = self._params.alpha
-        result = np.ones((self._n, alpha), dtype=bool)
+        result = np.ones((self.data_blocks, alpha), dtype=bool)
         for c in range(alpha):
             creators = self.input_creator[:, c]
             has_input = creators >= 1
-            idx = np.clip(creators - 1, 0, self._n - 1)
+            idx = np.clip(creators - 1, 0, self.data_blocks - 1)
             result[:, c] = np.where(has_input, parity_available[idx, c], True)
         return result
 
@@ -427,9 +337,9 @@ class LatticeSimulation(SimulatedPlacement):
         repair_parities = policy.repairs_parities()
         data_available, parity_available = self.availability_after(failed_locations)
         outcome = EngineOutcome(
-            scheme=self._name,
-            scheme_id=self._scheme_id,
-            data_blocks=self._n,
+            scheme=self.name,
+            scheme_id=self.scheme_id,
+            data_blocks=self.data_blocks,
             initially_missing_data=int((~data_available).sum()),
             initially_missing_redundancy=int((~parity_available).sum()),
         )
@@ -448,8 +358,8 @@ class LatticeSimulation(SimulatedPlacement):
                 if repair_parities:
                     left_ok = data_available[:, None] & input_avail
                     successor = self.output_node  # (n, alpha)
-                    successor_exists = successor <= self._n
-                    succ_idx = np.clip(successor - 1, 0, self._n - 1)
+                    successor_exists = successor <= self.data_blocks
+                    succ_idx = np.clip(successor - 1, 0, self.data_blocks - 1)
                     right_data = data_available[succ_idx]
                     right_parity = parity_available[succ_idx, np.arange(alpha)[None, :]]
                     right_ok = successor_exists & right_data & right_parity
@@ -587,7 +497,7 @@ class StripeSimulation(SimulatedPlacement):
         return self.encoded_blocks
 
     def blocks_per_location(self) -> np.ndarray:
-        return np.bincount(self.block_location.ravel(), minlength=self._locations)
+        return np.bincount(self.block_location.ravel(), minlength=self.location_count)
 
     def stripes_fully_spread(self) -> int:
         """Stripes whose n blocks all landed on distinct locations.
@@ -749,9 +659,9 @@ class StripeSimulation(SimulatedPlacement):
         budget = budget or MaintenanceBudget.unlimited()
         state = self.evaluate(failed_locations)
         outcome = EngineOutcome(
-            scheme=self._name,
-            scheme_id=self._scheme_id,
-            data_blocks=self._n,
+            scheme=self.name,
+            scheme_id=self.scheme_id,
+            data_blocks=self.data_blocks,
             initially_missing_data=int(state.data_missing_count.sum()),
             initially_missing_redundancy=int(state.redundancy_missing_count.sum()),
         )
@@ -813,15 +723,13 @@ class StripeSimulation(SimulatedPlacement):
 # Placement construction
 # ----------------------------------------------------------------------
 def punctured_parity_mask(
-    scheme: "PuncturedEntanglementScheme", data_blocks: int
+    scheme: PuncturedEntanglementScheme, data_blocks: int
 ) -> np.ndarray:
     """The (n, alpha) boolean mask of parities the scheme never stores.
 
     Column ``c`` follows ``params.strand_classes`` order, matching the
     parity-location columns of :class:`LatticeSimulation`.
     """
-    from repro.core.blocks import ParityId
-
     classes = scheme.params.strand_classes
     mask = np.zeros((data_blocks, len(classes)), dtype=bool)
     code = scheme.punctured_code
@@ -841,43 +749,34 @@ def build_simulation(
 ) -> SimulatedPlacement:
     """Build the availability simulation of any scheme.
 
-    ``scheme`` may be a registry identifier (``"ae-3-2-5"``, ``"rs-10-4"``,
-    ``"lrc-azure"``, ``"rep-3"``, ``"xor-geo"``, ...), a live
-    :class:`~repro.schemes.base.RedundancyScheme` instance, a bare
-    :class:`~repro.codes.base.StripeCode`, an :class:`AEParameters` setting,
-    or any legacy :data:`~repro.simulation.metrics.SchemeSpec`.
+    ``scheme`` is anything :func:`repro.schemes.resolve` names a scheme by: a
+    registry identifier (``"ae-3-2-5"``, ``"rs-10-4"``, ``"lrc-azure"``,
+    ``"rep-3"``, ``"xor-geo"``, ...), an :class:`AEParameters` setting, a
+    bare :class:`~repro.codes.base.StripeCode` or a live
+    :class:`~repro.schemes.base.RedundancyScheme` instance.
     """
-    from repro.codes.entanglement import EntanglementScheme, PuncturedEntanglementScheme
-    from repro.schemes.stripe import StripeScheme
-
-    if isinstance(scheme, AEParameters):
-        return LatticeSimulation(scheme, data_blocks, location_count, seed)
-    if isinstance(scheme, StripeCode):
-        return StripeSimulation(scheme, data_blocks, location_count, seed)
-    if isinstance(scheme, (str, tuple, int)):
-        import repro.schemes as schemes
-
-        scheme = schemes.get(scheme_id_for(scheme), block_size=block_size)
-    if isinstance(scheme, PuncturedEntanglementScheme):
+    resolved = schemes.resolve(scheme, block_size)
+    if isinstance(resolved, EntanglementScheme):
+        punctured = (
+            punctured_parity_mask(resolved, data_blocks)
+            if isinstance(resolved, PuncturedEntanglementScheme)
+            else None
+        )
         return LatticeSimulation(
-            scheme.params,
+            resolved.params,
             data_blocks,
             location_count,
             seed,
-            scheme_id=scheme.scheme_id,
-            punctured=punctured_parity_mask(scheme, data_blocks),
+            scheme_id=resolved.scheme_id,
+            punctured=punctured,
         )
-    if isinstance(scheme, EntanglementScheme):
-        return LatticeSimulation(
-            scheme.params, data_blocks, location_count, seed, scheme_id=scheme.scheme_id
-        )
-    if isinstance(scheme, StripeScheme):
+    if isinstance(resolved, schemes.StripeScheme):
         return StripeSimulation(
-            scheme.code, data_blocks, location_count, seed, scheme_id=scheme.scheme_id
+            resolved.code, data_blocks, location_count, seed, scheme_id=resolved.scheme_id
         )
     raise InvalidParametersError(
-        f"cannot build a simulation for {scheme!r}; expected a scheme id, "
-        "RedundancyScheme, StripeCode or AEParameters"
+        f"no availability model for {resolved!r}: neither an entanglement "
+        "lattice nor a stripe code"
     )
 
 
@@ -941,14 +840,58 @@ def normalise_events(source: EventSource) -> List[SimulationEvent]:
     raise InvalidParametersError(f"cannot interpret {source!r} as simulation events")
 
 
+def replay_timeline(
+    events: EventSource, location_count: int
+) -> List[Tuple[float, np.ndarray]]:
+    """The ``(time, offline location ids)`` state after every event of a timeline.
+
+    An event takes its ``fail`` locations down and *then* brings its
+    ``restore`` locations back -- the order :meth:`ChurnTrace.poisson
+    <repro.storage.failures.ChurnTrace.poisson>` builds its events in and
+    :meth:`ChurnTrace.replay <repro.storage.failures.ChurnTrace.replay>`
+    applies them to a live cluster in.  Every id of both tuples is checked
+    against ``0..location_count-1`` before the first state is produced.
+    """
+    timeline = normalise_events(events)
+    out_of_range = {
+        location
+        for event in timeline
+        for location in (*event.fail, *event.restore)
+        if not 0 <= location < location_count
+    }
+    if out_of_range:
+        raise InvalidParametersError(
+            f"event locations {sorted(out_of_range)[:5]} lie outside "
+            f"0..{location_count - 1}; the trace needs at least "
+            f"{max(out_of_range) + 1} locations"
+        )
+    offline: set = set()
+    states: List[Tuple[float, np.ndarray]] = []
+    for event in timeline:
+        offline.update(event.fail)
+        offline.difference_update(event.restore)
+        states.append(
+            (event.time, np.fromiter(sorted(offline), dtype=np.int64, count=len(offline)))
+        )
+    return states
+
+
 @dataclass(frozen=True)
 class StepMetrics:
-    """State of one scheme after one event of the timeline."""
+    """State of one scheme at one instant of a timeline.
+
+    ``unavailable_data`` counts data blocks the scheme cannot serve given the
+    offline locations -- under ``FULL`` / ``MINIMAL`` a block counts as
+    available when it can still be decoded from online blocks (degraded
+    reads), ``NONE`` reports raw exposure -- and ``vulnerable_data`` the data
+    blocks left without a complete repair tuple.
+    """
 
     time: float
     offline_locations: int
     unavailable_data: int
     data_blocks: int
+    vulnerable_data: int = 0
 
     @property
     def availability(self) -> float:
@@ -956,15 +899,18 @@ class StepMetrics:
             return 1.0
         return 1.0 - self.unavailable_data / self.data_blocks
 
+    @property
+    def vulnerable_fraction(self) -> float:
+        if self.data_blocks == 0:
+            return 0.0
+        return self.vulnerable_data / self.data_blocks
 
-@dataclass
-class EngineRun:
-    """Full event-loop result for one scheme."""
 
-    scheme: str
-    scheme_id: str
-    data_blocks: int
-    steps: List[StepMetrics] = field(default_factory=list)
+class AvailabilitySeries:
+    """Mean / minimum availability over ``self.steps``, whose records each
+    carry an ``availability``; 1.0 for an empty series."""
+
+    steps: Sequence
 
     @property
     def mean_availability(self) -> float:
@@ -977,6 +923,16 @@ class EngineRun:
         if not self.steps:
             return 1.0
         return float(np.min([step.availability for step in self.steps]))
+
+
+@dataclass
+class EngineRun(AvailabilitySeries):
+    """Full timeline result for one scheme."""
+
+    scheme: str
+    scheme_id: str
+    data_blocks: int
+    steps: List[StepMetrics] = field(default_factory=list)
 
     @property
     def max_offline(self) -> int:
@@ -995,6 +951,42 @@ class EngineRun:
             "min availability": round(self.min_availability, 6),
             "unavailable at end": self.final_unavailable,
         }
+
+
+#: Called by :func:`sample_states` after every step with the step and the
+#: placement it was evaluated on; returns the placement for the next state.
+Steer = Callable[[StepMetrics, SimulatedPlacement], SimulatedPlacement]
+
+
+def sample_states(
+    placement: SimulatedPlacement,
+    states: Iterable[Tuple[float, np.ndarray]],
+    policy: MaintenancePolicy = MaintenancePolicy.FULL,
+    budget: Optional[MaintenanceBudget] = None,
+    steer: Optional[Steer] = None,
+) -> EngineRun:
+    """Sample what ``placement`` can serve at every ``(time, offline)`` state.
+
+    Repairs are *evaluated* per state but not persisted: like the paper's
+    availability study, the question is what the scheme can serve at each
+    instant, not where rebuilt blocks would land.  With nothing offline a
+    step is healthy by definition (nothing unavailable, nothing vulnerable).
+    ``steer`` lets a control loop swap the placement between two states
+    (adaptive maintenance re-encodes under a new scheme).
+    """
+    run = EngineRun(placement.name, placement.scheme_id, placement.data_blocks)
+    for time, offline in states:
+        unavailable = vulnerable = 0
+        if offline.size:
+            outcome = placement.run_repair(offline, policy=policy, budget=budget)
+            unavailable, vulnerable = outcome.data_loss, outcome.vulnerable_data
+        step = StepMetrics(
+            time, int(offline.size), unavailable, placement.data_blocks, vulnerable
+        )
+        run.steps.append(step)
+        if steer is not None:
+            placement = steer(step, placement)
+    return run
 
 
 class SimulationEngine:
@@ -1043,10 +1035,6 @@ class SimulationEngine:
     def scheme_name(self) -> str:
         return self._placement.name
 
-    @property
-    def policy(self) -> MaintenancePolicy:
-        return self._policy
-
     # ------------------------------------------------------------------
     def _disaster_locations(self, disaster: DisasterLike) -> np.ndarray:
         if isinstance(disaster, Disaster):
@@ -1072,7 +1060,6 @@ class SimulationEngine:
         disaster_fraction: Optional[float] = None,
         policy: Optional[MaintenancePolicy] = None,
         budget: Optional[MaintenanceBudget] = None,
-        label: Optional[str] = None,
     ) -> DisasterMetrics:
         """One-shot disaster: fail, repair per policy, report the metrics.
 
@@ -1083,18 +1070,13 @@ class SimulationEngine:
         into the reported metrics row.
         """
         failed = self._disaster_locations(disaster)
-        if label is None:
-            if isinstance(disaster, str):
-                label = disaster
-            elif isinstance(disaster, Disaster):
-                label = disaster.label
-            else:
-                label = ""
+        outcome = self.run_outcome(failed, policy, budget)
         if disaster_fraction is None:
             disaster_fraction = failed.size / self._placement.location_count
-        outcome = self._placement.run_repair(
-            failed, policy=policy or self._policy, budget=budget or self._budget
-        )
+        if isinstance(disaster, str):
+            label = disaster
+        else:
+            label = disaster.label if isinstance(disaster, Disaster) else ""
         return outcome.metrics(disaster_fraction, label=label)
 
     def run_outcome(
@@ -1111,49 +1093,11 @@ class SimulationEngine:
         )
 
     def run_events(self, events: EventSource) -> EngineRun:
-        """Replay an event timeline, sampling data availability per event.
-
-        Repairs are *evaluated* per step (a block counts as available when
-        the scheme can still decode it from online blocks) but not persisted:
-        like the paper's availability study, the question is what the scheme
-        can serve at each instant, not where rebuilt blocks would land.
-        """
-        timeline = normalise_events(events)
-        limit = self._placement.location_count
-        out_of_range = {
-            location
-            for event in timeline
-            for location in (*event.fail, *event.restore)
-            if not 0 <= location < limit
-        }
-        if out_of_range:
-            raise InvalidParametersError(
-                f"event locations {sorted(out_of_range)[:5]} lie outside "
-                f"0..{limit - 1}; the trace needs at least "
-                f"{max(out_of_range) + 1} locations"
-            )
-        offline: set = set()
-        run = EngineRun(
-            scheme=self._placement.name,
-            scheme_id=self._placement.scheme_id,
-            data_blocks=self._placement.data_blocks,
-        )
-        for event in timeline:
-            offline.update(event.fail)
-            offline.difference_update(event.restore)
-            offline_array = np.fromiter(sorted(offline), dtype=np.int64, count=len(offline))
-            unavailable = self._placement.unavailable_data(
-                offline_array, policy=self._policy, budget=self._budget
-            )
-            run.steps.append(
-                StepMetrics(
-                    time=event.time,
-                    offline_locations=len(offline),
-                    unavailable_data=unavailable,
-                    data_blocks=self._placement.data_blocks,
-                )
-            )
-        return run
+        """Replay an event timeline, sampling data availability per event
+        (:func:`replay_timeline`, then :func:`sample_states` under the
+        engine's policy and budget)."""
+        states = replay_timeline(events, self._placement.location_count)
+        return sample_states(self._placement, states, self._policy, self._budget)
 
 
 # ----------------------------------------------------------------------
@@ -1176,7 +1120,7 @@ def sample_disaster_locations(
 
 
 def simulate_disasters(
-    scheme_ids: Sequence[Union[str, AEParameters, tuple, int]],
+    scheme_ids: Sequence[SchemeLike],
     data_blocks: int = 20_000,
     location_count: int = 100,
     seed: int = 7,
@@ -1187,13 +1131,16 @@ def simulate_disasters(
 ) -> List[DisasterMetrics]:
     """Disaster-recovery metrics for every scheme at every disaster size.
 
-    One placement per scheme (built once, reused across fractions, exactly
-    like the legacy experiment runner) and one independently drawn disaster
-    per fraction.  ``fractions`` entries may also be topology target strings
-    (``"site:0"``, ``"rack:eu/1"``), resolved against ``topology`` -- those
-    disasters are deterministic whole-domain outages rather than random
-    draws.  Returns one :class:`DisasterMetrics` per (scheme, fraction)
-    cell, fraction-major so the rows print like Figs. 11-13.
+    The one scheme x disaster sweep: one placement per scheme (built once,
+    reused across fractions) and one independently drawn disaster per
+    fraction, ``sample_disaster_locations(location_count, fraction, seed,
+    offset)`` with the fraction's position as ``offset``.  ``fractions``
+    entries may also be topology target strings (``"site:0"``,
+    ``"rack:eu/1"``), resolved against ``topology`` -- those disasters are
+    deterministic whole-domain outages rather than random draws.  Returns one
+    :class:`DisasterMetrics` per (scheme, fraction) cell, fraction-major so
+    the rows print like Figs. 11-13; the Sec. V-C experiments are projections
+    of these rows.
     """
     resolved_topology = Topology.resolve(topology)
     if resolved_topology is not None:
@@ -1213,19 +1160,13 @@ def simulate_disasters(
     results: List[DisasterMetrics] = []
     for offset, fraction in enumerate(fractions):
         if isinstance(fraction, str):
-            if resolved_topology is None:
-                raise InvalidParametersError(
-                    f"disaster target {fraction!r} needs a topology"
-                )
-            failed = np.asarray(
-                resolved_topology.locations_for_target(fraction), dtype=np.int64
-            )
-            size, label = failed.size / location_count, fraction
+            # The engine resolves the target and labels the row with it.
+            disaster: DisasterLike = fraction
+            size = None
         else:
-            failed = sample_disaster_locations(location_count, fraction, seed, offset)
-            size, label = fraction, ""
-        for engine in engines:
-            results.append(
-                engine.run_disaster(failed, disaster_fraction=size, label=label)
-            )
+            disaster = sample_disaster_locations(location_count, fraction, seed, offset)
+            size = fraction
+        results.extend(
+            engine.run_disaster(disaster, disaster_fraction=size) for engine in engines
+        )
     return results

@@ -9,11 +9,11 @@ Each experiment follows the paper's setup:
 * disasters that take 10% to 50% of the locations offline at once;
 * the repair process then rebuilds what it can, and the metrics are collected.
 
-Every experiment routes through the scheme-agnostic
-:class:`~repro.simulation.engine.SimulationEngine`, so the scheme lists below
+Every experiment is a projection of the one scheme x disaster sweep,
+:func:`repro.simulation.engine.simulate_disasters`, so the scheme lists below
 are plain registry identifiers -- add ``"lrc-azure"`` or ``"xor-geo"`` to a
-list (or call :func:`repro.simulation.engine.simulate_disasters` directly)
-and the same experiment covers schemes the paper never plotted.  The
+list (or call the sweep directly) and the same experiment covers schemes the
+paper never plotted.  The
 experiment functions return plain lists of dictionaries (one per table row),
 so they can be printed with :func:`repro.simulation.metrics.format_table`,
 asserted against in tests and re-used by the benchmark harnesses.
@@ -24,15 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.parameters import AEParameters
-from repro.exceptions import InvalidParametersError
+from repro.schemes import SchemeLike
 from repro.simulation.engine import (
-    SimulationEngine,
-    sample_disaster_locations,
+    StripeSimulation,
+    build_simulation,
+    simulate_disasters,
 )
-from repro.simulation.metrics import scheme_costs, scheme_id_for
+from repro.simulation.metrics import DisasterMetrics, scheme_costs
 from repro.storage.maintenance import MaintenancePolicy
 
 #: Disaster sizes used throughout the paper.
@@ -46,9 +45,6 @@ AE_SETTINGS: Tuple[AEParameters, ...] = (
     AEParameters.triple(2, 5),
 )
 REPLICATION_FACTORS: Tuple[int, ...] = (2, 3, 4)
-
-#: Schemes of the single-failure study (Fig. 13).
-FIG13_SCHEMES: Tuple[str, ...] = ("RS(4,12)", "AE(1,-,-)", "AE(2,2,5)", "AE(3,2,5)")
 
 
 @dataclass(frozen=True)
@@ -70,47 +66,31 @@ class ExperimentConfig:
         """A reduced-scale configuration for tests and fast benchmark runs."""
         return cls(data_blocks=data_blocks)
 
-    def scaled(self, data_blocks: int) -> "ExperimentConfig":
-        return ExperimentConfig(
-            data_blocks=data_blocks,
-            location_count=self.location_count,
-            seed=self.seed,
-            disaster_fractions=self.disaster_fractions,
-        )
+
+#: The Figs. 11/12 comparison set, in the historical row order.
+_COMPARISON_SCHEMES: Tuple[SchemeLike, ...] = (
+    *(f"rs-{k}-{m}" for k, m in RS_SETTINGS),
+    *AE_SETTINGS,
+    *(f"rep-{copies}" for copies in REPLICATION_FACTORS),
+)
 
 
-def sample_disaster(
-    config: ExperimentConfig, fraction: float, offset: int = 0
-) -> np.ndarray:
-    """Locations taken down by a disaster of the given size."""
-    if not 0.0 <= fraction <= 1.0:
-        raise InvalidParametersError("disaster fraction must lie in [0, 1]")
-    return sample_disaster_locations(
-        config.location_count, fraction, config.seed, offset
+def _sweep(
+    config: Optional[ExperimentConfig],
+    scheme_ids: Sequence[SchemeLike],
+    policy: MaintenancePolicy = MaintenancePolicy.FULL,
+) -> Tuple[ExperimentConfig, List[DisasterMetrics]]:
+    """The sweep's fraction-major cells for an experiment's scheme set."""
+    config = config or ExperimentConfig.quick()
+    cells = simulate_disasters(
+        scheme_ids,
+        config.data_blocks,
+        config.location_count,
+        config.seed,
+        config.disaster_fractions,
+        policy=policy,
     )
-
-
-# ----------------------------------------------------------------------
-# Engine construction helpers
-# ----------------------------------------------------------------------
-def _engines(
-    config: ExperimentConfig, scheme_ids: Sequence[str]
-) -> List[SimulationEngine]:
-    """One engine (placement built once, reused across fractions) per scheme."""
-    return [
-        SimulationEngine(
-            scheme_id, config.data_blocks, config.location_count, config.seed
-        )
-        for scheme_id in scheme_ids
-    ]
-
-
-def _comparison_scheme_ids() -> List[str]:
-    """The Figs. 11/12 comparison set, in the historical row order."""
-    ids = [f"rs-{k}-{m}" for k, m in RS_SETTINGS]
-    ids.extend(scheme_id_for(params) for params in AE_SETTINGS)
-    ids.extend(f"rep-{copies}" for copies in REPLICATION_FACTORS)
-    return ids
+    return config, cells
 
 
 # ----------------------------------------------------------------------
@@ -120,17 +100,11 @@ def data_loss_experiment(
     config: Optional[ExperimentConfig] = None,
 ) -> List[Dict[str, object]]:
     """Data blocks the decoder failed to repair, per scheme and disaster size."""
-    config = config or ExperimentConfig.quick()
-    engines = _engines(config, _comparison_scheme_ids())
-    rows: List[Dict[str, object]] = []
-    for offset, fraction in enumerate(config.disaster_fractions):
-        failed = sample_disaster(config, fraction, offset)
-        for engine in engines:
-            metrics = engine.run_disaster(failed, disaster_fraction=fraction)
-            rows.append(
-                _row(metrics.scheme, fraction, config, data_loss=metrics.data_loss)
-            )
-    return rows
+    config, cells = _sweep(config, _COMPARISON_SCHEMES)
+    return [
+        _row(cell.scheme, cell.disaster_fraction, config, data_loss=cell.data_loss)
+        for cell in cells
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -140,24 +114,11 @@ def vulnerable_data_experiment(
     config: Optional[ExperimentConfig] = None,
 ) -> List[Dict[str, object]]:
     """Data blocks left without redundancy after minimal-maintenance repairs."""
-    config = config or ExperimentConfig.quick()
-    engines = _engines(config, _comparison_scheme_ids())
-    rows: List[Dict[str, object]] = []
-    for offset, fraction in enumerate(config.disaster_fractions):
-        failed = sample_disaster(config, fraction, offset)
-        for engine in engines:
-            metrics = engine.run_disaster(
-                failed, disaster_fraction=fraction, policy=MaintenancePolicy.MINIMAL
-            )
-            rows.append(
-                _row(
-                    metrics.scheme,
-                    fraction,
-                    config,
-                    vulnerable=metrics.vulnerable_data,
-                )
-            )
-    return rows
+    config, cells = _sweep(config, _COMPARISON_SCHEMES, MaintenancePolicy.MINIMAL)
+    return [
+        _row(cell.scheme, cell.disaster_fraction, config, vulnerable=cell.vulnerable_data)
+        for cell in cells
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -167,24 +128,17 @@ def single_failure_experiment(
     config: Optional[ExperimentConfig] = None,
 ) -> List[Dict[str, object]]:
     """Share of repairs that were single-failure repairs (RS(4,12) vs AE codes)."""
-    config = config or ExperimentConfig.quick()
-    scheme_ids = ["rs-4-12"] + [scheme_id_for(params) for params in AE_SETTINGS]
-    engines = _engines(config, scheme_ids)
-    rows: List[Dict[str, object]] = []
-    for offset, fraction in enumerate(config.disaster_fractions):
-        failed = sample_disaster(config, fraction, offset)
-        for engine in engines:
-            metrics = engine.run_disaster(failed, disaster_fraction=fraction)
-            rows.append(
-                {
-                    "scheme": metrics.scheme,
-                    "disaster (%)": int(round(fraction * 100)),
-                    "single failures (% of repairs)": round(
-                        metrics.single_failure_fraction * 100.0, 1
-                    ),
-                }
-            )
-    return rows
+    _, cells = _sweep(config, ("rs-4-12", *AE_SETTINGS))
+    return [
+        {
+            "scheme": cell.scheme,
+            "disaster (%)": int(round(cell.disaster_fraction * 100)),
+            "single failures (% of repairs)": round(
+                cell.single_failure_fraction * 100.0, 1
+            ),
+        }
+        for cell in cells
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -194,17 +148,12 @@ def repair_rounds_experiment(
     config: Optional[ExperimentConfig] = None,
 ) -> List[Dict[str, object]]:
     """Number of repair rounds needed by each AE setting per disaster size."""
-    config = config or ExperimentConfig.quick()
-    engines = _engines(config, [scheme_id_for(params) for params in AE_SETTINGS])
-    rows: List[Dict[str, object]] = []
-    for engine in engines:
-        row: Dict[str, object] = {"code": engine.scheme_name}
-        for offset, fraction in enumerate(config.disaster_fractions):
-            failed = sample_disaster(config, fraction, offset)
-            metrics = engine.run_disaster(failed, disaster_fraction=fraction)
-            row[f"{int(round(fraction * 100))}%"] = metrics.repair_rounds
-        rows.append(row)
-    return rows
+    _, cells = _sweep(config, AE_SETTINGS)
+    rows: Dict[str, Dict[str, object]] = {}
+    for cell in cells:  # fraction-major: one column per pass over the codes
+        row = rows.setdefault(cell.scheme, {"code": cell.scheme})
+        row[f"{int(round(cell.disaster_fraction * 100))}%"] = cell.repair_rounds
+    return list(rows.values())
 
 
 # ----------------------------------------------------------------------
@@ -224,35 +173,24 @@ def placement_balance_report(
     """Blocks-per-location statistics and the stripe-spreading observation."""
     config = config or ExperimentConfig.quick()
     rows: List[Dict[str, object]] = []
-    rs_engine = SimulationEngine(
-        "rs-10-4", config.data_blocks, config.location_count, config.seed
-    )
-    rs_placement = rs_engine.placement
-    counts = rs_placement.blocks_per_location()
-    rows.append(
-        {
-            "scheme": rs_placement.name,
-            "blocks": int(counts.sum()),
-            "mean blocks/location": round(float(counts.mean()), 1),
-            "std blocks/location": round(float(counts.std(ddof=1)), 2),
-            "stripes fully spread": rs_placement.stripes_fully_spread(),
-            "stripes": rs_placement.stripes,
-        }
-    )
-    ae_engine = SimulationEngine(
-        "ae-3-2-5", config.data_blocks, config.location_count, config.seed
-    )
-    ae_counts = ae_engine.placement.blocks_per_location()
-    rows.append(
-        {
-            "scheme": ae_engine.scheme_name,
-            "blocks": int(ae_counts.sum()),
-            "mean blocks/location": round(float(ae_counts.mean()), 1),
-            "std blocks/location": round(float(ae_counts.std(ddof=1)), 2),
-            "stripes fully spread": "n/a (no stripes)",
-            "stripes": "n/a",
-        }
-    )
+    for scheme_id in ("rs-10-4", "ae-3-2-5"):
+        placement = build_simulation(
+            scheme_id, config.data_blocks, config.location_count, config.seed
+        )
+        counts = placement.blocks_per_location()
+        striped = isinstance(placement, StripeSimulation)
+        rows.append(
+            {
+                "scheme": placement.name,
+                "blocks": int(counts.sum()),
+                "mean blocks/location": round(float(counts.mean()), 1),
+                "std blocks/location": round(float(counts.std(ddof=1)), 2),
+                "stripes fully spread": (
+                    placement.stripes_fully_spread() if striped else "n/a (no stripes)"
+                ),
+                "stripes": placement.stripes if striped else "n/a",
+            }
+        )
     return rows
 
 

@@ -10,97 +10,37 @@ The disaster experiments report four metrics:
   single-failure repairs (Fig. 13);
 * **repair rounds** -- how many rounds the AE decoder needed (Table VI).
 
-Scheme naming is unified with the :mod:`repro.schemes` registry: a scheme
-specification is primarily a registry identifier string (``"ae-3-2-5"``,
-``"rs-10-4"``, ``"lrc-azure"``, ``"rep-3"``, ``"xor-geo"``, ...), and
-:func:`describe_scheme` / :func:`scheme_costs` resolve it through the
-registry's :class:`~repro.schemes.base.SchemeCapabilities` instead of a
-parallel hand-written cost table.  The legacy shorthand specs -- an
-:class:`AEParameters` setting, an RS ``(k, m)`` tuple or a replication
-factor ``int`` -- are still accepted and normalised by
-:func:`scheme_id_for`.
+Scheme naming is the :mod:`repro.schemes` registry's: a scheme is named by a
+registry identifier (``"ae-3-2-5"``, ``"rs-10-4"``, ``"lrc-azure"``,
+``"rep-3"``, ``"xor-geo"``, ...), an :class:`AEParameters` setting, a bare
+stripe code or a scheme instance (:func:`repro.schemes.resolve`), and
+:func:`describe_scheme` / :func:`scheme_costs` read its
+:class:`~repro.schemes.base.SchemeCapabilities` instead of a parallel
+hand-written cost table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence
 
-from repro.codes.base import CodeCosts
-from repro.core.parameters import AEParameters
-from repro.exceptions import InvalidParametersError
-
-#: A scheme specification: a registry identifier string, an AE setting, an
-#: RS ``(k, m)`` pair, or a replication factor.
-SchemeSpec = Union[str, AEParameters, tuple, int]
+import repro.schemes as schemes
+from repro.schemes import SchemeCapabilities, SchemeLike
 
 
-def scheme_id_for(spec: SchemeSpec) -> str:
-    """Normalise any scheme specification to its registry identifier.
+def describe_scheme(scheme: SchemeLike) -> SchemeCapabilities:
+    """The capabilities (and with them the Table IV row) of any scheme.
 
-    ``"rs-10-4"`` stays as is; ``AEParameters.triple(2, 5)`` becomes
-    ``"ae-3-2-5"``, ``(10, 4)`` becomes ``"rs-10-4"`` and ``3`` becomes
-    ``"rep-3"``.
+    Resolved through the :mod:`repro.schemes` registry, so every registered
+    family (including LRC and flat XOR) gets a row, and the analytic numbers
+    are the ones the live :class:`~repro.system.service.StorageService`
+    reports.
     """
-    if isinstance(spec, str):
-        return spec.strip().lower()
-    if isinstance(spec, AEParameters):
-        if spec.is_single:
-            return "ae-1"
-        return f"ae-{spec.alpha}-{spec.s}-{spec.p}"
-    if isinstance(spec, tuple) and len(spec) == 2:
-        k, m = spec
-        if k < 1 or m < 0:
-            raise InvalidParametersError(f"invalid RS spec {spec!r}")
-        return f"rs-{k}-{m}"
-    if isinstance(spec, int) and not isinstance(spec, bool):
-        if spec < 2:
-            raise InvalidParametersError("replication factor must be >= 2")
-        return f"rep-{spec}"
-    raise InvalidParametersError(f"unrecognised scheme specification {spec!r}")
-
-
-@dataclass(frozen=True)
-class SchemeDescription:
-    """Uniform naming/cost description of every scheme in the evaluation."""
-
-    name: str
-    kind: str  # "ae", "rs", "lrc", "xor" or "replication"
-    additional_storage_percent: float
-    single_failure_cost: int
-    scheme_id: str = ""
-
-    def costs(self) -> CodeCosts:
-        return CodeCosts(
-            name=self.name,
-            additional_storage_percent=self.additional_storage_percent,
-            single_failure_cost=self.single_failure_cost,
-        )
-
-
-def describe_scheme(spec: SchemeSpec) -> SchemeDescription:
-    """Build the Table IV row of one scheme specification.
-
-    The description is resolved through the :mod:`repro.schemes` registry,
-    so every registered family (including LRC and flat XOR) gets a row, and
-    the analytic numbers are the same ``SchemeCapabilities`` the live
-    :class:`~repro.system.service.StorageService` reports.
-    """
-    import repro.schemes as schemes
-
-    scheme_id = scheme_id_for(spec)
-    capabilities = schemes.get(scheme_id, block_size=64).capabilities()
-    return SchemeDescription(
-        name=capabilities.name,
-        kind=capabilities.kind,
-        additional_storage_percent=capabilities.storage_overhead * 100.0,
-        single_failure_cost=capabilities.single_failure_reads,
-        scheme_id=scheme_id,
-    )
+    return schemes.resolve(scheme, block_size=64).capabilities()
 
 
 #: The schemes of Table IV (replication rows beyond 2/3/4-way are trivial).
-PAPER_SCHEMES: Sequence[SchemeSpec] = (
+PAPER_SCHEMES: Sequence[str] = (
     "rs-10-4",
     "rs-8-2",
     "rs-5-5",
@@ -114,7 +54,7 @@ PAPER_SCHEMES: Sequence[SchemeSpec] = (
 )
 
 
-def scheme_costs(specs: Sequence[SchemeSpec] = PAPER_SCHEMES) -> List[Dict[str, object]]:
+def scheme_costs(specs: Sequence[SchemeLike] = PAPER_SCHEMES) -> List[Dict[str, object]]:
     """Table IV: additional storage and single-failure repair cost per scheme."""
     return [describe_scheme(spec).costs().as_row() for spec in specs]
 

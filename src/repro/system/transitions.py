@@ -107,17 +107,7 @@ def classify(source: RedundancyScheme, target: RedundancyScheme) -> str:
         and source.params.p == target.params.p
     )
     if same_geometry and source_plain and target_plain:
-        new_classes = set(target.params.strand_classes) - set(
-            source.params.strand_classes
-        )
-        if target.params.alpha > source.params.alpha and not new_classes:
-            # The lattice has three strand classes (H, RH, LH); past
-            # alpha=3 a "raise" adds no class and therefore no protection.
-            raise InvalidParametersError(
-                f"raising {source.scheme_id} to {target.scheme_id} adds no "
-                "strand class (the helical lattice tops out at alpha=3); "
-                "nothing would be gained"
-            )
+        # Every raise adds a strand class: AEParameters stops at alpha=3.
         if target.params.alpha > source.params.alpha:
             return KIND_ALPHA_RAISE
         raise InvalidParametersError(

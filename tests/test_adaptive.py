@@ -120,6 +120,26 @@ class TestRunAdaptive:
         with pytest.raises(InvalidParametersError, match="read_rates"):
             run_adaptive(policy, events, [0.5], data_blocks=50, location_count=10)
 
+    def test_timeline_replays_like_the_engine(self):
+        """Fail, then restore -- the same offline set ``run_events`` reaches."""
+        bounced = tuple(range(12))
+        events = [SimulationEvent(0.0, fail=bounced, restore=bounced)]
+        run = run_adaptive(
+            AdaptiveMaintenancePolicy("rep-2"), events, [0.5],
+            data_blocks=2_000, location_count=40, seed=11,
+        )
+        assert run.steps[0].availability == 1.0
+
+    @pytest.mark.parametrize("field", ["fail", "restore"])
+    def test_out_of_range_ids_are_refused_before_any_step(self, field):
+        policy = AdaptiveMaintenancePolicy("rep-2", window=1)
+        observed = []
+        policy.observe = observed.append  # any evaluated step would land here
+        events = [SimulationEvent(0.0, fail=(1,)), SimulationEvent(1.0, **{field: (99,)})]
+        with pytest.raises(InvalidParametersError, match="99"):
+            run_adaptive(policy, events, [0.5, 0.5], data_blocks=200, location_count=40)
+        assert observed == []
+
     def test_deterministic_replay(self):
         first = cold_archive_demotion(data_blocks=300, location_count=20)
         second = cold_archive_demotion(data_blocks=300, location_count=20)

@@ -9,11 +9,11 @@ from repro.exceptions import InvalidParametersError
 from repro.simulation.churn import (
     ChurnConfig,
     ChurnResult,
-    ChurnSample,
     ChurnSimulator,
     availability_nines,
     compare_schemes_under_churn,
 )
+from repro.simulation.engine import StepMetrics
 from repro.simulation.traces import NodeSession, SessionTrace, p2p_session_trace
 
 
@@ -56,11 +56,11 @@ class TestConfigAndSamples:
             ChurnConfig(sample_every_hours=0.0)
 
     def test_sample_availability(self):
-        sample = ChurnSample(
-            time_hours=0.0, offline_locations=2, unavailable_data=50, data_blocks=1000
+        sample = StepMetrics(
+            time=0.0, offline_locations=2, unavailable_data=50, data_blocks=1000
         )
         assert sample.availability == pytest.approx(0.95)
-        empty = ChurnSample(0.0, 0, 0, 0)
+        empty = StepMetrics(0.0, 0, 0, 0)
         assert empty.availability == 1.0
 
     def test_result_summaries(self):
@@ -68,9 +68,9 @@ class TestConfigAndSamples:
             scheme="test",
             storage_overhead_percent=100.0,
             samples=[
-                ChurnSample(0.0, 0, 0, 100),
-                ChurnSample(6.0, 1, 10, 100),
-                ChurnSample(12.0, 1, 10, 100),
+                StepMetrics(0.0, 0, 0, 100),
+                StepMetrics(6.0, 1, 10, 100),
+                StepMetrics(12.0, 1, 10, 100),
             ],
             final_data_loss=0,
         )
@@ -95,14 +95,14 @@ class TestSimulator:
 
     def test_perfect_trace_gives_full_availability(self):
         simulator = ChurnSimulator(flat_trace(), self.CONFIG)
-        for spec in (AEParameters.triple(2, 5), (8, 2), 3):
+        for spec in (AEParameters.triple(2, 5), "rs-8-2", "rep-3"):
             result = simulator.run(spec)
             assert result.mean_availability == 1.0
             assert result.final_data_loss == 0
 
     def test_single_offline_node_is_mostly_tolerated(self):
         simulator = ChurnSimulator(one_down_trace(), self.CONFIG)
-        for spec in (AEParameters.triple(2, 5), (8, 2), 3):
+        for spec in (AEParameters.triple(2, 5), "rs-8-2", "rep-3"):
             result = simulator.run(spec)
             # One missing location out of 30 leaves at most a tiny unlucky
             # residue (blocks whose repair inputs landed on the same location).
@@ -127,8 +127,8 @@ class TestSimulator:
             50, 240.0, mean_session_hours=18.0, mean_downtime_hours=6.0, seed=13
         )
         simulator = ChurnSimulator(trace, ChurnConfig(data_blocks=2_000, seed=3))
-        replication2 = simulator.run(2)
-        rs55 = simulator.run((5, 5))
+        replication2 = simulator.run("rep-2")
+        rs55 = simulator.run("rs-5-5")
         ae2 = simulator.run(AEParameters.double(2, 5))
         assert rs55.mean_availability >= replication2.mean_availability
         assert ae2.mean_availability >= replication2.mean_availability
@@ -136,7 +136,7 @@ class TestSimulator:
     def test_run_many_and_compare(self):
         trace = p2p_session_trace(30, 96.0, seed=5)
         config = ChurnConfig(data_blocks=1_000, sample_every_hours=24.0, seed=4)
-        rows = compare_schemes_under_churn(trace, [AEParameters.single(), (5, 5), 2], config)
+        rows = compare_schemes_under_churn(trace, [AEParameters.single(), "rs-5-5", "rep-2"], config)
         assert len(rows) == 3
         schemes = {row["scheme"] for row in rows}
         assert schemes == {"AE(1,-,-)", "RS(5,5)", "2-way replication"}

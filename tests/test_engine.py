@@ -19,11 +19,9 @@ from repro.simulation.engine import (
     normalise_events,
     sample_disaster_locations,
     simulate_disasters,
-    vectorised_input_indices,
-    vectorised_output_indices,
 )
-from repro.simulation.experiments import ExperimentConfig, sample_disaster
-from repro.simulation.metrics import describe_scheme, scheme_id_for
+from repro.simulation.experiments import ExperimentConfig
+from repro.simulation.metrics import describe_scheme
 from repro.simulation.traces import p2p_session_trace
 from repro.storage.failures import ChurnTrace, Disaster, disaster_for_target
 from repro.storage.maintenance import MaintenanceBudget, MaintenancePolicy
@@ -57,7 +55,7 @@ class TestGoldenEquivalence:
     def test_fixed_seed_metrics(self, key):
         scheme_id, policy_name, percent = key
         offset = {10: 0, 30: 2, 50: 4}[percent]
-        failed = sample_disaster(CONFIG, percent / 100.0, offset)
+        failed = sample_disaster_locations(100, percent / 100.0, 7, offset)
         engine = SimulationEngine(
             scheme_id, CONFIG.data_blocks, CONFIG.location_count, CONFIG.seed
         )
@@ -73,11 +71,21 @@ class TestBuildSimulation:
         for scheme_id in ("rs-10-4", "rep-3", "lrc-azure", "xor-geo"):
             assert isinstance(build_simulation(scheme_id, 100), StripeSimulation)
 
-    def test_legacy_specs_resolve(self):
+    def test_settings_codes_and_instances_resolve(self):
+        import repro.schemes as schemes
+
         assert isinstance(build_simulation(AEParameters.triple(2, 5), 100), LatticeSimulation)
-        assert isinstance(build_simulation((10, 4), 100), StripeSimulation)
-        assert isinstance(build_simulation(3, 100), StripeSimulation)
         assert isinstance(build_simulation(azure_lrc(), 100), StripeSimulation)
+        live = schemes.get("ae-3-2-5-p75", block_size=64)
+        assert build_simulation(live, 100).scheme_id == "ae-3-2-5-p75"
+
+    @pytest.mark.parametrize("legacy", [(10, 4), 3])
+    def test_tuple_and_int_shorthand_is_refused(self, legacy):
+        """The SchemeSpec shim retired: the message names the id spelling."""
+        with pytest.raises(InvalidParametersError, match="'rs-10-4', 'rep-3'"):
+            build_simulation(legacy, 100)
+        with pytest.raises(InvalidParametersError, match="registry id"):
+            describe_scheme(legacy)
 
     def test_placement_shape(self):
         sim = build_simulation("lrc-azure", 1000, location_count=50, seed=1)
@@ -110,8 +118,9 @@ class TestVectorisedRules:
     def test_vectorised_rules_match_scalar_rules(self, spec):
         params = AEParameters(*spec)
         n = 200
-        inputs = vectorised_input_indices(params, n)
-        outputs = vectorised_output_indices(params, n)
+        lattice = LatticeSimulation(params, n, location_count=10)
+        inputs, outputs = lattice.input_creator, lattice.output_node
+        assert inputs.shape == outputs.shape == (n, params.alpha)
         for index in range(1, n + 1):
             for position, strand_class in enumerate(params.strand_classes):
                 assert inputs[index - 1, position] == max(
@@ -261,7 +270,7 @@ class TestStripeSimulationGenericPath:
 class TestMaintenanceBudget:
     def test_ae_max_rounds_caps_rounds(self):
         engine = SimulationEngine("ae-3-2-5", 20_000, 100, seed=7)
-        failed = sample_disaster(CONFIG, 0.5, 4)
+        failed = sample_disaster_locations(100, 0.5, 7, 4)
         unlimited = engine.run_outcome(failed)
         assert unlimited.rounds > 1
         capped = engine.run_outcome(failed, budget=MaintenanceBudget(max_rounds=1))
@@ -277,7 +286,7 @@ class TestMaintenanceBudget:
 
     def test_ae_per_round_cap(self):
         engine = SimulationEngine("ae-3-2-5", 10_000, 100, seed=7)
-        failed = sample_disaster(CONFIG, 0.3, 2)
+        failed = sample_disaster_locations(100, 0.3, 7, 2)
         capped = engine.run_outcome(
             failed, budget=MaintenanceBudget(max_repairs_per_round=100, max_rounds=3)
         )
@@ -286,7 +295,7 @@ class TestMaintenanceBudget:
 
     def test_stripe_budget_defers_repairs(self):
         engine = SimulationEngine("rs-10-4", 20_000, 100, seed=7)
-        failed = sample_disaster(CONFIG, 0.3, 2)
+        failed = sample_disaster_locations(100, 0.3, 7, 2)
         unlimited = engine.run_outcome(failed, policy=MaintenancePolicy.MINIMAL)
         capped = engine.run_outcome(
             failed,
@@ -311,7 +320,7 @@ class TestMaintenanceBudget:
 
     def test_deferred_repairs_reach_the_metrics_row(self):
         engine = SimulationEngine("rs-10-4", 20_000, 100, seed=7)
-        failed = sample_disaster(CONFIG, 0.3, 2)
+        failed = sample_disaster_locations(100, 0.3, 7, 2)
         metrics = engine.run_disaster(
             failed, budget=MaintenanceBudget(max_repairs_per_round=500)
         )
@@ -320,7 +329,7 @@ class TestMaintenanceBudget:
 
     def test_stripe_budget_caps_redundancy_repairs_too(self):
         engine = SimulationEngine("rs-10-4", 20_000, 100, seed=7)
-        failed = sample_disaster(CONFIG, 0.3, 2)
+        failed = sample_disaster_locations(100, 0.3, 7, 2)
         # A forbidden first round repairs nothing at all (like the lattice).
         frozen = engine.run_outcome(failed, budget=MaintenanceBudget(max_rounds=0))
         assert frozen.repaired_data == 0
@@ -395,6 +404,36 @@ class TestEventLoop:
         with pytest.raises(InvalidParametersError, match="150"):
             engine.run_events(events)
 
+    def test_fail_then_restore_matches_a_live_cluster(self):
+        """One event that fails and restores the same locations leaves them
+        online -- fail first, then restore, the order ``ChurnTrace.replay``
+        applies to a live ``StorageCluster``."""
+        from repro.storage.cluster import StorageCluster
+        from repro.storage.failures import ChurnEvent
+
+        bounced = tuple(range(12))
+        run = SimulationEngine("rep-2", 2_000, 40, seed=11).run_events(
+            SimulationEvent(0.0, fail=bounced, restore=bounced)
+        )
+        assert run.steps[0].offline_locations == 0
+        assert run.steps[0].availability == 1.0
+        cluster = StorageCluster(40)
+        ChurnTrace([ChurnEvent(0, departures=bounced, arrivals=bounced)]).replay(cluster)
+        assert cluster.unavailable_locations() == []
+
+    @pytest.mark.parametrize("field", ["fail", "restore"])
+    def test_out_of_range_ids_are_refused_before_any_step(self, field, monkeypatch):
+        engine = SimulationEngine("rs-10-4", 1_000, 40, seed=7)
+        monkeypatch.setattr(
+            engine.placement, "run_repair", lambda *a, **k: pytest.fail("a step ran")
+        )
+        events = [
+            SimulationEvent(time=0.0, fail=(1, 2)),
+            SimulationEvent(time=1.0, **{field: (99,)}),
+        ]
+        with pytest.raises(InvalidParametersError, match="99"):
+            engine.run_events(events)
+
     def test_event_loop_rejects_string_input(self):
         engine = SimulationEngine("rs-10-4", 1_000, 40, seed=7)
         with pytest.raises(InvalidParametersError, match="ChurnTrace.load"):
@@ -402,15 +441,6 @@ class TestEventLoop:
 
 
 class TestSchemeIdUnification:
-    def test_scheme_id_for_normalises_legacy_specs(self):
-        assert scheme_id_for("AE-3-2-5") == "ae-3-2-5"
-        assert scheme_id_for(AEParameters.triple(2, 5)) == "ae-3-2-5"
-        assert scheme_id_for(AEParameters.single()) == "ae-1"
-        assert scheme_id_for((10, 4)) == "rs-10-4"
-        assert scheme_id_for(3) == "rep-3"
-        with pytest.raises(InvalidParametersError):
-            scheme_id_for(1.5)
-
     def test_describe_scheme_covers_registry_families(self):
         for scheme_id, kind, reads in (
             ("ae-3-2-5", "ae", 2),
@@ -422,7 +452,7 @@ class TestSchemeIdUnification:
         ):
             description = describe_scheme(scheme_id)
             assert description.kind == kind
-            assert description.single_failure_cost == reads
+            assert description.single_failure_reads == reads
             assert description.scheme_id == scheme_id
 
     def test_repair_model_for_lrc_and_xor(self):
@@ -454,7 +484,12 @@ class TestSimulateDisasters:
             assert 0 <= metrics.data_loss <= metrics.data_blocks
             assert 0 <= metrics.vulnerable_data <= metrics.data_blocks
 
-    def test_sampling_matches_experiment_runner(self):
+    def test_sampling_is_seeded_per_fraction_position(self):
+        """``default_rng(seed + 1000 * offset)``: the draw every Sec. V-C
+        experiment, the sweep and the fixed-seed literals above share."""
         sampled = sample_disaster_locations(100, 0.3, 7, 2)
-        legacy = sample_disaster(CONFIG, 0.3, 2)
-        assert np.array_equal(sampled, legacy)
+        rng = np.random.default_rng(7 + 1000 * 2)
+        assert np.array_equal(sampled, np.sort(rng.choice(100, size=30, replace=False)))
+        assert len(sample_disaster_locations(100, 0.3, 7)) == 30
+        with pytest.raises(InvalidParametersError):
+            sample_disaster_locations(100, 1.5, 7)

@@ -1,0 +1,108 @@
+"""The availability engine checked against the live store (ROADMAP 4e).
+
+The simulation engine never moves a byte: it decides what a disaster costs
+from block -> location arrays and its own vectorised repair rules.  The store
+repairs real payloads through ``StorageService.repair()``.  Here both see the
+*same* placement -- the engine's public location arrays are overwritten with
+the live cluster's ``location_of`` -- and the same failed locations, and must
+agree on data loss, repair rounds and the number of blocks repaired.
+
+``blocks_read`` is deliberately not asserted equal: the engine counts two
+reads per lattice repair and a stripe's cheapest plan, the store counts the
+distinct payloads it actually fetched (a block feeding several dependent
+repairs once; a whole-stripe decode for every stripe it touches).  Only the
+direction is pinned; ``docs/performance.md`` (PR 23) has both definitions and
+the measured numbers.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import open_service
+from repro.core.blocks import DataId, ParityId
+from repro.schemes.stripe import StripeBlockId
+from repro.simulation.engine import (
+    LatticeSimulation,
+    build_simulation,
+    sample_disaster_locations,
+)
+from repro.storage.maintenance import MaintenancePolicy
+from repro.storage.topology import Topology
+
+BLOCK_SIZE = 64
+DATA_BLOCKS = 600
+SCHEMES = ("ae-3-2-5", "ae-2-2-5", "ae-3-2-5-p75", "rs-10-4", "rs-4-12", "rep-3")
+#: (topology, disaster): two random draws on 20 flat locations, one whole site.
+DISASTERS = (
+    (20, (0.20, 0)),
+    (20, (0.30, 1)),
+    ("sites=4,nodes=5", "site:1"),
+)
+
+
+def _filled_service(scheme_id: str, topology):
+    service = open_service(scheme=scheme_id, block_size=BLOCK_SIZE, topology=topology)
+    payload = np.random.default_rng(23).integers(
+        0, 256, size=DATA_BLOCKS * BLOCK_SIZE, dtype=np.uint8
+    )
+    service.put("archive", payload.tobytes())
+    return service
+
+
+def _mirror_placement(service, simulation) -> None:
+    """Overwrite the engine's random placement with the live cluster's."""
+    location_of = service.cluster.location_of
+    if isinstance(simulation, LatticeSimulation):
+        classes = simulation.params.strand_classes
+        for index in range(1, DATA_BLOCKS + 1):
+            simulation.data_location[index - 1] = location_of(DataId(index))
+            for column, strand_class in enumerate(classes):
+                if not simulation.punctured[index - 1, column]:
+                    simulation.parity_location[index - 1, column] = location_of(
+                        ParityId(index, strand_class)
+                    )
+    else:
+        for stripe in range(simulation.stripes):
+            for position in range(simulation.code.n):
+                simulation.block_location[stripe, position] = location_of(
+                    StripeBlockId(stripe, position)
+                )
+
+
+def _failed_locations(topology, disaster) -> np.ndarray:
+    if isinstance(disaster, str):
+        locations = Topology.resolve(topology).locations_for_target(disaster)
+        return np.asarray(sorted(locations), dtype=np.int64)
+    fraction, offset = disaster
+    return sample_disaster_locations(20, fraction, seed=5, offset=offset)
+
+
+@pytest.mark.parametrize("topology,disaster", DISASTERS)
+@pytest.mark.parametrize("scheme_id", SCHEMES)
+def test_engine_repair_matches_the_store(scheme_id: str, topology, disaster) -> None:
+    service = _filled_service(scheme_id, topology)
+    simulation = build_simulation(scheme_id, DATA_BLOCKS, 20, block_size=BLOCK_SIZE)
+    assert service.status().blocks == simulation.total_blocks
+    _mirror_placement(service, simulation)
+    failed = _failed_locations(topology, disaster)
+
+    predicted = simulation.run_repair(failed, MaintenancePolicy.FULL)
+    service.fail_locations(failed.tolist())
+    report = service.repair()
+
+    assert report.data_loss == predicted.data_loss
+    assert report.rounds == predicted.rounds
+    # Never-stored (punctured) parities are missing at time zero in the engine
+    # and FULL maintenance regenerates every one of them on paper; the store
+    # never writes them, so they are no repair of its.
+    regenerated = int(simulation.punctured.sum()) if scheme_id.endswith("-p75") else 0
+    assert (
+        len(report.repaired) + regenerated
+        == predicted.repaired_data + predicted.repaired_redundancy
+    )
+    if scheme_id.startswith("ae"):
+        assert report.blocks_read <= predicted.blocks_read
+    else:
+        assert report.blocks_read >= predicted.blocks_read

@@ -12,7 +12,6 @@ from repro.simulation.experiments import (
     placement_balance_report,
     repair_rounds_experiment,
     run_all,
-    sample_disaster,
     single_failure_experiment,
     vulnerable_data_experiment,
 )
@@ -42,22 +41,17 @@ class TestTable4:
 
     def test_describe_scheme_validation(self):
         assert describe_scheme(AEParameters.single()).kind == "ae"
-        assert describe_scheme((10, 4)).kind == "rs"
-        assert describe_scheme(3).kind == "replication"
+        assert describe_scheme("rs-10-4").kind == "rs"
+        assert describe_scheme("rep-3").kind == "replication"
         with pytest.raises(InvalidParametersError):
-            describe_scheme((0, 4))
+            describe_scheme("rs-0-4")
         with pytest.raises(InvalidParametersError):
-            describe_scheme(1)
+            describe_scheme("rep-1")
         with pytest.raises(InvalidParametersError):
             describe_scheme("bogus")
 
 
 class TestDisasterExperiments:
-    def test_sample_disaster_size(self):
-        assert len(sample_disaster(CONFIG, 0.3)) == 30
-        with pytest.raises(InvalidParametersError):
-            sample_disaster(CONFIG, 1.5)
-
     def test_fig11_shape_ae_beats_rs_with_same_overhead(self):
         """The paper's headline: AE(3,2,5) loses no more data than RS(4,12)
         (same 300% overhead), and AE(2,2,5) beats 3-way replication."""

@@ -33,6 +33,17 @@ class TestValidation:
         with pytest.raises(InvalidParametersError):
             AEParameters(2, 2, -1)
 
+    @pytest.mark.parametrize("alpha", [4, 5, 9])
+    def test_alpha_above_three_is_rejected(self, alpha):
+        """The lattice has three strand classes; a fourth parity would reuse
+        one and collide with it (``p[i,rh]`` twice), so it is not a setting."""
+        with pytest.raises(InvalidParametersError, match="alpha=3"):
+            AEParameters(alpha, 2, 5)
+        with pytest.raises(InvalidParametersError, match="alpha=3"):
+            AEParameters.parse(f"AE({alpha},2,5)")
+        with pytest.raises(InvalidParametersError, match="alpha=3"):
+            AEParameters.triple(2, 5).with_alpha(alpha)
+
     def test_valid_settings_accepted(self):
         for alpha, s, p in [(2, 1, 1), (2, 2, 5), (3, 2, 5), (3, 5, 5), (3, 1, 4)]:
             params = AEParameters(alpha, s, p)
@@ -45,7 +56,7 @@ class TestValidation:
         try:
             params = AEParameters(alpha, s, p)
         except InvalidParametersError:
-            assert p < s
+            assert alpha > 3 or p < s
         else:
             assert params.p >= params.s
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import repro.codes
 import repro.schemes as schemes
 from repro.codes.base import StripeCode
-from repro.codes.entanglement import EntanglementScheme, ae_scheme_id
+from repro.codes.entanglement import EntanglementScheme
 from repro.codes.flat_xor import geo_xor_code, raid5_code
 from repro.codes.lrc import azure_lrc
 from repro.codes.replication import ReplicationCode
@@ -83,12 +83,29 @@ class TestRegistry:
             schemes._FAMILIES.pop("mirrortest")
             schemes._EXAMPLES.pop("mirrortest")
 
+    @pytest.mark.parametrize("scheme_id", ["ae-4-2-5", "ae-5-2-5", "ae-4-2-5-p75"])
+    def test_alpha_above_three_never_opens(self, scheme_id):
+        """``ae-4-2-5`` used to open, store 160 of 200 encoded blocks (the
+        fourth parity overwrote the second) and corrupt degraded reads."""
+        from repro import open_service
+
+        with pytest.raises(InvalidParametersError, match="alpha=3"):
+            schemes.get(scheme_id)
+        with pytest.raises(InvalidParametersError, match="alpha=3"):
+            open_service(scheme=scheme_id, block_size=64, topology=20)
+
     def test_ae_scheme_id_round_trip(self):
         params = AEParameters.triple(2, 5)
-        assert ae_scheme_id(params) == "ae-3-2-5"
-        resolved = schemes.get(ae_scheme_id(params))
+        assert params.scheme_id == "ae-3-2-5"
+        resolved = schemes.get(params.scheme_id)
         assert resolved.params == params
-        assert ae_scheme_id(AEParameters.single()) == "ae-1"
+        assert AEParameters.single().scheme_id == "ae-1"
+        for setting in (params, AEParameters.single(), AEParameters(2, 3, 7)):
+            assert AEParameters.from_scheme_id(setting.scheme_id) == setting
+        assert AEParameters.from_scheme_id("ae-1-1-0") == AEParameters.single()
+        for bad in ("ae-2", "ae-a-b-c", "rs-10-4", "ae-3-2-5-p75"):
+            with pytest.raises(InvalidParametersError, match="ae-<alpha>-<s>-<p>"):
+                AEParameters.from_scheme_id(bad)
 
     def test_capabilities_match_table4_analytics(self):
         assert schemes.get("ae-3-2-5").capabilities().costs().single_failure_cost == 2

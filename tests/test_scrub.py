@@ -18,7 +18,6 @@ from repro.storage.scrub import (
     ScrubReport,
     Scrubber,
 )
-from repro.codes.entanglement import ae_scheme_id
 from repro.system.service import StorageConfig, StorageService
 
 BLOCK_SIZE = 64
@@ -28,7 +27,7 @@ def build_system(spec: str = "AE(3,2,5)", blocks: int = 30, seed: int = 0):
     """An AE storage service with a manifest recorded at write time."""
     system = StorageService.open(
         StorageConfig(
-            scheme=ae_scheme_id(AEParameters.parse(spec)),
+            scheme=AEParameters.parse(spec).scheme_id,
             topology=20,
             block_size=BLOCK_SIZE,
             seed=seed,

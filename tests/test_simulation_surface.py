@@ -69,6 +69,22 @@ class TestSimulationImportSurface:
             "build_simulation",
             "simulate_disasters",
             "normalise_events",
-            "scheme_id_for",
+            "replay_timeline",
+            "sample_states",
         ):
             assert required in repro.simulation.__all__
+
+    def test_retired_spellings_stay_retired(self):
+        """PR 23: the legacy scheme shim, the experiment-runner sampling
+        wrapper, the np.where restatement of Tables I / II and the churn
+        simulator's private step record are gone on purpose."""
+        for retired in (
+            "scheme_id_for",
+            "SchemeDescription",
+            "sample_disaster",
+            "vectorised_input_indices",
+            "vectorised_output_indices",
+            "ChurnSample",
+        ):
+            assert retired not in repro.simulation.__all__
+            assert not hasattr(repro.simulation, retired)

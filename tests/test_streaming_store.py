@@ -21,7 +21,6 @@ from repro.exceptions import (
 )
 from repro.storage.block_store import BlockStore
 from repro.storage.cluster import StorageCluster
-from repro.codes.entanglement import ae_scheme_id
 from repro.system.service import StorageConfig, StorageService
 
 BLOCK = 128
@@ -30,7 +29,7 @@ BLOCK = 128
 def make_system(params=None, locations=40, block_size=BLOCK, batch_blocks=4, seed=3):
     return StorageService.open(
         StorageConfig(
-            scheme=ae_scheme_id(params or AEParameters.triple(2, 5)),
+            scheme=(params or AEParameters.triple(2, 5)).scheme_id,
             topology=locations,
             block_size=block_size,
             batch_blocks=batch_blocks,
