@@ -5,10 +5,10 @@ the trade and guards the promise that the write-through LRU read cache keeps
 *hot* reads on persistent backends close to memory speed:
 
 * ``test_put_throughput`` / ``test_get_throughput`` time
-  :meth:`BlockStore.put_many` / :meth:`BlockStore.get_many` over the memory,
+  :meth:`BlockStore.put_many` / :meth:`BlockStore.try_get_many` over the memory,
   disk and segment-log backends;
 * ``test_cached_disk_reads_within_2x_of_memory`` is the acceptance gate:
-  once the LRU cache is warm, ``get_many`` on the disk backends must stay
+  once the LRU cache is warm, ``try_get_many`` on the disk backends must stay
   within 2x of the pure in-memory store.
 
 Run with::
@@ -75,7 +75,7 @@ def test_get_throughput(benchmark, spec, tmp_path):
     store.put_many(zip(ids, rows))
 
     def read():
-        return len(store.get_many(ids))
+        return len(store.try_get_many(ids))
 
     assert benchmark(read) == BLOCKS
     benchmark.extra_info["MB per run"] = rows.nbytes / 1e6
@@ -92,8 +92,8 @@ def test_cached_disk_reads_within_2x_of_memory(print_tables, tmp_path):
         # the medium (the production default is 1024 blocks per location).
         store = make_store(spec, tmp_path, cache_blocks=BLOCKS)
         store.put_many(zip(ids, rows))
-        store.get_many(ids)  # populate the cache
-        timings[spec] = best_of(lambda s=store: s.get_many(ids))
+        store.try_get_many(ids)  # populate the cache
+        timings[spec] = best_of(lambda s=store: s.try_get_many(ids))
         if spec != "memory":
             assert store.cache_hits > 0, "warm reads must be served by the cache"
         store.close()
@@ -102,7 +102,7 @@ def test_cached_disk_reads_within_2x_of_memory(print_tables, tmp_path):
     if print_tables:
         print()
         for spec, elapsed in timings.items():
-            print(f"get_many[{spec:7s}] warm: {mb / elapsed:8.1f} MB/s")
+            print(f"try_get_many[{spec:7s}] warm: {mb / elapsed:8.1f} MB/s")
     for spec in ("disk", "segment"):
         ratio = timings[spec] / timings["memory"]
         assert ratio <= 2.0, (

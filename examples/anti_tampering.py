@@ -50,7 +50,7 @@ def main() -> None:
     victim = entry.data_ids[len(entry.data_ids) // 2]
     cluster = archive.system.cluster
     store = cluster.location(cluster.location_of(victim))
-    payload = np.asarray(store.get(victim), dtype=np.uint8).copy()
+    payload = np.asarray(store.try_get(victim), dtype=np.uint8).copy()
     payload[:16] ^= 0x5A  # flip bytes silently
     store.put(victim, payload)
     print(f"\ntampered block    : {victim!r} (on location {store.location_id})")

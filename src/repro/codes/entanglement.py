@@ -2,8 +2,9 @@
 
 :class:`EntanglementScheme` wraps the helical-lattice machinery -- the
 vectorised :class:`~repro.core.encoder.BatchEntangler` on the write path and
-the :class:`~repro.core.decoder.Decoder` on the read/repair path -- behind
-the :class:`~repro.schemes.base.RedundancyScheme` interface, so the storage
+the round-based :class:`~repro.core.batch_repair.RepairRun` on the
+read/repair path -- behind the
+:class:`~repro.schemes.base.RedundancyScheme` interface, so the storage
 front-end can drive AE codes and the stripe-code baselines through the same
 verbs.  The scheme is *streaming*: the lattice grows with every encoded
 batch, parities chain across documents, and blocks are never physically
@@ -16,16 +17,15 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.core.batch_repair import RepairRun, block_sort_key
-from repro.core.blocks import BlockId, DataId, ParityId, is_data, is_parity
-from repro.core.decoder import Decoder
+from repro.core.blocks import BlockId, DataId, ParityId, is_data
 from repro.core.encoder import DEFAULT_BLOCK_SIZE, BatchEntangler
 from repro.core.lattice import HelicalLattice
 from repro.core.parameters import AEParameters
 from repro.core.puncturing import PuncturedCode, puncture_rate
-from repro.core.xor import Payload, PayloadBatch
+from repro.core.xor import PayloadBatch
 from repro.exceptions import InvalidParametersError
 from repro.schemes.base import (
-    BlockFetcher,
+    BlockSource,
     EncodedPart,
     RedundancyScheme,
     SchemeCapabilities,
@@ -96,19 +96,17 @@ class EntanglementScheme(RedundancyScheme):
     # ------------------------------------------------------------------
     # Read / repair path
     # ------------------------------------------------------------------
-    def read_block(self, block_id: object, fetch: BlockFetcher) -> Payload:
-        return Decoder(self.lattice, fetch, self._block_size).get(block_id)
-
-    def repair(self, missing: Set[object], fetch: BlockFetcher) -> SchemeRepairOutcome:
+    def repair(self, missing: Set[object], source: BlockSource) -> SchemeRepairOutcome:
         """Round-based lattice repair (paper, Sec. V-C4), executed in bulk.
 
-        A thin caller of :class:`~repro.core.batch_repair.RepairRun`: the
-        fetcher's ``is_available`` / ``try_get_many`` hooks (a
-        :class:`~repro.storage.cluster.ClusterBlockSource` has both) become
-        the run's planner oracle and bulk fetch, a plain callable is probed
-        and fetched block by block.  Identifiers that are not blocks of this
-        lattice -- another scheme's, or beyond the encoded size -- come back
-        in ``unrecovered`` untouched.
+        A thin caller of :class:`~repro.core.batch_repair.RepairRun`, which
+        plans against ``source.is_available`` and fetches each round's inputs
+        through one ``source.try_get_many``.  Identifiers that are not blocks
+        of this lattice -- another scheme's, or beyond the encoded size --
+        come back in ``unrecovered`` untouched.  What a stuck run rebuilds on
+        the way -- lost neighbours, parities a punctured setting never stored
+        -- is counted in ``blocks_read`` but never surfaces as recovered
+        (nothing un-punctures the code by writing them back).
 
         ``blocks_read`` counts the *distinct* payloads the run obtained --
         from the source or from the overlay of earlier rounds -- so a
@@ -126,20 +124,13 @@ class EntanglementScheme(RedundancyScheme):
             else:
                 beyond.append(block_id)
         outcome.unrecovered.extend(sorted(beyond, key=block_sort_key))
-        bulk = getattr(fetch, "try_get_many", None)
-        run = RepairRun(
-            lattice,
-            owned,
-            self._block_size,
-            bulk or (lambda block_ids: [fetch(block_id) for block_id in block_ids]),
-            getattr(fetch, "is_available", None),
-        )
+        run = RepairRun(lattice, owned, self._block_size, source)
         for recovered, _ in run.rounds():
             outcome.recovered.update(recovered)
             outcome.rounds += 1
         outcome.blocks_read = run.blocks_read
         outcome.unrecovered.extend(sorted(run.pending, key=block_sort_key))
-        return outcome
+        return outcome.restricted_to(set(missing)) if run.grew else outcome
 
     # ------------------------------------------------------------------
     # Durability
@@ -148,16 +139,21 @@ class EntanglementScheme(RedundancyScheme):
         """The lattice write position; strand heads are rebuilt from storage."""
         return {"blocks_encoded": self._entangler.blocks_encoded}
 
-    def restore_state(self, state: Dict[str, object], fetch: BlockFetcher) -> None:
-        """Regrow the lattice and refetch the strand-head parities.
+    def restore_state(self, state: Dict[str, object], source: BlockSource) -> None:
+        """Regrow the lattice and read the strand-head parities back.
 
         This is the paper's broker crash recovery (Sec. IV-A): the encoder
         only needs the head parity of each strand, all of which live in
         remote storage, so a durable reopen can continue entangling exactly
-        where the closed service stopped.
+        where the closed service stopped.  A head is a block like any other:
+        one whose location is gone, or that a punctured setting never
+        stored, is rebuilt through :meth:`repair`
+        (:class:`~repro.exceptions.RepairFailedError` when no path is left).
         """
-        blocks_encoded = int(state.get("blocks_encoded", 0))
-        self._entangler.restore(blocks_encoded, fetch)
+        self._entangler.restore(
+            int(state.get("blocks_encoded", 0)),
+            lambda head: self.read_block(head, source),
+        )
 
     # ------------------------------------------------------------------
     # Metadata
@@ -184,9 +180,9 @@ class PuncturedEntanglementScheme(EntanglementScheme):
     deterministic :func:`~repro.core.puncturing.puncture_rate` policy decides
     per parity identity whether the block is stored, so readers, writers and
     repair agree on the punctured set without extra metadata.  Punctured
-    parities behave exactly like missing blocks -- the decoder regenerates
-    them on demand during reads and repair -- but they are never written
-    back to storage.
+    parities behave exactly like missing blocks -- repair regenerates them
+    on demand as intermediates, on reads, repairs and reopen alike -- but
+    they are never written back to storage.
     """
 
     def __init__(
@@ -251,48 +247,3 @@ class PuncturedEntanglementScheme(EntanglementScheme):
             if is_data(block_id) or not self._code.is_punctured(block_id)
         ]
         return part
-
-    # ------------------------------------------------------------------
-    # Repair: regenerate punctured parities as intermediates when needed
-    # ------------------------------------------------------------------
-    def repair(self, missing: Set[object], fetch: BlockFetcher) -> SchemeRepairOutcome:
-        """Batched repair with a punctured-regeneration fallback pass.
-
-        The first pass is the plain round-based repair; targets it cannot
-        reach may depend on punctured parities, so a second pass adds the
-        punctured set to the plan -- the planner rebuilds those parities as
-        intermediate targets -- and the outcome is filtered back to the
-        caller's missing set, so regenerated punctured parities are counted
-        in ``blocks_read`` but never surface as recovered blocks (nothing
-        un-punctures the code by writing them back).
-        """
-        outcome = super().repair(missing, fetch)
-        stuck = [block_id for block_id in outcome.unrecovered if self.owns(block_id)]
-        if not stuck:
-            return outcome
-        wanted = set(missing)
-        expanded = wanted | set(self.punctured_parities())
-        return super().repair(expanded, fetch).restricted_to(wanted)
-
-    # ------------------------------------------------------------------
-    # Durability: strand heads may be punctured and need regeneration
-    # ------------------------------------------------------------------
-    def restore_state(self, state: Dict[str, object], fetch: BlockFetcher) -> None:
-        size = int(state.get("blocks_encoded", 0))
-        if size == 0:
-            self._entangler.restore(size, fetch)
-            return
-        lattice = HelicalLattice(self.params, size)
-        decoder = Decoder(lattice, fetch, self._block_size)
-
-        def fetch_or_regenerate(block_id: object) -> Optional[Payload]:
-            payload = fetch(block_id)
-            if (
-                payload is None
-                and is_parity(block_id)
-                and self._code.is_punctured(block_id)
-            ):
-                return decoder.get(block_id)
-            return payload
-
-        self._entangler.restore(size, fetch_or_regenerate)

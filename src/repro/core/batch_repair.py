@@ -31,6 +31,7 @@ which every repair of a cluster reaches through
 from __future__ import annotations
 
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -38,7 +39,6 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -47,6 +47,9 @@ from repro.core.blocks import BlockId, DataId, ParityId, is_data
 from repro.core.lattice import HelicalLattice
 from repro.core.rules import rule_offsets
 from repro.core.xor import Payload, xor_pairs
+
+if TYPE_CHECKING:  # the protocol is declared with the schemes that read through it
+    from repro.schemes.base import BlockSource
 
 __all__ = [
     "RepairPlanStep",
@@ -60,9 +63,6 @@ __all__ = [
 #: Availability oracle: ``True`` when the block's payload can be produced
 #: without repairing it (it is stored, or an earlier round rebuilt it).
 AvailabilityProbe = Callable[[BlockId], bool]
-
-#: Bulk fetch: payloads in request order, ``None`` for unreachable blocks.
-BulkFetcher = Callable[[List[BlockId]], Sequence[Optional[Payload]]]
 
 
 def block_sort_key(block_id: BlockId) -> Tuple[int, int, str]:
@@ -208,21 +208,26 @@ class RepairRun:
 
     Every round is planned against the availability known when it starts
     (:func:`plan_round` picks the same pp-/dp-tuples the per-block decoder
-    would), the plan's not-yet-held inputs arrive through one ``fetch_many``
-    call, steps whose inputs did not arrive (a source dying between the plan
-    and the fetch) are dropped so their targets are planned again without
-    the lost block, and all remaining targets are rebuilt in one
-    :func:`execute_plan` pass.
+    would) -- ``source.is_available`` answers the planner without moving
+    payload bytes -- the plan's not-yet-held inputs arrive through one
+    ``source.try_get_many`` call, steps whose inputs did not arrive (a
+    location dying between the plan and the fetch) are dropped so their
+    targets are planned again without the lost block, and all remaining
+    targets are rebuilt in one :func:`execute_plan` pass.
     Blocks rebuilt in one round are inputs of the next.
 
-    ``is_available`` answers the planner without moving payload bytes (a
-    cluster knows which locations are up); without one the run probes by
-    fetching, one block at a time, and keeps what it fetched.
+    When a round is *stuck* -- nothing planned, nothing lost in flight --
+    the run widens :attr:`pending` by every unavailable block a tuple chain
+    leads to from what is still pending (:meth:`_grow`) and carries on: a
+    block whose every tuple lost a member (a punctured parity, a
+    neighbourhood that went down with its locations) is reached whenever any
+    path through the lattice survives.  The extra blocks are intermediates;
+    :attr:`grew` tells the caller to drop them.
 
     Iterate :meth:`rounds` to run; between rounds the caller may do anything
     that does not take away blocks the source reported available -- write
     the rebuilt payloads somewhere, account for them, stop early.
-    Afterwards :attr:`pending` holds what no surviving tuple could rebuild
+    Afterwards :attr:`pending` holds what no surviving path could rebuild
     and :attr:`blocks_read` the *distinct* payloads the run obtained, from
     the source or from an earlier round, so a block feeding several
     dependent repairs is counted once.
@@ -233,35 +238,74 @@ class RepairRun:
         lattice: HelicalLattice,
         missing: Iterable[BlockId],
         block_size: int,
-        fetch_many: BulkFetcher,
-        is_available: Optional[AvailabilityProbe] = None,
+        source: "BlockSource",
     ) -> None:
         self._lattice = lattice
         self._block_size = block_size
-        self._fetch_many = fetch_many
-        self._is_available = is_available
+        self._source = source
         self.pending: Set[BlockId] = set(missing)
         self.blocks_read = 0
+        self.grew = False
+
+    def _grow(self, available: AvailabilityProbe) -> bool:
+        """Add to ``pending`` the transitive closure of the unavailable tuple
+        members of its blocks; ``False`` when there is nothing to add.
+
+        The whole closure at once: one hop per stuck round would re-plan the
+        pending set once per link of every chain.  Ids come from the rule
+        offsets as in :func:`plan_round`; one outside the lattice (a strand
+        start's input, a tail parity's right tuple) is skipped.
+        """
+        lattice = self._lattice
+        size = lattice.size
+        s = lattice.params.s
+        offsets = rule_offsets(lattice.params)
+        pending = self.pending
+        before = len(pending)
+        # Sorted: the closure is a set and every round sorts it, so the walk
+        # order never reaches the output -- a fixed order keeps the probe
+        # sequence the source sees reproducible.
+        frontier = sorted(filter(lattice.has_block, pending))
+        while frontier:
+            block_id = frontier.pop()
+            index = block_id.index
+            row = (index - 1) % s
+            if is_data(block_id):
+                members = [
+                    ParityId(index + shift, strand_class)
+                    for strand_class, (inputs, _) in offsets.items()
+                    for shift in (0, inputs[row])
+                ]
+            else:
+                strand_class = block_id.strand_class
+                inputs, outputs = offsets[strand_class]
+                j = index + outputs[row]
+                members = [
+                    DataId(index),
+                    ParityId(index + inputs[row], strand_class),
+                    DataId(j),
+                    ParityId(j, strand_class),
+                ]
+            for member in members:
+                if (
+                    1 <= member.index <= size
+                    and member not in pending
+                    and not available(member)
+                ):
+                    pending.add(member)
+                    frontier.append(member)
+        return len(pending) > before
 
     def rounds(self) -> Iterator[Tuple[Dict[BlockId, Payload], int]]:
         """Run the repair; yields ``({target: payload}, newly read blocks)``
         once per round that rebuilt something."""
-        fetch_many = self._fetch_many
+        fetch_many = self._source.try_get_many
         pending = self.pending
         # Every payload the run holds: fetched inputs and, once a round is
         # done, its rebuilt targets (which win over a stale fetched copy).
         held: Dict[BlockId, Payload] = {}
         read: Set[BlockId] = set()
-
-        def fetch_probe(block_id: BlockId) -> bool:
-            payload = fetch_many([block_id])[0]
-            if payload is None:
-                return False
-            held[block_id] = payload
-            read.add(block_id)
-            return True
-
-        available = _Availability(self._is_available or fetch_probe)
+        available = _Availability(self._source.is_available)
         while pending:
             # ``available`` and ``held`` only learn this round's targets
             # after the XOR pass, so the plan sees the round-start state.
@@ -289,8 +333,10 @@ class RepairRun:
             self.blocks_read = len(read)
             if not steps:
                 if arrived:
-                    return
-                continue  # every step lost an input: plan again without them
+                    if not self._grow(available.__getitem__):
+                        return
+                    self.grew = True
+                continue  # plan again: without the lost inputs, or grown
             recovered = execute_plan(steps, held.__getitem__, self._block_size)
             held.update(recovered)
             available.update(dict.fromkeys(recovered, True))

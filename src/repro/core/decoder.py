@@ -13,31 +13,32 @@ Repair primitives (paper, Sec. III-B and IV-A):
 When the blocks needed by a repair are themselves missing, the decoder can
 recurse along the strand (the concentric paths of Fig. 2) up to a configurable
 depth.  Global round-based repair (Sec. V-C4) is
-:class:`repro.core.batch_repair.RepairRun`.
+:class:`repro.core.batch_repair.RepairRun`, the path every scheme, service
+and transition reads through; this decoder is the independent per-block
+reference the tests hold it against (and a readable statement of the repair
+rules), not a path of the store.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import Callable, Optional, Set
 
 from repro.core.blocks import BlockId, DataId, ParityId, is_data
 from repro.core.lattice import HelicalLattice
 from repro.core.xor import Payload, as_payload, xor_payloads, zero_payload
 from repro.exceptions import RepairFailedError
 
-#: A block source returns the payload of a block or ``None`` when unavailable.
-BlockSource = Callable[[BlockId], Optional[Payload]]
-
 DEFAULT_RECURSION_DEPTH = 6
 
 
 class Decoder:
-    """Repairs individual blocks against a :data:`BlockSource`."""
+    """Repairs individual blocks against ``source``, a callable that returns
+    the payload of a block or ``None`` when it is unavailable."""
 
     def __init__(
         self,
         lattice: HelicalLattice,
-        source: BlockSource,
+        source: Callable[[BlockId], Optional[Payload]],
         block_size: int,
         max_depth: int = DEFAULT_RECURSION_DEPTH,
     ) -> None:
@@ -62,16 +63,6 @@ class Decoder:
         if payload is None:
             raise RepairFailedError(block_id, "no available recovery path")
         return payload
-
-    # ------------------------------------------------------------------
-    # Path enumeration (diagnostics, Fig. 2)
-    # ------------------------------------------------------------------
-    def recovery_paths(self, index: int) -> List[List[BlockId]]:
-        """The alpha shortest candidate paths (pp-tuples) to read ``d_index``."""
-        paths: List[List[BlockId]] = []
-        for option in self._lattice.data_repair_options(index):
-            paths.append(list(option.required_blocks()))
-        return paths
 
     # ------------------------------------------------------------------
     # Internals

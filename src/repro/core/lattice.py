@@ -16,7 +16,7 @@ happen only at the beginning of the mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.core.blocks import BlockId, DataId, ParityId, data_ids_for, is_data
 from repro.core.parameters import AEParameters, NodeCategory, StrandClass
@@ -75,13 +75,6 @@ class HelicalLattice:
             raise LatticeBoundsError("lattice size cannot be negative")
         self._params = params
         self._size = size
-        # Memoised repair options (batched planning asks for the same node's
-        # options once per round).  Data options depend only on the node index
-        # and the fixed parameters; parity options also depend on the lattice
-        # size (the right dp-tuple appears once node ``j`` is entangled), so
-        # that cache is dropped whenever the lattice grows.
-        self._data_options_cache: Dict[int, List["DataRepairOption"]] = {}
-        self._parity_options_cache: Dict[ParityId, List["ParityRepairOption"]] = {}
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -114,8 +107,6 @@ class HelicalLattice:
             raise LatticeBoundsError("cannot grow by a negative amount")
         new_ids = list(data_ids_for(range(self._size + 1, self._size + count + 1)))
         self._size += count
-        if count:
-            self._parity_options_cache.clear()
         return new_ids
 
     # ------------------------------------------------------------------
@@ -196,34 +187,11 @@ class HelicalLattice:
         """All alpha parities created by node ``index``."""
         return [ParityId(index, cls) for cls in self._params.strand_classes]
 
-    def input_parities(self, index: int) -> List[Optional[ParityId]]:
-        """Input parities of node ``index``, one per class (``None`` at strand starts)."""
-        return [self.input_parity(index, cls) for cls in self._params.strand_classes]
-
-    def one_hop_neighbours(self, index: int) -> List[int]:
-        """Data nodes at one hop of ``index`` along any strand (paper, Fig. 4)."""
-        self._check_node(index)
-        neighbours: List[int] = []
-        for strand_class in self._params.strand_classes:
-            h = input_index(index, strand_class, self._params)
-            j = output_index(index, strand_class, self._params)
-            if h >= 1:
-                neighbours.append(h)
-            if j <= self._size:
-                neighbours.append(j)
-        return sorted(set(neighbours))
-
     # ------------------------------------------------------------------
     # Repair structure
     # ------------------------------------------------------------------
     def data_repair_options(self, index: int) -> List[DataRepairOption]:
-        """The alpha ways to rebuild ``d_index`` (one pp-tuple per strand).
-
-        The returned list is memoised -- callers must not mutate it.
-        """
-        cached = self._data_options_cache.get(index)
-        if cached is not None:
-            return cached
+        """The alpha ways to rebuild ``d_index`` (one pp-tuple per strand)."""
         self._check_node(index)
         options: List[DataRepairOption] = []
         for strand_class in self._params.strand_classes:
@@ -234,7 +202,6 @@ class HelicalLattice:
                     output_parity=self.output_parity(index, strand_class),
                 )
             )
-        self._data_options_cache[index] = options
         return options
 
     def parity_repair_options(self, parity: ParityId) -> List[ParityRepairOption]:
@@ -243,12 +210,7 @@ class HelicalLattice:
         ``p_{i,j} = d_i XOR p_{h,i}`` (left option, always defined -- the input
         may be the virtual zero block) and ``p_{i,j} = d_j XOR p_{j,k}`` (right
         option, defined only once node ``j`` has been entangled).
-
-        The returned list is memoised -- callers must not mutate it.
         """
-        cached = self._parity_options_cache.get(parity)
-        if cached is not None:
-            return cached
         if not self.has_block(parity):
             raise LatticeBoundsError(f"parity {parity!r} is not part of the lattice")
         i = parity.index
@@ -265,7 +227,6 @@ class HelicalLattice:
                     data=DataId(j), parity=self.output_parity(j, strand_class)
                 )
             )
-        self._parity_options_cache[parity] = options
         return options
 
     def describe(self) -> str:

@@ -32,8 +32,7 @@ from repro.codes.replication import ReplicationCode
 from repro.core.parameters import AEParameters
 from repro.exceptions import InvalidParametersError
 from repro.schemes.base import (
-    BlockFetcher,
-    CountingFetcher,
+    BlockSource,
     EncodedPart,
     RedundancyScheme,
     SchemeCapabilities,
@@ -42,8 +41,7 @@ from repro.schemes.base import (
 from repro.schemes.stripe import StripeBlockId, StripeScheme
 
 __all__ = [
-    "BlockFetcher",
-    "CountingFetcher",
+    "BlockSource",
     "DEFAULT_SCHEME",
     "EncodedPart",
     "RedundancyScheme",

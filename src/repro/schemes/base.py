@@ -3,17 +3,19 @@
 Every redundancy scheme the paper evaluates -- alpha entanglement codes and
 the stripe-code baselines (Reed-Solomon, Azure/Xorbas LRC, flat XOR codes,
 replication) -- is driven through one interface: :class:`RedundancyScheme`.
-The protocol covers the four verbs a storage front-end needs
-(:meth:`~RedundancyScheme.encode`, :meth:`~RedundancyScheme.read_block`,
-:meth:`~RedundancyScheme.repair`, :meth:`~RedundancyScheme.document_blocks`)
-plus capability metadata (:class:`SchemeCapabilities`) that carries the
+The protocol covers the three verbs a storage front-end needs
+(:meth:`~RedundancyScheme.encode`, :meth:`~RedundancyScheme.repair`,
+:meth:`~RedundancyScheme.document_blocks`) -- ``repair(missing, source)``
+over a :class:`BlockSource` is the whole read side: a degraded read, a
+strand head on reopen and a parity a transition regenerates all come back
+through it -- plus capability metadata (:class:`SchemeCapabilities`) that carries the
 analytic Table IV quantities, so measured and closed-form costs can be printed
 side by side.
 
 Adapters:
 
 * :class:`repro.codes.entanglement.EntanglementScheme` -- AE(alpha, s, p)
-  over the helical lattice (wraps the batched encoder and lattice decoder);
+  over the helical lattice (wraps the batched encoder and the round repair);
 * :class:`repro.schemes.stripe.StripeScheme` -- any
   :class:`repro.codes.base.StripeCode` subclass.
 
@@ -25,17 +27,29 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Protocol, Sequence, Set, Tuple
 
-from repro.core.xor import Payload, PayloadBatch
+from repro.core.xor import Payload, PayloadBatch, as_payload
+from repro.exceptions import RepairFailedError
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.codes.base import CodeCosts
     from repro.storage.placement import PlacementPolicy
     from repro.storage.topology import Topology
 
-#: A block source returns the payload of a block or ``None`` when unavailable.
-BlockFetcher = Callable[[object], Optional[Payload]]
+class BlockSource(Protocol):
+    """Where a scheme reads blocks from: the one shape of its read side.
+
+    A :class:`~repro.storage.cluster.StorageCluster` is one; so is anything
+    else with these two methods -- a payload dict behind a few lines, a
+    network client, a cluster with one block masked.
+    """
+
+    def try_get_many(self, block_ids: Iterable[object]) -> Sequence[Optional[Payload]]:
+        """Payloads in request order, ``None`` for blocks that cannot be read."""
+
+    def is_available(self, block_id: object) -> bool:
+        """Whether a fetch would succeed, without moving payload bytes."""
 
 
 @dataclass(frozen=True)
@@ -129,9 +143,10 @@ class RedundancyScheme(ABC):
     A scheme instance is bound to a block size and owns whatever per-stream
     state its code family needs (the strand heads of an entanglement encoder,
     the stripe counter of a stripe code).  It never talks to storage directly:
-    reads go through a :data:`BlockFetcher` callable supplied by the caller,
-    which keeps the scheme reusable against a cluster, a payload dict or a
-    network client.
+    reads go through the :class:`BlockSource` supplied by the caller, which
+    keeps the scheme reusable against a cluster, a payload dict or a network
+    client.  The read side is one verb, :meth:`repair`; :meth:`read_block`
+    is that verb for one block.
     """
 
     def __init__(self, scheme_id: str, block_size: int) -> None:
@@ -161,15 +176,20 @@ class RedundancyScheme(ABC):
         """
 
     @abstractmethod
-    def read_block(self, block_id: object, fetch: BlockFetcher) -> Payload:
-        """Return the payload of one block, repairing through redundancy when
-        the direct fetch fails.  Raises
+    def repair(self, missing: Set[object], source: BlockSource) -> SchemeRepairOutcome:
+        """Rebuild as many of ``missing`` blocks as possible from ``source``."""
+
+    def read_block(self, block_id: object, source: BlockSource) -> Payload:
+        """The payload of one block: fetched, or -- when ``source`` does not
+        have it -- :meth:`repair` of that one block.  Raises
         :class:`repro.exceptions.RepairFailedError` when no recovery path is
         available."""
-
-    @abstractmethod
-    def repair(self, missing: Set[object], fetch: BlockFetcher) -> SchemeRepairOutcome:
-        """Rebuild as many of ``missing`` blocks as possible from ``fetch``."""
+        payload = source.try_get_many([block_id])[0]
+        if payload is None:
+            payload = self.repair({block_id}, source).recovered.get(block_id)
+            if payload is None:
+                raise RepairFailedError(block_id, "no available recovery path")
+        return as_payload(payload, self._block_size)
 
     @abstractmethod
     def owns(self, block_id: object) -> bool:
@@ -218,38 +238,10 @@ class RedundancyScheme(ABC):
         """
         return {}
 
-    def restore_state(self, state: Dict[str, object], fetch: BlockFetcher) -> None:
+    def restore_state(self, state: Dict[str, object], source: BlockSource) -> None:
         """Rebuild the per-stream state captured by :meth:`state`.
 
-        ``fetch`` reads blocks from the reopened storage (the entanglement
-        encoder retrieves its strand-head parities this way, paper Sec. IV-A).
+        ``source`` is the reopened storage (the entanglement encoder
+        retrieves its strand-head parities from it, paper Sec. IV-A).
         The default is a no-op for stateless schemes.
         """
-
-
-class CountingFetcher:
-    """Wraps a :data:`BlockFetcher` and counts successful reads."""
-
-    def __init__(self, fetch: BlockFetcher) -> None:
-        self._fetch = fetch
-        self.reads = 0
-
-    def __call__(self, block_id: object) -> Optional[Payload]:
-        payload = self._fetch(block_id)
-        if payload is not None:
-            self.reads += 1
-        return payload
-
-    def try_get_many(self, block_ids: Iterable[object]) -> List[Optional[Payload]]:
-        """Bulk fetch, counting successes; batches through to the wrapped
-        fetcher's own ``try_get_many`` when it has one (a
-        :class:`~repro.storage.cluster.ClusterBlockSource`), falling back to
-        one call per block otherwise."""
-        wanted = list(block_ids)
-        bulk = getattr(self._fetch, "try_get_many", None)
-        if bulk is not None:
-            payloads = list(bulk(wanted))
-        else:
-            payloads = [self._fetch(block_id) for block_id in wanted]
-        self.reads += sum(1 for payload in payloads if payload is not None)
-        return payloads

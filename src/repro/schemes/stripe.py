@@ -20,7 +20,7 @@ other codes decode, and encode again when a parity is lost).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -30,10 +30,9 @@ from repro.codes.lrc import LocalReconstructionCode
 from repro.codes.reed_solomon import ReedSolomonCode
 from repro.codes.replication import ReplicationCode
 from repro.core.xor import Payload, PayloadBatch, as_payload, as_payload_matrix, zero_payload
-from repro.exceptions import DecodingError, RepairFailedError
+from repro.exceptions import DecodingError
 from repro.schemes.base import (
-    BlockFetcher,
-    CountingFetcher,
+    BlockSource,
     EncodedPart,
     RedundancyScheme,
     SchemeCapabilities,
@@ -151,18 +150,7 @@ class StripeScheme(RedundancyScheme):
     # ------------------------------------------------------------------
     # Read / repair path
     # ------------------------------------------------------------------
-    def read_block(self, block_id: object, fetch: BlockFetcher) -> Payload:
-        payload = fetch(block_id)
-        if payload is not None:
-            return as_payload(payload, self._block_size)
-        recovered, unrecovered = self._repair_stripe(
-            block_id.stripe, [block_id.position], fetch
-        )
-        if block_id in recovered:
-            return recovered[block_id]
-        raise RepairFailedError(block_id, "stripe does not determine the block")
-
-    def repair(self, missing: Set[object], fetch: BlockFetcher) -> SchemeRepairOutcome:
+    def repair(self, missing: Set[object], source: BlockSource) -> SchemeRepairOutcome:
         outcome = SchemeRepairOutcome(rounds=1)
         by_stripe: Dict[int, List[int]] = {}
         for block_id in missing:
@@ -170,48 +158,39 @@ class StripeScheme(RedundancyScheme):
                 by_stripe.setdefault(block_id.stripe, []).append(block_id.position)
             else:
                 outcome.unrecovered.append(block_id)
-        counter = CountingFetcher(fetch)
         for stripe in sorted(by_stripe):
-            recovered, unrecovered = self._repair_stripe(
-                stripe, by_stripe[stripe], counter
+            recovered, unrecovered, reads = self._repair_stripe(
+                stripe, by_stripe[stripe], source
             )
             outcome.recovered.update(recovered)
             outcome.unrecovered.extend(unrecovered)
-        outcome.blocks_read = counter.reads
+            outcome.blocks_read += reads
         if not outcome.recovered:
             outcome.rounds = 0
         return outcome
 
     def _repair_stripe(
-        self, stripe: int, missing_positions: Iterable[int], fetch: BlockFetcher
-    ) -> Tuple[Dict[StripeBlockId, Payload], List[StripeBlockId]]:
+        self, stripe: int, missing_positions: Iterable[int], source: BlockSource
+    ) -> Tuple[Dict[StripeBlockId, Payload], List[StripeBlockId], int]:
         """Rebuild the missing positions of one stripe, reading as little as
-        the code allows."""
+        the code allows; the last item is the number of payloads read."""
         code = self._code
         missing = sorted(set(missing_positions))
         others = [position for position in range(code.n) if position not in missing]
         fetched: Dict[int, Payload] = {}
-        bulk = getattr(fetch, "try_get_many", None)
 
         def grab_many(positions: Sequence[int]) -> None:
-            """Fetch the not-yet-cached positions, in one bulk call when the
-            fetcher supports it; failed positions stay absent from the cache."""
+            """Fetch the not-yet-cached positions in one bulk call; failed
+            positions stay absent from the cache."""
             wanted = [position for position in positions if position not in fetched]
             if not wanted:
                 return
-            block_ids = [StripeBlockId(stripe, position) for position in wanted]
-            payloads = (
-                bulk(block_ids)
-                if bulk is not None
-                else [fetch(block_id) for block_id in block_ids]
+            payloads = source.try_get_many(
+                [StripeBlockId(stripe, position) for position in wanted]
             )
             for position, payload in zip(wanted, payloads):
                 if payload is not None:
                     fetched[position] = as_payload(payload, self._block_size)
-
-        def grab(position: int) -> Optional[Payload]:
-            grab_many([position])
-            return fetched.get(position)
 
         if len(missing) == 1:
             position = missing[0]
@@ -221,26 +200,26 @@ class StripeScheme(RedundancyScheme):
                 payloads = {p: fetched.get(p) for p in plan}
                 if all(payload is not None for payload in payloads.values()):
                     block_id = StripeBlockId(stripe, position)
-                    return {block_id: code.repair(position, payloads)}, []
+                    return {block_id: code.repair(position, payloads)}, [], len(fetched)
         # General path: rebuild from everything still readable.
         # The read set is every surviving position of the stripe -- the same
         # blocks a per-position loop would attempt -- fetched in one batch.
         grab_many(others)
         available = {
-            position: payload
-            for position in others
-            if (payload := grab(position)) is not None
+            position: fetched[position] for position in others if position in fetched
         }
         try:
             if not code.can_decode(sorted(available)):
                 raise DecodingError("insufficient surviving blocks")
             rebuilt = code.rebuild(missing, available)
         except DecodingError:
-            return {}, [StripeBlockId(stripe, position) for position in missing]
-        return {
+            lost = [StripeBlockId(stripe, position) for position in missing]
+            return {}, lost, len(fetched)
+        recovered = {
             StripeBlockId(stripe, position): as_payload(payload, self._block_size)
             for position, payload in zip(missing, rebuilt)
-        }, []
+        }
+        return recovered, [], len(fetched)
 
     # ------------------------------------------------------------------
     # Durability
@@ -252,7 +231,7 @@ class StripeScheme(RedundancyScheme):
             "real_count": {str(stripe): real for stripe, real in self._real_count.items()},
         }
 
-    def restore_state(self, state: Dict[str, object], fetch: BlockFetcher) -> None:
+    def restore_state(self, state: Dict[str, object], source: BlockSource) -> None:
         """Resume striping where the closed service stopped (no reads needed)."""
         self._next_stripe = int(state.get("next_stripe", 0))
         self._real_count = {

@@ -41,7 +41,7 @@ from repro.storage.backends import (
     encode_block_id,
 )
 from repro.storage.block_store import BlockStore
-from repro.storage.cluster import ClusterBlockSource, ClusterStats, StorageCluster
+from repro.storage.cluster import ClusterStats, StorageCluster
 from repro.storage.failures import (
     ChurnEvent,
     ChurnTrace,
@@ -83,7 +83,6 @@ __all__ = [
     "ChecksumManifest",
     "ChurnEvent",
     "ChurnTrace",
-    "ClusterBlockSource",
     "ClusterStats",
     "DOMAIN_LEVELS",
     "DictionaryPlacement",

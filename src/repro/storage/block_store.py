@@ -241,21 +241,8 @@ class BlockStore:
             self._writes += len(staged)
         return len(staged)
 
-    def get(self, block_id: BlockId) -> Payload:
-        if not self._available:
-            raise BlockUnavailableError(
-                f"location {self._location_id} is unavailable for reads"
-            )
-        with self._lock:
-            if block_id not in self._sizes:
-                raise UnknownBlockError(
-                    f"block {block_id!r} is not stored at location {self._location_id}"
-                )
-            self._reads += 1
-            return self._cached_read(block_id)
-
     def try_get(self, block_id: BlockId) -> Optional[Payload]:
-        """Like :meth:`get` but returns ``None`` instead of raising."""
+        """One payload; ``None`` when the location is down or lacks the block."""
         if not self._available:
             return None
         with self._lock:
@@ -263,28 +250,6 @@ class BlockStore:
                 return None
             self._reads += 1
             return self._cached_read(block_id)
-
-    def get_many(self, block_ids: Iterable[BlockId]) -> List[Payload]:
-        """Read a batch of blocks with one availability check.
-
-        Raises on the first unknown block; the read counter advances by the
-        number of payloads returned.
-        """
-        if not self._available:
-            raise BlockUnavailableError(
-                f"location {self._location_id} is unavailable for reads"
-            )
-        payloads: List[Payload] = []
-        with self._lock:
-            for block_id in block_ids:
-                if block_id not in self._sizes:
-                    raise UnknownBlockError(
-                        f"block {block_id!r} is not stored at location "
-                        f"{self._location_id}"
-                    )
-                payloads.append(self._cached_read(block_id))
-            self._reads += len(payloads)
-        return payloads
 
     def try_get_many(self, block_ids: Iterable[BlockId]) -> List[Optional[Payload]]:
         """Bulk :meth:`try_get`: ``None`` for absent blocks, everything ``None``

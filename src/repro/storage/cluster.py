@@ -1,8 +1,10 @@
 """A cluster of storage locations with a placement policy.
 
 The cluster is the physical layer beneath the helical lattice: it stores the
-encoded blocks, knows which location holds each block, and exposes the
-availability view the decoder and the service's repair operate on.
+encoded blocks, knows which location holds each block, and is the
+:class:`~repro.schemes.base.BlockSource` every scheme reads and repairs
+through (:meth:`StorageCluster.try_get_many`,
+:meth:`StorageCluster.is_available`).
 
 Every location's payloads live on a pluggable backend
 (:mod:`repro.storage.backends`): ``backend="memory"`` keeps the historical
@@ -284,40 +286,17 @@ class StorageCluster:
             directory.update(zip(map(_BLOCK_ID_OF, group), repeat(location_id)))
         return stored
 
-    def get_many(self, block_ids: Iterable[BlockId]) -> List[Payload]:
-        """Bulk read: fetch payloads grouped per location.
-
-        Raises when a block is unknown to the cluster or its location is down
-        (mirrors :meth:`get_block`); results come back in request order.
-        """
-        wanted = list(block_ids)
-        grouped: Dict[int, List[int]] = {}
-        for position, block_id in enumerate(wanted):
-            grouped.setdefault(self.location_of(block_id), []).append(position)
-        payloads: List[Optional[Payload]] = [None] * len(wanted)
-        for location_id, positions in grouped.items():
-            fetched = self._stores[location_id].get_many(
-                [wanted[position] for position in positions]
-            )
-            for position, payload in zip(positions, fetched):
-                payloads[position] = payload
-        return payloads  # type: ignore[return-value]
-
-    def get_block(self, block_id: BlockId) -> Payload:
-        """Return a payload; raises if the block is unknown or its location is down."""
-        location_id = self.location_of(block_id)
-        return self._stores[location_id].get(block_id)
-
     def try_get_block(self, block_id: BlockId) -> Optional[Payload]:
-        """Availability-aware fetch used by the decoder (``None`` when unreachable)."""
+        """One block's payload, ``None`` when it is unknown or its location is
+        down: :meth:`try_get_many` for a single block, without the grouping."""
         location_id = self._directory.get(block_id)
         if location_id is None:
             return None
         return self._stores[location_id].try_get(block_id)
 
     def try_get_many(self, block_ids: Iterable[BlockId]) -> List[Optional[Payload]]:
-        """Bulk :meth:`try_get_block`: payloads in request order, ``None`` for
-        blocks that are unknown or whose location is down.
+        """Bulk read: payloads in request order, ``None`` for blocks that are
+        unknown or whose location is down.
 
         Requests are grouped per location so each store sees one
         :meth:`BlockStore.try_get_many` call -- the read path of batched
@@ -337,17 +316,6 @@ class StorageCluster:
             for position, payload in zip(positions, fetched):
                 payloads[position] = payload
         return payloads
-
-    def block_source(self) -> "ClusterBlockSource":
-        """A :class:`ClusterBlockSource` over this cluster.
-
-        Schemes receive plain callables (:data:`~repro.schemes.base.BlockFetcher`);
-        this object *is* such a callable, but additionally advertises the
-        bulk fetch and the availability oracle that let batched repair plan a
-        whole round without fetching block by block.  A bound method cannot
-        carry those extra hooks, hence the small wrapper class.
-        """
-        return ClusterBlockSource(self)
 
     def delete_block(self, block_id: BlockId) -> int:
         """Remove a block from the cluster, returning the location that held it.
@@ -396,10 +364,6 @@ class StorageCluster:
             return False
         store = self._stores[location_id]
         return store._available and block_id in store._sizes
-
-    def relocate(self, block_id: BlockId, payload: Payload, avoid: Sequence[int] = ()) -> int:
-        """:meth:`relocate_many` for one repaired block; returns its target."""
-        return self.relocate_many([(block_id, payload)], avoid)[block_id]
 
     def relocate_many(
         self,
@@ -663,34 +627,3 @@ class StorageCluster:
 
     def __len__(self) -> int:
         return len(self._directory)
-
-
-class ClusterBlockSource:
-    """A scheme-facing block fetcher with bulk and availability hooks.
-
-    Calling the object behaves exactly like
-    :meth:`StorageCluster.try_get_block`, so it is a drop-in
-    :data:`~repro.schemes.base.BlockFetcher`.  Schemes that know how to
-    batch (see :meth:`EntanglementScheme.repair
-    <repro.codes.entanglement.EntanglementScheme.repair>`) duck-type for the
-    extra hooks, which are the cluster's own bound methods -- no frame of
-    this class sits between the round planner and the directory:
-    ``is_available`` (:meth:`StorageCluster.is_available`) answers without
-    moving payload bytes, and ``try_get_many``
-    (:meth:`StorageCluster.try_get_many`) fetches a whole plan's inputs
-    grouped per location.
-    """
-
-    __slots__ = ("_cluster", "is_available", "try_get_many")
-
-    def __init__(self, cluster: StorageCluster) -> None:
-        self._cluster = cluster
-        self.is_available = cluster.is_available
-        self.try_get_many = cluster.try_get_many
-
-    @property
-    def cluster(self) -> StorageCluster:
-        return self._cluster
-
-    def __call__(self, block_id: BlockId) -> Optional[Payload]:
-        return self._cluster.try_get_block(block_id)

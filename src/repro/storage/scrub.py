@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.blocks import Block, BlockId, DataId, ParityId
-from repro.core.decoder import Decoder
+from repro.core.batch_repair import execute_plan, plan_round
 from repro.core.lattice import HelicalLattice
 from repro.core.xor import Payload, as_payload, xor_payloads, zero_payload
 from repro.exceptions import IntegrityError, RepairFailedError, UnknownBlockError
@@ -327,11 +327,12 @@ class Scrubber:
         back to the block's existing location and the manifest (if any) is
         refreshed.
         """
-        # Depth 0: one tuple of stored neighbours, never a chain of rebuilt
-        # ones; ``repair`` never fetches the suspect itself.
-        candidate = Decoder(
-            self._lattice, self._fetch, self._block_size, max_depth=0
-        ).repair(block_id)
+        # One round: one tuple of stored neighbours, never a chain of rebuilt
+        # ones (and a plan never reads its own target, the suspect).
+        steps = plan_round(self._lattice, [block_id], self._cluster.is_available)
+        if not steps:
+            raise RepairFailedError(block_id, "no available recovery path")
+        candidate = execute_plan(steps, self._fetch, self._block_size)[block_id]
         location = self._cluster.location_of(block_id)
         self._cluster.location(location).put(block_id, candidate)
         if self._manifest is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.codes.base import CodeCosts
-from repro.core.xor import Payload, payloads_equal
+from repro.core.xor import payloads_equal
 from repro.exceptions import ReproError
 from repro.storage.topology import Topology
 from repro.system.opening import open_service
@@ -85,9 +85,10 @@ def single_failure_reads_measured(
     """Blocks read to repair one missing data block, measured per victim.
 
     Victims are taken from the middle of ``data_ids`` (away from strand
-    starts, where AE repairs degenerate to one read).  Each probe masks the
-    victim from the scheme's block source, runs the live repair path, checks
-    the recovered payload byte-exact against the stored block and returns the
+    starts, where AE repairs degenerate to one read).  Each probe runs the
+    live repair path on the healthy cluster -- a repair never reads a block
+    it was asked to rebuild, so the victim needs no masking -- checks the
+    recovered payload byte-exact against the stored block and returns the
     read count.
     """
     if not data_ids:
@@ -98,14 +99,8 @@ def single_failure_reads_measured(
     reads: List[int] = []
     cluster = service.cluster
     for victim in dict.fromkeys(chosen):
-        expected = cluster.get_block(victim)
-
-        def fetch(block_id: object, _victim: object = victim) -> Optional[Payload]:
-            if block_id == _victim:
-                return None
-            return cluster.try_get_block(block_id)
-
-        outcome = service.scheme.repair({victim}, fetch)
+        expected = cluster.try_get_block(victim)
+        outcome = service.scheme.repair({victim}, cluster)
         if victim not in outcome.recovered:
             raise ReproError(
                 f"{service.scheme.scheme_id}: live repair failed for {victim!r}"

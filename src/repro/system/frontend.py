@@ -165,7 +165,6 @@ class ConcurrentStorageService:
         service: StorageService,
         workers: int = DEFAULT_WORKERS,
         queue_depth: Optional[int] = None,
-        stripes: Optional[int] = None,
     ) -> None:
         if workers < 1:
             raise InvalidParametersError("workers must be at least 1")
@@ -173,10 +172,6 @@ class ConcurrentStorageService:
             queue_depth = workers * DEFAULT_QUEUE_FACTOR
         if queue_depth < 1:
             raise InvalidParametersError("queue_depth must be at least 1")
-        if stripes is None:
-            stripes = derive_stripe_count(service, workers)
-        if stripes < 1:
-            raise InvalidParametersError("stripes must be at least 1")
         self._service = service
         self._workers = workers
         self._queue_depth = queue_depth
@@ -184,7 +179,9 @@ class ConcurrentStorageService:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-frontend"
         )
-        self._stripes: List[ReadWriteLock] = [ReadWriteLock() for _ in range(stripes)]
+        self._stripes: List[ReadWriteLock] = [
+            ReadWriteLock() for _ in range(derive_stripe_count(service, workers))
+        ]
         self._maintenance = ReadWriteLock()
         self._closed = False
 
@@ -195,14 +192,11 @@ class ConcurrentStorageService:
         *,
         workers: int = DEFAULT_WORKERS,
         queue_depth: Optional[int] = None,
-        stripes: Optional[int] = None,
         **overrides: object,
     ) -> "ConcurrentStorageService":
         """Open the underlying service from a config and wrap it."""
         service = StorageService.open(config, **overrides)
-        return cls(
-            service, workers=workers, queue_depth=queue_depth, stripes=stripes
-        )
+        return cls(service, workers=workers, queue_depth=queue_depth)
 
     # ------------------------------------------------------------------
     # Introspection

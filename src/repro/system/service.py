@@ -30,7 +30,7 @@ from repro.core.dynamic import EpochHistory, ParameterEpoch
 from repro.core.encoder import DEFAULT_BLOCK_SIZE
 from repro.core.parameters import AEParameters
 from repro.core.xor import Payload, payload_to_bytes
-from repro.exceptions import InvalidParametersError, UnknownBlockError
+from repro.exceptions import InvalidParametersError, RepairFailedError, UnknownBlockError
 from repro.schemes.base import RedundancyScheme, SchemeCapabilities
 from repro.storage import placement as placement_registry
 from repro.storage.backends import decode_block_id, encode_block_id, write_json
@@ -491,7 +491,7 @@ class StorageService:
             # mutations the manifest has not absorbed yet).
             scheme_state = service._replay_wal(wal_groups, scheme_state)
         if scheme_state is not None:
-            scheme.restore_state(scheme_state, cluster.try_get_block)
+            scheme.restore_state(scheme_state, cluster)
         if config.data_dir is not None:
             # Collapse the replayed tail into a fresh checkpoint so the next
             # crash window -- and a resumed transition's first record --
@@ -974,7 +974,7 @@ class StorageService:
         """Read one block, repairing it through the scheme when unreachable."""
         self._ensure_open()
         with self._state_lock:
-            return self._scheme.read_block(block_id, self._cluster.try_get_block)
+            return self._scheme.read_block(block_id, self._cluster)
 
     def _read_payloads(
         self, data_ids: List[object], scheme: Optional[RedundancyScheme] = None
@@ -984,11 +984,12 @@ class StorageService:
         Healthy blocks arrive through the cluster's grouped
         :meth:`~repro.storage.cluster.StorageCluster.try_get_many`; the
         unreachable ones are rebuilt together in a single scheme repair pass
-        over a :meth:`~repro.storage.cluster.StorageCluster.block_source`
-        (a *degraded read*: nothing is written back -- restoring redundancy
-        is :meth:`repair`'s job).  Blocks the batched pass cannot reach fall
-        back to the recursive per-block read, which can chain through
-        repairs of the redundancy blocks themselves.
+        over the cluster (a *degraded read*: nothing is written back --
+        restoring redundancy is :meth:`repair`'s job).  That pass is the
+        same one :meth:`repair` runs, so a document reads exactly when
+        ``repair()`` would not list one of its blocks as unrecovered;
+        otherwise :class:`~repro.exceptions.RepairFailedError` names the
+        first of them.
 
         ``scheme`` selects the scheme that encoded the blocks; mid-
         transition reads of not-yet-migrated documents pass the fallback.
@@ -1006,16 +1007,12 @@ class StorageService:
             # they serialise against concurrent encodes; healthy reads (the
             # branch above) never touch the scheme and stay lock-free.
             with self._state_lock:
-                outcome = scheme.repair(set(missing), self._cluster.block_source())
-                for position, payload in enumerate(payloads):
-                    if payload is None:
-                        payloads[position] = outcome.recovered.get(data_ids[position])
-                return [
-                    payload
-                    if payload is not None
-                    else scheme.read_block(data_id, self._cluster.try_get_block)
-                    for data_id, payload in zip(data_ids, payloads)
-                ]
+                outcome = scheme.repair(set(missing), self._cluster)
+            if outcome.unrecovered:
+                raise RepairFailedError(outcome.unrecovered[0], "no available recovery path")
+            for position, payload in enumerate(payloads):
+                if payload is None:
+                    payloads[position] = outcome.recovered[data_ids[position]]
         return payloads
 
     def _scheme_for(self, name: str) -> RedundancyScheme:
@@ -1217,9 +1214,7 @@ class StorageService:
             # Mid-migration: rebuild the source scheme from its frozen
             # state so pending documents keep their fallback read path.
             fallback = schemes.get(plan.source, block_size=self.block_size)
-            fallback.restore_state(
-                dict(plan.source_state), self._cluster.try_get_block
-            )
+            fallback.restore_state(dict(plan.source_state), self._cluster)
             self._fallback = fallback
         target = schemes.get(plan.target, block_size=self.block_size)
         return TransitionEngine(self, target).run()
@@ -1251,8 +1246,9 @@ class StorageService:
         ``policy`` is how much maintenance to do (paper, Sec. V): ``FULL``
         rebuilds every unreachable block; ``MINIMAL`` rebuilds and writes
         back data blocks only -- a data block with no complete tuple left is
-        reached through the redundancy in between, rebuilt as intermediates
-        and dropped -- and ``NONE`` repairs, relocates and logs nothing.
+        reached through the redundancy in between, which the scheme rebuilds
+        as intermediates and drops -- and ``NONE`` repairs, relocates and
+        logs nothing.
         What the policy left alone comes back in ``skipped``.
         """
         self._ensure_open()
@@ -1265,7 +1261,6 @@ class StorageService:
                     block_id for block_id in missing if self._fallback.owns(block_id)
                 }
                 generations = [(self._fallback, old), (self._scheme, missing - old)]
-            source = self._cluster.block_source()
             avoid = tuple(self._cluster.unavailable_locations())
             for scheme, owned in generations:
                 if policy is MaintenancePolicy.FULL:
@@ -1279,11 +1274,7 @@ class StorageService:
                     report.skipped.extend(owned - wanted)
                 if not wanted:
                     continue
-                outcome = scheme.repair(wanted, source)
-                if outcome.unrecovered and len(wanted) < len(owned):
-                    # Data no surviving tuple reaches: run the full repair
-                    # and keep the data, so MINIMAL loses nothing FULL saves.
-                    outcome = scheme.repair(owned, source).restricted_to(wanted)
+                outcome = scheme.repair(wanted, self._cluster)
                 self._cluster.relocate_many(outcome.recovered.items(), avoid=avoid)
                 report.repaired.extend(outcome.recovered)
                 report.unrecovered.extend(outcome.unrecovered)

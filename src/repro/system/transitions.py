@@ -23,8 +23,8 @@ Three transition kinds, picked by :func:`classify`:
 ``repuncture``
     AE -> AE with identical parameters but a different puncturing rate
     (including plain <-> punctured).  Parities the target stores but the
-    source dropped are regenerated through the decoder and written
-    *before* the scheme flips; parities the target punctures are deleted
+    source dropped are regenerated through the source's ``repair`` and
+    written *before* the scheme flips; parities the target punctures are deleted
     only *after* the flip is durable -- the copy-commit-before-delete
     ordering of the shard rebalancer, applied to parities.
 
@@ -54,7 +54,7 @@ from repro.codes.entanglement import EntanglementScheme, PuncturedEntanglementSc
 from repro.core.blocks import DataId, ParityId, join_blocks
 from repro.core.dynamic import AlphaUpgrader, plan_alpha_upgrade
 from repro.core.xor import Payload
-from repro.exceptions import InvalidParametersError
+from repro.exceptions import InvalidParametersError, RepairFailedError
 from repro.schemes.base import RedundancyScheme
 from repro.schemes.stripe import StripeScheme
 
@@ -283,8 +283,7 @@ class TransitionEngine:
                     # numbering past the source so the namespaces stay
                     # disjoint until the old stripes are reclaimed.
                     target.restore_state(
-                        {"next_stripe": source.stripes_written},
-                        service._cluster.try_get_block,
+                        {"next_stripe": source.stripes_written}, service._cluster
                     )
                 # Flip now: new writes land on the target, reads of pending
                 # documents fall back to the retained source instance.
@@ -313,16 +312,24 @@ class TransitionEngine:
                 source.entangler.blocks_encoded,
             )
             upgrader = AlphaUpgrader(upgrade, source.block_size)
-            fetch = self._data_fetch(source)
+            cluster = service._cluster
+
+            def fetch(data_id: DataId) -> Payload:
+                # One cheap fetch per block; an unavailable data block is
+                # rebuilt through the source's existing parities before its
+                # new parities are derived.
+                payload = cluster.try_get_block(data_id)
+                return payload if payload is not None else source.read_block(data_id, cluster)
+
             batch: List[object] = []
             for block in upgrader.run(fetch):
                 batch.append((block.block_id, block.payload))
                 if len(batch) >= FLUSH_BLOCKS:
-                    service._cluster.put_many(batch)  # type: ignore[arg-type]
+                    cluster.put_many(batch)  # type: ignore[arg-type]
                     report.parities_written += len(batch)
                     batch.clear()
             if batch:
-                service._cluster.put_many(batch)  # type: ignore[arg-type]
+                cluster.put_many(batch)  # type: ignore[arg-type]
                 report.parities_written += len(batch)
             report.blocks_written += report.parities_written
             # Swap in a scheme over the widened lattice.  restore_state
@@ -333,28 +340,12 @@ class TransitionEngine:
                 block_size=source.block_size,
                 scheme_id=plan.target,
             )
-            raised.restore_state(source.state(), service._cluster.try_get_block)
+            raised.restore_state(source.state(), cluster)
             service._scheme = raised
             service._record_epoch(upgrade.new_params)
             # Nothing is deleted after a raise, so the flip settles it: no
             # checkpoint may name the target with the raise still owed.
             service._transition = None
-
-    def _data_fetch(
-        self, source: EntanglementScheme
-    ) -> Callable[[DataId], Optional[Payload]]:
-        """Data-block fetch for the upgrade walk, with degraded fallback."""
-        service = self._service
-
-        def fetch(data_id: DataId) -> Optional[Payload]:
-            payload = service._cluster.try_get_block(data_id)
-            if payload is None:
-                # An unavailable data block is rebuilt through the source's
-                # existing parities before its new parities are derived.
-                payload = source.read_block(data_id, service._cluster.try_get_block)
-            return payload
-
-        return fetch
 
     # ------------------------------------------------------------------
     # repuncture: regenerate-then-flip-then-delete
@@ -363,30 +354,42 @@ class TransitionEngine:
         service = self._service
         if service._scheme.scheme_id != plan.target:
             # Additions pass: parities the target keeps but the source never
-            # stored are regenerated through the decoder and written first.
+            # stored are regenerated through the source's repair and written
+            # first, a bounded batch at a time in lattice order -- what one
+            # batch stored is an input the next one finds available.
             with service._state_lock:
                 source = service._scheme
                 assert isinstance(source, EntanglementScheme)
-                target_code = getattr(self._target, "punctured_code", None)
-                batch = []
-                for parity in self._source_only_parities(source, target_code):
-                    if service._cluster.knows(parity):
-                        continue  # idempotent resume: already regenerated
-                    payload = source.read_block(parity, service._cluster.try_get_block)
-                    batch.append((parity, payload))
-                    if len(batch) >= FLUSH_BLOCKS:
-                        service._cluster.put_many(batch)
-                        report.parities_written += len(batch)
-                        batch.clear()
-                if batch:
-                    service._cluster.put_many(batch)
-                    report.parities_written += len(batch)
+                cluster = service._cluster
+                # What the source punctured and the target does not; a plain
+                # source stored everything, a resume skips what is there.
+                keeps = getattr(self._target, "punctured_code", None)
+                dropped = (
+                    source.punctured_parities()
+                    if isinstance(source, PuncturedEntanglementScheme)
+                    else ()
+                )
+                wanted = [
+                    parity
+                    for parity in dropped
+                    if not (keeps is not None and keeps.is_punctured(parity))
+                    and not cluster.knows(parity)
+                ]
+                for start in range(0, len(wanted), FLUSH_BLOCKS):
+                    batch = wanted[start : start + FLUSH_BLOCKS]
+                    outcome = source.repair(set(batch), cluster)
+                    if outcome.unrecovered:
+                        raise RepairFailedError(
+                            outcome.unrecovered[0], "no available recovery path"
+                        )
+                    cluster.put_many(
+                        (parity, outcome.recovered[parity]) for parity in batch
+                    )
+                report.parities_written += len(wanted)
                 report.blocks_written += report.parities_written
                 # Flip: the target re-reads the strand heads (regenerating
                 # any the new rate punctures).
-                self._target.restore_state(
-                    source.state(), service._cluster.try_get_block
-                )
+                self._target.restore_state(source.state(), cluster)
                 service._scheme = self._target
             # The flip must be durable before any parity disappears.
             service._checkpoint()
@@ -402,25 +405,6 @@ class TransitionEngine:
                     if service._cluster.knows(parity)
                 ]
                 report.blocks_deleted += service._cluster.delete_blocks(doomed)
-
-    @staticmethod
-    def _source_only_parities(
-        source: EntanglementScheme, target_code: Optional[object]
-    ) -> List[ParityId]:
-        """Parities punctured by the source but stored by the target."""
-        source_code = getattr(source, "punctured_code", None)
-        if source_code is None:
-            return []  # a plain source stored everything
-        wanted: List[ParityId] = []
-        for index in range(1, source.entangler.blocks_encoded + 1):
-            for strand_class in source.params.strand_classes:
-                parity = ParityId(index, strand_class)
-                if not source_code.is_punctured(parity):
-                    continue
-                if target_code is not None and target_code.is_punctured(parity):  # type: ignore[attr-defined]
-                    continue
-                wanted.append(parity)
-        return wanted
 
     # ------------------------------------------------------------------
     # reencode: stream documents through the new scheme

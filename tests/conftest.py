@@ -41,3 +41,16 @@ def make_payload(index: int, size: int = 64) -> bytes:
 @pytest.fixture
 def payload_factory():
     return make_payload
+
+
+class DictSource:
+    """A ``{block id: payload}`` dict as a :class:`repro.schemes.BlockSource`."""
+
+    def __init__(self, blocks) -> None:
+        self.blocks = blocks
+
+    def try_get_many(self, block_ids):
+        return [self.blocks.get(block_id) for block_id in block_ids]
+
+    def is_available(self, block_id) -> bool:
+        return block_id in self.blocks

@@ -42,6 +42,8 @@ import repro.schemes as schemes
 from repro.codes.entanglement import EntanglementScheme
 from repro.system.service import StorageConfig, StorageService
 
+from tests.conftest import DictSource
+
 SCHEMES = ("ae-3-2-5", "ae-2-2-5", "ae-1-1-0", "ae-3-2-5-p80")
 SIZES = (1, 7, 4096)
 BACKENDS = ("memory", "segment")
@@ -102,7 +104,7 @@ def encode_digest(scheme_id: str, size: int) -> str:
             batch(rng.integers(0, 256, size=count * size, dtype=np.uint8).tobytes())
         # Broker crash recovery: the heads are refetched (regenerated where
         # punctured) from what the calls above stored.
-        scheme.restore_state(scheme.state(), store.get)
+        scheme.restore_state(scheme.state(), DictSource(store))
         parts.extend(_heads(scheme))
         single()
         # An unaligned buffer the caller may write to: the last row is padded.

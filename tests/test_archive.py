@@ -107,7 +107,7 @@ class TestVerification:
         target = entry.data_ids[0]
         cluster = archive.system.cluster
         store = cluster.location(cluster.location_of(target))
-        corrupted = np.asarray(store.get(target), dtype=np.uint8).copy()
+        corrupted = np.asarray(store.try_get(target), dtype=np.uint8).copy()
         corrupted[0] ^= 0xFF
         store.put(target, corrupted)
         assert not archive.verify("doc")
@@ -159,7 +159,7 @@ class TestScrubIntegration:
         target = entry.data_ids[len(entry.data_ids) // 2]
         cluster = archive.system.cluster
         store = cluster.location(cluster.location_of(target))
-        tampered = np.asarray(store.get(target), dtype=np.uint8).copy()
+        tampered = np.asarray(store.try_get(target), dtype=np.uint8).copy()
         tampered[:4] ^= 0xAA
         store.put(target, tampered)
         report = archive.scrub_and_repair()

@@ -33,16 +33,14 @@ class TestBlockStore:
     def test_put_get_roundtrip(self):
         store = BlockStore(0)
         store.put(DataId(1), b"\x01\x02")
-        assert store.get(DataId(1)).tolist() == [1, 2]
+        assert store.try_get(DataId(1)).tolist() == [1, 2]
         assert store.block_count == 1
         assert store.bytes_stored == 2
         assert store.contains(DataId(1))
         assert store.holds(DataId(1))
 
-    def test_missing_block_raises(self):
+    def test_missing_block_reads_none(self):
         store = BlockStore(0)
-        with pytest.raises(UnknownBlockError):
-            store.get(DataId(1))
         assert store.try_get(DataId(1)) is None
 
     def test_failed_location_rejects_io(self):
@@ -51,14 +49,12 @@ class TestBlockStore:
         store.fail()
         assert not store.available
         with pytest.raises(BlockUnavailableError):
-            store.get(DataId(1))
-        with pytest.raises(BlockUnavailableError):
             store.put(DataId(2), b"y")
         assert store.try_get(DataId(1)) is None
         assert store.contains(DataId(1))  # data still physically there
         assert not store.holds(DataId(1))
         store.restore()
-        assert store.get(DataId(1)).tolist() == [120]
+        assert store.try_get(DataId(1)).tolist() == [120]
 
     def test_wipe_loses_content(self):
         store = BlockStore(0)
@@ -88,7 +84,7 @@ class TestBlockStore:
     def test_read_write_counters(self):
         store = BlockStore(0)
         store.put(DataId(1), b"a")
-        store.get(DataId(1))
+        store.try_get(DataId(1))
         store.try_get(DataId(1))
         assert store.write_count == 1
         assert store.read_count == 2
@@ -102,7 +98,7 @@ class TestBackendInvariants:
         store = make_store(spec, tmp_path)
         store.put(DataId(1), b"\x01\x02")
         store.put(ParityId(1, StrandClass.HORIZONTAL), b"abc")
-        assert store.get(DataId(1)).tolist() == [1, 2]
+        assert store.try_get(DataId(1)).tolist() == [1, 2]
         assert sorted(store.block_ids(), key=repr) == [
             DataId(1),
             ParityId(1, StrandClass.HORIZONTAL),
@@ -117,7 +113,7 @@ class TestBackendInvariants:
             store.put(DataId(3), b"c")
         # Overwrites never count against the capacity.
         store.put(DataId(1), b"z")
-        assert store.get(DataId(1)).tolist() == [122]
+        assert store.try_get(DataId(1)).tolist() == [122]
         # Deleting frees a slot.
         store.delete(DataId(2))
         store.put(DataId(3), b"c")
@@ -171,8 +167,7 @@ class TestBackendInvariants:
         assert not store.available
         assert not store.contains(DataId(1))
         store.restore()
-        with pytest.raises(UnknownBlockError):
-            store.get(DataId(1))
+        assert store.try_get(DataId(1)) is None
         store.close()
 
 
@@ -182,8 +177,8 @@ class TestPersistentStore:
         store = make_store(spec, tmp_path)
         store.put(DataId(1), b"hello")
         store.put(DataId(2), b"world")
-        store.get(DataId(1))
-        store.get(DataId(2))
+        store.try_get(DataId(1))
+        store.try_get(DataId(2))
         store.try_get(DataId(1))
         assert (store.read_count, store.write_count) == (3, 2)
         store.close()
@@ -198,7 +193,7 @@ class TestPersistentStore:
         assert (reopened.read_count, reopened.write_count) == (0, 0)
         assert reopened.block_count == 2
         assert reopened.bytes_stored == 10
-        assert bytes(reopened.get(DataId(2)).tobytes()) == b"world"
+        assert bytes(reopened.try_get(DataId(2)).tobytes()) == b"world"
         assert reopened.read_count == 1
         reopened.close()
 
@@ -218,9 +213,9 @@ class TestReadCache:
         store = make_store(spec, tmp_path, cache_blocks=2)
         store.put(DataId(1), b"a")
         store.put(DataId(2), b"b")
-        store.get(DataId(1))
+        store.try_get(DataId(1))
         assert (store.cache_hits, store.cache_misses) == (0, 1)
-        store.get(DataId(1))
+        store.try_get(DataId(1))
         assert (store.cache_hits, store.cache_misses) == (1, 1)
         store.close()
 
@@ -228,11 +223,11 @@ class TestReadCache:
         store = make_store(spec, tmp_path, cache_blocks=2)
         for i in range(1, 4):
             store.put(DataId(i), bytes([i]))
-        store.get(DataId(1))
-        store.get(DataId(2))
-        store.get(DataId(3))  # evicts DataId(1)
-        store.get(DataId(2))  # hit
-        store.get(DataId(1))  # miss again
+        store.try_get(DataId(1))
+        store.try_get(DataId(2))
+        store.try_get(DataId(3))  # evicts DataId(1)
+        store.try_get(DataId(2))  # hit
+        store.try_get(DataId(1))  # miss again
         assert store.cache_misses == 4
         assert store.cache_hits == 1
         store.close()
@@ -240,9 +235,9 @@ class TestReadCache:
     def test_write_through_keeps_cache_coherent(self, spec, tmp_path):
         store = make_store(spec, tmp_path, cache_blocks=4)
         store.put(DataId(1), b"old")
-        store.get(DataId(1))  # cached
+        store.try_get(DataId(1))  # cached
         store.put(DataId(1), b"new")  # write-through refresh
-        assert bytes(store.get(DataId(1)).tobytes()) == b"new"
+        assert bytes(store.try_get(DataId(1)).tobytes()) == b"new"
         store.delete(DataId(1))
         assert store.try_get(DataId(1)) is None
         store.close()
@@ -251,8 +246,8 @@ class TestReadCache:
 def test_memory_backend_defaults_to_no_cache():
     store = BlockStore(0)
     store.put(DataId(1), b"a")
-    store.get(DataId(1))
-    store.get(DataId(1))
+    store.try_get(DataId(1))
+    store.try_get(DataId(1))
     assert (store.cache_hits, store.cache_misses) == (0, 0)
 
 
@@ -296,7 +291,7 @@ class TestConcurrentAccess:
                             [DataId(rng.randrange(self.BLOCKS)) for _ in range(4)]
                         )
                     else:
-                        store.get(DataId(rng.randrange(self.BLOCKS)))
+                        store.try_get(DataId(rng.randrange(self.BLOCKS)))
             except Exception as exc:  # noqa: RPR004 - hammer thread collects any failure
                 errors.append(exc)  # pragma: no cover - failure path
 
@@ -317,7 +312,7 @@ class TestConcurrentAccess:
         # sole writer (either the seed payload or that thread's stamp).
         for number in range(self.BLOCKS):
             writer = number % self.THREADS
-            got = bytes(store.get(DataId(number)).tobytes())
+            got = bytes(store.try_get(DataId(number)).tobytes())
             assert got in (bytes([number % 251]) * 8, bytes([writer]) * 8)
             assert len(got) == 8
         # Counter sanity: every completed get/try_get_many hit advanced the

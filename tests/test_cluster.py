@@ -30,7 +30,7 @@ class TestPlacementAndLookup:
         assert 0 <= location < cluster.location_count
         assert cluster.knows(DataId(1))
         assert cluster.is_available(DataId(1))
-        assert cluster.get_block(DataId(1)).tolist() == [1] * 8
+        assert cluster.try_get_block(DataId(1)).tolist() == [1] * 8
 
     def test_explicit_location_overrides_policy(self):
         cluster = StorageCluster(5, RandomPlacement(5))
@@ -95,7 +95,7 @@ class TestFailures:
         assert cluster.stats().unavailable_blocks == len(wiped | down)
         # A rebuilt block returns to its assigned, now empty, location.
         block_id = min(wiped)
-        assert cluster.relocate(block_id, b"\x07" * 8, avoid=(4,)) == 2
+        assert cluster.relocate_many([(block_id, b"\x07" * 8)], avoid=(4,))[block_id] == 2
         assert cluster.unavailable_blocks() == (wiped | down) - {block_id}
 
     def test_stats_summary(self):
@@ -112,17 +112,17 @@ class TestRelocation:
     def test_relocate_avoids_failed_locations(self):
         cluster = filled_cluster(locations=6, blocks=30)
         cluster.fail_locations([0, 1])
-        target = cluster.relocate(DataId(1), b"\x09" * 8, avoid=(0, 1))
+        target = cluster.relocate_many([(DataId(1), b"\x09" * 8)], avoid=(0, 1))[DataId(1)]
         assert target not in {0, 1}
         assert cluster.location_of(DataId(1)) == target
-        assert cluster.get_block(DataId(1)).tolist() == [9] * 8
+        assert cluster.try_get_block(DataId(1)).tolist() == [9] * 8
 
     def test_relocate_without_candidates_raises(self):
         cluster = StorageCluster(2, RandomPlacement(2))
         cluster.put_block(Block(DataId(1), b"x"))
         cluster.fail_locations([0, 1])
         with pytest.raises(PlacementError):
-            cluster.relocate(DataId(1), b"y", avoid=())
+            cluster.relocate_many([(DataId(1), b"y")], avoid=())
 
 
 class TestAddLocation:
@@ -139,7 +139,7 @@ class TestAddLocation:
         assert cluster.blocks_at(4) == [] and cluster.location(4).available
         # The grown cluster places with the policy it was handed.
         cluster.put_block(Block(DataId(99), b"\x01" * 8), location_id=4)
-        assert cluster.get_block(DataId(99)).tolist() == [1] * 8
+        assert cluster.try_get_block(DataId(99)).tolist() == [1] * 8
 
     def test_new_location_is_built_like_the_others(self, tmp_path):
         cluster = StorageCluster(
@@ -197,7 +197,7 @@ class TestBulkWriteFanOut:
             assert list(cluster.location(location).block_ids()) == cluster.blocks_at(location)
             assert cluster.location(location).write_count == self.LOCATIONS.count(location)
         for block_id, payload in items:
-            assert cluster.get_block(block_id).tobytes() == payload
+            assert cluster.try_get_block(block_id).tobytes() == payload
 
     def test_a_duplicate_id_keeps_its_first_position_and_last_payload(self):
         mapping, items = self.batch()
@@ -205,7 +205,7 @@ class TestBulkWriteFanOut:
         first = items[0][0]
         assert cluster.put_many(items + [(first, b"\xee" * 4)]) == len(items)
         assert cluster.blocks_at(2)[0] == first
-        assert cluster.get_block(first).tobytes() == b"\xee" * 4
+        assert cluster.try_get_block(first).tobytes() == b"\xee" * 4
         assert cluster.location(2).write_count == 3
         assert cluster.stats().bytes_stored == 4 * len(items)
 

@@ -87,8 +87,10 @@ class TestCoreImportSurface:
 
 class TestOneAEStack:
     """The storage and system layers reach entanglement through
-    ``EntanglementScheme`` only: no module there builds its own entangler or
-    decoder next to the service (the cooperative backup was the last one)."""
+    ``EntanglementScheme`` only: no module there builds its own entangler
+    next to the service (the cooperative backup was the last one), and
+    nothing above ``core/`` reads through the per-block ``Decoder`` -- it is
+    the tests' reference; the store's one read path is ``repair``."""
 
     @staticmethod
     def core_imports(package: str):
@@ -113,15 +115,18 @@ class TestOneAEStack:
     def test_no_private_entangler_or_decoder(self):
         found = [
             entry
-            for package in ("system", "storage")
+            for package in ("codes", "schemes", "storage", "system")
             for entry in self.core_imports(package)
         ]
-        assert len(found) > 20  # the walk really saw the packages
+        assert len(found) > 30  # the walk really saw the packages
         entanglers = [
             (where, name)
             for where, module, name in found
-            if (module == "repro.core.encoder" and name != "DEFAULT_BLOCK_SIZE")
-            or (module == "repro.core" and "ntangle" in name)
+            if where.startswith(("system/", "storage/"))
+            and (
+                (module == "repro.core.encoder" and name != "DEFAULT_BLOCK_SIZE")
+                or (module == "repro.core" and "ntangle" in name)
+            )
         ]
         assert entanglers == []
         decoders = sorted(
@@ -132,7 +137,18 @@ class TestOneAEStack:
                 or (module == "repro.core" and "Decoder" in name)
             }
         )
-        assert decoders == ["storage/scrub.py"]
+        assert decoders == []
+
+    def test_read_block_is_written_once(self):
+        from pathlib import Path
+
+        root = Path(repro.core.__file__).resolve().parent.parent
+        definitions = [
+            path.relative_to(root).as_posix()
+            for path in sorted(root.rglob("*.py"))
+            if "def read_block" in path.read_text(encoding="utf-8")
+        ]
+        assert definitions == ["schemes/base.py"]
 
     def test_storage_config_names_where_blocks_live_once(self):
         import dataclasses

@@ -14,7 +14,7 @@ from repro.core.parameters import AEParameters, StrandClass
 from repro.core.xor import payloads_equal
 from repro.exceptions import RepairFailedError
 
-from tests.conftest import make_payload
+from tests.conftest import DictSource, make_payload
 
 BLOCK_SIZE = 32
 
@@ -82,13 +82,6 @@ class TestSingleRepairs:
         with pytest.raises(RepairFailedError):
             decoder.repair(DataId(15))
 
-    def test_recovery_paths_enumerates_alpha_options(self, hec_params):
-        encoder, _ = build_store(hec_params, 30)
-        decoder = Decoder(encoder.lattice, lambda block_id: None, BLOCK_SIZE)
-        paths = decoder.recovery_paths(20)
-        assert len(paths) == hec_params.alpha
-        assert all(len(path) == 2 for path in paths)
-
 
 class TestRecursiveRepair:
     def test_repair_through_missing_parity(self, hec_params):
@@ -122,16 +115,14 @@ class TestRecursiveRepair:
         assert payloads_equal(deep.repair(target), original)
 
 
-def run_rounds(lattice, store, missing, **options):
-    """Drive :class:`RepairRun` over a ``dict.get`` source: the finished run,
-    its ``(recovered, new_reads)`` rounds and ``store`` plus what it rebuilt."""
-    run = RepairRun(
-        lattice,
-        missing,
-        BLOCK_SIZE,
-        lambda block_ids: [store.get(block_id) for block_id in block_ids],
-        **options,
-    )
+def run_rounds(lattice, store, missing, listed=None):
+    """Drive :class:`RepairRun` over ``store`` (reported available: the
+    blocks in ``listed``, by default its own): the finished run, its
+    ``(recovered, new_reads)`` rounds and ``store`` plus what it rebuilt."""
+    source = DictSource(store)
+    if listed is not None:
+        source.is_available = listed.__contains__
+    run = RepairRun(lattice, missing, BLOCK_SIZE, source)
     rounds = list(run.rounds())
     repaired = dict(store)
     for recovered, _ in rounds:
@@ -220,7 +211,7 @@ class TestIterativeRepair:
         listed = set(store)
         del store[liar]
         run, rounds, repaired_store = run_rounds(
-            encoder.lattice, store, [victim], is_available=listed.__contains__
+            encoder.lattice, store, [victim], listed=listed
         )
         assert len(rounds) == 1 and not run.pending
         assert payloads_equal(repaired_store[victim], original)

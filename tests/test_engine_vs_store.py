@@ -7,6 +7,11 @@ repairs real payloads through ``StorageService.repair()``.  Here both see the
 the live cluster's ``location_of`` -- and the same failed locations, and must
 agree on data loss, repair rounds and the number of blocks repaired.
 
+For a punctured setting ``rounds`` is only ordered: the engine regenerates
+all 466 never-stored parities on paper from round one; the store regenerates
+only what a stuck target needs, once it is stuck, so it finishes later (PR 24:
+5 | 7, 7 | 14 and 5 | 11 rounds on the three disasters below).
+
 ``blocks_read`` is deliberately not asserted equal: the engine counts two
 reads per lattice repair and a stripe's cheapest plan, the store counts the
 distinct payloads it actually fetched (a block feeding several dependent
@@ -92,12 +97,16 @@ def test_engine_repair_matches_the_store(scheme_id: str, topology, disaster) -> 
     service.fail_locations(failed.tolist())
     report = service.repair()
 
+    punctured = scheme_id.endswith("-p75")
     assert report.data_loss == predicted.data_loss
-    assert report.rounds == predicted.rounds
+    if punctured:
+        assert report.rounds >= predicted.rounds
+    else:
+        assert report.rounds == predicted.rounds
     # Never-stored (punctured) parities are missing at time zero in the engine
     # and FULL maintenance regenerates every one of them on paper; the store
     # never writes them, so they are no repair of its.
-    regenerated = int(simulation.punctured.sum()) if scheme_id.endswith("-p75") else 0
+    regenerated = int(simulation.punctured.sum()) if punctured else 0
     assert (
         len(report.repaired) + regenerated
         == predicted.repaired_data + predicted.repaired_redundancy

@@ -40,7 +40,7 @@ def open_frontend(**kwargs) -> ConcurrentStorageService:
         "block_size": 256,
     }
     front_kwargs = {
-        key: kwargs.pop(key) for key in ("workers", "queue_depth", "stripes") if key in kwargs
+        key: kwargs.pop(key) for key in ("workers", "queue_depth") if key in kwargs
     }
     overrides.update(kwargs)
     return ConcurrentStorageService.open(StorageConfig(**overrides), **front_kwargs)
@@ -148,8 +148,6 @@ class TestRequestPlumbing:
                 ConcurrentStorageService(frontend.service, workers=0)
             with pytest.raises(InvalidParametersError):
                 ConcurrentStorageService(frontend.service, queue_depth=0)
-            with pytest.raises(InvalidParametersError):
-                ConcurrentStorageService(frontend.service, stripes=0)
 
 
 class TestBackpressure:

@@ -57,25 +57,10 @@ class TestEdges:
         assert lattice.edge_endpoints(ParityId(26, StrandClass.LEFT_HANDED)) == (26, 35)
         assert lattice.parity_label(ParityId(26, StrandClass.LEFT_HANDED)) == "p26,35"
 
-    def test_input_parities_of_d26(self, paper_example_params):
-        lattice = HelicalLattice(paper_example_params, size=60)
-        inputs = lattice.input_parities(26)
-        assert inputs == [
-            ParityId(21, StrandClass.HORIZONTAL),
-            ParityId(25, StrandClass.RIGHT_HANDED),
-            ParityId(22, StrandClass.LEFT_HANDED),
-        ]
-
     def test_strand_starts_have_virtual_inputs(self, paper_example_params):
         lattice = HelicalLattice(paper_example_params, size=60)
         assert lattice.input_parity(1, StrandClass.HORIZONTAL) is None
         assert lattice.input_parity(3, StrandClass.RIGHT_HANDED) is None
-
-    def test_one_hop_neighbours_of_d26(self, paper_example_params):
-        """The coloured nodes of Fig. 4: the one-hop neighbourhood of d26."""
-        lattice = HelicalLattice(paper_example_params, size=60)
-        neighbours = lattice.one_hop_neighbours(26)
-        assert set(neighbours) == {21, 22, 25, 31, 32, 35}
 
     def test_output_parities_count(self, any_params):
         lattice = HelicalLattice(any_params, size=30)

@@ -17,6 +17,8 @@ import shutil
 
 import pytest
 
+from repro.core.blocks import ParityId
+from repro.core.xor import payloads_equal
 from repro.exceptions import InvalidParametersError
 from repro.storage.backends import decode_block_id, encode_block_id
 from repro.storage.wal import scan_wal
@@ -474,3 +476,77 @@ class TestCliPersistence:
 
         with pytest.raises(SystemExit):
             ingest_main(["missing.bin", "--backend", "disk"])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("scheme", ["ae-3-2-5", "ae-3-2-5-p75"])
+class TestReopenAfterLosingADisk:
+    """A location's sub-root disappears between close and open.  Half the
+    locations hold a strand head, so the encoder's state has to be rebuilt
+    through repair like any other unreadable block (PR 24: ``open`` used to
+    refuse -- ``cannot restore encoder state: parity p[318,rh] unavailable``
+    -- a two-read single failure)."""
+
+    @staticmethod
+    def filled(scheme, backend, root):
+        service = StorageService.open(
+            config(scheme, backend, root, block_size=64, seed=0)
+        )
+        documents = {
+            f"doc{i}": bytes((i * 7 + j) % 251 for j in range(2048)) for i in range(10)
+        }
+        for name, data in documents.items():
+            service.put(name, data)
+        return service, documents
+
+    @classmethod
+    def reopened_without_a_head_disk(cls, scheme, backend, root):
+        service, documents = cls.filled(scheme, backend, root)
+        cluster = service.cluster
+        heads = [h for h in service.scheme.entangler.strand_head_ids() if cluster.knows(h)]
+        victim = min(map(cluster.location_of, heads))
+        stored = service.status().blocks
+        service.close()
+        shutil.rmtree(root / f"loc-{victim:04d}")
+        return StorageService.open(config(scheme, backend, root, block_size=64)), documents, stored
+
+    def test_reopens_reads_and_keeps_entangling(self, scheme, backend, tmp_path):
+        service, documents, _ = self.reopened_without_a_head_disk(
+            scheme, backend, tmp_path / "lost"
+        )
+        twin, _ = self.filled(scheme, backend, tmp_path / "twin")
+        for name, data in documents.items():
+            assert service.get(name) == data
+        late = workload(seed=5, size=3_000)
+        for each in (service, twin):
+            each.put("late", late)
+            assert each.get("late") == late
+        # The new blocks chained onto the rebuilt heads: every parity they
+        # created equals the one a service that never lost the disk computed.
+        classes = twin.scheme.params.strand_classes
+        for data_id in twin.documents["late"].data_ids:
+            for strand_class in classes:
+                parity = ParityId(data_id.index, strand_class)
+                assert payloads_equal(service.get_block(parity), twin.get_block(parity))
+        service.close()
+        twin.close()
+
+    def test_blocks_of_the_lost_disk_are_forgotten_not_repaired(
+        self, scheme, backend, tmp_path
+    ):
+        """Not fixed by PR 24, pinned so ROADMAP item 1 changes it on purpose:
+        the directory is rebuilt from what the backends still hold, so the
+        lost blocks are not *unavailable*, they are unknown -- reads survive
+        (they repair on demand) but ``repair()`` never restores the lost
+        redundancy (``docs/performance.md``, PR 24)."""
+        service, documents, stored = self.reopened_without_a_head_disk(
+            scheme, backend, tmp_path / "lost"
+        )
+        status = service.status()
+        assert status.blocks < stored
+        assert status.unavailable_blocks == 0
+        assert service.repair().repaired_count == 0
+        assert service.status().blocks == status.blocks
+        for name, data in documents.items():
+            assert service.get(name) == data
+        service.close()

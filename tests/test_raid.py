@@ -127,7 +127,7 @@ class TestRAIDAE:
         for index in range(40):
             raid.write(make_payload(index, 64))
         stored = {
-            block_id: bytes(raid.cluster.get_block(block_id))
+            block_id: bytes(raid.cluster.try_get_block(block_id))
             for block_id in raid.cluster.block_ids()
         }
         assert len(stored) == 160
@@ -141,7 +141,7 @@ class TestRAIDAE:
         assert report.data_loss == 0 and not report.unrecovered
         assert not raid.cluster.location(3).available
         for block_id, payload in stored.items():
-            assert bytes(raid.cluster.get_block(block_id)) == payload
+            assert bytes(raid.cluster.try_get_block(block_id)) == payload
 
     def test_rebuild_cost_estimate_is_two_reads_per_block(self):
         raid = RAIDAEArray(AEParameters.triple(2, 5), disk_count=8, block_size=32)

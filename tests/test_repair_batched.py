@@ -213,7 +213,7 @@ class TestReadAccounting:
         assert report.blocks_read == per_block * len(victims) - 1
         for index in (2, 3):
             assert payloads_equal(
-                service.cluster.get_block(DataId(index)), make_payload(index, BLOCK_SIZE)
+                service.cluster.try_get_block(DataId(index)), make_payload(index, BLOCK_SIZE)
             )
 
 
@@ -232,7 +232,7 @@ class TestSegmentLogZeroCopy:
             assert isinstance(base, mmap.mmap)
             return base
 
-        payloads = store.get_many(list(blocks))
+        payloads = store.try_get_many(list(blocks))
         for block_id, payload in zip(blocks, payloads):
             assert isinstance(payload, np.ndarray)
             assert not payload.flags.owndata

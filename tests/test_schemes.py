@@ -24,6 +24,8 @@ from repro.exceptions import InvalidParametersError, RepairFailedError
 from repro.schemes.stripe import StripeBlockId, StripeScheme
 from repro.storage.backends import decode_block_id, encode_block_id
 
+from tests.conftest import DictSource
+
 #: The identifiers the acceptance criteria require the registry to resolve.
 REQUIRED_IDS = [
     "ae-1",
@@ -135,11 +137,11 @@ class TestSchemeProtocol:
         del store[victim]
 
         # Degraded read rebuilds the block through the scheme.
-        rebuilt = scheme.read_block(victim, store.get)
+        rebuilt = scheme.read_block(victim, DictSource(store))
         assert bytes(rebuilt) == expected
 
         # Live repair reads exactly the analytic single-failure cost.
-        outcome = scheme.repair({victim}, store.get)
+        outcome = scheme.repair({victim}, DictSource(store))
         assert victim in outcome.recovered
         assert bytes(outcome.recovered[victim]) == expected
         assert outcome.blocks_read == scheme.capabilities().single_failure_reads
@@ -152,11 +154,11 @@ class TestSchemeProtocol:
         # Lose a whole stripe: data 0, data 1 and the parity.
         for block_id in list(store):
             del store[block_id]
-        outcome = scheme.repair(set(part.data_ids), store.get)
+        outcome = scheme.repair(set(part.data_ids), DictSource(store))
         assert not outcome.recovered
         assert sorted(outcome.unrecovered) == sorted(part.data_ids)
         with pytest.raises(RepairFailedError):
-            scheme.read_block(part.data_ids[0], store.get)
+            scheme.read_block(part.data_ids[0], DictSource(store))
 
     def test_stripe_padding_completes_final_stripe(self):
         scheme = schemes.get("rs-10-4", block_size=32)

@@ -37,7 +37,7 @@ def build_system(spec: str = "AE(3,2,5)", blocks: int = 30, seed: int = 0):
     system.put("stream", rng.integers(0, 256, size=blocks * BLOCK_SIZE, dtype=np.uint8).tobytes())
     manifest = ChecksumManifest()
     for block_id in system.cluster.block_ids():
-        manifest.record_payload(block_id, system.cluster.get_block(block_id))
+        manifest.record_payload(block_id, system.cluster.try_get_block(block_id))
     scrubber = Scrubber(system.scheme.lattice, system.cluster, BLOCK_SIZE, manifest)
     return system, manifest, scrubber
 
@@ -46,7 +46,7 @@ def corrupt(system: StorageService, block_id) -> None:
     """Silently flip bytes of a stored block (tampering)."""
     location = system.cluster.location_of(block_id)
     store = system.cluster.location(location)
-    payload = np.asarray(store.get(block_id), dtype=np.uint8).copy()
+    payload = np.asarray(store.try_get(block_id), dtype=np.uint8).copy()
     payload[0] ^= 0xFF
     payload[-1] ^= 0xA5
     store.put(block_id, payload)
@@ -163,7 +163,7 @@ class TestScrubRepair:
     def test_repair_restores_tampered_parity(self):
         system, manifest, scrubber = build_system(blocks=30)
         target = ParityId(10, StrandClass.RIGHT_HANDED)
-        original = np.asarray(system.cluster.get_block(target), dtype=np.uint8).copy()
+        original = np.asarray(system.cluster.try_get_block(target), dtype=np.uint8).copy()
         corrupt(system, target)
         repaired = scrubber.repair_block(target)
         assert np.array_equal(repaired, original)

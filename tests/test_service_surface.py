@@ -24,6 +24,7 @@ import pytest
 from repro.exceptions import (
     BlockUnavailableError,
     InvalidParametersError,
+    RepairFailedError,
     UnknownBlockError,
 )
 from repro.storage import MaintenancePolicy
@@ -336,6 +337,50 @@ class TestRepairPolicy:
         assert len(self.listed(report, "skipped")) == missing > 0
         assert (service.status(), [log.read_bytes() for log in logs]) == before
         service.close()
+
+
+class TestReadableHasOneDefinition:
+    """A degraded read and ``repair()`` agree on what is lost, on every
+    layer: ``get_stream`` refuses a document exactly when a repair of the
+    same failed set leaves one of its data blocks unavailable, and what it
+    returns is byte-exact (the plain-service form, with the recipes that
+    found it, is in ``tests/test_storage_service.py``)."""
+
+    SCHEMES = ("ae-3-2-5", "ae-2-2-5", "ae-3-2-5-p75", "ae-1")
+
+    @staticmethod
+    def degraded(layer, scheme, failed, tmp_path):
+        service = open_layer(layer, "memory", tmp_path, scheme=scheme)
+        documents = {f"doc-{n}": payload(n) for n in range(30)}
+        for name, data in documents.items():
+            service.put(name, data)
+        service.fail_locations(range(failed))
+        return service, documents
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_get_stream_raises_iff_repair_would_lose_a_block(self, layer, scheme, tmp_path):
+        disagreements = {}
+        for failed in range(4, 11):
+            service, documents = self.degraded(layer, scheme, failed, tmp_path)
+            twin, _ = self.degraded(layer, scheme, failed, tmp_path)
+            twin.repair()
+            for name, data in documents.items():
+                holder = twin.service_for(name)
+                saved = all(
+                    map(holder.cluster.is_available, holder.documents[name].data_ids)
+                )
+                try:
+                    assert b"".join(service.get_stream(name)) == data
+                    assert twin.get(name) == data
+                    read = True
+                except RepairFailedError:
+                    read = False
+                if read != saved:
+                    disagreements[failed, name] = (read, saved)
+            service.close()
+            twin.close()
+        assert disagreements == {}
 
 
 class TestEmptyDisksComeBack:

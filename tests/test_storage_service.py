@@ -12,15 +12,18 @@ import random
 
 import pytest
 
-from repro.exceptions import UnknownBlockError
+from repro.exceptions import RepairFailedError, UnknownBlockError
 from repro.schemes.stripe import StripeBlockId
 from repro.storage.cluster import StorageCluster
+from repro.system import open_service
 from repro.system.compare import compare_schemes, single_failure_reads_measured
 from repro.system.service import (
     ServiceRepairReport,
     StorageConfig,
     StorageService,
 )
+
+from tests.conftest import DictSource
 
 
 def make_service(scheme_id: str, **overrides) -> StorageService:
@@ -238,7 +241,7 @@ class TestReviewRegressions:
         assert all(scheme.is_data_block(block_id) for block_id in [StripeBlockId(1, 0)])
         # Losing the padding blocks outright must not register as data loss:
         # mask them from the repair path and check the report directly.
-        outcome = scheme.repair(set(padded), lambda _block_id: None)
+        outcome = scheme.repair(set(padded), DictSource({}))
         assert sorted(outcome.unrecovered) == padded
         report_loss = sum(1 for b in outcome.unrecovered if scheme.is_data_block(b))
         assert report_loss == 0
@@ -267,3 +270,60 @@ class TestReviewRegressions:
         before = service.cluster.stats().blocks
         service.put("doc", seeded_payload(6, 256 * 4))
         assert service.cluster.stats().blocks == before + 4 * 3  # append-only
+
+
+class TestReadableHasOneDefinition:
+    """A degraded ``get`` and ``repair()`` run the same pass, so they agree
+    on what is lost: a document reads exactly when a repair of the same
+    failed set would not list one of its blocks as unrecovered (PR 24: the
+    read path used to give up where the repair path went on)."""
+
+    @staticmethod
+    def degraded(scheme_id: str, failed: int):
+        service = open_service(scheme=scheme_id, block_size=64, topology=20, seed=0)
+        documents = {
+            f"doc{i}": bytes((i * 7 + j) % 251 for j in range(2048)) for i in range(40)
+        }
+        for name, data in documents.items():
+            service.put(name, data)
+        service.fail_locations(range(failed))
+        return service, documents
+
+    @staticmethod
+    def unreadable(service, documents):
+        """The documents ``get`` refuses; the others must be byte-exact."""
+        raised = set()
+        for name, data in documents.items():
+            try:
+                assert service.get(name) == data
+            except RepairFailedError:
+                raised.add(name)
+        return raised
+
+    @pytest.mark.parametrize(
+        "scheme_id,failed,readable,lost",
+        [
+            ("ae-3-2-5", 10, {"doc12", "doc26"}, {"doc35"}),
+            ("ae-3-2-5-p75", 8, {"doc8", "doc12", "doc22", "doc36"}, {"doc39"}),
+        ],
+    )
+    def test_what_repair_would_save_reads_degraded(self, scheme_id, failed, readable, lost):
+        service, documents = self.degraded(scheme_id, failed)
+        assert self.unreadable(service, documents) == lost
+        for name in readable:
+            assert b"".join(service.get_stream(name)) == documents[name]
+
+    @pytest.mark.parametrize("failed", range(4, 11))
+    @pytest.mark.parametrize("scheme_id", ["ae-3-2-5", "ae-2-2-5", "ae-3-2-5-p75", "ae-1"])
+    def test_get_raises_iff_repair_would_lose_a_block(self, scheme_id, failed):
+        service, documents = self.degraded(scheme_id, failed)
+        twin, _ = self.degraded(scheme_id, failed)
+        unrecovered = set(twin.repair().unrecovered)
+        lost = {
+            name
+            for name, document in twin.documents.items()
+            if unrecovered.intersection(document.data_ids)
+        }
+        assert self.unreadable(service, documents) == lost
+        # ... and what repair saved reads with the locations still down.
+        assert self.unreadable(twin, documents) == lost

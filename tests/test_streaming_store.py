@@ -159,7 +159,7 @@ class TestBlockStoreBulk:
         assert store.put_many(items) == 5
         assert store.block_count == 5
         assert store.write_count == 5
-        payloads = store.get_many([block_id for block_id, _ in items])
+        payloads = store.try_get_many([block_id for block_id, _ in items])
         for (_, want), got in zip(items, payloads):
             assert np.array_equal(want, got)
         assert store.read_count == 5
@@ -184,13 +184,11 @@ class TestBlockStoreBulk:
         store.fail()
         with pytest.raises(BlockUnavailableError):
             store.put_many(self.make_items(1))
-        with pytest.raises(BlockUnavailableError):
-            store.get_many([DataId(1)])
+        assert store.try_get_many([DataId(1)]) == [None]
 
     def test_get_many_unknown_block(self):
         store = BlockStore(0)
-        with pytest.raises(UnknownBlockError):
-            store.get_many([DataId(99)])
+        assert store.try_get_many([DataId(99)]) == [None]
 
 
 class TestClusterBulk:
@@ -218,15 +216,14 @@ class TestClusterBulk:
         items = self.make_items(20)
         assert cluster.put_many(items) == 20
         wanted = [items[13][0], items[2][0], items[19][0]]
-        payloads = cluster.get_many(wanted)
+        payloads = cluster.try_get_many(wanted)
         assert np.array_equal(payloads[0], items[13][1])
         assert np.array_equal(payloads[1], items[2][1])
         assert np.array_equal(payloads[2], items[19][1])
 
     def test_get_many_unknown_block(self):
         cluster = StorageCluster(3)
-        with pytest.raises(UnknownBlockError):
-            cluster.get_many([DataId(1)])
+        assert cluster.try_get_many([DataId(1)]) == [None]
 
     def test_locations_for_matches_location_for(self):
         cluster = StorageCluster(13)

@@ -32,6 +32,8 @@ import repro.schemes as schemes
 from repro.codes.base import StripeCode
 from repro.system.service import StorageConfig, StorageService
 
+from tests.conftest import DictSource
+
 SCHEMES = (
     "rs-10-4",
     "rs-8-2",
@@ -133,7 +135,7 @@ def scheme_digest(scheme_id: str, size: int) -> str:
             for position in rng.choice(code.n, size=lost_per_stripe, replace=False):
                 missing.add(schemes.StripeBlockId(stripe, int(position)))
         survivors = {b: blob for b, blob in store.items() if b not in missing}
-        outcome = scheme.repair(missing, survivors.get)
+        outcome = scheme.repair(missing, DictSource(survivors))
         for block_id, blob in outcome.recovered.items():
             assert bytes(blob) == bytes(store[block_id])
         parts.append(f"lost{lost_per_stripe}")
@@ -144,7 +146,7 @@ def scheme_digest(scheme_id: str, size: int) -> str:
         parts.append(repr((outcome.blocks_read, outcome.rounds)))
     victim = part.data_ids[-1]
     survivors = {b: blob for b, blob in store.items() if b != victim}
-    parts.append(scheme.read_block(victim, survivors.get))
+    parts.append(scheme.read_block(victim, DictSource(survivors)))
     return _digest(parts)
 
 

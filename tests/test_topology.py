@@ -257,13 +257,13 @@ class TestRelocateAvoidList:
         cluster.put_block(Block(DataId(2), b"b"), location_id=1)
         # Location 2 is the only one with free capacity -- and it is avoided.
         with pytest.raises(PlacementError):
-            cluster.relocate(DataId(3), b"c", avoid=(2,))
+            cluster.relocate_many([(DataId(3), b"c")], avoid=(2,))
 
     def test_full_locations_are_skipped(self):
         cluster = StorageCluster(3, RandomPlacement(3), capacity_blocks=1)
         cluster.put_block(Block(DataId(1), b"a"), location_id=0)
         cluster.put_block(Block(DataId(2), b"b"), location_id=1)
-        target = cluster.relocate(DataId(3), b"c", avoid=())
+        target = cluster.relocate_many([(DataId(3), b"c")], avoid=())[DataId(3)]
         assert target == 2
 
     def test_relocate_avoids_the_failed_domain(self):
@@ -272,7 +272,7 @@ class TestRelocateAvoidList:
         cluster.put_block(Block(DataId(1), b"x" * 8), location_id=0)
         failed_site = topology.locations_for_target("site:0")
         cluster.fail_locations(failed_site)
-        target = cluster.relocate(DataId(1), b"y" * 8, avoid=tuple(failed_site))
+        target = cluster.relocate_many([(DataId(1), b"y" * 8)], avoid=tuple(failed_site))[DataId(1)]
         assert topology.domain_of(target, "site") != 0
 
     def test_relocate_avoids_down_site_even_with_partial_avoid(self):
@@ -282,7 +282,7 @@ class TestRelocateAvoidList:
         cluster = StorageCluster(placement=SpreadDomainsPlacement(topology))
         cluster.put_block(Block(DataId(1), b"x" * 8), location_id=0)
         cluster.fail_locations([0])
-        target = cluster.relocate(DataId(1), b"y" * 8, avoid=(0,))
+        target = cluster.relocate_many([(DataId(1), b"y" * 8)], avoid=(0,))[DataId(1)]
         assert topology.domain_of(target, "site") != 0
 
 
@@ -364,7 +364,7 @@ class TestGeoScenario:
         cluster.put_block(Block(block_id, b"x" * 8))
         failed = topology.locations_for_target("site:0")
         cluster.fail_locations(failed)
-        target = cluster.relocate(block_id, b"y" * 8, avoid=tuple(failed))
+        target = cluster.relocate_many([(block_id, b"y" * 8)], avoid=tuple(failed))[block_id]
         # Site 1 holds the block's parity lane; site 2 is the spare.
         assert topology.domain_of(target, "site") == 2
 

@@ -23,7 +23,7 @@ import pytest
 import repro.schemes as schemes
 import repro.system.service as service_module
 from repro.core.blocks import DataId, ParityId
-from repro.exceptions import InvalidParametersError, ReproError
+from repro.exceptions import InvalidParametersError, RepairFailedError, ReproError
 from repro.storage.wal import MetadataWAL
 from repro.system.frontend import ConcurrentStorageService
 from repro.system.opening import open_service
@@ -186,6 +186,48 @@ class TestLiveChain:
             service.transition_to("ae-4-2-5")
         assert service.transition is None
         assert service.scheme.scheme_id == "ae-3-2-5"
+
+
+class TestStrandHeadsAreBlocksToo:
+    """The flip of an AE-internal transition reads the strand heads back
+    through repair, so failed locations holding some of them do not stop it
+    (PR 24: it used to raise ``cannot restore encoder state: parity
+    p[318,rh] unavailable`` and leave the plan set, so every later
+    ``transition_to`` answered "already in flight" on a volatile service
+    that has no reopen to resume through)."""
+
+    @staticmethod
+    def degraded(failed):
+        service = StorageService.open(
+            StorageConfig(scheme="ae-3-2-5", block_size=64, topology=20, seed=0)
+        )
+        payloads = {
+            f"doc{i}": bytes((i * 7 + j) % 251 for j in range(2048)) for i in range(10)
+        }
+        fill(service, payloads)
+        service.fail_locations(range(failed))
+        return service, payloads
+
+    def test_repuncture_completes_with_head_locations_down(self):
+        service, payloads = self.degraded(4)
+        heads = service.scheme.entangler.strand_head_ids()
+        assert not all(map(service.cluster.is_available, heads))
+        report = service.transition_to("ae-3-2-5-p75")
+        assert (report.kind, report.blocks_deleted) == (KIND_REPUNCTURE, 275)
+        assert service.transition is None
+        assert service.scheme.scheme_id == "ae-3-2-5-p75"
+        assert_byte_exact(service, payloads)
+        service.restore_locations()  # a put needs every location it places on
+        service.put("late", payloads["doc3"])
+        assert service.get("late") == payloads["doc3"]
+
+    def test_a_head_no_tuple_reaches_fails_typed_before_the_flip(self):
+        service, _ = self.degraded(19)
+        blocks = service.status().blocks
+        with pytest.raises(RepairFailedError):
+            service.transition_to("ae-3-2-5-p75")
+        assert service.scheme.scheme_id == "ae-3-2-5"
+        assert service.status().blocks == blocks
 
 
 class _CrashGuard:
