@@ -20,10 +20,11 @@ Three built-in backends cover the durability spectrum:
   never leaves a torn block.  Reopening the root recovers every block.
 * :class:`SegmentLogBackend` -- blocks appended to capped segment files with
   an in-RAM offset index, the classic log-structured layout (one sequential
-  write per put, no per-block file overhead).  Deletes append tombstones;
-  segments are compacted once the dead-byte ratio passes a threshold.
-  Reopening rescans the segments and rebuilds the index, stopping cleanly at
-  a torn tail record (crash safety).
+  write per put, no per-block file overhead).  A batch of deletes appends
+  one run of tombstones; the log is compacted once its dead bytes pass a
+  ratio and fill a segment.  Reopening reads the index record a close left
+  behind, or rescans the segments, dropping rotten records and truncating a
+  torn tail (crash safety).
 
 Backends are keyed by **block identifiers** (:class:`~repro.core.blocks.DataId`,
 :class:`~repro.core.blocks.ParityId`, stripe ids, ...).  Persistent backends
@@ -37,6 +38,7 @@ New media (S3, a key-value store, ...) plug in with :func:`register`.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import mmap
 import os
@@ -152,9 +154,17 @@ class StorageBackend(ABC):
     def get(self, block_id: object) -> Payload:
         """Return a stored payload; raises :class:`KeyError` when absent."""
 
-    @abstractmethod
     def delete(self, block_id: object) -> None:
         """Remove a payload; raises :class:`KeyError` when absent."""
+        if not self.delete_many((block_id,)):
+            raise KeyError(block_id)
+
+    @abstractmethod
+    def delete_many(self, block_ids: Iterable[object]) -> int:
+        """Remove the stored payloads among ``block_ids`` as one batch.
+
+        Absent ids are skipped; returns the number of payloads removed.
+        """
 
     @abstractmethod
     def clear(self) -> None:
@@ -210,8 +220,13 @@ class MemoryBackend(StorageBackend):
     def get(self, block_id: object) -> Payload:
         return self._payloads[block_id]
 
-    def delete(self, block_id: object) -> None:
-        del self._payloads[block_id]
+    def delete_many(self, block_ids: Iterable[object]) -> int:
+        payloads = self._payloads
+        count = 0
+        for block_id in block_ids:
+            if payloads.pop(block_id, None) is not None:
+                count += 1
+        return count
 
     def clear(self) -> None:
         self._payloads.clear()
@@ -273,11 +288,15 @@ class DiskBackend(StorageBackend):
         except FileNotFoundError:
             raise KeyError(block_id) from None
 
-    def delete(self, block_id: object) -> None:
-        try:
-            os.remove(self._path(block_id))
-        except FileNotFoundError:
-            raise KeyError(block_id) from None
+    def delete_many(self, block_ids: Iterable[object]) -> int:
+        count = 0
+        for block_id in block_ids:
+            try:
+                os.remove(self._path(block_id))
+            except FileNotFoundError:
+                continue
+            count += 1
+        return count
 
     def clear(self) -> None:
         # Materialise the listing first: unlinking while a scandir iterator
@@ -302,6 +321,75 @@ class DiskBackend(StorageBackend):
 _RECORD_HEADER = struct.Struct("<4sIiI")
 _RECORD_MAGIC = b"RSG1"
 
+#: Every segment the backend starts opens with a nonce record: an empty key
+#: and a random payload.  An index record repeats its segment's nonce under
+#: its CRC, so the tail of a stored payload can never pass for an index (a
+#: payload cannot know the nonce).
+_NONCE_BYTES = 16
+_NONCE_RECORD_BYTES = _RECORD_HEADER.size + _NONCE_BYTES
+
+#: The index record :meth:`SegmentLogBackend.close` appends to a mostly dead
+#: log is an ordinary record with an empty key.  Its payload is a head, the
+#: sealed segments' sizes, one entry per live record (the in-RAM index value:
+#: a record's key is read back from the record itself) and a trailer that
+#: ends the file, so open finds the record from EOF.
+_INDEX_HEAD = struct.Struct(f"<{_NONCE_BYTES}sII")  # nonce, sealed segments, live entries
+_INDEX_SEGMENT = struct.Struct("<IQ")  # segment number, size in bytes
+_INDEX_ENTRY = struct.Struct("<IQIH")  # segment, payload offset and length, key length
+_INDEX_TRAILER = struct.Struct("<Q4s")  # index record length, magic
+_INDEX_MAGIC = b"RSGX"
+_INDEX_MIN_BYTES = _RECORD_HEADER.size + _INDEX_HEAD.size + _INDEX_TRAILER.size
+
+
+def _record_bytes(entry: Tuple[int, int, int, int]) -> int:
+    """Header + key + payload bytes of the record an index entry names."""
+    return _RECORD_HEADER.size + entry[3] + entry[2]
+
+
+def _nonce_record(nonce: bytes) -> bytes:
+    return _RECORD_HEADER.pack(_RECORD_MAGIC, 0, len(nonce), zlib.crc32(nonce)) + nonce
+
+
+def _read_nonce(head: bytes) -> Optional[bytes]:
+    """The nonce a segment's first bytes hold; ``None`` for a segment that
+    does not open with an intact nonce record (an older format, or rot)."""
+    nonce = bytes(head[_RECORD_HEADER.size : _NONCE_RECORD_BYTES])
+    if len(nonce) == _NONCE_BYTES and head[:_NONCE_RECORD_BYTES] == _nonce_record(nonce):
+        return nonce
+    return None
+
+
+def _chains_to_end(data, view: memoryview, offset: int, size: int) -> bool:
+    """Whether the records from ``offset`` on pass their frame and CRC
+    checks and end exactly at ``size``."""
+    header_size = _RECORD_HEADER.size
+    while offset < size:
+        if offset + header_size > size:
+            return False
+        magic, key_len, payload_len, crc = _RECORD_HEADER.unpack_from(data, offset)
+        end = offset + header_size + key_len + max(payload_len, 0)
+        if (
+            magic != _RECORD_MAGIC
+            or end > size
+            or zlib.crc32(view[offset + header_size : end]) != crc
+        ):
+            return False
+        offset = end
+    return True
+
+
+def _resync(data, view: memoryview, offset: int, size: int) -> int:
+    """The first record magic after ``offset`` from which the rest of the
+    segment chains cleanly; ``size`` when there is none.  A payload may hold
+    the magic, or a whole record, so a lone match is never taken as framing."""
+    candidate = data.find(_RECORD_MAGIC, offset + 1)
+    while candidate >= 0:
+        if _chains_to_end(data, view, candidate, size):
+            return candidate
+        candidate = data.find(_RECORD_MAGIC, candidate + 1)
+    return size
+
+
 #: Default cap on one segment file (1 MiB keeps tests fast; production roots
 #: would use tens or hundreds of MiB).
 DEFAULT_SEGMENT_BYTES = 1 << 20
@@ -310,21 +398,38 @@ DEFAULT_SEGMENT_BYTES = 1 << 20
 class SegmentLogBackend(StorageBackend):
     """Append-only segment files with an in-RAM offset index.
 
-    Every ``put`` appends one record (header + key + payload) to the active
-    segment; when the active segment passes ``segment_bytes`` it is sealed
-    and a new one is started.  ``delete`` appends a tombstone.  The index
-    maps each live block id to ``(segment, offset, length)``, so a read is
-    one ``seek`` + one ``read``.
+    Four record kinds share one frame -- header (magic, key length, payload
+    length, CRC32 of key + payload) + key + payload:
 
-    Reopening the root rescans the segments in order and rebuilds the index.
-    The scan validates each record's magic and CRC and stops at the first
-    torn record of the final segment, truncating the garbage tail -- exactly
-    the state after a crash mid-append: every fully written block survives,
-    the half-written one is discarded.
+    * a **nonce** record (empty key, random payload) opens every segment;
+    * a **block** record per stored payload;
+    * a **tombstone** (payload length -1) per deleted block; a batch of
+      deletes is one run of tombstones, one flush and one compaction check;
+    * an **index** record (empty key) that :meth:`close` appends when the
+      log is mostly dead: its segment's nonce, where each live record lies
+      and the sealed segments' sizes, ended by a fixed trailer.
 
-    Deleted and overwritten records leave dead bytes behind; once they exceed
-    ``compact_ratio`` of the log, :meth:`compact` rewrites live records into
-    fresh segments and removes the old files.
+    Every ``put`` appends one record to the active segment; when the active
+    segment passes ``segment_bytes`` it is sealed and a new one is started.
+    The index maps each live block id to ``(segment, payload offset, payload
+    length, key length)``, so a read is one view over a memory-mapped
+    segment.
+
+    Reopening trusts an index record only when it is the last thing in the
+    log, it carries the final segment's nonce, its CRC and the segment sizes
+    match and every live record it names passes the record checks; anything
+    else means a scan of every segment in order.  The scan skips nonce and
+    index records, drops a record that fails its checks but is followed by a
+    valid one (bit rot: the block reads as missing and the scheme repairs
+    it), and truncates only a bad tail of the final segment -- the state
+    after a crash mid-append: every fully written block survives, the
+    half-written one is discarded.
+
+    Deleted and overwritten records, tombstones, nonce and index records are
+    dead bytes; once they exceed ``compact_ratio`` of the log *and* fill one
+    ``segment_bytes``, :meth:`compact` rewrites the live records into fresh
+    segments and removes the old files.  After every write the dead bytes
+    are therefore at most ``max(compact_ratio x log, segment_bytes)``.
     """
 
     name = "segment"
@@ -349,15 +454,23 @@ class SegmentLogBackend(StorageBackend):
         self._fsync = bool(fsync)
         self._auto_compact = bool(auto_compact)
         os.makedirs(self._dir, exist_ok=True)
-        #: block id -> (segment index, payload offset, payload length)
-        self._index: Dict[object, Tuple[int, int, int]] = {}
+        #: block id -> (segment index, payload offset, payload length, key
+        #: length): where the live record lies, header + key + payload.
+        self._index: Dict[object, Tuple[int, int, int, int]] = {}
         self._readers: Dict[int, object] = {}
         #: segment index -> (read-only mmap, mapped size); reads are served
         #: as zero-copy numpy views over these maps.
         self._maps: Dict[int, Tuple[mmap.mmap, int]] = {}
+        #: Header + key + payload bytes of the live records; every other byte
+        #: of the log is dead.
         self._live_bytes = 0
         self._total_bytes = 0
+        #: Whether the log ends in an index record describing its state.
+        self._tail_is_index = False
         self._active = -1
+        #: The active segment's nonce; ``None`` when it has none (a segment
+        #: of an older format), and then no index record is written to it.
+        self._nonce: Optional[bytes] = None
         self._writer = None
         self._recover()
 
@@ -373,62 +486,202 @@ class SegmentLogBackend(StorageBackend):
         return sorted(numbers)
 
     def _recover(self) -> None:
-        """Rebuild the index by scanning every segment (crash-safe reopen)."""
+        """Rebuild the index: from the close-time index record when it can be
+        trusted, else by scanning every segment (crash-safe reopen).  Either
+        way the final segment's nonce is read on the way."""
         segments = self._segments_on_disk()
-        for position, segment in enumerate(segments):
-            valid_end = self._scan_segment(segment)
-            if position == len(segments) - 1 and valid_end is not None:
-                # Torn tail record after a crash: drop the garbage so future
-                # appends produce a log that rescans cleanly.
-                with open(self._segment_path(segment), "r+b") as handle:
-                    handle.truncate(valid_end)
+        if not self._adopt_index(segments):
+            for position, segment in enumerate(segments):
+                self._scan_segment(segment, final=position == len(segments) - 1)
         self._active = segments[-1] if segments else 0
-        self._open_writer()
         self._total_bytes = sum(
             os.path.getsize(self._segment_path(segment)) for segment in segments
         )
+        self._open_writer()
 
-    def _scan_segment(self, segment: int) -> Optional[int]:
-        """Index one segment; returns the truncation offset on a torn tail."""
+    def _adopt_index(self, segments: List[int]) -> bool:
+        """Load the index record that ends the log, if it can be trusted.
+
+        It must be the last thing in the final segment with a valid CRC and
+        that segment's nonce, the sealed segments on disk must be exactly the
+        ones it lists at the sizes it lists, and every live record it names
+        must pass the checks the scan applies (magic, key, length, CRC).
+        ``False`` means: scan.
+        """
+        if not segments:
+            return False
+        final = segments[-1]
+        size = os.path.getsize(self._segment_path(final))
+        if size < _NONCE_RECORD_BYTES + _INDEX_MIN_BYTES:
+            return False
+        header_size = _RECORD_HEADER.size
+        fds: Dict[int, int] = {}
+        try:
+            fds[final] = os.open(self._segment_path(final), os.O_RDONLY)
+            self._nonce = _read_nonce(os.pread(fds[final], _NONCE_RECORD_BYTES, 0))
+            record_len, magic = _INDEX_TRAILER.unpack(
+                os.pread(fds[final], _INDEX_TRAILER.size, size - _INDEX_TRAILER.size)
+            )
+            if (
+                self._nonce is None
+                or magic != _INDEX_MAGIC
+                or not _INDEX_MIN_BYTES <= record_len <= size - _NONCE_RECORD_BYTES
+            ):
+                return False
+            record = os.pread(fds[final], record_len, size - record_len)
+            magic, key_len, payload_len, crc = _RECORD_HEADER.unpack_from(record)
+            if (
+                magic != _RECORD_MAGIC
+                or key_len
+                or payload_len != record_len - header_size
+                or zlib.crc32(memoryview(record)[header_size:]) != crc
+            ):
+                return False
+            nonce, sealed_count, entry_count = _INDEX_HEAD.unpack_from(record, header_size)
+            if nonce != self._nonce:
+                return False
+            sealed_at = header_size + _INDEX_HEAD.size
+            entries_at = sealed_at + sealed_count * _INDEX_SEGMENT.size
+            entries_end = record_len - _INDEX_TRAILER.size
+            if entries_at + entry_count * _INDEX_ENTRY.size != entries_end:
+                return False
+            sizes = dict(_INDEX_SEGMENT.iter_unpack(record[sealed_at:entries_at]))
+            if list(sizes) != segments[:-1] or any(
+                os.path.getsize(self._segment_path(segment)) != expected
+                for segment, expected in sizes.items()
+            ):
+                return False
+            sizes[final] = size - record_len
+            index: Dict[object, Tuple[int, int, int, int]] = {}
+            live = 0
+            for entry in _INDEX_ENTRY.iter_unpack(record[entries_at:entries_end]):
+                segment, offset, length, key_len = entry
+                start = offset - header_size - key_len
+                end = offset + length
+                if not key_len or start < 0 or end > sizes.get(segment, -1):
+                    return False
+                fd = fds.get(segment)
+                if fd is None:
+                    path = self._segment_path(segment)
+                    fd = fds[segment] = os.open(path, os.O_RDONLY)
+                raw = os.pread(fd, end - start, start)
+                if _RECORD_HEADER.unpack_from(raw) != (
+                    _RECORD_MAGIC,
+                    key_len,
+                    length,
+                    zlib.crc32(memoryview(raw)[header_size:]),
+                ):
+                    return False
+                key = raw[header_size : header_size + key_len].decode("ascii")
+                index[decode_block_id(key)] = entry
+                live += end - start
+        finally:
+            for fd in fds.values():
+                os.close(fd)
+        self._index = index
+        self._live_bytes = live
+        self._tail_is_index = True
+        return True
+
+    def _scan_segment(self, segment: int, final: bool) -> None:
+        """Index one segment's records, in order.
+
+        A damaged stretch is skipped: a record whose frame holds but whose
+        CRC fails is stepped over by its length, bytes that do not frame as
+        a record by resynchronising where the rest of the segment frames
+        cleanly (:func:`_resync`).  Followed by a valid record, or at the end
+        of a sealed segment (fully written before it rolled), it is rot: the
+        blocks its intact frames name are dropped from the index, so they
+        read as missing and the scheme repairs them.  At the end of the final
+        segment it is a torn tail and is truncated, leaving the blocks' older
+        records live; so is a header there whose record runs past the end (a
+        crash mid-append: what follows it is its payload, never framing).
+        """
         path = self._segment_path(segment)
         with open(path, "rb") as handle:
-            offset = 0
-            while True:
-                header = handle.read(_RECORD_HEADER.size)
-                if not header:
-                    return None
-                if len(header) < _RECORD_HEADER.size:
-                    return offset
-                magic, key_len, payload_len, crc = _RECORD_HEADER.unpack(header)
-                if magic != _RECORD_MAGIC:
-                    return offset
-                tombstone = payload_len < 0
-                body_len = key_len + (0 if tombstone else payload_len)
-                body = handle.read(body_len)
-                if len(body) < body_len:
-                    return offset
-                if zlib.crc32(body) != crc:
-                    return offset
-                key = body[:key_len].decode("ascii")
-                block_id = decode_block_id(key)
-                record_len = _RECORD_HEADER.size + body_len
-                if tombstone:
-                    previous = self._index.pop(block_id, None)
+            size = os.fstat(handle.fileno()).st_size
+            if not size:
+                return
+            # Mapped, not read: memory stays bounded for any segment size.
+            data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        if final:
+            self._nonce = _read_nonce(data[:_NONCE_RECORD_BYTES])
+        index = self._index
+        header_size = _RECORD_HEADER.size
+        unpack = _RECORD_HEADER.unpack_from
+        live = 0
+        offset = 0
+        damaged = -1  # start of a damaged stretch no valid record followed yet
+        rotten: List[bytes] = []  # keys named by that stretch's intact frames
+        with data, memoryview(data) as view:
+            while offset < size:
+                end = -1
+                if offset + header_size <= size:
+                    magic, key_len, payload_len, crc = unpack(data, offset)
+                    end = offset + header_size + key_len + max(payload_len, 0)
+                    if magic != _RECORD_MAGIC:
+                        end = -1
+                    elif end > size:
+                        if final:  # a torn append: the rest is its payload
+                            if damaged < 0:
+                                damaged = offset
+                            break
+                        end = -1
+                key_at = offset + header_size
+                if end < 0 or zlib.crc32(view[key_at:end]) != crc:
+                    if damaged < 0:
+                        damaged = offset
+                    if end >= 0:  # the frame holds: step over the rotten record
+                        rotten.append(data[key_at : key_at + key_len])
+                        offset = end
+                    else:
+                        offset = _resync(data, view, offset, size)
+                    continue
+                if damaged >= 0:
+                    live -= self._erase(rotten)
+                    damaged, rotten = -1, []
+                if key_len:  # an empty key is a nonce or index record: dead bytes
+                    key = data[key_at : key_at + key_len].decode("ascii")
+                    block_id = decode_block_id(key)
+                    if payload_len < 0:
+                        previous = index.pop(block_id, None)
+                    else:
+                        previous = index.get(block_id)
+                        index[block_id] = (segment, key_at + key_len, payload_len, key_len)
+                        live += end - offset
                     if previous is not None:
-                        self._live_bytes -= previous[2]
-                else:
-                    previous = self._index.get(block_id)
-                    if previous is not None:
-                        self._live_bytes -= previous[2]
-                    payload_offset = offset + _RECORD_HEADER.size + key_len
-                    self._index[block_id] = (segment, payload_offset, payload_len)
-                    self._live_bytes += payload_len
-                offset += record_len
+                        live -= _record_bytes(previous)
+                offset = end
+        if damaged >= 0:
+            if final:
+                with open(path, "r+b") as handle:
+                    handle.truncate(damaged)
+            else:
+                live -= self._erase(rotten)
+        self._live_bytes += live
+
+    def _erase(self, keys: List[bytes]) -> int:
+        """Drop the blocks rotten records name from the index (keys that no
+        longer decode name nothing); returns the live bytes dropped."""
+        dropped = 0
+        for key in keys:
+            try:
+                block_id = decode_block_id(key.decode("ascii"))
+            except (UnicodeDecodeError, InvalidParametersError):
+                continue
+            previous = self._index.pop(block_id, None)
+            if previous is not None:
+                dropped += _record_bytes(previous)
+        return dropped
 
     def _open_writer(self) -> None:
         if self._writer is not None:
             self._writer.close()
         self._writer = open(self._segment_path(self._active), "ab")
+        if not self._writer.tell():  # a new segment opens with a fresh nonce
+            self._nonce = os.urandom(_NONCE_BYTES)
+            self._writer.write(_nonce_record(self._nonce))
+            self._total_bytes += _NONCE_RECORD_BYTES
 
     def _reader(self, segment: int) -> BinaryIO:
         handle = self._readers.get(segment)
@@ -439,6 +692,7 @@ class SegmentLogBackend(StorageBackend):
 
     # -- write path -----------------------------------------------------
     def _append(self, block_id: object, payload: Optional[np.ndarray]) -> None:
+        """Append a block record, or a tombstone when ``payload`` is None."""
         key = encode_block_id(block_id).encode("ascii")
         body = key + (payload.tobytes() if payload is not None else b"")
         payload_len = int(payload.size) if payload is not None else -1
@@ -451,16 +705,20 @@ class SegmentLogBackend(StorageBackend):
         writer.write(body)
         record_len = len(header) + len(body)
         self._total_bytes += record_len
+        self._tail_is_index = False
         if payload is not None:
             previous = self._index.get(block_id)
-            if previous is not None:
-                self._live_bytes -= previous[2]
             self._index[block_id] = (
                 self._active,
                 offset + len(header) + len(key),
                 payload_len,
+                len(key),
             )
-            self._live_bytes += payload_len
+            self._live_bytes += record_len
+        else:
+            previous = self._index.pop(block_id, None)
+        if previous is not None:
+            self._live_bytes -= _record_bytes(previous)
         if offset + record_len >= self._segment_bytes:
             self._roll()
 
@@ -486,15 +744,18 @@ class SegmentLogBackend(StorageBackend):
         self._maybe_compact()
         return count
 
-    def delete(self, block_id: object) -> None:
-        previous = self._index.get(block_id)
-        if previous is None:
-            raise KeyError(block_id)
-        self._append(block_id, None)
-        self._index.pop(block_id, None)
-        self._live_bytes -= previous[2]
-        self.flush()
-        self._maybe_compact()
+    def delete_many(self, block_ids: Iterable[object]) -> int:
+        """One tombstone per held id, then one flush and one compaction check."""
+        index = self._index
+        count = 0
+        for block_id in block_ids:
+            if block_id in index:
+                self._append(block_id, None)
+                count += 1
+        if count:
+            self.flush()
+            self._maybe_compact()
+        return count
 
     def clear(self) -> None:
         for handle in self._readers.values():
@@ -511,6 +772,7 @@ class SegmentLogBackend(StorageBackend):
         self._index.clear()
         self._live_bytes = 0
         self._total_bytes = 0
+        self._tail_is_index = False
         self._active = 0
         self._open_writer()
 
@@ -546,7 +808,7 @@ class SegmentLogBackend(StorageBackend):
         entry = self._index.get(block_id)
         if entry is None:
             raise KeyError(block_id)
-        segment, offset, length = entry
+        segment, offset, length, _ = entry
         mapped = self._mapped(segment, offset + length)
         if mapped is not None:
             # Zero-copy: a read-only uint8 view straight over the mapped
@@ -562,30 +824,32 @@ class SegmentLogBackend(StorageBackend):
         return np.frombuffer(handle.read(length), dtype=np.uint8)
 
     def scan(self) -> Iterator[Tuple[object, int]]:
-        for block_id, (_, _, length) in self._index.items():
+        for block_id, (_, _, length, _) in self._index.items():
             yield block_id, length
 
     # -- compaction -----------------------------------------------------
     @property
     def dead_bytes(self) -> int:
-        """Bytes held by deleted or overwritten records (reclaimed by compaction)."""
-        return max(0, self._total_bytes - self._live_bytes - self._overhead_bytes())
-
-    def _overhead_bytes(self) -> int:
-        # Header + key bytes of the live records (an estimate: keys are short).
-        return len(self._index) * (_RECORD_HEADER.size + 8)
+        """Log bytes that are not a live record: overwritten and deleted
+        records, tombstones, index records (reclaimed by compaction)."""
+        return self._total_bytes - self._live_bytes
 
     @property
     def segment_count(self) -> int:
         return len(self._segments_on_disk())
 
+    def _mostly_dead(self) -> bool:
+        return self.dead_bytes > self._compact_ratio * self._total_bytes
+
     def _maybe_compact(self) -> None:
-        if not self._auto_compact or self._total_bytes == 0:
-            return
-        # dead_bytes excludes the live records' header/key overhead, which
-        # compaction cannot reduce -- comparing raw total-live would retrigger
-        # a full-log rewrite on every put for small blocks.
-        if self.dead_bytes > self._compact_ratio * self._total_bytes:
+        # A segment is the unit the log allocates in: rewriting a location
+        # before one segment of it is dead would cost a file create and an
+        # unlink per few KiB reclaimed.
+        if (
+            self._auto_compact
+            and self.dead_bytes >= self._segment_bytes
+            and self._mostly_dead()
+        ):
             self.compact()
 
     def compact(self) -> None:
@@ -603,11 +867,12 @@ class SegmentLogBackend(StorageBackend):
         entries = list(self._index.items())  # metadata only, not payloads
         self._writer.close()
         self._active = (old_segments[-1] + 1) if old_segments else 0
-        self._open_writer()
         self._index = {}
         self._live_bytes = 0
         self._total_bytes = 0
-        for block_id, (segment, offset, length) in entries:
+        self._tail_is_index = False
+        self._open_writer()
+        for block_id, (segment, offset, length, _) in entries:
             handle = self._reader(segment)
             handle.seek(offset)
             payload = np.frombuffer(handle.read(length), dtype=np.uint8)
@@ -627,7 +892,44 @@ class SegmentLogBackend(StorageBackend):
             if self._fsync:
                 os.fsync(self._writer.fileno())
 
+    def _append_index(self) -> None:
+        """Append the index record: the live entries and the sealed segments'
+        sizes, so the next open can skip the scan of a mostly dead log."""
+        sealed = self._segments_on_disk()[:-1]
+        index = self._index
+        body = b"".join(
+            [
+                _INDEX_HEAD.pack(self._nonce, len(sealed), len(index)),
+                *[
+                    _INDEX_SEGMENT.pack(
+                        segment, os.path.getsize(self._segment_path(segment))
+                    )
+                    for segment in sealed
+                ],
+                # The in-RAM entries as they are, in one pack call.
+                struct.pack(
+                    "<" + _INDEX_ENTRY.format[1:] * len(index),
+                    *itertools.chain.from_iterable(index.values()),
+                ),
+            ]
+        )
+        record_len = _RECORD_HEADER.size + len(body) + _INDEX_TRAILER.size
+        payload = body + _INDEX_TRAILER.pack(record_len, _INDEX_MAGIC)
+        self._writer.write(
+            _RECORD_HEADER.pack(_RECORD_MAGIC, 0, len(payload), zlib.crc32(payload))
+            + payload
+        )
+        self._total_bytes += record_len
+        self._tail_is_index = True
+
     def close(self) -> None:
+        if (
+            self._writer is not None
+            and self._nonce is not None
+            and not self._tail_is_index
+            and self._mostly_dead()
+        ):
+            self._append_index()
         self.flush()
         for handle in self._readers.values():
             handle.close()

@@ -284,14 +284,30 @@ class BlockStore:
         return payloads
 
     def delete(self, block_id: BlockId) -> None:
+        if not self.delete_many((block_id,)):
+            raise UnknownBlockError(
+                f"block {block_id!r} is not stored at location {self._location_id}"
+            )
+
+    def delete_many(self, block_ids: Iterable[BlockId]) -> int:
+        """Remove the stored blocks among ``block_ids`` in one backend call
+        (absent ids are skipped), returning how many were removed.
+
+        Like every delete it works on a location that is down: availability
+        models request serving, while a delete reclaims space.
+        """
         with self._lock:
-            if block_id not in self._sizes:
-                raise UnknownBlockError(
-                    f"block {block_id!r} is not stored at location {self._location_id}"
-                )
-            self._backend.delete(block_id)
-            self._bytes -= self._sizes.pop(block_id)
-            self._cache.pop(block_id, None)
+            sizes = self._sizes
+            doomed = [
+                block_id for block_id in dict.fromkeys(block_ids) if block_id in sizes
+            ]
+            if doomed:
+                self._backend.delete_many(doomed)
+                cache = self._cache
+                for block_id in doomed:
+                    self._bytes -= sizes.pop(block_id)
+                    cache.pop(block_id, None)
+            return len(doomed)
 
     def contains(self, block_id: BlockId) -> bool:
         """True when the block is physically present (even if unavailable)."""

@@ -132,11 +132,14 @@ class StorageCluster:
         # inflate the byte accounting across reopen cycles.
         self._directory: Dict[BlockId, int] = {}
         for store in self._stores:
+            duplicates = []
             for block_id in store.block_ids():
                 if block_id in self._directory:
-                    store.delete(block_id)
+                    duplicates.append(block_id)
                 else:
                     self._directory[block_id] = store.location_id
+            if duplicates:
+                store.delete_many(duplicates)
 
     def _new_store(self, location_id: int) -> BlockStore:
         capacity_blocks, cache_blocks, backend_options = self._store_options
@@ -234,9 +237,13 @@ class StorageCluster:
         for location_id in targets:
             store = self._stores[location_id]
             store.restore()
-            for block_id in store.block_ids():
-                if self._directory.get(block_id) != location_id:
-                    store.delete(block_id)
+            store.delete_many(
+                [
+                    block_id
+                    for block_id in store.block_ids()
+                    if self._directory.get(block_id) != location_id
+                ]
+            )
 
     # ------------------------------------------------------------------
     # Block operations
@@ -318,30 +325,38 @@ class StorageCluster:
         return payloads
 
     def delete_block(self, block_id: BlockId) -> int:
-        """Remove a block from the cluster, returning the location that held it.
+        """Remove a block from the cluster, returning the location that held it
+        (:meth:`delete_blocks` for one block; unknown blocks raise)."""
+        location_id = self.location_of(block_id)
+        self.delete_blocks((block_id,))
+        return location_id
+
+    def delete_blocks(self, block_ids: Iterable[BlockId]) -> int:
+        """Remove blocks from the cluster; unknown blocks are skipped.  Returns
+        the number of directory entries removed.
 
         Both the placement index (directory) entry and the physical payload
         are removed -- even when the location is currently marked
         unavailable: the availability flag models *request serving* during a
         simulated outage, while delete is a management-plane reclamation, and
         leaving the payload behind would resurrect it when a durable cluster
-        re-seeds its directory from the backends on reopen.
+        re-seeds its directory from the backends on reopen.  The ids are
+        grouped per location: one :meth:`BlockStore.delete_many` each, and a
+        location's directory entries go only after its store accepted the
+        batch, as :meth:`_fan_out` does for writes.
         """
-        location_id = self.location_of(block_id)
-        store = self._stores[location_id]
-        if store.contains(block_id):
-            store.delete(block_id)
-        del self._directory[block_id]
-        return location_id
-
-    def delete_blocks(self, block_ids: Iterable[BlockId]) -> int:
-        """Bulk :meth:`delete_block`; unknown blocks are skipped.  Returns the
-        number of directory entries removed."""
+        directory = self._directory
+        grouped: Dict[int, List[BlockId]] = defaultdict(list)
+        for block_id in dict.fromkeys(block_ids):
+            location_id = directory.get(block_id)
+            if location_id is not None:
+                grouped[location_id].append(block_id)
         deleted = 0
-        for block_id in block_ids:
-            if block_id in self._directory:
-                self.delete_block(block_id)
-                deleted += 1
+        for location_id, group in grouped.items():
+            self._stores[location_id].delete_many(group)
+            for block_id in group:
+                del directory[block_id]
+            deleted += len(group)
         return deleted
 
     def location_of(self, block_id: BlockId) -> int:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import struct
+from typing import List, Tuple
+
 import numpy as np
 import pytest
 
@@ -41,6 +45,41 @@ def make_payload(index: int, size: int = 64) -> bytes:
 @pytest.fixture
 def payload_factory():
     return make_payload
+
+
+def segment_records(path) -> List[Tuple[int, str, int, int]]:
+    """``(offset, key, payload length, record length)`` of every record in a
+    segment-log file, framed independently of the backend: key ``""`` is an
+    index record, payload length -1 a tombstone."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    records = []
+    offset = 0
+    while offset < len(data):
+        magic, key_len, payload_len, _ = struct.unpack_from("<4sIiI", data, offset)
+        assert magic == b"RSG1", f"no record at {path}:{offset}"
+        key = data[offset + 16 : offset + 16 + key_len].decode("ascii")
+        record_len = 16 + key_len + max(payload_len, 0)
+        records.append((offset, key, payload_len, record_len))
+        offset += record_len
+    return records
+
+
+def segment_dead_bytes(root) -> int:
+    """File bytes of a segment-log root minus the bytes of the records a
+    replay of its files leaves live."""
+    directory = os.path.join(str(root), "segments")
+    live = {}
+    total = 0
+    for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
+        total += os.path.getsize(path)
+        for _, key, payload_len, record_len in segment_records(path):
+            if key and payload_len < 0:
+                live.pop(key, None)
+            elif key:
+                live[key] = record_len
+    return total - sum(live.values())
 
 
 class DictSource:

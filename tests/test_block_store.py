@@ -160,6 +160,23 @@ class TestBackendInvariants:
         assert store.block_count == 0
         store.close()
 
+    def test_delete_many_removes_held_blocks_in_one_backend_call(self, spec, tmp_path):
+        store = make_store(spec, tmp_path, cache_blocks=4)
+        store.put_many([(DataId(i), bytes([i]) * i) for i in range(1, 6)])
+        store.try_get(DataId(2))  # cached
+        calls = []
+        delete_many = store.backend.delete_many
+        store.backend.delete_many = lambda ids: (calls.append(list(ids)), delete_many(ids))[1]
+        store.fail()  # a delete reclaims space on a location that is down too
+        # Absent and repeated ids are skipped.
+        assert store.delete_many([DataId(2), DataId(9), DataId(4), DataId(2)]) == 2
+        assert calls == [[DataId(2), DataId(4)]]
+        assert store.bytes_stored == 1 + 3 + 5 and store.block_count == 3
+        store.restore()
+        assert store.try_get(DataId(2)) is None
+        assert store.delete_many([DataId(9)]) == 0 and len(calls) == 1
+        store.close()
+
     def test_wipe_loses_content_and_stays_down(self, spec, tmp_path):
         store = make_store(spec, tmp_path)
         store.put(DataId(1), b"x")

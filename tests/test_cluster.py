@@ -12,6 +12,7 @@ from repro.exceptions import (
     StorageFullError,
     UnknownBlockError,
 )
+from repro.storage.block_store import BlockStore
 from repro.storage.cluster import StorageCluster
 from repro.storage.placement import DictionaryPlacement, RandomPlacement
 
@@ -236,3 +237,87 @@ class TestBulkWriteFanOut:
                 assert not any(store.contains(block_id) for store in cluster.locations())
         assert cluster.location(1).write_count == 0
         assert cluster.stats().bytes_stored == 4 * len(written) + 4 * len(before)
+
+
+class TestBulkDelete:
+    """``delete_blocks`` groups the ids per location: one
+    :meth:`BlockStore.delete_many` each, and a location's directory entries
+    go only after its store accepted the batch, as writes are recorded."""
+
+    @staticmethod
+    def stored():
+        """The fan-out tests' batch, stored: locations 2, 0, 3, 1 in that order."""
+        layout = TestBulkWriteFanOut()
+        mapping, items = layout.batch()
+        cluster = layout.cluster(mapping)
+        cluster.put_many(items)
+        return mapping, cluster
+
+    def test_one_delete_many_per_location(self, monkeypatch):
+        mapping, cluster = self.stored()
+        batches = []
+        delete_many = BlockStore.delete_many
+
+        def spy(store, block_ids):
+            batches.append((store.location_id, list(block_ids)))
+            return delete_many(store, block_ids)
+
+        monkeypatch.setattr(BlockStore, "delete_many", spy)
+        doomed = list(mapping)[:6] + [DataId(99), list(mapping)[0]]
+        assert cluster.delete_blocks(iter(doomed)) == 6
+        assert batches == [
+            (location, [b for b in list(mapping)[:6] if mapping[b] == location])
+            for location in (2, 0, 3, 1)
+        ]
+        assert set(cluster.block_ids()) == set(list(mapping)[6:])
+        assert cluster.stats().bytes_stored == 4 * 2
+
+    def test_a_failed_location_is_reclaimed_too(self):
+        mapping, cluster = self.stored()
+        cluster.fail_locations([2])
+        assert cluster.delete_blocks(mapping) == len(mapping)
+        assert cluster.location(2).block_count == 0 and len(cluster) == 0
+
+    def test_a_refusing_store_keeps_its_directory_entries(self, monkeypatch):
+        mapping, cluster = self.stored()
+        delete_many = BlockStore.delete_many
+
+        def refuse_location_3(store, block_ids):
+            if store.location_id == 3:
+                raise OSError("EIO")
+            return delete_many(store, block_ids)
+
+        monkeypatch.setattr(BlockStore, "delete_many", refuse_location_3)
+        with pytest.raises(OSError):
+            cluster.delete_blocks(mapping)
+        # Locations 2 and 0 came first and are gone; 3 refused; 1 was never asked.
+        assert set(cluster.block_ids()) == {b for b in mapping if mapping[b] in (3, 1)}
+        for block_id in cluster.block_ids():
+            assert cluster.location(mapping[block_id]).contains(block_id)
+
+    def test_delete_block_is_the_same_path(self):
+        mapping, cluster = self.stored()
+        first = next(iter(mapping))
+        assert cluster.delete_block(first) == mapping[first]
+        assert not cluster.knows(first) and not cluster.location(mapping[first]).contains(first)
+        with pytest.raises(UnknownBlockError):
+            cluster.delete_block(first)
+
+    def test_restore_reclaims_stale_copies_in_one_batch(self, monkeypatch):
+        mapping, cluster = self.stored()
+        cluster.fail_locations([2])
+        stale = cluster.blocks_at(2)
+        cluster.relocate_many(
+            [(block_id, cluster.location(2)._backend.get(block_id)) for block_id in stale],
+            avoid=[2],
+        )
+        batches = []
+        delete_many = BlockStore.delete_many
+        monkeypatch.setattr(
+            BlockStore,
+            "delete_many",
+            lambda store, ids: (batches.append(list(ids)), delete_many(store, batches[-1]))[1],
+        )
+        cluster.restore_locations([2])
+        assert batches == [stale]
+        assert cluster.location(2).block_count == 0

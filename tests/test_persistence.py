@@ -21,8 +21,10 @@ from repro.core.blocks import ParityId
 from repro.core.xor import payloads_equal
 from repro.exceptions import InvalidParametersError
 from repro.storage.backends import decode_block_id, encode_block_id
+from repro.storage.block_store import BlockStore
 from repro.storage.wal import scan_wal
 from repro.system.service import StorageConfig, StorageService
+from tests.conftest import segment_records
 
 BACKENDS = ["disk", "segment"]
 #: One scheme per family: the streaming AE lattice and an erasable stripe code.
@@ -187,13 +189,15 @@ class TestManifest:
         # document whose payloads are gone.
         service = StorageService.open(config("rs-10-4", backend, tmp_path))
         service.put("doc", workload(size=8_000))
+        # The reclaim reaches each location as one delete_many batch.
         monkeypatch.setattr(
-            service._cluster,
-            "delete_block",
-            lambda block_id: (_ for _ in ()).throw(RuntimeError),
+            BlockStore,
+            "delete_many",
+            lambda store, block_ids: (_ for _ in ()).throw(RuntimeError),
         )
         with pytest.raises(RuntimeError):
             service.delete("doc")
+        monkeypatch.undo()
         service.flush()
         reopened = StorageService.open(config("rs-10-4", backend, tmp_path))
         assert reopened.documents == {}  # catalogue already committed
@@ -550,3 +554,34 @@ class TestReopenAfterLosingADisk:
         for name, data in documents.items():
             assert service.get(name) == data
         service.close()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_rot_in_one_segment_record_is_repaired_not_truncated(scheme, tmp_path):
+    """One flipped byte in one block of a closed ``segment`` service: reopen
+    drops that block only (the location used to be truncated from the rotten
+    record on, losing every later block it held) and ``get`` is byte-exact
+    through repair."""
+    service = StorageService.open(config(scheme, "segment", tmp_path, seed=0))
+    documents = {f"doc{i}": workload(seed=i, size=12_000) for i in range(3)}
+    for name, data in documents.items():
+        service.put(name, data)
+    victim = max(
+        range(service.cluster.location_count),
+        key=lambda location: len(service.cluster.location(location)),
+    )
+    held = set(service.cluster.location(victim).block_ids())
+    service.close()
+    log = os.path.join(str(tmp_path), f"loc-{victim:04d}", "segments", "seg-00000000.log")
+    offset, key, _, record_len = [record for record in segment_records(log) if record[1]][0]
+    with open(log, "r+b") as handle:
+        handle.seek(offset + record_len - 1)
+        value = handle.read(1)[0]
+        handle.seek(offset + record_len - 1)
+        handle.write(bytes([value ^ 0xFF]))
+
+    reopened = StorageService.open(config(scheme, "segment", tmp_path))
+    assert set(reopened.cluster.location(victim).block_ids()) == held - {decode_block_id(key)}
+    for name, data in documents.items():
+        assert reopened.get(name) == data
+    reopened.close()

@@ -42,7 +42,7 @@ from repro.storage.failures import disaster_for_target
 from repro.storage.placement import RandomPlacement
 from repro.system.service import StorageConfig, StorageService
 
-from tests.conftest import make_payload
+from tests.conftest import make_payload, segment_records
 from tests.test_schemes import REQUIRED_IDS
 
 BLOCK_SIZE = 64
@@ -248,9 +248,13 @@ class TestSegmentLogZeroCopy:
         assert maybe[1] is None
         store.close()
 
-    def test_torn_tail_reopen_round_trips_via_batched_repair(self, tmp_path):
+    @staticmethod
+    def closed_service(tmp_path, scheme="ae-3-2-5", deleted_bytes=0):
+        """A closed segment service holding ``doc``; with ``deleted_bytes`` a
+        bigger document was put and deleted first, so under an erasable
+        scheme the logs are mostly dead and close ended them with an index."""
         config = StorageConfig(
-            scheme="ae-3-2-5",
+            scheme=scheme,
             topology=12,
             block_size=512,
             backend="segment",
@@ -259,16 +263,25 @@ class TestSegmentLogZeroCopy:
         )
         payload = bytes((5 * i + 1) % 251 for i in range(512 * 30))
         service = StorageService.open(config)
+        if deleted_bytes:
+            service.put("gone", bytes(range(256)) * (deleted_bytes // 256))
+            service.delete("gone")
         service.put("doc", payload)
         blocks_before = sum(len(store) for store in service.cluster.locations())
         service.close()
-
-        # Simulate a crash mid-append: tear the tail record of one location's
-        # newest segment.  Recovery must drop exactly that record.
         logs = sorted(glob.glob(os.path.join(str(tmp_path), "loc-*", "segments", "*.log")))
-        victim_log = max(logs, key=os.path.getsize)
+        return config, payload, blocks_before, max(logs, key=os.path.getsize)
+
+    def test_torn_tail_reopen_round_trips_via_batched_repair(self, tmp_path):
+        config, payload, blocks_before, victim_log = self.closed_service(tmp_path)
+
+        # Simulate a crash mid-append: tear the last block record of one
+        # location's newest segment.  Recovery must drop exactly that record.
+        offset, _, _, record_len = [
+            record for record in segment_records(victim_log) if record[1] and record[2] >= 0
+        ][-1]
         with open(victim_log, "r+b") as handle:
-            handle.truncate(os.path.getsize(victim_log) - 3)
+            handle.truncate(offset + record_len - 3)
 
         reopened = StorageService.open(config)
         blocks_after = sum(len(store) for store in reopened.cluster.locations())
@@ -278,6 +291,24 @@ class TestSegmentLogZeroCopy:
         assert reopened.get("doc") == payload
         assert b"".join(reopened.get_stream("doc")) == payload
         # The service keeps accepting writes after recovery.
+        reopened.put("more", payload[:1024])
+        assert reopened.get("more") == payload[:1024]
+        reopened.close()
+
+    def test_torn_index_record_reopens_through_the_scan(self, tmp_path):
+        config, payload, blocks_before, victim_log = self.closed_service(
+            tmp_path, scheme="rs-10-4", deleted_bytes=512 * 60
+        )
+        offset, key, _, record_len = segment_records(victim_log)[-1]
+        assert key == ""  # close ended the mostly dead log with its index
+        with open(victim_log, "r+b") as handle:
+            handle.truncate(offset + record_len // 2)
+
+        reopened = StorageService.open(config)
+        # A torn index loses nothing: the scan finds every block record.
+        assert sum(len(store) for store in reopened.cluster.locations()) == blocks_before
+        assert os.path.getsize(victim_log) == offset
+        assert reopened.get("doc") == payload
         reopened.put("more", payload[:1024])
         assert reopened.get("more") == payload[:1024]
         reopened.close()
