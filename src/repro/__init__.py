@@ -91,8 +91,8 @@ The higher layers are re-exported or imported from their subpackages:
 the one surface every layer conforms to, from ``repro.system.opening`` and
 ``repro.system.protocol``),
 ``StorageService`` / ``StorageConfig`` (the scheme-agnostic front-end, from
-``repro.system.service``), ``ConcurrentStorageService`` (the thread-pool
-multi-client request path, from ``repro.system.frontend``),
+``repro.system.service``), ``ConcurrentStorageService`` (the multi-client
+request path, from ``repro.system.frontend``),
 ``ShardedStorageService`` / ``ShardRing`` (the consistent-hash federation of
 many services, from ``repro.system.sharding``),
 ``RedundancyScheme`` / ``get_scheme`` (the

@@ -29,7 +29,7 @@ front-end); ``repair`` injects a location disaster and repairs it;
 prints measured storage overhead and repair reads next to the analytic
 Table IV numbers; ``simulate`` runs the scheme-agnostic discrete-event
 disaster/churn engine over any registered schemes at any disaster sizes;
-``load`` drives the thread-pool front-end with a closed-loop multi-client
+``load`` drives the concurrent front-end with a closed-loop multi-client
 workload and reports ops/sec and latency percentiles.
 """
 
@@ -455,7 +455,7 @@ def build_ingest_parser() -> argparse.ArgumentParser:
         help=(
             "concurrent ingest workers (default 1: the single-threaded "
             "put_stream path); with N > 1 every chunk becomes a part "
-            "document pushed through the thread-pool front-end"
+            "document put from one of N threads through the front-end"
         ),
     )
     _add_service_arguments(parser, locations=100, block_size=4096, seed=None)
@@ -605,7 +605,7 @@ def build_load_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments load",
         description=(
-            "Drive the concurrent thread-pool front-end with a closed-loop "
+            "Drive the concurrent front-end with a closed-loop "
             "multi-client mixed put/get/delete workload and report ops/sec "
             "and latency percentiles (see docs/architecture.md)."
         ),
@@ -651,13 +651,13 @@ def build_load_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="front-end worker threads (default: the client count)",
+        help="concurrent callers the front-end is sized for (default: the client count)",
     )
     parser.add_argument(
         "--queue-depth",
         type=int,
         default=None,
-        help="admission queue bound (default: workers x 4); overflow bounces",
+        help="bound on requests in flight (default: workers x 4); overflow bounces",
     )
     _add_service_arguments(parser, locations=40, seed=0)
     return parser
@@ -847,10 +847,10 @@ def ingest_main(argv: List[str] | None = None) -> int:
         )
         started = time.perf_counter()
         if fan_out:
-            # Fan the chunks out as part documents over the thread-pool
-            # front-end (per shard when sharded: part names spread over the
-            # ring); the bounded window of in-flight puts bounds the chunks
-            # held in memory.
+            # Fan the chunks out as part documents from N client threads
+            # through the concurrent front-end (per shard when sharded: part
+            # names spread over the ring); the bounded window of in-flight
+            # puts bounds the chunks held in memory.
             parts: List[StoredDocument] = []
             futures: List["Future[StoredDocument]"] = []
             with ThreadPoolExecutor(max_workers=args.workers) as clients:
@@ -1043,7 +1043,7 @@ def build_transition_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help=(
-            "front-end workers (default 2, per shard with --shards); the "
+            "concurrent callers (default 2, per shard with --shards); the "
             "transition runs behind the front-end's writer-preferring "
             "maintenance lock while reads keep streaming"
         ),

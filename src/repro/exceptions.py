@@ -66,7 +66,7 @@ class IntegrityError(ReproError):
 
 
 class ServiceOverloadedError(ReproError):
-    """Raised when the concurrent front-end's admission queue is full.
+    """Raised when the concurrent front-end already admits ``queue_depth`` requests.
 
     Backpressure, not failure: the request was never started, so the caller
     may retry once in-flight requests drain (see

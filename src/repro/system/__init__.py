@@ -11,7 +11,7 @@
   and for the archive, RAID-AE and backup use cases below (each a topology
   plus a placement policy over this service, none with an AE stack of its own);
 * :mod:`repro.system.frontend` -- :class:`ConcurrentStorageService`, the
-  thread-pool multi-client request path with striped locks and backpressure;
+  multi-client request path with striped locks and backpressure;
 * :mod:`repro.system.loadgen` -- the closed-loop multi-client load generator
   behind ``repro-experiments load`` and the service benchmark;
 * :mod:`repro.system.compare` -- the same workload and failure trace run

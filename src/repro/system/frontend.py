@@ -5,17 +5,18 @@ systems serving many writers; :class:`ConcurrentStorageService` is the
 reproduction's multi-client request path.  It wraps one
 :class:`~repro.system.service.StorageService` with:
 
-* a **thread-pool executor** -- every request runs on a worker thread, with
-  ``*_async`` variants returning :class:`concurrent.futures.Future` and the
-  plain methods blocking on the result;
-* a **bounded admission queue** -- at most ``queue_depth`` requests may be
-  admitted (queued or running) at once; past that, submission raises
+* **requests on the caller's thread** -- ``put`` / ``get`` / ``delete`` /
+  ``put_stream`` run on the thread that called them; there is no executor
+  and no hand-off, so a request costs its locks and its work only;
+* **bounded admission** -- at most ``queue_depth`` requests may be in flight
+  at once; past that, a request raises
   :class:`~repro.exceptions.ServiceOverloadedError` *before* any work starts
   (backpressure, so a slow medium cannot build an unbounded backlog);
 * **striped document locks** -- writers to the same document serialise on a
   reader-writer lock picked by a deterministic hash of the name (the stripe
-  count derives from the scheme's repair-group width and the worker count),
-  so put/get/delete of one document are mutually consistent while traffic to
+  count derives from the scheme's repair-group width and ``workers``, the
+  number of concurrent callers the front-end is sized for), so
+  put/get/delete of one document are mutually consistent while traffic to
   different stripes proceeds in parallel;
 * a **maintenance gate** -- mutations hold the gate's *read* side, while
   :meth:`repair` / :meth:`fail_locations` / :meth:`restore_locations` take
@@ -25,21 +26,25 @@ reproduction's multi-client request path.  It wraps one
   blocks write-before-index, the block stores lock their caches, and the
   service serialises scheme access).
 
+Each mutation ends with ``os.sched_yield()``: without it, callers sharing one
+CPU hand the core over only at the end of an OS time slice, and a get queued
+behind a busy writer waits milliseconds.  Reads do not yield (it costs their p50).
+
 The lock hierarchy is admission -> maintenance gate -> stripe lock ->
 service state lock -> WAL group commit; every path acquires in that order,
 so the composition cannot deadlock.  See ``docs/architecture.md``.
 
 Underneath, concurrent mutators benefit from the metadata WAL's group
 commit (:mod:`repro.storage.wal`): their records are batched into one
-fsync.  The closed-loop benchmark ``benchmarks/bench_service_load.py``
-measures both effects.
+fsync.  The ``service_small_docs`` workload of ``benchmarks/e2e`` and
+``repro-experiments load`` measure both effects.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, TypeVar
 
 from repro.exceptions import InvalidParametersError, ServiceOverloadedError
@@ -57,12 +62,15 @@ from repro.system.transitions import TransitionReport
 
 T = TypeVar("T")
 
-#: Default worker-thread count of the request executor.
+#: Default number of concurrent callers the front-end is sized for.
 DEFAULT_WORKERS = 8
 
-#: Admitted requests per worker before submissions bounce (queue depth =
+#: Admitted requests per worker before requests bounce (queue depth =
 #: workers * this factor unless given explicitly).
 DEFAULT_QUEUE_FACTOR = 4
+
+#: The scheduling point each mutation ends with (a no-op without ``sched_yield``).
+_yield_cpu: Callable[[], None] = getattr(os, "sched_yield", lambda: None)
 
 
 class ReadWriteLock:
@@ -139,7 +147,7 @@ def derive_stripe_count(service: StorageService, workers: int) -> int:
     The width comes from the scheme's parameters -- for entanglement the
     ``s + p`` helical strand classes (the per-strand conflict groups), for
     stripe codes ``k + m`` (one stripe's extent); the floor of twice the
-    worker count keeps collisions rare under uniform names.  Deterministic:
+    concurrent callers keeps collisions rare under uniform names.  Deterministic:
     no clock or RNG involved (this module is on the RPR001 engine path).
     """
     params = getattr(service.scheme, "params", None)
@@ -152,12 +160,13 @@ def derive_stripe_count(service: StorageService, workers: int) -> int:
 
 
 class ConcurrentStorageService:
-    """Thread-pool request front-end with striped locking and backpressure.
+    """Multi-client request front-end with striped locking and backpressure.
 
     Wraps an already-open :class:`StorageService` (or opens one through
-    :meth:`open`).  All public operations are thread-safe; the ``*_async``
-    variants return futures resolved on the worker pool.  Closing the
-    front-end drains in-flight requests, then closes the wrapped service.
+    :meth:`open`).  All public operations are thread-safe and run on the
+    calling thread; ``workers`` is the number of concurrent callers the
+    front-end is sized for.  Closing the front-end refuses new requests,
+    drains in-flight ones, then closes the wrapped service.
     """
 
     def __init__(
@@ -176,9 +185,6 @@ class ConcurrentStorageService:
         self._workers = workers
         self._queue_depth = queue_depth
         self._admission = threading.Semaphore(queue_depth)
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-frontend"
-        )
         self._stripes: List[ReadWriteLock] = [
             ReadWriteLock() for _ in range(derive_stripe_count(service, workers))
         ]
@@ -262,71 +268,57 @@ class ConcurrentStorageService:
         digest = hashlib.blake2b(name.encode("utf-8"), digest_size=4).digest()
         return self._stripes[int.from_bytes(digest, "big") % len(self._stripes)]
 
-    def _submit(self, request: Callable[[], T]) -> "Future[T]":
-        self._ensure_open()
-        # Non-blocking admission: a full queue bounces the request *now*
-        # instead of queueing unbounded work behind a slow medium.
-        if not self._admission.acquire(blocking=False):
+    def _admit(self) -> None:
+        """Take an admission slot without blocking, or raise before any work:
+        a full front-end bounces now rather than queue behind a slow medium."""
+        admitted = self._admission.acquire(blocking=False)
+        if self._closed:
+            if admitted:
+                self._admission.release()
+            self._ensure_open()
+        if not admitted:
             raise ServiceOverloadedError(
-                f"admission queue full ({self._queue_depth} requests in "
-                "flight); retry once responses drain"
+                f"admission full ({self._queue_depth} requests in flight); "
+                "retry once responses drain"
             )
+
+    def _mutate(self, operation: Callable[..., T], name: str, *args: object) -> T:
+        """Run one mutation of ``name``: admitted, under the maintenance
+        gate's read side and the name's stripe write lock, then yield."""
+        self._admit()
         try:
-            future = self._pool.submit(request)
-        except BaseException:  # noqa: B036,RPR004 - release the slot, then re-raise
+            with self._maintenance.read_locked():
+                with self._stripe_for(name).write_locked():
+                    return operation(name, *args)
+        finally:
             self._admission.release()
-            raise
-        future.add_done_callback(lambda _done: self._admission.release())
-        return future
+            _yield_cpu()
 
     # ------------------------------------------------------------------
     # Document operations
     # ------------------------------------------------------------------
-    def put_async(self, name: str, data: bytes) -> "Future[StoredDocument]":
-        def request() -> StoredDocument:
-            with self._maintenance.read_locked():
-                with self._stripe_for(name).write_locked():
-                    return self._service.put(name, data)
-
-        return self._submit(request)
-
     def put(self, name: str, data: bytes) -> StoredDocument:
-        return self.put_async(name, data).result()
+        return self._mutate(self._service.put, name, data)
 
-    def get_async(self, name: str) -> "Future[bytes]":
-        def request() -> bytes:
+    def get(self, name: str) -> bytes:
+        self._admit()
+        try:
             # No maintenance gate: reads proceed during repair.
             with self._stripe_for(name).read_locked():
                 return self._service.get(name)
-
-        return self._submit(request)
-
-    def get(self, name: str) -> bytes:
-        return self.get_async(name).result()
-
-    def delete_async(self, name: str) -> "Future[List[object]]":
-        def request() -> List[object]:
-            with self._maintenance.read_locked():
-                with self._stripe_for(name).write_locked():
-                    return self._service.delete(name)
-
-        return self._submit(request)
+        finally:
+            self._admission.release()
 
     def delete(self, name: str) -> List[object]:
-        return self.delete_async(name).result()
+        return self._mutate(self._service.delete, name)
 
     def put_stream(self, name: str, chunks: Iterable[bytes]) -> StoredDocument:
-        """Store a document from a chunk iterable, on the *calling* thread.
+        """Store a document from a chunk iterable.
 
-        A generator argument cannot usefully be consumed on the pool, so the
-        caller's thread drives the ingest while holding the maintenance read
-        side and the name's stripe write lock -- the same exclusion as
-        :meth:`put`, without occupying a worker for the stream's lifetime.
+        Admitted like :meth:`put` and holding the same locks for the
+        stream's whole lifetime, so :meth:`close` waits for it.
         """
-        self._ensure_open()
-        with self._maintenance.read_locked():
-            with self._stripe_for(name).write_locked():
-                return self._service.put_stream(name, chunks)
+        return self._mutate(self._service.put_stream, name, chunks)
 
     def has_document(self, name: str) -> bool:
         """Catalogue membership; lock-free (the catalogue copy is atomic)."""
@@ -335,9 +327,8 @@ class ConcurrentStorageService:
     def get_stream(self, name: str) -> Iterator[bytes]:
         """Stream a document, holding its stripe's read lock until exhausted.
 
-        Runs on the *calling* thread (a generator cannot usefully run on the
-        pool); concurrent writers to the same stripe wait until the stream
-        is consumed or closed, readers and other stripes proceed.
+        Concurrent writers to the same stripe wait until the stream is
+        consumed or closed; readers and other stripes proceed.
         """
         self._ensure_open()
         stripe = self._stripe_for(name)
@@ -412,11 +403,13 @@ class ConcurrentStorageService:
             self._service.flush()
 
     def close(self) -> None:
-        """Drain in-flight requests, then close the wrapped service."""
+        """Refuse new requests, drain in-flight ones (each holds an admission
+        slot until it returns), then close the wrapped service."""
         if self._closed:
             return
         self._closed = True
-        self._pool.shutdown(wait=True)
+        for _ in range(self._queue_depth):
+            self._admission.acquire()
         self._service.close()
 
     def __enter__(self) -> "ConcurrentStorageService":

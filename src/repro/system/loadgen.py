@@ -8,10 +8,10 @@ ops/sec and per-operation latency percentiles.
 The loop is *closed*: each client issues one request, waits for the
 response, optionally "thinks" (``think_seconds``), then issues the next --
 the standard closed-loop client model.  With a think time, throughput
-scales with the number of clients until the service saturates, which is
-exactly the front-end scalability the service benchmark gates
-(``benchmarks/bench_service_load.py``); with ``think_seconds=0`` the loop
-measures raw service throughput instead.
+scales with the number of clients until the service saturates -- the
+front-end scalability ``repro-experiments load`` reports; with
+``think_seconds=0`` the loop measures raw service throughput instead (the
+``service_small_docs`` workload of ``benchmarks/e2e`` times that case).
 
 Workloads are replayable: every client derives its RNG from ``seed`` and
 its client index, so two runs with the same parameters issue the same

@@ -1,7 +1,7 @@
 """One way to open a document service.
 
 :func:`open_service` picks the layer from values the caller already holds
-(``config.shards``, and whether a worker pool was asked for), so no caller
+(``config.shards``, and whether ``workers`` was given), so no caller
 branches on which class it needs.  The three ``.open`` classmethods keep
 working for code that wants one layer by name.
 """
@@ -32,10 +32,10 @@ def open_service(
     ``config.shards`` of 2 or more opens a
     :class:`~repro.system.sharding.ShardedStorageService` federation (``None``
     and ``1`` both mean unsharded); otherwise passing ``workers`` opens the
-    thread-pool :class:`~repro.system.frontend.ConcurrentStorageService`; with
+    concurrent :class:`~repro.system.frontend.ConcurrentStorageService`; with
     neither it is a plain :class:`~repro.system.service.StorageService`.
-    ``workers`` / ``queue_depth`` size the (per-shard) request pool and
-    default as that layer's own ``open`` does; ``overrides`` are
+    ``workers`` (concurrent callers) / ``queue_depth`` size each front-end
+    and default as that layer's own ``open`` does; ``overrides`` are
     :class:`StorageConfig` fields, as for the ``.open`` classmethods.
     """
     config = replace(config or StorageConfig(), **overrides)
@@ -50,6 +50,6 @@ def open_service(
         return ConcurrentStorageService.open(config, **pool)
     if queue_depth is not None:
         raise InvalidParametersError(
-            "queue_depth bounds a worker pool's admission queue; pass workers too"
+            "queue_depth bounds a front-end's requests in flight; pass workers too"
         )
     return StorageService.open(config)

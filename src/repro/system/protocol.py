@@ -3,7 +3,7 @@
 :class:`DocumentService` is what "a service" means to everything above the
 service layers (CLI, :mod:`~repro.system.compare`, load generator, examples):
 the put/get/repair verbs of one entangled store, whether the handle is a
-plain :class:`~repro.system.service.StorageService`, the thread-pool
+plain :class:`~repro.system.service.StorageService`, the concurrent
 :class:`~repro.system.frontend.ConcurrentStorageService` or a
 :class:`~repro.system.sharding.ShardedStorageService` federation.  The three
 classes conform structurally; what each adds *behind* the verbs is tabulated

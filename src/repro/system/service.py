@@ -173,7 +173,7 @@ class StorageConfig:
     :func:`repro.system.opening.open_service` (or straight to
     :meth:`repro.system.sharding.ShardedStorageService.open`) and the
     federation routes documents across that many independent services (each
-    with its own cluster, WAL and thread pool).  A plain
+    with its own cluster, WAL and concurrent front-end).  A plain
     :class:`StorageService` accepts only ``shards=None`` / ``shards=1`` --
     it *is* one shard.
 

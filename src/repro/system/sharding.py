@@ -6,7 +6,7 @@ deterministic keys every participant can recompute without coordination;
 *live* system the same way: a :class:`ShardedStorageService` routes whole
 documents across ``M`` independent :class:`~repro.system.service.StorageService`
 shards -- each with its own backend root, metadata WAL and
-:class:`~repro.system.frontend.ConcurrentStorageService` thread pool -- via a
+:class:`~repro.system.frontend.ConcurrentStorageService` front-end -- via a
 vnode-weighted consistent-hash ring (:class:`ShardRing`).  The federation
 
 * **scatter-gathers reads**: :meth:`ShardedStorageService.get_many` fans
@@ -315,7 +315,7 @@ class ShardedStorageService:
 
     Every shard is a full :class:`~repro.system.service.StorageService`
     behind its own :class:`~repro.system.frontend.ConcurrentStorageService`
-    thread pool, with its own cluster, backend root and metadata WAL --
+    front-end, with its own cluster, backend root and metadata WAL --
     shards share *nothing*, which is what makes the federation scale writes
     and isolate disasters.  Documents route by name over a
     :class:`ShardRing`; reads fall back to a federation-wide catalogue scan
@@ -700,8 +700,8 @@ class ShardedStorageService:
         """Scatter-gather bulk read: fan out shard-parallel, gather in order.
 
         Names are grouped per owning shard; one worker thread per shard
-        reads its group sequentially (each shard's own thread pool and lock
-        striping provide the intra-shard concurrency), and the payloads come
+        reads its group sequentially (each shard's front-end lock striping
+        provides the intra-shard concurrency), and the payloads come
         back in request order.  The federation-level win is the fan-out:
         ``M`` shards serve ``M`` disjoint groups concurrently.
         """

@@ -3,7 +3,7 @@
 The document-service surface is declared once (``repro.system.protocol``)
 and opened one way (``repro.system.open_service``); this file drives the same
 lifecycle through every layer that conforms to it -- the plain
-``StorageService``, the thread-pool front-end and a 2-shard federation, on a
+``StorageService``, the concurrent front-end and a 2-shard federation, on a
 volatile and a durable backend -- so a verb that drifts on one layer fails
 here instead of in whichever caller happens to hold that layer.
 
