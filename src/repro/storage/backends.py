@@ -22,9 +22,9 @@ Three built-in backends cover the durability spectrum:
   an in-RAM offset index, the classic log-structured layout (one sequential
   write per put, no per-block file overhead).  A batch of deletes appends
   one run of tombstones; the log is compacted once its dead bytes pass a
-  ratio and fill a segment.  Reopening reads the index record a close left
-  behind, or rescans the segments, dropping rotten records and truncating a
-  torn tail (crash safety).
+  ratio and fill a segment.  Every close leaves an index record that the
+  next open adopts; after a kill it rescans the segments instead, dropping
+  rotten records and truncating a torn tail (crash safety).
 
 Backends are keyed by **block identifiers** (:class:`~repro.core.blocks.DataId`,
 :class:`~repro.core.blocks.ParityId`, stripe ids, ...).  Persistent backends
@@ -100,18 +100,29 @@ def encode_block_id(block_id: object) -> str:
     )
 
 
+_STRAND_CLASSES: Dict[str, StrandClass] = {member.value: member for member in StrandClass}
+
+
 def decode_block_id(key: str) -> object:
-    """Inverse of :func:`encode_block_id`."""
-    parts = key.split("-")
-    try:
-        if parts[0] == "d" and len(parts) == 2:
-            return DataId(int(parts[1]))
-        if parts[0] == "p" and len(parts) == 3:
-            return ParityId(int(parts[1]), StrandClass(parts[2]))
-        if parts[0] == "s" and len(parts) == 3:
-            return stripe_block_id_type()(int(parts[1]), int(parts[2]))
-    except ValueError as exc:
-        raise InvalidParametersError(f"malformed block key {key!r}: {exc}") from exc
+    """Inverse of :func:`encode_block_id`, and strict: every number must be
+    spelled as it writes them -- ASCII digits, no leading zero -- so a name
+    like ``d-01``, ``d-+1`` or ``d- 1`` raises :class:`InvalidParametersError`
+    instead of aliasing ``d-1``.  Ids are built with ``tuple.__new__``, as
+    :func:`~repro.core.blocks.data_ids_for` does: a reopen decodes one key
+    per stored block."""
+    kind, _, rest = key.partition("-")
+    first, dash, second = rest.partition("-")
+    if key.isascii() and first.isdigit() and (first[0] != "0" or first == "0"):
+        if kind == "d":
+            if not dash:
+                return tuple.__new__(DataId, (int(first),))
+        elif kind == "p":
+            strand_class = _STRAND_CLASSES.get(second)
+            if strand_class is not None:
+                return tuple.__new__(ParityId, (int(first), strand_class))
+        elif kind == "s":
+            if second.isdigit() and (second[0] != "0" or second == "0"):
+                return tuple.__new__(stripe_block_id_type(), (int(first), int(second)))
     raise InvalidParametersError(f"malformed block key {key!r}")
 
 
@@ -328,11 +339,11 @@ _RECORD_MAGIC = b"RSG1"
 _NONCE_BYTES = 16
 _NONCE_RECORD_BYTES = _RECORD_HEADER.size + _NONCE_BYTES
 
-#: The index record :meth:`SegmentLogBackend.close` appends to a mostly dead
-#: log is an ordinary record with an empty key.  Its payload is a head, the
-#: sealed segments' sizes, one entry per live record (the in-RAM index value:
-#: a record's key is read back from the record itself) and a trailer that
-#: ends the file, so open finds the record from EOF.
+#: The index record :meth:`SegmentLogBackend.close` appends is an ordinary
+#: record with an empty key.  Its payload is a head, the sealed segments'
+#: sizes, one entry per live record (the in-RAM index value: a record's key
+#: is read back from the record itself) and a trailer that ends the file, so
+#: open finds the record from EOF.
 _INDEX_HEAD = struct.Struct(f"<{_NONCE_BYTES}sII")  # nonce, sealed segments, live entries
 _INDEX_SEGMENT = struct.Struct("<IQ")  # segment number, size in bytes
 _INDEX_ENTRY = struct.Struct("<IQIH")  # segment, payload offset and length, key length
@@ -405,9 +416,9 @@ class SegmentLogBackend(StorageBackend):
     * a **block** record per stored payload;
     * a **tombstone** (payload length -1) per deleted block; a batch of
       deletes is one run of tombstones, one flush and one compaction check;
-    * an **index** record (empty key) that :meth:`close` appends when the
-      log is mostly dead: its segment's nonce, where each live record lies
-      and the sealed segments' sizes, ended by a fixed trailer.
+    * an **index** record (empty key) that :meth:`close` appends unless the
+      log already ends in one: its segment's nonce, where each live record
+      lies and the sealed segments' sizes, ended by a fixed trailer.
 
     Every ``put`` appends one record to the active segment; when the active
     segment passes ``segment_bytes`` it is sealed and a new one is started.
@@ -417,13 +428,14 @@ class SegmentLogBackend(StorageBackend):
 
     Reopening trusts an index record only when it is the last thing in the
     log, it carries the final segment's nonce, its CRC and the segment sizes
-    match and every live record it names passes the record checks; anything
-    else means a scan of every segment in order.  The scan skips nonce and
-    index records, drops a record that fails its checks but is followed by a
-    valid one (bit rot: the block reads as missing and the scheme repairs
-    it), and truncates only a bad tail of the final segment -- the state
-    after a crash mid-append: every fully written block survives, the
-    half-written one is discarded.
+    match and every live record it names passes the record checks, so a
+    clean reopen costs one checked read and one key decode per live block.
+    Anything else (a kill, a torn tail, rot) means a scan of every segment
+    in order.  The scan skips nonce and index records, drops a record that
+    fails its checks but is followed by a valid one (bit rot: the block
+    reads as missing and the scheme repairs it), and truncates only a bad
+    tail of the final segment -- the state after a crash mid-append: every
+    fully written block survives, the half-written one is discarded.
 
     Deleted and overwritten records, tombstones, nonce and index records are
     dead bytes; once they exceed ``compact_ratio`` of the log *and* fill one
@@ -499,37 +511,46 @@ class SegmentLogBackend(StorageBackend):
         )
         self._open_writer()
 
+    def _map_segment(self, segment: int) -> Optional[mmap.mmap]:
+        """A read-only map of a whole segment (memory stays bounded for any
+        segment size); ``None`` for an empty file."""
+        with open(self._segment_path(segment), "rb") as handle:
+            if not os.fstat(handle.fileno()).st_size:
+                return None
+            return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+
     def _adopt_index(self, segments: List[int]) -> bool:
         """Load the index record that ends the log, if it can be trusted.
 
         It must be the last thing in the final segment with a valid CRC and
         that segment's nonce, the sealed segments on disk must be exactly the
         ones it lists at the sizes it lists, and every live record it names
-        must pass the checks the scan applies (magic, key, length, CRC).
-        ``False`` means: scan.
+        must pass the checks the scan applies (magic, key, length, CRC),
+        read through one map per segment.  ``False`` means: scan.
         """
         if not segments:
             return False
         final = segments[-1]
-        size = os.path.getsize(self._segment_path(final))
-        if size < _NONCE_RECORD_BYTES + _INDEX_MIN_BYTES:
+        data = self._map_segment(final)
+        if data is None:
             return False
         header_size = _RECORD_HEADER.size
-        fds: Dict[int, int] = {}
+        unpack = _RECORD_HEADER.unpack_from
+        maps = {final: data}
         try:
-            fds[final] = os.open(self._segment_path(final), os.O_RDONLY)
-            self._nonce = _read_nonce(os.pread(fds[final], _NONCE_RECORD_BYTES, 0))
-            record_len, magic = _INDEX_TRAILER.unpack(
-                os.pread(fds[final], _INDEX_TRAILER.size, size - _INDEX_TRAILER.size)
-            )
+            size = len(data)
+            if size < _NONCE_RECORD_BYTES + _INDEX_MIN_BYTES:
+                return False
+            self._nonce = _read_nonce(data[:_NONCE_RECORD_BYTES])
+            record_len, magic = _INDEX_TRAILER.unpack_from(data, size - _INDEX_TRAILER.size)
             if (
                 self._nonce is None
                 or magic != _INDEX_MAGIC
                 or not _INDEX_MIN_BYTES <= record_len <= size - _NONCE_RECORD_BYTES
             ):
                 return False
-            record = os.pread(fds[final], record_len, size - record_len)
-            magic, key_len, payload_len, crc = _RECORD_HEADER.unpack_from(record)
+            record = data[size - record_len :]
+            magic, key_len, payload_len, crc = unpack(record)
             if (
                 magic != _RECORD_MAGIC
                 or key_len
@@ -560,24 +581,25 @@ class SegmentLogBackend(StorageBackend):
                 end = offset + length
                 if not key_len or start < 0 or end > sizes.get(segment, -1):
                     return False
-                fd = fds.get(segment)
-                if fd is None:
-                    path = self._segment_path(segment)
-                    fd = fds[segment] = os.open(path, os.O_RDONLY)
-                raw = os.pread(fd, end - start, start)
-                if _RECORD_HEADER.unpack_from(raw) != (
+                mapped = maps.get(segment)
+                if mapped is None:
+                    mapped = self._map_segment(segment)
+                    if mapped is None:
+                        return False
+                    maps[segment] = mapped
+                key_at = start + header_size
+                if unpack(mapped, start) != (
                     _RECORD_MAGIC,
                     key_len,
                     length,
-                    zlib.crc32(memoryview(raw)[header_size:]),
+                    zlib.crc32(mapped[key_at:end]),
                 ):
                     return False
-                key = raw[header_size : header_size + key_len].decode("ascii")
-                index[decode_block_id(key)] = entry
+                index[decode_block_id(mapped[key_at:offset].decode("ascii"))] = entry
                 live += end - start
         finally:
-            for fd in fds.values():
-                os.close(fd)
+            for mapped in maps.values():
+                mapped.close()
         self._index = index
         self._live_bytes = live
         self._tail_is_index = True
@@ -597,13 +619,10 @@ class SegmentLogBackend(StorageBackend):
         records live; so is a header there whose record runs past the end (a
         crash mid-append: what follows it is its payload, never framing).
         """
-        path = self._segment_path(segment)
-        with open(path, "rb") as handle:
-            size = os.fstat(handle.fileno()).st_size
-            if not size:
-                return
-            # Mapped, not read: memory stays bounded for any segment size.
-            data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        data = self._map_segment(segment)
+        if data is None:
+            return
+        size = len(data)
         if final:
             self._nonce = _read_nonce(data[:_NONCE_RECORD_BYTES])
         index = self._index
@@ -654,7 +673,7 @@ class SegmentLogBackend(StorageBackend):
                 offset = end
         if damaged >= 0:
             if final:
-                with open(path, "r+b") as handle:
+                with open(self._segment_path(segment), "r+b") as handle:
                     handle.truncate(damaged)
             else:
                 live -= self._erase(rotten)
@@ -838,9 +857,6 @@ class SegmentLogBackend(StorageBackend):
     def segment_count(self) -> int:
         return len(self._segments_on_disk())
 
-    def _mostly_dead(self) -> bool:
-        return self.dead_bytes > self._compact_ratio * self._total_bytes
-
     def _maybe_compact(self) -> None:
         # A segment is the unit the log allocates in: rewriting a location
         # before one segment of it is dead would cost a file create and an
@@ -848,7 +864,7 @@ class SegmentLogBackend(StorageBackend):
         if (
             self._auto_compact
             and self.dead_bytes >= self._segment_bytes
-            and self._mostly_dead()
+            and self.dead_bytes > self._compact_ratio * self._total_bytes
         ):
             self.compact()
 
@@ -894,7 +910,8 @@ class SegmentLogBackend(StorageBackend):
 
     def _append_index(self) -> None:
         """Append the index record: the live entries and the sealed segments'
-        sizes, so the next open can skip the scan of a mostly dead log."""
+        sizes, so the next open can skip the scan.  It costs 52 bytes, 12 per
+        sealed segment and 18 per live block."""
         sealed = self._segments_on_disk()[:-1]
         index = self._index
         body = b"".join(
@@ -923,12 +940,7 @@ class SegmentLogBackend(StorageBackend):
         self._tail_is_index = True
 
     def close(self) -> None:
-        if (
-            self._writer is not None
-            and self._nonce is not None
-            and not self._tail_is_index
-            and self._mostly_dead()
-        ):
+        if self._writer is not None and self._nonce is not None and not self._tail_is_index:
             self._append_index()
         self.flush()
         for handle in self._readers.values():

@@ -62,6 +62,15 @@ MANIFEST_FORMAT = 1
 WAL_CHECKPOINT_BYTES = 1 << 20
 
 
+def _settings_of(manifest: Dict[str, object]) -> Dict[str, object]:
+    """A manifest minus its catalogue, scheme state and transition plan."""
+    return {
+        key: value
+        for key, value in manifest.items()
+        if key not in ("scheme_state", "documents", "transition")
+    }
+
+
 def _encode_id_runs(data_ids: List[object]) -> List[object]:
     """Run-length encode a document's block ids for the manifest.
 
@@ -492,10 +501,16 @@ class StorageService:
             scheme_state = service._replay_wal(wal_groups, scheme_state)
         if scheme_state is not None:
             scheme.restore_state(scheme_state, cluster)
-        if config.data_dir is not None:
-            # Collapse the replayed tail into a fresh checkpoint so the next
+        if config.data_dir is not None and (
+            manifest is None
+            or wal_groups
+            or service._manifest_settings() != _settings_of(manifest)
+        ):
+            # Collapse a replayed tail into a fresh checkpoint so the next
             # crash window -- and a resumed transition's first record --
             # starts from an empty log, bound to the scheme that owns it.
+            # With an empty log, a manifest whose settings this open kept
+            # already says everything: a clean reopen rewrites nothing.
             service._checkpoint()
         if service._transition is not None:
             # Finish what the crash interrupted before serving anything: the
@@ -554,7 +569,25 @@ class StorageService:
         if self._data_dir is None:
             return
         os.makedirs(self._data_dir, exist_ok=True)
-        manifest = {
+        manifest = self._manifest_settings()
+        manifest["scheme_state"] = self._scheme.state()
+        manifest["documents"] = {
+            name: {
+                "data_ids": _encode_id_runs(document.data_ids),
+                "length": document.length,
+            }
+            for name, document in self._documents.items()
+        }
+        if self._transition is not None:
+            manifest["transition"] = self._transition.to_dict()
+        write_json(
+            os.path.join(self._data_dir, MANIFEST_NAME), manifest, fsync=self._fsync
+        )
+
+    def _manifest_settings(self) -> Dict[str, object]:
+        """The manifest's fields that say how the service is built: all but
+        the catalogue, the scheme state and a transition plan."""
+        settings: Dict[str, object] = {
             "format": MANIFEST_FORMAT,
             "scheme": self._scheme.scheme_id,
             "block_size": self._scheme.block_size,
@@ -562,29 +595,17 @@ class StorageService:
             "backend": self._cluster.backend_spec,
             "seed": self._seed,
             "custom_placement": self._custom_placement,
-            "scheme_state": self._scheme.state(),
-            "documents": {
-                name: {
-                    "data_ids": _encode_id_runs(document.data_ids),
-                    "length": document.length,
-                }
-                for name, document in self._documents.items()
-            },
         }
         if not self._cluster.topology.is_flat():
-            manifest["topology"] = self._cluster.topology.to_dict()
+            settings["topology"] = self._cluster.topology.to_dict()
         if self._placement_spec is not None:
-            manifest["placement_spec"] = self._placement_spec
+            settings["placement_spec"] = self._placement_spec
         if self._epochs is not None:
-            manifest["epochs"] = [
+            settings["epochs"] = [
                 [epoch.first_index, epoch.params.alpha, epoch.params.s, epoch.params.p]
                 for epoch in self._epochs
             ]
-        if self._transition is not None:
-            manifest["transition"] = self._transition.to_dict()
-        write_json(
-            os.path.join(self._data_dir, MANIFEST_NAME), manifest, fsync=self._fsync
-        )
+        return settings
 
     def _replay_wal(
         self,

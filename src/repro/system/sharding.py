@@ -481,7 +481,8 @@ class ShardedStorageService:
         )
         federation._transitioning_to = transitioning
         if config.data_dir is not None:
-            federation._write_federation()
+            if federation._federation_record() != manifest:
+                federation._write_federation()
             # Resume whatever a crash interrupted: finish the scheme
             # switch on the shards that still owe it, re-home misplaced
             # documents, then finish any half-completed shard removal.
@@ -540,24 +541,28 @@ class ShardedStorageService:
         if self._data_dir is None:
             return
         os.makedirs(self._data_dir, exist_ok=True)
-        shard_config = self._shard_config or StorageConfig()
         write_json(
             os.path.join(self._data_dir, FEDERATION_NAME),
-            {
-                "format": FEDERATION_FORMAT,
-                "scheme": str(shard_config.scheme),
-                "backend": shard_config.backend,
-                "vnodes": self._ring.vnodes,
-                "shard_ids": sorted(self._shards),
-                "leaving": sorted(self._leaving),
-                **(
-                    {"transitioning_to": self._transitioning_to}
-                    if self._transitioning_to is not None
-                    else {}
-                ),
-            },
-            fsync=shard_config.fsync,
+            self._federation_record(),
+            fsync=(self._shard_config or StorageConfig()).fsync,
         )
+
+    def _federation_record(self) -> Dict[str, object]:
+        """What ``federation.json`` holds for the current membership."""
+        shard_config = self._shard_config or StorageConfig()
+        return {
+            "format": FEDERATION_FORMAT,
+            "scheme": str(shard_config.scheme),
+            "backend": shard_config.backend,
+            "vnodes": self._ring.vnodes,
+            "shard_ids": sorted(self._shards),
+            "leaving": sorted(self._leaving),
+            **(
+                {"transitioning_to": self._transitioning_to}
+                if self._transitioning_to is not None
+                else {}
+            ),
+        }
 
     # ------------------------------------------------------------------
     # Introspection

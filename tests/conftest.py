@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import struct
+import zlib
 from typing import List, Tuple
 
 import numpy as np
@@ -67,18 +68,23 @@ def segment_records(path) -> List[Tuple[int, str, int, int]]:
 
 def segment_dead_bytes(root) -> int:
     """File bytes of a segment-log root minus the bytes of the records a
-    replay of its files leaves live."""
+    replay of its files leaves live.  A record that fails its CRC is rot: an
+    erasure of its key."""
     directory = os.path.join(str(root), "segments")
     live = {}
     total = 0
     for name in sorted(os.listdir(directory)):
         path = os.path.join(directory, name)
-        total += os.path.getsize(path)
-        for _, key, payload_len, record_len in segment_records(path):
-            if key and payload_len < 0:
-                live.pop(key, None)
-            elif key:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        total += len(data)
+        for offset, key, payload_len, record_len in segment_records(path):
+            (crc,) = struct.unpack_from("<I", data, offset + 12)
+            intact = zlib.crc32(data[offset + 16 : offset + record_len]) == crc
+            if key and intact and payload_len >= 0:
                 live[key] = record_len
+            else:  # a tombstone, rot, or a keyless nonce / index record
+                live.pop(key, None)
     return total - sum(live.values())
 
 

@@ -8,6 +8,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.blocks import DataId, ParityId
 from repro.core.parameters import StrandClass
@@ -59,10 +60,30 @@ class TestBlockIdCodec:
         # Keys must be filesystem-safe (used as file names by DiskBackend).
         assert "/" not in key and key == key.strip()
 
-    @pytest.mark.parametrize("key", ["", "x-1", "d-", "d-abc", "p-1", "p-1-zz", "s-1"])
+    @pytest.mark.parametrize(
+        "key",
+        ["", "x-1", "d-", "d-abc", "p-1", "p-1-zz", "s-1", "p-1-h "]
+        # Spellings encode_block_id never writes; each used to decode to the
+        # id of a canonical key (d-01 -> d1).
+        + ["d-01", "d-+1", "d-1_0", "d- 1", "d-\u0661", "s-1-02", "p-00-h", "d-\u00b2"],
+    )
     def test_malformed_keys_raise(self, key):
-        with pytest.raises(InvalidParametersError):
+        with pytest.raises(InvalidParametersError, match="malformed block key"):
             decode_block_id(key)
+
+    @given(
+        st.one_of(
+            st.text(),
+            # Key-shaped: a kind, one or two numbers, maybe a strand class.
+            st.from_regex(r"[dps](-[0-9+_ \u0661\u00b2]{1,3}){1,2}(-(h|rh|lh|x))?", fullmatch=True),
+        )
+    )
+    def test_a_key_decodes_only_from_its_own_spelling(self, key):
+        try:
+            block_id = decode_block_id(key)
+        except InvalidParametersError:
+            return
+        assert encode_block_id(block_id) == key
 
     def test_unserialisable_type_raises(self):
         with pytest.raises(InvalidParametersError):
@@ -180,6 +201,16 @@ class TestPersistentBackends:
 
 
 class TestDiskBackend:
+    def test_a_stray_non_canonical_name_is_refused(self, tmp_path):
+        # Before: d-01 decoded to d1 as well, so scan() yielded d1 twice and a
+        # deleted d1 was back on the books (raising KeyError) after a reopen.
+        backend = DiskBackend(str(tmp_path))
+        backend.put(DataId(1), payload(1, 8))
+        with open(os.path.join(str(tmp_path), "blocks", "d-01"), "wb") as handle:
+            handle.write(b"\x01" * 10)
+        with pytest.raises(InvalidParametersError, match="d-01"):
+            list(DiskBackend(str(tmp_path)).scan())
+
     def test_orphan_tmp_files_are_dropped_on_scan(self, tmp_path):
         backend = DiskBackend(str(tmp_path))
         backend.put(DataId(1), payload(1))
@@ -338,8 +369,8 @@ def assert_holds(backend, blocks) -> None:
 
 
 def mostly_dead_log(root, **options) -> dict:
-    """Close a log of twelve blocks nine of which were deleted -- so its tail
-    is an index record -- and return the three live blocks."""
+    """Close a log of twelve blocks nine of which were deleted (its tail is
+    the close's index record) and return the three live blocks."""
     backend = SegmentLogBackend(str(root), **options)
     blocks = {DataId(i): payload(i) for i in range(1, 13)}
     backend.put_many(blocks.items())
@@ -385,7 +416,7 @@ class TestSegmentLogDeadBytes:
             assert backend.dead_bytes == segment_dead_bytes(tmp_path)
         backend.delete_many(ids[:2])
         assert backend.dead_bytes == segment_dead_bytes(tmp_path)
-        backend.close()  # mostly dead: the index record counts as dead too
+        backend.close()  # the index record counts as dead too
         assert backend.dead_bytes == segment_dead_bytes(tmp_path)
         reopened = SegmentLogBackend(str(tmp_path), segment_bytes=600)
         assert reopened.dead_bytes == segment_dead_bytes(tmp_path)
@@ -409,14 +440,25 @@ class TestSegmentLogDeadBytes:
 
 
 class TestSegmentLogIndexRecord:
-    def test_close_writes_an_index_only_over_a_mostly_dead_log(self, tmp_path):
-        backend = SegmentLogBackend(str(tmp_path / "live"))
+    def test_every_close_writes_one_index(self, tmp_path):
+        backend = SegmentLogBackend(str(tmp_path))
         backend.put_many((DataId(i), payload(i)) for i in range(1, 5))
         backend.close()
-        # The one record without a key is the nonce the segment opens with.
-        keys = [key for _, key, _, _ in segment_records(segment_files(tmp_path / "live")[0])]
-        assert keys == ["", "d-1", "d-2", "d-3", "d-4"]
-        mostly_dead_log(tmp_path / "dead")
+        # A live log gets one too: the records without a key are the nonce
+        # the segment opens with and the index: 52 bytes + 18 per live block.
+        records = segment_records(segment_files(tmp_path)[0])
+        assert [key for _, key, _, _ in records] == ["", "d-1", "d-2", "d-3", "d-4", ""]
+        assert records[-1][3] == 52 + 4 * 18
+        # A reopen that adopted it and wrote nothing leaves no second one ...
+        size = os.path.getsize(segment_files(tmp_path)[0])
+        SegmentLogBackend(str(tmp_path)).close()
+        assert os.path.getsize(segment_files(tmp_path)[0]) == size
+        # ... and a write since the last index means one more.
+        backend = SegmentLogBackend(str(tmp_path))
+        backend.delete_many([DataId(1)])
+        backend.close()
+        keys = [key for _, key, _, _ in segment_records(segment_files(tmp_path)[0])]
+        assert keys[-3:] == ["", "d-1", ""]
 
     @pytest.mark.parametrize("segment_bytes", [1 << 20, 300])
     def test_reopen_trusts_a_valid_index(self, tmp_path, monkeypatch, segment_bytes):
@@ -563,7 +605,7 @@ class TestSegmentLogRot:
         backend.close()
         path = segment_files(tmp_path)[0]
         size = os.path.getsize(path)
-        assert size == _NONCE_RECORD_BYTES + 415
+        assert size == _NONCE_RECORD_BYTES + 415 + 52 + 5 * 18  # nonce, blocks, index
         flip_byte(path, _NONCE_RECORD_BYTES + _RECORD_HEADER_SIZE + len("d-1") + 10)
         reopened = SegmentLogBackend(str(tmp_path))
         # Before: scan() yielded [] and the log was truncated to 0 bytes.
@@ -696,8 +738,8 @@ class TestSegmentLogNonce:
         assert len(set(nonces)) == len(nonces) > 2
 
     def test_a_payload_ending_in_an_index_record_is_not_adopted(self, tmp_path):
-        # The last block ends in a well-formed empty index record.  The log
-        # is closed while not mostly dead, so no real index follows it.
+        # The last block ends in a well-formed empty index record, and a
+        # kill leaves it the last thing in the log: no real index follows it.
         backend = SegmentLogBackend(str(tmp_path / "log"))
         blocks = {DataId(i): payload(i) for i in range(1, 4)}
         backend.put_many(blocks.items())
@@ -706,9 +748,9 @@ class TestSegmentLogNonce:
             b"\x01" * 30 + self.forged_empty_index(b"\x00" * 16), dtype=np.uint8
         )
         backend.put(DataId(4), blocks[DataId(4)])
+        shutil.copytree(tmp_path / "log", tmp_path / "killed")
         backend.close()
-        assert not backend._tail_is_index
-        reopened = SegmentLogBackend(str(tmp_path / "log"))
+        reopened = SegmentLogBackend(str(tmp_path / "killed"))
         assert not reopened._tail_is_index
         assert_holds(reopened, blocks)
         reopened.close()
@@ -728,7 +770,6 @@ class TestSegmentLogNonce:
         backend = SegmentLogBackend(str(tmp_path / "log"), segment_bytes=256, auto_compact=False)
         assert backend._nonce is None
         backend.delete_many([DataId(1), DataId(2), DataId(3)])
-        assert backend._mostly_dead()
         backend.close()
         assert segment_records(segment_files(tmp_path / "log")[-1])[-1][1] != ""
         reopened = SegmentLogBackend(str(tmp_path / "log"), segment_bytes=256)

@@ -17,10 +17,11 @@ import shutil
 
 import pytest
 
+from repro import open_service
 from repro.core.blocks import ParityId
 from repro.core.xor import payloads_equal
 from repro.exceptions import InvalidParametersError
-from repro.storage.backends import decode_block_id, encode_block_id
+from repro.storage.backends import SegmentLogBackend, decode_block_id, encode_block_id
 from repro.storage.block_store import BlockStore
 from repro.storage.wal import scan_wal
 from repro.system.service import StorageConfig, StorageService
@@ -585,3 +586,84 @@ def test_rot_in_one_segment_record_is_repaired_not_truncated(scheme, tmp_path):
     for name, data in documents.items():
         assert reopened.get(name) == data
     reopened.close()
+
+
+def published(path) -> tuple:
+    """A metadata file's inode and bytes.  ``write_json`` publishes by
+    rename, so the same inode means the file was not rewritten."""
+    return os.stat(path).st_ino, path.read_bytes()
+
+
+class TestCleanReopenWritesNoMetadata:
+    """Close -> open with an empty WAL: the manifests the close wrote are
+    adopted, never republished, and no segment log is scanned."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("scheme", ["ae-3-2-5", "ae-3-2-5-p80", "rs-10-4", "rep-3"])
+    def test_the_manifest_keeps_its_inode_and_bytes(self, scheme, backend, tmp_path, monkeypatch):
+        documents = {"a": workload(seed=1, size=9_000), "b": workload(seed=2, size=700)}
+        service = StorageService.open(config(scheme, backend, tmp_path))
+        for name, data in documents.items():
+            service.put(name, data)
+        service.delete("b")
+        service.close()
+        manifest = published(tmp_path / "manifest.json")
+        monkeypatch.setattr(
+            SegmentLogBackend, "_scan_segment", lambda *args, **kwargs: pytest.fail("scanned")
+        )
+        reopened = StorageService.open(config(scheme, backend, tmp_path))
+        # Before: the open republished the same bytes under a new inode.
+        assert published(tmp_path / "manifest.json") == manifest
+        assert os.path.getsize(tmp_path / "wal.log") == 0
+        assert reopened.get("a") == documents["a"]
+        reopened.close()
+
+    def test_a_federation_keeps_every_manifest(self, tmp_path, monkeypatch):
+        sharded = config("ae-3-2-5", "segment", tmp_path, shards=2)
+        service = open_service(sharded)
+        documents = {f"doc-{i}": workload(seed=i, size=3_000) for i in range(8)}
+        for name, data in documents.items():
+            service.put(name, data)
+        service.close()
+        paths = [tmp_path / "federation.json", *sorted(tmp_path.glob("shard-*/manifest.json"))]
+        assert len(paths) == 3
+        before = [published(path) for path in paths]
+        monkeypatch.setattr(
+            SegmentLogBackend, "_scan_segment", lambda *args, **kwargs: pytest.fail("scanned")
+        )
+        reopened = open_service(sharded)
+        assert [published(path) for path in paths] == before
+        for name, data in documents.items():
+            assert reopened.get(name) == data
+        reopened.close()
+
+    def test_a_reopen_that_names_more_is_published_at_open(self, tmp_path):
+        # A flat manifest pins the location count alone; naming sites over it
+        # changes what the manifest records, so the open republishes it (a
+        # crash before the close must not lose the layout).
+        service = StorageService.open(config("rs-10-4", "segment", tmp_path, topology=14))
+        service.put("doc", workload(size=6_000))
+        service.close()
+        before = published(tmp_path / "manifest.json")
+        reopened = StorageService.open(
+            config("rs-10-4", "segment", tmp_path, topology="sites=2,nodes=7")
+        )
+        assert published(tmp_path / "manifest.json") != before
+        assert "topology" in json.loads((tmp_path / "manifest.json").read_text())
+        reopened.close()
+
+    def test_a_committed_wal_tail_is_still_absorbed(self, tmp_path):
+        service = StorageService.open(config("ae-3-2-5", "segment", tmp_path / "live"))
+        service.put("a", workload(seed=1, size=5_000))
+        service.flush()
+        service.put("b", workload(seed=2, size=5_000))
+        # A kill: the WAL holds b's committed put, the manifest only a.
+        shutil.copytree(tmp_path / "live", tmp_path / "crash")
+        service.close()
+        assert scan_wal(str(tmp_path / "crash" / "wal.log"))[0]
+        reopened = StorageService.open(config("ae-3-2-5", "segment", tmp_path / "crash"))
+        assert os.path.getsize(tmp_path / "crash" / "wal.log") == 0
+        manifest = json.loads((tmp_path / "crash" / "manifest.json").read_text())
+        assert set(manifest["documents"]) == {"a", "b"}
+        assert reopened.get("b") == workload(seed=2, size=5_000)
+        reopened.close()

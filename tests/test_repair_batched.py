@@ -250,9 +250,9 @@ class TestSegmentLogZeroCopy:
 
     @staticmethod
     def closed_service(tmp_path, scheme="ae-3-2-5", deleted_bytes=0):
-        """A closed segment service holding ``doc``; with ``deleted_bytes`` a
-        bigger document was put and deleted first, so under an erasable
-        scheme the logs are mostly dead and close ended them with an index."""
+        """A closed segment service holding ``doc`` (close ended every log
+        with an index); with ``deleted_bytes`` a bigger document was put and
+        deleted first, so under an erasable scheme the logs are mostly dead."""
         config = StorageConfig(
             scheme=scheme,
             topology=12,
@@ -300,7 +300,7 @@ class TestSegmentLogZeroCopy:
             tmp_path, scheme="rs-10-4", deleted_bytes=512 * 60
         )
         offset, key, _, record_len = segment_records(victim_log)[-1]
-        assert key == ""  # close ended the mostly dead log with its index
+        assert key == ""  # close ended the log with its index
         with open(victim_log, "r+b") as handle:
             handle.truncate(offset + record_len // 2)
 
