@@ -14,14 +14,18 @@ mesh).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from functools import lru_cache
+from itertools import compress
+from typing import Dict, List, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.core.batch_repair import RepairRun, block_sort_key
 from repro.core.blocks import BlockId, DataId, ParityId, is_data
 from repro.core.encoder import DEFAULT_BLOCK_SIZE, BatchEntangler
 from repro.core.lattice import HelicalLattice
 from repro.core.parameters import AEParameters
-from repro.core.puncturing import PuncturedCode, puncture_rate
+from repro.core.puncturing import PuncturedCode, masked_parities, puncture_rate
 from repro.core.xor import PayloadBatch
 from repro.exceptions import InvalidParametersError
 from repro.schemes.base import (
@@ -46,6 +50,14 @@ def punctured_scheme_id(params: AEParameters, keep_fraction: float) -> str:
     overhead drops from ``alpha`` towards ``alpha * keep_fraction``.
     """
     return f"{params.scheme_id}-p{int(round(keep_fraction * 100))}"
+
+
+@lru_cache(maxsize=None)
+def _rate_overhead(params: AEParameters, keep_fraction: float) -> float:
+    """The stored overhead of a rate.  It depends on the rate alone, so it is
+    estimated once per process: not on every delete and overwrite that asks
+    ``capabilities()`` whether the scheme is erasable, nor on every reopen."""
+    return puncture_rate(params, keep_fraction).effective_overhead()
 
 
 class EntanglementScheme(RedundancyScheme):
@@ -204,6 +216,7 @@ class PuncturedEntanglementScheme(EntanglementScheme):
         )
         self._code: PuncturedCode = puncture_rate(params, keep_fraction)
         self._keep_fraction = float(keep_fraction)
+        self._storage_overhead = _rate_overhead(params, self._keep_fraction)
 
     @property
     def punctured_code(self) -> PuncturedCode:
@@ -222,28 +235,30 @@ class PuncturedEntanglementScheme(EntanglementScheme):
             # The stored overhead after puncturing; the wiring (and the
             # 2-read single-failure repair of an unpunctured neighbourhood)
             # is unchanged.
-            storage_overhead=self._code.effective_overhead(),
+            storage_overhead=self._storage_overhead,
             single_failure_reads=params.single_failure_cost,
             streaming=True,
             erasable=False,
         )
 
-    def punctured_parities(self) -> Iterator[ParityId]:
-        """Every punctured parity of the lattice encoded so far."""
-        for index in range(1, self._entangler.blocks_encoded + 1):
-            for strand_class in self.params.strand_classes:
-                parity = ParityId(index, strand_class)
-                if self._code.is_punctured(parity):
-                    yield parity
+    def punctured_parities(self) -> List[ParityId]:
+        """Every punctured parity of the lattice encoded so far, in lattice order."""
+        return masked_parities(
+            self._code.mask(self._entangler.blocks_encoded), self.params.strand_classes
+        )
 
     # ------------------------------------------------------------------
     # Write path: drop the punctured parities after computing them
     # ------------------------------------------------------------------
     def encode(self, payloads: PayloadBatch) -> EncodedPart:
         part = super().encode(payloads)
-        part.blocks = [
-            (block_id, payload)
-            for block_id, payload in part.blocks
-            if is_data(block_id) or not self._code.is_punctured(block_id)
-        ]
+        # Blocks come node by node -- the data block, then its parities in
+        # strand-class order -- so a kept data column and the batch's mask
+        # row filter one node.
+        count = len(part.data_ids)
+        stored = np.ones((count, 1 + self.params.alpha), dtype=bool)
+        stored[:, 1:] = ~self._code.mask(
+            count, start=self._entangler.blocks_encoded - count + 1
+        )
+        part.blocks = list(compress(part.blocks, stored.ravel().tolist()))
         return part

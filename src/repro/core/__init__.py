@@ -56,6 +56,7 @@ from repro.core.position import (
 from repro.core.puncturing import (
     PuncturedCode,
     PuncturingPolicy,
+    masked_parities,
     no_puncturing,
     parity_survivors,
     puncture_periodic,
@@ -131,6 +132,7 @@ __all__ = [
     "is_parity",
     "join_blocks",
     "latest_strand_creators",
+    "masked_parities",
     "no_puncturing",
     "node_at",
     "node_category",

@@ -45,7 +45,6 @@ from repro.simulation.engine import (
     StripeSimulation,
     build_simulation,
     normalise_events,
-    punctured_parity_mask,
     replay_timeline,
     sample_disaster_locations,
     sample_states,
@@ -140,7 +139,6 @@ __all__ = [
     "p2p_session_trace",
     "payload_stream",
     "placement_balance_report",
-    "punctured_parity_mask",
     "repair_rounds_experiment",
     "replay_timeline",
     "run_adaptive",

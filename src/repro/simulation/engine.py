@@ -51,7 +51,6 @@ import repro.schemes as schemes
 from repro.codes.base import StripeCode
 from repro.codes.entanglement import EntanglementScheme, PuncturedEntanglementScheme
 from repro.codes.replication import ReplicationCode
-from repro.core.blocks import ParityId
 from repro.core.parameters import AEParameters
 from repro.core.rules import rule_offsets
 from repro.exceptions import InvalidParametersError
@@ -75,7 +74,6 @@ __all__ = [
     "StripeSimulation",
     "build_simulation",
     "normalise_events",
-    "punctured_parity_mask",
     "replay_timeline",
     "sample_disaster_locations",
     "sample_states",
@@ -722,24 +720,6 @@ class StripeSimulation(SimulatedPlacement):
 # ----------------------------------------------------------------------
 # Placement construction
 # ----------------------------------------------------------------------
-def punctured_parity_mask(
-    scheme: PuncturedEntanglementScheme, data_blocks: int
-) -> np.ndarray:
-    """The (n, alpha) boolean mask of parities the scheme never stores.
-
-    Column ``c`` follows ``params.strand_classes`` order, matching the
-    parity-location columns of :class:`LatticeSimulation`.
-    """
-    classes = scheme.params.strand_classes
-    mask = np.zeros((data_blocks, len(classes)), dtype=bool)
-    code = scheme.punctured_code
-    for column, strand_class in enumerate(classes):
-        for index in range(1, data_blocks + 1):
-            if code.is_punctured(ParityId(index, strand_class)):
-                mask[index - 1, column] = True
-    return mask
-
-
 def build_simulation(
     scheme: SchemeLike,
     data_blocks: int,
@@ -757,8 +737,10 @@ def build_simulation(
     """
     resolved = schemes.resolve(scheme, block_size)
     if isinstance(resolved, EntanglementScheme):
+        # The store's own punctured set: column ``c`` follows
+        # ``params.strand_classes``, as the parity-location columns do.
         punctured = (
-            punctured_parity_mask(resolved, data_blocks)
+            resolved.punctured_code.mask(data_blocks)
             if isinstance(resolved, PuncturedEntanglementScheme)
             else None
         )

@@ -974,7 +974,8 @@ def write_json(path: str, payload: Dict[str, object], fsync: bool = False) -> No
     """
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+        # ``dumps`` runs the C encoder; ``dump`` would run the Python one.
+        handle.write(json.dumps(payload))
         if fsync:
             handle.flush()
             os.fsync(handle.fileno())

@@ -53,6 +53,7 @@ import repro.schemes as schemes
 from repro.codes.entanglement import EntanglementScheme, PuncturedEntanglementScheme
 from repro.core.blocks import DataId, ParityId, join_blocks
 from repro.core.dynamic import AlphaUpgrader, plan_alpha_upgrade
+from repro.core.puncturing import masked_parities
 from repro.core.xor import Payload
 from repro.exceptions import InvalidParametersError, RepairFailedError
 from repro.schemes.base import RedundancyScheme
@@ -361,20 +362,19 @@ class TransitionEngine:
                 source = service._scheme
                 assert isinstance(source, EntanglementScheme)
                 cluster = service._cluster
-                # What the source punctured and the target does not; a plain
-                # source stored everything, a resume skips what is there.
-                keeps = getattr(self._target, "punctured_code", None)
-                dropped = (
-                    source.punctured_parities()
-                    if isinstance(source, PuncturedEntanglementScheme)
-                    else ()
-                )
-                wanted = [
-                    parity
-                    for parity in dropped
-                    if not (keeps is not None and keeps.is_punctured(parity))
-                    and not cluster.knows(parity)
-                ]
+                # What the source punctured and the target does not: the
+                # source mask minus the target's.  A plain source stored
+                # everything, a resume skips what is there.
+                wanted: List[ParityId] = []
+                if isinstance(source, PuncturedEntanglementScheme):
+                    dropped = source.punctured_code.mask(source.entangler.blocks_encoded)
+                    if isinstance(self._target, PuncturedEntanglementScheme):
+                        dropped &= ~self._target.punctured_code.mask(len(dropped))
+                    wanted = [
+                        parity
+                        for parity in masked_parities(dropped, source.params.strand_classes)
+                        if not cluster.knows(parity)
+                    ]
                 for start in range(0, len(wanted), FLUSH_BLOCKS):
                     batch = wanted[start : start + FLUSH_BLOCKS]
                     outcome = source.repair(set(batch), cluster)
@@ -393,9 +393,10 @@ class TransitionEngine:
                 service._scheme = self._target
             # The flip must be durable before any parity disappears.
             service._checkpoint()
-        # Deletion pass: parities the (now current) target punctures.  The
-        # deterministic policy is monotone in the keep fraction, so the
-        # target's punctured set covers everything any source rate stored.
+        # Deletion pass: parities the (now current) target punctures -- its
+        # mask over the lattice.  The deterministic policy is monotone in the
+        # keep fraction, so the target's punctured set covers everything any
+        # source rate stored.
         with service._state_lock:
             current = service._scheme
             if isinstance(current, PuncturedEntanglementScheme):

@@ -10,6 +10,7 @@ storage, Sec. IV-A).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -667,3 +668,43 @@ class TestCleanReopenWritesNoMetadata:
         assert set(manifest["documents"]) == {"a", "b"}
         assert reopened.get("b") == workload(seed=2, size=5_000)
         reopened.close()
+
+
+class TestPublishedBytes:
+    """``write_json`` publishes the bytes ``json.dump`` wrote before it went
+    through ``json.dumps`` (recorded on ``e118288``): same separators, same
+    ``\\u`` escapes for a non-ASCII name, same key order."""
+
+    GOLDEN = {
+        "manifest.json": "0b01d383eb3aa96ba6accc8ce13c98979d1c78cc02b0ba59ea798296240abbe4",
+        "federation.json": "a4a4ef99b52d7f5bef63054bb963c0b6e1eaa79d574fef9994da50a04efd0b6c",
+        "shard-00/manifest.json": "0b096837ce396a565a770b190fc66b8a55c3ce463b30db5ac8acd20d9e16f345",
+        "shard-01/manifest.json": "521f79e6fa27bacb9dd0cf296039439117a9ec8776545b8e0ab04a0dfda14638",
+    }
+
+    @staticmethod
+    def fill(service) -> None:
+        for number, name in enumerate(("a", "résumé", "日本", "z" * 40)):
+            service.put(name, workload(seed=number, size=1_000 + 733 * number))
+        service.delete("a")
+
+    @staticmethod
+    def digests(root, names) -> dict:
+        return {
+            name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in names
+        }
+
+    def test_a_service_manifest(self, tmp_path):
+        service = StorageService.open(config("ae-3-2-5-p80", "segment", tmp_path, seed=3))
+        self.fill(service)
+        service.close()
+        assert self.digests(tmp_path, ["manifest.json"]) == {
+            "manifest.json": self.GOLDEN["manifest.json"]
+        }
+
+    def test_a_federation(self, tmp_path):
+        service = open_service(config("rs-10-4", "segment", tmp_path, seed=3, shards=2))
+        self.fill(service)
+        service.close()
+        names = ["federation.json", "shard-00/manifest.json", "shard-01/manifest.json"]
+        assert self.digests(tmp_path, names) == {name: self.GOLDEN[name] for name in names}
