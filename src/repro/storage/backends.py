@@ -953,7 +953,7 @@ class SegmentLogBackend(StorageBackend):
 
 
 # ----------------------------------------------------------------------
-# Atomic JSON publication (the service manifest in
+# Atomic JSON publication and its reader (the service manifest in
 # :mod:`repro.system.service`, the federation manifest)
 # ----------------------------------------------------------------------
 def _fsync_dir(path: str) -> None:
@@ -982,6 +982,40 @@ def write_json(path: str, payload: Dict[str, object], fsync: bool = False) -> No
     os.replace(tmp, path)
     if fsync:
         _fsync_dir(os.path.dirname(path) or ".")
+
+
+def read_json(path: str, kind: str, version: int) -> Optional[Dict[str, object]]:
+    """Read a JSON object :func:`write_json` published, ``None`` if absent.
+
+    Anything else -- bytes that are not UTF-8 JSON, a value that is not an
+    object, a ``format`` other than ``version`` -- is refused with an
+    :class:`~repro.exceptions.InvalidParametersError` naming the file:
+    reopening over an unreadable ``kind`` would scatter new writes over the
+    data it describes, which is still on disk.
+    """
+    def corrupt(problem: str) -> InvalidParametersError:
+        return InvalidParametersError(
+            f"corrupt {kind} {path!r}: {problem}; the data it describes is "
+            "still on disk -- restore the file from a backup or rebuild it "
+            "before reopening"
+        )
+
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except FileNotFoundError:
+        return None
+    try:
+        record = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise corrupt(str(exc)) from exc
+    if not isinstance(record, dict):
+        raise corrupt(f"{raw[:20]!r} is not a JSON object")
+    if record.get("format") != version:
+        raise InvalidParametersError(
+            f"unsupported {kind} format in {path!r}: {record.get('format')!r}"
+        )
+    return record
 
 
 # ----------------------------------------------------------------------

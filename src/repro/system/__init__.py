@@ -1,7 +1,8 @@
 """Storage system layer: the scheme-agnostic service and its use cases.
 
 * :mod:`repro.system.protocol` -- :class:`DocumentService`, the one
-  document-service surface the three layers below conform to;
+  document-service surface the three layers below conform to, and the one
+  implementation of it the front-end and the federation share;
 * :mod:`repro.system.opening` -- :func:`open_service`, the one way to open
   whichever layer a config describes;
 * :mod:`repro.system.service` -- :class:`StorageService`, the

@@ -9,7 +9,8 @@ reproduction's multi-client request path.  It wraps one
   ``put_stream`` run on the thread that called them; there is no executor
   and no hand-off, so a request costs its locks and its work only;
 * **bounded admission** -- at most ``queue_depth`` requests may be in flight
-  at once; past that, a request raises
+  at once (a ``get_stream`` until its stream is exhausted or closed); past
+  that, a request raises
   :class:`~repro.exceptions.ServiceOverloadedError` *before* any work starts
   (backpressure, so a slow medium cannot build an unbounded backlog);
 * **striped document locks** -- writers to the same document serialise on a
@@ -32,12 +33,8 @@ behind a busy writer waits milliseconds.  Reads do not yield (it costs their p50
 
 The lock hierarchy is admission -> maintenance gate -> stripe lock ->
 service state lock -> WAL group commit; every path acquires in that order,
-so the composition cannot deadlock.  See ``docs/architecture.md``.
-
-Underneath, concurrent mutators benefit from the metadata WAL's group
-commit (:mod:`repro.storage.wal`): their records are batched into one
-fsync.  The ``service_small_docs`` workload of ``benchmarks/e2e`` and
-``repro-experiments load`` measure both effects.
+so the composition cannot deadlock (concurrent mutators share one WAL
+fsync through its group commit).  See ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -45,22 +42,13 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, TypeVar
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional
 
 from repro.exceptions import InvalidParametersError, ServiceOverloadedError
-from repro.schemes.base import RedundancyScheme, SchemeCapabilities
-from repro.storage.maintenance import MaintenancePolicy
-from repro.storage.topology import Topology
-from repro.system.service import (
-    ServiceRepairReport,
-    ServiceStatus,
-    StorageConfig,
-    StorageService,
-    StoredDocument,
-)
+from repro.system.protocol import Members, ServiceLayer
+from repro.system.service import StorageConfig, StorageService
 from repro.system.transitions import TransitionReport
-
-T = TypeVar("T")
 
 #: Default number of concurrent callers the front-end is sized for.
 DEFAULT_WORKERS = 8
@@ -114,31 +102,21 @@ class ReadWriteLock:
             self._writer = False
             self._cond.notify_all()
 
-    class _ReadGuard:
-        def __init__(self, lock: "ReadWriteLock") -> None:
-            self._lock = lock
+    @contextmanager
+    def read_locked(self) -> Iterator[None]:
+        self.acquire_read()
+        try:
+            yield
+        finally:
+            self.release_read()
 
-        def __enter__(self) -> None:
-            self._lock.acquire_read()
-
-        def __exit__(self, *exc: object) -> None:
-            self._lock.release_read()
-
-    class _WriteGuard:
-        def __init__(self, lock: "ReadWriteLock") -> None:
-            self._lock = lock
-
-        def __enter__(self) -> None:
-            self._lock.acquire_write()
-
-        def __exit__(self, *exc: object) -> None:
-            self._lock.release_write()
-
-    def read_locked(self) -> "ReadWriteLock._ReadGuard":
-        return ReadWriteLock._ReadGuard(self)
-
-    def write_locked(self) -> "ReadWriteLock._WriteGuard":
-        return ReadWriteLock._WriteGuard(self)
+    @contextmanager
+    def write_locked(self) -> Iterator[None]:
+        self.acquire_write()
+        try:
+            yield
+        finally:
+            self.release_write()
 
 
 def derive_stripe_count(service: StorageService, workers: int) -> int:
@@ -159,14 +137,46 @@ def derive_stripe_count(service: StorageService, workers: int) -> int:
     return max(1, 2 * workers, width)
 
 
-class ConcurrentStorageService:
+class _Request:
+    """One front-end request on one name: admitted, under the name's stripe
+    lock -- a write also under the maintenance gate's read side, then a
+    yield of the CPU.  (A class, not a generator: it is on every request.)"""
+
+    __slots__ = ("frontend", "stripe", "write")
+
+    def __init__(self, frontend: "ConcurrentStorageService", name: str, write: bool) -> None:
+        self.frontend, self.stripe, self.write = frontend, frontend._stripe_for(name), write
+
+    def __enter__(self) -> StorageService:
+        self.frontend._admit()
+        if self.write:
+            self.frontend._maintenance.acquire_read()
+            self.stripe.acquire_write()
+        else:  # no maintenance gate: reads proceed during repair
+            self.stripe.acquire_read()
+        return self.frontend._service
+
+    def __exit__(self, *exc: object) -> None:
+        if self.write:
+            self.stripe.release_write()
+            self.frontend._maintenance.release_read()
+        else:
+            self.stripe.release_read()
+        self.frontend._admission.release()
+        if self.write:
+            _yield_cpu()
+
+
+class ConcurrentStorageService(ServiceLayer):
     """Multi-client request front-end with striped locking and backpressure.
 
     Wraps an already-open :class:`StorageService` (or opens one through
     :meth:`open`).  All public operations are thread-safe and run on the
     calling thread; ``workers`` is the number of concurrent callers the
     front-end is sized for.  Closing the front-end refuses new requests,
-    drains in-flight ones, then closes the wrapped service.
+    drains in-flight ones, then closes the wrapped service.  The verbs are
+    :class:`~repro.system.protocol.ServiceLayer`'s, over :meth:`_route` and
+    :meth:`_members`.
     """
 
     def __init__(
@@ -182,6 +192,7 @@ class ConcurrentStorageService:
         if queue_depth < 1:
             raise InvalidParametersError("queue_depth must be at least 1")
         self._service = service
+        self._data_dir = service.data_dir
         self._workers = workers
         self._queue_depth = queue_depth
         self._admission = threading.Semaphore(queue_depth)
@@ -189,7 +200,6 @@ class ConcurrentStorageService:
             ReadWriteLock() for _ in range(derive_stripe_count(service, workers))
         ]
         self._maintenance = ReadWriteLock()
-        self._closed = False
 
     @classmethod
     def open(
@@ -204,9 +214,6 @@ class ConcurrentStorageService:
         service = StorageService.open(config, **overrides)
         return cls(service, workers=workers, queue_depth=queue_depth)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     @property
     def service(self) -> StorageService:
         """The wrapped single-threaded service."""
@@ -224,46 +231,7 @@ class ConcurrentStorageService:
     def stripe_count(self) -> int:
         return len(self._stripes)
 
-    @property
-    def scheme(self) -> RedundancyScheme:
-        return self._service.scheme
-
-    @property
-    def capabilities(self) -> SchemeCapabilities:
-        return self._service.capabilities
-
-    @property
-    def block_size(self) -> int:
-        return self._service.block_size
-
-    @property
-    def topology(self) -> Topology:
-        return self._service.topology
-
-    @property
-    def data_dir(self) -> Optional[str]:
-        return self._service.data_dir
-
-    @property
-    def documents(self) -> Dict[str, StoredDocument]:
-        return self._service.documents
-
-    def status(self) -> ServiceStatus:
-        return self._service.status()
-
-    def service_for(self, name: str) -> StorageService:
-        """The wrapped service (it holds every document)."""
-        return self._service
-
-    # ------------------------------------------------------------------
-    # Request plumbing
-    # ------------------------------------------------------------------
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise InvalidParametersError(
-                "this ConcurrentStorageService has been closed"
-            )
-
+    # -- The two hooks, and what they hold --
     def _stripe_for(self, name: str) -> ReadWriteLock:
         digest = hashlib.blake2b(name.encode("utf-8"), digest_size=4).digest()
         return self._stripes[int.from_bytes(digest, "big") % len(self._stripes)]
@@ -282,77 +250,26 @@ class ConcurrentStorageService:
                 "retry once responses drain"
             )
 
-    def _mutate(self, operation: Callable[..., T], name: str, *args: object) -> T:
-        """Run one mutation of ``name``: admitted, under the maintenance
-        gate's read side and the name's stripe write lock, then yield."""
-        self._admit()
-        try:
-            with self._maintenance.read_locked():
-                with self._stripe_for(name).write_locked():
-                    return operation(name, *args)
-        finally:
-            self._admission.release()
-            _yield_cpu()
+    def _route(self, name: str, write: bool) -> _Request:
+        return _Request(self, name, write)
 
-    # ------------------------------------------------------------------
-    # Document operations
-    # ------------------------------------------------------------------
-    def put(self, name: str, data: bytes) -> StoredDocument:
-        return self._mutate(self._service.put, name, data)
+    def _members(self, shard: Optional[int] = None) -> Members:
+        """The wrapped service; a maintenance pass holds :meth:`_quiesce`."""
+        return Members([(0, self._service)], self._quiesce())
 
-    def get(self, name: str) -> bytes:
-        self._admit()
-        try:
-            # No maintenance gate: reads proceed during repair.
-            with self._stripe_for(name).read_locked():
-                return self._service.get(name)
-        finally:
-            self._admission.release()
+    @contextmanager
+    def _quiesce(self) -> Iterator[None]:
+        """Hold off mutations (the gate's write side; reads go on).  Once
+        closed -- only :meth:`close` asks then -- wait out every admitted
+        request instead: each holds its slot until it returns."""
+        if self._closed:
+            for _ in range(self._queue_depth):
+                self._admission.acquire()
+            yield
+        else:
+            with self._maintenance.write_locked():
+                yield
 
-    def delete(self, name: str) -> List[object]:
-        return self._mutate(self._service.delete, name)
-
-    def put_stream(self, name: str, chunks: Iterable[bytes]) -> StoredDocument:
-        """Store a document from a chunk iterable.
-
-        Admitted like :meth:`put` and holding the same locks for the
-        stream's whole lifetime, so :meth:`close` waits for it.
-        """
-        return self._mutate(self._service.put_stream, name, chunks)
-
-    def has_document(self, name: str) -> bool:
-        """Catalogue membership; lock-free (the catalogue copy is atomic)."""
-        return self._service.has_document(name)
-
-    def get_stream(self, name: str) -> Iterator[bytes]:
-        """Stream a document, holding its stripe's read lock until exhausted.
-
-        Concurrent writers to the same stripe wait until the stream is
-        consumed or closed; readers and other stripes proceed.
-        """
-        self._ensure_open()
-        stripe = self._stripe_for(name)
-        stripe.acquire_read()
-        try:
-            inner = self._service.get_stream(name)
-        except BaseException:  # noqa: B036,RPR004 - release the stripe, then re-raise
-            stripe.release_read()
-            raise
-
-        def guarded() -> Iterator[bytes]:
-            try:
-                yield from inner
-            finally:
-                stripe.release_read()
-
-        return guarded()
-
-    def verify_document(self, name: str, expected: bytes) -> bool:
-        return self.get(name) == expected
-
-    # ------------------------------------------------------------------
-    # Maintenance (exclusive against mutations, never against reads)
-    # ------------------------------------------------------------------
     def transition_to(self, scheme: object) -> Optional["TransitionReport"]:
         """Migrate the live service to another redundancy scheme.
 
@@ -366,57 +283,10 @@ class ConcurrentStorageService:
         blocks (after), byte-exact either way.
         """
         self._ensure_open()
-
-        def doc_guard(name: str) -> "ReadWriteLock._WriteGuard":
-            return self._stripe_for(name).write_locked()
-
-        with self._maintenance.write_locked():
-            return self._service.transition_to(scheme, doc_guard=doc_guard)
-
-    def repair(
-        self, policy: MaintenancePolicy = MaintenancePolicy.FULL
-    ) -> ServiceRepairReport:
-        """Run a repair pass while mutations are quiesced; reads continue."""
-        self._ensure_open()
-        with self._maintenance.write_locked():
-            return self._service.repair(policy)
-
-    def fail_locations(self, location_ids: Iterable[int]) -> None:
-        self._ensure_open()
-        with self._maintenance.write_locked():
-            self._service.fail_locations(location_ids)
-
-    def restore_locations(
-        self, location_ids: Optional[Iterable[int]] = None
-    ) -> None:
-        self._ensure_open()
-        with self._maintenance.write_locked():
-            self._service.restore_locations(location_ids)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Drain nothing, but checkpoint metadata and flush block writes."""
-        self._ensure_open()
-        with self._maintenance.write_locked():
-            self._service.flush()
-
-    def close(self) -> None:
-        """Refuse new requests, drain in-flight ones (each holds an admission
-        slot until it returns), then close the wrapped service."""
-        if self._closed:
-            return
-        self._closed = True
-        for _ in range(self._queue_depth):
-            self._admission.acquire()
-        self._service.close()
-
-    def __enter__(self) -> "ConcurrentStorageService":
-        return self
-
-    def __exit__(self, exc_type: object, exc_value: object, traceback: object) -> None:
-        self.close()
+        with self._members() as members:
+            return members[0].transition_to(
+                scheme, doc_guard=lambda name: self._stripe_for(name).write_locked()
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

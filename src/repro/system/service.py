@@ -18,11 +18,10 @@ or any of the paper's stripe-code baselines.  Services are opened from a
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, ContextManager, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, ContextManager, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import repro.schemes as schemes
 from repro.core.blocks import join_blocks
@@ -33,7 +32,7 @@ from repro.core.xor import Payload, payload_to_bytes
 from repro.exceptions import InvalidParametersError, RepairFailedError, UnknownBlockError
 from repro.schemes.base import RedundancyScheme, SchemeCapabilities
 from repro.storage import placement as placement_registry
-from repro.storage.backends import decode_block_id, encode_block_id, write_json
+from repro.storage.backends import decode_block_id, encode_block_id, read_json, write_json
 from repro.storage.cluster import StorageCluster
 from repro.storage.maintenance import MaintenancePolicy
 from repro.storage.placement import PlacementPolicy
@@ -268,6 +267,10 @@ class ServiceRepairReport:
     def repaired_count(self) -> int:
         return len(self.repaired)
 
+    @property
+    def skipped_count(self) -> int:
+        return len(self.skipped)
+
     def summary(self) -> str:
         return (
             f"[{self.scheme}] repaired {self.repaired_count} blocks in "
@@ -276,7 +279,35 @@ class ServiceRepairReport:
         )
 
 
-class StorageService:
+H = TypeVar("H", bound="ServiceHandle")
+
+
+class ServiceHandle:
+    """What a handle of every service layer shares: the closed check (naming
+    the layer's own class), ``with`` and :meth:`verify_document`."""
+
+    _closed = False
+
+    def _ensure_open(self) -> None:
+        if self._closed:
+            layer = type(self).__name__
+            raise InvalidParametersError(
+                f"this {layer} has been closed; reopen it with {layer}.open "
+                "on the same data_dir"
+            )
+
+    def verify_document(self, name: str, expected: bytes) -> bool:
+        """Read the document back and compare."""
+        return self.get(name) == expected  # type: ignore[attr-defined]
+
+    def __enter__(self: H) -> H:
+        return self
+
+    def __exit__(self, exc_type: object, exc_value: object, traceback: object) -> None:
+        self.close()  # type: ignore[attr-defined]
+
+
+class StorageService(ServiceHandle):
     """High-level put/get/delete/repair interface over any redundancy scheme."""
 
     def __init__(
@@ -537,25 +568,9 @@ class StorageService:
                 "(plans now live in the manifest); finish the transition with "
                 "the version that started it before reopening"
             )
-        path = os.path.join(data_dir, MANIFEST_NAME)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except json.JSONDecodeError as exc:
-            # Refusing loudly beats reopening with an empty catalogue and
-            # scattering new writes over the old blocks.
-            raise InvalidParametersError(
-                f"corrupt service manifest {path!r}: {exc}; the block data is "
-                "still on disk -- restore the manifest from a backup or "
-                "rebuild it before reopening"
-            ) from exc
-        if int(manifest.get("format", 0)) != MANIFEST_FORMAT:
-            raise InvalidParametersError(
-                f"unsupported manifest format in {path!r}: {manifest.get('format')!r}"
-            )
-        return manifest
+        return read_json(
+            os.path.join(data_dir, MANIFEST_NAME), "service manifest", MANIFEST_FORMAT
+        )
 
     def _sync_manifest(self) -> None:
         """Atomically persist the service catalogue next to the block data.
@@ -763,13 +778,6 @@ class StorageService:
                 if self._wal is not None:
                     self._wal.reset()
 
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise InvalidParametersError(
-                "this StorageService has been closed; reopen it with "
-                "StorageService.open on the same data_dir"
-            )
-
     def flush(self) -> None:
         """Push buffered writes to the medium and checkpoint the metadata.
 
@@ -796,12 +804,6 @@ class StorageService:
             self._wal.close()
         self._cluster.close()
         self._closed = True
-
-    def __enter__(self) -> "StorageService":
-        return self
-
-    def __exit__(self, exc_type: object, exc_value: object, traceback: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1087,10 +1089,6 @@ class StorageService:
                     remaining -= take
 
         return blocks()
-
-    def verify_document(self, name: str, expected: bytes) -> bool:
-        """Convenience used by examples/tests: read back and compare."""
-        return self.get(name) == expected
 
     def _document(self, name: str) -> StoredDocument:
         if name not in self._documents:

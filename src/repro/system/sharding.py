@@ -23,44 +23,42 @@ vnode-weighted consistent-hash ring (:class:`ShardRing`).  The federation
   (:meth:`rebalance` re-homes every document the ring no longer maps to its
   current shard);
 * **isolates failures**: ``fail_locations``/``repair`` target one shard, and
-  a federation-wide :meth:`repair` collects per-shard reports without letting
-  one shard's unrecoverable disaster abort the others;
+  a federation-wide :meth:`repair` sums per-shard reports into one
+  :class:`FederationRepairReport` without letting one shard's unrecoverable
+  disaster abort the others;
 * **aggregates health**: :meth:`status` sums per-shard
   :class:`~repro.system.service.ServiceStatus` into one
   :class:`FederationStatus`.
 
-Durable federations keep a small ``federation.json`` manifest (shard ids,
-ring vnodes, scheme binding) next to one ``shard-NN/`` sub-root per shard;
-see ``docs/sharding.md``.
+The verbs are :class:`~repro.system.protocol.ServiceLayer`'s, over
+:meth:`ShardedStorageService._route` and
+:meth:`ShardedStorageService._members`.  Durable federations keep a small
+``federation.json`` manifest (shard ids, ring vnodes, the settled scheme
+binding) next to one ``shard-NN/`` sub-root per shard; see
+``docs/sharding.md``.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-import json
 import os
 import queue
 import threading
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import ContextManager, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import repro.schemes as schemes_registry
-from repro.exceptions import InvalidParametersError, PlacementError, ReproError, UnknownBlockError
-from repro.schemes.base import RedundancyScheme, SchemeCapabilities
+from repro.exceptions import InvalidParametersError, PlacementError
+from repro.schemes.base import RedundancyScheme
 from repro.system.transitions import TransitionReport
-from repro.storage.backends import write_json
+from repro.storage.backends import read_json, write_json
 from repro.storage.maintenance import MaintenancePolicy
 from repro.storage.placement import PlacementPolicy
-from repro.storage.topology import Topology
 from repro.system.frontend import DEFAULT_WORKERS, ConcurrentStorageService
-from repro.system.service import (
-    ServiceRepairReport,
-    ServiceStatus,
-    StorageConfig,
-    StorageService,
-    StoredDocument,
-)
+from repro.system.protocol import Members, ServiceLayer
+from repro.system.service import ServiceRepairReport, ServiceStatus, StorageConfig, StorageService
 
 __all__ = [
     "DEFAULT_VNODES",
@@ -209,75 +207,34 @@ class ShardRing:
 
 
 @dataclass
-class FederationStatus:
-    """Aggregated health of every shard plus the per-shard breakdown."""
+class FederationStatus(ServiceStatus):
+    """Every shard's :class:`ServiceStatus` summed (``documents`` counts the
+    merged catalogue), plus the per-shard breakdown."""
 
-    scheme: str
-    shards: int
-    blocks: int
-    unavailable_blocks: int
-    locations: int
-    unavailable_locations: int
-    documents: int
-    bytes_stored: int
+    shards: int = 0
     per_shard: Dict[int, ServiceStatus] = field(default_factory=dict)
 
     def summary(self) -> str:
-        return (
-            f"[{self.scheme} x{self.shards} shards] {self.blocks} blocks on "
-            f"{self.locations} locations ({self.unavailable_locations} down); "
-            f"{self.unavailable_blocks} blocks unreachable; "
-            f"{self.documents} documents, {self.bytes_stored} bytes"
-        )
+        return f"{self.shards} shards: {super().summary()}"
 
 
 @dataclass
-class FederationRepairReport:
-    """Per-shard repair outcomes; one shard's failure never hides the rest.
+class FederationRepairReport(ServiceRepairReport):
+    """Every shard's :class:`ServiceRepairReport` summed (``rounds``: the
+    max); one shard's failure never hides the rest.
 
     ``errors`` maps shard ids whose repair pass itself *raised* (not merely
     reported unrecovered blocks) to the error text; their entries are absent
-    from ``per_shard``.
+    from ``per_shard`` and from the sums.
     """
 
+    shards: int = 0
     per_shard: Dict[int, ServiceRepairReport] = field(default_factory=dict)
     errors: Dict[int, str] = field(default_factory=dict)
 
-    @property
-    def repaired_count(self) -> int:
-        return sum(report.repaired_count for report in self.per_shard.values())
-
-    @property
-    def blocks_read(self) -> int:
-        return sum(report.blocks_read for report in self.per_shard.values())
-
-    @property
-    def rounds(self) -> int:
-        return max(
-            (report.rounds for report in self.per_shard.values()), default=0
-        )
-
-    @property
-    def data_loss(self) -> int:
-        return sum(report.data_loss for report in self.per_shard.values())
-
-    @property
-    def unrecovered_count(self) -> int:
-        return sum(len(report.unrecovered) for report in self.per_shard.values())
-
-    @property
-    def skipped_count(self) -> int:
-        return sum(len(report.skipped) for report in self.per_shard.values())
-
     def summary(self) -> str:
-        text = (
-            f"{len(self.per_shard)} shards: repaired {self.repaired_count} "
-            f"blocks in <= {self.rounds} rounds ({self.blocks_read} reads); "
-            f"data loss {self.data_loss}, {self.unrecovered_count} unrecovered"
-        )
-        if self.errors:
-            text += f"; failed shards: {sorted(self.errors)}"
-        return text
+        failed = f"; failed shards: {sorted(self.errors)}" if self.errors else ""
+        return f"{self.shards} shards: {super().summary()}{failed}"
 
 
 @dataclass
@@ -297,9 +254,7 @@ class RebalanceReport:
 
     @property
     def moved_fraction(self) -> float:
-        if self.total_documents == 0:
-            return 0.0
-        return self.moved_documents / self.total_documents
+        return self.moved_documents / self.total_documents if self.total_documents else 0.0
 
     def summary(self) -> str:
         label = f" (shard {self.shard})" if self.shard is not None else ""
@@ -310,7 +265,7 @@ class RebalanceReport:
         )
 
 
-class ShardedStorageService:
+class ShardedStorageService(ServiceLayer):
     """Routes documents across ``M`` independent storage-service shards.
 
     Every shard is a full :class:`~repro.system.service.StorageService`
@@ -334,6 +289,9 @@ class ShardedStorageService:
         assert federation.get("report") == payload
     """
 
+    _status_type = FederationStatus
+    _report_type = FederationRepairReport
+
     def __init__(
         self,
         shards: Dict[int, ConcurrentStorageService],
@@ -354,16 +312,12 @@ class ShardedStorageService:
             )
         self._shards: Dict[int, ConcurrentStorageService] = dict(shards)
         self._ring = ring
-        self._shard_config = shard_config
+        self._shard_config = shard_config or StorageConfig()
         self._data_dir = data_dir
         self._workers = workers
         self._queue_depth = queue_depth
         self._leaving: set[int] = set(leaving)
-        # Scheme id of an in-flight federation-wide transition; persisted in
-        # the manifest so a crash resumes the remaining shards' switches.
-        self._transitioning_to: Optional[str] = None
         self._lock = threading.RLock()
-        self._closed = False
 
     # ------------------------------------------------------------------
     # Opening / federation manifest
@@ -384,9 +338,10 @@ class ShardedStorageService:
         ``data_dir`` that already holds a ``federation.json`` *reopens* the
         stored one -- shard ids, the ring's vnode count and the scheme
         binding come from the manifest (an explicit conflicting ``shards``
-        value is rejected), every shard reopens from its own sub-root, and
-        any rebalance a crash interrupted is resumed before the call
-        returns.
+        value is rejected), every shard reopens from its own sub-root under
+        the scheme its own manifest names, and whatever a crash interrupted
+        -- a transition some shards finished, a rebalance -- is finished
+        before the call returns.
         """
         config = replace(config or StorageConfig(), **overrides)
         if config.cluster is not None or isinstance(config.placement, PlacementPolicy):
@@ -403,22 +358,12 @@ class ShardedStorageService:
         scheme_id = str(config.scheme)
         shard_ids: List[int]
         leaving: List[int] = []
-        manifest = cls._load_federation(config.data_dir)
-        transitioning: Optional[str] = None
+        shard_schemes: Dict[int, str] = {}
+        manifest = None
+        if config.data_dir is not None:
+            path = os.path.join(config.data_dir, FEDERATION_NAME)
+            manifest = read_json(path, "federation manifest", FEDERATION_FORMAT)
         if manifest is not None:
-            stored_scheme = manifest.get("scheme")
-            raw_transitioning = manifest.get("transitioning_to")
-            if raw_transitioning is not None:
-                transitioning = str(raw_transitioning)
-            if stored_scheme != scheme_id and scheme_id != transitioning:
-                raise InvalidParametersError(
-                    f"data_dir {config.data_dir!r} holds a {stored_scheme!r} "
-                    f"federation, not {scheme_id!r}"
-                )
-            # Mid-transition, shards are opened under the manifest scheme
-            # (with a per-shard fallback probe below); the switch to the
-            # target finishes before open() returns.
-            scheme_id = str(stored_scheme)
             stored_backend = manifest.get("backend", config.backend)
             if stored_backend != config.backend:
                 raise InvalidParametersError(
@@ -433,6 +378,18 @@ class ShardedStorageService:
                     f"data_dir {config.data_dir!r} holds "
                     f"{len(shard_ids) - len(leaving)} shards, not {config.shards}"
                 )
+            # Each shard opens under the scheme its own manifest names (one
+            # with a plan in flight resumes it inside its own open).
+            binding = str(manifest.get("scheme"))
+            for shard_id in shard_ids:
+                stored = StorageService._load_manifest(cls._shard_root(config.data_dir, shard_id))
+                shard_schemes[shard_id] = str((stored or {}).get("scheme", binding))
+            if scheme_id != binding and scheme_id not in shard_schemes.values():
+                raise InvalidParametersError(
+                    f"data_dir {config.data_dir!r} holds a {binding!r} "
+                    f"federation, not {scheme_id!r}"
+                )
+            scheme_id = binding
         else:
             shard_count = 1 if config.shards is None else int(config.shards)
             if shard_count < 1:
@@ -440,32 +397,20 @@ class ShardedStorageService:
             shard_ids = list(range(shard_count))
         shard_config = replace(config, shards=None, data_dir=None, scheme=scheme_id)
         shards: Dict[int, ConcurrentStorageService] = {}
-        opened_all = False
-        try:
+        with ExitStack() as half_built:  # closed again if a later shard fails
             for shard_id in shard_ids:
-                shard_storage = cls._shard_storage_config(
-                    shard_config, config.data_dir, shard_id
-                )
-                try:
-                    shards[shard_id] = ConcurrentStorageService.open(
-                        shard_storage, workers=workers, queue_depth=queue_depth
-                    )
-                except InvalidParametersError:
-                    if transitioning is None:
-                        raise
-                    # A shard whose switch already completed holds a
-                    # target-scheme manifest (and no transition plan), so
-                    # the source-scheme open is rejected: probe the target.
-                    shards[shard_id] = ConcurrentStorageService.open(
-                        replace(shard_storage, scheme=transitioning),
+                shards[shard_id] = half_built.enter_context(
+                    ConcurrentStorageService.open(
+                        replace(
+                            shard_config,
+                            data_dir=cls._shard_root(config.data_dir, shard_id),
+                            scheme=shard_schemes.get(shard_id, scheme_id),
+                        ),
                         workers=workers,
                         queue_depth=queue_depth,
                     )
-            opened_all = True
-        finally:
-            if not opened_all:  # close the half-built federation, then re-raise
-                for opened in shards.values():
-                    opened.close()
+                )
+            half_built.pop_all()
         ring = ShardRing(
             [shard_id for shard_id in shard_ids if shard_id not in leaving],
             vnodes=vnodes,
@@ -479,15 +424,15 @@ class ShardedStorageService:
             queue_depth=queue_depth,
             leaving=leaving,
         )
-        federation._transitioning_to = transitioning
         if config.data_dir is not None:
             if federation._federation_record() != manifest:
                 federation._write_federation()
-            # Resume whatever a crash interrupted: finish the scheme
-            # switch on the shards that still owe it, re-home misplaced
-            # documents, then finish any half-completed shard removal.
-            if transitioning is not None:
-                federation._resume_scheme_transition()
+            # Resume whatever a crash interrupted: shards on a scheme other
+            # than the binding are a transition cut short (at most one
+            # target; the call skips shards already on it), then re-home
+            # misplaced documents and finish any half-completed removal.
+            for target in {shard.scheme.scheme_id for shard in shards.values()} - {scheme_id}:
+                federation.transition_to(target)
             if federation._misplaced() or leaving:
                 federation.rebalance(reason="resume")
                 for shard_id in list(leaving):
@@ -495,41 +440,9 @@ class ShardedStorageService:
         return federation
 
     @staticmethod
-    def _shard_storage_config(
-        shard_config: StorageConfig, data_dir: Optional[str], shard_id: int
-    ) -> StorageConfig:
-        """The per-shard config: the template plus the shard's own sub-root."""
-        return replace(
-            shard_config,
-            data_dir=(
-                os.path.join(data_dir, f"shard-{shard_id:02d}")
-                if data_dir is not None
-                else None
-            ),
-        )
-
-    @staticmethod
-    def _load_federation(data_dir: Optional[str]) -> Optional[Dict[str, object]]:
-        if data_dir is None:
-            return None
-        path = os.path.join(data_dir, FEDERATION_NAME)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except ValueError as exc:
-            raise InvalidParametersError(
-                f"corrupt federation manifest {path!r}: {exc}; the per-shard "
-                "data is still on disk -- restore the manifest or rebuild it "
-                "before reopening"
-            ) from exc
-        if int(manifest.get("format", 0)) != FEDERATION_FORMAT:
-            raise InvalidParametersError(
-                f"unsupported federation manifest format in {path!r}: "
-                f"{manifest.get('format')!r}"
-            )
-        return manifest
+    def _shard_root(data_dir: Optional[str], shard_id: int) -> Optional[str]:
+        """A shard's own sub-root of a durable federation."""
+        return os.path.join(data_dir, f"shard-{shard_id:02d}") if data_dir is not None else None
 
     def _write_federation(self) -> None:
         """Atomically persist the membership next to the shard sub-roots.
@@ -544,33 +457,24 @@ class ShardedStorageService:
         write_json(
             os.path.join(self._data_dir, FEDERATION_NAME),
             self._federation_record(),
-            fsync=(self._shard_config or StorageConfig()).fsync,
+            fsync=self._shard_config.fsync,
         )
 
     def _federation_record(self) -> Dict[str, object]:
-        """What ``federation.json`` holds for the current membership."""
-        shard_config = self._shard_config or StorageConfig()
+        """What ``federation.json`` holds: the membership and the settled
+        scheme binding."""
         return {
             "format": FEDERATION_FORMAT,
-            "scheme": str(shard_config.scheme),
-            "backend": shard_config.backend,
+            "scheme": str(self._shard_config.scheme),
+            "backend": self._shard_config.backend,
             "vnodes": self._ring.vnodes,
             "shard_ids": sorted(self._shards),
             "leaving": sorted(self._leaving),
-            **(
-                {"transitioning_to": self._transitioning_to}
-                if self._transitioning_to is not None
-                else {}
-            ),
         }
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def ring(self) -> ShardRing:
-        return self._ring
-
     @property
     def shard_ids(self) -> Tuple[int, ...]:
         """Active (ring) shard ids."""
@@ -580,126 +484,57 @@ class ShardedStorageService:
     def shard_count(self) -> int:
         return self._ring.shard_count
 
-    @property
-    def data_dir(self) -> Optional[str]:
-        return self._data_dir
-
-    @property
-    def scheme_id(self) -> str:
-        return self._any_shard().service.scheme.scheme_id
-
-    @property
-    def scheme(self) -> RedundancyScheme:
-        """One shard's scheme instance -- introspection only (every shard
-        has its own independent instance)."""
-        return self._any_shard().service.scheme
-
-    @property
-    def block_size(self) -> int:
-        return self._any_shard().service.block_size
-
-    @property
-    def capabilities(self) -> SchemeCapabilities:
-        return self._any_shard().service.capabilities
-
-    @property
-    def topology(self) -> Topology:
-        """One shard's layout -- every shard is built from the same spec."""
-        return self._any_shard().service.topology
-
     def shard(self, shard_id: int) -> ConcurrentStorageService:
         """The front-end of one shard (tests, probes, targeted maintenance)."""
         return self._shards[shard_id]
-
-    def _any_shard(self) -> ConcurrentStorageService:
-        return self._shards[min(self._shards)]
 
     def shard_for(self, name: str) -> int:
         """The ring owner of a document name (where a write would go)."""
         return self._ring.shard_for(name)
 
-    def service_for(self, name: str) -> StorageService:
-        """The plain service of the shard holding ``name`` (its ring owner
-        when no shard has it yet)."""
-        return self._shards[self._locate(name)].service
-
-    @property
-    def documents(self) -> Dict[str, StoredDocument]:
-        """The merged catalogue (ring owner's copy wins for mid-move names)."""
-        merged: Dict[str, StoredDocument] = {}
-        ring = self._ring
-        for shard_id, shard in self._shards.items():
-            for name, document in shard.documents.items():
-                if name not in merged or ring.shard_for(name) == shard_id:
-                    merged[name] = document
-        return merged
-
-    def status(self) -> FederationStatus:
-        per_shard = {
-            shard_id: shard.status() for shard_id, shard in self._shards.items()
-        }
-        return FederationStatus(
-            scheme=self.scheme_id,
-            shards=len(per_shard),
-            blocks=sum(status.blocks for status in per_shard.values()),
-            unavailable_blocks=sum(
-                status.unavailable_blocks for status in per_shard.values()
-            ),
-            locations=sum(status.locations for status in per_shard.values()),
-            unavailable_locations=sum(
-                status.unavailable_locations for status in per_shard.values()
-            ),
-            documents=len(self.documents),
-            bytes_stored=sum(status.bytes_stored for status in per_shard.values()),
-            per_shard=per_shard,
-        )
-
     # ------------------------------------------------------------------
-    # Routing
+    # The two hooks
     # ------------------------------------------------------------------
     def _locate(self, name: str) -> int:
         """The shard actually holding ``name``: ring owner first, then a
         catalogue scan -- a document mid-move (or stranded by a crash) is
         still served from wherever its committed copy lives."""
         owner = self._ring.shard_for(name)
-        if self._shards[owner].has_document(name):
+        if self._shards[owner].service.has_document(name):
             return owner
         for shard_id, shard in self._shards.items():
-            if shard_id != owner and shard.has_document(name):
+            if shard_id != owner and shard.service.has_document(name):
                 return shard_id
         return owner  # let the owner raise the canonical UnknownBlockError
 
-    def _drop_stale(self, name: str, owner: int) -> None:
-        """Delete surviving pre-move copies after a write established a new
-        authoritative version on the ring owner."""
+    def _route(self, name: str, write: bool) -> ContextManager[ConcurrentStorageService]:
+        """The shard for one request on ``name``: for a read the shard holding
+        it (:meth:`_locate`), held by nothing; for a write :meth:`_owned`."""
+        self._ensure_open()
+        if write:
+            return self._owned(name)
+        return nullcontext(self._shards[self._locate(name)])
+
+    @contextmanager
+    def _owned(self, name: str) -> Iterator[ConcurrentStorageService]:
+        """The ring owner of ``name``, after finishing a move of the name
+        still in flight; once the write returns, the copies left on other
+        shards are dropped."""
+        owner = self._ring.shard_for(name)
+        holder = self._locate(name)
+        if holder != owner:
+            with self._lock:
+                self._move_document(name, holder, owner)
+        yield self._shards[owner]
         for shard_id, shard in self._shards.items():
-            if shard_id != owner and shard.has_document(name):
+            if shard_id != owner and shard.service.has_document(name):
                 shard.delete(name)
 
-    # ------------------------------------------------------------------
-    # Document operations
-    # ------------------------------------------------------------------
-    def put(self, name: str, data: bytes) -> StoredDocument:
-        self._ensure_open()
-        owner = self._ring.shard_for(name)
-        document = self._shards[owner].put(name, data)
-        self._drop_stale(name, owner)
-        return document
-
-    def put_stream(self, name: str, chunks: Iterable[bytes]) -> StoredDocument:
-        self._ensure_open()
-        owner = self._ring.shard_for(name)
-        document = self._shards[owner].put_stream(name, chunks)
-        self._drop_stale(name, owner)
-        return document
-
-    def get(self, name: str) -> bytes:
-        self._ensure_open()
-        return self._shards[self._locate(name)].get(name)
-
-    def get_stream(self, name: str) -> Iterator[bytes]:
-        self._ensure_open()
-        return self._shards[self._locate(name)].get_stream(name)
+    def _members(self, shard: Optional[int] = None) -> Members:
+        """The shard front-ends in id order (or the one ``shard`` names);
+        each holds its own gate for a maintenance pass."""
+        ids = sorted(self._shards) if shard is None else [shard]
+        return Members((shard_id, self._shards[shard_id]) for shard_id in ids)
 
     def get_many(self, names: Sequence[str]) -> List[bytes]:
         """Scatter-gather bulk read: fan out shard-parallel, gather in order.
@@ -807,58 +642,24 @@ class ShardedStorageService:
 
         return merged()
 
-    def delete(self, name: str) -> List[object]:
-        """Delete a document everywhere it lives (owner plus stale copies)."""
-        self._ensure_open()
-        holders = [
-            shard_id
-            for shard_id, shard in self._shards.items()
-            if shard.has_document(name)
-        ]
-        if not holders:
-            raise UnknownBlockError(f"unknown document {name!r}")
-        removed: List[object] = []
-        for shard_id in holders:
-            removed.extend(self._shards[shard_id].delete(name))
-        return removed
-
-    def has_document(self, name: str) -> bool:
-        return any(shard.has_document(name) for shard in self._shards.values())
-
-    def verify_document(self, name: str, expected: bytes) -> bool:
-        return self.get(name) == expected
-
     # ------------------------------------------------------------------
     # Failures and repair (per shard: one disaster never blocks the rest)
     # ------------------------------------------------------------------
-    def _targets(self, shard: Optional[int]) -> List[int]:
-        """The shard a maintenance verb names, or every shard in id order
-        (refusing a closed handle, like every verb)."""
-        self._ensure_open()
-        return [shard] if shard is not None else sorted(self._shards)
-
     def fail_locations(
         self, location_ids: Iterable[int], shard: Optional[int] = None
     ) -> None:
         """Fail the same location ids on every shard, or on one (``shard=``)
         while the other shards keep serving."""
-        ids = list(location_ids)
-        for shard_id in self._targets(shard):
-            self._shards[shard_id].fail_locations(ids)
+        self._each("fail_locations", shard, list(location_ids))
 
     def restore_locations(
-        self,
-        location_ids: Optional[Iterable[int]] = None,
-        shard: Optional[int] = None,
+        self, location_ids: Optional[Iterable[int]] = None, shard: Optional[int] = None
     ) -> None:
-        ids = list(location_ids) if location_ids is not None else None
-        for shard_id in self._targets(shard):
-            self._shards[shard_id].restore_locations(ids)
+        ids = None if location_ids is None else list(location_ids)
+        self._each("restore_locations", shard, ids)
 
     def repair(
-        self,
-        policy: MaintenancePolicy = MaintenancePolicy.FULL,
-        shard: Optional[int] = None,
+        self, policy: MaintenancePolicy = MaintenancePolicy.FULL, shard: Optional[int] = None
     ) -> FederationRepairReport:
         """Repair one shard, or every shard independently, under ``policy``.
 
@@ -867,69 +668,38 @@ class ShardedStorageService:
         shards still run -- failure independence is the point of the
         federation.
         """
-        report = FederationRepairReport()
-        for shard_id in self._targets(shard):
-            try:
-                report.per_shard[shard_id] = self._shards[shard_id].repair(policy)
-            except ReproError as exc:
-                report.errors[shard_id] = str(exc)
-        return report
+        return self._repair(policy, shard)  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Scheme transitions (federation-wide, shard by shard)
     # ------------------------------------------------------------------
     def transition_to(self, scheme: str) -> Dict[int, Optional[TransitionReport]]:
-        """Migrate every shard to another redundancy scheme, one at a time.
+        """Migrate every shard not yet settled on ``scheme``, one at a time,
+        then bind the federation to it; returns the moved shards' reports.
 
-        The federation manifest records ``transitioning_to`` *before* the
-        first shard moves, so a crash at any point -- between shards or
-        inside one shard's own durable transition -- reopens into an
-        automatic resume: finished shards are probed open under the target,
-        unfinished ones complete their switch.  Because shards transition
-        independently (each behind its own maintenance gate), reads keep
-        flowing federation-wide throughout; at most one shard's mutations
-        are quiesced at a time.
+        Each shard's own durable plan is the only record of the switch, so a
+        crash at any point -- between shards or inside one -- leaves shards
+        on two schemes, and :meth:`open` finishes with this same call.
+        Because shards transition independently (each behind its own
+        maintenance gate), reads keep flowing federation-wide throughout; at
+        most one shard's mutations are quiesced at a time.
         """
         self._ensure_open()
+        target = str(scheme).strip().lower()
+        # Resolve once up front: an unknown or malformed id must fail
+        # before any shard moves.
+        schemes_registry.get(target, block_size=self.block_size)
         with self._lock:
-            target = str(scheme).strip().lower()
-            current = str((self._shard_config or StorageConfig()).scheme)
-            if target == current:
-                return {}
-            if self._transitioning_to is not None:
-                raise InvalidParametersError(
-                    f"a federation transition to {self._transitioning_to!r} "
-                    "is already in flight"
-                )
-            # Resolve once up front: an unknown or malformed id must fail
-            # before any durable intent is written.
-            schemes_registry.get(target, block_size=self.block_size)
-            self._transitioning_to = target
-            self._write_federation()
-            reports: Dict[int, Optional[TransitionReport]] = {}
-            for shard_id in sorted(self._shards):
-                reports[shard_id] = self._shards[shard_id].transition_to(target)
-            self._settle_transition(target)
+            reports = {
+                shard_id: shard.transition_to(target)
+                for shard_id, shard in self._members().items()
+                if shard.service.scheme.scheme_id != target
+                or shard.service.transition is not None
+            }
+            if target != self._shard_config.scheme:
+                self._shard_config = replace(self._shard_config, scheme=target)
+                self._write_federation()
             return reports
-
-    def _resume_scheme_transition(self) -> None:
-        """Finish a crash-interrupted federation transition on open."""
-        target = self._transitioning_to
-        assert target is not None
-        with self._lock:
-            for shard_id in sorted(self._shards):
-                shard = self._shards[shard_id]
-                if shard.service.scheme.scheme_id != target:
-                    shard.transition_to(target)
-            self._settle_transition(target)
-
-    def _settle_transition(self, target: str) -> None:
-        """Re-bind the federation to the target scheme (lock held)."""
-        self._shard_config = replace(
-            self._shard_config or StorageConfig(), scheme=target
-        )
-        self._transitioning_to = None
-        self._write_federation()
 
     # ------------------------------------------------------------------
     # Membership and rebalancing
@@ -996,9 +766,8 @@ class ShardedStorageService:
         self._ensure_open()
         with self._lock:
             shard_id = max(self._shards) + 1
-            shard_config = self._shard_config or StorageConfig()
             self._shards[shard_id] = ConcurrentStorageService.open(
-                self._shard_storage_config(shard_config, self._data_dir, shard_id),
+                replace(self._shard_config, data_dir=self._shard_root(self._data_dir, shard_id)),
                 workers=self._workers,
                 queue_depth=self._queue_depth,
             )
@@ -1044,38 +813,9 @@ class ShardedStorageService:
             self._write_federation()
             shard.close()
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise InvalidParametersError(
-                "this ShardedStorageService has been closed; reopen it with "
-                "ShardedStorageService.open on the same data_dir"
-            )
-
-    def flush(self) -> None:
-        self._ensure_open()
-        for shard in self._shards.values():
-            shard.flush()
-
-    def close(self) -> None:
-        """Drain and close every shard.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        for shard in self._shards.values():
-            shard.close()
-
-    def __enter__(self) -> "ShardedStorageService":
-        return self
-
-    def __exit__(self, exc_type: object, exc_value: object, traceback: object) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardedStorageService(shards={list(self._ring.shard_ids)}, "
-            f"scheme={self.scheme_id!r}, workers={self._workers}, "
+            f"scheme={self.scheme.scheme_id!r}, workers={self._workers}, "
             f"vnodes={self._ring.vnodes})"
         )

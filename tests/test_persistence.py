@@ -670,6 +670,37 @@ class TestCleanReopenWritesNoMetadata:
         reopened.close()
 
 
+class TestRottenMetadataIsRefusedTyped:
+    """Regression: a ``manifest.json`` holding non-UTF-8 bytes, ``[]``,
+    ``null`` or a non-integer ``format`` escaped ``open`` as a raw
+    ``UnicodeDecodeError`` / ``AttributeError`` / ``AttributeError`` /
+    ``ValueError``, and a ``federation.json`` did the same for the last
+    three.  Both files go through one reader that refuses each one typed,
+    naming the file."""
+
+    PAYLOADS = {
+        "not-utf8": b"\xff\xfe{}",
+        "list": b"[]",
+        "null": b"null",
+        "bad-format": b'{"format": "x"}',
+    }
+
+    @pytest.mark.parametrize("payload", PAYLOADS.values(), ids=list(PAYLOADS))
+    @pytest.mark.parametrize("name,shards", [("manifest.json", None), ("federation.json", 2)])
+    def test_each_rotten_file_is_an_invalid_parameters_error(
+        self, name, shards, payload, tmp_path
+    ):
+        durable = config("rep-3", "segment", tmp_path, topology=6, shards=shards)
+        with open_service(durable) as service:
+            service.put("doc", workload(size=1_000))
+        (tmp_path / name).write_bytes(payload)
+        with pytest.raises(InvalidParametersError) as refused:
+            open_service(durable)
+        assert name in str(refused.value)
+        if name == "manifest.json" and payload != self.PAYLOADS["bad-format"]:
+            assert "corrupt service manifest" in str(refused.value)
+
+
 class TestPublishedBytes:
     """``write_json`` publishes the bytes ``json.dump`` wrote before it went
     through ``json.dumps`` (recorded on ``e118288``): same separators, same

@@ -15,6 +15,7 @@ and the parameter names of the shared verbs.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import itertools
 
@@ -31,6 +32,8 @@ from repro.storage import MaintenancePolicy
 from repro.system import (
     ConcurrentStorageService,
     DocumentService,
+    ServiceRepairReport,
+    ServiceStatus,
     ShardedStorageService,
     StorageConfig,
     StorageService,
@@ -337,6 +340,44 @@ class TestRepairPolicy:
         assert len(self.listed(report, "skipped")) == missing > 0
         assert (service.status(), [log.read_bytes() for log in logs]) == before
         service.close()
+
+
+class TestReportsAreSumsOfTheirHolders:
+    """Every field of ``ServiceStatus`` and ``ServiceRepairReport`` is on what
+    each layer returns, and is the sum over the distinct ``service_for``
+    holders (lists concatenated, ``rounds`` the max).  Regression: a
+    federation's ``status()`` had no ``unavailable_data_blocks``,
+    ``cache_hits`` or ``cache_misses``, and its ``repair()`` no ``repaired``,
+    ``unrecovered``, ``skipped`` or ``scheme``."""
+
+    @staticmethod
+    def assert_summed(kind, report, parts):
+        for spec in dataclasses.fields(kind):
+            actual = getattr(report, spec.name)
+            column = [getattr(part, spec.name) for part in parts]
+            if spec.name == "scheme":
+                assert {actual} == set(column), spec.name
+            elif spec.name == "rounds":
+                assert actual == max(column), spec.name
+            elif isinstance(actual, list):
+                flat = [item for listed in column for item in listed]
+                assert sorted(map(repr, actual)) == sorted(map(repr, flat)), spec.name
+            else:
+                assert actual == sum(column), spec.name
+
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_every_plain_field_is_summed(self, layer, tmp_path):
+        service, documents, holders = TestRepairPolicy.damaged(
+            layer, "ae-3-2-5", "memory", tmp_path
+        )
+        twin, _, twin_holders = TestRepairPolicy.damaged(layer, "ae-3-2-5", "memory", tmp_path)
+        for name in documents:
+            service.get(name)
+        self.assert_summed(ServiceStatus, service.status(), [h.status() for h in holders])
+        report = service.repair(MaintenancePolicy.MINIMAL)
+        parts = [holder.repair(MaintenancePolicy.MINIMAL) for holder in twin_holders]
+        assert report.repaired and report.skipped
+        self.assert_summed(ServiceRepairReport, report, parts)
 
 
 class TestReadableHasOneDefinition:

@@ -618,3 +618,50 @@ class TestShardedTransitions:
         status_scheme = reopened.transition_to("ae-3-2-5")
         assert status_scheme == {}  # already settled on the target
         reopened.close()
+
+    @pytest.mark.parametrize("crashed_shard", [0, 1])
+    def test_a_crash_inside_one_shards_reencode_resumes_without_a_marker(
+        self, crashed_shard, tmp_path, monkeypatch
+    ):
+        """``federation.json`` records no transition: the shards' own
+        manifests say which switched, and a reopen under either endpoint id
+        finishes the one scheme that differs from the binding."""
+        from repro.system.sharding import FEDERATION_NAME, ShardedStorageService
+
+        payloads = make_docs(count=8, size=2000)
+        root = tmp_path / "fed"
+        federation = ShardedStorageService.open(disk_config("rep-3", root, shards=2))
+        fill(federation, payloads)
+        victim = federation.shard(crashed_shard).service
+        assert victim.documents, "the crashed shard must own documents"
+        original = StorageService._land
+        landed = []
+
+        def crash_on_second(self, name, batches):
+            if self is victim:
+                landed.append(name)
+                if len(landed) >= 2:
+                    raise RuntimeError("injected crash inside a re-encode")
+            return original(self, name, batches)
+
+        monkeypatch.setattr(StorageService, "_land", crash_on_second)
+        with pytest.raises(RuntimeError, match="inside a re-encode"):
+            federation.transition_to("ae-3-2-5")
+        monkeypatch.undo()
+        assert victim.transition is not None and victim.transition.pending
+        del federation, victim  # crash: no close()
+        images = {
+            reopen_as: shutil.copytree(root, tmp_path / f"image-{reopen_as}")
+            for reopen_as in ("rep-3", "ae-3-2-5")
+        }
+        for reopen_as, image in images.items():
+            reopened = ShardedStorageService.open(disk_config(reopen_as, image))
+            for shard_id in reopened.shard_ids:
+                service = reopened.shard(shard_id).service
+                assert service.scheme.scheme_id == "ae-3-2-5", (reopen_as, shard_id)
+                assert service.transition is None
+            assert_byte_exact(reopened, payloads)
+            reopened.close()
+            record = json.loads((image / FEDERATION_NAME).read_text(encoding="utf-8"))
+            assert list(record) == ["format", "scheme", "backend", "vnodes", "shard_ids", "leaving"]
+            assert record["scheme"] == "ae-3-2-5"
