@@ -1057,17 +1057,10 @@ def build_transition_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _hop_summary(
-    target: str,
-    outcome: Union[
-        Optional["TransitionReport"], Dict[int, Optional["TransitionReport"]]
-    ],
-) -> str:
-    """One ``transition_to`` hop in words: the report's own summary, or a
-    federation's per-shard summaries side by side."""
-    reports = outcome.values() if isinstance(outcome, dict) else [outcome]
-    done = [report.summary() for report in reports if report is not None]
-    return "; ".join(done) or f"-> {target}: no-op"
+def _hop_summary(target: str, outcome: Optional["TransitionReport"]) -> str:
+    """One ``transition_to`` hop in words: the report's own summary (a
+    federation's sums its shards')."""
+    return outcome.summary() if outcome is not None else f"-> {target}: no-op"
 
 
 def transition_main(argv: List[str] | None = None) -> int:

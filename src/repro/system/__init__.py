@@ -58,6 +58,7 @@ from repro.system.service import (
 from repro.system.sharding import (
     FederationRepairReport,
     FederationStatus,
+    FederationTransitionReport,
     RebalanceReport,
     ShardRing,
     ShardedStorageService,
@@ -93,6 +94,7 @@ __all__ = [
     "DocumentService",
     "FederationRepairReport",
     "FederationStatus",
+    "FederationTransitionReport",
     "LoadReport",
     "ReadWriteLock",
     "RebalanceReport",

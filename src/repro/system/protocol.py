@@ -27,24 +27,24 @@ import dataclasses
 from contextlib import ExitStack, nullcontext
 from typing import (
     TYPE_CHECKING, Any, ContextManager, Dict, Iterable, Iterator, List, Optional, Protocol,
-    Tuple, Type, TypeVar, Union, runtime_checkable,
+    Tuple, Type, TypeVar, runtime_checkable,
 )
 
 from repro.exceptions import ReproError
 from repro.storage.maintenance import MaintenancePolicy
 from repro.system.service import ServiceHandle, ServiceRepairReport, ServiceStatus
+from repro.system.transitions import TransitionReport
 
 if TYPE_CHECKING:
     from repro.schemes.base import RedundancyScheme, SchemeCapabilities
     from repro.storage.topology import Topology
     from repro.system.service import StorageService, StoredDocument
-    from repro.system.transitions import TransitionReport
 
 #: The public surface; :class:`ServiceLayer` and its helpers are the two
 #: wrapping layers' shared implementation, not a third kind of service.
 __all__ = ["DocumentService"]
 
-R = TypeVar("R", ServiceStatus, ServiceRepairReport)
+R = TypeVar("R", ServiceStatus, ServiceRepairReport, TransitionReport)
 
 
 @runtime_checkable
@@ -106,10 +106,9 @@ class DocumentService(Protocol):
         """Rebuild unreachable blocks; ``policy`` (default ``FULL``) is how
         much maintenance to do, what it left alone comes back as skipped."""
 
-    def transition_to(
-        self, scheme: str
-    ) -> Union[Optional[TransitionReport], Dict[int, Optional[TransitionReport]]]:
-        """Migrate to another scheme: one report, or one per shard."""
+    def transition_to(self, scheme: str) -> Optional[TransitionReport]:
+        """Migrate to another scheme (or finish a run to it that did not
+        complete); ``None`` when nothing moved."""
 
     def flush(self) -> None: ...
 
@@ -117,16 +116,17 @@ class DocumentService(Protocol):
 
 
 def merged(
-    kind: Type[R], parts: Dict[int, R], errors: Optional[Dict[int, str]] = None, **fixed: object
+    into: Type[R], parts: Dict[int, R], errors: Optional[Dict[int, str]] = None, **fixed: object
 ) -> R:
-    """One ``kind`` over per-member reports: every field is the sum of the
-    parts' (lists concatenated, ``rounds`` the max) unless ``fixed`` names
-    it; a federation type's ``shards``, ``per_shard`` and ``errors`` are the
+    """One ``into`` over per-member reports: every field is the sum of the
+    parts' (lists concatenated, ``rounds`` the max, a flag set if any part's
+    is, a text field the first part's) unless ``fixed`` names it; a
+    federation type's ``shards``, ``per_shard`` and ``errors`` are the
     breakdown itself."""
     errors = errors if errors is not None else {}
     given = {"shards": len(parts) + len(errors), "per_shard": parts, "errors": errors, **fixed}
     values: Dict[str, object] = {}
-    for spec in dataclasses.fields(kind):
+    for spec in dataclasses.fields(into):
         name = spec.name
         if name in given:
             values[name] = given[name]
@@ -136,9 +136,11 @@ def merged(
             values[name] = max(column, default=0)
         elif spec.default_factory is list:
             values[name] = [item for listed in column for item in listed]
+        elif column and isinstance(column[0], (str, bool)):
+            values[name] = column[0] if isinstance(column[0], str) else any(column)
         else:
             values[name] = sum(column)
-    return kind(**values)
+    return into(**values)
 
 
 class Members(Dict[int, Any]):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, ContextManager, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import repro.schemes as schemes
 from repro.core.blocks import join_blocks
@@ -38,11 +38,7 @@ from repro.storage.maintenance import MaintenancePolicy
 from repro.storage.placement import PlacementPolicy
 from repro.storage.topology import Topology
 from repro.storage.wal import WAL_NAME, MetadataWAL, WalGroup
-from repro.system.transitions import (
-    TransitionEngine,
-    TransitionPlan,
-    TransitionReport,
-)
+from repro.system.transitions import DocumentGuard, TransitionEngine, TransitionPlan, TransitionReport
 
 #: Number of blocks encoded per batch by :meth:`StorageService.put_stream`.
 DEFAULT_BATCH_BLOCKS = 256
@@ -543,10 +539,10 @@ class StorageService(ServiceHandle):
             # With an empty log, a manifest whose settings this open kept
             # already says everything: a clean reopen rewrites nothing.
             service._checkpoint()
-        if service._transition is not None:
+        if plan is not None:
             # Finish what the crash interrupted before serving anything: the
             # plan plus the replayed WAL name exactly the remaining work.
-            service._resume_transition()
+            service.transition_to(plan.target)
         return service
 
     # ------------------------------------------------------------------
@@ -926,8 +922,8 @@ class StorageService(ServiceHandle):
     ) -> Tuple[StoredDocument, int, int]:
         """Land one document version: the one way a document is written.
 
-        ``put``, ``put_stream`` and a re-encode step (which lands a pending
-        document's own bytes) all end here.  Every batch is encoded and its
+        ``put``, ``put_stream`` and :meth:`_move_in` (a re-encode or a shard
+        move) all end here.  Every batch is encoded and its
         blocks stored; then the version is catalogued, committed to the WAL,
         and only then is the version it replaced reclaimed -- under the
         scheme that encoded it, mid-transition the fallback.  A crash between
@@ -982,6 +978,24 @@ class StorageService(ServiceHandle):
             else 0
         )
         return document, written, reclaimed
+
+    def _move_in(self, name: str, source: "StorageService") -> Tuple[StoredDocument, int, int]:
+        """Move document ``name`` here from ``source`` -- another service (a
+        shard rebalance) or this one (a re-encode): the one way a document
+        changes home.  It is read ``batch_blocks`` blocks at a time under the
+        scheme ``source._scheme_for(name)`` names and landed through
+        :meth:`_land`, whose ``(document, written, reclaimed)`` it returns;
+        deleting another source's copy is the caller's next step."""
+        scheme = source._scheme_for(name)
+        document = source._document(name)
+        ids, step = document.data_ids, self._batch_blocks
+
+        def batches() -> Iterator[bytes]:
+            for start in range(0, len(ids), step):
+                payloads = source._read_payloads(ids[start : start + step], scheme=scheme)
+                yield join_blocks(payloads, document.length - start * source.block_size)
+
+        return self._land(name, batches())
 
     def _reclaim(self, scheme: RedundancyScheme, data_ids: Sequence[object]) -> int:
         """Delete every block backing ``data_ids`` under the scheme that
@@ -1148,9 +1162,7 @@ class StorageService(ServiceHandle):
     # Scheme transitions
     # ------------------------------------------------------------------
     def transition_to(
-        self,
-        scheme: Union[str, RedundancyScheme],
-        doc_guard: Optional[Callable[[str], ContextManager[object]]] = None,
+        self, scheme: Union[str, RedundancyScheme], doc_guard: Optional[DocumentGuard] = None
     ) -> Optional[TransitionReport]:
         """Migrate this live service to another redundancy scheme.
 
@@ -1162,9 +1174,10 @@ class StorageService(ServiceHandle):
         before old blocks are deleted.  Reads stay byte-exact throughout --
         documents not yet migrated are served by the retained source
         scheme.  On a durable service the plan is persisted in the manifest
-        checkpoint; a crash at any point after that first checkpoint resumes
-        automatically on the next :meth:`open`.  Returns ``None`` when
-        already on the target.
+        checkpoint.  A run that did not finish -- it raised, or the process
+        died after that first checkpoint -- is resumed by this same call to
+        the same target (:meth:`open` makes it); any other target is refused
+        until then.  Returns ``None`` when already on the target.
 
         ``doc_guard`` (used by the concurrent front-end) yields a context
         manager excluding readers of one document for the instant of its
@@ -1172,35 +1185,26 @@ class StorageService(ServiceHandle):
         single-mutator discipline documented for :meth:`put`.
         """
         self._ensure_open()
-        if self._transition is not None:
-            raise InvalidParametersError(
-                f"a {self._transition.kind} transition to "
-                f"{self._transition.target!r} is already in flight; it must "
-                "finish (or be resumed via open()) first"
-            )
         target = (
             scheme
             if isinstance(scheme, RedundancyScheme)
             else schemes.get(str(scheme), block_size=self.block_size)
         )
-        engine = TransitionEngine(self, target, doc_guard=doc_guard)
-        return engine.run()
-
-    def _begin_transition(
-        self, plan: TransitionPlan, target: RedundancyScheme
-    ) -> None:
-        """Flip to the target scheme, retaining the source as the fallback
-        read path (call with the state lock held)."""
-        self._fallback = self._scheme
-        self._scheme = target
-        self._transition = plan
-        params = getattr(target, "params", None)
-        if isinstance(params, AEParameters):
-            # A cross-family move *into* AE starts a fresh lattice, and with
-            # it a fresh epoch ledger.
-            self._epochs = EpochHistory.starting_with(params)
-        else:
-            self._epochs = None
+        plan = self._transition
+        if plan is not None:
+            if target.scheme_id != plan.target:
+                raise InvalidParametersError(
+                    f"a {plan.kind} transition to {plan.target!r} is in "
+                    f"flight; finish it with transition_to({plan.target!r}) "
+                    f"before moving on to {target.scheme_id!r}"
+                )
+            if plan.pending and self._fallback is None:
+                # Reopened mid-migration: rebuild the source scheme from its
+                # frozen state so pending documents keep their read path.
+                fallback = schemes.get(plan.source, block_size=self.block_size)
+                fallback.restore_state(dict(plan.source_state), self._cluster)
+                self._fallback = fallback
+        return TransitionEngine(self, target, doc_guard=doc_guard).run()
 
     def _record_epoch(self, params: AEParameters) -> None:
         """Append a parameter epoch at the current lattice head (call with
@@ -1216,27 +1220,6 @@ class StorageService(ServiceHandle):
             epochs[-1] = ParameterEpoch(epochs[-1].first_index, params)
         else:
             self._epochs.change(position, params)
-
-    def _finish_transition(self) -> None:
-        """Settle the completed transition: the checkpoint that drops the
-        plan is the one that commits its last step."""
-        with self._state_lock:
-            self._transition = None
-            self._fallback = None
-        self._checkpoint()
-
-    def _resume_transition(self) -> Optional[TransitionReport]:
-        """Finish a crash-interrupted transition during :meth:`open`."""
-        plan = self._transition
-        assert plan is not None
-        if plan.pending:
-            # Mid-migration: rebuild the source scheme from its frozen
-            # state so pending documents keep their fallback read path.
-            fallback = schemes.get(plan.source, block_size=self.block_size)
-            fallback.restore_state(dict(plan.source_state), self._cluster)
-            self._fallback = fallback
-        target = schemes.get(plan.target, block_size=self.block_size)
-        return TransitionEngine(self, target).run()
 
     # ------------------------------------------------------------------
     # Failures and repair

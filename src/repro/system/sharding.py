@@ -9,13 +9,10 @@ shards -- each with its own backend root, metadata WAL and
 :class:`~repro.system.frontend.ConcurrentStorageService` front-end -- via a
 vnode-weighted consistent-hash ring (:class:`ShardRing`).  The federation
 
-* **scatter-gathers reads**: :meth:`ShardedStorageService.get_many` fans
-  lookups out shard-parallel and gathers payloads back in request order, and
-  :meth:`ShardedStorageService.scatter_stream` fans *streaming* reads in
-  through one bounded queue;
 * **rebalances on membership changes**: :meth:`add_shard` /
-  :meth:`remove_shard` move only the ring-delta documents (streamed
-  shard-to-shard through ``put_stream``/``get_stream``), and every move is
+  :meth:`remove_shard` move only the ring-delta documents (each read
+  ``batch_blocks`` blocks at a time by the destination's document mover,
+  :meth:`~repro.system.service.StorageService._move_in`), and every move is
   two durable single-shard mutations -- the destination's WAL commits the
   copy before the source's WAL commits the delete -- so a crash at any point
   leaves either the old home, the new home, or both, never neither.
@@ -25,7 +22,8 @@ vnode-weighted consistent-hash ring (:class:`ShardRing`).  The federation
 * **isolates failures**: ``fail_locations``/``repair`` target one shard, and
   a federation-wide :meth:`repair` sums per-shard reports into one
   :class:`FederationRepairReport` without letting one shard's unrecoverable
-  disaster abort the others;
+  disaster abort the others (a :meth:`transition_to` sums them into one
+  :class:`FederationTransitionReport`);
 * **aggregates health**: :meth:`status` sums per-shard
   :class:`~repro.system.service.ServiceStatus` into one
   :class:`FederationStatus`.
@@ -43,7 +41,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import os
-import queue
 import threading
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
@@ -57,7 +54,7 @@ from repro.storage.backends import read_json, write_json
 from repro.storage.maintenance import MaintenancePolicy
 from repro.storage.placement import PlacementPolicy
 from repro.system.frontend import DEFAULT_WORKERS, ConcurrentStorageService
-from repro.system.protocol import Members, ServiceLayer
+from repro.system.protocol import Members, ServiceLayer, merged
 from repro.system.service import ServiceRepairReport, ServiceStatus, StorageConfig, StorageService
 
 __all__ = [
@@ -66,6 +63,7 @@ __all__ = [
     "FEDERATION_NAME",
     "FederationRepairReport",
     "FederationStatus",
+    "FederationTransitionReport",
     "RebalanceReport",
     "ShardRing",
     "ShardedStorageService",
@@ -235,6 +233,19 @@ class FederationRepairReport(ServiceRepairReport):
     def summary(self) -> str:
         failed = f"; failed shards: {sorted(self.errors)}" if self.errors else ""
         return f"{self.shards} shards: {super().summary()}{failed}"
+
+
+@dataclass
+class FederationTransitionReport(TransitionReport):
+    """The moved shards' :class:`TransitionReport` counts summed (``resumed``
+    if any shard resumed), plus the per-shard breakdown; ``None`` stands for
+    no shard moved."""
+
+    shards: int = 0
+    per_shard: Dict[int, TransitionReport] = field(default_factory=dict)
+
+    def summary(self) -> str:
+        return f"{self.shards} shards: {super().summary()}"
 
 
 @dataclass
@@ -536,112 +547,6 @@ class ShardedStorageService(ServiceLayer):
         ids = sorted(self._shards) if shard is None else [shard]
         return Members((shard_id, self._shards[shard_id]) for shard_id in ids)
 
-    def get_many(self, names: Sequence[str]) -> List[bytes]:
-        """Scatter-gather bulk read: fan out shard-parallel, gather in order.
-
-        Names are grouped per owning shard; one worker thread per shard
-        reads its group sequentially (each shard's front-end lock striping
-        provides the intra-shard concurrency), and the payloads come
-        back in request order.  The federation-level win is the fan-out:
-        ``M`` shards serve ``M`` disjoint groups concurrently.
-        """
-        self._ensure_open()
-        wanted = list(names)
-        grouped: Dict[int, List[int]] = {}
-        for position, name in enumerate(wanted):
-            grouped.setdefault(self._locate(name), []).append(position)
-        results: List[Optional[bytes]] = [None] * len(wanted)
-        errors: List[BaseException] = []
-
-        def reader(shard_id: int, positions: List[int]) -> None:
-            shard = self._shards[shard_id]
-            try:
-                for position in positions:
-                    results[position] = shard.get(wanted[position])
-            except BaseException as exc:  # noqa: B036,RPR004 - gathered and re-raised below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(
-                target=reader, args=(shard_id, positions), name=f"repro-gather-{shard_id}"
-            )
-            for shard_id, positions in grouped.items()
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return results  # type: ignore[return-value]
-
-    def scatter_stream(
-        self, names: Sequence[str], buffer_chunks: int = 64
-    ) -> Iterator[Tuple[str, bytes]]:
-        """Fan-in streaming read: yields ``(name, chunk)`` pairs as shards
-        produce them.
-
-        One worker per owning shard streams its documents' blocks
-        (``get_stream``) into a bounded queue; the caller consumes the
-        merged stream.  Chunks of one document arrive in order; documents on
-        different shards interleave.  At most ``buffer_chunks`` chunks are
-        buffered federation-wide, so a slow consumer backpressures every
-        shard instead of buffering whole documents.
-        """
-        self._ensure_open()
-        wanted = list(names)
-        grouped: Dict[int, List[str]] = {}
-        for name in wanted:
-            grouped.setdefault(self._locate(name), []).append(name)
-        fan_in: "queue.Queue[object]" = queue.Queue(maxsize=max(1, buffer_chunks))
-        _DONE = object()
-
-        def streamer(shard_id: int, group: List[str]) -> None:
-            shard = self._shards[shard_id]
-            try:
-                for name in group:
-                    for chunk in shard.get_stream(name):
-                        fan_in.put((name, chunk))
-            except BaseException as exc:  # noqa: B036,RPR004 - surfaced to the consumer
-                fan_in.put(exc)
-            finally:
-                fan_in.put(_DONE)
-
-        threads = [
-            threading.Thread(
-                target=streamer, args=(shard_id, group), name=f"repro-scatter-{shard_id}"
-            )
-            for shard_id, group in grouped.items()
-        ]
-
-        def merged() -> Iterator[Tuple[str, bytes]]:
-            for thread in threads:
-                thread.start()
-            pending = len(threads)
-            failure: Optional[BaseException] = None
-            try:
-                while pending:
-                    item = fan_in.get()
-                    if item is _DONE:
-                        pending -= 1
-                    elif isinstance(item, BaseException):
-                        failure = failure or item
-                    elif failure is None:
-                        yield item  # type: ignore[misc]
-            finally:
-                # A consumer that stops early must not leave producers
-                # blocked on a full queue.
-                while pending:
-                    item = fan_in.get()
-                    if item is _DONE:
-                        pending -= 1
-                for thread in threads:
-                    thread.join()
-            if failure is not None:
-                raise failure
-
-        return merged()
-
     # ------------------------------------------------------------------
     # Failures and repair (per shard: one disaster never blocks the rest)
     # ------------------------------------------------------------------
@@ -673,13 +578,15 @@ class ShardedStorageService(ServiceLayer):
     # ------------------------------------------------------------------
     # Scheme transitions (federation-wide, shard by shard)
     # ------------------------------------------------------------------
-    def transition_to(self, scheme: str) -> Dict[int, Optional[TransitionReport]]:
+    def transition_to(self, scheme: str) -> Optional[FederationTransitionReport]:
         """Migrate every shard not yet settled on ``scheme``, one at a time,
-        then bind the federation to it; returns the moved shards' reports.
+        then bind the federation to it; returns the moved shards' reports
+        summed, ``None`` when no shard moved.
 
         Each shard's own durable plan is the only record of the switch, so a
         crash at any point -- between shards or inside one -- leaves shards
-        on two schemes, and :meth:`open` finishes with this same call.
+        on two schemes, and :meth:`open` finishes with this same call; so
+        does a retry after a shard's run raised.
         Because shards transition independently (each behind its own
         maintenance gate), reads keep flowing federation-wide throughout; at
         most one shard's mutations are quiesced at a time.
@@ -699,7 +606,7 @@ class ShardedStorageService(ServiceLayer):
             if target != self._shard_config.scheme:
                 self._shard_config = replace(self._shard_config, scheme=target)
                 self._write_federation()
-            return reports
+        return merged(FederationTransitionReport, reports) if reports else None
 
     # ------------------------------------------------------------------
     # Membership and rebalancing
@@ -716,22 +623,22 @@ class ShardedStorageService(ServiceLayer):
         return moves
 
     def _move_document(self, name: str, source: int, target: int) -> int:
-        """Stream one document shard-to-shard; returns the bytes moved.
+        """Move one document shard-to-shard; returns the bytes copied.
 
-        Two durable single-shard mutations in a fixed order: the target's
-        WAL commits the full copy *before* the source's WAL commits the
-        delete.  A crash in between leaves both copies; :meth:`_locate`
-        prefers the ring owner (the target), and the next rebalance deletes
-        the stale source copy -- replay-idempotent, like the WAL itself.
-        """
+        The target's document mover copies it in under the target's write
+        route and the source's *read* route (readers there keep going), and
+        its WAL commits the copy *before* the source's commits the delete.
+        A crash in between leaves both copies; :meth:`_locate` prefers the
+        ring owner (the target), and this same call again skips the copy and
+        deletes the stale one."""
         source_shard = self._shards[source]
         target_shard = self._shards[target]
         moved = 0
         if not target_shard.has_document(name):
             if not source_shard.has_document(name):
                 return 0  # deleted concurrently
-            document = target_shard.put_stream(name, source_shard.get_stream(name))
-            moved = document.length
+            with target_shard._route(name, True) as into, source_shard._route(name, False) as out:
+                moved = into._move_in(name, out)[0].length
         if source_shard.has_document(name):
             source_shard.delete(name)
         return moved

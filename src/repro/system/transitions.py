@@ -30,14 +30,14 @@ Three transition kinds, picked by :func:`classify`:
 
 ``reencode``
     Everything else (replication -> AE, AE -> Reed-Solomon, RS -> LRC,
-    ...).  Each pending document is overwritten with its own bytes: read
-    under the old scheme, landed under the new one through the service's
-    one write routine, which commits the new blocks to the metadata WAL
-    before the old ones are deleted.  Reads of not-yet-migrated documents
-    fall back to the retained source scheme, so every document is
-    byte-exact at every instant.  AE -> AE geometry changes are rejected:
-    both settings share the ``d-<n>`` block namespace, so a live re-encode
-    cannot keep both generations readable.
+    ...).  Each pending document is overwritten with its own bytes: moved
+    from the service into itself by the document mover, read batch by batch
+    under the old scheme and landed under the new one, which commits the new
+    blocks to the metadata WAL before the old ones are deleted.  Reads of
+    not-yet-migrated documents fall back to the retained source scheme, so
+    every document is byte-exact at every instant.  AE -> AE geometry
+    changes are rejected: both settings share the ``d-<n>`` block
+    namespace, so a live re-encode cannot keep both generations readable.
 
 This module is on the repro-lint RPR001 engine path: no wall-clock, no
 entropy -- a resumed transition replays to the same result.
@@ -51,8 +51,9 @@ from typing import TYPE_CHECKING, Callable, ContextManager, Dict, List, Optional
 
 import repro.schemes as schemes
 from repro.codes.entanglement import EntanglementScheme, PuncturedEntanglementScheme
-from repro.core.blocks import DataId, ParityId, join_blocks
-from repro.core.dynamic import AlphaUpgrader, plan_alpha_upgrade
+from repro.core.blocks import DataId, ParityId
+from repro.core.dynamic import AlphaUpgrader, EpochHistory, plan_alpha_upgrade
+from repro.core.parameters import AEParameters
 from repro.core.puncturing import masked_parities
 from repro.core.xor import Payload
 from repro.exceptions import InvalidParametersError, RepairFailedError
@@ -202,9 +203,10 @@ class TransitionReport:
 class TransitionEngine:
     """Drives one scheme transition over a live storage service.
 
-    The engine orchestrates; the durable per-document commit protocol is
-    :meth:`StorageService._land`, the routine every put goes through, so a
-    re-encoded document shares the service's lock and WAL discipline.
+    The engine orchestrates; a re-encoded document moves through
+    :meth:`StorageService._move_in`, the routine a shard rebalance moves
+    documents with, which lands it through the one routine every put goes
+    through -- so it shares the service's lock and WAL discipline.
     ``doc_guard`` (when the front-end supplies one) excludes readers of
     exactly the document being migrated for the instant of its
     copy-commit-delete window; all other reads proceed untouched.
@@ -248,7 +250,10 @@ class TransitionEngine:
                 f"{service.data_dir!r}; the manifest's transition section "
                 "was written by an incompatible version"
             )
-        service._finish_transition()
+        # Settle: the checkpoint that drops the plan commits its last step.
+        with service._state_lock:
+            service._transition = service._fallback = None
+        service._checkpoint()
         return report
 
     # ------------------------------------------------------------------
@@ -287,13 +292,18 @@ class TransitionEngine:
                         {"next_stripe": source.stripes_written}, service._cluster
                     )
                 # Flip now: new writes land on the target, reads of pending
-                # documents fall back to the retained source instance.
-                service._begin_transition(plan, target)
+                # documents fall back to the retained source instance.  A
+                # move *into* AE starts a fresh lattice and epoch ledger.
+                service._fallback, service._scheme = source, target
+                params = getattr(target, "params", None)
+                service._epochs = (
+                    EpochHistory.starting_with(params) if isinstance(params, AEParameters) else None
+                )
             else:
                 # AE-internal kinds keep the source serving until their
                 # parity walk completes; the flip is inside the run.
-                service._transition = plan
                 service._fallback = None
+            service._transition = plan
         # The start checkpoint makes the intent durable: scheme and plan go
         # out in one manifest rename, so no crash can separate them.
         service._checkpoint()
@@ -417,15 +427,9 @@ class TransitionEngine:
         for name in sorted(plan.pending):
             with self._doc_guard(name):
                 with service._state_lock:
-                    document = service._documents.get(name)
-                    if document is None or name not in plan.pending:
+                    if name not in service._documents or name not in plan.pending:
                         continue  # deleted or overwritten since the plan was read
-                    payloads = service._read_payloads(
-                        document.data_ids, scheme=service._scheme_for(name)
-                    )
-                landed, written, deleted = service._land(
-                    name, (join_blocks(payloads, document.length),)
-                )
+                landed, written, deleted = service._move_in(name, service)
             report.documents_migrated += 1
             report.blocks_written += written
             report.blocks_deleted += deleted

@@ -171,7 +171,7 @@ def chain_rows(root: Path) -> List[Tuple[str, int, int, int, str]]:
         federation.put(name, payload)
     rows = []
     for target in HOPS:
-        reports = federation.transition_to(target)
+        reports = federation.transition_to(target).per_shard
         for name, payload in documents.items():
             assert federation.get(name) == payload, f"{name} after {target}"
         for shard_id in sorted(reports):

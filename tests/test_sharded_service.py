@@ -2,7 +2,7 @@
 
 The federation harness of ISSUE 9: cross-shard equivalence against a single
 service for every required scheme family (including durable close/reopen of
-every shard), scatter-gather reads, rebalancing on join/leave with the
+every shard), rebalancing on join/leave with the
 minimal-movement and byte-exactness acceptance bounds, per-shard fault
 injection (location disasters and a torn-WAL crash image on one shard), and
 the durable federation manifest's crash-resume protocol.
@@ -88,9 +88,6 @@ class TestCrossShardEquivalence:
         for name, payload in documents.items():
             assert federation.get(name) == single.get(name) == payload
             assert b"".join(federation.get_stream(name)) == payload
-        # Bulk path too (scatter-gather vs sequential single-service gets).
-        names = sorted(documents)
-        assert federation.get_many(names) == [documents[n] for n in names]
         federation.close()
 
     @pytest.mark.parametrize("scheme_id", REQUIRED_IDS)
@@ -128,63 +125,6 @@ class TestCrossShardEquivalence:
             assert b"".join(reopened.get_stream(name)) == payload
             assert reopened.shard_for(name) == placement[name]
         reopened.close()
-
-
-class TestScatterGather:
-    def test_get_many_returns_request_order(self):
-        federation = open_federation()
-        documents = workload()
-        for name, payload in documents.items():
-            federation.put(name, payload)
-        names = sorted(documents, reverse=True)
-        assert federation.get_many(names) == [documents[n] for n in names]
-        # The groups genuinely span multiple shards.
-        owners = {federation.shard_for(name) for name in names}
-        assert len(owners) > 1
-
-    def test_get_many_raises_on_unknown_documents(self):
-        federation = open_federation()
-        federation.put("known", b"x" * 600)
-        with pytest.raises(UnknownBlockError):
-            federation.get_many(["known", "missing"])
-
-    def test_scatter_stream_reassembles_every_document(self):
-        federation = open_federation()
-        documents = workload()
-        for name, payload in documents.items():
-            federation.put(name, payload)
-        reassembled: dict = {}
-        for name, chunk in federation.scatter_stream(sorted(documents)):
-            reassembled[name] = reassembled.get(name, b"") + chunk
-        assert reassembled == documents
-
-    def test_scatter_stream_backpressures_with_a_tiny_buffer(self):
-        federation = open_federation()
-        documents = workload(doc_count=8)
-        for name, payload in documents.items():
-            federation.put(name, payload)
-        reassembled: dict = {}
-        for name, chunk in federation.scatter_stream(
-            sorted(documents), buffer_chunks=1
-        ):
-            reassembled[name] = reassembled.get(name, b"") + chunk
-        assert reassembled == documents
-
-    def test_scatter_stream_survives_early_consumer_exit(self):
-        federation = open_federation()
-        for name, payload in workload().items():
-            federation.put(name, payload)
-        stream = federation.scatter_stream(sorted(workload()))
-        next(stream)
-        stream.close()  # producers must unblock and join
-        federation.close()
-
-    def test_scatter_stream_propagates_errors(self):
-        federation = open_federation()
-        federation.put("known", b"x" * 600)
-        with pytest.raises(UnknownBlockError):
-            for _ in federation.scatter_stream(["known", "missing"]):
-                pass
 
 
 class TestRebalance:

@@ -22,6 +22,7 @@ import pytest
 
 import repro.schemes as schemes
 import repro.system.service as service_module
+import repro.system.sharding as sharding_module
 from repro.core.blocks import DataId, ParityId
 from repro.exceptions import InvalidParametersError, RepairFailedError, ReproError
 from repro.storage.wal import MetadataWAL
@@ -230,6 +231,47 @@ class TestStrandHeadsAreBlocksToo:
         assert service.status().blocks == blocks
 
 
+class TestAFailedTransitionIsRetried:
+    """A live ``transition_to`` that raised leaves its plan in flight; the
+    same call again finishes it, on a volatile service (which has no reopen)
+    and on a federation, while any other target is still refused.  (It used
+    to refuse every retry: "a repuncture transition to 'ae-3-2-5-p75' is
+    already in flight; it must finish (or be resumed via open()) first".)"""
+
+    CASES = {
+        # name: (source, target, another target, layer selectors, locations failed)
+        "repuncture": ("ae-3-2-5", "ae-3-2-5-p75", "ae-3-2-5-p50", {}, 19),
+        "reencode": ("rs-4-2", "ae-3-2-5", "rs-10-4", {}, 1),
+        "federation": ("rs-4-2", "ae-3-2-5", "rs-10-4", {"shards": 2}, 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_same_call_again_finishes_the_run(self, case):
+        source, target, other, selectors, failed = self.CASES[case]
+        service = open_service(
+            StorageConfig(scheme=source, block_size=64, topology=20, seed=0), **selectors
+        )
+        payloads = make_docs(count=6, size=1500)
+        fill(service, payloads)
+        service.fail_locations(range(failed))
+        with pytest.raises(ReproError):
+            service.transition_to(target)
+        holders = {id(h): h for h in map(service.service_for, payloads)}.values()
+        assert any(holder.transition for holder in holders)
+        service.restore_locations()
+        with pytest.raises(InvalidParametersError, match=f"{target}.*{other}"):
+            service.transition_to(other)
+
+        report = service.transition_to(target)
+        assert report is not None and report.target == target
+        assert service.scheme.scheme_id == target
+        assert not any(holder.transition for holder in holders)
+        assert_byte_exact(service, payloads)
+        assert service.transition_to(target) is None
+        service.put("late", payloads["doc-00"])
+        assert service.get("late") == payloads["doc-00"]
+
+
 class _CrashGuard:
     """Doc guard that raises once ``allow`` documents have been migrated."""
 
@@ -257,9 +299,9 @@ class InjectedCrash(RuntimeError):
 
 
 class _DurableWrites:
-    """Counts the service's durable metadata writes -- the manifest
-    ``write_json`` and every ``MetadataWAL.commit`` -- and, once armed,
-    raises just before or just after the k-th one."""
+    """Counts the durable metadata writes -- a service manifest's or
+    ``federation.json``'s ``write_json`` and every ``MetadataWAL.commit`` --
+    and, once armed, raises just before or just after the k-th one."""
 
     def __init__(self):
         self.count = 0
@@ -289,9 +331,8 @@ class _DurableWrites:
 @pytest.fixture
 def durable_writes(monkeypatch):
     writes = _DurableWrites()
-    monkeypatch.setattr(
-        service_module, "write_json", writes.counted(service_module.write_json)
-    )
+    for module in (service_module, sharding_module):
+        monkeypatch.setattr(module, "write_json", writes.counted(module.write_json))
     monkeypatch.setattr(MetadataWAL, "commit", writes.counted(MetadataWAL.commit))
     return writes
 
@@ -433,6 +474,73 @@ class TestDurableCrashResume:
         (root / "transition.json").write_text("{}", encoding="utf-8")
         with pytest.raises(InvalidParametersError, match=r"transition\.json"):
             StorageService.open(disk_config("rep-3", root))
+
+
+class TestRebalanceCrashSweep:
+    """A crash just before and just after every durable write of one join
+    (2 -> 3 shards) and of one leave: each reopened image reads every
+    document byte-exact from exactly one shard's catalogue, and the
+    membership ``federation.json`` names reaches all of them."""
+
+    @staticmethod
+    def config(root, **overrides):
+        return StorageConfig(
+            scheme="ae-1", topology=6, block_size=256, seed=5,
+            backend="disk", data_dir=str(root), **overrides,
+        )
+
+    def check_image(self, image, payloads):
+        from repro.system.sharding import FEDERATION_NAME, ShardedStorageService, ShardRing
+
+        reopened = ShardedStorageService.open(self.config(image))
+        assert_byte_exact(reopened, payloads)
+        catalogued = collections.Counter(
+            name for shard_id in reopened.shard_ids for name in reopened.shard(shard_id).documents
+        )
+        assert catalogued == collections.Counter(list(payloads))
+        record = json.loads((image / FEDERATION_NAME).read_text(encoding="utf-8"))
+        ring = ShardRing(
+            [shard for shard in record["shard_ids"] if shard not in record["leaving"]],
+            vnodes=record["vnodes"],
+        )
+        for name in payloads:
+            assert reopened.shard(ring.shard_for(name)).has_document(name)
+        reopened.close()
+
+    @pytest.mark.parametrize("change,shards", [("join", 2), ("leave", 3)])
+    def test_crash_sweep(self, change, shards, tmp_path, durable_writes):
+        from repro.system.sharding import ShardedStorageService
+
+        payloads = make_docs(count=8, size=700)
+        crash_points = (
+            (crash_at, when)
+            for crash_at in itertools.count()
+            for when in ("before", "after")
+        )
+        for crash_at, when in crash_points:
+            tag = f"{crash_at}-{when}"
+            root = tmp_path / f"live-{tag}"
+            federation = ShardedStorageService.open(self.config(root, shards=shards))
+            fill(federation, payloads)  # no close(): the WAL tails still hold the puts
+            durable_writes.arm(crash_at, when)
+            try:
+                report = federation.add_shard() if change == "join" else federation.remove_shard(1)
+            except InjectedCrash:
+                crashed = True
+            else:
+                crashed = False
+            durable_writes.disarm()
+            if not crashed:
+                # crash_at is past the last durable write: an untouched run.
+                assert when == "before" and report.moved_documents > 0
+                assert_byte_exact(federation, payloads)
+                federation.close()
+                break
+            image = shutil.copytree(root, tmp_path / f"image-{tag}")
+            del federation  # crash: no close(), no checkpoint
+            self.check_image(image, payloads)
+        # Every move is two durable writes: the target's commit, the source's delete.
+        assert crash_at >= 2 * report.moved_documents
 
 
 class TestRepairDuringReencode:
@@ -577,9 +685,9 @@ class TestShardedTransitions:
         federation = ShardedStorageService.open(config)
         fill(federation, payloads)
 
-        reports = federation.transition_to("ae-3-2-5")
-        assert set(reports) == set(federation.shard_ids)
-        migrated = sum(r.documents_migrated for r in reports.values() if r)
+        report = federation.transition_to("ae-3-2-5")
+        assert set(report.per_shard) == set(federation.shard_ids)
+        migrated = report.documents_migrated
         assert migrated == len(payloads)
         assert_byte_exact(federation, payloads)
         federation.close()
@@ -616,7 +724,7 @@ class TestShardedTransitions:
         for shard_id in reopened.shard_ids:
             assert reopened.shard(shard_id).service.scheme.scheme_id == "ae-3-2-5"
         status_scheme = reopened.transition_to("ae-3-2-5")
-        assert status_scheme == {}  # already settled on the target
+        assert status_scheme is None  # already settled on the target
         reopened.close()
 
     @pytest.mark.parametrize("crashed_shard", [0, 1])
