@@ -272,6 +272,51 @@ class TestAFailedTransitionIsRetried:
         assert service.get("late") == payloads["doc-00"]
 
 
+class TestTheMover:
+    """``StorageService._move_in``: the one way a document changes home."""
+
+    def test_a_reencode_lands_batch_blocks_at_a_time(self, monkeypatch):
+        service = StorageService.open(mem_config("rep-3", batch_blocks=2))
+        payloads = make_docs(count=2, size=5 * BLOCK_SIZE + 240)
+        fill(service, payloads)
+        original = StorageService._land
+        sizes = collections.defaultdict(list)
+
+        def record(self, name, batches):
+            def counted():
+                for batch in batches:
+                    sizes[name].append(len(batch))
+                    yield batch
+
+            return original(self, name, counted())
+
+        monkeypatch.setattr(StorageService, "_land", record)
+        report = service.transition_to("ae-3-2-5")
+        assert report.documents_migrated == len(payloads)
+        batch = 2 * BLOCK_SIZE
+        assert dict(sizes) == {name: [batch, batch, BLOCK_SIZE + 240] for name in payloads}
+        assert_byte_exact(service, payloads)
+
+    def test_a_pending_document_moves_under_its_source_scheme(self):
+        """A document a re-encode has not reached yet is read through the
+        source's retained scheme, so a degraded move still repairs it."""
+        source = StorageService.open(mem_config("rep-3"))
+        payloads = make_docs(count=4, size=2800)
+        fill(source, payloads)
+        with pytest.raises(RuntimeError, match="injected crash"):
+            source.transition_to("ae-3-2-5", doc_guard=_CrashGuard(1))
+        name = min(source.transition.pending)
+        document = source.documents[name]
+        source.fail_locations({source.cluster.location_of(i) for i in document.data_ids})
+        target = StorageService.open(mem_config("rs-4-2", seed=9))
+
+        moved, written, reclaimed = target._move_in(name, source)
+        assert (moved.name, moved.length, reclaimed) == (name, len(payloads[name]), 0)
+        assert written == len(target.cluster) > 0
+        assert target.get(name) == payloads[name]
+        assert source.get(name) == payloads[name]  # deleting it is the caller's step
+
+
 class _CrashGuard:
     """Doc guard that raises once ``allow`` documents have been migrated."""
 
