@@ -16,7 +16,6 @@ Run with::
 from __future__ import annotations
 
 from repro import open_service
-from repro.core.dynamic import plan_alpha_upgrade
 from repro.core.parameters import AEParameters
 from repro.core.tamper import detection_probability, tamper_cost
 from repro.simulation.workload import document_bytes
@@ -36,12 +35,12 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # 2. Years later the archive must tolerate harsher failure scenarios:
-    #    plan the upgrade to alpha = 3, then let the live service run it.
+    #    raise alpha to 3 on the live service.
     # ------------------------------------------------------------------
-    plan = plan_alpha_upgrade(old_params, 3, lattice.size)
-    print(f"\nupgrade plan: {plan.summary()}")
     raised = service.transition_to("ae-3-2-5")
     assert raised.data_blocks_rewritten == 0
+    assert raised.parities_written == lattice.size  # one new strand class
+    print(f"\n{raised.summary()}")
     print(f"computed {raised.parities_written} new parities; existing blocks untouched")
 
     # ------------------------------------------------------------------
@@ -56,7 +55,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 4. Anti-tampering: the price of an undetected modification.
     # ------------------------------------------------------------------
-    new_params = plan.new_params
+    new_params = service.scheme.params
     lattice = service.scheme.lattice  # the widened lattice, alpha = 3
     victim = lattice.size // 2
     cost = tamper_cost(lattice, victim)

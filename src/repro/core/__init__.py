@@ -4,8 +4,7 @@ This subpackage contains the paper's primary contribution: the helical
 lattice model, the entanglement rules of Tables I and II (tabulated once per
 setting by :func:`~repro.core.rules.rule_offsets`), the streaming
 encoder, the repair decoder, and the code extensions (sealed-bucket write
-scheduling, puncturing, dynamic parameter upgrades and the anti-tampering
-analysis).
+scheduling, puncturing, parameter epochs and the anti-tampering analysis).
 """
 
 from repro.core.batch_repair import (
@@ -28,15 +27,7 @@ from repro.core.blocks import (
 )
 from repro.core.buckets import WriteScheduler, WriteScheduleReport, compare_write_parallelism
 from repro.core.decoder import Decoder
-from repro.core.dynamic import (
-    AlphaUpgrader,
-    DataFetcher,
-    EpochHistory,
-    ParameterEpoch,
-    UpgradePlan,
-    plan_alpha_upgrade,
-    upgrade_alpha,
-)
+from repro.core.dynamic import EpochHistory, ParameterEpoch
 from repro.core.encoder import (
     BatchEntangler,
     EncodedBatch,
@@ -90,11 +81,9 @@ from repro.core.xor import (
 
 __all__ = [
     "AEParameters",
-    "AlphaUpgrader",
     "BatchEntangler",
     "Block",
     "BlockId",
-    "DataFetcher",
     "DataId",
     "DataRepairOption",
     "Decoder",
@@ -116,7 +105,6 @@ __all__ = [
     "StrandHeadRegistry",
     "StrandId",
     "TamperCost",
-    "UpgradePlan",
     "WriteScheduleReport",
     "WriteScheduler",
     "all_strands",
@@ -141,7 +129,6 @@ __all__ = [
     "output_index",
     "parity_survivors",
     "payload_to_bytes",
-    "plan_alpha_upgrade",
     "plan_inputs",
     "plan_round",
     "puncture_periodic",
@@ -153,7 +140,6 @@ __all__ = [
     "strand_of",
     "strands_of",
     "tamper_cost",
-    "upgrade_alpha",
     "walk_backward",
     "walk_forward",
     "xor_accumulate",

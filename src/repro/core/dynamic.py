@@ -1,12 +1,14 @@
-"""Dynamic fault tolerance: changing code parameters without re-encoding.
+"""Dynamic fault tolerance: the parameter epochs of one archive.
 
 One of the distinguishing properties of alpha entanglement codes is that the
 parameters can evolve over the lifetime of an archive (paper, Sec. I and
 III-B):
 
-* **raising alpha** adds strand classes.  The existing parities stay valid --
-  the upgrade only computes the parities of the new classes by re-walking the
-  stored data blocks, so no stored block is rewritten;
+* **raising alpha** adds strand classes.  Strand wiring depends on ``(s, p)``
+  alone, so the existing parities stay valid and no stored block is
+  rewritten: encoding the stored data blocks once more under the raised
+  setting reproduces them bit for bit and adds the new classes.  A live
+  service does exactly that (``repro.system.transitions``, ``alpha-raise``);
 * **changing s and/or p** re-wires the helical geometry.  Existing parities
   remain valid for the region of the lattice encoded under the old setting;
   new data is entangled under the new setting.  The library models this with
@@ -17,16 +19,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List
 
-from repro.core.blocks import Block, DataId, ParityId
-from repro.core.parameters import AEParameters, StrandClass
-from repro.core.strands import StrandHeadRegistry, strand_of
-from repro.core.xor import Payload, as_payload, xor_payloads, zero_payload
-from repro.exceptions import InvalidParametersError, UnknownBlockError
-
-#: Fetches the payload of a stored data block during an upgrade.
-DataFetcher = Callable[[DataId], Optional[Payload]]
+from repro.core.parameters import AEParameters
+from repro.exceptions import InvalidParametersError
 
 
 @dataclass(frozen=True)
@@ -72,105 +68,3 @@ class EpochHistory:
 
     def __iter__(self) -> Iterator[ParameterEpoch]:
         return iter(self.epochs)
-
-
-@dataclass
-class UpgradePlan:
-    """Description of an alpha upgrade: which parities must be created."""
-
-    old_params: AEParameters
-    new_params: AEParameters
-    lattice_size: int
-    new_classes: Tuple[StrandClass, ...]
-
-    @property
-    def new_parity_count(self) -> int:
-        return self.lattice_size * len(self.new_classes)
-
-    @property
-    def additional_overhead(self) -> float:
-        return float(self.new_params.alpha - self.old_params.alpha)
-
-    def summary(self) -> str:
-        classes = ", ".join(cls.value for cls in self.new_classes)
-        return (
-            f"upgrade {self.old_params.spec()} -> {self.new_params.spec()}: "
-            f"compute {self.new_parity_count} new parities (classes: {classes}); "
-            f"existing blocks are untouched"
-        )
-
-
-def plan_alpha_upgrade(
-    old_params: AEParameters, new_alpha: int, lattice_size: int
-) -> UpgradePlan:
-    """Plan the parities needed to raise ``alpha`` for an existing archive."""
-    if new_alpha <= old_params.alpha:
-        raise InvalidParametersError(
-            f"new alpha {new_alpha} must exceed the current alpha {old_params.alpha}"
-        )
-    new_params = old_params.with_alpha(new_alpha)
-    new_classes = tuple(
-        cls for cls in new_params.strand_classes if cls not in old_params.strand_classes
-    )
-    return UpgradePlan(
-        old_params=old_params,
-        new_params=new_params,
-        lattice_size=lattice_size,
-        new_classes=new_classes,
-    )
-
-
-class AlphaUpgrader:
-    """Computes the parities of newly added strand classes without re-encoding.
-
-    The upgrader streams over the stored data blocks in lattice order and
-    maintains strand heads only for the *new* classes; existing parities are
-    neither read nor modified.
-    """
-
-    def __init__(self, plan: UpgradePlan, block_size: int) -> None:
-        self._plan = plan
-        self._block_size = block_size
-        self._heads = StrandHeadRegistry(plan.new_params)
-
-    @property
-    def plan(self) -> UpgradePlan:
-        return self._plan
-
-    def run(self, fetch: DataFetcher) -> Iterator[Block]:
-        """Yield the new parity blocks in creation order.
-
-        ``fetch`` must return the payload of every data block of the archive;
-        a missing data block aborts the upgrade (it should be repaired first
-        with the existing parities).
-        """
-        new_params = self._plan.new_params
-        for index in range(1, self._plan.lattice_size + 1):
-            payload = fetch(DataId(index))
-            if payload is None:
-                raise UnknownBlockError(
-                    f"data block d{index} unavailable; repair it before upgrading"
-                )
-            data_payload = as_payload(payload, self._block_size)
-            for strand_class in self._plan.new_classes:
-                strand = strand_of(index, strand_class, new_params)
-                head = self._heads.head_payload(strand)
-                if head is None:
-                    head = zero_payload(self._block_size)
-                parity_payload = xor_payloads(data_payload, head)
-                self._heads.update(strand, index, parity_payload)
-                yield Block(ParityId(index, strand_class), parity_payload)
-
-
-def upgrade_alpha(
-    old_params: AEParameters,
-    new_alpha: int,
-    lattice_size: int,
-    fetch: DataFetcher,
-    block_size: int,
-) -> List[Block]:
-    """Convenience wrapper: plan and execute an alpha upgrade, returning the
-    new parity blocks."""
-    plan = plan_alpha_upgrade(old_params, new_alpha, lattice_size)
-    upgrader = AlphaUpgrader(plan, block_size)
-    return list(upgrader.run(fetch))

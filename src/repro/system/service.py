@@ -1167,8 +1167,9 @@ class StorageService(ServiceHandle):
         """Migrate this live service to another redundancy scheme.
 
         Runs a :class:`~repro.system.transitions.TransitionEngine` to
-        completion: an AE alpha raise recomputes only the new strand-class
-        parities (zero data blocks rewritten), a puncturing change
+        completion: an AE alpha raise encodes the stored data once more and
+        writes only the parities the cluster lacks -- the new strand class
+        (zero data blocks rewritten) -- a puncturing change
         regenerates-then-deletes parities, and any cross-family pair
         streams documents through a re-encode with new blocks committed
         before old blocks are deleted.  Reads stay byte-exact throughout --

@@ -14,11 +14,12 @@ Three transition kinds, picked by :func:`classify`:
 
 ``alpha-raise``
     AE -> AE with the same ``(s, p)`` geometry and a higher ``alpha``.
-    The engine re-walks the stored data blocks once with
-    :class:`~repro.core.dynamic.AlphaUpgrader`, computing only the new
-    strand-class parities -- **zero data blocks are rewritten** -- then
-    swaps in a scheme instance over the widened lattice and records the
-    change in the service's :class:`~repro.core.dynamic.EpochHistory`.
+    The engine encodes the stored data blocks once more, ``batch_blocks``
+    at a time, with a fresh target scheme and writes only the parities the
+    cluster does not hold -- the new strand class, or what an interrupted
+    run did not reach; **zero data blocks are rewritten**.  That encoder
+    then is the service's scheme, and the change is recorded in the
+    service's :class:`~repro.core.dynamic.EpochHistory`.
 
 ``repuncture``
     AE -> AE with identical parameters but a different puncturing rate
@@ -52,10 +53,9 @@ from typing import TYPE_CHECKING, Callable, ContextManager, Dict, List, Optional
 import repro.schemes as schemes
 from repro.codes.entanglement import EntanglementScheme, PuncturedEntanglementScheme
 from repro.core.blocks import DataId, ParityId
-from repro.core.dynamic import AlphaUpgrader, EpochHistory, plan_alpha_upgrade
+from repro.core.dynamic import EpochHistory
 from repro.core.parameters import AEParameters
 from repro.core.puncturing import masked_parities
-from repro.core.xor import Payload
 from repro.exceptions import InvalidParametersError, RepairFailedError
 from repro.schemes.base import RedundancyScheme
 from repro.schemes.stripe import StripeScheme
@@ -76,9 +76,6 @@ __all__ = [
 KIND_ALPHA_RAISE = "alpha-raise"
 KIND_REPUNCTURE = "repuncture"
 KIND_REENCODE = "reencode"
-
-#: Blocks buffered per bulk cluster write during a parity walk.
-FLUSH_BLOCKS = 256
 
 #: Guards one document against concurrent readers while it migrates (the
 #: front-end passes its stripe write lock; a bare service needs none).
@@ -317,43 +314,33 @@ class TransitionEngine:
         with service._state_lock:
             source = service._scheme
             assert isinstance(source, EntanglementScheme)
-            upgrade = plan_alpha_upgrade(
-                source.params,
-                self._target.params.alpha,  # type: ignore[attr-defined]
-                source.entangler.blocks_encoded,
-            )
-            upgrader = AlphaUpgrader(upgrade, source.block_size)
-            cluster = service._cluster
-
-            def fetch(data_id: DataId) -> Payload:
-                # One cheap fetch per block; an unavailable data block is
-                # rebuilt through the source's existing parities before its
-                # new parities are derived.
-                payload = cluster.try_get_block(data_id)
-                return payload if payload is not None else source.read_block(data_id, cluster)
-
-            batch: List[object] = []
-            for block in upgrader.run(fetch):
-                batch.append((block.block_id, block.payload))
-                if len(batch) >= FLUSH_BLOCKS:
-                    cluster.put_many(batch)  # type: ignore[arg-type]
-                    report.parities_written += len(batch)
-                    batch.clear()
-            if batch:
-                cluster.put_many(batch)  # type: ignore[arg-type]
-                report.parities_written += len(batch)
-            report.blocks_written += report.parities_written
-            # Swap in a scheme over the widened lattice.  restore_state
-            # re-fetches the strand heads -- including the classes the walk
-            # just wrote -- so the next encode chains correctly.
             raised = EntanglementScheme(
-                upgrade.new_params,
+                self._target.params,  # type: ignore[attr-defined]
                 block_size=source.block_size,
                 scheme_id=plan.target,
             )
-            raised.restore_state(source.state(), cluster)
+            cluster = service._cluster
+            ids = [DataId(index) for index in range(1, source.entangler.blocks_encoded + 1)]
+            step = service.batch_blocks
+            for start in range(0, len(ids), step):
+                # Strand wiring depends on (s, p) alone, so the source's
+                # classes come out bit-identical and are already stored; what
+                # the cluster lacks is the new class, or what an interrupted
+                # run did not reach.  Lost data blocks are rebuilt through the
+                # source in the read's one repair pass and not written back.
+                payloads = service._read_payloads(ids[start : start + step], scheme=source)
+                fresh = [
+                    (block_id, payload)
+                    for block_id, payload in raised.encode(payloads).blocks
+                    if isinstance(block_id, ParityId) and not cluster.knows(block_id)
+                ]
+                cluster.put_many(fresh)
+                report.parities_written += len(fresh)
+            report.blocks_written += report.parities_written
+            # The walk left the encoder where the source stopped, strand
+            # heads of every class included: it is the scheme from here on.
             service._scheme = raised
-            service._record_epoch(upgrade.new_params)
+            service._record_epoch(raised.params)
             # Nothing is deleted after a raise, so the flip settles it: no
             # checkpoint may name the target with the raise still owed.
             service._transition = None
@@ -385,8 +372,9 @@ class TransitionEngine:
                         for parity in masked_parities(dropped, source.params.strand_classes)
                         if not cluster.knows(parity)
                     ]
-                for start in range(0, len(wanted), FLUSH_BLOCKS):
-                    batch = wanted[start : start + FLUSH_BLOCKS]
+                step = service.batch_blocks
+                for start in range(0, len(wanted), step):
+                    batch = wanted[start : start + step]
                     outcome = source.repair(set(batch), cluster)
                     if outcome.unrecovered:
                         raise RepairFailedError(

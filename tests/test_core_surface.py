@@ -48,15 +48,11 @@ class TestCoreImportSurface:
     def test_transition_building_blocks_are_exported(self):
         """The symbols the transition engine composes stay on the surface."""
         for required in (
-            "AlphaUpgrader",
-            "DataFetcher",
             "EpochHistory",
             "ParameterEpoch",
             "PuncturedCode",
             "PuncturingPolicy",
-            "UpgradePlan",
             "parity_survivors",
-            "plan_alpha_upgrade",
             "puncture_rate",
         ):
             assert required in repro.core.__all__

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.blocks import DataId
 from repro.core.decoder import Decoder
-from repro.core.dynamic import upgrade_alpha
 from repro.core.encoder import Entangler
 from repro.core.parameters import AEParameters
 from repro.core.xor import payloads_equal
@@ -22,7 +21,6 @@ class TestArchiveLifecycle:
     """Encode -> disaster -> repair -> upgrade -> disaster again."""
 
     def test_full_lifecycle(self):
-        params = AEParameters.double(2, 5)
         system = StorageService.open(
             StorageConfig(scheme="ae-2-2-5", topology=40, block_size=256, seed=13)
         )
@@ -41,14 +39,13 @@ class TestArchiveLifecycle:
         assert report.data_loss == 0
 
         # The archive owner later raises alpha from 2 to 3 without re-encoding.
-        new_parities = upgrade_alpha(
-            params,
-            3,
-            system.scheme.lattice.size,
-            lambda data_id: system.get_block(data_id),
-            system.block_size,
-        )
-        assert len(new_parities) == system.scheme.lattice.size
+        system.restore_locations()  # a write needs every location it places on
+        lattice = system.scheme.lattice
+        report = system.transition_to("ae-3-2-5")
+        assert report.parities_written == lattice.size
+        assert report.data_blocks_rewritten == 0
+        for name, payload in documents.items():
+            assert system.get(name) == payload
 
     def test_streamed_workload_roundtrip(self):
         params = AEParameters.triple(2, 5)

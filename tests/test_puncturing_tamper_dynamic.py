@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.blocks import DataId, ParityId
 from repro.core.decoder import Decoder
-from repro.core.dynamic import EpochHistory, plan_alpha_upgrade, upgrade_alpha
+from repro.core.dynamic import EpochHistory
 from repro.core.encoder import Entangler
 from repro.core.lattice import HelicalLattice
 from repro.core.parameters import AEParameters, StrandClass
@@ -22,7 +22,8 @@ from repro.core.puncturing import (
 )
 from repro.core.tamper import average_tamper_cost, detection_probability, tamper_cost, tampered_parities
 from repro.core.xor import payloads_equal
-from repro.exceptions import InvalidParametersError, UnknownBlockError
+from repro.exceptions import InvalidParametersError, RepairFailedError
+from repro.storage.cluster import StorageCluster
 from repro.system.service import StorageConfig, StorageService
 
 from tests.conftest import make_payload
@@ -205,37 +206,76 @@ class TestAntiTampering:
 
 
 class TestDynamicUpgrade:
-    def test_plan_counts_new_parities(self):
-        plan = plan_alpha_upgrade(AEParameters.double(2, 5), 3, lattice_size=100)
-        assert plan.new_classes == (StrandClass.LEFT_HANDED,)
-        assert plan.new_parity_count == 100
-        assert plan.additional_overhead == 1.0
-        assert "upgrade" in plan.summary()
+    """An alpha raise is an encode: ``transition_to`` writes exactly the new
+    strand class a from-scratch encoder of the raised setting produces."""
 
-    def test_plan_rejects_downgrade(self):
-        with pytest.raises(InvalidParametersError):
-            plan_alpha_upgrade(AEParameters.triple(2, 5), 3, 10)
+    @staticmethod
+    def archive():
+        """50 nodes of AE(2,2,5) read back 7 at a time: the last batch is short."""
+        service = StorageService.open(
+            StorageConfig(
+                scheme="ae-2-2-5", topology=12, block_size=BLOCK_SIZE, seed=4, batch_blocks=7
+            )
+        )
+        for index in range(5):
+            service.put(f"doc-{index}", make_payload(index, 9 * BLOCK_SIZE + 1 + index))
+        assert service.scheme.lattice.size == 50
+        return service
 
-    def test_upgrade_produces_parities_identical_to_direct_encoding(self):
-        """Raising alpha never rewrites stored blocks and the new parities are
-        exactly what a from-scratch alpha=3 encoder would have produced."""
-        data = {DataId(index): make_payload(index, BLOCK_SIZE) for index in range(1, 41)}
-        old_params = AEParameters.double(2, 5)
-        new_blocks = upgrade_alpha(old_params, 3, 40, lambda d: data.get(d), BLOCK_SIZE)
+    def test_raise_writes_what_a_fresh_encoder_produces(self, monkeypatch):
+        service = self.archive()
+        cluster = service.cluster
+        size = service.scheme.lattice.size
+        data = [cluster.try_get_block(DataId(index)) for index in range(1, size + 1)]
+        lost = [DataId(3), DataId(17), DataId(18)]
+        cluster.delete_blocks(lost)
+        written = []
+        put_many = StorageCluster.put_many
+
+        def recording(self, items):
+            items = list(items)
+            written.extend(block_id for block_id, _ in items)
+            return put_many(self, items)
+
+        monkeypatch.setattr(StorageCluster, "put_many", recording)
+        report = service.transition_to("ae-3-2-5")
+        new_class = {ParityId(index, StrandClass.LEFT_HANDED) for index in range(1, size + 1)}
+        assert report.parities_written == len(written) == size
+        assert set(written) == new_class  # no d- or old-class block gets a write
+        assert not any(map(cluster.knows, lost))
+
         direct = Entangler(AEParameters.triple(2, 5), block_size=BLOCK_SIZE)
-        expected = {}
-        for index in range(1, 41):
-            encoded = direct.entangle(data[DataId(index)])
-            for parity in encoded.parities:
-                if parity.block_id.strand_class is StrandClass.LEFT_HANDED:
-                    expected[parity.block_id] = parity.payload
-        assert len(new_blocks) == 40
-        for block in new_blocks:
-            assert payloads_equal(block.payload, expected[block.block_id])
+        late = make_payload(99, 3 * BLOCK_SIZE)
+        service.put("late", late)
+        chunks = [late[start : start + BLOCK_SIZE] for start in range(0, len(late), BLOCK_SIZE)]
+        for payload in data + chunks:
+            for parity in direct.entangle(payload).parities:
+                assert payloads_equal(cluster.try_get_block(parity.block_id), parity.payload)
+        assert service.get("late") == late
 
-    def test_upgrade_requires_all_data(self):
-        with pytest.raises(UnknownBlockError):
-            upgrade_alpha(AEParameters.double(2, 5), 3, 10, lambda d: None, BLOCK_SIZE)
+    def test_a_raise_needs_every_data_block(self):
+        """Nodes 1..21 lost, data and parities: the first batch's data has no
+        repair path, so the raise stops before writing and the source stays."""
+        service = self.archive()
+        cluster = service.cluster
+        cluster.delete_blocks([block for block in cluster.block_ids() if block.index <= 21])
+        with pytest.raises(RepairFailedError):
+            service.transition_to("ae-3-2-5")
+        assert service.scheme.scheme_id == "ae-2-2-5"
+        assert not any(
+            block_id.strand_class is StrandClass.LEFT_HANDED
+            for block_id in cluster.block_ids()
+            if isinstance(block_id, ParityId)
+        )
+
+    def test_lowering_alpha_is_refused_live(self):
+        service = StorageService.open(
+            StorageConfig(scheme="ae-3-2-5", topology=12, block_size=BLOCK_SIZE, seed=4)
+        )
+        service.put("doc", make_payload(1, 4 * BLOCK_SIZE))
+        with pytest.raises(InvalidParametersError, match="cannot lower alpha"):
+            service.transition_to("ae-2-2-5")
+        assert service.transition is None and service.scheme.scheme_id == "ae-3-2-5"
 
     def test_epoch_history(self):
         history = EpochHistory.starting_with(AEParameters.double(2, 5))

@@ -11,6 +11,8 @@ write resumes to completion on reopen -- under either endpoint's scheme id.
 from __future__ import annotations
 
 import collections
+import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -24,7 +26,9 @@ import repro.schemes as schemes
 import repro.system.service as service_module
 import repro.system.sharding as sharding_module
 from repro.core.blocks import DataId, ParityId
+from repro.core.parameters import StrandClass
 from repro.exceptions import InvalidParametersError, RepairFailedError, ReproError
+from repro.storage.cluster import StorageCluster
 from repro.storage.wal import MetadataWAL
 from repro.system.frontend import ConcurrentStorageService
 from repro.system.opening import open_service
@@ -35,6 +39,8 @@ from repro.system.transitions import (
     KIND_REPUNCTURE,
     classify,
 )
+
+from tests.conftest import segment_dead_bytes
 
 BLOCK_SIZE = 512
 
@@ -189,6 +195,71 @@ class TestLiveChain:
         assert service.scheme.scheme_id == "ae-3-2-5"
 
 
+def block_digest(cluster):
+    """``(block count, sha256 of every (block id, payload) in id order)``."""
+    digest = hashlib.sha256()
+    ids = sorted(cluster.block_ids(), key=repr)
+    for block_id in ids:
+        digest.update(repr(block_id).encode())
+        digest.update(bytes(cluster.try_get_block(block_id)))
+    return len(ids), digest.hexdigest()
+
+
+class TestAlphaRaiseGolden:
+    """``ae-2-2-5 -> ae-3-2-5`` stores what the per-block upgrader it
+    replaced stored, bit for bit.  Per case: the raise's ``parities_written``,
+    the block digest after the raise and after one later put.  ``segment``
+    reopens between the raise and the put; ``memory`` reads 7 blocks at a
+    time, which does not divide the lattice, with three data blocks lost.
+    Recorded on the commit before the raise became an encode (``7db3d06``)
+    with ``TestAlphaRaiseGolden.rows(case, root)``; record on the parent of
+    a change only, never to make a failing test pass."""
+
+    GOLDEN = {
+        "memory": (
+            548,
+            (2189, "0092445f4d73a937ea5b69f96f59a6b04c76024f8d4dda564a3b97bd4837ffa2"),
+            (2225, "40f504271b7359de0a8eb9fe037718df80e7173ccd0f0d5c8a9fc2d1dd05b476"),
+        ),
+        "segment": (
+            548,
+            (2192, "9f3874623a9c11bf9a95dc2864806b1500034567514d189b7cd800443c3b81bd"),
+            (2228, "36ef65c4e868800d5336c38797058161d341f8327b522eb7642c4c162659073d"),
+        ),
+    }
+
+    @staticmethod
+    def rows(case, root):
+        settings = {"backend": "segment", "data_dir": str(root)} if case == "segment" else {}
+        config = StorageConfig(
+            scheme="ae-2-2-5", block_size=64, topology=24, seed=5,
+            batch_blocks=7 if case == "memory" else 256, **settings,
+        )
+        service = StorageService.open(config)
+        rng = random.Random(1)
+        payloads = {f"doc-{i:02d}": rng.randbytes(rng.randrange(100, 5000)) for i in range(14)}
+        fill(service, payloads)
+        if case == "segment":
+            service.delete("doc-03")
+            del payloads["doc-03"]
+        else:
+            service.cluster.delete_blocks([DataId(3), DataId(40), DataId(41)])
+        written = service.transition_to("ae-3-2-5").parities_written
+        if case == "segment":
+            service.close()
+            service = StorageService.open(dataclasses.replace(config, scheme="ae-3-2-5"))
+        raised = block_digest(service.cluster)
+        service.put("late", b"late document " * 40)
+        assert_byte_exact(service, payloads)
+        row = (written, raised, block_digest(service.cluster))
+        service.close()
+        return row
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_the_raise_stores_the_recorded_blocks(self, case, tmp_path):
+        assert self.rows(case, tmp_path) == self.GOLDEN[case]
+
+
 class TestStrandHeadsAreBlocksToo:
     """The flip of an AE-internal transition reads the strand heads back
     through repair, so failed locations holding some of them do not stop it
@@ -270,6 +341,53 @@ class TestAFailedTransitionIsRetried:
         assert service.transition_to(target) is None
         service.put("late", payloads["doc-00"])
         assert service.get("late") == payloads["doc-00"]
+
+    def test_a_retried_alpha_raise_writes_only_what_is_missing(self, tmp_path, monkeypatch):
+        """A raise whose second bulk write failed is finished by writing the
+        new-class parities the cluster lacks, and no segment log grows a dead
+        record.  (The retry used to rewrite every one of them: 384 after the
+        first run had stored 256, and the logs' dead bytes went 768 ->
+        137 876.)"""
+        service = StorageService.open(
+            mem_config(
+                "ae-2-2-5", topology="sites=6,racks=2,nodes=2", seed=0,
+                backend="segment", data_dir=str(tmp_path),
+            )
+        )
+        payloads = make_docs(count=24, size=16 * BLOCK_SIZE)
+        fill(service, payloads)
+        size = service.scheme.lattice.size
+        assert size > service.batch_blocks  # the walk takes two batches
+
+        def dead_bytes():
+            return sum(map(segment_dead_bytes, tmp_path.glob("loc-*")))
+
+        put_many, calls = StorageCluster.put_many, []
+
+        def second_fails(cluster, items):
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError("injected write failure")
+            return put_many(cluster, items)
+
+        monkeypatch.setattr(StorageCluster, "put_many", second_fails)
+        with pytest.raises(OSError, match="injected"):
+            service.transition_to("ae-3-2-5")
+        monkeypatch.setattr(StorageCluster, "put_many", put_many)
+        new_class = [ParityId(index, StrandClass.LEFT_HANDED) for index in range(1, size + 1)]
+        lacking = sum(not service.cluster.knows(parity) for parity in new_class)
+        assert 0 < lacking < size
+        dead = dead_bytes()
+        with pytest.raises(InvalidParametersError, match="ae-3-2-5.*ae-2-2-5-p75"):
+            service.transition_to("ae-2-2-5-p75")
+
+        report = service.transition_to("ae-3-2-5")
+        assert report.parities_written == report.blocks_written == lacking
+        assert dead_bytes() == dead
+        assert all(map(service.cluster.knows, new_class))
+        assert service.scheme.scheme_id == "ae-3-2-5" and service.transition is None
+        assert_byte_exact(service, payloads)
+        service.close()
 
 
 class TestTheMover:
