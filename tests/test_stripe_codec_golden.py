@@ -14,7 +14,10 @@ Each digest is a sha256 over the named outputs on fixed seeds, at block
 sizes 1, 7 and 4096 and with a short (zero-padded) final stripe.  The
 service-level digest is one ``rs-10-4`` lifecycle (put -> fail ``site:0`` ->
 degraded get -> ``repair()``) hashing the recovered bytes, the repaired ids
-and ``blocks_read``.  ``PYTHONPATH=src:. python
+and ``blocks_read``.  ``EXHAUSTIVE_GOLDEN`` (recorded on ``6138bd0``,
+before LRC decoded through the recovery-matrix codec RS runs on) hashes
+every pattern of one to three erasures of ``lrc-azure``, ``lrc-xorbas`` and
+``rs-10-4``: ``can_decode``, the decode and the rebuild.  ``PYTHONPATH=src:. python
 tests/test_stripe_codec_golden.py`` prints the tables (use it to record on
 the parent of a codec change, never to make a failing test pass).
 """
@@ -47,6 +50,9 @@ SCHEMES = (
 )
 SIZES = (1, 7, 4096)
 SEED = 20181
+#: Codes whose every pattern of one to three erasures is pinned, at one size.
+EXHAUSTIVE_SCHEMES = ("lrc-azure", "lrc-xorbas", "rs-10-4")
+EXHAUSTIVE_SIZE = 7
 
 
 def _digest(parts: Iterable[object]) -> str:
@@ -184,6 +190,29 @@ def service_digest() -> str:
     return _digest(parts)
 
 
+def exhaustive_digest(scheme_id: str) -> str:
+    """Every erasure pattern of one to three positions: ``can_decode``, and
+    for a decodable one the full decode and the rebuild of the lost rows.
+
+    Covers the LRC patterns whose first ``k`` surviving rows are dependent
+    (two losses in one local group), which the seeded patterns may miss.
+    """
+    code = schemes.get(scheme_id, block_size=EXHAUSTIVE_SIZE).code
+    stripe = _stripe(code, EXHAUSTIVE_SIZE, salt=4)
+    parts: List[object] = [f"{scheme_id}@{EXHAUSTIVE_SIZE}"]
+    for erased in range(1, 4):
+        for pattern in combinations(range(code.n), erased):
+            available = {p: stripe[p] for p in range(code.n) if p not in pattern}
+            decodable = code.can_decode(sorted(available))
+            parts.append(f"{pattern}:{decodable}")
+            if decodable:
+                parts.extend(code.decode(available))
+                rebuilt = code.rebuild(list(pattern), available)
+                assert [bytes(b) for b in rebuilt] == [bytes(stripe[p]) for p in pattern]
+                parts.extend(rebuilt)
+    return _digest(parts)
+
+
 CODEC_GOLDEN: Dict[Tuple[str, int], str] = {
     ('rs-10-4', 1): '0be74a31d603bd555a3097a0f6675c8794a55d2be6f338eb40969dd558e419cb',
     ('rs-10-4', 7): 'cbfea7e5ab7eab947e5f5ec4c7af080af7bf52decf76105cbfc7ebf748effa6c',
@@ -244,6 +273,12 @@ SCHEME_GOLDEN: Dict[Tuple[str, int], str] = {
     ('rep-3', 4096): '14694b5029435e8a69896007c2f8de9061d203d0de27f37ac7a6e440d8e32e2b',
 }
 
+EXHAUSTIVE_GOLDEN: Dict[str, str] = {
+    'lrc-azure': '82b3ced4d4cab9adcd08a8f5a506eb9cbfab92a24987386048832aea818c5bda',
+    'lrc-xorbas': '1980ce7fb42630495b3f56ec66599a13c7f3fbf9410729fef5bf4d1b7a50ee1b',
+    'rs-10-4': 'b4d7ab7a31ee4de85345d1d953876444419a40582e32c5f6ea6f12e9e2ab5bfc',
+}
+
 SERVICE_GOLDEN = '274b0d101be066942bb076a3646e8d578b75b13e7271e03c673436843787f212'
 
 
@@ -259,6 +294,11 @@ def test_scheme_put_and_repair_are_unchanged(scheme_id: str, size: int) -> None:
     assert scheme_digest(scheme_id, size) == SCHEME_GOLDEN[(scheme_id, size)]
 
 
+@pytest.mark.parametrize("scheme_id", EXHAUSTIVE_SCHEMES)
+def test_every_small_erasure_pattern_is_unchanged(scheme_id: str) -> None:
+    assert exhaustive_digest(scheme_id) == EXHAUSTIVE_GOLDEN[scheme_id]
+
+
 def test_service_lifecycle_is_unchanged() -> None:
     assert service_digest() == SERVICE_GOLDEN
 
@@ -272,5 +312,8 @@ if __name__ == "__main__":  # pragma: no cover - recording helper
     for scheme_id in SCHEMES:
         for size in SIZES:
             print(f"    {(scheme_id, size)!r}: {scheme_digest(scheme_id, size)!r},")
+    print("}\n\nEXHAUSTIVE_GOLDEN: Dict[str, str] = {")
+    for scheme_id in EXHAUSTIVE_SCHEMES:
+        print(f"    {scheme_id!r}: {exhaustive_digest(scheme_id)!r},")
     print("}\n")
     print(f"SERVICE_GOLDEN = {service_digest()!r}")
