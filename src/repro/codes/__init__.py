@@ -5,14 +5,15 @@ alpha entanglement (:class:`EntanglementScheme`, the protocol adapter over
 the helical lattice) and the stripe-code baselines -- systematic
 Reed-Solomon over GF(2^8), Azure/Xorbas Local Reconstruction Codes, flat
 XOR codes and n-way replication -- behind the common
-:class:`repro.codes.base.StripeCode` interface.  The scheme registry of
+:class:`repro.codes.base.StripeCode` interface; Reed-Solomon and LRC share
+one generator-matrix codec, :class:`repro.codes.base.LinearCode`.  The scheme registry of
 :mod:`repro.schemes` is re-exported here (:func:`get_scheme`,
 :func:`register_scheme`, :func:`available_schemes`) so ``repro.codes`` is a
 one-stop import surface: every class a registry identifier resolves to is
 in ``__all__``.
 """
 
-from repro.codes.base import CodeCosts, StripeCode
+from repro.codes.base import CodeCosts, LinearCode, StripeCode
 from repro.codes.flat_xor import FlatXorCode, geo_xor_code, mirrored_pairs_code, raid5_code
 from repro.codes.lrc import LocalReconstructionCode, azure_lrc, xorbas_lrc
 from repro.codes.gf256 import (
@@ -30,6 +31,7 @@ from repro.codes.gf256 import (
     gf_mul,
     gf_mul_bytes,
     gf_pack_matrix,
+    gf_pivot_rows,
     gf_pow,
     gf_sub,
     vandermonde_matrix,
@@ -80,6 +82,7 @@ __all__ = [
     "FIELD_SIZE",
     "FlatXorCode",
     "GROUP_ORDER",
+    "LinearCode",
     "LocalReconstructionCode",
     "PAPER_REPLICATION_FACTORS",
     "PAPER_RS_SETTINGS",
@@ -107,6 +110,7 @@ __all__ = [
     "gf_mul",
     "gf_mul_bytes",
     "gf_pack_matrix",
+    "gf_pivot_rows",
     "gf_pow",
     "gf_sub",
     "mirrored_pairs_code",

@@ -5,15 +5,37 @@ against do: an ``(k, m)`` code splits a source into ``k`` data blocks and adds
 ``m`` redundant blocks; any ``k`` of the ``n = k + m`` blocks suffice to read
 the data (Reed-Solomon) or a weaker combinatorial condition holds (flat XOR
 codes, replication).  This module defines the abstract interface shared by the
-baseline implementations and the analytic cost model used by Table IV.
+baseline implementations, the analytic cost model used by Table IV and
+:class:`LinearCode`, the one GF(2^8) codec of Reed-Solomon and LRC.
+
+:class:`LinearCode` is a code given by an ``n x k`` generator matrix ``M``
+whose top ``k`` rows are the identity.  Every operation is a
+:func:`~repro.codes.gf256.gf_matmul_bytes` product with a *recovery matrix*
+``M[wanted] @ inv(M[read])`` -- "wanted rows x read rows" -- applied to the
+``k`` blocks read.  Encoding is the case "parity rows x data rows".
+Decoding passes the data blocks it was handed through and computes only the
+lost ones; rebuilding decodes and then applies the encoding row of each lost
+parity to the data.  A repair therefore computes the missing rows and nothing
+else (no decode of the whole stripe, no re-encode of every parity).  The
+recovery matrices, packed for the kernel, are memoised per erasure pattern.
 """
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.codes.gf256 import (
+    PackedMatrix,
+    gf_matmul,
+    gf_matmul_bytes,
+    gf_matrix_inverse,
+    gf_pack_matrix,
+)
 from repro.core.xor import Payload, as_payload
 from repro.exceptions import BlockSizeMismatchError, DecodingError
 
@@ -174,3 +196,103 @@ class StripeCode(ABC):
                 f"stripe blocks must share one size, got sizes {sorted(sizes)}"
             )
         return payloads
+
+
+#: Erasure patterns whose recovery matrix one code instance keeps (a pattern
+#: of RS(10,4) is 5-20 KiB of tables; a site disaster produces a handful).
+RECOVERY_CACHE_PATTERNS = 128
+
+
+class LinearCode(StripeCode):
+    """A systematic code over GF(2^8) given by its ``n x k`` generator matrix.
+
+    Row ``p`` of the matrix is the combination of the data blocks stored at
+    position ``p``; the top ``k`` rows are the identity.
+    """
+
+    def __init__(self, k: int, m: int, matrix: np.ndarray) -> None:
+        super().__init__(k, m)
+        self._matrix = matrix
+        self._positions = frozenset(range(k + m))
+        self._parity_rows = gf_pack_matrix(matrix[k:])
+        # (positions read, positions wanted) -> packed recovery matrix,
+        # oldest pattern dropped first once the bound is reached.
+        self._recovery_cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], PackedMatrix] = {}
+        self._recovery_lock = threading.Lock()
+
+    @property
+    def encoding_matrix(self) -> np.ndarray:
+        """The full ``n x k`` generator matrix (read-only copy)."""
+        return self._matrix.copy()
+
+    def encode(self, data_blocks: Sequence[Payload]) -> List[Payload]:
+        payloads = self._normalise_stripe(data_blocks)
+        return list(gf_matmul_bytes(self._parity_rows, payloads, payloads[0].size))
+
+    def decode(self, available: Dict[int, Payload]) -> List[Payload]:
+        return self._recover(range(self.k), available)
+
+    def rebuild(
+        self, positions: Sequence[int], available: Dict[int, Payload]
+    ) -> List[Payload]:
+        """Rebuild ``positions``: lost data rows through :meth:`decode`, a
+        lost parity as its own encoding row applied to the data."""
+        # ``self.decode``, not ``_recover`` over both kinds of row at once:
+        # the end-to-end benchmark times the codec's share of a repair by
+        # wrapping ``ReedSolomonCode.decode`` on the class.
+        if any(position not in available for position in positions):
+            available = {**available, **dict(enumerate(self.decode(available)))}
+        return self._recover(positions, available)
+
+    def _read_rows(self, positions: List[int]) -> Tuple[int, ...]:
+        """The ``k`` of the sorted available ``positions`` a decode reads
+        (fewer if it cannot): the first ``k``, which an MDS code allows."""
+        return tuple(positions[: self.k])
+
+    def _recover(
+        self, positions: Sequence[int], available: Dict[int, Payload]
+    ) -> List[Payload]:
+        """The blocks at ``positions`` from ``k`` available ones.
+
+        A position the caller supplied comes back as supplied; the others
+        are one product of the recovery matrix with the blocks read.
+        """
+        known = self._positions
+        if not (known.issuperset(available) and known.issuperset(positions)):
+            strangers = [pos for pos in (*available, *positions) if pos not in known]
+            raise DecodingError(
+                f"{self.name} has positions 0..{self.n - 1}, got {sorted(strangers)}"
+            )
+        sizes = set(map(len, available.values()))
+        if len(sizes) > 1:
+            raise DecodingError(
+                f"{self.name} blocks must share one size, got sizes {sorted(sizes)}"
+            )
+        wanted = tuple(pos for pos in positions if pos not in available)
+        computed: Dict[int, Payload] = {}
+        if wanted:
+            read = self._read_rows(sorted(available))
+            if len(read) < self.k:
+                raise DecodingError(
+                    f"{self.name} cannot rebuild {list(wanted)} from {sorted(available)}"
+                )
+            payloads = [available[pos] for pos in read]
+            rows = gf_matmul_bytes(self._recovery(read, wanted), payloads, sizes.pop())
+            computed = dict(zip(wanted, rows))
+        return [
+            computed[pos] if pos in computed else as_payload(available[pos])
+            for pos in positions
+        ]
+
+    def _recovery(self, read: Tuple[int, ...], wanted: Tuple[int, ...]) -> PackedMatrix:
+        """The packed ``M[wanted] @ inv(M[read])`` of one erasure pattern."""
+        key = (read, wanted)
+        packed = self._recovery_cache.get(key)
+        if packed is None:
+            inverse = gf_matrix_inverse(self._matrix[list(read)])
+            packed = gf_pack_matrix(gf_matmul(self._matrix[list(wanted)], inverse))
+            with self._recovery_lock:
+                if len(self._recovery_cache) >= RECOVERY_CACHE_PATTERNS:
+                    del self._recovery_cache[next(iter(self._recovery_cache))]
+                self._recovery_cache[key] = packed
+        return packed

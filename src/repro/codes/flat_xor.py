@@ -11,7 +11,7 @@ codes at the data-centre level" baseline the introduction mentions.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -132,36 +132,9 @@ class FlatXorCode(StripeCode):
                     progress = True
         return set(range(self.k)) <= known
 
-    def repair_read_positions(
-        self, position: int, available_positions: Sequence[int]
-    ) -> List[int] | None:
-        """Read the smallest fully available parity equation covering
-        ``position``; fall back to the peeling decoder's full view."""
-        available = set(available_positions) - {position}
-        for equation, parity_position in sorted(
-            (
-                (equation, self.k + parity_index)
-                for parity_index, equation in enumerate(self._equations)
-            ),
-            key=lambda pair: len(pair[0]),
-        ):
-            if position < self.k:
-                if position not in equation:
-                    continue
-                needed = (set(equation) - {position}) | {parity_position}
-            elif parity_position == position:
-                needed = set(equation)
-            else:
-                continue
-            if needed <= available:
-                return sorted(needed)
-        return super().repair_read_positions(position, available_positions)
-
-    def repair(self, position: int, available: Dict[int, Payload]) -> Payload:
-        """Rebuild ``position`` from a single parity equation when one is
-        fully available, falling back to the peeling decoder otherwise."""
-        if position in available:
-            return np.asarray(available[position], dtype=np.uint8)
+    def _equation_plan(self, position: int, available: Set[int]) -> Optional[List[int]]:
+        """The positions of the smallest parity equation that rebuilds
+        ``position`` from ``available`` alone, or ``None``."""
         for parity_index, equation in sorted(
             enumerate(self._equations), key=lambda pair: len(pair[1])
         ):
@@ -174,8 +147,28 @@ class FlatXorCode(StripeCode):
                 needed = set(equation)
             else:
                 continue
-            if all(member in available for member in needed):
-                return xor_many([available[member] for member in sorted(needed)])
+            if needed <= available:
+                return sorted(needed)
+        return None
+
+    def repair_read_positions(
+        self, position: int, available_positions: Sequence[int]
+    ) -> List[int] | None:
+        """Read the smallest fully available parity equation covering
+        ``position``; fall back to the peeling decoder's full view."""
+        plan = self._equation_plan(position, set(available_positions) - {position})
+        if plan is not None:
+            return plan
+        return super().repair_read_positions(position, available_positions)
+
+    def repair(self, position: int, available: Dict[int, Payload]) -> Payload:
+        """Rebuild ``position`` from a single parity equation when one is
+        fully available, falling back to the peeling decoder otherwise."""
+        if position in available:
+            return np.asarray(available[position], dtype=np.uint8)
+        plan = self._equation_plan(position, set(available))
+        if plan is not None:
+            return xor_many([available[member] for member in plan])
         return super().repair(position, available)
 
     def tolerated_failures(self) -> int:

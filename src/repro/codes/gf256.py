@@ -14,14 +14,14 @@ the field with the common primitive polynomial ``x^8 + x^4 + x^3 + x^2 + 1``
   of equally sized byte rows, with the products of up to eight matrix rows
   packed side by side in one table entry so that an input row is looked up
   once per eight output rows.  :func:`gf_dot_bytes` is its one-row case, and
-  the small dense algebra the systematic Reed-Solomon construction and its
-  decoder need (:func:`gf_matmul`, :func:`gf_matrix_inverse`,
+  the small dense algebra of the generator-matrix codes and their decoder
+  (:func:`gf_matmul`, :func:`gf_matrix_inverse`, :func:`gf_pivot_rows`,
   :func:`vandermonde_matrix`) is whole-row ``MUL_TABLE`` lookups as well.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -213,6 +213,29 @@ def gf_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(products, axis=1)
 
 
+def _gauss_jordan(work: np.ndarray, columns: int) -> List[int]:
+    """Reduce the first ``columns`` columns of ``work`` in place, top row
+    first; returns the columns that held a pivot."""
+    pivots: List[int] = []
+    for column in range(columns):
+        rank = len(pivots)
+        if rank == work.shape[0]:
+            break
+        candidates = np.flatnonzero(work[rank:, column])
+        if candidates.size == 0:
+            continue
+        pivot_row = rank + int(candidates[0])
+        if pivot_row != rank:
+            work[[rank, pivot_row]] = work[[pivot_row, rank]]
+        pivot = gf_mul_bytes(gf_inverse(int(work[rank, column])), work[rank])
+        work[rank] = pivot
+        factors = work[:, column].copy()
+        factors[rank] = 0
+        work ^= MUL_TABLE[factors[:, None], pivot[None, :]]
+        pivots.append(column)
+    return pivots
+
+
 def gf_matrix_inverse(matrix: np.ndarray) -> np.ndarray:
     """Invert a square matrix over GF(2^8) by Gauss-Jordan elimination."""
     matrix = np.asarray(matrix, dtype=np.uint8)
@@ -220,19 +243,16 @@ def gf_matrix_inverse(matrix: np.ndarray) -> np.ndarray:
         raise DecodingError(f"matrix of shape {matrix.shape} is not square")
     size = matrix.shape[0]
     work = np.concatenate([matrix, np.eye(size, dtype=np.uint8)], axis=1)
-    for column in range(size):
-        candidates = np.flatnonzero(work[column:, column])
-        if candidates.size == 0:
-            raise DecodingError("matrix is singular over GF(2^8)")
-        pivot_row = column + int(candidates[0])
-        if pivot_row != column:
-            work[[column, pivot_row]] = work[[pivot_row, column]]
-        pivot = gf_mul_bytes(gf_inverse(int(work[column, column])), work[column])
-        work[column] = pivot
-        factors = work[:, column].copy()
-        factors[column] = 0
-        work ^= MUL_TABLE[factors[:, None], pivot[None, :]]
+    if len(_gauss_jordan(work, size)) < size:
+        raise DecodingError("matrix is singular over GF(2^8)")
     return np.ascontiguousarray(work[:, size:])
+
+
+def gf_pivot_rows(matrix: np.ndarray) -> Tuple[int, ...]:
+    """Indexes of the rows of ``matrix`` not spanned by the rows before them:
+    the first independent rows, as many as the matrix's rank over GF(2^8)."""
+    work = np.array(matrix, dtype=np.uint8).T
+    return tuple(_gauss_jordan(work, work.shape[1]))
 
 
 def vandermonde_matrix(rows: int, cols: int) -> np.ndarray:

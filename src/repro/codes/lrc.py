@@ -12,11 +12,16 @@ Code, LRC(k, l, r):
   ``k`` data blocks over GF(2^8).
 
 A single data-block failure is repaired from its local group -- ``k / l``
-reads instead of ``k`` -- while up to ``r + 1`` arbitrary failures remain
-decodable through the global parities (and many, but not all, larger
-patterns; LRC is not MDS).  This gives the benchmark suite a third point on
-the locality/storage trade-off curve between RS (no locality) and AE codes
-(locality 2 by construction).
+reads instead of ``k``.  LRC is not MDS, and with these global rows (powers
+of ``position + 2``) not every ``r + 1`` failures decode either: LRC(12,2,2)
+decodes every 3-failure pattern but not 297 of the 1 820 4-failure ones, and
+LRC(10,2,4) every 4-failure pattern but not 22 of the 4 368 5-failure ones
+(``{0, 1, 2, 3, 14}`` among them).  This gives the benchmark suite a third
+point on the locality/storage trade-off curve between RS (no locality) and
+AE codes (locality 2 by construction).
+
+Coding is :class:`~repro.codes.base.LinearCode`'s; a decode reads the first
+``k`` available rows that are independent (:func:`~repro.codes.gf256.gf_pivot_rows`).
 """
 
 from __future__ import annotations
@@ -25,15 +30,15 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.codes.base import StripeCode
-from repro.codes.gf256 import gf_dot_bytes, gf_inverse, gf_mul, gf_mul_bytes, gf_pow
+from repro.codes.base import LinearCode
+from repro.codes.gf256 import gf_pivot_rows, gf_pow
 from repro.core.xor import Payload, as_payload, xor_many
-from repro.exceptions import DecodingError, InvalidParametersError
+from repro.exceptions import InvalidParametersError
 
 __all__ = ["LocalReconstructionCode", "azure_lrc", "xorbas_lrc"]
 
 
-class LocalReconstructionCode(StripeCode):
+class LocalReconstructionCode(LinearCode):
     """Systematic LRC(k, l, r) over GF(2^8).
 
     Stripe layout (positions): ``0 .. k-1`` data, ``k .. k+l-1`` local
@@ -52,11 +57,21 @@ class LocalReconstructionCode(StripeCode):
             raise InvalidParametersError("LRC requires at least one global parity")
         if k + local_groups + global_parities > 255:
             raise InvalidParametersError("LRC over GF(2^8) supports at most 255 blocks")
-        super().__init__(k, local_groups + global_parities)
         self._local_groups = local_groups
         self._global_parities = global_parities
         self._group_size = k // local_groups
-        self._matrix = self._build_matrix()
+        # Identity, one XOR row per local group, then rows of a
+        # Vandermonde-style matrix offset so that the generator points differ
+        # from the ones implicitly used by the local rows.
+        matrix = np.zeros((k + local_groups + global_parities, k), dtype=np.uint8)
+        matrix[:k] = np.eye(k, dtype=np.uint8)
+        for group in range(local_groups):
+            matrix[k + group, group * self._group_size : (group + 1) * self._group_size] = 1
+        for parity in range(global_parities):
+            matrix[k + local_groups + parity] = [
+                gf_pow(position + 2, parity + 1) for position in range(k)
+            ]
+        super().__init__(k, local_groups + global_parities, matrix)
 
     # ------------------------------------------------------------------
     # Shape
@@ -105,70 +120,8 @@ class LocalReconstructionCode(StripeCode):
         return self.k + group
 
     # ------------------------------------------------------------------
-    # Encoding
-    # ------------------------------------------------------------------
-    def _build_matrix(self) -> np.ndarray:
-        """The ``n x k`` generator matrix: identity, local XOR rows, global rows."""
-        matrix = np.zeros((self.n, self.k), dtype=np.uint8)
-        matrix[: self.k] = np.eye(self.k, dtype=np.uint8)
-        for group in range(self._local_groups):
-            for position in self.group_members(group):
-                matrix[self.k + group, position] = 1
-        for parity in range(self._global_parities):
-            # Rows of a Vandermonde-style matrix, offset so that the generator
-            # points differ from the ones implicitly used by the local rows.
-            for position in range(self.k):
-                matrix[self.k + self._local_groups + parity, position] = gf_pow(
-                    position + 2, parity + 1
-                )
-        return matrix
-
-    @property
-    def encoding_matrix(self) -> np.ndarray:
-        """The full ``n x k`` generator matrix (read-only copy)."""
-        return self._matrix.copy()
-
-    def encode(self, data_blocks: Sequence[Payload]) -> List[Payload]:
-        payloads = self._normalise_stripe(data_blocks)
-        size = payloads[0].size if payloads else 0
-        parities: List[Payload] = []
-        for group in range(self._local_groups):
-            parities.append(xor_many([payloads[pos] for pos in self.group_members(group)]))
-        for parity in range(self._global_parities):
-            row = self._matrix[self.k + self._local_groups + parity]
-            parities.append(gf_dot_bytes(row, payloads, size))
-        return parities
-
-    # ------------------------------------------------------------------
     # Decoding
     # ------------------------------------------------------------------
-    def decode(self, available: Dict[int, Payload]) -> List[Payload]:
-        """Recover the data blocks by GF(2^8) elimination over the available rows.
-
-        Unlike MDS codes, no fixed "any k blocks" rule applies; the decoder
-        succeeds exactly when the generator rows of the available blocks span
-        the data space.
-        """
-        if not available:
-            raise DecodingError(f"{self.name}: no blocks available")
-        positions = sorted(position for position in available if 0 <= position < self.n)
-        if not positions:
-            raise DecodingError(f"{self.name}: no valid stripe positions available")
-        payloads = [np.asarray(available[pos], dtype=np.uint8) for pos in positions]
-        sizes = {payload.size for payload in payloads}
-        if len(sizes) != 1:
-            raise DecodingError("available blocks do not share a single size")
-        size = sizes.pop()
-        rows = self._matrix[positions, :].astype(np.int32)
-        values = [payload.copy() for payload in payloads]
-        solution = _solve_gf256(rows, values, self.k, size)
-        if solution is None:
-            missing = [pos for pos in range(self.k) if pos not in available]
-            raise DecodingError(
-                f"{self.name}: available blocks do not determine data positions {missing}"
-            )
-        return solution
-
     def can_decode(self, available_positions: Sequence[int]) -> bool:
         """True when the available generator rows span the data space."""
         positions = sorted(
@@ -176,8 +129,11 @@ class LocalReconstructionCode(StripeCode):
         )
         if len(positions) < self.k:
             return False
-        rows = self._matrix[positions, :].astype(np.int32)
-        return _gf256_rank(rows) == self.k
+        return len(gf_pivot_rows(self._matrix[positions])) == self.k
+
+    def _read_rows(self, positions: List[int]) -> Tuple[int, ...]:
+        """The first ``k`` available positions whose rows are independent."""
+        return tuple(positions[row] for row in gf_pivot_rows(self._matrix[positions]))
 
     # ------------------------------------------------------------------
     # Repair helpers
@@ -226,88 +182,6 @@ class LocalReconstructionCode(StripeCode):
             if all(member in available for member in local):
                 return xor_many([available[member] for member in local])
         return super().repair(position, available)
-
-
-# ----------------------------------------------------------------------
-# GF(2^8) elimination helpers (rectangular systems)
-# ----------------------------------------------------------------------
-def _gf256_rank(rows: np.ndarray) -> int:
-    """Rank over GF(2^8) of a rectangular coefficient matrix."""
-    work = rows.astype(np.int32).copy()
-    n_rows, n_cols = work.shape
-    rank = 0
-    pivot_row = 0
-    for col in range(n_cols):
-        pivot = None
-        for row in range(pivot_row, n_rows):
-            if work[row, col] != 0:
-                pivot = row
-                break
-        if pivot is None:
-            continue
-        if pivot != pivot_row:
-            work[[pivot_row, pivot]] = work[[pivot, pivot_row]]
-        inv = gf_inverse(int(work[pivot_row, col]))
-        for c in range(n_cols):
-            work[pivot_row, c] = gf_mul(int(work[pivot_row, c]), inv)
-        for row in range(n_rows):
-            if row == pivot_row:
-                continue
-            factor = int(work[row, col])
-            if factor == 0:
-                continue
-            for c in range(n_cols):
-                work[row, c] ^= gf_mul(factor, int(work[pivot_row, c]))
-        pivot_row += 1
-        rank += 1
-        if rank == n_cols:
-            break
-    return rank
-
-
-def _solve_gf256(
-    rows: np.ndarray, values: List[np.ndarray], unknowns: int, size: int
-) -> List[Payload] | None:
-    """Solve ``rows @ x = values`` over GF(2^8) for the ``unknowns`` data payloads.
-
-    Returns ``None`` when the system does not determine every unknown.
-    """
-    work = rows.astype(np.int32).copy()
-    payloads = [value.astype(np.uint8).copy() for value in values]
-    n_rows = work.shape[0]
-    pivot_of_column: Dict[int, int] = {}
-    pivot_row = 0
-    for col in range(unknowns):
-        pivot = None
-        for row in range(pivot_row, n_rows):
-            if work[row, col] != 0:
-                pivot = row
-                break
-        if pivot is None:
-            continue
-        if pivot != pivot_row:
-            work[[pivot_row, pivot]] = work[[pivot, pivot_row]]
-            payloads[pivot_row], payloads[pivot] = payloads[pivot], payloads[pivot_row]
-        inv = gf_inverse(int(work[pivot_row, col]))
-        for c in range(unknowns):
-            work[pivot_row, c] = gf_mul(int(work[pivot_row, c]), inv)
-        payloads[pivot_row] = gf_mul_bytes(inv, payloads[pivot_row])
-        for row in range(n_rows):
-            if row == pivot_row:
-                continue
-            factor = int(work[row, col])
-            if factor == 0:
-                continue
-            for c in range(unknowns):
-                work[row, c] ^= gf_mul(factor, int(work[pivot_row, c]))
-            np.bitwise_xor(
-                payloads[row], gf_mul_bytes(factor, payloads[pivot_row]), out=payloads[row]
-            )
-        pivot_of_column[col] = pivot_row
-        pivot_row += 1
-    if len(pivot_of_column) < unknowns:
-        return None
-    return [payloads[pivot_of_column[col]][:size] for col in range(unknowns)]
 
 
 # ----------------------------------------------------------------------

@@ -106,32 +106,6 @@ def _encode_id_runs(data_ids: List[object]) -> List[object]:
     return entries
 
 
-def _decode_id_runs(entries: List[object]) -> List[object]:
-    """Inverse of :func:`_encode_id_runs`."""
-    from repro.schemes.stripe import StripeBlockId
-    from repro.core.blocks import DataId
-
-    data_ids: List[object] = []
-    for entry in entries:
-        if isinstance(entry, str):
-            data_ids.append(decode_block_id(entry))
-            continue
-        key, count = entry
-        start = decode_block_id(key)
-        if isinstance(start, DataId):
-            data_ids.extend(DataId(start.index + i) for i in range(int(count)))
-        elif isinstance(start, StripeBlockId):
-            data_ids.extend(
-                StripeBlockId(start.stripe, start.position + i)
-                for i in range(int(count))
-            )
-        else:
-            raise InvalidParametersError(
-                f"manifest id run may not start at {key!r}"
-            )
-    return data_ids
-
-
 @dataclass
 class StoredDocument:
     """Metadata of one document stored in the system."""
@@ -143,6 +117,52 @@ class StoredDocument:
     @property
     def block_count(self) -> int:
         return len(self.data_ids)
+
+
+def _read_document(name: str, entry: object, block_size: int, path: str) -> StoredDocument:
+    """One catalogue entry of ``path`` (the manifest or the WAL), checked: a
+    run is a key or a ``[key, count >= 1]`` pair, and ``length`` an integer
+    >= 0 whose ``ceil(length / block_size)`` blocks the runs list exactly.
+    A rotten entry would reopen serving the wrong bytes, so it is refused."""
+    from repro.schemes.stripe import StripeBlockId
+    from repro.core.blocks import DataId
+
+    def corrupt(problem: str) -> InvalidParametersError:
+        return InvalidParametersError(
+            f"corrupt catalogue entry {name!r} in {path!r}: {problem}; the data "
+            "it describes is still on disk -- restore the file from a backup"
+        )
+
+    fields = entry if isinstance(entry, dict) else {}
+    runs, length = fields.get("data_ids"), fields.get("length")
+    if not isinstance(runs, list):
+        raise corrupt(f"data_ids {runs!r} is not a list")
+    if type(length) is not int or length < 0:
+        raise corrupt(f"length {length!r} is not an integer >= 0")
+    data_ids: List[object] = []
+    for run in runs:
+        if isinstance(run, str):
+            key, count = run, None
+        elif (isinstance(run, list) and len(run) == 2 and isinstance(run[0], str)
+              and type(run[1]) is int and run[1] >= 1):
+            key, count = run
+        else:
+            raise corrupt(f"id run {run!r} is neither a key nor a [key, count >= 1] pair")
+        try:
+            start = decode_block_id(key)
+        except InvalidParametersError as exc:
+            raise corrupt(str(exc)) from None
+        if count is None:
+            data_ids.append(start)
+        elif isinstance(start, DataId):
+            data_ids.extend(DataId(start.index + i) for i in range(count))
+        elif isinstance(start, StripeBlockId):
+            data_ids.extend(StripeBlockId(start.stripe, start.position + i) for i in range(count))
+        else:
+            raise corrupt(f"an id run may not start at {key!r}")
+    if len(data_ids) != -(-length // block_size):
+        raise corrupt(f"{len(data_ids)} block ids for {length} bytes of {block_size}-byte blocks")
+    return StoredDocument(name=name, data_ids=data_ids, length=length)
 
 
 @dataclass(frozen=True)
@@ -506,11 +526,10 @@ class StorageService(ServiceHandle):
         service._transition = plan
         scheme_state: Optional[Dict[str, object]] = None
         if manifest is not None:
+            manifest_path = os.path.join(str(config.data_dir), MANIFEST_NAME)
             for name, entry in manifest.get("documents", {}).items():
-                service._documents[name] = StoredDocument(
-                    name=name,
-                    data_ids=_decode_id_runs(entry["data_ids"]),
-                    length=int(entry["length"]),
+                service._documents[name] = _read_document(
+                    name, entry, scheme.block_size, manifest_path
                 )
             scheme_state = manifest.get("scheme_state", {})
             stored_epochs = manifest.get("epochs")
@@ -646,10 +665,8 @@ class StorageService(ServiceHandle):
                 kind = op.get("op")
                 if kind == "put_doc":
                     name = str(op["name"])
-                    self._documents[name] = StoredDocument(
-                        name=name,
-                        data_ids=_decode_id_runs(list(op["data_ids"])),  # type: ignore[arg-type]
-                        length=int(op["length"]),  # type: ignore[arg-type]
+                    self._documents[name] = _read_document(
+                        name, op, self.block_size, self._wal.path  # type: ignore[union-attr]
                     )
                     if ours:
                         pending.discard(name)

@@ -84,3 +84,20 @@ class TestStructuralDecodability:
     def test_single_failure_cost_uses_smallest_equation(self):
         code = FlatXorCode(4, [[0, 1, 2, 3], [0, 1]])
         assert code.single_failure_cost == 2
+
+    def test_repair_reads_the_smallest_available_equation(self):
+        # Position 0 is in a 4-block and a 2-block equation: the plan and the
+        # rebuild both use the 2-block one, and the 4-block one once the
+        # smaller lost its parity.
+        code = FlatXorCode(4, [[0, 1, 2, 3], [0, 1]])
+        data = random_data(4)
+        stripe = dict(enumerate(data))
+        stripe.update({4 + i: parity for i, parity in enumerate(code.encode(data))})
+        others = [p for p in range(code.n) if p != 0]
+        assert code.repair_read_positions(0, others) == [1, 5]
+        assert np.array_equal(code.repair(0, {p: stripe[p] for p in (1, 5)}), data[0])
+        without_small = [p for p in others if p != 5]
+        assert code.repair_read_positions(0, without_small) == [1, 2, 3, 4]
+        plan = {p: stripe[p] for p in (1, 2, 3, 4)}
+        assert np.array_equal(code.repair(0, plan), data[0])
+        assert code.repair_read_positions(4, [0, 1, 2, 3, 5]) == [0, 1, 2, 3]

@@ -20,6 +20,7 @@ from repro.codes.gf256 import (
     gf_mul,
     gf_mul_bytes,
     gf_pack_matrix,
+    gf_pivot_rows,
     gf_pow,
     vandermonde_matrix,
 )
@@ -78,6 +79,22 @@ def scalar_matrix_inverse(matrix: np.ndarray) -> np.ndarray:
             for col in range(2 * size):
                 augmented[row, col] ^= gf_mul(factor, int(augmented[column, col]))
     return augmented[:, size:].astype(np.uint8)
+
+
+def scalar_pivot_rows(matrix: np.ndarray) -> tuple:
+    """Each row reduced, one scalar product at a time, against the rows kept
+    before it; it is kept when something is left."""
+    basis = {}  # pivot column -> kept row, scaled to 1 there
+    pivots = []
+    for index, row in enumerate(matrix.tolist()):
+        for column, kept in basis.items():
+            factor = row[column]
+            row = [value ^ gf_mul(factor, other) for value, other in zip(row, kept)]
+        lead = next((column for column, value in enumerate(row) if value), None)
+        if lead is not None:
+            basis[lead] = [gf_mul(gf_inverse(row[lead]), value) for value in row]
+            pivots.append(index)
+    return tuple(pivots)
 
 
 def as_input(row: np.ndarray, form: str) -> object:
@@ -240,6 +257,24 @@ class TestMatrices:
                 gf_matrix_inverse(matrix)
         else:
             assert np.array_equal(gf_matrix_inverse(matrix), expected)
+
+    @given(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=12), seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_pivot_rows_match_the_scalar_loop(self, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(0, 256, size=(rows, cols), dtype=np.uint8)
+        # Dependent rows: a multiple of an earlier row, a sum of two, a zero row.
+        for target in rng.choice(rows, size=rows // 2, replace=False):
+            first, second = rng.integers(0, rows, size=2)
+            kind = rng.integers(0, 3)
+            matrix[target] = (
+                gf_mul_bytes(int(rng.integers(1, 256)), matrix[first]) if kind == 0
+                else matrix[first] ^ matrix[second] if kind == 1
+                else 0
+            )
+        pivots = gf_pivot_rows(matrix)
+        assert pivots == scalar_pivot_rows(matrix)
+        assert len(pivots) <= min(rows, cols)
 
     def test_vandermonde_matches_scalar_powers(self):
         matrix = vandermonde_matrix(255, 12)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,3 +186,62 @@ class TestDecodabilityAndLocality:
         code = LocalReconstructionCode(10, 2, 4)
         assert code.storage_overhead == pytest.approx(0.6)
         assert code.costs().as_row()["additional storage (%)"] == 60.0
+
+
+class TestTolerance:
+    """Exhaustive decodability of the two named configurations.  LRC is not
+    MDS, and with these global coefficients LRC(10,2,4) does not decode every
+    ``r + 1`` failures either."""
+
+    @staticmethod
+    def undecodable(code, failures):
+        return [
+            pattern
+            for pattern in combinations(range(code.n), failures)
+            if not code.can_decode([p for p in range(code.n) if p not in pattern])
+        ]
+
+    @pytest.mark.parametrize(
+        "code, tolerated, beyond",
+        [(azure_lrc(), 3, 297), (xorbas_lrc(), 4, 22)],
+        ids=["azure", "xorbas"],
+    )
+    def test_undecodable_pattern_counts(self, code, tolerated, beyond):
+        assert self.undecodable(code, tolerated) == []
+        assert len(self.undecodable(code, tolerated + 1)) == beyond
+
+    def test_an_undecodable_five_failure_pattern_of_xorbas(self):
+        code = xorbas_lrc()
+        _, stripe = make_stripe(code, size=8)
+        available = {p: v for p, v in stripe.items() if p not in (0, 1, 2, 3, 14)}
+        assert not code.can_decode(sorted(available))
+        with pytest.raises(DecodingError):
+            code.decode(available)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: ReedSolomonCode(4, 2), lambda: LocalReconstructionCode(4, 2, 1)],
+    ids=["rs", "lrc"],
+)
+class TestSharedInputChecks:
+    """RS and LRC refuse the same inputs: RS used to hand a 17-byte block
+    back next to 16-byte ones, and LRC used to ignore a position 99."""
+
+    def test_blocks_of_mixed_sizes_are_refused(self, make):
+        code = make()
+        _, stripe = make_stripe(code, size=16)
+        stripe[0] = np.zeros(17, dtype=np.uint8)
+        with pytest.raises(DecodingError):
+            code.decode(stripe)
+        without_one = {p: v for p, v in stripe.items() if p != 1}
+        with pytest.raises(DecodingError):
+            code.rebuild([1], without_one)
+
+    @pytest.mark.parametrize("stranger", [99, -1, 7])
+    def test_positions_outside_the_stripe_are_refused(self, make, stranger):
+        code = make()
+        _, stripe = make_stripe(code, size=16)
+        with pytest.raises(DecodingError):
+            code.decode({**stripe, stranger: stripe[0]})
+        with pytest.raises(DecodingError):
+            code.rebuild([stranger], stripe)

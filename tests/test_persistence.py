@@ -24,7 +24,7 @@ from repro.core.xor import payloads_equal
 from repro.exceptions import InvalidParametersError
 from repro.storage.backends import SegmentLogBackend, decode_block_id, encode_block_id
 from repro.storage.block_store import BlockStore
-from repro.storage.wal import scan_wal
+from repro.storage.wal import WAL_NAME, MetadataWAL, scan_wal
 from repro.system.service import StorageConfig, StorageService
 from tests.conftest import segment_records
 
@@ -699,6 +699,70 @@ class TestRottenMetadataIsRefusedTyped:
         assert name in str(refused.value)
         if name == "manifest.json" and payload != self.PAYLOADS["bad-format"]:
             assert "corrupt service manifest" in str(refused.value)
+
+
+class TestRottenCatalogueEntryIsRefused:
+    """Regression: the catalogue reader trusted every run count and
+    ``length``.  A ``["d-1", 0]`` run reopened a 300-byte document as 0
+    bytes, ``length`` 100000 served 320 bytes and -5 served 315, and a
+    non-integer count, a three-item run, a bare number or a missing
+    ``length`` escaped ``open`` as a raw ``ValueError`` / ``TypeError`` /
+    ``KeyError``.  Manifest and WAL entries go through one reader that
+    refuses each one typed, naming the file and the document."""
+
+    EDITS = {
+        "zero-count": ("data_ids", [["d-1", 0]]),
+        "negative-count": ("data_ids", [["d-1", -2]]),
+        "text-count": ("data_ids", [["d-1", "five"]]),
+        "three-items": ("data_ids", [["d-1", 5, 1]]),
+        "bare-number": ("data_ids", [7]),
+        "long-length": ("length", 100_000),
+        "negative-length": ("length", -5),
+        "no-length": ("length", None),
+    }
+
+    @staticmethod
+    def durable(tmp_path):
+        return config("ae-3-2-5", "segment", tmp_path, topology=12, block_size=64)
+
+    def stored(self, tmp_path):
+        with StorageService.open(self.durable(tmp_path)) as service:
+            service.put("a", workload(size=300))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["documents"]["a"] == {"data_ids": [["d-1", 5]], "length": 300}
+        return manifest
+
+    @pytest.mark.parametrize("edit", EDITS.values(), ids=list(EDITS))
+    def test_a_rotten_manifest_entry_is_refused(self, edit, tmp_path):
+        manifest = self.stored(tmp_path)
+        field, value = edit
+        if value is None:
+            del manifest["documents"]["a"][field]
+        else:
+            manifest["documents"]["a"][field] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(InvalidParametersError) as refused:
+            StorageService.open(self.durable(tmp_path))
+        assert "manifest.json" in str(refused.value) and "'a'" in str(refused.value)
+
+    def test_a_rotten_wal_entry_is_refused(self, tmp_path):
+        self.stored(tmp_path)
+        with MetadataWAL(str(tmp_path / WAL_NAME)) as wal:
+            wal.commit([{"op": "put_doc", "name": "a", "data_ids": [["d-1", 0]], "length": 300}])
+        with pytest.raises(InvalidParametersError) as refused:
+            StorageService.open(self.durable(tmp_path))
+        assert WAL_NAME in str(refused.value) and "'a'" in str(refused.value)
+
+    @pytest.mark.parametrize("scheme", ["ae-3-2-5", "rs-4-2", "rep-3"])
+    def test_every_put_length_reopens(self, scheme, tmp_path):
+        durable = config(scheme, "segment", tmp_path, topology=12, block_size=64)
+        documents = {f"doc-{size}": workload(size=size) for size in (0, 1, 64, 65, 300)}
+        with StorageService.open(durable) as service:
+            for name, data in documents.items():
+                service.put(name, data)
+        with StorageService.open(durable) as reopened:
+            for name, data in documents.items():
+                assert reopened.get(name) == data
 
 
 class TestPublishedBytes:

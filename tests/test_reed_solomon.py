@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codes.base import StripeCode
+from repro.codes.base import RECOVERY_CACHE_PATTERNS, StripeCode
 from repro.codes.reed_solomon import (
     PAPER_RS_SETTINGS,
-    RECOVERY_CACHE_PATTERNS,
     ReedSolomonCode,
     paper_rs_codes,
     systematic_encoding_matrix,

@@ -38,8 +38,9 @@ from repro.storage.maintenance import MaintenanceBudget, MaintenancePolicy
 
 SWEEP_SCHEMES = ["ae-3-2-5", "ae-3-2-5-p75", "rs-10-4", "lrc-azure", "rep-3"]
 #: The timeline sections take ``xor-geo`` as their pattern-path stripe code:
-#: ``lrc-azure`` answers every unique failure pattern with a GF(256) rank in
-#: Python, which costs seconds per sampled instant.
+#: ``lrc-azure`` answers every unique failure pattern with a GF(256) rank
+#: (``gf_pivot_rows``, ~160 us a pattern), which still adds up to seconds
+#: per sampled instant.
 TIMELINE_SCHEMES = ["ae-1", "ae-2-2-5", "ae-3-2-5", "ae-3-2-5-p75", "rs-10-4", "rs-5-5", "xor-geo", "rep-2", "rep-3"]
 
 
