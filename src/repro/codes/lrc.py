@@ -129,7 +129,7 @@ class LocalReconstructionCode(LinearCode):
         )
         if len(positions) < self.k:
             return False
-        return len(gf_pivot_rows(self._matrix[positions])) == self.k
+        return len(self._read_rows(positions)) == self.k
 
     def _read_rows(self, positions: List[int]) -> Tuple[int, ...]:
         """The first ``k`` available positions whose rows are independent."""
