@@ -99,3 +99,26 @@ class DictSource:
 
     def is_available(self, block_id) -> bool:
         return block_id in self.blocks
+
+
+class RefusingSource(DictSource):
+    """A :class:`DictSource` that never serves ``refused`` and logs the ids
+    of every bulk read in ``calls``."""
+
+    def __init__(self, blocks, refused=()) -> None:
+        super().__init__(blocks)
+        self.refused = set(refused)
+        self.calls = []
+
+    @property
+    def requests(self):
+        """Every id asked for, in request order."""
+        return [block_id for call in self.calls for block_id in call]
+
+    def try_get_many(self, block_ids):
+        block_ids = list(block_ids)
+        self.calls.append(block_ids)
+        return [
+            None if block_id in self.refused else self.blocks.get(block_id)
+            for block_id in block_ids
+        ]

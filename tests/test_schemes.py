@@ -21,10 +21,11 @@ from repro.codes.replication import ReplicationCode
 from repro.core.blocks import DataId, ParityId
 from repro.core.parameters import AEParameters, StrandClass
 from repro.exceptions import InvalidParametersError, RepairFailedError
+from repro.schemes import stripe as stripe_module
 from repro.schemes.stripe import StripeBlockId, StripeScheme
 from repro.storage.backends import decode_block_id, encode_block_id
 
-from tests.conftest import DictSource
+from tests.conftest import DictSource, RefusingSource
 
 #: The identifiers the acceptance criteria require the registry to resolve.
 REQUIRED_IDS = [
@@ -258,6 +259,122 @@ class TestWideStripeEncode:
             for number in range(stripe)
             for p in range(code.n)
         )
+
+
+class TestBatchRepair:
+    """A repair pass fetches every stripe's reads at once and rebuilds the
+    stripes that share an erasure pattern side by side; none of that may
+    show: one call over many stripes equals one call per stripe."""
+
+    @pytest.mark.parametrize("scheme_id", STRIPE_IDS)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_whole_set_equals_the_stripes_one_by_one(self, scheme_id, data):
+        block_size = 16
+        scheme = schemes.get(scheme_id, block_size=block_size)
+        code = scheme.code
+        stripes = data.draw(st.integers(min_value=1, max_value=8), label="stripes")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
+        size = (stripes * code.k - data.draw(st.integers(0, code.k - 1))) * block_size
+        part = scheme.encode(rng.integers(0, 256, size=size, dtype=np.uint8).tobytes())
+        assert scheme.stripes_written == stripes
+        # Few patterns over many stripes, so groups wider than one form.
+        pattern = st.sets(st.integers(0, code.n - 1), min_size=1, max_size=code.m + 1)
+        patterns = data.draw(st.lists(pattern, min_size=1, max_size=3), label="patterns")
+        lost = {
+            stripe: data.draw(st.sampled_from(patterns), label=f"lost {stripe}")
+            for stripe in range(stripes)
+            if data.draw(st.booleans(), label=f"damaged {stripe}")
+        }
+        refused_at = data.draw(st.sets(st.integers(0, code.n - 1), max_size=2), label="refused")
+        refused = {
+            StripeBlockId(stripe, position)
+            for stripe in range(stripes)
+            for position in sorted(refused_at - lost.get(stripe, set()))
+            if data.draw(st.booleans(), label=f"refuse {stripe},{position}")
+        }
+        missing = {StripeBlockId(s, p) for s, positions in lost.items() for p in positions}
+        survivors = {b: blob for b, blob in part.blocks if b not in missing}
+
+        whole_source = RefusingSource(survivors, refused)
+        whole = scheme.repair(missing, whole_source)
+        requests = []
+        recovered = {}
+        unrecovered = []
+        blocks_read = 0
+        for stripe in sorted(lost):
+            source = RefusingSource(survivors, refused)
+            one = scheme.repair({b for b in missing if b.stripe == stripe}, source)
+            requests.extend(source.requests)
+            recovered.update(one.recovered)
+            unrecovered.extend(one.unrecovered)
+            blocks_read += one.blocks_read
+        assert list(whole.recovered) == list(recovered)
+        assert all(bytes(whole.recovered[b]) == bytes(recovered[b]) for b in recovered)
+        assert whole.unrecovered == unrecovered
+        assert whole.blocks_read == blocks_read
+        assert whole.rounds == int(bool(recovered))
+        assert sorted(whole_source.requests) == sorted(requests)
+        stored = dict(part.blocks)
+        assert all(bytes(blob) == bytes(stored[b]) for b, blob in whole.recovered.items())
+
+    def test_a_pass_covers_the_benchmark_disaster(self):
+        # ``archive_rs`` loses 98 blocks in 49 stripes to one site disaster.
+        assert stripe_module.STRIPES_PER_PASS >= 49
+
+    def test_passes_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(stripe_module, "STRIPES_PER_PASS", 3)
+        scheme = schemes.get("rs-4-2", block_size=8)
+        part = scheme.encode(bytes(range(256)) * 3)  # 24 stripes
+        stored = dict(part.blocks)
+        missing = {StripeBlockId(stripe, 1) for stripe in range(scheme.stripes_written)}
+        source = RefusingSource({b: v for b, v in stored.items() if b not in missing})
+        outcome = scheme.repair(missing, source)
+        assert sorted(outcome.recovered) == sorted(missing)
+        assert all(bytes(outcome.recovered[b]) == bytes(stored[b]) for b in missing)
+        # One fetch of three stripes' four-block plans per pass.
+        assert [len(call) for call in source.calls] == [3 * 4] * 8
+
+
+class TestOutOfRangeStripeIds:
+    """A stripe id outside the scheme's stripes or positions is not its own:
+    ``repair`` lists it unrecovered without reading its stripe."""
+
+    @pytest.fixture
+    def rs42(self):
+        scheme = schemes.get("rs-4-2", block_size=16)
+        part = scheme.encode(bytes(range(200)))  # 4 stripes
+        return scheme, dict(part.blocks)
+
+    @pytest.mark.parametrize("block_id", [(0, 6), (0, -1), (3, 99), (4, 0), (-1, 0)])
+    def test_not_owned(self, rs42, block_id):
+        scheme, _ = rs42
+        assert scheme.stripes_written == 4
+        assert not scheme.owns(StripeBlockId(*block_id))
+        assert scheme.owns(StripeBlockId(3, 5))
+
+    def test_repair_lists_it_unrecovered_without_reading(self, rs42):
+        scheme, stored = rs42
+        source = RefusingSource(stored)
+        outcome = scheme.repair({StripeBlockId(0, 6)}, source)
+        assert outcome.unrecovered == [StripeBlockId(0, 6)]
+        assert not outcome.recovered and outcome.blocks_read == 0
+        assert source.requests == []
+
+    def test_read_block_raises_repair_failed(self, rs42):
+        scheme, stored = rs42
+        with pytest.raises(RepairFailedError):
+            scheme.read_block(StripeBlockId(0, 6), DictSource(stored))
+
+    def test_its_stripe_mates_are_still_repaired(self, rs42):
+        scheme, stored = rs42
+        victim = StripeBlockId(1, 2)
+        survivors = {b: v for b, v in stored.items() if b != victim}
+        missing = {victim, StripeBlockId(1, 7), StripeBlockId(0, 3)}
+        outcome = scheme.repair(missing, DictSource(survivors))
+        assert outcome.unrecovered == [StripeBlockId(1, 7)]
+        assert sorted(outcome.recovered) == [StripeBlockId(0, 3), victim]
+        assert bytes(outcome.recovered[victim]) == bytes(stored[victim])
 
 
 class TestRepairReadPlans:

@@ -17,7 +17,11 @@ degraded get -> ``repair()``) hashing the recovered bytes, the repaired ids
 and ``blocks_read``.  ``EXHAUSTIVE_GOLDEN`` (recorded on ``6138bd0``,
 before LRC decoded through the recovery-matrix codec RS runs on) hashes
 every pattern of one to three erasures of ``lrc-azure``, ``lrc-xorbas`` and
-``rs-10-4``: ``can_decode``, the decode and the rebuild.  ``PYTHONPATH=src:. python
+``rs-10-4``: ``can_decode``, the decode and the rebuild.  ``BATCH_REPAIR_GOLDEN`` (recorded on ``a7265e7``, before
+``StripeScheme.repair`` fetched a whole pass at once and rebuilt each
+erasure pattern as one wide stripe) hashes one ``repair`` call over 18
+stripes that share three loss patterns, through a source that refuses some
+of the planned reads.  ``PYTHONPATH=src:. python
 tests/test_stripe_codec_golden.py`` prints the tables (use it to record on
 the parent of a codec change, never to make a failing test pass).
 """
@@ -35,7 +39,7 @@ import repro.schemes as schemes
 from repro.codes.base import StripeCode
 from repro.system.service import StorageConfig, StorageService
 
-from tests.conftest import DictSource
+from tests.conftest import DictSource, RefusingSource
 
 SCHEMES = (
     "rs-10-4",
@@ -53,6 +57,8 @@ SEED = 20181
 #: Codes whose every pattern of one to three erasures is pinned, at one size.
 EXHAUSTIVE_SCHEMES = ("lrc-azure", "lrc-xorbas", "rs-10-4")
 EXHAUSTIVE_SIZE = 7
+#: Stripes of the batch-repair case (the last one short).
+BATCH_STRIPES = 18
 
 
 def _digest(parts: Iterable[object]) -> str:
@@ -213,6 +219,60 @@ def exhaustive_digest(scheme_id: str) -> str:
     return _digest(parts)
 
 
+def _batch_patterns(code: StripeCode) -> Tuple[Tuple[int, ...], ...]:
+    """A single loss, a data + parity loss (decodable if any such pair is)
+    and ``m + 1`` losses, which no stripe survives."""
+    pairs = [pair for pair in combinations(range(code.n), 2) if pair[0] < code.k <= pair[1]]
+    multi = next(
+        (
+            pair
+            for pair in pairs
+            if code.can_decode([p for p in range(code.n) if p not in pair])
+        ),
+        (0, code.n - 1),
+    )
+    return (1,), multi, tuple(range(code.m + 1))
+
+
+def batch_repair_digest(scheme_id: str, size: int) -> str:
+    """One ``repair`` over :data:`BATCH_STRIPES` stripes whose losses follow
+    three patterns, so several stripes share each; a third of the
+    single-loss stripes and a third of the multi-loss ones have a planned
+    read refused, so part of the pass falls back to every survivor."""
+    scheme = schemes.get(scheme_id, block_size=size)
+    code = scheme.code
+    rng = np.random.default_rng([SEED, size, 5])
+    blocks = (BATCH_STRIPES - 1) * code.k + max(1, code.k // 2)
+    part = scheme.encode(rng.integers(0, 256, size=blocks * size, dtype=np.uint8).tobytes())
+    store = {block_id: np.array(blob, copy=True) for block_id, blob in part.blocks}
+    patterns = _batch_patterns(code)
+    missing = set()
+    refused = set()
+    for stripe in range(BATCH_STRIPES):
+        lost = patterns[(0, 0, 1, 0, 2, 1)[stripe % 6]]
+        missing.update(schemes.StripeBlockId(stripe, position) for position in lost)
+        others = [p for p in range(code.n) if p not in lost]
+        plan = code.repair_read_positions(lost[0], others) if len(lost) == 1 else None
+        reads = plan or others
+        if len(lost) == 1 and stripe % 4 in (1, 3):
+            refused.add(schemes.StripeBlockId(stripe, reads[0 if stripe % 4 == 1 else -1]))
+        elif len(lost) == 2 and stripe % 4 == 2:
+            refused.add(schemes.StripeBlockId(stripe, reads[0]))
+    source = RefusingSource(
+        {b: blob for b, blob in store.items() if b not in missing}, refused
+    )
+    outcome = scheme.repair(missing, source)
+    for block_id, blob in outcome.recovered.items():
+        assert bytes(blob) == bytes(store[block_id])
+    parts: List[object] = [f"{scheme_id}@{size}", repr(sorted(missing)), repr(sorted(refused))]
+    parts.append(repr(list(outcome.recovered)))
+    parts.extend(outcome.recovered.values())
+    parts.append(repr(outcome.unrecovered))
+    parts.append(repr((outcome.blocks_read, outcome.rounds)))
+    parts.append(repr(sorted(source.requests)))
+    return _digest(parts)
+
+
 CODEC_GOLDEN: Dict[Tuple[str, int], str] = {
     ('rs-10-4', 1): '0be74a31d603bd555a3097a0f6675c8794a55d2be6f338eb40969dd558e419cb',
     ('rs-10-4', 7): 'cbfea7e5ab7eab947e5f5ec4c7af080af7bf52decf76105cbfc7ebf748effa6c',
@@ -279,6 +339,36 @@ EXHAUSTIVE_GOLDEN: Dict[str, str] = {
     'rs-10-4': 'b4d7ab7a31ee4de85345d1d953876444419a40582e32c5f6ea6f12e9e2ab5bfc',
 }
 
+BATCH_REPAIR_GOLDEN: Dict[Tuple[str, int], str] = {
+    ('rs-10-4', 1): '21cbd5c829017db71f9796260c36903653b2cb35adec34f80dbf598c837f69f1',
+    ('rs-10-4', 7): '2fd13f4bf7be3ce5be5d42d2ddc834a3fcda5896e7eb1fc1e57027dd5816e4d9',
+    ('rs-10-4', 4096): '32cd04421aae840f3b060a3dd6c405b0f7a9cae72632b6fbef89ad2b0775c13c',
+    ('rs-8-2', 1): '71b68dc32ed46484f14c99cd55359722185d439c5c5e7ab420ffc0eb9b3ba83c',
+    ('rs-8-2', 7): '1e9b5b7f79476362a67d1f98a0f942e23ae9e36cd1f89b19fcaa1f2fc7d83b6c',
+    ('rs-8-2', 4096): 'f005052f0549a109e27a16ec1706563a4f5fe27a213e11906aabd468a39d55e8',
+    ('rs-5-5', 1): 'd04140c7686e817d854d43c51fb6b82e28616446725efe43b1eaa7d68d7ad642',
+    ('rs-5-5', 7): '0beecd293251921b52434181a0a957df917b7ad913a7a55b5b7e9448d18768f1',
+    ('rs-5-5', 4096): '9134c6b4eb9646457b57bd2d79c0ecbab28fd512d52a5f8114e3395336c30c0d',
+    ('rs-4-12', 1): 'ad59144e5ee36dd7313de5abb9d09bbe814d2858e0b90ff1a5deeb0737a1c538',
+    ('rs-4-12', 7): '11128e3cc4a83104ff41f75f27add892d4c773881f3cf98991b9d7eda2e334c6',
+    ('rs-4-12', 4096): '81ef69061f7e0f06c05cb06ec24803521e46203c18ffcfe7479c62c40a026115',
+    ('lrc-azure', 1): '43f48ada0a248c73632cae5a633cf273fba2a6baef8635c530b7590c133cbc93',
+    ('lrc-azure', 7): '026640b2bbc0a99da52e6305af835ce267fc768e5ae44c6fce773c02d854a9c0',
+    ('lrc-azure', 4096): '623bd014796e6fbd246d2007628b91e9db41a3494545b44d035173b1c0e28d57',
+    ('lrc-xorbas', 1): '5c5a15261402e49576fb66b8ffea99fcac76aca8dddbeb58a095d698e8bc9cb5',
+    ('lrc-xorbas', 7): 'c1192a55abd55462d7fc0ea83a380d99fb2a2f28f5b331b466dcbb35e5c6f41b',
+    ('lrc-xorbas', 4096): '6e065e4f1764571752e15b023d9c160c63feef1c390a5f72cd68e2a41b2d511e',
+    ('xor-geo', 1): 'b7da0196ff770320e1fc087a87c36769a9e97117b87ea6e302f02dcb713fcb8a',
+    ('xor-geo', 7): 'a9be602c7f394a49c11173075191ffa2a9e370141e65c4502677b004f82793e0',
+    ('xor-geo', 4096): '5c2b94fb8c5b8873314d953aadedea703a644c83bd701d2bfe88d0a6ef01fda7',
+    ('xor-raid5-5', 1): '287d2dad2e6625755bdee5b5dbf8b187d7e933c140e2a28a18bfe6b3d863675d',
+    ('xor-raid5-5', 7): '70ec3891a0dba155dafb636e405ccea8163b3e0707b90a8cfb7994a9988bdffc',
+    ('xor-raid5-5', 4096): 'f2fe5dbdc42c68e36a4b5a0525dcd44094b33c651b4b816e0c02121dc86cb9bc',
+    ('rep-3', 1): 'c9dea811eb9ecffd3223dbf7aed15b03b5c62de3b8e5b7cc3fb37bd7f1a276e2',
+    ('rep-3', 7): 'c352d097cc9eab656eee9d2af88389ccda395dbf99b4ee15acca220be9fbd60b',
+    ('rep-3', 4096): '4e45498225a12c35a5961fdf17064f6fad4c3c1367f59511fe1d8a60ac3cd8f5',
+}
+
 SERVICE_GOLDEN = '274b0d101be066942bb076a3646e8d578b75b13e7271e03c673436843787f212'
 
 
@@ -299,6 +389,12 @@ def test_every_small_erasure_pattern_is_unchanged(scheme_id: str) -> None:
     assert exhaustive_digest(scheme_id) == EXHAUSTIVE_GOLDEN[scheme_id]
 
 
+@pytest.mark.parametrize("scheme_id", SCHEMES)
+@pytest.mark.parametrize("size", SIZES)
+def test_batch_repair_is_unchanged(scheme_id: str, size: int) -> None:
+    assert batch_repair_digest(scheme_id, size) == BATCH_REPAIR_GOLDEN[(scheme_id, size)]
+
+
 def test_service_lifecycle_is_unchanged() -> None:
     assert service_digest() == SERVICE_GOLDEN
 
@@ -315,5 +411,9 @@ if __name__ == "__main__":  # pragma: no cover - recording helper
     print("}\n\nEXHAUSTIVE_GOLDEN: Dict[str, str] = {")
     for scheme_id in EXHAUSTIVE_SCHEMES:
         print(f"    {scheme_id!r}: {exhaustive_digest(scheme_id)!r},")
+    print("}\n\nBATCH_REPAIR_GOLDEN: Dict[Tuple[str, int], str] = {")
+    for scheme_id in SCHEMES:
+        for size in SIZES:
+            print(f"    {(scheme_id, size)!r}: {batch_repair_digest(scheme_id, size)!r},")
     print("}\n")
     print(f"SERVICE_GOLDEN = {service_digest()!r}")

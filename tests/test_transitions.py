@@ -793,6 +793,43 @@ class TestRepairDuringReencode:
         reopened.close()
 
 
+class TestOrphansOfAnInterruptedReencode:
+    """A crash between a move's commit and its reclaim leaves the source's
+    version behind as orphans.  After ``rs-4-12 -> rs-10-4`` the orphans at
+    positions 14 and 15 name no block of the target; losing one must not
+    abort ``repair()`` for every other stripe."""
+
+    def test_repair_lists_them_and_repairs_the_rest(self, monkeypatch):
+        payloads = make_docs(count=4, size=3000)
+        service = StorageService.open(
+            mem_config("rs-4-12", topology=20, placement="spread-domains")
+        )
+        fill(service, payloads)
+        original = StorageService._reclaim
+
+        def crash_once(self, scheme, data_ids):
+            if scheme.scheme_id == "rs-4-12":
+                monkeypatch.setattr(StorageService, "_reclaim", original)
+                raise RuntimeError("injected crash")
+            return original(self, scheme, data_ids)
+
+        monkeypatch.setattr(StorageService, "_reclaim", crash_once)
+        with pytest.raises(RuntimeError, match="injected crash"):
+            service.transition_to("rs-10-4")
+        service.transition_to("rs-10-4")
+        assert service.scheme.scheme_id == "rs-10-4" and service.transition is None
+        orphans = sorted(b for b in service.cluster.block_ids() if b.position >= 14)
+        assert orphans and all(service.scheme.stripes_written > b.stripe for b in orphans)
+
+        down = service.cluster.location_of(orphans[0])
+        lost = set(service.cluster.blocks_at(down))
+        service.fail_locations([down])
+        report = service.repair()
+        assert report.data_loss == 0
+        assert {b for b in lost if b.position >= 14} == set(report.unrecovered)
+        assert_byte_exact(service, payloads)
+
+
 class TestConcurrentFrontend:
     def test_reads_keep_streaming_through_a_transition_chain(self):
         payloads = make_docs(count=6, size=2500)
