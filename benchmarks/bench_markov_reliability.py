@@ -2,7 +2,7 @@
 
 Regenerates the entangled-mirror vs mirroring comparison with closed-form
 CTMC models and reports MTTDL for the RS settings of Table IV, so the
-Monte-Carlo results of ``bench_entangled_mirror_reliability`` have an
+Monte-Carlo results of ``tests/test_paper_entangled_mirror.py`` have an
 independent analytic counterpart.
 """
 

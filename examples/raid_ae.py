@@ -3,9 +3,10 @@
 
 The script demonstrates the two array organisations:
 
-* an **entangled mirror** (simple entanglement, AE(1)) with the same storage
-  overhead as mirroring but far better survivability, including the
-  open-vs-closed chain difference at the extremities;
+* an **entangled mirror** -- RAID-AE over a simple entanglement, AE(1) --
+  with the same storage overhead as mirroring but far better survivability,
+  and the open-vs-closed chain difference at the extremities (from the
+  reliability model's survival predicates);
 * a **RAID-AE** array protected by AE(3,2,5): never-ending stripe, two-block
   single-failure rebuilds, degraded reads through alternative lattice paths
   and online growth (adding a disk without re-encoding).
@@ -17,36 +18,35 @@ Run with::
 
 from __future__ import annotations
 
+from repro.analysis.reliability import closed_chain_survives, open_chain_survives
 from repro.core.parameters import AEParameters
 from repro.simulation.workload import document_bytes
-from repro.system.raid import EntangledMirrorArray, RAIDAEArray, SimpleEntanglementChain
+from repro.system.raid import EntangledMirrorArray, RAIDAEArray
 
 
 def entangled_mirror_demo() -> None:
-    print("== entangled mirror (AE(1), same overhead as mirroring) ==")
-    array = EntangledMirrorArray(drive_pairs=5)
+    print("== entangled mirror (RAID-AE over AE(1), same overhead as mirroring) ==")
+    array = EntangledMirrorArray(drive_pairs=5, block_size=4096)
     blocks = [document_bytes(4096, seed=index) for index in range(20)]
-    for block in blocks:
-        array.write(block)
-    print(f"array: {array.drive_count} drives, overhead {array.storage_overhead:.0%}")
+    ids = [array.write(block) for block in blocks]
+    print(f"array: {array.disk_count} disks, {len(array.cluster)} blocks for {len(ids)} written")
 
-    array.fail_drives(data_drives=[1], parity_drives=[3])
+    # Disk 2i is data drive i, disk 2i + 1 parity drive i.
+    array.fail_disk(2 * 1)
+    array.fail_disk(2 * 3 + 1)
     print("failed: data drive 1 and parity drive 3")
-    print(f"all data still recoverable: {array.data_survives()}")
-    recovered = array.read(1)
-    assert bytes(recovered) == blocks[1]
-    print("read of block 1 (on the failed drive) served through the chain\n")
+    assert bytes(array.read(ids[1])) == blocks[1]
+    print("read of d2 (on failed data drive 1) served through the chain")
+    report = array.rebuild()
+    assert report.data_loss == 0
+    print(f"rebuild: {report.repaired_count} blocks restored, data loss = {report.data_loss}\n")
 
     # Open vs closed chains: the weakness at the extremity (Sec. IV-B1).
-    open_chain, closed_chain = SimpleEntanglementChain(False), SimpleEntanglementChain(True)
-    for index in range(8):
-        payload = document_bytes(1024, seed=100 + index)
-        open_chain.append(payload)
-        closed_chain.append(payload)
-    tail_failure = {"d7", "p7"}
-    print("losing the last data block and its parity:")
-    print(f"  open chain survives  : {open_chain.survives(tail_failure)}")
-    print(f"  closed chain survives: {closed_chain.survives(tail_failure)}\n")
+    pairs = 8
+    tail_failure = {2 * (pairs - 1), 2 * (pairs - 1) + 1}
+    print("losing the last data drive and its parity drive:")
+    print(f"  open chain survives  : {open_chain_survives(tail_failure, pairs)}")
+    print(f"  closed chain survives: {closed_chain_survives(tail_failure, pairs)}\n")
 
 
 def raid_ae_demo() -> None:

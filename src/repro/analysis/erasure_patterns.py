@@ -11,9 +11,10 @@ the wrong places* before data disappears).
 
 Two engines are provided:
 
-* a **validator** that replays the decoder to a fixpoint on an abstract
-  availability model and checks irrecoverability and minimality of any
-  candidate pattern (the role of the authors' Prolog tool);
+* a **validator** that replays the store's repair rounds
+  (:func:`~repro.core.batch_repair.plan_round`) on an abstract availability
+  model and checks irrecoverability and minimality of any candidate pattern
+  (the role of the authors' Prolog tool);
 * a **searcher** that finds ``|ME(x)|`` exactly.  It exploits the structure of
   minimal patterns: blocking a data block on one strand requires erasing a
   *chain* of consecutive parities along that strand that terminates at another
@@ -27,9 +28,10 @@ Two engines are provided:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.core.batch_repair import block_sort_key, plan_round
 from repro.core.blocks import BlockId, DataId, ParityId, is_data
 from repro.core.lattice import HelicalLattice
 from repro.core.parameters import AEParameters, StrandClass
@@ -89,17 +91,19 @@ class ErasurePattern:
 
 
 # ----------------------------------------------------------------------
-# Validation: decoder fixpoint on an abstract availability model
+# Validation: the store's repair rounds on an abstract availability model
 # ----------------------------------------------------------------------
 def recoverable_blocks(
     pattern: ErasurePattern, params: AEParameters, lattice_size: Optional[int] = None
 ) -> Set[BlockId]:
     """Blocks of ``pattern`` that the decoder can eventually repair.
 
-    Blocks outside the pattern are available.  The decoder iterates to a
-    fixpoint: a data node is repairable when, on at least one strand, both
-    adjacent parities are available or repaired; a parity is repairable when
-    one of its two incident dp-tuples is available or repaired.
+    Blocks outside the pattern are available.  The store's
+    :func:`~repro.core.batch_repair.plan_round` runs round after round -- a
+    data node comes back through a strand whose two parities are available,
+    a parity through one of its two dp-tuples -- until a round plans
+    nothing.  Blocks beyond the ``lattice_size`` nodes do not exist and are
+    never recovered.
     """
     if lattice_size is None:
         margin = 4 * params.s * max(params.p, 1) + 4 * params.s
@@ -109,45 +113,18 @@ def recoverable_blocks(
             + [1]
         )
         lattice_size = top + margin
-    missing_data: Set[int] = set(pattern.data_nodes)
-    missing_edges: Set[Edge] = set(pattern.parity_edges)
+    lattice = HelicalLattice(params, lattice_size)
+    missing = set(pattern.block_ids())
     recovered: Set[BlockId] = set()
-
-    def data_available(index: int) -> bool:
-        return index not in missing_data
-
-    def edge_available(creator: int, strand_class: StrandClass) -> bool:
-        if creator < 1:
-            return True  # virtual zero parity at a strand start
-        if creator > lattice_size:
-            return False  # beyond the lattice boundary: parity not created yet
-        return (creator, strand_class) not in missing_edges
-
-    progress = True
-    while progress:
-        progress = False
-        for index in sorted(missing_data):
-            for strand_class in params.strand_classes:
-                h = input_index(index, strand_class, params)
-                if edge_available(h, strand_class) and edge_available(index, strand_class):
-                    missing_data.discard(index)
-                    recovered.add(DataId(index))
-                    progress = True
-                    break
-        for creator, strand_class in sorted(missing_edges, key=lambda e: (e[0], e[1].value)):
-            h = input_index(creator, strand_class, params)
-            j = output_index(creator, strand_class, params)
-            left_ok = data_available(creator) and edge_available(h, strand_class)
-            right_ok = (
-                j <= lattice_size
-                and data_available(j)
-                and edge_available(j, strand_class)
-            )
-            if left_ok or right_ok:
-                missing_edges.discard((creator, strand_class))
-                recovered.add(ParityId(creator, strand_class))
-                progress = True
-    return recovered
+    while True:
+        steps = plan_round(
+            lattice, sorted(missing, key=block_sort_key), lambda block_id: block_id not in missing
+        )
+        if not steps:
+            return recovered
+        targets = {step.target for step in steps}
+        missing.difference_update(targets)
+        recovered.update(targets)
 
 
 def is_irrecoverable(pattern: ErasurePattern, params: AEParameters) -> bool:

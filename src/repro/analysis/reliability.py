@@ -18,13 +18,17 @@ with a Monte-Carlo failure model and a small analytic helper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 import numpy as np
 
+from repro.analysis.erasure_patterns import ErasurePattern, recoverable_blocks
+from repro.core.blocks import DataId
+from repro.core.parameters import AEParameters, StrandClass
 from repro.exceptions import InvalidParametersError
 
 HOURS_PER_YEAR = 24 * 365
+_SINGLE = AEParameters.single()
 
 
 @dataclass(frozen=True)
@@ -83,34 +87,25 @@ def mirroring_survives(failed: Set[int], pairs: int) -> bool:
 def open_chain_survives(failed: Set[int], pairs: int) -> bool:
     """Full-partition entangled mirror with an open chain.
 
-    Drive ``2i`` holds data block ``d_i`` and drive ``2i + 1`` holds parity
-    ``p_i`` of the simple entanglement chain ``p_i = d_i XOR p_{i-1}``.  Data
-    ``d_i`` is lost when it cannot be rebuilt from ``(p_{i-1}, p_i)`` after
-    iterative repair; the classic irrecoverable patterns are two failed data
-    drives with every parity drive between them also failed, or a failed data
-    drive whose neighbouring parities cannot be re-derived.
+    Drive ``2i`` holds data block ``d_{i+1}`` and drive ``2i + 1`` holds
+    parity ``p_{i+1}`` of the simple entanglement chain
+    ``p_i = d_i XOR p_{i-1}`` -- the layout of
+    :class:`~repro.system.raid.EntangledMirrorArray`.  The chain survives
+    when the store's repair rounds over the ``pairs``-node AE(1) lattice
+    (:func:`~repro.analysis.erasure_patterns.recoverable_blocks`) bring back
+    every failed data drive's block.
     """
-    data_failed = {index // 2 for index in failed if index % 2 == 0}
-    parity_failed = {index // 2 for index in failed if index % 2 == 1}
-    available_parity: Dict[int, bool] = {-1: True}  # virtual zero parity
-    # Iteratively determine which parities are derivable.
-    derivable = {i: i not in parity_failed for i in range(pairs)}
-    derivable[-1] = True
-    changed = True
-    while changed:
-        changed = False
-        for i in range(pairs):
-            if derivable[i]:
-                continue
-            left = derivable.get(i - 1, False) and i not in data_failed
-            right = derivable.get(i + 1, False) and (i + 1) not in data_failed and i + 1 < pairs
-            if left or right:
-                derivable[i] = True
-                changed = True
-    for i in data_failed:
-        if not (derivable.get(i - 1, False) and derivable.get(i, False)):
-            return False
-    return True
+    data_nodes = frozenset(drive // 2 + 1 for drive in failed if drive % 2 == 0)
+    if not data_nodes:
+        return True
+    pattern = ErasurePattern(
+        data_nodes=data_nodes,
+        parity_edges=frozenset(
+            (drive // 2 + 1, StrandClass.HORIZONTAL) for drive in failed if drive % 2 == 1
+        ),
+    )
+    recovered = recoverable_blocks(pattern, _SINGLE, lattice_size=pairs)
+    return all(DataId(index) in recovered for index in data_nodes)
 
 
 def closed_chain_survives(failed: Set[int], pairs: int) -> bool:

@@ -19,8 +19,8 @@
   across schemes, measured next to the analytic Table IV costs;
 * :mod:`repro.system.backup` -- the geo-replicated cooperative backup network,
   one service per owner under :class:`OwnerHomePlacement`;
-* :mod:`repro.system.raid` -- entangled mirror arrays, and RAID-AE as a
-  :class:`StorageService` over its disks;
+* :mod:`repro.system.raid` -- RAID-AE as a :class:`StorageService` over its
+  disks, and the entangled mirror as RAID-AE over AE(1);
 * :mod:`repro.system.keys` -- deterministic block keys and the key -> node
   mapping the backup placement applies;
 * :mod:`repro.system.sharding` -- :class:`ShardedStorageService`, the
@@ -78,12 +78,7 @@ from repro.system.backup import (
     RepairStep,
 )
 from repro.system.keys import BlockKey, derive_key, location_for_block, location_for_key
-from repro.system.raid import (
-    EntangledMirrorArray,
-    MirrorDrive,
-    RAIDAEArray,
-    SimpleEntanglementChain,
-)
+from repro.system.raid import EntangledMirrorArray, RAIDAEArray
 
 __all__ = [
     "ArchiveEntry",
@@ -118,13 +113,11 @@ __all__ = [
     "BlockKey",
     "CooperativeBackupNetwork",
     "EntangledMirrorArray",
-    "MirrorDrive",
     "OwnerHomePlacement",
     "ParityRepairTrace",
     "RAIDAEArray",
     "RedundancyDegradation",
     "RepairStep",
-    "SimpleEntanglementChain",
     "StoredDocument",
     "derive_key",
     "location_for_block",

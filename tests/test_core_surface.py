@@ -84,7 +84,7 @@ class TestCoreImportSurface:
 class TestOneAEStack:
     """The storage and system layers reach entanglement through
     ``EntanglementScheme`` only: no module there builds its own entangler
-    next to the service (the cooperative backup was the last one), and
+    next to the service (the entangled mirror's chain was the last one), and
     nothing above ``core/`` reads through the per-block ``Decoder`` -- it is
     the tests' reference; the store's one read path is ``repair``."""
 
@@ -134,6 +134,19 @@ class TestOneAEStack:
             }
         )
         assert decoders == []
+
+    def test_no_private_xor_chain_in_system(self):
+        """An XOR kernel under ``system/`` is a chain coded next to the
+        service: the entangled mirror is RAID-AE over AE(1), not its own
+        encoder."""
+        kernels = {"xor_payloads", "zero_payload", "xor_pairs", "xor_chain", "xor_accumulate"}
+        found = list(self.core_imports("system"))
+        assert len(found) > 5  # the walk really saw the package
+        assert [
+            (where, name)
+            for where, module, name in found
+            if module in ("repro.core", "repro.core.xor") and name in kernels
+        ] == []
 
     def test_read_block_is_written_once(self):
         from pathlib import Path

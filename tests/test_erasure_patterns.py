@@ -16,6 +16,7 @@ from repro.analysis.erasure_patterns import (
     primitive_form_two,
     recoverable_blocks,
 )
+from repro.core.blocks import DataId
 from repro.core.parameters import AEParameters, StrandClass
 
 
@@ -46,6 +47,18 @@ class TestPatternValidation:
         )
         assert recoverable_blocks(reduced, params)
         assert not is_irrecoverable(reduced, params)
+
+    def test_blocks_beyond_the_lattice_are_never_recovered(self):
+        """A parity of a node the lattice does not have yet cannot be
+        rebuilt, with or without the data block it would be read from."""
+        params = AEParameters.single()
+        beyond = (15, StrandClass.HORIZONTAL)
+        alone = ErasurePattern(frozenset(), frozenset({beyond}))
+        assert recoverable_blocks(alone, params, lattice_size=14) == set()
+        with_data = ErasurePattern(frozenset({16}), frozenset({beyond}))
+        assert recoverable_blocks(with_data, params, lattice_size=14) == set()
+        inside = ErasurePattern(frozenset({14}), frozenset({beyond}))
+        assert recoverable_blocks(inside, params, lattice_size=14) == {DataId(14)}
 
     def test_primitive_forms_are_innocuous_for_alpha_2(self):
         """Fig. 7: with alpha >= 2 the primitive forms no longer cause loss."""

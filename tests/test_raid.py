@@ -2,78 +2,99 @@
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import pytest
 
+from repro.analysis.reliability import open_chain_survives
+from repro.core.blocks import DataId
 from repro.core.parameters import AEParameters
-from repro.exceptions import InvalidParametersError, RepairFailedError
-from repro.system.raid import EntangledMirrorArray, RAIDAEArray, SimpleEntanglementChain
+from repro.exceptions import BlockSizeMismatchError, InvalidParametersError, RepairFailedError
+from repro.system.raid import EntangledMirrorArray, RAIDAEArray
 
 from tests.conftest import make_payload
 
 
-class TestSimpleEntanglementChain:
-    def test_single_failures_always_recoverable(self):
-        chain = SimpleEntanglementChain()
-        for index in range(10):
-            chain.append(make_payload(index, 16))
-        for position in range(10):
-            recovered = chain.recover_data(position, {f"d{position}"})
-            assert bytes(recovered) == make_payload(position, 16)
-
-    def test_primitive_form_is_fatal_for_open_chain(self):
-        """Two adjacent data blocks plus their shared parity cannot be repaired."""
-        chain = SimpleEntanglementChain()
-        for index in range(10):
-            chain.append(make_payload(index, 16))
-        lost = {"d4", "d5", "p4"}
-        assert not chain.survives(lost)
-
-    def test_data_parity_pair_in_the_middle_is_survivable(self):
-        chain = SimpleEntanglementChain()
-        for index in range(10):
-            chain.append(make_payload(index, 16))
-        assert chain.survives({"d4", "p4"})
-
-    def test_open_chain_extremity_is_weak_closed_chain_is_not(self):
-        """Losing the last data block and its parity kills an open chain but
-        not a closed one (the motivation for closed chains, Sec. IV-B1)."""
-        last = 7
-        open_chain = SimpleEntanglementChain(closed=False)
-        closed_chain = SimpleEntanglementChain(closed=True)
-        for index in range(last + 1):
-            open_chain.append(make_payload(index, 16))
-            closed_chain.append(make_payload(index, 16))
-        lost = {f"d{last}", f"p{last}"}
-        assert not open_chain.survives(lost)
-        assert closed_chain.survives(lost)
-
-    def test_mixed_block_sizes_rejected(self):
-        chain = SimpleEntanglementChain()
-        chain.append(b"x" * 8)
-        with pytest.raises(InvalidParametersError):
-            chain.append(b"y" * 16)
+def _mirror(length: int) -> Tuple[EntangledMirrorArray, List[DataId]]:
+    """An entangled mirror of four drive pairs holding ``length`` 16-byte blocks."""
+    array = EntangledMirrorArray(4, block_size=16)
+    return array, [array.write(make_payload(index, 16)) for index in range(length)]
 
 
 class TestEntangledMirrorArray:
+    """The mirror is RAID-AE over AE(1): disk ``2i`` is data drive ``i`` and
+    disk ``2i + 1`` parity drive ``i``, ``d_k`` / ``p_k`` on drive
+    ``(k - 1) mod pairs``."""
+
     def test_overhead_equals_mirroring(self):
-        array = EntangledMirrorArray(4)
-        assert array.storage_overhead == 1.0
-        assert array.drive_count == 8
+        array, ids = _mirror(12)
+        assert array.disk_count == 8 and array.params == AEParameters.single()
+        assert len(array.cluster) == 2 * len(ids)  # one parity per data block
+        assert [len(array.cluster.blocks_at(disk)) for disk in range(8)] == [3] * 8
+
+    def test_full_partition_layout(self):
+        array, ids = _mirror(10)
+        for data_id in ids:
+            data_drive = (data_id.index - 1) % 4
+            assert array.cluster.location_of(data_id) == 2 * data_drive
+            (parity,) = array.lattice.output_parities(data_id.index)
+            assert array.cluster.location_of(parity) == 2 * data_drive + 1
+
+    def test_single_failures_always_recoverable(self):
+        for disk in range(8):
+            array, ids = _mirror(10)
+            array.fail_disk(disk)
+            for index, data_id in enumerate(ids):
+                assert bytes(array.read(data_id)) == make_payload(index, 16)
+            assert array.rebuild().data_loss == 0
 
     def test_single_data_drive_failure_is_survivable(self):
-        array = EntangledMirrorArray(4)
-        for index in range(16):
-            array.write(make_payload(index, 16))
-        array.fail_drives(data_drives=[2])
-        assert array.data_survives()
-        assert bytes(array.read(2)) == make_payload(2, 16)
+        array, ids = _mirror(16)
+        array.fail_disk(2 * 2)
+        assert bytes(array.read(ids[2])) == make_payload(2, 16)
+        report = array.rebuild()
+        assert report.data_loss == 0 and not report.unrecovered
+
+    def test_primitive_form_is_fatal_for_open_chain(self):
+        """Two adjacent data drives plus the parity drive between them
+        (``d1, p1, d2`` for a one-block-per-drive chain) cannot be repaired."""
+        array, ids = _mirror(4)
+        for disk in (0, 1, 2):
+            array.fail_disk(disk)
+        assert array.rebuild().data_loss == 2
+        assert not open_chain_survives({0, 1, 2}, 4)
+
+    def test_data_parity_pair_in_the_middle_is_survivable(self):
+        array, ids = _mirror(10)
+        array.fail_disk(2 * 2)
+        array.fail_disk(2 * 2 + 1)
+        assert array.rebuild().data_loss == 0
+        for index, data_id in enumerate(ids):
+            assert bytes(array.read(data_id)) == make_payload(index, 16)
+
+    def test_open_chain_extremity_is_weak(self):
+        """Losing the drives of the tail block and its parity loses the tail
+        (the motivation for closed chains, Sec. IV-B1; the closed chain is
+        ``closed_chain_survives``, checked in ``test_analysis_misc``)."""
+        array, ids = _mirror(8)
+        array.fail_disk(2 * 3)
+        array.fail_disk(2 * 3 + 1)
+        report = array.rebuild()
+        assert report.data_loss == 1 and ids[-1] in report.unrecovered
+        assert bytes(array.read(ids[3])) == make_payload(3, 16)  # d4 came back
+        with pytest.raises(RepairFailedError):
+            array.read(ids[-1])
 
     def test_matching_data_and_parity_drive_failure_loses_data(self):
-        array = EntangledMirrorArray(4)
-        for index in range(16):
-            array.write(make_payload(index, 16))
-        array.fail_drives(data_drives=[1, 2], parity_drives=[1, 2])
-        assert not array.data_survives()
+        array, _ = _mirror(16)
+        for disk in (2, 3, 4, 5):  # data and parity drives 1 and 2
+            array.fail_disk(disk)
+        assert array.rebuild().data_loss > 0
+
+    def test_mixed_block_sizes_rejected(self):
+        array, _ = _mirror(1)
+        with pytest.raises(BlockSizeMismatchError):
+            array.write(b"y" * 17)
 
     def test_invalid_configuration(self):
         with pytest.raises(InvalidParametersError):
