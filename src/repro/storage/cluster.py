@@ -416,14 +416,19 @@ class StorageCluster:
         failed domains; otherwise the candidates outside the failed domains
         (all candidates when the disaster spans every domain), narrowed to
         the domains the placement policy ranks best, picked over by the block
-        index.  Placement is asked once for the whole batch, and since a
-        :meth:`PlacementPolicy.relocation_rank` belongs to a *domain*, a pool
-        is filtered once per distinct (candidates, failed domains, ranks) --
-        a handful per round -- instead of once per block.  The memos live
-        for this call only: availability changes between rounds.
+        index.  The policy is asked in bulk, and the work is per repair group,
+        not per block x domain: a policy that reports its domains
+        (:meth:`PlacementPolicy.domains_for`) draws only the blocks whose
+        domain did not fail (a location in a failed domain is never usable),
+        and since blocks of one repair-group class share one
+        :meth:`PlacementPolicy.relocation_ranks` row, a pool is filtered once
+        per distinct (candidates, failed domains, row) -- a handful per round.
+        The memos live for this call only: availability changes between
+        rounds.
         """
         stores = self._stores
-        level = self._placement.spread_level() or self._topology.default_level()
+        placement = self._placement
+        level = placement.spread_level() or self._topology.default_level()
         domain_of = self._topology.location_domains(level)
         multi_domain = len(set(domain_of)) > 1
         failed_domains = (
@@ -435,14 +440,20 @@ class StorageCluster:
             if multi_domain
             else frozenset()
         )
-        # The base policy ranks every domain the same, so the rank filter is
-        # skipped unless the policy actually overrides it.
-        rank = (
-            self._placement.relocation_rank
-            if type(self._placement).relocation_rank
-            is not PlacementPolicy.relocation_rank
+        rows = placement.relocation_ranks(block_ids)
+        # A policy over another layout numbers its domains its own way.
+        assigned = (
+            placement.domains_for(block_ids)
+            if failed_domains and placement.topology.location_domains(level) == domain_of
             else None
         )
+        if assigned is None:
+            preferred_of = placement.locations_for(block_ids)
+        else:
+            drawn = [k for k, domain in enumerate(assigned) if domain not in failed_domains]
+            preferred_of = [-1] * len(block_ids)  # -1: no location, never usable
+            for k, location in zip(drawn, placement.locations_for([block_ids[k] for k in drawn])):
+                preferred_of[k] = location
         # Without capacity limits every block sees the same candidates.
         unlimited = all(store.capacity_blocks is None for store in stores)
         shared_candidates = (
@@ -461,16 +472,14 @@ class StorageCluster:
         # For the candidates last seen (they only change as locations fill):
         # failed domains -> the candidates outside them, as a set and as the
         # pool to pick over, the domains that pool spans, and its
-        # rank-filtered subsets by rank tuple.
+        # rank-filtered subsets by rank row.
         pooled: Tuple[int, ...] = ()
         pools: Dict[
             FrozenSet[int],
             Tuple[FrozenSet[int], List[int], List[int], Dict[Tuple[int, ...], List[int]]],
         ] = {}
         targets: List[int] = []
-        for block_id, preferred in zip(
-            block_ids, self._placement.locations_for(block_ids)
-        ):
+        for position, (block_id, preferred) in enumerate(zip(block_ids, preferred_of)):
             candidates = shared_candidates or tuple(
                 self._relocation_candidates(block_id, avoided, staged_counts)
             )
@@ -502,24 +511,26 @@ class StorageCluster:
                     sorted({domain_of[location] for location in pool}),
                     {},
                 )
-            usable, pool, pool_domains, by_ranks = entry
+            usable, pool, pool_domains, by_row = entry
             if preferred in usable:
                 target = preferred
             else:
-                if rank is not None and len(pool_domains) > 1:
+                if rows is not None and len(pool_domains) > 1:
                     # Prefer the domains the policy ranks best: a spreading
                     # policy keeps the rebuilt block away from the rest of
                     # its repair group when a spare domain exists.
-                    ranks = tuple(map(rank, repeat(block_id), pool_domains))
-                    ranked = by_ranks.get(ranks)
+                    row = rows[position]
+                    ranked = by_row.get(row)
                     if ranked is None:
+                        # A policy over another layout ranks domain d as d mod D.
+                        ranks = [row[domain % len(row)] for domain in pool_domains]
                         best_rank = min(ranks)
                         best = {
                             domain
                             for domain, value in zip(pool_domains, ranks)
                             if value == best_rank
                         }
-                        ranked = by_ranks[ranks] = [
+                        ranked = by_row[row] = [
                             location for location in pool if domain_of[location] in best
                         ]
                     pool = ranked

@@ -151,21 +151,26 @@ class PlacementPolicy(ABC):
         """
         return None
 
-    def relocation_rank(self, block_id: BlockId, domain_index: int) -> int:
-        """Preference (lower is better) for re-placing ``block_id`` into a
-        fallback domain when repair cannot use its assigned location.
+    def domains_for(self, block_ids: Sequence[BlockId]) -> Optional[List[int]]:
+        """``topology.domain_of(location, spread_level())`` of each block's
+        :meth:`locations_for` without the draw, for a policy that picks the
+        domain first (``None`` otherwise): ``StorageCluster`` then draws only
+        the blocks whose domain did not fail.
+        """
+        return None
+
+    def relocation_ranks(self, block_ids: Sequence[BlockId]) -> Optional[List[Tuple[int, ...]]]:
+        """Per block, its preference row (lower is better) over the
+        :meth:`spread_level` domains for re-placing it when repair cannot use
+        its assigned location; ``None`` ranks every domain the same.
 
         Policies with a spreading contract rank domains that hold other
         members of the block's repair group *worse*, so a rebuilt block does
-        not silently collapse the group into one failure domain.  The
-        default expresses no preference.
-
-        The rank is a property of the *domain* (``domain_index`` at
-        :meth:`spread_level`), never of one location in it:
-        ``StorageCluster`` asks once per candidate domain and applies the
-        answer to every location of that domain.
+        not silently collapse the group into one failure domain.  A row
+        belongs to the block's repair-group *class*: blocks of one class share
+        one row object, and ``StorageCluster`` filters a pool once per row.
         """
-        return 0
+        return None
 
     def describe(self) -> str:
         return f"{type(self).__name__}(n={self._location_count})"
@@ -316,6 +321,14 @@ class SpreadDomainsPlacement(PlacementPolicy):
             cumulative = np.cumsum(capacities[list(members)]).tolist()
             self._picks.append((members, cumulative, cumulative[-1], len(members) - 1))
         self._hashes = any(len(members) > 1 for members in self._domains)
+        # Row ``r`` ranks the ``alpha + 1`` domains an AE group at group index
+        # ``r`` spans worse; there are no rows while groups span every domain.
+        count, width = len(self._domains), self._alpha + 1
+        self._rank_rows = (
+            [tuple(int((d - r) % count < width) for d in range(count)) for r in range(count)]
+            if width < count
+            else None
+        )
 
     @property
     def level(self) -> str:
@@ -325,7 +338,7 @@ class SpreadDomainsPlacement(PlacementPolicy):
     def spread_level(self) -> Optional[str]:
         return self._level
 
-    def _domains_for(self, block_ids: Sequence[BlockId]) -> List[int]:
+    def domains_for(self, block_ids: Sequence[BlockId]) -> List[int]:
         alpha = self._alpha
         domain_count = len(self._domains)
         return [
@@ -333,24 +346,24 @@ class SpreadDomainsPlacement(PlacementPolicy):
             for group, lane in [_lattice_lane(block_id, alpha) for block_id in block_ids]
         ]
 
-    def relocation_rank(self, block_id: BlockId, domain_index: int) -> int:
+    def relocation_ranks(self, block_ids: Sequence[BlockId]) -> Optional[List[Tuple[int, ...]]]:
         """Prefer fallback domains no member of the block's group maps to.
 
-        An AE repair group is ``alpha + 1`` lanes wide; when the topology has
-        spare domains beyond that, a rebuilt block is steered into one, so a
-        later disaster of any *single* domain still finds the group spread.
-        Stripe groups span every domain whenever ``width >= domains``, in
-        which case there is nothing to prefer.
+        An AE repair group is ``alpha + 1`` lanes wide and occupies that many
+        consecutive domains from its group index ``index - 1``
+        (:func:`_lattice_lane`); when the topology has spare domains beyond
+        that, a rebuilt block is steered into one, so a later disaster of any
+        *single* domain still finds the group spread.  Stripe ids get the
+        zero row, and with no spare domain there is nothing to prefer.
         """
-        if not isinstance(block_id, (DataId, ParityId)):
-            return 0
-        width = self._alpha + 1
-        domain_count = len(self._domains)
-        if width >= domain_count:
-            return 0
-        # The group's lanes occupy ``width`` consecutive domains from the
-        # group index of :func:`_lattice_lane`, ``index - 1``.
-        return 1 if (domain_index - block_id.index + 1) % domain_count < width else 0
+        rows = self._rank_rows
+        if rows is None:
+            return None
+        count, zero = len(rows), (0,) * len(rows)
+        return [
+            rows[(block_id.index - 1) % count] if isinstance(block_id, (DataId, ParityId)) else zero
+            for block_id in block_ids
+        ]
 
     def location_for(self, block_id: BlockId) -> int:
         return self.locations_for((block_id,))[0]
@@ -364,7 +377,7 @@ class SpreadDomainsPlacement(PlacementPolicy):
         )
         locations: List[int] = []
         append = locations.append
-        for domain, draw in zip(self._domains_for(block_ids), draws):
+        for domain, draw in zip(self.domains_for(block_ids), draws):
             members, cumulative, total, last = picks[domain]
             if last:
                 index = bisect_right(cumulative, draw / _DRAW_SPAN * total)

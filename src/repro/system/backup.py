@@ -20,7 +20,7 @@ Table III (:class:`ParityRepairTrace`), both read off the owner's cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.codes.entanglement import EntanglementScheme
 from repro.core.batch_repair import block_sort_key, plan_round
@@ -59,6 +59,8 @@ class OwnerHomePlacement(PlacementPolicy):
         )
         self._owner = owner
         self._home = home
+        self._data_row = tuple(int(node != home) for node in range(node_count))
+        self._parity_row = tuple(int(node == home) for node in range(node_count))
 
     def location_for(self, block_id: BlockId) -> int:
         if is_data(block_id):
@@ -70,8 +72,9 @@ class OwnerHomePlacement(PlacementPolicy):
     def spread_level(self) -> Optional[str]:
         return "node"
 
-    def relocation_rank(self, block_id: BlockId, domain_index: int) -> int:
-        return int((domain_index == self._home) != is_data(block_id))
+    def relocation_ranks(self, block_ids: Sequence[BlockId]) -> List[Tuple[int, ...]]:
+        data_row, parity_row = self._data_row, self._parity_row
+        return [data_row if is_data(block_id) else parity_row for block_id in block_ids]
 
 
 @dataclass

@@ -21,10 +21,10 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
 import repro.schemes as schemes
-from repro.core.blocks import join_blocks
+from repro.core.blocks import BlockId, join_blocks
 from repro.core.dynamic import EpochHistory, ParameterEpoch
 from repro.core.encoder import DEFAULT_BLOCK_SIZE
 from repro.core.parameters import AEParameters
@@ -868,6 +868,17 @@ class StorageService(ServiceHandle):
         """
         return self._epochs
 
+    def _generations(
+        self, block_ids: Set[BlockId]
+    ) -> List[Tuple[RedundancyScheme, Set[BlockId]]]:
+        """``block_ids`` split by the scheme that owns them: while a re-encode
+        is in flight, the retained source's blocks and the target's rest."""
+        fallback = self._fallback
+        if fallback is None:
+            return [(self._scheme, block_ids)]
+        old = {block_id for block_id in block_ids if fallback.owns(block_id)}
+        return [(fallback, old), (self._scheme, block_ids - old)]
+
     def status(self) -> ServiceStatus:
         stats = self._cluster.stats()
         unavailable = self._cluster.unavailable_blocks()
@@ -876,7 +887,8 @@ class StorageService(ServiceHandle):
             blocks=stats.blocks,
             unavailable_blocks=len(unavailable),
             unavailable_data_blocks=sum(
-                1 for block_id in unavailable if self._scheme.is_data_block(block_id)
+                sum(map(scheme.is_data_block, owned))
+                for scheme, owned in self._generations(unavailable)
             ),
             locations=stats.locations,
             unavailable_locations=stats.locations - stats.available_locations,
@@ -1274,13 +1286,7 @@ class StorageService(ServiceHandle):
         self._ensure_open()
         report = ServiceRepairReport(scheme=self._scheme.scheme_id)
         with self._state_lock:
-            missing = self._cluster.unavailable_blocks()
-            generations = [(self._scheme, missing)]
-            if self._fallback is not None:
-                old = {
-                    block_id for block_id in missing if self._fallback.owns(block_id)
-                }
-                generations = [(self._fallback, old), (self._scheme, missing - old)]
+            generations = self._generations(self._cluster.unavailable_blocks())
             avoid = tuple(self._cluster.unavailable_locations())
             for scheme, owned in generations:
                 if policy is MaintenancePolicy.FULL:

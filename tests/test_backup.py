@@ -96,8 +96,7 @@ class TestPlacementRule:
         assert policy.spread_level() == "node"
         data, parity = DataId(1), ParityId(1, StrandClass.HORIZONTAL)
         assert policy.location_for(data) == 2 != policy.location_for(parity)
-        assert [policy.relocation_rank(data, node) for node in range(5)] == [1, 1, 0, 1, 1]
-        assert [policy.relocation_rank(parity, node) for node in range(5)] == [0, 0, 1, 0, 0]
+        assert policy.relocation_ranks([data, parity]) == [(1, 1, 0, 1, 1), (0, 0, 1, 0, 0)]
 
 
 class TestFailureModeAndRepair:

@@ -12,6 +12,7 @@ from repro.core.parameters import AEParameters, STRAND_CLASS_ORDER, StrandClass
 from repro.exceptions import PlacementError
 from repro.schemes.stripe import StripeBlockId
 from repro.storage import placement
+from repro.storage.cluster import StorageCluster
 from repro.storage.placement import (
     DictionaryPlacement,
     RandomPlacement,
@@ -137,6 +138,128 @@ class TestBulkPlacement:
         assert bulk == [policy.location_for(block_id) for block_id in ids]
         assert all(0 <= location < policy.location_count for location in bulk)
         assert policy.locations_for([]) == []
+
+
+def spread_rank(block_id, domain, alpha, domain_count):
+    """The per-(block, domain) rule ``SpreadDomainsPlacement`` ranks by: the
+    ``alpha + 1`` domains an AE group spans from ``index - 1`` rank worse."""
+    width = alpha + 1
+    if not isinstance(block_id, (DataId, ParityId)) or width >= domain_count:
+        return 0
+    return 1 if (domain - block_id.index + 1) % domain_count < width else 0
+
+
+def owner_home_rank(block_id, domain, home):
+    """``OwnerHomePlacement``'s rule: data ranks home best, parities worst."""
+    return int((domain == home) != isinstance(block_id, DataId))
+
+
+_levels = st.sampled_from([None, "site", "rack", "node"])
+
+
+class TestBulkRelocationContract:
+    """The bulk methods ``StorageCluster`` re-places through:
+    ``relocation_ranks`` is the per-domain rule row by row, with one shared
+    row per repair-group class, and ``domains_for`` is the domain of
+    ``locations_for``."""
+
+    @given(
+        sites=st.integers(1, 6),
+        racks=st.integers(1, 3),
+        nodes=st.integers(1, 3),
+        level=_levels,
+        alpha=st.integers(1, 3),
+        ids=st.lists(_any_id, max_size=40),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_spread_rows_are_the_per_domain_rule(self, sites, racks, nodes, level, alpha, ids):
+        params = AEParameters.single() if alpha == 1 else AEParameters(alpha, 2, 5)
+        topology = Topology.parse(f"sites={sites},racks={racks},nodes={nodes}")
+        policy = placement.get("spread-domains", topology, params=params, level=level)
+        domain_count = len(topology.domains(policy.spread_level()))
+        rows = policy.relocation_ranks(ids)
+        expected = [
+            tuple(spread_rank(block_id, domain, alpha, domain_count) for domain in range(domain_count))
+            for block_id in ids
+        ]
+        if rows is None:  # no spare domain: every rank is the same
+            assert all(not any(row) for row in expected)
+        else:
+            assert rows == expected
+            # One row object per group class: D lattice rows and the zero row.
+            assert len({id(row) for row in rows}) <= domain_count + 1
+
+    @given(
+        node_count=st.integers(2, 12),
+        home=st.integers(0, 11),
+        ids=st.lists(_any_id.filter(lambda b: isinstance(b, (DataId, ParityId))), max_size=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_owner_home_rows_are_the_per_domain_rule(self, node_count, home, ids):
+        from repro.system.backup import OwnerHomePlacement
+
+        home %= node_count
+        policy = OwnerHomePlacement(f"node-{home}", home, node_count)
+        rows = policy.relocation_ranks(ids)
+        assert rows == [
+            tuple(owner_home_rank(block_id, node, home) for node in range(node_count))
+            for block_id in ids
+        ]
+        assert len({id(row) for row in rows}) <= 2
+
+    def test_the_base_policy_ranks_nothing_and_reports_no_domains(self):
+        policy = RandomPlacement(Topology.parse("sites=3,nodes=2"))
+        ids = [DataId(1), ParityId(1, StrandClass.HORIZONTAL)]
+        assert policy.relocation_ranks(ids) is None
+        assert policy.domains_for(ids) is None
+
+    @pytest.mark.parametrize("name", placement.available())
+    @given(
+        sites=st.integers(1, 5),
+        racks=st.integers(1, 3),
+        nodes=st.integers(1, 3),
+        level=_levels,
+        seed=st.integers(0, 2**64 - 1),
+        ids=st.lists(_any_id, max_size=40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_reported_domains_are_those_of_the_drawn_locations(
+        self, name, sites, racks, nodes, level, seed, ids
+    ):
+        params = AEParameters(3, 2, 5)
+        topology = Topology.parse(f"sites={sites},racks={racks},nodes={nodes}")
+        policy = placement.get(name, topology, params=params, seed=seed, level=level)
+        if name == "strand-aware":
+            ids = [block_id for block_id in ids if isinstance(block_id, (DataId, ParityId))]
+        domains = policy.domains_for(ids)
+        if name == "spread-domains":
+            assert domains is not None
+        if domains is not None:
+            level_of = policy.spread_level()
+            assert domains == [
+                topology.domain_of(location, level_of) for location in policy.locations_for(ids)
+            ]
+
+    def test_the_cluster_draws_no_block_of_a_failed_domain(self):
+        params = AEParameters(2, 2, 5)
+        policy = placement.get("spread-domains", "sites=7,nodes=2", params=params, seed=3)
+        cluster = StorageCluster(placement=policy)
+        ids = all_blocks(70, params)
+        cluster.put_many((block_id, b"x") for block_id in ids)
+        failed = cluster.topology.locations_for_target("site:0")
+        lost = [block_id for block_id in ids if cluster.location_of(block_id) in failed]
+        cluster.fail_locations(failed)
+        drawn = []
+        original = policy.locations_for
+
+        def recording(block_ids):
+            drawn.extend(block_ids)
+            return original(block_ids)
+
+        policy.locations_for = recording
+        moved = cluster.relocate_many(((block_id, b"x") for block_id in lost), avoid=failed)
+        assert lost and drawn == []
+        assert not set(moved.values()) & set(failed)
 
 
 class TestDictionaryPlacement:

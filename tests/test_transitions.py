@@ -793,6 +793,40 @@ class TestRepairDuringReencode:
         reopened.close()
 
 
+class TestStatusDuringReencode:
+    """``status()`` counts an unavailable block as data under the scheme that
+    owns it, as ``repair()`` splits the two generations: the retained source
+    for documents not yet moved, the target for the rest."""
+
+    def test_lost_data_of_both_generations_is_counted(self):
+        payloads = make_docs(count=6, size=500)
+        service = StorageService.open(
+            mem_config(
+                "rs-4-2", block_size=64, topology="sites=3,racks=1,nodes=2",
+                placement="spread-domains", seed=1,
+            )
+        )
+        fill(service, payloads)
+        with pytest.raises(RuntimeError, match="injected crash"):
+            service.transition_to("ae-3-2-5", doc_guard=_CrashGuard(2))
+        service.fail_locations(service.cluster.topology.locations_for_target("site:0"))
+        assert len(service.transition.pending) == 4
+        unavailable = service.cluster.unavailable_blocks()
+        lost_data = unavailable & {
+            block_id
+            for document in service.documents.values()
+            for block_id in document.data_ids
+        }
+        # 10 stripe data blocks of the 4 pending documents, 6 AE data blocks.
+        kinds = collections.Counter(type(block_id).__name__ for block_id in lost_data)
+        assert kinds == {"DataId": 6, "StripeBlockId": 10}
+        status = service.status()
+        assert status.unavailable_blocks == len(unavailable) == 38
+        assert status.unavailable_data_blocks == len(lost_data) == 16
+        assert service.repair().data_loss == 0
+        assert service.status().unavailable_data_blocks == 0
+
+
 class TestOrphansOfAnInterruptedReencode:
     """A crash between a move's commit and its reclaim leaves the source's
     version behind as orphans.  After ``rs-4-12 -> rs-10-4`` the orphans at
