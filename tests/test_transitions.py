@@ -29,6 +29,7 @@ from repro.core.blocks import DataId, ParityId
 from repro.core.parameters import StrandClass
 from repro.exceptions import InvalidParametersError, RepairFailedError, ReproError
 from repro.storage.cluster import StorageCluster
+from repro.storage.topology import Topology
 from repro.storage.wal import MetadataWAL
 from repro.system.frontend import ConcurrentStorageService
 from repro.system.opening import open_service
@@ -825,6 +826,42 @@ class TestStatusDuringReencode:
         assert status.unavailable_data_blocks == len(lost_data) == 16
         assert service.repair().data_loss == 0
         assert service.status().unavailable_data_blocks == 0
+
+    def test_a_federation_sums_the_corrected_counts(self, monkeypatch):
+        payloads = make_docs(count=8, size=500)
+        config = mem_config(
+            "rs-4-2", block_size=64, topology="sites=3,racks=1,nodes=2",
+            placement="spread-domains", seed=1, shards=2,
+        )
+        service = open_service(config)
+        fill(service, payloads)
+        original = StorageService._land
+        moved = collections.Counter()
+
+        def crash_on_second(self, name, batches):
+            if moved[id(self)] >= 1:
+                raise RuntimeError("injected crash")
+            moved[id(self)] += 1
+            return original(self, name, batches)
+
+        monkeypatch.setattr(StorageService, "_land", crash_on_second)
+        with pytest.raises(RuntimeError, match="injected crash"):
+            service.transition_to("ae-3-2-5")
+        monkeypatch.undo()
+        service.fail_locations(
+            Topology.parse("sites=3,racks=1,nodes=2").locations_for_target("site:0")
+        )
+        shards = {id(member): member for member in map(service.service_for, payloads)}
+        assert len(shards) == 2 and any(shard.transition for shard in shards.values())
+        lost_data = sum(
+            len(
+                shard.cluster.unavailable_blocks()
+                & {block_id for doc in shard.documents.values() for block_id in doc.data_ids}
+            )
+            for shard in shards.values()
+        )
+        assert service.status().unavailable_data_blocks == lost_data == 22
+        assert service.repair().data_loss == 0
 
 
 class TestOrphansOfAnInterruptedReencode:
