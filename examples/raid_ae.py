@@ -49,12 +49,19 @@ def entangled_mirror_demo() -> None:
     print(f"  closed chain survives: {closed_chain_survives(tail_failure, pairs)}\n")
 
 
+def device_writes(raid: RAIDAEArray) -> int:
+    """Blocks written to the array's disks so far, as the disks count them."""
+    return sum(disk.write_count for disk in raid.cluster.locations())
+
+
 def raid_ae_demo() -> None:
     print("== RAID-AE (AE(3,2,5) over 8 disks) ==")
     raid = RAIDAEArray(AEParameters.triple(2, 5), disk_count=8, block_size=4096)
     payloads = [document_bytes(4096, seed=1000 + index) for index in range(48)]
     ids = [raid.write(payload) for payload in payloads]
-    print(f"wrote {len(ids)} blocks; write penalty = {raid.write_penalty} device writes per block")
+    penalty = device_writes(raid) / len(ids)
+    assert penalty == raid.params.alpha + 1
+    print(f"wrote {len(ids)} blocks; write penalty = {penalty:g} device writes per block")
 
     raid.fail_disk(2)
     print("disk 2 failed: serving degraded reads through alternative lattice paths")
@@ -62,16 +69,20 @@ def raid_ae_demo() -> None:
         assert bytes(raid.read(ids[index])) == payloads[index]
     print("degraded reads OK")
 
+    written = device_writes(raid)
     report = raid.rebuild()
+    written = device_writes(raid) - written
+    assert report.data_loss == 0 and written == report.repaired_count
+    assert report.blocks_read <= 2 * report.repaired_count
     print(
         f"rebuild: {report.repaired_count} blocks restored in {report.rounds} round(s), "
-        f"{report.blocks_read} block reads, data loss = {report.data_loss}"
+        f"{written} device writes, {report.blocks_read} block reads "
+        f"(at most 2 per block, vs k per block for RS)"
     )
-    estimate = raid.rebuild_cost_estimate(report.repaired_count)
-    print(f"analytic rebuild cost: {estimate['blocks_read']} reads "
-          f"(2 per block, vs k per block for RS)")
 
+    written = device_writes(raid)
     new_disk = raid.add_disk()
+    assert device_writes(raid) == written
     for index in range(48, 60):
         raid.write(document_bytes(4096, seed=1000 + index))
     print(f"grew the array online to {raid.disk_count} disks; "

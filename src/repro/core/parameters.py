@@ -224,24 +224,3 @@ class AEParameters:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.spec()
-
-    # ------------------------------------------------------------------
-    # Parameter evolution (dynamic fault tolerance)
-    # ------------------------------------------------------------------
-    def with_alpha(self, alpha: int) -> "AEParameters":
-        """Return a copy with a different ``alpha``.
-
-        Raising ``alpha`` is the supported dynamic-fault-tolerance upgrade: the
-        existing parities remain valid and only the new strand classes need to
-        be computed (see :mod:`repro.core.dynamic`).
-        """
-        if alpha == 1:
-            return AEParameters.single()
-        s = max(self.s, 1)
-        p = max(self.p, s)
-        return AEParameters(alpha, s, p)
-
-    def with_geometry(self, s: int, p: int) -> "AEParameters":
-        """Return a copy with different global-connectivity parameters."""
-        return AEParameters(self.alpha, s, p)
-

@@ -7,24 +7,12 @@ scale (one million data blocks, 100 locations) in seconds.  The engine
 :mod:`repro.schemes` registry resolves, and holds the one implementation of
 each evaluation job: :func:`replay_timeline` (events to offline sets),
 :func:`sample_states` (offline sets to an :class:`EngineRun` of
-:class:`StepMetrics`) under ``run_events`` / :class:`ChurnSimulator` /
-:func:`run_adaptive`, and :func:`simulate_disasters` (the scheme x disaster
-sweep) under every Sec. V-C experiment.
+:class:`StepMetrics`) under ``run_events`` and :class:`ChurnSimulator`, and
+:func:`simulate_disasters` (the scheme x disaster sweep) under every Sec. V-C
+experiment.  Deciding *when* to change a scheme (Sec. III-B) is an operator's
+call on the live service: ``status()``, then ``transition_to``.
 """
 
-from repro.simulation.adaptive import (
-    ACTION_HOLD,
-    ACTION_STRENGTHEN,
-    ACTION_WEAKEN,
-    AdaptiveDecision,
-    AdaptiveMaintenancePolicy,
-    AdaptiveRun,
-    AdaptiveSample,
-    AdaptiveStep,
-    cold_archive_demotion,
-    hot_data_promotion,
-    run_adaptive,
-)
 from repro.simulation.churn import (
     ChurnConfig,
     ChurnResult,
@@ -89,15 +77,7 @@ from repro.simulation.workload import (
 )
 
 __all__ = [
-    "ACTION_HOLD",
-    "ACTION_STRENGTHEN",
-    "ACTION_WEAKEN",
     "AE_SETTINGS",
-    "AdaptiveDecision",
-    "AdaptiveMaintenancePolicy",
-    "AdaptiveRun",
-    "AdaptiveSample",
-    "AdaptiveStep",
     "AvailabilitySeries",
     "ChurnConfig",
     "ChurnResult",
@@ -124,7 +104,6 @@ __all__ = [
     "WorkloadSpec",
     "availability_nines",
     "build_simulation",
-    "cold_archive_demotion",
     "compare_schemes_under_churn",
     "costs_table",
     "data_loss_experiment",
@@ -133,7 +112,6 @@ __all__ = [
     "document_bytes",
     "exponential_lifetimes",
     "format_table",
-    "hot_data_promotion",
     "mixed_file_sizes",
     "normalise_events",
     "p2p_session_trace",
@@ -141,7 +119,6 @@ __all__ = [
     "placement_balance_report",
     "repair_rounds_experiment",
     "replay_timeline",
-    "run_adaptive",
     "run_all",
     "sample_disaster_locations",
     "sample_states",

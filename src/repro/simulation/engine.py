@@ -17,8 +17,7 @@ scheme the :mod:`repro.schemes` registry can serve:
   fail before restore, every id range-checked first) and one sampling loop
   (:func:`sample_states`: ``(time, offline)`` states in, an
   :class:`EngineRun` of :class:`StepMetrics` out) sit under every study over
-  time -- :meth:`SimulationEngine.run_events`, the churn simulator and the
-  adaptive-maintenance loop;
+  time -- :meth:`SimulationEngine.run_events` and the churn simulator;
 * one scheme x disaster sweep (:func:`simulate_disasters`) sits under every
   Sec. V-C experiment, honouring
   :class:`~repro.storage.maintenance.MaintenancePolicy` and
@@ -35,7 +34,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -935,39 +933,32 @@ class EngineRun(AvailabilitySeries):
         }
 
 
-#: Called by :func:`sample_states` after every step with the step and the
-#: placement it was evaluated on; returns the placement for the next state.
-Steer = Callable[[StepMetrics, SimulatedPlacement], SimulatedPlacement]
-
-
 def sample_states(
     placement: SimulatedPlacement,
     states: Iterable[Tuple[float, np.ndarray]],
     policy: MaintenancePolicy = MaintenancePolicy.FULL,
     budget: Optional[MaintenanceBudget] = None,
-    steer: Optional[Steer] = None,
 ) -> EngineRun:
     """Sample what ``placement`` can serve at every ``(time, offline)`` state.
 
     Repairs are *evaluated* per state but not persisted: like the paper's
     availability study, the question is what the scheme can serve at each
-    instant, not where rebuilt blocks would land.  With nothing offline a
-    step is healthy by definition (nothing unavailable, nothing vulnerable).
-    ``steer`` lets a control loop swap the placement between two states
-    (adaptive maintenance re-encodes under a new scheme).
+    instant, not where rebuilt blocks would land.  Every state goes through
+    ``run_repair``, a healthy one too: a punctured lattice under ``MINIMAL``
+    or ``NONE`` maintenance holds vulnerable data with nothing offline.
     """
     run = EngineRun(placement.name, placement.scheme_id, placement.data_blocks)
     for time, offline in states:
-        unavailable = vulnerable = 0
-        if offline.size:
-            outcome = placement.run_repair(offline, policy=policy, budget=budget)
-            unavailable, vulnerable = outcome.data_loss, outcome.vulnerable_data
-        step = StepMetrics(
-            time, int(offline.size), unavailable, placement.data_blocks, vulnerable
+        outcome = placement.run_repair(offline, policy=policy, budget=budget)
+        run.steps.append(
+            StepMetrics(
+                time,
+                int(offline.size),
+                outcome.data_loss,
+                placement.data_blocks,
+                outcome.vulnerable_data,
+            )
         )
-        run.steps.append(step)
-        if steer is not None:
-            placement = steer(step, placement)
     return run
 
 

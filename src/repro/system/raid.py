@@ -18,8 +18,6 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.codes.entanglement import EntanglementScheme
 from repro.core.blocks import DataId
 from repro.core.lattice import HelicalLattice
@@ -83,11 +81,6 @@ class RAIDAEArray:
     def lattice(self) -> HelicalLattice:
         return self._service.scheme.lattice  # type: ignore[attr-defined]
 
-    @property
-    def write_penalty(self) -> int:
-        """Physical writes per logical write: ``alpha + 1`` (paper, Sec. IV-B2)."""
-        return self._params.alpha + 1
-
     # ------------------------------------------------------------------
     # I/O
     # ------------------------------------------------------------------
@@ -140,13 +133,6 @@ class RAIDAEArray:
     ) -> ServiceRepairReport:
         """Rebuild the blocks of failed disks onto the surviving disks."""
         return self._service.repair(policy)
-
-    def rebuild_cost_estimate(self, failed_blocks: int) -> Dict[str, int]:
-        """Reads/writes needed to rebuild ``failed_blocks`` single failures."""
-        return {
-            "blocks_read": 2 * failed_blocks,
-            "blocks_written": failed_blocks,
-        }
 
 
 # ----------------------------------------------------------------------

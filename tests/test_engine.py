@@ -421,6 +421,27 @@ class TestEventLoop:
         ChurnTrace([ChurnEvent(0, departures=bounced, arrivals=bounced)]).replay(cluster)
         assert cluster.unavailable_locations() == []
 
+    def test_a_healthy_state_still_counts_punctured_exposure(self):
+        """Nothing offline is not "nothing vulnerable": under MINIMAL a
+        punctured lattice's dropped parities leave data one loss from gone
+        with every location up, as ``run_repair`` of no failure reports."""
+        engine = SimulationEngine(
+            "ae-3-2-5-p75", 400, 20, seed=2, policy=MaintenancePolicy.MINIMAL
+        )
+        healthy = engine.placement.run_repair(
+            np.asarray([], dtype=np.int64), policy=MaintenancePolicy.MINIMAL
+        )
+        assert healthy.vulnerable_data == 46
+        run = engine.run_events(
+            [
+                SimulationEvent(0.0),
+                SimulationEvent(1.0, fail=(7,)),
+                SimulationEvent(2.0, restore=(7,)),
+            ]
+        )
+        assert [step.vulnerable_data for step in run.steps] == [46, 55, 46]
+        assert [step.offline_locations for step in run.steps] == [0, 1, 0]
+
     @pytest.mark.parametrize("field", ["fail", "restore"])
     def test_out_of_range_ids_are_refused_before_any_step(self, field, monkeypatch):
         engine = SimulationEngine("rs-10-4", 1_000, 40, seed=7)
@@ -438,6 +459,28 @@ class TestEventLoop:
         engine = SimulationEngine("rs-10-4", 1_000, 40, seed=7)
         with pytest.raises(InvalidParametersError, match="ChurnTrace.load"):
             engine.run_events("trace.json")
+
+
+class TestPuncturedSimulation:
+    def test_punctured_placement_stores_fewer_blocks(self):
+        plain = build_simulation("ae-3-2-5", 400, 20, seed=2)
+        punctured = build_simulation("ae-3-2-5-p75", 400, 20, seed=2)
+        assert punctured.data_blocks == plain.data_blocks
+        assert punctured.redundancy_blocks < plain.redundancy_blocks
+        # p75 keeps roughly three quarters of the parities.
+        keep = punctured.redundancy_blocks / plain.redundancy_blocks
+        assert 0.6 < keep < 0.9
+
+    def test_punctured_placement_balance_excludes_dropped_parities(self):
+        punctured = build_simulation("ae-3-2-5-p75", 400, 20, seed=2)
+        assert int(punctured.blocks_per_location().sum()) == punctured.total_blocks
+
+    def test_healthy_punctured_lattice_serves_everything(self):
+        punctured = build_simulation("ae-3-2-5-p75", 400, 20, seed=2)
+        import numpy as np
+
+        outcome = punctured.run_repair(np.asarray([], dtype=np.int64).reshape(0))
+        assert outcome.data_loss == 0
 
 
 class TestSchemeIdUnification:

@@ -8,6 +8,9 @@ were written once (``tools/write_frozen_trees.py``, on ``5da2aaa``) and are
 committed bytes: ``segment`` and ``disk`` x ``ae-3-2-5``, ``ae-3-2-5-p75``,
 ``rs-10-4`` and ``lrc-azure``, plus one ``segment`` / ``ae-3-2-5`` tree whose
 last puts and delete live only in a WAL tail that was never checkpointed.
+Two more were written on ``7a31db6``: a 2-shard ``ae-3-2-5`` federation and
+an ``rs-4-2 -> ae-3-2-5`` re-encode cut after two documents, whose reopen
+finishes the transition.
 
 Each test reopens a copy, checks every document against its recorded
 sha256, fails one location, repairs and reads byte-exact, then puts one
@@ -24,16 +27,27 @@ import shutil
 
 import pytest
 
-from repro.system.service import StorageConfig, StorageService
+from repro.system.opening import open_service
+from repro.system.service import StorageConfig
 
 TREES = os.path.join(os.path.dirname(__file__), "data", "trees")
 with open(os.path.join(TREES, "trees.json"), encoding="utf-8") as _handle:
     INDEX = json.load(_handle)
 
 
-def _open(record, path) -> StorageService:
-    settings = {key: value for key, value in record.items() if key != "documents"}
-    return StorageService.open(StorageConfig(data_dir=str(path), **settings))
+def _open(record, path):
+    settings = {
+        key: value
+        for key, value in record.items()
+        if key not in ("documents", "transition_to")
+    }
+    return open_service(StorageConfig(data_dir=str(path), **settings))
+
+
+def _members(service):
+    """The plain services holding the documents: one, or one per shard."""
+    members = {id(member): member for member in map(service.service_for, service.documents)}
+    return list(members.values())
 
 
 def _assert_documents(service, digests) -> None:
@@ -42,8 +56,8 @@ def _assert_documents(service, digests) -> None:
         assert hashlib.sha256(service.get(name)).hexdigest() == digest, name
 
 
-def test_the_nine_trees_are_indexed():
-    assert len(INDEX) == 9
+def test_the_eleven_trees_are_indexed():
+    assert len(INDEX) == 11
     assert sorted(INDEX) == sorted(
         entry for entry in os.listdir(TREES) if entry != "trees.json"
     )
@@ -56,19 +70,33 @@ def test_a_frozen_tree_reopens_repairs_and_takes_writes(tree, tmp_path):
     path = tmp_path / tree
     shutil.copytree(os.path.join(TREES, tree), path)
 
+    target = record.get("transition_to")
+    if target is not None:
+        with open(path / "manifest.json", encoding="utf-8") as handle:
+            assert json.load(handle)["transition"]["pending"]
+
     service = _open(record, path)
-    assert service.scheme.scheme_id == record["scheme"]
+    # A cut transition is finished by the open itself; from then on the tree
+    # is a service of the target scheme.
+    settled = dict(record, scheme=target or record["scheme"])
+    assert service.scheme.scheme_id == settled["scheme"]
+    assert all(member.transition is None for member in _members(service))
     _assert_documents(service, digests)
 
     # The location holding the most blocks goes down; repair rebuilds them.
-    cluster = service.cluster
-    down = max(range(cluster.location_count), key=lambda loc: len(cluster.blocks_at(loc)))
-    lost = len(cluster.blocks_at(down))
+    clusters = [member.cluster for member in _members(service)]
+    assert len(clusters) == record.get("shards", 1)
+
+    def held(loc):
+        return sum(len(cluster.blocks_at(loc)) for cluster in clusters)
+
+    down = max(range(clusters[0].location_count), key=held)
+    lost = held(down)
     service.fail_locations([down])
     assert service.status().unavailable_blocks == lost > 0
     report = service.repair()
     assert report.data_loss == 0 and not report.unrecovered
-    assert len(report.repaired) == lost
+    assert report.repaired_count == lost
     _assert_documents(service, digests)
     service.restore_locations([down])
 
@@ -77,7 +105,7 @@ def test_a_frozen_tree_reopens_repairs_and_takes_writes(tree, tmp_path):
     digests["doc-new"] = hashlib.sha256(extra).hexdigest()
     service.close()
 
-    reopened = _open(record, path)
+    reopened = _open(settled, path)
     _assert_documents(reopened, digests)
     assert reopened.status().unavailable_blocks == 0
     reopened.close()

@@ -41,8 +41,6 @@ class TestValidation:
             AEParameters(alpha, 2, 5)
         with pytest.raises(InvalidParametersError, match="alpha=3"):
             AEParameters.parse(f"AE({alpha},2,5)")
-        with pytest.raises(InvalidParametersError, match="alpha=3"):
-            AEParameters.triple(2, 5).with_alpha(alpha)
 
     def test_valid_settings_accepted(self):
         for alpha, s, p in [(2, 1, 1), (2, 2, 5), (3, 2, 5), (3, 5, 5), (3, 1, 4)]:
@@ -114,16 +112,3 @@ class TestParsingAndSpec:
     def test_helical_constructor_matches_phec(self):
         """p-HEC corresponds to AE(3, 2, p) (paper, Sec. II)."""
         assert AEParameters.helical(5) == AEParameters(3, 2, 5)
-
-
-class TestEvolution:
-    def test_with_alpha_upgrade(self):
-        upgraded = AEParameters.single().with_alpha(2)
-        assert upgraded.alpha == 2
-        assert upgraded.p >= upgraded.s
-
-    def test_with_geometry(self):
-        changed = AEParameters.triple(2, 5).with_geometry(3, 7)
-        assert (changed.s, changed.p) == (3, 7)
-        with pytest.raises(InvalidParametersError):
-            AEParameters.triple(2, 5).with_geometry(5, 3)

@@ -101,10 +101,24 @@ class TestEntangledMirrorArray:
             EntangledMirrorArray(0)
 
 
+def _device_writes(raid: RAIDAEArray) -> int:
+    """Blocks written to the array's disks so far, as the disks count them."""
+    return sum(disk.write_count for disk in raid.cluster.locations())
+
+
 class TestRAIDAE:
-    def test_write_penalty_is_alpha_plus_one(self):
-        raid = RAIDAEArray(AEParameters.triple(2, 2), disk_count=8, block_size=32)
-        assert raid.write_penalty == 4
+    @pytest.mark.parametrize(
+        "params", [AEParameters.single(), AEParameters(2, 2, 5), AEParameters(3, 2, 5)],
+        ids=str,
+    )
+    def test_each_write_costs_alpha_plus_one_device_writes(self, params):
+        """The write penalty of Sec. IV-B2, measured at the disks: one data
+        block and its ``alpha`` parities per logical write."""
+        raid = RAIDAEArray(params, disk_count=8, block_size=32)
+        for index in range(20):
+            before = _device_writes(raid)
+            raid.write(make_payload(index, 32))
+            assert _device_writes(raid) - before == params.alpha + 1
 
     def test_requires_enough_disks(self):
         with pytest.raises(InvalidParametersError):
@@ -164,7 +178,26 @@ class TestRAIDAE:
         for block_id, payload in stored.items():
             assert bytes(raid.cluster.try_get_block(block_id)) == payload
 
-    def test_rebuild_cost_estimate_is_two_reads_per_block(self):
+    def test_a_single_disk_rebuild_reads_at_most_two_blocks_per_block(self):
+        """Each lost block is one XOR of a pair (Sec. IV-B2): a rebuild
+        writes the blocks it repaired and reads at most two per block."""
         raid = RAIDAEArray(AEParameters.triple(2, 5), disk_count=8, block_size=32)
-        estimate = raid.rebuild_cost_estimate(10)
-        assert estimate == {"blocks_read": 20, "blocks_written": 10}
+        for index in range(48):
+            raid.write(make_payload(index, 32))
+        raid.fail_disk(2)
+        before = _device_writes(raid)
+        report = raid.rebuild()
+        assert report.data_loss == 0 and report.repaired_count == 24
+        assert _device_writes(raid) - before == report.repaired_count
+        assert 0 < report.blocks_read <= 2 * report.repaired_count
+
+    def test_add_disk_writes_and_moves_nothing(self):
+        raid = RAIDAEArray(AEParameters.triple(2, 5), disk_count=8, block_size=32)
+        for index in range(24):
+            raid.write(make_payload(index, 32))
+        cluster = raid.cluster
+        where = {block_id: cluster.location_of(block_id) for block_id in cluster.block_ids()}
+        before = _device_writes(raid)
+        raid.add_disk()
+        assert _device_writes(raid) == before
+        assert {block_id: cluster.location_of(block_id) for block_id in where} == where

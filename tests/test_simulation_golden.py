@@ -1,12 +1,12 @@
-"""Golden evaluation output: Figs. 11-13, Table VI, churn, adaptive maintenance.
+"""Golden evaluation output: Figs. 11-13, Table VI, churn, event timelines.
 
 The digests below were recorded on the commit *before* the evaluation half was
 put on one set of rails (PR 23's parent, ``00fec1e``): one timeline replay and
-one sampling loop under ``run_events`` / ``ChurnSimulator.run`` /
-``run_adaptive``, one scheme x disaster sweep under the four Sec. V-C
-experiments, and Tables I / II tabulated once for ``plan_round`` and
-``LatticeSimulation``.  They pin what that change had to keep: every row of
-every table, every step of every timeline, bit for bit.
+one sampling loop under ``run_events`` / ``ChurnSimulator.run``, one scheme x
+disaster sweep under the four Sec. V-C experiments, and Tables I / II
+tabulated once for ``plan_round`` and ``LatticeSimulation``.  They pin what
+that change had to keep: every row of every table, every step of every
+timeline, bit for bit.
 
 Each section is the sha256 of the JSON of its rows (ints and floats enter
 through ``repr``, so a last-digit float drift fails too).  Records are read
@@ -28,7 +28,6 @@ from typing import Callable, Dict, List
 import numpy as np
 import pytest
 
-from repro.simulation.adaptive import cold_archive_demotion, hot_data_promotion
 from repro.simulation.churn import ChurnConfig, ChurnSimulator
 from repro.simulation.engine import SimulationEngine, simulate_disasters
 from repro.simulation.experiments import ExperimentConfig, run_all
@@ -117,29 +116,12 @@ def _run_events() -> object:
     return rows
 
 
-def _adaptive() -> object:
-    rows = []
-    for scenario in (cold_archive_demotion, hot_data_promotion):
-        run = scenario()
-        rows.append(
-            [
-                run.as_row(),
-                run.initial_scheme,
-                run.final_scheme,
-                [dataclasses.asdict(step) for step in run.steps],
-                [dataclasses.asdict(decision) for decision in run.decisions],
-            ]
-        )
-    return rows
-
-
 SECTIONS: Dict[str, Callable[[], object]] = {
     "sweep_budget": _sweep_budget,
     "sweep_topology": _sweep_topology,
     "churn_p2p": _churn_p2p,
     "churn_datacenter": _churn_datacenter,
     "run_events": _run_events,
-    "adaptive": _adaptive,
 }
 
 
@@ -164,7 +146,6 @@ GOLDEN: Dict[str, str] = {
     'churn_p2p': '82a547d5834f3fbde7e8a805218e9f8e9ee7ebce232fb10b93c4d07083d5e65f',
     'churn_datacenter': '1c20c7a9b3cd2b6538b9ae99103e958056b921fdadaa4fec3bca0b77d19460c1',
     'run_events': '2b46f4b5215354ba07a2decbc2dd9b6829ff1cc0b477703d9c0bf40b1a2e97f8',
-    'adaptive': '4f940cb41ccb3415a3c17b5d937aa9cb2a7a72da8f892e5bc02e64a93e12480b',
 }
 
 #: A few cells in the clear, so a failing digest can be read against numbers.

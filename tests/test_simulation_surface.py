@@ -7,6 +7,7 @@ public class/function defined in the subpackage's modules is exported.
 
 from __future__ import annotations
 
+import importlib.util
 import inspect
 
 import repro.simulation
@@ -29,7 +30,6 @@ class TestSimulationImportSurface:
         assert not missing, f"__all__ entries not importable via *: {sorted(missing)}"
 
     def test_public_submodule_definitions_are_exported(self):
-        import repro.simulation.adaptive
         import repro.simulation.churn
         import repro.simulation.engine
         import repro.simulation.experiments
@@ -38,7 +38,6 @@ class TestSimulationImportSurface:
         import repro.simulation.workload
 
         submodules = [
-            repro.simulation.adaptive,
             repro.simulation.churn,
             repro.simulation.engine,
             repro.simulation.experiments,
@@ -77,7 +76,9 @@ class TestSimulationImportSurface:
     def test_retired_spellings_stay_retired(self):
         """PR 23: the legacy scheme shim, the experiment-runner sampling
         wrapper, the np.where restatement of Tables I / II and the churn
-        simulator's private step record are gone on purpose."""
+        simulator's private step record are gone on purpose, and so is the
+        simulated adaptive controller (``repro.simulation.adaptive``): deciding
+        when to transition is a call on the live service."""
         for retired in (
             "scheme_id_for",
             "SchemeDescription",
@@ -85,6 +86,19 @@ class TestSimulationImportSurface:
             "vectorised_input_indices",
             "vectorised_output_indices",
             "ChurnSample",
+            "ACTION_HOLD",
+            "ACTION_STRENGTHEN",
+            "ACTION_WEAKEN",
+            "AdaptiveDecision",
+            "AdaptiveMaintenancePolicy",
+            "AdaptiveRun",
+            "AdaptiveSample",
+            "AdaptiveStep",
+            "cold_archive_demotion",
+            "hot_data_promotion",
+            "run_adaptive",
         ):
             assert retired not in repro.simulation.__all__
             assert not hasattr(repro.simulation, retired)
+        assert importlib.util.find_spec("repro.simulation.adaptive") is None
+        assert "steer" not in inspect.signature(repro.simulation.sample_states).parameters
