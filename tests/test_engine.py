@@ -442,6 +442,42 @@ class TestEventLoop:
         assert [step.vulnerable_data for step in run.steps] == [46, 55, 46]
         assert [step.offline_locations for step in run.steps] == [0, 1, 0]
 
+    @pytest.mark.parametrize("policy", list(MaintenancePolicy), ids=lambda p: p.value)
+    @pytest.mark.parametrize(
+        "scheme_id", ["ae-3-2-5", "ae-3-2-5-p75", "ae-2-2-5-p50", "rs-10-4"]
+    )
+    def test_a_healthy_step_reports_what_run_repair_reports(self, scheme_id, policy):
+        """A step with nothing offline -- at the start, or after every failed
+        location is restored -- is sampled like any other state."""
+        engine = SimulationEngine(scheme_id, 400, 20, seed=2, policy=policy)
+        healthy = engine.placement.run_repair(
+            np.asarray([], dtype=np.int64), policy=policy
+        )
+        run = engine.run_events(
+            [SimulationEvent(0.0), SimulationEvent(1.0, fail=(3, 7), restore=(3, 7))]
+        )
+        for step in run.steps:
+            assert step.offline_locations == 0
+            assert step.unavailable_data == healthy.data_loss == 0
+            assert step.vulnerable_data == healthy.vulnerable_data
+
+    def test_run_events_replays_deterministically(self):
+        events = [
+            SimulationEvent(0.0, fail=(1, 4, 9)),
+            SimulationEvent(1.0, fail=(12,), restore=(4,)),
+            SimulationEvent(2.0, restore=(1, 9, 12)),
+        ]
+
+        def replay():
+            engine = SimulationEngine(
+                "ae-3-2-5-p75", 400, 20, seed=5, policy=MaintenancePolicy.MINIMAL
+            )
+            return engine.run_events(events)
+
+        first, second = replay(), replay()
+        assert first.steps == second.steps
+        assert first.as_row() == second.as_row()
+
     @pytest.mark.parametrize("field", ["fail", "restore"])
     def test_out_of_range_ids_are_refused_before_any_step(self, field, monkeypatch):
         engine = SimulationEngine("rs-10-4", 1_000, 40, seed=7)
@@ -481,6 +517,27 @@ class TestPuncturedSimulation:
 
         outcome = punctured.run_repair(np.asarray([], dtype=np.int64).reshape(0))
         assert outcome.data_loss == 0
+
+    def test_each_puncturing_step_exposes_more_data(self):
+        """The price of shedding parities, on one failure timeline: under
+        MINIMAL maintenance the plain lattice leaves the least data
+        unavailable or vulnerable at every step, then p75, then p50."""
+        events = [
+            SimulationEvent(0.0),
+            SimulationEvent(1.0, fail=(3, 7, 11)),
+            SimulationEvent(2.0, fail=(5,)),
+            SimulationEvent(3.0, restore=(3, 5, 7, 11)),
+        ]
+        runs = [
+            SimulationEngine(
+                scheme_id, 400, 20, seed=2, policy=MaintenancePolicy.MINIMAL
+            ).run_events(events)
+            for scheme_id in ("ae-3-2-5", "ae-3-2-5-p75", "ae-3-2-5-p50")
+        ]
+        for plain, p75, p50 in zip(*(run.steps for run in runs)):
+            assert plain.unavailable_data <= p75.unavailable_data <= p50.unavailable_data
+            assert plain.vulnerable_data < p75.vulnerable_data < p50.vulnerable_data
+        assert runs[0].min_availability > runs[1].min_availability > runs[2].min_availability
 
 
 class TestSchemeIdUnification:

@@ -191,6 +191,26 @@ class TestRAIDAE:
         assert _device_writes(raid) - before == report.repaired_count
         assert 0 < report.blocks_read <= 2 * report.repaired_count
 
+    @pytest.mark.parametrize(
+        "params", [AEParameters.single(), AEParameters(2, 2, 5), AEParameters(3, 2, 5)],
+        ids=str,
+    )
+    def test_every_single_disk_rebuild_repairs_what_the_disk_held(self, params):
+        """Whichever disk fails, the rebuild restores exactly the blocks it
+        held, one device write each, at most two reads per block."""
+        for disk in range(8):
+            raid = RAIDAEArray(params, disk_count=8, block_size=32)
+            for index in range(48):
+                raid.write(make_payload(index, 32))
+            held = len(raid.cluster.blocks_at(disk))
+            raid.fail_disk(disk)
+            before = _device_writes(raid)
+            report = raid.rebuild()
+            assert report.data_loss == 0 and not report.unrecovered
+            assert report.repaired_count == held == 48 * (params.alpha + 1) // 8
+            assert _device_writes(raid) - before == held
+            assert held <= report.blocks_read <= 2 * held
+
     def test_add_disk_writes_and_moves_nothing(self):
         raid = RAIDAEArray(AEParameters.triple(2, 5), disk_count=8, block_size=32)
         for index in range(24):

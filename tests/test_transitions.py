@@ -177,6 +177,42 @@ class TestLiveChain:
         assert restored.parities_written == demoted.blocks_deleted
         assert_byte_exact(service, payloads)
 
+    @pytest.mark.parametrize("source", ["rs-10-4", "lrc-azure"])
+    def test_a_stripe_code_promotes_into_the_default_lattice(self, source):
+        """Promoting out of a stripe code re-encodes every document and
+        leaves exactly the blocks a fresh ``ae-3-2-5`` service would store."""
+        payloads = make_docs()
+        service = StorageService.open(mem_config(source))
+        fill(service, payloads)
+        report = service.transition_to("ae-3-2-5")
+        assert report.kind == KIND_REENCODE
+        assert report.documents_migrated == len(payloads)
+        assert_byte_exact(service, payloads)
+
+        fresh = StorageService.open(mem_config("ae-3-2-5"))
+        fill(fresh, payloads)
+        assert service.status().blocks == fresh.status().blocks
+        assert service.status().bytes_stored == fresh.status().bytes_stored
+
+    def test_punctured_levels_step_both_ways(self):
+        payloads = make_docs()
+        service = StorageService.open(mem_config("ae-3-2-5-p75"))
+        fill(service, payloads)
+        blocks_at_p75 = service.status().blocks
+
+        shed = service.transition_to("ae-3-2-5-p50")
+        assert shed.kind == KIND_REPUNCTURE
+        assert shed.data_blocks_rewritten == 0 and shed.parities_written == 0
+        assert service.status().blocks == blocks_at_p75 - shed.blocks_deleted
+        assert_byte_exact(service, payloads)
+
+        kept = service.transition_to("ae-3-2-5-p75")
+        assert kept.kind == KIND_REPUNCTURE
+        assert kept.blocks_deleted == 0
+        assert kept.parities_written == shed.blocks_deleted > 0
+        assert service.status().blocks == blocks_at_p75
+        assert_byte_exact(service, payloads)
+
     def test_no_op_transition_returns_none(self):
         service = StorageService.open(mem_config("ae-3-2-5"))
         fill(service, make_docs(count=1))
