@@ -162,6 +162,13 @@ class RedundancyScheme(ABC):
     def block_size(self) -> int:
         return self._block_size
 
+    @property
+    def stripe_data_blocks(self) -> int:
+        """Data blocks per stripe: encoding a document in chunks of a
+        multiple of this stores what one encode of it stores (1 unless the
+        code pads a short final stripe)."""
+        return 1
+
     @abstractmethod
     def capabilities(self) -> SchemeCapabilities:
         """Capability metadata, including the analytic Table IV costs."""

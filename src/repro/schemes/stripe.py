@@ -96,6 +96,10 @@ class StripeScheme(RedundancyScheme):
     def stripes_written(self) -> int:
         return self._next_stripe
 
+    @property
+    def stripe_data_blocks(self) -> int:
+        return self._code.k
+
     def capabilities(self) -> SchemeCapabilities:
         code = self._code
         return SchemeCapabilities(

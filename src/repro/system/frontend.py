@@ -42,8 +42,8 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional
+from contextlib import ExitStack, contextmanager
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from repro.exceptions import InvalidParametersError, ServiceOverloadedError
 from repro.system.protocol import Members, ServiceLayer
@@ -232,9 +232,22 @@ class ConcurrentStorageService(ServiceLayer):
         return len(self._stripes)
 
     # -- The two hooks, and what they hold --
-    def _stripe_for(self, name: str) -> ReadWriteLock:
+    def _stripe_index(self, name: str) -> int:
         digest = hashlib.blake2b(name.encode("utf-8"), digest_size=4).digest()
-        return self._stripes[int.from_bytes(digest, "big") % len(self._stripes)]
+        return int.from_bytes(digest, "big") % len(self._stripes)
+
+    def _stripe_for(self, name: str) -> ReadWriteLock:
+        return self._stripes[self._stripe_index(name)]
+
+    @contextmanager
+    def _write_locked(self, names: Sequence[str]) -> Iterator[None]:
+        """Write-lock the stripes of ``names``: each distinct stripe once --
+        two names can share one, and the locks are not reentrant -- in
+        stripe order, so two such holders cannot wait on each other."""
+        with ExitStack() as stack:
+            for index in sorted({self._stripe_index(name) for name in names}):
+                stack.enter_context(self._stripes[index].write_locked())
+            yield
 
     def _admit(self) -> None:
         """Take an admission slot without blocking, or raise before any work:
@@ -276,17 +289,16 @@ class ConcurrentStorageService(ServiceLayer):
         Holds the maintenance gate's *write* side for the duration, so
         mutations are quiesced (the writer-preferring gate drains them
         first) while plain ``get``/``get_stream`` -- which never touch the
-        gate -- keep streaming mid-transition.  Each document is
-        additionally migrated under its name's stripe *write* lock, so a
-        reader can never land inside one document's copy-commit-delete
-        window: it either sees the source blocks (before) or the target
-        blocks (after), byte-exact either way.
+        gate -- keep streaming mid-transition.  Each batch of documents is
+        additionally migrated under the *write* locks of its names' stripes
+        (:meth:`_write_locked`), so a reader can never land inside a batch's
+        copy-commit-delete window: it either sees the source blocks (before)
+        or the target blocks (after), byte-exact either way.  A reader of
+        any of those stripes waits out the batch.
         """
         self._ensure_open()
         with self._members() as members:
-            return members[0].transition_to(
-                scheme, doc_guard=lambda name: self._stripe_for(name).write_locked()
-            )
+            return members[0].transition_to(scheme, doc_guard=self._write_locked)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

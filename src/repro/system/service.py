@@ -734,26 +734,29 @@ class StorageService(ServiceHandle):
         self._mutation_seq += 1
         return self._mutation_seq
 
-    def _document_ops(self, document: StoredDocument) -> List[Dict[str, object]]:
-        """WAL records of one put (call with the state lock held).
+    def _document_ops(self, documents: Sequence[StoredDocument]) -> List[Dict[str, object]]:
+        """WAL records of one landing: a ``put_doc`` per document and one
+        scheme-state snapshot (call with the state lock held).
 
         The scheme state is snapshotted in the same critical section as the
-        encode, so replaying the newest surviving snapshot always covers
-        every catalogued document's blocks.  A volatile service has no log
-        to write them to.
+        catalogue update, after every encode of the landing, so replaying
+        the newest surviving snapshot always covers every catalogued
+        document's blocks.  A volatile service has no log to write them to.
         """
         if self._wal is None:
             return []
         seq = self._next_mutation()
-        return [
+        ops: List[Dict[str, object]] = [
             {
                 "op": "put_doc",
                 "name": document.name,
                 "data_ids": _encode_id_runs(document.data_ids),
                 "length": document.length,
-            },
-            {"op": "scheme_state", "state": self._scheme.state(), "seq": seq},
+            }
+            for document in documents
         ]
+        ops.append({"op": "scheme_state", "state": self._scheme.state(), "seq": seq})
+        return ops
 
     def _commit_meta(self, ops: List[Dict[str, object]]) -> None:
         """Durably record one mutation's metadata.
@@ -915,16 +918,17 @@ class StorageService(ServiceHandle):
             # a stored data block under its parities.  ``bytes`` stays
             # zero-copy.
             data = bytes(data)
-        return self._land(name, (data,))[0]
+        return self._land([(name, (data,))])[0][0]
 
     def put_stream(self, name: str, chunks: Iterable[bytes]) -> StoredDocument:
         """Encode and store a document from an iterable of byte chunks.
 
         Chunks of arbitrary sizes are re-blocked into batches of up to
-        ``batch_blocks`` blocks; each batch is encoded in one scheme pass and
-        persisted through the cluster's bulk write path, so at most one batch
-        is buffered in memory.  Empty documents and payloads that are not a
-        multiple of the block size round-trip byte-exact (the final block is
+        ``batch_blocks`` blocks, cut at whole stripes (:meth:`_chunk_blocks`);
+        each batch is encoded in one scheme pass and persisted through the
+        cluster's bulk write path, so at most one batch is buffered in memory
+        besides the one being cut.  Empty documents and payloads that are not
+        a multiple of the block size round-trip byte-exact (the final block is
         zero-padded for encoding; padding is stripped on read).
 
         If ``chunks`` raises mid-stream the exception propagates and no
@@ -932,7 +936,7 @@ class StorageService(ServiceHandle):
         batches already stored.
         """
         self._ensure_open()
-        batch_bytes = self._batch_blocks * self.block_size
+        batch_bytes = self._chunk_blocks() * self.block_size
 
         def batches() -> Iterator[bytearray]:
             buffer = bytearray()
@@ -944,94 +948,156 @@ class StorageService(ServiceHandle):
             if buffer:
                 yield buffer
 
-        return self._land(name, batches())[0]
+        return self._land([(name, batches())])[0][0]
+
+    def _chunk_blocks(self) -> int:
+        """Blocks per chunk of a streamed write (``put_stream``, a long
+        document's move): ``batch_blocks`` cut down to whole stripes of the
+        scheme, and never less than one stripe.  A chunk that ended inside a
+        stripe would store a zero-padded stripe that one put never does."""
+        width = self._scheme.stripe_data_blocks
+        return max(width, self._batch_blocks - self._batch_blocks % width)
 
     def _land(
-        self, name: str, batches: Iterable[Union[bytes, bytearray]]
-    ) -> Tuple[StoredDocument, int, int]:
-        """Land one document version: the one way a document is written.
+        self, documents: Sequence[Tuple[str, Iterable[Union[bytes, bytearray]]]]
+    ) -> Tuple[List[StoredDocument], int, int]:
+        """Land new versions of ``documents`` (``(name, chunks)`` pairs): the
+        one way a document is written.
 
-        ``put``, ``put_stream`` and :meth:`_move_in` (a re-encode or a shard
-        move) all end here.  Every batch is encoded and its
-        blocks stored; then the version is catalogued, committed to the WAL,
-        and only then is the version it replaced reclaimed -- under the
-        scheme that encoded it, mid-transition the fallback.  A crash between
-        commit and reclaim leaks the old version's blocks as orphans, but
-        never loses a committed document.  Returns the document with the
-        counts of blocks written and reclaimed.
+        ``put`` and ``put_stream`` land one document; :meth:`_move_in` (a
+        re-encode or a shard move) lands one batch.  Each document is encoded
+        on its own, one ``scheme.encode`` per chunk, so its ids and stripes
+        are what a put of it alone would lay down.  Encoded blocks go to the
+        cluster in one ``put_many`` whenever the buffered input reaches
+        ``batch_blocks``, and once at the end: a batch of short documents is
+        one bulk write, a long document streams.  Once every document is
+        stored, the versions are catalogued and committed to the WAL as one
+        group, and only then are the versions they replaced reclaimed in one
+        delete -- each under the scheme that encoded it, mid-transition the
+        fallback.  A crash between commit and reclaim leaks the old versions'
+        blocks as orphans (a whole batch of them for a re-encode), but never
+        loses a committed document.  Returns the documents with the counts of
+        blocks written and reclaimed.
 
-        If anything raises before the version is catalogued (the batch
+        If anything raises before the versions are catalogued (a chunk
         source, a location that is down or full), an erasable scheme deletes
         the blocks stored so far, so a failed write strands nothing.
         Entanglement stays append-only by design: its blocks, once in the
         lattice, protect their neighbourhood whether or not a document names
         them.
         """
-        data_ids: List[object] = []
-        length = written = 0
+        ids: List[List[object]] = [[] for _ in documents]
+        lengths = [0] * len(documents)
+        pending: List[Tuple[int, Union[bytes, bytearray]]] = []
+        written = buffered = 0
+        block_size = self.block_size
+
+        def store() -> int:
+            with self._state_lock:
+                # Encode *and* block write share the critical section: the
+                # lattice has one monotonic write position, and any
+                # scheme-state snapshot (WAL record or checkpoint) taken
+                # under this lock must only ever cover encodes whose blocks
+                # are already on the medium -- restore refetches the strand
+                # heads from storage.
+                blocks: List[Tuple[object, Payload]] = []
+                for slot, chunk in pending:
+                    part = self._scheme.encode(chunk)
+                    ids[slot].extend(part.data_ids)
+                    blocks.extend(part.blocks)
+                pending.clear()
+                return self._cluster.put_many(blocks)
+
         stored = False
         try:
-            for batch in batches:
-                with self._state_lock:
-                    # Encode *and* block write share the critical section:
-                    # the lattice has one monotonic write position, and any
-                    # scheme-state snapshot (WAL record or checkpoint) taken
-                    # under this lock must only ever cover encodes whose
-                    # blocks are already on the medium -- restore refetches
-                    # the strand heads from storage.
-                    part = self._scheme.encode(batch)
-                    data_ids.extend(part.data_ids)
-                    written += self._cluster.put_many(part.blocks)
-                length += len(batch)
+            for slot, (_, chunks) in enumerate(documents):
+                for chunk in chunks:
+                    pending.append((slot, chunk))
+                    lengths[slot] += len(chunk)
+                    buffered += -(-len(chunk) // block_size)
+                    if buffered >= self._batch_blocks:
+                        written += store()
+                        buffered = 0
+            if pending:
+                written += store()
             stored = True
         finally:
             if not stored:
-                self._reclaim(self._scheme, data_ids)
+                self._reclaim([(self._scheme, [i for slot in ids for i in slot])])
+        landed = [
+            StoredDocument(name=name, data_ids=data_ids, length=length)
+            for (name, _), data_ids, length in zip(documents, ids, lengths)
+        ]
         with self._state_lock:
-            document = StoredDocument(name=name, data_ids=data_ids, length=length)
-            previous = self._documents.get(name)
-            previous_scheme = self._scheme_for(name)
-            self._documents[name] = document
-            if self._transition is not None:
-                # The new version is target-encoded: whatever migration the
-                # name was owed is done.
-                self._transition.pending.discard(name)
-            ops = self._document_ops(document)
+            replaced: List[Tuple[RedundancyScheme, List[object]]] = []
+            for document in landed:
+                previous = self._documents.get(document.name)
+                if previous is not None:
+                    replaced.append((self._scheme_for(document.name), previous.data_ids))
+                self._documents[document.name] = document
+                if self._transition is not None:
+                    # The new version is target-encoded: whatever migration
+                    # the name was owed is done.
+                    self._transition.pending.discard(document.name)
+            ops = self._document_ops(landed)
         # The metadata commit runs outside the lock: that is where
         # concurrent mutators pile up and the WAL batches their fsyncs
         # into one group commit.
         self._commit_meta(ops)
-        reclaimed = (
-            self._reclaim(previous_scheme, previous.data_ids)
-            if previous is not None
-            else 0
+        return landed, written, self._reclaim(replaced)
+
+    def _move_in(
+        self, names: Sequence[str], source: "StorageService"
+    ) -> Tuple[List[StoredDocument], int, int]:
+        """Move documents ``names`` here from ``source`` -- another service (a
+        shard rebalance, one document) or this one (a re-encode, one batch):
+        the one way a document changes home.
+
+        The names must share one encoding scheme in ``source`` (the one
+        ``source._scheme_for`` names; a re-encode's batch is all pending).  A
+        batch of at most ``batch_blocks`` data blocks is read in one
+        :meth:`_read_payloads` -- one bulk fetch and one degraded repair pass
+        -- and landed through :meth:`_land`, whose ``(documents, written,
+        reclaimed)`` it returns.  A lone longer document streams instead,
+        read and landed :meth:`_chunk_blocks` blocks at a time.  Deleting
+        another source's copy is the caller's next step."""
+        scheme = source._scheme_for(names[0])
+        documents = [source._document(name) for name in names]
+        size = source.block_size
+        if len(documents) == 1 and documents[0].block_count > self._batch_blocks:
+            document = documents[0]
+            step = self._chunk_blocks()
+
+            def chunks() -> Iterator[bytes]:
+                for start in range(0, document.block_count, step):
+                    part = document.data_ids[start : start + step]
+                    payloads = source._read_payloads(part, scheme=scheme)
+                    yield join_blocks(payloads, document.length - start * size)
+
+            return self._land([(document.name, chunks())])
+        payloads = source._read_payloads(
+            [block_id for document in documents for block_id in document.data_ids],
+            scheme=scheme,
         )
-        return document, written, reclaimed
+        batch: List[Tuple[str, List[bytes]]] = []
+        start = 0
+        for document in documents:
+            end = start + document.block_count
+            batch.append((document.name, [join_blocks(payloads[start:end], document.length)]))
+            start = end
+        return self._land(batch)
 
-    def _move_in(self, name: str, source: "StorageService") -> Tuple[StoredDocument, int, int]:
-        """Move document ``name`` here from ``source`` -- another service (a
-        shard rebalance) or this one (a re-encode): the one way a document
-        changes home.  It is read ``batch_blocks`` blocks at a time under the
-        scheme ``source._scheme_for(name)`` names and landed through
-        :meth:`_land`, whose ``(document, written, reclaimed)`` it returns;
-        deleting another source's copy is the caller's next step."""
-        scheme = source._scheme_for(name)
-        document = source._document(name)
-        ids, step = document.data_ids, self._batch_blocks
-
-        def batches() -> Iterator[bytes]:
-            for start in range(0, len(ids), step):
-                payloads = source._read_payloads(ids[start : start + step], scheme=scheme)
-                yield join_blocks(payloads, document.length - start * source.block_size)
-
-        return self._land(name, batches())
-
-    def _reclaim(self, scheme: RedundancyScheme, data_ids: Sequence[object]) -> int:
-        """Delete every block backing ``data_ids`` under the scheme that
-        encoded them; returns the count (0 for append-only entanglement)."""
-        if not scheme.capabilities().erasable:
-            return 0
-        return self._cluster.delete_blocks(scheme.document_blocks(data_ids))
+    def _reclaim(self, versions: Sequence[Tuple[RedundancyScheme, Sequence[object]]]) -> int:
+        """Delete, in one batch, every block backing each ``(scheme,
+        data_ids)`` version under the scheme that encoded it; returns the
+        count (0 for append-only entanglement)."""
+        doomed = [
+            block_id
+            for scheme, data_ids in versions
+            if scheme.capabilities().erasable
+            for block_id in scheme.document_blocks(data_ids)
+        ]
+        return self._cluster.delete_blocks(doomed) if doomed else 0
 
     # ------------------------------------------------------------------
     # Reads
@@ -1209,10 +1275,10 @@ class StorageService(ServiceHandle):
         the same target (:meth:`open` makes it); any other target is refused
         until then.  Returns ``None`` when already on the target.
 
-        ``doc_guard`` (used by the concurrent front-end) yields a context
-        manager excluding readers of one document for the instant of its
-        copy-commit-delete window.  The bare service assumes the
-        single-mutator discipline documented for :meth:`put`.
+        ``doc_guard`` (used by the concurrent front-end) takes the names of
+        one re-encode batch and yields a context manager excluding their
+        readers for the batch's copy-commit-delete window.  The bare service
+        assumes the single-mutator discipline documented for :meth:`put`.
         """
         self._ensure_open()
         target = (

@@ -10,8 +10,9 @@ shards -- each with its own backend root, metadata WAL and
 vnode-weighted consistent-hash ring (:class:`ShardRing`).  The federation
 
 * **rebalances on membership changes**: :meth:`add_shard` /
-  :meth:`remove_shard` move only the ring-delta documents (each read
-  ``batch_blocks`` blocks at a time by the destination's document mover,
+  :meth:`remove_shard` move only the ring-delta documents (each read in
+  one pass -- a document of more than ``batch_blocks`` blocks in
+  whole-stripe chunks -- by the destination's document mover,
   :meth:`~repro.system.service.StorageService._move_in`), and every move is
   two durable single-shard mutations -- the destination's WAL commits the
   copy before the source's WAL commits the delete -- so a crash at any point
@@ -638,7 +639,7 @@ class ShardedStorageService(ServiceLayer):
             if not source_shard.has_document(name):
                 return 0  # deleted concurrently
             with target_shard._route(name, True) as into, source_shard._route(name, False) as out:
-                moved = into._move_in(name, out)[0].length
+                moved = into._move_in([name], out)[0][0].length
         if source_shard.has_document(name):
             source_shard.delete(name)
         return moved

@@ -32,9 +32,13 @@ Three transition kinds, picked by :func:`classify`:
 ``reencode``
     Everything else (replication -> AE, AE -> Reed-Solomon, RS -> LRC,
     ...).  Each pending document is overwritten with its own bytes: moved
-    from the service into itself by the document mover, read batch by batch
-    under the old scheme and landed under the new one, which commits the new
-    blocks to the metadata WAL before the old ones are deleted.  Reads of
+    from the service into itself by the document mover, a batch of whole
+    documents (at most ``batch_blocks`` data blocks) at a time.  A batch is
+    read in one pass under the old scheme, each document encoded on its own
+    under the new one, and the batch is written in one bulk write,
+    committed to the metadata WAL as one group and only then are the old
+    blocks deleted, in one batch.  A longer document is a batch of its own
+    and streams through in whole-stripe chunks.  Reads of
     not-yet-migrated documents fall back to the retained source scheme, so
     every document is byte-exact at every instant.  AE -> AE geometry
     changes are rejected: both settings share the ``d-<n>`` block
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, ContextManager, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, ContextManager, Dict, Iterator, List, Optional, Sequence, Set
 
 import repro.schemes as schemes
 from repro.codes.entanglement import EntanglementScheme, PuncturedEntanglementScheme
@@ -77,9 +81,10 @@ KIND_ALPHA_RAISE = "alpha-raise"
 KIND_REPUNCTURE = "repuncture"
 KIND_REENCODE = "reencode"
 
-#: Guards one document against concurrent readers while it migrates (the
-#: front-end passes its stripe write lock; a bare service needs none).
-DocumentGuard = Callable[[str], ContextManager[object]]
+#: Guards one batch of documents against concurrent readers while it
+#: migrates (the front-end write-locks the batch's stripes; a bare service
+#: needs none).
+DocumentGuard = Callable[[Sequence[str]], ContextManager[object]]
 
 
 def classify(source: RedundancyScheme, target: RedundancyScheme) -> str:
@@ -200,13 +205,14 @@ class TransitionReport:
 class TransitionEngine:
     """Drives one scheme transition over a live storage service.
 
-    The engine orchestrates; a re-encoded document moves through
+    The engine orchestrates; a batch of re-encoded documents moves through
     :meth:`StorageService._move_in`, the routine a shard rebalance moves
     documents with, which lands it through the one routine every put goes
     through -- so it shares the service's lock and WAL discipline.
     ``doc_guard`` (when the front-end supplies one) excludes readers of
-    exactly the document being migrated for the instant of its
-    copy-commit-delete window; all other reads proceed untouched.
+    the batch being migrated -- the front-end locks its names' stripes --
+    for the whole of its read-copy-commit-delete window; all other reads
+    proceed untouched.
     """
 
     def __init__(
@@ -217,7 +223,7 @@ class TransitionEngine:
     ) -> None:
         self._service = service
         self._target = target
-        self._doc_guard: DocumentGuard = doc_guard or (lambda _name: nullcontext())
+        self._doc_guard: DocumentGuard = doc_guard or (lambda _names: nullcontext())
 
     def run(self) -> Optional[TransitionReport]:
         """Execute (or resume) the transition to completion.
@@ -408,20 +414,44 @@ class TransitionEngine:
     # ------------------------------------------------------------------
     # reencode: stream documents through the new scheme
     # ------------------------------------------------------------------
+    def _batches(self, names: List[str]) -> Iterator[List[str]]:
+        """``names`` in order, cut into runs of whole documents holding at
+        most ``batch_blocks`` data blocks; a longer document is a run of its
+        own."""
+        documents = self._service.documents
+        limit = self._service.batch_blocks
+        batch: List[str] = []
+        blocks = 0
+        for name in names:
+            count = documents[name].block_count if name in documents else 0
+            if batch and blocks + count > limit:
+                yield batch
+                batch, blocks = [], 0
+            batch.append(name)
+            blocks += count
+        if batch:
+            yield batch
+
     def _run_reencode(self, plan: TransitionPlan, report: TransitionReport) -> None:
-        """Overwrite every pending document with its own bytes: read under
-        the retained source, land under the target."""
+        """Overwrite every pending document with its own bytes, a batch at a
+        time: read under the retained source, land under the target."""
         service = self._service
-        for name in sorted(plan.pending):
-            with self._doc_guard(name):
+        for batch in self._batches(sorted(plan.pending)):
+            with self._doc_guard(batch):
                 with service._state_lock:
-                    if name not in service._documents or name not in plan.pending:
-                        continue  # deleted or overwritten since the plan was read
-                landed, written, deleted = service._move_in(name, service)
-            report.documents_migrated += 1
+                    # Skip what was deleted or overwritten since the plan was read.
+                    names = [
+                        name
+                        for name in batch
+                        if name in service._documents and name in plan.pending
+                    ]
+                if not names:
+                    continue
+                landed, written, deleted = service._move_in(names, service)
+            report.documents_migrated += len(landed)
             report.blocks_written += written
             report.blocks_deleted += deleted
-            report.data_blocks_rewritten += landed.block_count
+            report.data_blocks_rewritten += sum(document.block_count for document in landed)
         # A non-erasable source (entanglement) reclaims nothing per
         # document; once every document lives on the target, the whole
         # retired lattice -- data and parities -- is deleted in one sweep.

@@ -11,10 +11,10 @@ from repro.system.service import StorageConfig, StorageService
 from tests.conftest import make_payload
 
 
-def make_system(scheme="ae-3-2-5", locations=30, block_size=128, seed=3):
+def make_system(scheme="ae-3-2-5", locations=30, block_size=128, seed=3, **settings):
     return StorageService.open(
         StorageConfig(
-            scheme=scheme, topology=locations, block_size=block_size, seed=seed
+            scheme=scheme, topology=locations, block_size=block_size, seed=seed, **settings
         )
     )
 
@@ -119,18 +119,19 @@ class TestPolicyRepairSeesWhatPlainRepairSees:
             assert system.get(name) == payload
 
     def test_minimal_policy_with_a_reencode_in_flight(self, monkeypatch):
-        system = make_system("rs-4-2", locations=12, block_size=64, seed=5)
+        # One 10-block document per re-encode batch.
+        system = make_system("rs-4-2", locations=12, block_size=64, seed=5, batch_blocks=10)
         documents = {f"doc-{n}": make_payload(n + 1, 10 * 64) for n in range(4)}
         for name, payload in documents.items():
             system.put(name, payload)
         original = StorageService._land
         landed = []
 
-        def crash_on_second(self, name, batches):
+        def crash_on_second(self, batch):
             if landed:
                 raise RuntimeError("injected crash")
-            landed.append(name)
-            return original(self, name, batches)
+            landed.extend(name for name, _ in batch)
+            return original(self, batch)
 
         monkeypatch.setattr(StorageService, "_land", crash_on_second)
         with pytest.raises(RuntimeError, match="injected crash"):

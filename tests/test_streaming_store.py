@@ -117,6 +117,44 @@ class TestPutStreamRoundTrip:
         assert b"".join(system.get_stream("second")) == second
 
 
+class TestWholeStripeChunks:
+    """A streamed write is cut at whole stripes, so it stores exactly what
+    one ``put`` of the same bytes stores: no zero-padded stripe at a chunk
+    boundary, whether ``put_stream`` or a re-encode does the streaming."""
+
+    SIZE = 300 * 64  # 300 blocks: several chunks even at the default 256
+
+    @staticmethod
+    def stored(scheme, batch_blocks, write):
+        """``(blocks, bytes)`` stored after ``write(service, payload)`` on a
+        fresh ``scheme`` service."""
+        service = StorageService.open(
+            StorageConfig(scheme=scheme, topology=20, block_size=64, batch_blocks=batch_blocks)
+        )
+        payload = document_bytes(TestWholeStripeChunks.SIZE, seed=7)
+        write(service, payload)
+        assert service.get("doc") == payload
+        status = service.status()
+        return status.blocks, status.bytes_stored
+
+    @pytest.mark.parametrize("scheme", ["rs-10-4", "lrc-azure"])
+    @pytest.mark.parametrize("batch_blocks", [1, 4, 7, 256])
+    def test_stream_and_reencode_store_what_a_put_stores(self, scheme, batch_blocks):
+        def put(service, payload):
+            service.put("doc", payload)
+
+        def put_stream(service, payload):
+            service.put_stream("doc", chunked(payload, 1000))
+
+        def reencode(service, payload):
+            service.put("doc", payload)
+            service.transition_to(scheme)
+
+        expected = self.stored(scheme, batch_blocks, put)
+        assert self.stored(scheme, batch_blocks, put_stream) == expected
+        assert self.stored("rep-3", batch_blocks, reencode) == expected
+
+
 class TestStreamingUnderFailures:
     """Property-style: encode -> corrupt -> repair -> decode, several settings."""
 

@@ -19,6 +19,7 @@ import os
 import random
 import shutil
 import threading
+import time
 
 import pytest
 
@@ -437,13 +438,13 @@ class TestTheMover:
         original = StorageService._land
         sizes = collections.defaultdict(list)
 
-        def record(self, name, batches):
-            def counted():
-                for batch in batches:
-                    sizes[name].append(len(batch))
-                    yield batch
+        def record(self, batch):
+            def counted(name, chunks):
+                for chunk in chunks:
+                    sizes[name].append(len(chunk))
+                    yield chunk
 
-            return original(self, name, counted())
+            return original(self, [(name, counted(name, chunks)) for name, chunks in batch])
 
         monkeypatch.setattr(StorageService, "_land", record)
         report = service.transition_to("ae-3-2-5")
@@ -452,10 +453,53 @@ class TestTheMover:
         assert dict(sizes) == {name: [batch, batch, BLOCK_SIZE + 240] for name in payloads}
         assert_byte_exact(service, payloads)
 
+    def test_a_batch_is_one_read_one_write_one_commit_and_one_reclaim(
+        self, tmp_path, monkeypatch
+    ):
+        """Six 4-block documents at ``batch_blocks=12`` move in two batches of
+        three; each batch costs one bulk read, one bulk write, one WAL
+        commit and one reclaim, and every document lands where a put would."""
+        config = disk_config("rep-3", tmp_path / "live", batch_blocks=12)
+        service = StorageService.open(config)
+        payloads = make_docs(count=6, size=2000)
+        fill(service, payloads)
+        calls = collections.Counter()
+
+        def counting(owner, verb):
+            original = getattr(owner, verb)
+
+            def wrapper(*args, **kwargs):
+                calls[verb] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, verb, wrapper)
+
+        for verb in ("try_get_many", "put_many", "delete_blocks"):
+            counting(StorageCluster, verb)
+        counting(MetadataWAL, "commit")
+        counting(StorageService, "_land")
+        report = service.transition_to("rs-4-2")
+        monkeypatch.undo()
+        assert report.documents_migrated == 6
+        assert calls == {
+            "_land": 2, "try_get_many": 2, "put_many": 2, "commit": 2, "delete_blocks": 2
+        }
+        assert_byte_exact(service, payloads)
+        # The target numbers its stripes past the source's 24 (one per
+        # replicated block); past that offset they are a fresh put's.
+        fresh = StorageService.open(mem_config("rs-4-2"))
+        fill(fresh, payloads)
+        assert {name: doc.data_ids for name, doc in service.documents.items()} == {
+            name: [i._replace(stripe=i.stripe + 24) for i in doc.data_ids]
+            for name, doc in fresh.documents.items()
+        }
+        service.close()
+
     def test_a_pending_document_moves_under_its_source_scheme(self):
         """A document a re-encode has not reached yet is read through the
         source's retained scheme, so a degraded move still repairs it."""
-        source = StorageService.open(mem_config("rep-3"))
+        # One 6-block document per batch.
+        source = StorageService.open(mem_config("rep-3", batch_blocks=6))
         payloads = make_docs(count=4, size=2800)
         fill(source, payloads)
         with pytest.raises(RuntimeError, match="injected crash"):
@@ -465,7 +509,7 @@ class TestTheMover:
         source.fail_locations({source.cluster.location_of(i) for i in document.data_ids})
         target = StorageService.open(mem_config("rs-4-2", seed=9))
 
-        moved, written, reclaimed = target._move_in(name, source)
+        [moved], written, reclaimed = target._move_in([name], source)
         assert (moved.name, moved.length, reclaimed) == (name, len(payloads[name]), 0)
         assert written == len(target.cluster) > 0
         assert target.get(name) == payloads[name]
@@ -473,13 +517,13 @@ class TestTheMover:
 
 
 class _CrashGuard:
-    """Doc guard that raises once ``allow`` documents have been migrated."""
+    """Doc guard that raises once ``allow`` batches have been migrated."""
 
     def __init__(self, allow):
         self.allow = allow
         self.entered = 0
 
-    def __call__(self, name):
+    def __call__(self, names):
         if self.entered >= self.allow:
             raise RuntimeError("injected crash")
         self.entered += 1
@@ -561,12 +605,12 @@ class TestDurableCrashResume:
     ]
 
     @staticmethod
-    def config(scheme, root):
+    def config(scheme, root, **overrides):
         # spread-domains: one lost location costs every stripe (and AE
         # neighbourhood) at most one block, so the degraded read below must
         # succeed whenever catalogue and scheme agree.
         return disk_config(
-            scheme, root, topology=12, placement="spread-domains"
+            scheme, root, topology=12, placement="spread-domains", **overrides
         )
 
     def check_settles(self, image, reopen_as, scheme_id, payloads):
@@ -574,6 +618,13 @@ class TestDurableCrashResume:
         reopened = StorageService.open(self.config(reopen_as, image))
         assert reopened.scheme.scheme_id == scheme_id
         assert reopened.transition is None
+        # No document is catalogued without its blocks.
+        cluster = reopened.cluster
+        assert all(
+            cluster.knows(block_id)
+            for document in reopened.documents.values()
+            for block_id in document.data_ids
+        )
         assert_byte_exact(reopened, payloads)
         history = reopened.epoch_history
         assert (history is None) == (not scheme_id.startswith("ae-"))
@@ -593,7 +644,22 @@ class TestDurableCrashResume:
 
     @pytest.mark.parametrize("source,target", PAIRS)
     def test_crash_sweep(self, source, target, tmp_path, durable_writes):
-        payloads = make_docs(count=3, size=2000)
+        self.sweep(source, target, make_docs(count=3, size=2000), tmp_path, durable_writes)
+
+    @pytest.mark.parametrize("source,target", PAIRS[:3])
+    def test_crash_sweep_over_multi_document_batches(
+        self, source, target, tmp_path, durable_writes
+    ):
+        """Seven 4-block documents at ``batch_blocks=12``: the re-encode
+        moves batches of three, three and one, each one bulk write, one WAL
+        group and one reclaim; a crash at any of them resumes byte-exact."""
+        writes = self.sweep(
+            source, target, make_docs(count=7, size=2000), tmp_path, durable_writes,
+            batch_blocks=12,
+        )
+        assert writes == 1 + 3 + 1  # plan checkpoint, three commits, settle
+
+    def sweep(self, source, target, payloads, tmp_path, durable_writes, **overrides):
         crash_points = (
             (crash_at, when)
             for crash_at in itertools.count()
@@ -603,7 +669,7 @@ class TestDurableCrashResume:
         for crash_at, when in crash_points:
             tag = f"{crash_at}-{when}"
             root = tmp_path / f"live-{tag}"
-            service = StorageService.open(self.config(source, root))
+            service = StorageService.open(self.config(source, root, **overrides))
             fill(service, payloads)  # no close(): the WAL tail still holds the puts
             durable_writes.arm(crash_at, when)
             try:
@@ -645,6 +711,7 @@ class TestDurableCrashResume:
         # durable (transition_to never returned), after the last one the
         # transition is complete.
         assert plain == [(0, "before", source), (crash_at - 1, "after", target)]
+        return crash_at  # the durable writes of an untouched run
 
     def test_resume_that_crashes_resumes_again(self, tmp_path, durable_writes):
         """The start checkpoint's log reset never ran and the resume dies
@@ -776,6 +843,8 @@ class TestRepairDuringReencode:
             scheme=source,
             topology=self.LOCATIONS,
             block_size=256,
+            # One 6-block document per re-encode batch.
+            batch_blocks=6,
             # One lost location costs every stripe (and AE neighbourhood) at
             # most one block, which every scheme here tolerates.
             placement="spread-domains",
@@ -794,11 +863,11 @@ class TestRepairDuringReencode:
             original = StorageService._land
             migrated = collections.Counter()
 
-            def crash_on_second(self, name, batches):
+            def crash_on_second(self, batch):
                 if migrated[id(self)] >= 1:
                     raise RuntimeError("injected crash")
                 migrated[id(self)] += 1
-                return original(self, name, batches)
+                return original(self, batch)
 
             monkeypatch.setattr(StorageService, "_land", crash_on_second)
             with pytest.raises(RuntimeError, match="injected crash"):
@@ -840,7 +909,7 @@ class TestStatusDuringReencode:
         service = StorageService.open(
             mem_config(
                 "rs-4-2", block_size=64, topology="sites=3,racks=1,nodes=2",
-                placement="spread-domains", seed=1,
+                placement="spread-domains", seed=1, batch_blocks=8,
             )
         )
         fill(service, payloads)
@@ -867,18 +936,18 @@ class TestStatusDuringReencode:
         payloads = make_docs(count=8, size=500)
         config = mem_config(
             "rs-4-2", block_size=64, topology="sites=3,racks=1,nodes=2",
-            placement="spread-domains", seed=1, shards=2,
+            placement="spread-domains", seed=1, shards=2, batch_blocks=8,
         )
         service = open_service(config)
         fill(service, payloads)
         original = StorageService._land
         moved = collections.Counter()
 
-        def crash_on_second(self, name, batches):
+        def crash_on_second(self, batch):
             if moved[id(self)] >= 1:
                 raise RuntimeError("injected crash")
             moved[id(self)] += 1
-            return original(self, name, batches)
+            return original(self, batch)
 
         monkeypatch.setattr(StorageService, "_land", crash_on_second)
         with pytest.raises(RuntimeError, match="injected crash"):
@@ -909,16 +978,16 @@ class TestOrphansOfAnInterruptedReencode:
     def test_repair_lists_them_and_repairs_the_rest(self, monkeypatch):
         payloads = make_docs(count=4, size=3000)
         service = StorageService.open(
-            mem_config("rs-4-12", topology=20, placement="spread-domains")
+            mem_config("rs-4-12", topology=20, placement="spread-domains", batch_blocks=6)
         )
         fill(service, payloads)
         original = StorageService._reclaim
 
-        def crash_once(self, scheme, data_ids):
-            if scheme.scheme_id == "rs-4-12":
+        def crash_once(self, versions):
+            if any(scheme.scheme_id == "rs-4-12" for scheme, _ in versions):
                 monkeypatch.setattr(StorageService, "_reclaim", original)
                 raise RuntimeError("injected crash")
-            return original(self, scheme, data_ids)
+            return original(self, versions)
 
         monkeypatch.setattr(StorageService, "_reclaim", crash_once)
         with pytest.raises(RuntimeError, match="injected crash"):
@@ -979,6 +1048,97 @@ class TestConcurrentFrontend:
         # The service keeps accepting writes after the chain.
         frontend.put("after", b"x" * 2048)
         assert frontend.get("after") == b"x" * 2048
+        frontend.close()
+
+
+class TestFrontendBatchGuard:
+    """The front-end guards a re-encode batch by write-locking its names'
+    stripes.  With ``workers=1`` there are two stripes, so every batch of
+    several names holds two names of one stripe: each stripe must be taken
+    once (the locks are not reentrant) and readers must see either side of
+    the batch, byte-exact."""
+
+    TIMEOUT = 60
+
+    def frontend(self, **overrides):
+        frontend = ConcurrentStorageService.open(mem_config("rep-3", **overrides), workers=1)
+        assert frontend.stripe_count == 2
+        payloads = make_docs(count=8, size=1500)
+        for name, payload in payloads.items():
+            frontend.put(name, payload)
+        return frontend, payloads
+
+    def run_in_thread(self, work):
+        outcome = {}
+
+        def body():
+            try:
+                outcome["result"] = work()
+            except (ReproError, OSError) as exc:  # reported by the caller
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=body, daemon=True)
+        thread.start()
+        return thread, outcome
+
+    def test_a_chain_of_shared_stripe_batches_runs_under_readers(self):
+        frontend, payloads = self.frontend()
+        errors, mismatches = [], []
+        stop = threading.Event()
+
+        def reader(offset):
+            names = sorted(payloads)
+            position = offset
+            while not stop.is_set():
+                name = names[position % len(names)]
+                position += 1
+                try:
+                    if frontend.get(name) != payloads[name]:
+                        mismatches.append(name)
+                except ReproError as exc:
+                    errors.append(exc)
+
+        readers = [
+            threading.Thread(target=reader, args=(offset,), daemon=True) for offset in range(3)
+        ]
+        for thread in readers:
+            thread.start()
+
+        def chain():
+            return [frontend.transition_to(target) for target in ("ae-3-2-5", "rs-10-4")]
+
+        thread, outcome = self.run_in_thread(chain)
+        thread.join(self.TIMEOUT)
+        stop.set()
+        assert not thread.is_alive(), "the transition chain deadlocked"
+        for reader_thread in readers:
+            reader_thread.join(self.TIMEOUT)
+        assert "error" not in outcome, outcome.get("error")
+        assert [report.documents_migrated for report in outcome["result"]] == [8, 8]
+        assert errors == [] and mismatches == []
+        assert_byte_exact(frontend, payloads)
+        frontend.close()
+
+    def test_an_open_stream_of_a_pending_document_finishes_byte_exact(self):
+        """A ``get_stream`` holds its stripe's read lock until exhausted, so
+        the batch naming that document waits for it: the stream reads its
+        old blocks to the end, and the transition then moves it."""
+        frontend, payloads = self.frontend(batch_blocks=2)
+        name = min(payloads)
+        stream = frontend.get_stream(name)
+        head = next(stream)
+        thread, outcome = self.run_in_thread(lambda: frontend.transition_to("rs-10-4"))
+        deadline = time.monotonic() + self.TIMEOUT
+        while frontend.service.transition is None and time.monotonic() < deadline:
+            time.sleep(0.01)  # the plan is made before the first batch
+        thread.join(0.2)
+        assert thread.is_alive(), "the batch did not wait for the open stream"
+        assert name in frontend.service.transition.pending
+        assert head + b"".join(stream) == payloads[name]
+        thread.join(self.TIMEOUT)
+        assert not thread.is_alive() and "error" not in outcome, outcome.get("error")
+        assert outcome["result"].documents_migrated == len(payloads)
+        assert_byte_exact(frontend, payloads)
         frontend.close()
 
 
@@ -1045,19 +1205,22 @@ class TestShardedTransitions:
 
         payloads = make_docs(count=8, size=2000)
         root = tmp_path / "fed"
-        federation = ShardedStorageService.open(disk_config("rep-3", root, shards=2))
+        # One 4-block document per re-encode batch.
+        federation = ShardedStorageService.open(
+            disk_config("rep-3", root, shards=2, batch_blocks=4)
+        )
         fill(federation, payloads)
         victim = federation.shard(crashed_shard).service
         assert victim.documents, "the crashed shard must own documents"
         original = StorageService._land
         landed = []
 
-        def crash_on_second(self, name, batches):
+        def crash_on_second(self, batch):
             if self is victim:
-                landed.append(name)
+                landed.extend(name for name, _ in batch)
                 if len(landed) >= 2:
                     raise RuntimeError("injected crash inside a re-encode")
-            return original(self, name, batches)
+            return original(self, batch)
 
         monkeypatch.setattr(StorageService, "_land", crash_on_second)
         with pytest.raises(RuntimeError, match="inside a re-encode"):

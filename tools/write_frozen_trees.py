@@ -28,7 +28,8 @@ import random
 import shutil
 import sys
 from contextlib import nullcontext
-from typing import Dict, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.system.opening import open_service
 from repro.system.service import StorageConfig
@@ -49,17 +50,18 @@ CUT = ("segment", "rs-4-2", "ae-3-2-5", 2)
 
 
 class CutTransition(Exception):
-    """Raised by :func:`cut_after` to stop a transition between documents."""
+    """Raised by :func:`cut_after` to stop a transition between batches."""
 
 
 def cut_after(count: int):
-    """A transition doc guard that lets ``count`` documents move, then raises."""
-    moved = []
+    """A transition doc guard that lets ``count`` documents move, then raises
+    at the next batch (cut at ``count`` exactly when a batch is one document)."""
+    moved: List[str] = []
 
-    def guard(name: str):
+    def guard(names: Sequence[str]):
         if len(moved) >= count:
-            raise CutTransition(name)
-        moved.append(name)
+            raise CutTransition(names)
+        moved.extend(names)
         return nullcontext()
 
     return guard
@@ -90,9 +92,14 @@ def write_tree(
     """Write one tree at ``path``; returns the sha256 of each live document.
 
     ``cut`` is ``(target, count)``: after the writes, start the transition to
-    ``target`` and cut it once ``count`` documents have moved.
+    ``target`` and cut it once ``count`` documents have moved.  That service
+    moves one block per batch, so every re-encode batch is one document (a
+    put is one encode whatever ``batch_blocks`` says).
     """
-    service = open_service(StorageConfig(data_dir=path, **settings(scheme, backend, shards)))
+    config = StorageConfig(data_dir=path, **settings(scheme, backend, shards))
+    if cut is not None:
+        config = replace(config, batch_blocks=1)
+    service = open_service(config)
     payloads = documents()
     for number, (name, payload) in enumerate(payloads.items()):
         if wal_tail and number == 3:
