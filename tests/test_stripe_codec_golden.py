@@ -17,7 +17,11 @@ degraded get -> ``repair()``) hashing the recovered bytes, the repaired ids
 and ``blocks_read``.  ``EXHAUSTIVE_GOLDEN`` (recorded on ``6138bd0``,
 before LRC decoded through the recovery-matrix codec RS runs on) hashes
 every pattern of one to three erasures of ``lrc-azure``, ``lrc-xorbas`` and
-``rs-10-4``: ``can_decode``, the decode and the rebuild.  ``BATCH_REPAIR_GOLDEN`` (recorded on ``a7265e7``, before
+``rs-10-4``: ``can_decode``, the decode and the rebuild.  Its ``xor-geo``,
+``xor-raid5-5``, ``xor-mirror-4`` and ``rep-3`` rows (recorded on
+``a9a5b1f``, while flat XOR still decoded by peeling and replication by
+copying) pin that rank decoding answers every small pattern of those codes
+the same way.  ``BATCH_REPAIR_GOLDEN`` (recorded on ``a7265e7``, before
 ``StripeScheme.repair`` fetched a whole pass at once and rebuilt each
 erasure pattern as one wide stripe) hashes one ``repair`` call over 18
 stripes that share three loss patterns, through a source that refuses some
@@ -55,7 +59,15 @@ SCHEMES = (
 SIZES = (1, 7, 4096)
 SEED = 20181
 #: Codes whose every pattern of one to three erasures is pinned, at one size.
-EXHAUSTIVE_SCHEMES = ("lrc-azure", "lrc-xorbas", "rs-10-4")
+EXHAUSTIVE_SCHEMES = (
+    "lrc-azure",
+    "lrc-xorbas",
+    "rs-10-4",
+    "xor-geo",
+    "xor-raid5-5",
+    "xor-mirror-4",
+    "rep-3",
+)
 EXHAUSTIVE_SIZE = 7
 #: Stripes of the batch-repair case (the last one short).
 BATCH_STRIPES = 18
@@ -337,6 +349,10 @@ EXHAUSTIVE_GOLDEN: Dict[str, str] = {
     'lrc-azure': '82b3ced4d4cab9adcd08a8f5a506eb9cbfab92a24987386048832aea818c5bda',
     'lrc-xorbas': '1980ce7fb42630495b3f56ec66599a13c7f3fbf9410729fef5bf4d1b7a50ee1b',
     'rs-10-4': 'b4d7ab7a31ee4de85345d1d953876444419a40582e32c5f6ea6f12e9e2ab5bfc',
+    'xor-geo': '8ea98c97f5fe73e122df44d1eb35346d16ecec238c77c748d52b38f1b437ec5e',
+    'xor-raid5-5': 'a7f54307682928db5e9d34d7fdf4138b79d9146fe56914ce98eb3ee8a5e9fbe8',
+    'xor-mirror-4': '9d10c1066be945fe4974304019e9643bf67371a69d198ab92e29119d7d18f30f',
+    'rep-3': '1d86a9be1f1fed5bfe07dc5b626a0c3ce8b24d7d3347bf4ab195e2c0a00772f0',
 }
 
 BATCH_REPAIR_GOLDEN: Dict[Tuple[str, int], str] = {
