@@ -4,16 +4,15 @@ The subpackage implements every code family of the paper's evaluation:
 alpha entanglement (:class:`EntanglementScheme`, the protocol adapter over
 the helical lattice) and the stripe-code baselines -- systematic
 Reed-Solomon over GF(2^8), Azure/Xorbas Local Reconstruction Codes, flat
-XOR codes and n-way replication -- behind the common
-:class:`repro.codes.base.StripeCode` interface; Reed-Solomon and LRC share
-one generator-matrix codec, :class:`repro.codes.base.LinearCode`.  The scheme registry of
+XOR codes and n-way replication -- as generator matrices of the one
+stripe codec, :class:`repro.codes.base.StripeCode`.  The scheme registry of
 :mod:`repro.schemes` is re-exported here (:func:`get_scheme`,
 :func:`register_scheme`, :func:`available_schemes`) so ``repro.codes`` is a
 one-stop import surface: every class a registry identifier resolves to is
 in ``__all__``.
 """
 
-from repro.codes.base import CodeCosts, LinearCode, StripeCode
+from repro.codes.base import CodeCosts, StripeCode
 from repro.codes.flat_xor import FlatXorCode, geo_xor_code, mirrored_pairs_code, raid5_code
 from repro.codes.lrc import LocalReconstructionCode, azure_lrc, xorbas_lrc
 from repro.codes.gf256 import (
@@ -82,7 +81,6 @@ __all__ = [
     "FIELD_SIZE",
     "FlatXorCode",
     "GROUP_ORDER",
-    "LinearCode",
     "LocalReconstructionCode",
     "PAPER_REPLICATION_FACTORS",
     "PAPER_RS_SETTINGS",

@@ -1,31 +1,35 @@
-"""Common interface for stripe-based erasure codes (the paper's baselines).
+"""The one stripe codec of the paper's baselines, and the Table IV cost model.
 
 Alpha entanglement codes do not use stripes, but the codes they are compared
 against do: an ``(k, m)`` code splits a source into ``k`` data blocks and adds
-``m`` redundant blocks; any ``k`` of the ``n = k + m`` blocks suffice to read
-the data (Reed-Solomon) or a weaker combinatorial condition holds (flat XOR
-codes, replication).  This module defines the abstract interface shared by the
-baseline implementations, the analytic cost model used by Table IV and
-:class:`LinearCode`, the one GF(2^8) codec of Reed-Solomon and LRC.
+``m`` redundant blocks.  Reed-Solomon, LRC, flat XOR codes and replication
+are all linear over GF(2^8), so :class:`StripeCode` is one codec built from
+an ``n x k`` generator matrix ``M`` whose top ``k`` rows are the identity;
+the families only supply their matrix.
 
-:class:`LinearCode` is a code given by an ``n x k`` generator matrix ``M``
-whose top ``k`` rows are the identity.  Every operation is a
-:func:`~repro.codes.gf256.gf_matmul_bytes` product with a *recovery matrix*
-``M[wanted] @ inv(M[read])`` -- "wanted rows x read rows" -- applied to the
-``k`` blocks read.  Encoding is the case "parity rows x data rows".
-Decoding passes the data blocks it was handed through and computes only the
-lost ones; rebuilding decodes and then applies the encoding row of each lost
-parity to the data.  A repair therefore computes the missing rows and nothing
-else (no decode of the whole stripe, no re-encode of every parity).  The
-recovery matrices, packed for the kernel, are memoised per erasure pattern.
+Every decode applies a *recovery matrix* ``M[wanted] @ inv(M[read])`` --
+"wanted rows x read rows" -- to ``k`` independent blocks read; the recovery
+matrices are memoised per erasure pattern.  Decoding passes the data blocks
+it was handed through and computes only the lost ones; rebuilding decodes
+and then applies the encoding row of each lost parity to the data.  A set
+of positions decodes when its rows have rank ``k``
+(:func:`~repro.codes.gf256.gf_pivot_rows`); a family whose every ``k`` rows
+are independent declares :attr:`StripeCode.mds` and skips the elimination.
+
+A row whose coefficients are all 0 or 1 is an *XOR row*: the XOR of the
+blocks in its support, computed with ``xor_many``; the other rows of a
+matrix are one :func:`~repro.codes.gf256.gf_matmul_bytes` product of its
+packed tables.  The XOR rows of ``M`` give the local repair plans -- LRC's
+group, a flat XOR equation, one replica: a block on a surviving XOR row is
+the XOR of the row's other members.
 """
 
 from __future__ import annotations
 
 import threading
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,8 +39,9 @@ from repro.codes.gf256 import (
     gf_matmul_bytes,
     gf_matrix_inverse,
     gf_pack_matrix,
+    gf_pivot_rows,
 )
-from repro.core.xor import Payload, as_payload
+from repro.core.xor import Payload, as_payload, xor_many
 from repro.exceptions import BlockSizeMismatchError, DecodingError
 
 
@@ -56,19 +61,68 @@ class CodeCosts:
         }
 
 
-class StripeCode(ABC):
-    """A systematic ``(k, m)`` stripe code.
+#: Erasure patterns whose recovery matrix one code instance keeps (a pattern
+#: of RS(10,4) is 5-20 KiB of tables; a site disaster produces a handful).
+RECOVERY_CACHE_PATTERNS = 128
+
+
+class _Rows(NamedTuple):
+    """A coefficient matrix laid out for :func:`_apply`."""
+
+    #: The columns of each row whose coefficients are all 0 or 1 (an XOR
+    #: row), ``None`` for any other row.
+    supports: Tuple[Optional[FrozenSet[int]], ...]
+    #: The packed tables of the other rows, in order.
+    packed: PackedMatrix
+
+
+def _layout(matrix: np.ndarray) -> _Rows:
+    supports = tuple(
+        frozenset(np.flatnonzero(row).tolist()) if row.max() <= 1 else None for row in matrix
+    )
+    return _Rows(supports, gf_pack_matrix(matrix[[support is None for support in supports]]))
+
+
+def _apply(rows: _Rows, payloads: Sequence[Payload], size: int) -> List[Payload]:
+    """``matrix @ payloads``: each XOR row by ``xor_many`` (a fresh copy for
+    one column), the other rows in one packed product."""
+    products = iter(gf_matmul_bytes(rows.packed, payloads, size) if rows.packed.rows else ())
+    return [
+        next(products) if support is None else xor_many([payloads[c] for c in support])
+        for support in rows.supports
+    ]
+
+
+class StripeCode:
+    """A systematic ``(k, m)`` code over GF(2^8) given by its generator matrix.
 
     Block positions ``0 .. k-1`` hold data, positions ``k .. n-1`` hold
-    redundancy.  Implementations must be deterministic so that encoders and
-    decoders agree without shared state.
+    redundancy; row ``p`` of the ``n x k`` matrix is the combination of the
+    data blocks stored at position ``p``, and the top ``k`` rows are the
+    identity.
     """
 
-    def __init__(self, k: int, m: int) -> None:
+    #: Every ``k`` rows of the matrix are independent: any ``k`` positions
+    #: decode, and a decode reads the first ``k`` available.
+    mds = False
+
+    def __init__(self, k: int, m: int, matrix: np.ndarray) -> None:
         if k < 1 or m < 0:
             raise DecodingError(f"invalid stripe configuration k={k}, m={m}")
         self._k = k
         self._m = m
+        self._matrix = matrix
+        self._positions = frozenset(range(k + m))
+        self._parity = _layout(matrix[k:])
+        #: ``(parity position, data positions)`` of every XOR row, smallest first.
+        self._xor_rows = sorted(
+            ((k + j, support) for j, support in enumerate(self._parity.supports) if support),
+            key=lambda row: (len(row[1]), row[0]),
+        )
+        # (positions read, positions wanted) -> laid-out recovery matrix,
+        # oldest pattern dropped first once the bound is reached.
+        self._recovery_cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], _Rows] = {}
+        self._recovery_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Shape
@@ -93,14 +147,20 @@ class StripeCode(ABC):
         return f"{type(self).__name__}({self._k},{self._m})"
 
     @property
+    def encoding_matrix(self) -> np.ndarray:
+        """The full ``n x k`` generator matrix (read-only copy)."""
+        return self._matrix.copy()
+
+    @property
     def storage_overhead(self) -> float:
         """Additional storage as a fraction of the original data, ``m / k``."""
         return self._m / self._k
 
     @property
     def single_failure_cost(self) -> int:
-        """Blocks read to repair one missing block; ``k`` for MDS codes."""
-        return self._k
+        """Blocks read to repair one lost data block: the smallest XOR row
+        (its other members and its parity), else ``k``."""
+        return min((len(support) for _, support in self._xor_rows), default=self._k)
 
     def costs(self) -> CodeCosts:
         return CodeCosts(
@@ -109,127 +169,30 @@ class StripeCode(ABC):
             single_failure_cost=self.single_failure_cost,
         )
 
+    def tolerated_failures(self) -> int:
+        """Largest number of arbitrary failures every stripe survives."""
+        failures = 0
+        while all(
+            self.can_decode(self._positions.difference(erased))
+            for erased in combinations(range(self.n), failures + 1)
+        ):
+            failures += 1
+        return failures
+
     # ------------------------------------------------------------------
     # Coding
     # ------------------------------------------------------------------
-    @abstractmethod
     def encode(self, data_blocks: Sequence[Payload]) -> List[Payload]:
         """Compute the ``m`` redundant blocks for ``k`` data blocks."""
+        payloads = self._normalise_stripe(data_blocks)
+        return _apply(self._parity, payloads, payloads[0].size)
 
-    @abstractmethod
     def decode(self, available: Dict[int, Payload]) -> List[Payload]:
         """Recover the ``k`` data blocks from any sufficient subset.
 
         ``available`` maps stripe positions (0-based, data first) to payloads.
         Raises :class:`DecodingError` when the available set is insufficient.
         """
-
-    def rebuild(
-        self, positions: Sequence[int], available: Dict[int, Payload]
-    ) -> List[Payload]:
-        """Rebuild the blocks at ``positions`` from the available blocks.
-
-        The default decodes the stripe and, when a redundant block is wanted,
-        encodes it again; a code that can compute single rows overrides it.
-        Raises :class:`DecodingError` when the available set is insufficient.
-        """
-        data: Optional[List[Payload]] = None
-        parities: Optional[List[Payload]] = None
-        rebuilt: List[Payload] = []
-        for position in positions:
-            if position in available:
-                rebuilt.append(as_payload(available[position]))
-                continue
-            if data is None:
-                data = self.decode(available)
-            if position < self._k:
-                rebuilt.append(data[position])
-            else:
-                if parities is None:
-                    parities = self.encode(data)
-                rebuilt.append(parities[position - self._k])
-        return rebuilt
-
-    def repair(self, position: int, available: Dict[int, Payload]) -> Payload:
-        """Rebuild the block at ``position``: the one-element :meth:`rebuild`."""
-        return self.rebuild([position], available)[0]
-
-    def can_decode(self, available_positions: Sequence[int]) -> bool:
-        """True when the set of available positions is sufficient to decode.
-
-        The default implementation applies the MDS criterion (any ``k``
-        blocks); non-MDS codes override it.
-        """
-        return len(set(available_positions)) >= self._k
-
-    def repair_read_positions(
-        self, position: int, available_positions: Sequence[int]
-    ) -> Optional[List[int]]:
-        """The cheapest set of positions to read to repair ``position``.
-
-        ``available_positions`` lists the stripe positions believed readable.
-        Returns ``None`` when they cannot determine the block.  The default
-        implements the MDS plan -- any ``k`` surviving blocks -- which makes
-        the measured read count of a single-failure repair equal the
-        analytic :attr:`single_failure_cost`; locality-aware codes override
-        it (LRC reads the local group, flat XOR the smallest parity
-        equation, replication one surviving copy).
-        """
-        candidates = sorted(set(available_positions) - {position})
-        if not self.can_decode(candidates):
-            return None
-        subset = candidates[: self._k]
-        return subset if self.can_decode(subset) else candidates
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _normalise_stripe(self, data_blocks: Sequence[Payload]) -> List[Payload]:
-        if len(data_blocks) != self._k:
-            raise BlockSizeMismatchError(
-                f"{self.name} expects {self._k} data blocks, got {len(data_blocks)}"
-            )
-        payloads = [as_payload(block) for block in data_blocks]
-        sizes = {payload.size for payload in payloads}
-        if len(sizes) > 1:
-            raise BlockSizeMismatchError(
-                f"stripe blocks must share one size, got sizes {sorted(sizes)}"
-            )
-        return payloads
-
-
-#: Erasure patterns whose recovery matrix one code instance keeps (a pattern
-#: of RS(10,4) is 5-20 KiB of tables; a site disaster produces a handful).
-RECOVERY_CACHE_PATTERNS = 128
-
-
-class LinearCode(StripeCode):
-    """A systematic code over GF(2^8) given by its ``n x k`` generator matrix.
-
-    Row ``p`` of the matrix is the combination of the data blocks stored at
-    position ``p``; the top ``k`` rows are the identity.
-    """
-
-    def __init__(self, k: int, m: int, matrix: np.ndarray) -> None:
-        super().__init__(k, m)
-        self._matrix = matrix
-        self._positions = frozenset(range(k + m))
-        self._parity_rows = gf_pack_matrix(matrix[k:])
-        # (positions read, positions wanted) -> packed recovery matrix,
-        # oldest pattern dropped first once the bound is reached.
-        self._recovery_cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], PackedMatrix] = {}
-        self._recovery_lock = threading.Lock()
-
-    @property
-    def encoding_matrix(self) -> np.ndarray:
-        """The full ``n x k`` generator matrix (read-only copy)."""
-        return self._matrix.copy()
-
-    def encode(self, data_blocks: Sequence[Payload]) -> List[Payload]:
-        payloads = self._normalise_stripe(data_blocks)
-        return list(gf_matmul_bytes(self._parity_rows, payloads, payloads[0].size))
-
-    def decode(self, available: Dict[int, Payload]) -> List[Payload]:
         return self._recover(range(self.k), available)
 
     def rebuild(
@@ -244,10 +207,88 @@ class LinearCode(StripeCode):
             available = {**available, **dict(enumerate(self.decode(available)))}
         return self._recover(positions, available)
 
+    def repair(self, position: int, available: Dict[int, Payload]) -> Payload:
+        """Rebuild the block at ``position``: the XOR of a surviving XOR row
+        through it when there is one, else the one-element :meth:`rebuild`."""
+        plan = None if position in available else self._xor_plan(position, available.keys())
+        if plan is not None:
+            return xor_many([available[member] for member in plan])
+        return self.rebuild([position], available)[0]
+
+    def can_decode(self, available_positions: Sequence[int]) -> bool:
+        """True when the available generator rows span the data space: when
+        there are ``k`` of them, for an MDS code."""
+        positions = self._positions.intersection(available_positions)
+        if self.mds or len(positions) < self._k:
+            return len(positions) >= self._k
+        return len(self._read_rows(sorted(positions))) == self._k
+
+    def repair_read_positions(
+        self, position: int, available_positions: Sequence[int]
+    ) -> Optional[List[int]]:
+        """The cheapest set of positions to read to repair ``position``.
+
+        ``available_positions`` lists the stripe positions believed readable.
+        Returns ``None`` when they cannot decode the stripe.  The plan is the
+        smallest surviving XOR row through ``position`` (LRC's group, a flat
+        XOR equation, one replica), else the first ``k`` survivors when they
+        decode -- the measured single-failure read count of an MDS code is
+        then its analytic :attr:`single_failure_cost` -- else every survivor.
+        """
+        others = set(available_positions) - {position}
+        plan = self._xor_plan(position, others)
+        if plan is not None:
+            return plan
+        candidates = sorted(others)
+        if not self.can_decode(candidates):
+            return None
+        subset = candidates[: self._k]
+        return subset if self.can_decode(subset) else candidates
+
+    # ------------------------------------------------------------------
+    # Helpers
+    # ------------------------------------------------------------------
+    def _xor_plan(self, position: int, available: AbstractSet[int]) -> Optional[List[int]]:
+        """The other members of the smallest XOR row through ``position``
+        whose members are all in ``available``, or ``None``."""
+        for parity, support in self._xor_rows:
+            if position == parity:
+                needed = support
+            elif position in support:
+                needed = support.difference([position]).union([parity])
+            else:
+                continue
+            if needed <= available:
+                return sorted(needed)
+        return None
+
+    def _normalise_stripe(self, data_blocks: Sequence[Payload]) -> List[Payload]:
+        if len(data_blocks) != self._k:
+            raise BlockSizeMismatchError(
+                f"{self.name} expects {self._k} data blocks, got {len(data_blocks)}"
+            )
+        payloads = [as_payload(block) for block in data_blocks]
+        sizes = {payload.size for payload in payloads}
+        if len(sizes) > 1:
+            raise BlockSizeMismatchError(
+                f"stripe blocks must share one size, got sizes {sorted(sizes)}"
+            )
+        return payloads
+
     def _read_rows(self, positions: List[int]) -> Tuple[int, ...]:
         """The ``k`` of the sorted available ``positions`` a decode reads
-        (fewer if it cannot): the first ``k``, which an MDS code allows."""
-        return tuple(positions[: self.k])
+        (fewer if they cannot decode): the first ``k`` of an MDS code, else
+        the first ``k`` whose rows are independent."""
+        if self.mds:
+            return tuple(positions[: self.k])
+        # The data rows come first and are unit vectors, so a parity row is
+        # independent of the rows before it exactly when its coefficients
+        # on the lost data columns are.
+        data = [position for position in positions if position < self._k]
+        parities = positions[len(data) :]
+        lost = sorted(set(range(self._k)).difference(data))
+        pivots = gf_pivot_rows(self._matrix[np.ix_(parities, lost)])
+        return (*data, *(parities[row] for row in pivots))
 
     def _recover(
         self, positions: Sequence[int], available: Dict[int, Payload]
@@ -277,22 +318,22 @@ class LinearCode(StripeCode):
                     f"{self.name} cannot rebuild {list(wanted)} from {sorted(available)}"
                 )
             payloads = [available[pos] for pos in read]
-            rows = gf_matmul_bytes(self._recovery(read, wanted), payloads, sizes.pop())
+            rows = _apply(self._recovery(read, wanted), payloads, sizes.pop())
             computed = dict(zip(wanted, rows))
         return [
             computed[pos] if pos in computed else as_payload(available[pos])
             for pos in positions
         ]
 
-    def _recovery(self, read: Tuple[int, ...], wanted: Tuple[int, ...]) -> PackedMatrix:
-        """The packed ``M[wanted] @ inv(M[read])`` of one erasure pattern."""
+    def _recovery(self, read: Tuple[int, ...], wanted: Tuple[int, ...]) -> _Rows:
+        """The laid-out ``M[wanted] @ inv(M[read])`` of one erasure pattern."""
         key = (read, wanted)
-        packed = self._recovery_cache.get(key)
-        if packed is None:
+        rows = self._recovery_cache.get(key)
+        if rows is None:
             inverse = gf_matrix_inverse(self._matrix[list(read)])
-            packed = gf_pack_matrix(gf_matmul(self._matrix[list(wanted)], inverse))
+            rows = _layout(gf_matmul(self._matrix[list(wanted)], inverse))
             with self._recovery_lock:
                 if len(self._recovery_cache) >= RECOVERY_CACHE_PATTERNS:
                     del self._recovery_cache[next(iter(self._recovery_cache))]
-                self._recovery_cache[key] = packed
-        return packed
+                self._recovery_cache[key] = rows
+        return rows

@@ -20,25 +20,25 @@ LRC(10,2,4) every 4-failure pattern but not 22 of the 4 368 5-failure ones
 point on the locality/storage trade-off curve between RS (no locality) and
 AE codes (locality 2 by construction).
 
-Coding is :class:`~repro.codes.base.LinearCode`'s; a decode reads the first
-``k`` available rows that are independent (:func:`~repro.codes.gf256.gf_pivot_rows`).
+Coding is :class:`~repro.codes.base.StripeCode`'s.  The local parities are
+its XOR rows, which give the local repair; a decode reads the first ``k``
+available rows that are independent (:func:`~repro.codes.gf256.gf_pivot_rows`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
-from repro.codes.base import LinearCode
-from repro.codes.gf256 import gf_pivot_rows, gf_pow
-from repro.core.xor import Payload, as_payload, xor_many
+from repro.codes.base import StripeCode
+from repro.codes.gf256 import gf_pow
 from repro.exceptions import InvalidParametersError
 
 __all__ = ["LocalReconstructionCode", "azure_lrc", "xorbas_lrc"]
 
 
-class LocalReconstructionCode(LinearCode):
+class LocalReconstructionCode(StripeCode):
     """Systematic LRC(k, l, r) over GF(2^8).
 
     Stripe layout (positions): ``0 .. k-1`` data, ``k .. k+l-1`` local
@@ -95,11 +95,6 @@ class LocalReconstructionCode(LinearCode):
         """Data blocks per local group."""
         return self._group_size
 
-    @property
-    def single_failure_cost(self) -> int:
-        """A data-block failure is repaired from its local group: ``k / l`` reads."""
-        return self._group_size
-
     def group_of(self, data_position: int) -> int:
         """Local group index of a data position."""
         if not 0 <= data_position < self.k:
@@ -118,22 +113,6 @@ class LocalReconstructionCode(LinearCode):
         if not 0 <= group < self._local_groups:
             raise InvalidParametersError(f"group {group} outside 0..{self._local_groups - 1}")
         return self.k + group
-
-    # ------------------------------------------------------------------
-    # Decoding
-    # ------------------------------------------------------------------
-    def can_decode(self, available_positions: Sequence[int]) -> bool:
-        """True when the available generator rows span the data space."""
-        positions = sorted(
-            {int(position) for position in available_positions if 0 <= position < self.n}
-        )
-        if len(positions) < self.k:
-            return False
-        return len(self._read_rows(positions)) == self.k
-
-    def _read_rows(self, positions: List[int]) -> Tuple[int, ...]:
-        """The first ``k`` available positions whose rows are independent."""
-        return tuple(positions[row] for row in gf_pivot_rows(self._matrix[positions]))
 
     # ------------------------------------------------------------------
     # Repair helpers
@@ -156,32 +135,6 @@ class LocalReconstructionCode(LinearCode):
     def repair_cost(self, position: int) -> int:
         """Number of blocks read by the cheapest repair of ``position``."""
         return len(self.local_repair_positions(position))
-
-    def repair_read_positions(
-        self, position: int, available_positions: Sequence[int]
-    ) -> List[int] | None:
-        """Prefer the local repair group; fall back to a global decode."""
-        available = set(available_positions) - {position}
-        local = self.local_repair_positions(position)
-        if set(local) <= available:
-            return list(local)
-        return super().repair_read_positions(position, available_positions)
-
-    def repair(self, position: int, available: Dict[int, Payload]) -> Payload:
-        """Rebuild ``position``, using the XOR-only local path when possible.
-
-        A data block whose group members and local parity survive -- or a
-        local parity whose group survives -- is rebuilt by XORing the local
-        group, the ``k / l``-read repair the code exists for; anything else
-        falls back to the global GF(2^8) decode of the base class.
-        """
-        if position in available:
-            return as_payload(available[position])
-        if position < self.k + self._local_groups:
-            local = self.local_repair_positions(position)
-            if all(member in available for member in local):
-                return xor_many([available[member] for member in local])
-        return super().repair(position, available)
 
 
 # ----------------------------------------------------------------------

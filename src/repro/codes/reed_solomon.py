@@ -10,8 +10,9 @@ single failure -- the repair cost the paper contrasts with the constant
 The implementation uses the classic systematic construction: an ``n x k``
 encoding matrix whose top ``k`` rows are the identity, obtained from a
 Vandermonde matrix by Gauss-Jordan column reduction.  Coding is that of
-:class:`~repro.codes.base.LinearCode`: any ``k`` rows of the matrix are
-independent, so a decode reads the first ``k`` blocks available.
+:class:`~repro.codes.base.StripeCode`; any ``k`` rows of the matrix are
+independent (:attr:`~repro.codes.base.StripeCode.mds`), so a decode reads
+the first ``k`` blocks available without an elimination.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import List
 
 import numpy as np
 
-from repro.codes.base import LinearCode
+from repro.codes.base import StripeCode
 from repro.codes.gf256 import GROUP_ORDER, gf_matmul, gf_matrix_inverse, vandermonde_matrix
 from repro.exceptions import InvalidParametersError
 
@@ -43,8 +44,10 @@ def systematic_encoding_matrix(k: int, m: int) -> np.ndarray:
     return gf_matmul(vandermonde, top_inverse)
 
 
-class ReedSolomonCode(LinearCode):
+class ReedSolomonCode(StripeCode):
     """Systematic RS(k, m) encoder/decoder."""
+
+    mds = True
 
     def __init__(self, k: int, m: int) -> None:
         if k < 1 or m < 1:
@@ -61,10 +64,6 @@ class ReedSolomonCode(LinearCode):
     def repair_bandwidth(self, block_size: int) -> int:
         """Bytes read to repair a single failure: ``k * block_size``."""
         return self.k * block_size
-
-    def tolerated_failures(self) -> int:
-        """Arbitrary failures tolerated per stripe: ``m``."""
-        return self.m
 
 
 #: The RS settings evaluated by the paper (Table IV).

@@ -8,24 +8,28 @@ capping additional storage at 300%.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List
+
+import numpy as np
 
 from repro.codes.base import StripeCode
-from repro.core.xor import Payload, as_payload
-from repro.exceptions import DecodingError, InvalidParametersError
+from repro.exceptions import InvalidParametersError
 
 
 class ReplicationCode(StripeCode):
     """``n``-way replication expressed as a (1, n-1) stripe code.
 
     The stripe holds a single data block at position 0 and ``n - 1`` verbatim
-    copies at positions 1..n-1.
+    copies at positions 1..n-1: every parity row is the XOR row ``[1]``, so
+    a repair reads one surviving copy.
     """
+
+    mds = True
 
     def __init__(self, copies: int) -> None:
         if copies < 2:
             raise InvalidParametersError("replication requires at least 2 copies")
-        super().__init__(1, copies - 1)
+        super().__init__(1, copies - 1, np.ones((copies, 1), dtype=np.uint8))
         self._copies = copies
 
     @property
@@ -36,29 +40,6 @@ class ReplicationCode(StripeCode):
     @property
     def name(self) -> str:
         return f"{self._copies}-way replication"
-
-    @property
-    def single_failure_cost(self) -> int:
-        """Repairing a lost copy reads one surviving copy."""
-        return 1
-
-    def encode(self, data_blocks: Sequence[Payload]) -> List[Payload]:
-        payloads = self._normalise_stripe(data_blocks)
-        original = payloads[0]
-        return [original.copy() for _ in range(self.m)]
-
-    def decode(self, available: Dict[int, Payload]) -> List[Payload]:
-        if not available:
-            raise DecodingError("all replicas are unavailable")
-        first_position = sorted(available)[0]
-        return [as_payload(available[first_position]).copy()]
-
-    def can_decode(self, available_positions: Sequence[int]) -> bool:
-        return len(set(available_positions)) >= 1
-
-    def tolerated_failures(self) -> int:
-        """Arbitrary failures tolerated: all but one copy may disappear."""
-        return self._copies - 1
 
 
 #: Replication factors evaluated in the paper (up to 300% additional storage).

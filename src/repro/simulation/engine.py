@@ -443,11 +443,11 @@ class StripeSimulation(SimulatedPlacement):
     random locations.  Decodability and repair-read costs are *delegated to
     the code*: stripes are grouped by their failure pattern and each unique
     pattern is answered once through ``can_decode`` (the scheme's erasure
-    tolerance -- MDS for RS, rank-based for LRC, peeling for flat XOR) and
-    ``repair_read_positions`` (the scheme's cheapest repair plan -- ``k``
-    blocks for RS, the local group for LRC, the smallest parity equation for
-    flat XOR, one copy for replication).  MDS and replication codes take a
-    closed-form fast path that skips the pattern loop entirely.
+    tolerance, a rank test) and ``repair_read_positions`` (the scheme's
+    cheapest repair plan -- ``k`` blocks for RS, the local group for LRC,
+    the smallest parity equation for flat XOR, one copy for replication).
+    Codes that declare ``mds`` (RS, replication) take a closed-form fast
+    path that skips the pattern loop entirely.
     """
 
     def __init__(
@@ -472,9 +472,6 @@ class StripeSimulation(SimulatedPlacement):
         #: be partially filled with zero padding).
         self.data_mask = np.zeros((self.stripes, code.k), dtype=bool)
         self.data_mask.ravel()[:data_blocks] = True
-        # The default StripeCode.can_decode is the MDS criterion (any k
-        # blocks); codes that inherit it unchanged get the closed-form path.
-        self._is_mds = type(code).can_decode is StripeCode.can_decode
         self._is_replication = isinstance(code, ReplicationCode)
 
     # ------------------------------------------------------------------
@@ -536,7 +533,7 @@ class StripeSimulation(SimulatedPlacement):
             vulnerable_minimal = (available_count == 1).astype(np.int64)
             vulnerable_none = ((available_count == 1) & primary_up).astype(np.int64)
             vulnerable_full = np.zeros(self.stripes, dtype=np.int64)
-        elif self._is_mds:
+        elif code.mds:  # any k blocks decode: a closed form
             per_pattern = None
             m = code.m
             decodable = missing_count <= m

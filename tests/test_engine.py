@@ -267,6 +267,33 @@ class TestStripeSimulationGenericPath:
         assert outcome.data_loss == outcome.initially_missing_data
 
 
+class TestClosedFormPath:
+    """RS and replication never reach the per-pattern loop.  The closed form
+    answers exactly what the loop would, so no simulated figure shows which
+    path ran: only this test sees an MDS code dropped from it."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.mark.parametrize(
+        "scheme_id, per_pattern",
+        [("rs-10-4", False), ("rep-3", False), ("lrc-azure", True), ("xor-geo", True)],
+    )
+    def test_only_non_mds_codes_evaluate_patterns(self, monkeypatch, scheme_id, per_pattern):
+        def reached(sim, unavailable):
+            raise self.Reached(scheme_id)
+
+        monkeypatch.setattr(StripeSimulation, "_evaluate_patterns", reached)
+        sim = build_simulation(scheme_id, 600, location_count=30, seed=2)
+        failed = np.arange(10)
+        if per_pattern:
+            with pytest.raises(self.Reached):
+                sim.evaluate(failed)
+        else:
+            assert int(sim.evaluate(failed).missing_count.sum()) > 0
+            assert sim.run_repair(failed).initially_missing_data > 0
+
+
 class TestMaintenanceBudget:
     def test_ae_max_rounds_caps_rounds(self):
         engine = SimulationEngine("ae-3-2-5", 20_000, 100, seed=7)

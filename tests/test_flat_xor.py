@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.mel import TannerGraph
 from repro.codes.flat_xor import FlatXorCode, geo_xor_code, mirrored_pairs_code, raid5_code
 from repro.exceptions import DecodingError, InvalidParametersError
 
@@ -101,3 +104,47 @@ class TestStructuralDecodability:
         plan = {p: stripe[p] for p in (1, 2, 3, 4)}
         assert np.array_equal(code.repair(0, plan), data[0])
         assert code.repair_read_positions(4, [0, 1, 2, 3, 5]) == [0, 1, 2, 3]
+
+
+#: Small flat XOR codes: k <= 5 data blocks, one to four non-empty equations.
+small_flat_codes = st.integers(min_value=1, max_value=5).flatmap(
+    lambda k: st.lists(
+        st.sets(st.integers(min_value=0, max_value=k - 1), min_size=1),
+        min_size=1,
+        max_size=4,
+    ).map(lambda equations: FlatXorCode(k, [sorted(eq) for eq in equations]))
+)
+
+
+class TestRankDecoding:
+    """A flat XOR code decodes exactly what the MEL's maximum-likelihood
+    rule (:meth:`TannerGraph.lost_data`) recovers -- more than peeling."""
+
+    def test_all_data_lost_decodes_from_the_parities(self):
+        # p0 = d0^d1, p1 = d1^d2, p2 = d0^d1^d2: every equation has two or
+        # more unknowns, so peeling stalls, yet d2 = p0^p2, d0 = p1^p2 and
+        # d1 = p0^d0.  Peeling used to refuse this pattern.
+        code = FlatXorCode(3, [[0, 1], [1, 2], [0, 1, 2]])
+        data = random_data(3, seed=7)
+        available = {3 + j: parity for j, parity in enumerate(code.encode(data))}
+        assert TannerGraph.from_flat_code(code).lost_data([0, 1, 2]) == []
+        assert code.can_decode(sorted(available))
+        assert [bytes(block) for block in code.decode(available)] == [
+            bytes(block) for block in data
+        ]
+        rebuilt = code.rebuild([0, 1, 2], available)
+        assert [bytes(block) for block in rebuilt] == [bytes(block) for block in data]
+        assert code.repair_read_positions(1, sorted(available)) == [3, 4, 5]
+        assert bytes(code.repair(1, available)) == bytes(data[1])
+
+    @given(small_flat_codes)
+    @settings(max_examples=40, deadline=None)
+    def test_can_decode_is_the_mel_criterion(self, code):
+        graph = TannerGraph.from_flat_code(code)
+        for size in range(code.n + 1):
+            for erased in combinations(range(code.n), size):
+                survivors = [p for p in range(code.n) if p not in erased]
+                assert code.can_decode(survivors) == (graph.lost_data(erased) == []), (
+                    code.equations,
+                    erased,
+                )
