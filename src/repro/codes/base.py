@@ -16,12 +16,12 @@ of positions decodes when its rows have rank ``k``
 (:func:`~repro.codes.gf256.gf_pivot_rows`); a family whose every ``k`` rows
 are independent declares :attr:`StripeCode.mds` and skips the elimination.
 
-A row whose coefficients are all 0 or 1 is an *XOR row*: the XOR of the
-blocks in its support, computed with ``xor_many``; the other rows of a
-matrix are one :func:`~repro.codes.gf256.gf_matmul_bytes` product of its
-packed tables.  The XOR rows of ``M`` give the local repair plans -- LRC's
-group, a flat XOR equation, one replica: a block on a surviving XOR row is
-the XOR of the row's other members.
+A parity row whose coefficients are all 0 or 1 is an *XOR row*: LRC's
+local parities, every flat XOR equation, every replica.  Encoding computes
+the XOR rows with ``xor_many`` and the other rows in one
+:func:`~repro.codes.gf256.gf_matmul_bytes` product of packed tables; every
+recovery matrix is one such product.  The XOR rows give the local repair
+plans: a block on a surviving XOR row is the XOR of the row's other members.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import combinations
-from typing import AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,33 +66,6 @@ class CodeCosts:
 RECOVERY_CACHE_PATTERNS = 128
 
 
-class _Rows(NamedTuple):
-    """A coefficient matrix laid out for :func:`_apply`."""
-
-    #: The columns of each row whose coefficients are all 0 or 1 (an XOR
-    #: row), ``None`` for any other row.
-    supports: Tuple[Optional[FrozenSet[int]], ...]
-    #: The packed tables of the other rows, in order.
-    packed: PackedMatrix
-
-
-def _layout(matrix: np.ndarray) -> _Rows:
-    supports = tuple(
-        frozenset(np.flatnonzero(row).tolist()) if row.max() <= 1 else None for row in matrix
-    )
-    return _Rows(supports, gf_pack_matrix(matrix[[support is None for support in supports]]))
-
-
-def _apply(rows: _Rows, payloads: Sequence[Payload], size: int) -> List[Payload]:
-    """``matrix @ payloads``: each XOR row by ``xor_many`` (a fresh copy for
-    one column), the other rows in one packed product."""
-    products = iter(gf_matmul_bytes(rows.packed, payloads, size) if rows.packed.rows else ())
-    return [
-        next(products) if support is None else xor_many([payloads[c] for c in support])
-        for support in rows.supports
-    ]
-
-
 class StripeCode:
     """A systematic ``(k, m)`` code over GF(2^8) given by its generator matrix.
 
@@ -113,15 +86,23 @@ class StripeCode:
         self._m = m
         self._matrix = matrix
         self._positions = frozenset(range(k + m))
-        self._parity = _layout(matrix[k:])
-        #: ``(parity position, data positions)`` of every XOR row, smallest first.
-        self._xor_rows = sorted(
-            ((k + j, support) for j, support in enumerate(self._parity.supports) if support),
-            key=lambda row: (len(row[1]), row[0]),
+        #: Parity position -> data positions of every XOR row, smallest first.
+        self._xor_rows: Dict[int, FrozenSet[int]] = dict(
+            sorted(
+                (
+                    (position, frozenset(np.flatnonzero(matrix[position]).tolist()))
+                    for position in range(k, k + m)
+                    if matrix[position].max() <= 1
+                ),
+                key=lambda row: (len(row[1]), row[0]),
+            )
         )
-        # (positions read, positions wanted) -> laid-out recovery matrix,
+        self._parity_rows = gf_pack_matrix(
+            matrix[[position for position in range(k, k + m) if position not in self._xor_rows]]
+        )
+        # (positions read, positions wanted) -> packed recovery matrix,
         # oldest pattern dropped first once the bound is reached.
-        self._recovery_cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], _Rows] = {}
+        self._recovery_cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], PackedMatrix] = {}
         self._recovery_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -160,7 +141,7 @@ class StripeCode:
     def single_failure_cost(self) -> int:
         """Blocks read to repair one lost data block: the smallest XOR row
         (its other members and its parity), else ``k``."""
-        return min((len(support) for _, support in self._xor_rows), default=self._k)
+        return min(map(len, self._xor_rows.values()), default=self._k)
 
     def costs(self) -> CodeCosts:
         return CodeCosts(
@@ -183,9 +164,19 @@ class StripeCode:
     # Coding
     # ------------------------------------------------------------------
     def encode(self, data_blocks: Sequence[Payload]) -> List[Payload]:
-        """Compute the ``m`` redundant blocks for ``k`` data blocks."""
+        """Compute the ``m`` redundant blocks for ``k`` data blocks: each XOR
+        row by ``xor_many`` (a fresh copy for one member), the other rows in
+        one packed product."""
         payloads = self._normalise_stripe(data_blocks)
-        return _apply(self._parity, payloads, payloads[0].size)
+        packed = self._parity_rows
+        products = iter(gf_matmul_bytes(packed, payloads, payloads[0].size) if packed.rows else ())
+        xor_rows = self._xor_rows
+        return [
+            xor_many([payloads[column] for column in xor_rows[position]])
+            if position in xor_rows
+            else next(products)
+            for position in range(self._k, self.n)
+        ]
 
     def decode(self, available: Dict[int, Payload]) -> List[Payload]:
         """Recover the ``k`` data blocks from any sufficient subset.
@@ -215,7 +206,7 @@ class StripeCode:
             return xor_many([available[member] for member in plan])
         return self.rebuild([position], available)[0]
 
-    def can_decode(self, available_positions: Sequence[int]) -> bool:
+    def can_decode(self, available_positions: Iterable[int]) -> bool:
         """True when the available generator rows span the data space: when
         there are ``k`` of them, for an MDS code."""
         positions = self._positions.intersection(available_positions)
@@ -251,7 +242,7 @@ class StripeCode:
     def _xor_plan(self, position: int, available: AbstractSet[int]) -> Optional[List[int]]:
         """The other members of the smallest XOR row through ``position``
         whose members are all in ``available``, or ``None``."""
-        for parity, support in self._xor_rows:
+        for parity, support in self._xor_rows.items():
             if position == parity:
                 needed = support
             elif position in support:
@@ -318,22 +309,22 @@ class StripeCode:
                     f"{self.name} cannot rebuild {list(wanted)} from {sorted(available)}"
                 )
             payloads = [available[pos] for pos in read]
-            rows = _apply(self._recovery(read, wanted), payloads, sizes.pop())
+            rows = gf_matmul_bytes(self._recovery(read, wanted), payloads, sizes.pop())
             computed = dict(zip(wanted, rows))
         return [
             computed[pos] if pos in computed else as_payload(available[pos])
             for pos in positions
         ]
 
-    def _recovery(self, read: Tuple[int, ...], wanted: Tuple[int, ...]) -> _Rows:
-        """The laid-out ``M[wanted] @ inv(M[read])`` of one erasure pattern."""
+    def _recovery(self, read: Tuple[int, ...], wanted: Tuple[int, ...]) -> PackedMatrix:
+        """The packed ``M[wanted] @ inv(M[read])`` of one erasure pattern."""
         key = (read, wanted)
-        rows = self._recovery_cache.get(key)
-        if rows is None:
+        packed = self._recovery_cache.get(key)
+        if packed is None:
             inverse = gf_matrix_inverse(self._matrix[list(read)])
-            rows = _layout(gf_matmul(self._matrix[list(wanted)], inverse))
+            packed = gf_pack_matrix(gf_matmul(self._matrix[list(wanted)], inverse))
             with self._recovery_lock:
                 if len(self._recovery_cache) >= RECOVERY_CACHE_PATTERNS:
                     del self._recovery_cache[next(iter(self._recovery_cache))]
-                self._recovery_cache[key] = rows
-        return rows
+                self._recovery_cache[key] = packed
+        return packed

@@ -54,7 +54,7 @@ class FlatXorCode(StripeCode):
 
     @property
     def equations(self) -> Tuple[FrozenSet[int], ...]:
-        return tuple(filter(None, self._parity.supports))
+        return tuple(self._xor_rows[position] for position in range(self.k, self.n))
 
     @property
     def name(self) -> str:

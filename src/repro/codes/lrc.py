@@ -118,19 +118,11 @@ class LocalReconstructionCode(StripeCode):
     # Repair helpers
     # ------------------------------------------------------------------
     def local_repair_positions(self, position: int) -> List[int]:
-        """Blocks read for the cheap, local repair of ``position``.
-
-        Data blocks and local parities are repaired from their local group;
-        global parities require a full decode (all data positions).
-        """
-        if position < self.k:
-            group = self.group_of(position)
-            others = [pos for pos in self.group_members(group) if pos != position]
-            return others + [self.local_parity_position(group)]
-        if position < self.k + self._local_groups:
-            group = position - self.k
-            return list(self.group_members(group))
-        return list(range(self.k))
+        """Blocks read for the cheap repair of ``position`` with every other
+        block readable: its local group (the XOR row through it), else all
+        data positions -- a global parity needs a full decode."""
+        plan = self._xor_plan(position, self._positions.difference([position]))
+        return list(range(self.k)) if plan is None else plan
 
     def repair_cost(self, position: int) -> int:
         """Number of blocks read by the cheapest repair of ``position``."""

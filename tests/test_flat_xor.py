@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.mel import TannerGraph
+from repro.codes import base
 from repro.codes.flat_xor import FlatXorCode, geo_xor_code, mirrored_pairs_code, raid5_code
+from repro.codes.gf256 import gf_matmul_bytes
 from repro.exceptions import DecodingError, InvalidParametersError
+from repro.schemes import get as get_scheme
 
 
 def random_data(k: int, seed: int = 0, size: int = 16):
@@ -148,3 +151,29 @@ class TestRankDecoding:
                     code.equations,
                     erased,
                 )
+
+
+class TestXorRowEncoding:
+    """Encoding computes a parity row of 0/1 coefficients as a XOR, outside
+    the packed product: replication and flat XOR pack nothing, LRC only its
+    global rows.  Bytes alone cannot show this -- packing every row encodes
+    the same parities, a replica 3-18x slower (``docs/performance.md``)."""
+
+    @pytest.mark.parametrize(
+        "scheme, packed_rows",
+        [("rep-3", 0), ("xor-geo", 0), ("xor-raid5-5", 0), ("lrc-azure", 2), ("rs-10-4", 4)],
+    )
+    def test_only_the_other_rows_are_packed(self, monkeypatch, scheme, packed_rows):
+        code = get_scheme(scheme).code
+        data = random_data(code.k, seed=3)
+        expected = gf_matmul_bytes(code.encoding_matrix[code.k :], data, data[0].size)
+        products = []
+
+        def recording(matrix, payloads, size):
+            products.append(matrix.rows)
+            return gf_matmul_bytes(matrix, payloads, size)
+
+        monkeypatch.setattr(base, "gf_matmul_bytes", recording)
+        parities = code.encode(data)
+        assert sum(products) == packed_rows
+        assert [bytes(parity) for parity in parities] == [bytes(row) for row in expected]
