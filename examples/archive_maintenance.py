@@ -7,7 +7,7 @@ This example runs one maintenance cycle end to end on an
 
 1. archive several versions of a growing dataset;
 2. lose a fifth of the storage locations and repair the lattice;
-3. run an integrity scrub to confirm every entanglement equation holds;
+3. scrub: every entanglement equation and write-time fingerprint holds;
 4. compare the repair traffic this cycle would cost under AE(3,2,5) versus
    RS codes of the same overhead;
 5. close with the analytic (Markov) view: how rare data loss becomes when
@@ -62,6 +62,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     scrub = archive.scrub()
     print(f"integrity scrub    : {scrub.summary()}")
+    assert scrub.clean
 
     # ------------------------------------------------------------------
     # 4. What did this repair cycle cost, and what would RS have cost?

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from repro.core.encoder import DEFAULT_BLOCK_SIZE, BatchEntangler
 from repro.core.lattice import HelicalLattice
 from repro.core.parameters import AEParameters
 from repro.core.puncturing import PuncturedCode, masked_parities, puncture_rate
-from repro.core.xor import PayloadBatch
+from repro.core.rules import rule_offsets
+from repro.core.xor import PayloadBatch, gather_payload_matrix, xor_pairs
 from repro.exceptions import InvalidParametersError
 from repro.schemes.base import (
     BlockSource,
@@ -34,6 +35,7 @@ from repro.schemes.base import (
     RedundancyScheme,
     SchemeCapabilities,
     SchemeRepairOutcome,
+    SchemeScrubOutcome,
 )
 
 __all__ = [
@@ -41,6 +43,14 @@ __all__ = [
     "PuncturedEntanglementScheme",
     "punctured_scheme_id",
 ]
+
+
+#: Lattice nodes per batch of the equation pass (AE(3,2,5) at 4 KiB: ~3 MiB
+#: of parities and as much recomputed per batch).
+SCRUB_NODES = 256
+
+#: An entanglement equation by its creator node and strand-class column.
+Equation = Tuple[int, int]
 
 
 def punctured_scheme_id(params: AEParameters, keep_fraction: float) -> str:
@@ -143,6 +153,96 @@ class EntanglementScheme(RedundancyScheme):
         outcome.blocks_read = run.blocks_read
         outcome.unrecovered.extend(sorted(run.pending, key=block_sort_key))
         return outcome.restricted_to(set(missing)) if run.grew else outcome
+
+    def scrub(self, source: BlockSource) -> SchemeScrubOutcome:
+        """The entanglement-equation pass (paper, Sec. III-B).
+
+        Every equation ``p_{i,j} == d_i XOR p_{h,i}`` is checked, a batch of
+        :data:`SCRUB_NODES` nodes at a time: one ``source.try_get_many`` and
+        one :func:`~repro.core.xor.xor_pairs` per batch.  An equation with a
+        member that cannot be read is unchecked.  A changed block violates
+        every checked equation it is part of, so a block is a suspect when
+        all of its checked equations are violated -- unless another such
+        block's violated equations strictly contain its own (a tampered
+        parity violates its creator's and its consumer's equations, the data
+        block of each only one of them).  Blocks with equal sets cannot be
+        told apart and are ambiguous (under AE(1), the last node's data
+        block and parity).
+        """
+        params = self.params
+        size, s, classes = self.lattice.size, params.s, params.strand_classes
+        offsets = list(rule_offsets(params).values())
+        # 1 holds, 0 violated, -1 unchecked; row ``i - 1``, strand-class column.
+        verdicts = np.full((size, len(classes)), -1, dtype=np.int8)
+
+        def members(i: int, column: int) -> Tuple[DataId, Optional[ParityId], ParityId]:
+            h = i + offsets[column][0][(i - 1) % s]
+            strand_class = classes[column]
+            input_parity = ParityId(h, strand_class) if h >= 1 else None
+            return DataId(i), input_parity, ParityId(i, strand_class)
+
+        for start in range(1, size + 1, SCRUB_NODES):
+            equations = [
+                (i, column)
+                for i in range(start, min(start + SCRUB_NODES, size + 1))
+                for column in range(len(classes))
+            ]
+            ids = [members(*equation) for equation in equations]
+            wanted = list(dict.fromkeys(b for trio in ids for b in trio if b is not None))
+            payload = dict(zip(wanted, source.try_get_many(wanted)))
+            readable = [
+                k
+                for k, trio in enumerate(ids)
+                if all(b is None or payload[b] is not None for b in trio)
+            ]
+            if not readable:
+                continue
+            data, inputs, parities = zip(*(ids[k] for k in readable))
+            expected = xor_pairs(
+                [payload[b] for b in data],
+                [None if b is None else payload[b] for b in inputs],
+                self._block_size,
+            )
+            stored = gather_payload_matrix([payload[b] for b in parities], self._block_size)
+            rows, columns = np.array([equations[k] for k in readable]).T
+            verdicts[rows - 1, columns] = (expected == stored).all(axis=1)
+        outcome = SchemeScrubOutcome(
+            checked=int((verdicts >= 0).sum()), unchecked=int((verdicts < 0).sum())
+        )
+        violated = {
+            (row + 1, column): members(row + 1, column)
+            for row, column in np.argwhere(verdicts == 0).tolist()
+        }
+        outcome.violated = [trio[2] for trio in violated.values()]
+
+        def incident(block_id: BlockId) -> List[Equation]:
+            i = block_id.index
+            if is_data(block_id):
+                return [(i, column) for column in range(len(classes))]
+            column = classes.index(block_id.strand_class)
+            j = i + offsets[column][1][(i - 1) % s]
+            return [(i, column)] + ([(j, column)] if j <= size else [])
+
+        # Each block of a violated equation, by the checked equations it is
+        # part of -- a candidate only when they are all violated.
+        sets: Dict[BlockId, Optional[FrozenSet[Equation]]] = {}
+        for trio in violated.values():
+            for block_id in trio:
+                if block_id is not None and block_id not in sets:
+                    checked = [(i, c) for i, c in incident(block_id) if verdicts[i - 1, c] >= 0]
+                    violates_all = all(verdicts[i - 1, c] == 0 for i, c in checked)
+                    sets[block_id] = frozenset(checked) if violates_all else None
+        for block_id, mine in sets.items():
+            if mine is None:
+                continue
+            # A block whose set contains ``mine`` is in every equation of it.
+            peers = [sets.get(other) for other in violated[next(iter(mine))] if other != block_id]
+            if any(mine < theirs for theirs in peers if theirs is not None):
+                continue
+            (outcome.ambiguous if mine in peers else outcome.suspects).append(block_id)
+        outcome.suspects.sort(key=block_sort_key)
+        outcome.ambiguous.sort(key=block_sort_key)
+        return outcome
 
     # ------------------------------------------------------------------
     # Durability

@@ -37,6 +37,7 @@ from repro.schemes.base import (
     RedundancyScheme,
     SchemeCapabilities,
     SchemeRepairOutcome,
+    SchemeScrubOutcome,
 )
 from repro.schemes.stripe import StripeBlockId, StripeScheme
 
@@ -47,6 +48,7 @@ __all__ = [
     "RedundancyScheme",
     "SchemeCapabilities",
     "SchemeRepairOutcome",
+    "SchemeScrubOutcome",
     "StripeBlockId",
     "StripeScheme",
     "available",

@@ -3,9 +3,10 @@
 Every redundancy scheme the paper evaluates -- alpha entanglement codes and
 the stripe-code baselines (Reed-Solomon, Azure/Xorbas LRC, flat XOR codes,
 replication) -- is driven through one interface: :class:`RedundancyScheme`.
-The protocol covers the three verbs a storage front-end needs
+The protocol covers the four verbs a storage front-end needs
 (:meth:`~RedundancyScheme.encode`, :meth:`~RedundancyScheme.repair`,
-:meth:`~RedundancyScheme.document_blocks`) -- ``repair(missing, source)``
+:meth:`~RedundancyScheme.scrub`, :meth:`~RedundancyScheme.document_blocks`)
+-- ``repair(missing, source)``
 over a :class:`BlockSource` is the whole read side: a degraded read, a
 strand head on reopen and a parity a transition regenerates all come back
 through it -- plus capability metadata (:class:`SchemeCapabilities`) that carries the
@@ -137,6 +138,26 @@ class SchemeRepairOutcome:
         return self
 
 
+@dataclass
+class SchemeScrubOutcome:
+    """Result of a scheme checking its stored blocks against each other.
+
+    ``checked`` / ``unchecked`` count the checks run and the ones a block
+    that cannot be read (unreachable, punctured, deleted) left out -- an
+    unchecked check is never a violated one.  ``violated`` names the checks
+    that failed: an entanglement equation by the parity it closes, a stripe
+    by its number.  ``suspects`` are the blocks the failed checks single
+    out; ``ambiguous`` the blocks they implicate no more than another block,
+    which nothing may be rebuilt from or written over.
+    """
+
+    checked: int = 0
+    unchecked: int = 0
+    violated: List[object] = field(default_factory=list)
+    suspects: List[object] = field(default_factory=list)
+    ambiguous: List[object] = field(default_factory=list)
+
+
 class RedundancyScheme(ABC):
     """Uniform encode / read / repair interface over one redundancy scheme.
 
@@ -197,6 +218,11 @@ class RedundancyScheme(ABC):
             if payload is None:
                 raise RepairFailedError(block_id, "no available recovery path")
         return as_payload(payload, self._block_size)
+
+    @abstractmethod
+    def scrub(self, source: BlockSource) -> SchemeScrubOutcome:
+        """Check every readable block of this instance against the others
+        (nothing is written: rebuilding the suspects is the caller's)."""
 
     @abstractmethod
     def owns(self, block_id: object) -> bool:

@@ -63,7 +63,6 @@ from repro.storage.placement import (
     domain_balance,
     placement_balance,
 )
-from repro.storage.scrub import ChecksumManifest, ScrubFinding, ScrubReport, Scrubber
 from repro.storage.topology import (
     DOMAIN_LEVELS,
     Topology,
@@ -80,7 +79,6 @@ from repro.storage.wal import (
 
 __all__ = [
     "BlockStore",
-    "ChecksumManifest",
     "ChurnEvent",
     "ChurnTrace",
     "ClusterStats",
@@ -96,9 +94,6 @@ __all__ = [
     "PlacementPolicy",
     "RandomPlacement",
     "RoundRobinPlacement",
-    "ScrubFinding",
-    "ScrubReport",
-    "Scrubber",
     "SegmentLogBackend",
     "SpreadDomainsPlacement",
     "StorageBackend",

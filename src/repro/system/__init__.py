@@ -50,6 +50,7 @@ from repro.system.protocol import DocumentService
 from repro.system.service import (
     DEFAULT_BATCH_BLOCKS,
     ServiceRepairReport,
+    ServiceScrubReport,
     ServiceStatus,
     StorageConfig,
     StorageService,
@@ -95,6 +96,7 @@ __all__ = [
     "RebalanceReport",
     "SchemeComparison",
     "ServiceRepairReport",
+    "ServiceScrubReport",
     "ServiceStatus",
     "ShardRing",
     "ShardedStorageService",

@@ -14,30 +14,65 @@ lower layers into that workflow:
   the beginning of the mesh");
 * **get / verify** read a version back (repairing blocks through the lattice
   when locations are down) and check it against the recorded digest;
-* **scrub / repair** run the integrity scrubber of
-  :mod:`repro.storage.scrub` and the service's ``repair(policy)``, giving the
-  archive the maintenance loop a real deployment would schedule.
+* **scrub / repair** run the service's ``scrub()`` -- then a check of
+  every block against the fingerprint recorded when it was written -- and
+  its ``repair(policy)``, giving the archive the maintenance loop a real
+  deployment would schedule.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.codes.entanglement import EntanglementScheme
-from repro.core.blocks import DataId
+from repro.core.batch_repair import block_sort_key
+from repro.core.blocks import Block, BlockId, DataId
 from repro.core.encoder import DEFAULT_BLOCK_SIZE
 from repro.core.parameters import AEParameters
+from repro.core.xor import Payload
 from repro.exceptions import IntegrityError, UnknownBlockError
 from repro.storage.cluster import StorageCluster
 from repro.storage.maintenance import MaintenancePolicy
 from repro.storage.placement import PlacementPolicy
-from repro.storage.scrub import ChecksumManifest, Scrubber, ScrubReport
 from repro.storage.topology import Topology
-from repro.system.service import ServiceRepairReport, StorageConfig, StorageService
+from repro.system.service import (
+    ServiceRepairReport, ServiceScrubReport, StorageConfig, StorageService,
+)
 
-__all__ = ["ArchiveEntry", "ArchiveStore"]
+__all__ = ["ArchiveEntry", "ArchiveStore", "ChecksumManifest"]
+
+
+class ChecksumManifest:
+    """Fingerprints (CRC32 and SHA-256) of every block, recorded at write time."""
+
+    def __init__(self) -> None:
+        self._fingerprints: Dict[BlockId, Tuple[int, str]] = {}
+
+    def __len__(self) -> int:
+        return len(self._fingerprints)
+
+    def __contains__(self, block_id: BlockId) -> bool:
+        return block_id in self._fingerprints
+
+    @staticmethod
+    def _fingerprint(block_id: BlockId, payload: Payload) -> Tuple[int, str]:
+        block = Block(block_id=block_id, payload=payload)
+        return block.checksum(), block.digest()
+
+    def record_payload(self, block_id: BlockId, payload: Payload) -> None:
+        """Record (or refresh) the fingerprint of a block."""
+        self._fingerprints[block_id] = self._fingerprint(block_id, payload)
+
+    def matches(self, block_id: BlockId, payload: Payload) -> bool:
+        """True when ``payload`` matches the recorded fingerprint of ``block_id``."""
+        if block_id not in self._fingerprints:
+            raise UnknownBlockError(f"no checksum recorded for {block_id!r}")
+        return self._fingerprints[block_id] == self._fingerprint(block_id, payload)
+
+    def block_ids(self) -> List[BlockId]:
+        return list(self._fingerprints)
 
 
 @dataclass(frozen=True)
@@ -153,16 +188,11 @@ class ArchiveStore:
 
     def _record_fingerprints(self, data_ids: List[DataId]) -> None:
         """Record manifest fingerprints for the new data blocks and their parities."""
-        cluster = self._system.cluster
         lattice = self._scheme.lattice
-        for data_id in data_ids:
-            payload = cluster.try_get_block(data_id)
+        ids = [b for d in data_ids for b in [d, *lattice.output_parities(d.index)]]
+        for block_id, payload in zip(ids, self._system.cluster.try_get_many(ids)):
             if payload is not None:
-                self._manifest.record_payload(data_id, payload)
-            for parity in lattice.output_parities(data_id.index):
-                parity_payload = cluster.try_get_block(parity)
-                if parity_payload is not None:
-                    self._manifest.record_payload(parity, parity_payload)
+                self._manifest.record_payload(block_id, payload)
 
     # ------------------------------------------------------------------
     # Reads and verification
@@ -207,24 +237,25 @@ class ArchiveStore:
         """Restore redundancy after failures (the Fig. 11/12 maintenance loop)."""
         return self._system.repair(policy)
 
-    def scrubber(self) -> Scrubber:
-        """An integrity scrubber bound to this archive's lattice and manifest."""
-        return Scrubber(
-            self._scheme.lattice,
-            self._system.cluster,
-            self._system.block_size,
-            manifest=self._manifest,
-        )
-
-    def scrub(self) -> ScrubReport:
-        """Run a full integrity scrub (checksums + entanglement equations)."""
-        return self.scrubber().scrub()
-
-    def scrub_and_repair(self) -> ScrubReport:
-        """Scrub, repair every attributed suspect, then report the initial findings."""
-        scrubber = self.scrubber()
-        report = scrubber.scrub()
-        scrubber.repair_suspects(report)
+    def scrub(self) -> ServiceScrubReport:
+        """The service's scrub, then the fingerprint check: a block whose
+        stored bytes no longer match what was recorded at write time is a
+        suspect too, rebuilt in place by the same routine (hidden from its
+        own rebuild).  A suspect the fingerprints vouch for is not left as
+        stored."""
+        report = self._system.scrub()
+        ids = self._manifest.block_ids()
+        mismatched = {
+            block_id
+            for block_id, payload in zip(ids, self._system.cluster.try_get_many(ids))
+            if payload is not None and not self._manifest.matches(block_id, payload)
+        }
+        rebuilt = self._system._rewrite(mismatched)
+        report.suspects = sorted(mismatched.union(report.suspects), key=block_sort_key)
+        report.repaired += rebuilt.repaired
+        report.unrecovered = [
+            block_id for block_id in report.unrecovered if block_id not in self._manifest
+        ] + rebuilt.unrecovered
         return report
 
     def status_summary(self) -> str:

@@ -32,7 +32,9 @@ from typing import (
 
 from repro.exceptions import ReproError
 from repro.storage.maintenance import MaintenancePolicy
-from repro.system.service import ServiceHandle, ServiceRepairReport, ServiceStatus
+from repro.system.service import (
+    ServiceHandle, ServiceRepairReport, ServiceScrubReport, ServiceStatus,
+)
 from repro.system.transitions import TransitionReport
 
 if TYPE_CHECKING:
@@ -44,7 +46,7 @@ if TYPE_CHECKING:
 #: wrapping layers' shared implementation, not a third kind of service.
 __all__ = ["DocumentService"]
 
-R = TypeVar("R", ServiceStatus, ServiceRepairReport, TransitionReport)
+R = TypeVar("R", ServiceStatus, ServiceRepairReport, ServiceScrubReport, TransitionReport)
 
 
 @runtime_checkable
@@ -105,6 +107,10 @@ class DocumentService(Protocol):
     def repair(self, policy: MaintenancePolicy = MaintenancePolicy.FULL) -> ServiceRepairReport:
         """Rebuild unreachable blocks; ``policy`` (default ``FULL``) is how
         much maintenance to do, what it left alone comes back as skipped."""
+
+    def scrub(self) -> ServiceScrubReport:
+        """Check the stored blocks against each other and rewrite the ones
+        the checks single out (on a federation: every shard, summed)."""
 
     def transition_to(self, scheme: str) -> Optional[TransitionReport]:
         """Migrate to another scheme (or finish a run to it that did not
@@ -282,6 +288,13 @@ class ServiceLayer(ServiceHandle):
                         raise
                     errors[key] = str(exc)
         return merged(self._report_type, parts, errors, scheme=self.scheme.scheme_id)
+
+    def scrub(self) -> ServiceScrubReport:
+        """Scrub every member while mutations are quiesced; reads continue."""
+        self._ensure_open()
+        with self._members() as members:
+            parts = {key: member.scrub() for key, member in members.items()}
+        return merged(ServiceScrubReport, parts, scheme=self.scheme.scheme_id)
 
     def flush(self) -> None:
         """Checkpoint every member's metadata and flush its block writes."""

@@ -21,7 +21,9 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar, Union
+from typing import (
+    AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar, Union,
+)
 
 import repro.schemes as schemes
 from repro.core.blocks import BlockId, join_blocks
@@ -30,7 +32,7 @@ from repro.core.encoder import DEFAULT_BLOCK_SIZE
 from repro.core.parameters import AEParameters
 from repro.core.xor import Payload, payload_to_bytes
 from repro.exceptions import InvalidParametersError, RepairFailedError, UnknownBlockError
-from repro.schemes.base import RedundancyScheme, SchemeCapabilities
+from repro.schemes.base import BlockSource, RedundancyScheme, SchemeCapabilities
 from repro.storage import placement as placement_registry
 from repro.storage.backends import decode_block_id, encode_block_id, read_json, write_json
 from repro.storage.cluster import StorageCluster
@@ -293,6 +295,55 @@ class ServiceRepairReport:
             f"{self.rounds} rounds ({self.blocks_read} reads); "
             f"data loss {self.data_loss}, {len(self.unrecovered)} blocks unrecovered"
         )
+
+
+@dataclass
+class ServiceScrubReport:
+    """Outcome of a scrub: every scheme generation checked its blocks
+    against each other, and the suspects were rebuilt where they are.
+
+    ``checked`` / ``unchecked`` count entanglement equations under AE and
+    stripes under a stripe code; ``violated`` names the failed checks.
+    ``suspects`` lists every block the failed checks implicate: each is in
+    ``repaired`` (rewritten) or ``unrecovered`` (left as stored, ambiguous
+    or without a path that avoids every suspect).
+    """
+
+    scheme: str
+    checked: int = 0
+    unchecked: int = 0
+    violated: List[object] = field(default_factory=list)
+    suspects: List[object] = field(default_factory=list)
+    repaired: List[object] = field(default_factory=list)
+    unrecovered: List[object] = field(default_factory=list)
+
+    @property
+    def clean(self) -> bool:
+        return not self.violated and not self.suspects
+
+    def summary(self) -> str:
+        return (
+            f"[{self.scheme}] {self.checked} checks ({self.unchecked} unchecked); "
+            f"{len(self.violated)} violated, {len(self.suspects)} suspects: "
+            f"{len(self.repaired)} rewritten, {len(self.unrecovered)} left as stored"
+        )
+
+
+class _Hiding:
+    """A block source that reports ``hidden`` unavailable: the source of a
+    suspect's rebuild, so no suspect is an input of another's."""
+
+    def __init__(self, source: BlockSource, hidden: AbstractSet[object]) -> None:
+        self._source = source
+        self._hidden = hidden
+
+    def try_get_many(self, block_ids: Iterable[object]) -> List[Optional[Payload]]:
+        wanted = list(block_ids)
+        fetched = self._source.try_get_many(wanted)
+        return [None if b in self._hidden else p for b, p in zip(wanted, fetched)]
+
+    def is_available(self, block_id: object) -> bool:
+        return block_id not in self._hidden and self._source.is_available(block_id)
 
 
 H = TypeVar("H", bound="ServiceHandle")
@@ -1350,40 +1401,102 @@ class StorageService(ServiceHandle):
         What the policy left alone comes back in ``skipped``.
         """
         self._ensure_open()
-        report = ServiceRepairReport(scheme=self._scheme.scheme_id)
         with self._state_lock:
-            generations = self._generations(self._cluster.unavailable_blocks())
-            avoid = tuple(self._cluster.unavailable_locations())
-            for scheme, owned in generations:
-                if policy is MaintenancePolicy.FULL:
-                    wanted = owned
-                else:
-                    wanted = (
-                        set(filter(scheme.is_data_block, owned))
-                        if policy is MaintenancePolicy.MINIMAL
-                        else set()
-                    )
-                    report.skipped.extend(owned - wanted)
-                if not wanted:
-                    continue
-                outcome = scheme.repair(wanted, self._cluster)
-                self._cluster.relocate_many(outcome.recovered.items(), avoid=avoid)
-                report.repaired.extend(outcome.recovered)
-                report.unrecovered.extend(outcome.unrecovered)
-                report.blocks_read += outcome.blocks_read
-                report.rounds = max(report.rounds, outcome.rounds)
-                report.data_loss += sum(
-                    1
-                    for block_id in outcome.unrecovered
-                    if scheme.is_data_block(block_id)
-                )
-        if report.repaired:
-            # An informational WAL record: repair moved blocks, giving the
-            # log a durability point (the directory itself is rebuilt from
-            # backend scans on reopen, so replay ignores the content).
-            self._commit_meta(
-                [{"op": "placement", "relocated": len(report.repaired)}]
-            )
+            unavailable = self._cluster.unavailable_blocks()
+            if policy is MaintenancePolicy.FULL:
+                wanted = unavailable
+            elif policy is MaintenancePolicy.MINIMAL:
+                wanted = {
+                    block_id
+                    for scheme, owned in self._generations(unavailable)
+                    for block_id in filter(scheme.is_data_block, owned)
+                }
+            else:
+                wanted = set()
+            report = self._rebuild(wanted)
+            report.skipped.extend(unavailable - wanted)
+        self._log_placement(report)
         for listed in (report.repaired, report.skipped):
-            listed.sort(key=lambda b: (getattr(b, "index", 0), repr(b)))
+            listed.sort(key=_block_order)
         return report
+
+    def _rebuild(
+        self, wanted: Set[BlockId], hidden: AbstractSet[object] = frozenset()
+    ) -> ServiceRepairReport:
+        """Rebuild ``wanted`` and store it: the one routine :meth:`repair`
+        and :meth:`scrub` share (call it under the state lock, and
+        :meth:`_log_placement` after it).
+
+        Each generation's blocks go to the scheme that encoded them, read
+        through a source that reports every ``hidden`` block unavailable --
+        a scrub hides its suspects, so none is an input of another's
+        rebuild -- and land through ``relocate_many``, which keeps a usable
+        assigned location: a bad copy is overwritten where it is.  One a
+        rebuild puts elsewhere is dropped, so no reopen can pick it up.
+        """
+        report = ServiceRepairReport(scheme=self._scheme.scheme_id)
+        cluster = self._cluster
+        avoid = tuple(cluster.unavailable_locations())
+        source: BlockSource = _Hiding(cluster, hidden) if hidden else cluster
+        for scheme, owned in self._generations(wanted):
+            if not owned:
+                continue
+            outcome = scheme.repair(owned, source)
+            stale = {b: cluster.location_of(b) for b in outcome.recovered if b in hidden}
+            placed = cluster.relocate_many(outcome.recovered.items(), avoid=avoid)
+            for block_id, location in stale.items():
+                if placed[block_id] != location:
+                    cluster.location(location).delete_many([block_id])
+            report.repaired.extend(outcome.recovered)
+            report.unrecovered.extend(outcome.unrecovered)
+            report.blocks_read += outcome.blocks_read
+            report.rounds = max(report.rounds, outcome.rounds)
+            report.data_loss += sum(map(scheme.is_data_block, outcome.unrecovered))
+        return report
+
+    def _rewrite(self, suspects: Set[BlockId]) -> ServiceRepairReport:
+        """Rebuild ``suspects`` in place, each hidden from every rebuild."""
+        with self._state_lock:
+            report = self._rebuild(suspects, hidden=suspects)
+        self._log_placement(report)
+        return report
+
+    def _log_placement(self, report: ServiceRepairReport) -> None:
+        if report.repaired:
+            # An informational WAL record: blocks moved, giving the log a
+            # durability point (the directory itself is rebuilt from
+            # backend scans on reopen, so replay ignores the content).
+            self._commit_meta([{"op": "placement", "relocated": len(report.repaired)}])
+
+    def scrub(self) -> ServiceScrubReport:
+        """Check every stored block against the others and rewrite the ones
+        the checks single out (paper, Sec. III-B: a changed block breaks the
+        entanglement equations it is part of).
+
+        Each scheme generation checks itself (mid-transition, the retained
+        source too): the equation pass under AE, a re-encode of every
+        readable stripe under a stripe code.  The suspects are rebuilt
+        through :meth:`_rebuild`, hidden from their own rebuild, as
+        :meth:`repair` rebuilds lost blocks; an ambiguous one is left alone.
+        """
+        self._ensure_open()
+        report = ServiceScrubReport(scheme=self._scheme.scheme_id)
+        ambiguous: List[object] = []
+        with self._state_lock:
+            for scheme in filter(None, (self._fallback, self._scheme)):
+                outcome = scheme.scrub(self._cluster)
+                report.checked += outcome.checked
+                report.unchecked += outcome.unchecked
+                report.violated.extend(outcome.violated)
+                report.suspects.extend(outcome.suspects)
+                ambiguous.extend(outcome.ambiguous)
+        rebuilt = self._rewrite(set(report.suspects))
+        report.repaired = sorted(rebuilt.repaired, key=_block_order)
+        report.unrecovered = sorted(rebuilt.unrecovered + ambiguous, key=_block_order)
+        report.suspects = sorted(report.suspects + ambiguous, key=_block_order)
+        return report
+
+
+def _block_order(block_id: object) -> Tuple[int, str]:
+    """Report order: by block index, then spelling."""
+    return (getattr(block_id, "index", 0), repr(block_id))

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.blocks import DataId
-from repro.core.parameters import AEParameters
+from repro.core.blocks import DataId, ParityId
+from repro.core.parameters import AEParameters, StrandClass
 from repro.exceptions import IntegrityError, UnknownBlockError
 from repro.storage.maintenance import MaintenancePolicy
-from repro.system.archive import ArchiveEntry, ArchiveStore
+from repro.system.archive import ArchiveEntry, ArchiveStore, ChecksumManifest
 
 
 def make_archive(spec: str = "AE(3,2,5)", block_size: int = 64, locations: int = 25):
@@ -145,24 +145,63 @@ class TestFailureRecovery:
         assert "archived versions" in summary
 
 
+class TestChecksumManifest:
+    def test_record_and_match(self):
+        manifest = ChecksumManifest()
+        payload_ = np.arange(16, dtype=np.uint8)
+        manifest.record_payload(DataId(1), payload_)
+        assert DataId(1) in manifest
+        assert len(manifest) == 1
+        assert manifest.matches(DataId(1), payload_)
+        assert not manifest.matches(DataId(1), np.zeros(16, dtype=np.uint8))
+        with pytest.raises(UnknownBlockError):
+            manifest.matches(DataId(2), payload_)
+
+    def test_block_ids_listing(self):
+        manifest = ChecksumManifest()
+        manifest.record_payload(DataId(1), b"a" * 8)
+        manifest.record_payload(ParityId(1, StrandClass.HORIZONTAL), b"b" * 8)
+        assert len(manifest.block_ids()) == 2
+
+
+def tamper(archive: ArchiveStore, block_id) -> None:
+    cluster = archive.system.cluster
+    store = cluster.location(cluster.location_of(block_id))
+    tampered = np.asarray(store.try_get(block_id), dtype=np.uint8).copy()
+    tampered[:4] ^= 0xAA
+    store.put(block_id, tampered)
+
+
 class TestScrubIntegration:
     def test_scrub_clean_archive(self):
         archive = make_archive()
         archive.put("doc", payload(1500, 7))
         report = archive.scrub()
-        assert report.clean
+        assert report.clean and report.checked > 0
 
-    def test_scrub_and_repair_fixes_tampering(self):
+    def test_scrub_rewrites_a_tampered_block(self):
         archive = make_archive()
         data = payload(1500, 8)
         entry = archive.put("doc", data)
         target = entry.data_ids[len(entry.data_ids) // 2]
-        cluster = archive.system.cluster
-        store = cluster.location(cluster.location_of(target))
-        tampered = np.asarray(store.try_get(target), dtype=np.uint8).copy()
-        tampered[:4] ^= 0xAA
-        store.put(target, tampered)
-        report = archive.scrub_and_repair()
-        assert target in report.suspects
+        tamper(archive, target)
+        report = archive.scrub()
+        assert report.suspects == report.repaired == [target]
         assert archive.scrub().clean
         assert archive.get_verified("doc") == data
+
+    def test_fingerprints_settle_what_the_equations_cannot(self):
+        """Under AE(1) the last node's data block and parity share their one
+        equation, so the equations leave a tampered last block ambiguous; its
+        fingerprint names it, and it is rewritten."""
+        archive = make_archive("AE(1,-,-)")
+        data = payload(640, 9)
+        entry = archive.put("doc", data)
+        target = entry.data_ids[-1]
+        tamper(archive, target)
+        report = archive.scrub()
+        last_parity = ParityId(target.index, StrandClass.HORIZONTAL)
+        assert report.suspects == [target, last_parity]
+        assert report.repaired == [target] and report.unrecovered == []
+        assert archive.get_verified("doc") == data
+        assert archive.scrub().clean

@@ -18,15 +18,27 @@ distinct payloads it actually fetched (a block feeding several dependent
 repairs once; a whole-stripe decode for every stripe it touches).  Only the
 direction is pinned; ``docs/performance.md`` (PR 23) has both definitions and
 the measured numbers.
+
+The engine's array round and the store's id-level planner
+(:func:`~repro.core.batch_repair.plan_round`) are two forms of one rule,
+kept apart because the array form costs the small lattices of the chain
+predicates and the id form the engine's large ones (``docs/performance.md``,
+"one scrub on the live service", "Sized and left out").  ``TestOneRoundRule``
+pins them equal round by round over random availability masks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import open_service
-from repro.core.blocks import DataId, ParityId
+from repro.core.batch_repair import plan_round
+from repro.core.blocks import DataId, ParityId, is_data
+from repro.core.lattice import HelicalLattice
+from repro.core.parameters import AEParameters
 from repro.schemes.stripe import StripeBlockId
 from repro.simulation.engine import (
     LatticeSimulation,
@@ -115,3 +127,48 @@ def test_engine_repair_matches_the_store(scheme_id: str, topology, disaster) -> 
         assert report.blocks_read <= predicted.blocks_read
     else:
         assert report.blocks_read >= predicted.blocks_read
+
+
+def _planner_rounds(params, data_lost, parity_lost, policy):
+    """Per-round repair counts and data loss of ``plan_round`` run round
+    after round, as the store's ``RepairRun`` does."""
+    classes = params.strand_classes
+    unavailable = {DataId(i + 1) for i in np.flatnonzero(data_lost)}
+    unavailable |= {ParityId(i + 1, classes[c]) for i, c in np.argwhere(parity_lost)}
+    pending = {b for b in unavailable if policy is MaintenancePolicy.FULL or is_data(b)}
+    lattice = HelicalLattice(params, len(data_lost))
+    counts = []
+    while True:
+        steps = plan_round(lattice, sorted(pending), lambda b: b not in unavailable)
+        if not steps:
+            return counts, sum(map(is_data, pending))
+        counts.append(len(steps))
+        for step in steps:
+            pending.discard(step.target)
+            unavailable.discard(step.target)
+
+
+class TestOneRoundRule:
+    """``LatticeSimulation.run_repair`` and ``plan_round`` rounds agree on
+    every round's repair count and on data loss; each block sits on a
+    location of its own, so a failed set is an availability mask."""
+
+    @pytest.mark.parametrize("policy", [MaintenancePolicy.FULL, MaintenancePolicy.MINIMAL])
+    @pytest.mark.parametrize("spec", ["AE(1,-,-)", "AE(2,2,2)", "AE(3,2,5)", "AE(3,5,5)"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_engine_round_is_the_planner_round(self, spec, policy, data):
+        params = AEParameters.parse(spec)
+        n = data.draw(st.integers(1, 40), label="nodes")
+        lost = np.array(
+            data.draw(st.lists(st.booleans(), min_size=n + n * params.alpha,
+                               max_size=n + n * params.alpha), label="lost"),
+            dtype=bool,
+        )
+        data_lost, parity_lost = lost[:n], lost[n:].reshape(n, params.alpha)
+        simulation = LatticeSimulation(params, n, location_count=lost.size)
+        simulation.data_location[:] = np.arange(n)
+        simulation.parity_location[:] = n + np.arange(n * params.alpha).reshape(n, -1)
+        predicted = simulation.run_repair(np.flatnonzero(lost), policy)
+        counts, loss = _planner_rounds(params, data_lost, parity_lost, policy)
+        assert (predicted.repaired_per_round, predicted.data_loss) == (counts, loss)

@@ -13,8 +13,8 @@ an ``rs-4-2 -> ae-3-2-5`` re-encode cut after two documents, whose reopen
 finishes the transition.
 
 Each test reopens a copy, checks every document against its recorded
-sha256, fails one location, repairs and reads byte-exact, then puts one
-more document and reopens again.  A tree changes only in a change that says
+sha256 and scrubs it clean, fails one location, repairs and reads
+byte-exact, then puts one more document and reopens again.  A tree changes only in a change that says
 it changes a format, which keeps the old tree next to the new one.
 """
 
@@ -82,6 +82,10 @@ def test_a_frozen_tree_reopens_repairs_and_takes_writes(tree, tmp_path):
     assert service.scheme.scheme_id == settled["scheme"]
     assert all(member.transition is None for member in _members(service))
     _assert_documents(service, digests)
+    # Every check that can run holds: punctured parities and deleted data
+    # leave theirs unchecked, never violated.
+    scrub = service.scrub()
+    assert (scrub.violated, scrub.suspects, scrub.checked > 0) == ([], [], True)
 
     # The location holding the most blocks goes down; repair rebuilds them.
     clusters = [member.cluster for member in _members(service)]
@@ -109,3 +113,21 @@ def test_a_frozen_tree_reopens_repairs_and_takes_writes(tree, tmp_path):
     _assert_documents(reopened, digests)
     assert reopened.status().unavailable_blocks == 0
     reopened.close()
+
+
+def test_a_tampered_block_of_a_frozen_tree_is_rewritten(tmp_path):
+    record = INDEX["segment-ae-3-2-5"]
+    path = tmp_path / "tree"
+    shutil.copytree(os.path.join(TREES, "segment-ae-3-2-5"), path)
+    with _open(record, path) as service:
+        target = service.documents["doc-3"].data_ids[1]
+        store = service.cluster.location(service.cluster.location_of(target))
+        changed = bytearray(store.try_get(target))
+        changed[0] ^= 0xFF
+        store.put(target, bytes(changed))
+        report = service.scrub()
+        assert report.suspects == report.repaired == [target]
+        _assert_documents(service, record["documents"])
+    with _open(record, path) as reopened:
+        _assert_documents(reopened, record["documents"])
+        assert reopened.scrub().clean

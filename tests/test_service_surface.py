@@ -33,6 +33,7 @@ from repro.system import (
     ConcurrentStorageService,
     DocumentService,
     ServiceRepairReport,
+    ServiceScrubReport,
     ServiceStatus,
     ShardedStorageService,
     StorageConfig,
@@ -80,6 +81,7 @@ def closed_verbs(service: DocumentService):
         ("fail_locations", lambda: service.fail_locations([0])),
         ("restore_locations", lambda: service.restore_locations()),
         ("repair", lambda: service.repair()),
+        ("scrub", lambda: service.scrub()),
         ("transition_to", lambda: service.transition_to("rep-3")),
         ("flush", lambda: service.flush()),
     ]
@@ -144,6 +146,11 @@ def test_lifecycle_through_the_surface(layer, backend, tmp_path):
     assert outcome.documents_migrated == 1
     assert service.scheme.scheme_id == "ae-3-2-5"
     assert service.get("doc") == second
+
+    # -- scrub: every shard's lattice checks out -------------------------
+    scrub = service.scrub()
+    assert isinstance(scrub, ServiceScrubReport) and scrub.clean
+    assert scrub.checked > 0 and scrub.repaired == scrub.unrecovered == []
 
     # -- flush / close / every verb after close ---------------------------
     service.flush()
@@ -343,8 +350,8 @@ class TestRepairPolicy:
 
 
 class TestReportsAreSumsOfTheirHolders:
-    """Every field of ``ServiceStatus`` and ``ServiceRepairReport`` is on what
-    each layer returns, and is the sum over the distinct ``service_for``
+    """Every field of ``ServiceStatus``, ``ServiceRepairReport`` and
+    ``ServiceScrubReport`` is on what each layer returns, and is the sum over the distinct ``service_for``
     holders (lists concatenated, ``rounds`` the max).  Regression: a
     federation's ``status()`` had no ``unavailable_data_blocks``,
     ``cache_hits`` or ``cache_misses``, and its ``repair()`` no ``repaired``,
@@ -378,6 +385,25 @@ class TestReportsAreSumsOfTheirHolders:
         parts = [holder.repair(MaintenancePolicy.MINIMAL) for holder in twin_holders]
         assert report.repaired and report.skipped
         self.assert_summed(ServiceRepairReport, report, parts)
+
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_a_scrub_is_the_sum_of_its_holders(self, layer, tmp_path):
+        service, documents, holders = TestRepairPolicy.populated(
+            layer, "ae-3-2-5", "memory", tmp_path
+        )
+        twin, _, twin_holders = TestRepairPolicy.populated(layer, "ae-3-2-5", "memory", tmp_path)
+        for holder in holders + twin_holders:
+            target = next(iter(holder.documents.values())).data_ids[3]
+            store = holder.cluster.location(holder.cluster.location_of(target))
+            changed = np.asarray(store.try_get(target), dtype=np.uint8).copy()
+            changed[0] ^= 0xFF
+            store.put(target, changed)
+        report = service.scrub()
+        parts = [holder.scrub() for holder in twin_holders]
+        assert len(report.repaired) == len(holders) and report.unrecovered == []
+        self.assert_summed(ServiceScrubReport, report, parts)
+        for name, expected in documents.items():
+            assert service.get(name) == expected
 
 
 class TestReadableHasOneDefinition:
@@ -528,7 +554,7 @@ class TestSharedSignatures:
         assert sorted(verbs) == [
             "close", "delete", "fail_locations", "flush", "get", "get_stream",
             "has_document", "put", "put_stream", "repair", "restore_locations",
-            "service_for", "status", "transition_to", "verify_document",
+            "scrub", "service_for", "status", "transition_to", "verify_document",
         ]
 
     @pytest.mark.parametrize("cls", CLASSES)

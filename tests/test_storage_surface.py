@@ -37,7 +37,6 @@ class TestStorageImportSurface:
         import repro.storage.failures
         import repro.storage.maintenance
         import repro.storage.placement
-        import repro.storage.scrub
         import repro.storage.topology
         import repro.storage.wal
 
@@ -48,7 +47,6 @@ class TestStorageImportSurface:
             repro.storage.failures,
             repro.storage.maintenance,
             repro.storage.placement,
-            repro.storage.scrub,
             repro.storage.topology,
             repro.storage.wal,
         ]
