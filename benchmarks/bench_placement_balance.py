@@ -88,12 +88,12 @@ def test_spread_domains_placement_balance(benchmark, print_tables):
     # The spread invariant: a data block never shares a site with any of its
     # alpha parities.
     for index in range(1, 500):
-        data_site = topology.domain_of(policy.location_for(DataId(index)), "site")
-        for cls in params.strand_classes:
-            parity_site = topology.domain_of(
-                policy.location_for(ParityId(index, cls)), "site"
-            )
-            assert parity_site != data_site
+        data_location, *parity_locations = policy.locations_for(
+            [DataId(index)] + [ParityId(index, cls) for cls in params.strand_classes]
+        )
+        data_site = topology.domain_of(data_location, "site")
+        for location in parity_locations:
+            assert topology.domain_of(location, "site") != data_site
     if print_tables:
         rows = [
             {"site": label, "blocks": int(count)}

@@ -38,9 +38,9 @@ def flip(service: StorageService, block_id: object) -> None:
     """Flip the first byte of a stored block behind the service's back."""
     cluster = service.cluster
     store = cluster.location(cluster.location_of(block_id))
-    payload = np.asarray(store.try_get(block_id), dtype=np.uint8).copy()
+    payload = np.asarray(store.try_get_many([block_id])[0], dtype=np.uint8).copy()
     payload[0] ^= 0xFF
-    store.put(block_id, payload)
+    store.put_many([(block_id, payload)])
 
 
 def main() -> None:

@@ -20,7 +20,7 @@ Three built-in backends cover the durability spectrum:
   never leaves a torn block.  Reopening the root recovers every block.
 * :class:`SegmentLogBackend` -- blocks appended to capped segment files with
   an in-RAM offset index, the classic log-structured layout (one sequential
-  write per put, no per-block file overhead).  A batch of deletes appends
+  write per block, no per-block file overhead).  A batch of deletes appends
   one run of tombstones; the log is compacted once its dead bytes pass a
   ratio and fill a segment.  Every close leaves an index record that the
   next open adopts; after a kill it rescans the segments instead, dropping
@@ -52,7 +52,7 @@ import numpy as np
 from repro.core.blocks import DataId, ParityId
 from repro.core.parameters import StrandClass
 from repro.core.xor import UINT8, Payload, as_payload
-from repro.exceptions import InvalidParametersError, UnknownBlockError
+from repro.exceptions import InvalidParametersError
 
 __all__ = [
     "DiskBackend",
@@ -150,25 +150,12 @@ class StorageBackend(ABC):
     persistent: bool = False
 
     @abstractmethod
-    def put(self, block_id: object, payload: Payload) -> None:
-        """Store (or overwrite) one payload."""
-
     def put_many(self, items: Iterable[Tuple[object, Payload]]) -> int:
-        """Store a batch; returns the number of payloads written."""
-        count = 0
-        for block_id, payload in items:
-            self.put(block_id, payload)
-            count += 1
-        return count
+        """Store (or overwrite) a batch; returns the number of payloads written."""
 
     @abstractmethod
     def get(self, block_id: object) -> Payload:
         """Return a stored payload; raises :class:`KeyError` when absent."""
-
-    def delete(self, block_id: object) -> None:
-        """Remove a payload; raises :class:`KeyError` when absent."""
-        if not self.delete_many((block_id,)):
-            raise KeyError(block_id)
 
     @abstractmethod
     def delete_many(self, block_ids: Iterable[object]) -> int:
@@ -209,9 +196,6 @@ class MemoryBackend(StorageBackend):
         # ``root`` is accepted (and ignored) so every backend shares one
         # factory signature.
         self._payloads: Dict[object, Payload] = {}
-
-    def put(self, block_id: object, payload: Payload) -> None:
-        self._payloads[block_id] = _as_bytes_payload(payload)
 
     def put_many(self, items: Iterable[Tuple[object, Payload]]) -> int:
         payloads = self._payloads
@@ -278,19 +262,22 @@ class DiskBackend(StorageBackend):
     def _path(self, block_id: object) -> str:
         return os.path.join(self._blocks_dir, encode_block_id(block_id))
 
-    def put(self, block_id: object, payload: Payload) -> None:
-        data = _as_bytes_payload(payload)
-        path = self._path(block_id)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(data.tobytes())
+    def put_many(self, items: Iterable[Tuple[object, Payload]]) -> int:
+        count = 0
+        for block_id, payload in items:
+            path = self._path(block_id)
+            tmp = path + ".tmp"
+            with open(tmp, "wb") as handle:
+                handle.write(_as_bytes_payload(payload).tobytes())
+                if self._fsync:
+                    handle.flush()
+                    os.fsync(handle.fileno())
+            os.replace(tmp, path)
             if self._fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        if self._fsync:
-            # The rename itself must reach the disk, not just the file data.
-            _fsync_dir(self._blocks_dir)
+                # The rename itself must reach the disk, not just the file data.
+                _fsync_dir(self._blocks_dir)
+            count += 1
+        return count
 
     def get(self, block_id: object) -> Payload:
         try:
@@ -420,8 +407,8 @@ class SegmentLogBackend(StorageBackend):
       log already ends in one: its segment's nonce, where each live record
       lies and the sealed segments' sizes, ended by a fixed trailer.
 
-    Every ``put`` appends one record to the active segment; when the active
-    segment passes ``segment_bytes`` it is sealed and a new one is started.
+    Each stored payload appends one record to the active segment, which is
+    sealed for a new one once it passes ``segment_bytes``.
     The index maps each live block id to ``(segment, payload offset, payload
     length, key length)``, so a read is one view over a memory-mapped
     segment.
@@ -747,12 +734,6 @@ class SegmentLogBackend(StorageBackend):
         self._open_writer()
         if self._fsync:
             _fsync_dir(self._dir)  # persist the new segment's directory entry
-
-    def put(self, block_id: object, payload: Payload) -> None:
-        data = _as_bytes_payload(payload)
-        self._append(block_id, data)
-        self.flush()
-        self._maybe_compact()
 
     def put_many(self, items: Iterable[Tuple[object, Payload]]) -> int:
         count = 0

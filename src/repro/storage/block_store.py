@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.blocks import BlockId
 from repro.core.xor import UINT8, Payload, as_payload
-from repro.exceptions import BlockUnavailableError, StorageFullError, UnknownBlockError
+from repro.exceptions import BlockUnavailableError, StorageFullError
 from repro.storage import backends as _backends
 from repro.storage.backends import MemoryBackend, StorageBackend
 
@@ -169,37 +169,16 @@ class BlockStore:
     # ------------------------------------------------------------------
     # Block operations
     # ------------------------------------------------------------------
-    def put(self, block_id: BlockId, payload: Payload) -> None:
-        if not self._available:
-            raise BlockUnavailableError(
-                f"location {self._location_id} is unavailable for writes"
-            )
-        payload = as_payload(payload)
-        with self._lock:
-            if (
-                self._capacity is not None
-                and block_id not in self._sizes
-                and len(self._sizes) >= self._capacity
-            ):
-                raise StorageFullError(
-                    f"location {self._location_id} is full ({self._capacity} blocks)"
-                )
-            self._backend.put(block_id, payload)
-            self._bytes += int(payload.size) - self._sizes.get(block_id, 0)
-            self._sizes[block_id] = int(payload.size)
-            # Write-through coherence: refresh a cached entry, never insert
-            # one (bulk ingest must not evict the hot read set).
-            if block_id in self._cache:
-                self._cache[block_id] = payload
-            self._writes += 1
-
     def put_many(self, items: Iterable[Tuple[BlockId, Payload]]) -> int:
         """Store a batch of blocks in one call, returning how many were stored.
 
         The availability and capacity checks run once for the whole batch
         (all-or-nothing: nothing is stored when the batch would overflow the
-        capacity), and the backend receives one bulk write.  This is the
-        amortised write path of the batched ingest pipeline.
+        capacity), and the backend receives one bulk write.  A backend that
+        raises mid-batch may have written part of it: the batch's ids this
+        location did not hold are deleted from the medium before the error
+        propagates, so no unindexed record outlives the refusal (an
+        overwritten id keeps its record).
         """
         if not self._available:
             raise BlockUnavailableError(
@@ -225,7 +204,13 @@ class BlockStore:
                         f"location {self._location_id} cannot absorb {new_blocks} new "
                         f"blocks (capacity {self._capacity}, holding {len(sizes)})"
                     )
-            self._backend.put_many(staged.items())
+            written = False
+            try:
+                self._backend.put_many(staged.items())
+                written = True
+            finally:
+                if not written:
+                    self._backend.delete_many(staged.keys() - sizes.keys())
             added = 0
             for block_id, payload in staged.items():
                 size = payload.size
@@ -241,20 +226,10 @@ class BlockStore:
             self._writes += len(staged)
         return len(staged)
 
-    def try_get(self, block_id: BlockId) -> Optional[Payload]:
-        """One payload; ``None`` when the location is down or lacks the block."""
-        if not self._available:
-            return None
-        with self._lock:
-            if block_id not in self._sizes:
-                return None
-            self._reads += 1
-            return self._cached_read(block_id)
-
     def try_get_many(self, block_ids: Iterable[BlockId]) -> List[Optional[Payload]]:
-        """Bulk :meth:`try_get`: ``None`` for absent blocks, everything ``None``
-        when the location is down.  One availability check per batch; the read
-        counter advances by the number of payloads returned."""
+        """Payloads in request order: ``None`` for absent blocks, everything
+        ``None`` when the location is down.  One availability check per
+        batch; the read counter advances by the number of payloads returned."""
         wanted = list(block_ids)
         if not self._available:
             return [None] * len(wanted)
@@ -282,12 +257,6 @@ class BlockStore:
                     payloads.append(None)
             self._reads += hits
         return payloads
-
-    def delete(self, block_id: BlockId) -> None:
-        if not self.delete_many((block_id,)):
-            raise UnknownBlockError(
-                f"block {block_id!r} is not stored at location {self._location_id}"
-            )
 
     def delete_many(self, block_ids: Iterable[BlockId]) -> int:
         """Remove the stored blocks among ``block_ids`` in one backend call

@@ -35,7 +35,7 @@ from typing import (
     Union,
 )
 
-from repro.core.blocks import Block, BlockId
+from repro.core.blocks import BlockId
 from repro.core.xor import Payload
 from repro.exceptions import PlacementError, UnknownBlockError
 from repro.storage import backends as _backends
@@ -248,14 +248,6 @@ class StorageCluster:
     # ------------------------------------------------------------------
     # Block operations
     # ------------------------------------------------------------------
-    def put_block(self, block: Block, location_id: Optional[int] = None) -> int:
-        """Store a block, returning the location chosen for it."""
-        if location_id is None:
-            location_id = self._placement.location_for(block.block_id)
-        self._stores[location_id].put(block.block_id, block.payload)
-        self._directory[block.block_id] = location_id
-        return location_id
-
     def put_many(self, items: Iterable[Tuple[BlockId, Payload]]) -> int:
         """Bulk write: place and store ``(block_id, payload)`` pairs.
 
@@ -293,14 +285,6 @@ class StorageCluster:
             directory.update(zip(map(_BLOCK_ID_OF, group), repeat(location_id)))
         return stored
 
-    def try_get_block(self, block_id: BlockId) -> Optional[Payload]:
-        """One block's payload, ``None`` when it is unknown or its location is
-        down: :meth:`try_get_many` for a single block, without the grouping."""
-        location_id = self._directory.get(block_id)
-        if location_id is None:
-            return None
-        return self._stores[location_id].try_get(block_id)
-
     def try_get_many(self, block_ids: Iterable[BlockId]) -> List[Optional[Payload]]:
         """Bulk read: payloads in request order, ``None`` for blocks that are
         unknown or whose location is down.
@@ -323,13 +307,6 @@ class StorageCluster:
             for position, payload in zip(positions, fetched):
                 payloads[position] = payload
         return payloads
-
-    def delete_block(self, block_id: BlockId) -> int:
-        """Remove a block from the cluster, returning the location that held it
-        (:meth:`delete_blocks` for one block; unknown blocks raise)."""
-        location_id = self.location_of(block_id)
-        self.delete_blocks((block_id,))
-        return location_id
 
     def delete_blocks(self, block_ids: Iterable[BlockId]) -> int:
         """Remove blocks from the cluster; unknown blocks are skipped.  Returns

@@ -126,21 +126,8 @@ class PlacementPolicy(ABC):
         return self._topology
 
     @abstractmethod
-    def location_for(self, block_id: BlockId) -> int:
-        """Location index (0-based) assigned to ``block_id``."""
-
     def locations_for(self, block_ids: Sequence[BlockId]) -> List[int]:
-        """Bulk variant of :meth:`location_for`, one entry per block.
-
-        The default delegates per block.  The hashing policies work the
-        other way round: the batch is their unit of work and
-        :meth:`location_for` is the one-element batch, so the two cannot
-        disagree.  A policy that overrides both must keep them element-wise
-        identical -- ``StorageCluster`` places with one and re-places with
-        the other.
-        """
-        location_for = self.location_for
-        return [location_for(block_id) for block_id in block_ids]
+        """Location index (0-based) of each block: the one placement verb."""
 
     def spread_level(self) -> Optional[str]:
         """Failure-domain level this policy actively spreads over, if any.
@@ -188,9 +175,6 @@ class RandomPlacement(PlacementPolicy):
         super().__init__(topology)
         self._seed = seed
 
-    def location_for(self, block_id: BlockId) -> int:
-        return self.locations_for((block_id,))[0]
-
     def locations_for(self, block_ids: Sequence[BlockId]) -> List[int]:
         count = self._location_count
         return [draw % count for draw in _block_draws(block_ids, self._seed)]
@@ -214,11 +198,13 @@ class RoundRobinPlacement(PlacementPolicy):
         super().__init__(topology)
         self._params = params
 
-    def location_for(self, block_id: BlockId) -> int:
+    def locations_for(self, block_ids: Sequence[BlockId]) -> List[int]:
         alpha = self._params.alpha if self._params is not None else 3
-        stride = alpha + 1
-        index, lane = _lattice_lane(block_id, alpha)
-        return (index * stride + lane) % self._location_count
+        stride, count = alpha + 1, self._location_count
+        return [
+            (index * stride + lane) % count
+            for index, lane in [_lattice_lane(block_id, alpha) for block_id in block_ids]
+        ]
 
 
 class StrandAwarePlacement(PlacementPolicy):
@@ -242,18 +228,21 @@ class StrandAwarePlacement(PlacementPolicy):
             else None
         )
 
-    def location_for(self, block_id: BlockId) -> int:
+    def locations_for(self, block_ids: Sequence[BlockId]) -> List[int]:
         if self._small_cluster_fallback is not None:
-            return self._small_cluster_fallback.location_for(block_id)
-        index = block_id.index
-        if isinstance(block_id, DataId):
-            lane = 0
-        else:
-            lane = 1 + self._strand_classes.index(block_id.strand_class)
+            return self._small_cluster_fallback.locations_for(block_ids)
+        group, count = self._group, self._location_count
+        classes = self._strand_classes
+        lanes = [
+            0 if isinstance(block_id, DataId) else 1 + classes.index(block_id.strand_class)
+            for block_id in block_ids
+        ]
         # Interleave lanes across the cluster; consecutive lattice positions
         # rotate through location groups so neighbours do not collide.
-        group_index = index % (self._location_count // self._group)
-        return (group_index * self._group + lane) % self._location_count
+        return [
+            (block_id.index % (count // group) * group + lane) % count
+            for block_id, lane in zip(block_ids, lanes)
+        ]
 
 
 #: Lane of a parity within its node's repair group, before the ``% alpha``.
@@ -365,9 +354,6 @@ class SpreadDomainsPlacement(PlacementPolicy):
             for block_id in block_ids
         ]
 
-    def location_for(self, block_id: BlockId) -> int:
-        return self.locations_for((block_id,))[0]
-
     def locations_for(self, block_ids: Sequence[BlockId]) -> List[int]:
         picks = self._picks
         draws: Iterable[int] = (
@@ -406,9 +392,6 @@ class WeightedPlacement(PlacementPolicy):
         self._seed = seed
         self._cumulative = np.cumsum(self.topology.capacities()).tolist()
 
-    def location_for(self, block_id: BlockId) -> int:
-        return self.locations_for((block_id,))[0]
-
     def locations_for(self, block_ids: Sequence[BlockId]) -> List[int]:
         cumulative = self._cumulative
         total = cumulative[-1]
@@ -426,10 +409,11 @@ class DictionaryPlacement(PlacementPolicy):
         super().__init__(topology)
         self._mapping = dict(mapping)
 
-    def location_for(self, block_id: BlockId) -> int:
-        if block_id not in self._mapping:
-            raise PlacementError(f"no explicit placement recorded for {block_id!r}")
-        return self._mapping[block_id]
+    def locations_for(self, block_ids: Sequence[BlockId]) -> List[int]:
+        try:
+            return [self._mapping[block_id] for block_id in block_ids]
+        except KeyError as missing:
+            raise PlacementError(f"no explicit placement recorded for {missing}") from None
 
     def record(self, block_id: BlockId, location: int) -> None:
         if not 0 <= location < self._location_count:

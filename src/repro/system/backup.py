@@ -62,12 +62,12 @@ class OwnerHomePlacement(PlacementPolicy):
         self._data_row = tuple(int(node != home) for node in range(node_count))
         self._parity_row = tuple(int(node == home) for node in range(node_count))
 
-    def location_for(self, block_id: BlockId) -> int:
-        if is_data(block_id):
-            return self._home
-        return location_for_block(
-            self._owner, block_id, self.location_count, exclude=self._home
-        )
+    def locations_for(self, block_ids: Sequence[BlockId]) -> List[int]:
+        owner, home, count = self._owner, self._home, self.location_count
+        return [
+            home if is_data(block_id) else location_for_block(owner, block_id, count, exclude=home)
+            for block_id in block_ids
+        ]
 
     def spread_level(self) -> Optional[str]:
         return "node"

@@ -99,7 +99,7 @@ def single_failure_reads_measured(
     reads: List[int] = []
     cluster = service.cluster
     for victim in dict.fromkeys(chosen):
-        expected = cluster.try_get_block(victim)
+        expected = cluster.try_get_many([victim])[0]
         outcome = service.scheme.repair({victim}, cluster)
         if victim not in outcome.recovered:
             raise ReproError(

@@ -414,6 +414,9 @@ class StorageService(ServiceHandle):
         self._state_lock = threading.RLock()
         self._checkpoint_lock = threading.Lock()
         self._mutation_seq = 0
+        # The scheme a refused batch is undone on and the state it is undone
+        # to, while that is owed.
+        self._undo: Optional[Tuple[RedundancyScheme, Dict[str, object]]] = None
         # A durable service always has a WAL; a volatile one never does.
         self._wal: Optional[MetadataWAL] = (
             MetadataWAL(os.path.join(data_dir, WAL_NAME), fsync=fsync)
@@ -1030,12 +1033,18 @@ class StorageService(ServiceHandle):
         loses a committed document.  Returns the documents with the counts of
         blocks written and reclaimed.
 
-        If anything raises before the versions are catalogued (a chunk
-        source, a location that is down or full), an erasable scheme deletes
-        the blocks stored so far, so a failed write strands nothing.
-        Entanglement stays append-only by design: its blocks, once in the
-        lattice, protect their neighbourhood whether or not a document names
-        them.
+        A batch is all or nothing.  If its encode or ``put_many`` raises (a
+        location down, full or failing), the scheme is restored to its state
+        before the batch -- ``restore_state``, as a reopen recovers a crash --
+        and the batch's blocks are deleted wherever they landed: a refused
+        single-batch write leaves the blocks, the scheme state and the strand
+        heads as they were.  An undo that cannot read the heads back stays
+        owed in ``_undo``, and the next batch on the same scheme finishes it
+        first (a scheme a transition retired never encodes again).  The
+        batches of a streamed write stored before one failed stay: lattice
+        nodes no document names under entanglement; an erasable scheme
+        deletes them, as it does whatever was stored when a chunk source
+        raises.
         """
         ids: List[List[object]] = [[] for _ in documents]
         lengths = [0] * len(documents)
@@ -1050,14 +1059,32 @@ class StorageService(ServiceHandle):
                 # scheme-state snapshot (WAL record or checkpoint) taken
                 # under this lock must only ever cover encodes whose blocks
                 # are already on the medium -- restore refetches the strand
-                # heads from storage.
+                # heads from storage.  So a refused batch is undone here too.
+                # The ids join the documents only once stored: a refused
+                # batch's ids are free again, and only the undo deletes them.
+                scheme = self._scheme
+                if self._undo is not None and self._undo[0] is scheme:
+                    scheme.restore_state(self._undo[1], self._cluster)
+                snapshot = scheme.state()
+                self._undo = (scheme, snapshot)
+                encoded: List[Tuple[int, List[object]]] = []
                 blocks: List[Tuple[object, Payload]] = []
-                for slot, chunk in pending:
-                    part = self._scheme.encode(chunk)
-                    ids[slot].extend(part.data_ids)
-                    blocks.extend(part.blocks)
-                pending.clear()
-                return self._cluster.put_many(blocks)
+                count = -1
+                try:
+                    for slot, chunk in pending:
+                        part = scheme.encode(chunk)
+                        encoded.append((slot, part.data_ids))
+                        blocks.extend(part.blocks)
+                    pending.clear()
+                    count = self._cluster.put_many(blocks)
+                finally:
+                    if count < 0:
+                        scheme.restore_state(snapshot, self._cluster)
+                        self._cluster.delete_blocks([block_id for block_id, _ in blocks])
+                    self._undo = None
+                for slot, data_ids in encoded:
+                    ids[slot].extend(data_ids)
+                return count
 
         stored = False
         try:

@@ -201,7 +201,7 @@ def service_digest(backend: str, data_dir: Optional[str]) -> str:
         parts.append(repr(report.repaired))
         parts.append(repr((report.blocks_read, report.rounds)))
         parts.append(repr([cluster.location_of(block_id) for block_id in report.repaired]))
-        parts.extend(cluster.try_get_block(block_id) for block_id in report.repaired)
+        parts.extend(cluster.try_get_many([block_id])[0] for block_id in report.repaired)
         for name, data in documents.items():
             recovered = service.get(name)
             assert recovered == data

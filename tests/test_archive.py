@@ -107,9 +107,9 @@ class TestVerification:
         target = entry.data_ids[0]
         cluster = archive.system.cluster
         store = cluster.location(cluster.location_of(target))
-        corrupted = np.asarray(store.try_get(target), dtype=np.uint8).copy()
+        corrupted = np.asarray(store.try_get_many([target])[0], dtype=np.uint8).copy()
         corrupted[0] ^= 0xFF
-        store.put(target, corrupted)
+        store.put_many([(target, corrupted)])
         assert not archive.verify("doc")
         with pytest.raises(IntegrityError):
             archive.get_verified("doc")
@@ -167,9 +167,9 @@ class TestChecksumManifest:
 def tamper(archive: ArchiveStore, block_id) -> None:
     cluster = archive.system.cluster
     store = cluster.location(cluster.location_of(block_id))
-    tampered = np.asarray(store.try_get(block_id), dtype=np.uint8).copy()
+    tampered = np.asarray(store.try_get_many([block_id])[0], dtype=np.uint8).copy()
     tampered[:4] ^= 0xAA
-    store.put(block_id, tampered)
+    store.put_many([(block_id, tampered)])
 
 
 class TestScrubIntegration:

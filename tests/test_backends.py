@@ -140,22 +140,21 @@ class TestBackendContract:
     def test_put_get_delete(self, spec, tmp_path):
         backend = build(spec, tmp_path)
         data = payload(1)
-        backend.put(DataId(1), data)
+        backend.put_many([(DataId(1), data)])
         assert np.array_equal(backend.get(DataId(1)), data)
         with pytest.raises(KeyError):
             backend.get(DataId(2))
-        backend.delete(DataId(1))
+        assert backend.delete_many([DataId(1)]) == 1
         with pytest.raises(KeyError):
             backend.get(DataId(1))
-        with pytest.raises(KeyError):
-            backend.delete(DataId(1))
+        assert backend.delete_many([DataId(1)]) == 0
         backend.close()
 
     def test_overwrite_and_scan(self, spec, tmp_path):
         backend = build(spec, tmp_path)
-        backend.put(DataId(1), payload(1, 32))
-        backend.put(DataId(1), payload(2, 48))
-        backend.put(ParityId(3, StrandClass.HORIZONTAL), payload(3, 16))
+        backend.put_many([(DataId(1), payload(1, 32))])
+        backend.put_many([(DataId(1), payload(2, 48))])
+        backend.put_many([(ParityId(3, StrandClass.HORIZONTAL), payload(3, 16))])
         seen = dict(backend.scan())
         assert seen == {DataId(1): 48, ParityId(3, StrandClass.HORIZONTAL): 16}
         backend.close()
@@ -179,7 +178,7 @@ class TestPersistentBackends:
         backend = build(spec, tmp_path)
         items = {DataId(i): payload(i) for i in range(1, 20)}
         backend.put_many(items.items())
-        backend.delete(DataId(5))
+        backend.delete_many([DataId(5)])
         backend.close()
 
         reopened = build(spec, tmp_path)
@@ -191,9 +190,9 @@ class TestPersistentBackends:
 
     def test_overwrite_survives_reopen(self, spec, tmp_path):
         backend = build(spec, tmp_path)
-        backend.put(DataId(1), payload(1))
+        backend.put_many([(DataId(1), payload(1))])
         newer = payload(99)
-        backend.put(DataId(1), newer)
+        backend.put_many([(DataId(1), newer)])
         backend.close()
         reopened = build(spec, tmp_path)
         assert np.array_equal(reopened.get(DataId(1)), newer)
@@ -205,7 +204,7 @@ class TestDiskBackend:
         # Before: d-01 decoded to d1 as well, so scan() yielded d1 twice and a
         # deleted d1 was back on the books (raising KeyError) after a reopen.
         backend = DiskBackend(str(tmp_path))
-        backend.put(DataId(1), payload(1, 8))
+        backend.put_many([(DataId(1), payload(1, 8))])
         with open(os.path.join(str(tmp_path), "blocks", "d-01"), "wb") as handle:
             handle.write(b"\x01" * 10)
         with pytest.raises(InvalidParametersError, match="d-01"):
@@ -213,7 +212,7 @@ class TestDiskBackend:
 
     def test_orphan_tmp_files_are_dropped_on_scan(self, tmp_path):
         backend = DiskBackend(str(tmp_path))
-        backend.put(DataId(1), payload(1))
+        backend.put_many([(DataId(1), payload(1))])
         orphan = os.path.join(str(tmp_path), "blocks", "d-2.tmp")
         with open(orphan, "wb") as handle:
             handle.write(b"torn write")
@@ -226,7 +225,7 @@ class TestSegmentLogBackend:
     def test_segments_roll_at_cap(self, tmp_path):
         backend = SegmentLogBackend(str(tmp_path), segment_bytes=1024)
         for i in range(1, 20):
-            backend.put(DataId(i), payload(i, 256))
+            backend.put_many([(DataId(i), payload(i, 256))])
         assert backend.segment_count > 1
         for i in range(1, 20):
             assert np.array_equal(backend.get(DataId(i)), payload(i, 256))
@@ -234,8 +233,8 @@ class TestSegmentLogBackend:
 
     def test_torn_tail_record_is_discarded_on_reopen(self, tmp_path):
         backend = SegmentLogBackend(str(tmp_path))
-        backend.put(DataId(1), payload(1))
-        backend.put(DataId(2), payload(2))
+        backend.put_many([(DataId(1), payload(1))])
+        backend.put_many([(DataId(2), payload(2))])
         backend.close()
         # Simulate a crash mid-append: a half-written record at the tail.
         log = os.path.join(str(tmp_path), "segments", "seg-00000000.log")
@@ -246,7 +245,7 @@ class TestSegmentLogBackend:
         assert set(dict(reopened.scan())) == {DataId(1), DataId(2)}
         assert np.array_equal(reopened.get(DataId(1)), payload(1))
         # The log is usable again: appends after recovery survive a rescan.
-        reopened.put(DataId(3), payload(3))
+        reopened.put_many([(DataId(3), payload(3))])
         reopened.close()
         third = SegmentLogBackend(str(tmp_path))
         assert set(dict(third.scan())) == {DataId(1), DataId(2), DataId(3)}
@@ -255,11 +254,11 @@ class TestSegmentLogBackend:
 
     def test_corrupt_crc_stops_the_scan(self, tmp_path):
         backend = SegmentLogBackend(str(tmp_path))
-        backend.put(DataId(1), payload(1))
+        backend.put_many([(DataId(1), payload(1))])
         offset_after_first = os.path.getsize(
             os.path.join(str(tmp_path), "segments", "seg-00000000.log")
         )
-        backend.put(DataId(2), payload(2))
+        backend.put_many([(DataId(2), payload(2))])
         backend.close()
         log = os.path.join(str(tmp_path), "segments", "seg-00000000.log")
         with open(log, "r+b") as handle:
@@ -274,9 +273,9 @@ class TestSegmentLogBackend:
             str(tmp_path), segment_bytes=2048, auto_compact=False
         )
         for i in range(1, 41):
-            backend.put(DataId(i), payload(i, 256))
+            backend.put_many([(DataId(i), payload(i, 256))])
         for i in range(1, 31):
-            backend.delete(DataId(i))
+            backend.delete_many([DataId(i)])
         segments_before = backend.segment_count
         size_before = sum(
             os.path.getsize(os.path.join(str(tmp_path), "segments", name))
@@ -302,10 +301,10 @@ class TestSegmentLogBackend:
             str(tmp_path), segment_bytes=2048, compact_ratio=0.3
         )
         for i in range(1, 41):
-            backend.put(DataId(i), payload(i, 256))
+            backend.put_many([(DataId(i), payload(i, 256))])
         size_before = backend._total_bytes
         for i in range(1, 40):
-            backend.delete(DataId(i))
+            backend.delete_many([DataId(i)])
         assert backend._total_bytes < size_before
         assert np.array_equal(backend.get(DataId(40)), payload(40, 256))
         backend.close()
@@ -315,7 +314,7 @@ class TestSegmentLogBackend:
         # unique tiny puts would otherwise rewrite the whole log every call.
         backend = SegmentLogBackend(str(tmp_path), compact_ratio=0.5)
         for i in range(1, 201):
-            backend.put(DataId(i), payload(i, 8))
+            backend.put_many([(DataId(i), payload(i, 8))])
         # No compaction can have run: every record is still in the log.
         assert backend._total_bytes >= 200 * (8 + _RECORD_HEADER_SIZE)
         assert len(dict(backend.scan())) == 200
@@ -329,7 +328,7 @@ class TestSegmentLogBackend:
         # bytes stay within max(ratio x log, one segment) after every put.
         live_record = _RECORD_HEADER_SIZE + len("d-1") + 256
         for round_number in range(30):
-            backend.put(DataId(1), payload(round_number, 256))
+            backend.put_many([(DataId(1), payload(round_number, 256))])
             assert backend.dead_bytes == backend._total_bytes - live_record
             assert backend.dead_bytes <= max(0.5 * backend._total_bytes, 4096)
         assert backend._total_bytes < 4096 + live_record < 30 * live_record
@@ -412,7 +411,7 @@ class TestSegmentLogDeadBytes:
         backend = SegmentLogBackend(str(tmp_path), segment_bytes=600)
         ids = [DataId(7), ParityId(123, StrandClass.RIGHT_HANDED), StripeBlockId(1000, 12)]
         for round_number, block_id in enumerate(ids * 3):
-            backend.put(block_id, payload(round_number, 40 + round_number))
+            backend.put_many([(block_id, payload(round_number, 40 + round_number))])
             assert backend.dead_bytes == segment_dead_bytes(tmp_path)
         backend.delete_many(ids[:2])
         assert backend.dead_bytes == segment_dead_bytes(tmp_path)
@@ -483,7 +482,7 @@ class TestSegmentLogIndexRecord:
     def test_appends_after_an_adopted_index_are_scanned(self, tmp_path):
         live = mostly_dead_log(tmp_path)
         backend = SegmentLogBackend(str(tmp_path))
-        backend.put(DataId(10), payload(100))
+        backend.put_many([(DataId(10), payload(100))])
         live[DataId(10)] = payload(100)
         backend.flush()
         killed = tmp_path.parent / f"{tmp_path.name}-killed"
@@ -513,7 +512,7 @@ class TestSegmentLogIndexRecord:
         backend = SegmentLogBackend(str(tmp_path / "log"))
         blocks = {DataId(i): payload(i) for i in range(1, 6)}
         backend.put_many(blocks.items())
-        backend.put(DataId(3), payload(33))  # the last block record: an overwrite
+        backend.put_many([(DataId(3), payload(33))])  # the last block record: an overwrite
         backend.delete_many([DataId(1), DataId(2)])
         backend.close()
         path = segment_files(tmp_path / "log")[-1]
@@ -618,7 +617,7 @@ class TestSegmentLogRot:
         backend = SegmentLogBackend(str(tmp_path), segment_bytes=200)
         blocks = {DataId(i): payload(i) for i in range(1, 7)}
         for block_id, data in blocks.items():
-            backend.put(block_id, data)
+            backend.put_many([(block_id, data)])
         backend.close()
         assert len(segment_files(tmp_path)) > 2
         flip_byte(
@@ -633,10 +632,10 @@ class TestSegmentLogRot:
 
     def test_a_rotten_overwrite_does_not_resurrect_the_old_version(self, tmp_path):
         backend = SegmentLogBackend(str(tmp_path))
-        backend.put(DataId(1), payload(1))
-        backend.put(DataId(2), payload(2))
-        backend.put(DataId(1), payload(11))
-        backend.put(DataId(3), payload(3))
+        backend.put_many([(DataId(1), payload(1))])
+        backend.put_many([(DataId(2), payload(2))])
+        backend.put_many([(DataId(1), payload(11))])
+        backend.put_many([(DataId(3), payload(3))])
         backend.close()
         path = segment_files(tmp_path)[0]
         offset, key, _, record_len = segment_records(path)[3]
@@ -669,7 +668,7 @@ class TestSegmentLogRot:
         blocks = {DataId(i): payload(i) for i in range(1, 4)}
         backend.put_many(blocks.items())
         carrier = np.frombuffer(b"\x07" * 40 + embedded + b"\x09" * 40, dtype=np.uint8)
-        backend.put(DataId(4), carrier)
+        backend.put_many([(DataId(4), carrier)])
         backend.close()
         path = segment_files(tmp_path / "log")[-1]
         torn_at, key, _, _ = block_records(path)[-1]
@@ -727,7 +726,7 @@ class TestSegmentLogNonce:
     def test_every_segment_opens_with_its_own_nonce(self, tmp_path):
         backend = SegmentLogBackend(str(tmp_path), segment_bytes=200)
         for i in range(1, 7):
-            backend.put(DataId(i), payload(i))
+            backend.put_many([(DataId(i), payload(i))])
         backend.close()
         nonces = []
         for path in segment_files(tmp_path):
@@ -747,7 +746,7 @@ class TestSegmentLogNonce:
         blocks[DataId(4)] = np.frombuffer(
             b"\x01" * 30 + self.forged_empty_index(b"\x00" * 16), dtype=np.uint8
         )
-        backend.put(DataId(4), blocks[DataId(4)])
+        backend.put_many([(DataId(4), blocks[DataId(4)])])
         shutil.copytree(tmp_path / "log", tmp_path / "killed")
         backend.close()
         reopened = SegmentLogBackend(str(tmp_path / "killed"))

@@ -95,7 +95,7 @@ class TestPlacementRule:
         assert policy.topology.site_locations("home") == (2,)
         assert policy.spread_level() == "node"
         data, parity = DataId(1), ParityId(1, StrandClass.HORIZONTAL)
-        assert policy.location_for(data) == 2 != policy.location_for(parity)
+        assert policy.locations_for([data])[0] == 2 != policy.locations_for([parity])[0]
         assert policy.relocation_ranks([data, parity]) == [(1, 1, 0, 1, 1), (0, 0, 1, 0, 0)]
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.blocks import DataId, ParityId
 from repro.core.parameters import StrandClass
-from repro.exceptions import BlockUnavailableError, StorageFullError, UnknownBlockError
+from repro.exceptions import BlockUnavailableError, StorageFullError
 from repro.storage import backends
 from repro.storage.block_store import BlockStore
 
@@ -32,8 +32,8 @@ def make_store(spec, tmp_path, **kwargs):
 class TestBlockStore:
     def test_put_get_roundtrip(self):
         store = BlockStore(0)
-        store.put(DataId(1), b"\x01\x02")
-        assert store.try_get(DataId(1)).tolist() == [1, 2]
+        store.put_many([(DataId(1), b"\x01\x02")])
+        assert store.try_get_many([DataId(1)])[0].tolist() == [1, 2]
         assert store.block_count == 1
         assert store.bytes_stored == 2
         assert store.contains(DataId(1))
@@ -41,51 +41,51 @@ class TestBlockStore:
 
     def test_missing_block_reads_none(self):
         store = BlockStore(0)
-        assert store.try_get(DataId(1)) is None
+        assert store.try_get_many([DataId(1)])[0] is None
 
     def test_failed_location_rejects_io(self):
         store = BlockStore(3)
-        store.put(DataId(1), b"x")
+        store.put_many([(DataId(1), b"x")])
         store.fail()
         assert not store.available
         with pytest.raises(BlockUnavailableError):
-            store.put(DataId(2), b"y")
-        assert store.try_get(DataId(1)) is None
+            store.put_many([(DataId(2), b"y")])
+        assert store.try_get_many([DataId(1)])[0] is None
         assert store.contains(DataId(1))  # data still physically there
         assert not store.holds(DataId(1))
         store.restore()
-        assert store.try_get(DataId(1)).tolist() == [120]
+        assert store.try_get_many([DataId(1)])[0].tolist() == [120]
 
     def test_wipe_loses_content(self):
         store = BlockStore(0)
-        store.put(DataId(1), b"x")
+        store.put_many([(DataId(1), b"x")])
         store.wipe()
         assert not store.available
         assert not store.contains(DataId(1))
 
     def test_capacity_enforced(self):
         store = BlockStore(0, capacity_blocks=1)
-        store.put(DataId(1), b"x")
+        store.put_many([(DataId(1), b"x")])
         with pytest.raises(StorageFullError):
-            store.put(DataId(2), b"y")
+            store.put_many([(DataId(2), b"y")])
         # Overwriting an existing block is allowed.
-        store.put(DataId(1), b"z")
+        store.put_many([(DataId(1), b"z")])
 
     def test_delete_and_iteration(self):
         store = BlockStore(0)
-        store.put(DataId(1), b"a")
-        store.put(ParityId(1, StrandClass.HORIZONTAL), b"b")
+        store.put_many([(DataId(1), b"a")])
+        store.put_many([(ParityId(1, StrandClass.HORIZONTAL), b"b")])
         assert len(list(store.block_ids())) == 2
-        store.delete(DataId(1))
+        assert store.delete_many([DataId(1)]) == 1
         assert len(store) == 1
-        with pytest.raises(UnknownBlockError):
-            store.delete(DataId(1))
+        # An absent id is skipped, not an error.
+        assert store.delete_many([DataId(1)]) == 0
 
     def test_read_write_counters(self):
         store = BlockStore(0)
-        store.put(DataId(1), b"a")
-        store.try_get(DataId(1))
-        store.try_get(DataId(1))
+        store.put_many([(DataId(1), b"a")])
+        store.try_get_many([DataId(1)])[0]
+        store.try_get_many([DataId(1)])[0]
         assert store.write_count == 1
         assert store.read_count == 2
 
@@ -96,9 +96,9 @@ class TestBackendInvariants:
 
     def test_roundtrip_and_iteration(self, spec, tmp_path):
         store = make_store(spec, tmp_path)
-        store.put(DataId(1), b"\x01\x02")
-        store.put(ParityId(1, StrandClass.HORIZONTAL), b"abc")
-        assert store.try_get(DataId(1)).tolist() == [1, 2]
+        store.put_many([(DataId(1), b"\x01\x02")])
+        store.put_many([(ParityId(1, StrandClass.HORIZONTAL), b"abc")])
+        assert store.try_get_many([DataId(1)])[0].tolist() == [1, 2]
         assert sorted(store.block_ids(), key=repr) == [
             DataId(1),
             ParityId(1, StrandClass.HORIZONTAL),
@@ -107,22 +107,22 @@ class TestBackendInvariants:
 
     def test_capacity_full_behaviour(self, spec, tmp_path):
         store = make_store(spec, tmp_path, capacity_blocks=2)
-        store.put(DataId(1), b"a")
-        store.put(DataId(2), b"b")
+        store.put_many([(DataId(1), b"a")])
+        store.put_many([(DataId(2), b"b")])
         with pytest.raises(StorageFullError):
-            store.put(DataId(3), b"c")
+            store.put_many([(DataId(3), b"c")])
         # Overwrites never count against the capacity.
-        store.put(DataId(1), b"z")
-        assert store.try_get(DataId(1)).tolist() == [122]
+        store.put_many([(DataId(1), b"z")])
+        assert store.try_get_many([DataId(1)])[0].tolist() == [122]
         # Deleting frees a slot.
-        store.delete(DataId(2))
-        store.put(DataId(3), b"c")
+        store.delete_many([DataId(2)])
+        store.put_many([(DataId(3), b"c")])
         assert store.block_count == 2
         store.close()
 
     def test_put_many_is_all_or_nothing_on_overflow(self, spec, tmp_path):
         store = make_store(spec, tmp_path, capacity_blocks=3)
-        store.put(DataId(1), b"a")
+        store.put_many([(DataId(1), b"a")])
         with pytest.raises(StorageFullError):
             store.put_many([(DataId(i), b"x") for i in range(2, 6)])
         # Nothing from the failed batch may have landed.
@@ -146,12 +146,12 @@ class TestBackendInvariants:
 
     def test_bytes_stored_accounting(self, spec, tmp_path):
         store = make_store(spec, tmp_path)
-        store.put(DataId(1), b"aaaa")
-        store.put(DataId(2), b"bb")
+        store.put_many([(DataId(1), b"aaaa")])
+        store.put_many([(DataId(2), b"bb")])
         assert store.bytes_stored == 6
-        store.put(DataId(1), b"a")  # overwrite shrinks
+        store.put_many([(DataId(1), b"a")])  # overwrite shrinks
         assert store.bytes_stored == 3
-        store.delete(DataId(2))
+        store.delete_many([DataId(2)])
         assert store.bytes_stored == 1
         store.put_many([(DataId(3), b"ccc"), (DataId(4), b"dddd")])
         assert store.bytes_stored == 8
@@ -163,7 +163,7 @@ class TestBackendInvariants:
     def test_delete_many_removes_held_blocks_in_one_backend_call(self, spec, tmp_path):
         store = make_store(spec, tmp_path, cache_blocks=4)
         store.put_many([(DataId(i), bytes([i]) * i) for i in range(1, 6)])
-        store.try_get(DataId(2))  # cached
+        store.try_get_many([DataId(2)])[0]  # cached
         calls = []
         delete_many = store.backend.delete_many
         store.backend.delete_many = lambda ids: (calls.append(list(ids)), delete_many(ids))[1]
@@ -173,30 +173,56 @@ class TestBackendInvariants:
         assert calls == [[DataId(2), DataId(4)]]
         assert store.bytes_stored == 1 + 3 + 5 and store.block_count == 3
         store.restore()
-        assert store.try_get(DataId(2)) is None
+        assert store.try_get_many([DataId(2)])[0] is None
         assert store.delete_many([DataId(9)]) == 0 and len(calls) == 1
         store.close()
 
     def test_wipe_loses_content_and_stays_down(self, spec, tmp_path):
         store = make_store(spec, tmp_path)
-        store.put(DataId(1), b"x")
+        store.put_many([(DataId(1), b"x")])
         store.wipe()
         assert not store.available
         assert not store.contains(DataId(1))
         store.restore()
-        assert store.try_get(DataId(1)) is None
+        assert store.try_get_many([DataId(1)])[0] is None
         store.close()
+
+
+@pytest.mark.parametrize("spec", BACKENDS)
+def test_a_refused_batch_leaves_no_torn_records(spec, tmp_path):
+    """A backend that writes half a batch and then raises: the ids the
+    location did not hold are deleted from the medium, so a reopen cannot
+    index records the store never acknowledged.  An overwritten id keeps
+    its record."""
+    store = make_store(spec, tmp_path)
+    store.put_many([(DataId(1), b"a"), (DataId(2), b"b")])
+    backend = store.backend
+    put_many = backend.put_many
+
+    def torn(items):
+        items = list(items)
+        put_many(items[: len(items) // 2 + 1])
+        backend.flush()
+        raise OSError(28, "no space left on device")
+
+    backend.put_many = torn
+    with pytest.raises(OSError):
+        store.put_many([(DataId(2), b"B"), (DataId(3), b"c"), (DataId(4), b"d")])
+    assert sorted(block_id for block_id, _ in backend.scan()) == [DataId(1), DataId(2)]
+    assert sorted(store.block_ids()) == [DataId(1), DataId(2)]
+    assert store.bytes_stored == 2 and store.write_count == 2
+    store.close()
 
 
 @pytest.mark.parametrize("spec", ["disk", "segment"])
 class TestPersistentStore:
     def test_content_survives_reopen_and_counters_restart(self, spec, tmp_path):
         store = make_store(spec, tmp_path)
-        store.put(DataId(1), b"hello")
-        store.put(DataId(2), b"world")
-        store.try_get(DataId(1))
-        store.try_get(DataId(2))
-        store.try_get(DataId(1))
+        store.put_many([(DataId(1), b"hello")])
+        store.put_many([(DataId(2), b"world")])
+        store.try_get_many([DataId(1)])[0]
+        store.try_get_many([DataId(2)])[0]
+        store.try_get_many([DataId(1)])[0]
         assert (store.read_count, store.write_count) == (3, 2)
         store.close()
         # A location root holds block data only; the counter file an older
@@ -210,7 +236,7 @@ class TestPersistentStore:
         assert (reopened.read_count, reopened.write_count) == (0, 0)
         assert reopened.block_count == 2
         assert reopened.bytes_stored == 10
-        assert bytes(reopened.try_get(DataId(2)).tobytes()) == b"world"
+        assert bytes(reopened.try_get_many([DataId(2)])[0].tobytes()) == b"world"
         assert reopened.read_count == 1
         reopened.close()
 
@@ -220,7 +246,7 @@ class TestPersistentStore:
         store.close()
         reopened = make_store(spec, tmp_path, capacity_blocks=3)
         with pytest.raises(StorageFullError):
-            reopened.put(DataId(9), b"y")
+            reopened.put_many([(DataId(9), b"y")])
         reopened.close()
 
 
@@ -228,43 +254,43 @@ class TestPersistentStore:
 class TestReadCache:
     def test_hit_miss_counters(self, spec, tmp_path):
         store = make_store(spec, tmp_path, cache_blocks=2)
-        store.put(DataId(1), b"a")
-        store.put(DataId(2), b"b")
-        store.try_get(DataId(1))
+        store.put_many([(DataId(1), b"a")])
+        store.put_many([(DataId(2), b"b")])
+        store.try_get_many([DataId(1)])[0]
         assert (store.cache_hits, store.cache_misses) == (0, 1)
-        store.try_get(DataId(1))
+        store.try_get_many([DataId(1)])[0]
         assert (store.cache_hits, store.cache_misses) == (1, 1)
         store.close()
 
     def test_lru_eviction(self, spec, tmp_path):
         store = make_store(spec, tmp_path, cache_blocks=2)
         for i in range(1, 4):
-            store.put(DataId(i), bytes([i]))
-        store.try_get(DataId(1))
-        store.try_get(DataId(2))
-        store.try_get(DataId(3))  # evicts DataId(1)
-        store.try_get(DataId(2))  # hit
-        store.try_get(DataId(1))  # miss again
+            store.put_many([(DataId(i), bytes([i]))])
+        store.try_get_many([DataId(1)])[0]
+        store.try_get_many([DataId(2)])[0]
+        store.try_get_many([DataId(3)])[0]  # evicts DataId(1)
+        store.try_get_many([DataId(2)])[0]  # hit
+        store.try_get_many([DataId(1)])[0]  # miss again
         assert store.cache_misses == 4
         assert store.cache_hits == 1
         store.close()
 
     def test_write_through_keeps_cache_coherent(self, spec, tmp_path):
         store = make_store(spec, tmp_path, cache_blocks=4)
-        store.put(DataId(1), b"old")
-        store.try_get(DataId(1))  # cached
-        store.put(DataId(1), b"new")  # write-through refresh
-        assert bytes(store.try_get(DataId(1)).tobytes()) == b"new"
-        store.delete(DataId(1))
-        assert store.try_get(DataId(1)) is None
+        store.put_many([(DataId(1), b"old")])
+        store.try_get_many([DataId(1)])[0]  # cached
+        store.put_many([(DataId(1), b"new")])  # write-through refresh
+        assert bytes(store.try_get_many([DataId(1)])[0].tobytes()) == b"new"
+        store.delete_many([DataId(1)])
+        assert store.try_get_many([DataId(1)])[0] is None
         store.close()
 
 
 def test_memory_backend_defaults_to_no_cache():
     store = BlockStore(0)
-    store.put(DataId(1), b"a")
-    store.try_get(DataId(1))
-    store.try_get(DataId(1))
+    store.put_many([(DataId(1), b"a")])
+    store.try_get_many([DataId(1)])[0]
+    store.try_get_many([DataId(1)])[0]
     assert (store.cache_hits, store.cache_misses) == (0, 0)
 
 
@@ -286,7 +312,7 @@ class TestConcurrentAccess:
         # and re-linking -- the racy part of an unlocked OrderedDict.
         store = BlockStore(0, backend="memory", cache_blocks=16)
         for number in range(self.BLOCKS):
-            store.put(DataId(number), bytes([number % 251]) * 8)
+            store.put_many([(DataId(number), bytes([number % 251]) * 8)])
 
         errors: list = []
         barrier = threading.Barrier(self.THREADS)
@@ -302,13 +328,13 @@ class TestConcurrentAccess:
                     roll = rng.random()
                     if roll < 0.25:
                         victim = rng.choice(list(own))
-                        store.put(DataId(victim), bytes([index]) * 8)
+                        store.put_many([(DataId(victim), bytes([index]) * 8)])
                     elif roll < 0.35:
                         store.try_get_many(
                             [DataId(rng.randrange(self.BLOCKS)) for _ in range(4)]
                         )
                     else:
-                        store.try_get(DataId(rng.randrange(self.BLOCKS)))
+                        store.try_get_many([DataId(rng.randrange(self.BLOCKS))])[0]
             except Exception as exc:  # noqa: RPR004 - hammer thread collects any failure
                 errors.append(exc)  # pragma: no cover - failure path
 
@@ -329,7 +355,7 @@ class TestConcurrentAccess:
         # sole writer (either the seed payload or that thread's stamp).
         for number in range(self.BLOCKS):
             writer = number % self.THREADS
-            got = bytes(store.try_get(DataId(number)).tobytes())
+            got = bytes(store.try_get_many([DataId(number)])[0].tobytes())
             assert got in (bytes([number % 251]) * 8, bytes([writer]) * 8)
             assert len(got) == 8
         # Counter sanity: every completed get/try_get_many hit advanced the

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.blocks import Block, DataId, ParityId
-from repro.core.parameters import AEParameters, StrandClass
+from repro.core.blocks import DataId, ParityId
+from repro.core.parameters import StrandClass
 from repro.exceptions import (
     BlockUnavailableError,
     PlacementError,
@@ -19,8 +19,9 @@ from repro.storage.placement import DictionaryPlacement, RandomPlacement
 
 def filled_cluster(locations: int = 10, blocks: int = 40, seed: int = 1) -> StorageCluster:
     cluster = StorageCluster(locations, RandomPlacement(locations, seed=seed))
-    for index in range(1, blocks + 1):
-        cluster.put_block(Block(DataId(index), bytes([index % 256]) * 8))
+    cluster.put_many(
+        [(DataId(index), bytes([index % 256]) * 8) for index in range(1, blocks + 1)]
+    )
     return cluster
 
 
@@ -31,18 +32,18 @@ class TestPlacementAndLookup:
         assert 0 <= location < cluster.location_count
         assert cluster.knows(DataId(1))
         assert cluster.is_available(DataId(1))
-        assert cluster.try_get_block(DataId(1)).tolist() == [1] * 8
+        assert cluster.try_get_many([DataId(1)])[0].tolist() == [1] * 8
 
-    def test_explicit_location_overrides_policy(self):
-        cluster = StorageCluster(5, RandomPlacement(5))
-        cluster.put_block(Block(DataId(1), b"x"), location_id=3)
+    def test_explicit_placement_pins_the_location(self):
+        cluster = StorageCluster(5, DictionaryPlacement(5, {DataId(1): 3}))
+        cluster.put_many([(DataId(1), b"x")])
         assert cluster.location_of(DataId(1)) == 3
 
     def test_unknown_block(self):
         cluster = filled_cluster()
         with pytest.raises(UnknownBlockError):
             cluster.location_of(DataId(999))
-        assert cluster.try_get_block(DataId(999)) is None
+        assert cluster.try_get_many([DataId(999)])[0] is None
         assert not cluster.is_available(DataId(999))
 
     def test_mismatched_placement_rejected(self):
@@ -65,7 +66,7 @@ class TestFailures:
         assert unavailable
         for block_id in unavailable:
             assert cluster.location_of(block_id) in {0, 1}
-            assert cluster.try_get_block(block_id) is None
+            assert cluster.try_get_many([block_id])[0] is None
         cluster.restore_locations()
         assert not cluster.unavailable_blocks()
 
@@ -75,7 +76,7 @@ class TestFailures:
         cluster.wipe_locations([2])
         cluster.restore_locations([2])
         for block_id in victim_blocks:
-            assert cluster.try_get_block(block_id) is None
+            assert cluster.try_get_many([block_id])[0] is None
 
     def test_unavailable_is_the_complement_of_is_available(self):
         """One definition: a block is unavailable when a fetch would fail --
@@ -116,11 +117,11 @@ class TestRelocation:
         target = cluster.relocate_many([(DataId(1), b"\x09" * 8)], avoid=(0, 1))[DataId(1)]
         assert target not in {0, 1}
         assert cluster.location_of(DataId(1)) == target
-        assert cluster.try_get_block(DataId(1)).tolist() == [9] * 8
+        assert cluster.try_get_many([DataId(1)])[0].tolist() == [9] * 8
 
     def test_relocate_without_candidates_raises(self):
         cluster = StorageCluster(2, RandomPlacement(2))
-        cluster.put_block(Block(DataId(1), b"x"))
+        cluster.put_many([(DataId(1), b"x")])
         cluster.fail_locations([0, 1])
         with pytest.raises(PlacementError):
             cluster.relocate_many([(DataId(1), b"y")], avoid=())
@@ -133,14 +134,15 @@ class TestAddLocation:
         before = {b: cluster.location_of(b) for b in cluster.block_ids()}
         down = cluster.unavailable_blocks()
         assert down
-        assert cluster.add_location(RandomPlacement(5, seed=1)) == 4
+        assert cluster.add_location(DictionaryPlacement(5, {DataId(99): 4})) == 4
         assert cluster.location_count == 5 and cluster.topology.node_count == 5
         assert {b: cluster.location_of(b) for b in cluster.block_ids()} == before
         assert cluster.unavailable_blocks() == down
         assert cluster.blocks_at(4) == [] and cluster.location(4).available
         # The grown cluster places with the policy it was handed.
-        cluster.put_block(Block(DataId(99), b"\x01" * 8), location_id=4)
-        assert cluster.try_get_block(DataId(99)).tolist() == [1] * 8
+        cluster.put_many([(DataId(99), b"\x01" * 8)])
+        assert cluster.location_of(DataId(99)) == 4
+        assert cluster.try_get_many([DataId(99)])[0].tolist() == [1] * 8
 
     def test_new_location_is_built_like_the_others(self, tmp_path):
         cluster = StorageCluster(
@@ -149,7 +151,7 @@ class TestAddLocation:
         cluster.add_location(RandomPlacement(3))
         store = cluster.location(2)
         assert store.capacity_blocks == 1 and store.backend.persistent
-        store.put(DataId(1), b"x" * 8)
+        store.put_many([(DataId(1), b"x" * 8)])
         cluster.close()
         assert (tmp_path / "loc-0002").is_dir()
 
@@ -167,9 +169,11 @@ class TestAddLocation:
 class TestBulkWriteFanOut:
     """``put_many`` writes location by location, in the order the batch first
     names them.  What a refusing location leaves behind is pinned here as it
-    was before the fan-out became one grouping pass (PR 19): earlier
-    locations keep and record their blocks, the refusing one and every later
-    one hold nothing, and nothing of theirs is recorded."""
+    was before the fan-out became one grouping pass: earlier locations keep
+    and record their blocks, the refusing one and every later one hold
+    nothing, and nothing of theirs is recorded.  The cluster does not undo a
+    refused batch; the layer above does (``StorageService._land`` deletes
+    the batch's blocks and restores the scheme state)."""
 
     LOCATIONS = (2, 0, 2, 3, 0, 1, 3, 2)
 
@@ -198,7 +202,7 @@ class TestBulkWriteFanOut:
             assert list(cluster.location(location).block_ids()) == cluster.blocks_at(location)
             assert cluster.location(location).write_count == self.LOCATIONS.count(location)
         for block_id, payload in items:
-            assert cluster.try_get_block(block_id).tobytes() == payload
+            assert cluster.try_get_many([block_id])[0].tobytes() == payload
 
     def test_a_duplicate_id_keeps_its_first_position_and_last_payload(self):
         mapping, items = self.batch()
@@ -206,7 +210,7 @@ class TestBulkWriteFanOut:
         first = items[0][0]
         assert cluster.put_many(items + [(first, b"\xee" * 4)]) == len(items)
         assert cluster.blocks_at(2)[0] == first
-        assert cluster.try_get_block(first).tobytes() == b"\xee" * 4
+        assert cluster.try_get_many([first])[0].tobytes() == b"\xee" * 4
         assert cluster.location(2).write_count == 3
         assert cluster.stats().bytes_stored == 4 * len(items)
 
@@ -219,9 +223,9 @@ class TestBulkWriteFanOut:
             error = BlockUnavailableError
         else:
             # Location 3 is asked for two blocks and has room for one.
-            cluster = self.cluster(mapping, capacity_blocks=3)
-            cluster.put_block(Block(DataId(90), b"old!"), location_id=3)
-            cluster.put_block(Block(DataId(91), b"old!"), location_id=3)
+            old = {DataId(90): 3, DataId(91): 3}
+            cluster = self.cluster({**mapping, **old}, capacity_blocks=3)
+            cluster.put_many([(block_id, b"old!") for block_id in old])
             error = StorageFullError
         before = set(cluster.block_ids())
         with pytest.raises(error):
@@ -295,13 +299,13 @@ class TestBulkDelete:
         for block_id in cluster.block_ids():
             assert cluster.location(mapping[block_id]).contains(block_id)
 
-    def test_delete_block_is_the_same_path(self):
+    def test_one_block_is_a_batch_of_one(self):
         mapping, cluster = self.stored()
         first = next(iter(mapping))
-        assert cluster.delete_block(first) == mapping[first]
+        assert cluster.delete_blocks([first]) == 1
         assert not cluster.knows(first) and not cluster.location(mapping[first]).contains(first)
-        with pytest.raises(UnknownBlockError):
-            cluster.delete_block(first)
+        # An unknown id is skipped, not an error.
+        assert cluster.delete_blocks([first]) == 0
 
     def test_restore_reclaims_stale_copies_in_one_batch(self, monkeypatch):
         mapping, cluster = self.stored()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.blocks import Block, DataId
+from repro.core.blocks import DataId
 from repro.exceptions import InvalidParametersError
 from repro.storage.cluster import StorageCluster
 from repro.storage.failures import (
@@ -15,6 +15,7 @@ from repro.storage.failures import (
     disaster_for_fraction,
     disaster_series,
 )
+from repro.storage.placement import DictionaryPlacement
 
 
 class TestDisasters:
@@ -25,8 +26,7 @@ class TestDisasters:
 
     def test_apply_and_revert(self):
         cluster = StorageCluster(10)
-        for index in range(1, 21):
-            cluster.put_block(Block(DataId(index), b"x"))
+        cluster.put_many([(DataId(index), b"x") for index in range(1, 21)])
         disaster = disaster_for_fraction(10, 0.3, np.random.default_rng(1))
         disaster.apply(cluster)
         assert len(cluster.unavailable_locations()) == 3
@@ -34,8 +34,8 @@ class TestDisasters:
         assert not cluster.unavailable_locations()
 
     def test_destructive_disaster_cannot_be_reverted(self):
-        cluster = StorageCluster(10)
-        cluster.put_block(Block(DataId(1), b"x"), location_id=0)
+        cluster = StorageCluster(10, DictionaryPlacement(10, {DataId(1): 0}))
+        cluster.put_many([(DataId(1), b"x")])
         disaster = Disaster(failed_locations=(0,), destructive=True)
         disaster.apply(cluster)
         disaster.revert(cluster)

@@ -122,9 +122,9 @@ def test_a_tampered_block_of_a_frozen_tree_is_rewritten(tmp_path):
     with _open(record, path) as service:
         target = service.documents["doc-3"].data_ids[1]
         store = service.cluster.location(service.cluster.location_of(target))
-        changed = bytearray(store.try_get(target))
+        changed = bytearray(store.try_get_many([target])[0])
         changed[0] ^= 0xFF
-        store.put(target, bytes(changed))
+        store.put_many([(target, bytes(changed))])
         report = service.scrub()
         assert report.suspects == report.repaired == [target]
         _assert_documents(service, record["documents"])

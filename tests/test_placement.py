@@ -37,8 +37,8 @@ class TestRandomPlacement:
         two = RandomPlacement(50, seed=7)
         other = RandomPlacement(50, seed=8)
         ids = all_blocks(100, AEParameters.triple(2, 5))
-        assert [one.location_for(b) for b in ids] == [two.location_for(b) for b in ids]
-        assert [one.location_for(b) for b in ids] != [other.location_for(b) for b in ids]
+        assert one.locations_for(ids) == two.locations_for(ids)
+        assert one.locations_for(ids) != other.locations_for(ids)
 
     def test_locations_in_range_and_roughly_balanced(self):
         policy = RandomPlacement(20, seed=3)
@@ -58,13 +58,17 @@ class TestRoundRobinPlacement:
     def test_consecutive_blocks_use_different_locations(self):
         params = AEParameters.triple(2, 5)
         policy = RoundRobinPlacement(40, params)
-        seen = {
-            policy.location_for(DataId(1)),
-            policy.location_for(ParityId(1, StrandClass.HORIZONTAL)),
-            policy.location_for(ParityId(1, StrandClass.RIGHT_HANDED)),
-            policy.location_for(ParityId(1, StrandClass.LEFT_HANDED)),
-            policy.location_for(DataId(2)),
-        }
+        seen = set(
+            policy.locations_for(
+                [
+                    DataId(1),
+                    ParityId(1, StrandClass.HORIZONTAL),
+                    ParityId(1, StrandClass.RIGHT_HANDED),
+                    ParityId(1, StrandClass.LEFT_HANDED),
+                    DataId(2),
+                ]
+            )
+        )
         assert len(seen) == 5
 
 
@@ -77,14 +81,15 @@ class TestStrandAwarePlacement:
         and its cheapest repair path."""
         params = AEParameters.triple(2, 5)
         policy = StrandAwarePlacement(24, params)
-        data_location = policy.location_for(DataId(index))
-        for cls in params.strand_classes:
-            assert policy.location_for(ParityId(index, cls)) != data_location
+        data_location, *parity_locations = policy.locations_for(
+            [DataId(index)] + [ParityId(index, cls) for cls in params.strand_classes]
+        )
+        assert data_location not in parity_locations
 
     def test_small_cluster_falls_back_to_hashing(self):
         params = AEParameters.triple(2, 5)
         policy = StrandAwarePlacement(3, params)
-        locations = {policy.location_for(DataId(i)) for i in range(1, 30)}
+        locations = set(policy.locations_for([DataId(i) for i in range(1, 30)]))
         assert locations <= {0, 1, 2}
 
 
@@ -105,9 +110,9 @@ _any_id = st.one_of(
 
 
 class TestBulkPlacement:
-    """``locations_for`` is ``location_for``, element by element, for every
-    registered policy -- the cluster places with one and re-places with the
-    other."""
+    """``locations_for`` places a block where it places it alone, for every
+    registered policy: the cluster places a whole batch, and relocation
+    re-places a part of one against the locations that batch was given."""
 
     @pytest.mark.parametrize("name", placement.available())
     @given(
@@ -119,7 +124,9 @@ class TestBulkPlacement:
         ids=st.lists(_any_id, max_size=40),
     )
     @settings(max_examples=60, deadline=None)
-    def test_bulk_is_elementwise_per_block(self, name, sites, racks, nodes, seed, alpha, ids):
+    def test_a_batch_places_each_block_as_a_batch_of_one(
+        self, name, sites, racks, nodes, seed, alpha, ids
+    ):
         params = AEParameters.single() if alpha == 1 else AEParameters(alpha, 2, 5)
         topology = Topology.parse(f"sites={sites},racks={racks},nodes={nodes}")
         policy = placement.get(name, topology, params=params, seed=seed)
@@ -135,7 +142,7 @@ class TestBulkPlacement:
                 )
             ]
         bulk = policy.locations_for(ids)
-        assert bulk == [policy.location_for(block_id) for block_id in ids]
+        assert bulk == [policy.locations_for([block_id])[0] for block_id in ids]
         assert all(0 <= location < policy.location_count for location in bulk)
         assert policy.locations_for([]) == []
 
@@ -265,11 +272,11 @@ class TestBulkRelocationContract:
 class TestDictionaryPlacement:
     def test_explicit_mapping(self):
         policy = DictionaryPlacement(4, {DataId(1): 2})
-        assert policy.location_for(DataId(1)) == 2
+        assert policy.locations_for([DataId(1)]) == [2]
         policy.record(DataId(2), 3)
-        assert policy.location_for(DataId(2)) == 3
+        assert policy.locations_for([DataId(2), DataId(1)]) == [3, 2]
         with pytest.raises(PlacementError):
-            policy.location_for(DataId(9))
+            policy.locations_for([DataId(1), DataId(9)])
         with pytest.raises(PlacementError):
             policy.record(DataId(3), 9)
 

@@ -135,7 +135,6 @@ def policy_digest(name: str) -> str:
     if name == "strand-aware":  # an AE-only policy: it has no lane for stripes
         ids = [block_id for block_id in ids if not isinstance(block_id, StripeBlockId)]
     bulk = policy.locations_for(ids)
-    assert bulk == [policy.location_for(block_id) for block_id in ids]
     return hashlib.sha256(repr(bulk).encode("utf-8")).hexdigest()
 
 

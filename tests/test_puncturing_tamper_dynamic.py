@@ -226,7 +226,7 @@ class TestDynamicUpgrade:
         service = self.archive()
         cluster = service.cluster
         size = service.scheme.lattice.size
-        data = [cluster.try_get_block(DataId(index)) for index in range(1, size + 1)]
+        data = [cluster.try_get_many([DataId(index)])[0] for index in range(1, size + 1)]
         lost = [DataId(3), DataId(17), DataId(18)]
         cluster.delete_blocks(lost)
         written = []
@@ -250,7 +250,7 @@ class TestDynamicUpgrade:
         chunks = [late[start : start + BLOCK_SIZE] for start in range(0, len(late), BLOCK_SIZE)]
         for payload in data + chunks:
             for parity in direct.entangle(payload).parities:
-                assert payloads_equal(cluster.try_get_block(parity.block_id), parity.payload)
+                assert payloads_equal(cluster.try_get_many([parity.block_id])[0], parity.payload)
         assert service.get("late") == late
 
     def test_a_raise_needs_every_data_block(self):

@@ -162,7 +162,7 @@ class TestRAIDAE:
         for index in range(40):
             raid.write(make_payload(index, 64))
         stored = {
-            block_id: bytes(raid.cluster.try_get_block(block_id))
+            block_id: bytes(raid.cluster.try_get_many([block_id])[0])
             for block_id in raid.cluster.block_ids()
         }
         assert len(stored) == 160
@@ -176,7 +176,7 @@ class TestRAIDAE:
         assert report.data_loss == 0 and not report.unrecovered
         assert not raid.cluster.location(3).available
         for block_id, payload in stored.items():
-            assert bytes(raid.cluster.try_get_block(block_id)) == payload
+            assert bytes(raid.cluster.try_get_many([block_id])[0]) == payload
 
     def test_a_single_disk_rebuild_reads_at_most_two_blocks_per_block(self):
         """Each lost block is one XOR of a pair (Sec. IV-B2): a rebuild

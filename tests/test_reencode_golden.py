@@ -69,7 +69,7 @@ def state_digest(digest: "hashlib._Hash", service: StorageService) -> None:
     cluster = service.cluster
     for key, block_id in sorted((encode_block_id(b), b) for b in cluster.block_ids()):
         digest.update(f"{key}@{cluster.location_of(block_id)}:".encode())
-        digest.update(bytes(cluster.try_get_block(block_id)))
+        digest.update(bytes(cluster.try_get_many([block_id])[0]))
 
 
 def chain_digest(chain: str, backend: str, batch_blocks: int, root: Optional[str]) -> str:

@@ -30,7 +30,7 @@ import pytest
 from repro.analysis.repair_cost import repair_model_for
 from repro.codes.entanglement import EntanglementScheme
 from repro.core.batch_repair import execute_plan, plan_round
-from repro.core.blocks import Block, DataId, ParityId, is_data, is_parity
+from repro.core.blocks import DataId, ParityId, is_data, is_parity
 from repro.core.decoder import Decoder
 from repro.core.encoder import Entangler
 from repro.core.parameters import AEParameters
@@ -39,7 +39,7 @@ from repro.storage.backends import SegmentLogBackend
 from repro.storage.block_store import BlockStore
 from repro.storage.cluster import StorageCluster
 from repro.storage.failures import disaster_for_target
-from repro.storage.placement import RandomPlacement
+from repro.storage.placement import DictionaryPlacement
 from repro.system.service import StorageConfig, StorageService
 
 from tests.conftest import make_payload, segment_records
@@ -165,17 +165,18 @@ class TestReadAccounting:
     def service_with_victims_alone(params: AEParameters, victims, blocks, locations=12):
         """A service whose location 0 holds ``victims`` and nothing else."""
         scheme = EntanglementScheme(params, BLOCK_SIZE)
-        cluster = StorageCluster(locations, RandomPlacement(locations, seed=2))
         payloads = [make_payload(index, BLOCK_SIZE) for index in range(1, blocks + 1)]
+        encoded = scheme.encode(payloads).blocks
+        mapping = {}
         spot = 1
-        for block_id, payload in scheme.encode(payloads).blocks:
+        for block_id, _ in encoded:
             if block_id in victims:
-                cluster.put_block(Block(block_id, payload), location_id=0)
+                mapping[block_id] = 0
             else:
-                cluster.put_block(
-                    Block(block_id, payload), location_id=1 + spot % (locations - 1)
-                )
+                mapping[block_id] = 1 + spot % (locations - 1)
                 spot += 1
+        cluster = StorageCluster(locations, DictionaryPlacement(locations, mapping))
+        cluster.put_many(encoded)
         return StorageService(scheme, cluster)
 
     def test_single_failure_reads_match_analytic_cost(self):
@@ -213,7 +214,7 @@ class TestReadAccounting:
         assert report.blocks_read == per_block * len(victims) - 1
         for index in (2, 3):
             assert payloads_equal(
-                service.cluster.try_get_block(DataId(index)), make_payload(index, BLOCK_SIZE)
+                service.cluster.try_get_many([DataId(index)])[0], make_payload(index, BLOCK_SIZE)
             )
 
 

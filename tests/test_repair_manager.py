@@ -27,7 +27,7 @@ def entangled_service(params: AEParameters, blocks: int, locations: int, seed: i
         b"".join(make_payload(index, BLOCK_SIZE) for index in range(1, blocks + 1)),
     )
     originals = {
-        block_id: cluster.try_get_block(block_id) for block_id in cluster.block_ids()
+        block_id: cluster.try_get_many([block_id])[0] for block_id in cluster.block_ids()
     }
     return service, originals
 
@@ -68,7 +68,7 @@ class TestPolicyRepair:
         assert not report.unrecovered and not report.skipped
         assert set(report.repaired) == missing_before
         for block_id in missing_before:
-            assert payloads_equal(cluster.try_get_block(block_id), originals[block_id])
+            assert payloads_equal(cluster.try_get_many([block_id])[0], originals[block_id])
             assert cluster.location_of(block_id) >= 5
 
     def test_minimal_maintenance_skips_parities(self, hec_params):
@@ -85,7 +85,7 @@ class TestPolicyRepair:
         # Skipped redundancy stays where the disaster left it.
         assert cluster.unavailable_blocks() == set(missing_parities)
         for block_id in report.repaired:
-            assert payloads_equal(cluster.try_get_block(block_id), originals[block_id])
+            assert payloads_equal(cluster.try_get_many([block_id])[0], originals[block_id])
 
     def test_none_policy_repairs_nothing(self, hec_params):
         service, _ = entangled_service(hec_params, 40, 20)

@@ -43,17 +43,17 @@ def tamper(service: StorageService, block_id) -> bytes:
     original bytes."""
     cluster = service.cluster
     store = cluster.location(cluster.location_of(block_id))
-    original = np.asarray(store.try_get(block_id), dtype=np.uint8).copy()
+    original = np.asarray(store.try_get_many([block_id])[0], dtype=np.uint8).copy()
     changed = original.copy()
     changed[0] ^= 0xFF
-    store.put(block_id, changed)
+    store.put_many([(block_id, changed)])
     return original.tobytes()
 
 
 def stored(service: StorageService):
     """Every stored block's bytes, by id."""
     cluster = service.cluster
-    return {b: bytes(cluster.try_get_block(b)) for b in cluster.block_ids()}
+    return {b: bytes(cluster.try_get_many([b])[0]) for b in cluster.block_ids()}
 
 
 def labels(block_ids):
@@ -359,7 +359,7 @@ def sweep_rows(scheme: str):
 
 def put_back(service: StorageService, block_id, original: bytes) -> None:
     store = service.cluster.location(service.cluster.location_of(block_id))
-    store.put(block_id, np.frombuffer(original, dtype=np.uint8))
+    store.put_many([(block_id, np.frombuffer(original, dtype=np.uint8))])
 
 
 class TestSingleTamperSweep:
@@ -416,9 +416,9 @@ class TestAttributionAndRebuild:
         clean = stored(service)
         for block_id, byte in ((DataId(15), 0), (ParityId(15, H), 1)):
             store = service.cluster.location(service.cluster.location_of(block_id))
-            changed = np.asarray(store.try_get(block_id), dtype=np.uint8).copy()
+            changed = np.asarray(store.try_get_many([block_id])[0], dtype=np.uint8).copy()
             changed[byte] ^= 0xFF
-            store.put(block_id, changed)
+            store.put_many([(block_id, changed)])
         report = service.scrub()
         assert report.suspects == report.repaired == [DataId(15), ParityId(15, H)]
         assert stored(service) == clean and service.get("doc") == data
@@ -461,7 +461,7 @@ class TestAttributionAndRebuild:
         service.repair()
         service.restore_locations([home])
         moved = [b for b in service.scheme.lattice.block_ids() if cluster.location_of(b) < home]
-        moved = [b for b in moved if cluster.placement.location_for(b) == home]
+        moved = [b for b in moved if cluster.placement.locations_for([b])[0] == home]
         target = moved[0]
         elsewhere = cluster.location_of(target)
         tamper(service, target)

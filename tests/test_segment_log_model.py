@@ -117,7 +117,7 @@ class SegmentLogMachine(RuleBasedStateMachine):
     # -- mutations --------------------------------------------------------
     @rule(block_id=block_ids, data=payloads)
     def put(self, block_id, data):
-        self.backend.put(block_id, np.frombuffer(data, dtype=np.uint8))
+        self.backend.put_many([(block_id, np.frombuffer(data, dtype=np.uint8))])
         self.model[block_id] = data
         self.check_compaction_bound()
 

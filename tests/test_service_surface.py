@@ -395,9 +395,9 @@ class TestReportsAreSumsOfTheirHolders:
         for holder in holders + twin_holders:
             target = next(iter(holder.documents.values())).data_ids[3]
             store = holder.cluster.location(holder.cluster.location_of(target))
-            changed = np.asarray(store.try_get(target), dtype=np.uint8).copy()
+            changed = np.asarray(store.try_get_many([target])[0], dtype=np.uint8).copy()
             changed[0] ^= 0xFF
-            store.put(target, changed)
+            store.put_many([(target, changed)])
         report = service.scrub()
         parts = [holder.scrub() for holder in twin_holders]
         assert len(report.repaired) == len(holders) and report.unrecovered == []

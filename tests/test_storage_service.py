@@ -175,26 +175,22 @@ class TestDelete:
         with pytest.raises(UnknownBlockError):
             service.delete("ghost")
 
-    def test_cluster_delete_block_with_downed_location(self):
+    def test_cluster_delete_blocks_with_downed_location(self):
         cluster = StorageCluster(4)
-        from repro.core.blocks import Block
-
-        block = Block(StripeBlockId(0, 0), b"\x01" * 16)
-        location = cluster.put_block(block)
+        block_id = StripeBlockId(0, 0)
+        cluster.put_many([(block_id, b"\x01" * 16)])
+        location = cluster.location_of(block_id)
         cluster.fail_locations([location])
         # Directory entry goes away even though the store is unreachable.
-        assert cluster.delete_block(block.block_id) == location
-        assert not cluster.knows(block.block_id)
-        with pytest.raises(UnknownBlockError):
-            cluster.delete_block(block.block_id)
+        assert cluster.delete_blocks([block_id]) == 1
+        assert not cluster.knows(block_id)
+        assert not cluster.location(location).contains(block_id)
+        assert cluster.delete_blocks([block_id]) == 0
 
     def test_cluster_delete_blocks_bulk(self):
         cluster = StorageCluster(4)
-        from repro.core.blocks import Block
-
         ids = [StripeBlockId(0, position) for position in range(6)]
-        for block_id in ids:
-            cluster.put_block(Block(block_id, b"\x02" * 8))
+        cluster.put_many([(block_id, b"\x02" * 8) for block_id in ids])
         assert cluster.delete_blocks(ids + [StripeBlockId(9, 9)]) == 6
         assert len(cluster) == 0
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.blocks import DataId, ParityId
-from repro.core.parameters import AEParameters, StrandClass
+from repro.core.parameters import AEParameters
 from repro.exceptions import (
     BlockUnavailableError,
     StorageFullError,
@@ -242,10 +242,8 @@ class TestClusterBulk:
         bulk = StorageCluster(10)
         single = StorageCluster(10)
         bulk.put_many(items)
-        for block_id, payload in items:
-            from repro.core.blocks import Block
-
-            single.put_block(Block(block_id, payload))
+        for item in items:
+            single.put_many([item])
         for block_id, _ in items:
             assert bulk.location_of(block_id) == single.location_of(block_id)
 
@@ -262,11 +260,3 @@ class TestClusterBulk:
     def test_get_many_unknown_block(self):
         cluster = StorageCluster(3)
         assert cluster.try_get_many([DataId(1)]) == [None]
-
-    def test_locations_for_matches_location_for(self):
-        cluster = StorageCluster(13)
-        ids = [DataId(i) for i in range(1, 30)] + [
-            ParityId(i, StrandClass.HORIZONTAL) for i in range(1, 30)
-        ]
-        bulk = cluster.placement.locations_for(ids)
-        assert bulk == [cluster.placement.location_for(block_id) for block_id in ids]

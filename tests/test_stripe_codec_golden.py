@@ -202,7 +202,7 @@ def service_digest() -> str:
     assert report.data_loss == 0 and not report.unrecovered
     parts.append(repr(report.repaired))
     parts.append(repr((report.blocks_read, report.rounds)))
-    parts.extend(service.cluster.try_get_block(block_id) for block_id in report.repaired)
+    parts.extend(service.cluster.try_get_many([block_id])[0] for block_id in report.repaired)
     for name, data in documents.items():
         assert service.get(name) == data
     return _digest(parts)

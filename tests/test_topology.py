@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.blocks import Block, DataId, ParityId
+from repro.core.blocks import DataId, ParityId
 from repro.core.parameters import AEParameters
 from repro.exceptions import InvalidParametersError, PlacementError
 from repro.schemes.stripe import StripeBlockId
@@ -13,6 +13,7 @@ from repro.storage import placement
 from repro.storage.cluster import StorageCluster
 from repro.storage.failures import disaster_for_target
 from repro.storage.placement import (
+    DictionaryPlacement,
     RandomPlacement,
     SpreadDomainsPlacement,
     WeightedPlacement,
@@ -134,7 +135,7 @@ class TestPlacementRegistry:
             policy = placement.get(name, topology, params=params, seed=3)
             assert policy.location_count == 24
             assert policy.topology is topology
-            location = policy.location_for(DataId(7))
+            location = policy.locations_for([DataId(7)])[0]
             assert 0 <= location < 24
 
     def test_unknown_policy_and_missing_params_raise(self):
@@ -156,10 +157,10 @@ class TestSpreadDomainsPlacement:
         params = AEParameters.triple(2, 5)
         policy = SpreadDomainsPlacement(topology, params=params)
         for index in range(1, 200):
-            data_domain = topology.domain_of(policy.location_for(DataId(index)), "site")
+            data_domain = topology.domain_of(policy.locations_for([DataId(index)])[0], "site")
             parity_domains = {
                 topology.domain_of(
-                    policy.location_for(ParityId(index, cls)), "site"
+                    policy.locations_for([ParityId(index, cls)])[0], "site"
                 )
                 for cls in params.strand_classes
             }
@@ -172,7 +173,7 @@ class TestSpreadDomainsPlacement:
         for stripe in range(40):
             domains = [
                 topology.domain_of(
-                    policy.location_for(StripeBlockId(stripe, position)), "site"
+                    policy.locations_for([StripeBlockId(stripe, position)])[0], "site"
                 )
                 for position in range(5)
             ]
@@ -186,7 +187,7 @@ class TestSpreadDomainsPlacement:
         for stripe in range(20):
             per_site = [0, 0, 0, 0]
             for position in range(14):
-                location = policy.location_for(StripeBlockId(stripe, position))
+                location = policy.locations_for([StripeBlockId(stripe, position)])[0]
                 per_site[topology.domain_of(location, "site")] += 1
             assert max(per_site) <= 4
 
@@ -207,7 +208,7 @@ class TestWeightedPlacement:
         policy = WeightedPlacement(topology, seed=5)
         counts = [0, 0, 0]
         for index in range(1, 3001):
-            counts[policy.location_for(DataId(index))] += 1
+            counts[policy.locations_for([DataId(index)])[0]] += 1
         # Node 2 carries 4/6 of the capacity; expect roughly 2000 blocks.
         assert counts[2] > counts[0] + counts[1]
         assert 0.55 < counts[2] / 3000 < 0.78
@@ -236,8 +237,7 @@ class TestClusterTopology:
     def test_stats_surface_per_domain_block_counts(self):
         topology = Topology.parse("sites=2,nodes=3")
         cluster = StorageCluster(placement=SpreadDomainsPlacement(topology))
-        for index in range(1, 21):
-            cluster.put_block(Block(DataId(index), b"x" * 8))
+        cluster.put_many([(DataId(index), b"x" * 8) for index in range(1, 21)])
         stats = cluster.stats()
         assert set(stats.domain_blocks) == {"site-0", "site-1"}
         assert sum(stats.domain_blocks.values()) == 20
@@ -252,24 +252,25 @@ class TestRelocateAvoidList:
     def test_avoid_honoured_even_when_only_avoided_has_capacity(self):
         """The avoid-list is a hard constraint: a location the repair must
         avoid is never used, even when it alone has free capacity."""
-        cluster = StorageCluster(3, RandomPlacement(3), capacity_blocks=1)
-        cluster.put_block(Block(DataId(1), b"a"), location_id=0)
-        cluster.put_block(Block(DataId(2), b"b"), location_id=1)
+        mapping = {DataId(1): 0, DataId(2): 1, DataId(3): 0}
+        cluster = StorageCluster(3, DictionaryPlacement(3, mapping), capacity_blocks=1)
+        cluster.put_many([(DataId(1), b"a"), (DataId(2), b"b")])
         # Location 2 is the only one with free capacity -- and it is avoided.
         with pytest.raises(PlacementError):
             cluster.relocate_many([(DataId(3), b"c")], avoid=(2,))
 
     def test_full_locations_are_skipped(self):
-        cluster = StorageCluster(3, RandomPlacement(3), capacity_blocks=1)
-        cluster.put_block(Block(DataId(1), b"a"), location_id=0)
-        cluster.put_block(Block(DataId(2), b"b"), location_id=1)
+        mapping = {DataId(1): 0, DataId(2): 1, DataId(3): 0}
+        cluster = StorageCluster(3, DictionaryPlacement(3, mapping), capacity_blocks=1)
+        cluster.put_many([(DataId(1), b"a"), (DataId(2), b"b")])
         target = cluster.relocate_many([(DataId(3), b"c")], avoid=())[DataId(3)]
         assert target == 2
 
     def test_relocate_avoids_the_failed_domain(self):
         topology = Topology.parse("sites=3,nodes=4")
         cluster = StorageCluster(placement=SpreadDomainsPlacement(topology))
-        cluster.put_block(Block(DataId(1), b"x" * 8), location_id=0)
+        cluster.put_many([(DataId(1), b"x" * 8)])
+        assert topology.domain_of(cluster.location_of(DataId(1)), "site") == 0
         failed_site = topology.locations_for_target("site:0")
         cluster.fail_locations(failed_site)
         target = cluster.relocate_many([(DataId(1), b"y" * 8)], avoid=tuple(failed_site))[DataId(1)]
@@ -280,9 +281,11 @@ class TestRelocateAvoidList:
         outside the failed block's site whenever another site has room."""
         topology = Topology.parse("sites=3,nodes=4")
         cluster = StorageCluster(placement=SpreadDomainsPlacement(topology))
-        cluster.put_block(Block(DataId(1), b"x" * 8), location_id=0)
-        cluster.fail_locations([0])
-        target = cluster.relocate_many([(DataId(1), b"y" * 8)], avoid=(0,))[DataId(1)]
+        cluster.put_many([(DataId(1), b"x" * 8)])
+        home = cluster.location_of(DataId(1))
+        assert topology.domain_of(home, "site") == 0
+        cluster.fail_locations([home])
+        target = cluster.relocate_many([(DataId(1), b"y" * 8)], avoid=(home,))[DataId(1)]
         assert topology.domain_of(target, "site") != 0
 
 
@@ -359,9 +362,9 @@ class TestGeoScenario:
         policy = placement.get("spread-domains", topology, params=params)
         cluster = StorageCluster(placement=policy)
         block_id = DataId(4)  # group 3: lanes map to sites 0 and 1
-        assigned = policy.location_for(block_id)
+        assigned = policy.locations_for([block_id])[0]
         assert topology.domain_of(assigned, "site") == 0
-        cluster.put_block(Block(block_id, b"x" * 8))
+        cluster.put_many([(block_id, b"x" * 8)])
         failed = topology.locations_for_target("site:0")
         cluster.fail_locations(failed)
         target = cluster.relocate_many([(block_id, b"y" * 8)], avoid=tuple(failed))[block_id]

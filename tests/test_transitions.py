@@ -239,7 +239,7 @@ def block_digest(cluster):
     ids = sorted(cluster.block_ids(), key=repr)
     for block_id in ids:
         digest.update(repr(block_id).encode())
-        digest.update(bytes(cluster.try_get_block(block_id)))
+        digest.update(bytes(cluster.try_get_many([block_id])[0]))
     return len(ids), digest.hexdigest()
 
 
