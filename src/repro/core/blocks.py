@@ -29,7 +29,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, List, NamedTuple, Sequence, Union
 
 from repro.core.parameters import StrandClass
-from repro.core.xor import Payload, as_payload, payload_to_bytes
+from repro.core.xor import Payload, PayloadLike, as_payload, payload_to_bytes
 from repro.exceptions import BlockSizeMismatchError
 
 
@@ -154,16 +154,20 @@ def split_into_blocks(data: bytes, block_size: int) -> List[Payload]:
     return chunks
 
 
-def join_blocks(payloads: Sequence[Payload], original_length: int | None = None) -> bytes:
-    """Reassemble payloads produced by :func:`split_into_blocks`."""
-    if not payloads:
-        return b""
-    # One allocation of the document's size: an intermediate joined array
-    # would be a second one, allocated and freed per read.
-    joined = b"".join([as_payload(payload) for payload in payloads])
-    if original_length is not None:
-        return joined[:original_length]
-    return joined
+def join_blocks(payloads: Sequence[PayloadLike], original_length: int | None = None) -> bytes:
+    """Reassemble payloads produced by :func:`split_into_blocks`: one copy.
+
+    The payloads are joined as the store hands them out -- contiguous 1-D
+    ``uint8`` arrays (read-only mmap views too) or bytes -- with no
+    per-block conversion, and ``original_length`` trims the final block, not
+    the joined document, so an unaligned document is also copied only once.
+    A length past the blocks keeps them whole.
+    """
+    if original_length is not None and payloads:
+        keep = original_length - (len(payloads) - 1) * len(payloads[0])
+        if keep < len(payloads[-1]):
+            payloads = [*payloads[:-1], memoryview(payloads[-1])[:keep]]
+    return b"".join(payloads)
 
 
 def block_ids(blocks: Iterable[Block]) -> List[BlockId]:

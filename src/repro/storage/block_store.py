@@ -143,30 +143,6 @@ class BlockStore:
             self._available = False
 
     # ------------------------------------------------------------------
-    # Cache plumbing
-    # ------------------------------------------------------------------
-    def _cache_store(self, block_id: BlockId, payload: Payload) -> None:
-        cache = self._cache
-        cache[block_id] = payload
-        cache.move_to_end(block_id)
-        while len(cache) > self._cache_blocks:
-            cache.popitem(last=False)
-
-    def _cached_read(self, block_id: BlockId) -> Payload:
-        """Read through the LRU cache (the caller has checked membership)."""
-        cache = self._cache
-        payload = cache.get(block_id)
-        if payload is not None:
-            self._cache_hits += 1
-            cache.move_to_end(block_id)
-            return payload
-        payload = self._backend.get(block_id)
-        if self._cache_blocks:
-            self._cache_misses += 1
-            self._cache_store(block_id, payload)
-        return payload
-
-    # ------------------------------------------------------------------
     # Block operations
     # ------------------------------------------------------------------
     def put_many(self, items: Iterable[Tuple[BlockId, Payload]]) -> int:
@@ -228,34 +204,42 @@ class BlockStore:
 
     def try_get_many(self, block_ids: Iterable[BlockId]) -> List[Optional[Payload]]:
         """Payloads in request order: ``None`` for absent blocks, everything
-        ``None`` when the location is down.  One availability check per
-        batch; the read counter advances by the number of payloads returned."""
-        wanted = list(block_ids)
+        ``None`` when the location is down.  One availability check and one
+        loop under one lock acquisition per batch, through the LRU cache when
+        one is configured; the read counter advances by the number of
+        payloads returned."""
+        wanted = block_ids if isinstance(block_ids, list) else list(block_ids)
         if not self._available:
             return [None] * len(wanted)
         payloads: List[Optional[Payload]] = []
-        hits = 0
+        append = payloads.append
+        reads = hits = 0
         with self._lock:
-            if not self._cache_blocks:
-                # No read cache configured: serve straight from the backend
-                # at list-comprehension speed (the hot path of batched
-                # repair; one lock acquisition for the whole batch).
-                sizes = self._sizes
-                backend_get = self._backend.get
-                payloads = [
-                    backend_get(block_id) if block_id in sizes else None
-                    for block_id in wanted
-                ]
-                hits = sum(1 for payload in payloads if payload is not None)
-                self._reads += hits
-                return payloads
+            sizes = self._sizes
+            backend_get = self._backend.get
+            cache = self._cache
+            limit = self._cache_blocks
             for block_id in wanted:
-                if block_id in self._sizes:
-                    payloads.append(self._cached_read(block_id))
-                    hits += 1
+                if block_id not in sizes:
+                    append(None)
+                    continue
+                reads += 1
+                if not limit:
+                    append(backend_get(block_id))
+                    continue
+                payload = cache.get(block_id)
+                if payload is None:
+                    payload = cache[block_id] = backend_get(block_id)
+                    if len(cache) > limit:
+                        cache.popitem(last=False)
                 else:
-                    payloads.append(None)
-            self._reads += hits
+                    hits += 1
+                    cache.move_to_end(block_id)
+                append(payload)
+            self._reads += reads
+            if limit:
+                self._cache_hits += hits
+                self._cache_misses += reads - hits
         return payloads
 
     def delete_many(self, block_ids: Iterable[BlockId]) -> int:

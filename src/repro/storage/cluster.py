@@ -293,18 +293,22 @@ class StorageCluster:
         :meth:`BlockStore.try_get_many` call -- the read path of batched
         repair and degraded document reads.
         """
-        wanted = list(block_ids)
+        wanted = block_ids if isinstance(block_ids, list) else list(block_ids)
         payloads: List[Optional[Payload]] = [None] * len(wanted)
-        grouped: Dict[int, List[int]] = {}
-        for position, block_id in enumerate(wanted):
-            location_id = self._directory.get(block_id)
+        # One pass: each location's request positions and ids, in request order.
+        grouped: Dict[int, Tuple[List[int], List[BlockId]]] = {}
+        for position, (block_id, location_id) in enumerate(
+            zip(wanted, map(self._directory.get, wanted))
+        ):
             if location_id is not None:
-                grouped.setdefault(location_id, []).append(position)
-        for location_id, positions in grouped.items():
-            fetched = self._stores[location_id].try_get_many(
-                [wanted[position] for position in positions]
-            )
-            for position, payload in zip(positions, fetched):
+                group = grouped.get(location_id)
+                if group is None:
+                    group = grouped[location_id] = ([], [])
+                group[0].append(position)
+                group[1].append(block_id)
+        stores = self._stores
+        for location_id, (positions, ids) in grouped.items():
+            for position, payload in zip(positions, stores[location_id].try_get_many(ids)):
                 payloads[position] = payload
         return payloads
 

@@ -30,7 +30,7 @@ from repro.core.blocks import BlockId, join_blocks
 from repro.core.dynamic import EpochHistory, ParameterEpoch
 from repro.core.encoder import DEFAULT_BLOCK_SIZE
 from repro.core.parameters import AEParameters
-from repro.core.xor import Payload, payload_to_bytes
+from repro.core.xor import Payload
 from repro.exceptions import InvalidParametersError, RepairFailedError, UnknownBlockError
 from repro.schemes.base import BlockSource, RedundancyScheme, SchemeCapabilities
 from repro.storage import placement as placement_registry
@@ -1207,10 +1207,13 @@ class StorageService(ServiceHandle):
         self._ensure_open()
         scheme = scheme if scheme is not None else self._scheme
         payloads = self._cluster.try_get_many(data_ids)
+        # A payload of the wrong length (a block file cut or grown behind the
+        # store's back) is as unavailable as a missing one.
+        size = scheme.block_size
         missing = [
             data_id
             for data_id, payload in zip(data_ids, payloads)
-            if payload is None
+            if payload is None or len(payload) != size
         ]
         if missing:
             # Degraded reads walk the scheme's lattice/stripe structures, so
@@ -1220,9 +1223,8 @@ class StorageService(ServiceHandle):
                 outcome = scheme.repair(set(missing), self._cluster)
             if outcome.unrecovered:
                 raise RepairFailedError(outcome.unrecovered[0], "no available recovery path")
-            for position, payload in enumerate(payloads):
-                if payload is None:
-                    payloads[position] = outcome.recovered[data_ids[position]]
+            rebuilt = outcome.recovered
+            payloads = [rebuilt.get(d, p) for d, p in zip(data_ids, payloads)]
         return payloads
 
     def _scheme_for(self, name: str) -> RedundancyScheme:
@@ -1272,7 +1274,7 @@ class StorageService(ServiceHandle):
                 batch = data_ids[start : start + self._batch_blocks]
                 for payload in self._read_payloads(batch, scheme=scheme):
                     take = min(remaining, self.block_size)
-                    yield payload_to_bytes(payload, take)
+                    yield join_blocks([payload], take)
                     remaining -= take
 
         return blocks()
