@@ -19,8 +19,8 @@ Three built-in backends cover the durability spectrum:
   are atomic (temp file + ``os.replace``) and optionally fsynced, so a crash
   never leaves a torn block.  Reopening the root recovers every block.
 * :class:`SegmentLogBackend` -- blocks appended to capped segment files with
-  an in-RAM offset index, the classic log-structured layout (one sequential
-  write per block, no per-block file overhead).  A batch of deletes appends
+  an in-RAM offset index, the classic log-structured layout (one buffered
+  write per batch, no per-block file overhead).  A batch of deletes appends
   one run of tombstones; the log is compacted once its dead bytes pass a
   ratio and fill a segment.  Every close leaves an index record that the
   next open adopts; after a kill it rescans the segments instead, dropping
@@ -127,7 +127,13 @@ def decode_block_id(key: str) -> object:
 
 
 def _as_bytes_payload(payload: Payload) -> np.ndarray:
-    if type(payload) is np.ndarray and payload.dtype == UINT8 and payload.ndim == 1:
+    """``payload`` as a contiguous 1-D uint8 array, as it is when it is one."""
+    if (
+        type(payload) is np.ndarray
+        and payload.dtype == UINT8
+        and payload.ndim == 1
+        and payload.flags.c_contiguous
+    ):
         return payload
     return as_payload(payload)
 
@@ -401,17 +407,21 @@ class SegmentLogBackend(StorageBackend):
 
     * a **nonce** record (empty key, random payload) opens every segment;
     * a **block** record per stored payload;
-    * a **tombstone** (payload length -1) per deleted block; a batch of
-      deletes is one run of tombstones, one flush and one compaction check;
+    * a **tombstone** (payload length -1) per deleted block;
     * an **index** record (empty key) that :meth:`close` appends unless the
       log already ends in one: its segment's nonce, where each live record
       lies and the sealed segments' sizes, ended by a fixed trailer.
 
-    Each stored payload appends one record to the active segment, which is
-    sealed for a new one once it passes ``segment_bytes``.
-    The index maps each live block id to ``(segment, payload offset, payload
-    length, key length)``, so a read is one view over a memory-mapped
-    segment.
+    A batch -- a ``put_many``, a ``delete_many``'s tombstones, a compaction
+    pass -- is written one stretch of the active segment at a time: the
+    stretch's records framed into one buffer, one write, one flush, and only
+    then applied to the index.  A stretch ends with the record that takes
+    the segment to ``segment_bytes``; the segment is sealed there for a new
+    one.  A refused write or flush leaves the log as it was before the
+    stretch: its bytes are dropped from the writer and cut from the
+    segment, and neither the index nor the byte counts move.  The index
+    maps each live block id to ``(segment, payload offset, payload length,
+    key length)``, so a read is one view over a memory-mapped segment.
 
     Reopening trusts an index record only when it is the last thing in the
     log, it carries the final segment's nonce, its CRC and the segment sizes
@@ -467,6 +477,8 @@ class SegmentLogBackend(StorageBackend):
         #: Whether the log ends in an index record describing its state.
         self._tail_is_index = False
         self._active = -1
+        #: The active segment's length in bytes: where its next record starts.
+        self._end = 0
         #: The active segment's nonce; ``None`` when it has none (a segment
         #: of an older format), and then no index record is written to it.
         self._nonce: Optional[bytes] = None
@@ -492,11 +504,10 @@ class SegmentLogBackend(StorageBackend):
         if not self._adopt_index(segments):
             for position, segment in enumerate(segments):
                 self._scan_segment(segment, final=position == len(segments) - 1)
-        self._active = segments[-1] if segments else 0
         self._total_bytes = sum(
             os.path.getsize(self._segment_path(segment)) for segment in segments
         )
-        self._open_writer()
+        self._open_writer(segments[-1] if segments else 0)
 
     def _map_segment(self, segment: int) -> Optional[mmap.mmap]:
         """A read-only map of a whole segment (memory stays bounded for any
@@ -680,14 +691,34 @@ class SegmentLogBackend(StorageBackend):
                 dropped += _record_bytes(previous)
         return dropped
 
-    def _open_writer(self) -> None:
+    def _open_writer(self, segment: int) -> None:
+        """Make ``segment`` the active one, appended to from its end.  A new
+        segment opens with a fresh nonce, written through before the segment
+        becomes active: when the medium refuses it, the file is removed and
+        the previous segment stays active."""
+        path = self._segment_path(segment)
+        writer = open(path, "ab")
+        end = writer.tell()
+        if not end:
+            nonce = os.urandom(_NONCE_BYTES)
+            written = False
+            try:
+                writer.write(_nonce_record(nonce))
+                writer.flush()
+                written = True
+            finally:
+                if not written:
+                    writer.raw.close()  # the buffered bytes go with it, unwritten
+                    os.remove(path)
+            self._nonce = nonce
+            self._total_bytes += _NONCE_RECORD_BYTES
+            self._tail_is_index = False
+            end = _NONCE_RECORD_BYTES
         if self._writer is not None:
             self._writer.close()
-        self._writer = open(self._segment_path(self._active), "ab")
-        if not self._writer.tell():  # a new segment opens with a fresh nonce
-            self._nonce = os.urandom(_NONCE_BYTES)
-            self._writer.write(_nonce_record(self._nonce))
-            self._total_bytes += _NONCE_RECORD_BYTES
+        self._writer = writer
+        self._active = segment
+        self._end = end
 
     def _reader(self, segment: int) -> BinaryIO:
         handle = self._readers.get(segment)
@@ -697,65 +728,102 @@ class SegmentLogBackend(StorageBackend):
         return handle
 
     # -- write path -----------------------------------------------------
-    def _append(self, block_id: object, payload: Optional[np.ndarray]) -> None:
-        """Append a block record, or a tombstone when ``payload`` is None."""
-        key = encode_block_id(block_id).encode("ascii")
-        body = key + (payload.tobytes() if payload is not None else b"")
-        payload_len = int(payload.size) if payload is not None else -1
-        header = _RECORD_HEADER.pack(
-            _RECORD_MAGIC, len(key), payload_len, zlib.crc32(body)
-        )
-        writer = self._writer
-        offset = writer.tell()
-        writer.write(header)
-        writer.write(body)
-        record_len = len(header) + len(body)
-        self._total_bytes += record_len
-        self._tail_is_index = False
-        if payload is not None:
-            previous = self._index.get(block_id)
-            self._index[block_id] = (
-                self._active,
-                offset + len(header) + len(key),
-                payload_len,
-                len(key),
-            )
-            self._live_bytes += record_len
-        else:
-            previous = self._index.pop(block_id, None)
-        if previous is not None:
-            self._live_bytes -= _record_bytes(previous)
-        if offset + record_len >= self._segment_bytes:
-            self._roll()
+    def _write(self, records: Iterable[Tuple[object, Optional[Payload]]]) -> int:
+        """Append block records and tombstones (payload ``None``), in order;
+        returns how many were written.
 
-    def _roll(self) -> None:
-        self.flush()
-        self._active += 1
-        self._open_writer()
-        if self._fsync:
-            _fsync_dir(self._dir)  # persist the new segment's directory entry
+        The records go out one stretch of the active segment at a time: a
+        stretch ends with the record that takes the segment to
+        ``segment_bytes``, and the log rolls there.  A stretch is framed into
+        one list of parts -- header, key and the payload buffer as it is,
+        the CRC chained over key and payload -- joined, written in one call
+        and flushed; only then do the index and the byte counts learn of
+        it.  A refused write or flush leaves the log as it was before the
+        stretch: the writer's unwritten bytes are dropped, never written
+        later, and the segment is cut back to the stretch's first byte.
+        """
+        pack = _RECORD_HEADER.pack
+        header_size = _RECORD_HEADER.size
+        crc32 = zlib.crc32
+        limit = self._segment_bytes
+        records = iter(records)
+        count = 0
+        finished = False
+        while not finished:
+            start = offset = self._end
+            segment = self._active
+            stored = 0  # what the stretch adds to the live bytes
+            parts: List[object] = []
+            entries: List[Tuple[object, Optional[Tuple[int, int, int, int]]]] = []
+            for block_id, payload in records:
+                key = encode_block_id(block_id).encode("ascii")
+                key_len = len(key)
+                offset += header_size + key_len
+                if payload is None:
+                    parts += (pack(_RECORD_MAGIC, key_len, -1, crc32(key)), key)
+                    entries.append((block_id, None))
+                else:
+                    payload = _as_bytes_payload(payload)
+                    length = payload.size
+                    parts += (
+                        pack(_RECORD_MAGIC, key_len, length, crc32(payload, crc32(key))),
+                        key,
+                        payload,
+                    )
+                    entries.append((block_id, (segment, offset, length, key_len)))
+                    offset += length
+                    stored += header_size + key_len + length
+                if offset >= limit:
+                    break
+            else:
+                finished = True
+            if not entries:
+                return count
+            writer = self._writer
+            written = False
+            try:
+                writer.write(b"".join(parts))
+                self.flush()
+                written = True
+            finally:
+                if not written:
+                    writer.raw.close()  # drops the buffered bytes: closing no longer flushes
+                    os.truncate(self._segment_path(segment), start)
+                    self._open_writer(segment)
+            index = self._index
+            for block_id, entry in entries:
+                if entry is None:
+                    previous = index.pop(block_id, None)
+                else:
+                    previous = index.get(block_id)
+                    index[block_id] = entry
+                if previous is not None:
+                    stored -= _record_bytes(previous)
+            self._end = offset
+            self._live_bytes += stored
+            self._total_bytes += offset - start
+            self._tail_is_index = False
+            count += len(entries)
+            if offset >= limit:
+                self._open_writer(segment + 1)
+                if self._fsync:
+                    _fsync_dir(self._dir)  # persist the new segment's directory entry
+        return count
 
     def put_many(self, items: Iterable[Tuple[object, Payload]]) -> int:
-        count = 0
-        for block_id, payload in items:
-            self._append(block_id, _as_bytes_payload(payload))
-            count += 1
-        self.flush()
+        count = self._write(items)
         self._maybe_compact()
         return count
 
     def delete_many(self, block_ids: Iterable[object]) -> int:
-        """One tombstone per held id, then one flush and one compaction check."""
+        """One tombstone per held id, written as one batch, then one
+        compaction check."""
         index = self._index
-        count = 0
-        for block_id in block_ids:
-            if block_id in index:
-                self._append(block_id, None)
-                count += 1
-        if count:
-            self.flush()
+        doomed = {block_id: None for block_id in block_ids if block_id in index}
+        if doomed:
+            self._write(doomed.items())
             self._maybe_compact()
-        return count
+        return len(doomed)
 
     def clear(self) -> None:
         for handle in self._readers.values():
@@ -772,9 +840,7 @@ class SegmentLogBackend(StorageBackend):
         self._index.clear()
         self._live_bytes = 0
         self._total_bytes = 0
-        self._tail_is_index = False
-        self._active = 0
-        self._open_writer()
+        self._open_writer(0)
 
     # -- read path ------------------------------------------------------
     def _mapped(self, segment: int, end_needed: int) -> Optional[mmap.mmap]:
@@ -789,9 +855,6 @@ class SegmentLogBackend(StorageBackend):
         entry = self._maps.get(segment)
         if entry is not None and entry[1] >= end_needed:
             return entry[0]
-        if segment == self._active:
-            # The active segment's appends may still sit in the writer buffer.
-            self._writer.flush()
         path = self._segment_path(segment)
         try:
             size = os.path.getsize(path)
@@ -816,9 +879,6 @@ class SegmentLogBackend(StorageBackend):
             # intermediate copy (repair kernels gather into fresh matrices
             # and never write into their sources).
             return np.frombuffer(mapped, dtype=np.uint8, count=length, offset=offset)
-        if segment == self._active:
-            # The active segment's appends may still sit in the writer buffer.
-            self._writer.flush()
         handle = self._reader(segment)
         handle.seek(offset)
         return np.frombuffer(handle.read(length), dtype=np.uint8)
@@ -852,35 +912,37 @@ class SegmentLogBackend(StorageBackend):
     def compact(self) -> None:
         """Rewrite live records into fresh segments and drop the old files.
 
-        Live payloads are streamed one record at a time from the old
-        segments into the new log (never materialised together), so
-        compaction of an arbitrarily large location runs in constant memory.
-        A crash mid-compact is safe: the rescan on reopen replays segments
+        Live payloads are read back about one ``segment_bytes`` of records
+        at a time and written through the batch write, so compaction of an
+        arbitrarily large location holds at most one ``segment_bytes`` of
+        payloads (plus their joined stretch) in memory.  Each stretch
+        re-points the index as it lands and the old files go only once every
+        record is copied, so a refused write leaves every block readable.  A
+        crash mid-compact is safe too: the rescan on reopen replays segments
         in order, so the new (higher-numbered) records win and leftover old
         segments are merely re-compacted later.
         """
-        self.flush()
         old_segments = self._segments_on_disk()
-        entries = list(self._index.items())  # metadata only, not payloads
-        self._writer.close()
-        self._active = (old_segments[-1] + 1) if old_segments else 0
-        self._index = {}
-        self._live_bytes = 0
-        self._total_bytes = 0
-        self._tail_is_index = False
-        self._open_writer()
-        for block_id, (segment, offset, length, _) in entries:
-            handle = self._reader(segment)
-            handle.seek(offset)
-            payload = np.frombuffer(handle.read(length), dtype=np.uint8)
-            self._append(block_id, payload)
-        self.flush()
+        old_bytes = self._total_bytes
+        self._open_writer(old_segments[-1] + 1 if old_segments else 0)
+        batch: List[Tuple[object, Payload]] = []
+        batch_bytes = 0
+        for block_id, entry in list(self._index.items()):  # metadata only
+            handle = self._reader(entry[0])
+            handle.seek(entry[1])
+            batch.append((block_id, np.frombuffer(handle.read(entry[2]), dtype=np.uint8)))
+            batch_bytes += _record_bytes(entry)
+            if batch_bytes >= self._segment_bytes:
+                self._write(batch)
+                batch, batch_bytes = [], 0
+        self._write(batch)
         for handle in self._readers.values():
             handle.close()
         self._readers.clear()
         self._maps = {}  # dropped, not closed: views may outlive compaction
         for segment in old_segments:
             os.remove(self._segment_path(segment))
+        self._total_bytes -= old_bytes
 
     # -- lifecycle ------------------------------------------------------
     def flush(self) -> None:
@@ -917,6 +979,7 @@ class SegmentLogBackend(StorageBackend):
             _RECORD_HEADER.pack(_RECORD_MAGIC, 0, len(payload), zlib.crc32(payload))
             + payload
         )
+        self._end += record_len
         self._total_bytes += record_len
         self._tail_is_index = True
 

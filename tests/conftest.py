@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import io
 import os
 import struct
 import zlib
@@ -86,6 +88,30 @@ def segment_dead_bytes(root) -> int:
             else:  # a tombstone, rot, or a keyless nonce / index record
                 live.pop(key, None)
     return total - sum(live.values())
+
+
+class RefusingFile(io.FileIO):
+    """A segment writer's raw file whose ``write`` raises
+    ``OSError(ENOSPC)`` while ``armed``: a disk that fills up under the log."""
+
+    armed = False
+
+    def write(self, data):
+        if self.armed:
+            raise OSError(errno.ENOSPC, "injected: no space left on device")
+        return super().write(data)
+
+
+def refusing_writer(backend) -> RefusingFile:
+    """Swap a segment log's active writer for a buffered writer over a
+    :class:`RefusingFile` on the same file; returns that file, disarmed.  A
+    roll opens the next segment through the log's own writer."""
+    writer = backend._writer
+    writer.flush()
+    raw = RefusingFile(writer.name, "a")
+    backend._writer = io.BufferedWriter(raw)
+    writer.close()
+    return raw
 
 
 class DictSource:

@@ -4,12 +4,15 @@ Rules: put, overwrite, ``put_many``, ``delete_many``, ``compact``, close +
 reopen, a kill (the directory copied without a close, then reopened), a
 torn tail (a kill whose in-flight append -- a block record, or the index
 record a close was writing -- is cut short), rot in a closed log (one live
-block's payload byte flips: the block is an erasure) and a tombstone
+block's payload byte flips: the block is an erasure), a tombstone
 appended to a sealed segment after the close (an edit the index does not
-describe).  Invariants, after every step:
+describe) and a refused write (the medium raises ENOSPC under one
+``put_many`` or ``delete_many``: the call raises and stores nothing).
+Invariants, after every step:
 
 * every acknowledged block reads byte-exact, and nothing else is stored;
 * ``dead_bytes`` equals the dead bytes a replay of the files on disk finds;
+* the in-RAM index is exactly what a reopen that scans the files finds;
 * after a call that may auto-compact, dead bytes are at most
   ``max(compact_ratio x log, segment_bytes)``;
 * a close + reopen adopts the index the close wrote, and every reopen
@@ -38,7 +41,7 @@ from repro.storage.backends import (
     SegmentLogBackend,
     encode_block_id,
 )
-from tests.conftest import segment_dead_bytes, segment_records
+from tests.conftest import refusing_writer, segment_dead_bytes, segment_records
 
 SEGMENT_BYTES = 400
 COMPACT_RATIO = 0.5
@@ -145,6 +148,31 @@ class SegmentLogMachine(RuleBasedStateMachine):
         # What is left dead is the nonce record each new segment opens with.
         assert self.backend.dead_bytes == _NONCE_RECORD_BYTES * self.backend.segment_count
 
+    @rule(
+        items=st.lists(st.tuples(block_ids, payloads), min_size=1, max_size=6),
+        doomed=st.lists(block_ids, max_size=6),
+        delete=st.booleans(),
+    )
+    def refused_write(self, items, doomed, delete):
+        """The medium refuses every write of one ``put_many`` or
+        ``delete_many``: a call with something to write raises, and the
+        model does not move."""
+        raw = refusing_writer(self.backend)
+        raw.armed = True
+        try:
+            if delete:
+                self.backend.delete_many(doomed)
+                assert not set(doomed) & set(self.model)  # nothing to write
+            else:
+                self.backend.put_many(
+                    (block_id, np.frombuffer(data, dtype=np.uint8)) for block_id, data in items
+                )
+                raise AssertionError("a refused put_many returned")
+        except OSError:
+            pass
+        finally:
+            raw.armed = False
+
     # -- restarts and crashes ----------------------------------------------
     @rule()
     def close_and_reopen(self):
@@ -222,6 +250,15 @@ class SegmentLogMachine(RuleBasedStateMachine):
     def dead_bytes_match_the_files(self):
         self.backend.flush()
         assert self.backend.dead_bytes == segment_dead_bytes(self.root)
+
+    @invariant()
+    def the_index_is_what_a_reopen_scans(self):
+        self.backend.flush()
+        image = self.fresh_root()
+        shutil.copytree(self.root, image)
+        scanned = ScanningSegmentLog(image, segment_bytes=SEGMENT_BYTES, compact_ratio=COMPACT_RATIO)
+        assert self.backend._index == scanned._index
+        scanned.close()
 
     def teardown(self):
         self.backend.close()
