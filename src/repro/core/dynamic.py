@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, List
+from typing import Iterable, Iterator, List, Sequence
 
 from repro.core.parameters import AEParameters
 from repro.exceptions import InvalidParametersError
@@ -68,3 +68,12 @@ class EpochHistory:
 
     def __iter__(self) -> Iterator[ParameterEpoch]:
         return iter(self.epochs)
+
+    def rows(self) -> List[List[int]]:
+        """The history as a manifest stores it: ``[first index, alpha, s,
+        p]`` per epoch; :meth:`from_rows` reads it back."""
+        return [[e.first_index, e.params.alpha, e.params.s, e.params.p] for e in self.epochs]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "EpochHistory":
+        return cls([ParameterEpoch(int(first), AEParameters(*map(int, rest))) for first, *rest in rows])

@@ -37,7 +37,7 @@ from typing import (
 
 from repro.core.blocks import BlockId
 from repro.core.xor import Payload
-from repro.exceptions import PlacementError, UnknownBlockError
+from repro.exceptions import PlacementError, ReproError, UnknownBlockError
 from repro.storage import backends as _backends
 from repro.storage.block_store import BlockStore
 from repro.storage.placement import PlacementPolicy, RandomPlacement
@@ -324,7 +324,9 @@ class StorageCluster:
         re-seeds its directory from the backends on reopen.  The ids are
         grouped per location: one :meth:`BlockStore.delete_many` each, and a
         location's directory entries go only after its store accepted the
-        batch, as :meth:`_fan_out` does for writes.
+        batch, as :meth:`_fan_out` does for writes.  A refusing location does
+        not stop the others: every location is tried, then the first error
+        is raised, so only the refusing ones keep their blocks.
         """
         directory = self._directory
         grouped: Dict[int, List[BlockId]] = defaultdict(list)
@@ -333,11 +335,18 @@ class StorageCluster:
             if location_id is not None:
                 grouped[location_id].append(block_id)
         deleted = 0
+        refused: Optional[Exception] = None
         for location_id, group in grouped.items():
-            self._stores[location_id].delete_many(group)
+            try:
+                self._stores[location_id].delete_many(group)
+            except (OSError, ReproError) as exc:
+                refused = refused or exc
+                continue
             for block_id in group:
                 del directory[block_id]
             deleted += len(group)
+        if refused is not None:
+            raise refused
         return deleted
 
     def location_of(self, block_id: BlockId) -> int:

@@ -23,12 +23,12 @@ groups whose commit frame checks out, so a torn tail (crash mid-batch) can
 never surface a partial group.  Recovery truncates the log back to the last
 committed group -- the same contract as the segment log's torn-tail scan.
 
-The service layer (:mod:`repro.system.service`) checkpoints by collapsing
-the log into ``manifest.json`` (atomic ``write_json``) and calling
-:meth:`MetadataWAL.reset`; reopen = load the manifest + replay the tail.
-Record *content* (``put_doc`` / ``delete_doc`` / ``scheme_state`` /
-``placement``) is owned by the service; this module only knows framed JSON
-dicts.  See ``docs/persistence.md`` for the full format and the
+The service's catalogue (:mod:`repro.system.catalogue`) checkpoints by
+collapsing the log into ``manifest.json`` (atomic ``write_json``) and
+calling :meth:`MetadataWAL.reset`; reopen = load the manifest + replay the
+tail.  Record *content* (``put_doc`` / ``delete_doc`` / ``scheme_state`` /
+``placement``) is owned by the catalogue; this module only knows framed
+JSON dicts.  See ``docs/persistence.md`` for the full format and the
 crash-window walkthrough.
 """
 

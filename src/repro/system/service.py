@@ -18,7 +18,6 @@ or any of the paper's stripe-code baselines.  Services are opened from a
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -27,19 +26,17 @@ from typing import (
 
 import repro.schemes as schemes
 from repro.core.blocks import BlockId, join_blocks
-from repro.core.dynamic import EpochHistory, ParameterEpoch
+from repro.core.dynamic import EpochHistory
 from repro.core.encoder import DEFAULT_BLOCK_SIZE
-from repro.core.parameters import AEParameters
 from repro.core.xor import Payload
-from repro.exceptions import InvalidParametersError, RepairFailedError, UnknownBlockError
+from repro.exceptions import InvalidParametersError, RepairFailedError
 from repro.schemes.base import BlockSource, RedundancyScheme, SchemeCapabilities
 from repro.storage import placement as placement_registry
-from repro.storage.backends import decode_block_id, encode_block_id, read_json, write_json
 from repro.storage.cluster import StorageCluster
 from repro.storage.maintenance import MaintenancePolicy
 from repro.storage.placement import PlacementPolicy
 from repro.storage.topology import Topology
-from repro.storage.wal import WAL_NAME, MetadataWAL, WalGroup
+from repro.system.catalogue import Catalogue, StoredDocument, check_binding, load_manifest
 from repro.system.transitions import DocumentGuard, TransitionEngine, TransitionPlan, TransitionReport
 
 #: Number of blocks encoded per batch by :meth:`StorageService.put_stream`.
@@ -47,124 +44,6 @@ DEFAULT_BATCH_BLOCKS = 256
 
 #: Locations in a cluster when neither the config nor a manifest names one.
 DEFAULT_LOCATION_COUNT = 100
-
-#: Name of the service manifest inside a durable ``data_dir``.
-MANIFEST_NAME = "manifest.json"
-
-#: Manifest format version (bumped on incompatible layout changes).
-MANIFEST_FORMAT = 1
-
-#: WAL size (bytes) past which a mutation triggers a checkpoint that
-#: collapses the log back into ``manifest.json``.
-WAL_CHECKPOINT_BYTES = 1 << 20
-
-
-def _settings_of(manifest: Dict[str, object]) -> Dict[str, object]:
-    """A manifest minus its catalogue, scheme state and transition plan."""
-    return {
-        key: value
-        for key, value in manifest.items()
-        if key not in ("scheme_state", "documents", "transition")
-    }
-
-
-def _encode_id_runs(data_ids: List[object]) -> List[object]:
-    """Run-length encode a document's block ids for the manifest.
-
-    Data ids are consecutive within a document (``d-5, d-6, ...`` for AE;
-    ``s[3,0], s[3,1], ...`` within a stripe), so the catalogue stores
-    ``["d-5", 120]`` (120 ids starting at ``d-5``) instead of 120 strings --
-    the manifest stays O(documents + stripes), not O(blocks).
-    """
-    from repro.schemes.stripe import StripeBlockId
-    from repro.core.blocks import DataId
-
-    def successor(prev: object, current: object) -> bool:
-        if isinstance(prev, DataId) and isinstance(current, DataId):
-            return current.index == prev.index + 1
-        if isinstance(prev, StripeBlockId) and isinstance(current, StripeBlockId):
-            return (
-                current.stripe == prev.stripe
-                and current.position == prev.position + 1
-            )
-        return False
-
-    entries: List[object] = []
-    run_start: Optional[object] = None
-    run_length = 0
-    previous: Optional[object] = None
-    for block_id in data_ids:
-        if previous is not None and successor(previous, block_id):
-            run_length += 1
-        else:
-            if run_start is not None:
-                key = encode_block_id(run_start)
-                entries.append(key if run_length == 1 else [key, run_length])
-            run_start, run_length = block_id, 1
-        previous = block_id
-    if run_start is not None:
-        key = encode_block_id(run_start)
-        entries.append(key if run_length == 1 else [key, run_length])
-    return entries
-
-
-@dataclass
-class StoredDocument:
-    """Metadata of one document stored in the system."""
-
-    name: str
-    data_ids: List[object]
-    length: int
-
-    @property
-    def block_count(self) -> int:
-        return len(self.data_ids)
-
-
-def _read_document(name: str, entry: object, block_size: int, path: str) -> StoredDocument:
-    """One catalogue entry of ``path`` (the manifest or the WAL), checked: a
-    run is a key or a ``[key, count >= 1]`` pair, and ``length`` an integer
-    >= 0 whose ``ceil(length / block_size)`` blocks the runs list exactly.
-    A rotten entry would reopen serving the wrong bytes, so it is refused."""
-    from repro.schemes.stripe import StripeBlockId
-    from repro.core.blocks import DataId
-
-    def corrupt(problem: str) -> InvalidParametersError:
-        return InvalidParametersError(
-            f"corrupt catalogue entry {name!r} in {path!r}: {problem}; the data "
-            "it describes is still on disk -- restore the file from a backup"
-        )
-
-    fields = entry if isinstance(entry, dict) else {}
-    runs, length = fields.get("data_ids"), fields.get("length")
-    if not isinstance(runs, list):
-        raise corrupt(f"data_ids {runs!r} is not a list")
-    if type(length) is not int or length < 0:
-        raise corrupt(f"length {length!r} is not an integer >= 0")
-    data_ids: List[object] = []
-    for run in runs:
-        if isinstance(run, str):
-            key, count = run, None
-        elif (isinstance(run, list) and len(run) == 2 and isinstance(run[0], str)
-              and type(run[1]) is int and run[1] >= 1):
-            key, count = run
-        else:
-            raise corrupt(f"id run {run!r} is neither a key nor a [key, count >= 1] pair")
-        try:
-            start = decode_block_id(key)
-        except InvalidParametersError as exc:
-            raise corrupt(str(exc)) from None
-        if count is None:
-            data_ids.append(start)
-        elif isinstance(start, DataId):
-            data_ids.extend(DataId(start.index + i) for i in range(count))
-        elif isinstance(start, StripeBlockId):
-            data_ids.extend(StripeBlockId(start.stripe, start.position + i) for i in range(count))
-        else:
-            raise corrupt(f"an id run may not start at {key!r}")
-    if len(data_ids) != -(-length // block_size):
-        raise corrupt(f"{len(data_ids)} block ids for {length} bytes of {block_size}-byte blocks")
-    return StoredDocument(name=name, data_ids=data_ids, length=length)
 
 
 @dataclass(frozen=True)
@@ -205,9 +84,10 @@ class StorageConfig:
 
     A durable service persists metadata mutations as group-committed
     records in ``wal.log`` and checkpoints them into ``manifest.json`` once
-    the log passes :data:`WAL_CHECKPOINT_BYTES`; the two files are its whole
-    durable truth and it survives a crash at any point, see
-    ``docs/persistence.md``.
+    the log passes :data:`~repro.system.catalogue.WAL_CHECKPOINT_BYTES`;
+    the two files are its whole durable truth, kept by its
+    :class:`~repro.system.catalogue.Catalogue`, and it survives a crash at
+    any point, see ``docs/persistence.md``.
     """
 
     scheme: Union[str, RedundancyScheme] = schemes.DEFAULT_SCHEME
@@ -400,43 +280,17 @@ class StorageService(ServiceHandle):
         self._scheme = scheme
         self._cluster = cluster
         self._batch_blocks = batch_blocks
-        self._documents: Dict[str, StoredDocument] = {}
-        self._data_dir = data_dir
-        self._fsync = fsync
-        self._seed = seed
-        self._custom_placement = custom_placement
-        self._placement_spec = placement_spec
         self._closed = False
         # Scheme/catalogue mutations are serialised by one lock: entanglement
         # is a single helical lattice with a monotonic write position, so
         # encodes cannot proceed in parallel anyway -- concurrency lives in
         # the block writes and the group-committed WAL, both outside it.
         self._state_lock = threading.RLock()
-        self._checkpoint_lock = threading.Lock()
-        self._mutation_seq = 0
         # The scheme a refused batch is undone on and the state it is undone
         # to, while that is owed.
         self._undo: Optional[Tuple[RedundancyScheme, Dict[str, object]]] = None
-        # A durable service always has a WAL; a volatile one never does.
-        self._wal: Optional[MetadataWAL] = (
-            MetadataWAL(os.path.join(data_dir, WAL_NAME), fsync=fsync)
-            if data_dir is not None
-            else None
-        )
-        # Live-transition state: while a cross-family migration is in
-        # flight, ``_transition.pending`` names the documents still encoded
-        # under ``_fallback`` (the retained source scheme); reads of those
-        # route through the fallback, everything else through ``_scheme``.
-        self._transition: Optional[TransitionPlan] = None
-        self._fallback: Optional[RedundancyScheme] = None
-        # AE services carry the parameter-epoch ledger of Sec. III-B: every
-        # live alpha raise appends an epoch, so tooling can answer "which
-        # parameters protect block i" across the scheme's whole history.
-        params = getattr(scheme, "params", None)
-        self._epochs: Optional[EpochHistory] = (
-            EpochHistory.starting_with(params)
-            if isinstance(params, AEParameters)
-            else None
+        self._catalogue = Catalogue(
+            self, self._state_lock, data_dir, fsync, seed, custom_placement, placement_spec
         )
 
     @classmethod
@@ -460,49 +314,28 @@ class StorageService(ServiceHandle):
                 "ShardedStorageService.open) instead"
             )
         scheme = config.resolve_scheme()
-        manifest = cls._load_manifest(config.data_dir)
-        plan: Optional[TransitionPlan] = None
+        manifest = load_manifest(config.data_dir)
         if manifest is not None:
-            if "transition" in manifest:
-                plan = TransitionPlan.from_dict(manifest["transition"])  # type: ignore[arg-type]
-            stored_scheme = manifest.get("scheme")
-            if stored_scheme != scheme.scheme_id:
-                if plan is None or scheme.scheme_id not in (plan.source, plan.target):
-                    raise InvalidParametersError(
-                        f"data_dir {config.data_dir!r} holds a {stored_scheme!r} "
-                        f"service, not {scheme.scheme_id!r}"
-                    )
+            # Check against the resolved scheme: a config may carry a scheme
+            # *instance* whose block size differs from the config field
+            # (which the instance path never reads).
+            plan = manifest.get("transition")
+            check_binding(
+                manifest, scheme,
+                config.cluster.backend_spec if config.cluster is not None else config.backend,
+                TransitionPlan.from_dict(plan) if plan is not None else None,  # type: ignore[arg-type]
+                str(config.data_dir),
+            )
+            if manifest["scheme"] != scheme.scheme_id:
                 # A crash mid-transition, reopened under the other endpoint:
                 # the manifest names the scheme that owns the catalogue right
                 # now; open under it, then resume the interrupted switch below.
-                scheme = schemes.get(str(stored_scheme), block_size=scheme.block_size)
-            # Compare against the resolved scheme's block size: a config may
-            # carry a scheme *instance* whose block size differs from the
-            # config field (which the instance path never reads).
-            if int(manifest.get("block_size", scheme.block_size)) != scheme.block_size:
-                raise InvalidParametersError(
-                    f"data_dir {config.data_dir!r} was written with block size "
-                    f"{manifest.get('block_size')}, not {scheme.block_size}"
-                )
-            opening_backend = (
-                config.cluster.backend_spec
-                if config.cluster is not None
-                else config.backend
-            )
-            stored_backend = manifest.get("backend", opening_backend)
-            if stored_backend != opening_backend:
-                raise InvalidParametersError(
-                    f"data_dir {config.data_dir!r} was written with the "
-                    f"{stored_backend!r} backend, not {opening_backend!r}"
-                )
+                scheme = schemes.get(str(manifest["scheme"]), block_size=scheme.block_size)
         seed = config.seed
         custom_placement = (
-            isinstance(config.placement, PlacementPolicy)
-            or config.cluster is not None
+            isinstance(config.placement, PlacementPolicy) or config.cluster is not None
         )
-        placement_spec = (
-            config.placement if isinstance(config.placement, str) else None
-        )
+        placement_spec = config.placement if isinstance(config.placement, str) else None
         topology = config.resolve_topology()
         if manifest is not None:
             seed = int(manifest.get("seed", seed))
@@ -525,11 +358,8 @@ class StorageService(ServiceHandle):
             # nothing but that count.
             stored = manifest.get("topology")
             stored_topology = (
-                Topology.from_dict(stored)
-                if stored is not None
-                else Topology.flat(
-                    int(manifest.get("location_count", DEFAULT_LOCATION_COUNT))
-                )
+                Topology.from_dict(stored) if stored is not None
+                else Topology.flat(int(manifest.get("location_count", DEFAULT_LOCATION_COUNT)))
             )
             if topology is None:
                 topology = stored_topology
@@ -549,69 +379,21 @@ class StorageService(ServiceHandle):
                 placement = config.placement
             elif placement_spec is not None:
                 placement = placement_registry.get(
-                    placement_spec,
-                    topology,
-                    params=getattr(scheme, "params", None),
-                    seed=seed,
+                    placement_spec, topology, params=getattr(scheme, "params", None), seed=seed
                 )
             else:
                 placement = scheme.default_placement(topology, seed=seed)
             cluster = StorageCluster(
-                topology,
-                placement,
-                backend=config.backend,
-                root=config.data_dir,
-                cache_blocks=config.cache_blocks,
-                fsync=config.fsync,
+                topology, placement, backend=config.backend, root=config.data_dir,
+                cache_blocks=config.cache_blocks, fsync=config.fsync,
             )
         service = cls(
-            scheme,
-            cluster,
-            batch_blocks=config.batch_blocks,
-            data_dir=config.data_dir,
-            fsync=config.fsync,
-            seed=seed,
-            custom_placement=custom_placement,
+            scheme, cluster, batch_blocks=config.batch_blocks, data_dir=config.data_dir,
+            fsync=config.fsync, seed=seed, custom_placement=custom_placement,
             placement_spec=placement_spec,
         )
-        wal_groups: List[WalGroup] = (
-            service._wal.recovered_groups() if service._wal is not None else []
-        )
-        service._transition = plan
-        scheme_state: Optional[Dict[str, object]] = None
-        if manifest is not None:
-            manifest_path = os.path.join(str(config.data_dir), MANIFEST_NAME)
-            for name, entry in manifest.get("documents", {}).items():
-                service._documents[name] = _read_document(
-                    name, entry, scheme.block_size, manifest_path
-                )
-            scheme_state = manifest.get("scheme_state", {})
-            stored_epochs = manifest.get("epochs")
-            if stored_epochs is not None and service._epochs is not None:
-                service._epochs = EpochHistory(
-                    [
-                        ParameterEpoch(int(first), AEParameters(int(a), int(s), int(p)))
-                        for first, a, s, p in stored_epochs
-                    ]
-                )
-        if wal_groups:
-            # Reopen = last checkpoint + committed WAL tail (a crash may have
-            # happened any time after the last checkpoint; the log holds the
-            # mutations the manifest has not absorbed yet).
-            scheme_state = service._replay_wal(wal_groups, scheme_state)
-        if scheme_state is not None:
-            scheme.restore_state(scheme_state, cluster)
-        if config.data_dir is not None and (
-            manifest is None
-            or wal_groups
-            or service._manifest_settings() != _settings_of(manifest)
-        ):
-            # Collapse a replayed tail into a fresh checkpoint so the next
-            # crash window -- and a resumed transition's first record --
-            # starts from an empty log, bound to the scheme that owns it.
-            # With an empty log, a manifest whose settings this open kept
-            # already says everything: a clean reopen rewrites nothing.
-            service._checkpoint()
+        service._catalogue.open(manifest)
+        plan = service.transition
         if plan is not None:
             # Finish what the crash interrupted before serving anything: the
             # plan plus the replayed WAL name exactly the remaining work.
@@ -624,229 +406,12 @@ class StorageService(ServiceHandle):
     @property
     def data_dir(self) -> Optional[str]:
         """Root directory of a durable service, ``None`` when volatile."""
-        return self._data_dir
+        return self._catalogue.data_dir
 
-    @staticmethod
-    def _load_manifest(data_dir: Optional[str]) -> Optional[Dict[str, object]]:
-        if data_dir is None:
-            return None
-        legacy_plan = os.path.join(data_dir, "transition.json")
-        if os.path.exists(legacy_plan):
-            raise InvalidParametersError(
-                f"{legacy_plan!r} is the transition plan of an older version "
-                "(plans now live in the manifest); finish the transition with "
-                "the version that started it before reopening"
-            )
-        return read_json(
-            os.path.join(data_dir, MANIFEST_NAME), "service manifest", MANIFEST_FORMAT
-        )
-
-    def _sync_manifest(self) -> None:
-        """Atomically persist the service catalogue next to the block data.
-
-        The checkpoint half of the metadata story: mutations since the last
-        call live in the WAL, so a process crash loses at most the in-flight
-        document, never the catalogue of completed ones.  With ``fsync``
-        enabled the manifest is forced to stable storage, extending the
-        guarantee to power loss.
-        """
-        if self._data_dir is None:
-            return
-        os.makedirs(self._data_dir, exist_ok=True)
-        manifest = self._manifest_settings()
-        manifest["scheme_state"] = self._scheme.state()
-        manifest["documents"] = {
-            name: {
-                "data_ids": _encode_id_runs(document.data_ids),
-                "length": document.length,
-            }
-            for name, document in self._documents.items()
-        }
-        if self._transition is not None:
-            manifest["transition"] = self._transition.to_dict()
-        write_json(
-            os.path.join(self._data_dir, MANIFEST_NAME), manifest, fsync=self._fsync
-        )
-
-    def _manifest_settings(self) -> Dict[str, object]:
-        """The manifest's fields that say how the service is built: all but
-        the catalogue, the scheme state and a transition plan."""
-        settings: Dict[str, object] = {
-            "format": MANIFEST_FORMAT,
-            "scheme": self._scheme.scheme_id,
-            "block_size": self._scheme.block_size,
-            "location_count": self._cluster.location_count,
-            "backend": self._cluster.backend_spec,
-            "seed": self._seed,
-            "custom_placement": self._custom_placement,
-        }
-        if not self._cluster.topology.is_flat():
-            settings["topology"] = self._cluster.topology.to_dict()
-        if self._placement_spec is not None:
-            settings["placement_spec"] = self._placement_spec
-        if self._epochs is not None:
-            settings["epochs"] = [
-                [epoch.first_index, epoch.params.alpha, epoch.params.s, epoch.params.p]
-                for epoch in self._epochs
-            ]
-        return settings
-
-    def _replay_wal(
-        self,
-        groups: List[WalGroup],
-        scheme_state: Optional[Dict[str, object]],
-    ) -> Optional[Dict[str, object]]:
-        """Apply the committed WAL tail on top of the manifest checkpoint.
-
-        Replay is idempotent (``put_doc`` overwrites, ``delete_doc`` pops if
-        present, the newest ``scheme_state`` wins), which is what makes the
-        crash window between "manifest written" and "WAL reset" safe: the
-        tail is simply applied again over the checkpoint that already
-        contains it.  Returns the scheme state to restore.
-        """
-        state = scheme_state
-        state_seq = -1
-        plan = self._transition
-        pending = plan.pending if plan is not None else set()
-        # Whether the current WAL epoch was written under ``_scheme``.
-        # Normally always; the tail a transition's own checkpoint has not
-        # reset yet is bound to the other side of the switch: its documents
-        # still owe their migration and its scheme-state snapshots must not
-        # be restored into the primary scheme.
-        ours = True
-        for group in groups:
-            for op in group.ops:
-                kind = op.get("op")
-                if kind == "put_doc":
-                    name = str(op["name"])
-                    self._documents[name] = _read_document(
-                        name, op, self.block_size, self._wal.path  # type: ignore[union-attr]
-                    )
-                    if ours:
-                        pending.discard(name)
-                elif kind == "delete_doc":
-                    self._documents.pop(str(op["name"]), None)
-                    if ours:
-                        pending.discard(str(op["name"]))
-                elif kind == "scheme_state":
-                    seq = int(op.get("seq", 0))  # type: ignore[arg-type]
-                    if ours and seq >= state_seq:
-                        state = op.get("state", {})  # type: ignore[assignment]
-                        state_seq = seq
-                elif kind == "placement":
-                    self._check_wal_binding(op)
-                    if "scheme" in op:
-                        ours = op["scheme"] == self._scheme.scheme_id
-                else:
-                    raise InvalidParametersError(
-                        f"unknown WAL record type {kind!r} in "
-                        f"{self._data_dir!r}; the log was written by an "
-                        "incompatible version or corrupted"
-                    )
-        return state
-
-    def _check_wal_binding(self, op: Dict[str, object]) -> None:
-        """Reject a WAL tail that was written by a different service."""
-        if "scheme" not in op:
-            return  # informational placement record (e.g. repair relocations)
-        stored_scheme = op.get("scheme")
-        stored_block_size = int(op.get("block_size", self._scheme.block_size))  # type: ignore[arg-type]
-        stored_backend = op.get("backend", self._cluster.backend_spec)
-        allowed_schemes = {self._scheme.scheme_id}
-        if self._transition is not None:
-            # Mid-transition, the log tail may straddle the scheme switch:
-            # epochs bound to either side of the recorded plan are ours.
-            allowed_schemes.update(
-                (self._transition.source, self._transition.target)
-            )
-        if (
-            stored_scheme not in allowed_schemes
-            or stored_block_size != self._scheme.block_size
-            or stored_backend != self._cluster.backend_spec
-        ):
-            raise InvalidParametersError(
-                f"WAL in {self._data_dir!r} was written by a "
-                f"{stored_scheme!r} service (block size {stored_block_size}, "
-                f"backend {stored_backend!r}); it does not belong to this "
-                f"{self._scheme.scheme_id!r} service"
-            )
-
-    def _binding_record(self) -> Dict[str, object]:
-        """The header record opening every fresh WAL epoch."""
-        return {
-            "op": "placement",
-            "scheme": self._scheme.scheme_id,
-            "block_size": self._scheme.block_size,
-            "backend": self._cluster.backend_spec,
-            "location_count": self._cluster.location_count,
-            "seed": self._seed,
-            "custom_placement": self._custom_placement,
-        }
-
-    def _next_mutation(self) -> int:
-        """Monotonic mutation sequence (call with the state lock held)."""
-        self._mutation_seq += 1
-        return self._mutation_seq
-
-    def _document_ops(self, documents: Sequence[StoredDocument]) -> List[Dict[str, object]]:
-        """WAL records of one landing: a ``put_doc`` per document and one
-        scheme-state snapshot (call with the state lock held).
-
-        The scheme state is snapshotted in the same critical section as the
-        catalogue update, after every encode of the landing, so replaying
-        the newest surviving snapshot always covers every catalogued
-        document's blocks.  A volatile service has no log to write them to.
-        """
-        if self._wal is None:
-            return []
-        seq = self._next_mutation()
-        ops: List[Dict[str, object]] = [
-            {
-                "op": "put_doc",
-                "name": document.name,
-                "data_ids": _encode_id_runs(document.data_ids),
-                "length": document.length,
-            }
-            for document in documents
-        ]
-        ops.append({"op": "scheme_state", "state": self._scheme.state(), "seq": seq})
-        return ops
-
-    def _commit_meta(self, ops: List[Dict[str, object]]) -> None:
-        """Durably record one mutation's metadata.
-
-        Appends one group-committed batch of records to the WAL (concurrent
-        mutators share a single fsync) and checkpoints once the log is long
-        enough.  Volatile services have no WAL and skip both.
-        """
-        wal = self._wal
-        if wal is None:
-            return
-        if wal.size_bytes == 0:
-            # Open the fresh epoch with the binding header; a duplicate from
-            # a racing mutator is harmless (replay just validates it twice).
-            ops = [self._binding_record()] + ops
-        wal.commit(ops)
-        if wal.size_bytes >= WAL_CHECKPOINT_BYTES:
-            self._checkpoint()
-
-    def _checkpoint(self) -> None:
-        """Collapse the WAL into ``manifest.json`` and reset the log.
-
-        Runs under the state lock: every mutation that updated the catalogue
-        before the snapshot is inside the manifest, and none can slip in
-        between the snapshot and the reset.  A mutator that has already left
-        the critical section but not yet committed its records re-appends
-        them *after* the reset -- replay is idempotent, so re-applying them
-        over a checkpoint that already contains them is safe.
-        """
-        if self._data_dir is None:
-            return
-        with self._checkpoint_lock:
-            with self._state_lock:
-                self._sync_manifest()
-                if self._wal is not None:
-                    self._wal.reset()
+    @property
+    def catalogue(self) -> Catalogue:
+        """The documents, the transition plan, the epochs and their files."""
+        return self._catalogue
 
     def flush(self) -> None:
         """Push buffered writes to the medium and checkpoint the metadata.
@@ -858,7 +423,7 @@ class StorageService(ServiceHandle):
         # overwrite whatever a later open of the same root has committed.
         self._ensure_open()
         self._cluster.flush()
-        self._checkpoint()
+        self._catalogue.checkpoint()
 
     def close(self) -> None:
         """Checkpoint the metadata and close every location's backend.
@@ -869,9 +434,8 @@ class StorageService(ServiceHandle):
         """
         if self._closed:
             return
-        self._checkpoint()
-        if self._wal is not None:
-            self._wal.close()
+        self._catalogue.checkpoint()
+        self._catalogue.close()
         self._cluster.close()
         self._closed = True
 
@@ -906,31 +470,28 @@ class StorageService(ServiceHandle):
     @property
     def documents(self) -> Dict[str, StoredDocument]:
         with self._state_lock:
-            return dict(self._documents)
+            return dict(self._catalogue.documents)
 
     @property
     def transition(self) -> Optional[TransitionPlan]:
         """The in-flight transition plan, ``None`` when settled."""
-        return self._transition
+        return self._catalogue.plan
 
     @property
     def epoch_history(self) -> Optional[EpochHistory]:
-        """Parameter epochs of an AE service (``None`` for stripe codes).
-
-        Every live alpha raise appends an epoch at the lattice head:
-        ``params_at(i)`` answers which setting position ``i`` was
-        *entangled* under.  (The raise also back-fills the new strand
-        classes over earlier epochs, so the newest epoch's parameters
-        protect the whole lattice.)
+        """Parameter epochs of an AE service (``None`` for stripe codes):
+        ``params_at(i)`` answers which setting position ``i`` was *entangled*
+        under.  (A raise also back-fills the new strand classes over earlier
+        epochs, so the newest epoch's parameters protect the whole lattice.)
         """
-        return self._epochs
+        return self._catalogue.epochs
 
     def _generations(
         self, block_ids: Set[BlockId]
     ) -> List[Tuple[RedundancyScheme, Set[BlockId]]]:
         """``block_ids`` split by the scheme that owns them: while a re-encode
         is in flight, the retained source's blocks and the target's rest."""
-        fallback = self._fallback
+        fallback = self._catalogue.fallback
         if fallback is None:
             return [(self._scheme, block_ids)]
         old = {block_id for block_id in block_ids if fallback.owns(block_id)}
@@ -949,7 +510,7 @@ class StorageService(ServiceHandle):
             ),
             locations=stats.locations,
             unavailable_locations=stats.locations - stats.available_locations,
-            documents=len(self._documents),
+            documents=len(self._catalogue.documents),
             bytes_stored=stats.bytes_stored,
             cache_hits=stats.cache_hits,
             cache_misses=stats.cache_misses,
@@ -1016,35 +577,25 @@ class StorageService(ServiceHandle):
         self, documents: Sequence[Tuple[str, Iterable[Union[bytes, bytearray]]]]
     ) -> Tuple[List[StoredDocument], int, int]:
         """Land new versions of ``documents`` (``(name, chunks)`` pairs): the
-        one way a document is written.
+        one way a document is written (``put`` / ``put_stream``: one
+        document; :meth:`_move_in`: one batch).  Returns the documents with
+        the counts of blocks written and reclaimed.
 
-        ``put`` and ``put_stream`` land one document; :meth:`_move_in` (a
-        re-encode or a shard move) lands one batch.  Each document is encoded
-        on its own, one ``scheme.encode`` per chunk, so its ids and stripes
-        are what a put of it alone would lay down.  Encoded blocks go to the
-        cluster in one ``put_many`` whenever the buffered input reaches
-        ``batch_blocks``, and once at the end: a batch of short documents is
-        one bulk write, a long document streams.  Once every document is
-        stored, the versions are catalogued and committed to the WAL as one
-        group, and only then are the versions they replaced reclaimed in one
-        delete -- each under the scheme that encoded it, mid-transition the
-        fallback.  A crash between commit and reclaim leaks the old versions'
-        blocks as orphans (a whole batch of them for a re-encode), but never
-        loses a committed document.  Returns the documents with the counts of
-        blocks written and reclaimed.
+        Each document is encoded on its own, one ``scheme.encode`` per chunk,
+        so its ids and stripes are what a put of it alone would lay down;
+        the blocks go to the cluster in one ``put_many`` per ``batch_blocks``
+        of input and once at the end.  Once every document is stored, the
+        versions are catalogued (:meth:`Catalogue.land`) and committed as one
+        WAL group, and only then are the versions they replaced reclaimed in
+        one delete, each under the scheme that encoded it.  A crash between
+        commit and reclaim leaves orphans, never loses a committed document.
 
-        A batch is all or nothing.  If its encode or ``put_many`` raises (a
-        location down, full or failing), the scheme is restored to its state
-        before the batch -- ``restore_state``, as a reopen recovers a crash --
-        and the batch's blocks are deleted wherever they landed: a refused
-        single-batch write leaves the blocks, the scheme state and the strand
-        heads as they were.  An undo that cannot read the heads back stays
-        owed in ``_undo``, and the next batch on the same scheme finishes it
-        first (a scheme a transition retired never encodes again).  The
-        batches of a streamed write stored before one failed stay: lattice
-        nodes no document names under entanglement; an erasable scheme
-        deletes them, as it does whatever was stored when a chunk source
-        raises.
+        A batch is all or nothing: if its encode or ``put_many`` raises, the
+        scheme is restored to its state before it and its blocks are deleted
+        wherever they landed.  An undo that cannot read the strand heads back
+        stays owed in ``_undo`` until the next batch on that scheme.  Batches
+        of a streamed write stored before one failed stay (lattice nodes no
+        document names); an erasable scheme deletes them.
         """
         ids: List[List[object]] = [[] for _ in documents]
         lengths = [0] * len(documents)
@@ -1107,21 +658,8 @@ class StorageService(ServiceHandle):
             for (name, _), data_ids, length in zip(documents, ids, lengths)
         ]
         with self._state_lock:
-            replaced: List[Tuple[RedundancyScheme, List[object]]] = []
-            for document in landed:
-                previous = self._documents.get(document.name)
-                if previous is not None:
-                    replaced.append((self._scheme_for(document.name), previous.data_ids))
-                self._documents[document.name] = document
-                if self._transition is not None:
-                    # The new version is target-encoded: whatever migration
-                    # the name was owed is done.
-                    self._transition.pending.discard(document.name)
-            ops = self._document_ops(landed)
-        # The metadata commit runs outside the lock: that is where
-        # concurrent mutators pile up and the WAL batches their fsyncs
-        # into one group commit.
-        self._commit_meta(ops)
+            replaced, records = self._catalogue.land(landed)
+        self._catalogue.commit(records)
         return landed, written, self._reclaim(replaced)
 
     def _move_in(
@@ -1131,16 +669,16 @@ class StorageService(ServiceHandle):
         shard rebalance, one document) or this one (a re-encode, one batch):
         the one way a document changes home.
 
-        The names must share one encoding scheme in ``source`` (the one
-        ``source._scheme_for`` names; a re-encode's batch is all pending).  A
-        batch of at most ``batch_blocks`` data blocks is read in one
-        :meth:`_read_payloads` -- one bulk fetch and one degraded repair pass
-        -- and landed through :meth:`_land`, whose ``(documents, written,
-        reclaimed)`` it returns.  A lone longer document streams instead,
-        read and landed :meth:`_chunk_blocks` blocks at a time.  Deleting
-        another source's copy is the caller's next step."""
-        scheme = source._scheme_for(names[0])
-        documents = [source._document(name) for name in names]
+        The names must share one encoding scheme in ``source`` (a re-encode's
+        batch is all pending).  A batch of at most ``batch_blocks`` data
+        blocks is read in one :meth:`_read_payloads` -- one bulk fetch and
+        one degraded repair pass -- and landed through :meth:`_land`, whose
+        ``(documents, written, reclaimed)`` it returns.  A lone longer
+        document streams instead, read and landed :meth:`_chunk_blocks`
+        blocks at a time.  Deleting another source's copy is the caller's
+        next step."""
+        scheme = source.catalogue.scheme_for(names[0])
+        documents = [source.catalogue.document(name) for name in names]
         size = source.block_size
         if len(documents) == 1 and documents[0].block_count > self._batch_blocks:
             document = documents[0]
@@ -1227,23 +765,6 @@ class StorageService(ServiceHandle):
             payloads = [rebuilt.get(d, p) for d, p in zip(data_ids, payloads)]
         return payloads
 
-    def _scheme_for(self, name: str) -> RedundancyScheme:
-        """The scheme that currently encodes document ``name``.
-
-        Outside a transition this is always ``_scheme``.  During a cross-
-        family migration, documents still listed in the plan's pending set
-        are encoded under the retained source scheme -- the fallback read
-        path that keeps every document byte-exact mid-transition.
-        """
-        plan = self._transition
-        if (
-            plan is not None
-            and self._fallback is not None
-            and name in plan.pending
-        ):
-            return self._fallback
-        return self._scheme
-
     def get(self, name: str) -> bytes:
         """Read a full document back, repairing blocks as needed."""
         # Scheme first, catalogue second: if a transition migrates the
@@ -1251,8 +772,8 @@ class StorageService(ServiceHandle):
         # the old scheme -- harmless, since healthy reads never consult the
         # scheme.  (The concurrent front-end additionally excludes readers
         # from a document's migration window via its stripe locks.)
-        scheme = self._scheme_for(name)
-        document = self._document(name)
+        catalogue = self._catalogue
+        scheme, document = catalogue.scheme_for(name), catalogue.document(name)
         return join_blocks(
             self._read_payloads(document.data_ids, scheme=scheme), document.length
         )
@@ -1264,8 +785,8 @@ class StorageService(ServiceHandle):
         degraded-read path and yielded one at a time, so at most one batch of
         payloads is buffered in memory.
         """
-        scheme = self._scheme_for(name)
-        document = self._document(name)
+        catalogue = self._catalogue
+        scheme, document = catalogue.scheme_for(name), catalogue.document(name)
 
         def blocks() -> Iterator[bytes]:
             remaining = document.length
@@ -1279,15 +800,10 @@ class StorageService(ServiceHandle):
 
         return blocks()
 
-    def _document(self, name: str) -> StoredDocument:
-        if name not in self._documents:
-            raise UnknownBlockError(f"unknown document {name!r}")
-        return self._documents[name]
-
     def has_document(self, name: str) -> bool:
         """Whether ``name`` is in the catalogue (no blocks are touched)."""
         with self._state_lock:
-            return name in self._documents
+            return name in self._catalogue.documents
 
     def service_for(self, name: str) -> "StorageService":
         """The plain service holding ``name``: this one (the front-end
@@ -1309,19 +825,11 @@ class StorageService(ServiceHandle):
         """
         self._ensure_open()
         with self._state_lock:
-            document = self._document(name)
-            scheme = self._scheme_for(name)
-            del self._documents[name]
-            if self._transition is not None:
-                self._transition.pending.discard(name)
-            seq = self._next_mutation()
-            ops: List[Dict[str, object]] = [
-                {"op": "delete_doc", "name": name, "seq": seq}
-            ]
+            document, scheme, records = self._catalogue.drop(name)
         # Uncatalogue first, reclaim second (the mirror of put's ordering):
         # a crash mid-delete leaves orphan blocks, never a catalogued
         # document whose payloads are already gone.
-        self._commit_meta(ops)
+        self._catalogue.commit(records)
         if not scheme.capabilities().erasable:
             return []
         with self._state_lock:
@@ -1342,18 +850,13 @@ class StorageService(ServiceHandle):
         """Migrate this live service to another redundancy scheme.
 
         Runs a :class:`~repro.system.transitions.TransitionEngine` to
-        completion: an AE alpha raise encodes the stored data once more and
-        writes only the parities the cluster lacks -- the new strand class
-        (zero data blocks rewritten) -- a puncturing change
-        regenerates-then-deletes parities, and any cross-family pair
-        streams documents through a re-encode with new blocks committed
-        before old blocks are deleted.  Reads stay byte-exact throughout --
-        documents not yet migrated are served by the retained source
-        scheme.  On a durable service the plan is persisted in the manifest
-        checkpoint.  A run that did not finish -- it raised, or the process
-        died after that first checkpoint -- is resumed by this same call to
-        the same target (:meth:`open` makes it); any other target is refused
-        until then.  Returns ``None`` when already on the target.
+        completion (an alpha raise, a repuncture or a re-encode; reads stay
+        byte-exact throughout).  On a durable service the plan is persisted
+        in the manifest checkpoint.  A run that did not finish -- it raised,
+        or the process died after that first checkpoint -- is resumed by
+        this same call to the same target (:meth:`open` makes it); any other
+        target is refused until then.  Returns ``None`` when already on the
+        target.
 
         ``doc_guard`` (used by the concurrent front-end) takes the names of
         one re-encode batch and yields a context manager excluding their
@@ -1366,36 +869,14 @@ class StorageService(ServiceHandle):
             if isinstance(scheme, RedundancyScheme)
             else schemes.get(str(scheme), block_size=self.block_size)
         )
-        plan = self._transition
-        if plan is not None:
-            if target.scheme_id != plan.target:
-                raise InvalidParametersError(
-                    f"a {plan.kind} transition to {plan.target!r} is in "
-                    f"flight; finish it with transition_to({plan.target!r}) "
-                    f"before moving on to {target.scheme_id!r}"
-                )
-            if plan.pending and self._fallback is None:
-                # Reopened mid-migration: rebuild the source scheme from its
-                # frozen state so pending documents keep their read path.
-                fallback = schemes.get(plan.source, block_size=self.block_size)
-                fallback.restore_state(dict(plan.source_state), self._cluster)
-                self._fallback = fallback
+        plan = self._catalogue.plan
+        if plan is not None and target.scheme_id != plan.target:
+            raise InvalidParametersError(
+                f"a {plan.kind} transition to {plan.target!r} is in "
+                f"flight; finish it with transition_to({plan.target!r}) "
+                f"before moving on to {target.scheme_id!r}"
+            )
         return TransitionEngine(self, target, doc_guard=doc_guard).run()
-
-    def _record_epoch(self, params: AEParameters) -> None:
-        """Append a parameter epoch at the current lattice head (call with
-        the state lock held)."""
-        if self._epochs is None:
-            self._epochs = EpochHistory.starting_with(params)
-            return
-        position = self._scheme.entangler.blocks_encoded + 1  # type: ignore[attr-defined]
-        epochs = self._epochs.epochs
-        if epochs and epochs[-1].first_index >= position:
-            # The previous setting never encoded a block at this position;
-            # the new parameters simply take over its slot.
-            epochs[-1] = ParameterEpoch(epochs[-1].first_index, params)
-        else:
-            self._epochs.change(position, params)
 
     # ------------------------------------------------------------------
     # Failures and repair
@@ -1492,10 +973,7 @@ class StorageService(ServiceHandle):
 
     def _log_placement(self, report: ServiceRepairReport) -> None:
         if report.repaired:
-            # An informational WAL record: blocks moved, giving the log a
-            # durability point (the directory itself is rebuilt from
-            # backend scans on reopen, so replay ignores the content).
-            self._commit_meta([{"op": "placement", "relocated": len(report.repaired)}])
+            self._catalogue.commit(self._catalogue.relocated(len(report.repaired)))
 
     def scrub(self) -> ServiceScrubReport:
         """Check every stored block against the others and rewrite the ones
@@ -1512,7 +990,7 @@ class StorageService(ServiceHandle):
         report = ServiceScrubReport(scheme=self._scheme.scheme_id)
         ambiguous: List[object] = []
         with self._state_lock:
-            for scheme in filter(None, (self._fallback, self._scheme)):
+            for scheme in filter(None, (self._catalogue.fallback, self._scheme)):
                 outcome = scheme.scrub(self._cluster)
                 report.checked += outcome.checked
                 report.unchecked += outcome.unchecked

@@ -54,9 +54,10 @@ from repro.system.transitions import TransitionReport
 from repro.storage.backends import read_json, write_json
 from repro.storage.maintenance import MaintenancePolicy
 from repro.storage.placement import PlacementPolicy
+from repro.system.catalogue import load_manifest
 from repro.system.frontend import DEFAULT_WORKERS, ConcurrentStorageService
 from repro.system.protocol import Members, ServiceLayer, merged
-from repro.system.service import ServiceRepairReport, ServiceStatus, StorageConfig, StorageService
+from repro.system.service import ServiceRepairReport, ServiceStatus, StorageConfig
 
 __all__ = [
     "DEFAULT_VNODES",
@@ -394,7 +395,7 @@ class ShardedStorageService(ServiceLayer):
             # with a plan in flight resumes it inside its own open).
             binding = str(manifest.get("scheme"))
             for shard_id in shard_ids:
-                stored = StorageService._load_manifest(cls._shard_root(config.data_dir, shard_id))
+                stored = load_manifest(cls._shard_root(config.data_dir, shard_id))
                 shard_schemes[shard_id] = str((stored or {}).get("scheme", binding))
             if scheme_id != binding and scheme_id not in shard_schemes.values():
                 raise InvalidParametersError(

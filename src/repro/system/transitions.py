@@ -57,8 +57,6 @@ from typing import TYPE_CHECKING, Callable, ContextManager, Dict, Iterator, List
 import repro.schemes as schemes
 from repro.codes.entanglement import EntanglementScheme, PuncturedEntanglementScheme
 from repro.core.blocks import DataId, ParityId
-from repro.core.dynamic import EpochHistory
-from repro.core.parameters import AEParameters
 from repro.core.puncturing import masked_parities
 from repro.exceptions import InvalidParametersError, RepairFailedError
 from repro.schemes.base import RedundancyScheme
@@ -232,7 +230,7 @@ class TransitionEngine:
         and nothing was in flight.
         """
         service = self._service
-        plan = service._transition
+        plan = service.transition
         resumed = plan is not None
         if plan is None:
             plan = self._start()
@@ -254,9 +252,8 @@ class TransitionEngine:
                 "was written by an incompatible version"
             )
         # Settle: the checkpoint that drops the plan commits its last step.
-        with service._state_lock:
-            service._transition = service._fallback = None
-        service._checkpoint()
+        service.catalogue.settle()
+        service.catalogue.checkpoint()
         return report
 
     # ------------------------------------------------------------------
@@ -264,9 +261,10 @@ class TransitionEngine:
     # ------------------------------------------------------------------
     def _start(self) -> Optional[TransitionPlan]:
         service = self._service
+        catalogue = service.catalogue
         target = self._target
         with service._state_lock:
-            source = service._scheme
+            source = service.scheme
             if source.scheme_id == target.scheme_id:
                 return None
             if source.block_size != target.block_size:
@@ -284,7 +282,7 @@ class TransitionEngine:
                 source_state=dict(source.state()),
             )
             if kind == KIND_REENCODE:
-                plan.pending = set(service._documents)
+                plan.pending = set(catalogue.documents)
                 if isinstance(source, StripeScheme) and isinstance(
                     target, StripeScheme
                 ):
@@ -292,24 +290,19 @@ class TransitionEngine:
                     # numbering past the source so the namespaces stay
                     # disjoint until the old stripes are reclaimed.
                     target.restore_state(
-                        {"next_stripe": source.stripes_written}, service._cluster
+                        {"next_stripe": source.stripes_written}, service.cluster
                     )
                 # Flip now: new writes land on the target, reads of pending
-                # documents fall back to the retained source instance.  A
-                # move *into* AE starts a fresh lattice and epoch ledger.
-                service._fallback, service._scheme = source, target
-                params = getattr(target, "params", None)
-                service._epochs = (
-                    EpochHistory.starting_with(params) if isinstance(params, AEParameters) else None
-                )
+                # documents fall back to the retained source instance.
+                service._scheme = target
+                catalogue.begin(plan, fallback=source)
             else:
                 # AE-internal kinds keep the source serving until their
                 # parity walk completes; the flip is inside the run.
-                service._fallback = None
-            service._transition = plan
+                catalogue.begin(plan)
         # The start checkpoint makes the intent durable: scheme and plan go
         # out in one manifest rename, so no crash can separate them.
-        service._checkpoint()
+        catalogue.checkpoint()
         return plan
 
     # ------------------------------------------------------------------
@@ -318,14 +311,14 @@ class TransitionEngine:
     def _run_alpha_raise(self, plan: TransitionPlan, report: TransitionReport) -> None:
         service = self._service
         with service._state_lock:
-            source = service._scheme
+            source = service.scheme
             assert isinstance(source, EntanglementScheme)
             raised = EntanglementScheme(
                 self._target.params,  # type: ignore[attr-defined]
                 block_size=source.block_size,
                 scheme_id=plan.target,
             )
-            cluster = service._cluster
+            cluster = service.cluster
             ids = [DataId(index) for index in range(1, source.entangler.blocks_encoded + 1)]
             step = service.batch_blocks
             for start in range(0, len(ids), step):
@@ -346,25 +339,25 @@ class TransitionEngine:
             # The walk left the encoder where the source stopped, strand
             # heads of every class included: it is the scheme from here on.
             service._scheme = raised
-            service._record_epoch(raised.params)
+            service.catalogue.record_epoch(raised.params)
             # Nothing is deleted after a raise, so the flip settles it: no
             # checkpoint may name the target with the raise still owed.
-            service._transition = None
+            service.catalogue.settle()
 
     # ------------------------------------------------------------------
     # repuncture: regenerate-then-flip-then-delete
     # ------------------------------------------------------------------
     def _run_repuncture(self, plan: TransitionPlan, report: TransitionReport) -> None:
         service = self._service
-        if service._scheme.scheme_id != plan.target:
+        if service.scheme.scheme_id != plan.target:
             # Additions pass: parities the target keeps but the source never
             # stored are regenerated through the source's repair and written
             # first, a bounded batch at a time in lattice order -- what one
             # batch stored is an input the next one finds available.
             with service._state_lock:
-                source = service._scheme
+                source = service.scheme
                 assert isinstance(source, EntanglementScheme)
-                cluster = service._cluster
+                cluster = service.cluster
                 # What the source punctured and the target does not: the
                 # source mask minus the target's.  A plain source stored
                 # everything, a resume skips what is there.
@@ -396,20 +389,20 @@ class TransitionEngine:
                 self._target.restore_state(source.state(), cluster)
                 service._scheme = self._target
             # The flip must be durable before any parity disappears.
-            service._checkpoint()
+            service.catalogue.checkpoint()
         # Deletion pass: parities the (now current) target punctures -- its
         # mask over the lattice.  The deterministic policy is monotone in the
         # keep fraction, so the target's punctured set covers everything any
         # source rate stored.
         with service._state_lock:
-            current = service._scheme
+            current = service.scheme
             if isinstance(current, PuncturedEntanglementScheme):
                 doomed = [
                     parity
                     for parity in current.punctured_parities()
-                    if service._cluster.knows(parity)
+                    if service.cluster.knows(parity)
                 ]
-                report.blocks_deleted += service._cluster.delete_blocks(doomed)
+                report.blocks_deleted += service.cluster.delete_blocks(doomed)
 
     # ------------------------------------------------------------------
     # reencode: stream documents through the new scheme
@@ -443,7 +436,7 @@ class TransitionEngine:
                     names = [
                         name
                         for name in batch
-                        if name in service._documents and name in plan.pending
+                        if name in service.catalogue.documents and name in plan.pending
                     ]
                 if not names:
                     continue
@@ -460,7 +453,7 @@ class TransitionEngine:
             with service._state_lock:
                 doomed = [
                     block_id
-                    for block_id in service._cluster.block_ids()
+                    for block_id in service.cluster.block_ids()
                     if isinstance(block_id, (DataId, ParityId))
                 ]
-                report.blocks_deleted += service._cluster.delete_blocks(doomed)
+                report.blocks_deleted += service.cluster.delete_blocks(doomed)

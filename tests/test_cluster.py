@@ -294,8 +294,8 @@ class TestBulkDelete:
         monkeypatch.setattr(BlockStore, "delete_many", refuse_location_3)
         with pytest.raises(OSError):
             cluster.delete_blocks(mapping)
-        # Locations 2 and 0 came first and are gone; 3 refused; 1 was never asked.
-        assert set(cluster.block_ids()) == {b for b in mapping if mapping[b] in (3, 1)}
+        # 3 refused; 2, 0 and 1 (asked after it) are gone.
+        assert set(cluster.block_ids()) == {b for b in mapping if mapping[b] == 3}
         for block_id in cluster.block_ids():
             assert cluster.location(mapping[block_id]).contains(block_id)
 

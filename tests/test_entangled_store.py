@@ -137,7 +137,7 @@ class TestPolicyRepairSeesWhatPlainRepairSees:
         with pytest.raises(RuntimeError, match="injected crash"):
             system.transition_to("ae-3-2-5")
         monkeypatch.undo()
-        source, target = system._fallback, system.scheme
+        source, target = system.catalogue.fallback, system.scheme
         assert system.transition.pending and len(landed) == 1
 
         system.fail_locations([0, 1])

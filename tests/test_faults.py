@@ -31,6 +31,7 @@ from repro.exceptions import (
 from repro.storage import backends
 from repro.storage.cluster import StorageCluster
 from repro.system import open_service
+from repro.system.catalogue import Catalogue
 from repro.system.service import StorageConfig, StorageService
 from tests.faults import FAULTS, FaultSchedule, FaultyBackend
 
@@ -498,16 +499,16 @@ class TestCutsBetweenDurableWrites:
         service = open_faulty("segment", schedule, root, scheme)
         service.put("a", docs["a"])
         flushed: List[int] = []
-        commit = StorageService._commit_meta
+        commit = Catalogue.commit
 
-        def cut(self, ops):
-            flushed.append(self.cluster.stats().blocks)
+        def cut(catalogue, records):
+            flushed.append(service.cluster.stats().blocks)
             raise Crash
 
-        monkeypatch.setattr(StorageService, "_commit_meta", cut)
+        monkeypatch.setattr(Catalogue, "commit", cut)
         with pytest.raises(Crash):
             service.put("b", docs["b"])
-        monkeypatch.setattr(StorageService, "_commit_meta", commit)
+        monkeypatch.setattr(Catalogue, "commit", commit)
         assert flushed and flushed[0] > service.status().blocks - 1
         with open_faulty("segment", schedule, root, scheme) as reopened:
             assert sorted(reopened.documents) == ["a"]

@@ -15,11 +15,13 @@ import json
 import os
 import random
 import shutil
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro import open_service
-from repro.core.blocks import ParityId
+from repro.core.blocks import DataId, ParityId
 from repro.core.xor import payloads_equal
 from repro.exceptions import InvalidParametersError
 from repro.storage.backends import SegmentLogBackend, decode_block_id, encode_block_id
@@ -803,3 +805,136 @@ class TestPublishedBytes:
         service.close()
         names = ["federation.json", "shard-00/manifest.json", "shard-01/manifest.json"]
         assert self.digests(tmp_path, names) == {name: self.GOLDEN[name] for name in names}
+
+    #: sha256 of ``manifest.json`` and ``wal.log`` after each step of
+    #: :meth:`lifecycle`.  Recorded on
+    #: ``34ad516``, before the catalogue left ``system/service.py``.
+    LIFECYCLE_GOLDEN = {
+        "open": {
+            "manifest.json": "420fd53646e7b73ecfef9fd989ba2d0e36540045c96bdba3b499980bf03a7b86",
+            "wal.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+        "put": {
+            "manifest.json": "420fd53646e7b73ecfef9fd989ba2d0e36540045c96bdba3b499980bf03a7b86",
+            "wal.log": "5af7c3854b43b9c8fd0662aac9b094555562befa0900df1a715685d260075765",
+        },
+        "overwrite": {
+            "manifest.json": "420fd53646e7b73ecfef9fd989ba2d0e36540045c96bdba3b499980bf03a7b86",
+            "wal.log": "54a3beb7f5eedb8408401cd11ab9c1b860ef1560f7b4e1ed8b237dc325baa399",
+        },
+        "delete": {
+            "manifest.json": "420fd53646e7b73ecfef9fd989ba2d0e36540045c96bdba3b499980bf03a7b86",
+            "wal.log": "02f651bca3ed45d62adf91247c903fce723d18494bc9063cb9c1e3cf2321aac0",
+        },
+        "alpha-raise": {
+            "manifest.json": "a064d20dc709c61c42073318fd8740a306839a53fdc0f14e4fd735b8178e0081",
+            "wal.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+        "scrub": {
+            "manifest.json": "a064d20dc709c61c42073318fd8740a306839a53fdc0f14e4fd735b8178e0081",
+            "wal.log": "6e87cf53d715d6c20c853b1810e83803a8ef14d972a69031f904ed95604f71de",
+        },
+        "reencode-cut": {
+            "manifest.json": "833a02e0291d309f15dacb7d448bfbc92e8ab0e54b6847373a39f64e0f9dd6cf",
+            "wal.log": "5e16663e21b3c9ef71e869e6bf28dc015f18357f8d4705c56a2ea68894ecf84b",
+        },
+        "reencode-resumed": {
+            "manifest.json": "4927ba40639aa1031759a280e096773d52c50551c7ae5aced5c7179321b17c68",
+            "wal.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+        "repair": {
+            "manifest.json": "4927ba40639aa1031759a280e096773d52c50551c7ae5aced5c7179321b17c68",
+            "wal.log": "83edca65ec757ab21c6d5bc23cc561bda77163834194af71673d31e636002a88",
+        },
+        "flush": {
+            "manifest.json": "4927ba40639aa1031759a280e096773d52c50551c7ae5aced5c7179321b17c68",
+            "wal.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+        "close": {
+            "manifest.json": "22d1ad9ae93fb4cefd41ac1f6a279958eb4470fb693ebd5556212b377898b911",
+            "wal.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+        "copy-cut-mid-group": {
+            "manifest.json": "20d28cd535d141eed408b71d4b6ae33847c4fb62758e598cee058dc5a8d3f780",
+            "wal.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+    }
+
+    @staticmethod
+    def lifecycle(root, monkeypatch) -> dict:
+        """One scripted life of a durable AE service, the catalogue's
+        published bytes after each step."""
+        steps = {}
+
+        def record(step, directory=root) -> None:
+            steps[step] = {
+                name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+                for name in ("manifest.json", WAL_NAME)
+            }
+
+        durable = config(
+            "ae-2-2-5", "segment", root, topology=8, block_size=64, batch_blocks=8, seed=5
+        )
+        service = StorageService.open(durable)
+        record("open")
+        service.put("a", workload(seed=1, size=300))
+        service.put("b", workload(seed=2, size=200))
+        record("put")
+        service.put("a", workload(seed=3, size=450))
+        record("overwrite")
+        service.delete("b")
+        record("delete")
+        service.put("c", workload(seed=4, size=130))
+        service.transition_to("ae-3-2-5")
+        record("alpha-raise")
+        cluster = service.cluster
+        tampered = DataId(2)
+        payload = cluster.try_get_many([tampered])[0]
+        changed = np.frombuffer(bytes(payload), dtype=np.uint8) ^ 0xFF
+        cluster.location(cluster.location_of(tampered)).put_many([(tampered, changed)])
+        assert service.scrub().repaired == [tampered]
+        record("scrub")
+
+        original, landed = StorageService._land, []
+
+        def cut_after_one_batch(self, batch):
+            if landed:
+                raise RuntimeError("injected crash")
+            landed.append(batch)
+            return original(self, batch)
+
+        monkeypatch.setattr(StorageService, "_land", cut_after_one_batch)
+        with pytest.raises(RuntimeError, match="injected crash"):
+            service.transition_to("rs-4-2")
+        monkeypatch.undo()
+        record("reencode-cut")
+        service.transition_to("rs-4-2")
+        record("reencode-resumed")
+
+        service.fail_locations([2])
+        assert service.repair().data_loss == 0
+        service.restore_locations()
+        record("repair")
+
+        service.flush()
+        record("flush")
+
+        service.put("d", workload(seed=5, size=260))
+        service.put("e", workload(seed=6, size=70))
+        copy = root.parent / (root.name + "-copy")
+        shutil.copytree(root, copy)
+        groups, _ = scan_wal(str(copy / WAL_NAME))
+        middle = (groups[-2].end_offset + groups[-1].end_offset) // 2
+        with open(copy / WAL_NAME, "r+b") as handle:
+            handle.truncate(middle)
+        service.close()
+        record("close")
+        reopened = StorageService.open(replace(durable, scheme="rs-4-2", data_dir=str(copy)))
+        assert sorted(reopened.documents) == ["a", "c", "d"]
+        record("copy-cut-mid-group", copy)
+        reopened.close()
+        return steps
+
+    def test_a_lifecycle_of_the_catalogue(self, tmp_path, monkeypatch):
+        steps = self.lifecycle(tmp_path / "live", monkeypatch)
+        assert steps == self.LIFECYCLE_GOLDEN

@@ -88,11 +88,21 @@ class TestARefusedSegmentWrite:
         service = open_service(config)
         service.put("a", a)
         service.put("b", b)
-        raw = refusing_writer(service.cluster.location(3).backend)
+        cluster = service.cluster
+        blocks_of_a = set(service.scheme.document_blocks(service.documents["a"].data_ids))
+        raw = refusing_writer(cluster.location(3).backend)
         raw.armed = True
         with pytest.raises(OSError):
             service.delete("a")
         raw.armed = False
+        # The fan-out went on past the refusing location: only it still
+        # holds blocks of ``a`` (before, every location after it did too).
+        holding = sorted(
+            location
+            for location in range(cluster.location_count)
+            if blocks_of_a & set(cluster.location(location).block_ids())
+        )
+        assert holding == [3]
         assert service.scrub().clean
         assert service.get("b") == b
         service.close()

@@ -24,7 +24,7 @@ import time
 import pytest
 
 import repro.schemes as schemes
-import repro.system.service as service_module
+import repro.system.catalogue as catalogue_module
 import repro.system.sharding as sharding_module
 from repro.core.blocks import DataId, ParityId
 from repro.core.parameters import StrandClass
@@ -575,7 +575,7 @@ class _DurableWrites:
 @pytest.fixture
 def durable_writes(monkeypatch):
     writes = _DurableWrites()
-    for module in (service_module, sharding_module):
+    for module in (catalogue_module, sharding_module):
         monkeypatch.setattr(module, "write_json", writes.counted(module.write_json))
     monkeypatch.setattr(MetadataWAL, "commit", writes.counted(MetadataWAL.commit))
     return writes

@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-import repro.system.service as service_module
+import repro.system.catalogue as catalogue_module
 from repro.exceptions import InvalidParametersError
 from repro.storage.wal import (
     _FRAME_COMMIT,
@@ -339,7 +339,7 @@ class TestSizeTriggeredCheckpoint:
     @pytest.fixture
     def resets(self, monkeypatch):
         """Shrinks the threshold; returns the list ``MetadataWAL.reset`` grows."""
-        monkeypatch.setattr(service_module, "WAL_CHECKPOINT_BYTES", 600)
+        monkeypatch.setattr(catalogue_module, "WAL_CHECKPOINT_BYTES", 600)
         seen = []
         original = MetadataWAL.reset
 
@@ -416,3 +416,98 @@ class TestSizeTriggeredCheckpoint:
         payloads = {name: data for mine in written for name, data in mine.items()}
         assert len(resets) >= 2
         self._crash_and_reopen(scheme, home, tmp_path, payloads)
+
+
+@pytest.mark.parametrize("scheme", ["ae-3-2-5", "rs-4-2"])
+class TestACheckpointCoversEveryHandedOutCommit:
+    """Regression: a mutator builds its records under the state lock and
+    commits them outside it.  A checkpoint that ran in between reset the log
+    under them, they landed after it, and replay restored their older scheme
+    state over the manifest's newer one.  On ``ae-3-2-5`` a reopen came back
+    at ``blocks_encoded`` 8 instead of 18 (``rs-4-2``: ``next_stripe`` 2
+    instead of 5), its next put overwrote the second document, and a get of
+    that returned wrong bytes without raising.  A checkpoint now waits until
+    every record handed out before it is in the log."""
+
+    #: Name -> bytes; ``a`` and ``e`` sit on different lock stripes of a
+    #: two-worker front-end under both schemes.
+    DOCUMENTS = {"a": b"\x01" * 512, "e": b"\x02" * 640, "c": b"\x03" * 300}
+
+    @pytest.fixture
+    def held(self, monkeypatch):
+        """Holds the commit of the thread named ``held`` until the returned
+        ``release`` event is set; ``holding`` is set once it waits."""
+        holding, release = threading.Event(), threading.Event()
+        original = MetadataWAL.commit
+
+        def commit(wal, ops):
+            if threading.current_thread().name == "held" and not release.is_set():
+                holding.set()
+                release.wait(timeout=30)
+            return original(wal, ops)
+
+        monkeypatch.setattr(MetadataWAL, "commit", commit)
+        return holding, release
+
+    @staticmethod
+    def config(scheme, data_dir) -> StorageConfig:
+        return StorageConfig(
+            scheme=scheme, topology=8, block_size=64, backend="segment", data_dir=str(data_dir)
+        )
+
+    def race(self, service, checkpoint, held) -> None:
+        """``put("a")`` held before its commit, then ``checkpoint`` on its own
+        thread; ``a``'s commit is let go once the checkpoint returned or had
+        half a second to."""
+        holding, release = held
+        writer = threading.Thread(
+            target=service.put, args=("a", self.DOCUMENTS["a"]), name="held"
+        )
+        writer.start()
+        assert holding.wait(timeout=10)
+        checkpointer = threading.Thread(target=checkpoint)
+        checkpointer.start()
+        checkpointer.join(timeout=0.5)
+        release.set()
+        for thread in (writer, checkpointer):
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+    def check_the_copy(self, scheme, service, home, tmp_path) -> None:
+        state = service.scheme.state()
+        image = tmp_path / "image"
+        shutil.copytree(home, image)
+        service.close()
+        reopened = StorageService.open(self.config(scheme, image))
+        try:
+            assert reopened.scheme.state() == state
+            reopened.put("c", self.DOCUMENTS["c"])
+            for name, data in self.DOCUMENTS.items():
+                assert reopened.get(name) == data, name
+        finally:
+            reopened.close()
+
+    def test_a_flush(self, scheme, tmp_path, held):
+        home = tmp_path / "live"
+        service = StorageService.open(self.config(scheme, home))
+
+        def put_e_then_flush():
+            service.put("e", self.DOCUMENTS["e"])
+            service.flush()
+
+        self.race(service, put_e_then_flush, held)
+        self.check_the_copy(scheme, service, home, tmp_path)
+
+    def test_the_automatic_checkpoint_behind_the_front_end(
+        self, scheme, tmp_path, held, monkeypatch
+    ):
+        home = tmp_path / "live"
+        service = open_service(self.config(scheme, home), workers=2)
+        for number in range(8):
+            service.put(f"filler-{number}", bytes([number]) * 70)
+        # e's commit crosses the threshold; a's records alone, in a fresh
+        # log, stay under it.
+        size = os.path.getsize(home / "wal.log")
+        monkeypatch.setattr(catalogue_module, "WAL_CHECKPOINT_BYTES", size + 1)
+        self.race(service, lambda: service.put("e", self.DOCUMENTS["e"]), held)
+        self.check_the_copy(scheme, service, home, tmp_path)

@@ -20,6 +20,7 @@ ENGINE_PATHS = (
     "repro/simulation/",
     "repro/storage/failures.py",
     "repro/system/backup.py",
+    "repro/system/catalogue.py",
     "repro/system/compare.py",
     "repro/system/frontend.py",
     "repro/system/transitions.py",
