@@ -9,9 +9,10 @@ the families only supply their matrix.
 
 Every decode applies a *recovery matrix* ``M[wanted] @ inv(M[read])`` --
 "wanted rows x read rows" -- to ``k`` independent blocks read; the recovery
-matrices are memoised per erasure pattern.  Decoding passes the data blocks
-it was handed through and computes only the lost ones; rebuilding decodes
-and then applies the encoding row of each lost parity to the data.  A set
+matrices are memoised per erasure pattern.  :meth:`StripeCode.decode` is
+the one recovery verb: it returns the wanted positions (the data, unless
+told otherwise), passes the blocks it was handed through and computes every
+lost one -- data and parity rows alike -- in one product.  A set
 of positions decodes when its rows have rank ``k``
 (:func:`~repro.codes.gf256.gf_pivot_rows`); a family whose every ``k`` rows
 are independent declares :attr:`StripeCode.mds` and skips the elimination.
@@ -178,33 +179,54 @@ class StripeCode:
             for position in range(self._k, self.n)
         ]
 
-    def decode(self, available: Dict[int, Payload]) -> List[Payload]:
-        """Recover the ``k`` data blocks from any sufficient subset.
-
-        ``available`` maps stripe positions (0-based, data first) to payloads.
-        Raises :class:`DecodingError` when the available set is insufficient.
-        """
-        return self._recover(range(self.k), available)
-
-    def rebuild(
-        self, positions: Sequence[int], available: Dict[int, Payload]
+    def decode(
+        self, available: Dict[int, Payload], positions: Optional[Sequence[int]] = None
     ) -> List[Payload]:
-        """Rebuild ``positions``: lost data rows through :meth:`decode`, a
-        lost parity as its own encoding row applied to the data."""
-        # ``self.decode``, not ``_recover`` over both kinds of row at once:
-        # the end-to-end benchmark times the codec's share of a repair by
-        # wrapping ``ReedSolomonCode.decode`` on the class.
-        if any(position not in available for position in positions):
-            available = {**available, **dict(enumerate(self.decode(available)))}
-        return self._recover(positions, available)
+        """The blocks at ``positions`` (the ``k`` data blocks by default)
+        from any sufficient subset.
+
+        ``available`` maps stripe positions (0-based, data first) to
+        payloads.  A supplied position comes back as supplied; the lost
+        ones, data and parity alike, are one product of the pattern's
+        recovery matrix.  Raises :class:`DecodingError` when the available
+        set is insufficient.
+        """
+        if positions is None:
+            positions = range(self._k)
+        known = self._positions
+        if not (known.issuperset(available) and known.issuperset(positions)):
+            strangers = [pos for pos in (*available, *positions) if pos not in known]
+            raise DecodingError(
+                f"{self.name} has positions 0..{self.n - 1}, got {sorted(strangers)}"
+            )
+        sizes = set(map(len, available.values()))
+        if len(sizes) > 1:
+            raise DecodingError(
+                f"{self.name} blocks must share one size, got sizes {sorted(sizes)}"
+            )
+        wanted = tuple(pos for pos in positions if pos not in available)
+        computed: Dict[int, Payload] = {}
+        if wanted:
+            read = self._read_rows(sorted(available))
+            if len(read) < self.k:
+                raise DecodingError(
+                    f"{self.name} cannot rebuild {list(wanted)} from {sorted(available)}"
+                )
+            payloads = [available[pos] for pos in read]
+            rows = gf_matmul_bytes(self._recovery(read, wanted), payloads, sizes.pop())
+            computed = dict(zip(wanted, rows))
+        return [
+            computed[pos] if pos in computed else as_payload(available[pos])
+            for pos in positions
+        ]
 
     def repair(self, position: int, available: Dict[int, Payload]) -> Payload:
         """Rebuild the block at ``position``: the XOR of a surviving XOR row
-        through it when there is one, else the one-element :meth:`rebuild`."""
+        through it when there is one, else the one-element :meth:`decode`."""
         plan = None if position in available else self._xor_plan(position, available.keys())
         if plan is not None:
             return xor_many([available[member] for member in plan])
-        return self.rebuild([position], available)[0]
+        return self.decode(available, [position])[0]
 
     def can_decode(self, available_positions: Iterable[int]) -> bool:
         """True when the available generator rows span the data space: when
@@ -280,41 +302,6 @@ class StripeCode:
         lost = sorted(set(range(self._k)).difference(data))
         pivots = gf_pivot_rows(self._matrix[np.ix_(parities, lost)])
         return (*data, *(parities[row] for row in pivots))
-
-    def _recover(
-        self, positions: Sequence[int], available: Dict[int, Payload]
-    ) -> List[Payload]:
-        """The blocks at ``positions`` from ``k`` available ones.
-
-        A position the caller supplied comes back as supplied; the others
-        are one product of the recovery matrix with the blocks read.
-        """
-        known = self._positions
-        if not (known.issuperset(available) and known.issuperset(positions)):
-            strangers = [pos for pos in (*available, *positions) if pos not in known]
-            raise DecodingError(
-                f"{self.name} has positions 0..{self.n - 1}, got {sorted(strangers)}"
-            )
-        sizes = set(map(len, available.values()))
-        if len(sizes) > 1:
-            raise DecodingError(
-                f"{self.name} blocks must share one size, got sizes {sorted(sizes)}"
-            )
-        wanted = tuple(pos for pos in positions if pos not in available)
-        computed: Dict[int, Payload] = {}
-        if wanted:
-            read = self._read_rows(sorted(available))
-            if len(read) < self.k:
-                raise DecodingError(
-                    f"{self.name} cannot rebuild {list(wanted)} from {sorted(available)}"
-                )
-            payloads = [available[pos] for pos in read]
-            rows = gf_matmul_bytes(self._recovery(read, wanted), payloads, sizes.pop())
-            computed = dict(zip(wanted, rows))
-        return [
-            computed[pos] if pos in computed else as_payload(available[pos])
-            for pos in positions
-        ]
 
     def _recovery(self, read: Tuple[int, ...], wanted: Tuple[int, ...]) -> PackedMatrix:
         """The packed ``M[wanted] @ inv(M[read])`` of one erasure pattern."""

@@ -12,10 +12,11 @@ Repair uses the cheapest read set the code advertises through
 local group for LRC, the smallest parity equation for flat XOR, ``k`` blocks
 for Reed-Solomon -- so the measured read counts line up with the analytic
 Table IV costs for single failures.  When that plan is unavailable, or a
-stripe lost several blocks, every survivor is read and the code is asked to
-:meth:`StripeCode.rebuild` exactly the missing ones.  A repair pass fetches
-all its stripes' reads in one bulk call and, like a put, rebuilds the
-stripes that lost and read the same positions side by side in one call.
+stripe lost several blocks, every survivor is read and one
+:meth:`StripeCode.decode` computes exactly the missing ones.  A survivor
+whose stored length is not the block size counts as lost.  A repair pass
+fetches all its stripes' reads in one bulk call and, like a put, rebuilds
+the stripes that lost and read the same positions side by side in one call.
 """
 
 from __future__ import annotations
@@ -194,8 +195,8 @@ class StripeScheme(RedundancyScheme):
         def fetch(wanted: Dict[int, List[int]]) -> None:
             ids = [StripeBlockId(s, p) for s, positions in wanted.items() for p in positions]
             for block_id, payload in zip(ids, source.try_get_many(ids) if ids else ()):
-                if payload is not None:
-                    fetched[block_id.stripe][block_id.position] = as_payload(payload, size)
+                if payload is not None and len(payload) == size:
+                    fetched[block_id.stripe][block_id.position] = as_payload(payload)
 
         others = {s: [p for p in range(code.n) if p not in lost[s]] for s in lost}
         single = [s for s in lost if len(lost[s]) == 1]
@@ -224,7 +225,7 @@ class StripeScheme(RedundancyScheme):
                 if members[0] in planned:
                     rows = [code.repair(positions[0], available)]
                 else:
-                    rows = code.rebuild(positions, available)
+                    rows = code.decode(available, positions)
             except DecodingError:
                 continue
             blocks = [np.asarray(row).reshape(len(members), size) for row in rows]

@@ -22,7 +22,9 @@ was made leaner:
   empty document;
 * a data block whose stored length is not the scheme's block size (a file
   truncated or extended behind the store's back) is read as unavailable and
-  rebuilt, so ``get`` and ``get_stream`` stay byte-exact.
+  rebuilt, so ``get`` and ``get_stream`` stay byte-exact; a stripe parity of
+  the wrong length is an erasure to the repair pass, so neither a degraded
+  read nor ``repair()`` decodes from it.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from hypothesis import strategies as st
 
 from repro.core.blocks import DataId, ParityId, join_blocks
 from repro.core.parameters import StrandClass
+from repro.schemes.stripe import StripeBlockId
 from repro.storage.cluster import StorageCluster
 from repro.storage.placement import DictionaryPlacement
 from repro.system.service import StorageConfig, StorageService
@@ -310,6 +313,81 @@ def test_a_data_block_of_the_wrong_length_is_rebuilt(scheme: str, length: int, t
     try:
         assert service.get("doc") == document
         assert b"".join(service.get_stream("doc")) == document
+    finally:
+        service.close()
+
+
+def _stripe_service_with_a_resized_parity(
+    scheme: str, length: int, data_dir: str
+) -> Tuple[StorageConfig, bytes]:
+    """One 400 B document of ``scheme`` on one node per site, its first
+    parity's file cut or grown to ``length`` bytes behind the store."""
+    sites = 14 if scheme == "rs-10-4" else 6
+    document = np.random.default_rng(11).integers(0, 256, size=400, dtype=np.uint8).tobytes()
+    config = StorageConfig(
+        scheme=scheme,
+        block_size=64,
+        topology=f"sites={sites},racks=1,nodes=1",
+        placement="spread-domains",
+        seed=1,
+        backend="disk",
+        data_dir=data_dir,
+    )
+    service = StorageService.open(config)
+    try:
+        service.put("doc", document)
+        parity = StripeBlockId(0, service.scheme.code.k)
+        cluster = service.cluster
+        path = cluster.location(cluster.location_of(parity)).backend._path(parity)
+    finally:
+        service.close()
+    with open(path, "rb") as handle:
+        stored = handle.read()
+    with open(path, "wb") as handle:
+        handle.write((stored * 2)[:length])
+    return config, document
+
+
+@pytest.mark.parametrize(
+    "scheme,length", [(scheme, length) for scheme in ("rs-4-2", "rs-10-4") for length in (32, 96)]
+)
+def test_a_stripe_survivor_of_the_wrong_length_is_not_decoded(
+    scheme: str, length: int, tmp_path
+) -> None:
+    """A parity cut to 32 B or grown to 96 B (64 B blocks) is an erasure to
+    the stripe repair: a degraded read decodes from the other survivors
+    instead of zero-padding the short one or refusing the long one."""
+    config, document = _stripe_service_with_a_resized_parity(
+        scheme, length, str(tmp_path / "service")
+    )
+    service = StorageService.open(config)
+    try:
+        victim = StripeBlockId(0, 1)
+        service.fail_locations([service.cluster.location_of(victim)])
+        assert service.get("doc") == document
+        assert b"".join(service.get_stream("doc")) == document
+    finally:
+        service.close()
+
+
+def test_repair_writes_back_no_block_decoded_from_a_resized_parity(tmp_path) -> None:
+    """``repair()`` decodes from the other survivors, not from a zero-padded
+    parity, so what it writes back reads byte-exact after the failed
+    location is restored and after a reopen."""
+    config, document = _stripe_service_with_a_resized_parity(
+        "rs-4-2", 32, str(tmp_path / "service")
+    )
+    service = StorageService.open(config)
+    try:
+        service.fail_locations([service.cluster.location_of(StripeBlockId(0, 1))])
+        assert service.repair().data_loss == 0
+        service.restore_locations()
+        assert service.get("doc") == document
+    finally:
+        service.close()
+    service = StorageService.open(config)
+    try:
+        assert service.get("doc") == document
     finally:
         service.close()
 

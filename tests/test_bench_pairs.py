@@ -123,3 +123,21 @@ def test_a_series_alternates_keeps_every_run_and_judges(tmp_path: Path, capsys) 
     (change / "benchmarks/e2e/FAIL").write_text("")
     assert bench_pairs.main(argv + ["--out", str(out)]) == 1
     assert [run["side"] for run in json.loads(out.read_text())["runs"]] == ["parent"]
+
+
+def test_checkout_paths_of_unequal_length_are_warned_about(tmp_path: Path, capsys) -> None:
+    # Same-length sides (``parent`` / ``change`` under one root) stay quiet.
+    parent, change = _checkout(tmp_path, "parent"), _checkout(tmp_path, "change")
+    out = tmp_path / "runs.json"
+    argv = ["--workload", "w", "--pairs", "1", "--out", str(out)]
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), *argv]) == 0
+    assert "warning" not in capsys.readouterr().err
+    length = len(str(parent))
+    assert json.loads(out.read_text())["path_lengths"] == {"parent": length, "change": length}
+    # One side a directory deeper: warned, and both lengths kept.
+    longer = _checkout(tmp_path / "deeper", "change")
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(longer), *argv]) == 0
+    err = capsys.readouterr().err
+    assert "warning" in err and f"parent {length}, change {length + 7}" in err
+    kept = json.loads(out.read_text())
+    assert kept["path_lengths"] == {"parent": length, "change": length + 7}

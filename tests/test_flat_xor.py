@@ -135,7 +135,7 @@ class TestRankDecoding:
         assert [bytes(block) for block in code.decode(available)] == [
             bytes(block) for block in data
         ]
-        rebuilt = code.rebuild([0, 1, 2], available)
+        rebuilt = code.decode(available, [0, 1, 2])
         assert [bytes(block) for block in rebuilt] == [bytes(block) for block in data]
         assert code.repair_read_positions(1, sorted(available)) == [3, 4, 5]
         assert bytes(code.repair(1, available)) == bytes(data[1])

@@ -235,7 +235,7 @@ class TestSharedInputChecks:
             code.decode(stripe)
         without_one = {p: v for p, v in stripe.items() if p != 1}
         with pytest.raises(DecodingError):
-            code.rebuild([1], without_one)
+            code.decode(without_one, [1])
 
     @pytest.mark.parametrize("stranger", [99, -1, 7])
     def test_positions_outside_the_stripe_are_refused(self, make, stranger):
@@ -244,4 +244,4 @@ class TestSharedInputChecks:
         with pytest.raises(DecodingError):
             code.decode({**stripe, stranger: stripe[0]})
         with pytest.raises(DecodingError):
-            code.rebuild([stranger], stripe)
+            code.decode(stripe, [stranger])

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codes.base import RECOVERY_CACHE_PATTERNS, StripeCode
+from repro.codes import base
+from repro.codes.base import RECOVERY_CACHE_PATTERNS
 from repro.codes.reed_solomon import (
     PAPER_RS_SETTINGS,
     ReedSolomonCode,
@@ -111,15 +112,13 @@ class TestDecoding:
 
 
 def assert_rebuild_matches(code, stripe, erased, wanted):
-    """``rebuild`` against the stored stripe and against the base class's
-    way: decode, then every parity encoded again."""
+    """``decode(available, wanted)`` against the stored stripe (the
+    decode-then-encode reference is ``tests/test_stripe_decode.py``)."""
     available = {pos: payload for pos, payload in stripe.items() if pos not in erased}
-    rebuilt = code.rebuild(wanted, available)
-    the_long_way = StripeCode.rebuild(code, wanted, available)
+    rebuilt = code.decode(available, wanted)
     assert len(rebuilt) == len(wanted)
-    for position, payload, reference in zip(wanted, rebuilt, the_long_way):
+    for position, payload in zip(wanted, rebuilt):
         assert np.array_equal(payload, stripe[position])
-        assert np.array_equal(payload, reference)
 
 
 class TestRebuild:
@@ -157,31 +156,41 @@ class TestRebuild:
         code = ReedSolomonCode(4, 2)
         _, stripe = make_stripe(code)
         available = {pos: stripe[pos] for pos in (0, 1, 3, 4, 5)}
-        first, lost, parity = code.rebuild([0, 2, 5], available)
+        first, lost, parity = code.decode(available, [0, 2, 5])
         assert np.shares_memory(first, stripe[0]) and np.shares_memory(parity, stripe[5])
         assert np.array_equal(lost, stripe[2])
         # Nothing to compute: no decode, so fewer than k blocks will do.
-        assert np.shares_memory(code.rebuild([1], {1: stripe[1]})[0], stripe[1])
+        assert np.shares_memory(code.decode({1: stripe[1]}, [1])[0], stripe[1])
 
     def test_lost_rows_are_solved_through_decode(self, monkeypatch):
-        # ``decode`` is the one solver a repair goes through, looked up on
-        # the instance: a wrapper installed on the class (the end-to-end
-        # benchmark's tracer does that) sees every stripe that is repaired.
+        # ``decode`` is the one recovery verb a repair goes through, looked
+        # up on the instance: a wrapper installed on the class (the
+        # end-to-end benchmark's tracer does that) sees every stripe that is
+        # repaired.  A lost data block and a lost parity are one product.
         seen = []
         solve = ReedSolomonCode.decode
 
-        def watched(code, available):
-            seen.append(sorted(available))
-            return solve(code, available)
+        def watched(code, available, positions=None):
+            seen.append((sorted(available), positions))
+            return solve(code, available, positions)
 
-        monkeypatch.setattr(ReedSolomonCode, "decode", watched)
+        products = []
+        multiply = base.gf_matmul_bytes
+
+        def counted(packed, payloads, size):
+            products.append(packed.rows)
+            return multiply(packed, payloads, size)
+
         code = ReedSolomonCode(4, 2)
         _, stripe = make_stripe(code)
+        monkeypatch.setattr(ReedSolomonCode, "decode", watched)
+        monkeypatch.setattr(base, "gf_matmul_bytes", counted)
         available = {pos: stripe[pos] for pos in (0, 1, 3, 4)}
-        lost_data, lost_parity = code.rebuild([2, 5], available)
+        lost_data, lost_parity = code.decode(available, [2, 5])
         assert np.array_equal(lost_data, stripe[2]) and np.array_equal(lost_parity, stripe[5])
+        assert products == [2]
         assert np.array_equal(code.repair(5, available), stripe[5])
-        assert seen == [[0, 1, 3, 4]] * 2
+        assert seen == [([0, 1, 3, 4], [2, 5]), ([0, 1, 3, 4], [5])]
 
     def test_repair_is_the_one_element_rebuild(self):
         code = ReedSolomonCode(5, 3)
@@ -189,7 +198,7 @@ class TestRebuild:
         available = {pos: stripe[pos] for pos in range(code.n) if pos not in (1, 6)}
         for position in (1, 6):
             assert np.array_equal(
-                code.repair(position, available), code.rebuild([position], available)[0]
+                code.repair(position, available), code.decode(available, [position])[0]
             )
 
     def test_blocks_of_different_sizes_are_refused(self):
@@ -206,13 +215,13 @@ class TestRebuild:
         patterns = list(combinations(range(code.n), code.k))[: RECOVERY_CACHE_PATTERNS + 40]
         for kept in patterns:
             lost = next(pos for pos in range(code.n) if pos not in kept)
-            rebuilt = code.rebuild([lost], {pos: stripe[pos] for pos in kept})
+            rebuilt = code.decode({pos: stripe[pos] for pos in kept}, [lost])
             assert np.array_equal(rebuilt[0], stripe[lost])
         assert len(code._recovery_cache) == RECOVERY_CACHE_PATTERNS
         # The first pattern was dropped and is simply computed again.
         kept = patterns[0]
         lost = next(pos for pos in range(code.n) if pos not in kept)
-        again = code.rebuild([lost], {pos: stripe[pos] for pos in kept})
+        again = code.decode({pos: stripe[pos] for pos in kept}, [lost])
         assert np.array_equal(again[0], stripe[lost])
 
 
@@ -229,7 +238,7 @@ class TestPositionKeys:
         with pytest.raises(DecodingError):
             code.decode(available)
         with pytest.raises(DecodingError):
-            code.rebuild([0], available)
+            code.decode(available, [0])
         with pytest.raises(DecodingError):
             code.repair(9, {pos: stripe[pos] for pos in range(1, 6)})
 
@@ -243,4 +252,4 @@ class TestPositionKeys:
         with pytest.raises(DecodingError):
             code.decode(available)
         with pytest.raises(DecodingError):
-            code.rebuild([0], available)
+            code.decode(available, [0])

@@ -225,7 +225,7 @@ def exhaustive_digest(scheme_id: str) -> str:
             parts.append(f"{pattern}:{decodable}")
             if decodable:
                 parts.extend(code.decode(available))
-                rebuilt = code.rebuild(list(pattern), available)
+                rebuilt = code.decode(available, list(pattern))
                 assert [bytes(b) for b in rebuilt] == [bytes(stripe[p]) for p in pattern]
                 parts.extend(rebuilt)
     return _digest(parts)

@@ -19,7 +19,11 @@ Usage (from anywhere; each checkout runs its own ``run.py`` and ``src/``)::
 ``--smoke`` passes ``--smoke --allow-unpinned`` to ``run.py`` (tiny corpora:
 checks the loop, not the numbers).  ``--out FILE`` (default
 ``bench-pairs.json``) is rewritten after every run, so an interrupted
-series keeps what it measured.
+series keeps what it measured, with each checkout path's length.  Put both
+checkouts at paths of equal length: the length of a checkout's path alone
+has moved heap-sensitive metrics
+(``benchmarks/e2e/e2ebench/harness.py:heap_trimmer``), so unequal lengths
+print a warning.
 """
 
 from __future__ import annotations
@@ -169,6 +173,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         raise SystemExit("bench_pairs: --pairs must be at least 1")
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     better = metric_direction(checkouts["change"], args.metric)
+    lengths = {side: len(path) for side, path in checkouts.items()}
+    if lengths["parent"] != lengths["change"]:
+        print(
+            f"bench_pairs: warning: the checkout paths differ in length (parent "
+            f"{lengths['parent']}, change {lengths['change']} characters); path length "
+            "alone has moved heap-sensitive metrics -- clone both to equal-length paths",
+            file=sys.stderr,
+        )
     runs: List[Dict[str, object]] = []
     pairs: List[Tuple[float, float]] = []
     for pair in range(1, args.pairs + 1):
@@ -182,7 +194,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 1
             runs.append({"pair": pair, "side": side, "checkout": checkouts[side], **result})
             with open(args.out, "w", encoding="utf-8") as handle:
-                kept = {"workload": args.workload, "seed": args.seed, "runs": runs}
+                kept = {
+                    "workload": args.workload,
+                    "seed": args.seed,
+                    "path_lengths": lengths,
+                    "runs": runs,
+                }
                 json.dump(kept, handle, indent=1)
             values[side] = _value(result, args.metric)
         pairs.append((values["parent"], values["change"]))
