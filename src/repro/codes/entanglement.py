@@ -36,6 +36,7 @@ from repro.schemes.base import (
     SchemeCapabilities,
     SchemeRepairOutcome,
     SchemeScrubOutcome,
+    read_for_scrub,
 )
 
 __all__ = [
@@ -160,7 +161,8 @@ class EntanglementScheme(RedundancyScheme):
         Every equation ``p_{i,j} == d_i XOR p_{h,i}`` is checked, a batch of
         :data:`SCRUB_NODES` nodes at a time: one ``source.try_get_many`` and
         one :func:`~repro.core.xor.xor_pairs` per batch.  An equation with a
-        member that cannot be read is unchecked.  A changed block violates
+        member that cannot be read is unchecked, and a block of the wrong
+        length is not read: it is a suspect.  A changed block violates
         every checked equation it is part of, so a block is a suspect when
         all of its checked equations are violated -- unless another such
         block's violated equations strictly contain its own (a tampered
@@ -174,6 +176,7 @@ class EntanglementScheme(RedundancyScheme):
         offsets = list(rule_offsets(params).values())
         # 1 holds, 0 violated, -1 unchecked; row ``i - 1``, strand-class column.
         verdicts = np.full((size, len(classes)), -1, dtype=np.int8)
+        outcome = SchemeScrubOutcome()
 
         def members(i: int, column: int) -> Tuple[DataId, Optional[ParityId], ParityId]:
             h = i + offsets[column][0][(i - 1) % s]
@@ -189,7 +192,7 @@ class EntanglementScheme(RedundancyScheme):
             ]
             ids = [members(*equation) for equation in equations]
             wanted = list(dict.fromkeys(b for trio in ids for b in trio if b is not None))
-            payload = dict(zip(wanted, source.try_get_many(wanted)))
+            payload = dict(zip(wanted, read_for_scrub(source, wanted, self._block_size, outcome)))
             readable = [
                 k
                 for k, trio in enumerate(ids)
@@ -206,9 +209,8 @@ class EntanglementScheme(RedundancyScheme):
             stored = gather_payload_matrix([payload[b] for b in parities], self._block_size)
             rows, columns = np.array([equations[k] for k in readable]).T
             verdicts[rows - 1, columns] = (expected == stored).all(axis=1)
-        outcome = SchemeScrubOutcome(
-            checked=int((verdicts >= 0).sum()), unchecked=int((verdicts < 0).sum())
-        )
+        outcome.checked = int((verdicts >= 0).sum())
+        outcome.unchecked = int((verdicts < 0).sum())
         violated = {
             (row + 1, column): members(row + 1, column)
             for row, column in np.argwhere(verdicts == 0).tolist()

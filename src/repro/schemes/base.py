@@ -158,6 +158,20 @@ class SchemeScrubOutcome:
     ambiguous: List[object] = field(default_factory=list)
 
 
+def read_for_scrub(
+    source: BlockSource, block_ids: List[object], size: int, outcome: SchemeScrubOutcome
+) -> List[Optional[Payload]]:
+    """``source.try_get_many(block_ids)`` for a scrub: a payload whose length
+    is not ``size`` reads as missing -- an erasure no check can use -- and
+    its id joins ``outcome.suspects``, to be rebuilt."""
+    payloads = list(source.try_get_many(block_ids))
+    for position, payload in enumerate(payloads):
+        if payload is not None and len(payload) != size:
+            payloads[position] = None
+            outcome.suspects.append(block_ids[position])
+    return payloads
+
+
 class RedundancyScheme(ABC):
     """Uniform encode / read / repair interface over one redundancy scheme.
 

@@ -21,7 +21,8 @@ the stripes that lost and read the same positions side by side in one call.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
+from itertools import combinations
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from repro.schemes.base import (
     SchemeCapabilities,
     SchemeRepairOutcome,
     SchemeScrubOutcome,
+    read_for_scrub,
 )
 
 __all__ = ["StripeBlockId", "StripeScheme"]
@@ -238,13 +240,15 @@ class StripeScheme(RedundancyScheme):
                 outcome.unrecovered.extend(ids)
 
     def scrub(self, source: BlockSource) -> SchemeScrubOutcome:
-        """Re-encode every fully readable stripe and compare its parities.
+        """Re-encode every fully readable stripe, compare its parities, and
+        locate the blocks that changed in each stripe that differs.
 
         A pass of :data:`STRIPES_PER_PASS` stripes is one
         ``source.try_get_many`` and one :meth:`StripeCode.encode`, the
         stripes laid side by side as in :meth:`encode`.  A stripe missing a
-        block is unchecked; a violated stripe names no suspect, since
-        re-encoding cannot tell which of its blocks changed.
+        block is unchecked, and a block of the wrong length is missing and
+        a suspect.  A violated stripe's suspects are what :meth:`_locate`
+        finds; when it finds no single answer, the stripe names none.
         """
         code, size = self._code, self._block_size
         k, n = code.k, code.n
@@ -252,7 +256,7 @@ class StripeScheme(RedundancyScheme):
         for start in range(0, self._next_stripe, STRIPES_PER_PASS):
             stripes = range(start, min(start + STRIPES_PER_PASS, self._next_stripe))
             ids = [StripeBlockId(s, p) for s in stripes for p in range(n)]
-            fetched = source.try_get_many(ids)
+            fetched = read_for_scrub(source, ids, size, outcome)
             rows = [fetched[row : row + n] for row in range(0, len(ids), n)]
             whole = [s for s, row in zip(stripes, rows) if all(b is not None for b in row)]
             outcome.checked += len(whole)
@@ -265,8 +269,41 @@ class StripeScheme(RedundancyScheme):
             ).reshape(n, len(whole) * size)
             parities = np.stack(code.encode(list(blocks[:k])))
             differs = (parities != blocks[k:]).reshape(n - k, len(whole), size).any(axis=(0, 2))
-            outcome.violated.extend(s for s, bad in zip(whole, differs.tolist()) if bad)
+            for s, bad in zip(whole, differs.tolist()):
+                if bad:
+                    outcome.violated.append(s)
+                    changed = self._locate([as_payload(b) for b in rows[s - start]])
+                    outcome.suspects.extend(StripeBlockId(s, p) for p in changed or ())
         return outcome
+
+    def _locate(self, stored: Sequence[Payload]) -> Optional[Tuple[int, ...]]:
+        """The positions of a violated stripe whose stored blocks changed.
+
+        A code with ``r`` parities locates up to ``r // 2`` changed blocks
+        (an MDS code has distance ``r + 1``; Reed & Solomon, 1960).  For
+        each position set ``E`` of that size or less, smallest first,
+        :meth:`StripeCode.decode` rebuilds ``E`` from the other blocks, and
+        ``E`` fits when the rebuilt stripe re-encodes to itself -- when the
+        stored blocks outside ``E`` are one codeword.  The unique fitting
+        set of the smallest size is the answer; none, or several, is
+        ``None`` (``r = 1`` never attributes).  A code that cannot decode
+        without ``E`` skips that set.
+        """
+        code = self._code
+        k, n = code.k, code.n
+        for count in range(1, (n - k) // 2 + 1):
+            fits = []
+            for erased in combinations(range(n), count):
+                kept = {p: stored[p] for p in range(n) if p not in erased}
+                try:
+                    stripe = code.decode(kept, range(n))
+                except DecodingError:
+                    continue
+                if all(map(np.array_equal, code.encode(stripe[:k]), stripe[k:])):
+                    fits.append(erased)
+            if fits:
+                return fits[0] if len(fits) == 1 else None
+        return None
 
     # ------------------------------------------------------------------
     # Durability

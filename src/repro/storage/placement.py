@@ -26,6 +26,12 @@ from (a bare count ``N`` is ``Topology.flat(N)``):
   ``ceil(width / domains)`` blocks of any repair group;
 * ``weighted`` -- random placement proportional to per-node capacity
   weights (heterogeneous nodes).
+
+Every policy is a batch function of each block's identity alone, so every
+component and every rerun agrees on the mapping.  ``random`` and
+``weighted`` draw a keyed ``blake2b`` per block (:func:`_block_draws`);
+``spread-domains`` picks the domain without a draw and the node inside it
+with one vectorised SplitMix64 pass over packed integer keys.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from itertools import repeat
+from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -72,7 +78,9 @@ _PARITY_TAIL: Dict[StrandClass, bytes] = {
 def _block_draws(
     block_ids: Iterable[BlockId], seed: int, salt: bytes = b""
 ) -> List[int]:
-    """One deterministic 64-bit draw per block, derived from its identity.
+    """One deterministic 64-bit draw per block, derived from its identity:
+    the draw of ``random`` and ``weighted`` (``spread-domains`` draws from
+    packed integer keys instead, :class:`SpreadDomainsPlacement`).
 
     The draw is ``blake2b(salt + repr(block_id), key=seed)``; the keyed and
     salted state is built once and copied per block, which is what makes the
@@ -270,6 +278,26 @@ def _lattice_lane(block_id: BlockId, alpha: int) -> Tuple[int, int]:
     return int.from_bytes(digest, "little"), 0
 
 
+#: Low bits of a spread key below the spot: the id's kind and lane code.
+_CODE_BITS = 20
+#: Code bit of a stripe block; its position fills the bits below it.
+_STRIPE_CODE = 1 << (_CODE_BITS - 1)
+#: Code of an id of no known kind (a spot through :func:`_lattice_lane`).
+_FOREIGN_CODE = len(STRAND_CLASS_ORDER) + 1
+_KEY_RANGE = range(-(1 << 63), 1 << 63)
+
+
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finaliser (Steele, Lea & Flood, OOPSLA 2014) of every
+    ``uint64`` in ``z``, in place."""
+    z ^= z >> 30
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> 27
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    return z
+
+
 class SpreadDomainsPlacement(PlacementPolicy):
     """Never co-locate a repair group inside one failure domain.
 
@@ -285,9 +313,17 @@ class SpreadDomainsPlacement(PlacementPolicy):
       members (e.g. RS(10,4) over 4 sites loses at most 4 blocks per stripe
       and stays decodable).
 
-    Inside the chosen domain the concrete node is a deterministic
-    capacity-weighted hash of the block identity, so heterogeneous domains
-    fill proportionally.
+    A batch is placed in one numpy pass over packed int64 *keys*, one per
+    id: ``spot << 20 | code``, where the spot is ``group + lane``
+    (:func:`_lattice_lane`) and the code names the id's kind and lane (0 a
+    data block, ``1 + class`` a parity, a flag bit plus the position a
+    stripe block).  The domain is ``spot % domains``; the node inside it is
+    a capacity-weighted pick by the SplitMix64 finaliser of the seeded key:
+    its high 32 bits, offset by the domain, go through one ``searchsorted``
+    over every domain's cumulative capacity shares laid end to end, so
+    heterogeneous domains fill proportionally.  Ids of any other kind take
+    :func:`_lattice_lane`'s hashed spot, folded (like a spot beyond 43
+    bits) modulo ``domains << 20``, which keeps its domain.
     """
 
     def __init__(
@@ -298,21 +334,36 @@ class SpreadDomainsPlacement(PlacementPolicy):
         params: Optional[AEParameters] = None,
     ) -> None:
         super().__init__(topology)
-        self._seed = seed
         self._alpha = params.alpha if params is not None else 3
         self._level = level or self.topology.default_level()
-        self._domains = self.topology.domains(self._level)
-        capacities = self.topology.capacities()
-        # Per domain, what the intra-domain weighted pick needs: the member
-        # locations, their cumulative capacity, its total and the last slot.
-        self._picks: List[Tuple[Tuple[int, ...], List[float], float, int]] = []
-        for members in self._domains:
-            cumulative = np.cumsum(capacities[list(members)]).tolist()
-            self._picks.append((members, cumulative, cumulative[-1], len(members) - 1))
-        self._hashes = any(len(members) > 1 for members in self._domains)
+        domains = self.topology.domains(self._level)
+        count = self._domain_count = len(domains)
+        self._seed_word = _splitmix64(
+            np.array([(seed + 0x9E3779B97F4A7C15) % 2**64], dtype=np.uint64)
+        )[0]
+        # Slot tables, domain by domain: the node of each slot, and the upper
+        # bound of its draws -- ``domain << 32`` plus its domain's cumulative
+        # capacity share in 32-bit fixed point, the last slot exactly the
+        # next domain's start.
+        capacities = self.topology.capacities().tolist()
+        slot_node: List[int] = []
+        bounds: List[int] = []
+        for number, members in enumerate(domains):
+            shares = list(accumulate([capacities[node] for node in members]))
+            bounds.extend((number << 32) + int(share / shares[-1] * 2.0**32) for share in shares[:-1])
+            bounds.append(number + 1 << 32)
+            slot_node.extend(members)
+        self._slot_node = np.array(slot_node, dtype=np.int64)
+        self._bounds = np.array(bounds, dtype=np.int64)
+        # Per strand class, what a parity adds to ``(index - 1) << 20``.
+        self._parity_add = {
+            strand_class: (1 + _CLASS_LANE[strand_class] % self._alpha) << _CODE_BITS
+            | 1 + _CLASS_LANE[strand_class]
+            for strand_class in StrandClass
+        }
         # Row ``r`` ranks the ``alpha + 1`` domains an AE group at group index
         # ``r`` spans worse; there are no rows while groups span every domain.
-        count, width = len(self._domains), self._alpha + 1
+        width = self._alpha + 1
         self._rank_rows = (
             [tuple(int((d - r) % count < width) for d in range(count)) for r in range(count)]
             if width < count
@@ -327,13 +378,44 @@ class SpreadDomainsPlacement(PlacementPolicy):
     def spread_level(self) -> Optional[str]:
         return self._level
 
+    def _keys(self, block_ids: Sequence[BlockId]) -> np.ndarray:
+        """The packed key of every id (see the class docstring)."""
+        parity_add = self._parity_add
+        stripe_kind = stripe_block_id_type()
+        keys: List[int] = []
+        append = keys.append
+        for block_id in block_ids:
+            kind = type(block_id)
+            if kind is ParityId:
+                append((block_id[0] - 1 << _CODE_BITS) + parity_add[block_id[1]])
+            elif kind is DataId:
+                append(block_id[0] - 1 << _CODE_BITS)
+            elif kind is stripe_kind:
+                stripe, position = block_id
+                append((stripe + position << _CODE_BITS) + _STRIPE_CODE + position)
+            else:
+                group, lane = _lattice_lane(block_id, self._alpha)
+                append((group + lane) << _CODE_BITS | _FOREIGN_CODE)
+        try:
+            return np.array(keys, dtype=np.int64)
+        except OverflowError:
+            return np.array([self._fold(key) for key in keys], dtype=np.int64)
+
+    def _fold(self, key: int) -> int:
+        """``key`` with its spot taken modulo ``domains << 20`` when it does
+        not fit an int64; the domain is unchanged."""
+        if key in _KEY_RANGE:
+            return key
+        spot = (key >> _CODE_BITS) % (self._domain_count << _CODE_BITS)
+        return spot << _CODE_BITS | key & (1 << _CODE_BITS) - 1
+
+    def _domains(self, keys: np.ndarray) -> np.ndarray:
+        return (keys >> _CODE_BITS) % self._domain_count
+
     def domains_for(self, block_ids: Sequence[BlockId]) -> List[int]:
-        alpha = self._alpha
-        domain_count = len(self._domains)
-        return [
-            (group + lane) % domain_count
-            for group, lane in [_lattice_lane(block_id, alpha) for block_id in block_ids]
-        ]
+        if not block_ids:
+            return []
+        return self._domains(self._keys(block_ids)).tolist()
 
     def relocation_ranks(self, block_ids: Sequence[BlockId]) -> Optional[List[Tuple[int, ...]]]:
         """Prefer fallback domains no member of the block's group maps to.
@@ -355,27 +437,19 @@ class SpreadDomainsPlacement(PlacementPolicy):
         ]
 
     def locations_for(self, block_ids: Sequence[BlockId]) -> List[int]:
-        picks = self._picks
-        draws: Iterable[int] = (
-            _block_draws(block_ids, self._seed, salt=b"spread")
-            if self._hashes
-            else repeat(0)
-        )
-        locations: List[int] = []
-        append = locations.append
-        for domain, draw in zip(self.domains_for(block_ids), draws):
-            members, cumulative, total, last = picks[domain]
-            if last:
-                index = bisect_right(cumulative, draw / _DRAW_SPAN * total)
-                append(members[index if index < last else last])
-            else:
-                append(members[0])
-        return locations
+        if not block_ids:
+            return []
+        keys = self._keys(block_ids)
+        targets = self._domains(keys) << 32
+        draws = keys.view(np.uint64)  # the keys are spent from here on
+        draws ^= self._seed_word
+        targets |= (_splitmix64(draws) >> 32).view(np.int64)
+        return self._slot_node[np.searchsorted(self._bounds, targets, side="right")].tolist()
 
     def describe(self) -> str:
         return (
             f"SpreadDomainsPlacement(n={self._location_count}, "
-            f"level={self._level}, domains={len(self._domains)})"
+            f"level={self._level}, domains={self._domain_count})"
         )
 
 

@@ -184,7 +184,8 @@ class ServiceScrubReport:
 
     ``checked`` / ``unchecked`` count entanglement equations under AE and
     stripes under a stripe code; ``violated`` names the failed checks.
-    ``suspects`` lists every block the failed checks implicate: each is in
+    ``suspects`` lists every block the failed checks implicate, and every
+    block stored at the wrong length: each is in
     ``repaired`` (rewritten) or ``unrecovered`` (left as stored, ambiguous
     or without a path that avoids every suspect).
     """

@@ -18,9 +18,12 @@ from repro.storage.placement import (
     RandomPlacement,
     RoundRobinPlacement,
     StrandAwarePlacement,
+    _lattice_lane,
     placement_balance,
 )
 from repro.storage.topology import Topology
+
+from tests.test_placement_golden import uneven_topology
 
 
 def all_blocks(count: int, params: AEParameters):
@@ -147,6 +150,110 @@ class TestBulkPlacement:
         assert policy.locations_for([]) == []
 
 
+_levels = st.sampled_from([None, "site", "rack", "node"])
+
+
+MASK64 = (1 << 64) - 1
+
+
+def mix64(z):
+    """SplitMix64's finaliser, written out over Python ints."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
+    return z ^ (z >> 31)
+
+
+def spread_reference(topology, level, alpha, seed, block_id):
+    """Where ``spread-domains`` puts one block, id by id and domain by
+    domain: the spot ``group + lane`` picks the domain, and the SplitMix64
+    draw of the seeded ``spot << 20 | code`` key, compared in 32-bit fixed
+    point against the domain's cumulative capacity shares, picks the node."""
+    domains = topology.domains(level)
+    count = len(domains)
+    if isinstance(block_id, DataId):
+        spot, code = block_id.index - 1, 0
+    elif isinstance(block_id, ParityId):
+        lane = STRAND_CLASS_ORDER.index(block_id.strand_class)
+        spot, code = block_id.index - 1 + 1 + lane % alpha, 1 + lane
+    elif isinstance(block_id, StripeBlockId):
+        spot, code = block_id.stripe + block_id.position, (1 << 19) + block_id.position
+    else:
+        group, lane = _lattice_lane(block_id, alpha)
+        spot, code = group + lane, len(STRAND_CLASS_ORDER) + 1
+    if not -(1 << 63) <= spot << 20 < 1 << 63:  # folded: same domain
+        spot %= count << 20
+    key = (spot << 20 | code) & MASK64
+    draw = mix64(key ^ mix64((seed + 0x9E3779B97F4A7C15) & MASK64)) >> 32
+    members = domains[spot % count]
+    capacities = [float(topology.capacities()[node]) for node in members]
+    total, running = sum(capacities), 0.0
+    for node, capacity in zip(members, capacities):
+        running += capacity
+        if draw < int(running / total * 2.0**32):
+            return node
+    return members[-1]
+
+
+_spread_topologies = st.one_of(
+    st.builds(
+        lambda sites, racks, nodes: Topology.parse(f"sites={sites},racks={racks},nodes={nodes}"),
+        st.integers(1, 5),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    ),
+    st.just(uneven_topology()),
+)
+_huge = st.integers(min_value=2**43 - 2, max_value=2**70)
+_spread_ids = st.lists(
+    st.one_of(_any_id, st.builds(DataId, _huge), st.builds(StripeBlockId, _huge, st.integers(0, 13))),
+    max_size=40,
+)
+
+
+class TestSpreadDraw:
+    """``spread-domains`` places a batch in one numpy pass: each location is
+    the per-id reference, whatever batch the id arrives in."""
+
+    @given(
+        topology=_spread_topologies,
+        level=_levels,
+        alpha=st.integers(1, 3),
+        seed=st.integers(0, 2**64 - 1),
+        ids=_spread_ids,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_the_draw_is_the_per_id_reference(self, topology, level, alpha, seed, ids):
+        params = AEParameters.single() if alpha == 1 else AEParameters(alpha, 2, 5)
+        policy = placement.get("spread-domains", topology, params=params, seed=seed, level=level)
+        assert policy.locations_for(ids) == [
+            spread_reference(topology, policy.spread_level(), alpha, seed, block_id)
+            for block_id in ids
+        ]
+
+    @given(
+        topology=_spread_topologies,
+        level=_levels,
+        seed=st.integers(0, 2**64 - 1),
+        ids=_spread_ids,
+        cuts=st.lists(st.integers(0, 40), max_size=6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_a_batch_is_the_concatenation_of_any_split(self, topology, level, seed, ids, cuts):
+        policy = placement.get(
+            "spread-domains", topology, params=AEParameters(3, 2, 5), seed=seed, level=level
+        )
+        whole = policy.locations_for(ids)
+        bounds = [0] + sorted(min(cut, len(ids)) for cut in cuts) + [len(ids)]
+        parts = [policy.locations_for(ids[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        assert whole == [location for part in parts for location in part]
+        assert whole == [policy.locations_for([block_id])[0] for block_id in ids]
+        # A function of each id alone: reversed and repeated, the same places.
+        assert policy.locations_for(ids[::-1] + ids) == whole[::-1] + whole
+        assert policy.locations_for([]) == [] == policy.domains_for([])
+        domain_of = topology.location_domains(policy.spread_level())
+        assert policy.domains_for(ids) == [domain_of[location] for location in whole]
+
+
 def spread_rank(block_id, domain, alpha, domain_count):
     """The per-(block, domain) rule ``SpreadDomainsPlacement`` ranks by: the
     ``alpha + 1`` domains an AE group spans from ``index - 1`` rank worse."""
@@ -159,9 +266,6 @@ def spread_rank(block_id, domain, alpha, domain_count):
 def owner_home_rank(block_id, domain, home):
     """``OwnerHomePlacement``'s rule: data ranks home best, parities worst."""
     return int((domain == home) != isinstance(block_id, DataId))
-
-
-_levels = st.sampled_from([None, "site", "rack", "node"])
 
 
 class TestBulkRelocationContract:

@@ -15,6 +15,8 @@ block's, and the strict-subset rule leaves the tampered block alone.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -508,8 +510,11 @@ class TestWhatIsChecked:
 
 
 class TestStripeScrub:
-    @pytest.mark.parametrize("scheme", ["rs-10-4", "lrc-azure"])
+    @pytest.mark.parametrize("scheme", ["rs-4-2", "rs-10-4", "lrc-azure", "rep-3"])
     def test_a_single_tampered_block_flags_exactly_its_stripe(self, scheme):
+        """Each position of a whole and of the padded stripe, tampered alone,
+        is located and rewritten: a code with ``r >= 2`` parities locates one
+        changed block."""
         service, data = build(scheme, blocks=35)
         stripes = service.scheme.stripes_written
         report = service.scrub()
@@ -517,11 +522,76 @@ class TestStripeScrub:
         for stripe in (0, stripes - 1):  # a whole stripe and the padded one
             for position in range(service.scheme.code.n):
                 block_id = StripeBlockId(stripe, position)
-                original = tamper(service, block_id)
+                tamper(service, block_id)
                 report = service.scrub()
                 assert report.violated == [stripe], block_id
-                assert report.suspects == report.repaired == [], block_id
+                assert report.suspects == report.repaired == [block_id], block_id
+                assert service.scrub().clean, block_id
+        assert service.get("doc") == data
+
+    @pytest.mark.parametrize("scheme,topology,length", [("rs-4-2", 8, 512), ("rs-10-4", 16, 1280)])
+    def test_a_flipped_data_block_is_located_and_rewritten(self, scheme, topology, length):
+        """The stripe-scrub bug hunt: a healthy get reads data positions
+        only, so an unlocated flip of ``s[0,0]`` kept serving wrong bytes."""
+        service = StorageService.open(
+            StorageConfig(scheme=scheme, topology=topology, block_size=BLOCK_SIZE)
+        )
+        data = bytes(range(256)) * (length // 256)
+        service.put("a", data)
+        tamper(service, StripeBlockId(0, 0))
+        report = service.scrub()
+        assert (report.violated, report.suspects, report.repaired) == (
+            [0], [StripeBlockId(0, 0)], [StripeBlockId(0, 0)]
+        )
+        assert service.get("a") == data
+
+    def test_every_pair_of_rs_10_4_is_located(self):
+        """Two changed blocks is ``r // 2`` for RS(10,4): still one answer."""
+        service, data = build("rs-10-4", blocks=10)
+        for pair in itertools.combinations(range(service.scheme.code.n), 2):
+            ids = [StripeBlockId(0, position) for position in pair]
+            originals = [tamper(service, block_id) for block_id in ids]
+            assert service.scheme.scrub(service.cluster).suspects == ids
+            for block_id, original in zip(ids, originals):
                 put_back(service, block_id, original)
+        tamper(service, StripeBlockId(0, 3))
+        tamper(service, StripeBlockId(0, 11))
+        report = service.scrub()
+        assert report.suspects == report.repaired == [StripeBlockId(0, 3), StripeBlockId(0, 11)]
+        assert service.scrub().clean and service.get("doc") == data
+
+    def test_several_explanations_name_no_suspect(self):
+        """Under ``lrc-azure`` the same change to ``s[0,0]`` and ``s[0,1]`` is
+        also explained by six other position pairs: nothing is rewritten."""
+        service, data = build("lrc-azure", blocks=12)
+        tamper(service, StripeBlockId(0, 0))
+        tamper(service, StripeBlockId(0, 1))
+        report = service.scrub()
+        assert report.violated == [0]
+        assert report.suspects == report.repaired == []
+        assert service.get("doc") != data
+
+    def test_one_parity_detects_but_does_not_attribute(self):
+        service, data = build("xor-raid5-5", blocks=10)
+        tamper(service, StripeBlockId(1, 2))
+        report = service.scrub()
+        assert report.violated == [1]
+        assert report.suspects == report.repaired == []
+
+class TestWrongLengthBlocks:
+    @pytest.mark.parametrize("scheme,block_id", [("rs-4-2", StripeBlockId(0, 4)), ("ae-3-2-5", DataId(2))])
+    @pytest.mark.parametrize("length", [32, 96])
+    def test_a_wrong_length_block_is_a_suspect_and_rebuilt(self, scheme, block_id, length):
+        """A scrub reads a block of the wrong length as an erasure and lists
+        it as a suspect; it used to raise ``BlockSizeMismatchError``."""
+        service, data = build(scheme, blocks=8)
+        store = service.cluster.location(service.cluster.location_of(block_id))
+        original = bytes(store.try_get_many([block_id])[0])
+        store.put_many([(block_id, (original * 2)[:length])])
+        report = service.scrub()
+        assert report.violated == []
+        assert report.suspects == report.repaired == [block_id]
+        assert bytes(store.try_get_many([block_id])[0]) == original
         assert service.scrub().clean and service.get("doc") == data
 
 
@@ -562,7 +632,7 @@ def test_mid_transition_each_generation_checks_itself(monkeypatch):
     assert labels(b for b in report.violated if isinstance(b, ParityId)) == [
         f"p[{lattice_block.index},{c}]" for c in ("h", "lh", "rh")
     ]
-    assert report.suspects == report.repaired == [lattice_block]
-    # A stripe names no suspect: its tampered block stays as stored.
+    assert labels(report.suspects) == labels(report.repaired)
+    assert labels(report.suspects) == labels([lattice_block, stripe_block])
     for name, data in documents.items():
-        assert (service.get(name) == data) == (name in pending)
+        assert service.get(name) == data
