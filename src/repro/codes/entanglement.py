@@ -36,7 +36,7 @@ from repro.schemes.base import (
     SchemeCapabilities,
     SchemeRepairOutcome,
     SchemeScrubOutcome,
-    read_for_scrub,
+    read_sized,
 )
 
 __all__ = [
@@ -192,7 +192,8 @@ class EntanglementScheme(RedundancyScheme):
             ]
             ids = [members(*equation) for equation in equations]
             wanted = list(dict.fromkeys(b for trio in ids for b in trio if b is not None))
-            payload = dict(zip(wanted, read_for_scrub(source, wanted, self._block_size, outcome)))
+            fetched = read_sized(source, wanted, self._block_size, outcome.suspects)
+            payload = dict(zip(wanted, fetched))
             readable = [
                 k
                 for k, trio in enumerate(ids)

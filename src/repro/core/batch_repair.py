@@ -211,8 +211,9 @@ class RepairRun:
     would) -- ``source.is_available`` answers the planner without moving
     payload bytes -- the plan's not-yet-held inputs arrive through one
     ``source.try_get_many`` call, steps whose inputs did not arrive (a
-    location dying between the plan and the fetch) are dropped so their
-    targets are planned again without the lost block, and all remaining
+    location dying between the plan and the fetch, or a payload of the wrong
+    length) are dropped so their targets are planned again without the lost
+    block, and all remaining
     targets are rebuilt in one :func:`execute_plan` pass.
     Blocks rebuilt in one round are inputs of the next.
 
@@ -299,7 +300,7 @@ class RepairRun:
     def rounds(self) -> Iterator[Tuple[Dict[BlockId, Payload], int]]:
         """Run the repair; yields ``({target: payload}, newly read blocks)``
         once per round that rebuilt something."""
-        fetch_many = self._source.try_get_many
+        fetch_many, size = self._source.try_get_many, self._block_size
         pending = self.pending
         # Every payload the run holds: fetched inputs and, once a round is
         # done, its rebuilt targets (which win over a stale fetched copy).
@@ -316,7 +317,8 @@ class RepairRun:
             arrived = True
             if wanted:
                 for block_id, payload in zip(wanted, fetch_many(wanted)):
-                    if payload is not None:
+                    # A payload of the wrong length did not arrive either.
+                    if payload is not None and len(payload) == size:
                         held[block_id] = payload
                         read.add(block_id)
                     else:

@@ -158,17 +158,19 @@ class SchemeScrubOutcome:
     ambiguous: List[object] = field(default_factory=list)
 
 
-def read_for_scrub(
-    source: BlockSource, block_ids: List[object], size: int, outcome: SchemeScrubOutcome
+def read_sized(
+    source: BlockSource, block_ids: List[object], size: int, wrong: Optional[List[object]] = None
 ) -> List[Optional[Payload]]:
-    """``source.try_get_many(block_ids)`` for a scrub: a payload whose length
-    is not ``size`` reads as missing -- an erasure no check can use -- and
-    its id joins ``outcome.suspects``, to be rebuilt."""
+    """``source.try_get_many(block_ids)`` with a payload whose length is not
+    ``size`` read as missing (``None``): a block of the wrong length is an
+    erasure to rebuild, never padded or cut to fit.  Its id joins ``wrong``
+    when a list is given (a scrub's suspects)."""
     payloads = list(source.try_get_many(block_ids))
     for position, payload in enumerate(payloads):
         if payload is not None and len(payload) != size:
             payloads[position] = None
-            outcome.suspects.append(block_ids[position])
+            if wrong is not None:
+                wrong.append(block_ids[position])
     return payloads
 
 
@@ -223,15 +225,16 @@ class RedundancyScheme(ABC):
 
     def read_block(self, block_id: object, source: BlockSource) -> Payload:
         """The payload of one block: fetched, or -- when ``source`` does not
-        have it -- :meth:`repair` of that one block.  Raises
+        have it, or has it at the wrong length -- :meth:`repair` of that one
+        block.  Raises
         :class:`repro.exceptions.RepairFailedError` when no recovery path is
         available."""
-        payload = source.try_get_many([block_id])[0]
+        payload = read_sized(source, [block_id], self._block_size)[0]
         if payload is None:
             payload = self.repair({block_id}, source).recovered.get(block_id)
             if payload is None:
                 raise RepairFailedError(block_id, "no available recovery path")
-        return as_payload(payload, self._block_size)
+        return as_payload(payload)
 
     @abstractmethod
     def scrub(self, source: BlockSource) -> SchemeScrubOutcome:

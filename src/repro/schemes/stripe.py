@@ -47,7 +47,7 @@ from repro.schemes.base import (
     SchemeCapabilities,
     SchemeRepairOutcome,
     SchemeScrubOutcome,
-    read_for_scrub,
+    read_sized,
 )
 
 __all__ = ["StripeBlockId", "StripeScheme"]
@@ -256,7 +256,7 @@ class StripeScheme(RedundancyScheme):
         for start in range(0, self._next_stripe, STRIPES_PER_PASS):
             stripes = range(start, min(start + STRIPES_PER_PASS, self._next_stripe))
             ids = [StripeBlockId(s, p) for s in stripes for p in range(n)]
-            fetched = read_for_scrub(source, ids, size, outcome)
+            fetched = read_sized(source, ids, size, outcome.suspects)
             rows = [fetched[row : row + n] for row in range(0, len(ids), n)]
             whole = [s for s, row in zip(stripes, rows) if all(b is not None for b in row)]
             outcome.checked += len(whole)

@@ -9,12 +9,13 @@ reproduction's multi-client request path.  It wraps one
   ``put_stream`` run on the thread that called them; there is no executor
   and no hand-off, so a request costs its locks and its work only;
 * **bounded admission** -- at most ``queue_depth`` requests may be in flight
-  at once (a ``get_stream`` until its stream is exhausted or closed); past
-  that, a request raises
+  at once (a ``get_stream`` until its stream is exhausted or closed), one
+  token each from a list they ``pop`` and ``append`` back; past that, a
+  request raises
   :class:`~repro.exceptions.ServiceOverloadedError` *before* any work starts
   (backpressure, so a slow medium cannot build an unbounded backlog);
 * **striped document locks** -- writers to the same document serialise on a
-  reader-writer lock picked by a deterministic hash of the name (the stripe
+  reader-writer lock picked by ``zlib.crc32`` of the name (the stripe
   count derives from the scheme's repair-group width and ``workers``, the
   number of concurrent callers the front-end is sized for), so
   put/get/delete of one document are mutually consistent while traffic to
@@ -34,14 +35,17 @@ behind a busy writer waits milliseconds.  Reads do not yield (it costs their p50
 The lock hierarchy is admission -> maintenance gate -> stripe lock ->
 service state lock -> WAL group commit; every path acquires in that order,
 so the composition cannot deadlock (concurrent mutators share one WAL
-fsync through its group commit).  See ``docs/architecture.md``.
+fsync through its group commit).  A request's path takes only C-level
+primitives -- list operations and plain ``threading.Lock``s; the one
+``Condition`` is the closed front-end's wait for its tokens to come home.
+See ``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
+import zlib
 from contextlib import ExitStack, contextmanager
 from typing import Callable, Iterator, List, Optional, Sequence
 
@@ -62,45 +66,46 @@ _yield_cpu: Callable[[], None] = getattr(os, "sched_yield", lambda: None)
 
 
 class ReadWriteLock:
-    """A writer-preferring reader-writer lock.
+    """A writer-preferring reader-writer lock on three C-level locks.
 
     Any number of readers may hold the lock together; a writer holds it
-    alone.  Arriving writers block new readers (no writer starvation).
-    Not reentrant.
+    alone.  An arriving writer takes the turnstile and keeps it until it is
+    done, so new readers queue behind it (no writer starvation); the room
+    lock is held by the first reader in for every reader, or by the writer
+    (Downey, *The Little Book of Semaphores*, "no-starve readers-writers").
+    A plain lock may be released by another thread, so the last reader out
+    releases the room whoever took it.  Not reentrant.
     """
 
+    __slots__ = ("_turnstile", "_room", "_mutex", "_readers")
+
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._turnstile = threading.Lock()
+        self._room = threading.Lock()
+        self._mutex = threading.Lock()  # guards ``_readers``
         self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
 
     def acquire_read(self) -> None:
-        with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
+        with self._turnstile:
+            pass
+        with self._mutex:
             self._readers += 1
+            if self._readers == 1:
+                self._room.acquire()
 
     def release_read(self) -> None:
-        with self._cond:
+        with self._mutex:
             self._readers -= 1
             if self._readers == 0:
-                self._cond.notify_all()
+                self._room.release()
 
     def acquire_write(self) -> None:
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer = True
+        self._turnstile.acquire()
+        self._room.acquire()
 
     def release_write(self) -> None:
-        with self._cond:
-            self._writer = False
-            self._cond.notify_all()
+        self._turnstile.release()
+        self._room.release()
 
     @contextmanager
     def read_locked(self) -> Iterator[None]:
@@ -162,7 +167,7 @@ class _Request:
             self.frontend._maintenance.release_read()
         else:
             self.stripe.release_read()
-        self.frontend._admission.release()
+        self.frontend._release()
         if self.write:
             _yield_cpu()
 
@@ -195,7 +200,11 @@ class ConcurrentStorageService(ServiceLayer):
         self._data_dir = service.data_dir
         self._workers = workers
         self._queue_depth = queue_depth
-        self._admission = threading.Semaphore(queue_depth)
+        # Admission is a pool of tokens: a request pops one and appends it
+        # back (both atomic on a list); only a closing front-end waits, on
+        # ``_drained``, for every token to come home.
+        self._tokens: List[None] = [None] * queue_depth
+        self._drained = threading.Condition()
         self._stripes: List[ReadWriteLock] = [
             ReadWriteLock() for _ in range(derive_stripe_count(service, workers))
         ]
@@ -233,8 +242,7 @@ class ConcurrentStorageService(ServiceLayer):
 
     # -- The two hooks, and what they hold --
     def _stripe_index(self, name: str) -> int:
-        digest = hashlib.blake2b(name.encode("utf-8"), digest_size=4).digest()
-        return int.from_bytes(digest, "big") % len(self._stripes)
+        return zlib.crc32(name.encode("utf-8")) % len(self._stripes)
 
     def _stripe_for(self, name: str) -> ReadWriteLock:
         return self._stripes[self._stripe_index(name)]
@@ -252,16 +260,24 @@ class ConcurrentStorageService(ServiceLayer):
     def _admit(self) -> None:
         """Take an admission slot without blocking, or raise before any work:
         a full front-end bounces now rather than queue behind a slow medium."""
-        admitted = self._admission.acquire(blocking=False)
-        if self._closed:
-            if admitted:
-                self._admission.release()
+        try:
+            self._tokens.pop()
+        except IndexError:
             self._ensure_open()
-        if not admitted:
             raise ServiceOverloadedError(
                 f"admission full ({self._queue_depth} requests in flight); "
                 "retry once responses drain"
-            )
+            ) from None
+        if self._closed:
+            self._release()
+            self._ensure_open()
+
+    def _release(self) -> None:
+        """Return an admission slot; once closed, tell :meth:`_quiesce`."""
+        self._tokens.append(None)
+        if self._closed:
+            with self._drained:
+                self._drained.notify_all()
 
     def _route(self, name: str, write: bool) -> _Request:
         return _Request(self, name, write)
@@ -276,8 +292,8 @@ class ConcurrentStorageService(ServiceLayer):
         closed -- only :meth:`close` asks then -- wait out every admitted
         request instead: each holds its slot until it returns."""
         if self._closed:
-            for _ in range(self._queue_depth):
-                self._admission.acquire()
+            with self._drained:
+                self._drained.wait_for(lambda: len(self._tokens) == self._queue_depth)
             yield
         else:
             with self._maintenance.write_locked():

@@ -132,8 +132,7 @@ class ShardRing:
     @staticmethod
     def key_point(key: str) -> int:
         """The 64-bit ring point of a document key (SHA-256 prefix)."""
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return int(digest[:16], 16)
+        return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
 
     @staticmethod
     def _vnode_point(shard_id: int, vnode: int) -> int:

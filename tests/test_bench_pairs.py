@@ -141,3 +141,40 @@ def test_checkout_paths_of_unequal_length_are_warned_about(tmp_path: Path, capsy
     assert "warning" in err and f"parent {length}, change {length + 7}" in err
     kept = json.loads(out.read_text())
     assert kept["path_lengths"] == {"parent": length, "change": length + 7}
+
+
+FAKE_RUN_METRICS = """
+import json, os
+here = os.path.dirname(os.path.abspath(__file__))
+side = os.path.basename(os.path.dirname(os.path.dirname(here)))
+values = {"parent": {"get_mb_s": 100.0, "put_mb_s": 10.0, "op_p95_ms": 2.0},
+          "change": {"get_mb_s": 150.0, "put_mb_s": 9.0, "op_p95_ms": 1.5}}[side]
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {name: {"value": value} for name, value in values.items()}}))
+"""
+
+
+def test_after_the_verdict_every_metric_reports_medians_and_wins(tmp_path: Path, capsys) -> None:
+    declared = {
+        "end_to_end": [
+            {"name": "put_mb_s", "better": "higher"},
+            {"name": "get_mb_s", "better": "higher"},
+            {"name": "repair_mb_s", "better": "higher"},
+            {"name": "op_p95_ms", "better": "lower"},
+        ]
+    }
+    checkouts = []
+    for side in ("parent", "change"):
+        checkout = _checkout(tmp_path, side)
+        (checkout / "benchmarks" / "e2e" / "run.py").write_text(FAKE_RUN_METRICS)
+        (checkout / "BENCHMARK.json").write_text(json.dumps(declared))
+        checkouts.append(str(checkout))
+    argv = ["--parent", checkouts[0], "--change", checkouts[1], "--workload", "w", "--pairs", "3"]
+    assert bench_pairs.main(argv + ["--out", str(tmp_path / "runs.json")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    verdict_at = next(i for i, line in enumerate(printed) if "GAIN" in line)
+    assert printed[verdict_at + 2 :] == [
+        "  put_mb_s (better higher): median 10 -> 9 (-10.0%); change wins 0 / 3",
+        "  get_mb_s (better higher): median 100 -> 150 (+50.0%); change wins 3 / 3",
+        "  op_p95_ms (better lower): median 2 -> 1.5 (-25.0%); change wins 3 / 3",
+    ]

@@ -116,6 +116,60 @@ class TestReadWriteLock:
         assert writer_done.is_set() and reader_entered.is_set()
 
 
+class TestReadWriteLockInvariants:
+    def test_threads_never_share_the_write_side_and_writers_get_in(self):
+        """Six readers overlap one another without a break while two writers
+        each take the lock 40 times: a reader never holds it beside a writer,
+        no two writers hold it together, and the writers finish while the
+        readers are still streaming (a waiting writer holds new readers off;
+        without that the room would never empty)."""
+        lock = ReadWriteLock()
+        guard = threading.Lock()
+        inside = {"readers": 0, "writers": 0}
+        seen: List[Tuple[int, int]] = []
+        writers_done = threading.Event()
+        deadline = time.monotonic() + 20
+
+        def enter(side: str) -> None:
+            with guard:
+                inside[side] += 1
+                seen.append((inside["readers"], inside["writers"]))
+
+        def leave(side: str) -> None:
+            with guard:
+                inside[side] -= 1
+
+        def reader() -> None:
+            while not writers_done.is_set() and time.monotonic() < deadline:
+                with lock.read_locked():
+                    enter("readers")
+                    time.sleep(0.0005)
+                    leave("readers")
+
+        def writer(done: List[int]) -> None:
+            for _ in range(40):
+                with lock.write_locked():
+                    enter("writers")
+                    time.sleep(0.0001)
+                    leave("writers")
+                done.append(1)
+
+        done: List[int] = []
+        readers = [threading.Thread(target=reader, daemon=True) for _ in range(6)]
+        writers = [threading.Thread(target=writer, args=(done,), daemon=True) for _ in range(2)]
+        for thread in readers + writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=25)
+        writers_done.set()
+        for thread in readers:
+            thread.join(timeout=5)
+        assert len(done) == 80 and time.monotonic() < deadline
+        assert not any(thread.is_alive() for thread in readers + writers)
+        assert max(readers for readers, _ in seen) > 1  # readers did share
+        assert all(writers == 0 or (writers, readers) == (1, 0) for readers, writers in seen)
+
+
 class TestStripes:
     def test_stripe_count_derives_from_scheme_and_workers(self):
         frontend = open_frontend(workers=2)
@@ -265,6 +319,46 @@ class TestBackpressure:
             assert report.ops_per_sec > 0
         finally:
             frontend.close()
+
+
+class TestAdmissionTokens:
+    def test_a_request_that_raises_returns_its_slot(self):
+        """At one slot, a get of an unknown name raises and the next request
+        is still admitted (the slot came back on the raise path), and close
+        finds every slot home."""
+        frontend = open_frontend(workers=1, queue_depth=1)
+        try:
+            for _ in range(3):
+                with pytest.raises(UnknownBlockError):
+                    frontend.get("missing")
+                with pytest.raises(UnknownBlockError):
+                    frontend.delete("missing")
+            frontend.put("doc", b"x" * 16)
+            assert frontend.get("doc") == b"x" * 16
+        finally:
+            closer = threading.Thread(target=frontend.close, daemon=True)
+            closer.start()
+            closer.join(timeout=5)
+            assert not closer.is_alive()
+
+    def test_a_bounced_request_takes_no_slot_and_close_still_drains(self):
+        frontend = open_frontend(workers=1, queue_depth=2)
+        parked = [ParkedPutStream(frontend, "one"), ParkedPutStream(frontend, "two")]
+        for _ in range(5):
+            with pytest.raises(ServiceOverloadedError):
+                frontend.get("one")
+        closer = threading.Thread(target=frontend.close)
+        closer.start()
+        closer.join(timeout=0.2)
+        assert closer.is_alive()  # both streams still hold their slots
+        parked[0].finish()
+        closer.join(timeout=0.2)
+        assert closer.is_alive()
+        parked[1].finish()
+        closer.join(timeout=5)
+        assert not closer.is_alive()
+        with pytest.raises(InvalidParametersError):
+            frontend.get("one")
 
 
 class TestClose:

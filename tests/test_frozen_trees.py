@@ -115,6 +115,22 @@ def test_a_frozen_tree_reopens_repairs_and_takes_writes(tree, tmp_path):
     reopened.close()
 
 
+def test_the_frozen_federation_holds_every_document_on_its_ring_owner(tmp_path):
+    """Routing has not moved since the tree was written: each document sits
+    on the shard the ring names, checked on that shard itself (a read would
+    also find it through the fallback scan of every shard)."""
+    record = INDEX["segment-ae-3-2-5-federation"]
+    path = tmp_path / "tree"
+    shutil.copytree(os.path.join(TREES, "segment-ae-3-2-5-federation"), path)
+    with _open(record, path) as federation:
+        owners = {name: federation.shard_for(name) for name in record["documents"]}
+        assert set(owners.values()) == {0, 1}
+        for name, owner in owners.items():
+            shards = federation._shards.items()
+            held = {key for key, shard in shards if shard.service.has_document(name)}
+            assert held == {owner}, name
+
+
 def test_a_tampered_block_of_a_frozen_tree_is_rewritten(tmp_path):
     record = INDEX["segment-ae-3-2-5"]
     path = tmp_path / "tree"

@@ -16,6 +16,7 @@ block's, and the strict-subset rule leaves the tampered block alone.
 from __future__ import annotations
 
 import itertools
+import shutil
 
 import numpy as np
 import pytest
@@ -593,6 +594,63 @@ class TestWrongLengthBlocks:
         assert report.suspects == report.repaired == [block_id]
         assert bytes(store.try_get_many([block_id])[0]) == original
         assert service.scrub().clean and service.get("doc") == data
+
+    @staticmethod
+    def _durable(path) -> StorageConfig:
+        return StorageConfig(
+            scheme="ae-3-2-5",
+            backend="disk",
+            block_size=BLOCK_SIZE,
+            topology="sites=6,racks=1,nodes=1",
+            placement="spread-domains",
+            data_dir=str(path),
+        )
+
+    @staticmethod
+    def _resize(service: StorageService, block_id, length: int) -> None:
+        store = service.cluster.location(service.cluster.location_of(block_id))
+        original = bytes(store.try_get_many([block_id])[0])
+        store.put_many([(block_id, (original * 2)[:length])])
+
+    @pytest.mark.parametrize("length", [32, 96])
+    def test_a_repair_input_of_the_wrong_length_is_planned_around(self, tmp_path, length):
+        """A degraded read whose planned input is the wrong length rebuilds
+        through another strand; it used to raise ``BlockSizeMismatchError``
+        from the XOR pass."""
+        data = np.random.default_rng(7).bytes(400)
+        with StorageService.open(self._durable(tmp_path)) as service:
+            service.put("doc", data)
+            self._resize(service, ParityId(2, H), length)
+            service.fail_locations([service.cluster.location_of(DataId(2))])
+            assert service.get("doc") == data
+
+    @pytest.mark.parametrize("length", [32, 96])
+    def test_a_strand_head_of_the_wrong_length_is_rebuilt_at_open(self, tmp_path, length):
+        """Each parity file in turn cut or grown: the reopened service
+        entangles the next document exactly as an untouched one does.  A head
+        used to be zero-padded (cut) or refused at open (grown)."""
+        data = np.random.default_rng(7).bytes(400)
+        with StorageService.open(self._durable(tmp_path / "seed")) as service:
+            service.put("doc", data)
+            parities = sorted(b for b in service.cluster.block_ids() if isinstance(b, ParityId))
+        assert len(parities) == 21
+
+        def reopened_and_extended(path):
+            with StorageService.open(self._durable(path)) as service:
+                service.put("next", data[::-1])
+                assert service.get("doc") == data
+                return stored(service)
+
+        shutil.copytree(tmp_path / "seed", tmp_path / "pristine")
+        expected = reopened_and_extended(tmp_path / "pristine")
+        for number, victim in enumerate(parities):
+            path = tmp_path / f"cut-{number}"
+            shutil.copytree(tmp_path / "seed", path)
+            with StorageService.open(self._durable(path)) as service:
+                self._resize(service, victim, length)
+            blocks = reopened_and_extended(path)
+            assert len(blocks.pop(victim)) == length
+            assert blocks == {b: v for b, v in expected.items() if b != victim}, victim
 
 
 def test_mid_transition_each_generation_checks_itself(monkeypatch):

@@ -16,6 +16,7 @@ membership/validation edge cases.
 from __future__ import annotations
 
 import collections
+import hashlib
 
 import pytest
 
@@ -122,6 +123,30 @@ class TestDigestConvention:
 
         digest = hashlib.sha256(b"doc-1").hexdigest()
         assert ShardRing.key_point("doc-1") == int(digest[:16], 16)
+
+
+#: 1 000 keys, a fifth of them non-ASCII, and their ring points, recorded on
+#: the ring that parsed the hex digest (before ``key_point`` read the raw
+#: digest): the SHA-256 of the points as 8-byte big-endian words, four of
+#: them by value, and how a two-shard ring splits the keys.
+GOLDEN_KEYS = [f"doc-{i}" if i % 5 else f"名前-{i}/ü" for i in range(1000)]
+GOLDEN_POINTS_SHA256 = "91eb28e844065b718c6da7f9494d0a81e8eef071597639f9e9e46d25a63c2a12"
+GOLDEN_POINTS = {
+    0: 2893999199045453283,
+    1: 13478797910862173401,
+    5: 7275961492044851433,
+    999: 7174637847808779441,
+}
+
+
+class TestKeyPointGolden:
+    def test_key_points_are_as_recorded(self):
+        points = [ShardRing.key_point(key) for key in GOLDEN_KEYS]
+        assert {i: points[i] for i in GOLDEN_POINTS} == GOLDEN_POINTS
+        words = b"".join(point.to_bytes(8, "big") for point in points)
+        assert hashlib.sha256(words).hexdigest() == GOLDEN_POINTS_SHA256
+        counts = collections.Counter(map(ShardRing([0, 1]).shard_for, GOLDEN_KEYS))
+        assert counts == {0: 503, 1: 497}
 
 
 class TestMembershipAndValidation:

@@ -9,7 +9,9 @@ per-pair values, each side's median and quartiles, the win count and the
 verdict of the rule in ``docs/performance.md``: a gain needs the change to
 win at least nine tenths of the pairs (ties count for neither) and the
 medians to differ, in the metric's better direction, by more than the
-parent's inter-quartile range.
+parent's inter-quartile range.  After the verdict it prints, from the same
+runs, every end-to-end metric's per-side median and win count (what
+moved beside the claim).
 
 Usage (from anywhere; each checkout runs its own ``run.py`` and ``src/``)::
 
@@ -134,20 +136,45 @@ def run_once(checkout: str, args: argparse.Namespace) -> Dict[str, object]:
         raise RefusedRun(f"{checkout}: {refused}\n{done.stderr[-2000:]}") from None
 
 
-def metric_direction(checkout: str, metric: str) -> str:
-    """``better`` of ``metric`` as the checkout's ``BENCHMARK.json`` declares it."""
+def end_to_end(checkout: str) -> Dict[str, str]:
+    """``better`` of every end-to-end metric, as the checkout's
+    ``BENCHMARK.json`` declares them, in declared order."""
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as handle:
         declared = json.load(handle)
-    for entry in declared.get("end_to_end", []):
-        if entry["name"] == metric:
-            return str(entry["better"])
-    raise SystemExit(f"bench_pairs: {metric!r} is not an end-to-end metric of BENCHMARK.json")
+    return {entry["name"]: str(entry["better"]) for entry in declared.get("end_to_end", [])}
 
 
 def _value(run: Dict[str, object], metric: str) -> float:
     metrics = run["metrics"]
     assert isinstance(metrics, dict)
     return float(metrics[metric]["value"])
+
+
+def every_metric(runs: Sequence[Dict[str, object]], directions: Dict[str, str]) -> List[str]:
+    """One line per end-to-end metric both sides reported in every pair of
+    ``runs``: each side's median, the change's relative difference and its
+    wins, in the metric's better direction."""
+    by_pair: Dict[object, Dict[object, Dict[str, object]]] = {}
+    for run in runs:
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run
+    whole = [sides for sides in by_pair.values() if len(sides) == len(SIDES)]
+    lines = []
+    for name, better in directions.items():
+        try:
+            pairs = [
+                (_value(sides["parent"], name), _value(sides["change"], name)) for sides in whole
+            ]
+        except (KeyError, TypeError):
+            continue  # not reported by this workload
+        if not pairs:
+            continue
+        judged = verdict(pairs, better)
+        lines.append(
+            f"  {name} (better {better}): median {judged.parent[1]:.4g} -> "
+            f"{judged.change[1]:.4g} ({judged.relative:+.1%}); change wins "
+            f"{judged.wins} / {judged.pairs}"
+        )
+    return lines
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -172,7 +199,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.pairs < 1:
         raise SystemExit("bench_pairs: --pairs must be at least 1")
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    better = metric_direction(checkouts["change"], args.metric)
+    directions = end_to_end(checkouts["change"])
+    if args.metric not in directions:
+        raise SystemExit(
+            f"bench_pairs: {args.metric!r} is not an end-to-end metric of BENCHMARK.json"
+        )
+    better = directions[args.metric]
     lengths = {side: len(path) for side, path in checkouts.items()}
     if lengths["parent"] != lengths["change"]:
         print(
@@ -210,6 +242,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     judged = verdict(pairs, better)
     print(f"{args.workload} {args.metric} (better {better}), seed {args.seed}: {judged.summary()}")
+    print("every end-to-end metric, per-side median and change wins:")
+    print("\n".join(every_metric(runs, directions)))
     return 0
 
 
