@@ -153,6 +153,7 @@ class EntanglementScheme(RedundancyScheme):
             outcome.rounds += 1
         outcome.blocks_read = run.blocks_read
         outcome.unrecovered.extend(sorted(run.pending, key=block_sort_key))
+        outcome.misfits = run.misfits
         return outcome.restricted_to(set(missing)) if run.grew else outcome
 
     def scrub(self, source: BlockSource) -> SchemeScrubOutcome:

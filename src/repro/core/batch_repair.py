@@ -228,10 +228,11 @@ class RepairRun:
     Iterate :meth:`rounds` to run; between rounds the caller may do anything
     that does not take away blocks the source reported available -- write
     the rebuilt payloads somewhere, account for them, stop early.
-    Afterwards :attr:`pending` holds what no surviving path could rebuild
-    and :attr:`blocks_read` the *distinct* payloads the run obtained, from
-    the source or from an earlier round, so a block feeding several
-    dependent repairs is counted once.
+    Afterwards :attr:`pending` holds what no surviving path could rebuild,
+    :attr:`blocks_read` the *distinct* payloads the run obtained, from the
+    source or from an earlier round, so a block feeding several dependent
+    repairs is counted once, and :attr:`misfits` the fetched inputs of the
+    wrong length the run planned around.
     """
 
     def __init__(
@@ -247,6 +248,7 @@ class RepairRun:
         self.pending: Set[BlockId] = set(missing)
         self.blocks_read = 0
         self.grew = False
+        self.misfits: Set[BlockId] = set()
 
     def _grow(self, available: AvailabilityProbe) -> bool:
         """Add to ``pending`` the transitive closure of the unavailable tuple
@@ -322,6 +324,8 @@ class RepairRun:
                         held[block_id] = payload
                         read.add(block_id)
                     else:
+                        if payload is not None:
+                            self.misfits.add(block_id)
                         available[block_id] = arrived = False
                 if not arrived:
                     steps = [

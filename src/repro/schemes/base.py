@@ -113,12 +113,16 @@ class SchemeRepairOutcome:
     payload the repair fetched, the measured counterpart of the analytic
     single-failure cost; ``rounds`` is the number of repair rounds used
     (> 1 only for entanglement after large disasters, Table VI).
+    ``misfits`` names the stored blocks the pass fetched at the wrong length
+    and read around as missing: they are still stored that way, and
+    :meth:`StorageService.repair` rewrites them.
     """
 
     recovered: Dict[object, Payload] = field(default_factory=dict)
     blocks_read: int = 0
     rounds: int = 0
     unrecovered: List[object] = field(default_factory=list)
+    misfits: Set[object] = field(default_factory=set)
 
     @property
     def repaired_count(self) -> int:

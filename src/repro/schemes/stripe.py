@@ -199,6 +199,8 @@ class StripeScheme(RedundancyScheme):
             for block_id, payload in zip(ids, source.try_get_many(ids) if ids else ()):
                 if payload is not None and len(payload) == size:
                     fetched[block_id.stripe][block_id.position] = as_payload(payload)
+                elif payload is not None:  # decoded around, rewritten by the caller
+                    outcome.misfits.add(block_id)
 
         others = {s: [p for p in range(code.n) if p not in lost[s]] for s in lost}
         single = [s for s in lost if len(lost[s]) == 1]

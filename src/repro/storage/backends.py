@@ -45,7 +45,7 @@ import os
 import struct
 import zlib
 from abc import ABC, abstractmethod
-from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -421,7 +421,8 @@ class SegmentLogBackend(StorageBackend):
     stretch: its bytes are dropped from the writer and cut from the
     segment, and neither the index nor the byte counts move.  The index
     maps each live block id to ``(segment, payload offset, payload length,
-    key length)``, so a read is one view over a memory-mapped segment.
+    key length)``, so a read is one view over a memory-mapped segment, or
+    one ``pread`` of a record written since the active segment was mapped.
 
     Reopening trusts an index record only when it is the last thing in the
     log, it carries the final segment's nonce, its CRC and the segment sizes
@@ -466,9 +467,13 @@ class SegmentLogBackend(StorageBackend):
         #: block id -> (segment index, payload offset, payload length, key
         #: length): where the live record lies, header + key + payload.
         self._index: Dict[object, Tuple[int, int, int, int]] = {}
-        self._readers: Dict[int, object] = {}
-        #: segment index -> (read-only mmap, mapped size); reads are served
-        #: as zero-copy numpy views over these maps.
+        #: segment index -> its one read-only file descriptor, opened on the
+        #: first read: it maps the segment and serves ``os.pread`` past the
+        #: map and compaction's reads.  A sealed segment's is closed once the
+        #: segment is mapped whole.
+        self._readers: Dict[int, int] = {}
+        #: segment index -> (read-only mmap, mapped size); reads inside a map
+        #: are served as zero-copy numpy views over it.
         self._maps: Dict[int, Tuple[mmap.mmap, int]] = {}
         #: Header + key + payload bytes of the live records; every other byte
         #: of the log is dead.
@@ -720,12 +725,22 @@ class SegmentLogBackend(StorageBackend):
         self._active = segment
         self._end = end
 
-    def _reader(self, segment: int) -> BinaryIO:
-        handle = self._readers.get(segment)
-        if handle is None:
-            handle = open(self._segment_path(segment), "rb")
-            self._readers[segment] = handle
-        return handle
+    def _reader(self, segment: int) -> int:
+        """The segment's read-only file descriptor, opened on first use."""
+        fd = self._readers.get(segment)
+        if fd is None:
+            fd = self._readers[segment] = os.open(self._segment_path(segment), os.O_RDONLY)
+        return fd
+
+    def _close_readers(self) -> None:
+        """Close every read descriptor and drop every map.  Maps are dropped,
+        not closed: live zero-copy views may still reference them (a map is
+        unmapped when its last view dies, and unlinking a mapped file is safe
+        on POSIX)."""
+        for fd in self._readers.values():
+            os.close(fd)
+        self._readers.clear()
+        self._maps = {}
 
     # -- write path -----------------------------------------------------
     def _write(self, records: Iterable[Tuple[object, Optional[Payload]]]) -> int:
@@ -826,12 +841,7 @@ class SegmentLogBackend(StorageBackend):
         return len(doomed)
 
     def clear(self) -> None:
-        for handle in self._readers.values():
-            handle.close()
-        self._readers.clear()
-        # Maps are dropped, not closed: live zero-copy views may still
-        # reference them.  Unlinking a mapped file is safe on POSIX.
-        self._maps = {}
+        self._close_readers()
         if self._writer is not None:
             self._writer.close()
             self._writer = None
@@ -843,45 +853,57 @@ class SegmentLogBackend(StorageBackend):
         self._open_writer(0)
 
     # -- read path ------------------------------------------------------
-    def _mapped(self, segment: int, end_needed: int) -> Optional[mmap.mmap]:
-        """A read-only memory map of the segment covering ``end_needed`` bytes.
+    def _mapped(self, segment: int, end_needed: int) -> Optional[Tuple[mmap.mmap, int]]:
+        """For a read the segment's current map does not cover: ``(read-only
+        memory map, mapped size)`` of a new map that covers ``end_needed``
+        bytes, or ``None`` when the read is to be a ``pread`` (the segment's
+        descriptor is open then).
 
-        The active segment keeps growing, so its map is re-created whenever a
-        requested record lies beyond the mapped size.  A superseded map is
-        *dropped*, never closed: numpy views handed out by :meth:`get` may
-        still reference its buffer (``mmap.close`` with live exports raises
-        ``BufferError``); the map is unmapped when the last view dies.
+        A segment is mapped whole on its first read.  A sealed segment never
+        grows, so a map that does not cover it is replaced once, and its
+        descriptor is closed.  The active segment grows with every write; its
+        map is replaced only once the segment has doubled since the map was
+        made, and reads of the fresh tail beyond the map are ``pread`` copies
+        until then -- so the maps one segment ever gets are logarithmic in
+        its size, not one per read that lands past the last one.  A
+        superseded map is *dropped*, never closed: numpy views handed out by
+        :meth:`get` may still reference its buffer (``mmap.close`` with live
+        exports raises ``BufferError``); the map is unmapped when the last
+        view dies.
         """
         entry = self._maps.get(segment)
-        if entry is not None and entry[1] >= end_needed:
-            return entry[0]
-        path = self._segment_path(segment)
+        if entry is not None and segment == self._active and self._end < 2 * entry[1]:
+            return None
         try:
-            size = os.path.getsize(path)
-        except OSError:
+            mapped = mmap.mmap(self._reader(segment), 0, access=mmap.ACCESS_READ)
+        except ValueError:  # an empty file
             return None
-        if size == 0 or size < end_needed:
+        entry = self._maps[segment] = (mapped, len(mapped))
+        if entry[1] < end_needed:
             return None
-        with open(path, "rb") as handle:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        self._maps[segment] = (mapped, size)
-        return mapped
+        if segment != self._active:  # mapped whole for good
+            os.close(self._readers.pop(segment))
+        return entry
 
     def get(self, block_id: object) -> Payload:
+        """The payload as a read-only ``uint8`` array: a zero-copy view over
+        the segment's map, or -- for a record past the active segment's map
+        -- a copy read with one ``os.pread``."""
         entry = self._index.get(block_id)
         if entry is None:
             raise KeyError(block_id)
         segment, offset, length, _ = entry
-        mapped = self._mapped(segment, offset + length)
-        if mapped is not None:
-            # Zero-copy: a read-only uint8 view straight over the mapped
-            # segment -- the payload reaches the XOR kernels without an
-            # intermediate copy (repair kernels gather into fresh matrices
-            # and never write into their sources).
-            return np.frombuffer(mapped, dtype=np.uint8, count=length, offset=offset)
-        handle = self._reader(segment)
-        handle.seek(offset)
-        return np.frombuffer(handle.read(length), dtype=np.uint8)
+        mapped = self._maps.get(segment)
+        if mapped is None or mapped[1] < offset + length:
+            mapped = self._mapped(segment, offset + length)
+            if mapped is None:
+                payload = os.pread(self._readers[segment], length, offset)
+                return np.frombuffer(payload, dtype=np.uint8)
+        # Zero-copy: a read-only uint8 view straight over the mapped segment
+        # -- the payload reaches the XOR kernels without an intermediate
+        # copy (repair kernels gather into fresh matrices and never write
+        # into their sources).
+        return np.frombuffer(mapped[0], dtype=np.uint8, count=length, offset=offset)
 
     def scan(self) -> Iterator[Tuple[object, int]]:
         for block_id, (_, _, length, _) in self._index.items():
@@ -928,18 +950,14 @@ class SegmentLogBackend(StorageBackend):
         batch: List[Tuple[object, Payload]] = []
         batch_bytes = 0
         for block_id, entry in list(self._index.items()):  # metadata only
-            handle = self._reader(entry[0])
-            handle.seek(entry[1])
-            batch.append((block_id, np.frombuffer(handle.read(entry[2]), dtype=np.uint8)))
+            payload = os.pread(self._reader(entry[0]), entry[2], entry[1])
+            batch.append((block_id, np.frombuffer(payload, dtype=np.uint8)))
             batch_bytes += _record_bytes(entry)
             if batch_bytes >= self._segment_bytes:
                 self._write(batch)
                 batch, batch_bytes = [], 0
         self._write(batch)
-        for handle in self._readers.values():
-            handle.close()
-        self._readers.clear()
-        self._maps = {}  # dropped, not closed: views may outlive compaction
+        self._close_readers()
         for segment in old_segments:
             os.remove(self._segment_path(segment))
         self._total_bytes -= old_bytes
@@ -987,10 +1005,7 @@ class SegmentLogBackend(StorageBackend):
         if self._writer is not None and self._nonce is not None and not self._tail_is_index:
             self._append_index()
         self.flush()
-        for handle in self._readers.values():
-            handle.close()
-        self._readers.clear()
-        self._maps = {}  # dropped, not closed: callers may hold live views
+        self._close_readers()
         if self._writer is not None:
             self._writer.close()
             self._writer = None

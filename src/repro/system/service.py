@@ -910,33 +910,50 @@ class StorageService(ServiceHandle):
         as intermediates and drops -- and ``NONE`` repairs, relocates and
         logs nothing.
         What the policy left alone comes back in ``skipped``.
+
+        A stored block of the wrong length that the run read around (it
+        counts as available, so it is not among the unreachable blocks) is
+        rebuilt in place in the same call, hidden from its own rebuild as a
+        scrub rewrites its suspects, and listed as repaired.
         """
         self._ensure_open()
         with self._state_lock:
             unavailable = self._cluster.unavailable_blocks()
-            if policy is MaintenancePolicy.FULL:
-                wanted = unavailable
-            elif policy is MaintenancePolicy.MINIMAL:
-                wanted = {
-                    block_id
-                    for scheme, owned in self._generations(unavailable)
-                    for block_id in filter(scheme.is_data_block, owned)
-                }
-            else:
-                wanted = set()
-            report = self._rebuild(wanted)
-            report.skipped.extend(unavailable - wanted)
+            wanted = self._maintained(policy, unavailable)
+            report, misfits = self._rebuild(wanted)
+            rewrite = self._maintained(policy, misfits)
+            if rewrite:
+                self._rebuild(rewrite, hidden=rewrite, report=report)
+            report.skipped.extend((unavailable - wanted) | (misfits - rewrite))
         self._log_placement(report)
         for listed in (report.repaired, report.skipped):
             listed.sort(key=_block_order)
         return report
 
+    def _maintained(self, policy: MaintenancePolicy, blocks: Set[BlockId]) -> Set[BlockId]:
+        """The part of ``blocks`` that ``policy`` rebuilds: all of them,
+        the data blocks only, or none."""
+        if policy is MaintenancePolicy.FULL:
+            return blocks
+        if policy is MaintenancePolicy.MINIMAL:
+            return {
+                block_id
+                for scheme, owned in self._generations(blocks)
+                for block_id in filter(scheme.is_data_block, owned)
+            }
+        return set()
+
     def _rebuild(
-        self, wanted: Set[BlockId], hidden: AbstractSet[object] = frozenset()
-    ) -> ServiceRepairReport:
+        self,
+        wanted: Set[BlockId],
+        hidden: AbstractSet[object] = frozenset(),
+        report: Optional[ServiceRepairReport] = None,
+    ) -> Tuple[ServiceRepairReport, Set[BlockId]]:
         """Rebuild ``wanted`` and store it: the one routine :meth:`repair`
         and :meth:`scrub` share (call it under the state lock, and
-        :meth:`_log_placement` after it).
+        :meth:`_log_placement` after it).  Returns the report -- ``report``
+        itself when one is passed, added to -- and the misfits: stored
+        blocks of the wrong length the rebuild read around.
 
         Each generation's blocks go to the scheme that encoded them, read
         through a source that reports every ``hidden`` block unavailable --
@@ -945,7 +962,9 @@ class StorageService(ServiceHandle):
         assigned location: a bad copy is overwritten where it is.  One a
         rebuild puts elsewhere is dropped, so no reopen can pick it up.
         """
-        report = ServiceRepairReport(scheme=self._scheme.scheme_id)
+        if report is None:
+            report = ServiceRepairReport(scheme=self._scheme.scheme_id)
+        misfits: Set[BlockId] = set()
         cluster = self._cluster
         avoid = tuple(cluster.unavailable_locations())
         source: BlockSource = _Hiding(cluster, hidden) if hidden else cluster
@@ -953,6 +972,7 @@ class StorageService(ServiceHandle):
             if not owned:
                 continue
             outcome = scheme.repair(owned, source)
+            misfits |= outcome.misfits
             stale = {b: cluster.location_of(b) for b in outcome.recovered if b in hidden}
             placed = cluster.relocate_many(outcome.recovered.items(), avoid=avoid)
             for block_id, location in stale.items():
@@ -963,12 +983,12 @@ class StorageService(ServiceHandle):
             report.blocks_read += outcome.blocks_read
             report.rounds = max(report.rounds, outcome.rounds)
             report.data_loss += sum(map(scheme.is_data_block, outcome.unrecovered))
-        return report
+        return report, misfits
 
     def _rewrite(self, suspects: Set[BlockId]) -> ServiceRepairReport:
         """Rebuild ``suspects`` in place, each hidden from every rebuild."""
         with self._state_lock:
-            report = self._rebuild(suspects, hidden=suspects)
+            report, _ = self._rebuild(suspects, hidden=suspects)
         self._log_placement(report)
         return report
 

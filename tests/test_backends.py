@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import mmap
 import os
 import shutil
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -333,6 +335,86 @@ class TestSegmentLogBackend:
             assert backend.dead_bytes <= max(0.5 * backend._total_bytes, 4096)
         assert backend._total_bytes < 4096 + live_record < 30 * live_record
         assert np.array_equal(backend.get(DataId(1)), payload(29, 256))
+        backend.close()
+
+
+class TestSegmentLogReadPath:
+    """A read inside a segment's map is a zero-copy view over it; a read past
+    the active segment's map is one ``pread`` into a read-only copy, and the
+    active segment is mapped again only once it has doubled since its map
+    was made.  A sealed segment is mapped whole, once."""
+
+    @pytest.fixture
+    def maps(self, monkeypatch) -> list:
+        """``(descriptor, size)`` of every map the backend makes, in order."""
+        made: list = []
+
+        def counting(fileno: int, length: int, **kwargs) -> mmap.mmap:
+            mapped = mmap.mmap(fileno, length, **kwargs)
+            made.append((fileno, len(mapped)))
+            return mapped
+
+        shim = SimpleNamespace(mmap=counting, ACCESS_READ=mmap.ACCESS_READ)
+        monkeypatch.setattr(backends, "mmap", shim)
+        return made
+
+    @staticmethod
+    def read(backend: SegmentLogBackend, number: int) -> np.ndarray:
+        """Read ``d<number>`` and check it: byte-exact, not writeable."""
+        got = backend.get(DataId(number))
+        assert not got.flags.writeable
+        assert got.tobytes() == payload(number, 256).tobytes()
+        return got
+
+    @staticmethod
+    def mapped(got: np.ndarray) -> bool:
+        base = got.base
+        return isinstance(base.obj if isinstance(base, memoryview) else base, mmap.mmap)
+
+    def test_the_fresh_tail_waits_for_the_segment_to_double(self, tmp_path, maps):
+        backend = SegmentLogBackend(str(tmp_path))
+        segment = os.path.join(str(tmp_path), "segments", "seg-00000000.log")
+        backend.put_many([(DataId(i), payload(i, 256)) for i in range(1, 9)])
+        assert self.mapped(self.read(backend, 8))
+        assert maps == [(maps[0][0], os.path.getsize(segment))]
+        first = maps[0][1]
+        number = 9
+        while True:
+            backend.put_many([(DataId(number), payload(number, 256))])
+            if os.path.getsize(segment) >= 2 * first:
+                break
+            # A record written after the map: a copy, and no new map.
+            assert not self.mapped(self.read(backend, number))
+            assert self.mapped(self.read(backend, 1))
+            assert len(maps) == 1
+            number += 1
+        assert number > 12
+        # Doubled: the next read past the map maps the whole segment again,
+        # on the same descriptor, and every record reads through the new map.
+        assert self.mapped(self.read(backend, number))
+        assert maps[1] == (maps[0][0], os.path.getsize(segment))
+        for i in range(1, number + 1):
+            assert self.mapped(self.read(backend, i))
+        assert len(maps) == 2
+        backend.close()
+
+    def test_a_sealed_segment_is_mapped_once(self, tmp_path, maps):
+        backend = SegmentLogBackend(str(tmp_path), segment_bytes=4096)
+        backend.put_many([(DataId(i), payload(i, 256)) for i in range(1, 11)])
+        self.read(backend, 1)  # maps segment 0 while it is active
+        backend.put_many([(DataId(i), payload(i, 256)) for i in range(11, 41)])
+        assert backend.segment_count == 3
+        # Segment 0 is sealed now: a read past its map maps it whole at once,
+        # though it has not doubled, on the descriptor of its first map.
+        assert self.mapped(self.read(backend, 14))
+        assert len(maps) == 2 and maps[1][0] == maps[0][0]
+        for _ in range(2):
+            for i in range(1, 41):
+                assert self.mapped(self.read(backend, i))
+        # Once more for each later segment, the active one included.
+        assert len(maps) == 2 + 2
+        # A sealed segment mapped whole keeps no descriptor open.
+        assert list(backend._readers) == [2]
         backend.close()
 
 

@@ -66,7 +66,7 @@ class TestReadWriteLock:
                 with lock.read_locked():
                     entered.set()
 
-            thread = threading.Thread(target=reader)
+            thread = threading.Thread(target=reader, daemon=True)
             thread.start()
             thread.join(timeout=5)
             assert entered.is_set()
@@ -78,7 +78,7 @@ class TestReadWriteLock:
                 order.append(tag)
 
         with lock.write_locked():
-            thread = threading.Thread(target=writer, args=("late",))
+            thread = threading.Thread(target=writer, args=("late",), daemon=True)
             thread.start()
             assert not order  # excluded while we hold the write side
         thread.join(timeout=5)
@@ -103,14 +103,18 @@ class TestReadWriteLock:
             reader_entered.set()
             lock.release_read()
 
-        writer_thread = threading.Thread(target=writer)
-        writer_thread.start()
-        writer_started.wait(timeout=5)
-        reader_thread = threading.Thread(target=late_reader)
-        reader_thread.start()
-        # Writer preference: the late reader must not jump the queue.
-        assert not reader_entered.wait(timeout=0.1)
-        lock.release_read()
+        # Daemon threads, the read side released in ``finally`` and bounded
+        # joins: a broken lock fails this test instead of hanging the run.
+        writer_thread = threading.Thread(target=writer, daemon=True)
+        reader_thread = threading.Thread(target=late_reader, daemon=True)
+        try:
+            writer_thread.start()
+            writer_started.wait(timeout=5)
+            reader_thread.start()
+            # Writer preference: the late reader must not jump the queue.
+            assert not reader_entered.wait(timeout=0.1)
+        finally:
+            lock.release_read()
         writer_thread.join(timeout=5)
         reader_thread.join(timeout=5)
         assert writer_done.is_set() and reader_entered.is_set()

@@ -13,9 +13,9 @@ pass.  These tests pin the contract around it:
 * the read accounting matches the analytic costs of
   :mod:`repro.analysis.repair_cost`, and a surviving block feeding several
   dependent repairs is fetched and counted once per run;
-* segment-log bulk reads stay zero-copy (mmap-backed views), and a torn log
-  tail still round-trips documents through the degraded read path after
-  reopen.
+* segment-log bulk reads of records inside a segment's map stay zero-copy
+  (mmap-backed views), and a torn log tail still round-trips documents
+  through the degraded read path after reopen.
 """
 
 from __future__ import annotations
@@ -219,7 +219,11 @@ class TestReadAccounting:
 
 
 class TestSegmentLogZeroCopy:
-    """Bulk segment-log reads hand out mmap-backed views, not copies."""
+    """Bulk segment-log reads of records inside a segment's map hand out
+    mmap-backed views, not copies.  Records written after the active
+    segment was mapped, until it has doubled, read as ``pread`` copies
+    instead (``tests/test_backends.py::TestSegmentLogReadPath``); here every
+    record lands before the first read, so the first read maps them all."""
 
     def test_get_many_returns_mmap_backed_views(self, tmp_path):
         store = BlockStore(0, backend=SegmentLogBackend(str(tmp_path)), cache_blocks=0)

@@ -24,6 +24,7 @@ import pytest
 from repro.core.blocks import DataId, ParityId
 from repro.core.parameters import StrandClass
 from repro.schemes.stripe import StripeBlockId
+from repro.storage.maintenance import MaintenancePolicy
 from repro.system.service import ServiceScrubReport, StorageConfig, StorageService
 
 BLOCK_SIZE = 64
@@ -623,6 +624,45 @@ class TestWrongLengthBlocks:
             self._resize(service, ParityId(2, H), length)
             service.fail_locations([service.cluster.location_of(DataId(2))])
             assert service.get("doc") == data
+
+    @pytest.mark.parametrize(
+        "scheme,misfit,lost",
+        [
+            ("ae-3-2-5", ParityId(2, H), DataId(2)),
+            ("rs-4-2", StripeBlockId(0, 4), StripeBlockId(0, 2)),
+        ],
+    )
+    @pytest.mark.parametrize("length", [32, 96])
+    def test_repair_rewrites_an_input_of_the_wrong_length(self, scheme, misfit, lost, length):
+        """The repair that plans around a wrong-length input also rebuilds it
+        in place and lists it as repaired.  It used to be left as stored,
+        counted available, and only a scrub found it."""
+        service, data = build(scheme, blocks=7)
+        cluster = service.cluster
+        store = cluster.location(cluster.location_of(misfit))
+        original = bytes(store.try_get_many([misfit])[0])
+        self._resize(service, misfit, length)
+        assert cluster.location_of(lost) != cluster.location_of(misfit)
+        cluster.fail_locations([cluster.location_of(lost)])
+        report = service.repair()
+        assert lost in report.repaired and misfit in report.repaired
+        assert report.data_loss == 0 and report.unrecovered == []
+        assert bytes(store.try_get_many([misfit])[0]) == original
+        service.restore_locations()
+        assert service.status().unavailable_blocks == 0
+        assert service.scrub().clean and service.get("doc") == data
+
+    def test_minimal_repair_leaves_a_wrong_length_parity_skipped(self):
+        """``MINIMAL`` rewrites no redundancy: the misfit parity is listed in
+        ``skipped`` and stays as stored."""
+        service, data = build("ae-3-2-5", blocks=7)
+        self._resize(service, ParityId(2, H), 32)
+        service.fail_locations([service.cluster.location_of(DataId(2))])
+        report = service.repair(MaintenancePolicy.MINIMAL)
+        assert DataId(2) in report.repaired
+        assert ParityId(2, H) in report.skipped and ParityId(2, H) not in report.repaired
+        assert len(service.cluster.try_get_many([ParityId(2, H)])[0]) == 32
+        assert service.get("doc") == data
 
     @pytest.mark.parametrize("length", [32, 96])
     def test_a_strand_head_of_the_wrong_length_is_rebuilt_at_open(self, tmp_path, length):
