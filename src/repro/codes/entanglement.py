@@ -36,7 +36,6 @@ from repro.schemes.base import (
     SchemeCapabilities,
     SchemeRepairOutcome,
     SchemeScrubOutcome,
-    read_sized,
 )
 
 __all__ = [
@@ -153,7 +152,6 @@ class EntanglementScheme(RedundancyScheme):
             outcome.rounds += 1
         outcome.blocks_read = run.blocks_read
         outcome.unrecovered.extend(sorted(run.pending, key=block_sort_key))
-        outcome.misfits = run.misfits
         return outcome.restricted_to(set(missing)) if run.grew else outcome
 
     def scrub(self, source: BlockSource) -> SchemeScrubOutcome:
@@ -162,8 +160,7 @@ class EntanglementScheme(RedundancyScheme):
         Every equation ``p_{i,j} == d_i XOR p_{h,i}`` is checked, a batch of
         :data:`SCRUB_NODES` nodes at a time: one ``source.try_get_many`` and
         one :func:`~repro.core.xor.xor_pairs` per batch.  An equation with a
-        member that cannot be read is unchecked, and a block of the wrong
-        length is not read: it is a suspect.  A changed block violates
+        member that cannot be read is unchecked.  A changed block violates
         every checked equation it is part of, so a block is a suspect when
         all of its checked equations are violated -- unless another such
         block's violated equations strictly contain its own (a tampered
@@ -193,8 +190,7 @@ class EntanglementScheme(RedundancyScheme):
             ]
             ids = [members(*equation) for equation in equations]
             wanted = list(dict.fromkeys(b for trio in ids for b in trio if b is not None))
-            fetched = read_sized(source, wanted, self._block_size, outcome.suspects)
-            payload = dict(zip(wanted, fetched))
+            payload = dict(zip(wanted, source.try_get_many(wanted)))
             readable = [
                 k
                 for k, trio in enumerate(ids)

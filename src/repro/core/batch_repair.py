@@ -211,10 +211,10 @@ class RepairRun:
     would) -- ``source.is_available`` answers the planner without moving
     payload bytes -- the plan's not-yet-held inputs arrive through one
     ``source.try_get_many`` call, steps whose inputs did not arrive (a
-    location dying between the plan and the fetch, or a payload of the wrong
-    length) are dropped so their targets are planned again without the lost
-    block, and all remaining
-    targets are rebuilt in one :func:`execute_plan` pass.
+    location dying between the plan and the fetch, or a store un-holding a
+    record of the wrong length) are dropped so their targets are planned
+    again without the lost block, and all remaining targets are rebuilt in
+    one :func:`execute_plan` pass.
     Blocks rebuilt in one round are inputs of the next.
 
     When a round is *stuck* -- nothing planned, nothing lost in flight --
@@ -231,8 +231,7 @@ class RepairRun:
     Afterwards :attr:`pending` holds what no surviving path could rebuild,
     :attr:`blocks_read` the *distinct* payloads the run obtained, from the
     source or from an earlier round, so a block feeding several dependent
-    repairs is counted once, and :attr:`misfits` the fetched inputs of the
-    wrong length the run planned around.
+    repairs is counted once.
     """
 
     def __init__(
@@ -248,7 +247,6 @@ class RepairRun:
         self.pending: Set[BlockId] = set(missing)
         self.blocks_read = 0
         self.grew = False
-        self.misfits: Set[BlockId] = set()
 
     def _grow(self, available: AvailabilityProbe) -> bool:
         """Add to ``pending`` the transitive closure of the unavailable tuple
@@ -302,7 +300,7 @@ class RepairRun:
     def rounds(self) -> Iterator[Tuple[Dict[BlockId, Payload], int]]:
         """Run the repair; yields ``({target: payload}, newly read blocks)``
         once per round that rebuilt something."""
-        fetch_many, size = self._source.try_get_many, self._block_size
+        fetch_many = self._source.try_get_many
         pending = self.pending
         # Every payload the run holds: fetched inputs and, once a round is
         # done, its rebuilt targets (which win over a stale fetched copy).
@@ -319,13 +317,10 @@ class RepairRun:
             arrived = True
             if wanted:
                 for block_id, payload in zip(wanted, fetch_many(wanted)):
-                    # A payload of the wrong length did not arrive either.
-                    if payload is not None and len(payload) == size:
+                    if payload is not None:
                         held[block_id] = payload
                         read.add(block_id)
                     else:
-                        if payload is not None:
-                            self.misfits.add(block_id)
                         available[block_id] = arrived = False
                 if not arrived:
                     steps = [

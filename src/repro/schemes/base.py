@@ -113,16 +113,12 @@ class SchemeRepairOutcome:
     payload the repair fetched, the measured counterpart of the analytic
     single-failure cost; ``rounds`` is the number of repair rounds used
     (> 1 only for entanglement after large disasters, Table VI).
-    ``misfits`` names the stored blocks the pass fetched at the wrong length
-    and read around as missing: they are still stored that way, and
-    :meth:`StorageService.repair` rewrites them.
     """
 
     recovered: Dict[object, Payload] = field(default_factory=dict)
     blocks_read: int = 0
     rounds: int = 0
     unrecovered: List[object] = field(default_factory=list)
-    misfits: Set[object] = field(default_factory=set)
 
     @property
     def repaired_count(self) -> int:
@@ -160,22 +156,6 @@ class SchemeScrubOutcome:
     violated: List[object] = field(default_factory=list)
     suspects: List[object] = field(default_factory=list)
     ambiguous: List[object] = field(default_factory=list)
-
-
-def read_sized(
-    source: BlockSource, block_ids: List[object], size: int, wrong: Optional[List[object]] = None
-) -> List[Optional[Payload]]:
-    """``source.try_get_many(block_ids)`` with a payload whose length is not
-    ``size`` read as missing (``None``): a block of the wrong length is an
-    erasure to rebuild, never padded or cut to fit.  Its id joins ``wrong``
-    when a list is given (a scrub's suspects)."""
-    payloads = list(source.try_get_many(block_ids))
-    for position, payload in enumerate(payloads):
-        if payload is not None and len(payload) != size:
-            payloads[position] = None
-            if wrong is not None:
-                wrong.append(block_ids[position])
-    return payloads
 
 
 class RedundancyScheme(ABC):
@@ -229,11 +209,10 @@ class RedundancyScheme(ABC):
 
     def read_block(self, block_id: object, source: BlockSource) -> Payload:
         """The payload of one block: fetched, or -- when ``source`` does not
-        have it, or has it at the wrong length -- :meth:`repair` of that one
-        block.  Raises
+        have it -- :meth:`repair` of that one block.  Raises
         :class:`repro.exceptions.RepairFailedError` when no recovery path is
         available."""
-        payload = read_sized(source, [block_id], self._block_size)[0]
+        payload = source.try_get_many([block_id])[0]
         if payload is None:
             payload = self.repair({block_id}, source).recovered.get(block_id)
             if payload is None:

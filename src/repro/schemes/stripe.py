@@ -13,8 +13,7 @@ local group for LRC, the smallest parity equation for flat XOR, ``k`` blocks
 for Reed-Solomon -- so the measured read counts line up with the analytic
 Table IV costs for single failures.  When that plan is unavailable, or a
 stripe lost several blocks, every survivor is read and one
-:meth:`StripeCode.decode` computes exactly the missing ones.  A survivor
-whose stored length is not the block size counts as lost.  A repair pass
+:meth:`StripeCode.decode` computes exactly the missing ones.  A repair pass
 fetches all its stripes' reads in one bulk call and, like a put, rebuilds
 the stripes that lost and read the same positions side by side in one call.
 """
@@ -47,7 +46,6 @@ from repro.schemes.base import (
     SchemeCapabilities,
     SchemeRepairOutcome,
     SchemeScrubOutcome,
-    read_sized,
 )
 
 __all__ = ["StripeBlockId", "StripeScheme"]
@@ -188,19 +186,17 @@ class StripeScheme(RedundancyScheme):
         self, lost: Dict[int, List[int]], source: BlockSource, outcome: SchemeRepairOutcome
     ) -> None:
         """Rebuild a pass of stripes into ``outcome``: their reads in one bulk
-        fetch (plus one where a plan came back short), then one code call per
-        group of stripes that lost and read the same positions, laid side by
-        side as in :meth:`encode`."""
+        fetch (plus one, of the survivors a plan left out, where it came back
+        short), then one code call per group of stripes that lost and read
+        the same positions, laid side by side as in :meth:`encode`."""
         code, size = self._code, self._block_size
         fetched: Dict[int, Dict[int, Payload]] = {stripe: {} for stripe in lost}
 
         def fetch(wanted: Dict[int, List[int]]) -> None:
             ids = [StripeBlockId(s, p) for s, positions in wanted.items() for p in positions]
             for block_id, payload in zip(ids, source.try_get_many(ids) if ids else ()):
-                if payload is not None and len(payload) == size:
+                if payload is not None:
                     fetched[block_id.stripe][block_id.position] = as_payload(payload)
-                elif payload is not None:  # decoded around, rewritten by the caller
-                    outcome.misfits.add(block_id)
 
         others = {s: [p for p in range(code.n) if p not in lost[s]] for s in lost}
         single = [s for s in lost if len(lost[s]) == 1]
@@ -209,7 +205,7 @@ class StripeScheme(RedundancyScheme):
         fetch({s: plans.get(s, others[s]) for s in lost})
         planned = {s for s, plan in plans.items() if set(plan) <= fetched[s].keys()}
         short = [s for s in plans if s not in planned]
-        fetch({s: [p for p in others[s] if p not in fetched[s]] for s in short})
+        fetch({s: [p for p in others[s] if p not in plans[s]] for s in short})
         # (lost positions, positions read) -> the stripes rebuilt together.
         groups: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], List[int]] = {}
         for s, positions in lost.items():
@@ -248,8 +244,7 @@ class StripeScheme(RedundancyScheme):
         A pass of :data:`STRIPES_PER_PASS` stripes is one
         ``source.try_get_many`` and one :meth:`StripeCode.encode`, the
         stripes laid side by side as in :meth:`encode`.  A stripe missing a
-        block is unchecked, and a block of the wrong length is missing and
-        a suspect.  A violated stripe's suspects are what :meth:`_locate`
+        block is unchecked.  A violated stripe's suspects are what :meth:`_locate`
         finds; when it finds no single answer, the stripe names none.
         """
         code, size = self._code, self._block_size
@@ -258,7 +253,7 @@ class StripeScheme(RedundancyScheme):
         for start in range(0, self._next_stripe, STRIPES_PER_PASS):
             stripes = range(start, min(start + STRIPES_PER_PASS, self._next_stripe))
             ids = [StripeBlockId(s, p) for s in stripes for p in range(n)]
-            fetched = read_sized(source, ids, size, outcome.suspects)
+            fetched = source.try_get_many(ids)
             rows = [fetched[row : row + n] for row in range(0, len(ids), n)]
             whole = [s for s, row in zip(stripes, rows) if all(b is not None for b in row)]
             outcome.checked += len(whole)

@@ -15,6 +15,11 @@ Opening a store over a persistent backend with pre-existing data rebuilds the
 block index, so a location survives a process restart with its content intact
 (the counters are per-process and start at 0).
 
+A store serves a backend payload only at the length its index recorded: a
+record cut or grown behind its back is not returned and leaves the index (it
+is *un-held*: as unavailable as a block on a wiped disk, its record kept on
+the medium until a write or a delete reaches it).
+
 Block operations are thread-safe: one lock per store guards the block
 index, the LRU cache (an ``OrderedDict`` whose re-linking is *not* atomic
 under concurrent mutation) and the read/write/hit/miss counters, so the
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -72,6 +77,8 @@ class BlockStore:
         # and byte accounting without touching the backend medium.
         self._sizes: Dict[BlockId, int] = {}
         self._bytes = 0
+        # Ids whose record is still on the medium but left the index.
+        self._unheld: Set[BlockId] = set()
         for block_id, size in backend.scan():
             self._sizes[block_id] = size
             self._bytes += size
@@ -138,6 +145,7 @@ class BlockStore:
         with self._lock:
             self._backend.clear()
             self._sizes.clear()
+            self._unheld.clear()
             self._bytes = 0
             self._cache.clear()
             self._available = False
@@ -180,6 +188,8 @@ class BlockStore:
                         f"location {self._location_id} cannot absorb {new_blocks} new "
                         f"blocks (capacity {self._capacity}, holding {len(sizes)})"
                     )
+            if self._unheld:  # a write replaces an un-held record, a refusal deletes it
+                self._unheld.difference_update(staged)
             written = False
             try:
                 self._backend.put_many(staged.items())
@@ -207,58 +217,76 @@ class BlockStore:
         ``None`` when the location is down.  One availability check and one
         loop under one lock acquisition per batch, through the LRU cache when
         one is configured; the read counter advances by the number of
-        payloads returned."""
+        payloads returned.  A backend payload of another length than the
+        index recorded is ``None`` too, and its block is un-held."""
         wanted = block_ids if isinstance(block_ids, list) else list(block_ids)
         if not self._available:
             return [None] * len(wanted)
         payloads: List[Optional[Payload]] = []
         append = payloads.append
-        reads = hits = 0
+        missing = hits = 0
         with self._lock:
             sizes = self._sizes
             backend_get = self._backend.get
             cache = self._cache
             limit = self._cache_blocks
             for block_id in wanted:
-                if block_id not in sizes:
+                size = sizes.get(block_id)
+                if size is None:
+                    missing += 1
                     append(None)
                     continue
-                reads += 1
-                if not limit:
-                    append(backend_get(block_id))
-                    continue
-                payload = cache.get(block_id)
-                if payload is None:
-                    payload = cache[block_id] = backend_get(block_id)
-                    if len(cache) > limit:
-                        cache.popitem(last=False)
-                else:
+                if limit and block_id in cache:
                     hits += 1
                     cache.move_to_end(block_id)
+                    append(cache[block_id])
+                    continue
+                payload = backend_get(block_id)
+                if len(payload) != size:
+                    missing += self._unhold((block_id,))
+                    append(None)
+                    continue
+                if limit:
+                    cache[block_id] = payload
+                    if len(cache) > limit:
+                        cache.popitem(last=False)
                 append(payload)
-            self._reads += reads
+            self._reads += len(wanted) - missing
             if limit:
                 self._cache_hits += hits
-                self._cache_misses += reads - hits
+                self._cache_misses += len(wanted) - missing - hits
         return payloads
 
+    def _unhold(self, block_ids: Sequence[BlockId]) -> int:
+        """Drop blocks from the index, their records left on the medium."""
+        for block_id in block_ids:
+            self._bytes -= self._sizes.pop(block_id)
+            self._cache.pop(block_id, None)
+        self._unheld.update(block_ids)
+        return len(block_ids)
+
+    def unhold_other_sizes(self, size: int) -> int:
+        """Un-hold every block whose indexed size is not ``size`` (what a
+        read would find, learnt without one); returns how many."""
+        with self._lock:
+            return self._unhold([b for b, held in self._sizes.items() if held != size])
+
     def delete_many(self, block_ids: Iterable[BlockId]) -> int:
-        """Remove the stored blocks among ``block_ids`` in one backend call
-        (absent ids are skipped), returning how many were removed.
+        """Remove the stored blocks among ``block_ids``, un-held records too,
+        in one backend call (absent ids are skipped); returns how many.
 
         Like every delete it works on a location that is down: availability
         models request serving, while a delete reclaims space.
         """
         with self._lock:
-            sizes = self._sizes
-            doomed = [
-                block_id for block_id in dict.fromkeys(block_ids) if block_id in sizes
-            ]
+            sizes, unheld = self._sizes, self._unheld
+            doomed = [b for b in dict.fromkeys(block_ids) if b in sizes or b in unheld]
             if doomed:
                 self._backend.delete_many(doomed)
                 cache = self._cache
                 for block_id in doomed:
-                    self._bytes -= sizes.pop(block_id)
+                    self._bytes -= sizes.pop(block_id, 0)
+                    unheld.discard(block_id)
                     cache.pop(block_id, None)
             return len(doomed)
 

@@ -370,6 +370,15 @@ class StorageCluster:
         store = self._stores[location_id]
         return store._available and block_id in store._sizes
 
+    def unhold_other_sizes(self, size: int) -> int:
+        """:meth:`BlockStore.unhold_other_sizes` at every location that holds blocks."""
+        return sum(store.unhold_other_sizes(size) for store in self._stores if store._sizes)
+
+    def unheld_blocks(self) -> Set[BlockId]:
+        """The blocks a store un-held where the directory places them."""
+        directory = self._directory
+        return {b for s in self._stores for b in s._unheld if directory.get(b) == s.location_id}
+
     def relocate_many(
         self,
         items: Iterable[Tuple[BlockId, Payload]],
@@ -386,7 +395,9 @@ class StorageCluster:
         (:meth:`_pick_relocation_targets`), so a rack or site coming back
         from the dead cannot take the rebuilt copy down with it again.  The
         physical writes go through the same per-location fan-out as
-        :meth:`put_many` -- the write path of batched repair.  Returns
+        :meth:`put_many` -- the write path of batched repair.  A moved block
+        is deleted where it was, unless that location is down and holds it
+        (:meth:`restore_locations` reclaims those).  Returns
         ``{block_id: target location}``.
         """
         pairs = list(items)
@@ -394,7 +405,13 @@ class StorageCluster:
             return {}
         block_ids = [block_id for block_id, _ in pairs]
         targets = self._pick_relocation_targets(block_ids, set(avoid))
+        previous = list(map(self._directory.get, block_ids))
         self._fan_out(pairs, targets)
+        for block_id, before, target in zip(block_ids, previous, targets):
+            if before not in (None, target):
+                store = self._stores[before]
+                if store._available or block_id not in store._sizes:
+                    store.delete_many([block_id])
         return dict(zip(block_ids, targets))
 
     def _pick_relocation_targets(

@@ -185,7 +185,7 @@ class ServiceScrubReport:
     ``checked`` / ``unchecked`` count entanglement equations under AE and
     stripes under a stripe code; ``violated`` names the failed checks.
     ``suspects`` lists every block the failed checks implicate, and every
-    block stored at the wrong length: each is in
+    block the pass found unreadable: each is in
     ``repaired`` (rewritten) or ``unrecovered`` (left as stored, ambiguous
     or without a path that avoids every suspect).
     """
@@ -393,6 +393,7 @@ class StorageService(ServiceHandle):
             fsync=config.fsync, seed=seed, custom_placement=custom_placement,
             placement_spec=placement_spec,
         )
+        cluster.unhold_other_sizes(scheme.block_size)  # before the heads are read
         service._catalogue.open(manifest)
         plan = service.transition
         if plan is not None:
@@ -746,14 +747,7 @@ class StorageService(ServiceHandle):
         self._ensure_open()
         scheme = scheme if scheme is not None else self._scheme
         payloads = self._cluster.try_get_many(data_ids)
-        # A payload of the wrong length (a block file cut or grown behind the
-        # store's back) is as unavailable as a missing one.
-        size = scheme.block_size
-        missing = [
-            data_id
-            for data_id, payload in zip(data_ids, payloads)
-            if payload is None or len(payload) != size
-        ]
+        missing = [data_id for data_id, payload in zip(data_ids, payloads) if payload is None]
         if missing:
             # Degraded reads walk the scheme's lattice/stripe structures, so
             # they serialise against concurrent encodes; healthy reads (the
@@ -911,20 +905,19 @@ class StorageService(ServiceHandle):
         logs nothing.
         What the policy left alone comes back in ``skipped``.
 
-        A stored block of the wrong length that the run read around (it
-        counts as available, so it is not among the unreachable blocks) is
-        rebuilt in place in the same call, hidden from its own rebuild as a
-        scrub rewrites its suspects, and listed as repaired.
+        A block the run itself found unreadable (a store un-held a record of
+        the wrong length) is rebuilt in the same call and listed as repaired.
         """
         self._ensure_open()
         with self._state_lock:
             unavailable = self._cluster.unavailable_blocks()
             wanted = self._maintained(policy, unavailable)
-            report, misfits = self._rebuild(wanted)
-            rewrite = self._maintained(policy, misfits)
+            report = self._rebuild(wanted)
+            found = self._cluster.unheld_blocks() - unavailable
+            rewrite = self._maintained(policy, found)
             if rewrite:
-                self._rebuild(rewrite, hidden=rewrite, report=report)
-            report.skipped.extend((unavailable - wanted) | (misfits - rewrite))
+                self._rebuild(rewrite, report=report)
+            report.skipped.extend((unavailable - wanted) | (found - rewrite))
         self._log_placement(report)
         for listed in (report.repaired, report.skipped):
             listed.sort(key=_block_order)
@@ -948,23 +941,21 @@ class StorageService(ServiceHandle):
         wanted: Set[BlockId],
         hidden: AbstractSet[object] = frozenset(),
         report: Optional[ServiceRepairReport] = None,
-    ) -> Tuple[ServiceRepairReport, Set[BlockId]]:
+    ) -> ServiceRepairReport:
         """Rebuild ``wanted`` and store it: the one routine :meth:`repair`
         and :meth:`scrub` share (call it under the state lock, and
         :meth:`_log_placement` after it).  Returns the report -- ``report``
-        itself when one is passed, added to -- and the misfits: stored
-        blocks of the wrong length the rebuild read around.
+        itself when one is passed, added to.
 
         Each generation's blocks go to the scheme that encoded them, read
         through a source that reports every ``hidden`` block unavailable --
         a scrub hides its suspects, so none is an input of another's
         rebuild -- and land through ``relocate_many``, which keeps a usable
-        assigned location: a bad copy is overwritten where it is.  One a
-        rebuild puts elsewhere is dropped, so no reopen can pick it up.
+        assigned location: a bad copy is overwritten where it is (one put
+        elsewhere is deleted there).
         """
         if report is None:
             report = ServiceRepairReport(scheme=self._scheme.scheme_id)
-        misfits: Set[BlockId] = set()
         cluster = self._cluster
         avoid = tuple(cluster.unavailable_locations())
         source: BlockSource = _Hiding(cluster, hidden) if hidden else cluster
@@ -972,23 +963,18 @@ class StorageService(ServiceHandle):
             if not owned:
                 continue
             outcome = scheme.repair(owned, source)
-            misfits |= outcome.misfits
-            stale = {b: cluster.location_of(b) for b in outcome.recovered if b in hidden}
-            placed = cluster.relocate_many(outcome.recovered.items(), avoid=avoid)
-            for block_id, location in stale.items():
-                if placed[block_id] != location:
-                    cluster.location(location).delete_many([block_id])
+            cluster.relocate_many(outcome.recovered.items(), avoid=avoid)
             report.repaired.extend(outcome.recovered)
             report.unrecovered.extend(outcome.unrecovered)
             report.blocks_read += outcome.blocks_read
             report.rounds = max(report.rounds, outcome.rounds)
             report.data_loss += sum(map(scheme.is_data_block, outcome.unrecovered))
-        return report, misfits
+        return report
 
     def _rewrite(self, suspects: Set[BlockId]) -> ServiceRepairReport:
         """Rebuild ``suspects`` in place, each hidden from every rebuild."""
         with self._state_lock:
-            report, _ = self._rebuild(suspects, hidden=suspects)
+            report = self._rebuild(suspects, hidden=suspects)
         self._log_placement(report)
         return report
 
@@ -1005,12 +991,14 @@ class StorageService(ServiceHandle):
         source too): the equation pass under AE, a re-encode of every
         readable stripe under a stripe code.  The suspects are rebuilt
         through :meth:`_rebuild`, hidden from their own rebuild, as
-        :meth:`repair` rebuilds lost blocks; an ambiguous one is left alone.
+        :meth:`repair` rebuilds lost blocks (so are the blocks the pass found
+        unreadable); an ambiguous one is left alone.
         """
         self._ensure_open()
         report = ServiceScrubReport(scheme=self._scheme.scheme_id)
         ambiguous: List[object] = []
         with self._state_lock:
+            unheld = self._cluster.unheld_blocks()
             for scheme in filter(None, (self._catalogue.fallback, self._scheme)):
                 outcome = scheme.scrub(self._cluster)
                 report.checked += outcome.checked
@@ -1018,6 +1006,7 @@ class StorageService(ServiceHandle):
                 report.violated.extend(outcome.violated)
                 report.suspects.extend(outcome.suspects)
                 ambiguous.extend(outcome.ambiguous)
+            report.suspects.extend(self._cluster.unheld_blocks() - unheld)
         rebuilt = self._rewrite(set(report.suspects))
         report.repaired = sorted(rebuilt.repaired, key=_block_order)
         report.unrecovered = sorted(rebuilt.unrecovered + ambiguous, key=_block_order)

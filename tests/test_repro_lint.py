@@ -308,7 +308,7 @@ def test_live_tree_is_clean_with_at_most_five_suppressions():
     # failure for the main thread (an uncaught thread exception would
     # otherwise vanish into stderr and pass the test).
     result = lint_paths(
-        [ROOT / "src", ROOT / "tests", ROOT / "benchmarks"],
+        [ROOT / "src", ROOT / "tests", ROOT / "benchmarks", ROOT / "tools"],
         excludes=DEFAULT_EXCLUDES,
     )
     assert result.findings == [], "\n".join(f.render() for f in result.findings)

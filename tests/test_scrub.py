@@ -55,9 +55,10 @@ def tamper(service: StorageService, block_id) -> bytes:
 
 
 def stored(service: StorageService):
-    """Every stored block's bytes, by id."""
+    """Every stored block's bytes, by id (``None`` for one that cannot be read)."""
     cluster = service.cluster
-    return {b: bytes(cluster.try_get_many([b])[0]) for b in cluster.block_ids()}
+    ids = list(cluster.block_ids())
+    return {b: None if p is None else bytes(p) for b, p in zip(ids, cluster.try_get_many(ids))}
 
 
 def labels(block_ids):
@@ -588,8 +589,8 @@ class TestWrongLengthBlocks:
         it as a suspect; it used to raise ``BlockSizeMismatchError``."""
         service, data = build(scheme, blocks=8)
         store = service.cluster.location(service.cluster.location_of(block_id))
-        original = bytes(store.try_get_many([block_id])[0])
-        store.put_many([(block_id, (original * 2)[:length])])
+        original = bytes(store.backend.get(block_id))
+        store.backend.put_many([(block_id, (original * 2)[:length])])
         report = service.scrub()
         assert report.violated == []
         assert report.suspects == report.repaired == [block_id]
@@ -609,9 +610,11 @@ class TestWrongLengthBlocks:
 
     @staticmethod
     def _resize(service: StorageService, block_id, length: int) -> None:
+        """Cut or grow the stored record behind the store (which still
+        indexes it at its old length)."""
         store = service.cluster.location(service.cluster.location_of(block_id))
-        original = bytes(store.try_get_many([block_id])[0])
-        store.put_many([(block_id, (original * 2)[:length])])
+        original = bytes(store.backend.get(block_id))
+        store.backend.put_many([(block_id, (original * 2)[:length])])
 
     @pytest.mark.parametrize("length", [32, 96])
     def test_a_repair_input_of_the_wrong_length_is_planned_around(self, tmp_path, length):
@@ -653,15 +656,17 @@ class TestWrongLengthBlocks:
         assert service.scrub().clean and service.get("doc") == data
 
     def test_minimal_repair_leaves_a_wrong_length_parity_skipped(self):
-        """``MINIMAL`` rewrites no redundancy: the misfit parity is listed in
-        ``skipped`` and stays as stored."""
+        """``MINIMAL`` rewrites no redundancy: the wrong-length parity is
+        listed in ``skipped``, stays as stored and counts as unavailable."""
         service, data = build("ae-3-2-5", blocks=7)
         self._resize(service, ParityId(2, H), 32)
         service.fail_locations([service.cluster.location_of(DataId(2))])
         report = service.repair(MaintenancePolicy.MINIMAL)
         assert DataId(2) in report.repaired
         assert ParityId(2, H) in report.skipped and ParityId(2, H) not in report.repaired
-        assert len(service.cluster.try_get_many([ParityId(2, H)])[0]) == 32
+        store = service.cluster.location(service.cluster.location_of(ParityId(2, H)))
+        assert len(store.backend.get(ParityId(2, H))) == 32
+        assert ParityId(2, H) in service.cluster.unavailable_blocks()
         assert service.get("doc") == data
 
     @pytest.mark.parametrize("length", [32, 96])
@@ -675,11 +680,16 @@ class TestWrongLengthBlocks:
             parities = sorted(b for b in service.cluster.block_ids() if isinstance(b, ParityId))
         assert len(parities) == 21
 
-        def reopened_and_extended(path):
+        def reopened_and_extended(path, victim=None):
             with StorageService.open(self._durable(path)) as service:
+                assert service.status().unavailable_blocks == (victim is not None)
                 service.put("next", data[::-1])
                 assert service.get("doc") == data
-                return stored(service)
+                blocks = stored(service)
+                if victim is not None:
+                    store = service.cluster.location(service.cluster.location_of(victim))
+                    assert len(store.backend.get(victim)) == length
+                return blocks
 
         shutil.copytree(tmp_path / "seed", tmp_path / "pristine")
         expected = reopened_and_extended(tmp_path / "pristine")
@@ -688,8 +698,8 @@ class TestWrongLengthBlocks:
             shutil.copytree(tmp_path / "seed", path)
             with StorageService.open(self._durable(path)) as service:
                 self._resize(service, victim, length)
-            blocks = reopened_and_extended(path)
-            assert len(blocks.pop(victim)) == length
+            blocks = reopened_and_extended(path, victim)
+            assert blocks.pop(victim) is None
             assert blocks == {b: v for b, v in expected.items() if b != victim}, victim
 
 

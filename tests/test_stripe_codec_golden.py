@@ -25,7 +25,10 @@ the same way.  ``BATCH_REPAIR_GOLDEN`` (recorded on ``a7265e7``, before
 ``StripeScheme.repair`` fetched a whole pass at once and rebuilt each
 erasure pattern as one wide stripe) hashes one ``repair`` call over 18
 stripes that share three loss patterns, through a source that refuses some
-of the planned reads.  ``PYTHONPATH=src:. python
+of the planned reads; its rows were re-recorded once, when the fallback
+fetch of a short plan stopped asking again for the refused plan reads
+(every other part of each digest held, each row lost 6 repeated ids).
+``PYTHONPATH=src:. python
 tests/test_stripe_codec_golden.py`` prints the tables (use it to record on
 the parent of a codec change, never to make a failing test pass).
 """
@@ -356,33 +359,33 @@ EXHAUSTIVE_GOLDEN: Dict[str, str] = {
 }
 
 BATCH_REPAIR_GOLDEN: Dict[Tuple[str, int], str] = {
-    ('rs-10-4', 1): '21cbd5c829017db71f9796260c36903653b2cb35adec34f80dbf598c837f69f1',
-    ('rs-10-4', 7): '2fd13f4bf7be3ce5be5d42d2ddc834a3fcda5896e7eb1fc1e57027dd5816e4d9',
-    ('rs-10-4', 4096): '32cd04421aae840f3b060a3dd6c405b0f7a9cae72632b6fbef89ad2b0775c13c',
-    ('rs-8-2', 1): '71b68dc32ed46484f14c99cd55359722185d439c5c5e7ab420ffc0eb9b3ba83c',
-    ('rs-8-2', 7): '1e9b5b7f79476362a67d1f98a0f942e23ae9e36cd1f89b19fcaa1f2fc7d83b6c',
-    ('rs-8-2', 4096): 'f005052f0549a109e27a16ec1706563a4f5fe27a213e11906aabd468a39d55e8',
-    ('rs-5-5', 1): 'd04140c7686e817d854d43c51fb6b82e28616446725efe43b1eaa7d68d7ad642',
-    ('rs-5-5', 7): '0beecd293251921b52434181a0a957df917b7ad913a7a55b5b7e9448d18768f1',
-    ('rs-5-5', 4096): '9134c6b4eb9646457b57bd2d79c0ecbab28fd512d52a5f8114e3395336c30c0d',
-    ('rs-4-12', 1): 'ad59144e5ee36dd7313de5abb9d09bbe814d2858e0b90ff1a5deeb0737a1c538',
-    ('rs-4-12', 7): '11128e3cc4a83104ff41f75f27add892d4c773881f3cf98991b9d7eda2e334c6',
-    ('rs-4-12', 4096): '81ef69061f7e0f06c05cb06ec24803521e46203c18ffcfe7479c62c40a026115',
-    ('lrc-azure', 1): '43f48ada0a248c73632cae5a633cf273fba2a6baef8635c530b7590c133cbc93',
-    ('lrc-azure', 7): '026640b2bbc0a99da52e6305af835ce267fc768e5ae44c6fce773c02d854a9c0',
-    ('lrc-azure', 4096): '623bd014796e6fbd246d2007628b91e9db41a3494545b44d035173b1c0e28d57',
-    ('lrc-xorbas', 1): '5c5a15261402e49576fb66b8ffea99fcac76aca8dddbeb58a095d698e8bc9cb5',
-    ('lrc-xorbas', 7): 'c1192a55abd55462d7fc0ea83a380d99fb2a2f28f5b331b466dcbb35e5c6f41b',
-    ('lrc-xorbas', 4096): '6e065e4f1764571752e15b023d9c160c63feef1c390a5f72cd68e2a41b2d511e',
-    ('xor-geo', 1): 'b7da0196ff770320e1fc087a87c36769a9e97117b87ea6e302f02dcb713fcb8a',
-    ('xor-geo', 7): 'a9be602c7f394a49c11173075191ffa2a9e370141e65c4502677b004f82793e0',
-    ('xor-geo', 4096): '5c2b94fb8c5b8873314d953aadedea703a644c83bd701d2bfe88d0a6ef01fda7',
-    ('xor-raid5-5', 1): '287d2dad2e6625755bdee5b5dbf8b187d7e933c140e2a28a18bfe6b3d863675d',
-    ('xor-raid5-5', 7): '70ec3891a0dba155dafb636e405ccea8163b3e0707b90a8cfb7994a9988bdffc',
-    ('xor-raid5-5', 4096): 'f2fe5dbdc42c68e36a4b5a0525dcd44094b33c651b4b816e0c02121dc86cb9bc',
-    ('rep-3', 1): 'c9dea811eb9ecffd3223dbf7aed15b03b5c62de3b8e5b7cc3fb37bd7f1a276e2',
-    ('rep-3', 7): 'c352d097cc9eab656eee9d2af88389ccda395dbf99b4ee15acca220be9fbd60b',
-    ('rep-3', 4096): '4e45498225a12c35a5961fdf17064f6fad4c3c1367f59511fe1d8a60ac3cd8f5',
+    ('rs-10-4', 1): '3a5e12faa04ff3394615aa862926725f2679118f93f85d97725f72af0bcf7ea0',
+    ('rs-10-4', 7): '7b6922598a8c14aad30173ecf2851a5675b1c7d70209ba85b1227fe0af74baae',
+    ('rs-10-4', 4096): 'f6c723c764045ed710e2cb733b53f9ba20b05bda83c72c6fb997ca30f623dee3',
+    ('rs-8-2', 1): 'ea598785155dd47058013fa4c99884193eb0f146f766132c4b829491c2a0a469',
+    ('rs-8-2', 7): '4296350628c5003ef5169fa999fd09110424447e634f3fb55424d3530193dee3',
+    ('rs-8-2', 4096): 'b8dc7bbf17d82c8d9ae1690ccf512ba8bec66343b19141f3c6c5851bdc754d9e',
+    ('rs-5-5', 1): '7a8d5eea686722c4ded818f28581246082989de78cdfe4bb7088db1109d6d5a6',
+    ('rs-5-5', 7): 'cb428e0c1a1a9b0af9f95826fdb6539cbd109820bb26d90fe5738950863046ca',
+    ('rs-5-5', 4096): '8e38def764dd474eee26bfd994091044b2e5876aefe6c995782146f13032803a',
+    ('rs-4-12', 1): '9c162db8e868322e8e5fa9b1664c071bdb762f5bd66eec834cd9820b4ee580c8',
+    ('rs-4-12', 7): '5842c5c7d705ebe2057844918e93fc7228e0b6ef3609e32ff46f24307d5d73aa',
+    ('rs-4-12', 4096): '6e65af58531cc5817a4a42535710876ae6f66393cff7fcbea509a1ed4be4835b',
+    ('lrc-azure', 1): '0e3a9593f4ea9b2ba67a27662337a59aaf3794a5a74149b2e2c959b43f8e866c',
+    ('lrc-azure', 7): 'e459115d2e576b98fc2ed575a4f6ac685e5342501eece53404e270acd707ac0d',
+    ('lrc-azure', 4096): '6d9f08e6b6a91a9de030dba4596cc7b07659f26232c4f9502f8dc70aa9dc213b',
+    ('lrc-xorbas', 1): '39446bd3b81d34c112f5b3d962c3cab0e8d38f4c6be3bff7058addd00e7d327e',
+    ('lrc-xorbas', 7): 'e17762358a470e36f5fb77a52975751ac44c88fb55105286730841c59a966961',
+    ('lrc-xorbas', 4096): 'fa270dc6124c2ca061559d5ed1d0ba967ef76552d972b4fff699d27b362a8a7f',
+    ('xor-geo', 1): '97621ba8ad1e8cdab219d10e5645056280b45214410fb7bdd3a99dac6c714984',
+    ('xor-geo', 7): '1e8a3f3ee8a276d6bdfe8918003a2e3c157b7a46347e638838df428cc3b321e9',
+    ('xor-geo', 4096): 'd5a2f457ab1d9762431fc9a9cc54bd74bac71ad2ff9e918809ef8286ef24e5bc',
+    ('xor-raid5-5', 1): 'f7ba4adc471d4d7443301a6eab89c900b072b3200e41037d8b315fa632179d81',
+    ('xor-raid5-5', 7): '7c3388b0d01cd396f91df5c48c3f7ca16fa80e1dca3441bc9cf864ce5c79a799',
+    ('xor-raid5-5', 4096): '6da8d7adf4b162ebb69b2a6698e3eca94e39be8fca841b71151c028b1cd1e4aa',
+    ('rep-3', 1): '1c1a62b4ba5c8a9e4acf18661aeb38d99efae92b35d0bc30be3b1377aeac8d26',
+    ('rep-3', 7): '6961ce8e5586fa4965e4e7fcbf88e49a5bead08e5b539dd7b9072e89aa7309d5',
+    ('rep-3', 4096): 'cbb97757c075d0873cd6930cc04dadf9cb791e0dd0af6861c379aee4e7c23a65',
 }
 
 SERVICE_GOLDEN = '274b0d101be066942bb076a3646e8d578b75b13e7271e03c673436843787f212'
