@@ -126,18 +126,24 @@ class StorageCluster:
             )
         # Pre-existing blocks on persistent backends re-seed the directory,
         # so a reopened cluster serves its old placements immediately.  A
-        # block found at several locations (a relocated repair whose stale
-        # source copy was never reclaimed) keeps the first copy; the
-        # duplicates are physically deleted so they cannot leak storage or
-        # inflate the byte accounting across reopen cycles.
+        # block found at several locations (a relocation whose delete of the
+        # old copy never ran) keeps the first copy; the duplicates are
+        # physically deleted so they cannot leak storage or inflate the byte
+        # accounting across reopen cycles.  A duplicate of another length
+        # waits for the open pass (:meth:`unhold_other_sizes`), which keeps
+        # the copy of the block size.
         self._directory: Dict[BlockId, int] = {}
+        self._doubles: List[Tuple[BlockId, int]] = []
         for store in self._stores:
             duplicates = []
-            for block_id in store.block_ids():
-                if block_id in self._directory:
+            for block_id, size in store._sizes.items():
+                first = self._directory.get(block_id)
+                if first is None:
+                    self._directory[block_id] = store.location_id
+                elif self._stores[first]._sizes[block_id] == size:
                     duplicates.append(block_id)
                 else:
-                    self._directory[block_id] = store.location_id
+                    self._doubles.append((block_id, store.location_id))
             if duplicates:
                 store.delete_many(duplicates)
 
@@ -371,7 +377,17 @@ class StorageCluster:
         return store._available and block_id in store._sizes
 
     def unhold_other_sizes(self, size: int) -> int:
-        """:meth:`BlockStore.unhold_other_sizes` at every location that holds blocks."""
+        """The open pass: a block found at two locations at different
+        lengths keeps the copy of ``size`` bytes (the other record is
+        deleted), then :meth:`BlockStore.unhold_other_sizes` at every
+        location that holds blocks."""
+        sizes = [store._sizes for store in self._stores]
+        for block_id, location in self._doubles:
+            home = self._directory[block_id]
+            if sizes[home].get(block_id) != size and sizes[location].get(block_id) == size:
+                self._directory[block_id], location = location, home
+            self._stores[location].delete_many([block_id])
+        self._doubles.clear()
         return sum(store.unhold_other_sizes(size) for store in self._stores if store._sizes)
 
     def unheld_blocks(self) -> Set[BlockId]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import repro.schemes as schemes
@@ -62,9 +63,14 @@ def _successor(block_id: object) -> Optional[object]:
     return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoredDocument:
-    """Metadata of one document stored in the system."""
+    """Metadata of one document stored in the system.
+
+    Immutable (``data_ids`` too, by contract): a new version of a document
+    is a new ``StoredDocument``, so its catalogue :attr:`entry` is built
+    once and every checkpoint reuses it.
+    """
 
     name: str
     data_ids: List[object]
@@ -74,6 +80,7 @@ class StoredDocument:
     def block_count(self) -> int:
         return len(self.data_ids)
 
+    @cached_property
     def entry(self) -> Dict[str, object]:
         """The catalogue entry of this document: a manifest ``documents``
         value, and a ``put_doc`` record with its ``op`` and ``name``.
@@ -279,7 +286,7 @@ class Catalogue:
             return replaced, []
         seq = self._next_seq()
         records: List[Record] = [
-            {"op": "put_doc", "name": document.name, **document.entry()} for document in documents
+            {"op": "put_doc", "name": document.name, **document.entry} for document in documents
         ]
         records.append({"op": "scheme_state", "state": self._service.scheme.state(), "seq": seq})
         return replaced, self._hand_out(records)
@@ -406,7 +413,7 @@ class Catalogue:
     def _manifest(self) -> Dict[str, object]:
         manifest = self._settings()
         manifest["scheme_state"] = self._service.scheme.state()
-        manifest["documents"] = {name: doc.entry() for name, doc in self.documents.items()}
+        manifest["documents"] = {name: doc.entry for name, doc in self.documents.items()}
         if self._plan is not None:
             manifest["transition"] = self._plan.to_dict()
         return manifest

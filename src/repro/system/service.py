@@ -500,22 +500,25 @@ class StorageService(ServiceHandle):
         return [(fallback, old), (self._scheme, block_ids - old)]
 
     def status(self) -> ServiceStatus:
-        stats = self._cluster.stats()
-        unavailable = self._cluster.unavailable_blocks()
+        # One directory scan, and no per-block domain count (which the
+        # cluster's ``stats()`` adds and no field here reads).
+        cluster = self._cluster
+        unavailable = cluster.unavailable_blocks()
+        stores = list(cluster.locations())
         return ServiceStatus(
             scheme=self._scheme.scheme_id,
-            blocks=stats.blocks,
+            blocks=len(cluster),
             unavailable_blocks=len(unavailable),
             unavailable_data_blocks=sum(
                 sum(map(scheme.is_data_block, owned))
                 for scheme, owned in self._generations(unavailable)
             ),
-            locations=stats.locations,
-            unavailable_locations=stats.locations - stats.available_locations,
+            locations=len(stores),
+            unavailable_locations=sum(not store.available for store in stores),
             documents=len(self._catalogue.documents),
-            bytes_stored=stats.bytes_stored,
-            cache_hits=stats.cache_hits,
-            cache_misses=stats.cache_misses,
+            bytes_stored=sum(store.bytes_stored for store in stores),
+            cache_hits=sum(store.cache_hits for store in stores),
+            cache_misses=sum(store.cache_misses for store in stores),
         )
 
     # ------------------------------------------------------------------

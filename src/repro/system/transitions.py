@@ -54,6 +54,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, ContextManager, Dict, Iterator, List, Optional, Sequence, Set
 
+import numpy as np
+
 import repro.schemes as schemes
 from repro.codes.entanglement import EntanglementScheme, PuncturedEntanglementScheme
 from repro.core.blocks import DataId, ParityId
@@ -297,9 +299,14 @@ class TransitionEngine:
                 service._scheme = target
                 catalogue.begin(plan, fallback=source)
             else:
-                # AE-internal kinds keep the source serving until their
-                # parity walk completes; the flip is inside the run.
                 catalogue.begin(plan)
+                if kind == KIND_REPUNCTURE and not self._regenerated(source).any():
+                    # Nothing to regenerate: the flip needs no write before
+                    # it, so the start checkpoint carries it with the plan
+                    # (the deletion pass is still owed).
+                    self._flip(source)
+                # Otherwise the source keeps serving until the run's parity
+                # walk completes; the flip is inside the run.
         # The start checkpoint makes the intent durable: scheme and plan go
         # out in one manifest rename, so no crash can separate them.
         catalogue.checkpoint()
@@ -347,6 +354,24 @@ class TransitionEngine:
     # ------------------------------------------------------------------
     # repuncture: regenerate-then-flip-then-delete
     # ------------------------------------------------------------------
+    def _regenerated(self, source: RedundancyScheme) -> np.ndarray:
+        """The mask of the parities a repuncture regenerates: what the
+        source punctured and the target does not.  A plain source stored
+        everything, and a target at a lower keep fraction punctures a
+        superset of the source's (the policy is monotone in it)."""
+        if not isinstance(source, PuncturedEntanglementScheme):
+            return np.zeros((0, 0), dtype=bool)
+        dropped = source.punctured_code.mask(source.entangler.blocks_encoded)
+        if isinstance(self._target, PuncturedEntanglementScheme):
+            dropped &= ~self._target.punctured_code.mask(len(dropped))
+        return dropped
+
+    def _flip(self, source: RedundancyScheme) -> None:
+        """Make the target the service's scheme (under the state lock): it
+        re-reads the strand heads, regenerating any the new rate punctures."""
+        self._target.restore_state(source.state(), self._service.cluster)
+        self._service._scheme = self._target
+
     def _run_repuncture(self, plan: TransitionPlan, report: TransitionReport) -> None:
         service = self._service
         if service.scheme.scheme_id != plan.target:
@@ -358,19 +383,14 @@ class TransitionEngine:
                 source = service.scheme
                 assert isinstance(source, EntanglementScheme)
                 cluster = service.cluster
-                # What the source punctured and the target does not: the
-                # source mask minus the target's.  A plain source stored
-                # everything, a resume skips what is there.
-                wanted: List[ParityId] = []
-                if isinstance(source, PuncturedEntanglementScheme):
-                    dropped = source.punctured_code.mask(source.entangler.blocks_encoded)
-                    if isinstance(self._target, PuncturedEntanglementScheme):
-                        dropped &= ~self._target.punctured_code.mask(len(dropped))
-                    wanted = [
-                        parity
-                        for parity in masked_parities(dropped, source.params.strand_classes)
-                        if not cluster.knows(parity)
-                    ]
+                # A resume skips what is there.
+                wanted = [
+                    parity
+                    for parity in masked_parities(
+                        self._regenerated(source), source.params.strand_classes
+                    )
+                    if not cluster.knows(parity)
+                ]
                 step = service.batch_blocks
                 for start in range(0, len(wanted), step):
                     batch = wanted[start : start + step]
@@ -384,10 +404,7 @@ class TransitionEngine:
                     )
                 report.parities_written += len(wanted)
                 report.blocks_written += report.parities_written
-                # Flip: the target re-reads the strand heads (regenerating
-                # any the new rate punctures).
-                self._target.restore_state(source.state(), cluster)
-                service._scheme = self._target
+                self._flip(source)
             # The flip must be durable before any parity disappears.
             service.catalogue.checkpoint()
         # Deletion pass: parities the (now current) target punctures -- its

@@ -194,3 +194,33 @@ def test_a_rebuild_off_a_down_location_leaves_no_wrong_length_record(backend, tm
         assert service.status().unavailable_blocks == 0
         assert service.cluster.location_of(victim) != where
         assert service.get("doc") == DATA
+
+
+@pytest.mark.parametrize("backend", ["disk", "segment"])
+def test_a_reopen_keeps_the_copy_of_the_block_size(backend, tmp_path):
+    """A block found at two locations at reopen, one record of the wrong
+    length -- a relocation wrote the good copy and died before deleting the
+    old record -- keeps the good copy wherever the scan meets it, and the
+    other record is deleted.  (The reopen used to keep whichever copy came
+    first: the wrong-length record won, the good copy was deleted and the
+    block stayed lost until ``repair()`` rebuilt it.)"""
+    config = StorageConfig(
+        scheme="rs-4-2", backend=backend, block_size=BLOCK, topology=8, seed=3,
+        data_dir=str(tmp_path / "service"),
+    )
+    with StorageService.open(config) as service:
+        service.put("doc", DATA)
+        cluster = service.cluster
+        # A block whose good copy a scan from location 0 meets second.
+        victim = min((b for b in cluster.block_ids() if cluster.location_of(b) > 0), key=repr)
+        home = cluster.location_of(victim)
+        original = bytes(cluster.location(home).backend.get(victim))
+        cluster.location(0).backend.put_many([(victim, original[:32])])
+    with StorageService.open(config) as service:
+        cluster = service.cluster
+        assert cluster.location_of(victim) == home
+        assert service.status().unavailable_blocks == 0
+        assert _records(service, home)[victim] == BLOCK
+        assert victim not in _records(service, 0)
+        assert service.get("doc") == DATA
+        assert service.repair().repaired == []

@@ -8,6 +8,7 @@ path.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -194,6 +195,21 @@ class TestDelete:
         assert cluster.delete_blocks(ids + [StripeBlockId(9, 9)]) == 6
         assert len(cluster) == 0
 
+#: ``status()`` of the degraded service in
+#: ``TestConfigAndStatus.test_a_degraded_status_reads_the_recorded_fields``.
+DEGRADED_STATUS = {
+    "scheme": "ae-3-2-5",
+    "blocks": 132,
+    "unavailable_blocks": 22,
+    "unavailable_data_blocks": 3,
+    "locations": 12,
+    "unavailable_locations": 1,
+    "documents": 3,
+    "bytes_stored": 7872,
+    "cache_hits": 11,
+    "cache_misses": 11,
+}
+
 
 class TestConfigAndStatus:
     def test_open_accepts_scheme_instance(self):
@@ -224,6 +240,25 @@ class TestConfigAndStatus:
         assert status.unavailable_blocks == 0
         assert "lrc-xorbas" in status.summary()
 
+
+    def test_a_degraded_status_reads_the_recorded_fields(self):
+        """Every ``ServiceStatus`` field of a degraded ``ae-3-2-5`` service
+        over sites, with a cache and a down location and a wiped one
+        (recorded on the parent of the one-scan ``status()``)."""
+        service = StorageService.open(
+            StorageConfig(
+                scheme="ae-3-2-5", topology="sites=3,racks=2,nodes=2",
+                placement="spread-domains", block_size=64, seed=7, cache_blocks=16,
+            )
+        )
+        for index in range(3):
+            service.put(f"doc-{index}", seeded_payload(index, 700))
+        for _ in range(2):
+            service.get("doc-1")
+        service.fail_locations([0])
+        service.cluster.wipe_locations([5])
+        service.restore_locations([5])
+        assert dataclasses.asdict(service.status()) == DEGRADED_STATUS
 
 class TestReviewRegressions:
     def test_padding_blocks_are_not_data_loss(self):

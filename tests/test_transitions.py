@@ -26,7 +26,8 @@ import pytest
 import repro.schemes as schemes
 import repro.system.catalogue as catalogue_module
 import repro.system.sharding as sharding_module
-from repro.core.blocks import DataId, ParityId
+from repro.codes.entanglement import EntanglementScheme
+from repro.core.blocks import DataId, ParityId, parity_ids_for
 from repro.core.parameters import StrandClass
 from repro.exceptions import InvalidParametersError, RepairFailedError, ReproError
 from repro.storage.cluster import StorageCluster
@@ -591,6 +592,39 @@ def assert_one_durable_truth(root):
     assert strays == [], f"unexpected durable files in {root}: {strays}"
 
 
+class TestDurableWritesPerHop:
+    """The durable metadata writes of one untouched hop, per kind.  A
+    repuncture that regenerates nothing flips in its start checkpoint:
+    start, settle.  One that regenerates parities stores them before the
+    flip's own checkpoint: start, flip, settle.  An alpha raise flips inside
+    its run: start, settle.  A re-encode commits one WAL group per batch
+    between its start and its settle."""
+
+    CASES = {
+        "repuncture-more": ("ae-3-2-5", "ae-3-2-5-p75", 2),
+        "repuncture-p80-p50": ("ae-3-2-5-p80", "ae-3-2-5-p50", 2),
+        "repuncture-less": ("ae-3-2-5-p75", "ae-3-2-5", 3),
+        "repuncture-p50-p80": ("ae-3-2-5-p50", "ae-3-2-5-p80", 3),
+        "alpha-raise": ("ae-2-2-5", "ae-3-2-5", 2),
+        "reencode": ("rep-3", "ae-3-2-5", 1 + 3 + 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_hop(self, case, tmp_path, durable_writes):
+        source, target, writes = self.CASES[case]
+        payloads = make_docs(count=3, size=2000)
+        # Four-block batches: the re-encode moves one document per batch.
+        service = StorageService.open(disk_config(source, tmp_path, batch_blocks=4))
+        fill(service, payloads)
+        service.flush()
+        durable_writes.arm(None, None)
+        service.transition_to(target)
+        assert durable_writes.count == writes
+        assert service.scheme.scheme_id == target and service.transition is None
+        assert_byte_exact(service, payloads)
+        service.close()
+
+
 class TestDurableCrashResume:
     """ONE sweep: a crash just before and just after every durable metadata
     write of a transition, for every kind, reopened under either endpoint."""
@@ -602,6 +636,8 @@ class TestDurableCrashResume:
         ("ae-2-2-5", "ae-3-2-5"),  # alpha raise
         ("ae-3-2-5", "ae-3-2-5-p75"),  # repuncture ...
         ("ae-3-2-5-p75", "ae-3-2-5"),  # ... and back
+        ("ae-3-2-5-p50", "ae-3-2-5-p80"),  # between punctured rates ...
+        ("ae-3-2-5-p80", "ae-3-2-5-p50"),  # ... both ways
     ]
 
     @staticmethod
@@ -625,6 +661,18 @@ class TestDurableCrashResume:
             for document in reopened.documents.values()
             for block_id in document.data_ids
         )
+        # Every parity the settled rate keeps is stored: a flip ahead of its
+        # regeneration leaves holes that the byte-exact reads never touch.
+        scheme = reopened.scheme
+        if isinstance(scheme, EntanglementScheme):
+            punctured = set(getattr(scheme, "punctured_parities", list)())
+            indexes = range(1, scheme.entangler.blocks_encoded + 1)
+            assert all(
+                cluster.knows(parity)
+                for strand_class in scheme.params.strand_classes
+                for parity in parity_ids_for(indexes, strand_class)
+                if parity not in punctured
+            )
         assert_byte_exact(reopened, payloads)
         history = reopened.epoch_history
         assert (history is None) == (not scheme_id.startswith("ae-"))
