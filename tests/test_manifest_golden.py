@@ -34,6 +34,7 @@ import json
 import os
 import random
 import tempfile
+from contextlib import nullcontext
 from typing import Callable, List, Tuple
 
 import pytest
@@ -77,25 +78,17 @@ MANIFEST_GOLDEN: List[Tuple[str, str]] = [
 ]
 
 
-class _Cut:
+def _cut_after(allow: int) -> Callable[[object], "nullcontext[None]"]:
     """A re-encode doc guard that raises once ``allow`` batches moved."""
+    entered: List[object] = []
 
-    def __init__(self, allow: int) -> None:
-        self.allow = allow
-
-    def __call__(self, names):
-        if self.allow == 0:
+    def guard(names: object) -> "nullcontext[None]":
+        if len(entered) == allow:
             raise RuntimeError("cut")
-        self.allow -= 1
-        return _Open()
+        entered.append(names)
+        return nullcontext()
 
-
-class _Open:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    return guard
 
 
 def lifecycle(root: str) -> List[Tuple[str, str]]:
@@ -137,7 +130,7 @@ def lifecycle(root: str) -> List[Tuple[str, str]]:
         service.put("doc-1", rng.randbytes(700))
         do("ae-overwrite-delete", service, lambda: service.delete("doc-3"))
         try:
-            service.transition_to("rs-4-2", doc_guard=_Cut(2))
+            service.transition_to("rs-4-2", doc_guard=_cut_after(2))
         except RuntimeError:
             pass
         step("reencode-cut", service)
