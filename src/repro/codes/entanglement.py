@@ -122,8 +122,9 @@ class EntanglementScheme(RedundancyScheme):
         """Round-based lattice repair (paper, Sec. V-C4), executed in bulk.
 
         A thin caller of :class:`~repro.core.batch_repair.RepairRun`, which
-        plans against ``source.is_available`` and fetches each round's inputs
-        through one ``source.try_get_many``.  Identifiers that are not blocks
+        plans each round with every missing block unavailable, checks the
+        picked inputs with ``source.is_available`` and fetches them through
+        one ``source.try_get_many``.  Identifiers that are not blocks
         of this lattice -- another scheme's, or beyond the encoded size --
         come back in ``unrecovered`` untouched.  What a stuck run rebuilds on
         the way -- lost neighbours, parities a punctured setting never stored

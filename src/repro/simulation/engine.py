@@ -49,8 +49,8 @@ import repro.schemes as schemes
 from repro.codes.base import StripeCode
 from repro.codes.entanglement import EntanglementScheme, PuncturedEntanglementScheme
 from repro.codes.replication import ReplicationCode
+from repro.core.batch_repair import RoundPicks, pick_round
 from repro.core.parameters import AEParameters
-from repro.core.rules import rule_offsets
 from repro.exceptions import InvalidParametersError
 from repro.schemes import SchemeLike
 from repro.simulation.metrics import DisasterMetrics
@@ -201,10 +201,13 @@ class LatticeSimulation(SimulatedPlacement):
     """Availability-only simulation of an AE(alpha, s, p) helical lattice.
 
     The lattice is kept as a handful of numpy arrays (``data_location``,
-    ``parity_location``, the input/output wiring) and repair rounds are
-    whole-array operations -- the scheme's own repair plan, vectorised:
-    a data block is repairable when some strand still has both adjacent
-    parities (a pp-tuple), a parity when an adjacent dp-tuple survives.
+    ``parity_location``, the punctured mask) and a repair round is one
+    call of the store's array rule,
+    :func:`~repro.core.batch_repair.pick_round`, over the whole lattice: a
+    data block takes its first strand whose two adjacent parities survive
+    (a pp-tuple), a parity its left dp-tuple before its right one -- the
+    picks the live store's ``RepairRun`` makes, so the rounds, the repairs
+    and the distinct blocks read are the store's.
     """
 
     def __init__(
@@ -238,19 +241,6 @@ class LatticeSimulation(SimulatedPlacement):
                     f"punctured mask shape {self.punctured.shape} does not "
                     f"match (data_blocks, alpha) = ({data_blocks}, {alpha})"
                 )
-        #: Lattice wiring, (n, alpha): Tables I and II for nodes ``1..n`` in
-        #: strand-class order.  ``input_creator`` 0 means "virtual zero
-        #: parity" (the strand starts at that node).
-        indices = np.arange(1, data_blocks + 1, dtype=np.int64)
-        rows = (indices - 1) % params.s
-        offsets = rule_offsets(params).values()
-        self.input_creator = np.stack(
-            [np.maximum(indices + np.asarray(inputs)[rows], 0) for inputs, _ in offsets],
-            axis=1,
-        )
-        self.output_node = np.stack(
-            [indices + np.asarray(outputs)[rows] for _, outputs in offsets], axis=1
-        )
 
     # ------------------------------------------------------------------
     # Shape
@@ -291,31 +281,13 @@ class LatticeSimulation(SimulatedPlacement):
         parity_available = ~failed_mask[self.parity_location] & ~self.punctured
         return data_available, parity_available
 
-    def _input_parity_available(self, parity_available: np.ndarray) -> np.ndarray:
-        """Availability of the input parity of every (node, class) pair.
-
-        Virtual zero parities (strand starts) are always available.
-        """
-        alpha = self._params.alpha
-        result = np.ones((self.data_blocks, alpha), dtype=bool)
-        for c in range(alpha):
-            creators = self.input_creator[:, c]
-            has_input = creators >= 1
-            idx = np.clip(creators - 1, 0, self.data_blocks - 1)
-            result[:, c] = np.where(has_input, parity_available[idx, c], True)
-        return result
-
-    @staticmethod
-    def _clip_repairs(repairable: np.ndarray, allowed: int) -> np.ndarray:
-        """Deterministically keep the first ``allowed`` repairable entries."""
-        flat = repairable.ravel()
-        over = int(flat.sum()) - allowed
-        if over <= 0:
-            return repairable
-        kept = flat.copy()
-        chosen = np.flatnonzero(flat)[allowed:]
-        kept[chosen] = False
-        return kept.reshape(repairable.shape)
+    def _picks(
+        self, data_ok: np.ndarray, parity_ok: np.ndarray, nodes: np.ndarray, columns: np.ndarray
+    ) -> RoundPicks:
+        """:func:`~repro.core.batch_repair.pick_round` over the whole lattice."""
+        return pick_round(
+            self._params, self.data_blocks, 1, data_ok, parity_ok, nodes, columns
+        )
 
     def run_repair(
         self,
@@ -326,8 +298,14 @@ class LatticeSimulation(SimulatedPlacement):
     ) -> EngineOutcome:
         """Round-based repair until a fixpoint, ``max_rounds`` or the budget.
 
+        Every round is one :func:`~repro.core.batch_repair.pick_round` over
+        the missing blocks -- the store's round rule, on the whole lattice.
         ``MaintenancePolicy.MINIMAL`` rebuilds data blocks only (the Fig. 12
-        regime); ``NONE`` measures raw exposure without any repairs.
+        regime); ``NONE`` measures raw exposure without any repairs.  A
+        budget's per-round cap keeps the first repairable data blocks, then
+        parities, in lattice order.  ``blocks_read`` counts the distinct
+        blocks the picked tuples read over the whole run, as the store's
+        ``RepairRun`` does: a block feeding several repairs once.
         """
         budget = budget or MaintenanceBudget.unlimited()
         repair_parities = policy.repairs_parities()
@@ -339,54 +317,53 @@ class LatticeSimulation(SimulatedPlacement):
             initially_missing_data=int((~data_available).sum()),
             initially_missing_redundancy=int((~parity_available).sum()),
         )
-        alpha = self._params.alpha
+        read_data = np.zeros_like(data_available)
+        read_parity = np.zeros_like(parity_available)
 
         if policy is not MaintenancePolicy.NONE:
             for round_number in range(1, max_rounds + 1):
                 if not budget.allows_round(round_number):
                     break
-                input_avail = self._input_parity_available(parity_available)
-                # Data block repair: some strand has both adjacent parities.
-                data_repairable = (~data_available) & np.any(
-                    input_avail & parity_available, axis=1
+                data_nodes = np.flatnonzero(~data_available) + 1
+                parity_nodes, parity_columns = (
+                    np.nonzero(~parity_available)
+                    if repair_parities
+                    else (np.empty(0, np.int64), np.empty(0, np.int64))
                 )
-                # Parity repair (two dp-tuples).
-                if repair_parities:
-                    left_ok = data_available[:, None] & input_avail
-                    successor = self.output_node  # (n, alpha)
-                    successor_exists = successor <= self.data_blocks
-                    succ_idx = np.clip(successor - 1, 0, self.data_blocks - 1)
-                    right_data = data_available[succ_idx]
-                    right_parity = parity_available[succ_idx, np.arange(alpha)[None, :]]
-                    right_ok = successor_exists & right_data & right_parity
-                    parity_repairable = (~parity_available) & (left_ok | right_ok)
-                else:
-                    parity_repairable = np.zeros_like(parity_available)
-
+                nodes = np.concatenate([data_nodes, parity_nodes + 1])
+                columns = np.concatenate([np.full(data_nodes.size, -1), parity_columns])
+                picks = self._picks(data_available, parity_available, nodes, columns)
+                picked = picks.picked
                 if budget.max_repairs_per_round is not None:
-                    allowed = budget.clip_round(
-                        int(data_repairable.sum()) + int(parity_repairable.sum())
-                    )
-                    data_repairable = self._clip_repairs(data_repairable, allowed)
-                    allowed -= int(data_repairable.sum())
-                    parity_repairable = self._clip_repairs(parity_repairable, allowed)
-
-                repaired_now = int(data_repairable.sum()) + int(parity_repairable.sum())
+                    # Data targets come first, so the cut keeps them first.
+                    allowed = budget.clip_round(int(picked.sum()))
+                    picked = picked & (np.cumsum(picked) <= allowed)
+                repaired_data = int(picked[: data_nodes.size].sum())
+                repaired_now = int(picked.sum())
                 if repaired_now == 0:
                     break
                 if round_number == 1:
-                    outcome.single_failure_repairs = int(data_repairable.sum())
-                outcome.repaired_data += int(data_repairable.sum())
-                outcome.repaired_redundancy += int(parity_repairable.sum())
+                    outcome.single_failure_repairs = repaired_data
+                outcome.repaired_data += repaired_data
+                outcome.repaired_redundancy += repaired_now - repaired_data
                 outcome.repaired_per_round.append(repaired_now)
-                data_available = data_available | data_repairable
-                parity_available = parity_available | parity_repairable
+                for node, column in (
+                    (picks.first_node, picks.first_column),
+                    (picks.second_node, picks.second_column),
+                ):
+                    used = picked & (node > 0)
+                    data = used & (column < 0)
+                    read_data[node[data] - 1] = True
+                    parity = used & (column >= 0)
+                    read_parity[node[parity] - 1, column[parity]] = True
+                data_available[data_nodes[picked[: data_nodes.size]] - 1] = True
+                repaired = picked[data_nodes.size :]
+                parity_available[parity_nodes[repaired], parity_columns[repaired]] = True
             outcome.rounds = len(outcome.repaired_per_round)
 
         outcome.data_loss = int((~data_available).sum())
         outcome.vulnerable_data = self._vulnerable_data(data_available, parity_available)
-        # Every lattice repair XORs exactly two surviving blocks (Sec. V-C3).
-        outcome.blocks_read = 2 * (outcome.repaired_data + outcome.repaired_redundancy)
+        outcome.blocks_read = int(read_data.sum()) + int(read_parity.sum())
         budget_limited = (
             budget.max_repairs_per_round is not None or budget.max_rounds is not None
         )
@@ -397,21 +374,26 @@ class LatticeSimulation(SimulatedPlacement):
             outcome.data_loss -= outcome.deferred_data
         return outcome
 
+    def _protected(
+        self, data_ok: np.ndarray, parity_ok: np.ndarray, wanted: np.ndarray
+    ) -> np.ndarray:
+        """Which data blocks among ``wanted`` (a node mask) have a complete
+        pp-tuple, in node order."""
+        nodes = np.flatnonzero(wanted) + 1
+        columns = np.full(nodes.size, -1)
+        return self._picks(data_ok, parity_ok, nodes, columns).picked
+
     def _deferred_data(
         self, data_available: np.ndarray, parity_available: np.ndarray
     ) -> int:
         """Missing data blocks that are still repairable (budget ran out)."""
-        input_avail = self._input_parity_available(parity_available)
-        repairable = (~data_available) & np.any(input_avail & parity_available, axis=1)
-        return int(repairable.sum())
+        return int(self._protected(data_available, parity_available, ~data_available).sum())
 
     def _vulnerable_data(
         self, data_available: np.ndarray, parity_available: np.ndarray
     ) -> int:
         """Data blocks present but no longer protected by any complete pp-tuple."""
-        input_avail = self._input_parity_available(parity_available)
-        protected = np.any(input_avail & parity_available, axis=1)
-        return int((data_available & ~protected).sum())
+        return int((~self._protected(data_available, parity_available, data_available)).sum())
 
 
 @dataclass

@@ -79,6 +79,8 @@ class BlockStore:
         self._bytes = 0
         # Ids whose record is still on the medium but left the index.
         self._unheld: Set[BlockId] = set()
+        # Held ids whose last backend read raised an ``OSError``.
+        self._refused: Set[BlockId] = set()
         for block_id, size in backend.scan():
             self._sizes[block_id] = size
             self._bytes += size
@@ -146,6 +148,7 @@ class BlockStore:
             self._backend.clear()
             self._sizes.clear()
             self._unheld.clear()
+            self._refused.clear()
             self._bytes = 0
             self._cache.clear()
             self._available = False
@@ -190,6 +193,8 @@ class BlockStore:
                     )
             if self._unheld:  # a write replaces an un-held record, a refusal deletes it
                 self._unheld.difference_update(staged)
+            if self._refused:
+                self._refused.difference_update(staged)
             written = False
             try:
                 self._backend.put_many(staged.items())
@@ -218,7 +223,14 @@ class BlockStore:
         loop under one lock acquisition per batch, through the LRU cache when
         one is configured; the read counter advances by the number of
         payloads returned.  A backend payload of another length than the
-        index recorded is ``None`` too, and its block is un-held."""
+        index recorded is ``None`` too, and its block is un-held.  A read the
+        backend refuses with an ``OSError`` (an EIO) is ``None`` as well --
+        an erasure a degraded read reads around -- and the block is
+        *refused*: still held, so a later read tries the medium again, and
+        listed by :meth:`StorageCluster.unreadable_blocks
+        <repro.storage.cluster.StorageCluster.unreadable_blocks>` until a
+        write or delete reaches it, so
+        :meth:`~repro.system.service.StorageService.repair` rewrites it."""
         wanted = block_ids if isinstance(block_ids, list) else list(block_ids)
         if not self._available:
             return [None] * len(wanted)
@@ -241,7 +253,13 @@ class BlockStore:
                     cache.move_to_end(block_id)
                     append(cache[block_id])
                     continue
-                payload = backend_get(block_id)
+                try:
+                    payload = backend_get(block_id)
+                except OSError:
+                    self._refused.add(block_id)
+                    missing += 1
+                    append(None)
+                    continue
                 if len(payload) != size:
                     missing += self._unhold((block_id,))
                     append(None)
@@ -279,7 +297,7 @@ class BlockStore:
         models request serving, while a delete reclaims space.
         """
         with self._lock:
-            sizes, unheld = self._sizes, self._unheld
+            sizes, unheld, refused = self._sizes, self._unheld, self._refused
             doomed = [b for b in dict.fromkeys(block_ids) if b in sizes or b in unheld]
             if doomed:
                 self._backend.delete_many(doomed)
@@ -287,6 +305,7 @@ class BlockStore:
                 for block_id in doomed:
                     self._bytes -= sizes.pop(block_id, 0)
                     unheld.discard(block_id)
+                    refused.discard(block_id)
                     cache.pop(block_id, None)
             return len(doomed)
 

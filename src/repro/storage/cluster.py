@@ -390,10 +390,17 @@ class StorageCluster:
         self._doubles.clear()
         return sum(store.unhold_other_sizes(size) for store in self._stores if store._sizes)
 
-    def unheld_blocks(self) -> Set[BlockId]:
-        """The blocks a store un-held where the directory places them."""
+    def unreadable_blocks(self) -> Set[BlockId]:
+        """The blocks a store could not read where the directory places them:
+        the ones it un-held (a record of the wrong length) and the ones whose
+        last read the medium refused."""
         directory = self._directory
-        return {b for s in self._stores for b in s._unheld if directory.get(b) == s.location_id}
+        return {
+            b
+            for s in self._stores
+            for b in s._unheld | s._refused
+            if directory.get(b) == s.location_id
+        }
 
     def relocate_many(
         self,

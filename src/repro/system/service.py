@@ -908,15 +908,17 @@ class StorageService(ServiceHandle):
         logs nothing.
         What the policy left alone comes back in ``skipped``.
 
-        A block the run itself found unreadable (a store un-held a record of
-        the wrong length) is rebuilt in the same call and listed as repaired.
+        A block found unreadable -- a store un-held a record of the wrong
+        length during the run, or the medium refused a read of it since it
+        was last written -- is rebuilt in the same call and listed as
+        repaired.
         """
         self._ensure_open()
         with self._state_lock:
             unavailable = self._cluster.unavailable_blocks()
             wanted = self._maintained(policy, unavailable)
             report = self._rebuild(wanted)
-            found = self._cluster.unheld_blocks() - unavailable
+            found = self._cluster.unreadable_blocks() - unavailable
             rewrite = self._maintained(policy, found)
             if rewrite:
                 self._rebuild(rewrite, report=report)
@@ -1001,7 +1003,7 @@ class StorageService(ServiceHandle):
         report = ServiceScrubReport(scheme=self._scheme.scheme_id)
         ambiguous: List[object] = []
         with self._state_lock:
-            unheld = self._cluster.unheld_blocks()
+            unreadable = self._cluster.unreadable_blocks()
             for scheme in filter(None, (self._catalogue.fallback, self._scheme)):
                 outcome = scheme.scrub(self._cluster)
                 report.checked += outcome.checked
@@ -1009,7 +1011,7 @@ class StorageService(ServiceHandle):
                 report.violated.extend(outcome.violated)
                 report.suspects.extend(outcome.suspects)
                 ambiguous.extend(outcome.ambiguous)
-            report.suspects.extend(self._cluster.unheld_blocks() - unheld)
+            report.suspects.extend(self._cluster.unreadable_blocks() - unreadable)
         rebuilt = self._rewrite(set(report.suspects))
         report.repaired = sorted(rebuilt.repaired, key=_block_order)
         report.unrecovered = sorted(rebuilt.unrecovered + ambiguous, key=_block_order)

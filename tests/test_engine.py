@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codes.lrc import azure_lrc
+from repro.core.batch_repair import _wiring
 from repro.core.parameters import AEParameters
 from repro.core.rules import input_index, output_index
 from repro.exceptions import InvalidParametersError
@@ -116,17 +117,16 @@ class TestVectorisedRules:
     @given(st.sampled_from([(1, 1, 0), (2, 2, 5), (3, 2, 5), (3, 5, 5), (3, 1, 4), (3, 3, 4)]))
     @settings(max_examples=12, deadline=None)
     def test_vectorised_rules_match_scalar_rules(self, spec):
+        """The offset arrays every array round reads (``pick_round``, so the
+        engine's rounds too) are Tables I and II."""
         params = AEParameters(*spec)
-        n = 200
-        lattice = LatticeSimulation(params, n, location_count=10)
-        inputs, outputs = lattice.input_creator, lattice.output_node
-        assert inputs.shape == outputs.shape == (n, params.alpha)
-        for index in range(1, n + 1):
+        inputs, outputs = _wiring(params)
+        assert inputs.shape == outputs.shape == (params.alpha, params.s)
+        for index in range(1, 201):
+            row = (index - 1) % params.s
             for position, strand_class in enumerate(params.strand_classes):
-                assert inputs[index - 1, position] == max(
-                    input_index(index, strand_class, params), 0
-                )
-                assert outputs[index - 1, position] == output_index(
+                assert index + inputs[position, row] == input_index(index, strand_class, params)
+                assert index + outputs[position, row] == output_index(
                     index, strand_class, params
                 )
 

@@ -25,6 +25,7 @@ import pytest
 from repro.core.blocks import DataId
 from repro.exceptions import (
     BlockUnavailableError,
+    RepairFailedError,
     ReproError,
     UnknownBlockError,
 )
@@ -263,16 +264,17 @@ class TestARefusedPutIsUndone:
 
     def test_an_undo_that_cannot_read_the_heads_is_owed(self, tmp_path):
         """Every call fails from ``b``'s put on: its undo cannot read the
-        strand heads back (no read cache holds them).  The undo stays owed:
-        a close checkpoints the state before ``b``, and the next put
-        finishes the undo first."""
+        strand heads back (no read cache holds them), nor rebuild them, so
+        the put is refused with the ``RepairFailedError`` of a head.  The
+        undo stays owed: a close checkpoints the state before ``b``, and the
+        next put finishes the undo first."""
         docs = three_documents()
         root = str(tmp_path / "tree")
         schedule = FaultSchedule()
         service = open_faulty("segment", schedule, root, "ae-3-2-5", cache_blocks=0)
         service.put("a", docs["a"])
         schedule.fail_after = schedule.calls
-        with pytest.raises(OSError):
+        with pytest.raises(RepairFailedError):
             service.put("b", docs["b"])
         assert "get" in {verb for _, verb, _ in schedule.fired}
         schedule.clear()
@@ -283,7 +285,7 @@ class TestARefusedPutIsUndone:
         service = open_faulty("memory", schedule, None, "ae-3-2-5")
         service.put("a", docs["a"])
         schedule.fail_after = schedule.calls
-        with pytest.raises(OSError):
+        with pytest.raises(RepairFailedError):
             service.put("b", docs["b"])
         schedule.clear()
         service.put("b", docs["b"])
@@ -305,7 +307,7 @@ class TestARefusedPutIsUndone:
         service = open_faulty("memory", schedule, None, "ae-2-2-5", cache_blocks=0)
         service.put("a", docs["a"])
         schedule.fail_after = schedule.calls
-        with pytest.raises(OSError):
+        with pytest.raises(RepairFailedError):
             service.put("b", docs["b"])
         schedule.clear()
         service.transition_to("ae-3-2-5")
@@ -478,6 +480,34 @@ def test_a_silent_bit_flip_is_caught(tmp_path):
     except TYPED:
         return
     assert got == data
+
+
+# ----------------------------------------------------------------------
+# One EIO on read is an erasure
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("scheme", ["ae-3-2-5", "rs-4-2"])
+def test_one_read_eio_on_any_block_is_an_erasure(scheme):
+    """A read the medium refuses is an erasure: the get reads around it,
+    byte-exact, and ``repair()`` rewrites the block.  Before, the
+    ``OSError`` went up through ``get`` (with ``cache_blocks=0`` every
+    block of a healthy get is one backend call)."""
+    data = np.random.default_rng(5).bytes(10 * BLOCK + 7)
+    for call in itertools.count():
+        schedule = FaultSchedule()
+        service = open_faulty("memory", schedule, None, scheme, cache_blocks=0)
+        service.put("doc", data)
+        schedule.at = {schedule.calls + call: "read-eio"}
+        assert service.get("doc") == data, call
+        if not schedule.fired:
+            break  # the get made fewer backend calls: every block was hit
+        (lost,) = service.cluster.unreadable_blocks()
+        writes = service.cluster.location(service.cluster.location_of(lost)).write_count
+        report = service.repair()
+        assert report.repaired == [lost] and report.data_loss == 0
+        assert service.cluster.location(service.cluster.location_of(lost)).write_count > writes
+        assert not service.cluster.unreadable_blocks()
+        assert service.get("doc") == data
+    assert call == len(service.documents["doc"].data_ids)
 
 
 # ----------------------------------------------------------------------
